@@ -6,55 +6,46 @@ continuous, and singular integrable conformal factors, and derives heat
 traces, zeta values, the zeta derivative at zero, and the two determinant
 metrics built from them, together with a harness verifying the convergence
 of all of it along smoothing families.
+
+The package-level names load their modules on first access (PEP 562), so
+importing ``zetasphere.cli`` does not load numpy before the CLI has set the
+BLAS thread environment.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    EigenConvergenceError,
-    FitWindowError,
-    IndefiniteMassError,
-    InvalidMetricError,
-    UnsupportedPointError,
-    ZetasphereError,
-)
-from .metrics import (
-    ChartPoint,
-    ConformalMetric,
-    MetricFamily,
-    fs_metric,
-    geomean_family,
-    interpolate,
-    max_metric,
-    parse_metric_spec,
-    pnorm_family,
-    pnorm_metric,
-    scaled_metric,
-    volume,
-)
+_EXPORTS = {
+    "ZetasphereError": "errors",
+    "ConfigError": "errors",
+    "DomainError": "errors",
+    "EigenConvergenceError": "errors",
+    "FitWindowError": "errors",
+    "IndefiniteMassError": "errors",
+    "InvalidMetricError": "errors",
+    "UnsupportedPointError": "errors",
+    "ChartPoint": "metrics",
+    "ConformalMetric": "metrics",
+    "MetricFamily": "metrics",
+    "fs_metric": "metrics",
+    "max_metric": "metrics",
+    "pnorm_metric": "metrics",
+    "scaled_metric": "metrics",
+    "pnorm_family": "metrics",
+    "geomean_family": "metrics",
+    "interpolate": "metrics",
+    "parse_metric_spec": "metrics",
+    "volume": "metrics",
+}
 
-__all__ = [
-    "__version__",
-    "ZetasphereError",
-    "ConfigError",
-    "DomainError",
-    "EigenConvergenceError",
-    "FitWindowError",
-    "IndefiniteMassError",
-    "InvalidMetricError",
-    "UnsupportedPointError",
-    "ChartPoint",
-    "ConformalMetric",
-    "MetricFamily",
-    "fs_metric",
-    "max_metric",
-    "pnorm_metric",
-    "scaled_metric",
-    "pnorm_family",
-    "geomean_family",
-    "interpolate",
-    "parse_metric_spec",
-    "volume",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ class SpectrumCache:
         try:
             with np.load(path, allow_pickle=False) as payload:
                 return {name: payload[name] for name in payload.files}
-        except (OSError, ValueError):
+        except (OSError, ValueError, zipfile.BadZipFile):
             # unreadable entries behave like misses; a later store overwrites
             return None
 

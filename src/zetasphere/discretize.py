@@ -12,13 +12,14 @@ matrices represent the operator pencil:
 Generalized eigenvalues of (K, M) then discretize the spectrum of the
 operator ``-lambda^{-1} d^2/(dz dzbar)`` acting on functions.
 
-Every built-in conformal factor is radial, so both matrices are block
-diagonal over the azimuthal index (m, cos/sin): the assembly loops over
-blocks, which keeps a full family sweep at L = 32 cheap. The dense
+Every built-in conformal factor is radial, so both matrices split into one
+block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
+copies of a block with m >= 1 coincide. The blocks are the native form of
+the pencil, assembled straight from the Legendre tables; `scatter` builds
+the dense n x n matrix, n = (L+1)^2, for operator-level checks. The dense
 all-nodes path (`mass_from_node_ratio`) remains for densities tabulated on
-the quadrature grid without radial symmetry and for the quadrature
-exactness tests; reductions are plain matrix products with a fixed
-summation order, so repeated runs produce identical bytes.
+the whole grid and for the quadrature exactness tests. Reductions have a
+fixed summation order, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IndefiniteMassError, InvalidMetricError
+from .errors import DomainError, InvalidMetricError
 from .harmonics import basis_indices, legendre_tables
 from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
@@ -35,6 +36,7 @@ from .quadrature import QuadratureRule, build_quadrature
 __all__ = [
     "SpectralBasis",
     "OperatorPair",
+    "scatter",
     "build_basis",
     "stiffness",
     "mass",
@@ -45,13 +47,15 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
+Blocks = tuple[np.ndarray, ...]
+
 
 class SpectralBasis:
-    """Legendre tables, index bookkeeping, and the stiffness matrix.
+    """Legendre tables, index bookkeeping, and the stiffness blocks.
 
     Holding a basis is the one-time cost shared by every metric at a given
     resolution. The full node-value matrix is only materialized on first use
-    of the dense path.
+    of the dense all-nodes path.
     """
 
     def __init__(self, L: int, quad: QuadratureRule | None = None):
@@ -76,35 +80,21 @@ class SpectralBasis:
         self.n = len(self.indices)
         self.ell = np.array([i[0] for i in self.indices])
         self.pbar, self.dpbar, self.qbar = legendre_tables(L, quad.x)
-
-        # positions of each (m, kind) block in the flat index
-        self.block_rows: dict[tuple[int, str], np.ndarray] = {}
-        for a, (ell, m, kind) in enumerate(self.indices):
-            self.block_rows.setdefault((m, kind), []).append(a)
-        self.block_rows = {
-            key: np.asarray(rows, dtype=int) for key, rows in self.block_rows.items()
-        }
         self._values: np.ndarray | None = None
-        self._stiffness: np.ndarray | None = None
+        self._stiffness: Blocks | None = None
 
     @property
     def values(self) -> np.ndarray:
         """Dense matrix of basis values on all flattened quadrature nodes."""
         if self._values is None:
-            quad = self.quad
-            nphi = quad.n_phi
-            m_vals = np.arange(self.L + 1)
-            cosm = np.cos(np.outer(m_vals, quad.phi))
-            sinm = np.sin(np.outer(m_vals, quad.phi))
-            B = np.empty((self.n, quad.x.size * nphi))
-            for a, (ell, m, kind) in enumerate(self.indices):
-                if kind == "zonal":
-                    B[a] = np.outer(self.pbar[ell, 0], np.ones(nphi)).ravel()
-                elif kind == "cos":
-                    B[a] = _SQRT2 * np.outer(self.pbar[ell, m], cosm[m]).ravel()
-                else:
-                    B[a] = _SQRT2 * np.outer(self.pbar[ell, m], sinm[m]).ravel()
-            self._values = B
+            phi = self.quad.phi
+            azimuth = [np.ones_like(phi)] + [
+                _SQRT2 * trig(m * phi) for m in range(1, self.L + 1) for trig in (np.cos, np.sin)
+            ]
+            B = np.empty((self.n, self.quad.x.size, phi.size))
+            for (m, rows), a in zip(_block_rows(self.L), azimuth):
+                B[rows] = self.pbar[m:, m, :, None] * a
+            self._values = B.reshape(self.n, -1)
         return self._values
 
     def gram_defect(self) -> float:
@@ -122,75 +112,91 @@ def build_basis(L: int, n_theta: int | None = None, n_phi: int | None = None) ->
     return SpectralBasis(L, build_quadrature(n_theta, n_phi))
 
 
-def _scatter_blocks(basis: SpectralBasis, block_fn) -> np.ndarray:
-    """Assemble a block-diagonal matrix from per-(m) radial blocks.
+def _block_rows(L: int):
+    """Yield (m, rows) for every diagonal block copy, in solve order.
 
-    ``block_fn(m, ells)`` returns the symmetric block for azimuthal index m;
-    cos and sin blocks coincide because the azimuthal average of cos^2 and
-    sin^2 agree.
+    The zonal block m = 0 comes first, then the cos and the sin copy of each
+    m >= 1. ``rows`` are the flat basis positions of the copy's functions,
+    ell^2 + (0 | 2m - 1 | 2m) for ell = m..L.
     """
-    out = np.zeros((basis.n, basis.n))
-    L = basis.L
     for m in range(L + 1):
-        kinds = ("zonal",) if m == 0 else ("cos", "sin")
-        ells = np.arange(m, L + 1)
-        block = block_fn(m, ells)
-        for kind in kinds:
-            rows = basis.block_rows[(m, kind)]
-            out[np.ix_(rows, rows)] = block
+        squares = np.arange(m, L + 1) ** 2
+        if m == 0:
+            yield 0, squares
+        else:
+            yield m, squares + (2 * m - 1)
+            yield m, squares + 2 * m
+
+
+def scatter(blocks: Blocks, columns: np.ndarray | None = None) -> np.ndarray:
+    """Dense n x n matrix holding ``blocks[m]`` on the rows of each (m, kind) copy.
+
+    A block sits on its own rows as columns, or, given ``columns``, on the
+    next slice of it: copy by copy in `_block_rows` order.
+    """
+    L = len(blocks) - 1
+    out = np.zeros(((L + 1) ** 2, (L + 1) ** 2))
+    start = 0
+    for m, rows in _block_rows(L):
+        cols = rows if columns is None else columns[start:start + rows.size]
+        out[np.ix_(rows, cols)] = blocks[m]
+        start += rows.size
     return out
 
 
-def stiffness(basis: SpectralBasis) -> np.ndarray:
-    """Dirichlet-form matrix; metric independent, cached on the basis.
+def stiffness(basis: SpectralBasis) -> Blocks:
+    """Dirichlet-form blocks K_m; metric independent, cached on the basis.
 
     Assembled in chart coordinates: the pairing of f and g is the quadrature
     of (df/dr dg/dr + r^-2 df/dphi dg/dphi) r^2-free chart gradient against
     the weight (1+r^2)^2 / 4 per round-measure node, which is the real form
-    of the normalized d/dz-dbar pairing. Row and column 0 vanish since the
-    constant has no Dirichlet energy.
+    of the normalized d/dz-dbar pairing. Row and column 0 of K_0 vanish since
+    the constant has no Dirichlet energy.
     """
     if basis._stiffness is None:
         quad = basis.quad
         r = quad.radii_theta
         jac = 2.0 / (1.0 + r * r)            # dtheta/dr
         gw = quad.weights_theta * (1.0 + r * r) ** 2 / 4.0
-
-        def block(m, ells):
-            dth = basis.dpbar[ells, m] * jac[None, :]   # d/dr values
+        blocks = []
+        for m in range(basis.L + 1):
+            dth = basis.dpbar[m:, m] * jac[None, :]   # d/dr values
             blk = (dth * gw[None, :]) @ dth.T
             if m > 0:
-                q = basis.qbar[ells, m] * jac[None, :]  # (1/r) d/dphi amplitude
+                q = basis.qbar[m:, m] * jac[None, :]  # (1/r) d/dphi amplitude
                 blk = blk + (m * m) * ((q * gw[None, :]) @ q.T)
-            return 0.5 * (blk + blk.T)
-
-        basis._stiffness = _scatter_blocks(basis, block)
+            blocks.append(0.5 * (blk + blk.T))
+        basis._stiffness = tuple(blocks)
     return basis._stiffness
 
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Stiffness/mass pencil of one metric on one basis."""
+    """Stiffness/mass pencil of one metric: blocks (K_m, M_m) for m = 0..L."""
 
-    stiffness: np.ndarray
-    mass: np.ndarray
+    stiffness_blocks: Blocks
+    mass_blocks: Blocks
     metric_id: str
     L: int
 
     @property
     def n(self) -> int:
-        return self.mass.shape[0]
+        return (self.L + 1) ** 2
+
+    @property
+    def volume(self) -> float:
+        """Metric volume: the mass of the constant, ``M_0[0, 0]``."""
+        return float(self.mass_blocks[0][0, 0])
 
 
-def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> np.ndarray:
-    """Gram matrix of the basis under a radial node weight ``wr``."""
-
-    def block(m, ells):
-        P = basis.pbar[ells, m]
+def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Blocks:
+    """Gram blocks of the basis under a radial node weight ``wr``."""
+    blocks = []
+    for m in range(basis.L + 1):
+        P = basis.pbar[m:, m]
         blk = (P * wr[None, :]) @ P.T
-        return 0.5 * (blk + blk.T)
-
-    return _scatter_blocks(basis, block)
+        blocks.append(0.5 * (blk + blk.T))
+    return tuple(blocks)
 
 
 def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
@@ -200,11 +206,11 @@ def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
     return np.exp(log_ratio)
 
 
-def mass(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
-    """Mass matrix of the metric area form in the harmonic basis.
+def mass(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
+    """Mass blocks M_m of the metric area form in the harmonic basis.
 
-    The built-in metrics are radial, so each (m, cos/sin) block is assembled
-    from the Legendre tables directly; ``M[0, 0]`` is the metric volume.
+    The built-in metrics are radial, so each block is assembled from the
+    Legendre tables directly; ``M_0[0, 0]`` is the metric volume.
     """
     ratio = _node_ratio(basis, metric)
     if not np.all(np.isfinite(ratio)) or ratio.min() <= 0.0:
@@ -215,8 +221,8 @@ def mass(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
     return _radial_weighted_gram(basis, basis.quad.weights_theta * ratio)
 
 
-def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
-    """Parameter derivative of the mass matrix along a metric family.
+def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
+    """Parameter derivative of the mass blocks along a metric family.
 
     Differentiating the area form in the family parameter multiplies the
     mass integrand by ``d log lambda / du``, so the same radial assembly
@@ -254,12 +260,9 @@ def mass_from_node_ratio(basis: SpectralBasis, ratio: np.ndarray) -> np.ndarray:
 
 
 def assemble(basis: SpectralBasis, metric: ConformalMetric) -> OperatorPair:
-    """Build the (K, M) pencil of a metric; M must be positive definite."""
-    M = mass(basis, metric)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as e:
-        raise IndefiniteMassError(
-            f"mass matrix of metric {metric.id!r} is not positive definite"
-        ) from e
-    return OperatorPair(stiffness(basis), M, metric.id, basis.L)
+    """Build the block (K_m, M_m) pencil of a metric.
+
+    Positive definiteness of each M_m is checked where it is used: the
+    eigensolve factors every mass block.
+    """
+    return OperatorPair(stiffness(basis), mass(basis, metric), metric.id, basis.L)

@@ -1,42 +1,51 @@
-"""Generalized symmetric eigensolve for the stiffness/mass pencil.
+"""Generalized symmetric eigensolve of the block stiffness/mass pencil.
 
-Wraps the LAPACK sygvd path (Cholesky reduction followed by symmetric
-divide-and-conquer) through scipy and maps its failure modes onto the
-package error types. The lowest eigenvalue belongs to the constants and is
-snapped to an exact zero once it passes the relative threshold check; nearly
-degenerate clusters are re-orthonormalized in the mass inner product so that
-downstream functional calculus is stable against eigenvector mixing inside
-a cluster.
+scipy's ``eigh`` solves each azimuthal block (K_m, M_m) on its own and
+factors M_m, so a failure names its block m directly. A block with m >= 1
+counts twice (cos and sin copies); a stable sort merges the values of all
+copies, which keeps the order deterministic and the degeneracy exact. The
+lowest value of the m = 0 block belongs to the constants and is snapped to
+an exact zero once it passes the relative threshold check. Eigenvectors
+stay per block; `Spectrum.dense` scatters K, M and V into n x n matrices on
+first use, for operator-level consumers only.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .discretize import OperatorPair
+from .discretize import Blocks, OperatorPair, scatter
 from .errors import EigenConvergenceError, IndefiniteMassError, InvalidMetricError
 
-__all__ = ["Spectrum", "generalized_eigs", "resolvent", "apply_function"]
+__all__ = ["Spectrum", "DenseView", "generalized_eigs", "resolvent", "apply_function"]
 
 KERNEL_SNAP_REL = 1e-8
-CLUSTER_GAP_REL = 1e-9
-SOLVER_VERSION = "sygvd-1"
+SOLVER_VERSION = "blocks-1"
+
+
+def _merge(block_values: Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """All block copies' values sorted, and the order: copies as `scatter` places them."""
+    copies = [block_values[0]] + [v for v in block_values[1:] for _ in ("cos", "sin")]
+    flat = np.concatenate(copies)
+    order = np.argsort(flat, kind="stable")
+    return flat[order], order
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues and M-orthonormal eigenvectors of one pencil.
+    """Eigenvalues of one pencil, with M_m-orthonormal eigenvectors per block.
 
-    ``eigenvalues[0]`` is exactly 0.0 (the constants); the columns of
-    ``vectors`` satisfy V^T M V = I.
+    ``eigenvalues`` holds every block copy merged in ascending order;
+    ``eigenvalues[0]`` is exactly 0.0 (the constants).
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    block_values: Blocks
+    block_vectors: Blocks
     metric_id: str
     L: int
     pair: OperatorPair = field(repr=False)
@@ -50,52 +59,34 @@ class Spectrum:
     def lambda1(self) -> float:
         return float(self.eigenvalues[self.kernel_dim])
 
-
-def _map_lapack_error(err: Exception, n: int) -> Exception:
-    msg = str(err)
-    lead = re.search(r"leading minor of order (\d+)", msg)
-    if lead is not None:
-        return IndefiniteMassError(
-            f"mass matrix is not positive definite ({msg})"
-        )
-    num = re.search(r"(\d+)", msg)
-    stuck = int(num.group(1)) if num else None
-    if stuck is not None and stuck > n:
-        return IndefiniteMassError(
-            f"mass matrix is not positive definite ({msg})"
-        )
-    return EigenConvergenceError(
-        f"eigensolver failed to converge ({msg})", stuck_index=stuck
-    )
+    @cached_property
+    def dense(self) -> DenseView:
+        """Memoized n x n view of the pencil, for operator-level consumers."""
+        return DenseView(self)
 
 
-def _recluster(vals: np.ndarray, vecs: np.ndarray, M: np.ndarray) -> None:
-    """Modified Gram-Schmidt in the M inner product inside tight clusters.
+class DenseView:
+    """The n x n matrices K, M and V of a spectrum, each scattered on first use.
 
-    The M-images of the cluster columns are formed once as a block product
-    and updated alongside the columns, so the sweep costs one matrix product
-    per cluster instead of one matrix-vector product per projection.
+    The columns of ``vectors`` follow ``eigenvalues`` and satisfy V^T M V = I.
     """
-    n = vals.size
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= CLUSTER_GAP_REL * max(1.0, vals[j]):
-            j += 1
-        if j - i > 1:
-            block = vecs[:, i:j]
-            images = M @ block
-            for k in range(block.shape[1]):
-                v = block[:, k]
-                mv = images[:, k]
-                for prev in range(k):
-                    c = block[:, prev] @ mv
-                    v -= c * block[:, prev]
-                    mv -= c * images[:, prev]
-                nrm = np.sqrt(v @ mv)
-                block[:, k] = v / nrm
-                images[:, k] = mv / nrm
-        i = j
+
+    def __init__(self, spectrum: Spectrum):
+        self._spectrum = spectrum
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        return scatter(self._spectrum.pair.stiffness_blocks)
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        return scatter(self._spectrum.pair.mass_blocks)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        spec = self._spectrum
+        _, order = _merge(spec.block_values)
+        return scatter(spec.block_vectors, columns=np.argsort(order))
 
 
 def generalized_eigs(pair: OperatorPair) -> Spectrum:
@@ -104,38 +95,42 @@ def generalized_eigs(pair: OperatorPair) -> Spectrum:
     Raises
     ------
     IndefiniteMassError
-        If the Cholesky reduction of M fails.
+        If a mass block M_m is not positive definite; the message names m.
     EigenConvergenceError
-        If the eigensolver stalls; carries the reported index.
+        If the eigensolver stalls on a block; ``stuck_index`` is its m.
     InvalidMetricError
-        If the computed bottom of the spectrum is not a one-dimensional
-        kernel within the relative snap threshold.
+        If the bottom of the m = 0 block is not a one-dimensional kernel
+        within the relative snap threshold.
     """
-    n = pair.n
-    try:
-        vals, vecs = scipy.linalg.eigh(pair.stiffness, pair.mass, driver="gvd")
-    except scipy.linalg.LinAlgError as e:
-        raise _map_lapack_error(e, n) from e
-    except ValueError as e:
-        raise _map_lapack_error(e, n) from e
+    values, vectors = [], []
+    for m, (K, M) in enumerate(zip(pair.stiffness_blocks, pair.mass_blocks)):
+        try:
+            lam, vec = scipy.linalg.eigh(K, M)
+        except (scipy.linalg.LinAlgError, ValueError) as e:
+            where = f"block m = {m} of {pair.metric_id!r}"
+            if not np.all(np.isfinite(M)) or np.linalg.eigvalsh(M)[0] <= 0.0:
+                raise IndefiniteMassError(f"mass {where} is not positive definite") from e
+            raise EigenConvergenceError(f"no convergence on {where} ({e})", stuck_index=m) from e
+        values.append(lam)
+        vectors.append(vec)
 
-    lam1 = vals[1]
-    if not (lam1 > 0.0) or abs(vals[0]) > KERNEL_SNAP_REL * lam1:
+    lam0 = values[0][0]
+    lam1 = np.concatenate([values[0][1:]] + [v[:1] for v in values[1:]]).min()
+    if not (lam1 > 0.0) or abs(lam0) > KERNEL_SNAP_REL * lam1:
         raise InvalidMetricError(
             f"pencil of {pair.metric_id!r} has no clean one-dimensional kernel: "
-            f"lowest eigenvalues {vals[0]:.3e}, {vals[1]:.3e}"
+            f"lowest eigenvalues {lam0:.3e}, {lam1:.3e}"
         )
-    vals = vals.copy()
-    vals[0] = 0.0
-    _recluster(vals, vecs, pair.mass)
-    return Spectrum(vals, vecs, pair.metric_id, pair.L, pair)
+    values[0][0] = 0.0
+    eigenvalues, _ = _merge(values)
+    return Spectrum(eigenvalues, tuple(values), tuple(vectors), pair.metric_id, pair.L, pair)
 
 
 def apply_function(spectrum: Spectrum, f) -> np.ndarray:
     """Matrix of f(operator) in the basis: V diag(f(lambda)) V^T M."""
     fv = np.asarray(f(spectrum.eigenvalues), dtype=float)
-    V = spectrum.vectors
-    return (V * fv[None, :]) @ (V.T @ spectrum.pair.mass)
+    V = spectrum.dense.vectors
+    return (V * fv[None, :]) @ (V.T @ spectrum.dense.mass)
 
 
 def resolvent(spectrum: Spectrum, shift: float = 1.0) -> np.ndarray:

@@ -33,7 +33,7 @@ class UnsupportedPointError(ZetasphereError, ValueError):
 
 
 class IndefiniteMassError(ZetasphereError, ValueError):
-    """The mass matrix failed its Cholesky factorization."""
+    """A mass matrix (block) is not positive definite."""
 
 
 class EigenConvergenceError(ZetasphereError, RuntimeError):

@@ -46,7 +46,7 @@ from .anomaly import (
     two_route_check,
 )
 from .cache import SpectrumCache
-from .discretize import assemble, mass, mass_log_variation
+from .discretize import assemble, mass, mass_log_variation, scatter
 from .eigensolve import resolvent
 from .errors import DomainError
 from .heatzeta import DuhamelReport, duhamel_residual, heat_operator, theta_values
@@ -497,10 +497,10 @@ def lambda1_floor(
         metrics.append(family.limit)
 
     basis = get_basis(L, n_theta, n_phi)
-    m_ref = mass(basis, metrics[0])
+    m_ref = scatter(mass(basis, metrics[0]))
     rows: list[Lambda1FloorRow] = []
     for label, metric in zip(labels, metrics):
-        m_p = mass(basis, metric)
+        m_p = scatter(mass(basis, metric))
         c_member = float(scipy.linalg.eigh(m_p, m_ref, eigvals_only=True)[-1])
         lam1 = spectral_data(metric, L, n_theta, n_phi, cache).lambda1
         rows.append(Lambda1FloorRow(float(label), lam1, c_member))
@@ -586,7 +586,7 @@ def resolvent_convergence(
         raise DomainError("resolvent_convergence needs at least three members")
 
     basis = get_basis(L, n_theta, n_phi)
-    ip_ref = InnerProduct.from_gram(mass(basis, members[0]))
+    ip_ref = InnerProduct.from_gram(scatter(mass(basis, members[0])))
     xg, wg = np.polynomial.legendre.leggauss(n_gl)
 
     def operators_at(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -717,16 +717,17 @@ def bornelapbelt_check(
     metric = interpolate(family, u)
     basis = get_basis(L, n_theta, n_phi)
     pair = assemble(basis, metric)
-    d_mass = mass_log_variation(basis, metric)
+    K, M = scatter(pair.stiffness_blocks), scatter(pair.mass_blocks)
+    d_mass = scatter(mass_log_variation(basis, metric))
 
-    cho = scipy.linalg.cho_factor(pair.mass)
+    cho = scipy.linalg.cho_factor(M)
     rng = np.random.default_rng(seed)
     test = rng.standard_normal((pair.n, n_vectors))
-    lap_v = scipy.linalg.cho_solve(cho, pair.stiffness @ test)
+    lap_v = scipy.linalg.cho_solve(cho, K @ test)
     dlap_v = -scipy.linalg.cho_solve(cho, d_mass @ lap_v)
 
     def m_norms(x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.einsum("ij,ij->j", x, pair.mass @ x))
+        return np.sqrt(np.einsum("ij,ij->j", x, M @ x))
 
     num = m_norms(dlap_v)
     den = m_norms(lap_v)

@@ -528,8 +528,8 @@ def duhamel_residual(
         raise DomainError("need positive t and h")
     dE = (heat_operator(spec_hi, t) - heat_operator(spec_lo, t)) / (2.0 * h)
     d_lap = (
-        np.linalg.solve(spec_hi.pair.mass, spec_hi.pair.stiffness)
-        - np.linalg.solve(spec_lo.pair.mass, spec_lo.pair.stiffness)
+        np.linalg.solve(spec_hi.dense.mass, spec_hi.dense.stiffness)
+        - np.linalg.solve(spec_lo.dense.mass, spec_lo.dense.stiffness)
     ) / (2.0 * h)
 
     xg, wg = leggauss(n_nodes)
@@ -538,7 +538,7 @@ def duhamel_residual(
     acc = np.zeros_like(dE)
     for s, w in zip(s_nodes, s_wts):
         acc += w * (heat_operator(spec_mid, t - s) @ d_lap @ heat_operator(spec_mid, s))
-    ip = InnerProduct.from_gram(spec_mid.pair.mass)
+    ip = InnerProduct.from_gram(spec_mid.dense.mass)
     resid = operator_norm(dE + acc, ip)
     d_norm = operator_norm(dE, ip)
     ratio = resid / d_norm if d_norm > 0.0 else 0.0

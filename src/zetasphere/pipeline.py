@@ -4,8 +4,9 @@ Everything downstream (CLI subcommands, the anomaly module, the convergence
 harness, the acceptance suite) goes through these helpers so that a basis is
 built once per resolution and a pencil is solved once per (metric, basis)
 within a process. The disk cache stores eigenvalues and volume, which is all
-the scalar pipelines (theta, zeta, torsion) need; operator-level work
-(resolvents, heat operators) recomputes eigenvectors in process.
+the scalar pipelines (theta, zeta, torsion) need; they never build an n x n
+matrix. Operator-level work (resolvents, heat operators) recomputes the
+block eigenvectors in process and reads the spectrum's dense view.
 
 Time grids and fit windows default to the metric's global scale: rescaling
 the conformal factor by c rescales eigenvalues by 1/c, so every default time
@@ -104,6 +105,30 @@ class SpectralData:
         return float(lam[lam > 0.0][0])
 
 
+def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
+    """Eigenvalues and volume of a cache entry, or None if missing or malformed.
+
+    A valid entry holds (L+1)^2 finite, ascending eigenvalues starting at an
+    exact 0.0 and a positive, finite volume.
+    """
+    if hit is None:
+        return None
+    try:
+        lam = np.asarray(hit["eigenvalues"], dtype=float)
+        vol = float(hit["volume"][()])
+    except (KeyError, TypeError, ValueError):
+        return None
+    ok = (
+        lam.shape == ((L + 1) ** 2,)
+        and bool(np.all(np.isfinite(lam)))
+        and lam[0] == 0.0
+        and bool(np.all(np.diff(lam) >= 0.0))
+        and math.isfinite(vol)
+        and vol > 0.0
+    )
+    return (lam, vol) if ok else None
+
+
 def spectral_data(
     metric: ConformalMetric,
     L: int,
@@ -114,23 +139,18 @@ def spectral_data(
     """Eigenvalues and volume, served from the disk cache when possible.
 
     The disk lookup runs before any in-process state so a warm cache is
-    exercised honestly; on a miss the spectrum is computed, stored, and the
-    fresh values returned.
+    exercised honestly; on a miss, or on an entry that fails validation, the
+    spectrum is computed, stored over the entry, and the fresh values
+    returned. Only the blocks are solved: no n x n matrix is built here.
     """
     nt, np_ = _sizes(L, n_theta, n_phi)
     key = spectrum_cache_key(metric.id, L, nt, np_, SOLVER_VERSION)
     if cache is not None:
-        hit = cache.load(key)
+        hit = _valid_hit(cache.load(key), L)
         if hit is not None:
-            return SpectralData(
-                metric.id, L, nt, np_,
-                np.asarray(hit["eigenvalues"], dtype=float),
-                float(hit["volume"][()]),
-                SOLVER_VERSION,
-                True,
-            )
+            return SpectralData(metric.id, L, nt, np_, *hit, SOLVER_VERSION, True)
     spectrum = compute_spectrum(metric, L, nt, np_)
-    vol = float(spectrum.pair.mass[0, 0])
+    vol = spectrum.pair.volume
     if cache is not None:
         cache.store(key, eigenvalues=spectrum.eigenvalues, volume=np.float64(vol))
     return SpectralData(

@@ -58,11 +58,12 @@ def _check_operators() -> None:
     from .pipeline import compute_spectrum
 
     spectrum = compute_spectrum(fs_metric(), 6)
-    ip = InnerProduct.from_gram(spectrum.pair.mass)
+    dense = spectrum.dense
+    ip = InnerProduct.from_gram(dense.mass)
     t = 0.7
     E = heat_operator(spectrum, t)
     P = np.eye(spectrum.pair.n)
-    P -= np.outer(spectrum.vectors[:, 0], spectrum.vectors[:, 0] @ spectrum.pair.mass)
+    P -= np.outer(dense.vectors[:, 0], dense.vectors[:, 0] @ dense.mass)
     bridge = abs(trace_norm(P @ E, ip) - theta(spectrum, t))
     assert bridge < 1e-10, f"heat-trace bridge defect {bridge:.3e}"
 

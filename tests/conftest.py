@@ -1,8 +1,9 @@
 """Shared fixtures for the test suite.
 
 One disk spectrum cache is shared by the whole session so repeated
-eigensolves at the same resolution cost a file read, not ten seconds.
-Tests that assert on cold-start timing create their own directories.
+eigensolves at the same resolution cost a file read instead of an assembly
+and a block solve. Tests that need a cold start create their own
+directories.
 """
 
 import pytest

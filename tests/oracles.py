@@ -183,3 +183,27 @@ def power_iteration_sigma(A: np.ndarray, gram: np.ndarray, seed: int,
         if den > 0.0:
             best = max(best, num / den)
     return float(best)
+
+
+def dense_pencil_eigenvalues(stiffness_blocks, mass_blocks) -> np.ndarray:
+    """Eigenvalues of the dense n x n pencil scattered from per-m blocks.
+
+    This is the full generalized solve (LAPACK sygvd through scipy) on the
+    flat harmonic index: for each ell the zonal function, then the cos and
+    sin functions of m = 1..ell, so position ell^2 for m = 0 and
+    ell^2 + 2m - 1, ell^2 + 2m for the cos and sin copies. Block m holds the
+    rows ell = m..L of one copy.
+    """
+    import scipy.linalg
+
+    L = len(mass_blocks) - 1
+    n = (L + 1) ** 2
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    for m in range(L + 1):
+        ells = np.arange(m, L + 1)
+        for offset in ((0,) if m == 0 else (2 * m - 1, 2 * m)):
+            rows = ells * ells + offset
+            K[np.ix_(rows, rows)] = stiffness_blocks[m]
+            M[np.ix_(rows, rows)] = mass_blocks[m]
+    return scipy.linalg.eigh(K, M, eigvals_only=True, driver="gvd")

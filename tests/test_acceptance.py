@@ -3,9 +3,10 @@
 Every test prints ``ACxx PASS/FAIL: detail`` and asserts the criterion at
 its stated tolerance. One criterion is knowingly red: the pointwise heat
 trace comparison against the kink-limit metric at p = 32 (see the README
-section on the theta gap); it is asserted faithfully and fails until the
-discretization can resolve the limit kink, so the suite documents the gap
-instead of hiding it.
+section on the theta gap). The gap is the continuum distance between
+pnorm(32) and max, which no resolution closes; it is asserted faithfully,
+so the suite documents the gap instead of hiding it, and a green companion
+test pins its O(p^-2) rate.
 """
 
 import math
@@ -185,13 +186,35 @@ def test_ac06_zeta_prime_cauchy_and_limit(zeta32):
 def test_ac06_theta_pointwise_limit(zeta32):
     """Knowingly red: theta_32(1) vs theta_max(1) within 1e-4.
 
-    Galerkin eigenvalues are upper bounds, and at p = 32 the metric's kink
-    region is still under-resolved at L = 32, so the measured gap sits near
-    3.3e-3. The criterion is asserted as stated; see the README for the
-    resolution analysis.
+    The measured gap, 3.335e-3, is not a resolution effect: it is 3.3351e-3
+    at L = 32 and 3.3354e-3 at L = 64 and L = 128. It is the continuum
+    distance between the heat traces of pnorm(32) and max at t = 1, which
+    falls like p^-2 (see `test_ac06_theta_gap_is_continuum_rate`), so the
+    1e-4 bound would need p near 185 rather than more L. The criterion is
+    asserted as stated; see the README for the analysis.
     """
     gap = abs(theta_at_one(zeta32[32.0][0]) - theta_at_one(zeta32["max"][0]))
     report("AC06b", gap <= 1e-4, f"theta_32(1) vs theta_max(1): gap {gap:.3e} (<= 1e-4)")
+
+
+def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
+    """The AC06b gap shrinks like p^-2 in p and does not move with L.
+
+    Successive gap ratios for p = 8 -> 16 -> 32 -> 64 at L = 32 approach 4,
+    the ratio of an O(p^-2) distance; doubling L changes the p = 32 gap by
+    under 1 %.
+    """
+    theta_max = theta_at_one(zeta32["max"][0])
+    gaps = {p: abs(theta_at_one(zeta32[p][0]) - theta_max) for p in (8.0, 16.0, 32.0)}
+    gaps[64.0] = abs(theta_at_one(spectral_data(pnorm_metric(64.0), 32, cache=cache)) - theta_max)
+    ratios = [gaps[p] / gaps[2.0 * p] for p in (8.0, 16.0, 32.0)]
+    assert all(3.5 <= r <= 4.0 for r in ratios), ratios
+
+    gap_64 = abs(
+        theta_at_one(spectral_data(pnorm_metric(32.0), 64, cache=cache))
+        - theta_at_one(spectral_data(max_metric(), 64, cache=cache))
+    )
+    assert abs(gap_64 - gaps[32.0]) <= 0.01 * gaps[32.0], (gap_64, gaps[32.0])
 
 
 def test_ac07_lambda1_floor(cache):
@@ -244,9 +267,10 @@ def test_ac09_operator_suite():
         assert eq.consistent
 
     spectrum = compute_spectrum(fs_metric(), 7)
-    ip = InnerProduct.from_gram(spectrum.pair.mass)
+    dense = spectrum.dense
+    ip = InnerProduct.from_gram(dense.mass)
     P = np.eye(spectrum.pair.n)
-    P -= np.outer(spectrum.vectors[:, 0], spectrum.vectors[:, 0] @ spectrum.pair.mass)
+    P -= np.outer(dense.vectors[:, 0], dense.vectors[:, 0] @ dense.mass)
     worst = max(
         abs(trace_norm(P @ heat_operator(spectrum, t), ip) - theta(spectrum, t))
         for t in (0.3, 1.0, 2.5)

@@ -1,8 +1,9 @@
 """Galerkin assembly: stiffness, mass matrices, and their parameter variation.
 
-The radial block assembly is cross-checked against the dense full-node path
-(which sees the azimuthal factors explicitly), and the mass variation against
-a centered stencil in the family parameter.
+The radial blocks are scattered into dense matrices and cross-checked
+against the dense full-node path (which sees the azimuthal factors
+explicitly), and the mass variation against a centered stencil in the
+family parameter.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from zetasphere.discretize import (
     mass,
     mass_from_node_ratio,
     mass_log_variation,
+    scatter,
     stiffness,
 )
 from zetasphere.errors import DomainError, InvalidMetricError
@@ -60,7 +62,7 @@ def test_gram_defect(L):
 
 
 def test_stiffness_properties(basis):
-    K = stiffness(basis)
+    K = scatter(stiffness(basis))
     assert K.shape == (basis.n, basis.n)
     assert np.allclose(K, K.T, atol=1e-13)
     # constants span the kernel of the pairing
@@ -71,25 +73,26 @@ def test_stiffness_properties(basis):
 
 def test_stiffness_is_metric_independent(basis):
     """assemble() reuses one stiffness matrix whatever the metric."""
-    k1 = assemble(basis, fs_metric()).stiffness
-    k2 = assemble(basis, pnorm_metric(3.0)).stiffness
+    k1 = assemble(basis, fs_metric()).stiffness_blocks
+    k2 = assemble(basis, pnorm_metric(3.0)).stiffness_blocks
     assert k1 is k2
 
 
 def test_fs_round_diagonal(basis):
     """Round factor: density ratio is the constant 2, so M = 2I and K = M diag(l(l+1)/2)."""
-    M = mass(basis, fs_metric())
+    M = scatter(mass(basis, fs_metric()))
     assert np.abs(M - 2.0 * np.eye(basis.n)).max() < 1e-12
-    K = stiffness(basis)
+    K = scatter(stiffness(basis))
     lam = basis.ell * (basis.ell + 1) / 2.0
     assert np.abs(K - M * lam[None, :]).max() < 1e-9
 
 
 def test_mass_volume_entry(basis):
-    """M[0,0] is the volume, independently computed by the metrics layer."""
+    """M_0[0,0] is the volume, independently computed by the metrics layer."""
     for metric in (pnorm_metric(2.0), pnorm_metric(5.0), max_metric()):
-        M = mass(basis, metric)
-        assert M[0, 0] == pytest.approx(volume(metric, basis.quad), rel=1e-13)
+        M0 = mass(basis, metric)[0]
+        assert M0[0, 0] == pytest.approx(volume(metric, basis.quad), rel=1e-13)
+        assert assemble(basis, metric).volume == M0[0, 0]
     # and against the closed form, through a finer rule than the basis uses
     fine = build_quadrature(192, 2)
     m = pnorm_metric(5.0)
@@ -103,12 +106,12 @@ def test_block_vs_dense_assembly(basis):
             1.0 + basis.quad.radii**2
         ) ** 2
         dense = mass_from_node_ratio(basis, ratio)
-        blocked = mass(basis, metric)
+        blocked = scatter(mass(basis, metric))
         assert np.abs(dense - blocked).max() < 1e-12, metric.id
 
 
 def test_mass_symmetric_positive(basis):
-    M = mass(basis, max_metric())
+    M = scatter(mass(basis, max_metric()))
     assert np.allclose(M, M.T, atol=1e-14)
     assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -117,8 +120,10 @@ def test_scaled_metric_scales_mass_only(basis):
     base = pnorm_metric(3.0)
     pair_base = assemble(basis, base)
     pair_scaled = assemble(basis, scaled_metric(2.0, base))
-    assert np.allclose(pair_scaled.mass, 2.0 * pair_base.mass, rtol=1e-14)
-    assert pair_scaled.stiffness is pair_base.stiffness
+    assert np.allclose(
+        scatter(pair_scaled.mass_blocks), 2.0 * scatter(pair_base.mass_blocks), rtol=1e-14
+    )
+    assert pair_scaled.stiffness_blocks is pair_base.stiffness_blocks
 
 
 def test_mass_rejects_invalid_density(basis):
@@ -149,9 +154,10 @@ def test_mass_log_variation_stencil(basis):
     """Analytic d(mass)/du against a centered difference along the family."""
     fam = pnorm_family()
     u, h = 2.5, 1e-4
-    got = mass_log_variation(basis, interpolate(fam, u))
+    got = scatter(mass_log_variation(basis, interpolate(fam, u)))
     fd = (
-        mass(basis, interpolate(fam, u + h)) - mass(basis, interpolate(fam, u - h))
+        scatter(mass(basis, interpolate(fam, u + h)))
+        - scatter(mass(basis, interpolate(fam, u - h)))
     ) / (2.0 * h)
     scale = np.abs(fd).max()
     assert np.abs(got - fd).max() < 1e-7 * scale
@@ -161,9 +167,9 @@ def test_mass_log_variation_stencil(basis):
 def test_mass_log_variation_vanishes_when_stationary(basis):
     fam = pnorm_family()
     # plain metrics carry no family parameter at all
-    assert np.all(mass_log_variation(basis, pnorm_metric(3.0)) == 0.0)
+    assert np.all(scatter(mass_log_variation(basis, pnorm_metric(3.0))) == 0.0)
     # at integer u the smooth blend is stationary by construction
-    assert np.all(mass_log_variation(basis, interpolate(fam, 2.0)) == 0.0)
+    assert np.all(scatter(mass_log_variation(basis, interpolate(fam, 2.0))) == 0.0)
 
 
 def test_mass_log_variation_rayleigh_range(basis):
@@ -176,8 +182,8 @@ def test_mass_log_variation_rayleigh_range(basis):
 
     fam = pnorm_family()
     m = interpolate(fam, 2.5)
-    M = mass(basis, m)
-    dM = mass_log_variation(basis, m)
+    M = scatter(mass(basis, m))
+    dM = scatter(mass_log_variation(basis, m))
     pencil = scipy.linalg.eigh(dM, M, eigvals_only=True)
     dlog = m.d_log_density_du(basis.quad.radii_theta.astype(complex))
     lo, hi = float(dlog.min()), float(dlog.max())

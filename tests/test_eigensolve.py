@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from zetasphere.discretize import OperatorPair, assemble, build_basis
 from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
 from zetasphere.errors import (
     IndefiniteMassError,
     InvalidMetricError,
 )
-from zetasphere.metrics import fs_metric, max_metric, pnorm_metric, scaled_metric
+from zetasphere.metrics import (
+    fs_metric,
+    max_metric,
+    parse_metric_spec,
+    pnorm_metric,
+    scaled_metric,
+)
 
 METRICS = [fs_metric(), pnorm_metric(3.0), max_metric()]
 
@@ -27,18 +34,18 @@ def spectrum(request, basis):
 
 
 def test_eigen_residuals(spectrum):
-    K = spectrum.pair.stiffness
-    M = spectrum.pair.mass
+    K = spectrum.dense.stiffness
+    M = spectrum.dense.mass
     scale_k = np.linalg.norm(K, 2)
     scale_m = np.linalg.norm(M, 2)
-    for lam, v in zip(spectrum.eigenvalues, spectrum.vectors.T):
+    for lam, v in zip(spectrum.eigenvalues, spectrum.dense.vectors.T):
         res = np.linalg.norm(K @ v - lam * (M @ v))
         assert res <= 1e-9 * (scale_k + abs(lam) * scale_m), spectrum.metric_id
 
 
 def test_mass_orthonormality(spectrum):
-    V = spectrum.vectors
-    gram = V.T @ spectrum.pair.mass @ V
+    V = spectrum.dense.vectors
+    gram = V.T @ spectrum.dense.mass @ V
     assert np.abs(gram - np.eye(V.shape[1])).max() < 1e-10
 
 
@@ -47,8 +54,8 @@ def test_kernel_is_constants(spectrum):
     assert spectrum.kernel_dim == 1
     assert spectrum.lambda1 > 0.0
     # the kernel vector is the constant: only the first coefficient survives
-    v0 = spectrum.vectors[:, 0]
-    m00 = spectrum.pair.mass[0, 0]
+    v0 = spectrum.dense.vectors[:, 0]
+    m00 = spectrum.dense.mass[0, 0]
     assert abs(v0[0]) == pytest.approx(1.0 / np.sqrt(m00), rel=1e-10)
     assert np.abs(v0[1:]).max() < 1e-8 * abs(v0[0])
 
@@ -85,7 +92,9 @@ def test_against_expert_lapack_driver(basis):
     """Same pencil through the gvx expert routine instead of gv."""
     pair = assemble(basis, pnorm_metric(3.0))
     spec = generalized_eigs(pair)
-    vals = scipy.linalg.eigh(pair.stiffness, pair.mass, eigvals_only=True, driver="gvx")
+    vals = scipy.linalg.eigh(
+        spec.dense.stiffness, spec.dense.mass, eigvals_only=True, driver="gvx"
+    )
     scale = np.maximum(np.abs(vals), 1.0)
     assert (np.abs(spec.eigenvalues - vals) / scale).max() < 1e-11
 
@@ -93,7 +102,7 @@ def test_against_expert_lapack_driver(basis):
 def test_apply_function_identity(spectrum):
     """f(lam) = lam reconstructs the operator M^{-1} K."""
     got = apply_function(spectrum, lambda lam: lam)
-    want = np.linalg.solve(spectrum.pair.mass, spectrum.pair.stiffness)
+    want = np.linalg.solve(spectrum.dense.mass, spectrum.dense.stiffness)
     scale = np.abs(want).max()
     assert np.abs(got - want).max() < 1e-10 * max(1.0, scale)
 
@@ -108,7 +117,7 @@ def test_apply_function_preserves_constants(spectrum):
 def test_resolvent_inverts(spectrum):
     shift = 1.0
     R = resolvent(spectrum, shift)
-    op = np.linalg.solve(spectrum.pair.mass, spectrum.pair.stiffness)
+    op = np.linalg.solve(spectrum.dense.mass, spectrum.dense.stiffness)
     prod = (shift * np.eye(spectrum.pair.n) + op) @ R
     assert np.abs(prod - np.eye(spectrum.pair.n)).max() < 1e-9
 
@@ -121,27 +130,51 @@ def test_resolvent_rejects_nonpositive_shift(spectrum):
 
 
 def test_indefinite_mass_is_reported():
-    n = 6
-    K = np.eye(n)
-    M = np.eye(n)
-    M[0, 0] = -1.0
-    pair = OperatorPair(stiffness=K, mass=M, metric_id="synthetic", L=1)
+    K = (np.eye(2), np.eye(1))
+    M0 = np.eye(2)
+    M0[0, 0] = -1.0
+    pair = OperatorPair(
+        stiffness_blocks=K, mass_blocks=(M0, np.eye(1)), metric_id="synthetic", L=1
+    )
     with pytest.raises(IndefiniteMassError):
         generalized_eigs(pair)
 
 
+def test_indefinite_mass_block_names_m():
+    """A real pencil with one indefinite mass block M_3 fails on that block."""
+    pair = assemble(build_basis(6), fs_metric())
+    bad = pair.mass_blocks[3].copy()
+    bad[1, 1] = -bad[1, 1]
+    blocks = pair.mass_blocks[:3] + (bad,) + pair.mass_blocks[4:]
+    broken = OperatorPair(pair.stiffness_blocks, blocks, pair.metric_id, pair.L)
+    with pytest.raises(IndefiniteMassError, match=r"block m = 3\b"):
+        generalized_eigs(broken)
+
+
 def test_missing_kernel_is_reported():
-    n = 6
-    pair = OperatorPair(
-        stiffness=np.eye(n), mass=np.eye(n), metric_id="synthetic", L=1
-    )
+    eye = (np.eye(2), np.eye(1))
+    pair = OperatorPair(stiffness_blocks=eye, mass_blocks=eye, metric_id="synthetic", L=1)
     with pytest.raises(InvalidMetricError):
         generalized_eigs(pair)
 
 
 def test_cluster_vectors_stay_orthonormal():
-    """Degenerate round clusters are returned M-orthonormal, not just LAPACK-raw."""
+    """Degenerate round clusters come back M-orthonormal from the block solve."""
     spec = generalized_eigs(assemble(build_basis(10), fs_metric()))
-    V = spec.vectors
-    gram = V.T @ spec.pair.mass @ V
+    V = spec.dense.vectors
+    gram = V.T @ spec.dense.mass @ V
     assert np.abs(gram - np.eye(V.shape[1])).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [8, 16, 24])
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
+def test_blocks_match_dense_oracle(spec, L):
+    """Block eigenvalues against the dense sygvd solve of the scattered pencil."""
+    pair = assemble(build_basis(L), parse_metric_spec(spec))
+    got = generalized_eigs(pair).eigenvalues
+    want = oracles.dense_pencil_eigenvalues(pair.stiffness_blocks, pair.mass_blocks)
+    assert got.shape == want.shape == ((L + 1) ** 2,)
+    assert got[0] == 0.0
+    assert abs(want[0]) <= 1e-8 * want[1]
+    rel = np.abs(got[1:] - want[1:]) / want[1:]
+    assert rel.max() <= 1e-12, f"{spec} L={L}: {rel.max():.2e}"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zetasphere.discretize import build_basis, mass, mass_from_node_ratio, stiffness
+from zetasphere.discretize import build_basis, mass, mass_from_node_ratio, scatter, stiffness
 from zetasphere.eigensolve import resolvent
 from zetasphere.errors import DomainError
 from zetasphere.harness import (
@@ -201,8 +201,8 @@ def test_minmax_oracle_for_gap_floor():
     """Direct min-max check: scaling the density up by 10 on a cap can
     lower the gap by at most the measured mass-equivalence constant."""
     basis = build_basis(8)
-    K = stiffness(basis)
-    m_ref = mass(basis, fs_metric())
+    K = scatter(stiffness(basis))
+    m_ref = scatter(mass(basis, fs_metric()))
     r = basis.quad.radii
     ratio = fs_metric().density(r.astype(complex)) * (1.0 + r**2) ** 2
     m_pert = mass_from_node_ratio(basis, ratio * np.where(r < 0.5, 10.0, 1.0))
@@ -238,7 +238,7 @@ def test_operator_derivative_bounded_by_density_variation():
     """Frozen-constant check on the u-derivative itself, not its integral."""
     fam = pnorm_family(count=5)
     L, h = 10, 1e-3
-    ip = InnerProduct.from_gram(mass(build_basis(L), fam.members[0]))
+    ip = InnerProduct.from_gram(scatter(mass(build_basis(L), fam.members[0])))
 
     def derivative_norms(u):
         lo = compute_spectrum(interpolate(fam, u - h), L)

@@ -415,6 +415,52 @@ def test_spectral_data_cache_roundtrip(tmp_path):
     assert first.lambda1 == second.lambda1 > 0.0
 
 
+def test_truncated_cache_entry_is_a_miss(tmp_path):
+    """An unreadable .npz is recomputed and overwritten, not a traceback."""
+    from zetasphere.cache import SpectrumCache
+
+    cache = SpectrumCache(tmp_path)
+    metric = pnorm_metric(2.0)
+    first = spectral_data(metric, 8, cache=cache)
+    (entry,) = tmp_path.glob("*.npz")
+    good = entry.read_bytes()
+    entry.write_bytes(good[: len(good) // 2])
+    assert cache.load(entry.stem) is None
+    again = spectral_data(metric, 8, cache=cache)
+    assert again.from_cache is False
+    assert np.array_equal(again.eigenvalues, first.eigenvalues)
+    assert entry.read_bytes() == good
+    assert spectral_data(metric, 8, cache=cache).from_cache is True
+
+
+@pytest.mark.parametrize("defect", ["short", "unsorted", "nonzero_kernel", "nonfinite", "volume"])
+def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
+    """Entries that do not describe an L = 4 spectrum are misses and get overwritten."""
+    from zetasphere.cache import SpectrumCache
+
+    cache = SpectrumCache(tmp_path)
+    metric = pnorm_metric(2.0)
+    fresh = spectral_data(metric, 4, cache=cache)
+    (entry,) = tmp_path.glob("*.npz")
+    lam, vol = fresh.eigenvalues.copy(), fresh.volume
+    if defect == "short":
+        lam = lam[:2]
+    elif defect == "unsorted":
+        lam[[1, -1]] = lam[[-1, 1]]
+    elif defect == "nonzero_kernel":
+        lam[0] = 1e-3
+    elif defect == "nonfinite":
+        lam[-1] = np.nan
+    else:
+        vol = -vol
+    cache.store(entry.stem, eigenvalues=lam, volume=np.float64(vol))
+    again = spectral_data(metric, 4, cache=cache)
+    assert again.from_cache is False
+    assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+    assert again.volume == fresh.volume
+    assert spectral_data(metric, 4, cache=cache).from_cache is True
+
+
 def test_default_time_grid_scaling():
     metric = scaled_metric(3.0, pnorm_metric(2.0))
     grid = default_time_grid(metric, 0.01, 10.0, 7)
@@ -447,16 +493,16 @@ def test_heat_operator_semigroup():
 def test_heat_operator_self_adjoint_and_contractive():
     spec = compute_spectrum(pnorm_metric(3.0), 8)
     E = heat_operator(spec, 0.8)
-    ME = spec.pair.mass @ E
+    ME = spec.dense.mass @ E
     assert np.abs(ME - ME.T).max() < 1e-10
-    ip = InnerProduct.from_gram(spec.pair.mass)
+    ip = InnerProduct.from_gram(spec.dense.mass)
     # eigenvalue 0 rides along, so the norm is exactly one
     assert operator_norm(E, ip) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_heat_operator_solves_heat_equation():
     spec = compute_spectrum(pnorm_metric(3.0), 8)
-    op = np.linalg.solve(spec.pair.mass, spec.pair.stiffness)
+    op = np.linalg.solve(spec.dense.mass, spec.dense.stiffness)
     t, h = 0.7, 1e-5
     dE = (heat_operator(spec, t + h) - heat_operator(spec, t - h)) / (2.0 * h)
     want = -op @ heat_operator(spec, t)

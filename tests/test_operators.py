@@ -175,9 +175,9 @@ def test_theta_bridge():
     """trace_norm of the kernel-projected heat operator equals theta(t)."""
     basis = build_basis(7)
     spec = generalized_eigs(assemble(basis, pnorm_metric(3.0)))
-    ip = InnerProduct.from_gram(spec.pair.mass)
-    v0 = spec.vectors[:, 0]
-    P = np.eye(spec.pair.n) - np.outer(v0, spec.pair.mass @ v0)
+    ip = InnerProduct.from_gram(spec.dense.mass)
+    v0 = spec.dense.vectors[:, 0]
+    P = np.eye(spec.pair.n) - np.outer(v0, spec.dense.mass @ v0)
     for t in (0.3, 1.0, 2.5):
         E = apply_function(spec, lambda lam: np.exp(-t * lam))
         got = trace_norm(P @ E, ip)
