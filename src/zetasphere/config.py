@@ -22,6 +22,7 @@ environment before any linear algebra loads.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -74,9 +75,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as e:
         raise ConfigError(f"expected a number, got {raw!r}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str) -> bool:

@@ -36,6 +36,7 @@ from .quadrature import QuadratureRule, build_quadrature
 __all__ = [
     "SpectralBasis",
     "OperatorPair",
+    "block_rows",
     "scatter",
     "build_basis",
     "stiffness",
@@ -92,7 +93,7 @@ class SpectralBasis:
                 _SQRT2 * trig(m * phi) for m in range(1, self.L + 1) for trig in (np.cos, np.sin)
             ]
             B = np.empty((self.n, self.quad.x.size, phi.size))
-            for (m, rows), a in zip(_block_rows(self.L), azimuth):
+            for (m, rows), a in zip(block_rows(self.L), azimuth):
                 B[rows] = self.pbar[m:, m, :, None] * a
             self._values = B.reshape(self.n, -1)
         return self._values
@@ -112,7 +113,7 @@ def build_basis(L: int, n_theta: int | None = None, n_phi: int | None = None) ->
     return SpectralBasis(L, build_quadrature(n_theta, n_phi))
 
 
-def _block_rows(L: int):
+def block_rows(L: int):
     """Yield (m, rows) for every diagonal block copy, in solve order.
 
     The zonal block m = 0 comes first, then the cos and the sin copy of each
@@ -132,12 +133,12 @@ def scatter(blocks: Blocks, columns: np.ndarray | None = None) -> np.ndarray:
     """Dense n x n matrix holding ``blocks[m]`` on the rows of each (m, kind) copy.
 
     A block sits on its own rows as columns, or, given ``columns``, on the
-    next slice of it: copy by copy in `_block_rows` order.
+    next slice of it: copy by copy in `block_rows` order.
     """
     L = len(blocks) - 1
     out = np.zeros(((L + 1) ** 2, (L + 1) ** 2))
     start = 0
-    for m, rows in _block_rows(L):
+    for m, rows in block_rows(L):
         cols = rows if columns is None else columns[start:start + rows.size]
         out[np.ix_(rows, cols)] = blocks[m]
         start += rows.size

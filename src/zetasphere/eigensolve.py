@@ -6,8 +6,10 @@ counts twice (cos and sin copies); a stable sort merges the values of all
 copies, which keeps the order deterministic and the degeneracy exact. The
 lowest value of the m = 0 block belongs to the constants and is snapped to
 an exact zero once it passes the relative threshold check. Eigenvectors
-stay per block; `Spectrum.dense` scatters K, M and V into n x n matrices on
-first use, for operator-level consumers only.
+stay per block, and so do functions of the operator: `apply_function`
+returns one block per m, since a radial operator never couples two
+azimuthal indices. `Spectrum.dense` scatters K, M and V into n x n matrices
+on first use; only the tests and the self-test read it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class Spectrum:
 
     @cached_property
     def dense(self) -> DenseView:
-        """Memoized n x n view of the pencil, for operator-level consumers."""
+        """Memoized n x n view of the pencil, for dense cross-checks."""
         return DenseView(self)
 
 
@@ -126,15 +128,22 @@ def generalized_eigs(pair: OperatorPair) -> Spectrum:
     return Spectrum(eigenvalues, tuple(values), tuple(vectors), pair.metric_id, pair.L, pair)
 
 
-def apply_function(spectrum: Spectrum, f) -> np.ndarray:
-    """Matrix of f(operator) in the basis: V diag(f(lambda)) V^T M."""
-    fv = np.asarray(f(spectrum.eigenvalues), dtype=float)
-    V = spectrum.dense.vectors
-    return (V * fv[None, :]) @ (V.T @ spectrum.dense.mass)
+def apply_function(spectrum: Spectrum, f) -> Blocks:
+    """Blocks of f(operator) in the basis: V_m diag(f(lambda_m)) V_m^T M_m per m.
+
+    The cos and sin copies of a block share it; `scatter` places the blocks
+    into the dense matrix V diag(f(lambda)) V^T M.
+    """
+    return tuple(
+        (V * np.asarray(f(lam), dtype=float)[None, :]) @ (V.T @ M)
+        for lam, V, M in zip(
+            spectrum.block_values, spectrum.block_vectors, spectrum.pair.mass_blocks
+        )
+    )
 
 
-def resolvent(spectrum: Spectrum, shift: float = 1.0) -> np.ndarray:
-    """(shift + operator)^(-1) as a matrix acting on basis coefficients."""
+def resolvent(spectrum: Spectrum, shift: float = 1.0) -> Blocks:
+    """Blocks of (shift + operator)^(-1) acting on basis coefficients."""
     if shift <= 0.0:
         raise InvalidMetricError(f"resolvent shift must be positive, got {shift}")
     return apply_function(spectrum, lambda lam: 1.0 / (shift + lam))

@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .discretize import Blocks
 from .eigensolve import Spectrum, apply_function
 from .errors import DomainError, FitWindowError
-from .operators import InnerProduct, operator_norm
+from .operators import InnerProduct, block_operator_norm
 
 __all__ = [
     "exp_e1",
@@ -491,8 +492,8 @@ def zeta(spectrum, s: float, fit: AsymptoticFit | None = None) -> float:
     return zeta_direct(spectrum, s, b_minus1).value
 
 
-def heat_operator(spectrum: Spectrum, t: float) -> np.ndarray:
-    """Matrix of exp(-t * operator) acting on basis coefficients."""
+def heat_operator(spectrum: Spectrum, t: float) -> Blocks:
+    """Blocks of exp(-t * operator) acting on basis coefficients, one per m."""
     if t < 0.0:
         raise DomainError(f"heat time must be nonnegative, got {t}")
     return apply_function(spectrum, lambda lam: np.exp(-t * lam))
@@ -522,24 +523,34 @@ def duhamel_residual(
 
     Both derivatives are centered differences with the same step h, so the
     residual measures the integral identity itself, not the differencing.
-    Norms are operator norms in the mass inner product of the middle metric.
+    The operators are radial, so everything runs per azimuthal block m;
+    norms are operator norms in the mass inner product of the middle metric,
+    the largest over the blocks.
     """
     if t <= 0.0 or h <= 0.0:
         raise DomainError("need positive t and h")
-    dE = (heat_operator(spec_hi, t) - heat_operator(spec_lo, t)) / (2.0 * h)
-    d_lap = (
-        np.linalg.solve(spec_hi.dense.mass, spec_hi.dense.stiffness)
-        - np.linalg.solve(spec_lo.dense.mass, spec_lo.dense.stiffness)
-    ) / (2.0 * h)
+    dE = tuple(
+        (hi - lo) / (2.0 * h)
+        for hi, lo in zip(heat_operator(spec_hi, t), heat_operator(spec_lo, t))
+    )
+    d_lap = tuple(
+        (np.linalg.solve(M_hi, K_hi) - np.linalg.solve(M_lo, K_lo)) / (2.0 * h)
+        for K_hi, M_hi, K_lo, M_lo in zip(
+            spec_hi.pair.stiffness_blocks, spec_hi.pair.mass_blocks,
+            spec_lo.pair.stiffness_blocks, spec_lo.pair.mass_blocks,
+        )
+    )
 
     xg, wg = leggauss(n_nodes)
     s_nodes = 0.5 * t * (xg + 1.0)
     s_wts = 0.5 * t * wg
-    acc = np.zeros_like(dE)
+    acc = [np.zeros_like(b) for b in dE]
     for s, w in zip(s_nodes, s_wts):
-        acc += w * (heat_operator(spec_mid, t - s) @ d_lap @ heat_operator(spec_mid, s))
-    ip = InnerProduct.from_gram(spec_mid.dense.mass)
-    resid = operator_norm(dE + acc, ip)
-    d_norm = operator_norm(dE, ip)
+        late, early = heat_operator(spec_mid, t - s), heat_operator(spec_mid, s)
+        for a, E_late, D, E_early in zip(acc, late, d_lap, early):
+            a += w * (E_late @ D @ E_early)
+    ips = [InnerProduct.from_gram(M) for M in spec_mid.pair.mass_blocks]
+    resid = block_operator_norm([d + a for d, a in zip(dE, acc)], ips)
+    d_norm = block_operator_norm(dE, ips)
     ratio = resid / d_norm if d_norm > 0.0 else 0.0
     return DuhamelReport(float(resid), float(d_norm), float(ratio), float(h), float(t), n_nodes)

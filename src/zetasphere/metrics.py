@@ -41,7 +41,12 @@ __all__ = [
     "sup_log_distance",
     "equal_area_grid",
     "parse_metric_spec",
+    "MAX_INTERP_U",
 ]
+
+# Largest u an ``interp:<u>:<family>`` spec accepts. The spec builds the
+# family's first ceil(u) + 1 members eagerly, a cost linear in u.
+MAX_INTERP_U = 256.0
 
 
 @dataclass(frozen=True)
@@ -517,12 +522,23 @@ def chern_c1(metric: ConformalMetric, point: ChartPoint, h: float | None = None)
     return _fd_c1(metric, point, h)
 
 
+def _spec_number(text: str, what: str, spec: str) -> float:
+    """A finite number field of a metric spec; ConfigError names a bad one."""
+    try:
+        x = float(text)
+    except ValueError as e:
+        raise ConfigError(f"bad {what} in {spec!r}") from e
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {x} in {spec!r}")
+    return x
+
+
 def parse_metric_spec(spec: str) -> ConformalMetric:
     """Build a metric from its canonical spec string.
 
     Grammar: ``fs`` | ``max`` | ``pnorm:<p>`` | ``scaled:<t>:<inner>`` |
     ``interp:<u>:<family>`` with ``<family>`` one of ``pnorm``,
-    ``geomean-pnorm``.
+    ``geomean-pnorm`` and u <= ``MAX_INTERP_U``. Numbers must be finite.
     """
     spec = spec.strip()
     if spec == "fs":
@@ -530,10 +546,7 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
     if spec == "max":
         return max_metric()
     if spec.startswith("pnorm:"):
-        try:
-            p = float(spec.split(":", 1)[1])
-        except ValueError as e:
-            raise ConfigError(f"bad pnorm parameter in {spec!r}") from e
+        p = _spec_number(spec.split(":", 1)[1], "pnorm parameter", spec)
         try:
             return pnorm_metric(p)
         except DomainError as e:
@@ -542,10 +555,7 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise ConfigError(f"scaled spec needs scaled:<t>:<inner>, got {spec!r}")
-        try:
-            t0 = float(parts[1])
-        except ValueError as e:
-            raise ConfigError(f"bad scale factor in {spec!r}") from e
+        t0 = _spec_number(parts[1], "scale factor", spec)
         inner = parse_metric_spec(parts[2])
         try:
             return scaled_metric(t0, inner)
@@ -555,10 +565,11 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise ConfigError(f"interp spec needs interp:<u>:<family>, got {spec!r}")
-        try:
-            u = float(parts[1])
-        except ValueError as e:
-            raise ConfigError(f"bad interpolation parameter in {spec!r}") from e
+        u = _spec_number(parts[1], "interpolation parameter", spec)
+        if u > MAX_INTERP_U:
+            raise ConfigError(
+                f"interpolation parameter must be at most {MAX_INTERP_U:g}, got {u} in {spec!r}"
+            )
         fam_name = parts[2]
         n_members = max(2, int(math.ceil(u)) + 1)
         if fam_name == "pnorm":

@@ -4,6 +4,8 @@ All norms here are taken against an explicit Gram matrix G = R^T R: the
 singular values of an operator A on the weighted space equal the ordinary
 singular values of R A R^{-1}. This is what connects matrix computations on
 basis coefficients to statements about the operator on the function space.
+A block-diagonal operator, given as its blocks with one inner product per
+block, has the largest of the block norms as its norm.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "singular_values",
     "trace_norm",
     "operator_norm",
+    "block_operator_norm",
     "lidskii_defect",
     "equivalence_bounds",
     "min_sum_gap",
@@ -64,6 +67,15 @@ def trace_norm(A: np.ndarray, ip: InnerProduct) -> float:
 def operator_norm(A: np.ndarray, ip: InnerProduct) -> float:
     sv = singular_values(A, ip)
     return float(sv[0]) if sv.size else 0.0
+
+
+def block_operator_norm(blocks, ips) -> float:
+    """Operator norm of a block-diagonal operator: the max of its block norms.
+
+    ``ips[m]`` is the inner product on the rows of ``blocks[m]``; the blocks
+    are orthogonal to each other in the full Gram matrix.
+    """
+    return max(operator_norm(A, ip) for A, ip in zip(blocks, ips, strict=True))
 
 
 def lidskii_defect(A: np.ndarray) -> float:

@@ -4,9 +4,10 @@ Everything downstream (CLI subcommands, the anomaly module, the convergence
 harness, the acceptance suite) goes through these helpers so that a basis is
 built once per resolution and a pencil is solved once per (metric, basis)
 within a process. The disk cache stores eigenvalues and volume, which is all
-the scalar pipelines (theta, zeta, torsion) need; they never build an n x n
-matrix. Operator-level work (resolvents, heat operators) recomputes the
-block eigenvectors in process and reads the spectrum's dense view.
+the scalar pipelines (theta, zeta, torsion) need. Operator-level work
+(resolvents, heat operators, the harness checks) recomputes the block
+eigenvectors in process and works on the per-m blocks. No command builds
+an n x n matrix.
 
 Time grids and fit windows default to the metric's global scale: rescaling
 the conformal factor by c rescales eigenvalues by 1/c, so every default time

@@ -52,6 +52,7 @@ def _check_round_spectrum() -> None:
 def _check_operators() -> None:
     import numpy as np
 
+    from .discretize import scatter
     from .heatzeta import heat_operator, theta
     from .metrics import fs_metric
     from .operators import InnerProduct, lidskii_defect, operator_norm, singular_values, trace_norm
@@ -61,7 +62,7 @@ def _check_operators() -> None:
     dense = spectrum.dense
     ip = InnerProduct.from_gram(dense.mass)
     t = 0.7
-    E = heat_operator(spectrum, t)
+    E = scatter(heat_operator(spectrum, t))
     P = np.eye(spectrum.pair.n)
     P -= np.outer(dense.vectors[:, 0], dense.vectors[:, 0] @ dense.mass)
     bridge = abs(trace_norm(P @ E, ip) - theta(spectrum, t))

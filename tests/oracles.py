@@ -185,25 +185,63 @@ def power_iteration_sigma(A: np.ndarray, gram: np.ndarray, seed: int,
     return float(best)
 
 
-def dense_pencil_eigenvalues(stiffness_blocks, mass_blocks) -> np.ndarray:
-    """Eigenvalues of the dense n x n pencil scattered from per-m blocks.
+def dense_matrix(blocks) -> np.ndarray:
+    """The n x n matrix holding per-m blocks on their flat harmonic rows.
 
-    This is the full generalized solve (LAPACK sygvd through scipy) on the
-    flat harmonic index: for each ell the zonal function, then the cos and
-    sin functions of m = 1..ell, so position ell^2 for m = 0 and
+    The flat index lists, for each ell, the zonal function, then the cos and
+    sin functions of m = 1..ell: position ell^2 for m = 0 and
     ell^2 + 2m - 1, ell^2 + 2m for the cos and sin copies. Block m holds the
-    rows ell = m..L of one copy.
+    rows ell = m..L of each copy.
     """
-    import scipy.linalg
-
-    L = len(mass_blocks) - 1
+    L = len(blocks) - 1
     n = (L + 1) ** 2
-    K = np.zeros((n, n))
-    M = np.zeros((n, n))
+    out = np.zeros((n, n))
     for m in range(L + 1):
         ells = np.arange(m, L + 1)
         for offset in ((0,) if m == 0 else (2 * m - 1, 2 * m)):
             rows = ells * ells + offset
-            K[np.ix_(rows, rows)] = stiffness_blocks[m]
-            M[np.ix_(rows, rows)] = mass_blocks[m]
+            out[np.ix_(rows, rows)] = blocks[m]
+    return out
+
+
+def dense_pencil_eigenvalues(stiffness_blocks, mass_blocks) -> np.ndarray:
+    """Eigenvalues of the dense n x n pencil scattered from per-m blocks.
+
+    This is the full generalized solve (LAPACK sygvd through scipy) on the
+    flat harmonic index of `dense_matrix`.
+    """
+    import scipy.linalg
+
+    K, M = dense_matrix(stiffness_blocks), dense_matrix(mass_blocks)
     return scipy.linalg.eigh(K, M, eigvals_only=True, driver="gvd")
+
+
+def dense_pencil_function(stiffness_blocks, mass_blocks, f) -> np.ndarray:
+    """f(M^-1 K) as the n x n matrix V diag(f(lam)) V^T M of the dense pencil.
+
+    V holds the M-orthonormal eigenvectors of the dense sygvd solve, so
+    degenerate clusters come out in whatever basis LAPACK picks; the matrix
+    does not depend on that choice.
+    """
+    import scipy.linalg
+
+    K, M = dense_matrix(stiffness_blocks), dense_matrix(mass_blocks)
+    lam, V = scipy.linalg.eigh(K, M, driver="gvd")
+    return (V * f(lam)[None, :]) @ (V.T @ M)
+
+
+def weighted_operator_norm(A: np.ndarray, gram: np.ndarray) -> float:
+    """sup ||A v||_G / ||v||_G as the top singular value of C^T A C^-T, G = C C^T."""
+    import scipy.linalg
+
+    C = np.linalg.cholesky(gram)
+    X = scipy.linalg.solve_triangular(C, (C.T @ A).T, lower=True).T
+    return float(np.linalg.svd(X, compute_uv=False)[0])
+
+
+def dense_gram_pencil_top(mass_blocks, ref_mass_blocks) -> float:
+    """Largest generalized eigenvalue of the dense pencil (M, M_ref)."""
+    import scipy.linalg
+
+    M, M_ref = dense_matrix(mass_blocks), dense_matrix(ref_mass_blocks)
+    return float(scipy.linalg.eigh(M, M_ref, eigvals_only=True, driver="gvd")[-1])

@@ -20,6 +20,7 @@ import oracles
 from zetasphere.anomaly import calibrate_sign, two_route_check
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
+from zetasphere.discretize import scatter
 from zetasphere.harness import duhamel_at, lambda1_floor
 from zetasphere.heatzeta import heat_operator, theta, theta_values, zeta_direct, zeta_mellin
 from zetasphere.metrics import fs_metric, max_metric, pnorm_family, pnorm_metric, scaled_metric
@@ -295,7 +296,7 @@ def test_ac09_operator_suite():
     P = np.eye(spectrum.pair.n)
     P -= np.outer(dense.vectors[:, 0], dense.vectors[:, 0] @ dense.mass)
     worst = max(
-        abs(trace_norm(P @ heat_operator(spectrum, t), ip) - theta(spectrum, t))
+        abs(trace_norm(P @ scatter(heat_operator(spectrum, t)), ip) - theta(spectrum, t))
         for t in (0.3, 1.0, 2.5)
     )
     assert worst <= 1e-10

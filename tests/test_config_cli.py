@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zetasphere
-from zetasphere import discretize, eigensolve, pipeline
+from zetasphere import eigensolve, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, default_cache_dir
 from zetasphere.cli import _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, override, parse_config, validated
@@ -399,6 +399,21 @@ def test_cli_bad_metric_spec(tmp_path, cache, capsys):
     assert "unknown metric spec" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["interp:inf:pnorm", "interp:-inf:pnorm", "interp:nan:pnorm", "interp:1e9:pnorm",
+     "interp:1e9:geomean-pnorm", "pnorm:inf", "pnorm:nan", "scaled:inf:fs"],
+)
+def test_cli_nonfinite_or_huge_spec_numbers(tmp_path, cache, capsys, spec):
+    """Non-finite numbers and an interp u above the cap exit 2 with a message."""
+    code, out, err = run_cli(
+        ["spectrum", "--metric", spec, "--L", "4"], tmp_path, cache.root, capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and spec in err
+    assert "Traceback" not in out + err
+
+
 def test_cli_bad_config_key(tmp_path, cache, capsys):
     config_path = tmp_path / "bad.ini"
     config_path.write_text("[run]\nbogus = 3\n")
@@ -457,16 +472,27 @@ def test_cli_rejects_bad_flag_values(tmp_path, cache, capsys):
 
 
 def test_scalar_runs_never_build_dense_view(tmp_path, capsys, monkeypatch):
-    """Cold scalar runs solve the blocks only: no n x n matrix is scattered."""
+    """Cold runs work on the azimuthal blocks only: no n x n matrix is scattered.
+
+    The scalar commands (torsion, anomaly) solve the blocks and read
+    eigenvalues. converge also applies resolvents and heat operators, takes
+    operator norms and Gram pencils, and runs the variation checks, all
+    block by block.
+    """
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("the scalar path built a dense n x n matrix")
+        raise AssertionError("the run built a dense n x n matrix")
 
-    monkeypatch.setattr(discretize, "scatter", no_dense)
-    monkeypatch.setattr(eigensolve, "scatter", no_dense)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zetasphere") and hasattr(module, "scatter"):
+            monkeypatch.setattr(module, "scatter", no_dense)
     monkeypatch.setattr(eigensolve.Spectrum, "dense", property(no_dense))
     clear_process_caches()
-    for args in (["torsion", "--metric", "pnorm:3", "--L", "16"], ["anomaly", "--L", "16"]):
+    for args in (
+        ["torsion", "--metric", "pnorm:3", "--L", "16"],
+        ["anomaly", "--L", "16"],
+        ["converge", "--L", "16"],
+    ):
         code, _, err = run_cli(args, tmp_path / args[0], tmp_path / "cache", capsys)
         assert code == 0, err
 
@@ -490,6 +516,20 @@ def test_torsion_runs_at_L128(tmp_path):
     maxrss_kb = int(result.stdout.split("maxrss_kb")[-1])
     assert maxrss_kb < 1024 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
     assert json.loads((tmp_path / "out" / "quillen.json").read_text())["metric"] == "pnorm:3"
+
+
+def test_converge_runs_at_L64(tmp_path):
+    """converge at L = 64 from a cold cache passes every tag in under 1 GB."""
+    result = run_python(
+        _RSS_PROBE, "converge", "--L", "64",
+        "--output-dir", "out", "--cache-dir", "cache", cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    maxrss_kb = int(result.stdout.split("maxrss_kb")[-1])
+    assert maxrss_kb < 1024 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["L"] == 64
+    assert summary["tags"] == {tag: True for tag in THEOREM_TAGS}
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):

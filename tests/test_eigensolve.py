@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 import oracles
-from zetasphere.discretize import OperatorPair, assemble, build_basis
+from zetasphere.discretize import OperatorPair, assemble, build_basis, scatter
 from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
 from zetasphere.errors import (
     IndefiniteMassError,
     InvalidMetricError,
 )
+from zetasphere.heatzeta import heat_operator
 from zetasphere.metrics import (
     fs_metric,
     max_metric,
@@ -101,7 +102,7 @@ def test_against_expert_lapack_driver(basis):
 
 def test_apply_function_identity(spectrum):
     """f(lam) = lam reconstructs the operator M^{-1} K."""
-    got = apply_function(spectrum, lambda lam: lam)
+    got = scatter(apply_function(spectrum, lambda lam: lam))
     want = np.linalg.solve(spectrum.dense.mass, spectrum.dense.stiffness)
     scale = np.abs(want).max()
     assert np.abs(got - want).max() < 1e-10 * max(1.0, scale)
@@ -110,13 +111,13 @@ def test_apply_function_identity(spectrum):
 def test_apply_function_preserves_constants(spectrum):
     e0 = np.zeros(spectrum.pair.n)
     e0[0] = 1.0
-    heat = apply_function(spectrum, lambda lam: np.exp(-0.7 * lam))
+    heat = scatter(apply_function(spectrum, lambda lam: np.exp(-0.7 * lam)))
     assert np.abs(heat @ e0 - e0).max() < 1e-10
 
 
 def test_resolvent_inverts(spectrum):
     shift = 1.0
-    R = resolvent(spectrum, shift)
+    R = scatter(resolvent(spectrum, shift))
     op = np.linalg.solve(spectrum.dense.mass, spectrum.dense.stiffness)
     prod = (shift * np.eye(spectrum.pair.n) + op) @ R
     assert np.abs(prod - np.eye(spectrum.pair.n)).max() < 1e-9
@@ -178,3 +179,24 @@ def test_blocks_match_dense_oracle(spec, L):
     assert abs(want[0]) <= 1e-8 * want[1]
     rel = np.abs(got[1:] - want[1:]) / want[1:]
     assert rel.max() <= 1e-12, f"{spec} L={L}: {rel.max():.2e}"
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
+def test_block_operators_match_dense_oracle(spec, L):
+    """apply_function, resolvent and heat_operator blocks, scattered, against
+    V diag(f(lam)) V^T M of the dense sygvd solve, to 1e-12 relative."""
+    pair = assemble(build_basis(L), parse_metric_spec(spec))
+    spectrum = generalized_eigs(pair)
+    cases = [
+        ("apply_function", apply_function(spectrum, lambda lam: lam / (1.0 + lam) ** 2),
+         lambda lam: lam / (1.0 + lam) ** 2),
+        ("resolvent", resolvent(spectrum, 2.0), lambda lam: 1.0 / (2.0 + lam)),
+        ("heat_operator", heat_operator(spectrum, 0.7), lambda lam: np.exp(-0.7 * lam)),
+    ]
+    for name, blocks, f in cases:
+        assert [b.shape for b in blocks] == [(L + 1 - m,) * 2 for m in range(L + 1)]
+        got = scatter(blocks)
+        want = oracles.dense_pencil_function(pair.stiffness_blocks, pair.mass_blocks, f)
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-12, f"{name} {spec} L={L}: {rel:.2e}"

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zetasphere.discretize import build_basis, mass, mass_from_node_ratio, scatter, stiffness
+from zetasphere.discretize import (
+    build_basis,
+    mass,
+    mass_from_node_ratio,
+    mass_log_variation,
+    scatter,
+    stiffness,
+)
 from zetasphere.eigensolve import resolvent
 from zetasphere.errors import DomainError
 from zetasphere.harness import (
@@ -39,7 +46,7 @@ from zetasphere.metrics import (
     pnorm_metric,
     sup_log_distance,
 )
-from zetasphere.operators import InnerProduct, operator_norm
+from zetasphere.operators import InnerProduct, block_operator_norm
 from zetasphere.pipeline import compute_spectrum
 
 import oracles
@@ -197,6 +204,18 @@ def test_lambda1_floor(cache):
         lambda1_floor(pnorm_family([2.0]), L=16, cache=cache)
 
 
+def test_lambda1_floor_matches_dense_gram_pencil(cache):
+    """Each c_member, a max over the azimuthal blocks, against the top
+    eigenvalue of the dense Gram pencil (M_p, M_ref), to 1e-12 relative."""
+    fam = pnorm_family([1.0, 2.0, 3.0])
+    fl = lambda1_floor(fam, L=16, cache=cache)
+    basis = build_basis(16)
+    m_ref = mass(basis, fam.members[0])
+    for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
+        want = oracles.dense_gram_pencil_top(mass(basis, metric), m_ref)
+        assert row.c_member == pytest.approx(want, rel=1e-12), row.param
+
+
 def test_minmax_oracle_for_gap_floor():
     """Direct min-max check: scaling the density up by 10 on a cap can
     lower the gap by at most the measured mass-equivalence constant."""
@@ -238,13 +257,16 @@ def test_operator_derivative_bounded_by_density_variation():
     """Frozen-constant check on the u-derivative itself, not its integral."""
     fam = pnorm_family(count=5)
     L, h = 10, 1e-3
-    ip = InnerProduct.from_gram(scatter(mass(build_basis(L), fam.members[0])))
+    ips = [InnerProduct.from_gram(M) for M in mass(build_basis(L), fam.members[0])]
+
+    def dist(a, b):
+        return block_operator_norm([x - y for x, y in zip(a, b)], ips)
 
     def derivative_norms(u):
         lo = compute_spectrum(interpolate(fam, u - h), L)
         hi = compute_spectrum(interpolate(fam, u + h), L)
-        dr = operator_norm(resolvent(hi, 1.0) - resolvent(lo, 1.0), ip) / (2 * h)
-        de = operator_norm(heat_operator(hi, 1.0) - heat_operator(lo, 1.0), ip) / (2 * h)
+        dr = dist(resolvent(hi, 1.0), resolvent(lo, 1.0)) / (2 * h)
+        de = dist(heat_operator(hi, 1.0), heat_operator(lo, 1.0)) / (2 * h)
         return dr, de
 
     dr0, de0 = derivative_norms(1.5)
@@ -267,6 +289,27 @@ def test_bornelapbelt_check():
     assert 0.0 < report.max_ratio <= report.delta_nodes * (1.0 + 1e-9) + 1e-15
     assert report.delta_nodes > 0.0
     assert report.delta_grid == pytest.approx(delta_X(fam, 2.5), rel=1e-15)
+
+
+def test_bornelapbelt_matches_dense_test_vectors():
+    """Block by block, the check sees the same rows of the same Gaussian draw
+    as the dense form M^-1 dM M^-1 K does: max_ratio agrees to 1e-12."""
+    fam = pnorm_family(count=5)
+    report = bornelapbelt_check(fam, u=2.5, L=12, seed=7)
+    basis = build_basis(12)
+    metric = interpolate(fam, 2.5)
+    K = oracles.dense_matrix(stiffness(basis))
+    M = oracles.dense_matrix(mass(basis, metric))
+    d_mass = oracles.dense_matrix(mass_log_variation(basis, metric))
+    test = np.random.default_rng(7).standard_normal((K.shape[0], report.n_vectors))
+    lap_v = np.linalg.solve(M, K @ test)
+    dlap_v = -np.linalg.solve(M, d_mass @ lap_v)
+
+    def m_norms(x):
+        return np.sqrt(np.einsum("ij,ij->j", x, M @ x))
+
+    want = float((m_norms(dlap_v) / m_norms(lap_v)).max())
+    assert report.max_ratio == pytest.approx(want, rel=1e-12)
 
 
 def test_bornelapbelt_deterministic():

@@ -297,7 +297,7 @@ def test_equal_area_grid_properties():
 @pytest.mark.parametrize(
     "spec",
     ["fs", "max", "pnorm:3", "pnorm:2.5", "scaled:2:pnorm:3", "interp:2.5:pnorm",
-     "scaled:0.5:fs", "interp:1.5:geomean-pnorm"],
+     "scaled:0.5:fs", "interp:1.5:geomean-pnorm", "interp:256:pnorm"],
 )
 def test_parse_metric_spec_roundtrip(spec):
     m = parse_metric_spec(spec)
@@ -309,7 +309,8 @@ def test_parse_metric_spec_roundtrip(spec):
 @pytest.mark.parametrize(
     "spec",
     ["", "bogus", "pnorm", "pnorm:zero", "pnorm:0.5", "scaled:2", "scaled:x:fs",
-     "scaled:-1:fs", "interp:2.5", "interp:0.5:pnorm", "interp:2.5:bogus"],
+     "scaled:-1:fs", "interp:2.5", "interp:0.5:pnorm", "interp:2.5:bogus",
+     "interp:256.5:pnorm", "interp:inf:pnorm", "interp:nan:pnorm", "pnorm:inf", "scaled:nan:fs"],
 )
 def test_parse_metric_spec_rejects(spec):
     with pytest.raises(ConfigError):

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.discretize import assemble, build_basis
-from zetasphere.eigensolve import apply_function, generalized_eigs
+from zetasphere.discretize import assemble, build_basis, mass, scatter
+from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
 from zetasphere.errors import DomainError
-from zetasphere.heatzeta import theta
-from zetasphere.metrics import pnorm_metric
+from zetasphere.heatzeta import heat_operator, theta
+from zetasphere.metrics import fs_metric, parse_metric_spec, pnorm_metric
 from zetasphere.operators import (
     InnerProduct,
+    block_operator_norm,
     equivalence_bounds,
     lidskii_defect,
     min_sum_gap,
@@ -179,7 +180,34 @@ def test_theta_bridge():
     v0 = spec.dense.vectors[:, 0]
     P = np.eye(spec.pair.n) - np.outer(v0, spec.dense.mass @ v0)
     for t in (0.3, 1.0, 2.5):
-        E = apply_function(spec, lambda lam: np.exp(-t * lam))
+        E = scatter(apply_function(spec, lambda lam: np.exp(-t * lam)))
         got = trace_norm(P @ E, ip)
         want = theta(spec, t)
         assert got == pytest.approx(want, abs=1e-10 * max(1.0, want))
+
+
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
+def test_block_norm_matches_dense_norm(spec):
+    """Block norm of a resolvent (and heat operator) difference between two
+    metrics against the dense weighted norm of the scattered difference and
+    against the dense-pencil oracle, to 1e-12 relative."""
+    basis = build_basis(12)
+    a = generalized_eigs(assemble(basis, parse_metric_spec(spec)))
+    b = generalized_eigs(assemble(basis, pnorm_metric(2.0)))
+    ref = mass(basis, fs_metric())
+    ips = [InnerProduct.from_gram(M) for M in ref]
+    ip_dense = InnerProduct.from_gram(scatter(ref))
+    for ops, f in (
+        (resolvent, lambda lam: 1.0 / (1.0 + lam)),
+        (lambda s: heat_operator(s, 1.0), lambda lam: np.exp(-lam)),
+    ):
+        got = block_operator_norm([x - y for x, y in zip(ops(a), ops(b))], ips)
+        dense = operator_norm(scatter(ops(a)) - scatter(ops(b)), ip_dense)
+        diff = (
+            oracles.dense_pencil_function(a.pair.stiffness_blocks, a.pair.mass_blocks, f)
+            - oracles.dense_pencil_function(b.pair.stiffness_blocks, b.pair.mass_blocks, f)
+        )
+        want = oracles.weighted_operator_norm(diff, oracles.dense_matrix(ref))
+        assert got > 0.0
+        assert got == pytest.approx(dense, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)

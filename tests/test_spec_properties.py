@@ -1,0 +1,107 @@
+"""Property tests of the two text inputs: metric specs and INI configs.
+
+Every input string either parses or raises ConfigError, which the CLI turns
+into exit 2 with a message; no other exception may escape. The generators
+mix well-formed pieces (spec prefixes, section names, schema keys) with
+numbers in every spelling float() accepts or rejects (nan, inf, overflow,
+underscores, blanks) and with arbitrary text. Example counts are fixed and
+the search is derandomized, so a run is repeatable.
+"""
+
+import math
+from dataclasses import fields
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from zetasphere.config import RunConfig, parse_config
+from zetasphere.errors import ConfigError
+from zetasphere.metrics import MAX_INTERP_U, ConformalMetric, parse_metric_spec
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-4.0, max_value=2.0 * MAX_INTERP_U).map(repr),
+    st.integers(min_value=-10, max_value=300).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1e9", "1_0", " 3 ", "", "0x10", "2.5"]),
+    st.text(max_size=6),
+)
+
+leaf_specs = st.one_of(
+    st.sampled_from(["fs", "max", " fs ", "pnorm", "interp:2.5", ""]),
+    st.builds("pnorm:{}".format, numbers),
+    st.builds(
+        "interp:{}:{}".format,
+        numbers,
+        st.sampled_from(["pnorm", "geomean-pnorm", "bogus", ""]),
+    ),
+    st.text(max_size=12),
+)
+
+specs = st.recursive(
+    leaf_specs,
+    lambda inner: st.builds("scaled:{}:{}".format, numbers, inner),
+    max_leaves=3,
+)
+
+
+@PROPERTY_SETTINGS
+@given(specs)
+@example("interp:inf:pnorm")
+@example("interp:nan:geomean-pnorm")
+@example("scaled:2:interp:1e9:pnorm")
+def test_metric_spec_parses_or_raises_config_error(spec):
+    try:
+        metric = parse_metric_spec(spec)
+    except ConfigError:
+        return
+    assert isinstance(metric, ConformalMetric)
+    assert parse_metric_spec(metric.id).id == metric.id
+
+
+_SCHEMA_KEYS = {
+    "run": ["metric", "L", "n_theta", "n_phi", "output_dir", "cache_dir", "threads"],
+    "theta": ["t_lo", "t_hi", "count", "geometric"],
+    "fit": ["window_lo", "window_hi", "trunc_tol"],
+    "zeta": ["s_values"],
+    "family": ["name", "parameters"],
+    "converge": ["t_set"],
+}
+
+values = st.one_of(
+    numbers,
+    st.lists(numbers, max_size=4).map(", ".join),
+    st.sampled_from(["true", "no", "pnorm", "geomean-pnorm", "pnorm:3", "out"]),
+)
+
+
+@st.composite
+def ini_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        section = draw(st.sampled_from([*_SCHEMA_KEYS, "DEFAULT", "bogus"]))
+        lines.append(f"[{section}]")
+        known = _SCHEMA_KEYS.get(section, ["L"])
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            key = draw(st.one_of(st.sampled_from(known), st.text(max_size=5)))
+            lines.append(f"{key} = {draw(values)}")
+    return "\n".join(lines)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(ini_texts(), st.text(max_size=40)))
+@example("[zeta]\ns_values = 2, nan")
+@example("[converge]\nt_set = 0.5, inf")
+@example("[family]\nparameters = 1, 2, nan")
+def test_ini_parses_or_raises_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float):
+                assert math.isfinite(x), (f.name, text)
