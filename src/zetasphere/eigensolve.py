@@ -1,7 +1,8 @@
 """Generalized symmetric eigensolve of the block stiffness/mass pencil.
 
-scipy's ``eigh`` solves each azimuthal block (K_m, M_m) on its own and
-factors M_m, so a failure names its block m directly. A block with m >= 1
+`pencil_eigh` solves each azimuthal block (K_m, M_m) on its own with
+numpy: a Cholesky factor of M_m reduces the block to a standard symmetric
+problem, so a failure names its block m directly. A block with m >= 1
 counts twice (cos and sin copies); a stable sort merges the values of all
 copies, which keeps the order deterministic and the degeneracy exact. The
 lowest value of the m = 0 block belongs to the constants and is snapped to
@@ -18,15 +19,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import Blocks, OperatorPair, scatter
 from .errors import EigenConvergenceError, IndefiniteMassError, InvalidMetricError
 
-__all__ = ["Spectrum", "DenseView", "generalized_eigs", "resolvent", "apply_function"]
+__all__ = [
+    "Spectrum",
+    "DenseView",
+    "pencil_eigh",
+    "generalized_eigs",
+    "resolvent",
+    "apply_function",
+]
 
 KERNEL_SNAP_REL = 1e-8
-SOLVER_VERSION = "blocks-1"
+SOLVER_VERSION = "blocks-2"
 
 
 def _merge(block_values: Blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -91,6 +98,26 @@ class DenseView:
         return scatter(spec.block_vectors, columns=np.argsort(order))
 
 
+def pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and B-orthonormal eigenvectors of A v = lambda B v.
+
+    With B = C C^T, the pencil has the eigenvalues of the symmetric matrix
+    C^-1 A C^-T, whose orthonormal eigenvectors W map back to V = C^-T W.
+
+    Raises
+    ------
+    ValueError
+        If A or B has a non-finite entry.
+    numpy.linalg.LinAlgError
+        If B is not positive definite or the symmetric solve does not converge.
+    """
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise ValueError("pencil has non-finite entries")
+    Ci = np.linalg.inv(np.linalg.cholesky(B))
+    lam, W = np.linalg.eigh(Ci @ A @ Ci.T)
+    return lam, Ci.T @ W
+
+
 def generalized_eigs(pair: OperatorPair) -> Spectrum:
     """All eigenvalues of K v = lambda M v, ascending, with kernel snap.
 
@@ -107,8 +134,8 @@ def generalized_eigs(pair: OperatorPair) -> Spectrum:
     values, vectors = [], []
     for m, (K, M) in enumerate(zip(pair.stiffness_blocks, pair.mass_blocks)):
         try:
-            lam, vec = scipy.linalg.eigh(K, M)
-        except (scipy.linalg.LinAlgError, ValueError) as e:
+            lam, vec = pencil_eigh(K, M)
+        except (np.linalg.LinAlgError, ValueError) as e:
             where = f"block m = {m} of {pair.metric_id!r}"
             if not np.all(np.isfinite(M)) or np.linalg.eigvalsh(M)[0] <= 0.0:
                 raise IndefiniteMassError(f"mass {where} is not positive definite") from e

@@ -42,11 +42,16 @@ __all__ = [
     "equal_area_grid",
     "parse_metric_spec",
     "MAX_INTERP_U",
+    "MAX_SCALED_DEPTH",
 ]
 
 # Largest u an ``interp:<u>:<family>`` spec accepts. The spec builds the
 # family's first ceil(u) + 1 members eagerly, a cost linear in u.
 MAX_INTERP_U = 256.0
+# Most ``scaled:<t>:`` prefixes one spec may stack. Each prefix wraps the
+# density in one more closure, so evaluating the metric recurses once per
+# prefix.
+MAX_SCALED_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -538,9 +543,30 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
 
     Grammar: ``fs`` | ``max`` | ``pnorm:<p>`` | ``scaled:<t>:<inner>`` |
     ``interp:<u>:<family>`` with ``<family>`` one of ``pnorm``,
-    ``geomean-pnorm`` and u <= ``MAX_INTERP_U``. Numbers must be finite.
+    ``geomean-pnorm`` and u <= ``MAX_INTERP_U``. At most
+    ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes stack. Numbers must be finite.
     """
     spec = spec.strip()
+    factors = []
+    while spec.startswith("scaled:"):
+        if len(factors) == MAX_SCALED_DEPTH:
+            raise ConfigError(f"more than {MAX_SCALED_DEPTH} nested scaled: prefixes")
+        parts = spec.split(":", 2)
+        if len(parts) != 3:
+            raise ConfigError(f"scaled spec needs scaled:<t>:<inner>, got {spec!r}")
+        factors.append(_spec_number(parts[1], "scale factor", spec))
+        spec = parts[2].strip()
+    metric = _parse_unscaled(spec)
+    for t0 in reversed(factors):
+        try:
+            metric = scaled_metric(t0, metric)
+        except DomainError as e:
+            raise ConfigError(str(e)) from e
+    return metric
+
+
+def _parse_unscaled(spec: str) -> ConformalMetric:
+    """A metric spec without ``scaled:`` prefixes; see `parse_metric_spec`."""
     if spec == "fs":
         return fs_metric()
     if spec == "max":
@@ -549,16 +575,6 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
         p = _spec_number(spec.split(":", 1)[1], "pnorm parameter", spec)
         try:
             return pnorm_metric(p)
-        except DomainError as e:
-            raise ConfigError(str(e)) from e
-    if spec.startswith("scaled:"):
-        parts = spec.split(":", 2)
-        if len(parts) != 3:
-            raise ConfigError(f"scaled spec needs scaled:<t>:<inner>, got {spec!r}")
-        t0 = _spec_number(parts[1], "scale factor", spec)
-        inner = parse_metric_spec(parts[2])
-        try:
-            return scaled_metric(t0, inner)
         except DomainError as e:
             raise ConfigError(str(e)) from e
     if spec.startswith("interp:"):

@@ -5,7 +5,8 @@ singular values of an operator A on the weighted space equal the ordinary
 singular values of R A R^{-1}. This is what connects matrix computations on
 basis coefficients to statements about the operator on the function space.
 A block-diagonal operator, given as its blocks with one inner product per
-block, has the largest of the block norms as its norm.
+block, has the largest of the block norms as its norm. The Gram pencil of
+`equivalence_bounds` is solved by `eigensolve.pencil_eigh`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .eigensolve import pencil_eigh
 from .errors import DomainError
 
 __all__ = [
@@ -48,8 +49,7 @@ class InnerProduct:
     def to_orthonormal_frame(self, A: np.ndarray) -> np.ndarray:
         """R A R^{-1}: the same operator written in an orthonormal basis."""
         R = self.factor
-        X = scipy.linalg.solve_triangular(R.T, (R @ A).T, lower=True).T
-        return X
+        return np.linalg.solve(R.T, (R @ A).T).T
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(v @ (self.gram @ v)))
@@ -106,7 +106,7 @@ def equivalence_bounds(A: np.ndarray, ip1: InnerProduct, ip2: InnerProduct) -> E
     the ratio of the two trace norms lies in
     [sqrt(c_min / c_max), sqrt(c_max / c_min)].
     """
-    kappas = scipy.linalg.eigh(ip2.gram, ip1.gram, eigvals_only=True)
+    kappas, _ = pencil_eigh(ip2.gram, ip1.gram)
     k_min, k_max = float(kappas[0]), float(kappas[-1])
     if k_min <= 0.0:
         raise DomainError("Gram pencil is not positive definite")

@@ -414,6 +414,17 @@ def test_cli_nonfinite_or_huge_spec_numbers(tmp_path, cache, capsys, spec):
     assert "Traceback" not in out + err
 
 
+def test_cli_deeply_nested_scaled_spec(tmp_path, cache, capsys):
+    """1200 stacked scaled: prefixes exit 2 with a message, not a RecursionError."""
+    spec = "scaled:1:" * 1200 + "fs"
+    code, out, err = run_cli(
+        ["spectrum", "--metric", spec, "--L", "4"], tmp_path, cache.root, capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and "nested scaled" in err
+    assert "Traceback" not in out + err
+
+
 def test_cli_bad_config_key(tmp_path, cache, capsys):
     config_path = tmp_path / "bad.ini"
     config_path.write_text("[run]\nbogus = 3\n")
@@ -539,6 +550,26 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0"
+
+
+_NO_SCIPY_PROBE = """
+import sys
+import zetasphere.anomaly, zetasphere.harness, zetasphere.pipeline
+assert "scipy" not in sys.modules, "importing the pipeline loaded scipy"
+from zetasphere.cli import main
+for command in ("torsion", "anomaly", "converge"):
+    args = [command, "--L", "16", "--output-dir", command, "--cache-dir", "cache"]
+    assert main(args) == 0, command
+    assert "scipy" not in sys.modules, f"{command} loaded scipy"
+print("ok")
+"""
+
+
+def test_cli_runs_never_load_scipy(tmp_path):
+    """The numerical path is numpy alone; only selftest and the tests load scipy."""
+    result = run_python(_NO_SCIPY_PROBE, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-1] == "ok"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")

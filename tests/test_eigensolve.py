@@ -6,8 +6,15 @@ import scipy.linalg
 
 import oracles
 from zetasphere.discretize import OperatorPair, assemble, build_basis, scatter
-from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
+from zetasphere.eigensolve import (
+    KERNEL_SNAP_REL,
+    apply_function,
+    generalized_eigs,
+    pencil_eigh,
+    resolvent,
+)
 from zetasphere.errors import (
+    EigenConvergenceError,
     IndefiniteMassError,
     InvalidMetricError,
 )
@@ -152,6 +159,30 @@ def test_indefinite_mass_block_names_m():
         generalized_eigs(broken)
 
 
+def _with_nan(blocks, m):
+    bad = blocks[m].copy()
+    bad[1, 0] = np.nan
+    return blocks[:m] + (bad,) + blocks[m + 1:]
+
+
+def test_nan_blocks_are_classified():
+    """A NaN in M_m is an indefinite mass on block m; a NaN in K_m stalls block m."""
+    pair = assemble(build_basis(6), fs_metric())
+    with pytest.raises(ValueError):
+        pencil_eigh(pair.stiffness_blocks[2], _with_nan(pair.mass_blocks, 2)[2])
+    bad_mass = OperatorPair(
+        pair.stiffness_blocks, _with_nan(pair.mass_blocks, 2), pair.metric_id, pair.L
+    )
+    with pytest.raises(IndefiniteMassError, match=r"block m = 2\b"):
+        generalized_eigs(bad_mass)
+    bad_stiffness = OperatorPair(
+        _with_nan(pair.stiffness_blocks, 4), pair.mass_blocks, pair.metric_id, pair.L
+    )
+    with pytest.raises(EigenConvergenceError, match=r"block m = 4\b") as info:
+        generalized_eigs(bad_stiffness)
+    assert info.value.stuck_index == 4
+
+
 def test_missing_kernel_is_reported():
     eye = (np.eye(2), np.eye(1))
     pair = OperatorPair(stiffness_blocks=eye, mass_blocks=eye, metric_id="synthetic", L=1)
@@ -200,3 +231,26 @@ def test_block_operators_match_dense_oracle(spec, L):
         want = oracles.dense_pencil_function(pair.stiffness_blocks, pair.mass_blocks, f)
         rel = np.abs(got - want).max() / np.abs(want).max()
         assert rel <= 1e-12, f"{name} {spec} L={L}: {rel:.2e}"
+
+
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
+def test_pencil_eigh_matches_sygvd(spec):
+    """Every block at L = 48 against scipy's sygvd: eigenvalues to 1e-12
+    relative, residuals and M-orthonormality to 1e-13.
+
+    The kernel value of the m = 0 block is zero up to roundoff, so it is
+    compared against the block's top value instead of itself.
+    """
+    pair = assemble(build_basis(48), parse_metric_spec(spec))
+    for m, (K, M) in enumerate(zip(pair.stiffness_blocks, pair.mass_blocks)):
+        lam, V = pencil_eigh(K, M)
+        want = scipy.linalg.eigh(K, M, eigvals_only=True, driver="gvd")
+        top = np.abs(want).max()
+        scale = np.where(np.abs(want) > KERNEL_SNAP_REL * top, np.abs(want), top)
+        rel = np.abs(lam - want) / scale
+        assert rel.max() <= 1e-12, f"{spec} m={m}: eigenvalues {rel.max():.2e}"
+        norm_k, norm_m = np.linalg.norm(K, 2), np.linalg.norm(M, 2)
+        res = np.abs(K @ V - (M @ V) * lam).max() / (norm_k + np.abs(lam).max() * norm_m)
+        assert res <= 1e-13, f"{spec} m={m}: residual {res:.2e}"
+        orth = np.abs(V.T @ M @ V - np.eye(lam.size)).max()
+        assert orth <= 1e-13, f"{spec} m={m}: orthonormality {orth:.2e}"

@@ -462,6 +462,28 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
     assert spectral_data(metric, 4, cache=cache).from_cache is True
 
 
+def test_previous_solver_entry_is_not_served(tmp_path):
+    """An entry stored under the blocks-1 solver key is never a hit.
+
+    It holds a valid-looking spectrum (twice the true one), so only the
+    solver version in the key keeps it out.
+    """
+    from zetasphere.cache import SpectrumCache, spectrum_cache_key
+    from zetasphere.eigensolve import SOLVER_VERSION
+
+    assert SOLVER_VERSION == "blocks-2"
+    cache = SpectrumCache(tmp_path)
+    metric = pnorm_metric(2.0)
+    fresh = spectral_data(metric, 4)
+    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, fresh.n_phi, "blocks-1")
+    cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
+    again = spectral_data(metric, 4, cache=cache)
+    assert again.from_cache is False
+    assert again.solver_version == SOLVER_VERSION
+    assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+    assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
 def test_default_time_grid_scaling():
     metric = scaled_metric(3.0, pnorm_metric(2.0))
     grid = default_time_grid(metric, 0.01, 10.0, 7)

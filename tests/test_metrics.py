@@ -11,6 +11,7 @@ import pytest
 import oracles
 from zetasphere.errors import ConfigError, DomainError, UnsupportedPointError
 from zetasphere.metrics import (
+    MAX_SCALED_DEPTH,
     ChartPoint,
     ConformalMetric,
     MetricFamily,
@@ -297,7 +298,8 @@ def test_equal_area_grid_properties():
 @pytest.mark.parametrize(
     "spec",
     ["fs", "max", "pnorm:3", "pnorm:2.5", "scaled:2:pnorm:3", "interp:2.5:pnorm",
-     "scaled:0.5:fs", "interp:1.5:geomean-pnorm", "interp:256:pnorm"],
+     "scaled:0.5:fs", "interp:1.5:geomean-pnorm", "interp:256:pnorm",
+     "scaled:2:scaled:0.5:pnorm:3", "scaled:1:" * MAX_SCALED_DEPTH + "fs"],
 )
 def test_parse_metric_spec_roundtrip(spec):
     m = parse_metric_spec(spec)
@@ -310,7 +312,8 @@ def test_parse_metric_spec_roundtrip(spec):
     "spec",
     ["", "bogus", "pnorm", "pnorm:zero", "pnorm:0.5", "scaled:2", "scaled:x:fs",
      "scaled:-1:fs", "interp:2.5", "interp:0.5:pnorm", "interp:2.5:bogus",
-     "interp:256.5:pnorm", "interp:inf:pnorm", "interp:nan:pnorm", "pnorm:inf", "scaled:nan:fs"],
+     "interp:256.5:pnorm", "interp:inf:pnorm", "interp:nan:pnorm", "pnorm:inf", "scaled:nan:fs",
+     "scaled:1:" * (MAX_SCALED_DEPTH + 1) + "fs"],
 )
 def test_parse_metric_spec_rejects(spec):
     with pytest.raises(ConfigError):
