@@ -80,9 +80,8 @@ BC_SCALING_SLOPE = -1.0 / 3.0
 
 def _default_quadrature() -> QuadratureRule:
     # 256 radial nodes split at the equator, where the smoothing families
-    # concentrate their curvature; the azimuthal count is irrelevant for
-    # radial factors.
-    return build_quadrature(128, 2)
+    # concentrate their curvature.
+    return build_quadrature(128)
 
 
 def _c1_on_radii(metric: ConformalMetric, r: np.ndarray) -> np.ndarray:
@@ -211,10 +210,19 @@ def two_route_check(
     budget_factor: float = 3.0,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
+    n_theta: int | None = None,
 ) -> TwoRouteReport:
-    """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair."""
-    dp, _, _, zp = compute_zeta(metric_p, L, cache=cache, window=window, trunc_tol=trunc_tol)
-    dq, _, _, zq = compute_zeta(metric_q, L, cache=cache, window=window, trunc_tol=trunc_tol)
+    """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
+
+    ``n_theta`` sets the spectral basis' colatitude nodes per panel; ``quad``
+    is the separate rule of the anomaly integral.
+    """
+    dp, _, _, zp = compute_zeta(
+        metric_p, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
+    )
+    dq, _, _, zq = compute_zeta(
+        metric_q, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
+    )
     qp = quillen_log(metric_p, zp, quad, vol=dp.volume, sign=sign)
     qq = quillen_log(metric_q, zq, quad, vol=dq.volume, sign=sign)
     route1 = qp.log_quillen - qq.log_quillen
@@ -292,6 +300,7 @@ def quillen_limit(
     sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
+    n_theta: int | None = None,
 ) -> QuillenLimit:
     """Cauchy table and extrapolated limit of log h_Q along a family.
 
@@ -321,7 +330,7 @@ def quillen_limit(
     prev_log_q = math.nan
     for param, metric in pairs:
         data, _, _, zres = compute_zeta(
-            metric, L, cache=cache, window=window, trunc_tol=trunc_tol
+            metric, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
         )
         qd = quillen_log(metric, zres, quad, vol=data.volume, sign=sign)
         if prev_metric is None:
@@ -382,7 +391,6 @@ def torsion_report(
     metric: ConformalMetric,
     L: int = 16,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     cache: SpectrumCache | None = None,
     window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
@@ -391,7 +399,7 @@ def torsion_report(
 ) -> TorsionReport:
     """Run the scalar pipeline and attach the determinant-metric summary."""
     data, samples, fit, zres = compute_zeta(
-        metric, L, n_theta, n_phi, cache=cache, window=window,
+        metric, L, n_theta, cache=cache, window=window,
         s_values=s_values, trunc_tol=trunc_tol,
     )
     qd = quillen_log(metric, zres, vol=data.volume, sign=sign)

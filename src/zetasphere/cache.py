@@ -1,7 +1,7 @@
 """Content-addressed spectrum cache.
 
 One ``.npz`` file per spectrum, named by the sha256 of the canonicalized
-inputs (metric spec string, basis degree, quadrature sizes, solver version).
+inputs (metric id, basis degree, colatitude node count, solver version).
 The solver version is part of the key, so results from older solver revisions
 are never served: a version bump simply misses. Writes go through a temp
 file in the same directory followed by an atomic rename.
@@ -29,10 +29,8 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "zetasphere"
 
 
-def spectrum_cache_key(
-    metric_id: str, L: int, n_theta: int, n_phi: int, solver_version: str
-) -> str:
-    canon = f"metric={metric_id}|L={L}|n_theta={n_theta}|n_phi={n_phi}|solver={solver_version}"
+def spectrum_cache_key(metric_id: str, L: int, n_theta: int, solver_version: str) -> str:
+    canon = f"metric={metric_id}|L={L}|n_theta={n_theta}|solver={solver_version}"
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

@@ -152,7 +152,6 @@ def _zeta_payload(data, fit, zres) -> dict:
         "metric": data.metric_id,
         "L": data.L,
         "n_theta": data.n_theta,
-        "n_phi": data.n_phi,
         "solver_version": data.solver_version,
         "volume": data.volume,
         "s_points": [
@@ -186,7 +185,7 @@ def _cmd_spectrum(config: RunConfig, out: Path) -> int:
     from .pipeline import spectral_data
 
     metric = _make_metric(config)
-    data = spectral_data(metric, config.L, config.n_theta, config.n_phi, _make_cache(config))
+    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
     path = write_csv(
         out / "spectrum.csv",
         ["index", "eigenvalue"],
@@ -204,7 +203,7 @@ def _cmd_theta(config: RunConfig, out: Path) -> int:
     from .pipeline import spectral_data
 
     metric = _make_metric(config)
-    data = spectral_data(metric, config.L, config.n_theta, config.n_phi, _make_cache(config))
+    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
     samples = heat_trace_samples(data, _theta_grid(config))
     path = write_csv(
         out / "theta.csv",
@@ -226,7 +225,6 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
         metric,
         config.L,
         config.n_theta,
-        config.n_phi,
         cache=_make_cache(config),
         window=config.fit_window,
         s_values=config.s_values,
@@ -248,7 +246,6 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
         metric,
         L=config.L,
         n_theta=config.n_theta,
-        n_phi=config.n_phi,
         cache=_make_cache(config),
         window=config.fit_window,
         s_values=config.s_values,
@@ -277,6 +274,7 @@ def _cmd_anomaly(config: RunConfig, out: Path) -> int:
             cache=cache,
             window=config.fit_window,
             trunc_tol=config.trunc_tol,
+            n_theta=config.n_theta,
         )
         for a, b in zip(family.members[:-1], family.members[1:])
     ]
@@ -318,6 +316,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         cache=_make_cache(config),
         window=config.fit_window,
         trunc_tol=config.trunc_tol,
+        n_theta=config.n_theta,
     )
     theta_cols = [f"theta_t{t:g}" for t in summary.sweep.t_set]
     csv_path = write_csv(

@@ -3,12 +3,12 @@
 The format is plain INI (no interpolation, ``#``/``;`` comments) so configs
 diff cleanly and parse with the standard library alone. Unknown sections and
 unknown keys are rejected, not ignored; a typo must fail loudly. Values left
-blank mean "use the default", which for the quadrature sizes and fit window
-is a metric- or degree-dependent choice made downstream.
+blank mean "use the default", which for the colatitude node count and fit
+window is a metric- or degree-dependent choice made downstream.
 
 Sections and keys::
 
-    [run]      metric, L, n_theta, n_phi, output_dir, cache_dir, threads
+    [run]      metric, L, n_theta, output_dir, cache_dir, threads
     [theta]    t_lo, t_hi, count, geometric
     [fit]      window_lo, window_hi, trunc_tol
     [zeta]     s_values
@@ -42,7 +42,6 @@ class RunConfig:
     metric: str = "fs"
     L: int = 16
     n_theta: int | None = None
-    n_phi: int | None = None
     output_dir: str = "out"
     cache_dir: str | None = None
     threads: int = 0
@@ -119,7 +118,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "metric": ("metric", _parse_str),
         "L": ("L", _parse_int),
         "n_theta": ("n_theta", _optional(_parse_int)),
-        "n_phi": ("n_phi", _optional(_parse_int)),
         "output_dir": ("output_dir", _parse_str),
         "cache_dir": ("cache_dir", _optional(_parse_str)),
         "threads": ("threads", _parse_int),
@@ -157,11 +155,11 @@ def validated(config: RunConfig) -> RunConfig:
     if not (1 <= config.L <= _MAX_L):
         raise ConfigError(f"L must be in [1, {_MAX_L}], got {config.L}")
     minimum = 2 * config.L + 2
-    for name, value in (("n_theta", config.n_theta), ("n_phi", config.n_phi)):
-        if value is not None and value < minimum:
-            raise ConfigError(
-                f"{name} = {value} is below the exactness minimum {minimum} for L = {config.L}"
-            )
+    if config.n_theta is not None and config.n_theta < minimum:
+        raise ConfigError(
+            f"n_theta = {config.n_theta} is below the exactness minimum {minimum} "
+            f"for L = {config.L}"
+        )
     if not (0 <= config.threads <= _MAX_THREADS):
         raise ConfigError(f"threads must be in [0, {_MAX_THREADS}], got {config.threads}")
     if not (config.t_lo > 0.0 and config.t_hi > config.t_lo):

@@ -16,10 +16,8 @@ Every built-in conformal factor is radial, so both matrices split into one
 block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
 copies of a block with m >= 1 coincide. The blocks are the native form of
 the pencil, assembled straight from the Legendre tables; `scatter` builds
-the dense n x n matrix, n = (L+1)^2, for operator-level checks. The dense
-all-nodes path (`mass_from_node_ratio`) remains for densities tabulated on
-the whole grid and for the quadrature exactness tests. Reductions have a
-fixed summation order, so repeated runs produce identical bytes.
+the dense n x n matrix, n = (L+1)^2, for operator-level checks. Reductions
+have a fixed summation order, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -42,11 +40,8 @@ __all__ = [
     "stiffness",
     "mass",
     "mass_log_variation",
-    "mass_from_node_ratio",
     "assemble",
 ]
-
-_SQRT2 = np.sqrt(2.0)
 
 Blocks = tuple[np.ndarray, ...]
 
@@ -55,24 +50,18 @@ class SpectralBasis:
     """Legendre tables, index bookkeeping, and the stiffness blocks.
 
     Holding a basis is the one-time cost shared by every metric at a given
-    resolution. The full node-value matrix is only materialized on first use
-    of the dense all-nodes path.
+    resolution.
     """
 
     def __init__(self, L: int, quad: QuadratureRule | None = None):
         if L < 0:
             raise DomainError("harmonic degree bound L must be nonnegative")
         if quad is None:
-            quad = build_quadrature(2 * L + 2, 2 * L + 2)
+            quad = build_quadrature(2 * L + 2)
         need = 2 * L + 2
         if quad.n_theta < need:
             raise DomainError(
                 f"quadrature has {quad.n_theta} polar nodes per panel, "
-                f"exactness at L = {L} needs at least {need}"
-            )
-        if quad.n_phi < need:
-            raise DomainError(
-                f"quadrature has {quad.n_phi} azimuthal nodes, "
                 f"exactness at L = {L} needs at least {need}"
             )
         self.L = int(L)
@@ -81,36 +70,26 @@ class SpectralBasis:
         self.n = len(self.indices)
         self.ell = np.array([i[0] for i in self.indices])
         self.pbar, self.dpbar, self.qbar = legendre_tables(L, quad.x)
-        self._values: np.ndarray | None = None
         self._stiffness: Blocks | None = None
 
-    @property
-    def values(self) -> np.ndarray:
-        """Dense matrix of basis values on all flattened quadrature nodes."""
-        if self._values is None:
-            phi = self.quad.phi
-            azimuth = [np.ones_like(phi)] + [
-                _SQRT2 * trig(m * phi) for m in range(1, self.L + 1) for trig in (np.cos, np.sin)
-            ]
-            B = np.empty((self.n, self.quad.x.size, phi.size))
-            for (m, rows), a in zip(block_rows(self.L), azimuth):
-                B[rows] = self.pbar[m:, m, :, None] * a
-            self._values = B.reshape(self.n, -1)
-        return self._values
-
     def gram_defect(self) -> float:
-        """max |G - I| over the full dense quadrature; the exactness check."""
-        G = (self.values * self.quad.weights[None, :]) @ self.values.T
-        return float(np.abs(G - np.eye(self.n)).max())
+        """max over m of |P_m W P_m^T - I|; the exactness check.
+
+        The azimuthal factors are orthonormal in closed form, so the Gram
+        matrix of the basis is the identity exactly when every per-m block of
+        the colatitude rule is.
+        """
+        return max(
+            float(np.abs(G - np.eye(G.shape[0])).max())
+            for G in _radial_weighted_gram(self, self.quad.weights_theta)
+        )
 
 
-def build_basis(L: int, n_theta: int | None = None, n_phi: int | None = None) -> SpectralBasis:
-    """Basis with its quadrature; sizes default to the exactness minimum 2L+2."""
+def build_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
+    """Basis with its quadrature; n_theta defaults to the exactness minimum 2L+2."""
     if n_theta is None:
         n_theta = 2 * L + 2
-    if n_phi is None:
-        n_phi = 2 * L + 2
-    return SpectralBasis(L, build_quadrature(n_theta, n_phi))
+    return SpectralBasis(L, build_quadrature(n_theta))
 
 
 def block_rows(L: int):
@@ -240,24 +219,6 @@ def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
         )
     wr = basis.quad.weights_theta * _node_ratio(basis, metric) * dlog
     return _radial_weighted_gram(basis, wr)
-
-
-def mass_from_node_ratio(basis: SpectralBasis, ratio: np.ndarray) -> np.ndarray:
-    """Dense-path mass matrix from a density ratio tabulated on all nodes.
-
-    ``ratio`` holds ``lambda(z) (1+|z|^2)^2`` per flattened quadrature node;
-    no radial symmetry is assumed.
-    """
-    ratio = np.asarray(ratio, dtype=float)
-    if ratio.shape != (basis.quad.node_count,):
-        raise DomainError(
-            f"node ratio must have shape ({basis.quad.node_count},), got {ratio.shape}"
-        )
-    if not np.all(np.isfinite(ratio)) or ratio.min() <= 0.0:
-        raise InvalidMetricError("tabulated density ratio must be positive and finite")
-    B = basis.values
-    M = (B * (basis.quad.weights * ratio)[None, :]) @ B.T
-    return 0.5 * (M + M.T)
 
 
 def assemble(basis: SpectralBasis, metric: ConformalMetric) -> OperatorPair:

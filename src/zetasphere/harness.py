@@ -189,6 +189,7 @@ def sweep(
     sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
+    n_theta: int | None = None,
 ) -> SweepReport:
     """Run the scalar pipeline over family members, one row per parameter.
 
@@ -210,6 +211,8 @@ def sweep(
         Sign convention joining the zeta derivative to the volume term.
     window, trunc_tol
         Passed through to the heat-trace fit.
+    n_theta : int, optional
+        Colatitude nodes per panel of the basis; 2L + 2 by default.
 
     Returns
     -------
@@ -232,7 +235,7 @@ def sweep(
     for p, metric in zip(params, members):
         try:
             data, _, fit, zres = compute_zeta(
-                metric, L, cache=cache, window=window, trunc_tol=trunc_tol
+                metric, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
             )
             quil = quillen_log(metric, zres, vol=data.volume, sign=sign)
             th = theta_values(data.eigenvalues, t_arr)
@@ -398,6 +401,7 @@ def limit_agreement(
     sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
+    n_theta: int | None = None,
 ) -> LimitAgreement:
     """Compare the sweep's last row against the limit metric computed directly."""
     if family.limit is None:
@@ -405,7 +409,7 @@ def limit_agreement(
     if not report.rows:
         raise DomainError("limit_agreement needs at least one sweep row")
     data, _, fit, zres = compute_zeta(
-        family.limit, report.L, cache=cache, window=window, trunc_tol=trunc_tol
+        family.limit, report.L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
     )
     quil = quillen_log(family.limit, zres, vol=data.volume, sign=sign)
     th = theta_values(data.eigenvalues, np.asarray(report.t_set, dtype=float))
@@ -484,7 +488,6 @@ def lambda1_floor(
     parameters: Sequence[float] | None = None,
     L: int = 24,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     cache: SpectrumCache | None = None,
     include_limit: bool = True,
 ) -> Lambda1Floor:
@@ -503,7 +506,7 @@ def lambda1_floor(
         labels.append(math.inf)
         metrics.append(family.limit)
 
-    basis = get_basis(L, n_theta, n_phi)
+    basis = get_basis(L, n_theta)
     m_ref = mass(basis, metrics[0])
     rows: list[Lambda1FloorRow] = []
     for label, metric in zip(labels, metrics):
@@ -511,7 +514,7 @@ def lambda1_floor(
             float(pencil_eigh(M_p, M_ref)[0][-1])
             for M_p, M_ref in zip(mass(basis, metric), m_ref)
         )
-        lam1 = spectral_data(metric, L, n_theta, n_phi, cache).lambda1
+        lam1 = spectral_data(metric, L, n_theta, cache).lambda1
         rows.append(Lambda1FloorRow(float(label), lam1, c_member))
 
     c = max(r.c_member for r in rows)
@@ -578,7 +581,6 @@ def resolvent_convergence(
     shift: float = 1.0,
     t_heat: float = 1.0,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     n_gl: int = 8,
 ) -> ResolventReport:
     """Check resolvents and heat operators are Cauchy along the family.
@@ -595,12 +597,12 @@ def resolvent_convergence(
     if len(members) < 3:
         raise DomainError("resolvent_convergence needs at least three members")
 
-    basis = get_basis(L, n_theta, n_phi)
+    basis = get_basis(L, n_theta)
     ip_ref = [InnerProduct.from_gram(M) for M in mass(basis, members[0])]
     xg, wg = np.polynomial.legendre.leggauss(n_gl)
 
     def operators_at(k: int) -> tuple[Blocks, Blocks]:
-        spec = compute_spectrum(members[k], L, n_theta, n_phi)
+        spec = compute_spectrum(members[k], L, n_theta)
         return resolvent(spec, shift), heat_operator(spec, t_heat)
 
     def distance(a: Blocks, b: Blocks) -> float:
@@ -669,7 +671,7 @@ def resolvent_convergence(
     limit_dist = math.nan
     heat_limit_dist = math.nan
     if family.limit is not None:
-        spec_lim = compute_spectrum(family.limit, L, n_theta, n_phi)
+        spec_lim = compute_spectrum(family.limit, L, n_theta)
         limit_dist = distance(r_prev, resolvent(spec_lim, shift))
         heat_limit_dist = distance(e_prev, heat_operator(spec_lim, t_heat))
 
@@ -709,7 +711,6 @@ def bornelapbelt_check(
     u: float = 2.5,
     L: int = 16,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     n_vectors: int = 100,
     seed: int = 20260818,
 ) -> BorneReport:
@@ -729,7 +730,7 @@ def bornelapbelt_check(
     M-norms add up over the copies.
     """
     metric = interpolate(family, u)
-    basis = get_basis(L, n_theta, n_phi)
+    basis = get_basis(L, n_theta)
     pair = assemble(basis, metric)
     d_mass = mass_log_variation(basis, metric)
 
@@ -766,7 +767,6 @@ def duhamel_at(
     t: float = 0.5,
     L: int = 16,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     n_nodes: int = 32,
 ) -> DuhamelReport:
     """Integrated variation identity for the heat operator at one (u, t).
@@ -776,9 +776,9 @@ def duhamel_at(
     E(t - s) dLap E(s); the residual should sit at the quadrature and
     differencing level, far below the derivative's norm.
     """
-    spec_lo = compute_spectrum(interpolate(family, u - h), L, n_theta, n_phi)
-    spec_mid = compute_spectrum(interpolate(family, u), L, n_theta, n_phi)
-    spec_hi = compute_spectrum(interpolate(family, u + h), L, n_theta, n_phi)
+    spec_lo = compute_spectrum(interpolate(family, u - h), L, n_theta)
+    spec_mid = compute_spectrum(interpolate(family, u), L, n_theta)
+    spec_hi = compute_spectrum(interpolate(family, u + h), L, n_theta)
     return duhamel_residual(spec_lo, spec_mid, spec_hi, h, t=t, n_nodes=n_nodes)
 
 
@@ -819,35 +819,38 @@ def convergence_summary(
     duhamel_h: float = 1e-3,
     duhamel_t: float = 0.5,
     seed: int = 20260818,
+    n_theta: int | None = None,
 ) -> ConvergenceSummary:
     """Run every convergence check on one family and aggregate tag verdicts.
 
-    The sweep, Cauchy rates, limit agreement, gap floor, and extrapolated
-    determinant run at degree ``L``; the variation checks run at the lighter
-    ``variation_L`` since they need interpolated pencils of their own.
+    The sweep, Cauchy rates, limit agreement, gap floor, operator limits,
+    extrapolated determinant and two-route check run at degree ``L`` with
+    ``n_theta`` colatitude nodes per panel; the variation checks run at the
+    lighter ``variation_L`` and its default rule, since they need
+    interpolated pencils of their own.
     """
     rep = sweep(
         family, parameters, L=L, t_set=t_set, cache=cache, sign=sign,
-        window=window, trunc_tol=trunc_tol,
+        window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
     cauchy = cauchy_check(rep)
     limit_check = None
     if family.limit is not None and rep.rows:
         limit_check = limit_agreement(
             family, rep, cauchy, cache=cache, sign=sign,
-            window=window, trunc_tol=trunc_tol,
+            window=window, trunc_tol=trunc_tol, n_theta=n_theta,
         )
-    floor = lambda1_floor(family, parameters, L=L, cache=cache)
-    resolvents = resolvent_convergence(family, L=L, t_heat=1.0)
+    floor = lambda1_floor(family, parameters, L=L, n_theta=n_theta, cache=cache)
+    resolvents = resolvent_convergence(family, L=L, t_heat=1.0, n_theta=n_theta)
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L, seed=seed)
     duhamel = duhamel_at(family, u=variation_u, h=duhamel_h, t=duhamel_t, L=variation_L)
     quillen = quillen_limit(
         family, p_list=parameters, L=L, cache=cache, sign=sign,
-        window=window, trunc_tol=trunc_tol,
+        window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
     two_route = two_route_check(
         family.members[0], family.members[1], L=L, cache=cache, sign=sign,
-        window=window, trunc_tol=trunc_tol,
+        window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
 
     tags = {

@@ -40,6 +40,7 @@ __all__ = [
     "HeatTraceSamples",
     "heat_trace_samples",
     "theta_values",
+    "truncation_time",
     "AsymptoticFit",
     "fit_asymptotics",
     "ZetaPoint",
@@ -173,7 +174,12 @@ class HeatTraceSamples:
     n_modes: int
 
 
-def heat_trace_samples(spectrum: Spectrum, t: np.ndarray) -> HeatTraceSamples:
+def heat_trace_samples(spectrum, t: np.ndarray) -> HeatTraceSamples:
+    """Heat trace of ``spectrum`` on the times ``t`` with its truncation bound.
+
+    ``spectrum`` is anything carrying ``eigenvalues`` (ascending) and
+    ``metric_id``: a Spectrum or the pipeline's SpectralData.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
         raise DomainError("heat trace times must be positive")
@@ -182,6 +188,30 @@ def heat_trace_samples(spectrum: Spectrum, t: np.ndarray) -> HeatTraceSamples:
     vals = theta_values(spectrum.eigenvalues, t)
     bound = n * np.exp(-lam_max * t)
     return HeatTraceSamples(spectrum.metric_id, t, vals, bound, lam_max, n)
+
+
+def truncation_time(n_modes: int, lambda_max: float, trunc_tol: float) -> float:
+    """Smallest t at which the truncation bound n exp(-lambda_max t) is trunc_tol."""
+    return math.log(n_modes / trunc_tol) / lambda_max
+
+
+def _weighted_fit(t: np.ndarray, th: np.ndarray):
+    """Least squares of th ~ b_-1/t + b_0 + b_1 t with weights t^2.
+
+    Returns the coefficients, the largest absolute model residual and the
+    parameter scatter from the weighted normal equations.
+    """
+    A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
+    w = t * t
+    Aw = A * w[:, None]
+    bw = th * w
+    coef, _, _, _ = np.linalg.lstsq(Aw, bw, rcond=None)
+    resid = float(np.abs(A @ coef - th).max())
+    dof = max(t.size - 3, 1)
+    sigma2 = float(((bw - Aw @ coef) ** 2).sum()) / dof
+    cov = sigma2 * np.linalg.inv(Aw.T @ Aw)
+    sig = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))
+    return coef, resid, sig
 
 
 @dataclass(frozen=True)
@@ -221,7 +251,7 @@ def fit_asymptotics(
     lo_req, hi_req = float(window[0]), float(window[1])
     if not (0.0 < lo_req < hi_req):
         raise DomainError(f"bad fit window {window}")
-    t_valid = math.log(samples.n_modes / trunc_tol) / samples.lambda_max
+    t_valid = truncation_time(samples.n_modes, samples.lambda_max, trunc_tol)
     lo = max(lo_req, t_valid)
     if lo >= hi_req:
         raise FitWindowError(
@@ -238,18 +268,7 @@ def fit_asymptotics(
             f"[{lo:.4g}, {hi_req:.4g}]; need at least 4",
             violated_bound=float(samples.n_modes * math.exp(-samples.lambda_max * hi_req)),
         )
-    A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
-    w = t * t
-    Aw = A * w[:, None]
-    bw = th * w
-    coef, _, _, _ = np.linalg.lstsq(Aw, bw, rcond=None)
-    model = A @ coef
-    resid = float(np.abs(model - th).max())
-    # parameter scatter from the weighted normal equations
-    dof = max(t.size - 3, 1)
-    sigma2 = float(((bw - Aw @ coef) ** 2).sum()) / dof
-    cov = sigma2 * np.linalg.inv(Aw.T @ Aw)
-    sig = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))
+    coef, resid, sig = _weighted_fit(t, th)
     return AsymptoticFit(
         b_minus1=float(coef[0]),
         b0=float(coef[1]),
@@ -293,34 +312,20 @@ def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoi
 def zeta_mellin(
     eigenvalues: np.ndarray,
     s: float,
-    t_head: float = 0.0,
-    fit: AsymptoticFit | None = None,
     n_panels: int = 48,
     n_nodes: int = 20,
 ) -> float:
     """zeta(s) = (1/Gamma(s)) int_0^inf t^(s-1) theta(t) dt by panel quadrature.
 
     The discrete trace is finite at t = 0+, so the integral needs no model
-    head; ``t_head > 0`` optionally replaces [0, t_head] by the integral of
-    the fitted small-time model (kept for diagnostics, off by default).
+    head.
     """
     if s <= 1.0:
         raise DomainError(f"Mellin route implemented for s > 1, got {s}")
     lam = _eigenvalues_of(eigenvalues)
     lam = lam[lam > 0.0]
     lam1 = float(lam[0])
-    head = 0.0
     t0 = 1e-10
-    if t_head > 0.0:
-        if fit is None:
-            raise DomainError("t_head > 0 needs the asymptotic fit")
-        t0 = float(t_head)
-        # integral of (b_-1/t + b_0 + b_1 t) * t^(s-1) over [0, t_head]
-        head = (
-            fit.b_minus1 * t0 ** (s - 1.0) / (s - 1.0)
-            + fit.b0 * t0**s / s
-            + fit.b1 * t0 ** (s + 1.0) / (s + 1.0)
-        )
     t_hi = 60.0 / lam1
     pts, wts = _gl_panels(t0, t_hi, n_panels, n_nodes)
     theta = theta_values(lam, pts)
@@ -329,7 +334,7 @@ def zeta_mellin(
     # n * t0^s / s ~ 1e-12 relative for the default t0; above t_hi the trace
     # has decayed by exp(-60)
     tail = theta_values(lam, np.array([t_hi]))[0] * t_hi ** (s - 1.0) / lam1
-    return (head + integral + tail) / math.gamma(s)
+    return (integral + tail) / math.gamma(s)
 
 
 @dataclass(frozen=True)
@@ -363,10 +368,7 @@ def _window_sensitivity(
     if hi_sub < 1.3 * t_lo:
         return 0.0
     t = geometric_grid(t_lo, hi_sub, n_nodes)
-    th = theta_values(lam, t)
-    A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
-    w = t * t
-    coef, _, _, _ = np.linalg.lstsq(A * w[:, None], th * w, rcond=None)
+    coef = _weighted_fit(t, theta_values(lam, t))[0]
     d_bm1, d_b0, d_b1 = (float(c) - f for c, f in zip(coef, fit.coefficients))
     return abs(
         -d_bm1 / t_lo
@@ -378,18 +380,14 @@ def _window_sensitivity(
 def zeta_prime_zero(
     eigenvalues: np.ndarray,
     fit: AsymptoticFit,
-    t_split: float = 1.0,
     n_panels: int = 24,
     n_nodes: int = 16,
 ) -> ZetaPrime:
     """Four-piece evaluation of zeta'(0); see the module docstring.
 
-    ``t_split`` is fixed at 1 by construction (the large-time piece is
-    sum E1(lambda_k * t_split) only when the regularization constants are
-    written for t_split = 1).
+    The pieces split at t = 1: the large-time piece is sum E1(lambda_k) only
+    because the regularization constants are written for that split.
     """
-    if t_split != 1.0:
-        raise DomainError("t_split is fixed to 1.0 in this formulation")
     lam = _eigenvalues_of(eigenvalues)
     lam = lam[lam > 0.0]
     t_lo = fit.window_effective[0]

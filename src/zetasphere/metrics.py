@@ -71,6 +71,15 @@ class ChartPoint:
         return ChartPoint(1 - self.chart, 1.0 / self.z)
 
 
+def _spec_text(x: float) -> str:
+    """A spec number as the shortest text that parses back to it.
+
+    Integral values drop the ``.0``, so ``pnorm:3`` keeps its familiar id.
+    """
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) computed without overflow."""
     x = np.asarray(x, dtype=float)
@@ -245,8 +254,7 @@ def pnorm_metric(p: float) -> ConformalMetric:
             out = np.where(r == 0.0, 0.0, out)
         return out
 
-    pid = f"pnorm:{p:g}"
-    return ConformalMetric(pid, "smooth", logd, 0.0, c1)
+    return ConformalMetric(f"pnorm:{_spec_text(p)}", "smooth", logd, 0.0, c1)
 
 
 def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
@@ -261,7 +269,7 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
 
     c1 = inner._c1_radial  # curvature is unchanged by constant rescaling
     return ConformalMetric(
-        f"scaled:{t0:g}:{inner.id}",
+        f"scaled:{_spec_text(t0)}:{inner.id}",
         inner.smoothness,
         logd,
         inner._log_at_infinity + lt,
@@ -382,7 +390,7 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
         base = family.members[idx]
         # Rewrap with the interpolation id but identical values.
         return ConformalMetric(
-            f"interp:{u:.17g}:{family.id}",
+            f"interp:{_spec_text(u)}:{family.id}",
             base.smoothness,
             base._log_radial,
             base._log_at_infinity,
@@ -418,7 +426,7 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
 
     c1 = None  # curvature of a density-level mixture has no simple closed form
     return ConformalMetric(
-        f"interp:{u:.17g}:{family.id}",
+        f"interp:{_spec_text(u)}:{family.id}",
         smooth,
         logd,
         float(log_inf),
@@ -428,12 +436,11 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
     )
 
 
-def equal_area_grid(n_theta: int = 64, n_phi: int = 64) -> np.ndarray:
+def equal_area_grid(n_theta: int = 64) -> np.ndarray:
     """Chart-0 radii of a fixed equal-area grid (midpoints in cos theta).
 
-    The azimuthal direction is dropped: every built-in factor is radial, so the
-    grid of distinct radii carries the full information. The default matches
-    the documented 4096-point grid (64 x 64).
+    Every built-in factor is radial, so the radii carry the full information;
+    the default takes 64 of them.
     """
     x = -1.0 + (2.0 * np.arange(n_theta) + 1.0) / n_theta
     # r = tan(theta/2), x = cos(theta) -> r = sqrt((1-x)/(1+x))
@@ -460,13 +467,14 @@ def volume(metric: ConformalMetric, quad, chart: int = 0) -> float:
 
     ``quad`` is a QuadratureRule from :mod:`zetasphere.quadrature`; the density
     ratio of the metric area form against the round probability measure is
-    ``lambda(z) (1 + |z|^2)^2`` in either chart. Computing in chart 1 re-reads
-    the node radii as |w| values, which parameterizes the same integral and
-    serves as the chart-independence check.
+    ``lambda(z) (1 + |z|^2)^2`` in either chart. The factor is radial, so the
+    integral runs over the colatitude nodes alone. Computing in chart 1
+    re-reads the node radii as |w| values, which parameterizes the same
+    integral and serves as the chart-independence check.
     """
-    r = quad.radii
+    r = quad.radii_theta
     log_ratio = metric.log_density(r.astype(complex), chart) + 2.0 * np.log1p(r**2)
-    return float(np.sum(quad.weights * np.exp(log_ratio)))
+    return float(np.sum(quad.weights_theta * np.exp(log_ratio)))
 
 
 def sup_log_distance(

@@ -9,10 +9,9 @@ the scalar pipelines (theta, zeta, torsion) need. Operator-level work
 eigenvectors in process and works on the per-m blocks. No command builds
 an n x n matrix.
 
-Time grids and fit windows default to the metric's global scale: rescaling
-the conformal factor by c rescales eigenvalues by 1/c, so every default time
-quantity carries a factor ``metric.scale_hint``. Explicitly passed windows
-and grids are used as-is.
+Fit windows default to the metric's global scale: rescaling the conformal
+factor by c rescales eigenvalues by 1/c, so the default window carries a
+factor ``metric.scale_hint``. An explicitly passed window is used as-is.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .heatzeta import (
     fit_asymptotics,
     geometric_grid,
     heat_trace_samples,
-    theta_values,
+    truncation_time,
     zeta_result,
 )
 from .metrics import ConformalMetric
@@ -43,20 +42,18 @@ __all__ = [
     "compute_spectrum",
     "SpectralData",
     "spectral_data",
-    "default_time_grid",
     "default_fit_window",
     "compute_fit",
     "compute_zeta",
     "clear_process_caches",
 ]
 
-_BASIS_CACHE: dict[tuple[int, int, int], SpectralBasis] = {}
-_SPECTRUM_CACHE: dict[tuple[str, int, int, int], Spectrum] = {}
+_BASIS_CACHE: dict[tuple[int, int], SpectralBasis] = {}
+_SPECTRUM_CACHE: dict[tuple[str, int, int], Spectrum] = {}
 
 
-def _sizes(L: int, n_theta: int | None, n_phi: int | None) -> tuple[int, int]:
-    return (2 * L + 2 if n_theta is None else n_theta,
-            2 * L + 2 if n_phi is None else n_phi)
+def _n_theta(L: int, n_theta: int | None) -> int:
+    return 2 * L + 2 if n_theta is None else n_theta
 
 
 def clear_process_caches() -> None:
@@ -64,26 +61,20 @@ def clear_process_caches() -> None:
     _SPECTRUM_CACHE.clear()
 
 
-def get_basis(L: int, n_theta: int | None = None, n_phi: int | None = None) -> SpectralBasis:
-    nt, np_ = _sizes(L, n_theta, n_phi)
-    key = (L, nt, np_)
+def get_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
+    key = (L, _n_theta(L, n_theta))
     if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = build_basis(L, nt, np_)
+        _BASIS_CACHE[key] = build_basis(*key)
     return _BASIS_CACHE[key]
 
 
 def compute_spectrum(
-    metric: ConformalMetric,
-    L: int,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
+    metric: ConformalMetric, L: int, n_theta: int | None = None
 ) -> Spectrum:
     """Full spectrum with eigenvectors, memoized per process."""
-    nt, np_ = _sizes(L, n_theta, n_phi)
-    key = (metric.id, L, nt, np_)
+    key = (metric.id, L, _n_theta(L, n_theta))
     if key not in _SPECTRUM_CACHE:
-        basis = get_basis(L, nt, np_)
-        _SPECTRUM_CACHE[key] = generalized_eigs(assemble(basis, metric))
+        _SPECTRUM_CACHE[key] = generalized_eigs(assemble(get_basis(L, n_theta), metric))
     return _SPECTRUM_CACHE[key]
 
 
@@ -94,7 +85,6 @@ class SpectralData:
     metric_id: str
     L: int
     n_theta: int
-    n_phi: int
     eigenvalues: np.ndarray
     volume: float
     solver_version: str
@@ -134,7 +124,6 @@ def spectral_data(
     metric: ConformalMetric,
     L: int,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     cache: SpectrumCache | None = None,
 ) -> SpectralData:
     """Eigenvalues and volume, served from the disk cache when possible.
@@ -144,30 +133,17 @@ def spectral_data(
     spectrum is computed, stored over the entry, and the fresh values
     returned. Only the blocks are solved: no n x n matrix is built here.
     """
-    nt, np_ = _sizes(L, n_theta, n_phi)
-    key = spectrum_cache_key(metric.id, L, nt, np_, SOLVER_VERSION)
+    nt = _n_theta(L, n_theta)
+    key = spectrum_cache_key(metric.id, L, nt, SOLVER_VERSION)
     if cache is not None:
         hit = _valid_hit(cache.load(key), L)
         if hit is not None:
-            return SpectralData(metric.id, L, nt, np_, *hit, SOLVER_VERSION, True)
-    spectrum = compute_spectrum(metric, L, nt, np_)
+            return SpectralData(metric.id, L, nt, *hit, SOLVER_VERSION, True)
+    spectrum = compute_spectrum(metric, L, nt)
     vol = spectrum.pair.volume
     if cache is not None:
         cache.store(key, eigenvalues=spectrum.eigenvalues, volume=np.float64(vol))
-    return SpectralData(
-        metric.id, L, nt, np_, spectrum.eigenvalues, vol, SOLVER_VERSION, False
-    )
-
-
-def default_time_grid(
-    metric: ConformalMetric,
-    t_lo: float = 0.01,
-    t_hi: float = 10.0,
-    count: int = 120,
-    scale_with_metric: bool = True,
-) -> np.ndarray:
-    s = metric.scale_hint if scale_with_metric else 1.0
-    return geometric_grid(t_lo * s, t_hi * s, count)
+    return SpectralData(metric.id, L, nt, spectrum.eigenvalues, vol, SOLVER_VERSION, False)
 
 
 def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:
@@ -195,18 +171,11 @@ def compute_fit(
     if window is None:
         window = default_fit_window(metric)
     lam = data.eigenvalues
-    lam_max = float(lam[-1])
-    n = int(lam.size)
-    t_valid = math.log(n / trunc_tol) / lam_max
-    lo = max(float(window[0]), t_valid)
+    lo = max(float(window[0]), truncation_time(int(lam.size), float(lam[-1]), trunc_tol))
     # an all-invalid window still gets a grid so fit_asymptotics can raise
     # its canonical FitWindowError
     grid_lo = lo if lo < float(window[1]) else float(window[0])
-    t_grid = geometric_grid(grid_lo, float(window[1]), n_nodes)
-    samples = HeatTraceSamples(
-        data.metric_id, t_grid, theta_values(lam, t_grid),
-        n * np.exp(-lam_max * t_grid), lam_max, n,
-    )
+    samples = heat_trace_samples(data, geometric_grid(grid_lo, float(window[1]), n_nodes))
     return samples, fit_asymptotics(samples, window, trunc_tol)
 
 
@@ -214,14 +183,13 @@ def compute_zeta(
     metric: ConformalMetric,
     L: int,
     n_theta: int | None = None,
-    n_phi: int | None = None,
     cache: SpectrumCache | None = None,
     window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     trunc_tol: float = 1e-8,
 ) -> tuple[SpectralData, HeatTraceSamples, AsymptoticFit, ZetaResult]:
     """The scalar pipeline: spectrum -> heat trace -> fit -> zeta data."""
-    data = spectral_data(metric, L, n_theta, n_phi, cache)
+    data = spectral_data(metric, L, n_theta, cache)
     samples, fit = compute_fit(data, metric, window, trunc_tol)
     result = zeta_result(data.eigenvalues, fit, s_values, metric_id=data.metric_id)
     return data, samples, fit, result

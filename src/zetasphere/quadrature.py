@@ -1,15 +1,16 @@
-"""Product quadrature on the sphere for the round probability measure.
+"""Colatitude quadrature on the sphere for the round probability measure.
 
 Nodes are Gauss-Legendre in x = cos(theta), split into two panels at the
 equator (x in [-1,0] and [0,1]) so that integrands with a kink on |z| = 1
-are still integrated panel-exactly, times a uniform trapezoid rule in the
-azimuth. Weights are normalized so their total is exactly 1, the mass of the
-round probability measure sin(theta) dtheta dphi / (4 pi).
+are still integrated panel-exactly. Every built-in conformal factor is
+radial, so the azimuth integrates in closed form and the rule has no
+azimuthal nodes: the weights against the round probability measure
+sin(theta) dtheta dphi / (4 pi) are the x weights halved, summing to 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,32 +22,21 @@ __all__ = ["QuadratureRule", "build_quadrature"]
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor quadrature: (x_i, phi_j) nodes with separable weights.
+    """Two-panel Gauss-Legendre rule in x = cos(theta).
 
     Attributes
     ----------
     n_theta : int
         Gauss-Legendre nodes per panel (two panels total).
-    n_phi : int
-        Uniform azimuthal nodes.
     x : ndarray, shape (2*n_theta,)
         cos(theta) nodes, ascending, interior to (-1, 1).
     wx : ndarray
         Weights for the x factor, summing to 2.
-    phi : ndarray, shape (n_phi,)
-        Azimuth nodes 2 pi j / n_phi.
     """
 
     n_theta: int
-    n_phi: int
     x: np.ndarray
     wx: np.ndarray
-    phi: np.ndarray
-    _flat: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def node_count(self) -> int:
-        return self.x.size * self.phi.size
 
     @property
     def radii_theta(self) -> np.ndarray:
@@ -54,35 +44,19 @@ class QuadratureRule:
         return np.sqrt((1.0 - self.x) / (1.0 + self.x))
 
     @property
-    def radii(self) -> np.ndarray:
-        """Chart-0 radii of all flattened (x, phi) nodes."""
-        if "radii" not in self._flat:
-            r = self.radii_theta
-            self._flat["radii"] = np.repeat(r, self.n_phi)
-        return self._flat["radii"]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Flattened node weights against the round probability measure."""
-        if "weights" not in self._flat:
-            w = np.repeat(self.wx, self.n_phi) / (2.0 * self.n_phi)
-            self._flat["weights"] = w
-        return self._flat["weights"]
-
-    @property
     def weights_theta(self) -> np.ndarray:
         """x-factor weights with the azimuth already integrated (sum = 1)."""
         return self.wx / 2.0
 
 
-def build_quadrature(n_theta: int, n_phi: int) -> QuadratureRule:
-    """Two-panel Gauss-Legendre x uniform-azimuth rule.
+def build_quadrature(n_theta: int) -> QuadratureRule:
+    """Two-panel Gauss-Legendre rule with ``n_theta`` nodes per panel.
 
     Exact for products of basis harmonics up to combined degree 2L whenever
-    n_theta >= 2L+2 per panel and n_phi >= 2L+2.
+    n_theta >= 2L+2.
     """
-    if n_theta < 1 or n_phi < 1:
-        raise DomainError("quadrature sizes must be positive")
+    if n_theta < 1:
+        raise DomainError("quadrature size must be positive")
     xg, wg = leggauss(n_theta)
     # panel [-1, 0]
     x_lo = 0.5 * (xg - 1.0)
@@ -93,5 +67,4 @@ def build_quadrature(n_theta: int, n_phi: int) -> QuadratureRule:
     x = np.concatenate([x_lo, x_hi])
     wx = np.concatenate([w_lo, w_hi])
     order = np.argsort(x, kind="stable")
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return QuadratureRule(n_theta, n_phi, x[order], wx[order], phi)
+    return QuadratureRule(n_theta, x[order], wx[order])

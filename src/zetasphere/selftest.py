@@ -21,13 +21,13 @@ def _check_quadrature() -> None:
     from .discretize import build_basis
     from .quadrature import build_quadrature
 
-    quad = build_quadrature(18, 18)
+    quad = build_quadrature(18)
     assert abs(float(quad.wx.sum()) - 2.0) < 1e-14, "node weights must sum to 2"
-    assert abs(float(quad.weights.sum()) - 1.0) < 1e-14, "probability weights must sum to 1"
+    assert abs(float(quad.weights_theta.sum()) - 1.0) < 1e-14, "probability weights must sum to 1"
     assert np.all(np.diff(quad.x) > 0), "cosine nodes must ascend"
     basis = build_basis(8)
     defect = basis.gram_defect()
-    assert defect < 1e-12, f"basis Gram defect {defect:.3e} too large"
+    assert defect < 1e-12, f"per-m basis Gram defect {defect:.3e} too large"
 
 
 def _check_round_spectrum() -> None:
@@ -139,8 +139,8 @@ def _check_cache() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         cache = SpectrumCache(root)
-        key = spectrum_cache_key("selftest-metric", 4, 10, 10, "v1")
-        other = spectrum_cache_key("selftest-metric", 4, 10, 10, "v2")
+        key = spectrum_cache_key("selftest-metric", 4, 10, "v1")
+        other = spectrum_cache_key("selftest-metric", 4, 10, "v2")
         assert key != other, "solver version must enter the cache key"
         assert cache.load(key) is None, "empty cache must miss"
         values = np.linspace(0.0, 1.0, 5)

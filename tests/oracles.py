@@ -7,6 +7,7 @@ as an expectation.
 """
 
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -245,3 +246,52 @@ def dense_gram_pencil_top(mass_blocks, ref_mass_blocks) -> float:
 
     M, M_ref = dense_matrix(mass_blocks), dense_matrix(ref_mass_blocks)
     return float(scipy.linalg.eigh(M, M_ref, eigvals_only=True, driver="gvd")[-1])
+
+
+def full_grid_mass(L: int, density, n_theta: int | None = None,
+                   n_phi: int | None = None) -> np.ndarray:
+    """Mass matrix of a conformal factor on the full (colatitude x azimuth) grid.
+
+    ``density`` maps chart-0 radii r to lambda(r). The rule is its own: two
+    Gauss-Legendre panels of ``n_theta`` nodes in x = cos(theta), split at
+    the equator, times ``n_phi`` uniform azimuth nodes, both 2L + 2 by
+    default. The harmonics are built from scipy's P_l^m with the
+    normalization written out, times 1, sqrt(2) cos(m phi), sqrt(2) sin(m phi),
+    on the flat index of `dense_matrix`. No radial symmetry is used: each
+    entry sums lambda (1 + r^2)^2 Y_i Y_j over every grid node against the
+    round probability measure.
+    """
+    from scipy.special import lpmv, roots_legendre
+
+    n_theta = 2 * L + 2 if n_theta is None else n_theta
+    n_phi = 2 * L + 2 if n_phi is None else n_phi
+    xg, wg = roots_legendre(n_theta)
+    x = np.concatenate([0.5 * (xg - 1.0), 0.5 * (xg + 1.0)])
+    wx = np.concatenate([0.5 * wg, 0.5 * wg])
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    n = (L + 1) ** 2
+    Y = np.empty((n, x.size, n_phi))
+    for ell in range(L + 1):
+        for m in range(ell + 1):
+            norm = math.sqrt((2 * ell + 1) * math.factorial(ell - m) / math.factorial(ell + m))
+            p = (-1.0) ** m * norm * lpmv(m, ell, x)
+            if m == 0:
+                Y[ell * ell] = p[:, None] * np.ones(n_phi)
+            else:
+                Y[ell * ell + 2 * m - 1] = p[:, None] * (math.sqrt(2.0) * np.cos(m * phi))
+                Y[ell * ell + 2 * m] = p[:, None] * (math.sqrt(2.0) * np.sin(m * phi))
+    r = np.sqrt((1.0 - x) / (1.0 + x))
+    ratio = density(r) * (1.0 + r * r) ** 2
+    w = (wx * ratio / 2.0)[:, None] * np.full(n_phi, 1.0 / n_phi)
+    Y = Y.reshape(n, -1)
+    return (Y * w.reshape(-1)[None, :]) @ Y.T
+
+
+def pnorm_density(p: float):
+    """The pnorm(p) conformal factor (1 + r^(2p))^(-2/p) as a function of r."""
+    return lambda r: (1.0 + np.asarray(r, dtype=float) ** (2.0 * p)) ** (-2.0 / p)
+
+
+def max_density(r):
+    """The max conformal factor 1 / max(1, r)^4."""
+    return 1.0 / np.maximum(1.0, np.asarray(r, dtype=float)) ** 4

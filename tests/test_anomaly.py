@@ -48,7 +48,7 @@ def test_bott_chern_closed_form(p, q):
 
 
 def test_bott_chern_quadrature_robustness():
-    coarse = build_quadrature(64, 2)
+    coarse = build_quadrature(64)
     got = bott_chern_integral(pnorm_metric(2.0), pnorm_metric(3.0), coarse)
     assert got == pytest.approx(oracles.bott_chern_pnorm_pair(2.0, 3.0), abs=1e-8)
 
@@ -94,7 +94,7 @@ def test_kinked_factor_is_refused():
 
 
 def test_l2_metric_log_is_log_volume():
-    quad = build_quadrature(128, 2)
+    quad = build_quadrature(128)
     for metric in (fs_metric(), pnorm_metric(3.0), max_metric()):
         assert l2_metric_log(metric) == pytest.approx(
             math.log(volume(metric, quad)), rel=1e-14

@@ -64,7 +64,6 @@ def test_defaults_validate():
         dict(L=0),
         dict(L=129),
         dict(n_theta=33),  # below 2L + 2 = 34 at L = 16
-        dict(n_phi=10),
         dict(threads=-1),
         dict(threads=1025),
         dict(t_lo=0.0),
@@ -93,7 +92,7 @@ def test_validated_rejects(bad):
 
 
 def test_validated_boundary_values():
-    validated(cfg(L=16, n_theta=34, n_phi=34))
+    validated(cfg(L=16, n_theta=34))
     validated(cfg(threads=1024))
     validated(cfg(window_lo=0.01, window_hi=0.2))
     assert cfg(window_lo=0.01, window_hi=0.2).fit_window == (0.01, 0.2)
@@ -264,7 +263,7 @@ def test_cli_zeta_schema(tmp_path, cache, capsys):
     assert "zeta: pnorm:3 L=16 zeta_prime0=" in out
     payload = json.loads((tmp_path / "zeta.json").read_text())
     assert set(payload) == {
-        "metric", "L", "n_theta", "n_phi", "solver_version", "volume",
+        "metric", "L", "n_theta", "solver_version", "volume",
         "s_points", "kernel_dim", "zeta0", "zeta0_minus_kernel", "zeta_prime0",
         "zeta_prime0_variants", "error_budget", "fit", "method",
     }
@@ -376,6 +375,32 @@ def test_cli_converge(tmp_path, cache, capsys):
     assert summary["detail"]["floor"]["margin"] > 0.0
 
 
+def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, capsys):
+    """[run] n_theta sets the basis of every degree-L solve of both commands:
+    their cache entries differ from a default run's, and every tag holds."""
+    family = "\n\n[family]\nname = pnorm\nparameters = 1, 2, 3, 4\n"
+    for name, run_block in (("default", "[run]\nL = 16"), ("fine", "[run]\nL = 16\nn_theta = 36")):
+        config_path = tmp_path / f"{name}.ini"
+        config_path.write_text(run_block + family)
+        for command in ("anomaly", "converge"):
+            clear_process_caches()
+            code, _, err = run_cli(
+                [command, "-c", str(config_path)],
+                tmp_path / name / command, tmp_path / name / f"cache-{command}", capsys,
+            )
+            assert code == 0 and err == "", (name, command, err)
+        assert json.loads((tmp_path / name / "anomaly" / "anomaly.json").read_text())["passed"]
+        tags = json.loads((tmp_path / name / "converge" / "summary.json").read_text())["tags"]
+        assert set(tags) == set(THEOREM_TAGS) and all(tags.values()), (name, tags)
+    for command in ("anomaly", "converge"):
+        keys = {
+            name: {p.name for p in (tmp_path / name / f"cache-{command}").glob("*.npz")}
+            for name in ("default", "fine")
+        }
+        assert keys["default"] and keys["fine"], command
+        assert not keys["default"] & keys["fine"], command
+
+
 def test_cli_selftest(tmp_path, cache, capsys):
     code, out, err = run_cli(["selftest"], tmp_path, cache.root, capsys)
     assert code == 0 and err == ""
@@ -426,11 +451,16 @@ def test_cli_deeply_nested_scaled_spec(tmp_path, cache, capsys):
 
 
 def test_cli_bad_config_key(tmp_path, cache, capsys):
+    """Unknown keys exit 2 naming the key; the removed n_phi is one of them."""
     config_path = tmp_path / "bad.ini"
-    config_path.write_text("[run]\nbogus = 3\n")
-    code, _, err = run_cli(["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys)
-    assert code == 2
-    assert "unknown key 'bogus'" in err
+    for key in ("bogus", "n_phi"):
+        config_path.write_text(f"[run]\n{key} = 40\n")
+        code, out, err = run_cli(
+            ["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys
+        )
+        assert code == 2
+        assert f"unknown key '{key}'" in err
+        assert "Traceback" not in out + err
 
 
 def test_cli_missing_config_file(tmp_path, cache, capsys):

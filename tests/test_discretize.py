@@ -1,9 +1,8 @@
 """Galerkin assembly: stiffness, mass matrices, and their parameter variation.
 
 The radial blocks are scattered into dense matrices and cross-checked
-against the dense full-node path (which sees the azimuthal factors
-explicitly), and the mass variation against a centered stencil in the
-family parameter.
+against the full-grid oracle (which sees the azimuthal factors explicitly),
+and the mass variation against a centered stencil in the family parameter.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from zetasphere.discretize import (
     assemble,
     build_basis,
     mass,
-    mass_from_node_ratio,
     mass_log_variation,
     scatter,
     stiffness,
@@ -43,14 +41,11 @@ def test_build_basis_defaults(basis):
     assert basis.L == 8
     assert basis.n == 81
     assert basis.quad.n_theta == 18
-    assert basis.quad.n_phi == 18
 
 
 def test_basis_size_validation():
     with pytest.raises(DomainError):
-        SpectralBasis(8, build_quadrature(10, 18))
-    with pytest.raises(DomainError):
-        SpectralBasis(8, build_quadrature(18, 10))
+        SpectralBasis(8, build_quadrature(10))
     with pytest.raises(DomainError):
         SpectralBasis(-1)
 
@@ -94,18 +89,20 @@ def test_mass_volume_entry(basis):
         assert M0[0, 0] == pytest.approx(volume(metric, basis.quad), rel=1e-13)
         assert assemble(basis, metric).volume == M0[0, 0]
     # and against the closed form, through a finer rule than the basis uses
-    fine = build_quadrature(192, 2)
+    fine = build_quadrature(192)
     m = pnorm_metric(5.0)
     assert volume(m, fine) == pytest.approx(float(oracles.pnorm_volume(5.0)), rel=1e-10)
 
 
 def test_block_vs_dense_assembly(basis):
-    """Radial block path against the dense node path with explicit azimuth."""
-    for metric in (pnorm_metric(3.0), max_metric()):
-        ratio = metric.density(basis.quad.radii.astype(complex)) * (
-            1.0 + basis.quad.radii**2
-        ) ** 2
-        dense = mass_from_node_ratio(basis, ratio)
+    """Radial block path against the package-free full-grid oracle, whose
+    own rule and harmonics see the azimuthal factors explicitly."""
+    cases = (
+        (pnorm_metric(3.0), oracles.pnorm_density(3.0)),
+        (max_metric(), oracles.max_density),
+    )
+    for metric, density in cases:
+        dense = oracles.full_grid_mass(basis.L, density)
         blocked = scatter(mass(basis, metric))
         assert np.abs(dense - blocked).max() < 1e-12, metric.id
 
@@ -132,15 +129,6 @@ def test_mass_rejects_invalid_density(basis):
     )
     with pytest.raises(InvalidMetricError):
         mass(basis, bad)
-
-
-def test_mass_from_node_ratio_validation(basis):
-    with pytest.raises(DomainError):
-        mass_from_node_ratio(basis, np.ones(3))
-    ratio = np.ones(basis.quad.node_count)
-    ratio[0] = -1.0
-    with pytest.raises(InvalidMetricError):
-        mass_from_node_ratio(basis, ratio)
 
 
 def test_operator_pair_metadata(basis):

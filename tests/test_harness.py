@@ -15,7 +15,6 @@ import scipy.linalg
 from zetasphere.discretize import (
     build_basis,
     mass,
-    mass_from_node_ratio,
     mass_log_variation,
     scatter,
     stiffness,
@@ -218,13 +217,25 @@ def test_lambda1_floor_matches_dense_gram_pencil(cache):
 
 def test_minmax_oracle_for_gap_floor():
     """Direct min-max check: scaling the density up by 10 on a cap can
-    lower the gap by at most the measured mass-equivalence constant."""
+    lower the gap by at most the measured mass-equivalence constant.
+
+    The cap |z| < 0.5 is radial, so the perturbed factor is a radial metric;
+    its block mass is first checked against the package-free full-grid
+    oracle."""
     basis = build_basis(8)
     K = scatter(stiffness(basis))
     m_ref = scatter(mass(basis, fs_metric()))
-    r = basis.quad.radii
-    ratio = fs_metric().density(r.astype(complex)) * (1.0 + r**2) ** 2
-    m_pert = mass_from_node_ratio(basis, ratio * np.where(r < 0.5, 10.0, 1.0))
+    fs = fs_metric()
+    capped = ConformalMetric(
+        "fs-cap", "singular-integrable",
+        lambda r: fs._log_radial(r) + np.where(np.asarray(r) < 0.5, math.log(10.0), 0.0),
+        math.log(2.0), kink_radii=(0.5,),
+    )
+    m_pert = scatter(mass(basis, capped))
+    want = oracles.full_grid_mass(
+        8, lambda r: 2.0 / (1.0 + r * r) ** 2 * np.where(r < 0.5, 10.0, 1.0)
+    )
+    assert np.abs(m_pert - want).max() < 1e-12
     c = float(scipy.linalg.eigh(m_pert, m_ref, eigvals_only=True)[-1])
     assert c <= 10.0 * (1.0 + 1e-9)
     lam1_ref = scipy.linalg.eigh(K, m_ref, eigvals_only=True)[1]

@@ -37,7 +37,7 @@ from zetasphere.quadrature import build_quadrature
 
 @pytest.fixture(scope="module")
 def quad():
-    return build_quadrature(192, 2)
+    return build_quadrature(192)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 7.5])
@@ -230,7 +230,7 @@ def test_interpolate_integer_endpoints():
         base = fam.members[int(u)]
         assert np.allclose(m.log_density(r), base.log_density(r), atol=1e-14)
         assert np.all(m.d_log_density_du(r) == 0.0)
-        assert m.id == f"interp:{u:.17g}:pnorm"
+        assert m.id == f"interp:{int(u)}:pnorm"
 
 
 def test_interpolate_midpoint_between_members():
@@ -289,7 +289,7 @@ def test_delta_x_bounds_chart_one_variation():
 
 
 def test_equal_area_grid_properties():
-    g = equal_area_grid(64, 64)
+    g = equal_area_grid(64)
     assert g.shape == (64,)
     assert np.all(g > 0.0)
     assert np.all(np.diff(g) < 0.0)  # descending radii from the south cap
@@ -306,6 +306,18 @@ def test_parse_metric_spec_roundtrip(spec):
     r = np.array([0.7, 1.0, 1.4]).astype(complex)
     again = parse_metric_spec(m.id)
     assert np.allclose(m.log_density(r), again.log_density(r), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [("pnorm:3", "pnorm:3"), ("pnorm:3.0", "pnorm:3"), ("pnorm:1024", "pnorm:1024"),
+     ("pnorm:3.0000001", "pnorm:3.0000001"), ("scaled:1.2345671:fs", "scaled:1.2345671:fs"),
+     ("scaled:1e-5:max", "scaled:1e-05:max"), ("interp:2.3:pnorm", "interp:2.3:pnorm"),
+     ("interp:2.0:pnorm", "interp:2:pnorm")],
+)
+def test_metric_ids_are_exact(spec, want):
+    """Ids print each number as the shortest text that parses back to it."""
+    assert parse_metric_spec(spec).id == want
 
 
 @pytest.mark.parametrize(

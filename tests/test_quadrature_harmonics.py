@@ -18,13 +18,12 @@ from zetasphere.quadrature import build_quadrature
 
 @pytest.fixture(scope="module")
 def quad():
-    return build_quadrature(12, 8)
+    return build_quadrature(12)
 
 
 def test_weights_normalization(quad):
-    """wx integrates dx over [-1, 1]; flattened weights are a probability."""
+    """wx integrates dx over [-1, 1]; the halved weights are a probability."""
     assert quad.wx.sum() == pytest.approx(2.0, abs=1e-14)
-    assert quad.weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert quad.weights_theta.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(quad.wx > 0.0)
 
@@ -48,7 +47,7 @@ def test_radii_map(quad):
 
 def test_monomial_exactness():
     """Each panel is Gauss-Legendre, so x^k is exact for k <= 2n-1."""
-    quad = build_quadrature(5, 2)
+    quad = build_quadrature(5)
     for k in range(10):
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         got = float(np.sum(quad.wx * quad.x**k))
@@ -57,22 +56,14 @@ def test_monomial_exactness():
 
 def test_kinked_integrand_split():
     """The panel split at x = 0 keeps |x| spectrally integrable."""
-    quad = build_quadrature(24, 2)
+    quad = build_quadrature(24)
     got = float(np.sum(quad.wx * np.abs(quad.x)))
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_build_quadrature_validation():
     with pytest.raises(DomainError):
-        build_quadrature(0, 4)
-    with pytest.raises(DomainError):
-        build_quadrature(4, 0)
-
-
-def test_flattened_weights_shape(quad):
-    assert quad.node_count == quad.x.size * quad.n_phi
-    assert quad.weights.shape == (quad.node_count,)
-    assert quad.radii.shape == (quad.node_count,)
+        build_quadrature(0)
 
 
 def test_legendre_against_scipy():

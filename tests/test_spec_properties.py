@@ -11,6 +11,7 @@ the search is derandomized, so a run is repeatable.
 import math
 from dataclasses import fields
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,11 +58,15 @@ def test_metric_spec_parses_or_raises_config_error(spec):
     except ConfigError:
         return
     assert isinstance(metric, ConformalMetric)
-    assert parse_metric_spec(metric.id).id == metric.id
+    again = parse_metric_spec(metric.id)
+    assert again.id == metric.id
+    # the id carries the exact parameters, so it names the same metric
+    r = np.array([0.0, 0.3, 0.7, 1.0, 1.4, 5.0])
+    np.testing.assert_array_equal(again.log_density(r), metric.log_density(r))
 
 
 _SCHEMA_KEYS = {
-    "run": ["metric", "L", "n_theta", "n_phi", "output_dir", "cache_dir", "threads"],
+    "run": ["metric", "L", "n_theta", "output_dir", "cache_dir", "threads"],
     "theta": ["t_lo", "t_hi", "count", "geometric"],
     "fit": ["window_lo", "window_hi", "trunc_tol"],
     "zeta": ["s_values"],
