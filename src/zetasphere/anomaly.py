@@ -28,6 +28,7 @@ with the kernel-excluded zeta(0) = -2/3 of smooth factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ from .quadrature import QuadratureRule, build_quadrature
 __all__ = [
     "SIGN_CONVENTION",
     "BC_SCALING_SLOPE",
+    "TWO_ROUTE_FLOOR",
+    "TWO_ROUTE_BUDGET_FACTOR",
     "bott_chern_integral",
     "bott_chern_bound",
     "l2_metric_log",
@@ -77,10 +80,16 @@ SIGN_CONVENTION = 1
 # tangent bundle equal to 2.
 BC_SCALING_SLOPE = -1.0 / 3.0
 
+# Tolerance of the two-route check: the larger of an absolute floor and a
+# multiple of the two zeta budgets.
+TWO_ROUTE_FLOOR = 1e-3
+TWO_ROUTE_BUDGET_FACTOR = 3.0
 
+
+@functools.cache
 def _default_quadrature() -> QuadratureRule:
     # 256 radial nodes split at the equator, where the smoothing families
-    # concentrate their curvature.
+    # concentrate their curvature; built on first use, then shared.
     return build_quadrature(128)
 
 
@@ -120,14 +129,9 @@ def bott_chern_integral(
     return float(-np.sum(quad.weights_theta * jac * dlog * c1_sum) / 12.0)
 
 
-def bott_chern_bound(
-    metric_p: ConformalMetric,
-    metric_q: ConformalMetric,
-    quad: QuadratureRule | None = None,
-) -> float:
+def bott_chern_bound(metric_p: ConformalMetric, metric_q: ConformalMetric) -> float:
     """Bound K * sup|log(h_p/h_q)| with K = (1/12) int (|c1_p| + |c1_q|)."""
-    if quad is None:
-        quad = _default_quadrature()
+    quad = _default_quadrature()
     r = quad.radii_theta
     c1_abs = np.abs(_c1_on_radii(metric_p, r)) + np.abs(_c1_on_radii(metric_q, r))
     jac = (1.0 + r**2) ** 2
@@ -135,16 +139,14 @@ def bott_chern_bound(
     return k * sup_log_distance(metric_p, metric_q)
 
 
-def l2_metric_log(metric: ConformalMetric, quad: QuadratureRule | None = None) -> float:
+def l2_metric_log(metric: ConformalMetric) -> float:
     """log of the determinant of the constant-section Gram matrix: log vol.
 
     The constant section has squared norm vol(metric) and the degree-one
     cohomology is trivial at genus zero, so the full l2 factor is just the
     volume.
     """
-    if quad is None:
-        quad = _default_quadrature()
-    return math.log(volume(metric, quad))
+    return math.log(volume(metric, _default_quadrature()))
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,6 @@ class QuillenData:
 def quillen_log(
     metric: ConformalMetric,
     zeta: ZetaResult,
-    quad: QuadratureRule | None = None,
     vol: float | None = None,
     sign: int = SIGN_CONVENTION,
 ) -> QuillenData:
@@ -171,7 +172,7 @@ def quillen_log(
     if sign not in (1, -1):
         raise DomainError(f"sign convention must be +1 or -1, got {sign}")
     if vol is None:
-        vol = volume(metric, quad if quad is not None else _default_quadrature())
+        vol = volume(metric, _default_quadrature())
     log_l2 = math.log(vol)
     return QuillenData(
         metric_id=zeta.metric_id or metric.id,
@@ -204,18 +205,15 @@ def two_route_check(
     metric_q: ConformalMetric,
     L: int = 32,
     cache: SpectrumCache | None = None,
-    quad: QuadratureRule | None = None,
     sign: int = SIGN_CONVENTION,
-    tolerance_floor: float = 1e-3,
-    budget_factor: float = 3.0,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
 ) -> TwoRouteReport:
     """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
 
-    ``n_theta`` sets the spectral basis' colatitude nodes per panel; ``quad``
-    is the separate rule of the anomaly integral.
+    ``n_theta`` sets the spectral basis' colatitude nodes per panel; the
+    anomaly integral has its own fixed rule.
     """
     dp, _, _, zp = compute_zeta(
         metric_p, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
@@ -223,12 +221,12 @@ def two_route_check(
     dq, _, _, zq = compute_zeta(
         metric_q, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
     )
-    qp = quillen_log(metric_p, zp, quad, vol=dp.volume, sign=sign)
-    qq = quillen_log(metric_q, zq, quad, vol=dq.volume, sign=sign)
+    qp = quillen_log(metric_p, zp, vol=dp.volume, sign=sign)
+    qq = quillen_log(metric_q, zq, vol=dq.volume, sign=sign)
     route1 = qp.log_quillen - qq.log_quillen
-    route2 = -bott_chern_integral(metric_p, metric_q, quad)
+    route2 = -bott_chern_integral(metric_p, metric_q)
     budget = zp.error_budget + zq.error_budget
-    tol = max(tolerance_floor, budget_factor * budget)
+    tol = max(TWO_ROUTE_FLOOR, TWO_ROUTE_BUDGET_FACTOR * budget)
     gap = abs(route1 - route2)
     return TwoRouteReport(
         metric_p=metric_p.id,
@@ -294,10 +292,8 @@ def _aitken(values: list[float]) -> float:
 def quillen_limit(
     family: MetricFamily,
     p_list: tuple[float, ...] | None = None,
-    quad: QuadratureRule | None = None,
     L: int = 32,
     cache: SpectrumCache | None = None,
-    sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
@@ -310,16 +306,7 @@ def quillen_limit(
     and flip ``converged`` instead of raising: non-Cauchy behavior is a
     finding to report, not an input error.
     """
-    pairs = list(zip(family.parameters, family.members))
-    if p_list is not None:
-        wanted = [float(p) for p in p_list]
-        by_param = {p: m for p, m in pairs}
-        missing = [p for p in wanted if p not in by_param]
-        if missing:
-            raise DomainError(
-                f"family {family.id!r} has no members at parameters {missing}"
-            )
-        pairs = [(p, by_param[p]) for p in wanted]
+    pairs = list(zip(*family.select(p_list)))
     if not pairs:
         raise DomainError("quillen_limit needs at least one family member")
 
@@ -332,12 +319,12 @@ def quillen_limit(
         data, _, _, zres = compute_zeta(
             metric, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
         )
-        qd = quillen_log(metric, zres, quad, vol=data.volume, sign=sign)
+        qd = quillen_log(metric, zres, vol=data.volume)
         if prev_metric is None:
             diff, bound = math.nan, math.nan
         else:
             diff = qd.log_quillen - prev_log_q
-            bound = bott_chern_bound(prev_metric, metric, quad)
+            bound = bott_chern_bound(prev_metric, metric)
             slack = budgets[-1] + zres.error_budget
             if abs(diff) > bound + slack:
                 failures.append(
@@ -372,7 +359,7 @@ def quillen_limit(
         limit=_aitken([r.log_quillen for r in rows]),
         converged=not failures,
         failures=tuple(failures),
-        sign_convention=int(sign),
+        sign_convention=SIGN_CONVENTION,
     )
 
 
@@ -395,12 +382,11 @@ def torsion_report(
     window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     trunc_tol: float = 1e-8,
-    sign: int = SIGN_CONVENTION,
 ) -> TorsionReport:
     """Run the scalar pipeline and attach the determinant-metric summary."""
     data, samples, fit, zres = compute_zeta(
         metric, L, n_theta, cache=cache, window=window,
         s_values=s_values, trunc_tol=trunc_tol,
     )
-    qd = quillen_log(metric, zres, vol=data.volume, sign=sign)
+    qd = quillen_log(metric, zres, vol=data.volume)
     return TorsionReport(data=data, samples=samples, fit=fit, zeta=zres, quillen=qd)

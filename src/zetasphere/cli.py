@@ -158,11 +158,10 @@ def _zeta_payload(data, fit, zres) -> dict:
             {"s": p.s, "value": p.value, "tail_bound": p.tail_bound}
             for p in zres.s_points
         ],
-        "kernel_dim": zres.kernel_dim,
+        "kernel_dim": 1,
         "zeta0": zres.zeta0,
         "zeta0_minus_kernel": zres.zeta0_minus_kernel,
         "zeta_prime0": zres.zeta_prime0,
-        "zeta_prime0_variants": dict(zres.zeta_prime0_variants),
         "error_budget": zres.error_budget,
         "fit": _fit_payload(fit),
         "method": zres.method,

@@ -14,10 +14,10 @@ operator ``-lambda^{-1} d^2/(dz dzbar)`` acting on functions.
 
 Every built-in conformal factor is radial, so both matrices split into one
 block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
-copies of a block with m >= 1 coincide. The blocks are the native form of
-the pencil, assembled straight from the Legendre tables; `scatter` builds
-the dense n x n matrix, n = (L+1)^2, for operator-level checks. Reductions
-have a fixed summation order, so repeated runs produce identical bytes.
+copies of a block with m >= 1 coincide. The blocks are the only form of the
+pencil, assembled straight from the Legendre tables; `block_rows` states
+where each copy sits among the (L+1)^2 basis functions. Reductions have a
+fixed summation order, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMetricError
-from .harmonics import basis_indices, legendre_tables
+from .harmonics import legendre_tables
 from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
 
@@ -35,7 +35,6 @@ __all__ = [
     "SpectralBasis",
     "OperatorPair",
     "block_rows",
-    "scatter",
     "build_basis",
     "stiffness",
     "mass",
@@ -47,7 +46,7 @@ Blocks = tuple[np.ndarray, ...]
 
 
 class SpectralBasis:
-    """Legendre tables, index bookkeeping, and the stiffness blocks.
+    """Legendre tables, their quadrature, and the stiffness blocks.
 
     Holding a basis is the one-time cost shared by every metric at a given
     resolution.
@@ -66,9 +65,6 @@ class SpectralBasis:
             )
         self.L = int(L)
         self.quad = quad
-        self.indices = basis_indices(L)
-        self.n = len(self.indices)
-        self.ell = np.array([i[0] for i in self.indices])
         self.pbar, self.dpbar, self.qbar = legendre_tables(L, quad.x)
         self._stiffness: Blocks | None = None
 
@@ -96,8 +92,9 @@ def block_rows(L: int):
     """Yield (m, rows) for every diagonal block copy, in solve order.
 
     The zonal block m = 0 comes first, then the cos and the sin copy of each
-    m >= 1. ``rows`` are the flat basis positions of the copy's functions,
-    ell^2 + (0 | 2m - 1 | 2m) for ell = m..L.
+    m >= 1. ``rows`` are the copy's positions in the flat basis order, which
+    lists for each ell the zonal function, then the cos and sin functions of
+    m = 1..ell: ell^2 + (0 | 2m - 1 | 2m) for ell = m..L.
     """
     for m in range(L + 1):
         squares = np.arange(m, L + 1) ** 2
@@ -106,22 +103,6 @@ def block_rows(L: int):
         else:
             yield m, squares + (2 * m - 1)
             yield m, squares + 2 * m
-
-
-def scatter(blocks: Blocks, columns: np.ndarray | None = None) -> np.ndarray:
-    """Dense n x n matrix holding ``blocks[m]`` on the rows of each (m, kind) copy.
-
-    A block sits on its own rows as columns, or, given ``columns``, on the
-    next slice of it: copy by copy in `block_rows` order.
-    """
-    L = len(blocks) - 1
-    out = np.zeros(((L + 1) ** 2, (L + 1) ** 2))
-    start = 0
-    for m, rows in block_rows(L):
-        cols = rows if columns is None else columns[start:start + rows.size]
-        out[np.ix_(rows, cols)] = blocks[m]
-        start += rows.size
-    return out
 
 
 def stiffness(basis: SpectralBasis) -> Blocks:

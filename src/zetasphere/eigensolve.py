@@ -9,23 +9,20 @@ lowest value of the m = 0 block belongs to the constants and is snapped to
 an exact zero once it passes the relative threshold check. Eigenvectors
 stay per block, and so do functions of the operator: `apply_function`
 returns one block per m, since a radial operator never couples two
-azimuthal indices. `Spectrum.dense` scatters K, M and V into n x n matrices
-on first use; only the tests and the self-test read it.
+azimuthal indices. No n x n matrix is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .discretize import Blocks, OperatorPair, scatter
+from .discretize import Blocks, OperatorPair
 from .errors import EigenConvergenceError, IndefiniteMassError, InvalidMetricError
 
 __all__ = [
     "Spectrum",
-    "DenseView",
     "pencil_eigh",
     "generalized_eigs",
     "resolvent",
@@ -36,20 +33,13 @@ KERNEL_SNAP_REL = 1e-8
 SOLVER_VERSION = "blocks-2"
 
 
-def _merge(block_values: Blocks) -> tuple[np.ndarray, np.ndarray]:
-    """All block copies' values sorted, and the order: copies as `scatter` places them."""
-    copies = [block_values[0]] + [v for v in block_values[1:] for _ in ("cos", "sin")]
-    flat = np.concatenate(copies)
-    order = np.argsort(flat, kind="stable")
-    return flat[order], order
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of one pencil, with M_m-orthonormal eigenvectors per block.
 
     ``eigenvalues`` holds every block copy merged in ascending order;
-    ``eigenvalues[0]`` is exactly 0.0 (the constants).
+    ``eigenvalues[0]`` is exactly 0.0, and the constants are the whole
+    kernel: `generalized_eigs` raises on any other.
     """
 
     eigenvalues: np.ndarray
@@ -58,44 +48,14 @@ class Spectrum:
     metric_id: str
     L: int
     pair: OperatorPair = field(repr=False)
-    kernel_dim: int = 1
 
     @property
     def positive(self) -> np.ndarray:
-        return self.eigenvalues[self.kernel_dim:]
+        return self.eigenvalues[1:]
 
     @property
     def lambda1(self) -> float:
-        return float(self.eigenvalues[self.kernel_dim])
-
-    @cached_property
-    def dense(self) -> DenseView:
-        """Memoized n x n view of the pencil, for dense cross-checks."""
-        return DenseView(self)
-
-
-class DenseView:
-    """The n x n matrices K, M and V of a spectrum, each scattered on first use.
-
-    The columns of ``vectors`` follow ``eigenvalues`` and satisfy V^T M V = I.
-    """
-
-    def __init__(self, spectrum: Spectrum):
-        self._spectrum = spectrum
-
-    @cached_property
-    def stiffness(self) -> np.ndarray:
-        return scatter(self._spectrum.pair.stiffness_blocks)
-
-    @cached_property
-    def mass(self) -> np.ndarray:
-        return scatter(self._spectrum.pair.mass_blocks)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        spec = self._spectrum
-        _, order = _merge(spec.block_values)
-        return scatter(spec.block_vectors, columns=np.argsort(order))
+        return float(self.eigenvalues[1])
 
 
 def pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,15 +111,15 @@ def generalized_eigs(pair: OperatorPair) -> Spectrum:
             f"lowest eigenvalues {lam0:.3e}, {lam1:.3e}"
         )
     values[0][0] = 0.0
-    eigenvalues, _ = _merge(values)
+    copies = [values[0]] + [v for v in values[1:] for _ in ("cos", "sin")]
+    eigenvalues = np.sort(np.concatenate(copies), kind="stable")
     return Spectrum(eigenvalues, tuple(values), tuple(vectors), pair.metric_id, pair.L, pair)
 
 
 def apply_function(spectrum: Spectrum, f) -> Blocks:
     """Blocks of f(operator) in the basis: V_m diag(f(lambda_m)) V_m^T M_m per m.
 
-    The cos and sin copies of a block share it; `scatter` places the blocks
-    into the dense matrix V diag(f(lambda)) V^T M.
+    The cos and sin copies of a block share it.
     """
     return tuple(
         (V * np.asarray(f(lam), dtype=float)[None, :]) @ (V.T @ M)

@@ -1,8 +1,8 @@
 """Real spherical harmonics, orthonormal for the round probability measure.
 
-The basis is indexed ell = 0..L and for each ell: the zonal function first,
-then (cos, sin) pairs for m = 1..ell. All theta dependence comes from fully
-normalized associated Legendre functions Pbar_{ell m}(x) scaled so that
+The basis holds, for ell = 0..L, the zonal function and the (cos, sin)
+pairs for m = 1..ell. All theta dependence comes from fully normalized
+associated Legendre functions Pbar_{ell m}(x) scaled so that
 
     integral_{-1}^{1} Pbar_{ell m}(x)^2 dx = 2  for every m >= 0,
 
@@ -27,11 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "legendre_tables",
-    "basis_indices",
-    "BasisIndex",
-]
+__all__ = ["legendre_tables"]
 
 
 def _diag_coeff(m: int) -> float:
@@ -99,32 +95,3 @@ def legendre_tables(L: int, x: np.ndarray):
                 hi = np.sqrt((ell - m) * (ell + m + 1.0)) * pbar[ell, m + 1]
             dpbar[ell, m] = 0.5 * (lo - hi)
     return pbar, dpbar, qbar
-
-
-class BasisIndex(tuple):
-    """(ell, m, kind) with kind in {"zonal", "cos", "sin"}."""
-
-    __slots__ = ()
-
-    @property
-    def ell(self) -> int:
-        return self[0]
-
-    @property
-    def m(self) -> int:
-        return self[1]
-
-    @property
-    def kind(self) -> str:
-        return self[2]
-
-
-def basis_indices(L: int) -> list:
-    """Flat ordering: for each ell, zonal, then (cos, sin) for m = 1..ell."""
-    out = []
-    for ell in range(L + 1):
-        out.append(BasisIndex((ell, 0, "zonal")))
-        for m in range(1, ell + 1):
-            out.append(BasisIndex((ell, m, "cos")))
-            out.append(BasisIndex((ell, m, "sin")))
-    return out

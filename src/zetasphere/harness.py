@@ -43,7 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from .anomaly import (
-    SIGN_CONVENTION,
     QuillenLimit,
     TwoRouteReport,
     quillen_limit,
@@ -111,21 +110,24 @@ _BUDGET_COLUMNS = frozenset({"b_minus1", "b0", "zeta_prime0", "log_quillen"})
 
 _TINY_REL = 1e-9
 
+# Gauss-Legendre nodes of the density-variation integral over one segment.
+_DELTA_GL_NODES = 8
 
-def _select_members(family: MetricFamily, parameters):
-    """Family members matching an explicit parameter list, or all of them."""
-    if parameters is None:
-        return tuple(float(p) for p in family.parameters), tuple(family.members)
-    by_param = dict(zip(family.parameters, family.members))
-    members = []
-    for p in parameters:
-        if p not in by_param:
-            raise DomainError(
-                f"parameter {p} is not a member of family {family.id!r}; "
-                f"available: {family.parameters}"
-            )
-        members.append(by_param[p])
-    return tuple(float(p) for p in parameters), tuple(members)
+
+def _frozen_rate(diffs, scales, slack) -> tuple[float, tuple[float, ...], list[int]]:
+    """Freeze the constant of |diffs[i]| <= c scales[i] + slack[i] on pair 0.
+
+    c is measured on the first pair and multiplied by ``FROZEN_SAFETY``; the
+    bound is asserted on the remaining pairs. A first scale below
+    ``_TINY_REL`` (a family that does not vary) gives c = 0, and then every
+    pair must stay within its slack. Returns c, the bound of every pair and
+    the indices of the pairs that exceed theirs.
+    """
+    measured = scales[0] > _TINY_REL
+    c = float(FROZEN_SAFETY * diffs[0] / scales[0]) if measured else 0.0
+    bounds = tuple(float(c * x + e) for x, e in zip(scales, slack))
+    start = 1 if measured else 0
+    return c, bounds, [i for i in range(start, len(diffs)) if diffs[i] > bounds[i]]
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,6 @@ def sweep(
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
     cache: SpectrumCache | None = None,
-    sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
@@ -207,8 +208,6 @@ def sweep(
         Heat-trace times tabulated per row.
     cache : SpectrumCache, optional
         Disk cache for the eigenvalue data.
-    sign : int
-        Sign convention joining the zeta derivative to the volume term.
     window, trunc_tol
         Passed through to the heat-trace fit.
     n_theta : int, optional
@@ -220,7 +219,7 @@ def sweep(
         Rows in parameter order. A member whose pipeline raises is recorded
         in ``failures`` and the sweep continues.
     """
-    params, members = _select_members(family, parameters)
+    params, members = family.select(parameters)
     if len(params) < 1:
         raise DomainError("sweep needs at least one parameter")
     if any(b <= a for a, b in zip(params, params[1:])):
@@ -237,7 +236,7 @@ def sweep(
             data, _, fit, zres = compute_zeta(
                 metric, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
             )
-            quil = quillen_log(metric, zres, vol=data.volume, sign=sign)
+            quil = quillen_log(metric, zres, vol=data.volume)
             th = theta_values(data.eigenvalues, t_arr)
             if family.limit is not None:
                 dist = sup_log_distance(metric, family.limit)
@@ -336,7 +335,6 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     if len(report.rows) < 2:
         raise DomainError("cauchy_check needs at least two sweep rows")
 
-    s = np.asarray(report.pair_dist, dtype=float)
     columns: list[CauchyColumn] = []
     violations: list[str] = []
     for name, values in _sweep_columns(report):
@@ -344,20 +342,14 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
         slack = [
             _column_slack(name, values, report.budgets, i) for i in range(d.size)
         ]
-        c_hat = float(d[0] / s[0]) if s[0] > 0.0 else 0.0
-        c_frozen = FROZEN_SAFETY * c_hat
-        bounds = tuple(float(c_frozen * s[i] + slack[i]) for i in range(d.size))
-        col_ok = True
-        first_checked = 1 if s[0] > 0.0 else 0
-        for i in range(first_checked, d.size):
-            if d[i] > bounds[i]:
-                col_ok = False
-                violations.append(
-                    f"column {name}: pair ({report.rows[i].param:g}, "
-                    f"{report.rows[i + 1].param:g}) difference {d[i]:.3e} exceeds "
-                    f"frozen bound {bounds[i]:.3e}"
-                )
-        columns.append(CauchyColumn(name, c_frozen, tuple(map(float, d)), bounds, col_ok))
+        c_frozen, bounds, bad = _frozen_rate(d, report.pair_dist, slack)
+        for i in bad:
+            violations.append(
+                f"column {name}: pair ({report.rows[i].param:g}, "
+                f"{report.rows[i + 1].param:g}) difference {d[i]:.3e} exceeds "
+                f"frozen bound {bounds[i]:.3e}"
+            )
+        columns.append(CauchyColumn(name, c_frozen, tuple(map(float, d)), bounds, not bad))
     return CauchyReport(
         family_id=report.family_id,
         columns=tuple(columns),
@@ -398,7 +390,6 @@ def limit_agreement(
     report: SweepReport,
     cauchy: CauchyReport,
     cache: SpectrumCache | None = None,
-    sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
@@ -411,7 +402,7 @@ def limit_agreement(
     data, _, fit, zres = compute_zeta(
         family.limit, report.L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
     )
-    quil = quillen_log(family.limit, zres, vol=data.volume, sign=sign)
+    quil = quillen_log(family.limit, zres, vol=data.volume)
     th = theta_values(data.eigenvalues, np.asarray(report.t_set, dtype=float))
     limit_values = {
         "vol": data.volume,
@@ -489,7 +480,6 @@ def lambda1_floor(
     L: int = 24,
     n_theta: int | None = None,
     cache: SpectrumCache | None = None,
-    include_limit: bool = True,
 ) -> Lambda1Floor:
     """Verify the uniform spectral-gap floor lambda1 >= lambda1(ref)/c.
 
@@ -497,12 +487,12 @@ def lambda1_floor(
     rows when present (parameter reported as inf) since the bound must be
     uniform up to the limit.
     """
-    params, members = _select_members(family, parameters)
+    params, members = family.select(parameters)
     if len(members) < 2:
         raise DomainError("lambda1_floor needs at least two members")
     labels = list(params)
     metrics = list(members)
-    if include_limit and family.limit is not None:
+    if family.limit is not None:
         labels.append(math.inf)
         metrics.append(family.limit)
 
@@ -581,7 +571,6 @@ def resolvent_convergence(
     shift: float = 1.0,
     t_heat: float = 1.0,
     n_theta: int | None = None,
-    n_gl: int = 8,
 ) -> ResolventReport:
     """Check resolvents and heat operators are Cauchy along the family.
 
@@ -589,8 +578,10 @@ def resolvent_convergence(
     interpolation domain) are compared in operator norm; each distance must
     stay below c3 times the integrated density variation over the joining
     segment, where c3 is measured on the first pair and frozen with the
-    safety factor. Differences must not grow, and the distance to the limit
-    member's operator is reported as the final column.
+    safety factor (0 for a family without density variation, whose
+    distances must then stay below the roundoff slack). Differences must not
+    grow, and the distance to the limit member's operator is reported as the
+    final column.
     """
     members = family.members
     params = tuple(float(p) for p in family.parameters)
@@ -599,7 +590,7 @@ def resolvent_convergence(
 
     basis = get_basis(L, n_theta)
     ip_ref = [InnerProduct.from_gram(M) for M in mass(basis, members[0])]
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
+    xg, wg = np.polynomial.legendre.leggauss(_DELTA_GL_NODES)
 
     def operators_at(k: int) -> tuple[Blocks, Blocks]:
         spec = compute_spectrum(members[k], L, n_theta)
@@ -622,37 +613,27 @@ def resolvent_convergence(
         r_prev, e_prev = r_next, e_next
 
     tiny = _TINY_REL
-    first_delta = raw[0][4]
-    if first_delta > tiny:
-        c3 = FROZEN_SAFETY * raw[0][2] / first_delta
-        c3_heat = FROZEN_SAFETY * raw[0][3] / first_delta
-    else:
-        c3 = math.nan
-        c3_heat = math.nan
+    deltas = [r[4] for r in raw]
+    slack = [tiny] * len(raw)
+    c3, bounds, bad = _frozen_rate([r[2] for r in raw], deltas, slack)
+    c3_heat, heat_bounds, bad_heat = _frozen_rate([r[3] for r in raw], deltas, slack)
 
+    resolvent_ok, heat_ok = not bad, not bad_heat
     rows: list[ResolventRow] = []
     failures: list[str] = []
-    resolvent_ok = True
-    heat_ok = True
     for i, (p_lo, p_hi, dist, heat_dist, delta_int) in enumerate(raw):
-        if math.isnan(c3):
-            bound, heat_bound = tiny, tiny
-        else:
-            bound, heat_bound = c3 * delta_int + tiny, c3_heat * delta_int + tiny
+        bound, heat_bound = bounds[i], heat_bounds[i]
         rows.append(ResolventRow(p_lo, p_hi, dist, heat_dist, delta_int, bound, heat_bound))
-        if i >= 1 or math.isnan(c3):
-            if dist > bound:
-                resolvent_ok = False
-                failures.append(
-                    f"resolvent pair ({p_lo:g}, {p_hi:g}): distance {dist:.3e} "
-                    f"exceeds bound {bound:.3e}"
-                )
-            if heat_dist > heat_bound:
-                heat_ok = False
-                failures.append(
-                    f"heat pair ({p_lo:g}, {p_hi:g}): distance {heat_dist:.3e} "
-                    f"exceeds bound {heat_bound:.3e}"
-                )
+        if i in bad:
+            failures.append(
+                f"resolvent pair ({p_lo:g}, {p_hi:g}): distance {dist:.3e} "
+                f"exceeds bound {bound:.3e}"
+            )
+        if i in bad_heat:
+            failures.append(
+                f"heat pair ({p_lo:g}, {p_hi:g}): distance {heat_dist:.3e} "
+                f"exceeds bound {heat_bound:.3e}"
+            )
         if i >= 1:
             prev = raw[i - 1]
             if dist > prev[2] * (1.0 + tiny) + tiny:
@@ -807,18 +788,13 @@ class ConvergenceSummary:
 
 def convergence_summary(
     family: MetricFamily,
-    parameters: Sequence[float] | None = None,
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
     cache: SpectrumCache | None = None,
-    sign: int = SIGN_CONVENTION,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     variation_u: float = 2.5,
     variation_L: int = 16,
-    duhamel_h: float = 1e-3,
-    duhamel_t: float = 0.5,
-    seed: int = 20260818,
     n_theta: int | None = None,
 ) -> ConvergenceSummary:
     """Run every convergence check on one family and aggregate tag verdicts.
@@ -827,29 +803,29 @@ def convergence_summary(
     extrapolated determinant and two-route check run at degree ``L`` with
     ``n_theta`` colatitude nodes per panel; the variation checks run at the
     lighter ``variation_L`` and its default rule, since they need
-    interpolated pencils of their own.
+    interpolated pencils of their own. Every family member takes part.
     """
     rep = sweep(
-        family, parameters, L=L, t_set=t_set, cache=cache, sign=sign,
+        family, L=L, t_set=t_set, cache=cache,
         window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
     cauchy = cauchy_check(rep)
     limit_check = None
     if family.limit is not None and rep.rows:
         limit_check = limit_agreement(
-            family, rep, cauchy, cache=cache, sign=sign,
+            family, rep, cauchy, cache=cache,
             window=window, trunc_tol=trunc_tol, n_theta=n_theta,
         )
-    floor = lambda1_floor(family, parameters, L=L, n_theta=n_theta, cache=cache)
+    floor = lambda1_floor(family, L=L, n_theta=n_theta, cache=cache)
     resolvents = resolvent_convergence(family, L=L, t_heat=1.0, n_theta=n_theta)
-    borne = bornelapbelt_check(family, u=variation_u, L=variation_L, seed=seed)
-    duhamel = duhamel_at(family, u=variation_u, h=duhamel_h, t=duhamel_t, L=variation_L)
+    borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
+    duhamel = duhamel_at(family, u=variation_u, L=variation_L)
     quillen = quillen_limit(
-        family, p_list=parameters, L=L, cache=cache, sign=sign,
+        family, L=L, cache=cache,
         window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
     two_route = two_route_check(
-        family.members[0], family.members[1], L=L, cache=cache, sign=sign,
+        family.members[0], family.members[1], L=L, cache=cache,
         window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
 

@@ -16,9 +16,7 @@ eigenvalues is the single object everything else is built from:
 
   which reproduces -sum(log lambda_k) exactly for a finite spectrum and obeys
   the rescaling law zeta'(0; c*metric) = zeta(0) log c + zeta'(0; metric) to
-  machine precision. Two historical bookkeeping variants of the middle
-  constants are also evaluated and reported as metadata, never used as the
-  primary value.
+  machine precision.
 """
 
 from __future__ import annotations
@@ -199,7 +197,7 @@ def _weighted_fit(t: np.ndarray, th: np.ndarray):
     """Least squares of th ~ b_-1/t + b_0 + b_1 t with weights t^2.
 
     Returns the coefficients, the largest absolute model residual and the
-    parameter scatter from the weighted normal equations.
+    parameter spread from the weighted normal equations.
     """
     A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
     w = t * t
@@ -339,10 +337,9 @@ def zeta_mellin(
 
 @dataclass(frozen=True)
 class ZetaPrime:
-    """zeta'(0) with its bookkeeping variants and a propagated error budget."""
+    """zeta'(0) with its propagated error budget and its parts."""
 
     value: float
-    variants: dict
     budget: float
     parts: dict
 
@@ -401,10 +398,6 @@ def zeta_prime_zero(
     core = i_inf + i_mid + head
 
     value = core + EULER_GAMMA * b0 - bm1
-    variants = {
-        "statement": core + EULER_GAMMA * bm1 - b0,
-        "proof": core + bm1 + b0,
-    }
 
     sig_bm1, sig_b0, sig_b1 = fit.param_sigma
     trunc_at_lo = fit.trunc_tol
@@ -425,7 +418,7 @@ def zeta_prime_zero(
         "t_lo": t_lo,
         "window_spread": spread,
     }
-    return ZetaPrime(float(value), variants, float(budget), parts)
+    return ZetaPrime(float(value), float(budget), parts)
 
 
 @dataclass(frozen=True)
@@ -437,9 +430,7 @@ class ZetaResult:
     zeta0: float
     zeta0_minus_kernel: float
     zeta_prime0: float
-    zeta_prime0_variants: dict
     error_budget: float
-    kernel_dim: int
     fit: AsymptoticFit
     method: dict
 
@@ -449,17 +440,16 @@ def zeta_result(
     fit: AsymptoticFit,
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     metric_id: str = "",
-    kernel_dim: int = 1,
 ) -> ZetaResult:
     """Bundle the direct zeta points, zeta(0) and zeta'(0) for one spectrum.
 
     ``eigenvalues`` is an array or anything carrying an ``eigenvalues``
-    attribute; ``metric_id`` and ``kernel_dim`` default from the carrier's
-    attributes of the same names when present.
+    attribute; ``metric_id`` defaults from the carrier's attribute of the
+    same name when present. The kernel is the constants alone, so
+    ``zeta0_minus_kernel`` is zeta(0) - 1.
     """
     lam = _eigenvalues_of(eigenvalues)
     metric_id = metric_id or getattr(eigenvalues, "metric_id", "")
-    kernel_dim = int(getattr(eigenvalues, "kernel_dim", kernel_dim))
     points = tuple(zeta_direct(lam, s, fit.b_minus1) for s in s_values)
     zp = zeta_prime_zero(lam, fit)
     method = {
@@ -474,11 +464,9 @@ def zeta_result(
         metric_id=metric_id,
         s_points=points,
         zeta0=fit.b0,
-        zeta0_minus_kernel=fit.b0 - kernel_dim,
+        zeta0_minus_kernel=fit.b0 - 1,
         zeta_prime0=zp.value,
-        zeta_prime0_variants=zp.variants,
         error_budget=zp.budget,
-        kernel_dim=kernel_dim,
         fit=fit,
         method=method,
     )

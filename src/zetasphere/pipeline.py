@@ -165,7 +165,7 @@ def compute_fit(
 
     The grid is laid in the part of the window where the truncation bound
     clears ``trunc_tol``, so the default window keeps working at small L
-    (with larger, honestly reported, parameter scatter). A window entirely
+    (with larger, honestly reported, parameter spread). A window entirely
     below the valid region raises FitWindowError.
     """
     if window is None:

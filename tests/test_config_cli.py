@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zetasphere
-from zetasphere import eigensolve, pipeline
+from zetasphere import pipeline
 from zetasphere.cache import CACHE_ENV_VAR, default_cache_dir
 from zetasphere.cli import _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, override, parse_config, validated
@@ -265,14 +265,13 @@ def test_cli_zeta_schema(tmp_path, cache, capsys):
     assert set(payload) == {
         "metric", "L", "n_theta", "solver_version", "volume",
         "s_points", "kernel_dim", "zeta0", "zeta0_minus_kernel", "zeta_prime0",
-        "zeta_prime0_variants", "error_budget", "fit", "method",
+        "error_budget", "fit", "method",
     }
     assert payload["metric"] == "pnorm:3" and payload["L"] == 16
     assert payload["kernel_dim"] == 1
     assert payload["zeta0_minus_kernel"] == payload["zeta0"] - 1
     assert [p["s"] for p in payload["s_points"]] == [1.5, 2.0, 3.0]
     assert all(p["tail_bound"] >= 0.0 for p in payload["s_points"])
-    assert set(payload["zeta_prime0_variants"]) == {"statement", "proof"}
     assert set(payload["fit"]) == {
         "b_minus1", "b0", "b1", "residual", "window_requested",
         "window_effective", "n_points", "trunc_tol", "param_sigma",
@@ -512,32 +511,6 @@ def test_cli_rejects_bad_flag_values(tmp_path, cache, capsys):
 # ---------------------------------------------------------------- scale and threads
 
 
-def test_scalar_runs_never_build_dense_view(tmp_path, capsys, monkeypatch):
-    """Cold runs work on the azimuthal blocks only: no n x n matrix is scattered.
-
-    The scalar commands (torsion, anomaly) solve the blocks and read
-    eigenvalues. converge also applies resolvents and heat operators, takes
-    operator norms and Gram pencils, and runs the variation checks, all
-    block by block.
-    """
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("the run built a dense n x n matrix")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("zetasphere") and hasattr(module, "scatter"):
-            monkeypatch.setattr(module, "scatter", no_dense)
-    monkeypatch.setattr(eigensolve.Spectrum, "dense", property(no_dense))
-    clear_process_caches()
-    for args in (
-        ["torsion", "--metric", "pnorm:3", "--L", "16"],
-        ["anomaly", "--L", "16"],
-        ["converge", "--L", "16"],
-    ):
-        code, _, err = run_cli(args, tmp_path / args[0], tmp_path / "cache", capsys)
-        assert code == 0, err
-
-
 _RSS_PROBE = """
 import resource, sys
 from zetasphere.cli import main
@@ -587,7 +560,7 @@ import sys
 import zetasphere.anomaly, zetasphere.harness, zetasphere.pipeline
 assert "scipy" not in sys.modules, "importing the pipeline loaded scipy"
 from zetasphere.cli import main
-for command in ("torsion", "anomaly", "converge"):
+for command in ("torsion", "anomaly", "converge", "selftest"):
     args = [command, "--L", "16", "--output-dir", command, "--cache-dir", "cache"]
     assert main(args) == 0, command
     assert "scipy" not in sys.modules, f"{command} loaded scipy"
@@ -596,7 +569,7 @@ print("ok")
 
 
 def test_cli_runs_never_load_scipy(tmp_path):
-    """The numerical path is numpy alone; only selftest and the tests load scipy."""
+    """Every subcommand, selftest included, runs on numpy alone."""
     result = run_python(_NO_SCIPY_PROBE, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-1] == "ok"

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from zetasphere.discretize import OperatorPair, assemble, build_basis, scatter
+from zetasphere.discretize import OperatorPair, assemble, build_basis
 from zetasphere.eigensolve import (
     KERNEL_SNAP_REL,
     apply_function,
@@ -41,29 +41,40 @@ def spectrum(request, basis):
     return generalized_eigs(assemble(basis, metric))
 
 
+def _blocks(spectrum):
+    """(K_m, M_m, lam_m, V_m) for m = 0..L."""
+    pair = spectrum.pair
+    return zip(
+        pair.stiffness_blocks, pair.mass_blocks,
+        spectrum.block_values, spectrum.block_vectors,
+    )
+
+
 def test_eigen_residuals(spectrum):
-    K = spectrum.dense.stiffness
-    M = spectrum.dense.mass
-    scale_k = np.linalg.norm(K, 2)
-    scale_m = np.linalg.norm(M, 2)
-    for lam, v in zip(spectrum.eigenvalues, spectrum.dense.vectors.T):
-        res = np.linalg.norm(K @ v - lam * (M @ v))
-        assert res <= 1e-9 * (scale_k + abs(lam) * scale_m), spectrum.metric_id
+    """K_m V_m = M_m V_m diag(lam_m) on every block, and the merged spectrum
+    holds block 0 once and every m >= 1 block twice."""
+    for K, M, lam, V in _blocks(spectrum):
+        res = np.linalg.norm(K @ V - (M @ V) * lam[None, :], axis=0)
+        scale = np.linalg.norm(K, 2) + np.abs(lam) * np.linalg.norm(M, 2)
+        assert np.all(res <= 1e-9 * scale), spectrum.metric_id
+    values = spectrum.block_values
+    copies = [values[0]] + [v for v in values[1:] for _ in ("cos", "sin")]
+    assert np.array_equal(spectrum.eigenvalues, np.sort(np.concatenate(copies)))
 
 
 def test_mass_orthonormality(spectrum):
-    V = spectrum.dense.vectors
-    gram = V.T @ spectrum.dense.mass @ V
-    assert np.abs(gram - np.eye(V.shape[1])).max() < 1e-10
+    """V_m^T M_m V_m = I on every block."""
+    for _, M, lam, V in _blocks(spectrum):
+        assert np.abs(V.T @ M @ V - np.eye(lam.size)).max() < 1e-10
 
 
 def test_kernel_is_constants(spectrum):
     assert spectrum.eigenvalues[0] == 0.0
-    assert spectrum.kernel_dim == 1
+    assert spectrum.block_values[0][0] == 0.0
     assert spectrum.lambda1 > 0.0
-    # the kernel vector is the constant: only the first coefficient survives
-    v0 = spectrum.dense.vectors[:, 0]
-    m00 = spectrum.dense.mass[0, 0]
+    # the kernel vector is the constant: block_vectors[0][:, 0] = e_0 / sqrt(M_0[0, 0])
+    v0 = spectrum.block_vectors[0][:, 0]
+    m00 = spectrum.pair.mass_blocks[0][0, 0]
     assert abs(v0[0]) == pytest.approx(1.0 / np.sqrt(m00), rel=1e-10)
     assert np.abs(v0[1:]).max() < 1e-8 * abs(v0[0])
 
@@ -101,7 +112,10 @@ def test_against_expert_lapack_driver(basis):
     pair = assemble(basis, pnorm_metric(3.0))
     spec = generalized_eigs(pair)
     vals = scipy.linalg.eigh(
-        spec.dense.stiffness, spec.dense.mass, eigvals_only=True, driver="gvx"
+        oracles.dense_matrix(pair.stiffness_blocks),
+        oracles.dense_matrix(pair.mass_blocks),
+        eigvals_only=True,
+        driver="gvx",
     )
     scale = np.maximum(np.abs(vals), 1.0)
     assert (np.abs(spec.eigenvalues - vals) / scale).max() < 1e-11
@@ -109,8 +123,11 @@ def test_against_expert_lapack_driver(basis):
 
 def test_apply_function_identity(spectrum):
     """f(lam) = lam reconstructs the operator M^{-1} K."""
-    got = scatter(apply_function(spectrum, lambda lam: lam))
-    want = np.linalg.solve(spectrum.dense.mass, spectrum.dense.stiffness)
+    got = oracles.dense_matrix(apply_function(spectrum, lambda lam: lam))
+    want = np.linalg.solve(
+        oracles.dense_matrix(spectrum.pair.mass_blocks),
+        oracles.dense_matrix(spectrum.pair.stiffness_blocks),
+    )
     scale = np.abs(want).max()
     assert np.abs(got - want).max() < 1e-10 * max(1.0, scale)
 
@@ -118,14 +135,17 @@ def test_apply_function_identity(spectrum):
 def test_apply_function_preserves_constants(spectrum):
     e0 = np.zeros(spectrum.pair.n)
     e0[0] = 1.0
-    heat = scatter(apply_function(spectrum, lambda lam: np.exp(-0.7 * lam)))
+    heat = oracles.dense_matrix(apply_function(spectrum, lambda lam: np.exp(-0.7 * lam)))
     assert np.abs(heat @ e0 - e0).max() < 1e-10
 
 
 def test_resolvent_inverts(spectrum):
     shift = 1.0
-    R = scatter(resolvent(spectrum, shift))
-    op = np.linalg.solve(spectrum.dense.mass, spectrum.dense.stiffness)
+    R = oracles.dense_matrix(resolvent(spectrum, shift))
+    op = np.linalg.solve(
+        oracles.dense_matrix(spectrum.pair.mass_blocks),
+        oracles.dense_matrix(spectrum.pair.stiffness_blocks),
+    )
     prod = (shift * np.eye(spectrum.pair.n) + op) @ R
     assert np.abs(prod - np.eye(spectrum.pair.n)).max() < 1e-9
 
@@ -193,9 +213,8 @@ def test_missing_kernel_is_reported():
 def test_cluster_vectors_stay_orthonormal():
     """Degenerate round clusters come back M-orthonormal from the block solve."""
     spec = generalized_eigs(assemble(build_basis(10), fs_metric()))
-    V = spec.dense.vectors
-    gram = V.T @ spec.dense.mass @ V
-    assert np.abs(gram - np.eye(V.shape[1])).max() < 1e-12
+    for _, M, lam, V in _blocks(spec):
+        assert np.abs(V.T @ M @ V - np.eye(lam.size)).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", [8, 16, 24])
@@ -215,8 +234,9 @@ def test_blocks_match_dense_oracle(spec, L):
 @pytest.mark.parametrize("L", [8, 16])
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
 def test_block_operators_match_dense_oracle(spec, L):
-    """apply_function, resolvent and heat_operator blocks, scattered, against
-    V diag(f(lam)) V^T M of the dense sygvd solve, to 1e-12 relative."""
+    """apply_function, resolvent and heat_operator blocks, placed by the
+    oracle's scatter, against V diag(f(lam)) V^T M of the dense sygvd solve,
+    to 1e-12 relative."""
     pair = assemble(build_basis(L), parse_metric_spec(spec))
     spectrum = generalized_eigs(pair)
     cases = [
@@ -227,7 +247,7 @@ def test_block_operators_match_dense_oracle(spec, L):
     ]
     for name, blocks, f in cases:
         assert [b.shape for b in blocks] == [(L + 1 - m,) * 2 for m in range(L + 1)]
-        got = scatter(blocks)
+        got = oracles.dense_matrix(blocks)
         want = oracles.dense_pencil_function(pair.stiffness_blocks, pair.mass_blocks, f)
         rel = np.abs(got - want).max() / np.abs(want).max()
         assert rel <= 1e-12, f"{name} {spec} L={L}: {rel:.2e}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.discretize import assemble, build_basis, mass, scatter
+from zetasphere.discretize import assemble, build_basis, mass
 from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
 from zetasphere.errors import DomainError
 from zetasphere.heatzeta import heat_operator, theta
@@ -173,15 +173,23 @@ def test_min_sum_gap_validation():
 
 
 def test_theta_bridge():
-    """trace_norm of the kernel-projected heat operator equals theta(t)."""
+    """trace_norm of the kernel-projected heat operator equals theta(t).
+
+    Per azimuthal block, each in its own M_m inner product: block 0 with the
+    kernel vector projected out, and every m >= 1 block for its cos and sin
+    copies.
+    """
     basis = build_basis(7)
     spec = generalized_eigs(assemble(basis, pnorm_metric(3.0)))
-    ip = InnerProduct.from_gram(spec.dense.mass)
-    v0 = spec.dense.vectors[:, 0]
-    P = np.eye(spec.pair.n) - np.outer(v0, spec.dense.mass @ v0)
+    M = spec.pair.mass_blocks
+    ips = [InnerProduct.from_gram(M_m) for M_m in M]
+    v0 = spec.block_vectors[0][:, 0]
+    P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])
     for t in (0.3, 1.0, 2.5):
-        E = scatter(apply_function(spec, lambda lam: np.exp(-t * lam)))
-        got = trace_norm(P @ E, ip)
+        E = apply_function(spec, lambda lam: np.exp(-t * lam))
+        got = trace_norm(P0 @ E[0], ips[0]) + sum(
+            2.0 * trace_norm(E_m, ip) for E_m, ip in zip(E[1:], ips[1:])
+        )
         want = theta(spec, t)
         assert got == pytest.approx(want, abs=1e-10 * max(1.0, want))
 
@@ -189,20 +197,22 @@ def test_theta_bridge():
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
 def test_block_norm_matches_dense_norm(spec):
     """Block norm of a resolvent (and heat operator) difference between two
-    metrics against the dense weighted norm of the scattered difference and
-    against the dense-pencil oracle, to 1e-12 relative."""
+    metrics against the dense weighted norm of the difference placed by the
+    oracle's scatter, and against the dense-pencil oracle, to 1e-12 relative."""
     basis = build_basis(12)
     a = generalized_eigs(assemble(basis, parse_metric_spec(spec)))
     b = generalized_eigs(assemble(basis, pnorm_metric(2.0)))
     ref = mass(basis, fs_metric())
     ips = [InnerProduct.from_gram(M) for M in ref]
-    ip_dense = InnerProduct.from_gram(scatter(ref))
+    ip_dense = InnerProduct.from_gram(oracles.dense_matrix(ref))
     for ops, f in (
         (resolvent, lambda lam: 1.0 / (1.0 + lam)),
         (lambda s: heat_operator(s, 1.0), lambda lam: np.exp(-lam)),
     ):
         got = block_operator_norm([x - y for x, y in zip(ops(a), ops(b))], ips)
-        dense = operator_norm(scatter(ops(a)) - scatter(ops(b)), ip_dense)
+        dense = operator_norm(
+            oracles.dense_matrix(ops(a)) - oracles.dense_matrix(ops(b)), ip_dense
+        )
         diff = (
             oracles.dense_pencil_function(a.pair.stiffness_blocks, a.pair.mass_blocks, f)
             - oracles.dense_pencil_function(b.pair.stiffness_blocks, b.pair.mass_blocks, f)

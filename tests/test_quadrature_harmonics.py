@@ -12,7 +12,7 @@ import pytest
 from scipy.special import lpmv, roots_legendre
 
 from zetasphere.errors import DomainError
-from zetasphere.harmonics import basis_indices, legendre_tables
+from zetasphere.harmonics import legendre_tables
 from zetasphere.quadrature import build_quadrature
 
 
@@ -123,17 +123,3 @@ def test_legendre_validation():
         legendre_tables(-1, np.array([0.5]))
     with pytest.raises(DomainError):
         legendre_tables(3, np.zeros((2, 2)))
-
-
-def test_basis_indices_layout():
-    L = 7
-    idx = basis_indices(L)
-    assert len(idx) == (L + 1) ** 2
-    assert idx[0].ell == 0 and idx[0].m == 0 and idx[0].kind == "zonal"
-    zonal = [i for i in idx if i.kind == "zonal"]
-    assert len(zonal) == L + 1
-    assert all(i.m == 0 for i in zonal)
-    for kind in ("cos", "sin"):
-        per_m = [i for i in idx if i.kind == kind]
-        assert len(per_m) == L * (L + 1) // 2
-        assert all(1 <= i.m <= i.ell for i in per_m)
