@@ -16,6 +16,11 @@ within the propagated error budget is the headline consistency check; the
 Cauchy table of ``quillen_limit`` tracks the same quantity along a smoothing
 family approaching a non-smooth limit factor.
 
+``torsion_report`` runs the scalar pipeline for one metric and assembles its
+``QuillenData``. The checks (``two_route_check``, ``quillen_limit``) take
+those computed results instead of rerunning the pipeline, so a caller runs
+it once per metric and hands each result to every check that reads it.
+
 Sign convention: the source formulas are ambiguous about exp(+zeta'(0))
 versus exp(-zeta'(0)), so the sign is calibrated once by requiring the
 two-route equality on the pair (fs, pnorm(2)) and then frozen as
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +46,6 @@ from .heatzeta import AsymptoticFit, HeatTraceSamples, ZetaResult
 from .metrics import (
     ChartPoint,
     ConformalMetric,
-    MetricFamily,
     chern_c1,
     fs_metric,
     pnorm_metric,
@@ -200,32 +205,31 @@ class TwoRouteReport:
     passed: bool
 
 
+def _common_sign(quillens) -> int:
+    """The sign convention shared by every log h_Q compared."""
+    signs = {q.sign_convention for q in quillens}
+    if len(signs) != 1:
+        raise DomainError(f"log h_Q values mix sign conventions {sorted(signs)}")
+    return signs.pop()
+
+
 def two_route_check(
     metric_p: ConformalMetric,
+    qp: QuillenData,
     metric_q: ConformalMetric,
-    L: int = 32,
-    cache: SpectrumCache | None = None,
-    sign: int = SIGN_CONVENTION,
-    window: tuple[float, float] | None = None,
-    trunc_tol: float = 1e-8,
-    n_theta: int | None = None,
+    qq: QuillenData,
 ) -> TwoRouteReport:
     """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
 
-    ``n_theta`` sets the spectral basis' colatitude nodes per panel; the
-    anomaly integral has its own fixed rule.
+    ``qp`` and ``qq`` are the determinant-metric logarithms of ``metric_p``
+    and ``metric_q`` (``torsion_report(...).quillen``); their budgets set the
+    tolerance and their shared sign convention is reported. The anomaly
+    integral has its own fixed rule.
     """
-    dp, _, _, zp = compute_zeta(
-        metric_p, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
-    )
-    dq, _, _, zq = compute_zeta(
-        metric_q, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
-    )
-    qp = quillen_log(metric_p, zp, vol=dp.volume, sign=sign)
-    qq = quillen_log(metric_q, zq, vol=dq.volume, sign=sign)
+    sign = _common_sign((qp, qq))
     route1 = qp.log_quillen - qq.log_quillen
     route2 = -bott_chern_integral(metric_p, metric_q)
-    budget = zp.error_budget + zq.error_budget
+    budget = qp.error_budget + qq.error_budget
     tol = max(TWO_ROUTE_FLOOR, TWO_ROUTE_BUDGET_FACTOR * budget)
     gap = abs(route1 - route2)
     return TwoRouteReport(
@@ -236,7 +240,7 @@ def two_route_check(
         gap=gap,
         budget=budget,
         tolerance=tol,
-        sign_convention=int(sign),
+        sign_convention=sign,
         passed=bool(gap <= tol),
     )
 
@@ -246,11 +250,19 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
 
     Returns the sign for which the two-route gap is smaller. The module
     constant ``SIGN_CONVENTION`` records the frozen outcome; this function
-    exists so the measurement can be repeated.
+    exists so the measurement can be repeated. Each metric runs the
+    pipeline once; both signs are assembled from the same zeta'(0).
     """
-    plus = two_route_check(fs_metric(), pnorm_metric(2.0), L=L, cache=cache, sign=1)
-    minus = two_route_check(fs_metric(), pnorm_metric(2.0), L=L, cache=cache, sign=-1)
-    return 1 if plus.gap <= minus.gap else -1
+    pair = [(m, compute_zeta(m, L, cache=cache)) for m in (fs_metric(), pnorm_metric(2.0))]
+
+    def gap(sign: int) -> float:
+        (p, (dp, _, _, zp)), (q, (dq, _, _, zq)) = pair
+        return two_route_check(
+            p, quillen_log(p, zp, vol=dp.volume, sign=sign),
+            q, quillen_log(q, zq, vol=dq.volume, sign=sign),
+        ).gap
+
+    return 1 if gap(1) <= gap(-1) else -1
 
 
 @dataclass(frozen=True)
@@ -290,61 +302,40 @@ def _aitken(values: list[float]) -> float:
 
 
 def quillen_limit(
-    family: MetricFamily,
-    p_list: tuple[float, ...] | None = None,
-    L: int = 32,
-    cache: SpectrumCache | None = None,
-    window: tuple[float, float] | None = None,
-    trunc_tol: float = 1e-8,
-    n_theta: int | None = None,
+    family_id: str,
+    members: Sequence[tuple[float, ConformalMetric, QuillenData]],
 ) -> QuillenLimit:
     """Cauchy table and extrapolated limit of log h_Q along a family.
 
-    Each successive difference is checked against the anomaly bound
-    K * sup|log(h_p/h_q)| plus the two members' zeta budgets, and the
-    absolute differences must not grow. Violations land in ``failures``
-    and flip ``converged`` instead of raising: non-Cauchy behavior is a
-    finding to report, not an input error.
+    ``members`` lists each member's parameter, metric and determinant-metric
+    logarithm in family order, as the sweep computed them. Each successive
+    difference is checked against the anomaly bound K * sup|log(h_p/h_q)|
+    plus the two members' zeta budgets, and the absolute differences must
+    not grow. Violations land in ``failures`` and flip ``converged`` instead
+    of raising: non-Cauchy behavior is a finding to report, not an input
+    error.
     """
-    pairs = list(zip(*family.select(p_list)))
-    if not pairs:
+    if not members:
         raise DomainError("quillen_limit needs at least one family member")
+    sign = _common_sign(q for _, _, q in members)
 
-    rows: list[QuillenLimitRow] = []
-    budgets: list[float] = []
+    def row(param: float, qd: QuillenData, diff: float, bound: float) -> QuillenLimitRow:
+        return QuillenLimitRow(float(param), qd.vol, qd.zeta_prime0, qd.log_quillen, diff, bound)
+
+    rows = [row(members[0][0], members[0][2], math.nan, math.nan)]
     failures: list[str] = []
-    prev_metric: ConformalMetric | None = None
-    prev_log_q = math.nan
-    for param, metric in pairs:
-        data, _, _, zres = compute_zeta(
-            metric, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
-        )
-        qd = quillen_log(metric, zres, vol=data.volume)
-        if prev_metric is None:
-            diff, bound = math.nan, math.nan
-        else:
-            diff = qd.log_quillen - prev_log_q
-            bound = bott_chern_bound(prev_metric, metric)
-            slack = budgets[-1] + zres.error_budget
-            if abs(diff) > bound + slack:
-                failures.append(
-                    f"|log h_Q({param:g}) - log h_Q({rows[-1].param:g})| = "
-                    f"{abs(diff):.3e} exceeds the anomaly bound {bound:.3e} "
-                    f"plus budget {slack:.3e}"
-                )
-        rows.append(
-            QuillenLimitRow(
-                param=float(param),
-                vol=qd.vol,
-                zeta_prime0=qd.zeta_prime0,
-                log_quillen=qd.log_quillen,
-                diff_to_prev=diff,
-                bound=bound,
+    for (p0, m0, q0), (p1, m1, q1) in zip(members, members[1:]):
+        diff = q1.log_quillen - q0.log_quillen
+        bound = bott_chern_bound(m0, m1)
+        slack = q0.error_budget + q1.error_budget
+        if abs(diff) > bound + slack:
+            failures.append(
+                f"|log h_Q({p1:g}) - log h_Q({p0:g})| = {abs(diff):.3e} exceeds "
+                f"the anomaly bound {bound:.3e} plus budget {slack:.3e}"
             )
-        )
-        budgets.append(zres.error_budget)
-        prev_metric, prev_log_q = metric, qd.log_quillen
+        rows.append(row(p1, q1, diff, bound))
 
+    budgets = [qd.error_budget for _, _, qd in members]
     diffs = [abs(r.diff_to_prev) for r in rows[1:]]
     for i in range(1, len(diffs)):
         slack = budgets[i] + budgets[i + 1]
@@ -354,12 +345,12 @@ def quillen_limit(
                 f"{diffs[i]:.3e} after {diffs[i - 1]:.3e}"
             )
     return QuillenLimit(
-        family_id=family.id,
+        family_id=family_id,
         rows=tuple(rows),
         limit=_aitken([r.log_quillen for r in rows]),
         converged=not failures,
         failures=tuple(failures),
-        sign_convention=SIGN_CONVENTION,
+        sign_convention=sign,
     )
 
 

@@ -261,22 +261,16 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
-    from .anomaly import two_route_check
+    from .anomaly import torsion_report, two_route_check
 
     family = _make_family(config)
     cache = _make_cache(config)
-    reports = [
-        two_route_check(
-            a,
-            b,
-            L=config.L,
-            cache=cache,
-            window=config.fit_window,
-            trunc_tol=config.trunc_tol,
-            n_theta=config.n_theta,
-        )
-        for a, b in zip(family.members[:-1], family.members[1:])
+    members = [
+        (m, torsion_report(m, config.L, config.n_theta, cache, config.fit_window,
+                           trunc_tol=config.trunc_tol).quillen)
+        for m in family.members
     ]
+    reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
     passed = all(r.passed for r in reports)
     payload = {
         "family": family.id,
@@ -325,13 +319,13 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         (
             (
                 row.param,
-                row.vol,
+                row.quillen.vol,
                 row.lambda1,
                 *[row.theta[t] for t in summary.sweep.t_set],
                 row.b_minus1,
                 row.b0,
-                row.zeta_prime0,
-                row.log_quillen,
+                row.quillen.zeta_prime0,
+                row.quillen.log_quillen,
                 row.sup_log_dist_to_limit,
             )
             for row in summary.sweep.rows
@@ -352,7 +346,9 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         "passed": summary.passed,
         "failed": list(summary.failed_tags),
         "detail": {
-            "sweep_failures": [_jsonable(f) for f in summary.sweep.failures],
+            "sweep_failures": [
+                {"error": f.error, "param": f.param} for f in summary.sweep.failures
+            ],
             "cauchy_violations": list(summary.cauchy.violations),
             "floor": {
                 "c": summary.floor.c,

@@ -5,7 +5,9 @@ log-density sense. Every spectral quantity we compute should then settle
 down at a rate controlled by that distance, and several of them obey exact
 finite-dimensional inequalities along the way. This module sweeps a family,
 tabulates the scalar pipeline per member, and turns each limiting statement
-into a quantitative pass/fail check:
+into a quantitative pass/fail check. The pipeline runs once per member: each
+sweep row keeps the member's ``QuillenData``, which the determinant checks
+of ``anomaly`` read instead of recomputing it.
 
 - ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
   differences bounded by (constant) x (sup log-density distance).
@@ -31,22 +33,25 @@ harness measures each one on the first pair of the sweep, freezes it with a
 "there exists a constant" into a regression test without inventing values.
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
-named check tag; the CLI writes these to summary.json.
+named check tag; the CLI writes these to summary.json. It hands the sweep
+rows to ``anomaly.quillen_limit`` (tag convergenceAnomaly) and the first two
+rows to ``anomaly.two_route_check`` (tag compare2methods).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .anomaly import (
+    QuillenData,
     QuillenLimit,
     TwoRouteReport,
     quillen_limit,
-    quillen_log,
+    torsion_report,
     two_route_check,
 )
 from .cache import SpectrumCache
@@ -54,9 +59,9 @@ from .discretize import Blocks, assemble, block_rows, mass, mass_log_variation
 from .eigensolve import pencil_eigh, resolvent
 from .errors import DomainError
 from .heatzeta import DuhamelReport, duhamel_residual, heat_operator, theta_values
-from .metrics import MetricFamily, delta_X, interpolate, sup_log_distance
+from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norm
-from .pipeline import compute_spectrum, compute_zeta, get_basis, spectral_data
+from .pipeline import compute_spectrum, get_basis, spectral_data
 
 __all__ = [
     "FROZEN_SAFETY",
@@ -113,6 +118,13 @@ _TINY_REL = 1e-9
 # Gauss-Legendre nodes of the density-variation integral over one segment.
 _DELTA_GL_NODES = 8
 
+# Resolvent shift and heat time of the operator-limit checks.
+_RESOLVENT_SHIFT = 1.0
+_HEAT_TIME = 1.0
+
+# Gaussian test vectors of the derivative bound.
+_BORNE_VECTORS = 100
+
 
 def _frozen_rate(diffs, scales, slack) -> tuple[float, tuple[float, ...], list[int]]:
     """Freeze the constant of |diffs[i]| <= c scales[i] + slack[i] on pair 0.
@@ -132,34 +144,39 @@ def _frozen_rate(diffs, scales, slack) -> tuple[float, tuple[float, ...], list[i
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Scalar pipeline output for one family member."""
+    """Scalar pipeline output for one family member.
+
+    ``quillen`` holds the member's volume, zeta'(0), log h_Q and zeta error
+    budget, as the checks of ``anomaly`` take them.
+    """
 
     param: float
-    vol: float
     lambda1: float
     theta: dict[float, float]
     b_minus1: float
     b0: float
-    zeta_prime0: float
-    log_quillen: float
     sup_log_dist_to_limit: float
+    quillen: QuillenData
 
 
 @dataclass(frozen=True)
 class SweepFailure:
-    """A member whose pipeline raised; the sweep records it and moves on."""
+    """A member whose pipeline raised; the sweep records it and moves on.
+
+    A caller that cannot go on without the member raises ``exception``.
+    """
 
     param: float
     error: str
+    exception: Exception = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class SweepReport:
     """All rows of one family sweep plus the data the checks need.
 
-    ``budgets`` holds the zeta error budget per successful row and
-    ``pair_dist`` the sup log-density distance of consecutive members,
-    both aligned with ``rows`` when there are no failures.
+    ``pair_dist`` holds the sup log-density distance of consecutive
+    members, aligned with ``rows`` when there are no failures.
     """
 
     family_id: str
@@ -167,19 +184,46 @@ class SweepReport:
     t_set: tuple[float, ...]
     rows: tuple[SweepRow, ...]
     failures: tuple[SweepFailure, ...]
-    budgets: tuple[float, ...]
     pair_dist: tuple[float, ...]
 
 
 def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
-    values = [row.vol, row.lambda1, row.b_minus1, row.b0, row.zeta_prime0,
-              row.log_quillen, *row.theta.values()]
+    q = row.quillen
+    values = [q.vol, row.lambda1, row.b_minus1, row.b0, q.zeta_prime0,
+              q.log_quillen, *row.theta.values()]
     if require_dist:
         values.append(row.sup_log_dist_to_limit)
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"non-finite sweep column for parameter {row.param}")
     if row.lambda1 <= 0.0:
         raise DomainError(f"nonpositive spectral gap for parameter {row.param}")
+
+
+def _pipeline_row(
+    param: float,
+    metric: ConformalMetric,
+    limit: ConformalMetric | None,
+    t_arr: np.ndarray,
+    L: int,
+    n_theta: int | None,
+    cache: SpectrumCache | None,
+    window: tuple[float, float] | None,
+    trunc_tol: float,
+) -> SweepRow:
+    """Run the scalar pipeline once for one metric and tabulate its row."""
+    rep = torsion_report(metric, L, n_theta, cache, window, trunc_tol=trunc_tol)
+    th = theta_values(rep.data.eigenvalues, t_arr)
+    return SweepRow(
+        param=param,
+        lambda1=rep.data.lambda1,
+        theta={float(t): float(v) for t, v in zip(t_arr, th)},
+        b_minus1=rep.fit.b_minus1,
+        b0=rep.fit.b0,
+        sup_log_dist_to_limit=(
+            math.nan if limit is None else sup_log_distance(metric, limit)
+        ),
+        quillen=rep.quillen,
+    )
 
 
 def sweep(
@@ -230,34 +274,15 @@ def sweep(
 
     rows: list[SweepRow] = []
     failures: list[SweepFailure] = []
-    budgets: list[float] = []
     for p, metric in zip(params, members):
         try:
-            data, _, fit, zres = compute_zeta(
-                metric, L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
-            )
-            quil = quillen_log(metric, zres, vol=data.volume)
-            th = theta_values(data.eigenvalues, t_arr)
-            if family.limit is not None:
-                dist = sup_log_distance(metric, family.limit)
-            else:
-                dist = math.nan
-            row = SweepRow(
-                param=p,
-                vol=data.volume,
-                lambda1=data.lambda1,
-                theta={float(t): float(v) for t, v in zip(t_arr, th)},
-                b_minus1=fit.b_minus1,
-                b0=fit.b0,
-                zeta_prime0=zres.zeta_prime0,
-                log_quillen=quil.log_quillen,
-                sup_log_dist_to_limit=dist,
+            row = _pipeline_row(
+                p, metric, family.limit, t_arr, L, n_theta, cache, window, trunc_tol
             )
             _check_row_finite(row, require_dist=family.limit is not None)
             rows.append(row)
-            budgets.append(zres.error_budget)
         except Exception as e:  # noqa: BLE001 - the contract is per-row isolation
-            failures.append(SweepFailure(p, f"{type(e).__name__}: {e}"))
+            failures.append(SweepFailure(p, f"{type(e).__name__}: {e}", e))
     pair_dist = tuple(
         sup_log_distance(a, b) for a, b in zip(members[:-1], members[1:])
     )
@@ -267,7 +292,6 @@ def sweep(
         t_set=tuple(float(t) for t in t_arr),
         rows=tuple(rows),
         failures=tuple(failures),
-        budgets=tuple(budgets),
         pair_dist=pair_dist,
     )
 
@@ -293,19 +317,18 @@ class CauchyReport:
     passed: bool
 
 
-def _sweep_columns(report: SweepReport) -> list[tuple[str, np.ndarray]]:
-    rows = report.rows
+def _sweep_columns(rows, t_set) -> list[tuple[str, np.ndarray]]:
     cols: list[tuple[str, np.ndarray]] = [
-        ("vol", np.array([r.vol for r in rows])),
+        ("vol", np.array([r.quillen.vol for r in rows])),
         ("lambda1", np.array([r.lambda1 for r in rows])),
     ]
-    for t in report.t_set:
+    for t in t_set:
         cols.append((f"theta_t{t:g}", np.array([r.theta[t] for r in rows])))
     cols += [
         ("b_minus1", np.array([r.b_minus1 for r in rows])),
         ("b0", np.array([r.b0 for r in rows])),
-        ("zeta_prime0", np.array([r.zeta_prime0 for r in rows])),
-        ("log_quillen", np.array([r.log_quillen for r in rows])),
+        ("zeta_prime0", np.array([r.quillen.zeta_prime0 for r in rows])),
+        ("log_quillen", np.array([r.quillen.log_quillen for r in rows])),
     ]
     return cols
 
@@ -335,13 +358,12 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     if len(report.rows) < 2:
         raise DomainError("cauchy_check needs at least two sweep rows")
 
+    budgets = [r.quillen.error_budget for r in report.rows]
     columns: list[CauchyColumn] = []
     violations: list[str] = []
-    for name, values in _sweep_columns(report):
+    for name, values in _sweep_columns(report.rows, report.t_set):
         d = np.abs(np.diff(values))
-        slack = [
-            _column_slack(name, values, report.budgets, i) for i in range(d.size)
-        ]
+        slack = [_column_slack(name, values, budgets, i) for i in range(d.size)]
         c_frozen, bounds, bad = _frozen_rate(d, report.pair_dist, slack)
         for i in bad:
             violations.append(
@@ -394,36 +416,28 @@ def limit_agreement(
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
 ) -> LimitAgreement:
-    """Compare the sweep's last row against the limit metric computed directly."""
+    """Compare the sweep's last row against the limit metric's own row."""
     if family.limit is None:
         raise DomainError(f"family {family.id!r} has no limit member")
     if not report.rows:
         raise DomainError("limit_agreement needs at least one sweep row")
-    data, _, fit, zres = compute_zeta(
-        family.limit, report.L, n_theta, cache=cache, window=window, trunc_tol=trunc_tol
+    limit_row = _pipeline_row(
+        math.inf, family.limit, None, np.asarray(report.t_set, dtype=float),
+        report.L, n_theta, cache, window, trunc_tol,
     )
-    quil = quillen_log(family.limit, zres, vol=data.volume)
-    th = theta_values(data.eigenvalues, np.asarray(report.t_set, dtype=float))
-    limit_values = {
-        "vol": data.volume,
-        "lambda1": data.lambda1,
-        "b_minus1": fit.b_minus1,
-        "b0": fit.b0,
-        "zeta_prime0": zres.zeta_prime0,
-        "log_quillen": quil.log_quillen,
-    }
-    for t, v in zip(report.t_set, th):
-        limit_values[f"theta_t{t:g}"] = float(v)
 
     last = report.rows[-1]
     dist_last = last.sup_log_dist_to_limit
-    budget_slack = report.budgets[-1] + zres.error_budget
+    budget_slack = last.quillen.error_budget + limit_row.quillen.error_budget
     c_by_name = {c.name: c.c_frozen for c in cauchy.columns}
 
     columns: list[LimitColumn] = []
-    for name, values in _sweep_columns(report):
+    for (name, values), (_, limit_values) in zip(
+        _sweep_columns(report.rows, report.t_set),
+        _sweep_columns((limit_row,), report.t_set),
+    ):
         last_value = float(values[-1])
-        limit_value = float(limit_values[name])
+        limit_value = float(limit_values[0])
         diff = abs(last_value - limit_value)
         if name in _BUDGET_COLUMNS:
             slack = budget_slack
@@ -552,8 +566,6 @@ class ResolventReport:
 
     family_id: str
     L: int
-    shift: float
-    t_heat: float
     c3: float
     c3_heat: float
     rows: tuple[ResolventRow, ...]
@@ -568,8 +580,6 @@ class ResolventReport:
 def resolvent_convergence(
     family: MetricFamily,
     L: int = 24,
-    shift: float = 1.0,
-    t_heat: float = 1.0,
     n_theta: int | None = None,
 ) -> ResolventReport:
     """Check resolvents and heat operators are Cauchy along the family.
@@ -594,7 +604,7 @@ def resolvent_convergence(
 
     def operators_at(k: int) -> tuple[Blocks, Blocks]:
         spec = compute_spectrum(members[k], L, n_theta)
-        return resolvent(spec, shift), heat_operator(spec, t_heat)
+        return resolvent(spec, _RESOLVENT_SHIFT), heat_operator(spec, _HEAT_TIME)
 
     def distance(a: Blocks, b: Blocks) -> float:
         return block_operator_norm([x - y for x, y in zip(a, b)], ip_ref)
@@ -653,14 +663,12 @@ def resolvent_convergence(
     heat_limit_dist = math.nan
     if family.limit is not None:
         spec_lim = compute_spectrum(family.limit, L, n_theta)
-        limit_dist = distance(r_prev, resolvent(spec_lim, shift))
-        heat_limit_dist = distance(e_prev, heat_operator(spec_lim, t_heat))
+        limit_dist = distance(r_prev, resolvent(spec_lim, _RESOLVENT_SHIFT))
+        heat_limit_dist = distance(e_prev, heat_operator(spec_lim, _HEAT_TIME))
 
     return ResolventReport(
         family_id=family.id,
         L=L,
-        shift=shift,
-        t_heat=t_heat,
         c3=c3,
         c3_heat=c3_heat,
         rows=tuple(rows),
@@ -692,7 +700,6 @@ def bornelapbelt_check(
     u: float = 2.5,
     L: int = 16,
     n_theta: int | None = None,
-    n_vectors: int = 100,
     seed: int = 20260818,
 ) -> BorneReport:
     """Check the operator's parameter derivative against the density variation.
@@ -716,9 +723,9 @@ def bornelapbelt_check(
     d_mass = mass_log_variation(basis, metric)
 
     rng = np.random.default_rng(seed)
-    test = rng.standard_normal((pair.n, n_vectors))
-    num2 = np.zeros(n_vectors)
-    den2 = np.zeros(n_vectors)
+    test = rng.standard_normal((pair.n, _BORNE_VECTORS))
+    num2 = np.zeros(_BORNE_VECTORS)
+    den2 = np.zeros(_BORNE_VECTORS)
     for m, rows in block_rows(L):
         K, M = pair.stiffness_blocks[m], pair.mass_blocks[m]
         lap_v = np.linalg.solve(M, K @ test[rows])
@@ -733,7 +740,7 @@ def bornelapbelt_check(
         family_id=family.id,
         u=float(u),
         L=L,
-        n_vectors=n_vectors,
+        n_vectors=_BORNE_VECTORS,
         delta_nodes=delta_nodes,
         delta_grid=delta_X(family, u),
         max_ratio=max_ratio,
@@ -804,30 +811,31 @@ def convergence_summary(
     ``n_theta`` colatitude nodes per panel; the variation checks run at the
     lighter ``variation_L`` and its default rule, since they need
     interpolated pencils of their own. Every family member takes part.
+
+    The scalar pipeline runs once per member (in the sweep) and once for the
+    limit; the determinant checks read the rows' ``QuillenData``. A member
+    whose pipeline raises ends the run with that member's own error.
     """
     rep = sweep(
         family, L=L, t_set=t_set, cache=cache,
         window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
+    if rep.failures:
+        raise rep.failures[0].exception
     cauchy = cauchy_check(rep)
     limit_check = None
-    if family.limit is not None and rep.rows:
+    if family.limit is not None:
         limit_check = limit_agreement(
             family, rep, cauchy, cache=cache,
             window=window, trunc_tol=trunc_tol, n_theta=n_theta,
         )
     floor = lambda1_floor(family, L=L, n_theta=n_theta, cache=cache)
-    resolvents = resolvent_convergence(family, L=L, t_heat=1.0, n_theta=n_theta)
+    resolvents = resolvent_convergence(family, L=L, n_theta=n_theta)
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
-    quillen = quillen_limit(
-        family, L=L, cache=cache,
-        window=window, trunc_tol=trunc_tol, n_theta=n_theta,
-    )
-    two_route = two_route_check(
-        family.members[0], family.members[1], L=L, cache=cache,
-        window=window, trunc_tol=trunc_tol, n_theta=n_theta,
-    )
+    members = [(r.param, m, r.quillen) for r, m in zip(rep.rows, family.members)]
+    quillen = quillen_limit(family.id, members)
+    two_route = two_route_check(*members[0][1:], *members[1][1:])
 
     tags = {
         "laplaceTX": bool(rep.rows) and not rep.failures

@@ -59,6 +59,15 @@ EULER_GAMMA = float(np.euler_gamma)
 DEFAULT_FIT_WINDOW = (0.02, 0.2)
 DEFAULT_TRUNC_TOL = 1e-8
 
+# Times per block of the heat-trace sum: the exp(-t lambda) block holds
+# _THETA_BLOCK * n floats (8.5 MB at L = 128) however many times are asked.
+_THETA_BLOCK = 64
+
+# Geometric panels and Gauss-Legendre nodes per panel of the quadratures:
+# the Mellin integral of zeta(s), and the resolved window of zeta'(0).
+_MELLIN_PANELS, _MELLIN_NODES = 48, 20
+_WINDOW_PANELS, _WINDOW_NODES = 24, 16
+
 
 def exp_e1(x):
     """Exponential integral E1 on positive arguments, elementwise.
@@ -141,11 +150,20 @@ def _eigenvalues_of(spectrum_or_eigenvalues) -> np.ndarray:
 
 
 def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum over positive eigenvalues of exp(-lambda t), kernel excluded."""
+    """sum over positive eigenvalues of exp(-lambda t), kernel excluded.
+
+    Evaluated ``_THETA_BLOCK`` times at a time; each time's sum is the same
+    row reduction as in one (len(t), n) matrix, so the values do not depend
+    on the block size.
+    """
     lam = _eigenvalues_of(eigenvalues)
     lam = lam[lam > 0.0]
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.exp(-np.outer(t, lam)).sum(axis=1)
+    t = np.asarray(t, dtype=float).ravel()
+    out = np.empty(t.size)
+    for i in range(0, t.size, _THETA_BLOCK):
+        block = t[i : i + _THETA_BLOCK]
+        out[i : i + block.size] = np.exp(-np.outer(block, lam)).sum(axis=1)
+    return out
 
 
 def theta(spectrum, t: float) -> float:
@@ -307,12 +325,7 @@ def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoi
     return ZetaPoint(float(s), value, tail)
 
 
-def zeta_mellin(
-    eigenvalues: np.ndarray,
-    s: float,
-    n_panels: int = 48,
-    n_nodes: int = 20,
-) -> float:
+def zeta_mellin(eigenvalues: np.ndarray, s: float) -> float:
     """zeta(s) = (1/Gamma(s)) int_0^inf t^(s-1) theta(t) dt by panel quadrature.
 
     The discrete trace is finite at t = 0+, so the integral needs no model
@@ -325,7 +338,7 @@ def zeta_mellin(
     lam1 = float(lam[0])
     t0 = 1e-10
     t_hi = 60.0 / lam1
-    pts, wts = _gl_panels(t0, t_hi, n_panels, n_nodes)
+    pts, wts = _gl_panels(t0, t_hi, _MELLIN_PANELS, _MELLIN_NODES)
     theta = theta_values(lam, pts)
     integral = float(np.sum(wts * pts ** (s - 1.0) * theta))
     # below t0 the integrand is at most n * t0^(s-1), contributing under
@@ -374,12 +387,7 @@ def _window_sensitivity(
     )
 
 
-def zeta_prime_zero(
-    eigenvalues: np.ndarray,
-    fit: AsymptoticFit,
-    n_panels: int = 24,
-    n_nodes: int = 16,
-) -> ZetaPrime:
+def zeta_prime_zero(eigenvalues: np.ndarray, fit: AsymptoticFit) -> ZetaPrime:
     """Four-piece evaluation of zeta'(0); see the module docstring.
 
     The pieces split at t = 1: the large-time piece is sum E1(lambda_k) only
@@ -391,7 +399,7 @@ def zeta_prime_zero(
     bm1, b0, b1 = fit.coefficients
 
     i_inf = float(np.sum(exp_e1(lam)))
-    pts, wts = _gl_panels(t_lo, 1.0, n_panels, n_nodes)
+    pts, wts = _gl_panels(t_lo, 1.0, _WINDOW_PANELS, _WINDOW_NODES)
     theta = theta_values(lam, pts)
     i_mid = float(np.sum(wts * (theta - bm1 / pts - b0) / pts))
     head = b1 * t_lo
@@ -470,12 +478,6 @@ def zeta_result(
         fit=fit,
         method=method,
     )
-
-
-def zeta(spectrum, s: float, fit: AsymptoticFit | None = None) -> float:
-    """zeta(s) of a spectrum by direct summation (s > 1)."""
-    b_minus1 = fit.b_minus1 if fit is not None else None
-    return zeta_direct(spectrum, s, b_minus1).value
 
 
 def heat_operator(spectrum: Spectrum, t: float) -> Blocks:

@@ -159,7 +159,6 @@ def compute_fit(
     metric: ConformalMetric,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
-    n_nodes: int = FIT_GRID_NODES,
 ) -> tuple[HeatTraceSamples, AsymptoticFit]:
     """Sample theta on a dedicated geometric grid inside the fit window.
 
@@ -175,7 +174,7 @@ def compute_fit(
     # an all-invalid window still gets a grid so fit_asymptotics can raise
     # its canonical FitWindowError
     grid_lo = lo if lo < float(window[1]) else float(window[0])
-    samples = heat_trace_samples(data, geometric_grid(grid_lo, float(window[1]), n_nodes))
+    samples = heat_trace_samples(data, geometric_grid(grid_lo, float(window[1]), FIT_GRID_NODES))
     return samples, fit_asymptotics(samples, window, trunc_tol)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.anomaly import calibrate_sign, two_route_check
+from zetasphere.anomaly import calibrate_sign, torsion_report, two_route_check
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.harness import duhamel_at, lambda1_floor
@@ -154,8 +154,11 @@ def test_ac05_two_route_quillen(cache):
     sign = calibrate_sign(L=16, cache=cache)
     assert sign in (-1, 1)
     gaps = []
+    fs = fs_metric()
+    q_fs = torsion_report(fs, L=32, cache=cache).quillen
     for p in (2.0, 4.0, 8.0):
-        r = two_route_check(fs_metric(), pnorm_metric(p), L=32, cache=cache)
+        metric = pnorm_metric(p)
+        r = two_route_check(fs, q_fs, metric, torsion_report(metric, L=32, cache=cache).quillen)
         assert r.tolerance >= 1e-3
         assert r.gap <= r.tolerance, f"(fs, pnorm:{p:g}): gap {r.gap:.3e} > {r.tolerance:.3e}"
         assert r.passed

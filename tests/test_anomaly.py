@@ -24,6 +24,7 @@ from zetasphere.anomaly import (
     two_route_check,
 )
 from zetasphere.errors import DomainError, UnsupportedPointError
+from zetasphere.harness import sweep
 from zetasphere.metrics import (
     MetricFamily,
     fs_metric,
@@ -144,8 +145,25 @@ def test_spectral_route_scaling_slope(cache):
     assert curvature == pytest.approx(math.log(t0) / 3.0, rel=1e-12)
 
 
+def _quillen(metric, L, cache):
+    return torsion_report(metric, L=L, cache=cache).quillen
+
+
+def _members(family, L, cache):
+    """(param, metric, QuillenData) of every member, one pipeline run each."""
+    return [
+        (p, m, _quillen(m, L, cache)) for p, m in zip(family.parameters, family.members)
+    ]
+
+
+def _two_route(metric_p, metric_q, L, cache):
+    return two_route_check(
+        metric_p, _quillen(metric_p, L, cache), metric_q, _quillen(metric_q, L, cache)
+    )
+
+
 def test_two_route_check_smooth_pair(cache):
-    report = two_route_check(fs_metric(), pnorm_metric(2.0), L=20, cache=cache)
+    report = _two_route(fs_metric(), pnorm_metric(2.0), 20, cache)
     assert report.metric_p == "fs"
     assert report.metric_q == "pnorm:2"
     assert report.passed
@@ -158,7 +176,7 @@ def test_two_route_check_smooth_pair(cache):
 
 
 def test_two_route_check_pnorm_pair(cache):
-    report = two_route_check(pnorm_metric(2.0), pnorm_metric(3.0), L=20, cache=cache)
+    report = _two_route(pnorm_metric(2.0), pnorm_metric(3.0), 20, cache)
     assert report.passed
     assert report.route_curvature == pytest.approx(
         -oracles.bott_chern_pnorm_pair(2.0, 3.0), abs=1e-10
@@ -171,7 +189,7 @@ def test_calibrate_sign(cache):
 
 def test_quillen_limit_pnorm(cache):
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
-    out = quillen_limit(fam, L=16, cache=cache)
+    out = quillen_limit(fam.id, _members(fam, 16, cache))
     assert out.family_id == "pnorm"
     assert out.converged
     assert out.failures == ()
@@ -187,12 +205,25 @@ def test_quillen_limit_pnorm(cache):
     assert abs(out.limit - out.rows[-1].log_quillen) <= 5.0 * diffs[-1]
 
 
-def test_quillen_limit_p_list_selection(cache):
+def test_quillen_limit_takes_computed_members(cache):
+    """The sweep chooses and computes the members; quillen_limit tabulates the
+    results it is handed, and refuses an empty table or mixed sign conventions
+    (as does two_route_check)."""
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
-    out = quillen_limit(fam, p_list=(2.0, 4.0), L=16, cache=cache)
+    params, metrics = fam.select((2.0, 4.0))
+    rows = sweep(fam, parameters=params, L=16, cache=cache).rows
+    members = [(r.param, m, r.quillen) for r, m in zip(rows, metrics)]
+    out = quillen_limit(fam.id, members)
     assert [r.param for r in out.rows] == [2.0, 4.0]
+    assert out.rows[1].diff_to_prev == rows[1].quillen.log_quillen - rows[0].quillen.log_quillen
+    assert out.sign_convention == SIGN_CONVENTION
     with pytest.raises(DomainError):
-        quillen_limit(fam, p_list=(2.0, 7.0), L=16, cache=cache)
+        quillen_limit(fam.id, [])
+    flipped = quillen_log(metrics[1], torsion_report(metrics[1], L=16, cache=cache).zeta, sign=-1)
+    with pytest.raises(DomainError):
+        quillen_limit(fam.id, [members[0], (4.0, metrics[1], flipped)])
+    with pytest.raises(DomainError):
+        two_route_check(metrics[0], members[0][2], metrics[1], flipped)
 
 
 def test_quillen_limit_flags_growing_differences(cache):
@@ -201,15 +232,17 @@ def test_quillen_limit_flags_growing_differences(cache):
         members=(pnorm_metric(4.0), pnorm_metric(3.0), pnorm_metric(1.0)),
         parameters=(4.0, 3.0, 1.0),
     )
-    out = quillen_limit(fam, L=16, cache=cache)
+    out = quillen_limit(fam.id, _members(fam, 16, cache))
     assert not out.converged
     assert any("grow" in msg for msg in out.failures)
 
 
 def test_limit_agreement_between_families(cache):
     """Two different smoothing families extrapolate to the same limit."""
-    p_fam = quillen_limit(pnorm_family([2.0, 3.0, 4.0, 5.0]), L=20, cache=cache)
-    g_fam = quillen_limit(geomean_family([2.0, 3.0, 4.0, 5.0]), L=20, cache=cache)
+    p_fam, g_fam = (
+        quillen_limit(fam.id, _members(fam, 20, cache))
+        for fam in (pnorm_family([2.0, 3.0, 4.0, 5.0]), geomean_family([2.0, 3.0, 4.0, 5.0]))
+    )
     assert p_fam.converged and g_fam.converged
     assert abs(p_fam.limit - g_fam.limit) <= 2e-3
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -471,12 +470,13 @@ def test_cli_missing_config_file(tmp_path, cache, capsys):
 
 
 def test_cli_unusable_fit_window(tmp_path, cache, capsys):
-    # at L = 10 the truncation-valid region starts above the default window
-    code, _, err = run_cli(
-        ["zeta", "--metric", "fs", "--L", "10"], tmp_path, cache.root, capsys
-    )
-    assert code == 2
-    assert "FitWindowError" in err
+    # at L = 10 the truncation-valid region starts above the default window;
+    # the family commands report the first member's own error
+    for args in (["zeta", "--metric", "fs"], ["converge"], ["anomaly"]):
+        code, _, err = run_cli([*args, "--L", "10"], tmp_path, cache.root, capsys)
+        assert code == 2, args
+        assert "FitWindowError" in err, args
+        assert "Traceback" not in err, args
 
 
 # ---------------------------------------------------------------- cache location

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from zetasphere import pipeline
+from zetasphere.anomaly import calibrate_sign
+from zetasphere.cli import main
 from zetasphere.discretize import (
     build_basis,
     mass,
@@ -42,7 +45,6 @@ from zetasphere.metrics import (
     interpolate,
     pnorm_family,
     pnorm_metric,
-    sup_log_distance,
 )
 from zetasphere.operators import InnerProduct, block_operator_norm
 from zetasphere.pipeline import compute_spectrum
@@ -85,9 +87,9 @@ def test_sweep_rows(cache):
     assert rep.family_id == "pnorm"
     assert rep.failures == ()
     assert [r.param for r in rep.rows] == [1.0, 2.0, 3.0]
-    assert len(rep.budgets) == 3
+    assert [r.quillen.metric_id for r in rep.rows] == ["pnorm:1", "pnorm:2", "pnorm:3"]
     for row, p in zip(rep.rows, (1.0, 2.0, 3.0)):
-        assert row.vol == pytest.approx(float(oracles.pnorm_volume(p)), rel=1e-6)
+        assert row.quillen.vol == pytest.approx(float(oracles.pnorm_volume(p)), rel=1e-6)
         assert row.sup_log_dist_to_limit == pytest.approx(
             float(oracles.sup_log_pnorm_to_max(p)), abs=1e-12
         )
@@ -356,6 +358,34 @@ def test_convergence_summary_smoothing_family(cache):
     assert summary.borne.passed
     assert summary.duhamel.ratio < DUHAMEL_RATIO_TOL
     assert summary.floor.margin > 0.0
+
+
+def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
+    """Every command fits each distinct metric once: the checks read the
+    results the sweep (or the per-member pass of anomaly) computed."""
+    fitted: list[str] = []
+    real_fit = pipeline.compute_fit
+
+    def counting_fit(data, metric, *args, **kwargs):
+        fitted.append(metric.id)
+        return real_fit(data, metric, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_fit", counting_fit)
+    members = [f"pnorm:{p}" for p in range(1, 7)]
+
+    convergence_summary(pnorm_family(), L=16, cache=cache)
+    assert fitted == [*members, "max"]
+
+    fitted.clear()
+    code = main(["anomaly", "--L", "16", "--output-dir", str(tmp_path),
+                 "--cache-dir", str(cache.root)])
+    capsys.readouterr()
+    assert code == 0
+    assert fitted == members
+
+    fitted.clear()
+    calibrate_sign(L=16, cache=cache)
+    assert fitted == ["fs", "pnorm:2"]
 
 
 def test_convergence_summary_constant_family(cache):

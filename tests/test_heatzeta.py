@@ -13,6 +13,7 @@ and every regularization constant at once.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from zetasphere.heatzeta import (
     heat_trace_samples,
     theta,
     theta_values,
-    zeta,
     zeta_direct,
     zeta_mellin,
     zeta_prime_zero,
@@ -98,6 +98,26 @@ def test_theta_excludes_kernel_and_counts_multiplicity():
     t = 0.7
     want = 2.0 * math.exp(-t) + math.exp(-2.0 * t)
     assert theta_values(lam, np.array([t]))[0] == pytest.approx(want, rel=1e-15)
+
+
+def test_theta_values_memory_is_bounded():
+    """2000 times over an L = 128-sized spectrum (16,640 positive values): the
+    sum runs over fixed blocks of times, so its peak allocation stays far below
+    the 266 MB of one (len(t), n) matrix, and every value is bitwise the sum a
+    single row, or the whole matrix, gives."""
+    lam = np.concatenate([[0.0], np.linspace(2.0, 3.3e4, 16640)])
+    t = np.geomspace(1e-3, 10.0, 2000)
+    tracemalloc.start()
+    try:
+        values = theta_values(lam, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+    per_time = [np.exp(-np.outer(t[i : i + 1], lam[1:])).sum(axis=1)[0] for i in range(t.size)]
+    assert np.array_equal(values, per_time)
+    some = t[::10]
+    assert np.array_equal(theta_values(lam, some), np.exp(-np.outer(some, lam[1:])).sum(axis=1))
 
 
 def test_theta_validates_time():
@@ -222,7 +242,6 @@ def test_zeta_direct_values():
     assert point.tail_bound == 0.0
     with_tail = zeta_direct(lam, 2.0, b_minus1=3.0)
     assert with_tail.tail_bound == pytest.approx(3.0 / 4.0, rel=1e-15)
-    assert zeta(lam, 2.0) == point.value
     for s in (1.0, 0.5, -2.0):
         with pytest.raises(DomainError):
             zeta_direct(lam, s)
