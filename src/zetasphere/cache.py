@@ -50,8 +50,10 @@ class SpectrumCache:
         try:
             with np.load(path, allow_pickle=False) as payload:
                 return {name: payload[name] for name in payload.files}
-        except (OSError, ValueError, zipfile.BadZipFile):
-            # unreadable entries behave like misses; a later store overwrites
+        except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile):
+            # unreadable entries (truncated, or a corrupt zip header naming
+            # an unknown version or compression) behave like misses; a later
+            # store overwrites them
             return None
 
     def store(self, key: str, **arrays) -> Path:

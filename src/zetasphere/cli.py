@@ -346,9 +346,6 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         "passed": summary.passed,
         "failed": list(summary.failed_tags),
         "detail": {
-            "sweep_failures": [
-                {"error": f.error, "param": f.param} for f in summary.sweep.failures
-            ],
             "cauchy_violations": list(summary.cauchy.violations),
             "floor": {
                 "c": summary.floor.c,

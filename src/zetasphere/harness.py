@@ -5,14 +5,16 @@ log-density sense. Every spectral quantity we compute should then settle
 down at a rate controlled by that distance, and several of them obey exact
 finite-dimensional inequalities along the way. This module sweeps a family,
 tabulates the scalar pipeline per member, and turns each limiting statement
-into a quantitative pass/fail check. The pipeline runs once per member: each
-sweep row keeps the member's ``QuillenData``, which the determinant checks
-of ``anomaly`` read instead of recomputing it.
+into a quantitative pass/fail check. ``sweep`` is the only place that runs
+the scalar pipeline for a family: once per member and once for the limit.
+Each row keeps its metric's ``QuillenData`` and spectral gap, and every
+check that needs them (the Cauchy table, the limit agreement, the gap floor
+and the determinant checks of ``anomaly``) reads the ``SweepReport``.
 
 - ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
   differences bounded by (constant) x (sup log-density distance).
 - ``limit_agreement``: the last member's row agrees with the limit metric's
-  row computed directly, since a continuous limit assembles fine.
+  own row, since a continuous limit assembles fine.
 - ``lambda1_floor``: a uniform positive lower bound on the spectral gap from
   mass-matrix equivalence and the min-max principle.
 - ``resolvent_convergence``: resolvents and heat operators form Cauchy
@@ -35,14 +37,14 @@ harness measures each one on the first pair of the sweep, freezes it with a
 ``convergence_summary`` orchestrates all checks and reports one boolean per
 named check tag; the CLI writes these to summary.json. It hands the sweep
 rows to ``anomaly.quillen_limit`` (tag convergenceAnomaly) and the first two
-rows to ``anomaly.two_route_check`` (tag compare2methods).
+rows to ``anomaly.two_route_check`` (tag compare2methods). A member whose
+pipeline raises ends the sweep, and the run, with that member's own error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,14 +63,13 @@ from .errors import DomainError
 from .heatzeta import DuhamelReport, duhamel_residual, heat_operator, theta_values
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norm
-from .pipeline import compute_spectrum, get_basis, spectral_data
+from .pipeline import compute_spectrum, get_basis
 
 __all__ = [
     "FROZEN_SAFETY",
     "DUHAMEL_RATIO_TOL",
     "THEOREM_TAGS",
     "SweepRow",
-    "SweepFailure",
     "SweepReport",
     "sweep",
     "CauchyColumn",
@@ -160,30 +161,20 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepFailure:
-    """A member whose pipeline raised; the sweep records it and moves on.
-
-    A caller that cannot go on without the member raises ``exception``.
-    """
-
-    param: float
-    error: str
-    exception: Exception = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class SweepReport:
-    """All rows of one family sweep plus the data the checks need.
+    """One family sweep: a row per member and the limit metric's own row.
 
-    ``pair_dist`` holds the sup log-density distance of consecutive
-    members, aligned with ``rows`` when there are no failures.
+    ``rows`` follow ``family.parameters``. ``limit_row`` is the limit
+    metric's row (parameter inf, no distance to itself), or None for a
+    family without a limit; it never joins the Cauchy table. ``pair_dist``
+    holds the sup log-density distance of consecutive members.
     """
 
     family_id: str
     L: int
     t_set: tuple[float, ...]
     rows: tuple[SweepRow, ...]
-    failures: tuple[SweepFailure, ...]
+    limit_row: SweepRow | None
     pair_dist: tuple[float, ...]
 
 
@@ -228,7 +219,6 @@ def _pipeline_row(
 
 def sweep(
     family: MetricFamily,
-    parameters: Sequence[float] | None = None,
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
     cache: SpectrumCache | None = None,
@@ -236,18 +226,16 @@ def sweep(
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
 ) -> SweepReport:
-    """Run the scalar pipeline over family members, one row per parameter.
+    """Run the scalar pipeline once per family member and once for the limit.
 
     Parameters
     ----------
     family : MetricFamily
-        The family to sweep; rows are produced for its members only, never
-        for interpolated metrics.
-    parameters : sequence of float, optional
-        Strictly ascending subset of ``family.parameters``; all of them by
-        default.
+        The family to sweep, with strictly ascending parameters; rows are
+        produced for its members and its limit, never for interpolated
+        metrics. A caller that wants fewer members builds a smaller family.
     L : int
-        Spectral truncation degree for every member.
+        Spectral truncation degree for every metric.
     t_set : tuple of float
         Heat-trace times tabulated per row.
     cache : SpectrumCache, optional
@@ -260,10 +248,11 @@ def sweep(
     Returns
     -------
     SweepReport
-        Rows in parameter order. A member whose pipeline raises is recorded
-        in ``failures`` and the sweep continues.
+        Member rows in parameter order plus the limit's row. A member whose
+        pipeline raises, or whose row is non-finite or has no positive gap,
+        ends the sweep with that error.
     """
-    params, members = family.select(parameters)
+    params = tuple(float(p) for p in family.parameters)
     if len(params) < 1:
         raise DomainError("sweep needs at least one parameter")
     if any(b <= a for a, b in zip(params, params[1:])):
@@ -273,25 +262,25 @@ def sweep(
         raise DomainError(f"t_set must be positive times, got {t_set}")
 
     rows: list[SweepRow] = []
-    failures: list[SweepFailure] = []
-    for p, metric in zip(params, members):
-        try:
-            row = _pipeline_row(
-                p, metric, family.limit, t_arr, L, n_theta, cache, window, trunc_tol
-            )
-            _check_row_finite(row, require_dist=family.limit is not None)
-            rows.append(row)
-        except Exception as e:  # noqa: BLE001 - the contract is per-row isolation
-            failures.append(SweepFailure(p, f"{type(e).__name__}: {e}", e))
-    pair_dist = tuple(
-        sup_log_distance(a, b) for a, b in zip(members[:-1], members[1:])
-    )
+    for p, metric in zip(params, family.members):
+        row = _pipeline_row(
+            p, metric, family.limit, t_arr, L, n_theta, cache, window, trunc_tol
+        )
+        _check_row_finite(row, require_dist=family.limit is not None)
+        rows.append(row)
+    limit_row = None
+    if family.limit is not None:
+        limit_row = _pipeline_row(
+            math.inf, family.limit, None, t_arr, L, n_theta, cache, window, trunc_tol
+        )
+    members = family.members
+    pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
     return SweepReport(
         family_id=family.id,
         L=L,
         t_set=tuple(float(t) for t in t_arr),
         rows=tuple(rows),
-        failures=tuple(failures),
+        limit_row=limit_row,
         pair_dist=pair_dist,
     )
 
@@ -350,11 +339,6 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     relative epsilon. A constant family (zero distances) must have zero
     differences up to the slack.
     """
-    if report.failures:
-        msgs = tuple(
-            f"sweep failure at parameter {f.param}: {f.error}" for f in report.failures
-        )
-        return CauchyReport(report.family_id, (), msgs, False)
     if len(report.rows) < 2:
         raise DomainError("cauchy_check needs at least two sweep rows")
 
@@ -407,24 +391,16 @@ class LimitAgreement:
     passed: bool
 
 
-def limit_agreement(
-    family: MetricFamily,
-    report: SweepReport,
-    cauchy: CauchyReport,
-    cache: SpectrumCache | None = None,
-    window: tuple[float, float] | None = None,
-    trunc_tol: float = 1e-8,
-    n_theta: int | None = None,
-) -> LimitAgreement:
-    """Compare the sweep's last row against the limit metric's own row."""
-    if family.limit is None:
-        raise DomainError(f"family {family.id!r} has no limit member")
-    if not report.rows:
-        raise DomainError("limit_agreement needs at least one sweep row")
-    limit_row = _pipeline_row(
-        math.inf, family.limit, None, np.asarray(report.t_set, dtype=float),
-        report.L, n_theta, cache, window, trunc_tol,
-    )
+def limit_agreement(report: SweepReport, cauchy: CauchyReport) -> LimitAgreement:
+    """Compare the sweep's last row against the limit metric's own row.
+
+    Both rows come from the sweep, so no pipeline runs here. Each column
+    may differ by its frozen Cauchy constant times the remaining distance,
+    plus the two zeta error budgets for the fit-derived columns.
+    """
+    limit_row = report.limit_row
+    if limit_row is None:
+        raise DomainError(f"family {report.family_id!r} has no limit member")
 
     last = report.rows[-1]
     dist_last = last.sup_log_dist_to_limit
@@ -448,7 +424,7 @@ def limit_agreement(
             LimitColumn(name, last_value, limit_value, diff, allowance, diff <= allowance)
         )
     return LimitAgreement(
-        limit_id=family.limit.id,
+        limit_id=limit_row.quillen.metric_id,
         dist_last=dist_last,
         columns=tuple(columns),
         passed=all(c.ok for c in columns),
@@ -490,36 +466,41 @@ class Lambda1Floor:
 
 def lambda1_floor(
     family: MetricFamily,
-    parameters: Sequence[float] | None = None,
-    L: int = 24,
+    report: SweepReport,
     n_theta: int | None = None,
-    cache: SpectrumCache | None = None,
 ) -> Lambda1Floor:
     """Verify the uniform spectral-gap floor lambda1 >= lambda1(ref)/c.
 
-    The reference is the first selected member; the limit metric joins the
-    rows when present (parameter reported as inf) since the bound must be
-    uniform up to the limit.
+    The gaps come from the sweep ``report`` of ``family``; only the mass
+    blocks, at ``report.L`` with ``n_theta`` colatitude nodes per panel,
+    are assembled here. The reference is the first member; the limit metric
+    joins the rows when present (parameter reported as inf) since the bound
+    must be uniform up to the limit. A report whose rows are not the
+    family's members and limit, in order, is refused.
     """
-    params, members = family.select(parameters)
-    if len(members) < 2:
-        raise DomainError("lambda1_floor needs at least two members")
-    labels = list(params)
-    metrics = list(members)
+    rows_in = list(report.rows)
+    metrics = list(family.members)
+    if report.limit_row is not None:
+        rows_in.append(report.limit_row)
     if family.limit is not None:
-        labels.append(math.inf)
         metrics.append(family.limit)
+    if [r.quillen.metric_id for r in rows_in] != [m.id for m in metrics]:
+        raise DomainError(
+            f"sweep report of {report.family_id!r} does not line up with the "
+            f"members and limit of family {family.id!r}"
+        )
+    if len(report.rows) < 2:
+        raise DomainError("lambda1_floor needs at least two members")
 
-    basis = get_basis(L, n_theta)
+    basis = get_basis(report.L, n_theta)
     m_ref = mass(basis, metrics[0])
     rows: list[Lambda1FloorRow] = []
-    for label, metric in zip(labels, metrics):
+    for row, metric in zip(rows_in, metrics):
         c_member = max(
             float(pencil_eigh(M_p, M_ref)[0][-1])
             for M_p, M_ref in zip(mass(basis, metric), m_ref)
         )
-        lam1 = spectral_data(metric, L, n_theta, cache).lambda1
-        rows.append(Lambda1FloorRow(float(label), lam1, c_member))
+        rows.append(Lambda1FloorRow(row.param, row.lambda1, c_member))
 
     c = max(r.c_member for r in rows)
     lambda1_ref = rows[0].lambda1
@@ -528,7 +509,7 @@ def lambda1_floor(
     margin = kappa - floor
     return Lambda1Floor(
         family_id=family.id,
-        L=L,
+        L=report.L,
         reference_param=rows[0].param,
         lambda1_ref=lambda1_ref,
         c=c,
@@ -812,24 +793,18 @@ def convergence_summary(
     lighter ``variation_L`` and its default rule, since they need
     interpolated pencils of their own. Every family member takes part.
 
-    The scalar pipeline runs once per member (in the sweep) and once for the
-    limit; the determinant checks read the rows' ``QuillenData``. A member
-    whose pipeline raises ends the run with that member's own error.
+    The scalar pipeline runs once per member and once for the limit, all in
+    the sweep; the limit agreement, the gap floor and the determinant checks
+    read its report. A member whose pipeline raises ends the run with that
+    member's own error.
     """
     rep = sweep(
         family, L=L, t_set=t_set, cache=cache,
         window=window, trunc_tol=trunc_tol, n_theta=n_theta,
     )
-    if rep.failures:
-        raise rep.failures[0].exception
     cauchy = cauchy_check(rep)
-    limit_check = None
-    if family.limit is not None:
-        limit_check = limit_agreement(
-            family, rep, cauchy, cache=cache,
-            window=window, trunc_tol=trunc_tol, n_theta=n_theta,
-        )
-    floor = lambda1_floor(family, L=L, n_theta=n_theta, cache=cache)
+    limit_check = None if rep.limit_row is None else limit_agreement(rep, cauchy)
+    floor = lambda1_floor(family, rep, n_theta=n_theta)
     resolvents = resolvent_convergence(family, L=L, n_theta=n_theta)
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
@@ -838,8 +813,7 @@ def convergence_summary(
     two_route = two_route_check(*members[0][1:], *members[1][1:])
 
     tags = {
-        "laplaceTX": bool(rep.rows) and not rep.failures
-        and all(r.lambda1 > 0.0 for r in rep.rows),
+        "laplaceTX": bool(rep.rows) and all(r.lambda1 > 0.0 for r in rep.rows),
         "bornelapbelt": borne.passed,
         "deltacompact": resolvents.resolvent_ok,
         "variationEu": resolvents.heat_ok and duhamel.ratio < DUHAMEL_RATIO_TOL,

@@ -338,24 +338,6 @@ class MetricFamily:
     def __len__(self):
         return len(self.members)
 
-    def select(self, parameters: Sequence[float] | None = None):
-        """(parameters, members) at an explicit parameter list, or all of them.
-
-        Raises DomainError naming the first parameter that is not a member.
-        """
-        if parameters is None:
-            return tuple(float(p) for p in self.parameters), tuple(self.members)
-        by_param = dict(zip(self.parameters, self.members))
-        members = []
-        for p in parameters:
-            if p not in by_param:
-                raise DomainError(
-                    f"parameter {p} is not a member of family {self.id!r}; "
-                    f"available: {self.parameters}"
-                )
-            members.append(by_param[p])
-        return tuple(float(p) for p in parameters), tuple(members)
-
 
 def pnorm_family(params: Sequence[float] | None = None, count: int = 6) -> MetricFamily:
     """The canonical smoothing family pnorm(p) with the max metric as limit."""

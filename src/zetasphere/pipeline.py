@@ -100,7 +100,8 @@ def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
     """Eigenvalues and volume of a cache entry, or None if missing or malformed.
 
     A valid entry holds (L+1)^2 finite, ascending eigenvalues starting at an
-    exact 0.0 and a positive, finite volume.
+    exact 0.0 followed by a positive one (the solver's kernel is the
+    constants alone), and a positive, finite volume.
     """
     if hit is None:
         return None
@@ -113,6 +114,7 @@ def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
         lam.shape == ((L + 1) ** 2,)
         and bool(np.all(np.isfinite(lam)))
         and lam[0] == 0.0
+        and lam[1] > 0.0
         and bool(np.all(np.diff(lam) >= 0.0))
         and math.isfinite(vol)
         and vol > 0.0

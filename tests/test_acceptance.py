@@ -20,7 +20,7 @@ import oracles
 from zetasphere.anomaly import calibrate_sign, torsion_report, two_route_check
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
-from zetasphere.harness import duhamel_at, lambda1_floor
+from zetasphere.harness import duhamel_at, lambda1_floor, sweep
 from zetasphere.heatzeta import heat_operator, theta, theta_values, zeta_direct, zeta_mellin
 from zetasphere.metrics import fs_metric, max_metric, pnorm_family, pnorm_metric, scaled_metric
 from zetasphere.operators import (
@@ -244,7 +244,8 @@ def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
 
 
 def test_ac07_lambda1_floor(cache):
-    floor = lambda1_floor(pnorm_family(list(SWEEP_P)), L=32, cache=cache)
+    fam = pnorm_family(list(SWEEP_P))
+    floor = lambda1_floor(fam, sweep(fam, L=32, cache=cache))
     assert floor.passed
     assert floor.margin > 0.0
     report(

@@ -22,7 +22,7 @@ from zetasphere.discretize import (
     stiffness,
 )
 from zetasphere.eigensolve import resolvent
-from zetasphere.errors import DomainError
+from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
     DUHAMEL_RATIO_TOL,
     FROZEN_SAFETY,
@@ -85,7 +85,8 @@ def test_sweep_rows(cache):
     fam = pnorm_family([1.0, 2.0, 3.0])
     rep = sweep(fam, L=16, cache=cache)
     assert rep.family_id == "pnorm"
-    assert rep.failures == ()
+    assert rep.limit_row.param == math.inf
+    assert rep.limit_row.quillen.metric_id == "max"
     assert [r.param for r in rep.rows] == [1.0, 2.0, 3.0]
     assert [r.quillen.metric_id for r in rep.rows] == ["pnorm:1", "pnorm:2", "pnorm:3"]
     for row, p in zip(rep.rows, (1.0, 2.0, 3.0)):
@@ -103,31 +104,31 @@ def test_sweep_rows(cache):
 
 def test_sweep_validation(cache):
     fam = pnorm_family([1.0, 2.0, 3.0])
+    descending = MetricFamily(
+        id="pnorm-descending",
+        members=(pnorm_metric(3.0), pnorm_metric(2.0)),
+        parameters=(3.0, 2.0),
+    )
     with pytest.raises(DomainError):
-        sweep(fam, parameters=[3.0, 2.0], L=16, cache=cache)
-    with pytest.raises(DomainError):
-        sweep(fam, parameters=[1.0, 7.0], L=16, cache=cache)
+        sweep(descending, L=16, cache=cache)
     with pytest.raises(DomainError):
         sweep(fam, L=16, t_set=(), cache=cache)
     with pytest.raises(DomainError):
         sweep(fam, L=16, t_set=(0.5, 0.0), cache=cache)
 
 
-def test_sweep_isolates_member_failures(cache):
+def test_sweep_raises_member_failure(cache):
+    """A member whose pipeline raises ends the sweep, and the summary, with
+    that member's own error."""
     fam = MetricFamily(
         id="with-hole",
         members=(pnorm_metric(1.0), broken_metric(), pnorm_metric(3.0)),
         parameters=(1.0, 2.0, 3.0),
     )
-    rep = sweep(fam, L=16, cache=cache)
-    assert [r.param for r in rep.rows] == [1.0, 3.0]
-    assert len(rep.failures) == 1
-    assert rep.failures[0].param == 2.0
-    assert "InvalidMetricError" in rep.failures[0].error
-    # a sweep with failures cannot be rate-checked
-    cy = cauchy_check(rep)
-    assert not cy.passed
-    assert any("sweep failure" in v for v in cy.violations)
+    with pytest.raises(InvalidMetricError, match="broken"):
+        sweep(fam, L=16, cache=cache)
+    with pytest.raises(InvalidMetricError, match="broken"):
+        convergence_summary(fam, L=16, cache=cache)
 
 
 def test_cauchy_check_passes_on_smoothing_family(cache):
@@ -171,7 +172,7 @@ def test_limit_agreement(cache):
     fam = pnorm_family([2.0, 4.0, 8.0])
     rep = sweep(fam, L=16, cache=cache)
     cy = cauchy_check(rep)
-    la = limit_agreement(fam, rep, cy, cache=cache)
+    la = limit_agreement(rep, cy)
     assert la.limit_id == "max"
     assert la.passed
     assert la.dist_last == pytest.approx(2.0 * math.log(2.0) / 8.0, abs=1e-12)
@@ -186,12 +187,15 @@ def test_limit_agreement_needs_limit(cache):
     fam = constant_family(3)
     rep = sweep(fam, L=16, cache=cache)
     cy = cauchy_check(rep)
+    assert rep.limit_row is None
     with pytest.raises(DomainError):
-        limit_agreement(fam, rep, cy, cache=cache)
+        limit_agreement(rep, cy)
 
 
 def test_lambda1_floor(cache):
-    fl = lambda1_floor(pnorm_family([1.0, 2.0, 3.0, 4.0]), L=16, cache=cache)
+    fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
+    rep = sweep(fam, L=16, cache=cache)
+    fl = lambda1_floor(fam, rep)
     assert fl.passed
     assert fl.reference_param == 1.0
     assert fl.rows[0].c_member == pytest.approx(1.0, rel=1e-12)
@@ -200,15 +204,19 @@ def test_lambda1_floor(cache):
     assert fl.floor == pytest.approx(fl.lambda1_ref / fl.c, rel=1e-15)
     assert fl.kappa == min(r.lambda1 for r in fl.rows)
     assert fl.margin > 0.0
+    assert [r.lambda1 for r in fl.rows] == [r.lambda1 for r in (*rep.rows, rep.limit_row)]
+    single = pnorm_family([2.0])
     with pytest.raises(DomainError):
-        lambda1_floor(pnorm_family([2.0]), L=16, cache=cache)
+        lambda1_floor(single, sweep(single, L=16, cache=cache))
+    with pytest.raises(DomainError, match="line up"):
+        lambda1_floor(pnorm_family([1.0, 2.0, 3.0]), rep)
 
 
 def test_lambda1_floor_matches_dense_gram_pencil(cache):
     """Each c_member, a max over the azimuthal blocks, against the top
     eigenvalue of the dense Gram pencil (M_p, M_ref), to 1e-12 relative."""
     fam = pnorm_family([1.0, 2.0, 3.0])
-    fl = lambda1_floor(fam, L=16, cache=cache)
+    fl = lambda1_floor(fam, sweep(fam, L=16, cache=cache))
     basis = build_basis(16)
     m_ref = mass(basis, fam.members[0])
     for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
@@ -352,7 +360,7 @@ def test_convergence_summary_smoothing_family(cache):
     assert all(summary.tags.values())
     assert summary.family_id == "pnorm"
     assert summary.limit_check is not None and summary.limit_check.passed
-    assert summary.sweep.rows and not summary.sweep.failures
+    assert summary.sweep.rows and summary.sweep.limit_row is not None
     assert summary.quillen.converged
     assert summary.two_route.passed
     assert summary.borne.passed
@@ -362,19 +370,37 @@ def test_convergence_summary_smoothing_family(cache):
 
 def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     """Every command fits each distinct metric once: the checks read the
-    results the sweep (or the per-member pass of anomaly) computed."""
+    results the sweep (or the per-member pass of anomaly) computed. The
+    sweep also fetches each spectrum once: ``convergence_summary`` makes
+    one ``spectral_data`` call, hence one disk load, per metric, with or
+    without the spectra in process."""
     fitted: list[str] = []
+    loads: list[str] = []
     real_fit = pipeline.compute_fit
+    real_load = type(cache).load
 
     def counting_fit(data, metric, *args, **kwargs):
         fitted.append(metric.id)
         return real_fit(data, metric, *args, **kwargs)
 
+    def counting_load(self, key):
+        loads.append(key)
+        return real_load(self, key)
+
     monkeypatch.setattr(pipeline, "compute_fit", counting_fit)
+    monkeypatch.setattr(type(cache), "load", counting_load)
     members = [f"pnorm:{p}" for p in range(1, 7)]
 
     convergence_summary(pnorm_family(), L=16, cache=cache)
     assert fitted == [*members, "max"]
+    assert len(set(loads)) == len(loads) == 7
+
+    fitted.clear()
+    loads.clear()
+    pipeline.clear_process_caches()
+    convergence_summary(pnorm_family(), L=16, cache=cache)
+    assert fitted == [*members, "max"]
+    assert len(set(loads)) == len(loads) == 7
 
     fitted.clear()
     code = main(["anomaly", "--L", "16", "--output-dir", str(tmp_path),

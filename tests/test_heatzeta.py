@@ -39,6 +39,7 @@ from zetasphere.heatzeta import (
 from zetasphere.metrics import fs_metric, pnorm_metric, scaled_metric
 from zetasphere.operators import InnerProduct, operator_norm
 from zetasphere.pipeline import (
+    _valid_hit,
     clear_process_caches,
     compute_fit,
     compute_spectrum,
@@ -433,7 +434,31 @@ def test_truncated_cache_entry_is_a_miss(tmp_path):
     assert spectral_data(metric, 8, cache=cache).from_cache is True
 
 
-@pytest.mark.parametrize("defect", ["short", "unsorted", "nonzero_kernel", "nonfinite", "volume"])
+def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
+    """Each truncation and each single-byte flip of an L = 2 entry loads
+    without raising, and an entry that passes validation holds the fresh
+    spectrum bit for bit."""
+    from zetasphere.cache import SpectrumCache
+
+    cache = SpectrumCache(tmp_path)
+    metric = pnorm_metric(2.0)
+    fresh = spectral_data(metric, 2, cache=cache)
+    (entry,) = tmp_path.glob("*.npz")
+    good = entry.read_bytes()
+    variants = [good[:k] for k in range(len(good))]
+    variants += [good[:k] + bytes([good[k] ^ 0xFF]) + good[k + 1:] for k in range(len(good))]
+    for k, variant in enumerate(variants):
+        entry.write_bytes(variant)
+        hit = _valid_hit(cache.load(entry.stem), 2)
+        if hit is not None:
+            assert hit[0].tobytes() == fresh.eigenvalues.tobytes(), k
+            assert hit[1] == fresh.volume, k
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["short", "unsorted", "nonzero_kernel", "degenerate_kernel", "all_zero", "nonfinite", "volume"],
+)
 def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
     """Entries that do not describe an L = 4 spectrum are misses and get overwritten."""
     from zetasphere.cache import SpectrumCache
@@ -449,6 +474,10 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
         lam[[1, -1]] = lam[[-1, 1]]
     elif defect == "nonzero_kernel":
         lam[0] = 1e-3
+    elif defect == "degenerate_kernel":
+        lam[1] = 0.0
+    elif defect == "all_zero":
+        lam[:] = 0.0
     elif defect == "nonfinite":
         lam[-1] = np.nan
     else:

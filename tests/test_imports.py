@@ -1,17 +1,24 @@
-"""Every top-level import in the package and its tests is used.
+"""Every top-level import in the package and its tests is used, and every
+exported name exists.
 
 An import that nothing reads costs load time and hides what a module
 depends on. Names listed in a module's ``__all__`` count as used (they are
-re-exported), and ``from __future__`` imports are compiler directives.
+re-exported), and ``from __future__`` imports are compiler directives. An
+export whose definition was deleted fails only when someone imports it, so
+the export lists are resolved here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import zetasphere
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted(p.stem for p in (ROOT / "src" / "zetasphere").glob("*.py") if p.stem != "__init__")
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -44,3 +51,19 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"zetasphere.{name}")
+    assert [e for e in module.__all__ if not hasattr(module, e)] == []
+
+
+def test_package_exports_resolve():
+    missing = [
+        f"{module}.{name}"
+        for name, module in zetasphere._EXPORTS.items()
+        if not hasattr(importlib.import_module(f"zetasphere.{module}"), name)
+    ]
+    assert missing == []
+    assert [e for e in zetasphere.__all__ if not hasattr(zetasphere, e)] == []
