@@ -16,10 +16,11 @@ within the propagated error budget is the headline consistency check; the
 Cauchy table of ``quillen_limit`` tracks the same quantity along a smoothing
 family approaching a non-smooth limit factor.
 
-``torsion_report`` runs the scalar pipeline for one metric and assembles its
-``QuillenData``. The checks (``two_route_check``, ``quillen_limit``) take
-those computed results instead of rerunning the pipeline, so a caller runs
-it once per metric and hands each result to every check that reads it.
+``torsion_report`` runs the scalar pipeline on one metric's spectrum data
+and assembles its ``QuillenData``. The checks (``two_route_check``,
+``quillen_limit``) take those computed results instead of rerunning the
+pipeline, so a caller runs it once per metric and hands each result to
+every check that reads it.
 
 Sign convention: the source formulas are ambiguous about exp(+zeta'(0))
 versus exp(-zeta'(0)), so the sign is calibrated once by requiring the
@@ -52,7 +53,7 @@ from .metrics import (
     sup_log_distance,
     volume,
 )
-from .pipeline import SpectralData, compute_zeta
+from .pipeline import SpectralData, compute_zeta, spectral_data
 from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
@@ -253,13 +254,16 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
     exists so the measurement can be repeated. Each metric runs the
     pipeline once; both signs are assembled from the same zeta'(0).
     """
-    pair = [(m, compute_zeta(m, L, cache=cache)) for m in (fs_metric(), pnorm_metric(2.0))]
+    pair = []
+    for m in (fs_metric(), pnorm_metric(2.0)):
+        data = spectral_data(m, L, cache=cache)
+        pair.append((m, data.volume, compute_zeta(data, m)[2]))
 
     def gap(sign: int) -> float:
-        (p, (dp, _, _, zp)), (q, (dq, _, _, zq)) = pair
+        (p, vp, zp), (q, vq, zq) = pair
         return two_route_check(
-            p, quillen_log(p, zp, vol=dp.volume, sign=sign),
-            q, quillen_log(q, zq, vol=dq.volume, sign=sign),
+            p, quillen_log(p, zp, vol=vp, sign=sign),
+            q, quillen_log(q, zq, vol=vq, sign=sign),
         ).gap
 
     return 1 if gap(1) <= gap(-1) else -1
@@ -366,18 +370,13 @@ class TorsionReport:
 
 
 def torsion_report(
+    data: SpectralData,
     metric: ConformalMetric,
-    L: int = 16,
-    n_theta: int | None = None,
-    cache: SpectrumCache | None = None,
     window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     trunc_tol: float = 1e-8,
 ) -> TorsionReport:
-    """Run the scalar pipeline and attach the determinant-metric summary."""
-    data, samples, fit, zres = compute_zeta(
-        metric, L, n_theta, cache=cache, window=window,
-        s_values=s_values, trunc_tol=trunc_tol,
-    )
+    """Run the scalar pipeline on ``data`` and attach the determinant-metric summary."""
+    samples, fit, zres = compute_zeta(data, metric, window, s_values, trunc_tol)
     qd = quillen_log(metric, zres, vol=data.volume)
     return TorsionReport(data=data, samples=samples, fit=fit, zeta=zres, quillen=qd)

@@ -217,17 +217,12 @@ def _cmd_theta(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_zeta(config: RunConfig, out: Path) -> int:
-    from .pipeline import compute_zeta
+    from .pipeline import compute_zeta, spectral_data
 
     metric = _make_metric(config)
-    data, _, fit, zres = compute_zeta(
-        metric,
-        config.L,
-        config.n_theta,
-        cache=_make_cache(config),
-        window=config.fit_window,
-        s_values=config.s_values,
-        trunc_tol=config.trunc_tol,
+    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
+    _, fit, zres = compute_zeta(
+        data, metric, config.fit_window, config.s_values, config.trunc_tol
     )
     path = write_json(out / "zeta.json", _zeta_payload(data, fit, zres))
     print(
@@ -239,16 +234,12 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
 
 def _cmd_torsion(config: RunConfig, out: Path) -> int:
     from .anomaly import torsion_report
+    from .pipeline import spectral_data
 
     metric = _make_metric(config)
+    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
     report = torsion_report(
-        metric,
-        L=config.L,
-        n_theta=config.n_theta,
-        cache=_make_cache(config),
-        window=config.fit_window,
-        s_values=config.s_values,
-        trunc_tol=config.trunc_tol,
+        data, metric, config.fit_window, config.s_values, config.trunc_tol
     )
     zeta_path = write_json(out / "zeta.json", _zeta_payload(report.data, report.fit, report.zeta))
     quillen_path = write_json(out / "quillen.json", _quillen_payload(report.quillen))
@@ -262,12 +253,13 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
     from .anomaly import torsion_report, two_route_check
+    from .pipeline import spectral_data
 
     family = _make_family(config)
     cache = _make_cache(config)
     members = [
-        (m, torsion_report(m, config.L, config.n_theta, cache, config.fit_window,
-                           trunc_tol=config.trunc_tol).quillen)
+        (m, torsion_report(spectral_data(m, config.L, config.n_theta, cache), m,
+                           config.fit_window, trunc_tol=config.trunc_tol).quillen)
         for m in family.members
     ]
     reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
@@ -306,7 +298,6 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         family,
         L=config.L,
         t_set=config.t_set,
-        cache=_make_cache(config),
         window=config.fit_window,
         trunc_tol=config.trunc_tol,
         n_theta=config.n_theta,
@@ -388,7 +379,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
 def _cmd_selftest(config: RunConfig, out: Path) -> int:
     from .selftest import run_selftest
 
-    tags, details = run_selftest(config)
+    tags, details = run_selftest()
     for line in details:
         print(line)
     failed = [name for name, ok in tags.items() if not ok]
@@ -425,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--metric", help="metric spec, e.g. fs, max, pnorm:3")
     common.add_argument("--L", type=int, dest="L", help="spectral degree cutoff")
     common.add_argument("--output-dir", dest="output_dir", help="directory for result files")
-    common.add_argument("--cache-dir", dest="cache_dir", help="spectrum cache directory")
+    common.add_argument("--cache-dir", dest="cache_dir",
+                        help="spectrum cache directory (converge and selftest use none)")
     common.add_argument("--threads", type=int, help="BLAS/OpenMP thread count (0 = library default)")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")

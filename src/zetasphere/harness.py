@@ -5,11 +5,14 @@ log-density sense. Every spectral quantity we compute should then settle
 down at a rate controlled by that distance, and several of them obey exact
 finite-dimensional inequalities along the way. This module sweeps a family,
 tabulates the scalar pipeline per member, and turns each limiting statement
-into a quantitative pass/fail check. ``sweep`` is the only place that runs
-the scalar pipeline for a family: once per member and once for the limit.
-Each row keeps its metric's ``QuillenData`` and spectral gap, and every
-check that needs them (the Cauchy table, the limit agreement, the gap floor
-and the determinant checks of ``anomaly``) reads the ``SweepReport``.
+into a quantitative pass/fail check. ``sweep`` is the only place that solves
+a family's pencils and runs the scalar pipeline on them: once per member
+and once for the limit. Each row keeps its metric's ``Spectrum`` (block
+eigenvectors and the pencil) and ``QuillenData``, and every check on the
+family's own metrics reads the ``SweepReport``: the Cauchy table, the limit
+agreement, the gap floor (mass blocks), the operator limits (eigenvectors)
+and the determinant checks of ``anomaly``. No check solves one of those
+pencils again, and the sweep uses no disk cache.
 
 - ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
   differences bounded by (constant) x (sup log-density distance).
@@ -44,7 +47,7 @@ pipeline raises ends the sweep, and the run, with that member's own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,14 +59,13 @@ from .anomaly import (
     torsion_report,
     two_route_check,
 )
-from .cache import SpectrumCache
-from .discretize import Blocks, assemble, block_rows, mass, mass_log_variation
-from .eigensolve import pencil_eigh, resolvent
+from .discretize import Blocks, assemble, block_rows, mass_log_variation
+from .eigensolve import Spectrum, pencil_eigh, resolvent
 from .errors import DomainError
 from .heatzeta import DuhamelReport, duhamel_residual, heat_operator, theta_values
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norm
-from .pipeline import compute_spectrum, get_basis
+from .pipeline import SpectralData, compute_spectrum, get_basis
 
 __all__ = [
     "FROZEN_SAFETY",
@@ -145,19 +147,24 @@ def _frozen_rate(diffs, scales, slack) -> tuple[float, tuple[float, ...], list[i
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Scalar pipeline output for one family member.
+    """Scalar pipeline output for one family member, with its spectrum.
 
     ``quillen`` holds the member's volume, zeta'(0), log h_Q and zeta error
-    budget, as the checks of ``anomaly`` take them.
+    budget, as the checks of ``anomaly`` take them. ``spectrum`` is the
+    member's solved pencil, which the operator checks read.
     """
 
     param: float
-    lambda1: float
     theta: dict[float, float]
     b_minus1: float
     b0: float
     sup_log_dist_to_limit: float
     quillen: QuillenData
+    spectrum: Spectrum = field(repr=False)
+
+    @property
+    def lambda1(self) -> float:
+        return self.spectrum.lambda1
 
 
 @dataclass(frozen=True)
@@ -170,12 +177,16 @@ class SweepReport:
     holds the sup log-density distance of consecutive members.
     """
 
-    family_id: str
+    family: MetricFamily
     L: int
     t_set: tuple[float, ...]
     rows: tuple[SweepRow, ...]
     limit_row: SweepRow | None
     pair_dist: tuple[float, ...]
+
+    @property
+    def family_id(self) -> str:
+        return self.family.id
 
 
 def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
@@ -186,8 +197,6 @@ def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
         values.append(row.sup_log_dist_to_limit)
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"non-finite sweep column for parameter {row.param}")
-    if row.lambda1 <= 0.0:
-        raise DomainError(f"nonpositive spectral gap for parameter {row.param}")
 
 
 def _pipeline_row(
@@ -197,16 +206,17 @@ def _pipeline_row(
     t_arr: np.ndarray,
     L: int,
     n_theta: int | None,
-    cache: SpectrumCache | None,
     window: tuple[float, float] | None,
     trunc_tol: float,
 ) -> SweepRow:
-    """Run the scalar pipeline once for one metric and tabulate its row."""
-    rep = torsion_report(metric, L, n_theta, cache, window, trunc_tol=trunc_tol)
+    """Solve one metric's pencil, run the scalar pipeline on it, tabulate its row."""
+    spectrum = compute_spectrum(metric, L, n_theta)
+    rep = torsion_report(
+        SpectralData.of(spectrum, n_theta), metric, window, trunc_tol=trunc_tol
+    )
     th = theta_values(rep.data.eigenvalues, t_arr)
     return SweepRow(
         param=param,
-        lambda1=rep.data.lambda1,
         theta={float(t): float(v) for t, v in zip(t_arr, th)},
         b_minus1=rep.fit.b_minus1,
         b0=rep.fit.b0,
@@ -214,6 +224,7 @@ def _pipeline_row(
             math.nan if limit is None else sup_log_distance(metric, limit)
         ),
         quillen=rep.quillen,
+        spectrum=spectrum,
     )
 
 
@@ -221,12 +232,11 @@ def sweep(
     family: MetricFamily,
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
-    cache: SpectrumCache | None = None,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     n_theta: int | None = None,
 ) -> SweepReport:
-    """Run the scalar pipeline once per family member and once for the limit.
+    """Solve and run the scalar pipeline once per family member and for the limit.
 
     Parameters
     ----------
@@ -238,8 +248,6 @@ def sweep(
         Spectral truncation degree for every metric.
     t_set : tuple of float
         Heat-trace times tabulated per row.
-    cache : SpectrumCache, optional
-        Disk cache for the eigenvalue data.
     window, trunc_tol
         Passed through to the heat-trace fit.
     n_theta : int, optional
@@ -248,9 +256,11 @@ def sweep(
     Returns
     -------
     SweepReport
-        Member rows in parameter order plus the limit's row. A member whose
-        pipeline raises, or whose row is non-finite or has no positive gap,
-        ends the sweep with that error.
+        Member rows in parameter order plus the limit's row; each row keeps
+        its spectrum, solved in process. A member whose pipeline raises, or
+        whose row is non-finite, ends the sweep with that error. A
+        nonpositive gap is not an error here: the ``laplaceTX`` tag of
+        ``convergence_summary`` reports it.
     """
     params = tuple(float(p) for p in family.parameters)
     if len(params) < 1:
@@ -263,20 +273,18 @@ def sweep(
 
     rows: list[SweepRow] = []
     for p, metric in zip(params, family.members):
-        row = _pipeline_row(
-            p, metric, family.limit, t_arr, L, n_theta, cache, window, trunc_tol
-        )
+        row = _pipeline_row(p, metric, family.limit, t_arr, L, n_theta, window, trunc_tol)
         _check_row_finite(row, require_dist=family.limit is not None)
         rows.append(row)
     limit_row = None
     if family.limit is not None:
         limit_row = _pipeline_row(
-            math.inf, family.limit, None, t_arr, L, n_theta, cache, window, trunc_tol
+            math.inf, family.limit, None, t_arr, L, n_theta, window, trunc_tol
         )
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
     return SweepReport(
-        family_id=family.id,
+        family=family,
         L=L,
         t_set=tuple(float(t) for t in t_arr),
         rows=tuple(rows),
@@ -464,41 +472,27 @@ class Lambda1Floor:
     passed: bool
 
 
-def lambda1_floor(
-    family: MetricFamily,
-    report: SweepReport,
-    n_theta: int | None = None,
-) -> Lambda1Floor:
+def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     """Verify the uniform spectral-gap floor lambda1 >= lambda1(ref)/c.
 
-    The gaps come from the sweep ``report`` of ``family``; only the mass
-    blocks, at ``report.L`` with ``n_theta`` colatitude nodes per panel,
-    are assembled here. The reference is the first member; the limit metric
-    joins the rows when present (parameter reported as inf) since the bound
-    must be uniform up to the limit. A report whose rows are not the
-    family's members and limit, in order, is refused.
+    Everything comes from the sweep ``report``: each row's gap and the mass
+    blocks of its solved pencil, so nothing is assembled here. The reference
+    is the first member; the limit metric joins the rows when present
+    (parameter reported as inf) since the bound must be uniform up to the
+    limit.
     """
-    rows_in = list(report.rows)
-    metrics = list(family.members)
-    if report.limit_row is not None:
-        rows_in.append(report.limit_row)
-    if family.limit is not None:
-        metrics.append(family.limit)
-    if [r.quillen.metric_id for r in rows_in] != [m.id for m in metrics]:
-        raise DomainError(
-            f"sweep report of {report.family_id!r} does not line up with the "
-            f"members and limit of family {family.id!r}"
-        )
     if len(report.rows) < 2:
         raise DomainError("lambda1_floor needs at least two members")
+    rows_in = list(report.rows)
+    if report.limit_row is not None:
+        rows_in.append(report.limit_row)
 
-    basis = get_basis(report.L, n_theta)
-    m_ref = mass(basis, metrics[0])
+    m_ref = report.rows[0].spectrum.pair.mass_blocks
     rows: list[Lambda1FloorRow] = []
-    for row, metric in zip(rows_in, metrics):
+    for row in rows_in:
         c_member = max(
             float(pencil_eigh(M_p, M_ref)[0][-1])
-            for M_p, M_ref in zip(mass(basis, metric), m_ref)
+            for M_p, M_ref in zip(row.spectrum.pair.mass_blocks, m_ref)
         )
         rows.append(Lambda1FloorRow(row.param, row.lambda1, c_member))
 
@@ -508,7 +502,7 @@ def lambda1_floor(
     kappa = min(r.lambda1 for r in rows)
     margin = kappa - floor
     return Lambda1Floor(
-        family_id=family.id,
+        family_id=report.family_id,
         L=report.L,
         reference_param=rows[0].param,
         lambda1_ref=lambda1_ref,
@@ -558,33 +552,30 @@ class ResolventReport:
     passed: bool
 
 
-def resolvent_convergence(
-    family: MetricFamily,
-    L: int = 24,
-    n_theta: int | None = None,
-) -> ResolventReport:
+def resolvent_convergence(report: SweepReport) -> ResolventReport:
     """Check resolvents and heat operators are Cauchy along the family.
 
+    The operators are built from the spectra of the sweep ``report``, in the
+    mass inner product of its first member, so no pencil is solved here.
     Consecutive member pairs (from the second member on, matching the
     interpolation domain) are compared in operator norm; each distance must
     stay below c3 times the integrated density variation over the joining
     segment, where c3 is measured on the first pair and frozen with the
     safety factor (0 for a family without density variation, whose
     distances must then stay below the roundoff slack). Differences must not
-    grow, and the distance to the limit member's operator is reported as the
+    grow, and the distance to the limit row's operator is reported as the
     final column.
     """
-    members = family.members
-    params = tuple(float(p) for p in family.parameters)
+    members = report.rows
+    params = tuple(r.param for r in members)
     if len(members) < 3:
         raise DomainError("resolvent_convergence needs at least three members")
 
-    basis = get_basis(L, n_theta)
-    ip_ref = [InnerProduct.from_gram(M) for M in mass(basis, members[0])]
+    ip_ref = [InnerProduct.from_gram(M) for M in members[0].spectrum.pair.mass_blocks]
     xg, wg = np.polynomial.legendre.leggauss(_DELTA_GL_NODES)
 
     def operators_at(k: int) -> tuple[Blocks, Blocks]:
-        spec = compute_spectrum(members[k], L, n_theta)
+        spec = members[k].spectrum
         return resolvent(spec, _RESOLVENT_SHIFT), heat_operator(spec, _HEAT_TIME)
 
     def distance(a: Blocks, b: Blocks) -> float:
@@ -598,7 +589,7 @@ def resolvent_convergence(
         heat_dist = distance(e_prev, e_next)
         mid, half = k + 0.5, 0.5
         delta_int = float(
-            np.sum(wg * half * np.array([delta_X(family, mid + half * x) for x in xg]))
+            np.sum(wg * half * np.array([delta_X(report.family, mid + half * x) for x in xg]))
         )
         raw.append((params[k], params[k + 1], dist, heat_dist, delta_int))
         r_prev, e_prev = r_next, e_next
@@ -642,14 +633,14 @@ def resolvent_convergence(
 
     limit_dist = math.nan
     heat_limit_dist = math.nan
-    if family.limit is not None:
-        spec_lim = compute_spectrum(family.limit, L, n_theta)
+    if report.limit_row is not None:
+        spec_lim = report.limit_row.spectrum
         limit_dist = distance(r_prev, resolvent(spec_lim, _RESOLVENT_SHIFT))
         heat_limit_dist = distance(e_prev, heat_operator(spec_lim, _HEAT_TIME))
 
     return ResolventReport(
-        family_id=family.id,
-        L=L,
+        family_id=report.family_id,
+        L=report.L,
         c3=c3,
         c3_heat=c3_heat,
         rows=tuple(rows),
@@ -778,7 +769,6 @@ def convergence_summary(
     family: MetricFamily,
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
-    cache: SpectrumCache | None = None,
     window: tuple[float, float] | None = None,
     trunc_tol: float = 1e-8,
     variation_u: float = 2.5,
@@ -793,19 +783,19 @@ def convergence_summary(
     lighter ``variation_L`` and its default rule, since they need
     interpolated pencils of their own. Every family member takes part.
 
-    The scalar pipeline runs once per member and once for the limit, all in
-    the sweep; the limit agreement, the gap floor and the determinant checks
-    read its report. A member whose pipeline raises ends the run with that
-    member's own error.
+    Each member's and the limit's pencil is solved once, in the sweep,
+    which also runs the scalar pipeline on it; the limit agreement, the gap
+    floor, the operator limits and the determinant checks read its report.
+    No disk cache is read or written. A member whose pipeline raises ends
+    the run with that member's own error.
     """
     rep = sweep(
-        family, L=L, t_set=t_set, cache=cache,
-        window=window, trunc_tol=trunc_tol, n_theta=n_theta,
+        family, L=L, t_set=t_set, window=window, trunc_tol=trunc_tol, n_theta=n_theta
     )
     cauchy = cauchy_check(rep)
     limit_check = None if rep.limit_row is None else limit_agreement(rep, cauchy)
-    floor = lambda1_floor(family, rep, n_theta=n_theta)
-    resolvents = resolvent_convergence(family, L=L, n_theta=n_theta)
+    floor = lambda1_floor(rep)
+    resolvents = resolvent_convergence(rep)
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
     members = [(r.param, m, r.quillen) for r, m in zip(rep.rows, family.members)]

@@ -69,18 +69,24 @@ _MELLIN_PANELS, _MELLIN_NODES = 48, 20
 _WINDOW_PANELS, _WINDOW_NODES = 24, 16
 
 
+# Above this argument exp(-x), and with it E1(x), underflows to 0.0.
+_E1_UNDERFLOW = 745.2
+
+
 def exp_e1(x):
     """Exponential integral E1 on positive arguments, elementwise.
 
     Power series below 1, modified Lentz continued fraction above; both
-    branches converge to about 1e-15 relative.
+    branches converge to about 1e-15 relative. The continued fraction runs
+    over the whole array at once, and each element stops updating once its
+    factor is within 1e-16 of one. Past ``_E1_UNDERFLOW`` the value is 0.0.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if np.any(x <= 0.0):
         raise DomainError("exp_e1 requires positive arguments")
-    out = np.empty_like(x)
+    out = np.zeros_like(x)
     small = x < 1.0
     if small.any():
         xs = x[small]
@@ -96,34 +102,30 @@ def exp_e1(x):
             if np.all(np.abs(contrib) < 1e-18 * np.maximum(1.0, np.abs(acc))):
                 break
         out[small] = -EULER_GAMMA - np.log(xs) + acc
-    if (~small).any():
-        idx = np.nonzero(~small)[0]
-        for i in idx:
-            out[i] = _e1_cf(float(x[i]))
+    cf = ~small & ~(x > _E1_UNDERFLOW)  # a NaN takes this path and stays NaN
+    if cf.any():
+        xc = x[cf]
+        tiny = 1e-300
+        c = np.full_like(xc, 1.0 / tiny)
+        d = 1.0 / (xc + 1.0)
+        f = d.copy()
+        live = np.arange(xc.size)
+        for j in range(1, 200):
+            a = -float(j * j)
+            b = xc[live] + 2.0 * j + 1.0
+            dl = b + a * d[live]
+            dl[dl == 0.0] = tiny
+            cl = b + a / c[live]
+            cl[cl == 0.0] = tiny
+            dl = 1.0 / dl
+            delta = cl * dl
+            f[live] *= delta
+            d[live], c[live] = dl, cl
+            live = live[~(np.abs(delta - 1.0) < 1e-16)]
+            if live.size == 0:
+                break
+        out[cf] = np.exp(-xc) * f
     return float(out[0]) if scalar else out
-
-
-def _e1_cf(x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for j in range(1, 200):
-        a = -float(j * j)
-        b = x + 2.0 * j + 1.0
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x) * f
 
 
 def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:

@@ -1,13 +1,14 @@
-"""Shared computation pipeline: basis/spectrum caching and scale-aware grids.
+"""Shared computation pipeline: the basis memo, spectrum data and fit grids.
 
-Everything downstream (CLI subcommands, the anomaly module, the convergence
-harness, the acceptance suite) goes through these helpers so that a basis is
-built once per resolution and a pencil is solved once per (metric, basis)
-within a process. The disk cache stores eigenvalues and volume, which is all
-the scalar pipelines (theta, zeta, torsion) need. Operator-level work
-(resolvents, heat operators, the harness checks) recomputes the block
-eigenvectors in process and works on the per-m blocks. No command builds
-an n x n matrix.
+A basis is built once per resolution within a process and shared by every
+metric solved on it. A pencil is solved wherever its spectrum is needed and
+handed on from there: the scalar commands fetch eigenvalues and volume with
+``spectral_data``, which reads and writes the disk cache, and the
+convergence harness builds the same ``SpectralData`` from the spectra its
+sweep solved (``SpectralData.of``), so the harness checks read the
+sweep's eigenvectors and mass blocks instead of solving again.
+``compute_zeta`` runs heat trace -> fit -> zeta data on spectrum data that
+the caller supplies. No command builds an n x n matrix.
 
 Fit windows default to the metric's global scale: rescaling the conformal
 factor by c rescales eigenvalues by 1/c, so the default window carries a
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 _BASIS_CACHE: dict[tuple[int, int], SpectralBasis] = {}
-_SPECTRUM_CACHE: dict[tuple[str, int, int], Spectrum] = {}
 
 
 def _n_theta(L: int, n_theta: int | None) -> int:
@@ -58,7 +58,6 @@ def _n_theta(L: int, n_theta: int | None) -> int:
 
 def clear_process_caches() -> None:
     _BASIS_CACHE.clear()
-    _SPECTRUM_CACHE.clear()
 
 
 def get_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
@@ -71,11 +70,8 @@ def get_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
 def compute_spectrum(
     metric: ConformalMetric, L: int, n_theta: int | None = None
 ) -> Spectrum:
-    """Full spectrum with eigenvectors, memoized per process."""
-    key = (metric.id, L, _n_theta(L, n_theta))
-    if key not in _SPECTRUM_CACHE:
-        _SPECTRUM_CACHE[key] = generalized_eigs(assemble(get_basis(L, n_theta), metric))
-    return _SPECTRUM_CACHE[key]
+    """Full spectrum with eigenvectors: one assembly and one block solve."""
+    return generalized_eigs(assemble(get_basis(L, n_theta), metric))
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,14 @@ class SpectralData:
     def lambda1(self) -> float:
         lam = self.eigenvalues
         return float(lam[lam > 0.0][0])
+
+    @classmethod
+    def of(cls, spectrum: Spectrum, n_theta: int | None = None) -> SpectralData:
+        """The scalar payload of a spectrum solved in process."""
+        return cls(
+            spectrum.metric_id, spectrum.L, _n_theta(spectrum.L, n_theta),
+            spectrum.eigenvalues, spectrum.pair.volume, SOLVER_VERSION, False,
+        )
 
 
 def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
@@ -130,10 +134,10 @@ def spectral_data(
 ) -> SpectralData:
     """Eigenvalues and volume, served from the disk cache when possible.
 
-    The disk lookup runs before any in-process state so a warm cache is
-    exercised honestly; on a miss, or on an entry that fails validation, the
-    spectrum is computed, stored over the entry, and the fresh values
-    returned. Only the blocks are solved: no n x n matrix is built here.
+    On a miss, or on an entry that fails validation, the spectrum is solved
+    (blocks only, no n x n matrix), stored over the entry, and the fresh
+    values returned; ``SpectralData.of`` builds them, as it does for the
+    harness sweep.
     """
     nt = _n_theta(L, n_theta)
     key = spectrum_cache_key(metric.id, L, nt, SOLVER_VERSION)
@@ -141,11 +145,10 @@ def spectral_data(
         hit = _valid_hit(cache.load(key), L)
         if hit is not None:
             return SpectralData(metric.id, L, nt, *hit, SOLVER_VERSION, True)
-    spectrum = compute_spectrum(metric, L, nt)
-    vol = spectrum.pair.volume
+    data = SpectralData.of(compute_spectrum(metric, L, nt), nt)
     if cache is not None:
-        cache.store(key, eigenvalues=spectrum.eigenvalues, volume=np.float64(vol))
-    return SpectralData(metric.id, L, nt, spectrum.eigenvalues, vol, SOLVER_VERSION, False)
+        cache.store(key, eigenvalues=data.eigenvalues, volume=np.float64(data.volume))
+    return data
 
 
 def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:
@@ -181,16 +184,13 @@ def compute_fit(
 
 
 def compute_zeta(
+    data: SpectralData,
     metric: ConformalMetric,
-    L: int,
-    n_theta: int | None = None,
-    cache: SpectrumCache | None = None,
     window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     trunc_tol: float = 1e-8,
-) -> tuple[SpectralData, HeatTraceSamples, AsymptoticFit, ZetaResult]:
-    """The scalar pipeline: spectrum -> heat trace -> fit -> zeta data."""
-    data = spectral_data(metric, L, n_theta, cache)
+) -> tuple[HeatTraceSamples, AsymptoticFit, ZetaResult]:
+    """The scalar pipeline on one metric's spectrum data: heat trace -> fit -> zeta."""
     samples, fit = compute_fit(data, metric, window, trunc_tol)
     result = zeta_result(data.eigenvalues, fit, s_values, metric_id=data.metric_id)
-    return data, samples, fit, result
+    return samples, fit, result

@@ -6,14 +6,13 @@ a few seconds. The operator checks work on the azimuthal blocks, like the
 rest of the package, and the battery needs numpy alone: the exponential
 integral is checked against reference values written out below. The
 convergence checks reuse the harness on a short family and report its
-named tags directly.
+named tags directly. Only the cache check touches a spectrum cache, in a
+temporary directory of its own.
 """
 
 from __future__ import annotations
 
 import time
-
-from .config import RunConfig
 
 __all__ = ["run_selftest"]
 
@@ -99,7 +98,7 @@ def _check_heatzeta() -> None:
 
     from .heatzeta import AsymptoticFit, HeatTraceSamples, exp_e1, fit_asymptotics, geometric_grid, zeta_direct
     from .metrics import fs_metric
-    from .pipeline import compute_zeta
+    from .pipeline import compute_zeta, spectral_data
 
     for x, want in _E1_REFERENCE.items():
         rel = abs(exp_e1(x) - want) / want
@@ -116,7 +115,8 @@ def _check_heatzeta() -> None:
     point = zeta_direct(np.array([0.0, 1.0, 4.0]), 2.0)
     assert abs(point.value - 1.0625) < 1e-15, "zeta(2) of {1, 4}"
 
-    data, _, fit, zres = compute_zeta(fs_metric(), 16)
+    data = spectral_data(fs_metric(), 16)
+    _, fit, zres = compute_zeta(data, fs_metric())
     rel = abs(fit.b_minus1 - data.volume) / data.volume
     assert rel < 0.02, f"leading coefficient vs volume: rel err {rel:.3e}"
     assert zres.error_budget < 0.05, f"round-metric budget {zres.error_budget:.3e}"
@@ -126,10 +126,11 @@ def _check_determinism() -> None:
     import json
 
     from .metrics import pnorm_metric
-    from .pipeline import compute_zeta
+    from .pipeline import compute_zeta, spectral_data
 
     def payload() -> str:
-        data, _, fit, zres = compute_zeta(pnorm_metric(3.0), 16)
+        data = spectral_data(pnorm_metric(3.0), 16)
+        _, fit, zres = compute_zeta(data, pnorm_metric(3.0))
         return json.dumps(
             {
                 "eigenvalues": ["%.17g" % v for v in data.eigenvalues],
@@ -166,9 +167,8 @@ def _check_cache() -> None:
         assert cache.load(key) is None, "corrupted entries must read as misses"
 
 
-def run_selftest(config: RunConfig) -> tuple[dict[str, bool], list[str]]:
+def run_selftest() -> tuple[dict[str, bool], list[str]]:
     """Run the whole battery; returns (tag -> ok, printable detail lines)."""
-    from .cache import SpectrumCache
     from .harness import convergence_summary
     from .metrics import pnorm_family
 
@@ -197,13 +197,7 @@ def run_selftest(config: RunConfig) -> tuple[dict[str, bool], list[str]]:
     family = pnorm_family(params=(1.0, 2.0, 3.0))
     start = time.monotonic()
     try:
-        summary = convergence_summary(
-            family,
-            L=16,
-            cache=SpectrumCache(config.cache_dir),
-            variation_u=1.5,
-            variation_L=10,
-        )
+        summary = convergence_summary(family, L=16, variation_u=1.5, variation_L=10)
         tags.update(summary.tags)
         for tag, ok in summary.tags.items():
             details.append(

@@ -1,9 +1,10 @@
 """Shared fixtures for the test suite.
 
-One disk spectrum cache is shared by the whole session so repeated
-eigensolves at the same resolution cost a file read instead of an assembly
-and a block solve. Tests that need a cold start create their own
-directories.
+One disk spectrum cache is shared by the whole session, so the scalar
+pipeline (``spectral_data``, and the CLI commands that call it) reads a
+spectrum solved by an earlier test instead of assembling and solving again.
+The convergence harness does not use it: a sweep solves its own pencils in
+process. Tests that need a cold start create their own directories.
 """
 
 import pytest

@@ -66,6 +66,34 @@ def e1(x: float) -> float:
     return float(mp.e1(mp.mpf(x)))
 
 
+def e1_continued_fraction(x: float) -> float:
+    """E1(x) for x >= 1 by the scalar modified Lentz continued fraction.
+
+    The one-element-at-a-time loop that the vectorized ``exp_e1`` replaces:
+    the same recurrence and stopping rule, with ``math.exp``.
+    """
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    f = d
+    for j in range(1, 200):
+        a = -float(j * j)
+        b = x + 2.0 * j + 1.0
+        d = b + a * d
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return math.exp(-x) * f
+
+
 def sup_log_pnorm_to_max(p: float) -> float:
     """sup over the sphere of |log(lambda_pnorm(p) / lambda_max)|.
 

@@ -48,7 +48,8 @@ def zeta32(cache):
         ("max", max_metric()),
         ("fs", fs_metric()),
     ]:
-        data, _, fit, zres = compute_zeta(metric, 32, cache=cache)
+        data = spectral_data(metric, 32, cache=cache)
+        _, fit, zres = compute_zeta(data, metric)
         out[key] = (data, fit, zres)
     return out
 
@@ -101,10 +102,13 @@ def test_ac02_round_metric_multiplets(tmp_path):
 
 
 def test_ac03_scaling_laws(cache):
-    base_data, _, base_fit, base_z = compute_zeta(pnorm_metric(3.0), 24, cache=cache)
+    base_data = spectral_data(pnorm_metric(3.0), 24, cache=cache)
+    _, base_fit, base_z = compute_zeta(base_data, pnorm_metric(3.0))
     worst_eig, worst_bm1, worst_gap = 0.0, 0.0, 0.0
     for t0 in (0.5, 2.0, 10.0):
-        data, _, fit, zres = compute_zeta(scaled_metric(t0, pnorm_metric(3.0)), 24, cache=cache)
+        scaled = scaled_metric(t0, pnorm_metric(3.0))
+        data = spectral_data(scaled, 24, cache=cache)
+        _, fit, zres = compute_zeta(data, scaled)
         expected = base_data.eigenvalues[1:] / t0
         eig_rel = float(np.max(np.abs(data.eigenvalues[1:] - expected) / expected))
         assert eig_rel <= 1e-10, f"t0={t0}: eigenvalue scaling off by {eig_rel:.2e}"
@@ -129,7 +133,8 @@ def test_ac03_scaling_laws(cache):
 
 def test_ac04_mellin_consistency(cache, zeta32):
     worst_rel = 0.0
-    data3, _, fit3, _ = compute_zeta(pnorm_metric(3.0), 32, cache=cache)
+    data3 = spectral_data(pnorm_metric(3.0), 32, cache=cache)
+    _, fit3, _ = compute_zeta(data3, pnorm_metric(3.0))
     cases = {"pnorm:3": (data3, fit3), "fs": (zeta32["fs"][0], zeta32["fs"][1])}
     for name, (data, fit) in cases.items():
         lam = data.eigenvalues
@@ -155,10 +160,11 @@ def test_ac05_two_route_quillen(cache):
     assert sign in (-1, 1)
     gaps = []
     fs = fs_metric()
-    q_fs = torsion_report(fs, L=32, cache=cache).quillen
+    q_fs = torsion_report(spectral_data(fs, 32, cache=cache), fs).quillen
     for p in (2.0, 4.0, 8.0):
         metric = pnorm_metric(p)
-        r = two_route_check(fs, q_fs, metric, torsion_report(metric, L=32, cache=cache).quillen)
+        q_p = torsion_report(spectral_data(metric, 32, cache=cache), metric).quillen
+        r = two_route_check(fs, q_fs, metric, q_p)
         assert r.tolerance >= 1e-3
         assert r.gap <= r.tolerance, f"(fs, pnorm:{p:g}): gap {r.gap:.3e} > {r.tolerance:.3e}"
         assert r.passed
@@ -245,7 +251,7 @@ def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
 
 def test_ac07_lambda1_floor(cache):
     fam = pnorm_family(list(SWEEP_P))
-    floor = lambda1_floor(fam, sweep(fam, L=32, cache=cache))
+    floor = lambda1_floor(sweep(fam, L=32))
     assert floor.passed
     assert floor.margin > 0.0
     report(

@@ -35,7 +35,7 @@ from zetasphere.metrics import (
     scaled_metric,
     volume,
 )
-from zetasphere.pipeline import compute_zeta
+from zetasphere.pipeline import spectral_data
 from zetasphere.quadrature import build_quadrature
 
 
@@ -104,7 +104,7 @@ def test_l2_metric_log_is_log_volume():
 
 def test_quillen_log_assembly(cache):
     metric = pnorm_metric(2.0)
-    _, _, _, zres = compute_zeta(metric, 16, cache=cache)
+    zres = _torsion(metric, 16, cache).zeta
     qd = quillen_log(metric, zres)
     assert qd.metric_id == "pnorm:2"
     assert qd.sign_convention == SIGN_CONVENTION == 1
@@ -131,10 +131,10 @@ def test_spectral_route_scaling_slope(cache):
     """
     t0 = 10.0
     metric = pnorm_metric(2.0)
-    _, _, _, z_base = compute_zeta(metric, 16, cache=cache)
+    z_base = _torsion(metric, 16, cache).zeta
     q_base = quillen_log(metric, z_base)
     scaled = scaled_metric(t0, pnorm_metric(2.0))
-    _, _, _, z_scaled = compute_zeta(scaled, 16, cache=cache)
+    z_scaled = _torsion(scaled, 16, cache).zeta
     q_scaled = quillen_log(scaled, z_scaled)
     spectral = q_scaled.log_quillen - q_base.log_quillen
     assert spectral == pytest.approx(
@@ -145,8 +145,12 @@ def test_spectral_route_scaling_slope(cache):
     assert curvature == pytest.approx(math.log(t0) / 3.0, rel=1e-12)
 
 
+def _torsion(metric, L, cache):
+    return torsion_report(spectral_data(metric, L, cache=cache), metric)
+
+
 def _quillen(metric, L, cache):
-    return torsion_report(metric, L=L, cache=cache).quillen
+    return _torsion(metric, L, cache).quillen
 
 
 def _members(family, L, cache):
@@ -211,7 +215,7 @@ def test_quillen_limit_takes_computed_members(cache):
     (as does two_route_check)."""
     fam = pnorm_family([2.0, 4.0])
     metrics = fam.members
-    rows = sweep(fam, L=16, cache=cache).rows
+    rows = sweep(fam, L=16).rows
     members = [(r.param, m, r.quillen) for r, m in zip(rows, metrics)]
     out = quillen_limit(fam.id, members)
     assert [r.param for r in out.rows] == [2.0, 4.0]
@@ -219,7 +223,7 @@ def test_quillen_limit_takes_computed_members(cache):
     assert out.sign_convention == SIGN_CONVENTION
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [])
-    flipped = quillen_log(metrics[1], torsion_report(metrics[1], L=16, cache=cache).zeta, sign=-1)
+    flipped = quillen_log(metrics[1], _torsion(metrics[1], 16, cache).zeta, sign=-1)
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [members[0], (4.0, metrics[1], flipped)])
     with pytest.raises(DomainError):
@@ -248,7 +252,7 @@ def test_limit_agreement_between_families(cache):
 
 
 def test_torsion_report_consistency(cache):
-    report = torsion_report(pnorm_metric(3.0), L=16, cache=cache)
+    report = _torsion(pnorm_metric(3.0), 16, cache)
     assert report.data.metric_id == "pnorm:3"
     assert report.zeta.metric_id == "pnorm:3"
     assert report.quillen.vol == report.data.volume

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import zetasphere
-from zetasphere import pipeline
+from zetasphere import harness, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, default_cache_dir
 from zetasphere.cli import _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, override, parse_config, validated
+from zetasphere.discretize import build_basis, mass
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.pipeline import clear_process_caches
@@ -360,18 +361,23 @@ def test_cli_anomaly(tmp_path, cache, capsys):
         assert pair["gap"] <= pair["tolerance"]
 
 
-def test_cli_converge(tmp_path, cache, capsys):
+def test_cli_converge(tmp_path, capsys):
+    """converge passes every tag, leaves its cache directory empty, and two
+    runs write byte-identical files."""
     config_path = tmp_path / "fam.ini"
     config_path.write_text(
         "[run]\nL = 16\n\n[family]\nname = pnorm\nparameters = 1, 2, 3, 4\n"
     )
-    code, out, err = run_cli(["converge", "-c", str(config_path)], tmp_path, cache.root, capsys)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    out_dir = tmp_path / "first"
+    code, out, err = run_cli(["converge", "-c", str(config_path)], out_dir, cache_dir, capsys)
     assert code == 0 and err == ""
     for tag in THEOREM_TAGS:
         assert f"converge ok   {tag}" in out
     assert "converge FAIL" not in out
 
-    rows = (tmp_path / "converge.csv").read_text().splitlines()
+    rows = (out_dir / "converge.csv").read_text().splitlines()
     assert rows[0] == (
         "param,vol,lambda1,theta_t0.5,theta_t1,theta_t2,"
         "b_minus1,b0,zeta_prime0,log_quillen,sup_log_dist_to_limit"
@@ -379,22 +385,40 @@ def test_cli_converge(tmp_path, cache, capsys):
     assert len(rows) == 5
     assert [float(r.split(",")[0]) for r in rows[1:]] == [1.0, 2.0, 3.0, 4.0]
 
-    quillen_rows = (tmp_path / "converge_quillen.csv").read_text().splitlines()
+    quillen_rows = (out_dir / "converge_quillen.csv").read_text().splitlines()
     assert quillen_rows[0] == "p,vol,zeta_prime0,log_quillen,diff_to_prev,bound"
     assert len(quillen_rows) == 5
 
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary["tags"]) == set(THEOREM_TAGS)
     assert all(summary["tags"].values())
     assert summary["passed"] is True and summary["failed"] == []
     assert "sweep_failures" not in summary["detail"]
     assert summary["detail"]["floor"]["margin"] > 0.0
 
+    assert list(cache_dir.iterdir()) == []
+    code, _, _ = run_cli(["converge", "-c", str(config_path)], tmp_path / "second", cache_dir, capsys)
+    assert code == 0
+    for name in ("converge.csv", "converge_quillen.csv", "summary.json"):
+        assert (out_dir / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
+    assert list(cache_dir.iterdir()) == []
 
-def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, capsys):
-    """[run] n_theta sets the basis of every degree-L solve of both commands:
-    their cache entries differ from a default run's, and every tag holds."""
+
+def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, monkeypatch, capsys):
+    """[run] n_theta sets the basis of every degree-L solve of anomaly and of
+    converge's sweep, and every tag holds. anomaly's cache entries differ from a default run's;
+    converge writes none, so the mass blocks of its sweep's spectra must be
+    those of the requested rule."""
+    reports = []
+    real_sweep = harness.sweep
+
+    def keep_report(*args, **kwargs):
+        reports.append(real_sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "sweep", keep_report)
     family = "\n\n[family]\nname = pnorm\nparameters = 1, 2, 3, 4\n"
+    rules = {"default": 34, "fine": 36}
     for name, run_block in (("default", "[run]\nL = 16"), ("fine", "[run]\nL = 16\nn_theta = 36")):
         config_path = tmp_path / f"{name}.ini"
         config_path.write_text(run_block + family)
@@ -408,13 +432,19 @@ def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, capsys):
         assert json.loads((tmp_path / name / "anomaly" / "anomaly.json").read_text())["passed"]
         tags = json.loads((tmp_path / name / "converge" / "summary.json").read_text())["tags"]
         assert set(tags) == set(THEOREM_TAGS) and all(tags.values()), (name, tags)
-    for command in ("anomaly", "converge"):
-        keys = {
-            name: {p.name for p in (tmp_path / name / f"cache-{command}").glob("*.npz")}
-            for name in ("default", "fine")
-        }
-        assert keys["default"] and keys["fine"], command
-        assert not keys["default"] & keys["fine"], command
+        assert not (tmp_path / name / "cache-converge").exists()
+
+        rep = reports.pop()
+        basis = build_basis(16, rules[name])
+        for row, metric in zip((*rep.rows, rep.limit_row), (*rep.family.members, rep.family.limit)):
+            want = mass(basis, metric)
+            assert all(np.array_equal(a, b) for a, b in zip(row.spectrum.pair.mass_blocks, want))
+    keys = {
+        name: {p.name for p in (tmp_path / name / "cache-anomaly").glob("*.npz")}
+        for name in rules
+    }
+    assert keys["default"] and keys["fine"]
+    assert not keys["default"] & keys["fine"]
 
 
 def test_cli_selftest(tmp_path, cache, capsys):
@@ -551,7 +581,7 @@ def test_torsion_runs_at_L128(tmp_path):
 
 
 def test_converge_runs_at_L64(tmp_path):
-    """converge at L = 64 from a cold cache passes every tag in under 1 GB."""
+    """converge at L = 64 passes every tag in under 1 GB."""
     result = run_python(
         _RSS_PROBE, "converge", "--L", "64",
         "--output-dir", "out", "--cache-dir", "cache", cwd=tmp_path,

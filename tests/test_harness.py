@@ -6,14 +6,16 @@ finite differences of resolvent/heat operators along the interpolation
 parameter (for the variation bounds with a frozen constant).
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from zetasphere import pipeline
+from zetasphere import discretize, harness, pipeline
 from zetasphere.anomaly import calibrate_sign
+from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.discretize import (
     build_basis,
@@ -21,7 +23,7 @@ from zetasphere.discretize import (
     mass_log_variation,
     stiffness,
 )
-from zetasphere.eigensolve import resolvent
+from zetasphere.eigensolve import Spectrum, resolvent
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
     DUHAMEL_RATIO_TOL,
@@ -81,9 +83,9 @@ def test_theorem_tags_frozen():
     assert DUHAMEL_RATIO_TOL == 1e-4
 
 
-def test_sweep_rows(cache):
+def test_sweep_rows():
     fam = pnorm_family([1.0, 2.0, 3.0])
-    rep = sweep(fam, L=16, cache=cache)
+    rep = sweep(fam, L=16)
     assert rep.family_id == "pnorm"
     assert rep.limit_row.param == math.inf
     assert rep.limit_row.quillen.metric_id == "max"
@@ -102,7 +104,7 @@ def test_sweep_rows(cache):
         assert dist == pytest.approx(2.0 * math.log(2.0) * abs(1 / p - 1 / q), abs=1e-12)
 
 
-def test_sweep_validation(cache):
+def test_sweep_validation():
     fam = pnorm_family([1.0, 2.0, 3.0])
     descending = MetricFamily(
         id="pnorm-descending",
@@ -110,14 +112,14 @@ def test_sweep_validation(cache):
         parameters=(3.0, 2.0),
     )
     with pytest.raises(DomainError):
-        sweep(descending, L=16, cache=cache)
+        sweep(descending, L=16)
     with pytest.raises(DomainError):
-        sweep(fam, L=16, t_set=(), cache=cache)
+        sweep(fam, L=16, t_set=())
     with pytest.raises(DomainError):
-        sweep(fam, L=16, t_set=(0.5, 0.0), cache=cache)
+        sweep(fam, L=16, t_set=(0.5, 0.0))
 
 
-def test_sweep_raises_member_failure(cache):
+def test_sweep_raises_member_failure():
     """A member whose pipeline raises ends the sweep, and the summary, with
     that member's own error."""
     fam = MetricFamily(
@@ -126,13 +128,13 @@ def test_sweep_raises_member_failure(cache):
         parameters=(1.0, 2.0, 3.0),
     )
     with pytest.raises(InvalidMetricError, match="broken"):
-        sweep(fam, L=16, cache=cache)
+        sweep(fam, L=16)
     with pytest.raises(InvalidMetricError, match="broken"):
-        convergence_summary(fam, L=16, cache=cache)
+        convergence_summary(fam, L=16)
 
 
-def test_cauchy_check_passes_on_smoothing_family(cache):
-    rep = sweep(pnorm_family([2.0, 4.0, 8.0]), L=16, cache=cache)
+def test_cauchy_check_passes_on_smoothing_family():
+    rep = sweep(pnorm_family([2.0, 4.0, 8.0]), L=16)
     cy = cauchy_check(rep)
     assert cy.passed
     assert cy.violations == ()
@@ -151,9 +153,9 @@ def test_cauchy_check_passes_on_smoothing_family(cache):
         )
 
 
-def test_cauchy_check_constant_family(cache):
+def test_cauchy_check_constant_family():
     """Zero distances force zero differences up to the recorded slack."""
-    rep = sweep(constant_family(3), L=16, cache=cache)
+    rep = sweep(constant_family(3), L=16)
     assert rep.pair_dist == (0.0, 0.0)
     cy = cauchy_check(rep)
     assert cy.passed
@@ -162,15 +164,15 @@ def test_cauchy_check_constant_family(cache):
         assert max(col.diffs) == 0.0
 
 
-def test_cauchy_check_needs_two_rows(cache):
-    rep = sweep(pnorm_family([2.0]), L=16, cache=cache)
+def test_cauchy_check_needs_two_rows():
+    rep = sweep(pnorm_family([2.0]), L=16)
     with pytest.raises(DomainError):
         cauchy_check(rep)
 
 
-def test_limit_agreement(cache):
+def test_limit_agreement():
     fam = pnorm_family([2.0, 4.0, 8.0])
-    rep = sweep(fam, L=16, cache=cache)
+    rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
     la = limit_agreement(rep, cy)
     assert la.limit_id == "max"
@@ -183,19 +185,19 @@ def test_limit_agreement(cache):
         assert col.allowance > 0.0
 
 
-def test_limit_agreement_needs_limit(cache):
+def test_limit_agreement_needs_limit():
     fam = constant_family(3)
-    rep = sweep(fam, L=16, cache=cache)
+    rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
     assert rep.limit_row is None
     with pytest.raises(DomainError):
         limit_agreement(rep, cy)
 
 
-def test_lambda1_floor(cache):
+def test_lambda1_floor():
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
-    rep = sweep(fam, L=16, cache=cache)
-    fl = lambda1_floor(fam, rep)
+    rep = sweep(fam, L=16)
+    fl = lambda1_floor(rep)
     assert fl.passed
     assert fl.reference_param == 1.0
     assert fl.rows[0].c_member == pytest.approx(1.0, rel=1e-12)
@@ -207,16 +209,14 @@ def test_lambda1_floor(cache):
     assert [r.lambda1 for r in fl.rows] == [r.lambda1 for r in (*rep.rows, rep.limit_row)]
     single = pnorm_family([2.0])
     with pytest.raises(DomainError):
-        lambda1_floor(single, sweep(single, L=16, cache=cache))
-    with pytest.raises(DomainError, match="line up"):
-        lambda1_floor(pnorm_family([1.0, 2.0, 3.0]), rep)
+        lambda1_floor(sweep(single, L=16))
 
 
-def test_lambda1_floor_matches_dense_gram_pencil(cache):
+def test_lambda1_floor_matches_dense_gram_pencil():
     """Each c_member, a max over the azimuthal blocks, against the top
     eigenvalue of the dense Gram pencil (M_p, M_ref), to 1e-12 relative."""
     fam = pnorm_family([1.0, 2.0, 3.0])
-    fl = lambda1_floor(fam, sweep(fam, L=16, cache=cache))
+    fl = lambda1_floor(sweep(fam, L=16))
     basis = build_basis(16)
     m_ref = mass(basis, fam.members[0])
     for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
@@ -254,7 +254,7 @@ def test_minmax_oracle_for_gap_floor():
 
 def test_resolvent_convergence():
     fam = pnorm_family(count=5)
-    res = resolvent_convergence(fam, L=12)
+    res = resolvent_convergence(sweep(fam, L=16))
     assert res.passed and res.resolvent_ok and res.heat_ok
     assert res.failures == ()
     assert len(res.rows) == 3  # pairs (2,3), (3,4), (4,5)
@@ -270,7 +270,7 @@ def test_resolvent_convergence():
     assert math.isfinite(res.limit_dist) and res.limit_dist > 0.0
     assert math.isfinite(res.heat_limit_dist)
     with pytest.raises(DomainError):
-        resolvent_convergence(pnorm_family([1.0, 2.0]), L=12)
+        resolvent_convergence(sweep(pnorm_family([1.0, 2.0]), L=16))
 
 
 def test_operator_derivative_bounded_by_density_variation():
@@ -351,9 +351,9 @@ def test_duhamel_at_and_refinement():
     assert refined.ratio < base.ratio
 
 
-def test_convergence_summary_smoothing_family(cache):
+def test_convergence_summary_smoothing_family():
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
-    summary = convergence_summary(fam, L=16, cache=cache)
+    summary = convergence_summary(fam, L=16)
     assert summary.passed
     assert summary.failed_tags == ()
     assert set(summary.tags) == set(THEOREM_TAGS)
@@ -369,38 +369,65 @@ def test_convergence_summary_smoothing_family(cache):
 
 
 def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
-    """Every command fits each distinct metric once: the checks read the
-    results the sweep (or the per-member pass of anomaly) computed. The
-    sweep also fetches each spectrum once: ``convergence_summary`` makes
-    one ``spectral_data`` call, hence one disk load, per metric, with or
-    without the spectra in process."""
+    """Every command solves and fits each distinct metric once: the checks
+    read the results the sweep (or the per-member pass of anomaly) computed.
+    ``convergence_summary`` solves each (metric, L) pencil once, reads no
+    disk cache, and its gap floor and operator limits neither assemble a
+    mass block nor solve a pencil: they read the sweep's spectra."""
     fitted: list[str] = []
+    solved: list[tuple[str, int]] = []
     loads: list[str] = []
+    in_checks: list[str] = []
+    inside = [False]
     real_fit = pipeline.compute_fit
-    real_load = type(cache).load
+    real_eigs = pipeline.generalized_eigs
+    real_load = SpectrumCache.load
 
     def counting_fit(data, metric, *args, **kwargs):
         fitted.append(metric.id)
         return real_fit(data, metric, *args, **kwargs)
 
+    def counting_eigs(pair):
+        solved.append((pair.metric_id, pair.L))
+        return real_eigs(pair)
+
     def counting_load(self, key):
         loads.append(key)
         return real_load(self, key)
 
+    def flagged(fn):
+        def wrapper(*args, **kwargs):
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return wrapper
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                in_checks.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(pipeline, "compute_fit", counting_fit)
-    monkeypatch.setattr(type(cache), "load", counting_load)
+    monkeypatch.setattr(pipeline, "generalized_eigs", counting_eigs)
+    monkeypatch.setattr(SpectrumCache, "load", counting_load)
+    for check in ("lambda1_floor", "resolvent_convergence"):
+        monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))
+    for module in (discretize, pipeline, harness):
+        for name in ("mass", "compute_spectrum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
     members = [f"pnorm:{p}" for p in range(1, 7)]
 
-    convergence_summary(pnorm_family(), L=16, cache=cache)
+    convergence_summary(pnorm_family(), L=16)
     assert fitted == [*members, "max"]
-    assert len(set(loads)) == len(loads) == 7
-
-    fitted.clear()
-    loads.clear()
-    pipeline.clear_process_caches()
-    convergence_summary(pnorm_family(), L=16, cache=cache)
-    assert fitted == [*members, "max"]
-    assert len(set(loads)) == len(loads) == 7
+    assert len(set(solved)) == len(solved)
+    assert {(m, 16) for m in [*members, "max"]} <= set(solved)
+    assert loads == []
+    assert in_checks == []
 
     fitted.clear()
     code = main(["anomaly", "--L", "16", "--output-dir", str(tmp_path),
@@ -414,9 +441,32 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     assert fitted == ["fs", "pnorm:2"]
 
 
-def test_convergence_summary_constant_family(cache):
+def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):
+    """A member without a positive spectral gap is a failed laplaceTX check:
+    converge writes its summary and exits 3 naming the tag."""
+    real_gap = Spectrum.lambda1.fget
+
+    def gap(spectrum):
+        return 0.0 if spectrum.metric_id == "pnorm:2" else real_gap(spectrum)
+
+    monkeypatch.setattr(Spectrum, "lambda1", property(gap))
+    config_path = tmp_path / "fam.ini"
+    config_path.write_text("[run]\nL = 16\n\n[family]\nname = pnorm\nparameters = 1, 2, 3, 4\n")
+    code = main(["converge", "-c", str(config_path), "--output-dir", str(tmp_path / "out"),
+                 "--cache-dir", str(tmp_path / "cache")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "laplaceTX" in err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["tags"]["laplaceTX"] is False
+    assert "laplaceTX" in summary["failed"]
+    lambda1 = [row.split(",")[2] for row in (tmp_path / "out" / "converge.csv").read_text().splitlines()]
+    assert lambda1[2] == "0"
+
+
+def test_convergence_summary_constant_family():
     """A family of identical members exercises every degenerate branch."""
-    summary = convergence_summary(constant_family(4), L=16, cache=cache)
+    summary = convergence_summary(constant_family(4), L=16)
     assert summary.passed
     assert summary.limit_check is None  # no limit member
     assert summary.resolvents.c3 == 0.0  # zero density variation

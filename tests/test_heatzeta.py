@@ -70,6 +70,20 @@ def test_exp_e1_against_mpmath():
     assert np.abs(got - want).max() < 1e-14 * np.maximum(1.0, np.abs(want)).max()
 
 
+def test_exp_e1_matches_scalar_continued_fraction():
+    """Above 1 the array recurrence agrees with the scalar loop to a few
+    ulps (only exp(-x) is evaluated by a different routine), and it is
+    exactly 0.0 wherever the loop underflows to 0.0."""
+    xs = np.concatenate([
+        np.geomspace(1.0, 2000.0, 4000), [744.4, 745.1, 745.13, 745.14, 745.2, 745.21]
+    ])
+    got = exp_e1(xs)
+    want = np.array([oracles.e1_continued_fraction(x) for x in xs])
+    assert np.array_equal(got == 0.0, want == 0.0)
+    live = want > 0.0
+    assert np.all(np.abs(got[live] - want[live]) <= 4 * np.finfo(float).eps * want[live])
+
+
 def test_exp_e1_scalar_and_domain():
     v = exp_e1(1.0)
     assert isinstance(v, float)
@@ -363,17 +377,24 @@ def test_zeta_result_bundle():
 # ------------------------------------------------- pipeline and scaling
 
 
+def _fit_and_zeta(metric, L, cache=None):
+    """(SpectralData, AsymptoticFit, ZetaResult) of one metric at degree L."""
+    data = spectral_data(metric, L, cache=cache)
+    _, fit, zres = compute_zeta(data, metric)
+    return data, fit, zres
+
+
 def test_pipeline_scaling_covariance():
     """Rescaling the metric by t0 rescales b_-1 by t0 and keeps b_0."""
     base_metric = pnorm_metric(3.0)
-    _, _, fit_base, _ = compute_zeta(base_metric, 16)
+    _, fit_base, _ = _fit_and_zeta(base_metric, 16)
     for t0 in (0.5, 2.0):
         scaled = scaled_metric(t0, pnorm_metric(3.0))
         assert default_fit_window(scaled) == (
             pytest.approx(DEFAULT_FIT_WINDOW[0] * t0),
             pytest.approx(DEFAULT_FIT_WINDOW[1] * t0),
         )
-        _, _, fit_scaled, _ = compute_zeta(scaled, 16)
+        _, fit_scaled, _ = _fit_and_zeta(scaled, 16)
         assert fit_scaled.b_minus1 == pytest.approx(t0 * fit_base.b_minus1, rel=1e-9)
         assert fit_scaled.b0 == pytest.approx(fit_base.b0, abs=1e-8)
 
@@ -383,7 +404,7 @@ def test_round_metric_continuum_zeta_prime(cache):
     want = oracles.round_zeta_prime0()
     gaps = {}
     for L in (24, 32):
-        _, _, _, result = compute_zeta(fs_metric(), L, cache=cache)
+        _, _, result = _fit_and_zeta(fs_metric(), L, cache)
         gaps[L] = abs(result.zeta_prime0 - want)
     assert gaps[32] < 1e-3
     assert gaps[32] < gaps[24]
@@ -391,14 +412,14 @@ def test_round_metric_continuum_zeta_prime(cache):
 
 def test_round_metric_b_minus1_per_volume(cache):
     """The 1/t coefficient per unit volume, calibrated against the round metric."""
-    data, _, fit, _ = compute_zeta(fs_metric(), 32, cache=cache)
+    data, fit, _ = _fit_and_zeta(fs_metric(), 32, cache)
     assert fit.b_minus1 / data.volume == pytest.approx(1.0, rel=2e-2)
 
 
 def test_round_metric_fit_window_needs_resolution():
     with pytest.raises(FitWindowError):
-        compute_zeta(fs_metric(), 10)
-    _, _, fit, _ = compute_zeta(fs_metric(), 16)
+        _fit_and_zeta(fs_metric(), 10)
+    _, fit, _ = _fit_and_zeta(fs_metric(), 16)
     assert fit.window_effective[0] > DEFAULT_FIT_WINDOW[0]
 
 
@@ -517,17 +538,15 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     [("scaled:1.2345671:fs", "scaled:1.2345672:fs"), ("pnorm:3", "pnorm:3.0000001")],
 )
 def test_close_specs_get_distinct_spectra(tmp_path, specs):
-    """Specs 1e-7 apart are distinct metrics in the process memo and on disk."""
+    """Specs 1e-7 apart solve to distinct spectra with distinct disk entries."""
     from zetasphere.cache import SpectrumCache
     from zetasphere.metrics import parse_metric_spec
 
     a, b = (parse_metric_spec(spec) for spec in specs)
     assert a.id != b.id
-    clear_process_caches()
     lam_a = compute_spectrum(a, 6).eigenvalues
     lam_b = compute_spectrum(b, 6).eigenvalues
     assert not np.array_equal(lam_a, lam_b)
-    clear_process_caches()
     cache = SpectrumCache(tmp_path)
     first = spectral_data(a, 6, cache=cache)
     second = spectral_data(b, 6, cache=cache)
