@@ -25,7 +25,6 @@ _EXPORTS = {
     "IndefiniteMassError": "errors",
     "InvalidMetricError": "errors",
     "UnsupportedPointError": "errors",
-    "ChartPoint": "metrics",
     "ConformalMetric": "metrics",
     "MetricFamily": "metrics",
     "fs_metric": "metrics",

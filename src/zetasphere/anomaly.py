@@ -45,9 +45,7 @@ from .cache import SpectrumCache
 from .errors import DomainError, UnsupportedPointError
 from .heatzeta import AsymptoticFit, HeatTraceSamples, ZetaResult
 from .metrics import (
-    ChartPoint,
     ConformalMetric,
-    chern_c1,
     fs_metric,
     pnorm_metric,
     sup_log_distance,
@@ -63,7 +61,6 @@ __all__ = [
     "TWO_ROUTE_BUDGET_FACTOR",
     "bott_chern_integral",
     "bott_chern_bound",
-    "l2_metric_log",
     "QuillenData",
     "quillen_log",
     "TwoRouteReport",
@@ -100,16 +97,14 @@ def _default_quadrature() -> QuadratureRule:
 
 
 def _c1_on_radii(metric: ConformalMetric, r: np.ndarray) -> np.ndarray:
-    """Pointwise curvature density on chart-0 radii, refusing kinked factors."""
+    """Pointwise curvature density on radii, refusing kinked factors."""
     if metric.kink_radii:
         raise UnsupportedPointError(
             f"metric {metric.id!r} concentrates curvature on |z| in "
             f"{metric.kink_radii}; the anomaly integrand needs a pointwise "
             "density, so pass a smooth approximating family member instead"
         )
-    if metric.has_analytic_c1:
-        return metric.c1_density(r.astype(complex))
-    return np.array([chern_c1(metric, ChartPoint(0, complex(ri))) for ri in r])
+    return metric.c1_density(r)
 
 
 def bott_chern_integral(
@@ -128,8 +123,7 @@ def bott_chern_integral(
     if quad is None:
         quad = _default_quadrature()
     r = quad.radii_theta
-    zc = r.astype(complex)
-    dlog = metric_p.log_density(zc) - metric_q.log_density(zc)
+    dlog = metric_p.log_density(r) - metric_q.log_density(r)
     c1_sum = _c1_on_radii(metric_p, r) + _c1_on_radii(metric_q, r)
     jac = (1.0 + r**2) ** 2
     return float(-np.sum(quad.weights_theta * jac * dlog * c1_sum) / 12.0)
@@ -143,16 +137,6 @@ def bott_chern_bound(metric_p: ConformalMetric, metric_q: ConformalMetric) -> fl
     jac = (1.0 + r**2) ** 2
     k = float(np.sum(quad.weights_theta * jac * c1_abs) / 12.0)
     return k * sup_log_distance(metric_p, metric_q)
-
-
-def l2_metric_log(metric: ConformalMetric) -> float:
-    """log of the determinant of the constant-section Gram matrix: log vol.
-
-    The constant section has squared norm vol(metric) and the degree-one
-    cohomology is trivial at genus zero, so the full l2 factor is just the
-    volume.
-    """
-    return math.log(volume(metric, _default_quadrature()))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ matrices represent the operator pencil:
 
 * the stiffness matrix K of the Dirichlet form, which does not depend on the
   metric at all (the form is conformally invariant in complex dimension one),
-  assembled once per basis in chart coordinates;
+  assembled once per basis in the plane coordinate z;
 * the mass matrix M of the metric area form, whose density ratio against the
   round probability measure is ``lambda(z) (1 + |z|^2)^2``.
 
@@ -108,9 +108,9 @@ def block_rows(L: int):
 def stiffness(basis: SpectralBasis) -> Blocks:
     """Dirichlet-form blocks K_m; metric independent, cached on the basis.
 
-    Assembled in chart coordinates: the pairing of f and g is the quadrature
-    of (df/dr dg/dr + r^-2 df/dphi dg/dphi) r^2-free chart gradient against
-    the weight (1+r^2)^2 / 4 per round-measure node, which is the real form
+    Assembled in the plane coordinate z: the pairing of f and g is the
+    quadrature of the flat gradient pairing (df/dr dg/dr + r^-2 df/dphi
+    dg/dphi) against the weight (1+r^2)^2 / 4 per round-measure node, which is the real form
     of the normalized d/dz-dbar pairing. Row and column 0 of K_0 vanish since
     the constant has no Dirichlet energy.
     """
@@ -163,7 +163,7 @@ def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Blocks:
 def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
     """Density ratio ``lambda(z) (1+|z|^2)^2`` on the colatitude nodes."""
     r = basis.quad.radii_theta
-    log_ratio = metric.log_density(r.astype(complex), 0) + 2.0 * np.log1p(r * r)
+    log_ratio = metric.log_density(r) + 2.0 * np.log1p(r * r)
     return np.exp(log_ratio)
 
 
@@ -192,7 +192,7 @@ def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
     members where the blend is stationary.
     """
     r = basis.quad.radii_theta
-    dlog = metric.d_log_density_du(r.astype(complex), 0)
+    dlog = metric.d_log_density_du(r)
     if not np.all(np.isfinite(dlog)):
         raise InvalidMetricError(
             f"metric {metric.id!r} has a non-finite density variation on "

@@ -707,7 +707,7 @@ def bornelapbelt_check(
 
     max_ratio = float((np.sqrt(num2) / np.sqrt(den2)).max())
     r = basis.quad.radii_theta
-    delta_nodes = float(np.abs(metric.d_log_density_du(r.astype(complex), 0)).max())
+    delta_nodes = float(np.abs(metric.d_log_density_du(r)).max())
     return BorneReport(
         family_id=family.id,
         u=float(u),

@@ -1,14 +1,11 @@
 """Conformal metrics on the Riemann sphere and operations on families of them.
 
-A metric is described by its conformal factor ``lambda`` against the flat
-coordinate of one of the two standard charts (chart 0: z, chart 1: w = 1/z).
-On the overlap the factors are glued by ``lambda_1(w) = |z|^4 lambda_0(z)``.
-The associated area form is ``(i/2pi) * lambda dz wedge dzbar``, i.e. the
-density ``lambda(z)/pi`` against Lebesgue measure ``dx dy`` of the chart.
-
-Every built-in factor is radial and symmetric under ``z -> 1/z``, but the
-chart-1 evaluation always goes through the gluing rule so that the
-compatibility identity is exercised rather than assumed.
+Every built-in metric is radial: its conformal factor ``lambda`` against the
+flat coordinate z depends on r = |z| alone, so a metric is a function of a
+real radius. The associated area form is ``(i/2pi) * lambda dz wedge dzbar``,
+i.e. the density ``lambda(r)/pi`` against Lebesgue measure ``dx dy``. Each
+factor extends over z = inf, where the coordinate w = 1/z rescales it by
+|z|^4, so ``log lambda(r) + 4 log r`` has a finite limit as r -> inf.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, UnsupportedPointError
 
 __all__ = [
-    "ChartPoint",
     "ConformalMetric",
     "MetricFamily",
     "fs_metric",
@@ -36,7 +32,6 @@ __all__ = [
     "delta_X",
     "bump",
     "bump_derivative",
-    "chern_c1",
     "volume",
     "sup_log_distance",
     "equal_area_grid",
@@ -52,23 +47,6 @@ MAX_INTERP_U = 256.0
 # density in one more closure, so evaluating the metric recurses once per
 # prefix.
 MAX_SCALED_DEPTH = 16
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the sphere given in one of the two standard charts."""
-
-    chart: int
-    z: complex
-
-    def __post_init__(self):
-        if self.chart not in (0, 1):
-            raise DomainError(f"chart must be 0 or 1, got {self.chart}")
-
-    def to_other_chart(self) -> "ChartPoint":
-        if self.z == 0:
-            raise DomainError("the chart origin has no image in the other chart")
-        return ChartPoint(1 - self.chart, 1.0 / self.z)
 
 
 def _spec_text(x: float) -> str:
@@ -94,7 +72,7 @@ def _join_smoothness(*classes: str) -> str:
 
 
 class ConformalMetric:
-    """A conformal factor on the sphere, radial in each chart.
+    """A radial conformal factor on the sphere, a function of r = |z|.
 
     Parameters
     ----------
@@ -103,15 +81,12 @@ class ConformalMetric:
     smoothness : str
         One of ``smooth``, ``continuous``, ``singular-integrable``.
     log_radial : callable
-        ``log lambda_0(r)`` for radius arrays ``r = |z|`` in chart 0.
-    log_at_infinity : float
-        ``lim_{r->inf} (log lambda_0(r) + 4 log r)``, the chart-1 value at
-        ``w = 0``.
+        ``log lambda(r)`` for arrays of radii ``r = |z|``.
     c1_radial : callable or None
         Analytic curvature density ``-d2/dz dzbar log lambda`` against
-        ``dx dy / pi`` in chart 0, when available in closed form.
+        ``dx dy / pi``, when available in closed form.
     kink_radii : tuple of float
-        Chart-0 radii where the factor fails to be C^2.
+        Radii where the factor fails to be C^2.
     scale_hint : float
         Global time scale carried by overall factors ``t * lambda``; used by
         pipelines to scale default time grids.
@@ -122,7 +97,6 @@ class ConformalMetric:
         id: str,
         smoothness: str,
         log_radial: Callable[[np.ndarray], np.ndarray],
-        log_at_infinity: float,
         c1_radial: Callable[[np.ndarray], np.ndarray] | None = None,
         kink_radii: tuple[float, ...] = (),
         scale_hint: float = 1.0,
@@ -133,7 +107,6 @@ class ConformalMetric:
         self.id = id
         self.smoothness = smoothness
         self._log_radial = log_radial
-        self._log_at_infinity = float(log_at_infinity)
         self._c1_radial = c1_radial
         self.kink_radii = tuple(kink_radii)
         self.scale_hint = float(scale_hint)
@@ -143,58 +116,45 @@ class ConformalMetric:
     def has_analytic_c1(self) -> bool:
         return self._c1_radial is not None
 
-    def log_density(self, z, chart: int = 0) -> np.ndarray:
-        """log of the conformal factor at complex coordinates ``z`` of ``chart``."""
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        if chart == 0:
-            return self._log_radial(r)
-        if chart != 1:
-            raise DomainError(f"chart must be 0 or 1, got {chart}")
-        out = np.full(r.shape, self._log_at_infinity, dtype=float)
-        pos = r > 0
-        rp = r[pos]
-        out[pos] = -4.0 * np.log(rp) + self._log_radial(1.0 / rp)
-        return out
+    def log_density(self, r) -> np.ndarray:
+        """log of the conformal factor at radii ``r``."""
+        return self._log_radial(np.asarray(r, dtype=float))
 
-    def density(self, z, chart: int = 0) -> np.ndarray:
-        return np.exp(self.log_density(z, chart))
+    def density(self, r) -> np.ndarray:
+        return np.exp(self.log_density(r))
 
-    def c1_density(self, z, chart: int = 0) -> np.ndarray:
-        """Analytic curvature density against ``dx dy / pi`` in ``chart``."""
-        if self._c1_radial is None:
+    def c1_density(self, r) -> np.ndarray:
+        """Curvature density ``-d2/dz dzbar log lambda`` against ``dx dy / pi``.
+
+        Uses the closed form when the metric carries one. Otherwise applies
+        the fourth-order 5-point stencil for d2/dx2 and d2/dy2 at the point
+        (r, 0), with step ``h = max(1e-4, 1e-3 (1 + r))``: the x arm reads
+        ``log lambda`` at ``|r + kh|``, the y arm at ``hypot(r, kh)``.
+        Kinked factors are refused: their curvature lives on the kink circle.
+        """
+        if self.kink_radii:
             raise UnsupportedPointError(
-                f"metric {self.id!r} carries no analytic curvature density"
+                f"metric {self.id!r} has kinks at radii {self.kink_radii} "
+                "and no pointwise curvature density"
             )
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        if chart == 0:
+        r = np.asarray(r, dtype=float)
+        if self._c1_radial is not None:
             return self._c1_radial(r)
-        if chart != 1:
-            raise DomainError(f"chart must be 0 or 1, got {chart}")
-        out = np.empty(r.shape, dtype=float)
-        pos = r > 0
-        rp = r[pos]
-        out[pos] = self._c1_radial(1.0 / rp) / rp**4
-        if (~pos).any():
-            # limit of r^4 * c1(r) as r -> inf, via a large finite radius
-            out[~pos] = self._c1_radial(np.array([1e8]))[0] * 1e32
-        return out
+        h = np.maximum(1e-4, 1e-3 * (1.0 + r))
 
-    def d_log_density_du(self, z, chart: int = 0) -> np.ndarray:
+        def second(f):
+            return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12.0 * h * h)
+
+        steps = (-2, -1, 0, 1, 2)
+        fx = [self._log_radial(np.abs(r + k * h)) for k in steps]
+        fy = [self._log_radial(np.hypot(r, k * h)) for k in steps]
+        return -0.25 * (second(fx) + second(fy))
+
+    def d_log_density_du(self, r) -> np.ndarray:
         """u-derivative of log lambda for interpolated metrics, else zero."""
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
+        r = np.asarray(r, dtype=float)
         if self._d_log_du_radial is None:
             return np.zeros(r.shape, dtype=float)
-        if chart == 1:
-            out = np.zeros(r.shape, dtype=float)
-            pos = r > 0
-            # log lambda_1(w) = -4 log|w| + log lambda_0(1/w); the gluing term
-            # does not depend on u.
-            out[pos] = self._d_log_du_radial(1.0 / r[pos])
-            out[~pos] = self._d_log_du_radial(np.array([1e12]))[0]
-            return out
         return self._d_log_du_radial(r)
 
     def __repr__(self):
@@ -210,7 +170,7 @@ def fs_metric() -> ConformalMetric:
     def c1(r):
         return 2.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2
 
-    return ConformalMetric("fs", "smooth", logd, math.log(2.0), c1)
+    return ConformalMetric("fs", "smooth", logd, c1)
 
 
 def max_metric() -> ConformalMetric:
@@ -224,7 +184,7 @@ def max_metric() -> ConformalMetric:
         r = np.asarray(r, dtype=float)
         return -4.0 * np.maximum(np.log(np.maximum(r, 1e-300)), 0.0)
 
-    return ConformalMetric("max", "singular-integrable", logd, 0.0, None, kink_radii=(1.0,))
+    return ConformalMetric("max", "singular-integrable", logd, kink_radii=(1.0,))
 
 
 def pnorm_metric(p: float) -> ConformalMetric:
@@ -254,7 +214,7 @@ def pnorm_metric(p: float) -> ConformalMetric:
             out = np.where(r == 0.0, 0.0, out)
         return out
 
-    return ConformalMetric(f"pnorm:{_spec_text(p)}", "smooth", logd, 0.0, c1)
+    return ConformalMetric(f"pnorm:{_spec_text(p)}", "smooth", logd, c1)
 
 
 def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
@@ -272,7 +232,6 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
         f"scaled:{_spec_text(t0)}:{inner.id}",
         inner.smoothness,
         logd,
-        inner._log_at_infinity + lt,
         c1,
         kink_radii=inner.kink_radii,
         scale_hint=t0 * inner.scale_hint,
@@ -297,7 +256,6 @@ def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
         f"geomean({a.id},{b.id})",
         smooth,
         logd,
-        0.5 * (a._log_at_infinity + b._log_at_infinity),
         c1,
         kink_radii=tuple(sorted(set(a.kink_radii) | set(b.kink_radii))),
     )
@@ -363,8 +321,6 @@ def _segment(family: MetricFamily, u: float) -> tuple[int, ConformalMetric, Conf
     if u < 1.0:
         raise DomainError(f"interpolation parameter must satisfy u >= 1, got {u}")
     k = int(math.ceil(u))
-    if k == u:
-        k = int(u)
     if k >= len(family.members):
         raise DomainError(
             f"u = {u} needs {k + 1} family members, only {len(family.members)} present"
@@ -393,10 +349,8 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
             f"interp:{_spec_text(u)}:{family.id}",
             base.smoothness,
             base._log_radial,
-            base._log_at_infinity,
             base._c1_radial,
             kink_radii=base.kink_radii,
-            d_log_du_radial=lambda r: np.zeros(np.shape(np.asarray(r))),
         )
     k, lo, hi, x = _segment(family, u)
     rho = float(bump(x))
@@ -419,25 +373,18 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
         H = (1.0 - rho) * ha + rho * hb
         return rhop * (hb - ha) / H
 
-    smooth = _join_smoothness(lo.smoothness, hi.smoothness)
-    log_inf = np.logaddexp(
-        math.log1p(-rho) + lo._log_at_infinity, math.log(rho) + hi._log_at_infinity
-    ) if 0.0 < rho < 1.0 else (lo._log_at_infinity if rho <= 0.0 else hi._log_at_infinity)
-
-    c1 = None  # curvature of a density-level mixture has no simple closed form
+    # no closed-form curvature: c1_density runs its stencil
     return ConformalMetric(
         f"interp:{_spec_text(u)}:{family.id}",
-        smooth,
+        _join_smoothness(lo.smoothness, hi.smoothness),
         logd,
-        float(log_inf),
-        c1,
         kink_radii=tuple(sorted(set(lo.kink_radii) | set(hi.kink_radii))),
         d_log_du_radial=dlog_du,
     )
 
 
 def equal_area_grid(n_theta: int = 64) -> np.ndarray:
-    """Chart-0 radii of a fixed equal-area grid (midpoints in cos theta).
+    """Radii of a fixed equal-area grid (midpoints in cos theta).
 
     Every built-in factor is radial, so the radii carry the full information;
     the default takes 64 of them.
@@ -459,21 +406,19 @@ def delta_X(family: MetricFamily, u: float, grid: np.ndarray | None = None) -> f
     if float(u) == int(u):
         return 0.0
     metric = interpolate(family, u)
-    return float(np.abs(metric.d_log_density_du(grid.astype(complex))).max())
+    return float(np.abs(metric.d_log_density_du(grid)).max())
 
 
-def volume(metric: ConformalMetric, quad, chart: int = 0) -> float:
+def volume(metric: ConformalMetric, quad) -> float:
     """Total area with the chosen normalization (integral of the area form).
 
     ``quad`` is a QuadratureRule from :mod:`zetasphere.quadrature`; the density
     ratio of the metric area form against the round probability measure is
-    ``lambda(z) (1 + |z|^2)^2`` in either chart. The factor is radial, so the
-    integral runs over the colatitude nodes alone. Computing in chart 1
-    re-reads the node radii as |w| values, which parameterizes the same
-    integral and serves as the chart-independence check.
+    ``lambda(r) (1 + r^2)^2``. The factor is radial, so the integral runs
+    over the colatitude nodes alone.
     """
     r = quad.radii_theta
-    log_ratio = metric.log_density(r.astype(complex), chart) + 2.0 * np.log1p(r**2)
+    log_ratio = metric.log_density(r) + 2.0 * np.log1p(r**2)
     return float(np.sum(quad.weights_theta * np.exp(log_ratio)))
 
 
@@ -487,52 +432,7 @@ def sup_log_distance(
     """
     if grid is None:
         grid = np.concatenate([equal_area_grid(), [1.0]])
-    z = np.asarray(grid, dtype=float).astype(complex)
-    return float(np.abs(metric.log_density(z, 0) - other.log_density(z, 0)).max())
-
-
-def _fd_c1(metric: ConformalMetric, point: ChartPoint, h: float) -> float:
-    """Fourth-order centered finite-difference curvature density."""
-    z0 = complex(point.z)
-    c = point.chart
-
-    def ld(dx, dy):
-        return float(metric.log_density(np.array([z0 + dx + 1j * dy]), c)[0])
-
-    def second(axis):
-        if axis == 0:
-            f = [ld(k * h, 0.0) for k in (-2, -1, 0, 1, 2)]
-        else:
-            f = [ld(0.0, k * h) for k in (-2, -1, 0, 1, 2)]
-        return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12.0 * h * h)
-
-    return -0.25 * (second(0) + second(1))
-
-
-def chern_c1(metric: ConformalMetric, point: ChartPoint, h: float | None = None) -> float:
-    """Curvature density of the metric at a chart point.
-
-    Uses the analytic closed form when the metric carries one; otherwise a
-    fourth-order finite difference of ``log lambda`` with step
-    ``h = max(1e-4, 1e-3 (1 + |z|))``. Near a kink the finite-difference path
-    refuses with an unsupported-point error.
-    """
-    if metric.has_analytic_c1:
-        return float(metric.c1_density(np.array([point.z]), point.chart)[0])
-    if h is None:
-        h = max(1e-4, 1e-3 * (1.0 + abs(point.z)))
-    # radius of the point in chart-0 terms for the kink check
-    r = abs(point.z)
-    if point.chart == 1:
-        r = np.inf if r == 0 else 1.0 / r
-    for k in metric.kink_radii:
-        if abs(r - k) <= 2.5 * h:
-            raise UnsupportedPointError(
-                f"point at chart-0 radius {r:.6g} is within the finite-difference "
-                f"stencil of the kink at radius {k:g} and the metric has no "
-                "analytic curvature"
-            )
-    return _fd_c1(metric, point, h)
+    return float(np.abs(metric.log_density(grid) - other.log_density(grid)).max())
 
 
 def _spec_number(text: str, what: str, spec: str) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "block_operator_norm",
     "lidskii_defect",
     "equivalence_bounds",
-    "min_sum_gap",
 ]
 
 
@@ -116,15 +115,3 @@ def equivalence_bounds(A: np.ndarray, ip1: InnerProduct, ip2: InnerProduct) -> E
     t2 = trace_norm(A, ip2)
     return EquivalenceReport(k_min, k_max, float(lower), float(upper), t2 / t1)
 
-
-def min_sum_gap(rows: np.ndarray) -> tuple[float, float]:
-    """(min over rows of the row sum, sum over columns of the column min).
-
-    For nonnegative entries the first is never smaller than the second; this
-    is the finite form of the series lower-semicontinuity step used when
-    passing traces to a limit.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.size == 0:
-        raise DomainError("need a nonempty 2-d array")
-    return float(rows.sum(axis=1).min()), float(rows.min(axis=0).sum())

@@ -40,7 +40,7 @@ class QuadratureRule:
 
     @property
     def radii_theta(self) -> np.ndarray:
-        """Chart-0 radii r = tan(theta/2) of the x nodes."""
+        """Radii r = |z| = tan(theta/2) of the x nodes."""
         return np.sqrt((1.0 - self.x) / (1.0 + self.x))
 
     @property

@@ -133,6 +133,37 @@ def pnorm_c1_density(r, p: float):
     return 2.0 * p * r ** (2.0 * p - 2.0) / (1.0 + r ** (2.0 * p)) ** 2
 
 
+def pnorm_blend_c1_density(r: float, p: float, q: float, rho: float) -> float:
+    """Curvature density -(f'' + f'/r)/4 of a blend of two pnorm factors.
+
+    f = log((1 - rho) h_p + rho h_q) with h_p = (1 + r^(2p))^(-2/p); the
+    radial Laplacian f'' + f'/r is differentiated numerically by mpmath at
+    30 digits.
+    """
+    pp, qq = mp.mpf(p), mp.mpf(q)
+
+    def f(x):
+        return mp.log((1 - rho) * (1 + x ** (2 * pp)) ** (-2 / pp)
+                      + rho * (1 + x ** (2 * qq)) ** (-2 / qq))
+
+    x = mp.mpf(r)
+    return float(-(mp.diff(f, x, 2) + mp.diff(f, x) / x) / 4)
+
+
+def inverted_log_density(log_density, w):
+    """log of a radial factor in the coordinate w = 1/z, at radii |w| > 0.
+
+    Gluing rule of the two standard charts: lambda_w(w) = lambda(1/|w|) |w|^-4.
+    """
+    w = np.asarray(w, dtype=float)
+    return log_density(1.0 / w) - 4.0 * np.log(w)
+
+
+def log_density_at_infinity(log_density, R: float = 1e8) -> float:
+    """log lambda(R) + 4 log R: the factor in the coordinate w = 1/z near w = 0."""
+    return float(log_density(np.array([R]))[0] + 4.0 * math.log(R))
+
+
 def four_term_zeta_prime(eigenvalues, b_minus1: float, b0: float, b1: float,
                          t_lo: float) -> float:
     """Closed form of the regularized-derivative assembly for exact inputs.

@@ -6,6 +6,7 @@ definition; the tests here compare the library's node sums against it.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from zetasphere.anomaly import (
     bott_chern_bound,
     bott_chern_integral,
     calibrate_sign,
-    l2_metric_log,
     quillen_limit,
     quillen_log,
     torsion_report,
@@ -95,9 +95,11 @@ def test_kinked_factor_is_refused():
 
 
 def test_l2_metric_log_is_log_volume():
+    """quillen_log's l2 factor is log vol on the default quadrature."""
     quad = build_quadrature(128)
+    zeta = SimpleNamespace(metric_id="", zeta_prime0=0.0, error_budget=0.0)
     for metric in (fs_metric(), pnorm_metric(3.0), max_metric()):
-        assert l2_metric_log(metric) == pytest.approx(
+        assert quillen_log(metric, zeta).log_l2 == pytest.approx(
             math.log(volume(metric, quad)), rel=1e-14
         )
 

@@ -128,7 +128,7 @@ def test_scaled_metric_scales_mass_only(basis):
 
 def test_mass_rejects_invalid_density(basis):
     bad = ConformalMetric(
-        "bad-density", "smooth", lambda r: np.where(r > 1.0, np.nan, 0.0), 0.0
+        "bad-density", "smooth", lambda r: np.where(r > 1.0, np.nan, 0.0)
     )
     with pytest.raises(InvalidMetricError):
         mass(basis, bad)
@@ -176,7 +176,7 @@ def test_mass_log_variation_rayleigh_range(basis):
     M = oracles.dense_matrix(mass(basis, m))
     dM = oracles.dense_matrix(mass_log_variation(basis, m))
     pencil = scipy.linalg.eigh(dM, M, eigvals_only=True)
-    dlog = m.d_log_density_du(basis.quad.radii_theta.astype(complex))
+    dlog = m.d_log_density_du(basis.quad.radii_theta)
     lo, hi = float(dlog.min()), float(dlog.max())
     span = hi - lo
     assert pencil.min() >= lo - 1e-12 * max(1.0, span)

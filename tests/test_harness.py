@@ -58,7 +58,7 @@ def broken_metric() -> ConformalMetric:
     def bad_log(r):
         return np.full_like(np.asarray(r, dtype=float), np.nan)
 
-    return ConformalMetric("broken", "smooth", bad_log, 0.0)
+    return ConformalMetric("broken", "smooth", bad_log)
 
 
 def constant_family(n: int = 4) -> MetricFamily:
@@ -238,7 +238,7 @@ def test_minmax_oracle_for_gap_floor():
     capped = ConformalMetric(
         "fs-cap", "singular-integrable",
         lambda r: fs._log_radial(r) + np.where(np.asarray(r) < 0.5, math.log(10.0), 0.0),
-        math.log(2.0), kink_radii=(0.5,),
+        kink_radii=(0.5,),
     )
     m_pert = oracles.dense_matrix(mass(basis, capped))
     want = oracles.full_grid_mass(

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 import oracles
+from zetasphere.anomaly import _default_quadrature
 from zetasphere.errors import ConfigError, DomainError, UnsupportedPointError
 from zetasphere.metrics import (
     MAX_SCALED_DEPTH,
-    ChartPoint,
     ConformalMetric,
     MetricFamily,
     bump,
     bump_derivative,
-    chern_c1,
     delta_X,
     equal_area_grid,
     fs_metric,
@@ -53,10 +52,12 @@ def test_special_volumes(quad):
 
 
 def test_volume_chart_independence(quad):
+    """The same nodes read as radii |w| of w = 1/z give the same volume."""
+    r = quad.radii_theta
     for metric in (fs_metric(), pnorm_metric(3.0), max_metric()):
-        v0 = volume(metric, quad, chart=0)
-        v1 = volume(metric, quad, chart=1)
-        assert v1 == pytest.approx(v0, rel=1e-12), metric.id
+        log_ratio = oracles.inverted_log_density(metric.log_density, r) + 2.0 * np.log1p(r**2)
+        v1 = float(np.sum(quad.weights_theta * np.exp(log_ratio)))
+        assert v1 == pytest.approx(volume(metric, quad), rel=1e-12), metric.id
 
 
 def test_scaled_volume(quad):
@@ -68,45 +69,37 @@ def test_scaled_volume(quad):
 
 def test_fs_density_closed_form():
     r = np.array([0.0, 0.5, 1.0, 2.0])
-    got = fs_metric().density(r.astype(complex))
+    got = fs_metric().density(r)
     assert np.allclose(got, 2.0 / (1.0 + r * r) ** 2, rtol=1e-14)
 
 
 def test_max_density_closed_form():
     r = np.array([0.2, 0.999, 1.001, 5.0])
-    got = max_metric().density(r.astype(complex))
+    got = max_metric().density(r)
     expect = np.minimum(1.0, 1.0 / r**4)
     assert np.allclose(got, expect, rtol=1e-12)
 
 
-def test_chart_transition_rule():
-    """lambda_1(w) = lambda_0(1/w) / |w|^4 away from the chart origin."""
-    z = np.array([0.3, 1.0, 2.5]).astype(complex)
-    for metric in (fs_metric(), pnorm_metric(3.0), max_metric()):
-        lhs = metric.density(1.0 / z, chart=1)
-        rhs = metric.density(z, chart=0) * np.abs(z) ** 4
-        assert np.allclose(lhs, rhs, rtol=1e-12), metric.id
-
-
 def test_chart_one_origin_values():
-    """The r -> inf limits: 2 for the round factor, 1 for pnorm and max."""
-    w0 = np.array([0.0]).astype(complex)
-    assert fs_metric().density(w0, chart=1)[0] == pytest.approx(2.0, rel=1e-14)
-    assert pnorm_metric(4.0).density(w0, chart=1)[0] == pytest.approx(1.0, rel=1e-14)
-    assert max_metric().density(w0, chart=1)[0] == pytest.approx(1.0, rel=1e-14)
+    """log lambda(r) + 4 log r as r -> inf, the factor at w = 1/z = 0: log 2
+    for the round factor, 0 for pnorm and max, log 6 for 3 * fs."""
+    for spec, want in (("fs", np.log(2.0)), ("pnorm:4", 0.0), ("max", 0.0),
+                       ("scaled:3:fs", np.log(6.0))):
+        got = oracles.log_density_at_infinity(parse_metric_spec(spec).log_density)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14), spec
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.5])
 def test_pnorm_c1_closed_form(p):
     """Analytic curvature density against the radial-Laplacian derivation."""
     r = np.array([0.3, 0.8, 1.0, 1.7, 4.0])
-    got = pnorm_metric(p).c1_density(r.astype(complex))
+    got = pnorm_metric(p).c1_density(r)
     assert np.allclose(got, oracles.pnorm_c1_density(r, p), rtol=1e-12)
 
 
 def test_fs_c1_equals_density():
     """The round factor's curvature density is the factor itself."""
-    r = np.array([0.0, 0.6, 1.3]).astype(complex)
+    r = np.array([0.0, 0.6, 1.3])
     m = fs_metric()
     assert np.allclose(m.c1_density(r), m.density(r), rtol=1e-14)
 
@@ -115,19 +108,29 @@ def test_fs_c1_equals_density():
 def test_total_curvature(quad, p):
     """int c1 (dxdy/pi) = 2: the degree of the anticanonical bundle."""
     r = quad.radii_theta
-    c1 = pnorm_metric(p).c1_density(r.astype(complex))
+    c1 = pnorm_metric(p).c1_density(r)
     total = float(np.sum(quad.weights_theta * (1.0 + r * r) ** 2 * c1))
     assert total == pytest.approx(2.0, abs=1e-12)
 
 
 def test_chern_c1_finite_difference_matches_analytic():
-    m = pnorm_metric(3.0)
-    for z in (0.4 + 0.0j, 1.0 + 0.0j, 2.2 + 0.0j):
-        fd = chern_c1(
-            ConformalMetric("probe", m.smoothness, m._log_radial, m._log_at_infinity),
-            ChartPoint(0, z),
-        )
-        assert fd == pytest.approx(float(m.c1_density(np.array([z]))[0]), rel=1e-6)
+    """Stripped of its closed form, c1_density runs the 5-point stencil; it
+    matches the closed form on every node of the anomaly quadrature."""
+    r = _default_quadrature().radii_theta
+    assert r.size == 256
+    for m in (fs_metric(), pnorm_metric(3.0), geomean_metric(pnorm_metric(2.0), pnorm_metric(3.0))):
+        probe = ConformalMetric("probe", m.smoothness, m._log_radial)
+        assert not probe.has_analytic_c1
+        assert np.abs(probe.c1_density(r) - m.c1_density(r)).max() <= 1e-9, m.id
+
+
+def test_interp_c1_matches_mpmath_blend():
+    """interp:2.5:pnorm is the bump-weight-1/2 blend of pnorm:3 and pnorm:4;
+    its stencil curvature matches the mpmath radial Laplacian."""
+    r = np.array([0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 20.0])
+    got = parse_metric_spec("interp:2.5:pnorm").c1_density(r)
+    want = [oracles.pnorm_blend_c1_density(x, 3.0, 4.0, 0.5) for x in r]
+    assert np.abs(got - want).max() <= 1e-9
 
 
 def test_max_metric_kink_handling():
@@ -137,12 +140,10 @@ def test_max_metric_kink_handling():
     # its curvature lives on the kink circle
     assert m.smoothness == "singular-integrable"
     with pytest.raises(UnsupportedPointError):
-        m.c1_density(np.array([0.5 + 0.0j]))
-    # flat away from the kink circle, refused on it
-    assert chern_c1(m, ChartPoint(0, 2.0 + 0.0j)) == pytest.approx(0.0, abs=1e-6)
-    assert chern_c1(m, ChartPoint(0, 0.3 + 0.0j)) == pytest.approx(0.0, abs=1e-6)
+        m.c1_density(np.array([0.5]))
+    # a kink anywhere refuses the pointwise density, also inside a mixture
     with pytest.raises(UnsupportedPointError):
-        chern_c1(m, ChartPoint(0, 1.001 + 0.0j))
+        geomean_metric(fs_metric(), max_metric()).c1_density(np.array([0.5]))
 
 
 def test_smoothness_classes():
@@ -153,13 +154,13 @@ def test_smoothness_classes():
     joined = geomean_metric(fs_metric(), max_metric())
     assert joined.smoothness == "singular-integrable"
     with pytest.raises(DomainError):
-        ConformalMetric("bad", "bogus-class", lambda r: r, 0.0)
+        ConformalMetric("bad", "bogus-class", lambda r: r)
 
 
 def test_scaled_metric_shifts_log_density():
     base = pnorm_metric(2.0)
     m = scaled_metric(4.0, base)
-    r = np.array([0.1, 1.0, 3.0]).astype(complex)
+    r = np.array([0.1, 1.0, 3.0])
     assert np.allclose(
         m.log_density(r), base.log_density(r) + np.log(4.0), atol=1e-14
     )
@@ -171,7 +172,7 @@ def test_scaled_metric_shifts_log_density():
 def test_geomean_is_log_average():
     a, b = pnorm_metric(2.0), pnorm_metric(3.0)
     g = geomean_metric(a, b)
-    r = np.array([0.2, 1.0, 2.0]).astype(complex)
+    r = np.array([0.2, 1.0, 2.0])
     assert np.allclose(
         g.log_density(r), 0.5 * (a.log_density(r) + b.log_density(r)), atol=1e-14
     )
@@ -224,7 +225,7 @@ def test_geomean_family_layout():
 
 def test_interpolate_integer_endpoints():
     fam = pnorm_family()
-    r = np.array([0.3, 1.0, 2.0]).astype(complex)
+    r = np.array([0.3, 1.0, 2.0])
     for u in (1.0, 2.0, 5.0):
         m = interpolate(fam, u)
         base = fam.members[int(u)]
@@ -236,7 +237,7 @@ def test_interpolate_integer_endpoints():
 def test_interpolate_midpoint_between_members():
     # u = 2.5 sits on the segment joining members[2] and members[3]
     fam = pnorm_family()
-    r = np.array([0.5, 1.0, 1.5]).astype(complex)
+    r = np.array([0.5, 1.0, 1.5])
     m = interpolate(fam, 2.5)
     lo = fam.members[2].density(r)
     hi = fam.members[3].density(r)
@@ -249,7 +250,7 @@ def test_interpolate_midpoint_between_members():
 
 def test_interpolate_du_matches_stencil():
     fam = pnorm_family()
-    r = np.array([0.4, 1.0, 2.5]).astype(complex)
+    r = np.array([0.4, 1.0, 2.5])
     u, h = 2.3, 1e-6
     got = interpolate(fam, u).d_log_density_du(r)
     fd = (
@@ -280,12 +281,12 @@ def test_delta_x_values():
 
 
 def test_delta_x_bounds_chart_one_variation():
-    """The chart-0 grid sup also dominates the chart-1 values."""
+    """The grid sup also dominates the values at the inverted radii 1/r of
+    w = 1/z, where the |w|^-4 gluing factor does not depend on u."""
     fam = pnorm_family()
     m = interpolate(fam, 2.5)
-    grid = equal_area_grid().astype(complex)
-    chart1 = np.abs(m.d_log_density_du(grid, chart=1)).max()
-    assert chart1 <= delta_X(fam, 2.5) * (1.0 + 1e-12)
+    inverted = np.abs(m.d_log_density_du(1.0 / equal_area_grid())).max()
+    assert inverted <= delta_X(fam, 2.5) * (1.0 + 1e-12)
 
 
 def test_equal_area_grid_properties():
@@ -303,7 +304,7 @@ def test_equal_area_grid_properties():
 )
 def test_parse_metric_spec_roundtrip(spec):
     m = parse_metric_spec(spec)
-    r = np.array([0.7, 1.0, 1.4]).astype(complex)
+    r = np.array([0.7, 1.0, 1.4])
     again = parse_metric_spec(m.id)
     assert np.allclose(m.log_density(r), again.log_density(r), atol=1e-14)
 

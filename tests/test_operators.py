@@ -19,7 +19,6 @@ from zetasphere.operators import (
     block_operator_norm,
     equivalence_bounds,
     lidskii_defect,
-    min_sum_gap,
     operator_norm,
     singular_values,
     trace_norm,
@@ -151,25 +150,6 @@ def test_equivalence_rejects_indefinite_pencil():
     bad = InnerProduct(np.diag([1.0] * 8 + [-1.0]), np.eye(9))
     with pytest.raises(DomainError):
         equivalence_bounds(A, ip1, bad)
-
-
-def test_min_sum_gap_ordering():
-    rng = np.random.default_rng(10)
-    for _ in range(N_INSTANCES):
-        rows = rng.random((6, 11))
-        low, high = min_sum_gap(rows)
-        assert high <= low + 1e-14
-    # equality when every row is identical
-    rows = np.tile(rng.random(5), (4, 1))
-    low, high = min_sum_gap(rows)
-    assert low == pytest.approx(high, rel=1e-14)
-
-
-def test_min_sum_gap_validation():
-    with pytest.raises(DomainError):
-        min_sum_gap(np.zeros((0, 3)))
-    with pytest.raises(DomainError):
-        min_sum_gap(np.ones(4))
 
 
 def test_theta_bridge():
