@@ -30,7 +30,7 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "load_config", "validated", "override"]
 
-_MAX_L = 128
+_MAX_L = 256
 _MAX_THREADS = 1024
 _FAMILY_NAMES = ("pnorm", "geomean-pnorm")
 

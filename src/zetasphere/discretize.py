@@ -15,7 +15,7 @@ operator ``-lambda^{-1} d^2/(dz dzbar)`` acting on functions.
 Every built-in conformal factor is radial, so both matrices split into one
 block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
 copies of a block with m >= 1 coincide. The blocks are the only form of the
-pencil, assembled straight from the Legendre tables; `block_rows` states
+pencil, assembled straight from the packed Legendre table; `block_rows` states
 where each copy sits among the (L+1)^2 basis functions. Reductions have a
 fixed summation order, so repeated runs produce identical bytes.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMetricError
-from .harmonics import legendre_tables
+from .harmonics import legendre_tables, theta_derivative
 from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
 
@@ -46,10 +46,11 @@ Blocks = tuple[np.ndarray, ...]
 
 
 class SpectralBasis:
-    """Legendre tables, their quadrature, and the stiffness blocks.
+    """The packed Legendre table, its quadrature, and the stiffness blocks.
 
-    Holding a basis is the one-time cost shared by every metric at a given
-    resolution.
+    ``pbar[m]`` holds Pbar_{ell m} on the nodes for ell = m..L; every block
+    of the pencil is assembled from it. Holding a basis is the one-time cost
+    shared by every metric at a given resolution.
     """
 
     def __init__(self, L: int, quad: QuadratureRule | None = None):
@@ -65,7 +66,7 @@ class SpectralBasis:
             )
         self.L = int(L)
         self.quad = quad
-        self.pbar, self.dpbar, self.qbar = legendre_tables(L, quad.x)
+        self.pbar = legendre_tables(L, quad.x)
         self._stiffness: Blocks | None = None
 
     def gram_defect(self) -> float:
@@ -111,21 +112,21 @@ def stiffness(basis: SpectralBasis) -> Blocks:
     Assembled in the plane coordinate z: the pairing of f and g is the
     quadrature of the flat gradient pairing (df/dr dg/dr + r^-2 df/dphi
     dg/dphi) against the weight (1+r^2)^2 / 4 per round-measure node, which is the real form
-    of the normalized d/dz-dbar pairing. Row and column 0 of K_0 vanish since
-    the constant has no Dirichlet energy.
+    of the normalized d/dz-dbar pairing. The d/dr rows come from
+    `theta_derivative` per m; the (1/r) d/dphi amplitude is m Pbar / r, so
+    that term is m^2 times the table's Gram block under the weight over r^2.
+    Row and column 0 of K_0 vanish since the constant has no Dirichlet energy.
     """
     if basis._stiffness is None:
         quad = basis.quad
         r = quad.radii_theta
         jac = 2.0 / (1.0 + r * r)            # dtheta/dr
         gw = quad.weights_theta * (1.0 + r * r) ** 2 / 4.0
+        angular = _radial_weighted_gram(basis, gw / (r * r))
         blocks = []
         for m in range(basis.L + 1):
-            dth = basis.dpbar[m:, m] * jac[None, :]   # d/dr values
-            blk = (dth * gw[None, :]) @ dth.T
-            if m > 0:
-                q = basis.qbar[m:, m] * jac[None, :]  # (1/r) d/dphi amplitude
-                blk = blk + (m * m) * ((q * gw[None, :]) @ q.T)
+            dth = theta_derivative(basis.pbar, m) * jac[None, :]   # d/dr values
+            blk = (dth * gw[None, :]) @ dth.T + (m * m) * angular[m]
             blocks.append(0.5 * (blk + blk.T))
         basis._stiffness = tuple(blocks)
     return basis._stiffness
@@ -154,7 +155,7 @@ def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Blocks:
     """Gram blocks of the basis under a radial node weight ``wr``."""
     blocks = []
     for m in range(basis.L + 1):
-        P = basis.pbar[m:, m]
+        P = basis.pbar[m]
         blk = (P * wr[None, :]) @ P.T
         blocks.append(0.5 * (blk + blk.T))
     return tuple(blocks)
@@ -171,7 +172,7 @@ def mass(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
     """Mass blocks M_m of the metric area form in the harmonic basis.
 
     The built-in metrics are radial, so each block is assembled from the
-    Legendre tables directly; ``M_0[0, 0]`` is the metric volume.
+    packed Legendre table directly; ``M_0[0, 0]`` is the metric volume.
     """
     ratio = _node_ratio(basis, metric)
     if not np.all(np.isfinite(ratio)) or ratio.min() <= 0.0:

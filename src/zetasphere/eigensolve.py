@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 KERNEL_SNAP_REL = 1e-8
-SOLVER_VERSION = "blocks-2"
+SOLVER_VERSION = "blocks-3"
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,13 @@ which makes Y_{ell 0} = Pbar_{ell 0} and Y_{ell m}^{cos/sin} =
 sqrt(2) Pbar_{ell m} (cos|sin)(m phi) an orthonormal family against
 sin(theta) dtheta dphi / (4 pi). No Condon-Shortley phase is used.
 
-Three node tables are produced by stable upward recurrences:
-
-* ``pbar``   : Pbar_{ell m}(x)
-* ``dpbar``  : d/dtheta Pbar_{ell m}(x(theta))
-* ``qbar``   : Pbar_{ell m}(x) / sin(theta) for m >= 1
-
-The qbar table satisfies the same ell-recurrence as pbar (the coefficients
-depend on x only), so it is generated directly from a rescaled diagonal seed
-instead of dividing by sin(theta), which would be singular at the poles.
+One node table is kept: Pbar_{ell m}(x), packed per m as the rows
+ell = m..L, so none of the zeros with m > ell is stored. The diagonal is
+seeded by its chain in m, and the ell-recurrence then runs one step per ell
+for every m at once. The theta derivative is derived from the table when it
+is needed (`theta_derivative`). No table of Pbar / sin(theta) is kept: in
+the plane coordinate r = tan(theta/2) the (1/r) d/dphi amplitude of a
+harmonic is m Pbar / r, which the quadrature handles directly.
 """
 
 from __future__ import annotations
@@ -27,22 +25,15 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["legendre_tables"]
+__all__ = ["legendre_tables", "theta_derivative"]
 
 
-def _diag_coeff(m: int) -> float:
-    return np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+def legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pbar_{ell m} on the nodes ``x``, one block per m = 0..L.
 
-
-def legendre_tables(L: int, x: np.ndarray):
-    """Tables pbar, dpbar, qbar of shape (L+1, L+1, len(x)).
-
-    Entry [ell, m] is populated for m <= ell, zero elsewhere. ``x`` must lie
-    strictly inside (-1, 1); the quadrature nodes always do.
-
-    Returns
-    -------
-    (pbar, dpbar, qbar) : tuple of ndarray
+    Block m has shape (L+1-m, len(x)) and holds the rows ell = m..L; the
+    blocks are views into one packed ((L+1)(L+2)/2, len(x)) array. ``x``
+    must lie strictly inside (-1, 1); the quadrature nodes always do.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -51,47 +42,45 @@ def legendre_tables(L: int, x: np.ndarray):
         raise DomainError("Legendre tables need nodes interior to (-1, 1)")
     if L < 0:
         raise DomainError("degree bound L must be nonnegative")
-    nx = x.size
     s = np.sqrt(1.0 - x * x)  # sin(theta) > 0
+    m = np.arange(L + 1)
+    start = m * (L + 1) - m * (m - 1) // 2  # packed row of (ell, m) is start[m] + ell - m
+    packed = np.empty((start[-1] + 1, x.size))
+    blocks = tuple(packed[a:a + L + 1 - k] for k, a in enumerate(start))
 
-    pbar = np.zeros((L + 1, L + 1, nx))
-    qbar = np.zeros((L + 1, L + 1, nx))
+    blocks[0][0] = 1.0
+    for k in range(1, L + 1):
+        blocks[k][0] = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * blocks[k - 1][0]
+    # first off-diagonal ell = m + 1, every m < L at once
+    packed[start[:-1] + 1] = (np.sqrt(2.0 * m[:-1] + 3.0)[:, None] * x) * packed[start[:-1]]
+    for ell in range(2, L + 1):
+        mm = m[:ell - 1]  # every m <= ell - 2 steps at once
+        row = start[:ell - 1] + ell - mm
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))[:, None]
+        b = np.sqrt(((ell - 1.0) ** 2 - mm * mm) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
+        packed[row] = a * (x * packed[row - 1] - b * packed[row - 2])
+    return blocks
 
-    pbar[0, 0] = 1.0
-    # diagonal chains
-    for m in range(1, L + 1):
-        c = _diag_coeff(m)
-        pbar[m, m] = c * s * pbar[m - 1, m - 1]
-        if m == 1:
-            qbar[1, 1] = c  # Pbar_11 / sin = sqrt(3/2)
-        else:
-            qbar[m, m] = c * s * qbar[m - 1, m - 1]
-    # first off-diagonal and the three-term ladder share coefficients
-    for m in range(0, L + 1):
-        if m + 1 <= L:
-            c = np.sqrt(2.0 * m + 3.0)
-            pbar[m + 1, m] = c * x * pbar[m, m]
-            if m >= 1:
-                qbar[m + 1, m] = c * x * qbar[m, m]
-        for ell in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            pbar[ell, m] = a * (x * pbar[ell - 1, m] - b * pbar[ell - 2, m])
-            if m >= 1:
-                qbar[ell, m] = a * (x * qbar[ell - 1, m] - b * qbar[ell - 2, m])
 
-    # theta derivative from the normalized shift identity:
-    #   d/dtheta Pbar_{ell m} =
-    #     ( sqrt((ell+m)(ell-m+1)) Pbar_{ell,m-1}
-    #       - sqrt((ell-m)(ell+m+1)) Pbar_{ell,m+1} ) / 2       (m >= 1)
-    #   d/dtheta Pbar_{ell 0} = -sqrt(ell(ell+1)) Pbar_{ell 1}
-    dpbar = np.zeros_like(pbar)
-    for ell in range(1, L + 1):
-        dpbar[ell, 0] = -np.sqrt(ell * (ell + 1.0)) * pbar[ell, 1]
-        for m in range(1, ell + 1):
-            lo = np.sqrt((ell + m) * (ell - m + 1.0)) * pbar[ell, m - 1]
-            hi = 0.0
-            if m + 1 <= ell:
-                hi = np.sqrt((ell - m) * (ell + m + 1.0)) * pbar[ell, m + 1]
-            dpbar[ell, m] = 0.5 * (lo - hi)
-    return pbar, dpbar, qbar
+def theta_derivative(pbar: tuple[np.ndarray, ...], m: int) -> np.ndarray:
+    """d/dtheta Pbar_{ell m}(cos theta) for ell = m..L, from the packed table.
+
+    The normalized shift identity
+
+        d/dtheta Pbar_{ell m} =
+          ( sqrt((ell+m)(ell-m+1)) Pbar_{ell,m-1}
+            - sqrt((ell-m)(ell+m+1)) Pbar_{ell,m+1} ) / 2
+
+    needs the blocks m - 1 and m + 1; Pbar_{ell,m+1} vanishes at ell = m.
+    For m = 0 the reflection Pbar_{ell,-1} = -Pbar_{ell,1} leaves
+    -sqrt(ell(ell+1)) Pbar_{ell 1}.
+    """
+    L = len(pbar) - 1
+    ell = np.arange(m, L + 1)
+    hi = np.zeros_like(pbar[m])
+    if m < L:
+        hi[1:] = np.sqrt((ell[1:] - m) * (ell[1:] + m + 1.0))[:, None] * pbar[m + 1]
+    if m == 0:
+        return -hi
+    lo = np.sqrt((ell + m) * (ell - m + 1.0))[:, None] * pbar[m - 1][1:]
+    return 0.5 * (lo - hi)

@@ -217,17 +217,26 @@ def _weighted_fit(t: np.ndarray, th: np.ndarray):
     """Least squares of th ~ b_-1/t + b_0 + b_1 t with weights t^2.
 
     Returns the coefficients, the largest absolute model residual and the
-    parameter spread from the weighted normal equations.
+    parameter spread from the weighted normal equations. Raises FitWindowError
+    when a window far from t ~ 1 overflows or underflows the weighted design.
     """
-    A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
-    w = t * t
-    Aw = A * w[:, None]
-    bw = th * w
-    coef, _, _, _ = np.linalg.lstsq(Aw, bw, rcond=None)
+    with np.errstate(over="ignore"):
+        A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
+        w = t * t
+        Aw = A * w[:, None]
+        bw = th * w
+        normal = Aw.T @ Aw
+    try:
+        if not np.all(np.isfinite(normal)):
+            raise np.linalg.LinAlgError("non-finite normal matrix")
+        coef, _, _, _ = np.linalg.lstsq(Aw, bw, rcond=None)
+        normal_inv = np.linalg.inv(normal)
+    except np.linalg.LinAlgError as e:
+        raise FitWindowError(f"weighted fit on t in [{t[0]:.4g}, {t[-1]:.4g}] failed: {e}") from e
     resid = float(np.abs(A @ coef - th).max())
     dof = max(t.size - 3, 1)
     sigma2 = float(((bw - Aw @ coef) ** 2).sum()) / dof
-    cov = sigma2 * np.linalg.inv(Aw.T @ Aw)
+    cov = sigma2 * normal_inv
     sig = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))
     return coef, resid, sig
 

@@ -354,3 +354,84 @@ def pnorm_density(p: float):
 def max_density(r):
     """The max conformal factor 1 / max(1, r)^4."""
     return 1.0 / np.maximum(1.0, np.asarray(r, dtype=float)) ** 4
+
+
+def dense_legendre_tables(L: int, x):
+    """Dense tables pbar, dpbar, qbar of shape (L+1, L+1, len(x)).
+
+    The three-table recurrence the packed Legendre table replaced, kept
+    unchanged as the reference: entry [ell, m] holds Pbar_{ell m}(x), its
+    theta derivative, and Pbar_{ell m}(x) / sin(theta) for m >= 1 (generated
+    by the same ell-recurrence from a diagonal seed with the sine divided
+    out); entries with m > ell are zero.
+    """
+    x = np.asarray(x, dtype=float)
+    nx = x.size
+    s = np.sqrt(1.0 - x * x)
+
+    pbar = np.zeros((L + 1, L + 1, nx))
+    qbar = np.zeros((L + 1, L + 1, nx))
+
+    pbar[0, 0] = 1.0
+    for m in range(1, L + 1):
+        c = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        pbar[m, m] = c * s * pbar[m - 1, m - 1]
+        if m == 1:
+            qbar[1, 1] = c
+        else:
+            qbar[m, m] = c * s * qbar[m - 1, m - 1]
+    for m in range(0, L + 1):
+        if m + 1 <= L:
+            c = np.sqrt(2.0 * m + 3.0)
+            pbar[m + 1, m] = c * x * pbar[m, m]
+            if m >= 1:
+                qbar[m + 1, m] = c * x * qbar[m, m]
+        for ell in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+            b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+            pbar[ell, m] = a * (x * pbar[ell - 1, m] - b * pbar[ell - 2, m])
+            if m >= 1:
+                qbar[ell, m] = a * (x * qbar[ell - 1, m] - b * qbar[ell - 2, m])
+
+    dpbar = np.zeros_like(pbar)
+    for ell in range(1, L + 1):
+        dpbar[ell, 0] = -np.sqrt(ell * (ell + 1.0)) * pbar[ell, 1]
+        for m in range(1, ell + 1):
+            lo = np.sqrt((ell + m) * (ell - m + 1.0)) * pbar[ell, m - 1]
+            hi = 0.0
+            if m + 1 <= ell:
+                hi = np.sqrt((ell - m) * (ell + m + 1.0)) * pbar[ell, m + 1]
+            dpbar[ell, m] = 0.5 * (lo - hi)
+    return pbar, dpbar, qbar
+
+
+def dense_stiffness_terms(L: int, x, weights):
+    """Per-m Gram terms of the Dirichlet form from the dense tables.
+
+    Returns (radial, angular): radial[m] pairs the d/dr rows dpbar dtheta/dr,
+    angular[m] the (1/r) d/dphi amplitudes qbar dtheta/dr (divided by m),
+    both against the plane weight weights (1 + r^2)^2 / 4 at r = tan(theta/2).
+    The stiffness block is the symmetric part of radial[m] + m^2 angular[m].
+    """
+    _, dpbar, qbar = dense_legendre_tables(L, x)
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt((1.0 - x) / (1.0 + x))
+    jac = 2.0 / (1.0 + r * r)
+    gw = weights * (1.0 + r * r) ** 2 / 4.0
+    radial, angular = [], []
+    for m in range(L + 1):
+        dth = dpbar[m:, m] * jac[None, :]
+        radial.append((dth * gw[None, :]) @ dth.T)
+        q = qbar[m:, m] * jac[None, :]
+        angular.append((q * gw[None, :]) @ q.T)
+    return radial, angular
+
+
+def dense_stiffness_blocks(L: int, x, weights):
+    """Stiffness blocks K_m assembled from the dense tables."""
+    radial, angular = dense_stiffness_terms(L, x, weights)
+    blocks = []
+    for m, (rad, ang) in enumerate(zip(radial, angular)):
+        blk = rad + (m * m) * ang if m > 0 else rad
+        blocks.append(0.5 * (blk + blk.T))
+    return blocks

@@ -512,7 +512,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
 
 
 def test_previous_solver_entry_is_not_served(tmp_path):
-    """An entry stored under the blocks-1 solver key is never a hit.
+    """An entry stored under the blocks-2 solver key is never a hit.
 
     It holds a valid-looking spectrum (twice the true one), so only the
     solver version in the key keeps it out.
@@ -520,11 +520,11 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     from zetasphere.cache import SpectrumCache, spectrum_cache_key
     from zetasphere.eigensolve import SOLVER_VERSION
 
-    assert SOLVER_VERSION == "blocks-2"
+    assert SOLVER_VERSION == "blocks-3"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     fresh = spectral_data(metric, 4)
-    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-1")
+    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-2")
     cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
     again = spectral_data(metric, 4, cache=cache)
     assert again.from_cache is False

@@ -1,8 +1,10 @@
 """Quadrature rule and normalized-harmonic table checks.
 
-The Legendre tables are compared against scipy's associated Legendre
-functions with the normalization written out explicitly, and the rule's
-polynomial exactness is checked against closed-form monomial integrals.
+The packed Legendre table is compared against scipy's associated Legendre
+functions with the normalization written out explicitly and, bitwise,
+against the dense three-table recurrence it replaced (tests/oracles.py);
+the rule's polynomial exactness is checked against closed-form monomial
+integrals.
 """
 
 import math
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 from scipy.special import lpmv, roots_legendre
 
+import oracles
 from zetasphere.errors import DomainError
-from zetasphere.harmonics import legendre_tables
+from zetasphere.harmonics import legendre_tables, theta_derivative
 from zetasphere.quadrature import build_quadrature
 
 
@@ -70,50 +73,60 @@ def test_legendre_against_scipy():
     """pbar_{lm} = (-1)^m sqrt((2l+1)(l-m)!/(l+m)!) P_l^m with scipy's P_l^m."""
     x = np.array([-0.83, -0.31, 0.02, 0.47, 0.9])
     L = 6
-    pbar, _, _ = legendre_tables(L, x)
-    for ell in range(L + 1):
-        for m in range(ell + 1):
+    pbar = legendre_tables(L, x)
+    for m in range(L + 1):
+        assert pbar[m].shape == (L + 1 - m, x.size)
+        for ell in range(m, L + 1):
             norm = math.sqrt(
                 (2 * ell + 1) * math.factorial(ell - m) / math.factorial(ell + m)
             )
             ref = (-1.0) ** m * norm * lpmv(m, ell, x)
-            assert np.allclose(pbar[ell, m], ref, atol=1e-12), (ell, m)
+            assert np.allclose(pbar[m][ell - m], ref, atol=1e-12), (ell, m)
 
 
 def test_legendre_orthonormality_independent_rule():
     """Rows are orthogonal with squared norm 2 under a plain 200-node rule."""
     x, w = roots_legendre(200)
     L = 10
-    pbar, _, _ = legendre_tables(L, x)
+    pbar = legendre_tables(L, x)
     for m in range(L + 1):
-        rows = pbar[m:, m]
-        G = (rows * w[None, :]) @ rows.T
-        assert np.allclose(G, 2.0 * np.eye(rows.shape[0]), atol=1e-12), m
+        G = (pbar[m] * w[None, :]) @ pbar[m].T
+        assert np.allclose(G, 2.0 * np.eye(L + 1 - m), atol=1e-12), m
 
 
 def test_legendre_theta_derivative():
-    """dpbar is the theta derivative of pbar(cos theta), checked by stencil."""
+    """theta_derivative is the theta derivative of pbar(cos theta), by stencil."""
     theta = np.array([0.4, 1.1, 1.9, 2.6])
     h = 1e-6
     L = 5
-    pbar, dpbar, _ = legendre_tables(L, np.cos(theta))
-    p_hi = legendre_tables(L, np.cos(theta + h))[0]
-    p_lo = legendre_tables(L, np.cos(theta - h))[0]
-    fd = (p_hi - p_lo) / (2.0 * h)
-    for ell in range(L + 1):
-        for m in range(ell + 1):
-            assert np.allclose(dpbar[ell, m], fd[ell, m], atol=1e-8), (ell, m)
+    pbar = legendre_tables(L, np.cos(theta))
+    p_hi = legendre_tables(L, np.cos(theta + h))
+    p_lo = legendre_tables(L, np.cos(theta - h))
+    for m in range(L + 1):
+        fd = (p_hi[m] - p_lo[m]) / (2.0 * h)
+        assert np.allclose(theta_derivative(pbar, m), fd, atol=1e-8), m
 
 
-def test_legendre_sine_quotient():
-    """qbar carries pbar / sin(theta) for m >= 1 without the 0/0 at the poles."""
-    x = np.linspace(-0.95, 0.95, 11)
-    s = np.sqrt(1.0 - x * x)
-    L = 5
-    pbar, _, qbar = legendre_tables(L, x)
-    for ell in range(1, L + 1):
-        for m in range(1, ell + 1):
-            assert np.allclose(qbar[ell, m] * s, pbar[ell, m], atol=1e-12)
+def test_packed_table_is_one_array():
+    """The per-m blocks are views that tile one packed array, none of m > ell."""
+    L, x = 8, np.linspace(-0.9, 0.9, 7)
+    pbar = legendre_tables(L, x)
+    base = pbar[0].base
+    assert base.shape == ((L + 1) * (L + 2) // 2, x.size)
+    assert all(block.base is base for block in pbar)
+    assert sum(block.nbytes for block in pbar) == base.nbytes
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 8, 48])
+def test_packed_table_matches_dense_oracle(L):
+    """The packed recurrence reproduces the dense three-table rows bitwise,
+    and the shift identity reproduces the dense dpbar table bitwise."""
+    x = build_quadrature(2 * L + 2).x
+    pbar = legendre_tables(L, x)
+    dense_p, dense_dp, _ = oracles.dense_legendre_tables(L, x)
+    for m in range(L + 1):
+        assert np.array_equal(pbar[m], dense_p[m:, m]), m
+        assert np.array_equal(theta_derivative(pbar, m), dense_dp[m:, m]), m
 
 
 def test_legendre_validation():
