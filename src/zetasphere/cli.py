@@ -6,7 +6,9 @@ unusable fit window), 3 tolerance failure (a named check did not pass;
 summary.json in the output directory says which).
 
 Heavy imports happen inside the command handlers so the thread environment
-from the config takes effect before the linear algebra libraries load.
+from the config takes effect before the linear algebra libraries load. The
+``threads`` setting (default 1) overrides any exported thread variable;
+``--threads 0`` keeps the environment and the library default.
 Every file write is atomic (temp file + rename) and deterministic: the same
 config produces byte-identical CSV/JSON.
 """
@@ -418,7 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", dest="output_dir", help="directory for result files")
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="spectrum cache directory (converge and selftest use none)")
-    common.add_argument("--threads", type=int, help="BLAS/OpenMP thread count (0 = library default)")
+    common.add_argument(
+        "--threads", type=int,
+        help="BLAS/OpenMP threads: N pins N (default 1); 0 keeps the library "
+        "default and any exported OPENBLAS_NUM_THREADS etc.",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     helps = {
@@ -469,7 +475,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if code == 0:
-        print(f"done in {time.monotonic() - started:.2f}s")
+        threads = config.threads or "library default"
+        print(f"done in {time.monotonic() - started:.2f}s (threads={threads})")
     return code
 
 

@@ -15,6 +15,12 @@ Sections and keys::
     [family]   name, parameters
     [converge] t_set
 
+``threads`` defaults to 1: every operator is radial, so the largest dense
+matrix BLAS sees is one azimuthal block, at most 257 wide at L = 256, and a
+second BLAS thread only spins. The CLI writes ``threads`` into
+``OMP/OPENBLAS/MKL/NUMEXPR_NUM_THREADS``, overriding any exported value;
+``threads = 0`` leaves the environment, and so the library default, alone.
+
 This module stays import-light (no numpy) so the CLI can fix the thread
 environment before any linear algebra loads.
 """
@@ -44,7 +50,7 @@ class RunConfig:
     n_theta: int | None = None
     output_dir: str = "out"
     cache_dir: str | None = None
-    threads: int = 0
+    threads: int = 1
     t_lo: float = 0.01
     t_hi: float = 10.0
     t_count: int = 120

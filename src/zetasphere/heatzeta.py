@@ -218,7 +218,9 @@ def _weighted_fit(t: np.ndarray, th: np.ndarray):
 
     Returns the coefficients, the largest absolute model residual and the
     parameter spread from the weighted normal equations. Raises FitWindowError
-    when a window far from t ~ 1 overflows or underflows the weighted design.
+    when a window far from t ~ 1 overflows or underflows the weighted design,
+    or leaves it rank-deficient: the weighted columns t, t^2 and t^3 then
+    differ in scale by more than lstsq's cutoff, and it would drop one silently.
     """
     with np.errstate(over="ignore"):
         A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
@@ -229,7 +231,11 @@ def _weighted_fit(t: np.ndarray, th: np.ndarray):
     try:
         if not np.all(np.isfinite(normal)):
             raise np.linalg.LinAlgError("non-finite normal matrix")
-        coef, _, _, _ = np.linalg.lstsq(Aw, bw, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(Aw, bw, rcond=None)
+        if rank < A.shape[1]:
+            raise np.linalg.LinAlgError(
+                f"weighted design has rank {rank} of {A.shape[1]}"
+            )
         normal_inv = np.linalg.inv(normal)
     except np.linalg.LinAlgError as e:
         raise FitWindowError(f"weighted fit on t in [{t[0]:.4g}, {t[-1]:.4g}] failed: {e}") from e

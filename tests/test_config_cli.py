@@ -13,7 +13,7 @@ import pytest
 import zetasphere
 from zetasphere import harness, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, default_cache_dir
-from zetasphere.cli import _jsonable, main, write_csv
+from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, override, parse_config, validated
 from zetasphere.discretize import build_basis, mass
 from zetasphere.errors import ConfigError
@@ -34,10 +34,11 @@ def run_cli(args, out_dir, cache_dir, capsys):
 
 
 def run_python(code, *args, cwd):
-    """Run ``python -c code args`` with the package importable; return the result."""
+    """Run ``python -c code args`` with the package importable and no thread
+    variable set; return the result."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _THREAD_VARS:
         env.pop(var, None)
     return subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -52,6 +53,7 @@ def test_defaults_validate():
     config = validated(RunConfig())
     assert config.metric == "fs"
     assert config.L == 16
+    assert config.threads == 1
     assert config.fit_window is None
     assert config.s_values == (1.5, 2.0, 3.0)
     assert config.family == "pnorm"
@@ -540,6 +542,21 @@ def test_cli_extreme_scale_factor_exits_2(tmp_path, cache, capsys):
         assert "Traceback" not in err, spec
 
 
+def test_cli_rank_deficient_fit_exits_2(tmp_path, cache, capsys):
+    """A scaled window whose weighted design loses a column (rank 2 at 1e-6,
+    rank 1 at 1e40) is a FitWindowError naming the window, not a zeta'(0)
+    outside its budget."""
+    for spec, rank in (("scaled:1e-06:fs", 2), ("scaled:1e40:fs", 1)):
+        code, _, err = run_cli(
+            ["torsion", "--metric", spec, "--L", "32"], tmp_path, cache.root, capsys
+        )
+        assert code == 2, spec
+        assert "FitWindowError" in err, spec
+        assert f"weighted design has rank {rank} of 3" in err, spec
+        assert "weighted fit on t in [" in err, spec
+        assert "Traceback" not in err, spec
+
+
 # ---------------------------------------------------------------- cache location
 
 
@@ -653,22 +670,60 @@ def test_cli_runs_never_load_scipy(tmp_path):
     assert result.stdout.split()[-1] == "ok"
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-def test_threads_flag_pins_blas(tmp_path):
-    probe = (
-        "import sys\n"
-        "from zetasphere.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        "import numpy, scipy.linalg\n"
-        "status = open('/proc/self/status').read().splitlines()\n"
-        "print([line.split()[1] for line in status if line.startswith('Threads:')][0])\n"
-    )
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+
+_THREADS_PROBE = """
+import json, os, sys
+from zetasphere.cli import _THREAD_VARS, main
+assert main(sys.argv[1:]) == 0
+import numpy, scipy.linalg
+with open("/proc/self/status") as status:
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(json.dumps({"Threads": threads, **{var: os.environ.get(var) for var in _THREAD_VARS}}))
+"""
+
+
+def _threads_probe(tmp_path, *flags):
+    """Run ``spectrum --L 8`` with ``flags`` in a child started with no thread
+    variable set; return its closing line and the probe's report."""
     result = run_python(
-        probe, "spectrum", "--metric", "fs", "--L", "8", "--threads", "1",
+        _THREADS_PROBE, "spectrum", "--metric", "fs", "--L", "8", *flags,
         "--output-dir", "out", "--cache-dir", "cache", cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split()[-1] == "1"
+    lines = result.stdout.splitlines()
+    return lines[-2], json.loads(lines[-1])
+
+
+@needs_proc
+def test_threads_flag_pins_blas(tmp_path):
+    done, report = _threads_probe(tmp_path, "--threads", "1")
+    assert report["Threads"] == "1"
+    assert done.endswith("(threads=1)")
+
+
+@needs_proc
+def test_threads_default_is_one(tmp_path):
+    """With no --threads the CLI pins every BLAS library to one thread."""
+    done, report = _threads_probe(tmp_path)
+    assert report["Threads"] == "1"
+    assert all(report[var] == "1" for var in _THREAD_VARS)
+    assert done.endswith("(threads=1)")
+
+
+@needs_proc
+def test_threads_zero_leaves_environment(tmp_path):
+    """--threads 0 writes no thread variable: the library default stands."""
+    done, report = _threads_probe(tmp_path, "--threads", "0")
+    assert all(report[var] is None for var in _THREAD_VARS)
+    assert done.endswith("(threads=library default)")
+
+
+@needs_proc
+def test_threads_n_pins_every_variable(tmp_path):
+    done, report = _threads_probe(tmp_path, "--threads", "2")
+    assert all(report[var] == "2" for var in _THREAD_VARS)
+    assert done.endswith("(threads=2)")
 
 
 def test_package_names_still_resolve():

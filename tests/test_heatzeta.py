@@ -240,6 +240,11 @@ def test_fit_window_errors():
     sparse = model_samples([1.0], geometric_grid(0.02, 0.2, 3), 3.0, 5.0, 0.1)
     with pytest.raises(FitWindowError):
         fit_asymptotics(sparse, window=(0.02, 0.2))
+    # windows so far from t ~ 1 that the weighted design loses a column
+    for lo, rank in ((5e-8, 2), (5e38, 1)):
+        far = model_samples([1.0], geometric_grid(lo, 4 * lo, 40), 3.0, 5.0, 0.1)
+        with pytest.raises(FitWindowError, match=f"rank {rank} of 3"):
+            fit_asymptotics(far, window=(lo, 4 * lo))
     # malformed windows fail fast
     good = model_samples([1.0], grid, 3.0, 5.0, 0.1)
     for window in [(0.2, 0.02), (0.0, 0.2), (-0.1, 0.2)]:
