@@ -17,10 +17,11 @@ Cauchy table of ``quillen_limit`` tracks the same quantity along a smoothing
 family approaching a non-smooth limit factor.
 
 ``torsion_report`` runs the scalar pipeline on one metric's spectrum data
-and assembles its ``QuillenData``. The checks (``two_route_check``,
-``quillen_limit``) take those computed results instead of rerunning the
-pipeline, so a caller runs it once per metric and hands each result to
-every check that reads it.
+and assembles its ``QuillenData``; the report holds the spectrum data, the
+``ZetaResult`` (which carries the heat-trace fit) and that summary. The
+checks (``two_route_check``, ``quillen_limit``) take those computed results
+instead of rerunning the pipeline, so a caller runs it once per metric and
+hands each result to every check that reads it.
 
 Sign convention: the source formulas are ambiguous about exp(+zeta'(0))
 versus exp(-zeta'(0)), so the sign is calibrated once by requiring the
@@ -43,7 +44,7 @@ import numpy as np
 
 from .cache import SpectrumCache
 from .errors import DomainError, UnsupportedPointError
-from .heatzeta import AsymptoticFit, HeatTraceSamples, ZetaResult
+from .heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, ZetaResult
 from .metrics import (
     ConformalMetric,
     fs_metric,
@@ -241,7 +242,7 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
     pair = []
     for m in (fs_metric(), pnorm_metric(2.0)):
         data = spectral_data(m, L, cache=cache)
-        pair.append((m, data.volume, compute_zeta(data, m)[2]))
+        pair.append((m, data.volume, compute_zeta(data, m)))
 
     def gap(sign: int) -> float:
         (p, vp, zp), (q, vq, zq) = pair
@@ -344,11 +345,10 @@ def quillen_limit(
 
 @dataclass(frozen=True)
 class TorsionReport:
-    """Everything the torsion pipeline produces for one metric."""
+    """Everything the torsion pipeline produces for one metric; the fit is
+    ``zeta.fit``."""
 
     data: SpectralData
-    samples: HeatTraceSamples
-    fit: AsymptoticFit
     zeta: ZetaResult
     quillen: QuillenData
 
@@ -357,10 +357,10 @@ def torsion_report(
     data: SpectralData,
     metric: ConformalMetric,
     window: tuple[float, float] | None = None,
-    s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
-    trunc_tol: float = 1e-8,
+    s_values: tuple[float, ...] = DEFAULT_S_VALUES,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> TorsionReport:
     """Run the scalar pipeline on ``data`` and attach the determinant-metric summary."""
-    samples, fit, zres = compute_zeta(data, metric, window, s_values, trunc_tol)
+    zres = compute_zeta(data, metric, window, s_values, trunc_tol)
     qd = quillen_log(metric, zres, vol=data.volume)
-    return TorsionReport(data=data, samples=samples, fit=fit, zeta=zres, quillen=qd)
+    return TorsionReport(data=data, zeta=zres, quillen=qd)

@@ -149,7 +149,7 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _zeta_payload(data, fit, zres) -> dict:
+def _zeta_payload(data, zres) -> dict:
     return {
         "metric": data.metric_id,
         "L": data.L,
@@ -165,7 +165,7 @@ def _zeta_payload(data, fit, zres) -> dict:
         "zeta0_minus_kernel": zres.zeta0_minus_kernel,
         "zeta_prime0": zres.zeta_prime0,
         "error_budget": zres.error_budget,
-        "fit": _fit_payload(fit),
+        "fit": _fit_payload(zres.fit),
         "method": zres.method,
     }
 
@@ -200,19 +200,23 @@ def _cmd_spectrum(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_theta(config: RunConfig, out: Path) -> int:
-    from .heatzeta import heat_trace_samples
+    import numpy as np
+
+    from .heatzeta import theta_values
     from .pipeline import spectral_data
 
     metric = _make_metric(config)
     data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
-    samples = heat_trace_samples(data, _theta_grid(config))
+    lam = data.eigenvalues
+    t = _theta_grid(config)
+    # n exp(-lambda_max t) bounds the trace of the modes above the cutoff
     path = write_csv(
         out / "theta.csv",
         ["t", "theta", "trunc_bound"],
-        zip(samples.t, samples.values, samples.trunc_bound),
+        zip(t, theta_values(lam, t), lam.size * np.exp(-lam[-1] * t)),
     )
     print(
-        f"theta: {data.metric_id} L={data.L} grid={samples.t.size} "
+        f"theta: {data.metric_id} L={data.L} grid={t.size} "
         f"[{config.t_lo:g}, {config.t_hi:g}] -> {path}"
     )
     return 0
@@ -223,10 +227,8 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
 
     metric = _make_metric(config)
     data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
-    _, fit, zres = compute_zeta(
-        data, metric, config.fit_window, config.s_values, config.trunc_tol
-    )
-    path = write_json(out / "zeta.json", _zeta_payload(data, fit, zres))
+    zres = compute_zeta(data, metric, config.fit_window, config.s_values, config.trunc_tol)
+    path = write_json(out / "zeta.json", _zeta_payload(data, zres))
     print(
         f"zeta: {data.metric_id} L={data.L} zeta_prime0={zres.zeta_prime0:.12g} "
         f"budget={zres.error_budget:.3g} -> {path}"
@@ -243,7 +245,7 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
     report = torsion_report(
         data, metric, config.fit_window, config.s_values, config.trunc_tol
     )
-    zeta_path = write_json(out / "zeta.json", _zeta_payload(report.data, report.fit, report.zeta))
+    zeta_path = write_json(out / "zeta.json", _zeta_payload(report.data, report.zeta))
     quillen_path = write_json(out / "quillen.json", _quillen_payload(report.quillen))
     print(
         f"torsion: {report.data.metric_id} L={report.data.L} "

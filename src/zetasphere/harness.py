@@ -62,7 +62,13 @@ from .anomaly import (
 from .discretize import Blocks, assemble, block_rows, mass_log_variation
 from .eigensolve import Spectrum, pencil_eigh, resolvent
 from .errors import DomainError
-from .heatzeta import DuhamelReport, duhamel_residual, heat_operator, theta_values
+from .heatzeta import (
+    DEFAULT_TRUNC_TOL,
+    DuhamelReport,
+    duhamel_residual,
+    heat_operator,
+    theta_values,
+)
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norm
 from .pipeline import SpectralData, compute_spectrum, get_basis
@@ -218,8 +224,8 @@ def _pipeline_row(
     return SweepRow(
         param=param,
         theta={float(t): float(v) for t, v in zip(t_arr, th)},
-        b_minus1=rep.fit.b_minus1,
-        b0=rep.fit.b0,
+        b_minus1=rep.zeta.fit.b_minus1,
+        b0=rep.zeta.fit.b0,
         sup_log_dist_to_limit=(
             math.nan if limit is None else sup_log_distance(metric, limit)
         ),
@@ -233,7 +239,7 @@ def sweep(
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
     window: tuple[float, float] | None = None,
-    trunc_tol: float = 1e-8,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
     n_theta: int | None = None,
 ) -> SweepReport:
     """Solve and run the scalar pipeline once per family member and for the limit.
@@ -770,7 +776,7 @@ def convergence_summary(
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
     window: tuple[float, float] | None = None,
-    trunc_tol: float = 1e-8,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
     variation_u: float = 2.5,
     variation_L: int = 16,
     n_theta: int | None = None,

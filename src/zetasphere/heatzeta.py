@@ -1,10 +1,14 @@
 """Heat traces, spectral zeta values, and the zeta derivative at zero.
 
-The discrete heat trace theta(t) = sum_k exp(-lambda_k t) over the positive
-eigenvalues is the single object everything else is built from:
+Every function here takes the eigenvalue array itself. The discrete heat
+trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues is the
+single object everything else is built from:
 
-* its small-t window is fitted to b_-1/t + b_0 + b_1 t, giving the volume
-  coefficient and the constant term;
+* ``fit_asymptotics`` is the one fit routine: it clips the window once, at
+  the time the truncation bound n exp(-lambda_max t) reaches ``trunc_tol``,
+  samples theta on ``FIT_GRID_NODES`` geometric times in what is left, and
+  fits b_-1/t + b_0 + b_1 t, giving the volume coefficient and the constant
+  term;
 * zeta(s) for s > 1 comes directly from the eigenvalues, cross-checked by a
   Mellin quadrature of the trace;
 * zeta'(0) is assembled from four exactly-computable pieces
@@ -22,7 +26,7 @@ eigenvalues is the single object everything else is built from:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,8 +39,7 @@ from .operators import InnerProduct, block_operator_norm
 __all__ = [
     "exp_e1",
     "geometric_grid",
-    "HeatTraceSamples",
-    "heat_trace_samples",
+    "theta",
     "theta_values",
     "truncation_time",
     "AsymptoticFit",
@@ -44,8 +47,6 @@ __all__ = [
     "ZetaPoint",
     "zeta_direct",
     "zeta_mellin",
-    "ZetaPrime",
-    "zeta_prime_zero",
     "ZetaResult",
     "zeta_result",
     "heat_operator",
@@ -53,11 +54,18 @@ __all__ = [
     "duhamel_residual",
     "DEFAULT_FIT_WINDOW",
     "DEFAULT_TRUNC_TOL",
+    "DEFAULT_S_VALUES",
+    "FIT_GRID_NODES",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
 DEFAULT_FIT_WINDOW = (0.02, 0.2)
 DEFAULT_TRUNC_TOL = 1e-8
+DEFAULT_S_VALUES = (1.5, 2.0, 3.0)
+
+# Geometric times at which every fit, and the lower-half refit of
+# _window_sensitivity, samples the heat trace.
+FIT_GRID_NODES = 25
 
 # Times per block of the heat-trace sum: the exp(-t lambda) block holds
 # _THETA_BLOCK * n floats (8.5 MB at L = 128) however many times are asked.
@@ -146,11 +154,6 @@ def _gl_panels(lo: float, hi: float, n_panels: int, n_nodes: int):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _eigenvalues_of(spectrum_or_eigenvalues) -> np.ndarray:
-    lam = getattr(spectrum_or_eigenvalues, "eigenvalues", spectrum_or_eigenvalues)
-    return np.asarray(lam, dtype=float)
-
-
 def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum over positive eigenvalues of exp(-lambda t), kernel excluded.
 
@@ -158,7 +161,7 @@ def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
     row reduction as in one (len(t), n) matrix, so the values do not depend
     on the block size.
     """
-    lam = _eigenvalues_of(eigenvalues)
+    lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 0.0]
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty(t.size)
@@ -168,44 +171,12 @@ def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta(spectrum, t: float) -> float:
+def theta(eigenvalues: np.ndarray, t: float) -> float:
     """Heat trace at one positive time; the kernel never contributes."""
     t = float(t)
     if t <= 0.0:
         raise DomainError(f"heat trace time must be positive, got {t}")
-    return float(theta_values(spectrum, np.array([t]))[0])
-
-
-@dataclass(frozen=True)
-class HeatTraceSamples:
-    """Heat trace values on a time grid with the truncation error bound.
-
-    ``trunc_bound[i] = n_modes * exp(-lambda_max * t[i])`` dominates the trace
-    the missing continuum modes above the basis cutoff could contribute.
-    """
-
-    metric_id: str
-    t: np.ndarray
-    values: np.ndarray
-    trunc_bound: np.ndarray
-    lambda_max: float
-    n_modes: int
-
-
-def heat_trace_samples(spectrum, t: np.ndarray) -> HeatTraceSamples:
-    """Heat trace of ``spectrum`` on the times ``t`` with its truncation bound.
-
-    ``spectrum`` is anything carrying ``eigenvalues`` (ascending) and
-    ``metric_id``: a Spectrum or the pipeline's SpectralData.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
-        raise DomainError("heat trace times must be positive")
-    lam_max = float(spectrum.eigenvalues[-1])
-    n = int(spectrum.eigenvalues.size)
-    vals = theta_values(spectrum.eigenvalues, t)
-    bound = n * np.exp(-lam_max * t)
-    return HeatTraceSamples(spectrum.metric_id, t, vals, bound, lam_max, n)
+    return float(theta_values(eigenvalues, np.array([t]))[0])
 
 
 def truncation_time(n_modes: int, lambda_max: float, trunc_tol: float) -> float:
@@ -260,7 +231,6 @@ class AsymptoticFit:
     n_points: int
     trunc_tol: float
     param_sigma: tuple[float, float, float]
-    t_used: np.ndarray = field(repr=False)
 
     @property
     def coefficients(self) -> tuple[float, float, float]:
@@ -268,40 +238,34 @@ class AsymptoticFit:
 
 
 def fit_asymptotics(
-    samples: HeatTraceSamples,
+    eigenvalues: np.ndarray,
     window: tuple[float, float] | None = None,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> AsymptoticFit:
-    """Fit the three-term small-time model on the valid part of the window.
+    """Fit the three-term small-time model to the heat trace of ``eigenvalues``.
 
     The requested window is clipped to the region where the truncation bound
-    stays below ``trunc_tol``; both windows are recorded. Raises
-    FitWindowError when the clipped window is empty or holds fewer than four
-    samples.
+    stays below ``trunc_tol``; both windows are recorded. The trace is
+    sampled on ``FIT_GRID_NODES`` geometric times spanning the clipped
+    window. Raises FitWindowError when the clipped window is empty.
     """
     if window is None:
         window = DEFAULT_FIT_WINDOW
     lo_req, hi_req = float(window[0]), float(window[1])
     if not (0.0 < lo_req < hi_req):
         raise DomainError(f"bad fit window {window}")
-    t_valid = truncation_time(samples.n_modes, samples.lambda_max, trunc_tol)
+    lam = np.asarray(eigenvalues, dtype=float)
+    n_modes, lambda_max = int(lam.size), float(lam[-1])
+    t_valid = truncation_time(n_modes, lambda_max, trunc_tol)
     lo = max(lo_req, t_valid)
     if lo >= hi_req:
         raise FitWindowError(
             f"truncation bound exceeds {trunc_tol:g} on all of [{lo_req:g}, {hi_req:g}]"
             f" (valid region starts at t = {t_valid:.4g})",
-            violated_bound=float(samples.n_modes * math.exp(-samples.lambda_max * hi_req)),
+            violated_bound=float(n_modes * math.exp(-lambda_max * hi_req)),
         )
-    mask = (samples.t >= lo * (1.0 - 1e-12)) & (samples.t <= hi_req * (1.0 + 1e-12))
-    t = samples.t[mask]
-    th = samples.values[mask]
-    if t.size < 4:
-        raise FitWindowError(
-            f"only {t.size} heat-trace samples fall in the effective window "
-            f"[{lo:.4g}, {hi_req:.4g}]; need at least 4",
-            violated_bound=float(samples.n_modes * math.exp(-samples.lambda_max * hi_req)),
-        )
-    coef, resid, sig = _weighted_fit(t, th)
+    t = geometric_grid(lo, hi_req, FIT_GRID_NODES)
+    coef, resid, sig = _weighted_fit(t, theta_values(lam, t))
     return AsymptoticFit(
         b_minus1=float(coef[0]),
         b0=float(coef[1]),
@@ -309,10 +273,9 @@ def fit_asymptotics(
         residual=resid,
         window_requested=(lo_req, hi_req),
         window_effective=(float(lo), float(hi_req)),
-        n_points=int(t.size),
+        n_points=FIT_GRID_NODES,
         trunc_tol=float(trunc_tol),
         param_sigma=sig,
-        t_used=t,
     )
 
 
@@ -329,7 +292,7 @@ def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoi
     """sum lambda^(-s) over the positive spectrum; needs s > 1."""
     if s <= 1.0:
         raise DomainError(f"direct zeta summation needs s > 1, got {s}")
-    lam = _eigenvalues_of(eigenvalues)
+    lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 0.0]
     if lam.size == 0:
         raise DomainError("no positive eigenvalues")
@@ -350,7 +313,7 @@ def zeta_mellin(eigenvalues: np.ndarray, s: float) -> float:
     """
     if s <= 1.0:
         raise DomainError(f"Mellin route implemented for s > 1, got {s}")
-    lam = _eigenvalues_of(eigenvalues)
+    lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 0.0]
     lam1 = float(lam[0])
     t0 = 1e-10
@@ -365,18 +328,7 @@ def zeta_mellin(eigenvalues: np.ndarray, s: float) -> float:
     return (integral + tail) / math.gamma(s)
 
 
-@dataclass(frozen=True)
-class ZetaPrime:
-    """zeta'(0) with its propagated error budget and its parts."""
-
-    value: float
-    budget: float
-    parts: dict
-
-
-def _window_sensitivity(
-    lam: np.ndarray, fit: AsymptoticFit, n_nodes: int = 25
-) -> float:
+def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
     """Systematic-error probe: refit on the lower half of the window.
 
     Sharp conformal factors push the true small-time regime of the trace
@@ -394,7 +346,7 @@ def _window_sensitivity(
     hi_sub = math.sqrt(t_lo * t_hi)
     if hi_sub < 1.3 * t_lo:
         return 0.0
-    t = geometric_grid(t_lo, hi_sub, n_nodes)
+    t = geometric_grid(t_lo, hi_sub, FIT_GRID_NODES)
     coef = _weighted_fit(t, theta_values(lam, t))[0]
     d_bm1, d_b0, d_b1 = (float(c) - f for c, f in zip(coef, fit.coefficients))
     return abs(
@@ -402,48 +354,6 @@ def _window_sensitivity(
         - d_b0 * (math.log(1.0 / t_lo) - EULER_GAMMA)
         + d_b1 * t_lo
     )
-
-
-def zeta_prime_zero(eigenvalues: np.ndarray, fit: AsymptoticFit) -> ZetaPrime:
-    """Four-piece evaluation of zeta'(0); see the module docstring.
-
-    The pieces split at t = 1: the large-time piece is sum E1(lambda_k) only
-    because the regularization constants are written for that split.
-    """
-    lam = _eigenvalues_of(eigenvalues)
-    lam = lam[lam > 0.0]
-    t_lo = fit.window_effective[0]
-    bm1, b0, b1 = fit.coefficients
-
-    i_inf = float(np.sum(exp_e1(lam)))
-    pts, wts = _gl_panels(t_lo, 1.0, _WINDOW_PANELS, _WINDOW_NODES)
-    theta = theta_values(lam, pts)
-    i_mid = float(np.sum(wts * (theta - bm1 / pts - b0) / pts))
-    head = b1 * t_lo
-    core = i_inf + i_mid + head
-
-    value = core + EULER_GAMMA * b0 - bm1
-
-    sig_bm1, sig_b0, sig_b1 = fit.param_sigma
-    trunc_at_lo = fit.trunc_tol
-    spread = _window_sensitivity(lam, fit)
-    budget = (
-        sig_bm1 * (1.0 + 1.0 / t_lo)
-        + sig_b0 * (EULER_GAMMA + math.log(1.0 / t_lo))
-        + sig_b1 * t_lo
-        + abs(b1) * t_lo * t_lo
-        + trunc_at_lo * (1.0 + math.log(1.0 / t_lo))
-        + spread
-    )
-    parts = {
-        "large_time": i_inf,
-        "window": i_mid,
-        "head": head,
-        "constants": EULER_GAMMA * b0 - bm1,
-        "t_lo": t_lo,
-        "window_spread": spread,
-    }
-    return ZetaPrime(float(value), float(budget), parts)
 
 
 @dataclass(frozen=True)
@@ -461,37 +371,64 @@ class ZetaResult:
 
 
 def zeta_result(
-    eigenvalues,
+    eigenvalues: np.ndarray,
     fit: AsymptoticFit,
-    s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
+    s_values: tuple[float, ...] = DEFAULT_S_VALUES,
     metric_id: str = "",
 ) -> ZetaResult:
-    """Bundle the direct zeta points, zeta(0) and zeta'(0) for one spectrum.
+    """The direct zeta points, zeta(0) and zeta'(0) of one spectrum.
 
-    ``eigenvalues`` is an array or anything carrying an ``eigenvalues``
-    attribute; ``metric_id`` defaults from the carrier's attribute of the
-    same name when present. The kernel is the constants alone, so
-    ``zeta0_minus_kernel`` is zeta(0) - 1.
+    zeta'(0) is the four-piece evaluation of the module docstring, with its
+    error budget; its parts go to ``method``. The pieces split at t = 1: the
+    large-time piece is sum E1(lambda_k) only because the regularization
+    constants are written for that split. The kernel is the constants alone,
+    so ``zeta0_minus_kernel`` is zeta(0) - 1.
     """
-    lam = _eigenvalues_of(eigenvalues)
-    metric_id = metric_id or getattr(eigenvalues, "metric_id", "")
+    lam = np.asarray(eigenvalues, dtype=float)
     points = tuple(zeta_direct(lam, s, fit.b_minus1) for s in s_values)
-    zp = zeta_prime_zero(lam, fit)
+    lam = lam[lam > 0.0]
+    t_lo = fit.window_effective[0]
+    bm1, b0, b1 = fit.coefficients
+
+    i_inf = float(np.sum(exp_e1(lam)))
+    pts, wts = _gl_panels(t_lo, 1.0, _WINDOW_PANELS, _WINDOW_NODES)
+    th = theta_values(lam, pts)
+    i_mid = float(np.sum(wts * (th - bm1 / pts - b0) / pts))
+    head = b1 * t_lo
+    value = i_inf + i_mid + head + EULER_GAMMA * b0 - bm1
+
+    sig_bm1, sig_b0, sig_b1 = fit.param_sigma
+    spread = _window_sensitivity(lam, fit)
+    budget = (
+        sig_bm1 * (1.0 + 1.0 / t_lo)
+        + sig_b0 * (EULER_GAMMA + math.log(1.0 / t_lo))
+        + sig_b1 * t_lo
+        + abs(b1) * t_lo * t_lo
+        + fit.trunc_tol * (1.0 + math.log(1.0 / t_lo))
+        + spread
+    )
     method = {
         "window_requested": fit.window_requested,
         "window_effective": fit.window_effective,
         "fit_residual": fit.residual,
         "fit_points": fit.n_points,
         "t_split": 1.0,
-        "zeta_prime0_parts": zp.parts,
+        "zeta_prime0_parts": {
+            "large_time": i_inf,
+            "window": i_mid,
+            "head": head,
+            "constants": EULER_GAMMA * b0 - bm1,
+            "t_lo": t_lo,
+            "window_spread": spread,
+        },
     }
     return ZetaResult(
         metric_id=metric_id,
         s_points=points,
         zeta0=fit.b0,
         zeta0_minus_kernel=fit.b0 - 1,
-        zeta_prime0=zp.value,
-        error_budget=zp.budget,
+        zeta_prime0=float(value),
+        error_budget=float(budget),
         fit=fit,
         method=method,
     )

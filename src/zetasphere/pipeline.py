@@ -1,4 +1,4 @@
-"""Shared computation pipeline: the basis memo, spectrum data and fit grids.
+"""Shared computation pipeline: the basis memo, spectrum data and fit windows.
 
 A basis is built once per resolution within a process and shared by every
 metric solved on it. A pencil is solved wherever its spectrum is needed and
@@ -7,8 +7,10 @@ handed on from there: the scalar commands fetch eigenvalues and volume with
 convergence harness builds the same ``SpectralData`` from the spectra its
 sweep solved (``SpectralData.of``), so the harness checks read the
 sweep's eigenvectors and mass blocks instead of solving again.
-``compute_zeta`` runs heat trace -> fit -> zeta data on spectrum data that
-the caller supplies. No command builds an n x n matrix.
+``compute_zeta`` runs the heat-trace fit and the zeta data on spectrum data
+that the caller supplies; the fit itself, window clipping and sampling
+included, is ``heatzeta.fit_asymptotics``. No command builds an n x n
+matrix.
 
 Fit windows default to the metric's global scale: rescaling the conformal
 factor by c rescales eigenvalues by 1/c, so the default window carries a
@@ -27,13 +29,10 @@ from .discretize import SpectralBasis, assemble, build_basis
 from .eigensolve import SOLVER_VERSION, Spectrum, generalized_eigs
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
-    AsymptoticFit,
-    HeatTraceSamples,
+    DEFAULT_S_VALUES,
+    DEFAULT_TRUNC_TOL,
     ZetaResult,
     fit_asymptotics,
-    geometric_grid,
-    heat_trace_samples,
-    truncation_time,
     zeta_result,
 )
 from .metrics import ConformalMetric
@@ -44,7 +43,6 @@ __all__ = [
     "SpectralData",
     "spectral_data",
     "default_fit_window",
-    "compute_fit",
     "compute_zeta",
     "clear_process_caches",
 ]
@@ -156,41 +154,16 @@ def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:
     return (DEFAULT_FIT_WINDOW[0] * s, DEFAULT_FIT_WINDOW[1] * s)
 
 
-FIT_GRID_NODES = 25
-
-
-def compute_fit(
-    data: SpectralData,
-    metric: ConformalMetric,
-    window: tuple[float, float] | None = None,
-    trunc_tol: float = 1e-8,
-) -> tuple[HeatTraceSamples, AsymptoticFit]:
-    """Sample theta on a dedicated geometric grid inside the fit window.
-
-    The grid is laid in the part of the window where the truncation bound
-    clears ``trunc_tol``, so the default window keeps working at small L
-    (with larger, honestly reported, parameter spread). A window entirely
-    below the valid region raises FitWindowError.
-    """
-    if window is None:
-        window = default_fit_window(metric)
-    lam = data.eigenvalues
-    lo = max(float(window[0]), truncation_time(int(lam.size), float(lam[-1]), trunc_tol))
-    # an all-invalid window still gets a grid so fit_asymptotics can raise
-    # its canonical FitWindowError
-    grid_lo = lo if lo < float(window[1]) else float(window[0])
-    samples = heat_trace_samples(data, geometric_grid(grid_lo, float(window[1]), FIT_GRID_NODES))
-    return samples, fit_asymptotics(samples, window, trunc_tol)
-
-
 def compute_zeta(
     data: SpectralData,
     metric: ConformalMetric,
     window: tuple[float, float] | None = None,
-    s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
-    trunc_tol: float = 1e-8,
-) -> tuple[HeatTraceSamples, AsymptoticFit, ZetaResult]:
-    """The scalar pipeline on one metric's spectrum data: heat trace -> fit -> zeta."""
-    samples, fit = compute_fit(data, metric, window, trunc_tol)
-    result = zeta_result(data.eigenvalues, fit, s_values, metric_id=data.metric_id)
-    return samples, fit, result
+    s_values: tuple[float, ...] = DEFAULT_S_VALUES,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
+) -> ZetaResult:
+    """Fit and zeta data of one metric's spectrum; the window defaults to
+    ``default_fit_window(metric)``, and the fit is the result's ``fit``."""
+    if window is None:
+        window = default_fit_window(metric)
+    fit = fit_asymptotics(data.eigenvalues, window, trunc_tol)
+    return zeta_result(data.eigenvalues, fit, s_values, metric_id=data.metric_id)

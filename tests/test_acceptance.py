@@ -49,8 +49,8 @@ def zeta32(cache):
         ("fs", fs_metric()),
     ]:
         data = spectral_data(metric, 32, cache=cache)
-        _, fit, zres = compute_zeta(data, metric)
-        out[key] = (data, fit, zres)
+        zres = compute_zeta(data, metric)
+        out[key] = (data, zres.fit, zres)
     return out
 
 
@@ -103,12 +103,14 @@ def test_ac02_round_metric_multiplets(tmp_path):
 
 def test_ac03_scaling_laws(cache):
     base_data = spectral_data(pnorm_metric(3.0), 24, cache=cache)
-    _, base_fit, base_z = compute_zeta(base_data, pnorm_metric(3.0))
+    base_z = compute_zeta(base_data, pnorm_metric(3.0))
+    base_fit = base_z.fit
     worst_eig, worst_bm1, worst_gap = 0.0, 0.0, 0.0
     for t0 in (0.5, 2.0, 10.0):
         scaled = scaled_metric(t0, pnorm_metric(3.0))
         data = spectral_data(scaled, 24, cache=cache)
-        _, fit, zres = compute_zeta(data, scaled)
+        zres = compute_zeta(data, scaled)
+        fit = zres.fit
         expected = base_data.eigenvalues[1:] / t0
         eig_rel = float(np.max(np.abs(data.eigenvalues[1:] - expected) / expected))
         assert eig_rel <= 1e-10, f"t0={t0}: eigenvalue scaling off by {eig_rel:.2e}"
@@ -134,7 +136,7 @@ def test_ac03_scaling_laws(cache):
 def test_ac04_mellin_consistency(cache, zeta32):
     worst_rel = 0.0
     data3 = spectral_data(pnorm_metric(3.0), 32, cache=cache)
-    _, fit3, _ = compute_zeta(data3, pnorm_metric(3.0))
+    fit3 = compute_zeta(data3, pnorm_metric(3.0)).fit
     cases = {"pnorm:3": (data3, fit3), "fs": (zeta32["fs"][0], zeta32["fs"][1])}
     for name, (data, fit) in cases.items():
         lam = data.eigenvalues
@@ -312,7 +314,7 @@ def test_ac09_operator_suite():
         norm = trace_norm(P0 @ E[0], ips[0]) + sum(
             2.0 * trace_norm(E_m, ip) for E_m, ip in zip(E[1:], ips[1:])
         )
-        return abs(norm - theta(spectrum, t))
+        return abs(norm - theta(spectrum.eigenvalues, t))
 
     worst = max(bridge(t) for t in (0.3, 1.0, 2.5))
     assert worst <= 1e-10

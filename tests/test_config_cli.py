@@ -18,6 +18,8 @@ from zetasphere.config import RunConfig, load_config, override, parse_config, va
 from zetasphere.discretize import build_basis, mass
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
+from zetasphere.heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, theta_values
+from zetasphere.metrics import fs_metric
 from zetasphere.pipeline import clear_process_caches
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
@@ -58,6 +60,14 @@ def test_defaults_validate():
     assert config.s_values == (1.5, 2.0, 3.0)
     assert config.family == "pnorm"
     assert config.t_set == (0.5, 1.0, 2.0)
+
+
+def test_fit_defaults_match_heatzeta():
+    """config stays numpy-free, so it repeats the fit defaults as literals;
+    they must equal the heat-trace module's own."""
+    config = RunConfig()
+    assert config.trunc_tol == DEFAULT_TRUNC_TOL
+    assert config.s_values == DEFAULT_S_VALUES
 
 
 @pytest.mark.parametrize(
@@ -242,10 +252,14 @@ def test_cli_theta_with_config(tmp_path, cache, capsys):
     rows = (tmp_path / "theta.csv").read_text().splitlines()
     assert rows[0] == "t,theta,trunc_bound"
     assert len(rows) == 41
-    t = np.array([float(r.split(",")[0]) for r in rows[1:]])
-    theta_values = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    t, theta, bound = np.array([[float(c) for c in r.split(",")] for r in rows[1:]]).T
     assert np.allclose(t, np.linspace(0.05, 5.0, 40), rtol=1e-15)
-    assert np.all(np.diff(theta_values) < 0)
+    assert np.all(np.diff(theta) < 0)
+    # theta of the cached spectrum, and the bound n exp(-lambda_max t) on the
+    # trace of the modes above the cutoff, both to the last digit written
+    lam = pipeline.spectral_data(fs_metric(), 8, cache=cache).eigenvalues
+    assert np.array_equal(theta, theta_values(lam, t))
+    assert np.array_equal(bound, lam.size * np.exp(-lam[-1] * t))
 
 
 def test_cli_flag_overrides_config(tmp_path, cache, capsys):

@@ -49,7 +49,7 @@ from zetasphere.metrics import (
     pnorm_metric,
 )
 from zetasphere.operators import InnerProduct, block_operator_norm
-from zetasphere.pipeline import compute_spectrum
+from zetasphere.pipeline import compute_spectrum, spectral_data
 
 import oracles
 
@@ -374,18 +374,25 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     ``convergence_summary`` solves each (metric, L) pencil once, reads no
     disk cache, and its gap floor and operator limits neither assemble a
     mass block nor solve a pencil: they read the sweep's spectra."""
+    # a fit sees only eigenvalues: name each metric by its L = 16 spectrum,
+    # which the disk cache and an in-process solve give bit for bit
+    family = pnorm_family()
+    metric_of = {
+        spectral_data(m, 16, cache=cache).eigenvalues.tobytes(): m.id
+        for m in (*family.members, family.limit, fs_metric())
+    }
     fitted: list[str] = []
     solved: list[tuple[str, int]] = []
     loads: list[str] = []
     in_checks: list[str] = []
     inside = [False]
-    real_fit = pipeline.compute_fit
+    real_fit = pipeline.fit_asymptotics
     real_eigs = pipeline.generalized_eigs
     real_load = SpectrumCache.load
 
-    def counting_fit(data, metric, *args, **kwargs):
-        fitted.append(metric.id)
-        return real_fit(data, metric, *args, **kwargs)
+    def counting_fit(eigenvalues, *args, **kwargs):
+        fitted.append(metric_of[eigenvalues.tobytes()])
+        return real_fit(eigenvalues, *args, **kwargs)
 
     def counting_eigs(pair):
         solved.append((pair.metric_id, pair.L))
@@ -411,7 +418,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "compute_fit", counting_fit)
+    monkeypatch.setattr(pipeline, "fit_asymptotics", counting_fit)
     monkeypatch.setattr(pipeline, "generalized_eigs", counting_eigs)
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
     for check in ("lambda1_floor", "resolvent_convergence"):

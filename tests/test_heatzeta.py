@@ -22,18 +22,20 @@ import oracles
 from zetasphere.errors import DomainError, FitWindowError
 from zetasphere.heatzeta import (
     DEFAULT_FIT_WINDOW,
-    HeatTraceSamples,
+    DEFAULT_TRUNC_TOL,
+    FIT_GRID_NODES,
+    AsymptoticFit,
+    _weighted_fit,
     duhamel_residual,
     exp_e1,
     fit_asymptotics,
     geometric_grid,
     heat_operator,
-    heat_trace_samples,
     theta,
     theta_values,
+    truncation_time,
     zeta_direct,
     zeta_mellin,
-    zeta_prime_zero,
     zeta_result,
 )
 from zetasphere.metrics import fs_metric, pnorm_metric, scaled_metric
@@ -41,7 +43,6 @@ from zetasphere.operators import InnerProduct, operator_norm
 from zetasphere.pipeline import (
     _valid_hit,
     clear_process_caches,
-    compute_fit,
     compute_spectrum,
     compute_zeta,
     default_fit_window,
@@ -52,11 +53,11 @@ from zetasphere.pipeline import (
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def model_samples(lam, grid, bm1, b0, b1):
-    """Samples that follow the three-term model exactly on the grid."""
-    values = bm1 / grid + b0 + b1 * grid
-    return HeatTraceSamples(
-        "synthetic", grid, values, np.zeros_like(grid), 1e9, len(lam)
+def model_fit(window, coef=(3.0, 5.0, 0.1), sigma=(0.0, 0.0, 0.0)):
+    """A fit holding the given coefficients on an unclipped ``window``."""
+    return AsymptoticFit(
+        *coef, residual=0.0, window_requested=window, window_effective=window,
+        n_points=FIT_GRID_NODES, trunc_tol=DEFAULT_TRUNC_TOL, param_sigma=sigma,
     )
 
 
@@ -161,7 +162,7 @@ def test_theta_polynomial_domination():
     spec = compute_spectrum(pnorm_metric(3.0), 10)
     z2 = zeta_direct(spec.eigenvalues, 2.0).value
     for t in (0.2, 0.8, 2.0):
-        assert theta(spec, t) <= 2.0 * z2 / t**2 * (1.0 + 1e-12)
+        assert theta(spec.eigenvalues, t) <= 2.0 * z2 / t**2 * (1.0 + 1e-12)
 
 
 def test_theta_resolvent_domination():
@@ -174,21 +175,7 @@ def test_theta_resolvent_domination():
         c_t = 4.0 * math.exp(t - 2.0) / t**2 if t <= 2.0 else 1.0
         sup = np.max(np.exp(-t * a) * (1.0 + a) ** 2)
         assert c_t == pytest.approx(sup, rel=1e-6)
-        assert theta(spec, t) <= c_t * trace_r2 * (1.0 + 1e-12)
-
-
-def test_heat_trace_samples_bookkeeping():
-    spec = compute_spectrum(pnorm_metric(3.0), 8)
-    t = geometric_grid(0.05, 1.0, 10)
-    samples = heat_trace_samples(spec, t)
-    assert samples.metric_id == "pnorm:3"
-    assert samples.n_modes == spec.eigenvalues.size
-    assert samples.lambda_max == spec.eigenvalues[-1]
-    assert np.allclose(samples.values, theta_values(spec.eigenvalues, t), rtol=1e-15)
-    want_bound = samples.n_modes * np.exp(-samples.lambda_max * t)
-    assert np.allclose(samples.trunc_bound, want_bound, rtol=1e-15)
-    with pytest.raises(DomainError):
-        heat_trace_samples(spec, np.array([0.5, 0.0]))
+        assert theta(spec.eigenvalues, t) <= c_t * trace_r2 * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------- fit
@@ -196,60 +183,59 @@ def test_heat_trace_samples_bookkeeping():
 
 def test_fit_recovers_model_coefficients():
     grid = geometric_grid(0.02, 0.2, 40)
-    samples = model_samples([1.0], grid, 3.0, 5.0, 0.1)
-    fit = fit_asymptotics(samples, window=(0.02, 0.2))
-    assert fit.b_minus1 == pytest.approx(3.0, abs=1e-10)
-    assert fit.b0 == pytest.approx(5.0, abs=1e-10)
-    assert fit.b1 == pytest.approx(0.1, abs=1e-10)
-    assert fit.residual < 1e-10
-    assert fit.n_points == 40
-    assert fit.window_effective == fit.window_requested
+    coef, resid, sigma = _weighted_fit(grid, 3.0 / grid + 5.0 + 0.1 * grid)
+    assert coef[0] == pytest.approx(3.0, abs=1e-10)
+    assert coef[1] == pytest.approx(5.0, abs=1e-10)
+    assert coef[2] == pytest.approx(0.1, abs=1e-10)
+    assert resid < 1e-10
+    assert max(sigma) < 1e-9
+
+
+def test_fit_samples_the_window_on_the_fixed_grid():
+    """Inside the valid region the window is kept and the trace sampled on
+    FIT_GRID_NODES geometric times spanning it."""
+    lam = spectral_data(fs_metric(), 16).eigenvalues
+    fit = fit_asymptotics(lam, window=(0.2, 0.5))
+    assert fit.window_effective == fit.window_requested == (0.2, 0.5)
+    assert fit.n_points == FIT_GRID_NODES == 25
     assert fit.coefficients == (fit.b_minus1, fit.b0, fit.b1)
-    assert max(fit.param_sigma) < 1e-9
+    t = geometric_grid(0.2, 0.5, FIT_GRID_NODES)
+    coef, resid, sigma = _weighted_fit(t, theta_values(lam, t))
+    assert fit.coefficients == tuple(coef)
+    assert fit.residual == resid and fit.param_sigma == sigma
 
 
 def test_fit_window_clipping():
-    """The effective window starts where the truncation bound clears the tol."""
-    grid = geometric_grid(0.02, 0.2, 60)
-    values = 3.0 / grid + 5.0 + 0.1 * grid
-    n, lam_max = 100, 400.0
-    samples = HeatTraceSamples(
-        "synthetic", grid, values, n * np.exp(-lam_max * grid), lam_max, n
-    )
-    fit = fit_asymptotics(samples, window=(0.02, 0.2), trunc_tol=1e-8)
-    t_valid = math.log(n / 1e-8) / lam_max
-    assert 0.02 < t_valid < 0.2
-    assert fit.window_effective[0] == pytest.approx(t_valid, rel=1e-12)
+    """The effective window starts where the truncation bound clears the tol:
+    fs at L = 16 has n = 289 and lambda_max = 136, so the default window
+    starts at t = log(289 / 1e-8) / 136 ~ 0.1771."""
+    lam = spectral_data(fs_metric(), 16).eigenvalues
+    assert lam.size == 289 and lam[-1] == pytest.approx(136.0, rel=1e-9)
+    fit = fit_asymptotics(lam, window=(0.02, 0.2), trunc_tol=1e-8)
+    t_valid = truncation_time(lam.size, lam[-1], 1e-8)
+    assert t_valid == pytest.approx(0.1771, abs=1e-4)
+    assert fit.window_effective[0] == t_valid
     assert fit.window_effective[1] == 0.2
-    assert fit.t_used.min() >= t_valid * (1.0 - 1e-12)
-    assert fit.n_points < 60
+    assert fit.window_requested == (0.02, 0.2)
+    t = geometric_grid(t_valid, 0.2, FIT_GRID_NODES)
+    assert fit.coefficients == tuple(_weighted_fit(t, theta_values(lam, t))[0])
 
 
 def test_fit_window_errors():
-    grid = geometric_grid(0.02, 0.2, 40)
-    values = 3.0 / grid + 5.0
     # entirely invalid window: bound exceeds tol everywhere in it
-    n, lam_max = 100, 10.0
-    samples = HeatTraceSamples(
-        "synthetic", grid, values, n * np.exp(-lam_max * grid), lam_max, n
-    )
-    with pytest.raises(FitWindowError) as info:
-        fit_asymptotics(samples, window=(0.02, 0.2))
+    lam = np.linspace(0.0, 10.0, 100)
+    with pytest.raises(FitWindowError, match="valid region starts at t = 2.") as info:
+        fit_asymptotics(lam, window=(0.02, 0.2))
     assert info.value.violated_bound > 1e-8
-    # too few samples in a valid window
-    sparse = model_samples([1.0], geometric_grid(0.02, 0.2, 3), 3.0, 5.0, 0.1)
-    with pytest.raises(FitWindowError):
-        fit_asymptotics(sparse, window=(0.02, 0.2))
     # windows so far from t ~ 1 that the weighted design loses a column
     for lo, rank in ((5e-8, 2), (5e38, 1)):
-        far = model_samples([1.0], geometric_grid(lo, 4 * lo, 40), 3.0, 5.0, 0.1)
+        far = geometric_grid(lo, 4 * lo, 40)
         with pytest.raises(FitWindowError, match=f"rank {rank} of 3"):
-            fit_asymptotics(far, window=(lo, 4 * lo))
+            _weighted_fit(far, 3.0 / far + 5.0 + 0.1 * far)
     # malformed windows fail fast
-    good = model_samples([1.0], grid, 3.0, 5.0, 0.1)
     for window in [(0.2, 0.02), (0.0, 0.2), (-0.1, 0.2)]:
         with pytest.raises(DomainError):
-            fit_asymptotics(good, window=window)
+            fit_asymptotics(lam, window=window)
 
 
 # ---------------------------------------------------------------- zeta(s)
@@ -287,56 +273,45 @@ def test_zeta_mellin_validation():
 
 
 def test_zeta_prime_zero_four_term_closed_form():
-    """Model-exact samples reduce zeta'(0) to a known four-term expression."""
+    """Model coefficients reduce zeta'(0) to a known four-term expression."""
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    grid = geometric_grid(0.02, 0.2, 40)
-    samples = model_samples(lam, grid, 3.0, 5.0, 0.1)
-    fit = fit_asymptotics(samples, window=(0.02, 0.2))
-    zp = zeta_prime_zero(lam, fit)
+    zres = zeta_result(lam, model_fit((0.02, 0.2)))
     want = oracles.four_term_zeta_prime(lam[lam > 0.0], 3.0, 5.0, 0.1, 0.02)
-    assert zp.value == pytest.approx(want, abs=1e-8)
+    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-8)
 
 
 def test_zeta_prime_zero_finite_spectrum_identity():
     """Against mpmath through the exact correction to -sum(log lambda)."""
     lam = 0.5 + 0.25 * np.arange(40.0)
     grid = geometric_grid(0.02, 0.2, 40)
-    samples = HeatTraceSamples(
-        "synthetic", grid, theta_values(lam, grid), np.zeros_like(grid),
-        np.inf, lam.size,
-    )
-    fit = fit_asymptotics(samples, window=(0.02, 0.2))
-    zp = zeta_prime_zero(lam, fit)
+    fit = model_fit((0.02, 0.2), coef=tuple(_weighted_fit(grid, theta_values(lam, grid))[0]))
+    zres = zeta_result(lam, fit)
     want = -oracles.finite_spectrum_log_det(lam) + oracles.finite_spectrum_correction(
         lam, fit.b_minus1, fit.b0, fit.b1, 0.02
     )
-    assert zp.value == pytest.approx(want, abs=1e-10)
+    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-10)
 
 
 def test_zeta_prime_zero_variants_and_parts():
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    grid = geometric_grid(0.02, 0.2, 40)
-    fit = fit_asymptotics(model_samples(lam, grid, 3.0, 5.0, 0.1), window=(0.02, 0.2))
-    zp = zeta_prime_zero(lam, fit)
+    fit = model_fit((0.02, 0.2))
+    zres = zeta_result(lam, fit)
+    parts = zres.method["zeta_prime0_parts"]
     bm1, b0, b1 = fit.coefficients
-    assert set(zp.parts) == {
+    assert set(parts) == {
         "large_time", "window", "head", "constants", "t_lo", "window_spread",
     }
-    assert zp.parts["t_lo"] == fit.window_effective[0]
-    assert zp.parts["head"] == pytest.approx(b1 * fit.window_effective[0], rel=1e-12)
-    assert zp.parts["constants"] == pytest.approx(EULER_GAMMA * b0 - bm1, rel=1e-12)
-    pieces = (
-        zp.parts["large_time"] + zp.parts["window"] + zp.parts["head"]
-        + zp.parts["constants"]
-    )
-    assert zp.value == pytest.approx(pieces, rel=1e-12)
+    assert parts["t_lo"] == fit.window_effective[0]
+    assert parts["head"] == pytest.approx(b1 * fit.window_effective[0], rel=1e-12)
+    assert parts["constants"] == pytest.approx(EULER_GAMMA * b0 - bm1, rel=1e-12)
+    pieces = parts["large_time"] + parts["window"] + parts["head"] + parts["constants"]
+    assert zres.zeta_prime0 == pytest.approx(pieces, rel=1e-12)
 
 
 def test_zeta_prime_zero_budget_assembly():
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    grid = geometric_grid(0.02, 0.2, 40)
-    fit = fit_asymptotics(model_samples(lam, grid, 3.0, 5.0, 0.1), window=(0.02, 0.2))
-    zp = zeta_prime_zero(lam, fit)
+    fit = model_fit((0.02, 0.2), sigma=(1e-3, 2e-3, 3e-3))
+    zres = zeta_result(lam, fit)
     t_lo = fit.window_effective[0]
     s1, s2, s3 = fit.param_sigma
     want = (
@@ -345,25 +320,25 @@ def test_zeta_prime_zero_budget_assembly():
         + s3 * t_lo
         + abs(fit.b1) * t_lo**2
         + fit.trunc_tol * (1.0 + math.log(1.0 / t_lo))
-        + zp.parts["window_spread"]
+        + zres.method["zeta_prime0_parts"]["window_spread"]
     )
-    assert zp.budget == pytest.approx(want, rel=1e-12)
-    assert zp.budget > 0.0
+    assert zres.error_budget == pytest.approx(want, rel=1e-12)
+    assert zres.error_budget > 0.0
 
 
 def test_window_spread_zero_when_window_thin():
     lam = np.array([0.0, 0.8, 2.0])
-    grid = geometric_grid(0.02, 0.03, 12)
-    fit = fit_asymptotics(model_samples(lam, grid, 3.0, 5.0, 0.1), window=(0.02, 0.03))
-    zp = zeta_prime_zero(lam, fit)
-    assert zp.parts["window_spread"] == 0.0
+    zres = zeta_result(lam, model_fit((0.02, 0.03)))
+    assert zres.method["zeta_prime0_parts"]["window_spread"] == 0.0
 
 
 def test_zeta_result_bundle():
-    data = spectral_data(pnorm_metric(3.0), 16)
-    samples, fit = compute_fit(data, pnorm_metric(3.0))
+    metric = pnorm_metric(3.0)
+    data = spectral_data(metric, 16)
+    fit = fit_asymptotics(data.eigenvalues, default_fit_window(metric))
     result = zeta_result(data.eigenvalues, fit, metric_id="pnorm:3")
     assert result.metric_id == "pnorm:3"
+    assert result.fit is fit
     assert result.zeta0 == fit.b0
     assert result.zeta0_minus_kernel == fit.b0 - 1.0
     assert [p.s for p in result.s_points] == [1.5, 2.0, 3.0]
@@ -372,11 +347,12 @@ def test_zeta_result_bundle():
             zeta_direct(data.eigenvalues, p.s).value, rel=1e-15
         )
         assert p.tail_bound > 0.0
-    zp = zeta_prime_zero(data.eigenvalues, fit)
-    assert result.zeta_prime0 == zp.value
-    assert result.error_budget == zp.budget
+    assert result.error_budget > 0.0
     assert result.method["t_split"] == 1.0
     assert result.method["window_effective"] == fit.window_effective
+    assert result.method["fit_points"] == FIT_GRID_NODES
+    # the pipeline is exactly this fit and this bundle
+    assert compute_zeta(data, metric) == result
 
 
 # ------------------------------------------------- pipeline and scaling
@@ -385,8 +361,8 @@ def test_zeta_result_bundle():
 def _fit_and_zeta(metric, L, cache=None):
     """(SpectralData, AsymptoticFit, ZetaResult) of one metric at degree L."""
     data = spectral_data(metric, L, cache=cache)
-    _, fit, zres = compute_zeta(data, metric)
-    return data, fit, zres
+    zres = compute_zeta(data, metric)
+    return data, zres.fit, zres
 
 
 def test_pipeline_scaling_covariance():

@@ -170,7 +170,7 @@ def test_theta_bridge():
         got = trace_norm(P0 @ E[0], ips[0]) + sum(
             2.0 * trace_norm(E_m, ip) for E_m, ip in zip(E[1:], ips[1:])
         )
-        want = theta(spec, t)
+        want = theta(spec.eigenvalues, t)
         assert got == pytest.approx(want, abs=1e-10 * max(1.0, want))
 
 
