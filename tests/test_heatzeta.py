@@ -178,6 +178,32 @@ def test_theta_resolvent_domination():
         assert theta(spec.eigenvalues, t) <= c_t * trace_r2 * (1.0 + 1e-12)
 
 
+def test_heat_trace_samples_bookkeeping():
+    """The heat-trace samples the fit and the theta command use: the values
+    agree pointwise with theta, the truncation bound n exp(-lambda_max t)
+    counts every mode and the top eigenvalue, and the fit clips its window
+    where that bound reaches the tolerance."""
+    spec = compute_spectrum(pnorm_metric(3.0), 8)
+    assert spec.metric_id == "pnorm:3"
+    lam = spec.eigenvalues
+    t = geometric_grid(0.05, 1.0, 10)
+    values = theta_values(lam, t)
+    want = np.array([theta(lam, ti) for ti in t])
+    assert np.allclose(values, want, rtol=1e-15)
+    n_modes, lambda_max = lam.size, lam[-1]
+    t_valid = truncation_time(n_modes, lambda_max, DEFAULT_TRUNC_TOL)
+    assert n_modes * math.exp(-lambda_max * t_valid) == pytest.approx(
+        DEFAULT_TRUNC_TOL, rel=1e-12
+    )
+    assert 0.05 < t_valid < 1.0
+    fit = fit_asymptotics(lam, window=(0.05, 1.0))
+    assert fit.window_requested == (0.05, 1.0)
+    assert fit.window_effective == (t_valid, 1.0)
+    assert fit.trunc_tol == DEFAULT_TRUNC_TOL
+    with pytest.raises(DomainError):
+        theta(lam, 0.0)
+
+
 # ---------------------------------------------------------------- fit
 
 
