@@ -25,10 +25,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from .config import RunConfig, load_config, override
+from .config import RunConfig, _file_values, validated
 from .errors import ConfigError, ZetasphereError
 
 __all__ = ["main"]
+
+# RunConfig fields the common flags set, over the config file's values.
+_FLAG_FIELDS = ("metric", "L", "output_dir", "cache_dir", "threads")
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -118,11 +121,8 @@ def _make_metric(config: RunConfig):
 def _make_family(config: RunConfig):
     from .metrics import geomean_family, pnorm_family
 
-    if config.family == "pnorm":
-        return pnorm_family(config.family_parameters)
-    if config.family == "geomean-pnorm":
-        return geomean_family(config.family_parameters)
-    raise ConfigError(f"unknown family {config.family!r}")
+    make = {"pnorm": pnorm_family, "geomean-pnorm": geomean_family}[config.family]
+    return make(config.family_parameters)
 
 
 def _theta_grid(config: RunConfig):
@@ -133,20 +133,6 @@ def _theta_grid(config: RunConfig):
     if config.t_geometric:
         return geometric_grid(config.t_lo, config.t_hi, config.t_count)
     return np.linspace(config.t_lo, config.t_hi, config.t_count)
-
-
-def _fit_payload(fit) -> dict:
-    return {
-        "b_minus1": fit.b_minus1,
-        "b0": fit.b0,
-        "b1": fit.b1,
-        "residual": fit.residual,
-        "window_requested": list(fit.window_requested),
-        "window_effective": list(fit.window_effective),
-        "n_points": fit.n_points,
-        "trunc_tol": fit.trunc_tol,
-        "param_sigma": fit.param_sigma,
-    }
 
 
 def _zeta_payload(data, zres) -> dict:
@@ -165,7 +151,7 @@ def _zeta_payload(data, zres) -> dict:
         "zeta0_minus_kernel": zres.zeta0_minus_kernel,
         "zeta_prime0": zres.zeta_prime0,
         "error_budget": zres.error_budget,
-        "fit": _fit_payload(zres.fit),
+        "fit": zres.fit,
         "method": zres.method,
     }
 
@@ -306,25 +292,11 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         trunc_tol=config.trunc_tol,
         n_theta=config.n_theta,
     )
-    theta_cols = [f"theta_t{t:g}" for t in summary.sweep.t_set]
+    rows = summary.sweep.rows
     csv_path = write_csv(
         out / "converge.csv",
-        ["param", "vol", "lambda1", *theta_cols,
-         "b_minus1", "b0", "zeta_prime0", "log_quillen", "sup_log_dist_to_limit"],
-        (
-            (
-                row.param,
-                row.quillen.vol,
-                row.lambda1,
-                *[row.theta[t] for t in summary.sweep.t_set],
-                row.b_minus1,
-                row.b0,
-                row.quillen.zeta_prime0,
-                row.quillen.log_quillen,
-                row.sup_log_dist_to_limit,
-            )
-            for row in summary.sweep.rows
-        ),
+        ["param", *rows[0].columns, "sup_log_dist_to_limit"],
+        ((row.param, *row.columns.values(), row.sup_log_dist_to_limit) for row in rows),
     )
     quillen_path = write_csv(
         out / "converge_quillen.csv",
@@ -446,15 +418,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else RunConfig()
-        config = override(
-            config,
-            metric=args.metric,
-            L=args.L,
-            output_dir=args.output_dir,
-            cache_dir=args.cache_dir,
-            threads=args.threads,
-        )
+        values = _file_values(args.config) if args.config else {}
+        for name in _FLAG_FIELDS:
+            if getattr(args, name) is not None:
+                values[name] = getattr(args, name)
+        config = validated(RunConfig(**values))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,6 +15,10 @@ Sections and keys::
     [family]   name, parameters
     [converge] t_set
 
+``n_theta`` is at least the exactness minimum 2L + 2 and at most 1028,
+twice that minimum at the largest L = 256: Gauss-Legendre setup grows like
+n_theta^3 and the packed Legendre table at L = 256 is already about 545 MB.
+
 ``threads`` defaults to 1: every operator is radial, so the largest dense
 matrix BLAS sees is one azimuthal block, at most 257 wide at L = 256, and a
 second BLAS thread only spins. The CLI writes ``threads`` into
@@ -29,14 +33,15 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "load_config", "validated", "override"]
+__all__ = ["RunConfig", "parse_config", "load_config", "validated"]
 
 _MAX_L = 256
+_MAX_N_THETA = 2 * (2 * _MAX_L + 2)
 _MAX_THREADS = 1024
 _FAMILY_NAMES = ("pnorm", "geomean-pnorm")
 
@@ -166,6 +171,8 @@ def validated(config: RunConfig) -> RunConfig:
             f"n_theta = {config.n_theta} is below the exactness minimum {minimum} "
             f"for L = {config.L}"
         )
+    if config.n_theta is not None and config.n_theta > _MAX_N_THETA:
+        raise ConfigError(f"n_theta must be at most {_MAX_N_THETA}, got {config.n_theta}")
     if not (0 <= config.threads <= _MAX_THREADS):
         raise ConfigError(f"threads must be in [0, {_MAX_THREADS}], got {config.threads}")
     if not (config.t_lo > 0.0 and config.t_hi > config.t_lo):
@@ -201,8 +208,8 @@ def validated(config: RunConfig) -> RunConfig:
     return config
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse config text over ``base`` (package defaults when omitted)."""
+def _values(text: str) -> dict[str, object]:
+    """Parse config text into ``RunConfig`` field values, not yet validated."""
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
     )
@@ -234,24 +241,27 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
                 updates[attr] = value_parser(raw)
             except ConfigError as e:
                 raise ConfigError(f"[{section}] {key}: {e}") from e
-
-    config = replace(base if base is not None else RunConfig(), **updates)
-    return validated(config)
+    return updates
 
 
-def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read and parse a config file."""
+def _file_values(path: str | Path) -> dict[str, object]:
+    """Read a config file into ``RunConfig`` field values, not yet validated.
+
+    The CLI lays its flags over these before it validates, so a flag such as
+    ``--L`` is what a file value like ``n_theta`` is checked against.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
-    return parse_config(text, base)
+    return _values(text)
 
 
-def override(config: RunConfig, **kwargs) -> RunConfig:
-    """Apply non-None keyword overrides (CLI flags) and re-validate."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    bad = [k for k in updates if k not in {f.name for f in fields(RunConfig)}]
-    if bad:
-        raise ConfigError(f"unknown config fields: {bad}")
-    return validated(replace(config, **updates))
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    """Parse config text over ``base`` (package defaults when omitted)."""
+    return validated(replace(base if base is not None else RunConfig(), **_values(text)))
+
+
+def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
+    """Read and parse a config file."""
+    return validated(replace(base if base is not None else RunConfig(), **_file_values(path)))

@@ -8,16 +8,17 @@ tabulates the scalar pipeline per member, and turns each limiting statement
 into a quantitative pass/fail check. ``sweep`` is the only place that solves
 a family's pencils and runs the scalar pipeline on them: once per member
 and once for the limit. Each row keeps its metric's ``Spectrum`` (block
-eigenvectors and the pencil) and ``QuillenData``, and every check on the
-family's own metrics reads the ``SweepReport``: the Cauchy table, the limit
-agreement, the gap floor (mass blocks), the operator limits (eigenvectors)
-and the determinant checks of ``anomaly``. No check solves one of those
-pencils again, and the sweep uses no disk cache.
+eigenvectors and the pencil), ``QuillenData`` and its ordered scalar
+``columns``, and every check on the family's own metrics reads the
+``SweepReport``: the Cauchy table, the gap floor (mass blocks), the operator
+limits (eigenvectors) and the determinant checks of ``anomaly``. No check
+solves one of those pencils again, and the sweep uses no disk cache.
 
 - ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
-  differences bounded by (constant) x (sup log-density distance).
-- ``limit_agreement``: the last member's row agrees with the limit metric's
-  own row, since a continuous limit assembles fine.
+  differences bounded by (constant) x (sup log-density distance). When the
+  family has a limit, the limit metric's own row closes each column as one
+  more pair at the last member's distance to it, since a continuous limit
+  assembles fine.
 - ``lambda1_floor``: a uniform positive lower bound on the spectral gap from
   mass-matrix equivalence and the min-max principle.
 - ``resolvent_convergence``: resolvents and heat operators form Cauchy
@@ -83,9 +84,6 @@ __all__ = [
     "CauchyColumn",
     "CauchyReport",
     "cauchy_check",
-    "LimitColumn",
-    "LimitAgreement",
-    "limit_agreement",
     "Lambda1FloorRow",
     "Lambda1Floor",
     "lambda1_floor",
@@ -134,6 +132,9 @@ _HEAT_TIME = 1.0
 # Gaussian test vectors of the derivative bound.
 _BORNE_VECTORS = 100
 
+# Parameter step of the centered difference in the variation identity.
+_DUHAMEL_STEP = 1e-3
+
 
 def _frozen_rate(diffs, scales, slack) -> tuple[float, tuple[float, ...], list[int]]:
     """Freeze the constant of |diffs[i]| <= c scales[i] + slack[i] on pair 0.
@@ -155,15 +156,16 @@ def _frozen_rate(diffs, scales, slack) -> tuple[float, tuple[float, ...], list[i
 class SweepRow:
     """Scalar pipeline output for one family member, with its spectrum.
 
+    ``columns`` is the row's ordered table of scalars, the one the Cauchy
+    check and converge.csv read: ``vol``, ``lambda1``, ``theta_t<t>`` per
+    tabulated time, ``b_minus1``, ``b0``, ``zeta_prime0``, ``log_quillen``.
     ``quillen`` holds the member's volume, zeta'(0), log h_Q and zeta error
     budget, as the checks of ``anomaly`` take them. ``spectrum`` is the
     member's solved pencil, which the operator checks read.
     """
 
     param: float
-    theta: dict[float, float]
-    b_minus1: float
-    b0: float
+    columns: dict[str, float]
     sup_log_dist_to_limit: float
     quillen: QuillenData
     spectrum: Spectrum = field(repr=False)
@@ -179,8 +181,9 @@ class SweepReport:
 
     ``rows`` follow ``family.parameters``. ``limit_row`` is the limit
     metric's row (parameter inf, no distance to itself), or None for a
-    family without a limit; it never joins the Cauchy table. ``pair_dist``
-    holds the sup log-density distance of consecutive members.
+    family without a limit; it closes the Cauchy table but never enters
+    converge.csv. ``pair_dist`` holds the sup log-density distance of
+    consecutive members.
     """
 
     family: MetricFamily
@@ -196,9 +199,7 @@ class SweepReport:
 
 
 def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
-    q = row.quillen
-    values = [q.vol, row.lambda1, row.b_minus1, row.b0, q.zeta_prime0,
-              q.log_quillen, *row.theta.values()]
+    values = list(row.columns.values())
     if require_dist:
         values.append(row.sup_log_dist_to_limit)
     if not all(math.isfinite(v) for v in values):
@@ -209,7 +210,7 @@ def _pipeline_row(
     param: float,
     metric: ConformalMetric,
     limit: ConformalMetric | None,
-    t_arr: np.ndarray,
+    theta_columns: dict[str, float],
     L: int,
     n_theta: int | None,
     window: tuple[float, float] | None,
@@ -220,16 +221,23 @@ def _pipeline_row(
     rep = torsion_report(
         SpectralData.of(spectrum, n_theta), metric, window, trunc_tol=trunc_tol
     )
-    th = theta_values(rep.data.eigenvalues, t_arr)
+    th = theta_values(rep.data.eigenvalues, np.array(list(theta_columns.values())))
+    q = rep.quillen
     return SweepRow(
         param=param,
-        theta={float(t): float(v) for t, v in zip(t_arr, th)},
-        b_minus1=rep.zeta.fit.b_minus1,
-        b0=rep.zeta.fit.b0,
+        columns={
+            "vol": q.vol,
+            "lambda1": spectrum.lambda1,
+            **{name: float(v) for name, v in zip(theta_columns, th)},
+            "b_minus1": rep.zeta.fit.b_minus1,
+            "b0": rep.zeta.fit.b0,
+            "zeta_prime0": q.zeta_prime0,
+            "log_quillen": q.log_quillen,
+        },
         sup_log_dist_to_limit=(
             math.nan if limit is None else sup_log_distance(metric, limit)
         ),
-        quillen=rep.quillen,
+        quillen=q,
         spectrum=spectrum,
     )
 
@@ -253,7 +261,8 @@ def sweep(
     L : int
         Spectral truncation degree for every metric.
     t_set : tuple of float
-        Heat-trace times tabulated per row.
+        Heat-trace times tabulated per row, one ``theta_t<t>`` column each;
+        two times whose column names coincide are refused.
     window, trunc_tol
         Passed through to the heat-trace fit.
     n_theta : int, optional
@@ -276,16 +285,21 @@ def sweep(
     t_arr = np.asarray(t_set, dtype=float)
     if t_arr.size == 0 or np.any(t_arr <= 0.0):
         raise DomainError(f"t_set must be positive times, got {t_set}")
+    theta_columns = {f"theta_t{t:g}": float(t) for t in t_arr}
+    if len(theta_columns) < t_arr.size:
+        raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
     rows: list[SweepRow] = []
     for p, metric in zip(params, family.members):
-        row = _pipeline_row(p, metric, family.limit, t_arr, L, n_theta, window, trunc_tol)
+        row = _pipeline_row(
+            p, metric, family.limit, theta_columns, L, n_theta, window, trunc_tol
+        )
         _check_row_finite(row, require_dist=family.limit is not None)
         rows.append(row)
     limit_row = None
     if family.limit is not None:
         limit_row = _pipeline_row(
-            math.inf, family.limit, None, t_arr, L, n_theta, window, trunc_tol
+            math.inf, family.limit, None, theta_columns, L, n_theta, window, trunc_tol
         )
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
@@ -320,128 +334,49 @@ class CauchyReport:
     passed: bool
 
 
-def _sweep_columns(rows, t_set) -> list[tuple[str, np.ndarray]]:
-    cols: list[tuple[str, np.ndarray]] = [
-        ("vol", np.array([r.quillen.vol for r in rows])),
-        ("lambda1", np.array([r.lambda1 for r in rows])),
-    ]
-    for t in t_set:
-        cols.append((f"theta_t{t:g}", np.array([r.theta[t] for r in rows])))
-    cols += [
-        ("b_minus1", np.array([r.b_minus1 for r in rows])),
-        ("b0", np.array([r.b0 for r in rows])),
-        ("zeta_prime0", np.array([r.quillen.zeta_prime0 for r in rows])),
-        ("log_quillen", np.array([r.quillen.log_quillen for r in rows])),
-    ]
-    return cols
-
-
-def _column_slack(name: str, values: np.ndarray, budgets, i: int) -> float:
-    """Measurement noise allowed on the pair (i, i+1) of one column."""
-    if name in _BUDGET_COLUMNS:
-        return budgets[i] + budgets[i + 1]
-    return _TINY_REL * (1.0 + float(np.abs(values).max()))
-
-
 def cauchy_check(report: SweepReport) -> CauchyReport:
     """Check every sweep column is Cauchy at the sup-log-distance rate.
 
-    For each column the constant C in |x_i - x_{i+1}| <= C * dist_i is
-    measured on the first pair, frozen with the 2x safety factor, and
-    asserted on the remaining pairs. Fit-derived columns additionally get
-    the two rows' zeta error budgets as slack; exact columns only a
-    relative epsilon. A constant family (zero distances) must have zero
-    differences up to the slack.
+    The pairs of a column are the consecutive members, closed by (last
+    member, limit) at the last member's distance to the limit when the
+    family has one. For each column the constant C in
+    |x_i - x_{i+1}| <= C * dist_i is measured on the first pair, frozen with
+    the 2x safety factor, and asserted on every other pair, the closing one
+    included. Fit-derived columns get the two rows' zeta error budgets as
+    slack; exact columns only a relative epsilon of the pair's larger value.
+    A constant family (zero distances) must have zero differences up to the
+    slack.
     """
-    if len(report.rows) < 2:
+    rows = report.rows
+    if len(rows) < 2:
         raise DomainError("cauchy_check needs at least two sweep rows")
 
-    budgets = [r.quillen.error_budget for r in report.rows]
+    pairs = list(zip(rows, rows[1:]))
+    scales = list(report.pair_dist)
+    if report.limit_row is not None:
+        pairs.append((rows[-1], report.limit_row))
+        scales.append(rows[-1].sup_log_dist_to_limit)
     columns: list[CauchyColumn] = []
     violations: list[str] = []
-    for name, values in _sweep_columns(report.rows, report.t_set):
-        d = np.abs(np.diff(values))
-        slack = [_column_slack(name, values, budgets, i) for i in range(d.size)]
-        c_frozen, bounds, bad = _frozen_rate(d, report.pair_dist, slack)
+    for name in rows[0].columns:
+        values = [(a.columns[name], b.columns[name]) for a, b in pairs]
+        d = [abs(x - y) for x, y in values]
+        if name in _BUDGET_COLUMNS:
+            slack = [a.quillen.error_budget + b.quillen.error_budget for a, b in pairs]
+        else:
+            slack = [_TINY_REL * (1.0 + max(abs(x), abs(y))) for x, y in values]
+        c_frozen, bounds, bad = _frozen_rate(d, scales, slack)
         for i in bad:
             violations.append(
-                f"column {name}: pair ({report.rows[i].param:g}, "
-                f"{report.rows[i + 1].param:g}) difference {d[i]:.3e} exceeds "
-                f"frozen bound {bounds[i]:.3e}"
+                f"column {name}: pair ({pairs[i][0].param:g}, {pairs[i][1].param:g}) "
+                f"difference {d[i]:.3e} exceeds frozen bound {bounds[i]:.3e}"
             )
-        columns.append(CauchyColumn(name, c_frozen, tuple(map(float, d)), bounds, not bad))
+        columns.append(CauchyColumn(name, c_frozen, tuple(d), bounds, not bad))
     return CauchyReport(
         family_id=report.family_id,
         columns=tuple(columns),
         violations=tuple(violations),
         passed=not violations,
-    )
-
-
-@dataclass(frozen=True)
-class LimitColumn:
-    """Last-row vs directly-computed-limit agreement for one column."""
-
-    name: str
-    last_value: float
-    limit_value: float
-    diff: float
-    allowance: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class LimitAgreement:
-    """Agreement of the sweep's final row with the limit metric's own row.
-
-    The limit metric is continuous, so its mass matrix assembles directly
-    and the limit can be computed both as a limit and in one shot; the two
-    must agree within the frozen Cauchy rate at the remaining distance.
-    """
-
-    limit_id: str
-    dist_last: float
-    columns: tuple[LimitColumn, ...]
-    passed: bool
-
-
-def limit_agreement(report: SweepReport, cauchy: CauchyReport) -> LimitAgreement:
-    """Compare the sweep's last row against the limit metric's own row.
-
-    Both rows come from the sweep, so no pipeline runs here. Each column
-    may differ by its frozen Cauchy constant times the remaining distance,
-    plus the two zeta error budgets for the fit-derived columns.
-    """
-    limit_row = report.limit_row
-    if limit_row is None:
-        raise DomainError(f"family {report.family_id!r} has no limit member")
-
-    last = report.rows[-1]
-    dist_last = last.sup_log_dist_to_limit
-    budget_slack = last.quillen.error_budget + limit_row.quillen.error_budget
-    c_by_name = {c.name: c.c_frozen for c in cauchy.columns}
-
-    columns: list[LimitColumn] = []
-    for (name, values), (_, limit_values) in zip(
-        _sweep_columns(report.rows, report.t_set),
-        _sweep_columns((limit_row,), report.t_set),
-    ):
-        last_value = float(values[-1])
-        limit_value = float(limit_values[0])
-        diff = abs(last_value - limit_value)
-        if name in _BUDGET_COLUMNS:
-            slack = budget_slack
-        else:
-            slack = _TINY_REL * (1.0 + max(abs(last_value), abs(limit_value)))
-        allowance = c_by_name[name] * dist_last + slack
-        columns.append(
-            LimitColumn(name, last_value, limit_value, diff, allowance, diff <= allowance)
-        )
-    return LimitAgreement(
-        limit_id=limit_row.quillen.metric_id,
-        dist_last=dist_last,
-        columns=tuple(columns),
-        passed=all(c.ok for c in columns),
     )
 
 
@@ -563,14 +498,14 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
 
     The operators are built from the spectra of the sweep ``report``, in the
     mass inner product of its first member, so no pencil is solved here.
-    Consecutive member pairs (from the second member on, matching the
-    interpolation domain) are compared in operator norm; each distance must
-    stay below c3 times the integrated density variation over the joining
-    segment, where c3 is measured on the first pair and frozen with the
-    safety factor (0 for a family without density variation, whose
-    distances must then stay below the roundoff slack). Differences must not
-    grow, and the distance to the limit row's operator is reported as the
-    final column.
+    For each of the two operator functions, consecutive member pairs (from
+    the second member on, matching the interpolation domain) are compared in
+    operator norm; each distance must stay below c3 times the integrated
+    density variation over the joining segment, where c3 is measured on the
+    first pair and frozen with the safety factor (0 for a family without
+    density variation, whose distances must then stay below the roundoff
+    slack). Differences must not grow, and the distance to the limit row's
+    operator is reported as the final column.
     """
     members = report.rows
     params = tuple(r.param for r in members)
@@ -579,77 +514,62 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
 
     ip_ref = [InnerProduct.from_gram(M) for M in members[0].spectrum.pair.mass_blocks]
     xg, wg = np.polynomial.legendre.leggauss(_DELTA_GL_NODES)
-
-    def operators_at(k: int) -> tuple[Blocks, Blocks]:
-        spec = members[k].spectrum
-        return resolvent(spec, _RESOLVENT_SHIFT), heat_operator(spec, _HEAT_TIME)
+    segments = range(1, len(members) - 1)
+    deltas = [
+        float(np.sum(wg * 0.5 * np.array([delta_X(report.family, k + 0.5 + 0.5 * x) for x in xg])))
+        for k in segments
+    ]
+    slack = [_TINY_REL] * len(deltas)
 
     def distance(a: Blocks, b: Blocks) -> float:
         return block_operator_norm([x - y for x, y in zip(a, b)], ip_ref)
 
-    raw: list[tuple[float, float, float, float, float]] = []
-    r_prev, e_prev = operators_at(1)
-    for k in range(1, len(members) - 1):
-        r_next, e_next = operators_at(k + 1)
-        dist = distance(r_prev, r_next)
-        heat_dist = distance(e_prev, e_next)
-        mid, half = k + 0.5, 0.5
-        delta_int = float(
-            np.sum(wg * half * np.array([delta_X(report.family, mid + half * x) for x in xg]))
-        )
-        raw.append((params[k], params[k + 1], dist, heat_dist, delta_int))
-        r_prev, e_prev = r_next, e_next
-
-    tiny = _TINY_REL
-    deltas = [r[4] for r in raw]
-    slack = [tiny] * len(raw)
-    c3, bounds, bad = _frozen_rate([r[2] for r in raw], deltas, slack)
-    c3_heat, heat_bounds, bad_heat = _frozen_rate([r[3] for r in raw], deltas, slack)
-
-    resolvent_ok, heat_ok = not bad, not bad_heat
-    rows: list[ResolventRow] = []
+    operators = {
+        "resolvent": lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
+        "heat": lambda spec: heat_operator(spec, _HEAT_TIME),
+    }
     failures: list[str] = []
-    for i, (p_lo, p_hi, dist, heat_dist, delta_int) in enumerate(raw):
-        bound, heat_bound = bounds[i], heat_bounds[i]
-        rows.append(ResolventRow(p_lo, p_hi, dist, heat_dist, delta_int, bound, heat_bound))
-        if i in bad:
-            failures.append(
-                f"resolvent pair ({p_lo:g}, {p_hi:g}): distance {dist:.3e} "
-                f"exceeds bound {bound:.3e}"
-            )
-        if i in bad_heat:
-            failures.append(
-                f"heat pair ({p_lo:g}, {p_hi:g}): distance {heat_dist:.3e} "
-                f"exceeds bound {heat_bound:.3e}"
-            )
-        if i >= 1:
-            prev = raw[i - 1]
-            if dist > prev[2] * (1.0 + tiny) + tiny:
-                resolvent_ok = False
+    results = []
+    for name, op in operators.items():
+        prev = op(members[1].spectrum)
+        dists = []
+        for row in members[2:]:
+            nxt = op(row.spectrum)
+            dists.append(distance(prev, nxt))
+            prev = nxt
+        c, bounds, bad = _frozen_rate(dists, deltas, slack)
+        ok = not bad
+        for i, k in enumerate(segments):
+            pair = f"({params[k]:g}, {params[k + 1]:g})"
+            if i in bad:
                 failures.append(
-                    f"resolvent distances grew at pair ({p_lo:g}, {p_hi:g}): "
-                    f"{dist:.3e} after {prev[2]:.3e}"
+                    f"{name} pair {pair}: distance {dists[i]:.3e} exceeds bound {bounds[i]:.3e}"
                 )
-            if heat_dist > prev[3] * (1.0 + tiny) + tiny:
-                heat_ok = False
+            if i >= 1 and dists[i] > dists[i - 1] * (1.0 + _TINY_REL) + _TINY_REL:
+                ok = False
                 failures.append(
-                    f"heat distances grew at pair ({p_lo:g}, {p_hi:g}): "
-                    f"{heat_dist:.3e} after {prev[3]:.3e}"
+                    f"{name} distances grew at pair {pair}: "
+                    f"{dists[i]:.3e} after {dists[i - 1]:.3e}"
                 )
+        limit_dist = math.nan
+        if report.limit_row is not None:
+            limit_dist = distance(prev, op(report.limit_row.spectrum))
+        results.append((c, dists, bounds, limit_dist, ok))
 
-    limit_dist = math.nan
-    heat_limit_dist = math.nan
-    if report.limit_row is not None:
-        spec_lim = report.limit_row.spectrum
-        limit_dist = distance(r_prev, resolvent(spec_lim, _RESOLVENT_SHIFT))
-        heat_limit_dist = distance(e_prev, heat_operator(spec_lim, _HEAT_TIME))
-
+    (c3, dists, bounds, limit_dist, resolvent_ok), heat = results
+    c3_heat, heat_dists, heat_bounds, heat_limit_dist, heat_ok = heat
+    rows = tuple(
+        ResolventRow(
+            params[k], params[k + 1], dists[i], heat_dists[i], deltas[i], bounds[i], heat_bounds[i]
+        )
+        for i, k in enumerate(segments)
+    )
     return ResolventReport(
         family_id=report.family_id,
         L=report.L,
         c3=c3,
         c3_heat=c3_heat,
-        rows=tuple(rows),
+        rows=rows,
         limit_dist=limit_dist,
         heat_limit_dist=heat_limit_dist,
         failures=tuple(failures),
@@ -729,7 +649,7 @@ def bornelapbelt_check(
 def duhamel_at(
     family: MetricFamily,
     u: float = 2.5,
-    h: float = 1e-3,
+    h: float = _DUHAMEL_STEP,
     t: float = 0.5,
     L: int = 16,
     n_theta: int | None = None,
@@ -756,7 +676,6 @@ class ConvergenceSummary:
     L: int
     sweep: SweepReport
     cauchy: CauchyReport
-    limit_check: LimitAgreement | None
     floor: Lambda1Floor
     resolvents: ResolventReport
     borne: BorneReport
@@ -783,23 +702,31 @@ def convergence_summary(
 ) -> ConvergenceSummary:
     """Run every convergence check on one family and aggregate tag verdicts.
 
-    The sweep, Cauchy rates, limit agreement, gap floor, operator limits,
-    extrapolated determinant and two-route check run at degree ``L`` with
-    ``n_theta`` colatitude nodes per panel; the variation checks run at the
-    lighter ``variation_L`` and its default rule, since they need
-    interpolated pencils of their own. Every family member takes part.
+    The sweep, Cauchy rates, gap floor, operator limits, extrapolated
+    determinant and two-route check run at degree ``L`` with ``n_theta``
+    colatitude nodes per panel; the variation checks run at the lighter
+    ``variation_L`` and its default rule, since they need interpolated
+    pencils of their own. Every family member takes part. A family with
+    fewer than three members (the operator limits) or fewer than the
+    ceil(variation_u + h) + 1 the variation checks interpolate is refused
+    before any pencil is solved.
 
     Each member's and the limit's pencil is solved once, in the sweep,
-    which also runs the scalar pipeline on it; the limit agreement, the gap
+    which also runs the scalar pipeline on it; the Cauchy table, the gap
     floor, the operator limits and the determinant checks read its report.
     No disk cache is read or written. A member whose pipeline raises ends
     the run with that member's own error.
     """
+    need = max(3, math.ceil(variation_u + _DUHAMEL_STEP) + 1)
+    if len(family.members) < need:
+        raise DomainError(
+            f"convergence_summary needs at least {need} family members, "
+            f"only {len(family.members)} present"
+        )
     rep = sweep(
         family, L=L, t_set=t_set, window=window, trunc_tol=trunc_tol, n_theta=n_theta
     )
     cauchy = cauchy_check(rep)
-    limit_check = None if rep.limit_row is None else limit_agreement(rep, cauchy)
     floor = lambda1_floor(rep)
     resolvents = resolvent_convergence(rep)
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
@@ -813,7 +740,7 @@ def convergence_summary(
         "bornelapbelt": borne.passed,
         "deltacompact": resolvents.resolvent_ok,
         "variationEu": resolvents.heat_ok and duhamel.ratio < DUHAMEL_RATIO_TOL,
-        "key2": cauchy.passed and (limit_check.passed if limit_check else True),
+        "key2": cauchy.passed,
         "convergenceAnomaly": quillen.converged,
         "compare2methods": two_route.passed,
         "lowerbound": floor.passed,
@@ -823,7 +750,6 @@ def convergence_summary(
         L=L,
         sweep=rep,
         cauchy=cauchy,
-        limit_check=limit_check,
         floor=floor,
         resolvents=resolvents,
         borne=borne,

@@ -14,7 +14,7 @@ import zetasphere
 from zetasphere import harness, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, default_cache_dir
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
-from zetasphere.config import RunConfig, load_config, override, parse_config, validated
+from zetasphere.config import RunConfig, load_config, parse_config, validated
 from zetasphere.discretize import build_basis, mass
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
@@ -95,6 +95,7 @@ def test_fit_defaults_match_heatzeta():
         dict(family_parameters=(2.0, 2.0)),
         dict(t_set=()),
         dict(t_set=(0.5, -1.0)),
+        dict(n_theta=10**9),
     ],
     ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -106,6 +107,7 @@ def test_validated_rejects(bad):
 def test_validated_boundary_values():
     validated(cfg(L=16, n_theta=34))
     validated(cfg(L=256))
+    validated(cfg(L=256, n_theta=1028))
     validated(cfg(threads=1024))
     validated(cfg(window_lo=0.01, window_hi=0.2))
     assert cfg(window_lo=0.01, window_hi=0.2).fit_window == (0.01, 0.2)
@@ -172,16 +174,6 @@ def test_parse_config_over_base():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(tmp_path / "absent.ini")
-
-
-def test_override():
-    config = RunConfig()
-    assert override(config, metric=None, L=None) == config
-    assert override(config, L=20).L == 20
-    with pytest.raises(ConfigError, match="unknown config fields"):
-        override(config, degree=20)
-    with pytest.raises(ConfigError):
-        override(config, L=0)
 
 
 # ---------------------------------------------------------------- serialization
@@ -270,6 +262,20 @@ def test_cli_flag_overrides_config(tmp_path, cache, capsys):
     )
     assert code == 0
     assert "L=8" in out
+    # flags are laid over the file before one validation, so the file's
+    # n_theta is checked against the degree of the command line
+    config_path.write_text("[run]\nn_theta = 10\n")
+    code, out, err = run_cli(
+        ["spectrum", "-c", str(config_path), "--L", "4"], tmp_path, cache.root, capsys
+    )
+    assert code == 0 and err == ""
+    assert "L=4" in out
+    config_path.write_text("[run]\nL = 4\nn_theta = 10\n")
+    code, _, err = run_cli(
+        ["spectrum", "-c", str(config_path), "--L", "16"], tmp_path, cache.root, capsys
+    )
+    assert code == 2
+    assert "n_theta = 10 is below the exactness minimum 34 for L = 16" in err
 
 
 def test_cli_zeta_schema(tmp_path, cache, capsys):
@@ -598,6 +604,11 @@ def test_cli_rejects_bad_flag_values(tmp_path, cache, capsys):
     code, _, err = run_cli(["spectrum", "--threads", "-2"], tmp_path, cache.root, capsys)
     assert code == 2
     assert "threads must be in" in err
+    config_path = tmp_path / "huge.ini"
+    config_path.write_text("[run]\nn_theta = 1000000000\n")
+    code, _, err = run_cli(["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys)
+    assert code == 2
+    assert "n_theta must be at most 1028" in err
 
 
 # ---------------------------------------------------------------- scale and threads

@@ -6,6 +6,7 @@ finite differences of resolvent/heat operators along the interpolation
 parameter (for the variation bounds with a frozen constant).
 """
 
+import dataclasses
 import json
 import math
 
@@ -34,11 +35,10 @@ from zetasphere.harness import (
     convergence_summary,
     duhamel_at,
     lambda1_floor,
-    limit_agreement,
     resolvent_convergence,
     sweep,
 )
-from zetasphere.heatzeta import heat_operator
+from zetasphere.heatzeta import heat_operator, theta_values
 from zetasphere.metrics import (
     ConformalMetric,
     MetricFamily,
@@ -97,8 +97,12 @@ def test_sweep_rows():
             float(oracles.sup_log_pnorm_to_max(p)), abs=1e-12
         )
         assert row.lambda1 > 0.0
-        assert set(row.theta) == {0.5, 1.0, 2.0}
-        assert all(v > 0.0 for v in row.theta.values())
+        assert row.columns["lambda1"] == row.lambda1
+        assert row.columns["vol"] == row.quillen.vol
+        assert row.columns["zeta_prime0"] == row.quillen.zeta_prime0
+        assert row.columns["log_quillen"] == row.quillen.log_quillen
+        theta = [row.columns[f"theta_t{t}"] for t in ("0.5", "1", "2")]
+        assert theta == list(theta_values(row.spectrum.eigenvalues, np.array(rep.t_set)))
     # consecutive distances follow the closed form 2 log2 |1/p - 1/q|
     for dist, (p, q) in zip(rep.pair_dist, [(1.0, 2.0), (2.0, 3.0)]):
         assert dist == pytest.approx(2.0 * math.log(2.0) * abs(1 / p - 1 / q), abs=1e-12)
@@ -117,6 +121,8 @@ def test_sweep_validation():
         sweep(fam, L=16, t_set=())
     with pytest.raises(DomainError):
         sweep(fam, L=16, t_set=(0.5, 0.0))
+    with pytest.raises(DomainError, match="distinct column names"):
+        sweep(fam, L=16, t_set=(0.5, 1.0, 0.5))
 
 
 def test_sweep_raises_member_failure():
@@ -130,7 +136,7 @@ def test_sweep_raises_member_failure():
     with pytest.raises(InvalidMetricError, match="broken"):
         sweep(fam, L=16)
     with pytest.raises(InvalidMetricError, match="broken"):
-        convergence_summary(fam, L=16)
+        convergence_summary(fam, L=16, variation_u=1.5)  # three members suffice
 
 
 def test_cauchy_check_passes_on_smoothing_family():
@@ -145,7 +151,8 @@ def test_cauchy_check_passes_on_smoothing_family():
     ]
     for col in cy.columns:
         assert col.passed
-        assert len(col.diffs) == len(col.bounds) == 2
+        # two member pairs, closed by (8, limit)
+        assert len(col.diffs) == len(col.bounds) == 3
         assert col.c_frozen >= 0.0
         # the frozen constant comes from the first pair with the 2x factor
         assert col.c_frozen == pytest.approx(
@@ -162,6 +169,7 @@ def test_cauchy_check_constant_family():
     for col in cy.columns:
         assert col.c_frozen == 0.0
         assert max(col.diffs) == 0.0
+        assert len(col.diffs) == 2  # no limit, so no closing pair
 
 
 def test_cauchy_check_needs_two_rows():
@@ -171,27 +179,49 @@ def test_cauchy_check_needs_two_rows():
 
 
 def test_limit_agreement():
+    """The limit row closes each Cauchy column: the pair (last member, limit)
+    at the last member's distance to the limit, under the frozen constant."""
     fam = pnorm_family([2.0, 4.0, 8.0])
     rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
-    la = limit_agreement(rep, cy)
-    assert la.limit_id == "max"
-    assert la.passed
-    assert la.dist_last == pytest.approx(2.0 * math.log(2.0) / 8.0, abs=1e-12)
-    assert {c.name for c in la.columns} == {c.name for c in cy.columns}
-    for col in la.columns:
-        assert col.ok
-        assert col.diff == pytest.approx(abs(col.last_value - col.limit_value), rel=1e-15)
-        assert col.allowance > 0.0
+    last, limit = rep.rows[-1], rep.limit_row
+    assert limit.quillen.metric_id == "max"
+    scale = last.sup_log_dist_to_limit
+    assert scale == pytest.approx(2.0 * math.log(2.0) / 8.0, abs=1e-12)
+    assert cy.passed
+    for col in cy.columns:
+        assert col.passed
+        x, y = last.columns[col.name], limit.columns[col.name]
+        assert col.diffs[-1] == abs(x - y)
+        if col.name in ("b_minus1", "b0", "zeta_prime0", "log_quillen"):
+            slack = last.quillen.error_budget + limit.quillen.error_budget
+        else:
+            slack = 1e-9 * (1.0 + max(abs(x), abs(y)))
+        assert col.bounds[-1] == pytest.approx(col.c_frozen * scale + slack, rel=1e-12)
 
 
-def test_limit_agreement_needs_limit():
-    fam = constant_family(3)
-    rep = sweep(fam, L=16)
-    cy = cauchy_check(rep)
-    assert rep.limit_row is None
-    with pytest.raises(DomainError):
-        limit_agreement(rep, cy)
+def shift_limit_b0(report):
+    lim = report.limit_row
+    columns = {**lim.columns, "b0": lim.columns["b0"] + 1.0}
+    return dataclasses.replace(report, limit_row=dataclasses.replace(lim, columns=columns))
+
+
+def test_limit_disagreement_fails_key2(monkeypatch):
+    """A limit row off by one in b0 fails column b0 at the closing pair, and
+    with it the key2 tag."""
+    fam = pnorm_family([2.0, 4.0, 8.0])
+    cy = cauchy_check(shift_limit_b0(sweep(fam, L=16)))
+    assert not cy.passed
+    assert [c.name for c in cy.columns if not c.passed] == ["b0"]
+    assert len(cy.violations) == 1
+    assert cy.violations[0].startswith("column b0: pair (8, inf) difference ")
+
+    real_sweep = harness.sweep
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: shift_limit_b0(real_sweep(*a, **k)))
+    summary = convergence_summary(fam, L=16, variation_u=1.5, variation_L=10)
+    assert summary.tags["key2"] is False
+    assert summary.failed_tags == ("key2",)
+    assert summary.cauchy.violations == cy.violations
 
 
 def test_lambda1_floor():
@@ -359,13 +389,40 @@ def test_convergence_summary_smoothing_family():
     assert set(summary.tags) == set(THEOREM_TAGS)
     assert all(summary.tags.values())
     assert summary.family_id == "pnorm"
-    assert summary.limit_check is not None and summary.limit_check.passed
+    assert summary.cauchy.passed
+    # three member pairs closed by (4, limit)
+    assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
     assert summary.sweep.rows and summary.sweep.limit_row is not None
     assert summary.quillen.converged
     assert summary.two_route.passed
     assert summary.borne.passed
     assert summary.duhamel.ratio < DUHAMEL_RATIO_TOL
     assert summary.floor.margin > 0.0
+
+
+def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, capsys):
+    """converge needs three members for the operator limits and, at the
+    default u = 2.5, four for the variation checks; it says so before any
+    pencil is solved."""
+    solved: list[str] = []
+    real_eigs = pipeline.generalized_eigs
+
+    def counting_eigs(pair):
+        solved.append(pair.metric_id)
+        return real_eigs(pair)
+
+    monkeypatch.setattr(pipeline, "generalized_eigs", counting_eigs)
+    config_path = tmp_path / "fam.ini"
+    for params, present in (("1, 2", 2), ("1, 2, 3", 3)):
+        config_path.write_text(f"[run]\nL = 16\n\n[family]\nparameters = {params}\n")
+        code = main(["converge", "-c", str(config_path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"needs at least 4 family members, only {present} present" in err
+    with pytest.raises(DomainError, match="needs at least 3 family members, only 2 present"):
+        convergence_summary(pnorm_family([1.0, 2.0]), L=16, variation_u=1.5)
+    assert solved == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
@@ -475,7 +532,8 @@ def test_convergence_summary_constant_family():
     """A family of identical members exercises every degenerate branch."""
     summary = convergence_summary(constant_family(4), L=16)
     assert summary.passed
-    assert summary.limit_check is None  # no limit member
+    assert summary.sweep.limit_row is None  # no limit member, no closing pair
+    assert all(len(c.diffs) == 3 for c in summary.cauchy.columns)
     assert summary.resolvents.c3 == 0.0  # zero density variation
     assert summary.duhamel.ratio == 0.0
     assert summary.borne.max_ratio == 0.0
