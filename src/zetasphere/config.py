@@ -15,9 +15,11 @@ Sections and keys::
     [family]   name, parameters
     [converge] t_set
 
-``n_theta`` is at least the exactness minimum 2L + 2 and at most 1028,
-twice that minimum at the largest L = 256: Gauss-Legendre setup grows like
-n_theta^3 and the packed Legendre table at L = 256 is already about 545 MB.
+``n_theta`` is at least 2L + 2 and at most 1028, twice that minimum at the
+largest L = 256: Gauss-Legendre setup grows like n_theta^3 and the packed
+Legendre table at L = 256 is already about 545 MB. The basis Gram is exact
+from L + 1 nodes per panel; the minimum 2L + 2 is accuracy margin for the
+metric density, which is no polynomial.
 
 ``threads`` defaults to 1: every operator is radial, so the largest dense
 matrix BLAS sees is one azimuthal block, at most 257 wide at L = 256, and a
@@ -168,7 +170,7 @@ def validated(config: RunConfig) -> RunConfig:
     minimum = 2 * config.L + 2
     if config.n_theta is not None and config.n_theta < minimum:
         raise ConfigError(
-            f"n_theta = {config.n_theta} is below the exactness minimum {minimum} "
+            f"n_theta = {config.n_theta} is below the minimum 2L + 2 = {minimum} "
             f"for L = {config.L}"
         )
     if config.n_theta is not None and config.n_theta > _MAX_N_THETA:

@@ -3,9 +3,10 @@
 The trial space is spanned by real spherical harmonics up to degree L. Two
 matrices represent the operator pencil:
 
-* the stiffness matrix K of the Dirichlet form, which does not depend on the
-  metric at all (the form is conformally invariant in complex dimension one),
-  assembled once per basis in the plane coordinate z;
+* the stiffness matrix K of the Dirichlet form. The form is conformally
+  invariant in complex dimension one, so it is the round sphere's, and the
+  orthonormal harmonics diagonalize it: K = diag(ell (ell + 1)) in closed
+  form (`stiffness`), with nothing assembled;
 * the mass matrix M of the metric area form, whose density ratio against the
   round probability measure is ``lambda(z) (1 + |z|^2)^2``.
 
@@ -14,10 +15,10 @@ operator ``-lambda^{-1} d^2/(dz dzbar)`` acting on functions.
 
 Every built-in conformal factor is radial, so both matrices split into one
 block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
-copies of a block with m >= 1 coincide. The blocks are the only form of the
-pencil, assembled straight from the packed Legendre table; `block_rows` states
-where each copy sits among the (L+1)^2 basis functions. Reductions have a
-fixed summation order, so repeated runs produce identical bytes.
+copies of a block with m >= 1 coincide. The mass blocks are assembled
+straight from the packed Legendre table; `block_rows` states where each
+copy sits among the (L+1)^2 basis functions. Reductions have a fixed
+summation order, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMetricError
-from .harmonics import legendre_tables, theta_derivative
+from .harmonics import legendre_tables
 from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
 
@@ -46,11 +47,12 @@ Blocks = tuple[np.ndarray, ...]
 
 
 class SpectralBasis:
-    """The packed Legendre table, its quadrature, and the stiffness blocks.
+    """The packed Legendre table and its quadrature.
 
-    ``pbar[m]`` holds Pbar_{ell m} on the nodes for ell = m..L; every block
-    of the pencil is assembled from it. Holding a basis is the one-time cost
-    shared by every metric at a given resolution.
+    ``pbar[m]`` holds Pbar_{ell m} on the nodes for ell = m..L; every mass
+    block is assembled from it. The per-m Gram is a polynomial of degree 2L
+    in x, exact from L + 1 nodes per panel; the basis asks for 2L + 2, an
+    accuracy margin for the metric's density ratio, which is no polynomial.
     """
 
     def __init__(self, L: int, quad: QuadratureRule | None = None):
@@ -62,15 +64,14 @@ class SpectralBasis:
         if quad.n_theta < need:
             raise DomainError(
                 f"quadrature has {quad.n_theta} polar nodes per panel, "
-                f"exactness at L = {L} needs at least {need}"
+                f"L = {L} needs at least 2L + 2 = {need} for the metric density"
             )
         self.L = int(L)
         self.quad = quad
         self.pbar = legendre_tables(L, quad.x)
-        self._stiffness: Blocks | None = None
 
     def gram_defect(self) -> float:
-        """max over m of |P_m W P_m^T - I|; the exactness check.
+        """max over m of |P_m W P_m^T - I|; the quadrature check.
 
         The azimuthal factors are orthonormal in closed form, so the Gram
         matrix of the basis is the identity exactly when every per-m block of
@@ -83,10 +84,9 @@ class SpectralBasis:
 
 
 def build_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
-    """Basis with its quadrature; n_theta defaults to the exactness minimum 2L+2."""
-    if n_theta is None:
-        n_theta = 2 * L + 2
-    return SpectralBasis(L, build_quadrature(n_theta))
+    """Basis with its quadrature; n_theta defaults to the minimum 2L + 2,
+    accuracy margin for the metric density (the Gram is exact from L + 1)."""
+    return SpectralBasis(L, build_quadrature(2 * L + 2 if n_theta is None else n_theta))
 
 
 def block_rows(L: int):
@@ -106,37 +106,25 @@ def block_rows(L: int):
             yield m, squares + 2 * m
 
 
-def stiffness(basis: SpectralBasis) -> Blocks:
-    """Dirichlet-form blocks K_m; metric independent, cached on the basis.
+def stiffness(L: int, m: int) -> np.ndarray:
+    """Diagonal of the Dirichlet-form block K_m: ell (ell + 1) for ell = m..L.
 
-    Assembled in the plane coordinate z: the pairing of f and g is the
-    quadrature of the flat gradient pairing (df/dr dg/dr + r^-2 df/dphi
-    dg/dphi) against the weight (1+r^2)^2 / 4 per round-measure node, which is the real form
-    of the normalized d/dz-dbar pairing. The d/dr rows come from
-    `theta_derivative` per m; the (1/r) d/dphi amplitude is m Pbar / r, so
-    that term is m^2 times the table's Gram block under the weight over r^2.
-    Row and column 0 of K_0 vanish since the constant has no Dirichlet energy.
+    The Dirichlet form of a conformal metric is the round sphere's, and the
+    basis harmonics are eigenfunctions of the round Laplacian orthonormal
+    for the round probability measure, so every block is diagonal whatever
+    the metric. The first entry of K_0 is the constant's zero energy.
     """
-    if basis._stiffness is None:
-        quad = basis.quad
-        r = quad.radii_theta
-        jac = 2.0 / (1.0 + r * r)            # dtheta/dr
-        gw = quad.weights_theta * (1.0 + r * r) ** 2 / 4.0
-        angular = _radial_weighted_gram(basis, gw / (r * r))
-        blocks = []
-        for m in range(basis.L + 1):
-            dth = theta_derivative(basis.pbar, m) * jac[None, :]   # d/dr values
-            blk = (dth * gw[None, :]) @ dth.T + (m * m) * angular[m]
-            blocks.append(0.5 * (blk + blk.T))
-        basis._stiffness = tuple(blocks)
-    return basis._stiffness
+    ell = np.arange(m, L + 1, dtype=float)
+    return ell * (ell + 1.0)
 
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Stiffness/mass pencil of one metric: blocks (K_m, M_m) for m = 0..L."""
+    """Mass side of one metric's pencil: blocks M_m for m = 0..L.
 
-    stiffness_blocks: Blocks
+    The stiffness side is ``stiffness(L, m)`` for every metric.
+    """
+
     mass_blocks: Blocks
     metric_id: str
     L: int
@@ -204,9 +192,9 @@ def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
 
 
 def assemble(basis: SpectralBasis, metric: ConformalMetric) -> OperatorPair:
-    """Build the block (K_m, M_m) pencil of a metric.
+    """Build the block pencil of a metric: its mass blocks M_m.
 
     Positive definiteness of each M_m is checked where it is used: the
-    eigensolve factors every mass block.
+    eigensolve refuses an indefinite block.
     """
-    return OperatorPair(stiffness(basis), mass(basis, metric), metric.id, basis.L)
+    return OperatorPair(mass(basis, metric), metric.id, basis.L)

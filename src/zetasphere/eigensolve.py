@@ -1,24 +1,28 @@
 """Generalized symmetric eigensolve of the block stiffness/mass pencil.
 
-`pencil_eigh` solves each azimuthal block (K_m, M_m) on its own with
-numpy: a Cholesky factor of M_m reduces the block to a standard symmetric
-problem, so a failure names its block m directly. A block with m >= 1
-counts twice (cos and sin copies); a stable sort merges the values of all
-copies, which keeps the order deterministic and the degeneracy exact. The
-lowest value of the m = 0 block belongs to the constants and is snapped to
-an exact zero once it passes the relative threshold check. Eigenvectors
-stay per block, and so do functions of the operator: `apply_function`
-returns one block per m, since a radial operator never couples two
-azimuthal indices. No n x n matrix is ever formed.
-"""
+The stiffness block is D_m = diag(ell (ell + 1)) in closed form
+(`discretize.stiffness`), so `generalized_eigs` solves each azimuthal block
+as its inverse pencil: with A_m = M_m / vol, vol = M_0[0, 0] (which keeps the
+solve at unit scale for any scaled metric), eigh(D_m^-1/2 A_m D_m^-1/2) =
+(mu, W) gives the eigenvalues 1 / (vol mu) and the vectors
+D_m^-1/2 W (vol mu)^-1/2. Block m = 0 first splits off the constant,
+e_0 / sqrt(vol) with the eigenvalue exactly 0.0; its other rows solve with
+the Schur complement of A_0 on the constant. No kernel is snapped.
 
+A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
+the values of all copies, which keeps the order deterministic and the
+degeneracy exact. Eigenvectors and functions of the operator
+(`apply_function`) stay per block, since a radial operator never couples
+two azimuthal indices; no n x n matrix is formed. `pencil_eigh` solves the
+general symmetric-definite Gram pencils of the operators and harness modules.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Blocks, OperatorPair
+from .discretize import Blocks, OperatorPair, stiffness
 from .errors import EigenConvergenceError, IndefiniteMassError, InvalidMetricError
 
 __all__ = [
@@ -29,8 +33,7 @@ __all__ = [
     "apply_function",
 ]
 
-KERNEL_SNAP_REL = 1e-8
-SOLVER_VERSION = "blocks-3"
+SOLVER_VERSION = "blocks-4"
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,8 @@ class Spectrum:
     """Eigenvalues of one pencil, with M_m-orthonormal eigenvectors per block.
 
     ``eigenvalues`` holds every block copy merged in ascending order;
-    ``eigenvalues[0]`` is exactly 0.0, and the constants are the whole
-    kernel: `generalized_eigs` raises on any other.
+    ``eigenvalues[0]`` is exactly 0.0, the constant's, and every other
+    eigenvalue is positive.
     """
 
     eigenvalues: np.ndarray
@@ -79,38 +82,44 @@ def pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generalized_eigs(pair: OperatorPair) -> Spectrum:
-    """All eigenvalues of K v = lambda M v, ascending, with kernel snap.
+    """All eigenvalues of K v = lambda M v, ascending, through the inverse pencil.
 
     Raises
     ------
     IndefiniteMassError
         If a mass block M_m is not positive definite; the message names m.
+        That is a non-finite M_m, M_m[0, 0] <= 0 or, by Sylvester's law of
+        inertia, a nonpositive mu.
     EigenConvergenceError
-        If the eigensolver stalls on a block; ``stuck_index`` is its m.
-    InvalidMetricError
-        If the bottom of the m = 0 block is not a one-dimensional kernel
-        within the relative snap threshold.
+        If the symmetric solve fails on a block; ``stuck_index`` is its m.
     """
+    vol = pair.volume  # used once block 0 has passed its check
     values, vectors = [], []
-    for m, (K, M) in enumerate(zip(pair.stiffness_blocks, pair.mass_blocks)):
+    for m, M in enumerate(pair.mass_blocks):
+        where = f"block m = {m} of {pair.metric_id!r}"
+        if not (np.all(np.isfinite(M)) and M[0, 0] > 0.0):
+            raise IndefiniteMassError(f"mass {where} is not positive definite")
+        A, d = M / vol, stiffness(pair.L, m)
+        if m == 0:  # A[0, 0] == 1: the Schur complement on the constant
+            head = A[:1, 1:]
+            A, d = A[1:, 1:] - head.T @ head, d[1:]
+        s = 1.0 / np.sqrt(d)
         try:
-            lam, vec = pencil_eigh(K, M)
-        except (np.linalg.LinAlgError, ValueError) as e:
-            where = f"block m = {m} of {pair.metric_id!r}"
-            if not np.all(np.isfinite(M)) or np.linalg.eigvalsh(M)[0] <= 0.0:
-                raise IndefiniteMassError(f"mass {where} is not positive definite") from e
+            mu, W = np.linalg.eigh(s[:, None] * A * s[None, :])
+        except np.linalg.LinAlgError as e:
             raise EigenConvergenceError(f"no convergence on {where} ({e})", stuck_index=m) from e
+        if not np.all(mu > 0.0):
+            raise IndefiniteMassError(f"mass {where} is not positive definite")
+        mu, W = mu[::-1], W[:, ::-1]  # ascending lambda = 1 / (vol mu)
+        lam = 1.0 / (vol * mu)
+        V = s[:, None] * W / np.sqrt(vol * mu)[None, :]
+        if m == 0:
+            lam = np.concatenate(([0.0], lam))
+            V = np.block([[np.full((1, 1), 1.0 / np.sqrt(vol)), -(head @ V)],
+                          [np.zeros((V.shape[0], 1)), V]])
         values.append(lam)
-        vectors.append(vec)
+        vectors.append(V)
 
-    lam0 = values[0][0]
-    lam1 = np.concatenate([values[0][1:]] + [v[:1] for v in values[1:]]).min()
-    if not (lam1 > 0.0) or abs(lam0) > KERNEL_SNAP_REL * lam1:
-        raise InvalidMetricError(
-            f"pencil of {pair.metric_id!r} has no clean one-dimensional kernel: "
-            f"lowest eigenvalues {lam0:.3e}, {lam1:.3e}"
-        )
-    values[0][0] = 0.0
     copies = [values[0]] + [v for v in values[1:] for _ in ("cos", "sin")]
     eigenvalues = np.sort(np.concatenate(copies), kind="stable")
     return Spectrum(eigenvalues, tuple(values), tuple(vectors), pair.metric_id, pair.L, pair)

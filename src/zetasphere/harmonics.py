@@ -13,10 +13,9 @@ sin(theta) dtheta dphi / (4 pi). No Condon-Shortley phase is used.
 One node table is kept: Pbar_{ell m}(x), packed per m as the rows
 ell = m..L, so none of the zeros with m > ell is stored. The diagonal is
 seeded by its chain in m, and the ell-recurrence then runs one step per ell
-for every m at once. The theta derivative is derived from the table when it
-is needed (`theta_derivative`). No table of Pbar / sin(theta) is kept: in
-the plane coordinate r = tan(theta/2) the (1/r) d/dphi amplitude of a
-harmonic is m Pbar / r, which the quadrature handles directly.
+for every m at once. The mass blocks are the only integrals taken over it:
+the harmonics are eigenfunctions of the round Laplacian, so the Dirichlet
+form needs no derivative table (`discretize.stiffness`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["legendre_tables", "theta_derivative"]
+__all__ = ["legendre_tables"]
 
 
 def legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -61,26 +60,3 @@ def legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
         packed[row] = a * (x * packed[row - 1] - b * packed[row - 2])
     return blocks
 
-
-def theta_derivative(pbar: tuple[np.ndarray, ...], m: int) -> np.ndarray:
-    """d/dtheta Pbar_{ell m}(cos theta) for ell = m..L, from the packed table.
-
-    The normalized shift identity
-
-        d/dtheta Pbar_{ell m} =
-          ( sqrt((ell+m)(ell-m+1)) Pbar_{ell,m-1}
-            - sqrt((ell-m)(ell+m+1)) Pbar_{ell,m+1} ) / 2
-
-    needs the blocks m - 1 and m + 1; Pbar_{ell,m+1} vanishes at ell = m.
-    For m = 0 the reflection Pbar_{ell,-1} = -Pbar_{ell,1} leaves
-    -sqrt(ell(ell+1)) Pbar_{ell 1}.
-    """
-    L = len(pbar) - 1
-    ell = np.arange(m, L + 1)
-    hi = np.zeros_like(pbar[m])
-    if m < L:
-        hi[1:] = np.sqrt((ell[1:] - m) * (ell[1:] + m + 1.0))[:, None] * pbar[m + 1]
-    if m == 0:
-        return -hi
-    lo = np.sqrt((ell + m) * (ell - m + 1.0))[:, None] * pbar[m - 1][1:]
-    return 0.5 * (lo - hi)

@@ -12,7 +12,8 @@ eigenvectors and the pencil), ``QuillenData`` and its ordered scalar
 ``columns``, and every check on the family's own metrics reads the
 ``SweepReport``: the Cauchy table, the gap floor (mass blocks), the operator
 limits (eigenvectors) and the determinant checks of ``anomaly``. No check
-solves one of those pencils again, and the sweep uses no disk cache.
+solves one of those pencils again; the sweep solves them all on one basis
+and uses no disk cache.
 
 - ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
   differences bounded by (constant) x (sup log-density distance). When the
@@ -60,8 +61,16 @@ from .anomaly import (
     torsion_report,
     two_route_check,
 )
-from .discretize import Blocks, assemble, block_rows, mass_log_variation
-from .eigensolve import Spectrum, pencil_eigh, resolvent
+from .discretize import (
+    Blocks,
+    SpectralBasis,
+    assemble,
+    block_rows,
+    build_basis,
+    mass_log_variation,
+    stiffness,
+)
+from .eigensolve import Spectrum, generalized_eigs, pencil_eigh, resolvent
 from .errors import DomainError
 from .heatzeta import (
     DEFAULT_TRUNC_TOL,
@@ -72,7 +81,7 @@ from .heatzeta import (
 )
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norm
-from .pipeline import SpectralData, compute_spectrum, get_basis
+from .pipeline import SpectralData
 
 __all__ = [
     "FROZEN_SAFETY",
@@ -211,15 +220,14 @@ def _pipeline_row(
     metric: ConformalMetric,
     limit: ConformalMetric | None,
     theta_columns: dict[str, float],
-    L: int,
-    n_theta: int | None,
+    basis: SpectralBasis,
     window: tuple[float, float] | None,
     trunc_tol: float,
 ) -> SweepRow:
     """Solve one metric's pencil, run the scalar pipeline on it, tabulate its row."""
-    spectrum = compute_spectrum(metric, L, n_theta)
+    spectrum = generalized_eigs(assemble(basis, metric))
     rep = torsion_report(
-        SpectralData.of(spectrum, n_theta), metric, window, trunc_tol=trunc_tol
+        SpectralData.of(spectrum, basis.quad.n_theta), metric, window, trunc_tol=trunc_tol
     )
     th = theta_values(rep.data.eigenvalues, np.array(list(theta_columns.values())))
     q = rep.quillen
@@ -289,17 +297,18 @@ def sweep(
     if len(theta_columns) < t_arr.size:
         raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
+    basis = build_basis(L, n_theta)  # shared by every row, dropped with the sweep
     rows: list[SweepRow] = []
     for p, metric in zip(params, family.members):
         row = _pipeline_row(
-            p, metric, family.limit, theta_columns, L, n_theta, window, trunc_tol
+            p, metric, family.limit, theta_columns, basis, window, trunc_tol
         )
         _check_row_finite(row, require_dist=family.limit is not None)
         rows.append(row)
     limit_row = None
     if family.limit is not None:
         limit_row = _pipeline_row(
-            math.inf, family.limit, None, theta_columns, L, n_theta, window, trunc_tol
+            math.inf, family.limit, None, theta_columns, basis, window, trunc_tol
         )
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
@@ -616,7 +625,7 @@ def bornelapbelt_check(
     M-norms add up over the copies.
     """
     metric = interpolate(family, u)
-    basis = get_basis(L, n_theta)
+    basis = build_basis(L, n_theta)
     pair = assemble(basis, metric)
     d_mass = mass_log_variation(basis, metric)
 
@@ -625,8 +634,8 @@ def bornelapbelt_check(
     num2 = np.zeros(_BORNE_VECTORS)
     den2 = np.zeros(_BORNE_VECTORS)
     for m, rows in block_rows(L):
-        K, M = pair.stiffness_blocks[m], pair.mass_blocks[m]
-        lap_v = np.linalg.solve(M, K @ test[rows])
+        M = pair.mass_blocks[m]
+        lap_v = np.linalg.solve(M, stiffness(L, m)[:, None] * test[rows])
         dlap_v = -np.linalg.solve(M, d_mass[m] @ lap_v)
         num2 += np.einsum("ij,ij->j", dlap_v, M @ dlap_v)
         den2 += np.einsum("ij,ij->j", lap_v, M @ lap_v)
@@ -662,9 +671,10 @@ def duhamel_at(
     E(t - s) dLap E(s); the residual should sit at the quadrature and
     differencing level, far below the derivative's norm.
     """
-    spec_lo = compute_spectrum(interpolate(family, u - h), L, n_theta)
-    spec_mid = compute_spectrum(interpolate(family, u), L, n_theta)
-    spec_hi = compute_spectrum(interpolate(family, u + h), L, n_theta)
+    basis = build_basis(L, n_theta)
+    spec_lo, spec_mid, spec_hi = (
+        generalized_eigs(assemble(basis, interpolate(family, v))) for v in (u - h, u, u + h)
+    )
     return duhamel_residual(spec_lo, spec_mid, spec_hi, h, t=t, n_nodes=n_nodes)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .discretize import Blocks
+from .discretize import Blocks, stiffness
 from .eigensolve import Spectrum, apply_function
 from .errors import DomainError, FitWindowError
 from .operators import InnerProduct, block_operator_norm
@@ -476,10 +476,9 @@ def duhamel_residual(
         for hi, lo in zip(heat_operator(spec_hi, t), heat_operator(spec_lo, t))
     )
     d_lap = tuple(
-        (np.linalg.solve(M_hi, K_hi) - np.linalg.solve(M_lo, K_lo)) / (2.0 * h)
-        for K_hi, M_hi, K_lo, M_lo in zip(
-            spec_hi.pair.stiffness_blocks, spec_hi.pair.mass_blocks,
-            spec_lo.pair.stiffness_blocks, spec_lo.pair.mass_blocks,
+        (np.linalg.inv(M_hi) - np.linalg.inv(M_lo)) * (stiffness(spec_mid.L, m) / (2.0 * h))
+        for m, (M_hi, M_lo) in enumerate(
+            zip(spec_hi.pair.mass_blocks, spec_lo.pair.mass_blocks)
         )
     )
 

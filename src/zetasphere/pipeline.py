@@ -1,8 +1,8 @@
-"""Shared computation pipeline: the basis memo, spectrum data and fit windows.
+"""Shared computation pipeline: spectrum data and fit windows.
 
-A basis is built once per resolution within a process and shared by every
-metric solved on it. A pencil is solved wherever its spectrum is needed and
-handed on from there: the scalar commands fetch eigenvalues and volume with
+Each solve builds its own basis (`build_basis`), and no table outlives the
+solve. A pencil is solved wherever its spectrum is needed and handed on
+from there: the scalar commands fetch eigenvalues and volume with
 ``spectral_data``, which reads and writes the disk cache, and the
 convergence harness builds the same ``SpectralData`` from the spectra its
 sweep solved (``SpectralData.of``), so the harness checks read the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
-from .discretize import SpectralBasis, assemble, build_basis
+from .discretize import assemble, build_basis
 from .eigensolve import SOLVER_VERSION, Spectrum, generalized_eigs
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
@@ -38,38 +38,23 @@ from .heatzeta import (
 from .metrics import ConformalMetric
 
 __all__ = [
-    "get_basis",
     "compute_spectrum",
     "SpectralData",
     "spectral_data",
     "default_fit_window",
     "compute_zeta",
-    "clear_process_caches",
 ]
-
-_BASIS_CACHE: dict[tuple[int, int], SpectralBasis] = {}
 
 
 def _n_theta(L: int, n_theta: int | None) -> int:
     return 2 * L + 2 if n_theta is None else n_theta
 
 
-def clear_process_caches() -> None:
-    _BASIS_CACHE.clear()
-
-
-def get_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
-    key = (L, _n_theta(L, n_theta))
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = build_basis(*key)
-    return _BASIS_CACHE[key]
-
-
 def compute_spectrum(
     metric: ConformalMetric, L: int, n_theta: int | None = None
 ) -> Spectrum:
     """Full spectrum with eigenvectors: one assembly and one block solve."""
-    return generalized_eigs(assemble(get_basis(L, n_theta), metric))
+    return generalized_eigs(assemble(build_basis(L, n_theta), metric))
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,9 @@ class QuadratureRule:
 def build_quadrature(n_theta: int) -> QuadratureRule:
     """Two-panel Gauss-Legendre rule with ``n_theta`` nodes per panel.
 
-    Exact for products of basis harmonics up to combined degree 2L whenever
-    n_theta >= 2L+2.
+    Each panel integrates polynomials in x of degree up to 2 n_theta - 1
+    exactly, so products of basis harmonics up to degree L are exact from
+    n_theta = L + 1.
     """
     if n_theta < 1:
         raise DomainError("quadrature size must be positive")

@@ -50,13 +50,12 @@ def _check_round_spectrum() -> None:
     spectrum = compute_spectrum(fs_metric(), 8)
     lam = spectrum.eigenvalues
     assert lam.size == 81, f"expected 81 modes, got {lam.size}"
-    assert lam[0] <= 1e-8 * lam[1], "kernel eigenvalue must vanish"
-    idx = 1
-    for ell in range(1, 5):
-        group = lam[idx:idx + 2 * ell + 1]
-        idx += 2 * ell + 1
-        spread = float(group.max() - group.min()) / float(group.mean())
-        assert spread < 1e-7, f"multiplet ell={ell} relative spread {spread:.3e}"
+    assert lam[0] == 0.0, f"kernel eigenvalue {lam[0]!r} is not exactly 0.0"
+    for ell in range(1, 9):
+        group = lam[ell * ell:(ell + 1) ** 2]
+        exact = ell * (ell + 1) / 2.0
+        rel = float(np.abs(group - exact).max()) / exact
+        assert rel < 1e-12, f"multiplet ell={ell} is {rel:.3e} from l(l+1)/2"
     assert np.all(np.diff(lam) >= 0), "eigenvalues must ascend"
 
 

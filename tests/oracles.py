@@ -264,6 +264,31 @@ def dense_matrix(blocks) -> np.ndarray:
     return out
 
 
+def exact_stiffness_blocks(L: int) -> list[np.ndarray]:
+    """Dirichlet-form blocks K_m = diag(ell (ell + 1)), ell = m..L, in closed form.
+
+    The Dirichlet form is conformally invariant, so it is the round one, and
+    the real harmonics are round-Laplacian eigenfunctions with eigenvalue
+    ell (ell + 1), orthonormal for the round probability measure.
+    """
+    return [np.diag(np.arange(m, L + 1.0) * np.arange(m + 1.0, L + 2.0)) for m in range(L + 1)]
+
+
+def mp_block_eigenvalues(mass_block: np.ndarray, m: int, L: int, dps: int = 40) -> np.ndarray:
+    """Ascending eigenvalues of diag(ell (ell + 1)) v = lambda M v, ell = m..L,
+    solved in ``dps``-digit arithmetic.
+
+    The float block M is taken as exact. With M = C C^T (mpmath Cholesky),
+    the pencil's eigenvalues are those of the symmetric C^-1 D C^-T, which
+    mpmath's symmetric solver ``eigsy`` returns.
+    """
+    with mp.workdps(dps):
+        Ci = mp.inverse(mp.cholesky(mp.matrix(mass_block.tolist())))
+        D = mp.diag([ell * (ell + 1) for ell in range(m, L + 1)])
+        E = mp.eigsy(Ci * D * Ci.T, eigvals_only=True)
+        return np.sort(np.array([float(e) for e in E]))
+
+
 def dense_pencil_eigenvalues(stiffness_blocks, mass_blocks) -> np.ndarray:
     """Eigenvalues of the dense n x n pencil scattered from per-m blocks.
 

@@ -30,7 +30,7 @@ from zetasphere.operators import (
     operator_norm,
     trace_norm,
 )
-from zetasphere.pipeline import clear_process_caches, compute_spectrum, compute_zeta, spectral_data
+from zetasphere.pipeline import compute_spectrum, compute_zeta, spectral_data
 
 SWEEP_P = (2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -61,7 +61,6 @@ def theta_at_one(data) -> float:
 
 def test_ac01_kernel_and_positivity(tmp_path):
     metrics = [fs_metric()] + [pnorm_metric(float(p)) for p in range(1, 17)] + [max_metric()]
-    clear_process_caches()
     fresh = SpectrumCache(tmp_path / "ac1")
     start = time.monotonic()
     worst = 0.0
@@ -80,7 +79,6 @@ def test_ac01_kernel_and_positivity(tmp_path):
 
 
 def test_ac02_round_metric_multiplets(tmp_path):
-    clear_process_caches()
     fresh = SpectrumCache(tmp_path / "ac2")
     start = time.monotonic()
     data = spectral_data(fs_metric(), 32, cache=fresh)
@@ -329,7 +327,6 @@ def test_ac09_operator_suite():
 def test_ac10_determinism(tmp_path, capsys):
     outputs = []
     for run in ("first", "second"):
-        clear_process_caches()
         code = main([
             "torsion", "--metric", "pnorm:3", "--L", "16",
             "--output-dir", str(tmp_path / run),

@@ -1,9 +1,10 @@
 """Galerkin assembly: stiffness, mass matrices, and their parameter variation.
 
-The radial blocks are placed into dense matrices by the oracle's own
-scatter and cross-checked against the full-grid oracle (which sees the
-azimuthal factors explicitly), and the mass variation against a centered
-stencil in the family parameter.
+The closed-form stiffness is checked against the oracle's quadrature of the
+Dirichlet form from the dense Legendre tables. The radial mass blocks are
+placed into dense matrices by the oracle's own scatter and cross-checked
+against the full-grid oracle (which sees the azimuthal factors explicitly),
+and the mass variation against a centered stencil in the family parameter.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 import oracles
 from zetasphere.discretize import (
     SpectralBasis,
-    _radial_weighted_gram,
     assemble,
     build_basis,
     mass,
@@ -21,6 +21,7 @@ from zetasphere.discretize import (
 )
 from zetasphere.eigensolve import generalized_eigs
 from zetasphere.errors import DomainError, InvalidMetricError
+from zetasphere.harmonics import legendre_tables
 from zetasphere.metrics import (
     ConformalMetric,
     fs_metric,
@@ -42,7 +43,7 @@ def basis():
 
 def test_build_basis_defaults(basis):
     assert basis.L == 8
-    assert [K.shape for K in stiffness(basis)] == [(9 - m,) * 2 for m in range(9)]
+    assert [P.shape for P in basis.pbar] == [(9 - m, 36) for m in range(9)]
     assert basis.quad.n_theta == 18
 
 
@@ -59,42 +60,49 @@ def test_gram_defect(L):
     assert build_basis(L).gram_defect() < 1e-12
 
 
-def test_stiffness_properties(basis):
-    K = oracles.dense_matrix(stiffness(basis))
-    assert K.shape == (81, 81)
-    assert np.allclose(K, K.T, atol=1e-13)
-    # constants span the kernel of the pairing
-    assert np.abs(K[0]).max() < 1e-12
-    eigs = np.linalg.eigvalsh(K)
-    assert eigs.min() > -1e-10
+@pytest.mark.parametrize("L", [4, 8, 16])
+def test_gram_exact_from_L_plus_1_nodes(L):
+    """The per-m Gram is a polynomial of degree 2L in x, so two Gauss panels
+    of L + 1 nodes integrate it exactly; L nodes miss by 4^-L (measured at
+    L = 16: defect 2.3e-10 with 16 nodes, 4.3e-15 with 17). The basis
+    default 2L + 2 is accuracy margin for the metric density, not exactness."""
+
+    def defect(n_theta):
+        quad = build_quadrature(n_theta)
+        return max(
+            float(np.abs((P * quad.weights_theta) @ P.T - np.eye(P.shape[0])).max())
+            for P in legendre_tables(L, quad.x)
+        )
+
+    assert defect(L + 1) < 1e-12
+    assert defect(L) > 1e-12
 
 
-@pytest.mark.parametrize("L, angular_rel", [(8, 1e-14), (48, 1e-13)])
-def test_stiffness_matches_dense_table_oracle(L, angular_rel):
-    """Stiffness from the packed table against the dense three-table path.
+def test_stiffness_properties():
+    """K_m is the diagonal ell (ell + 1), ell = m..L; only the constant has
+    zero energy."""
+    for m in range(9):
+        d = stiffness(8, m)
+        assert d.shape == (9 - m,)
+        assert np.array_equal(d, np.arange(m, 9) * np.arange(m + 1, 10))
+    assert stiffness(8, 0)[0] == 0.0
 
-    The (1/r) d/dphi amplitude is pbar / r, so the m^2 term of K_m is the
-    pbar Gram block under the plane weight over r^2. The oracle builds it
-    from the qbar table instead. Whole blocks K_m agree to 1e-14 relative
-    (measured 2.0e-16 at L = 8, 6.1e-16 at L = 48). The m^2 term alone
-    agrees to 1.9e-15 at L = 8 and 3.1e-14 at L = 48 (m = 1, ell = 48), where
-    both routes sit about 3e-12 relative from the exact diagonal (2 ell + 1) / (2 m):
-    that is rounding of the recurrences near the poles, shared by both.
+
+@pytest.mark.parametrize("L, rel", [(8, 1e-14), (64, 1e-13)])
+def test_stiffness_matches_dense_table_oracle(L, rel):
+    """The closed form against the oracle's quadrature of the Dirichlet form.
+
+    The oracle pairs the flat gradients in the plane coordinate from its
+    dense dpbar and qbar tables on the basis's nodes. Every block agrees
+    with diag(ell (ell + 1)) to ``rel`` relative to the block's largest
+    entry (measured 5.3e-15 at L = 8, 1.1e-13 at L = 48 and 1.9e-14 at
+    L = 64): the quadrature's rounding near the poles.
     """
-    basis = build_basis(L)
-    quad = basis.quad
-    r = quad.radii_theta
-    plane_weight = quad.weights_theta * (1.0 + r * r) ** 2 / 4.0
-    angular = _radial_weighted_gram(basis, plane_weight / (r * r))
-    _, want_angular = oracles.dense_stiffness_terms(L, quad.x, quad.weights_theta)
+    quad = build_quadrature(2 * L + 2)
     want = oracles.dense_stiffness_blocks(L, quad.x, quad.weights_theta)
-    for m, K in enumerate(stiffness(basis)):
-        assert np.abs(K - want[m]).max() <= 1e-14 * np.abs(want[m]).max(), m
-        if m > 0:
-            scale = np.abs(want_angular[m]).max()
-            assert np.abs(angular[m] - want_angular[m]).max() <= angular_rel * scale, m
-            exact = (2.0 * np.arange(m, L + 1) + 1.0) / (2.0 * m)
-            assert np.abs(np.diag(angular[m]) - exact).max() <= 1e-11 * exact.max(), m
+    for m, K in enumerate(oracles.exact_stiffness_blocks(L)):
+        assert np.array_equal(K, np.diag(stiffness(L, m))), m
+        assert np.abs(K - want[m]).max() <= rel * np.abs(K).max(), m
 
 
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
@@ -112,18 +120,11 @@ def test_eigenvalues_match_dense_table_path(spec):
     assert rel.max() <= 1e-12, f"{spec}: {rel.max():.2e}"
 
 
-def test_stiffness_is_metric_independent(basis):
-    """assemble() reuses one stiffness matrix whatever the metric."""
-    k1 = assemble(basis, fs_metric()).stiffness_blocks
-    k2 = assemble(basis, pnorm_metric(3.0)).stiffness_blocks
-    assert k1 is k2
-
-
 def test_fs_round_diagonal(basis):
     """Round factor: density ratio is the constant 2, so M = 2I and K = M diag(l(l+1)/2)."""
     M = oracles.dense_matrix(mass(basis, fs_metric()))
     assert np.abs(M - 2.0 * np.eye(81)).max() < 1e-12
-    K = oracles.dense_matrix(stiffness(basis))
+    K = oracles.dense_matrix(oracles.exact_stiffness_blocks(8))
     ell = np.repeat(np.arange(9), 2 * np.arange(9) + 1)  # degree of each flat row
     lam = ell * (ell + 1) / 2.0
     assert np.abs(K - M * lam[None, :]).max() < 1e-9
@@ -169,7 +170,6 @@ def test_scaled_metric_scales_mass_only(basis):
         2.0 * oracles.dense_matrix(pair_base.mass_blocks),
         rtol=1e-14,
     )
-    assert pair_scaled.stiffness_blocks is pair_base.stiffness_blocks
 
 
 def test_mass_rejects_invalid_density(basis):

@@ -18,12 +18,7 @@ from zetasphere import discretize, harness, pipeline
 from zetasphere.anomaly import calibrate_sign
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
-from zetasphere.discretize import (
-    build_basis,
-    mass,
-    mass_log_variation,
-    stiffness,
-)
+from zetasphere.discretize import build_basis, mass, mass_log_variation
 from zetasphere.eigensolve import Spectrum, resolvent
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
@@ -262,7 +257,7 @@ def test_minmax_oracle_for_gap_floor():
     its block mass is first checked against the package-free full-grid
     oracle."""
     basis = build_basis(8)
-    K = oracles.dense_matrix(stiffness(basis))
+    K = oracles.dense_matrix(oracles.exact_stiffness_blocks(8))
     m_ref = oracles.dense_matrix(mass(basis, fs_metric()))
     fs = fs_metric()
     capped = ConformalMetric(
@@ -348,7 +343,7 @@ def test_bornelapbelt_matches_dense_test_vectors():
     report = bornelapbelt_check(fam, u=2.5, L=12, seed=7)
     basis = build_basis(12)
     metric = interpolate(fam, 2.5)
-    K = oracles.dense_matrix(stiffness(basis))
+    K = oracles.dense_matrix(oracles.exact_stiffness_blocks(12))
     M = oracles.dense_matrix(mass(basis, metric))
     d_mass = oracles.dense_matrix(mass_log_variation(basis, metric))
     test = np.random.default_rng(7).standard_normal((K.shape[0], report.n_vectors))
@@ -411,7 +406,8 @@ def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, cap
         solved.append(pair.metric_id)
         return real_eigs(pair)
 
-    monkeypatch.setattr(pipeline, "generalized_eigs", counting_eigs)
+    for module in (pipeline, harness):
+        monkeypatch.setattr(module, "generalized_eigs", counting_eigs)
     config_path = tmp_path / "fam.ini"
     for params, present in (("1, 2", 2), ("1, 2, 3", 3)):
         config_path.write_text(f"[run]\nL = 16\n\n[family]\nparameters = {params}\n")
@@ -476,7 +472,8 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(pipeline, "fit_asymptotics", counting_fit)
-    monkeypatch.setattr(pipeline, "generalized_eigs", counting_eigs)
+    for module in (pipeline, harness):
+        monkeypatch.setattr(module, "generalized_eigs", counting_eigs)
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
     for check in ("lambda1_floor", "resolvent_convergence"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))

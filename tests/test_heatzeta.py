@@ -42,11 +42,9 @@ from zetasphere.metrics import fs_metric, pnorm_metric, scaled_metric
 from zetasphere.operators import InnerProduct, operator_norm
 from zetasphere.pipeline import (
     _valid_hit,
-    clear_process_caches,
     compute_spectrum,
     compute_zeta,
     default_fit_window,
-    get_basis,
     spectral_data,
 )
 
@@ -519,7 +517,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
 
 
 def test_previous_solver_entry_is_not_served(tmp_path):
-    """An entry stored under the blocks-2 solver key is never a hit.
+    """An entry stored under the blocks-3 solver key is never a hit.
 
     It holds a valid-looking spectrum (twice the true one), so only the
     solver version in the key keeps it out.
@@ -527,11 +525,11 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     from zetasphere.cache import SpectrumCache, spectrum_cache_key
     from zetasphere.eigensolve import SOLVER_VERSION
 
-    assert SOLVER_VERSION == "blocks-3"
+    assert SOLVER_VERSION == "blocks-4"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     fresh = spectral_data(metric, 4)
-    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-2")
+    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-3")
     cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
     again = spectral_data(metric, 4, cache=cache)
     assert again.from_cache is False
@@ -563,13 +561,6 @@ def test_close_specs_get_distinct_spectra(tmp_path, specs):
     assert len(list(tmp_path.glob("*.npz"))) == 2
 
 
-def test_get_basis_memoization():
-    a = get_basis(6)
-    assert get_basis(6) is a
-    clear_process_caches()
-    assert get_basis(6) is not a
-
-
 # ------------------------------------------------- heat operator, duhamel
 
 
@@ -598,7 +589,7 @@ def test_heat_operator_solves_heat_equation():
     spec = compute_spectrum(pnorm_metric(3.0), 8)
     op = np.linalg.solve(
         oracles.dense_matrix(spec.pair.mass_blocks),
-        oracles.dense_matrix(spec.pair.stiffness_blocks),
+        oracles.dense_matrix(oracles.exact_stiffness_blocks(spec.L)),
     )
     t, h = 0.7, 1e-5
 

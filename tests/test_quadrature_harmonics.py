@@ -2,9 +2,10 @@
 
 The packed Legendre table is compared against scipy's associated Legendre
 functions with the normalization written out explicitly and, bitwise,
-against the dense three-table recurrence it replaced (tests/oracles.py);
-the rule's polynomial exactness is checked against closed-form monomial
-integrals.
+against the dense three-table recurrence it replaced (tests/oracles.py),
+whose theta-derivative table feeds the reference stiffness and is checked
+here by stencil; the rule's polynomial exactness is checked against
+closed-form monomial integrals.
 """
 
 import math
@@ -15,7 +16,7 @@ from scipy.special import lpmv, roots_legendre
 
 import oracles
 from zetasphere.errors import DomainError
-from zetasphere.harmonics import legendre_tables, theta_derivative
+from zetasphere.harmonics import legendre_tables
 from zetasphere.quadrature import build_quadrature
 
 
@@ -95,16 +96,17 @@ def test_legendre_orthonormality_independent_rule():
 
 
 def test_legendre_theta_derivative():
-    """theta_derivative is the theta derivative of pbar(cos theta), by stencil."""
+    """The oracle's dpbar table, which the reference stiffness pairs, is the
+    theta derivative of pbar(cos theta), by stencil."""
     theta = np.array([0.4, 1.1, 1.9, 2.6])
     h = 1e-6
     L = 5
-    pbar = legendre_tables(L, np.cos(theta))
+    _, dpbar, _ = oracles.dense_legendre_tables(L, np.cos(theta))
     p_hi = legendre_tables(L, np.cos(theta + h))
     p_lo = legendre_tables(L, np.cos(theta - h))
     for m in range(L + 1):
         fd = (p_hi[m] - p_lo[m]) / (2.0 * h)
-        assert np.allclose(theta_derivative(pbar, m), fd, atol=1e-8), m
+        assert np.allclose(dpbar[m:, m], fd, atol=1e-8), m
 
 
 def test_packed_table_is_one_array():
@@ -119,14 +121,12 @@ def test_packed_table_is_one_array():
 
 @pytest.mark.parametrize("L", [0, 1, 2, 8, 48])
 def test_packed_table_matches_dense_oracle(L):
-    """The packed recurrence reproduces the dense three-table rows bitwise,
-    and the shift identity reproduces the dense dpbar table bitwise."""
+    """The packed recurrence reproduces the dense three-table rows bitwise."""
     x = build_quadrature(2 * L + 2).x
     pbar = legendre_tables(L, x)
-    dense_p, dense_dp, _ = oracles.dense_legendre_tables(L, x)
+    dense_p, _, _ = oracles.dense_legendre_tables(L, x)
     for m in range(L + 1):
         assert np.array_equal(pbar[m], dense_p[m:, m]), m
-        assert np.array_equal(theta_derivative(pbar, m), dense_dp[m:, m]), m
 
 
 def test_legendre_validation():
