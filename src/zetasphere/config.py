@@ -15,14 +15,16 @@ Sections and keys::
     [family]   name, parameters
     [converge] t_set
 
-``n_theta`` is at least 2L + 2 and at most 1028, twice that minimum at the
-largest L = 256: Gauss-Legendre setup grows like n_theta^3 and the packed
-Legendre table at L = 256 is already about 545 MB. The basis Gram is exact
-from L + 1 nodes per panel; the minimum 2L + 2 is accuracy margin for the
-metric density, which is no polynomial.
+``L`` is at most 512. ``n_theta`` is at least 2L + 2 and at most 2052, twice
+that minimum at the largest L: the Gauss-Legendre setup grows about like
+n_theta^3 (0.8 s and 93 MB at 2052 nodes, 10.7 s and 281 MB at 4000), while
+the scalar solve keeps one mass block and one block of Legendre rows at a
+time, so its memory stays small at any L up to the cap. The basis Gram is exact from L + 1 nodes per panel;
+the minimum 2L + 2 is accuracy margin for the metric density, which is no
+polynomial.
 
 ``threads`` defaults to 1: every operator is radial, so the largest dense
-matrix BLAS sees is one azimuthal block, at most 257 wide at L = 256, and a
+matrix BLAS sees is one azimuthal block, at most 513 wide at L = 512, and a
 second BLAS thread only spins. The CLI writes ``threads`` into
 ``OMP/OPENBLAS/MKL/NUMEXPR_NUM_THREADS``, overriding any exported value;
 ``threads = 0`` leaves the environment, and so the library default, alone.
@@ -42,7 +44,7 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "load_config", "validated"]
 
-_MAX_L = 256
+_MAX_L = 512
 _MAX_N_THETA = 2 * (2 * _MAX_L + 2)
 _MAX_THREADS = 1024
 _FAMILY_NAMES = ("pnorm", "geomean-pnorm")

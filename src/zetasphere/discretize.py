@@ -15,20 +15,24 @@ operator ``-lambda^{-1} d^2/(dz dzbar)`` acting on functions.
 
 Every built-in conformal factor is radial, so both matrices split into one
 block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
-copies of a block with m >= 1 coincide. The mass blocks are assembled
-straight from the packed Legendre table; `block_rows` states where each
-copy sits among the (L+1)^2 basis functions. Reductions have a fixed
-summation order, so repeated runs produce identical bytes.
+copies of a block with m >= 1 coincide. `mass` and `mass_log_variation`
+build the blocks one m at a time, each from the Legendre rows of its own m
+(`harmonics.legendre_blocks`), so no table outlives a block: the scalar
+solve drops each M_m once its values are taken, and `assemble` keeps them
+all for the eigenvectors. `block_rows` states where each copy sits among the
+(L+1)^2 basis functions. Reductions have a fixed summation order, so
+repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidMetricError
-from .harmonics import legendre_tables
+from .harmonics import legendre_blocks
 from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
 
@@ -47,12 +51,13 @@ Blocks = tuple[np.ndarray, ...]
 
 
 class SpectralBasis:
-    """The packed Legendre table and its quadrature.
+    """The harmonic degree bound L and its colatitude quadrature.
 
-    ``pbar[m]`` holds Pbar_{ell m} on the nodes for ell = m..L; every mass
-    block is assembled from it. The per-m Gram is a polynomial of degree 2L
-    in x, exact from L + 1 nodes per panel; the basis asks for 2L + 2, an
-    accuracy margin for the metric's density ratio, which is no polynomial.
+    It holds no table: every mass block is built from the Legendre rows of
+    its m on the nodes, made when the block is. The per-m Gram is a
+    polynomial of degree 2L in x, exact from L + 1 nodes per panel; the basis
+    asks for 2L + 2, an accuracy margin for the metric's density ratio, which
+    is no polynomial.
     """
 
     def __init__(self, L: int, quad: QuadratureRule | None = None):
@@ -68,7 +73,6 @@ class SpectralBasis:
             )
         self.L = int(L)
         self.quad = quad
-        self.pbar = legendre_tables(L, quad.x)
 
     def gram_defect(self) -> float:
         """max over m of |P_m W P_m^T - I|; the quadrature check.
@@ -139,14 +143,12 @@ class OperatorPair:
         return float(self.mass_blocks[0][0, 0])
 
 
-def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Blocks:
-    """Gram blocks of the basis under a radial node weight ``wr``."""
-    blocks = []
-    for m in range(basis.L + 1):
-        P = basis.pbar[m]
+def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Iterator[np.ndarray]:
+    """Gram blocks of the basis under a radial node weight ``wr``, m = 0..L,
+    each built when it is asked for."""
+    for P in legendre_blocks(basis.L, basis.quad.x):
         blk = (P * wr[None, :]) @ P.T
-        blocks.append(0.5 * (blk + blk.T))
-    return tuple(blocks)
+        yield 0.5 * (blk + blk.T)
 
 
 def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
@@ -156,11 +158,12 @@ def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
     return np.exp(log_ratio)
 
 
-def mass(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
-    """Mass blocks M_m of the metric area form in the harmonic basis.
+def mass(basis: SpectralBasis, metric: ConformalMetric) -> Iterator[np.ndarray]:
+    """Mass blocks M_m of the metric area form in the harmonic basis, m = 0..L.
 
-    The built-in metrics are radial, so each block is assembled from the
-    packed Legendre table directly; ``M_0[0, 0]`` is the metric volume.
+    The built-in metrics are radial, so each block is a Gram of its own m's
+    Legendre rows, built when it is asked for; ``M_0[0, 0]`` is the metric
+    volume. The density ratio is checked here, before the first block.
     """
     ratio = _node_ratio(basis, metric)
     if not np.all(np.isfinite(ratio)) or ratio.min() <= 0.0:
@@ -171,14 +174,16 @@ def mass(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
     return _radial_weighted_gram(basis, basis.quad.weights_theta * ratio)
 
 
-def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
-    """Parameter derivative of the mass blocks along a metric family.
+def mass_log_variation(
+    basis: SpectralBasis, metric: ConformalMetric
+) -> Iterator[np.ndarray]:
+    """Parameter derivative of the mass blocks along a metric family, m = 0..L.
 
     Differentiating the area form in the family parameter multiplies the
     mass integrand by ``d log lambda / du``, so the same radial assembly
-    applies with that extra node factor. The result is symmetric but
-    indefinite in general, and identically zero at the family's exact
-    members where the blend is stationary.
+    applies with that extra node factor, block by block as for `mass`. The
+    result is symmetric but indefinite in general, and identically zero at
+    the family's exact members where the blend is stationary.
     """
     r = basis.quad.radii_theta
     dlog = metric.d_log_density_du(r)
@@ -192,9 +197,9 @@ def mass_log_variation(basis: SpectralBasis, metric: ConformalMetric) -> Blocks:
 
 
 def assemble(basis: SpectralBasis, metric: ConformalMetric) -> OperatorPair:
-    """Build the block pencil of a metric: its mass blocks M_m.
+    """Build the block pencil of a metric: all of its mass blocks M_m, kept.
 
     Positive definiteness of each M_m is checked where it is used: the
     eigensolve refuses an indefinite block.
     """
-    return OperatorPair(mass(basis, metric), metric.id, basis.L)
+    return OperatorPair(tuple(mass(basis, metric)), metric.id, basis.L)

@@ -1,13 +1,19 @@
 """Generalized symmetric eigensolve of the block stiffness/mass pencil.
 
 The stiffness block is D_m = diag(ell (ell + 1)) in closed form
-(`discretize.stiffness`), so `generalized_eigs` solves each azimuthal block
-as its inverse pencil: with A_m = M_m / vol, vol = M_0[0, 0] (which keeps the
-solve at unit scale for any scaled metric), eigh(D_m^-1/2 A_m D_m^-1/2) =
-(mu, W) gives the eigenvalues 1 / (vol mu) and the vectors
-D_m^-1/2 W (vol mu)^-1/2. Block m = 0 first splits off the constant,
-e_0 / sqrt(vol) with the eigenvalue exactly 0.0; its other rows solve with
-the Schur complement of A_0 on the constant. No kernel is snapped.
+(`discretize.stiffness`), so each azimuthal block is solved as its inverse
+pencil: with A_m = M_m / vol, vol = M_0[0, 0] (which keeps the solve at unit
+scale for any scaled metric), the symmetric D_m^-1/2 A_m D_m^-1/2 has the
+eigenvalues mu, and the pencil has 1 / (vol mu). Block m = 0 first splits off
+the constant, e_0 / sqrt(vol) with the eigenvalue exactly 0.0; its other rows
+solve with the Schur complement of A_0 on the constant. No kernel is snapped.
+
+One block routine serves two paths. `generalized_eigvals` takes the values
+alone (``eigvalsh``) from blocks handed in one at a time, so the scalar
+commands build, solve and drop each M_m in turn. `generalized_eigs` keeps the
+mass blocks of an `OperatorPair` and takes the vectors too (``eigh``,
+eigenvectors W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the
+operator and harness checks read.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
@@ -18,6 +24,7 @@ general symmetric-definite Gram pencils of the operators and harness modules.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +36,12 @@ __all__ = [
     "Spectrum",
     "pencil_eigh",
     "generalized_eigs",
+    "generalized_eigvals",
     "resolvent",
     "apply_function",
 ]
 
-SOLVER_VERSION = "blocks-4"
+SOLVER_VERSION = "blocks-5"
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,59 @@ def pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, Ci.T @ W
 
 
+def _solve_blocks(
+    blocks: Iterable[np.ndarray], L: int, metric_id: str, vectors: bool
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """Solve the inverse pencil block by block, m = 0..L in the order given.
+
+    The one block routine of both paths: per block the values in ascending
+    order and, with ``vectors``, the M_m-orthonormal vectors (an empty list
+    without). Each block is read once, so a caller may hand in blocks that
+    are built as they are asked for and dropped after. Also returns the
+    volume M_0[0, 0].
+    """
+    values, vecs, vol = [], [], 0.0
+    for m, M in enumerate(blocks):
+        where = f"block m = {m} of {metric_id!r}"
+        if not (np.all(np.isfinite(M)) and M[0, 0] > 0.0):
+            raise IndefiniteMassError(f"mass {where} is not positive definite")
+        if m == 0:
+            vol = float(M[0, 0])
+        A, d = M / vol, stiffness(L, m)
+        if m == 0:  # A[0, 0] == 1: the Schur complement on the constant
+            head = A[:1, 1:]
+            A, d = A[1:, 1:] - head.T @ head, d[1:]
+        s = 1.0 / np.sqrt(d)
+        S = s[:, None] * A * s[None, :]
+        try:
+            mu, W = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S), None)
+        except np.linalg.LinAlgError as e:
+            raise EigenConvergenceError(f"no convergence on {where} ({e})", stuck_index=m) from e
+        if not np.all(mu > 0.0):
+            raise IndefiniteMassError(f"mass {where} is not positive definite")
+        mu = mu[::-1]  # ascending lambda = 1 / (vol mu)
+        lam = 1.0 / (vol * mu)
+        if m == 0:
+            lam = np.concatenate(([0.0], lam))
+        values.append(lam)
+        if vectors:
+            V = s[:, None] * W[:, ::-1] / np.sqrt(vol * mu)[None, :]
+            if m == 0:
+                V = np.block([[np.full((1, 1), 1.0 / np.sqrt(vol)), -(head @ V)],
+                              [np.zeros((V.shape[0], 1)), V]])
+            vecs.append(V)
+    return values, vecs, vol
+
+
+def _merged(values: list[np.ndarray]) -> np.ndarray:
+    """Every block copy's values in one ascending array, by a stable sort."""
+    copies = [values[0]] + [v for v in values[1:] for _ in ("cos", "sin")]
+    return np.sort(np.concatenate(copies), kind="stable")
+
+
 def generalized_eigs(pair: OperatorPair) -> Spectrum:
-    """All eigenvalues of K v = lambda M v, ascending, through the inverse pencil.
+    """All eigenvalues of K v = lambda M v, ascending, through the inverse pencil,
+    with the M_m-orthonormal eigenvectors of every block.
 
     Raises
     ------
@@ -93,36 +152,23 @@ def generalized_eigs(pair: OperatorPair) -> Spectrum:
     EigenConvergenceError
         If the symmetric solve fails on a block; ``stuck_index`` is its m.
     """
-    vol = pair.volume  # used once block 0 has passed its check
-    values, vectors = [], []
-    for m, M in enumerate(pair.mass_blocks):
-        where = f"block m = {m} of {pair.metric_id!r}"
-        if not (np.all(np.isfinite(M)) and M[0, 0] > 0.0):
-            raise IndefiniteMassError(f"mass {where} is not positive definite")
-        A, d = M / vol, stiffness(pair.L, m)
-        if m == 0:  # A[0, 0] == 1: the Schur complement on the constant
-            head = A[:1, 1:]
-            A, d = A[1:, 1:] - head.T @ head, d[1:]
-        s = 1.0 / np.sqrt(d)
-        try:
-            mu, W = np.linalg.eigh(s[:, None] * A * s[None, :])
-        except np.linalg.LinAlgError as e:
-            raise EigenConvergenceError(f"no convergence on {where} ({e})", stuck_index=m) from e
-        if not np.all(mu > 0.0):
-            raise IndefiniteMassError(f"mass {where} is not positive definite")
-        mu, W = mu[::-1], W[:, ::-1]  # ascending lambda = 1 / (vol mu)
-        lam = 1.0 / (vol * mu)
-        V = s[:, None] * W / np.sqrt(vol * mu)[None, :]
-        if m == 0:
-            lam = np.concatenate(([0.0], lam))
-            V = np.block([[np.full((1, 1), 1.0 / np.sqrt(vol)), -(head @ V)],
-                          [np.zeros((V.shape[0], 1)), V]])
-        values.append(lam)
-        vectors.append(V)
+    values, vectors, _ = _solve_blocks(pair.mass_blocks, pair.L, pair.metric_id, True)
+    return Spectrum(
+        _merged(values), tuple(values), tuple(vectors), pair.metric_id, pair.L, pair
+    )
 
-    copies = [values[0]] + [v for v in values[1:] for _ in ("cos", "sin")]
-    eigenvalues = np.sort(np.concatenate(copies), kind="stable")
-    return Spectrum(eigenvalues, tuple(values), tuple(vectors), pair.metric_id, pair.L, pair)
+
+def generalized_eigvals(
+    mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
+) -> tuple[np.ndarray, float]:
+    """Eigenvalues and volume of the pencil with mass blocks M_0..M_L, values only.
+
+    The blocks are solved one at a time in the order given (``eigvalsh``, no
+    eigenvectors), so blocks that ``discretize.mass`` builds on demand are
+    each dropped once solved. Same checks and errors as `generalized_eigs`.
+    """
+    values, _, vol = _solve_blocks(mass_blocks, L, metric_id, False)
+    return _merged(values), vol
 
 
 def apply_function(spectrum: Spectrum, f) -> Blocks:

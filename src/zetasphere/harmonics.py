@@ -10,29 +10,32 @@ which makes Y_{ell 0} = Pbar_{ell 0} and Y_{ell m}^{cos/sin} =
 sqrt(2) Pbar_{ell m} (cos|sin)(m phi) an orthonormal family against
 sin(theta) dtheta dphi / (4 pi). No Condon-Shortley phase is used.
 
-One node table is kept: Pbar_{ell m}(x), packed per m as the rows
-ell = m..L, so none of the zeros with m > ell is stored. The diagonal is
-seeded by its chain in m, and the ell-recurrence then runs one step per ell
-for every m at once. The mass blocks are the only integrals taken over it:
-the harmonics are eigenfunctions of the round Laplacian, so the Dirichlet
-form needs no derivative table (`discretize.stiffness`).
+No table outlives a block: `legendre_blocks` runs the ell-recurrence for one
+m at a time and hands out the rows ell = m..L on the nodes, carrying only the
+diagonal Pbar_{mm} on to the next m. The mass blocks are the only integrals
+taken over them: the harmonics are eigenfunctions of the round Laplacian, so
+the Dirichlet form needs no derivative table (`discretize.stiffness`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["legendre_tables"]
+__all__ = ["legendre_blocks"]
 
 
-def legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Pbar_{ell m} on the nodes ``x``, one block per m = 0..L.
+def legendre_blocks(L: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Pbar_{ell m} on the nodes ``x``, one new block per m = 0..L, in order.
 
-    Block m has shape (L+1-m, len(x)) and holds the rows ell = m..L; the
-    blocks are views into one packed ((L+1)(L+2)/2, len(x)) array. ``x``
-    must lie strictly inside (-1, 1); the quadrature nodes always do.
+    Block m has shape (L+1-m, len(x)) and holds the rows ell = m..L, so none
+    of the zeros with m > ell is formed. A caller that drops each block
+    before asking for the next keeps one block alive. ``x`` must lie strictly
+    inside (-1, 1); the quadrature nodes always do. The arguments are checked
+    here, before the first block is built.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -41,22 +44,24 @@ def legendre_tables(L: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
         raise DomainError("Legendre tables need nodes interior to (-1, 1)")
     if L < 0:
         raise DomainError("degree bound L must be nonnegative")
+    return _blocks(L, x)
+
+
+def _blocks(L: int, x: np.ndarray) -> Iterator[np.ndarray]:
     s = np.sqrt(1.0 - x * x)  # sin(theta) > 0
-    m = np.arange(L + 1)
-    start = m * (L + 1) - m * (m - 1) // 2  # packed row of (ell, m) is start[m] + ell - m
-    packed = np.empty((start[-1] + 1, x.size))
-    blocks = tuple(packed[a:a + L + 1 - k] for k, a in enumerate(start))
-
-    blocks[0][0] = 1.0
-    for k in range(1, L + 1):
-        blocks[k][0] = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * blocks[k - 1][0]
-    # first off-diagonal ell = m + 1, every m < L at once
-    packed[start[:-1] + 1] = (np.sqrt(2.0 * m[:-1] + 3.0)[:, None] * x) * packed[start[:-1]]
-    for ell in range(2, L + 1):
-        mm = m[:ell - 1]  # every m <= ell - 2 steps at once
-        row = start[:ell - 1] + ell - mm
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))[:, None]
-        b = np.sqrt(((ell - 1.0) ** 2 - mm * mm) / (4.0 * (ell - 1.0) ** 2 - 1.0))[:, None]
-        packed[row] = a * (x * packed[row - 1] - b * packed[row - 2])
-    return blocks
-
+    diag = np.ones_like(x)
+    for m in range(L + 1):
+        if m > 0:
+            diag = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * diag
+        P = np.empty((L + 1 - m, x.size))
+        P[0] = diag
+        if m < L:
+            P[1] = (np.sqrt(2.0 * m + 3.0) * x) * diag
+        ell = np.arange(m + 2, L + 1)
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+        for k, (a_ell, b_ell) in enumerate(zip(a.tolist(), b.tolist()), start=2):
+            row = np.multiply(x, P[k - 1], out=P[k])  # a (x P_{ell-1} - b P_{ell-2})
+            row -= b_ell * P[k - 2]
+            row *= a_ell
+        yield P

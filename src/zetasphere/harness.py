@@ -627,7 +627,7 @@ def bornelapbelt_check(
     metric = interpolate(family, u)
     basis = build_basis(L, n_theta)
     pair = assemble(basis, metric)
-    d_mass = mass_log_variation(basis, metric)
+    d_mass = tuple(mass_log_variation(basis, metric))
 
     rng = np.random.default_rng(seed)
     test = rng.standard_normal((pair.n, _BORNE_VECTORS))

@@ -67,9 +67,10 @@ DEFAULT_S_VALUES = (1.5, 2.0, 3.0)
 # _window_sensitivity, samples the heat trace.
 FIT_GRID_NODES = 25
 
-# Times per block of the heat-trace sum: the exp(-t lambda) block holds
-# _THETA_BLOCK * n floats (8.5 MB at L = 128) however many times are asked.
-_THETA_BLOCK = 64
+# Floats in the exp(-t lambda) block of the heat-trace sum (64 KB): it holds
+# as many times as fit, at least one, so its size does not grow with the
+# spectrum or with the number of times asked.
+_THETA_FLOATS = 8192
 
 # Geometric panels and Gauss-Legendre nodes per panel of the quadratures:
 # the Mellin integral of zeta(s), and the resolved window of zeta'(0).
@@ -157,17 +158,21 @@ def _gl_panels(lo: float, hi: float, n_panels: int, n_nodes: int):
 def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum over positive eigenvalues of exp(-lambda t), kernel excluded.
 
-    Evaluated ``_THETA_BLOCK`` times at a time; each time's sum is the same
-    row reduction as in one (len(t), n) matrix, so the values do not depend
-    on the block size.
+    Evaluated in one reused block of ``_THETA_FLOATS`` floats, as many times
+    at once as fit (at least one); each time's sum is the same row reduction
+    as in one (len(t), n) matrix, so the values do not depend on the block
+    size.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 0.0]
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty(t.size)
-    for i in range(0, t.size, _THETA_BLOCK):
-        block = t[i : i + _THETA_BLOCK]
-        out[i : i + block.size] = np.exp(-np.outer(block, lam)).sum(axis=1)
+    rows = max(1, _THETA_FLOATS // max(1, lam.size))
+    buf = np.empty((min(rows, t.size), lam.size))
+    for i in range(0, t.size, rows):
+        block = t[i : i + rows]
+        e = np.multiply.outer(-block, lam, out=buf[: block.size])
+        out[i : i + block.size] = np.exp(e, out=e).sum(axis=1)
     return out
 
 

@@ -1,12 +1,15 @@
 """Shared computation pipeline: spectrum data and fit windows.
 
-Each solve builds its own basis (`build_basis`), and no table outlives the
-solve. A pencil is solved wherever its spectrum is needed and handed on
+Each solve builds its own basis (`build_basis`), and no table outlives a
+block. A pencil is solved wherever its spectrum is needed and handed on
 from there: the scalar commands fetch eigenvalues and volume with
-``spectral_data``, which reads and writes the disk cache, and the
-convergence harness builds the same ``SpectralData`` from the spectra its
-sweep solved (``SpectralData.of``), so the harness checks read the
-sweep's eigenvectors and mass blocks instead of solving again.
+``spectral_data``, which reads and writes the disk cache and, on a miss,
+builds each mass block M_m, takes its eigenvalues alone and drops it before
+the next m (`generalized_eigvals`). The convergence harness keeps the mass
+blocks and eigenvectors of every pencil it solves (`generalized_eigs` on an
+assembled pair, as `compute_spectrum` does for one metric) and builds the
+same ``SpectralData`` from them (``SpectralData.of``), so the harness checks
+read the sweep's eigenvectors and mass blocks instead of solving again.
 ``compute_zeta`` runs the heat-trace fit and the zeta data on spectrum data
 that the caller supplies; the fit itself, window clipping and sampling
 included, is ``heatzeta.fit_asymptotics``. No command builds an n x n
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
-from .discretize import assemble, build_basis
-from .eigensolve import SOLVER_VERSION, Spectrum, generalized_eigs
+from .discretize import assemble, build_basis, mass
+from .eigensolve import SOLVER_VERSION, Spectrum, generalized_eigs, generalized_eigvals
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
     DEFAULT_S_VALUES,
@@ -117,10 +120,9 @@ def spectral_data(
 ) -> SpectralData:
     """Eigenvalues and volume, served from the disk cache when possible.
 
-    On a miss, or on an entry that fails validation, the spectrum is solved
-    (blocks only, no n x n matrix), stored over the entry, and the fresh
-    values returned; ``SpectralData.of`` builds them, as it does for the
-    harness sweep.
+    On a miss, or on an entry that fails validation, the eigenvalues are
+    solved one mass block at a time, values only, with no block kept past its
+    solve; they are stored over the entry and returned.
     """
     nt = _n_theta(L, n_theta)
     key = spectrum_cache_key(metric.id, L, nt, SOLVER_VERSION)
@@ -128,7 +130,8 @@ def spectral_data(
         hit = _valid_hit(cache.load(key), L)
         if hit is not None:
             return SpectralData(metric.id, L, nt, *hit, SOLVER_VERSION, True)
-    data = SpectralData.of(compute_spectrum(metric, L, nt), nt)
+    lam, vol = generalized_eigvals(mass(build_basis(L, nt), metric), L, metric.id)
+    data = SpectralData(metric.id, L, nt, lam, vol, SOLVER_VERSION, False)
     if cache is not None:
         cache.store(key, eigenvalues=data.eigenvalues, volume=np.float64(data.volume))
     return data

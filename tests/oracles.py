@@ -251,8 +251,9 @@ def dense_matrix(blocks) -> np.ndarray:
     The flat index lists, for each ell, the zonal function, then the cos and
     sin functions of m = 1..ell: position ell^2 for m = 0 and
     ell^2 + 2m - 1, ell^2 + 2m for the cos and sin copies. Block m holds the
-    rows ell = m..L of each copy.
+    rows ell = m..L of each copy. ``blocks`` may be any iterable of them.
     """
+    blocks = tuple(blocks)
     L = len(blocks) - 1
     n = (L + 1) ** 2
     out = np.zeros((n, n))
@@ -384,11 +385,11 @@ def max_density(r):
 def dense_legendre_tables(L: int, x):
     """Dense tables pbar, dpbar, qbar of shape (L+1, L+1, len(x)).
 
-    The three-table recurrence the packed Legendre table replaced, kept
-    unchanged as the reference: entry [ell, m] holds Pbar_{ell m}(x), its
-    theta derivative, and Pbar_{ell m}(x) / sin(theta) for m >= 1 (generated
-    by the same ell-recurrence from a diagonal seed with the sine divided
-    out); entries with m > ell are zero.
+    The three-table recurrence, kept unchanged as the reference for the
+    package's per-m Legendre blocks: entry [ell, m] holds Pbar_{ell m}(x),
+    its theta derivative, and Pbar_{ell m}(x) / sin(theta) for m >= 1
+    (generated by the same ell-recurrence from a diagonal seed with the sine
+    divided out); entries with m > ell are zero.
     """
     x = np.asarray(x, dtype=float)
     nx = x.size

@@ -73,7 +73,7 @@ def test_fit_defaults_match_heatzeta():
     "bad",
     [
         dict(L=0),
-        dict(L=257),
+        dict(L=513),
         dict(n_theta=33),  # below 2L + 2 = 34 at L = 16
         dict(threads=-1),
         dict(threads=1025),
@@ -105,8 +105,8 @@ def test_validated_rejects(bad):
 
 def test_validated_boundary_values():
     validated(cfg(L=16, n_theta=34))
-    validated(cfg(L=256))
-    validated(cfg(L=256, n_theta=1028))
+    validated(cfg(L=512))
+    validated(cfg(L=512, n_theta=2052))
     validated(cfg(threads=1024))
     validated(cfg(window_lo=0.01, window_hi=0.2))
     assert cfg(window_lo=0.01, window_hi=0.2).fit_window == (0.01, 0.2)
@@ -317,7 +317,8 @@ def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("warm run assembled or solved a pencil")
 
-    for name in ("compute_spectrum", "assemble", "generalized_eigs"):
+    solvers = ("compute_spectrum", "assemble", "generalized_eigs", "mass", "generalized_eigvals")
+    for name in solvers:
         monkeypatch.setattr(pipeline, name, no_solve)
     code, _, _ = run_cli(args, tmp_path / "warm", cache_dir, capsys)
     assert code == 0
@@ -602,7 +603,7 @@ def test_cli_rejects_bad_flag_values(tmp_path, cache, capsys):
     config_path.write_text("[run]\nn_theta = 1000000000\n")
     code, _, err = run_cli(["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys)
     assert code == 2
-    assert "n_theta must be at most 1028" in err
+    assert "n_theta must be at most 2052" in err
 
 
 # ---------------------------------------------------------------- scale and threads
@@ -634,17 +635,19 @@ def _torsion_peak_kb(tmp_path, L):
 
 
 def test_torsion_runs_at_L128(tmp_path):
-    """L = 128 runs in under 112 MB, about 1.5 times the measured 75 MB."""
+    """L = 128 runs in under 58 MB, about 1.5 times the measured 38.6 MB."""
     maxrss_kb = _torsion_peak_kb(tmp_path, 128)
-    assert maxrss_kb < 112 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
+    assert maxrss_kb < 58 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
 
 
 def test_torsion_runs_at_L256(tmp_path):
-    """The top degree L = 256 runs in under 450 MB (measured 341 MB). A basis
-    memo that keeps the packed table alive for the process peaks at 462 MB,
-    so it cannot come back unnoticed."""
+    """L = 256 runs in under 70 MB, about 1.5 times the measured 46.4 MB: the
+    scalar solve keeps one mass block at a time. Keeping every block and
+    its eigenvectors (the vectors path) peaks at 127 MB, and the packed
+    Legendre table of the earlier solver at 341 MB, so neither can come back
+    unnoticed."""
     maxrss_kb = _torsion_peak_kb(tmp_path, 256)
-    assert maxrss_kb < 450 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
+    assert maxrss_kb < 70 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
 
 
 def test_converge_runs_at_L64(tmp_path):

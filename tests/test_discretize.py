@@ -21,7 +21,7 @@ from zetasphere.discretize import (
 )
 from zetasphere.eigensolve import generalized_eigs
 from zetasphere.errors import DomainError, InvalidMetricError
-from zetasphere.harmonics import legendre_tables
+from zetasphere.harmonics import legendre_blocks
 from zetasphere.metrics import (
     ConformalMetric,
     fs_metric,
@@ -43,8 +43,9 @@ def basis():
 
 def test_build_basis_defaults(basis):
     assert basis.L == 8
-    assert [P.shape for P in basis.pbar] == [(9 - m, 36) for m in range(9)]
     assert basis.quad.n_theta == 18
+    assert basis.quad.x.size == 36
+    assert [M.shape for M in mass(basis, fs_metric())] == [(9 - m, 9 - m) for m in range(9)]
 
 
 def test_basis_size_validation():
@@ -71,7 +72,7 @@ def test_gram_exact_from_L_plus_1_nodes(L):
         quad = build_quadrature(n_theta)
         return max(
             float(np.abs((P * quad.weights_theta) @ P.T - np.eye(P.shape[0])).max())
-            for P in legendre_tables(L, quad.x)
+            for P in legendre_blocks(L, quad.x)
         )
 
     assert defect(L + 1) < 1e-12
@@ -133,7 +134,7 @@ def test_fs_round_diagonal(basis):
 def test_mass_volume_entry(basis):
     """M_0[0,0] is the volume, independently computed by the metrics layer."""
     for metric in (pnorm_metric(2.0), pnorm_metric(5.0), max_metric()):
-        M0 = mass(basis, metric)[0]
+        M0 = next(mass(basis, metric))
         assert M0[0, 0] == pytest.approx(volume(metric, basis.quad), rel=1e-13)
         assert assemble(basis, metric).volume == M0[0, 0]
     # and against the closed form, through a finer rule than the basis uses

@@ -2,7 +2,9 @@
 
 The stiffness side of every dense reference is the closed form
 ``oracles.exact_stiffness_blocks``; the eigenvalues themselves are also
-checked against a 40-digit mpmath solve of the same blocks.
+checked against a 40-digit mpmath solve of the same blocks. The values-only
+path of the scalar commands runs the same block routine as the vectors path,
+so its errors, and its eigenvalues to rounding, are checked against it.
 """
 
 import numpy as np
@@ -10,10 +12,12 @@ import pytest
 import scipy.linalg
 
 import oracles
-from zetasphere.discretize import OperatorPair, assemble, build_basis
+from zetasphere import eigensolve
+from zetasphere.discretize import OperatorPair, assemble, build_basis, mass
 from zetasphere.eigensolve import (
     apply_function,
     generalized_eigs,
+    generalized_eigvals,
     pencil_eigh,
     resolvent,
 )
@@ -161,18 +165,24 @@ def test_resolvent_rejects_nonpositive_shift(spectrum):
         resolvent(spectrum, -1.0)
 
 
+def _solves(pair):
+    """Both paths of the block routine on one pair: with vectors, then values
+    only from blocks handed in one at a time."""
+    yield lambda: generalized_eigs(pair)
+    yield lambda: generalized_eigvals(iter(pair.mass_blocks), pair.L, pair.metric_id)
+
+
 def test_indefinite_mass_is_reported():
     """M_0[0, 0] <= 0, and a positive M_0[0, 0] with an indefinite Schur
     complement on the constant, are both an indefinite M_0."""
     M0 = np.eye(2)
     M0[0, 0] = -1.0
-    pair = OperatorPair(mass_blocks=(M0, np.eye(1)), metric_id="synthetic", L=1)
-    with pytest.raises(IndefiniteMassError, match=r"block m = 0\b"):
-        generalized_eigs(pair)
     schur = np.array([[1.0, 2.0], [2.0, 1.0]])  # 1 - 2^2 / 1 < 0
-    pair = OperatorPair(mass_blocks=(schur, np.eye(1)), metric_id="synthetic", L=1)
-    with pytest.raises(IndefiniteMassError, match=r"block m = 0\b"):
-        generalized_eigs(pair)
+    for bad in (M0, schur):
+        pair = OperatorPair(mass_blocks=(bad, np.eye(1)), metric_id="synthetic", L=1)
+        for solve in _solves(pair):
+            with pytest.raises(IndefiniteMassError, match=r"block m = 0\b"):
+                solve()
 
 
 def test_indefinite_mass_block_names_m():
@@ -182,8 +192,9 @@ def test_indefinite_mass_block_names_m():
     bad[1, 1] = -bad[1, 1]
     blocks = pair.mass_blocks[:3] + (bad,) + pair.mass_blocks[4:]
     broken = OperatorPair(blocks, pair.metric_id, pair.L)
-    with pytest.raises(IndefiniteMassError, match=r"block m = 3\b"):
-        generalized_eigs(broken)
+    for solve in _solves(broken):
+        with pytest.raises(IndefiniteMassError, match=r"block m = 3\b"):
+            solve()
 
 
 def _with_nan(blocks, m):
@@ -200,21 +211,24 @@ def test_nan_blocks_are_classified(monkeypatch):
     with pytest.raises(ValueError):
         pencil_eigh(K[2], _with_nan(pair.mass_blocks, 2)[2])
     bad_mass = OperatorPair(_with_nan(pair.mass_blocks, 2), pair.metric_id, pair.L)
-    with pytest.raises(IndefiniteMassError, match=r"block m = 2\b"):
-        generalized_eigs(bad_mass)
+    for solve in _solves(bad_mass):
+        with pytest.raises(IndefiniteMassError, match=r"block m = 2\b"):
+            solve()
 
-    real_eigh, calls = np.linalg.eigh, []
+    for name, solve in zip(("eigh", "eigvalsh"), _solves(pair)):
+        real, calls = getattr(np.linalg, name), []
 
-    def stall_on_block_4(a):  # blocks are solved in the order m = 0, 1, ...
-        calls.append(a)
-        if len(calls) == 5:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigh(a)
+        def stall_on_block_4(a, real=real, calls=calls):  # solved in the order m = 0, 1, ...
+            calls.append(a)
+            if len(calls) == 5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", stall_on_block_4)
-    with pytest.raises(EigenConvergenceError, match=r"block m = 4\b") as info:
-        generalized_eigs(pair)
-    assert info.value.stuck_index == 4
+        monkeypatch.setattr(np.linalg, name, stall_on_block_4)
+        with pytest.raises(EigenConvergenceError, match=r"block m = 4\b") as info:
+            solve()
+        assert info.value.stuck_index == 4, name
+        monkeypatch.undo()
 
 
 def test_cluster_vectors_stay_orthonormal():
@@ -289,15 +303,36 @@ def test_pencil_eigh_matches_sygvd(spec):
 def test_blocks_match_40_digit_reference(spec):
     """Blocks m in {0, 1, 16, 31} at L = 32 against an mpmath solve of the
     same M_m with the exact D_m at 40 digits (Cholesky, then eigsy): every
-    eigenvalue from lambda_1 up to 1e-13 relative (measured at most 1.1e-14),
-    and the kernel exactly 0.0."""
+    eigenvalue from lambda_1 up to 1e-13 relative (measured at most 1.1e-14
+    with vectors, 7.5e-15 values only), and the kernel exactly 0.0, on both
+    paths of the block routine."""
     L = 32
     pair = assemble(build_basis(L), parse_metric_spec(spec))
-    spectrum = generalized_eigs(pair)
-    assert spectrum.block_values[0][0] == 0.0
-    for m in (0, 1, 16, 31):
-        got = spectrum.block_values[m]
-        want = oracles.mp_block_eigenvalues(pair.mass_blocks[m], m, L)
-        k = 1 if m == 0 else 0  # the kernel is compared exactly above
-        rel = np.abs(got[k:] - want[k:]) / want[k:]
-        assert rel.max() <= 1e-13, f"{spec} m={m}: {rel.max():.2e}"
+    with_vectors = generalized_eigs(pair).block_values
+    values_only, _, _ = eigensolve._solve_blocks(pair.mass_blocks, L, spec, vectors=False)
+    for path, values in (("vectors", with_vectors), ("values", values_only)):
+        assert values[0][0] == 0.0, path
+        for m in (0, 1, 16, 31):
+            want = oracles.mp_block_eigenvalues(pair.mass_blocks[m], m, L)
+            k = 1 if m == 0 else 0  # the kernel is compared exactly above
+            rel = np.abs(values[m][k:] - want[k:]) / want[k:]
+            assert rel.max() <= 1e-13, f"{spec} {path} m={m}: {rel.max():.2e}"
+
+
+@pytest.mark.parametrize("L", [32, 64])
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
+def test_values_only_matches_vectors_path(spec, L):
+    """The scalar commands' solve (mass blocks built, solved by eigvalsh and
+    dropped one m at a time) against the vectors path on the kept blocks:
+    the same volume and kernel, every other eigenvalue within 1e-13 relative
+    (measured at most 1.1e-14 at L = 32 and 1.3e-14 at L = 64). The two
+    differ only in how LAPACK rounds with and without vectors."""
+    metric = parse_metric_spec(spec)
+    basis = build_basis(L)
+    spectrum = generalized_eigs(assemble(basis, metric))
+    lam, vol = generalized_eigvals(mass(basis, metric), L, metric.id)
+    assert vol == spectrum.pair.volume
+    assert lam.shape == spectrum.eigenvalues.shape == ((L + 1) ** 2,)
+    assert lam[0] == 0.0 and np.all(np.diff(lam) >= 0.0)
+    rel = np.abs(lam[1:] - spectrum.eigenvalues[1:]) / spectrum.eigenvalues[1:]
+    assert rel.max() <= 1e-13, f"{spec} L={L}: {rel.max():.2e}"

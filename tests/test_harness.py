@@ -243,7 +243,7 @@ def test_lambda1_floor_matches_dense_gram_pencil():
     fam = pnorm_family([1.0, 2.0, 3.0])
     fl = lambda1_floor(sweep(fam, L=16))
     basis = build_basis(16)
-    m_ref = mass(basis, fam.members[0])
+    m_ref = tuple(mass(basis, fam.members[0]))
     for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
         want = oracles.dense_gram_pencil_top(mass(basis, metric), m_ref)
         assert row.c_member == pytest.approx(want, rel=1e-12), row.param
@@ -401,13 +401,19 @@ def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, cap
     pencil is solved."""
     solved: list[str] = []
     real_eigs = pipeline.generalized_eigs
+    real_eigvals = pipeline.generalized_eigvals
 
     def counting_eigs(pair):
         solved.append(pair.metric_id)
         return real_eigs(pair)
 
+    def counting_eigvals(mass_blocks, L, metric_id):
+        solved.append(metric_id)
+        return real_eigvals(mass_blocks, L, metric_id)
+
     for module in (pipeline, harness):
         monkeypatch.setattr(module, "generalized_eigs", counting_eigs)
+    monkeypatch.setattr(pipeline, "generalized_eigvals", counting_eigvals)
     config_path = tmp_path / "fam.ini"
     for params, present in (("1, 2", 2), ("1, 2, 3", 3)):
         config_path.write_text(f"[run]\nL = 16\n\n[family]\nparameters = {params}\n")
@@ -428,12 +434,13 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     disk cache, and its gap floor and operator limits neither assemble a
     mass block nor solve a pencil: they read the sweep's spectra."""
     # a fit sees only eigenvalues: name each metric by its L = 16 spectrum,
-    # which the disk cache and an in-process solve give bit for bit
+    # from the values-only solve (which the disk cache serves bit for bit)
+    # and from the vectors path the harness sweep runs
     family = pnorm_family()
+    metrics = (*family.members, family.limit, fs_metric())
     metric_of = {
-        spectral_data(m, 16, cache=cache).eigenvalues.tobytes(): m.id
-        for m in (*family.members, family.limit, fs_metric())
-    }
+        spectral_data(m, 16, cache=cache).eigenvalues.tobytes(): m.id for m in metrics
+    } | {compute_spectrum(m, 16).eigenvalues.tobytes(): m.id for m in metrics}
     fitted: list[str] = []
     solved: list[tuple[str, int]] = []
     loads: list[str] = []
@@ -441,6 +448,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     inside = [False]
     real_fit = pipeline.fit_asymptotics
     real_eigs = pipeline.generalized_eigs
+    real_eigvals = pipeline.generalized_eigvals
     real_load = SpectrumCache.load
 
     def counting_fit(eigenvalues, *args, **kwargs):
@@ -450,6 +458,10 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     def counting_eigs(pair):
         solved.append((pair.metric_id, pair.L))
         return real_eigs(pair)
+
+    def counting_eigvals(mass_blocks, L, metric_id):
+        solved.append((metric_id, L))
+        return real_eigvals(mass_blocks, L, metric_id)
 
     def counting_load(self, key):
         loads.append(key)
@@ -474,6 +486,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "fit_asymptotics", counting_fit)
     for module in (pipeline, harness):
         monkeypatch.setattr(module, "generalized_eigs", counting_eigs)
+    monkeypatch.setattr(pipeline, "generalized_eigvals", counting_eigvals)
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
     for check in ("lambda1_floor", "resolvent_convergence"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))

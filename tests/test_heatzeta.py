@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 import oracles
+from zetasphere.discretize import build_basis, mass
+from zetasphere.eigensolve import generalized_eigvals
 from zetasphere.errors import DomainError, FitWindowError
 from zetasphere.heatzeta import (
     DEFAULT_FIT_WINDOW,
@@ -115,23 +117,28 @@ def test_theta_excludes_kernel_and_counts_multiplicity():
 
 
 def test_theta_values_memory_is_bounded():
-    """2000 times over an L = 128-sized spectrum (16,640 positive values): the
-    sum runs over fixed blocks of times, so its peak allocation stays far below
-    the 266 MB of one (len(t), n) matrix, and every value is bitwise the sum a
-    single row, or the whole matrix, gives."""
-    lam = np.concatenate([[0.0], np.linspace(2.0, 3.3e4, 16640)])
+    """2000 times over n positive values (L = 16 and L = 128 sized spectra):
+    the sum runs over one reused block of 8192 floats, as many times at once
+    as fit, so its peak allocation stays under 1 MB (measured 0.21 and
+    0.28 MB) against the 266 MB of one (len(t), n) matrix at n = 16640, and
+    every value is bitwise the sum a single row, or the whole matrix, gives."""
     t = np.geomspace(1e-3, 10.0, 2000)
-    tracemalloc.start()
-    try:
-        values = theta_values(lam, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6, peak
-    per_time = [np.exp(-np.outer(t[i : i + 1], lam[1:])).sum(axis=1)[0] for i in range(t.size)]
-    assert np.array_equal(values, per_time)
-    some = t[::10]
-    assert np.array_equal(theta_values(lam, some), np.exp(-np.outer(some, lam[1:])).sum(axis=1))
+    for n in (288, 16640):
+        lam = np.concatenate([[0.0], np.linspace(2.0, 2.0 * n, n)])
+        tracemalloc.start()
+        try:
+            values = theta_values(lam, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (n, peak)
+        per_time = [
+            np.exp(-np.outer(t[i : i + 1], lam[1:])).sum(axis=1)[0] for i in range(t.size)
+        ]
+        assert np.array_equal(values, per_time), n
+        some = t[::10]
+        want = np.exp(-np.outer(some, lam[1:])).sum(axis=1)
+        assert np.array_equal(theta_values(lam, some), want), n
 
 
 def test_theta_validates_time():
@@ -517,7 +524,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
 
 
 def test_previous_solver_entry_is_not_served(tmp_path):
-    """An entry stored under the blocks-3 solver key is never a hit.
+    """An entry stored under the blocks-4 solver key is never a hit.
 
     It holds a valid-looking spectrum (twice the true one), so only the
     solver version in the key keeps it out.
@@ -525,11 +532,11 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     from zetasphere.cache import SpectrumCache, spectrum_cache_key
     from zetasphere.eigensolve import SOLVER_VERSION
 
-    assert SOLVER_VERSION == "blocks-4"
+    assert SOLVER_VERSION == "blocks-5"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     fresh = spectral_data(metric, 4)
-    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-3")
+    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-4")
     cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
     again = spectral_data(metric, 4, cache=cache)
     assert again.from_cache is False
@@ -543,14 +550,17 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     [("scaled:1.2345671:fs", "scaled:1.2345672:fs"), ("pnorm:3", "pnorm:3.0000001")],
 )
 def test_close_specs_get_distinct_spectra(tmp_path, specs):
-    """Specs 1e-7 apart solve to distinct spectra with distinct disk entries."""
+    """Specs 1e-7 apart solve to distinct spectra with distinct disk entries.
+
+    The spectra are the values-only block solve that ``spectral_data`` runs
+    on a miss, so the cached entries must equal them bit for bit."""
     from zetasphere.cache import SpectrumCache
     from zetasphere.metrics import parse_metric_spec
 
     a, b = (parse_metric_spec(spec) for spec in specs)
     assert a.id != b.id
-    lam_a = compute_spectrum(a, 6).eigenvalues
-    lam_b = compute_spectrum(b, 6).eigenvalues
+    lam_a, _ = generalized_eigvals(mass(build_basis(6), a), 6, a.id)
+    lam_b, _ = generalized_eigvals(mass(build_basis(6), b), 6, b.id)
     assert not np.array_equal(lam_a, lam_b)
     cache = SpectrumCache(tmp_path)
     first = spectral_data(a, 6, cache=cache)

@@ -183,7 +183,7 @@ def test_block_norm_matches_dense_norm(spec):
     a = generalized_eigs(assemble(basis, parse_metric_spec(spec)))
     b = generalized_eigs(assemble(basis, pnorm_metric(2.0)))
     K = oracles.exact_stiffness_blocks(12)
-    ref = mass(basis, fs_metric())
+    ref = tuple(mass(basis, fs_metric()))
     ips = [InnerProduct.from_gram(M) for M in ref]
     ip_dense = InnerProduct.from_gram(oracles.dense_matrix(ref))
     for ops, f in (

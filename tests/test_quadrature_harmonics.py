@@ -1,8 +1,8 @@
 """Quadrature rule and normalized-harmonic table checks.
 
-The packed Legendre table is compared against scipy's associated Legendre
+The per-m Legendre blocks are compared against scipy's associated Legendre
 functions with the normalization written out explicitly and, bitwise,
-against the dense three-table recurrence it replaced (tests/oracles.py),
+against the dense three-table recurrence (tests/oracles.py),
 whose theta-derivative table feeds the reference stiffness and is checked
 here by stencil; the rule's polynomial exactness is checked against
 closed-form monomial integrals.
@@ -16,7 +16,7 @@ from scipy.special import lpmv, roots_legendre
 
 import oracles
 from zetasphere.errors import DomainError
-from zetasphere.harmonics import legendre_tables
+from zetasphere.harmonics import legendre_blocks
 from zetasphere.quadrature import build_quadrature
 
 
@@ -74,7 +74,7 @@ def test_legendre_against_scipy():
     """pbar_{lm} = (-1)^m sqrt((2l+1)(l-m)!/(l+m)!) P_l^m with scipy's P_l^m."""
     x = np.array([-0.83, -0.31, 0.02, 0.47, 0.9])
     L = 6
-    pbar = legendre_tables(L, x)
+    pbar = list(legendre_blocks(L, x))
     for m in range(L + 1):
         assert pbar[m].shape == (L + 1 - m, x.size)
         for ell in range(m, L + 1):
@@ -89,9 +89,8 @@ def test_legendre_orthonormality_independent_rule():
     """Rows are orthogonal with squared norm 2 under a plain 200-node rule."""
     x, w = roots_legendre(200)
     L = 10
-    pbar = legendre_tables(L, x)
-    for m in range(L + 1):
-        G = (pbar[m] * w[None, :]) @ pbar[m].T
+    for m, P in enumerate(legendre_blocks(L, x)):
+        G = (P * w[None, :]) @ P.T
         assert np.allclose(G, 2.0 * np.eye(L + 1 - m), atol=1e-12), m
 
 
@@ -102,37 +101,39 @@ def test_legendre_theta_derivative():
     h = 1e-6
     L = 5
     _, dpbar, _ = oracles.dense_legendre_tables(L, np.cos(theta))
-    p_hi = legendre_tables(L, np.cos(theta + h))
-    p_lo = legendre_tables(L, np.cos(theta - h))
-    for m in range(L + 1):
-        fd = (p_hi[m] - p_lo[m]) / (2.0 * h)
+    p_hi = legendre_blocks(L, np.cos(theta + h))
+    p_lo = legendre_blocks(L, np.cos(theta - h))
+    for m, (hi, lo) in enumerate(zip(p_hi, p_lo)):
+        fd = (hi - lo) / (2.0 * h)
         assert np.allclose(dpbar[m:, m], fd, atol=1e-8), m
 
 
-def test_packed_table_is_one_array():
-    """The per-m blocks are views that tile one packed array, none of m > ell."""
+def test_legendre_blocks_own_their_rows():
+    """Each block m holds only its rows ell = m..L in an array of its own, so
+    no table is shared between blocks, and the blocks come in order m = 0..L."""
     L, x = 8, np.linspace(-0.9, 0.9, 7)
-    pbar = legendre_tables(L, x)
-    base = pbar[0].base
-    assert base.shape == ((L + 1) * (L + 2) // 2, x.size)
-    assert all(block.base is base for block in pbar)
-    assert sum(block.nbytes for block in pbar) == base.nbytes
+    blocks = list(legendre_blocks(L, x))
+    assert [P.shape for P in blocks] == [(L + 1 - m, x.size) for m in range(L + 1)]
+    assert all(P.base is None for P in blocks)
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 8, 48])
 def test_packed_table_matches_dense_oracle(L):
-    """The packed recurrence reproduces the dense three-table rows bitwise."""
+    """The per-m blocks, packed to the rows ell = m..L, reproduce the dense
+    three-table rows bitwise (the recurrence is the same, step for step)."""
     x = build_quadrature(2 * L + 2).x
-    pbar = legendre_tables(L, x)
     dense_p, _, _ = oracles.dense_legendre_tables(L, x)
-    for m in range(L + 1):
-        assert np.array_equal(pbar[m], dense_p[m:, m]), m
+    blocks = list(legendre_blocks(L, x))
+    assert len(blocks) == L + 1
+    for m, P in enumerate(blocks):
+        assert np.array_equal(P, dense_p[m:, m]), m
 
 
 def test_legendre_validation():
+    """Bad arguments are refused when the generator is made, before a block."""
     with pytest.raises(DomainError):
-        legendre_tables(4, np.array([0.0, 1.0]))
+        legendre_blocks(4, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
-        legendre_tables(-1, np.array([0.5]))
+        legendre_blocks(-1, np.array([0.5]))
     with pytest.raises(DomainError):
-        legendre_tables(3, np.zeros((2, 2)))
+        legendre_blocks(3, np.zeros((2, 2)))
