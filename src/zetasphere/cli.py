@@ -292,7 +292,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         trunc_tol=config.trunc_tol,
         n_theta=config.n_theta,
     )
-    rows = summary.sweep.rows
+    rows, resolvents = summary.sweep.rows, summary.resolvents
     csv_path = write_csv(
         out / "converge.csv",
         ["param", *rows[0].columns, "sup_log_dist_to_limit"],
@@ -321,11 +321,11 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
                 "margin": summary.floor.margin,
             },
             "resolvent": {
-                "c3": summary.resolvents.c3,
-                "c3_heat": summary.resolvents.c3_heat,
-                "limit_dist": summary.resolvents.limit_dist,
-                "heat_limit_dist": summary.resolvents.heat_limit_dist,
-                "failures": list(summary.resolvents.failures),
+                "c3": resolvents.columns["resolvent"].c_frozen,
+                "c3_heat": resolvents.columns["heat"].c_frozen,
+                "limit_dist": resolvents.limit_dist["resolvent"],
+                "heat_limit_dist": resolvents.limit_dist["heat"],
+                "failures": list(resolvents.failures),
             },
             "borne": {
                 "u": summary.borne.u,

@@ -18,16 +18,14 @@ block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
 copies of a block with m >= 1 coincide. `mass` and `mass_log_variation`
 build the blocks one m at a time, each from the Legendre rows of its own m
 (`harmonics.legendre_blocks`), so no table outlives a block: the scalar
-solve drops each M_m once its values are taken, and `assemble` keeps them
-all for the eigenvectors. `block_rows` states where each copy sits among the
-(L+1)^2 basis functions. Reductions have a fixed summation order, so
-repeated runs produce identical bytes.
+solve drops each M_m once its values are taken, and the eigenvector solve
+keeps them all in its `eigensolve.Spectrum`. Reductions have a fixed
+summation order, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +36,10 @@ from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
     "SpectralBasis",
-    "OperatorPair",
-    "block_rows",
     "build_basis",
     "stiffness",
     "mass",
     "mass_log_variation",
-    "assemble",
 ]
 
 Blocks = tuple[np.ndarray, ...]
@@ -93,23 +88,6 @@ def build_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
     return SpectralBasis(L, build_quadrature(2 * L + 2 if n_theta is None else n_theta))
 
 
-def block_rows(L: int):
-    """Yield (m, rows) for every diagonal block copy, in solve order.
-
-    The zonal block m = 0 comes first, then the cos and the sin copy of each
-    m >= 1. ``rows`` are the copy's positions in the flat basis order, which
-    lists for each ell the zonal function, then the cos and sin functions of
-    m = 1..ell: ell^2 + (0 | 2m - 1 | 2m) for ell = m..L.
-    """
-    for m in range(L + 1):
-        squares = np.arange(m, L + 1) ** 2
-        if m == 0:
-            yield 0, squares
-        else:
-            yield m, squares + (2 * m - 1)
-            yield m, squares + 2 * m
-
-
 def stiffness(L: int, m: int) -> np.ndarray:
     """Diagonal of the Dirichlet-form block K_m: ell (ell + 1) for ell = m..L.
 
@@ -120,27 +98,6 @@ def stiffness(L: int, m: int) -> np.ndarray:
     """
     ell = np.arange(m, L + 1, dtype=float)
     return ell * (ell + 1.0)
-
-
-@dataclass(frozen=True)
-class OperatorPair:
-    """Mass side of one metric's pencil: blocks M_m for m = 0..L.
-
-    The stiffness side is ``stiffness(L, m)`` for every metric.
-    """
-
-    mass_blocks: Blocks
-    metric_id: str
-    L: int
-
-    @property
-    def n(self) -> int:
-        return (self.L + 1) ** 2
-
-    @property
-    def volume(self) -> float:
-        """Metric volume: the mass of the constant, ``M_0[0, 0]``."""
-        return float(self.mass_blocks[0][0, 0])
 
 
 def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Iterator[np.ndarray]:
@@ -194,12 +151,3 @@ def mass_log_variation(
         )
     wr = basis.quad.weights_theta * _node_ratio(basis, metric) * dlog
     return _radial_weighted_gram(basis, wr)
-
-
-def assemble(basis: SpectralBasis, metric: ConformalMetric) -> OperatorPair:
-    """Build the block pencil of a metric: all of its mass blocks M_m, kept.
-
-    Positive definiteness of each M_m is checked where it is used: the
-    eigensolve refuses an indefinite block.
-    """
-    return OperatorPair(tuple(mass(basis, metric)), metric.id, basis.L)

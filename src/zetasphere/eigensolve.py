@@ -8,19 +8,21 @@ eigenvalues mu, and the pencil has 1 / (vol mu). Block m = 0 first splits off
 the constant, e_0 / sqrt(vol) with the eigenvalue exactly 0.0; its other rows
 solve with the Schur complement of A_0 on the constant. No kernel is snapped.
 
-One block routine serves two paths. `generalized_eigvals` takes the values
-alone (``eigvalsh``) from blocks handed in one at a time, so the scalar
-commands build, solve and drop each M_m in turn. `generalized_eigs` keeps the
-mass blocks of an `OperatorPair` and takes the vectors too (``eigh``,
-eigenvectors W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the
-operator and harness checks read.
+One block routine serves two paths, and both take the mass blocks M_0..M_L,
+the degree L and the metric id. `generalized_eigvals` takes the values alone
+(``eigvalsh``) from blocks handed in one at a time, so the scalar commands
+build, solve and drop each M_m in turn. `generalized_eigs` keeps the mass
+blocks in its `Spectrum` and takes the vectors too (``eigh``, eigenvectors
+W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the operator and
+harness checks read.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
 degeneracy exact. Eigenvectors and functions of the operator
 (`apply_function`) stay per block, since a radial operator never couples
-two azimuthal indices; no n x n matrix is formed. `pencil_eigh` solves the
-general symmetric-definite Gram pencils of the operators and harness modules.
+two azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
+eigenvalues of the general symmetric-definite Gram pencils of the operators
+and harness modules.
 """
 from __future__ import annotations
 
@@ -29,12 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Blocks, OperatorPair, stiffness
-from .errors import EigenConvergenceError, IndefiniteMassError, InvalidMetricError
+from .discretize import Blocks, stiffness
+from .errors import (
+    DomainError,
+    EigenConvergenceError,
+    IndefiniteMassError,
+    InvalidMetricError,
+)
 
 __all__ = [
     "Spectrum",
-    "pencil_eigh",
+    "pencil_eigvalsh",
     "generalized_eigs",
     "generalized_eigvals",
     "resolvent",
@@ -46,19 +53,26 @@ SOLVER_VERSION = "blocks-5"
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of one pencil, with M_m-orthonormal eigenvectors per block.
+    """Eigenvalues of one pencil, with its mass blocks M_m and M_m-orthonormal
+    eigenvectors per block, m = 0..L.
 
     ``eigenvalues`` holds every block copy merged in ascending order;
     ``eigenvalues[0]`` is exactly 0.0, the constant's, and every other
-    eigenvalue is positive.
+    eigenvalue is positive. The stiffness side is ``stiffness(L, m)`` for
+    every metric.
     """
 
     eigenvalues: np.ndarray
     block_values: Blocks
     block_vectors: Blocks
+    mass_blocks: Blocks = field(repr=False)
     metric_id: str
     L: int
-    pair: OperatorPair = field(repr=False)
+
+    @property
+    def volume(self) -> float:
+        """Metric volume: the mass of the constant, ``M_0[0, 0]``."""
+        return float(self.mass_blocks[0][0, 0])
 
     @property
     def positive(self) -> np.ndarray:
@@ -69,11 +83,11 @@ class Spectrum:
         return float(self.eigenvalues[1])
 
 
-def pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and B-orthonormal eigenvectors of A v = lambda B v.
+def pencil_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of A v = lambda B v, A symmetric, B positive definite.
 
     With B = C C^T, the pencil has the eigenvalues of the symmetric matrix
-    C^-1 A C^-T, whose orthonormal eigenvectors W map back to V = C^-T W.
+    C^-1 A C^-T.
 
     Raises
     ------
@@ -85,8 +99,7 @@ def pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("pencil has non-finite entries")
     Ci = np.linalg.inv(np.linalg.cholesky(B))
-    lam, W = np.linalg.eigh(Ci @ A @ Ci.T)
-    return lam, Ci.T @ W
+    return np.linalg.eigvalsh(Ci @ A @ Ci.T)
 
 
 def _solve_blocks(
@@ -120,7 +133,13 @@ def _solve_blocks(
         if not np.all(mu > 0.0):
             raise IndefiniteMassError(f"mass {where} is not positive definite")
         mu = mu[::-1]  # ascending lambda = 1 / (vol mu)
-        lam = 1.0 / (vol * mu)
+        with np.errstate(over="ignore", divide="ignore"):
+            lam = 1.0 / (vol * mu)
+        if not np.all(np.isfinite(lam)):
+            raise DomainError(
+                f"eigenvalues of {where} overflow: 1 / (vol mu) is not finite "
+                f"at volume {vol:.3g}"
+            )
         if m == 0:
             lam = np.concatenate(([0.0], lam))
         values.append(lam)
@@ -139,9 +158,12 @@ def _merged(values: list[np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(copies), kind="stable")
 
 
-def generalized_eigs(pair: OperatorPair) -> Spectrum:
+def generalized_eigs(
+    mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
+) -> Spectrum:
     """All eigenvalues of K v = lambda M v, ascending, through the inverse pencil,
-    with the M_m-orthonormal eigenvectors of every block.
+    with the M_m-orthonormal eigenvectors of every block; the spectrum keeps
+    the mass blocks M_0..M_L.
 
     Raises
     ------
@@ -151,11 +173,13 @@ def generalized_eigs(pair: OperatorPair) -> Spectrum:
         inertia, a nonpositive mu.
     EigenConvergenceError
         If the symmetric solve fails on a block; ``stuck_index`` is its m.
+    DomainError
+        If an eigenvalue 1 / (vol mu) of a block overflows, as it does for a
+        metric scaled to a volume near the float minimum; the message names m.
     """
-    values, vectors, _ = _solve_blocks(pair.mass_blocks, pair.L, pair.metric_id, True)
-    return Spectrum(
-        _merged(values), tuple(values), tuple(vectors), pair.metric_id, pair.L, pair
-    )
+    blocks = tuple(mass_blocks)
+    values, vectors, _ = _solve_blocks(blocks, L, metric_id, True)
+    return Spectrum(_merged(values), tuple(values), tuple(vectors), blocks, metric_id, L)
 
 
 def generalized_eigvals(
@@ -179,7 +203,7 @@ def apply_function(spectrum: Spectrum, f) -> Blocks:
     return tuple(
         (V * np.asarray(f(lam), dtype=float)[None, :]) @ (V.T @ M)
         for lam, V, M in zip(
-            spectrum.block_values, spectrum.block_vectors, spectrum.pair.mass_blocks
+            spectrum.block_values, spectrum.block_vectors, spectrum.mass_blocks
         )
     )
 

@@ -483,7 +483,7 @@ def duhamel_residual(
     d_lap = tuple(
         (np.linalg.inv(M_hi) - np.linalg.inv(M_lo)) * (stiffness(spec_mid.L, m) / (2.0 * h))
         for m, (M_hi, M_lo) in enumerate(
-            zip(spec_hi.pair.mass_blocks, spec_lo.pair.mass_blocks)
+            zip(spec_hi.mass_blocks, spec_lo.mass_blocks)
         )
     )
 
@@ -495,7 +495,7 @@ def duhamel_residual(
         late, early = heat_operator(spec_mid, t - s), heat_operator(spec_mid, s)
         for a, E_late, D, E_early in zip(acc, late, d_lap, early):
             a += w * (E_late @ D @ E_early)
-    ips = [InnerProduct.from_gram(M) for M in spec_mid.pair.mass_blocks]
+    ips = [InnerProduct.from_gram(M) for M in spec_mid.mass_blocks]
     resid = block_operator_norm([d + a for d, a in zip(dE, acc)], ips)
     d_norm = block_operator_norm(dE, ips)
     ratio = resid / d_norm if d_norm > 0.0 else 0.0

@@ -6,7 +6,7 @@ singular values of R A R^{-1}. This is what connects matrix computations on
 basis coefficients to statements about the operator on the function space.
 A block-diagonal operator, given as its blocks with one inner product per
 block, has the largest of the block norms as its norm. The Gram pencil of
-`equivalence_bounds` is solved by `eigensolve.pencil_eigh`.
+`equivalence_bounds` is solved by `eigensolve.pencil_eigvalsh`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import pencil_eigh
+from .eigensolve import pencil_eigvalsh
 from .errors import DomainError
 
 __all__ = [
@@ -105,7 +105,7 @@ def equivalence_bounds(A: np.ndarray, ip1: InnerProduct, ip2: InnerProduct) -> E
     the ratio of the two trace norms lies in
     [sqrt(c_min / c_max), sqrt(c_max / c_min)].
     """
-    kappas, _ = pencil_eigh(ip2.gram, ip1.gram)
+    kappas = pencil_eigvalsh(ip2.gram, ip1.gram)
     k_min, k_max = float(kappas[0]), float(kappas[-1])
     if k_min <= 0.0:
         raise DomainError("Gram pencil is not positive definite")

@@ -6,10 +6,11 @@ from there: the scalar commands fetch eigenvalues and volume with
 ``spectral_data``, which reads and writes the disk cache and, on a miss,
 builds each mass block M_m, takes its eigenvalues alone and drops it before
 the next m (`generalized_eigvals`). The convergence harness keeps the mass
-blocks and eigenvectors of every pencil it solves (`generalized_eigs` on an
-assembled pair, as `compute_spectrum` does for one metric) and builds the
-same ``SpectralData`` from them (``SpectralData.of``), so the harness checks
-read the sweep's eigenvectors and mass blocks instead of solving again.
+blocks and eigenvectors of every pencil it solves (`generalized_eigs` on the
+same mass blocks, as `compute_spectrum` does for one metric; the `Spectrum`
+holds them) and builds the same ``SpectralData`` from them
+(``SpectralData.of``), so the harness checks read the sweep's eigenvectors
+and mass blocks instead of solving again.
 ``compute_zeta`` runs the heat-trace fit and the zeta data on spectrum data
 that the caller supplies; the fit itself, window clipping and sampling
 included, is ``heatzeta.fit_asymptotics``. No command builds an n x n
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
-from .discretize import assemble, build_basis, mass
+from .discretize import build_basis, mass
 from .eigensolve import SOLVER_VERSION, Spectrum, generalized_eigs, generalized_eigvals
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
@@ -56,8 +57,8 @@ def _n_theta(L: int, n_theta: int | None) -> int:
 def compute_spectrum(
     metric: ConformalMetric, L: int, n_theta: int | None = None
 ) -> Spectrum:
-    """Full spectrum with eigenvectors: one assembly and one block solve."""
-    return generalized_eigs(assemble(build_basis(L, n_theta), metric))
+    """Full spectrum with eigenvectors and mass blocks: one block solve."""
+    return generalized_eigs(mass(build_basis(L, n_theta), metric), L, metric.id)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SpectralData:
         """The scalar payload of a spectrum solved in process."""
         return cls(
             spectrum.metric_id, spectrum.L, _n_theta(spectrum.L, n_theta),
-            spectrum.eigenvalues, spectrum.pair.volume, SOLVER_VERSION, False,
+            spectrum.eigenvalues, spectrum.volume, SOLVER_VERSION, False,
         )
 
 

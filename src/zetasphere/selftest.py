@@ -72,7 +72,7 @@ def _check_operators() -> None:
     spectrum = compute_spectrum(fs_metric(), 6)
     t = 0.7
     E = heat_operator(spectrum, t)
-    M = spectrum.pair.mass_blocks
+    M = spectrum.mass_blocks
     v0 = spectrum.block_vectors[0][:, 0]
     P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])
     norm = trace_norm(P0 @ E[0], InnerProduct.from_gram(M[0])) + sum(

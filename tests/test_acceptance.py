@@ -302,7 +302,7 @@ def test_ac09_operator_suite():
     # theta bridge per azimuthal block, each in its own M_m inner product:
     # block 0 with the constants projected out, each m >= 1 block twice
     spectrum = compute_spectrum(fs_metric(), 7)
-    M = spectrum.pair.mass_blocks
+    M = spectrum.mass_blocks
     ips = [InnerProduct.from_gram(M_m) for M_m in M]
     v0 = spectrum.block_vectors[0][:, 0]
     P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])

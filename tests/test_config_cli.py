@@ -231,6 +231,30 @@ def test_cli_spectrum(tmp_path, cache, capsys):
     assert values == sorted(values)
 
 
+def test_cli_spectrum_refuses_overflowing_eigenvalues(tmp_path, capsys):
+    """A metric scaled to a volume near the float minimum has eigenvalues
+    1 / (vol mu) beyond the float range: spectrum exits 2 naming the block
+    and the metric, writes no file and stores no entry. One scaled just
+    inside the range still solves, lambda1 = 1e305 to 1e-12 relative."""
+    for spec in ("scaled:1e-320:fs", "scaled:1e-310:fs"):
+        out_dir, cache_dir = tmp_path / spec, tmp_path / "cache"
+        code, out, err = run_cli(
+            ["spectrum", "--metric", spec, "--L", "4"], out_dir, cache_dir, capsys
+        )
+        assert code == 2 and out == "", spec
+        assert f"block m = 0 of {spec!r}" in err and "overflow" in err, err
+        assert not (out_dir / "spectrum.csv").exists()
+        assert not list(cache_dir.glob("*.npz"))
+
+    code, _, err = run_cli(
+        ["spectrum", "--metric", "scaled:1e-305:fs", "--L", "4"],
+        tmp_path / "inside", tmp_path / "cache", capsys,
+    )
+    assert code == 0 and err == ""
+    lines = (tmp_path / "inside" / "spectrum.csv").read_text().splitlines()
+    assert float(lines[2].split(",")[1]) == pytest.approx(1e305, rel=1e-12)
+
+
 def test_cli_theta_with_config(tmp_path, cache, capsys):
     config_path = tmp_path / "run.ini"
     config_path.write_text(
@@ -304,8 +328,8 @@ def test_cli_zeta_schema(tmp_path, cache, capsys):
 def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
     """Cold solve and warm cache hit produce byte-identical files.
 
-    The warm run must be a pure cache hit: it may neither assemble nor
-    solve a pencil.
+    The warm run must be a pure cache hit: it may neither build a mass
+    block nor solve a pencil.
     """
     cache_dir = tmp_path / "cache"
     args = ["torsion", "--metric", "pnorm:5", "--L", "20"]
@@ -315,9 +339,9 @@ def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
     assert "log_quillen=" in out
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("warm run assembled or solved a pencil")
+        raise AssertionError("warm run built a mass block or solved a pencil")
 
-    solvers = ("compute_spectrum", "assemble", "generalized_eigs", "mass", "generalized_eigvals")
+    solvers = ("compute_spectrum", "generalized_eigs", "mass", "generalized_eigvals")
     for name in solvers:
         monkeypatch.setattr(pipeline, name, no_solve)
     code, _, _ = run_cli(args, tmp_path / "warm", cache_dir, capsys)
@@ -457,7 +481,7 @@ def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, monkeypatch, capsys)
         basis = build_basis(16, rules[name])
         for row, metric in zip((*rep.rows, rep.limit_row), (*rep.family.members, rep.family.limit)):
             want = mass(basis, metric)
-            assert all(np.array_equal(a, b) for a, b in zip(row.spectrum.pair.mass_blocks, want))
+            assert all(np.array_equal(a, b) for a, b in zip(row.spectrum.mass_blocks, want))
     keys = {
         name: {p.name for p in (tmp_path / name / "cache-anomaly").glob("*.npz")}
         for name in rules
@@ -683,12 +707,15 @@ for command in ("torsion", "anomaly", "converge", "selftest"):
     args = [command, "--L", "16", "--output-dir", command, "--cache-dir", "cache"]
     assert main(args) == 0, command
     assert "scipy" not in sys.modules, f"{command} loaded scipy"
+    if command != "selftest":
+        assert "numpy.random" not in sys.modules, f"{command} loaded numpy.random"
 print("ok")
 """
 
 
 def test_cli_runs_never_load_scipy(tmp_path):
-    """Every subcommand, selftest included, runs on numpy alone."""
+    """Every subcommand, selftest included, runs on numpy alone, and only
+    selftest (its random operator checks) loads numpy.random."""
     result = run_python(_NO_SCIPY_PROBE, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-1] == "ok"

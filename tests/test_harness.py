@@ -39,6 +39,7 @@ from zetasphere.metrics import (
     MetricFamily,
     delta_X,
     fs_metric,
+    geomean_family,
     interpolate,
     pnorm_family,
     pnorm_metric,
@@ -280,20 +281,18 @@ def test_minmax_oracle_for_gap_floor():
 def test_resolvent_convergence():
     fam = pnorm_family(count=5)
     res = resolvent_convergence(sweep(fam, L=16))
-    assert res.passed and res.resolvent_ok and res.heat_ok
+    assert res.passed
     assert res.failures == ()
-    assert len(res.rows) == 3  # pairs (2,3), (3,4), (4,5)
-    assert math.isfinite(res.c3) and res.c3 > 0.0
-    assert math.isfinite(res.c3_heat) and res.c3_heat > 0.0
-    dists = [r.dist for r in res.rows]
-    heat_dists = [r.heat_dist for r in res.rows]
-    assert dists == sorted(dists, reverse=True)
-    assert heat_dists == sorted(heat_dists, reverse=True)
-    for row in res.rows[1:]:
-        assert row.dist <= row.bound
-        assert row.heat_dist <= row.heat_bound
-    assert math.isfinite(res.limit_dist) and res.limit_dist > 0.0
-    assert math.isfinite(res.heat_limit_dist)
+    assert list(res.columns) == list(res.limit_dist) == ["resolvent", "heat"]
+    for name, column in res.columns.items():
+        assert column.name == name and column.passed
+        assert len(column.diffs) == 3  # pairs (2,3), (3,4), (4,5)
+        assert math.isfinite(column.c_frozen) and column.c_frozen > 0.0
+        assert list(column.diffs) == sorted(column.diffs, reverse=True)
+        for dist, bound in zip(column.diffs[1:], column.bounds[1:]):
+            assert dist <= bound
+    assert math.isfinite(res.limit_dist["resolvent"]) and res.limit_dist["resolvent"] > 0.0
+    assert math.isfinite(res.limit_dist["heat"])
     with pytest.raises(DomainError):
         resolvent_convergence(sweep(pnorm_family([1.0, 2.0]), L=16))
 
@@ -330,41 +329,53 @@ def test_bornelapbelt_check():
     report = bornelapbelt_check(fam, u=2.5, L=12)
     assert report.passed
     assert report.family_id == "pnorm"
-    assert report.n_vectors == 100
     assert 0.0 < report.max_ratio <= report.delta_nodes * (1.0 + 1e-9) + 1e-15
     assert report.delta_nodes > 0.0
     assert report.delta_grid == pytest.approx(delta_X(fam, 2.5), rel=1e-15)
 
 
-def test_bornelapbelt_matches_dense_test_vectors():
-    """Block by block, the check sees the same rows of the same Gaussian draw
-    as the dense form M^-1 dM M^-1 K does: max_ratio agrees to 1e-12."""
+def test_bornelapbelt_matches_dense_pencil():
+    """max_ratio is the largest |eigenvalue| of the dense Gram pencil
+    (dM, M), scattered by the oracle and solved by scipy: the M-norm of
+    B = M^-1 dM, to 1e-12 relative. It dominates the ratio
+    ||d(Lap) v||_M / ||Lap v||_M of the dense form M^-1 dM M^-1 K on
+    Gaussian test vectors."""
     fam = pnorm_family(count=5)
-    report = bornelapbelt_check(fam, u=2.5, L=12, seed=7)
+    report = bornelapbelt_check(fam, u=2.5, L=12)
     basis = build_basis(12)
     metric = interpolate(fam, 2.5)
-    K = oracles.dense_matrix(oracles.exact_stiffness_blocks(12))
     M = oracles.dense_matrix(mass(basis, metric))
     d_mass = oracles.dense_matrix(mass_log_variation(basis, metric))
-    test = np.random.default_rng(7).standard_normal((K.shape[0], report.n_vectors))
+    want = float(np.abs(scipy.linalg.eigh(d_mass, M, eigvals_only=True)).max())
+    assert report.max_ratio == pytest.approx(want, rel=1e-12)
+
+    K = oracles.dense_matrix(oracles.exact_stiffness_blocks(12))
+    test = np.random.default_rng(7).standard_normal((K.shape[0], 100))
     lap_v = np.linalg.solve(M, K @ test)
     dlap_v = -np.linalg.solve(M, d_mass @ lap_v)
 
     def m_norms(x):
         return np.sqrt(np.einsum("ij,ij->j", x, M @ x))
 
-    want = float((m_norms(dlap_v) / m_norms(lap_v)).max())
-    assert report.max_ratio == pytest.approx(want, rel=1e-12)
+    sampled = m_norms(dlap_v) / m_norms(lap_v)
+    assert sampled.max() <= report.max_ratio * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+def test_bornelapbelt_bound_is_nearly_attained(family):
+    """The exact radius sits within 10% of the node sup it is checked
+    against (measured 0.953 for pnorm and 0.944 for geomean-pnorm at
+    u = 2.5, L = 16), so the check is not vacuous."""
+    report = bornelapbelt_check(family, u=2.5, L=16)
+    assert report.passed
+    assert report.max_ratio >= 0.9 * report.delta_nodes
 
 
 def test_bornelapbelt_deterministic():
     fam = pnorm_family(count=5)
-    a = bornelapbelt_check(fam, u=2.5, L=10, seed=7)
-    b = bornelapbelt_check(fam, u=2.5, L=10, seed=7)
-    assert a.max_ratio == b.max_ratio
-    c = bornelapbelt_check(fam, u=2.5, L=10, seed=8)
-    assert a.max_ratio != c.max_ratio  # different vectors, same bound
-    assert c.passed
+    a = bornelapbelt_check(fam, u=2.5, L=10)
+    b = bornelapbelt_check(fam, u=2.5, L=10)
+    assert a == b
 
 
 def test_duhamel_at_and_refinement():
@@ -403,9 +414,9 @@ def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, cap
     real_eigs = pipeline.generalized_eigs
     real_eigvals = pipeline.generalized_eigvals
 
-    def counting_eigs(pair):
-        solved.append(pair.metric_id)
-        return real_eigs(pair)
+    def counting_eigs(mass_blocks, L, metric_id):
+        solved.append(metric_id)
+        return real_eigs(mass_blocks, L, metric_id)
 
     def counting_eigvals(mass_blocks, L, metric_id):
         solved.append(metric_id)
@@ -455,9 +466,9 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
         fitted.append(metric_of[eigenvalues.tobytes()])
         return real_fit(eigenvalues, *args, **kwargs)
 
-    def counting_eigs(pair):
-        solved.append((pair.metric_id, pair.L))
-        return real_eigs(pair)
+    def counting_eigs(mass_blocks, L, metric_id):
+        solved.append((metric_id, L))
+        return real_eigs(mass_blocks, L, metric_id)
 
     def counting_eigvals(mass_blocks, L, metric_id):
         solved.append((metric_id, L))
@@ -544,7 +555,8 @@ def test_convergence_summary_constant_family():
     assert summary.passed
     assert summary.sweep.limit_row is None  # no limit member, no closing pair
     assert all(len(c.diffs) == 3 for c in summary.cauchy.columns)
-    assert summary.resolvents.c3 == 0.0  # zero density variation
+    # zero density variation
+    assert all(c.c_frozen == 0.0 for c in summary.resolvents.columns.values())
     assert summary.duhamel.ratio == 0.0
     assert summary.borne.max_ratio == 0.0
     assert summary.two_route.gap == pytest.approx(0.0, abs=1e-12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.discretize import assemble, build_basis, mass
+from zetasphere.discretize import build_basis, mass
 from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
 from zetasphere.errors import DomainError
 from zetasphere.heatzeta import heat_operator, theta
@@ -160,8 +160,8 @@ def test_theta_bridge():
     copies.
     """
     basis = build_basis(7)
-    spec = generalized_eigs(assemble(basis, pnorm_metric(3.0)))
-    M = spec.pair.mass_blocks
+    spec = generalized_eigs(mass(basis, pnorm_metric(3.0)), 7, "pnorm:3")
+    M = spec.mass_blocks
     ips = [InnerProduct.from_gram(M_m) for M_m in M]
     v0 = spec.block_vectors[0][:, 0]
     P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])
@@ -180,8 +180,8 @@ def test_block_norm_matches_dense_norm(spec):
     metrics against the dense weighted norm of the difference placed by the
     oracle's scatter, and against the dense-pencil oracle, to 1e-12 relative."""
     basis = build_basis(12)
-    a = generalized_eigs(assemble(basis, parse_metric_spec(spec)))
-    b = generalized_eigs(assemble(basis, pnorm_metric(2.0)))
+    a = generalized_eigs(mass(basis, parse_metric_spec(spec)), 12, spec)
+    b = generalized_eigs(mass(basis, pnorm_metric(2.0)), 12, "pnorm:2")
     K = oracles.exact_stiffness_blocks(12)
     ref = tuple(mass(basis, fs_metric()))
     ips = [InnerProduct.from_gram(M) for M in ref]
@@ -195,8 +195,8 @@ def test_block_norm_matches_dense_norm(spec):
             oracles.dense_matrix(ops(a)) - oracles.dense_matrix(ops(b)), ip_dense
         )
         diff = (
-            oracles.dense_pencil_function(K, a.pair.mass_blocks, f)
-            - oracles.dense_pencil_function(K, b.pair.mass_blocks, f)
+            oracles.dense_pencil_function(K, a.mass_blocks, f)
+            - oracles.dense_pencil_function(K, b.mass_blocks, f)
         )
         want = oracles.weighted_operator_norm(diff, oracles.dense_matrix(ref))
         assert got > 0.0
