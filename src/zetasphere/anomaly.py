@@ -35,7 +35,6 @@ with the kernel-excluded zeta(0) = -2/3 of smooth factors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,10 +89,9 @@ TWO_ROUTE_FLOOR = 1e-3
 TWO_ROUTE_BUDGET_FACTOR = 3.0
 
 
-@functools.cache
 def _default_quadrature() -> QuadratureRule:
     # 256 radial nodes split at the equator, where the smoothing families
-    # concentrate their curvature; built on first use, then shared.
+    # concentrate their curvature.
     return build_quadrature(128)
 
 

@@ -16,12 +16,14 @@ Sections and keys::
     [converge] t_set
 
 ``L`` is at most 512. ``n_theta`` is at least 2L + 2 and at most 2052, twice
-that minimum at the largest L: the Gauss-Legendre setup grows about like
-n_theta^3 (0.8 s and 93 MB at 2052 nodes, 10.7 s and 281 MB at 4000), while
-the scalar solve keeps one mass block and one block of Legendre rows at a
-time, so its memory stays small at any L up to the cap. The basis Gram is exact from L + 1 nodes per panel;
-the minimum 2L + 2 is accuracy margin for the metric density, which is no
-polynomial.
+that minimum at the largest L, which bounds the mass assembly, whose work
+grows linearly in n_theta. The Gauss-Legendre rule is Newton on the Legendre
+recurrence, O(n_theta^2) time and O(n_theta) memory: about 40 ms and under
+1 MB at 2052 nodes, where numpy's companion-matrix ``leggauss`` took 1.1 s
+and 68 MB. The scalar solve keeps one mass block and one block of Legendre
+rows at a time, so its memory stays small at any L up to the cap. The basis
+Gram is exact from L + 1 nodes per panel; the minimum 2L + 2 is accuracy
+margin for the metric density, which is no polynomial.
 
 ``threads`` defaults to 1: every operator is radial, so the largest dense
 matrix BLAS sees is one azimuthal block, at most 513 wide at L = 512, and a
@@ -30,12 +32,12 @@ second BLAS thread only spins. The CLI writes ``threads`` into
 ``threads = 0`` leaves the environment, and so the library default, alone.
 
 This module stays import-light (no numpy) so the CLI can fix the thread
-environment before any linear algebra loads.
+environment before any linear algebra loads, and ``configparser`` loads
+only when a config is parsed, so a flag-only command never pays for it.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -214,6 +216,8 @@ def validated(config: RunConfig) -> RunConfig:
 
 def _values(text: str) -> dict[str, object]:
     """Parse config text into ``RunConfig`` field values, not yet validated."""
+    import configparser  # loaded only when a config is given, not per command
+
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
     )

@@ -48,7 +48,7 @@ __all__ = [
     "apply_function",
 ]
 
-SOLVER_VERSION = "blocks-5"
+SOLVER_VERSION = "blocks-6"
 
 
 @dataclass(frozen=True)

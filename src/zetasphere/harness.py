@@ -76,6 +76,7 @@ from .heatzeta import (
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norm
 from .pipeline import SpectralData, compute_spectrum
+from .quadrature import gauss_legendre
 
 __all__ = [
     "FROZEN_SAFETY",
@@ -501,7 +502,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
         raise DomainError("resolvent_convergence needs at least three members")
 
     ip_ref = [InnerProduct.from_gram(M) for M in members[0].spectrum.mass_blocks]
-    xg, wg = np.polynomial.legendre.leggauss(_DELTA_GL_NODES)
+    xg, wg = gauss_legendre(_DELTA_GL_NODES)
     deltas = [
         float(np.sum(wg * 0.5 * np.array([delta_X(report.family, k + 0.5 + 0.5 * x) for x in xg])))
         for k in range(1, len(members) - 1)

@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .discretize import Blocks, stiffness
 from .eigensolve import Spectrum, apply_function
 from .errors import DomainError, FitWindowError
 from .operators import InnerProduct, block_operator_norm
+from .quadrature import gauss_legendre
 
 __all__ = [
     "exp_e1",
@@ -145,7 +145,7 @@ def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 def _gl_panels(lo: float, hi: float, n_panels: int, n_nodes: int):
     """Gauss-Legendre nodes/weights on a geometric subdivision of [lo, hi]."""
-    xg, wg = leggauss(n_nodes)
+    xg, wg = gauss_legendre(n_nodes)
     edges = np.geomspace(lo, hi, n_panels + 1)
     pts, wts = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -487,7 +487,7 @@ def duhamel_residual(
         )
     )
 
-    xg, wg = leggauss(n_nodes)
+    xg, wg = gauss_legendre(n_nodes)
     s_nodes = 0.5 * t * (xg + 1.0)
     s_wts = 0.5 * t * wg
     acc = [np.zeros_like(b) for b in dE]

@@ -94,6 +94,47 @@ def e1_continued_fraction(x: float) -> float:
     return math.exp(-x) * f
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int, dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n at ``dps`` digits, from the guesses
+    cos(pi (4k - 1) / (4n + 2)), each root iterated until its step is below
+    10^(5 - dps); the weight is 2 / ((1 - x^2) P_n'(x)^2) at that precision.
+    The upper-half roots are found one by one and mirrored; the result must
+    come out strictly ascending, so no root is found twice.
+    """
+
+    def value_and_slope(x):
+        p_prev, p = mp.mpf(1), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, n * (p_prev - x * p) / (1 - x * x)
+
+    with mp.workdps(dps):
+        upper = []
+        for k in range((n + 1) // 2, 0, -1):
+            x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(100):
+                p, dp = value_and_slope(x)
+                step = p / dp
+                x -= step
+                if abs(step) < mp.mpf(10) ** (5 - dps):
+                    break
+            else:
+                raise AssertionError(f"Newton did not settle on a root of P_{n}")
+            _, dp = value_and_slope(x)
+            upper.append((x, 2 / ((1 - x * x) * dp * dp)))
+        if n % 2:
+            upper[0] = (mp.mpf(0), upper[0][1])
+        nodes = [-x for x, _ in upper[n % 2:][::-1]] + [x for x, _ in upper]
+        weights = [w for _, w in upper[n % 2:][::-1]] + [w for _, w in upper]
+        x = np.array([float(v) for v in nodes])
+        w = np.array([float(v) for v in weights])
+    assert x.size == n and np.all(np.diff(x) > 0.0), n
+    return x, w
+
+
 def sup_log_pnorm_to_max(p: float) -> float:
     """sup over the sphere of |log(lambda_pnorm(p) / lambda_max)|.
 

@@ -707,15 +707,14 @@ for command in ("torsion", "anomaly", "converge", "selftest"):
     args = [command, "--L", "16", "--output-dir", command, "--cache-dir", "cache"]
     assert main(args) == 0, command
     assert "scipy" not in sys.modules, f"{command} loaded scipy"
-    if command != "selftest":
-        assert "numpy.random" not in sys.modules, f"{command} loaded numpy.random"
+    assert "numpy.random" not in sys.modules, f"{command} loaded numpy.random"
 print("ok")
 """
 
 
 def test_cli_runs_never_load_scipy(tmp_path):
-    """Every subcommand, selftest included, runs on numpy alone, and only
-    selftest (its random operator checks) loads numpy.random."""
+    """Every subcommand, selftest included, runs on numpy alone and never
+    loads numpy.random."""
     result = run_python(_NO_SCIPY_PROBE, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-1] == "ok"

@@ -435,6 +435,13 @@ def test_round_metric_fit_window_needs_resolution():
     assert fit.window_effective[0] > DEFAULT_FIT_WINDOW[0]
 
 
+def _entry_key(data) -> str:
+    """The cache key ``spectral_data`` stores ``data`` under."""
+    from zetasphere.cache import spectrum_cache_key
+
+    return spectrum_cache_key(data.metric_id, data.L, data.n_theta, data.solver_version)
+
+
 def test_spectral_data_cache_roundtrip(tmp_path):
     from zetasphere.cache import SpectrumCache
 
@@ -457,9 +464,10 @@ def test_truncated_cache_entry_is_a_miss(tmp_path):
     metric = pnorm_metric(2.0)
     first = spectral_data(metric, 8, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
+    assert cache.path_for(_entry_key(first)) == entry
     good = entry.read_bytes()
     entry.write_bytes(good[: len(good) // 2])
-    assert cache.load(entry.stem) is None
+    assert cache.load(_entry_key(first)) is None
     again = spectral_data(metric, 8, cache=cache)
     assert again.from_cache is False
     assert np.array_equal(again.eigenvalues, first.eigenvalues)
@@ -477,12 +485,13 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
     metric = pnorm_metric(2.0)
     fresh = spectral_data(metric, 2, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
+    assert cache.path_for(_entry_key(fresh)) == entry
     good = entry.read_bytes()
     variants = [good[:k] for k in range(len(good))]
     variants += [good[:k] + bytes([good[k] ^ 0xFF]) + good[k + 1:] for k in range(len(good))]
     for k, variant in enumerate(variants):
         entry.write_bytes(variant)
-        hit = _valid_hit(cache.load(entry.stem), 2)
+        hit = _valid_hit(cache.load(_entry_key(fresh)), 2)
         if hit is not None:
             assert hit[0].tobytes() == fresh.eigenvalues.tobytes(), k
             assert hit[1] == fresh.volume, k
@@ -500,6 +509,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
     metric = pnorm_metric(2.0)
     fresh = spectral_data(metric, 4, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
+    assert cache.path_for(_entry_key(fresh)) == entry
     lam, vol = fresh.eigenvalues.copy(), fresh.volume
     if defect == "short":
         lam = lam[:2]
@@ -515,7 +525,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
         lam[-1] = np.nan
     else:
         vol = -vol
-    cache.store(entry.stem, eigenvalues=lam, volume=np.float64(vol))
+    cache.store(_entry_key(fresh), eigenvalues=lam, volume=np.float64(vol))
     again = spectral_data(metric, 4, cache=cache)
     assert again.from_cache is False
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
@@ -524,7 +534,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
 
 
 def test_previous_solver_entry_is_not_served(tmp_path):
-    """An entry stored under the blocks-4 solver key is never a hit.
+    """An entry stored under the blocks-5 solver key is never a hit.
 
     It holds a valid-looking spectrum (twice the true one), so only the
     solver version in the key keeps it out.
@@ -532,17 +542,57 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     from zetasphere.cache import SpectrumCache, spectrum_cache_key
     from zetasphere.eigensolve import SOLVER_VERSION
 
-    assert SOLVER_VERSION == "blocks-5"
+    assert SOLVER_VERSION == "blocks-6"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     fresh = spectral_data(metric, 4)
-    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-4")
+    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-5")
     cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
     again = spectral_data(metric, 4, cache=cache)
     assert again.from_cache is False
     assert again.solver_version == SOLVER_VERSION
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
+def test_colliding_cache_names_read_as_misses(tmp_path):
+    """Two keys with one CRC-32 name share a file; the entry answers only
+    the key it was stored under, and a store under the other overwrites it."""
+    from zetasphere.cache import SpectrumCache, spectrum_cache_key
+
+    cache = SpectrumCache(tmp_path)
+    a = spectrum_cache_key("uejgtcuo", 4, 10, "v1")
+    b = spectrum_cache_key("iiwucoup", 4, 10, "v1")
+    assert a != b and cache.path_for(a) == cache.path_for(b)
+    cache.store(a, eigenvalues=np.arange(3.0), volume=np.float64(1.0))
+    assert cache.load(b) is None
+    assert np.array_equal(cache.load(a)["eigenvalues"], np.arange(3.0))
+    cache.store(b, eigenvalues=np.arange(4.0), volume=np.float64(2.0))
+    assert cache.load(a) is None
+    hit = cache.load(b)
+    assert sorted(hit) == ["eigenvalues", "volume"]
+    assert np.array_equal(hit["eigenvalues"], np.arange(4.0))
+    assert len(list(tmp_path.glob("*.npz"))) == 1
+
+
+def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path):
+    """A valid spectrum of another metric at this metric's file name, as a
+    name collision leaves it, is never served: the stored key differs, so
+    spectral_data solves again and its store replaces the entry."""
+    from zetasphere.cache import SpectrumCache
+
+    cache = SpectrumCache(tmp_path)
+    other = spectral_data(pnorm_metric(3.0), 4, cache=cache)
+    metric = pnorm_metric(2.0)
+    fresh = spectral_data(metric, 4)
+    entry = cache.path_for(_entry_key(fresh))
+    cache.path_for(_entry_key(other)).rename(entry)
+    assert cache.load(_entry_key(fresh)) is None
+    again = spectral_data(metric, 4, cache=cache)
+    assert again.from_cache is False
+    assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+    assert list(tmp_path.glob("*.npz")) == [entry]
+    assert spectral_data(metric, 4, cache=cache).from_cache is True
 
 
 @pytest.mark.parametrize(

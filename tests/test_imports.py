@@ -1,15 +1,22 @@
-"""Every top-level import in the package and its tests is used, and every
-exported name exists.
+"""Every top-level import in the package and its tests is used, every
+exported name exists, and the CLI keeps its import floor.
 
 An import that nothing reads costs load time and hides what a module
 depends on. Names listed in a module's ``__all__`` count as used (they are
 re-exported), and ``from __future__`` imports are compiler directives. An
 export whose definition was deleted fails only when someone imports it, so
-the export lists are resolved here.
+the export lists are resolved here. Every command runs in a fresh process,
+so a module it loads for one small job is paid on every run: OpenSSL's
+libcrypto behind ``hashlib`` is 3.5 MB of resident memory, and
+``numpy.polynomial``, ``numpy.random`` and ``configparser`` add import time
+and memory that no command needs.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +74,28 @@ def test_package_exports_resolve():
     ]
     assert missing == []
     assert [e for e in zetasphere.__all__ if not hasattr(zetasphere, e)] == []
+
+
+_FLOOR_MODULES = ("_hashlib", "numpy.polynomial", "numpy.random", "configparser")
+
+_FLOOR_PROBE = f"""
+import sys
+from zetasphere.cli import main
+assert main(sys.argv[1:]) == 0
+print("loaded=" + ",".join(m for m in {_FLOOR_MODULES!r} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command", ["torsion", "converge", "selftest"])
+def test_cli_import_floor(tmp_path, command):
+    """A flag-only run of each command loads none of ``_FLOOR_MODULES``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("ZETASPHERE_CACHE", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _FLOOR_PROBE, command, "--L", "16",
+         "--output-dir", "out", "--cache-dir", "cache"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "loaded="

@@ -5,7 +5,8 @@ functions with the normalization written out explicitly and, bitwise,
 against the dense three-table recurrence (tests/oracles.py),
 whose theta-derivative table feeds the reference stiffness and is checked
 here by stencil; the rule's polynomial exactness is checked against
-closed-form monomial integrals.
+closed-form monomial integrals. The Gauss-Legendre rule itself is checked
+against 40-digit mpmath Newton (tests/oracles.py).
 """
 
 import math
@@ -17,7 +18,7 @@ from scipy.special import lpmv, roots_legendre
 import oracles
 from zetasphere.errors import DomainError
 from zetasphere.harmonics import legendre_blocks
-from zetasphere.quadrature import build_quadrature
+from zetasphere.quadrature import build_quadrature, gauss_legendre
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,27 @@ def test_kinked_integrand_split():
     quad = build_quadrature(24)
     got = float(np.sum(quad.wx * np.abs(quad.x)))
     assert got == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 20, 32, 34, 50, 66, 98, 258])
+def test_gauss_legendre_matches_mpmath(n):
+    """Nodes to 2e-16 absolute and weights to 1e-12 relative against the
+    40-digit rule; numpy's companion-matrix leggauss misses the weight bound
+    from n = 66 on (3.4e-12 there, 1.4e-10 at n = 258)."""
+    x, w = gauss_legendre(n)
+    x_ref, w_ref = oracles.gauss_legendre(n)
+    assert np.max(np.abs(x - x_ref)) <= 2e-16
+    assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-12
+
+
+def test_gauss_legendre_is_cached_read_only_and_symmetric():
+    x, w = gauss_legendre(7)
+    assert gauss_legendre(7)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.array_equal(x, -x[::-1]) and x[3] == 0.0
+    assert np.array_equal(w, w[::-1])
+    with pytest.raises(DomainError):
+        gauss_legendre(0)
 
 
 def test_build_quadrature_validation():
