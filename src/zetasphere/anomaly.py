@@ -51,7 +51,7 @@ from .metrics import (
     sup_log_distance,
     volume,
 )
-from .pipeline import SpectralData, compute_zeta, spectral_data
+from .pipeline import SpectralData, compute_zeta, family_spectral_data
 from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
@@ -237,10 +237,11 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
     exists so the measurement can be repeated. Each metric runs the
     pipeline once; both signs are assembled from the same zeta'(0).
     """
-    pair = []
-    for m in (fs_metric(), pnorm_metric(2.0)):
-        data = spectral_data(m, L, cache=cache)
-        pair.append((m, data.volume, compute_zeta(data, m)))
+    metrics = (fs_metric(), pnorm_metric(2.0))
+    pair = [
+        (m, data.volume, compute_zeta(data, m))
+        for m, data in zip(metrics, family_spectral_data(metrics, L, cache=cache))
+    ]
 
     def gap(sign: int) -> float:
         (p, vp, zp), (q, vq, zq) = pair

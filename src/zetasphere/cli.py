@@ -243,14 +243,15 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
     from .anomaly import torsion_report, two_route_check
-    from .pipeline import spectral_data
+    from .pipeline import family_spectral_data
 
     family = _make_family(config)
-    cache = _make_cache(config)
+    data = family_spectral_data(
+        family.members, config.L, config.n_theta, _make_cache(config)
+    )
     members = [
-        (m, torsion_report(spectral_data(m, config.L, config.n_theta, cache), m,
-                           config.fit_window, trunc_tol=config.trunc_tol).quillen)
-        for m in family.members
+        (m, torsion_report(d, m, config.fit_window, trunc_tol=config.trunc_tol).quillen)
+        for m, d in zip(family.members, data)
     ]
     reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
     passed = all(r.passed for r in reports)

@@ -15,17 +15,22 @@ operator ``-lambda^{-1} d^2/(dz dzbar)`` acting on functions.
 
 Every built-in conformal factor is radial, so both matrices split into one
 block per azimuthal index m = 0..L (rows ell = m..L), and the cos and sin
-copies of a block with m >= 1 coincide. `mass` and `mass_log_variation`
-build the blocks one m at a time, each from the Legendre rows of its own m
-(`harmonics.legendre_blocks`), so no table outlives a block: the scalar
-solve drops each M_m once its values are taken, and the eigenvector solve
-keeps them all in its `eigensolve.Spectrum`. Reductions have a fixed
-summation order, so repeated runs produce identical bytes.
+copies of a block with m >= 1 coincide. A family of metrics shares one
+Legendre sweep: `weighted_grams` takes a stack of radial node-weight rows
+(`mass_weights`, `variation_weights`) and builds, for each m, the Legendre
+rows P of that m once (`harmonics.legendre_blocks`) and every row's Gram
+(P w_k) P^T from them, one product per row, as the (K, n, n) stack of that
+m. `masses` is the stack of a family's mass blocks, `mass` one metric's. No
+table outlives a block: the scalar solve drops each stack once its values
+are taken, and the eigenvector solve keeps the blocks in its
+`eigensolve.Spectrum`. Reductions have a fixed summation order, so repeated
+runs produce identical bytes, and a block is the same bytes whichever
+family it is built in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +43,11 @@ __all__ = [
     "SpectralBasis",
     "build_basis",
     "stiffness",
+    "mass_weights",
+    "variation_weights",
+    "weighted_grams",
+    "masses",
     "mass",
-    "mass_log_variation",
 ]
 
 Blocks = tuple[np.ndarray, ...]
@@ -78,7 +86,7 @@ class SpectralBasis:
         """
         return max(
             float(np.abs(G - np.eye(G.shape[0])).max())
-            for G in _radial_weighted_gram(self, self.quad.weights_theta)
+            for (G,) in weighted_grams(self, self.quad.weights_theta[None, :])
         )
 
 
@@ -100,12 +108,20 @@ def stiffness(L: int, m: int) -> np.ndarray:
     return ell * (ell + 1.0)
 
 
-def _radial_weighted_gram(basis: SpectralBasis, wr: np.ndarray) -> Iterator[np.ndarray]:
-    """Gram blocks of the basis under a radial node weight ``wr``, m = 0..L,
-    each built when it is asked for."""
+def weighted_grams(basis: SpectralBasis, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Gram blocks of the basis under K radial node-weight rows, m = 0..L.
+
+    ``rows`` has shape (K, n_theta). Block m is the (K, L+1-m, L+1-m) stack
+    of the rows' Grams (P w_k) P^T, symmetrized, all from one Legendre block
+    P of that m, built when it is asked for. Each Gram is its own product,
+    so a block is bitwise the same in any stack.
+    """
     for P in legendre_blocks(basis.L, basis.quad.x):
-        blk = (P * wr[None, :]) @ P.T
-        yield 0.5 * (blk + blk.T)
+        out = np.empty((len(rows), P.shape[0], P.shape[0]))
+        for k, w in enumerate(rows):
+            blk = (P * w[None, :]) @ P.T
+            out[k] = 0.5 * (blk + blk.T)
+        yield out
 
 
 def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
@@ -115,12 +131,11 @@ def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
     return np.exp(log_ratio)
 
 
-def mass(basis: SpectralBasis, metric: ConformalMetric) -> Iterator[np.ndarray]:
-    """Mass blocks M_m of the metric area form in the harmonic basis, m = 0..L.
+def mass_weights(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
+    """Node weights of the metric area form: quadrature weight x density ratio.
 
-    The built-in metrics are radial, so each block is a Gram of its own m's
-    Legendre rows, built when it is asked for; ``M_0[0, 0]`` is the metric
-    volume. The density ratio is checked here, before the first block.
+    Raises InvalidMetricError if the density ratio is nonpositive or
+    non-finite on a node.
     """
     ratio = _node_ratio(basis, metric)
     if not np.all(np.isfinite(ratio)) or ratio.min() <= 0.0:
@@ -128,19 +143,17 @@ def mass(basis: SpectralBasis, metric: ConformalMetric) -> Iterator[np.ndarray]:
             f"metric {metric.id!r} has a nonpositive or non-finite density "
             "ratio on the quadrature nodes"
         )
-    return _radial_weighted_gram(basis, basis.quad.weights_theta * ratio)
+    return basis.quad.weights_theta * ratio
 
 
-def mass_log_variation(
-    basis: SpectralBasis, metric: ConformalMetric
-) -> Iterator[np.ndarray]:
-    """Parameter derivative of the mass blocks along a metric family, m = 0..L.
+def variation_weights(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
+    """Node weights of the mass's parameter derivative along a metric family.
 
     Differentiating the area form in the family parameter multiplies the
-    mass integrand by ``d log lambda / du``, so the same radial assembly
-    applies with that extra node factor, block by block as for `mass`. The
-    result is symmetric but indefinite in general, and identically zero at
-    the family's exact members where the blend is stationary.
+    mass integrand by ``d log lambda / du``, so its Gram blocks are those of
+    these weights: symmetric but indefinite in general, and identically zero
+    at the family's exact members where the blend is stationary. Raises
+    InvalidMetricError if the variation is non-finite on a node.
     """
     r = basis.quad.radii_theta
     dlog = metric.d_log_density_du(r)
@@ -149,5 +162,23 @@ def mass_log_variation(
             f"metric {metric.id!r} has a non-finite density variation on "
             "the quadrature nodes"
         )
-    wr = basis.quad.weights_theta * _node_ratio(basis, metric) * dlog
-    return _radial_weighted_gram(basis, wr)
+    return basis.quad.weights_theta * _node_ratio(basis, metric) * dlog
+
+
+def masses(
+    basis: SpectralBasis, metrics: Sequence[ConformalMetric]
+) -> Iterator[np.ndarray]:
+    """Mass blocks of a family, m = 0..L: block m stacks M_m of every metric.
+
+    Every density ratio is checked here, in the order given, before the
+    first block is built.
+    """
+    return weighted_grams(basis, np.stack([mass_weights(basis, g) for g in metrics]))
+
+
+def mass(basis: SpectralBasis, metric: ConformalMetric) -> Iterator[np.ndarray]:
+    """Mass blocks M_m of one metric's area form, m = 0..L, built as asked for.
+
+    The one-metric case of `masses`; ``M_0[0, 0]`` is the metric volume.
+    """
+    return (stack[0] for stack in masses(basis, (metric,)))

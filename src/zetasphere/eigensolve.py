@@ -8,13 +8,20 @@ eigenvalues mu, and the pencil has 1 / (vol mu). Block m = 0 first splits off
 the constant, e_0 / sqrt(vol) with the eigenvalue exactly 0.0; its other rows
 solve with the Schur complement of A_0 on the constant. No kernel is snapped.
 
-One block routine serves two paths, and both take the mass blocks M_0..M_L,
-the degree L and the metric id. `generalized_eigvals` takes the values alone
-(``eigvalsh``) from blocks handed in one at a time, so the scalar commands
-build, solve and drop each M_m in turn. `generalized_eigs` keeps the mass
-blocks in its `Spectrum` and takes the vectors too (``eigh``, eigenvectors
-W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the operator and
-harness checks read.
+One block routine solves a family of K pencils together, m = 0..L: it takes
+per m the (K, n, n) stack of the members' M_m (`discretize.masses`), the
+degree L and the metric ids, scales the stack and takes the Schur step
+elementwise, and makes one stacked LAPACK call per m. numpy's linalg
+gufuncs run the same routine once per matrix, so every member's values and
+vectors are bitwise those of its own solve, and a failed check names the
+member and m. It serves two paths. `family_eigvals` takes the values alone
+(``eigvalsh``) from stacks handed in one at a time, so the scalar commands
+build, solve and drop each stack in turn. `family_eigs` keeps the mass
+blocks in each member's `Spectrum` and takes the vectors too (``eigh``,
+eigenvectors W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the
+operator and harness checks read. `generalized_eigvals` and
+`generalized_eigs` are their one-member cases on one metric's blocks
+M_0..M_L.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
@@ -22,11 +29,11 @@ degeneracy exact. Eigenvectors and functions of the operator
 (`apply_function`) stay per block, since a radial operator never couples
 two azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
 eigenvalues of the general symmetric-definite Gram pencils of the operators
-and harness modules.
+and harness modules, a stack of them against one B in one call.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +49,8 @@ from .errors import (
 __all__ = [
     "Spectrum",
     "pencil_eigvalsh",
+    "family_eigs",
+    "family_eigvals",
     "generalized_eigs",
     "generalized_eigvals",
     "resolvent",
@@ -49,6 +58,8 @@ __all__ = [
 ]
 
 SOLVER_VERSION = "blocks-6"
+
+_INDEFINITE = "mass {where} is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,8 @@ def pencil_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of A v = lambda B v, A symmetric, B positive definite.
 
     With B = C C^T, the pencil has the eigenvalues of the symmetric matrix
-    C^-1 A C^-T.
+    C^-1 A C^-T. A may be a stack (..., n, n) of matrices against the one B;
+    each pencil of the stack is solved as it would be alone.
 
     Raises
     ------
@@ -102,54 +114,102 @@ def pencil_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Ci @ A @ Ci.T)
 
 
-def _solve_blocks(
-    blocks: Iterable[np.ndarray], L: int, metric_id: str, vectors: bool
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Solve the inverse pencil block by block, m = 0..L in the order given.
+def _refuse(ok: np.ndarray, m: int, metric_ids: Sequence[str], vol: np.ndarray,
+            exc: type[Exception], message: str) -> None:
+    """Raise ``exc`` for the first member whose entry of ``ok`` is False at
+    block m; ``message`` may name ``{where}`` and the member's ``{vol}``."""
+    if not ok.all():
+        k = int(np.argmin(ok))
+        where = f"block m = {m} of {metric_ids[k]!r}"
+        raise exc(message.format(where=where, vol=vol[k]))
 
-    The one block routine of both paths: per block the values in ascending
-    order and, with ``vectors``, the M_m-orthonormal vectors (an empty list
-    without). Each block is read once, so a caller may hand in blocks that
-    are built as they are asked for and dropped after. Also returns the
-    volume M_0[0, 0].
+
+def _stuck_member(S: np.ndarray, m: int, metric_ids: Sequence[str], vectors: bool, err):
+    """The error of a stacked solve that did not converge, naming its member.
+
+    Only reached once the stacked call has failed: block m is solved again
+    one member at a time, and the first member whose solve fails is named
+    (all of them if none fails alone).
     """
-    values, vecs, vol = [], [], 0.0
-    for m, M in enumerate(blocks):
-        where = f"block m = {m} of {metric_id!r}"
-        if not (np.all(np.isfinite(M)) and M[0, 0] > 0.0):
-            raise IndefiniteMassError(f"mass {where} is not positive definite")
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    where = ", ".join(repr(i) for i in metric_ids)
+    for metric_id, S_k in zip(metric_ids, S):
+        try:
+            solve(S_k)
+        except np.linalg.LinAlgError as e:
+            where, err = repr(metric_id), e
+            break
+    return EigenConvergenceError(f"no convergence on block m = {m} of {where} ({err})",
+                                 stuck_index=m)
+
+
+def _solve_stacks(
+    stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str], vectors: bool
+) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], np.ndarray]:
+    """Solve the inverse pencils of a family block by block, m = 0..L in order.
+
+    The one block routine of every path. ``stacks`` yields, per m, the
+    (K, L+1-m, L+1-m) stack of the members' mass blocks M_m, K =
+    len(metric_ids). Per member it returns the values of each block in
+    ascending order and, with ``vectors``, the M_m-orthonormal vectors
+    (empty lists without), and the volumes M_0[0, 0]. Each stack is read
+    once, so a caller may hand in stacks that are built as they are asked
+    for and dropped after. The scaling, the Schur step and the checks act on
+    the whole stack elementwise, and one stacked ``eigh``/``eigvalsh`` per m
+    runs LAPACK once per member, so every member's values and vectors are
+    bitwise those of its own solve. A failed check names the member and m;
+    the first m that fails wins, then the first member.
+    """
+    K = len(metric_ids)
+    values = [[] for _ in range(K)]
+    vecs = [[] for _ in range(K)]
+    vol = np.zeros(K)
+    for m, M in enumerate(stacks):
+        _refuse(np.isfinite(M).all(axis=(1, 2)) & (M[:, 0, 0] > 0.0),
+                m, metric_ids, vol, IndefiniteMassError, _INDEFINITE)
         if m == 0:
-            vol = float(M[0, 0])
-        A, d = M / vol, stiffness(L, m)
-        if m == 0:  # A[0, 0] == 1: the Schur complement on the constant
-            head = A[:1, 1:]
-            A, d = A[1:, 1:] - head.T @ head, d[1:]
+            vol = M[:, 0, 0].copy()
+        A, d = M / vol[:, None, None], stiffness(L, m)
+        if m == 0:  # A[k, 0, 0] == 1: the Schur complement on the constant
+            head = A[:, :1, 1:]
+            A, d = A[:, 1:, 1:] - head.transpose(0, 2, 1) @ head, d[1:]
         s = 1.0 / np.sqrt(d)
         S = s[:, None] * A * s[None, :]
         try:
             mu, W = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S), None)
         except np.linalg.LinAlgError as e:
-            raise EigenConvergenceError(f"no convergence on {where} ({e})", stuck_index=m) from e
-        if not np.all(mu > 0.0):
-            raise IndefiniteMassError(f"mass {where} is not positive definite")
-        mu = mu[::-1]  # ascending lambda = 1 / (vol mu)
+            raise _stuck_member(S, m, metric_ids, vectors, e) from e
+        _refuse(np.all(mu > 0.0, axis=1), m, metric_ids, vol, IndefiniteMassError, _INDEFINITE)
+        mu = mu[:, ::-1]  # ascending lambda = 1 / (vol mu)
         with np.errstate(over="ignore", divide="ignore"):
-            lam = 1.0 / (vol * mu)
-        if not np.all(np.isfinite(lam)):
-            raise DomainError(
-                f"eigenvalues of {where} overflow: 1 / (vol mu) is not finite "
-                f"at volume {vol:.3g}"
-            )
-        if m == 0:
-            lam = np.concatenate(([0.0], lam))
-        values.append(lam)
+            lam = 1.0 / (vol[:, None] * mu)
+        _refuse(np.all(np.isfinite(lam), axis=1), m, metric_ids, vol, DomainError,
+                "eigenvalues of {where} overflow: 1 / (vol mu) is not finite "
+                "at volume {vol:.3g}")
         if vectors:
-            V = s[:, None] * W[:, ::-1] / np.sqrt(vol * mu)[None, :]
+            V = s[:, None] * W[:, :, ::-1] / np.sqrt(vol[:, None] * mu)[:, None, :]
+        for k in range(K):
+            values[k].append(np.concatenate(([0.0], lam[k])) if m == 0 else lam[k])
+            if not vectors:
+                continue
             if m == 0:
-                V = np.block([[np.full((1, 1), 1.0 / np.sqrt(vol)), -(head @ V)],
-                              [np.zeros((V.shape[0], 1)), V]])
-            vecs.append(V)
+                vecs[k].append(np.block([
+                    [np.full((1, 1), 1.0 / np.sqrt(vol[k])), -(head[k] @ V[k])],
+                    [np.zeros((V.shape[1], 1)), V[k]],
+                ]))
+            else:
+                vecs[k].append(V[k])
     return values, vecs, vol
+
+
+def _solve_blocks(
+    blocks: Iterable[np.ndarray], L: int, metric_id: str, vectors: bool
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """One pencil's blocks M_0..M_L, solved as the one-member case of
+    `_solve_stacks`: the values per block, the vectors (with ``vectors``)
+    and the volume."""
+    values, vecs, vol = _solve_stacks((M[None] for M in blocks), L, (metric_id,), vectors)
+    return values[0], vecs[0], float(vol[0])
 
 
 def _merged(values: list[np.ndarray]) -> np.ndarray:
@@ -158,25 +218,57 @@ def _merged(values: list[np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(copies), kind="stable")
 
 
-def generalized_eigs(
-    mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
-) -> Spectrum:
-    """All eigenvalues of K v = lambda M v, ascending, through the inverse pencil,
-    with the M_m-orthonormal eigenvectors of every block; the spectrum keeps
-    the mass blocks M_0..M_L.
+def family_eigs(
+    mass_stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str]
+) -> tuple[Spectrum, ...]:
+    """The spectra of a family's pencils K v = lambda M v, solved together.
+
+    ``mass_stacks`` yields per m the stack of the members' M_m
+    (``discretize.masses``); each member's `Spectrum` keeps its mass blocks
+    and the M_m-orthonormal eigenvectors of every block, bitwise those of a
+    one-member solve.
 
     Raises
     ------
     IndefiniteMassError
-        If a mass block M_m is not positive definite; the message names m.
-        That is a non-finite M_m, M_m[0, 0] <= 0 or, by Sylvester's law of
-        inertia, a nonpositive mu.
+        If a mass block M_m is not positive definite; the message names the
+        member and m. That is a non-finite M_m, M_m[0, 0] <= 0 or, by
+        Sylvester's law of inertia, a nonpositive mu.
     EigenConvergenceError
-        If the symmetric solve fails on a block; ``stuck_index`` is its m.
+        If the symmetric solve fails on a block; ``stuck_index`` is its m
+        and the message names the member.
     DomainError
         If an eigenvalue 1 / (vol mu) of a block overflows, as it does for a
-        metric scaled to a volume near the float minimum; the message names m.
+        metric scaled to a volume near the float minimum; the message names
+        the member and m.
     """
+    stacks = tuple(mass_stacks)
+    values, vectors, _ = _solve_stacks(stacks, L, metric_ids, True)
+    return tuple(
+        Spectrum(_merged(v), tuple(v), tuple(w), tuple(M[k] for M in stacks), mid, L)
+        for k, (v, w, mid) in enumerate(zip(values, vectors, metric_ids))
+    )
+
+
+def family_eigvals(
+    mass_stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str]
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """Eigenvalues and volume of each member of a family, values only.
+
+    The stacks are solved one m at a time in the order given (``eigvalsh``,
+    no eigenvectors), so stacks that ``discretize.masses`` builds on demand
+    are each dropped once solved. Same checks and errors as `family_eigs`.
+    """
+    values, _, vol = _solve_stacks(mass_stacks, L, metric_ids, False)
+    return tuple((_merged(v), float(x)) for v, x in zip(values, vol))
+
+
+def generalized_eigs(
+    mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
+) -> Spectrum:
+    """All eigenvalues of K v = lambda M v, ascending, with the M_m-orthonormal
+    eigenvectors of every block; the spectrum keeps the mass blocks M_0..M_L.
+    The one-member case of `family_eigs`, with its errors."""
     blocks = tuple(mass_blocks)
     values, vectors, _ = _solve_blocks(blocks, L, metric_id, True)
     return Spectrum(_merged(values), tuple(values), tuple(vectors), blocks, metric_id, L)
@@ -185,12 +277,8 @@ def generalized_eigs(
 def generalized_eigvals(
     mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
 ) -> tuple[np.ndarray, float]:
-    """Eigenvalues and volume of the pencil with mass blocks M_0..M_L, values only.
-
-    The blocks are solved one at a time in the order given (``eigvalsh``, no
-    eigenvectors), so blocks that ``discretize.mass`` builds on demand are
-    each dropped once solved. Same checks and errors as `generalized_eigs`.
-    """
+    """Eigenvalues and volume of the pencil with mass blocks M_0..M_L, values
+    only: the one-member case of `family_eigvals`."""
     values, _, vol = _solve_blocks(mass_blocks, L, metric_id, False)
     return _merged(values), vol
 

@@ -6,8 +6,9 @@ down at a rate controlled by that distance, and several of them obey exact
 finite-dimensional inequalities along the way. This module sweeps a family,
 tabulates the scalar pipeline per member, and turns each limiting statement
 into a quantitative pass/fail check. ``sweep`` is the only place that solves
-a family's pencils and runs the scalar pipeline on them: once per member
-and once for the limit. Each row keeps its metric's ``Spectrum`` (block
+a family's pencils and runs the scalar pipeline on them: the members and the
+limit in one family solve (one Legendre sweep, one stacked LAPACK call per
+m), then the pipeline once per row. Each row keeps its metric's ``Spectrum`` (block
 eigenvectors and mass blocks), ``QuillenData`` and its ordered scalar
 ``columns``, and every check on the family's own metrics reads the
 ``SweepReport``: the Cauchy table, the gap floor (mass blocks), the operator
@@ -28,13 +29,16 @@ and uses no disk cache.
 - ``bornelapbelt_check``: the parameter derivative of the operator is
   dominated by the sup of the density variation, exactly: the spectral
   radius of the Gram pencil (dM, M) is at most that sup.
-- ``duhamel_at``: the integrated variation identity for the heat operator.
+- ``duhamel_at``: the integrated variation identity for the heat operator,
+  on three interpolated pencils solved together.
 
 Every built-in metric is radial, so each operator above is block diagonal
 in the harmonic basis with one block per azimuthal index m (the cos and sin
 copies share it). The checks work on those blocks: an operator norm is the
 largest block norm, a Gram pencil's top eigenvalue or spectral radius the
-largest over the blocks, and no n x n matrix is built.
+largest over the blocks, and no n x n matrix is built. Where a check meets
+the same block m of several operators or pencils (the gap floor, the
+operator limits), it solves them as one stack per m.
 
 Constants in the bounds (written c, c3, C below) are existential, so the
 harness measures each one on the first pair of the sweep, freezes it with a
@@ -63,8 +67,14 @@ from .anomaly import (
     torsion_report,
     two_route_check,
 )
-from .discretize import Blocks, SpectralBasis, build_basis, mass, mass_log_variation
-from .eigensolve import Spectrum, generalized_eigs, pencil_eigvalsh, resolvent
+from .discretize import (
+    build_basis,
+    mass_weights,
+    masses,
+    variation_weights,
+    weighted_grams,
+)
+from .eigensolve import Spectrum, family_eigs, pencil_eigvalsh, resolvent
 from .errors import DomainError
 from .heatzeta import (
     DEFAULT_TRUNC_TOL,
@@ -74,8 +84,8 @@ from .heatzeta import (
     theta_values,
 )
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
-from .operators import InnerProduct, block_operator_norm
-from .pipeline import SpectralData, compute_spectrum
+from .operators import InnerProduct, block_operator_norms
+from .pipeline import SpectralData
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -190,19 +200,26 @@ def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
         raise DomainError(f"non-finite sweep column for parameter {row.param}")
 
 
+def _solve_family(
+    metrics: tuple[ConformalMetric, ...], L: int, n_theta: int | None = None
+) -> tuple[Spectrum, ...]:
+    """The spectra of several metrics' pencils, solved together on one basis."""
+    return family_eigs(masses(build_basis(L, n_theta), metrics), L, [g.id for g in metrics])
+
+
 def _pipeline_row(
     param: float,
     metric: ConformalMetric,
     limit: ConformalMetric | None,
     theta_columns: dict[str, float],
-    basis: SpectralBasis,
+    spectrum: Spectrum,
     window: tuple[float, float] | None,
     trunc_tol: float,
+    n_theta: int | None,
 ) -> SweepRow:
-    """Solve one metric's pencil, run the scalar pipeline on it, tabulate its row."""
-    spectrum = generalized_eigs(mass(basis, metric), basis.L, metric.id)
+    """Run the scalar pipeline on one metric's solved pencil, tabulate its row."""
     rep = torsion_report(
-        SpectralData.of(spectrum, basis.quad.n_theta), metric, window, trunc_tol=trunc_tol
+        SpectralData.of(spectrum, n_theta), metric, window, trunc_tol=trunc_tol
     )
     th = theta_values(rep.data.eigenvalues, np.array(list(theta_columns.values())))
     q = rep.quillen
@@ -272,18 +289,20 @@ def sweep(
     if len(theta_columns) < t_arr.size:
         raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
-    basis = build_basis(L, n_theta)  # shared by every row, dropped with the sweep
+    limit = () if family.limit is None else (family.limit,)
+    spectra = _solve_family((*family.members, *limit), L, n_theta)
     rows: list[SweepRow] = []
-    for p, metric in zip(params, family.members):
+    for p, metric, spectrum in zip(params, family.members, spectra):
         row = _pipeline_row(
-            p, metric, family.limit, theta_columns, basis, window, trunc_tol
+            p, metric, family.limit, theta_columns, spectrum, window, trunc_tol, n_theta
         )
         _check_row_finite(row, require_dist=family.limit is not None)
         rows.append(row)
     limit_row = None
     if family.limit is not None:
         limit_row = _pipeline_row(
-            math.inf, family.limit, None, theta_columns, basis, window, trunc_tol
+            math.inf, family.limit, None, theta_columns, spectra[-1], window,
+            trunc_tol, n_theta,
         )
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
@@ -421,7 +440,8 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     """Verify the uniform spectral-gap floor lambda1 >= lambda1(ref)/c.
 
     Everything comes from the sweep ``report``: each row's gap and the mass
-    blocks of its solved pencil, so nothing is assembled here. The reference
+    blocks of its solved pencil, so nothing is assembled here; the Gram
+    pencils of every row share one stacked solve per m. The reference
     is the first member; the limit metric joins the rows when present
     (parameter reported as inf) since the bound must be uniform up to the
     limit.
@@ -432,14 +452,15 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     if report.limit_row is not None:
         rows_in.append(report.limit_row)
 
-    m_ref = report.rows[0].spectrum.mass_blocks
-    rows: list[Lambda1FloorRow] = []
-    for row in rows_in:
-        c_member = max(
-            float(pencil_eigvalsh(M_p, M_ref)[-1])
-            for M_p, M_ref in zip(row.spectrum.mass_blocks, m_ref)
-        )
-        rows.append(Lambda1FloorRow(row.param, row.lambda1, c_member))
+    # per m, one stacked pencil solve of every row's M_m against M_ref
+    tops = np.max([
+        pencil_eigvalsh(np.stack([row.spectrum.mass_blocks[m] for row in rows_in]), M_ref)[:, -1]
+        for m, M_ref in enumerate(report.rows[0].spectrum.mass_blocks)
+    ], axis=0)
+    rows = [
+        Lambda1FloorRow(row.param, row.lambda1, float(c_member))
+        for row, c_member in zip(rows_in, tops)
+    ]
 
     c = max(r.c_member for r in rows)
     lambda1_ref = rows[0].lambda1
@@ -495,7 +516,8 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     segment, with c3 frozen on the first pair as for `cauchy_check` (0 for a
     family without density variation, whose distances must then stay below
     the roundoff slack). Differences must not grow either, and the distance
-    to the limit row's operator is reported beside each column.
+    to the limit row's operator is reported beside each column. The norms of
+    all pairs share one stacked solve and SVD per block m.
     """
     members = report.rows
     if len(members) < 3:
@@ -510,9 +532,9 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     labels = [f"({a.param:g}, {b.param:g})" for a, b in zip(members[1:], members[2:])]
     slack = [_TINY_REL] * len(deltas)
 
-    def distance(a: Blocks, b: Blocks) -> float:
-        return block_operator_norm([x - y for x, y in zip(a, b)], ip_ref)
-
+    chain = [row.spectrum for row in members[1:]]
+    if report.limit_row is not None:
+        chain.append(report.limit_row.spectrum)
     operators = {
         "resolvent": lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
         "heat": lambda spec: heat_operator(spec, _HEAT_TIME),
@@ -521,12 +543,11 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     limit_dist: dict[str, float] = {}
     failures: list[str] = []
     for name, op in operators.items():
-        prev = op(members[1].spectrum)
-        dists = []
-        for row in members[2:]:
-            nxt = op(row.spectrum)
-            dists.append(distance(prev, nxt))
-            prev = nxt
+        # per m, the differences of consecutive operators along the chain as
+        # one stack, the last pair (last member, limit) when there is a limit
+        blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in chain))]
+        norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], ip_ref)
+        dists = [float(x) for x in norms[: len(labels)]]
         column, bad = _cauchy_column(name, labels, dists, deltas, slack)
         grew = [
             f"column {name}: distances grew at pair {labels[i]}: "
@@ -536,9 +557,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
         ]
         columns[name] = replace(column, passed=column.passed and not grew)
         failures += bad + grew
-        limit_dist[name] = math.nan
-        if report.limit_row is not None:
-            limit_dist[name] = distance(prev, op(report.limit_row.spectrum))
+        limit_dist[name] = math.nan if report.limit_row is None else float(norms[-1])
 
     return ResolventReport(
         family_id=report.family_id,
@@ -582,9 +601,10 @@ def bornelapbelt_check(family: MetricFamily, u: float = 2.5, L: int = 16) -> Bor
     """
     metric = interpolate(family, u)
     basis = build_basis(L)
-    max_ratio = max(
+    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric)])
+    max_ratio = max(  # M and dM of each m come from one Legendre block
         float(np.abs(pencil_eigvalsh(dM, M)).max())
-        for dM, M in zip(mass_log_variation(basis, metric), mass(basis, metric))
+        for M, dM in weighted_grams(basis, rows)
     )
     r = basis.quad.radii_theta
     delta_nodes = float(np.abs(metric.d_log_density_du(r)).max())
@@ -609,13 +629,13 @@ def duhamel_at(
 ) -> DuhamelReport:
     """Integrated variation identity for the heat operator at one (u, t).
 
-    Solves the three pencils at u - h, u, u + h and checks that the
-    centered difference of the heat operator matches the integral of
+    Solves the three pencils at u - h, u, u + h together and checks that
+    the centered difference of the heat operator matches the integral of
     E(t - s) dLap E(s); the residual should sit at the quadrature and
     differencing level, far below the derivative's norm.
     """
-    spec_lo, spec_mid, spec_hi = (
-        compute_spectrum(interpolate(family, v), L) for v in (u - h, u, u + h)
+    spec_lo, spec_mid, spec_hi = _solve_family(
+        tuple(interpolate(family, v) for v in (u - h, u, u + h)), L
     )
     return duhamel_residual(spec_lo, spec_mid, spec_hi, h, t=t, n_nodes=n_nodes)
 

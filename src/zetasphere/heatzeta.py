@@ -490,11 +490,18 @@ def duhamel_residual(
     xg, wg = gauss_legendre(n_nodes)
     s_nodes = 0.5 * t * (xg + 1.0)
     s_wts = 0.5 * t * wg
-    acc = [np.zeros_like(b) for b in dE]
-    for s, w in zip(s_nodes, s_wts):
-        late, early = heat_operator(spec_mid, t - s), heat_operator(spec_mid, s)
-        for a, E_late, D, E_early in zip(acc, late, d_lap, early):
-            a += w * (E_late @ D @ E_early)
+    acc = []
+    for lam, V, M, D in zip(
+        spec_mid.block_values, spec_mid.block_vectors, spec_mid.mass_blocks, d_lap
+    ):
+        # E(t - s) and E(s) of this block at every node, as two stacks
+        VtM = V.T @ M
+        late = (V * np.exp(-(t - s_nodes)[:, None] * lam)[:, None, :]) @ VtM
+        early = (V * np.exp(-s_nodes[:, None] * lam)[:, None, :]) @ VtM
+        a = np.zeros_like(D)
+        for w, term in zip(s_wts, late @ D @ early):  # in node order
+            a += w * term
+        acc.append(a)
     ips = [InnerProduct.from_gram(M) for M in spec_mid.mass_blocks]
     resid = block_operator_norm([d + a for d, a in zip(dE, acc)], ips)
     d_norm = block_operator_norm(dE, ips)

@@ -5,8 +5,10 @@ singular values of an operator A on the weighted space equal the ordinary
 singular values of R A R^{-1}. This is what connects matrix computations on
 basis coefficients to statements about the operator on the function space.
 A block-diagonal operator, given as its blocks with one inner product per
-block, has the largest of the block norms as its norm. The Gram pencil of
-`equivalence_bounds` is solved by `eigensolve.pencil_eigvalsh`.
+block, has the largest of the block norms as its norm; `block_operator_norms`
+takes the norms of several such operators at once, one stacked SVD per
+block. The Gram pencil of `equivalence_bounds` is solved by
+`eigensolve.pencil_eigvalsh`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "singular_values",
     "trace_norm",
     "operator_norm",
+    "block_operator_norms",
     "block_operator_norm",
     "lidskii_defect",
     "equivalence_bounds",
@@ -46,16 +49,20 @@ class InnerProduct:
         return cls(G, L.T.copy())
 
     def to_orthonormal_frame(self, A: np.ndarray) -> np.ndarray:
-        """R A R^{-1}: the same operator written in an orthonormal basis."""
+        """R A R^{-1}: the same operator written in an orthonormal basis.
+
+        A may be a stack (..., n, n); each matrix is mapped as it is alone.
+        """
         R = self.factor
-        return np.linalg.solve(R.T, (R @ A).T).T
+        return np.swapaxes(np.linalg.solve(R.T, np.swapaxes(R @ A, -1, -2)), -1, -2)
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(v @ (self.gram @ v)))
 
 
 def singular_values(A: np.ndarray, ip: InnerProduct) -> np.ndarray:
-    """Singular values of A in the weighted space, descending."""
+    """Singular values of A in the weighted space, descending; per matrix
+    along the last axis for a stack A."""
     return np.linalg.svd(ip.to_orthonormal_frame(A), compute_uv=False)
 
 
@@ -68,13 +75,23 @@ def operator_norm(A: np.ndarray, ip: InnerProduct) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
-def block_operator_norm(blocks, ips) -> float:
-    """Operator norm of a block-diagonal operator: the max of its block norms.
+def block_operator_norms(stacks, ips) -> np.ndarray:
+    """Operator norms of K block-diagonal operators: each the max of its block norms.
 
-    ``ips[m]`` is the inner product on the rows of ``blocks[m]``; the blocks
-    are orthogonal to each other in the full Gram matrix.
+    ``stacks[m]`` is the (K, k_m, k_m) stack of the operators' blocks m and
+    ``ips[m]`` the inner product on their rows; the blocks are orthogonal to
+    each other in the full Gram matrix. One stacked solve and SVD per m
+    serves all K operators, each bitwise as it would be alone.
     """
-    return max(operator_norm(A, ip) for A, ip in zip(blocks, ips, strict=True))
+    return np.max(
+        [singular_values(A, ip)[:, 0] for A, ip in zip(stacks, ips, strict=True)], axis=0
+    )
+
+
+def block_operator_norm(blocks, ips) -> float:
+    """Operator norm of one block-diagonal operator, given by its blocks: the
+    one-operator case of `block_operator_norms`."""
+    return float(block_operator_norms([A[None] for A in blocks], ips)[0])
 
 
 def lidskii_defect(A: np.ndarray) -> float:

@@ -2,19 +2,22 @@
 
 Each solve builds its own basis (`build_basis`), and no table outlives a
 block. A pencil is solved wherever its spectrum is needed and handed on
-from there: the scalar commands fetch eigenvalues and volume with
-``spectral_data``, which reads and writes the disk cache and, on a miss,
-builds each mass block M_m, takes its eigenvalues alone and drops it before
-the next m (`generalized_eigvals`). The convergence harness keeps the mass
-blocks and eigenvectors of every pencil it solves (`generalized_eigs` on the
-same mass blocks, as `compute_spectrum` does for one metric; the `Spectrum`
-holds them) and builds the same ``SpectralData`` from them
-(``SpectralData.of``), so the harness checks read the sweep's eigenvectors
-and mass blocks instead of solving again.
-``compute_zeta`` runs the heat-trace fit and the zeta data on spectrum data
-that the caller supplies; the fit itself, window clipping and sampling
-included, is ``heatzeta.fit_asymptotics``. No command builds an n x n
-matrix.
+from there, and the pencils of a family are solved together, one Legendre
+sweep and one stacked LAPACK call per m for all of them; one metric is the
+one-member case. The scalar commands fetch eigenvalues and volumes with
+``family_spectral_data`` (one metric: ``spectral_data``), which serves each
+metric from the disk cache when it can and solves all the misses in one
+family solve that builds each stack of mass blocks M_m, takes its
+eigenvalues alone and drops it before the next m (`family_eigvals`); each
+miss is stored under its own key. The convergence harness keeps the mass
+blocks and eigenvectors of every pencil it solves (`family_eigs`, as
+`compute_spectrum` does for one metric; the `Spectrum` holds them) and
+builds the same ``SpectralData`` from them (``SpectralData.of``), so the
+harness checks read the sweep's eigenvectors and mass blocks instead of
+solving again. ``compute_zeta`` runs the heat-trace fit and the zeta data
+on spectrum data that the caller supplies; the fit itself, window clipping
+and sampling included, is ``heatzeta.fit_asymptotics``. No command builds
+an n x n matrix.
 
 Fit windows default to the metric's global scale: rescaling the conformal
 factor by c rescales eigenvalues by 1/c, so the default window carries a
@@ -24,13 +27,14 @@ factor ``metric.scale_hint``. An explicitly passed window is used as-is.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
-from .discretize import build_basis, mass
-from .eigensolve import SOLVER_VERSION, Spectrum, generalized_eigs, generalized_eigvals
+from .discretize import build_basis, mass, masses
+from .eigensolve import SOLVER_VERSION, Spectrum, family_eigvals, generalized_eigs
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
     DEFAULT_S_VALUES,
@@ -45,6 +49,7 @@ __all__ = [
     "compute_spectrum",
     "SpectralData",
     "spectral_data",
+    "family_spectral_data",
     "default_fit_window",
     "compute_zeta",
 ]
@@ -113,29 +118,51 @@ def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
     return (lam, vol) if ok else None
 
 
+def family_spectral_data(
+    metrics: Sequence[ConformalMetric],
+    L: int,
+    n_theta: int | None = None,
+    cache: SpectrumCache | None = None,
+) -> tuple[SpectralData, ...]:
+    """Eigenvalues and volume of each metric, served from the disk cache when
+    possible, in the order given.
+
+    Every metric whose entry is missing or fails validation is solved in
+    one family solve, values only, with no stack of mass blocks kept past
+    its m; a metric listed twice is solved once. Each solved spectrum is
+    stored over its own entry and returned.
+    """
+    nt = _n_theta(L, n_theta)
+    key = {g.id: spectrum_cache_key(g.id, L, nt, SOLVER_VERSION) for g in metrics}
+    found: dict[str, SpectralData] = {}
+    misses: dict[str, ConformalMetric] = {}
+    for g in metrics:
+        if g.id in found or g.id in misses:
+            continue
+        hit = None if cache is None else _valid_hit(cache.load(key[g.id]), L)
+        if hit is None:
+            misses[g.id] = g
+        else:
+            found[g.id] = SpectralData(g.id, L, nt, *hit, SOLVER_VERSION, True)
+    if misses:
+        ids = tuple(misses)
+        solved = family_eigvals(masses(build_basis(L, nt), tuple(misses.values())), L, ids)
+        for mid, (lam, vol) in zip(ids, solved):
+            found[mid] = SpectralData(mid, L, nt, lam, vol, SOLVER_VERSION, False)
+            if cache is not None:
+                cache.store(key[mid], eigenvalues=lam, volume=np.float64(vol))
+    return tuple(found[g.id] for g in metrics)
+
+
 def spectral_data(
     metric: ConformalMetric,
     L: int,
     n_theta: int | None = None,
     cache: SpectrumCache | None = None,
 ) -> SpectralData:
-    """Eigenvalues and volume, served from the disk cache when possible.
-
-    On a miss, or on an entry that fails validation, the eigenvalues are
-    solved one mass block at a time, values only, with no block kept past its
-    solve; they are stored over the entry and returned.
-    """
-    nt = _n_theta(L, n_theta)
-    key = spectrum_cache_key(metric.id, L, nt, SOLVER_VERSION)
-    if cache is not None:
-        hit = _valid_hit(cache.load(key), L)
-        if hit is not None:
-            return SpectralData(metric.id, L, nt, *hit, SOLVER_VERSION, True)
-    lam, vol = generalized_eigvals(mass(build_basis(L, nt), metric), L, metric.id)
-    data = SpectralData(metric.id, L, nt, lam, vol, SOLVER_VERSION, False)
-    if cache is not None:
-        cache.store(key, eigenvalues=data.eigenvalues, volume=np.float64(data.volume))
-    return data
+    """Eigenvalues and volume of one metric: the one-member case of
+    `family_spectral_data`."""
+    return family_spectral_data((metric,), L, n_theta, cache)[0]
 
 
 def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 import zetasphere
-from zetasphere import harness, pipeline
-from zetasphere.cache import CACHE_ENV_VAR, default_cache_dir
+from zetasphere import eigensolve, harness, pipeline
+from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, parse_config, validated
 from zetasphere.discretize import build_basis, mass
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, theta_values
-from zetasphere.metrics import fs_metric
+from zetasphere.metrics import fs_metric, pnorm_metric
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
 
@@ -341,7 +341,7 @@ def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("warm run built a mass block or solved a pencil")
 
-    solvers = ("compute_spectrum", "generalized_eigs", "mass", "generalized_eigvals")
+    solvers = ("compute_spectrum", "generalized_eigs", "mass", "masses", "family_eigvals")
     for name in solvers:
         monkeypatch.setattr(pipeline, name, no_solve)
     code, _, _ = run_cli(args, tmp_path / "warm", cache_dir, capsys)
@@ -403,6 +403,52 @@ def test_cli_anomaly(tmp_path, cache, capsys):
     for pair in payload["pairs"]:
         assert pair["passed"] is True
         assert pair["gap"] <= pair["tolerance"]
+
+
+def test_cli_anomaly_partly_warm_cache(tmp_path, monkeypatch, capsys):
+    """With pnorm:2 and pnorm:5 cached, anomaly loads those two and solves
+    the other four members in one family solve, storing each under its own
+    key; anomaly.json is byte-identical to a cold run's."""
+    code, _, _ = run_cli(["anomaly", "--L", "16"], tmp_path / "cold", tmp_path / "cold-cache",
+                         capsys)
+    assert code == 0
+    warm = SpectrumCache(tmp_path / "warm-cache")
+    for p in (2.0, 5.0):
+        pipeline.spectral_data(pnorm_metric(p), 16, cache=warm)
+
+    families, stored, hits = [], [], []
+    real_solve = eigensolve._solve_stacks
+    real_store, real_load = SpectrumCache.store, SpectrumCache.load
+
+    def solve(stacks, L, metric_ids, vectors):
+        families.append(tuple(metric_ids))
+        return real_solve(stacks, L, metric_ids, vectors)
+
+    def store(self, key, **arrays):
+        stored.append(key)
+        return real_store(self, key, **arrays)
+
+    def load(self, key):
+        entry = real_load(self, key)
+        if entry is not None:
+            hits.append(key)
+        return entry
+
+    monkeypatch.setattr(eigensolve, "_solve_stacks", solve)
+    monkeypatch.setattr(SpectrumCache, "store", store)
+    monkeypatch.setattr(SpectrumCache, "load", load)
+    code, _, _ = run_cli(["anomaly", "--L", "16"], tmp_path / "warm", warm.root, capsys)
+    assert code == 0
+
+    def key(p):
+        return spectrum_cache_key(f"pnorm:{p}", 16, 34, eigensolve.SOLVER_VERSION)
+
+    assert families == [("pnorm:1", "pnorm:3", "pnorm:4", "pnorm:6")]
+    assert stored == [key(p) for p in (1, 3, 4, 6)]
+    assert hits == [key(2), key(5)]
+    assert len(list(warm.root.glob("*.npz"))) == 6
+    cold = (tmp_path / "cold" / "anomaly.json").read_bytes()
+    assert (tmp_path / "warm" / "anomaly.json").read_bytes() == cold
 
 
 def test_cli_converge(tmp_path, capsys):

@@ -15,8 +15,9 @@ from zetasphere.discretize import (
     SpectralBasis,
     build_basis,
     mass,
-    mass_log_variation,
     stiffness,
+    variation_weights,
+    weighted_grams,
 )
 from zetasphere.eigensolve import generalized_eigs
 from zetasphere.errors import DomainError, InvalidMetricError
@@ -38,6 +39,11 @@ from zetasphere.quadrature import build_quadrature
 @pytest.fixture(scope="module")
 def basis():
     return build_basis(8)
+
+
+def mass_log_variation(basis, metric):
+    """Gram blocks of the mass's parameter derivative, m = 0..L."""
+    return [G for (G,) in weighted_grams(basis, variation_weights(basis, metric)[None])]
 
 
 def test_build_basis_defaults(basis):

@@ -13,9 +13,11 @@ import scipy.linalg
 
 import oracles
 from zetasphere import eigensolve
-from zetasphere.discretize import build_basis, mass
+from zetasphere.discretize import build_basis, mass, masses
 from zetasphere.eigensolve import (
     apply_function,
+    family_eigs,
+    family_eigvals,
     generalized_eigs,
     generalized_eigvals,
     pencil_eigvalsh,
@@ -221,9 +223,17 @@ def _with_nan(blocks, m):
     return blocks[:m] + (bad,) + blocks[m + 1:]
 
 
+def _family_solves(stacks, L, metric_ids):
+    """Both paths of the block routine on a family's stacks."""
+    yield lambda: family_eigs(stacks, L, metric_ids)
+    yield lambda: family_eigvals(iter(stacks), L, metric_ids)
+
+
 def test_nan_blocks_are_classified(monkeypatch):
     """A NaN in M_m is an indefinite mass on block m; a failing symmetric
-    solve on block m is an EigenConvergenceError stuck at m."""
+    solve on block m of a stack is an EigenConvergenceError stuck at m that
+    names the failing member, found by solving that m again one member at a
+    time."""
     blocks = tuple(mass(build_basis(6), fs_metric()))
     K = oracles.exact_stiffness_blocks(6)
     with pytest.raises(ValueError):
@@ -232,20 +242,62 @@ def test_nan_blocks_are_classified(monkeypatch):
         with pytest.raises(IndefiniteMassError, match=r"block m = 2\b"):
             solve()
 
-    for name, solve in zip(("eigh", "eigvalsh"), _solves(blocks, 6, "fs")):
-        real, calls = getattr(np.linalg, name), []
+    ids = ("fs", "pnorm:3", "max")
+    stacks = tuple(masses(build_basis(6), [parse_metric_spec(i) for i in ids]))
+    for name, solve in zip(("eigh", "eigvalsh"), _family_solves(stacks, 6, ids)):
+        real, alone = getattr(np.linalg, name), []
 
-        def stall_on_block_4(a, real=real, calls=calls):  # solved in the order m = 0, 1, ...
-            calls.append(a)
-            if len(calls) == 5:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def stall_on_block_4(a, real=real, alone=alone):
+            if a.shape[-1] == 3:  # block m = 4 at L = 6
+                alone.append(a.ndim == 2)
+                # the stacked call fails, and so does 'pnorm:3' solved alone
+                if not alone[-1] or alone.count(True) == 2:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return real(a)
 
         monkeypatch.setattr(np.linalg, name, stall_on_block_4)
-        with pytest.raises(EigenConvergenceError, match=r"block m = 4\b") as info:
+        with pytest.raises(EigenConvergenceError, match=r"block m = 4 of 'pnorm:3'") as info:
             solve()
         assert info.value.stuck_index == 4, name
+        assert alone == [False, True, True], name  # no member after the failing one
         monkeypatch.undo()
+
+
+FAMILY = ("fs", "pnorm:3", "max", "interp:2.5:pnorm", "scaled:1e200:fs")
+
+
+@pytest.mark.parametrize("L", [16, 32])
+@pytest.mark.parametrize("specs", [FAMILY, FAMILY[3:4]], ids=["five", "one"])
+def test_family_solve_is_bitwise_per_member(specs, L):
+    """Solved together, every member of a family is bitwise its own solve, on
+    both paths: eigenvalues, volume, block values, block vectors and mass
+    blocks."""
+    basis = build_basis(L)
+    metrics = [parse_metric_spec(i) for i in specs]
+    ids = [m.id for m in metrics]
+    together = family_eigs(masses(basis, metrics), L, ids)
+    values_only = family_eigvals(masses(basis, metrics), L, ids)
+    for metric, spec, (lam, vol) in zip(metrics, together, values_only):
+        alone = _solve(basis, metric)
+        assert spec.metric_id == metric.id and spec.L == L
+        assert np.array_equal(spec.eigenvalues, alone.eigenvalues), metric.id
+        assert spec.volume == alone.volume
+        for name in ("block_values", "block_vectors", "mass_blocks"):
+            a, b = getattr(spec, name), getattr(alone, name)
+            assert len(a) == len(b) == L + 1
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), (metric.id, name)
+        lam_alone, vol_alone = generalized_eigvals(mass(basis, metric), L, metric.id)
+        assert np.array_equal(lam, lam_alone) and vol == vol_alone, metric.id
+
+
+def test_family_errors_name_the_member():
+    """A member whose eigenvalues overflow fails the family solve on both
+    paths with its own error, not the stack's."""
+    ids = ("fs", "scaled:1e-320:fs")
+    stacks = tuple(masses(build_basis(4), [parse_metric_spec(i) for i in ids]))
+    for solve in _family_solves(stacks, 4, ids):
+        with pytest.raises(DomainError, match=r"block m = 0 of 'scaled:1e-320:fs'"):
+            solve()
 
 
 def test_cluster_vectors_stay_orthonormal():

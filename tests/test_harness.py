@@ -14,11 +14,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zetasphere import discretize, harness, pipeline
+from zetasphere import discretize, eigensolve, harness, pipeline
 from zetasphere.anomaly import calibrate_sign
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
-from zetasphere.discretize import build_basis, mass, mass_log_variation
+from zetasphere.discretize import (
+    build_basis,
+    mass,
+    mass_weights,
+    variation_weights,
+    weighted_grams,
+)
 from zetasphere.eigensolve import Spectrum, resolvent
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
@@ -344,8 +350,9 @@ def test_bornelapbelt_matches_dense_pencil():
     report = bornelapbelt_check(fam, u=2.5, L=12)
     basis = build_basis(12)
     metric = interpolate(fam, 2.5)
-    M = oracles.dense_matrix(mass(basis, metric))
-    d_mass = oracles.dense_matrix(mass_log_variation(basis, metric))
+    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric)])
+    stacks = list(weighted_grams(basis, rows))
+    M, d_mass = (oracles.dense_matrix(G[k] for G in stacks) for k in (0, 1))
     want = float(np.abs(scipy.linalg.eigh(d_mass, M, eigvals_only=True)).max())
     assert report.max_ratio == pytest.approx(want, rel=1e-12)
 
@@ -406,25 +413,24 @@ def test_convergence_summary_smoothing_family():
     assert summary.floor.margin > 0.0
 
 
+def counting_solve(solved: list):
+    """The block routine of every solve path, appending (metric id, L) to
+    ``solved`` for each member of each family it solves."""
+    real = eigensolve._solve_stacks
+
+    def solve(stacks, L, metric_ids, vectors):
+        solved.extend((metric_id, L) for metric_id in metric_ids)
+        return real(stacks, L, metric_ids, vectors)
+
+    return solve
+
+
 def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, capsys):
     """converge needs three members for the operator limits and, at the
     default u = 2.5, four for the variation checks; it says so before any
     pencil is solved."""
-    solved: list[str] = []
-    real_eigs = pipeline.generalized_eigs
-    real_eigvals = pipeline.generalized_eigvals
-
-    def counting_eigs(mass_blocks, L, metric_id):
-        solved.append(metric_id)
-        return real_eigs(mass_blocks, L, metric_id)
-
-    def counting_eigvals(mass_blocks, L, metric_id):
-        solved.append(metric_id)
-        return real_eigvals(mass_blocks, L, metric_id)
-
-    for module in (pipeline, harness):
-        monkeypatch.setattr(module, "generalized_eigs", counting_eigs)
-    monkeypatch.setattr(pipeline, "generalized_eigvals", counting_eigvals)
+    solved: list[tuple[str, int]] = []
+    monkeypatch.setattr(eigensolve, "_solve_stacks", counting_solve(solved))
     config_path = tmp_path / "fam.ini"
     for params, present in (("1, 2", 2), ("1, 2, 3", 3)):
         config_path.write_text(f"[run]\nL = 16\n\n[family]\nparameters = {params}\n")
@@ -458,21 +464,11 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     in_checks: list[str] = []
     inside = [False]
     real_fit = pipeline.fit_asymptotics
-    real_eigs = pipeline.generalized_eigs
-    real_eigvals = pipeline.generalized_eigvals
     real_load = SpectrumCache.load
 
     def counting_fit(eigenvalues, *args, **kwargs):
         fitted.append(metric_of[eigenvalues.tobytes()])
         return real_fit(eigenvalues, *args, **kwargs)
-
-    def counting_eigs(mass_blocks, L, metric_id):
-        solved.append((metric_id, L))
-        return real_eigs(mass_blocks, L, metric_id)
-
-    def counting_eigvals(mass_blocks, L, metric_id):
-        solved.append((metric_id, L))
-        return real_eigvals(mass_blocks, L, metric_id)
 
     def counting_load(self, key):
         loads.append(key)
@@ -495,14 +491,12 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(pipeline, "fit_asymptotics", counting_fit)
-    for module in (pipeline, harness):
-        monkeypatch.setattr(module, "generalized_eigs", counting_eigs)
-    monkeypatch.setattr(pipeline, "generalized_eigvals", counting_eigvals)
+    monkeypatch.setattr(eigensolve, "_solve_stacks", counting_solve(solved))
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
     for check in ("lambda1_floor", "resolvent_convergence"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))
     for module in (discretize, pipeline, harness):
-        for name in ("mass", "compute_spectrum"):
+        for name in ("mass", "masses", "weighted_grams", "compute_spectrum"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
     members = [f"pnorm:{p}" for p in range(1, 7)]
@@ -524,6 +518,29 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     fitted.clear()
     calibrate_sign(L=16, cache=cache)
     assert fitted == ["fs", "pnorm:2"]
+
+
+def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):
+    """A family's pencils share one Legendre sweep: a cold ``anomaly`` runs
+    one, ``convergence_summary`` at most three (the sweep, the variation
+    bound and the three Duhamel pencils)."""
+    sweeps: list[int] = []
+    real = discretize.legendre_blocks
+
+    def counting(L, x):
+        sweeps.append(L)
+        return real(L, x)
+
+    monkeypatch.setattr(discretize, "legendre_blocks", counting)
+    code = main(["anomaly", "--L", "16", "--output-dir", str(tmp_path / "out"),
+                 "--cache-dir", str(tmp_path / "cache")])
+    capsys.readouterr()
+    assert code == 0
+    assert sweeps == [16]
+
+    sweeps.clear()
+    convergence_summary(pnorm_family(), L=16)
+    assert 1 <= len(sweeps) <= 3
 
 
 def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):
