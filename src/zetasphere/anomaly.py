@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import SpectrumCache
-from .errors import DomainError, UnsupportedPointError
+from .errors import DomainError
 from .heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, ZetaResult
 from .metrics import (
     ConformalMetric,
@@ -95,17 +95,6 @@ def _default_quadrature() -> QuadratureRule:
     return build_quadrature(128)
 
 
-def _c1_on_radii(metric: ConformalMetric, r: np.ndarray) -> np.ndarray:
-    """Pointwise curvature density on radii, refusing kinked factors."""
-    if metric.kink_radii:
-        raise UnsupportedPointError(
-            f"metric {metric.id!r} concentrates curvature on |z| in "
-            f"{metric.kink_radii}; the anomaly integrand needs a pointwise "
-            "density, so pass a smooth approximating family member instead"
-        )
-    return metric.c1_density(r)
-
-
 def bott_chern_integral(
     metric_p: ConformalMetric,
     metric_q: ConformalMetric,
@@ -123,7 +112,7 @@ def bott_chern_integral(
         quad = _default_quadrature()
     r = quad.radii_theta
     dlog = metric_p.log_density(r) - metric_q.log_density(r)
-    c1_sum = _c1_on_radii(metric_p, r) + _c1_on_radii(metric_q, r)
+    c1_sum = metric_p.c1_density(r) + metric_q.c1_density(r)
     jac = (1.0 + r**2) ** 2
     return float(-np.sum(quad.weights_theta * jac * dlog * c1_sum) / 12.0)
 
@@ -132,7 +121,7 @@ def bott_chern_bound(metric_p: ConformalMetric, metric_q: ConformalMetric) -> fl
     """Bound K * sup|log(h_p/h_q)| with K = (1/12) int (|c1_p| + |c1_q|)."""
     quad = _default_quadrature()
     r = quad.radii_theta
-    c1_abs = np.abs(_c1_on_radii(metric_p, r)) + np.abs(_c1_on_radii(metric_q, r))
+    c1_abs = np.abs(metric_p.c1_density(r)) + np.abs(metric_q.c1_density(r))
     jac = (1.0 + r**2) ** 2
     k = float(np.sum(quad.weights_theta * jac * c1_abs) / 12.0)
     return k * sup_log_distance(metric_p, metric_q)

@@ -6,6 +6,13 @@ real radius. The associated area form is ``(i/2pi) * lambda dz wedge dzbar``,
 i.e. the density ``lambda(r)/pi`` against Lebesgue measure ``dx dy``. Each
 factor extends over z = inf, where the coordinate w = 1/z rescales it by
 |z|^4, so ``log lambda(r) + 4 log r`` has a finite limit as r -> inf.
+
+A metric is one radial jet ``(f, df/dr, c1)`` with f = log lambda and the
+curvature density c1 = -(1/4) (f'' + f'/r). The built-in factors (fs, pnorm,
+max) give it in closed form, and the compositions stay exact: ``scaled``
+shifts f, ``geomean`` averages the three parts, and ``interpolate`` blends
+the members' jets. The density, its logarithm and the curvature are all read
+from the jet.
 """
 
 from __future__ import annotations
@@ -37,12 +44,16 @@ __all__ = [
     "equal_area_grid",
     "parse_metric_spec",
     "MAX_INTERP_U",
+    "MAX_PNORM_P",
     "MAX_SCALED_DEPTH",
 ]
 
 # Largest u an ``interp:<u>:<family>`` spec accepts. The spec builds the
 # family's first ceil(u) + 1 members eagerly, a cost linear in u.
 MAX_INTERP_U = 256.0
+# Largest pnorm parameter. Up to it the jet's exponents, such as 2p log r,
+# stay finite at every double radius; pnorm:1e300 is already max to 1e-300.
+MAX_PNORM_P = 1e300
 # Most ``scaled:<t>:`` prefixes one spec may stack. Each prefix wraps the
 # density in one more closure, so evaluating the metric recurses once per
 # prefix.
@@ -80,11 +91,12 @@ class ConformalMetric:
         Canonical spec string of the metric.
     smoothness : str
         One of ``smooth``, ``continuous``, ``singular-integrable``.
-    log_radial : callable
-        ``log lambda(r)`` for arrays of radii ``r = |z|``.
-    c1_radial : callable or None
-        Analytic curvature density ``-d2/dz dzbar log lambda`` against
-        ``dx dy / pi``, when available in closed form.
+    jet : callable
+        The radial jet ``(f, df/dr, c1)`` for arrays of radii ``r = |z|``,
+        with ``f = log lambda`` and the curvature density
+        ``c1 = -d2/dz dzbar f = -(1/4) (f'' + f'/r)`` against ``dx dy / pi``.
+        Off the kinks all three parts are exact; at a kink ``df/dr`` takes
+        either one-sided value and ``c1`` is meaningless.
     kink_radii : tuple of float
         Radii where the factor fails to be C^2.
     scale_hint : float
@@ -96,8 +108,7 @@ class ConformalMetric:
         self,
         id: str,
         smoothness: str,
-        log_radial: Callable[[np.ndarray], np.ndarray],
-        c1_radial: Callable[[np.ndarray], np.ndarray] | None = None,
+        jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
         kink_radii: tuple[float, ...] = (),
         scale_hint: float = 1.0,
         d_log_du_radial: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -106,19 +117,18 @@ class ConformalMetric:
             raise DomainError(f"unknown smoothness class {smoothness!r}")
         self.id = id
         self.smoothness = smoothness
-        self._log_radial = log_radial
-        self._c1_radial = c1_radial
+        self._jet = jet
         self.kink_radii = tuple(kink_radii)
         self.scale_hint = float(scale_hint)
         self._d_log_du_radial = d_log_du_radial
 
-    @property
-    def has_analytic_c1(self) -> bool:
-        return self._c1_radial is not None
+    def jet(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(log lambda, d log lambda / dr, c1)`` at radii ``r``."""
+        return self._jet(np.asarray(r, dtype=float))
 
     def log_density(self, r) -> np.ndarray:
         """log of the conformal factor at radii ``r``."""
-        return self._log_radial(np.asarray(r, dtype=float))
+        return self.jet(r)[0]
 
     def density(self, r) -> np.ndarray:
         return np.exp(self.log_density(r))
@@ -126,29 +136,16 @@ class ConformalMetric:
     def c1_density(self, r) -> np.ndarray:
         """Curvature density ``-d2/dz dzbar log lambda`` against ``dx dy / pi``.
 
-        Uses the closed form when the metric carries one. Otherwise applies
-        the fourth-order 5-point stencil for d2/dx2 and d2/dy2 at the point
-        (r, 0), with step ``h = max(1e-4, 1e-3 (1 + r))``: the x arm reads
-        ``log lambda`` at ``|r + kh|``, the y arm at ``hypot(r, kh)``.
-        Kinked factors are refused: their curvature lives on the kink circle.
+        Kinked factors are refused: their curvature lives partly on the kink
+        circle, which no pointwise density sees.
         """
         if self.kink_radii:
             raise UnsupportedPointError(
-                f"metric {self.id!r} has kinks at radii {self.kink_radii} "
-                "and no pointwise curvature density"
+                f"metric {self.id!r} concentrates curvature on |z| in "
+                f"{self.kink_radii} and has no pointwise curvature density; "
+                "pass a smooth approximating family member instead"
             )
-        r = np.asarray(r, dtype=float)
-        if self._c1_radial is not None:
-            return self._c1_radial(r)
-        h = np.maximum(1e-4, 1e-3 * (1.0 + r))
-
-        def second(f):
-            return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12.0 * h * h)
-
-        steps = (-2, -1, 0, 1, 2)
-        fx = [self._log_radial(np.abs(r + k * h)) for k in steps]
-        fy = [self._log_radial(np.hypot(r, k * h)) for k in steps]
-        return -0.25 * (second(fx) + second(fy))
+        return self.jet(r)[2]
 
     def d_log_density_du(self, r) -> np.ndarray:
         """u-derivative of log lambda for interpolated metrics, else zero."""
@@ -164,57 +161,50 @@ class ConformalMetric:
 def fs_metric() -> ConformalMetric:
     """Round metric normalized to total volume 2: lambda = 2/(1+|z|^2)^2."""
 
-    def logd(r):
-        return math.log(2.0) - 2.0 * np.log1p(np.asarray(r, dtype=float) ** 2)
+    def jet(r):
+        r2 = r**2
+        return math.log(2.0) - 2.0 * np.log1p(r2), -4.0 * r / (1.0 + r2), 2.0 / (1.0 + r2) ** 2
 
-    def c1(r):
-        return 2.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2
-
-    return ConformalMetric("fs", "smooth", logd, c1)
+    return ConformalMetric("fs", "smooth", jet)
 
 
 def max_metric() -> ConformalMetric:
     """Factor lambda = 1/max(1, |z|)^4: continuous, with a kink on |z| = 1.
 
     The curvature of this factor concentrates on the kink circle, so it
-    carries the ``singular-integrable`` class and no analytic c1 density.
+    carries the ``singular-integrable`` class; off the circle it is flat.
     """
 
-    def logd(r):
-        r = np.asarray(r, dtype=float)
-        return -4.0 * np.maximum(np.log(np.maximum(r, 1e-300)), 0.0)
+    def jet(r):
+        f = -4.0 * np.maximum(np.log(np.maximum(r, 1e-300)), 0.0)
+        df = np.where(r > 1.0, -4.0 / np.maximum(r, 1.0), 0.0)
+        return f, df, np.zeros_like(f)
 
-    return ConformalMetric("max", "singular-integrable", logd, kink_radii=(1.0,))
+    return ConformalMetric("max", "singular-integrable", jet, kink_radii=(1.0,))
 
 
 def pnorm_metric(p: float) -> ConformalMetric:
     """Smooth factor lambda = (1 + |z|^(2p))^(-2/p), p >= 1.
 
-    Uniformly close to the max factor: sup |log ratio| = (2/p) log 2.
+    Uniformly close to the max factor: sup |log ratio| = (2/p) log 2. p is
+    capped at ``MAX_PNORM_P``.
     """
-    if p < 1:
-        raise DomainError(f"pnorm requires p >= 1, got {p}")
+    if not 1 <= p <= MAX_PNORM_P:
+        raise DomainError(f"pnorm requires 1 <= p <= {MAX_PNORM_P:g}, got {p}")
     p = float(p)
 
-    def logd(r):
-        r = np.asarray(r, dtype=float)
-        x = 2.0 * p * np.log(np.maximum(r, 1e-300))
-        return -(2.0 / p) * _softplus(x)
-
-    def c1(r):
-        r = np.asarray(r, dtype=float)
+    def jet(r):
         logr = np.log(np.maximum(r, 1e-300))
         x = 2.0 * p * logr
-        # 2p r^(2p-2) / (1 + r^(2p))^2, evaluated in log form
-        expo = math.log(2.0 * p) + (2.0 * p - 2.0) * logr - 2.0 * _softplus(x)
-        out = np.exp(expo)
-        if p == 1.0:
-            out = np.where(r == 0.0, 2.0, out)
-        else:
-            out = np.where(r == 0.0, 0.0, out)
-        return out
+        f = -(2.0 / p) * _softplus(x)
+        # f' = -4 r^(2p-1) / (1 + r^(2p)) and c1 = 2p r^(2p-2) / (1 + r^(2p))^2,
+        # both evaluated in log form
+        df = -4.0 * np.exp(-_softplus(-x) - logr)
+        c1 = np.exp(math.log(2.0 * p) + (2.0 * p - 2.0) * logr - 2.0 * _softplus(x))
+        c1 = np.where(r == 0.0, 2.0 if p == 1.0 else 0.0, c1)
+        return f, df, c1
 
-    return ConformalMetric(f"pnorm:{_spec_text(p)}", "smooth", logd, c1)
+    return ConformalMetric(f"pnorm:{_spec_text(p)}", "smooth", jet)
 
 
 def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
@@ -224,15 +214,15 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
     t0 = float(t0)
     lt = math.log(t0)
 
-    def logd(r):
-        return inner._log_radial(r) + lt
+    def jet(r):
+        # derivatives and curvature are unchanged by constant rescaling
+        f, df, c1 = inner.jet(r)
+        return f + lt, df, c1
 
-    c1 = inner._c1_radial  # curvature is unchanged by constant rescaling
     return ConformalMetric(
         f"scaled:{_spec_text(t0)}:{inner.id}",
         inner.smoothness,
-        logd,
-        c1,
+        jet,
         kink_radii=inner.kink_radii,
         scale_hint=t0 * inner.scale_hint,
         d_log_du_radial=inner._d_log_du_radial,
@@ -242,21 +232,14 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
 def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
     """Pointwise geometric mean sqrt(lambda_a * lambda_b)."""
 
-    def logd(r):
-        return 0.5 * (a._log_radial(r) + b._log_radial(r))
-
-    c1 = None
-    if a.has_analytic_c1 and b.has_analytic_c1:
-
-        def c1(r):
-            return 0.5 * (a._c1_radial(r) + b._c1_radial(r))
+    def jet(r):
+        return tuple(0.5 * (x + y) for x, y in zip(a.jet(r), b.jet(r)))
 
     smooth = _join_smoothness(a.smoothness, b.smoothness)
     return ConformalMetric(
         f"geomean({a.id},{b.id})",
         smooth,
-        logd,
-        c1,
+        jet,
         kink_radii=tuple(sorted(set(a.kink_radii) | set(b.kink_radii))),
     )
 
@@ -348,36 +331,40 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
         return ConformalMetric(
             f"interp:{_spec_text(u)}:{family.id}",
             base.smoothness,
-            base._log_radial,
-            base._c1_radial,
+            base.jet,
             kink_radii=base.kink_radii,
         )
     k, lo, hi, x = _segment(family, u)
     rho = float(bump(x))
     rhop = float(bump_derivative(x))
 
-    def logd(r):
-        a = lo._log_radial(r)
-        b = hi._log_radial(r)
+    def jet(r):
         if rho <= 0.0:
-            return a
+            return lo.jet(r)
         if rho >= 1.0:
-            return b
-        return np.logaddexp(math.log1p(-rho) + a, math.log(rho) + b)
+            return hi.jet(r)
+        fa, dfa, c1a = lo.jet(r)
+        fb, dfb, c1b = hi.jet(r)
+        f = np.logaddexp(math.log1p(-rho) + fa, math.log(rho) + fb)
+        # shares of the members in the blend H: pb = rho h_b / H, pa = 1 - pb.
+        # f' is the share-weighted mean of the members' f'; c1 also loses
+        # the shares' variance of f', (1/4) pa pb (f_a' - f_b')^2
+        pb = np.exp(math.log(rho) + fb - f)
+        pa = 1.0 - pb
+        df = pa * dfa + pb * dfb
+        c1 = pa * c1a + pb * c1b - 0.25 * pa * pb * (dfa - dfb) ** 2
+        return f, df, c1
 
     def dlog_du(r):
-        a = lo._log_radial(r)
-        b = hi._log_radial(r)
-        ha = np.exp(a)
-        hb = np.exp(b)
+        ha = lo.density(r)
+        hb = hi.density(r)
         H = (1.0 - rho) * ha + rho * hb
         return rhop * (hb - ha) / H
 
-    # no closed-form curvature: c1_density runs its stencil
     return ConformalMetric(
         f"interp:{_spec_text(u)}:{family.id}",
         _join_smoothness(lo.smoothness, hi.smoothness),
-        logd,
+        jet,
         kink_radii=tuple(sorted(set(lo.kink_radii) | set(hi.kink_radii))),
         d_log_du_radial=dlog_du,
     )

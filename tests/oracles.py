@@ -174,21 +174,36 @@ def pnorm_c1_density(r, p: float):
     return 2.0 * p * r ** (2.0 * p - 2.0) / (1.0 + r ** (2.0 * p)) ** 2
 
 
-def pnorm_blend_c1_density(r: float, p: float, q: float, rho: float) -> float:
-    """Curvature density -(f'' + f'/r)/4 of a blend of two pnorm factors.
+def mp_log_fs(x):
+    """log of the round factor 2/(1 + x^2)^2 in mpmath."""
+    return mp.log(2) - 2 * mp.log1p(x**2)
 
-    f = log((1 - rho) h_p + rho h_q) with h_p = (1 + r^(2p))^(-2/p); the
-    radial Laplacian f'' + f'/r is differentiated numerically by mpmath at
-    30 digits.
+
+def mp_log_pnorm(p: float):
+    """log of the pnorm factor (1 + x^(2p))^(-2/p) as an mpmath function."""
+    return lambda x: -2 / mp.mpf(p) * mp.log1p(x ** (2 * mp.mpf(p)))
+
+
+def mp_log_blend(log_a, log_b, rho: float):
+    """log((1 - rho) e^log_a + rho e^log_b): a convex blend of two factors.
+
+    Written as log_a + log1p(rho expm1(log_b - log_a)), which keeps full
+    relative precision where both logs are tiny.
     """
-    pp, qq = mp.mpf(p), mp.mpf(q)
+    return lambda x: log_a(x) + mp.log1p(mp.mpf(rho) * mp.expm1(log_b(x) - log_a(x)))
 
-    def f(x):
-        return mp.log((1 - rho) * (1 + x ** (2 * pp)) ** (-2 / pp)
-                      + rho * (1 + x ** (2 * qq)) ** (-2 / qq))
 
-    x = mp.mpf(r)
-    return float(-(mp.diff(f, x, 2) + mp.diff(f, x) / x) / 4)
+def radial_jet(log_lambda, r: float, dps: int = 40) -> tuple[float, float, float]:
+    """(f, f', c1) of a radial factor with f = log_lambda(x), at radius r > 0.
+
+    c1 = -(f'' + f'/r)/4 is the curvature density against dx dy / pi, the
+    radial form of -d2/dz dzbar f. Both derivatives come from mpmath's
+    numerical differentiation at ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        x = mp.mpf(r)
+        f, d1, d2 = mp.diffs(log_lambda, x, 2)
+        return float(f), float(d1), float(-(d2 + d1 / x) / 4)
 
 
 def inverted_log_density(log_density, w):

@@ -176,9 +176,11 @@ def test_scaled_metric_scales_mass_only(basis):
 
 
 def test_mass_rejects_invalid_density(basis):
-    bad = ConformalMetric(
-        "bad-density", "smooth", lambda r: np.where(r > 1.0, np.nan, 0.0)
-    )
+    def bad_jet(r):
+        zero = np.zeros_like(r)
+        return np.where(r > 1.0, np.nan, 0.0), zero, zero
+
+    bad = ConformalMetric("bad-density", "smooth", bad_jet)
     with pytest.raises(InvalidMetricError):
         mass(basis, bad)
 

@@ -57,10 +57,11 @@ import oracles
 
 
 def broken_metric() -> ConformalMetric:
-    def bad_log(r):
-        return np.full_like(np.asarray(r, dtype=float), np.nan)
+    def bad_jet(r):
+        nan = np.full_like(r, np.nan)
+        return nan, nan, nan
 
-    return ConformalMetric("broken", "smooth", bad_log)
+    return ConformalMetric("broken", "smooth", bad_jet)
 
 
 def constant_family(n: int = 4) -> MetricFamily:
@@ -267,11 +268,12 @@ def test_minmax_oracle_for_gap_floor():
     K = oracles.dense_matrix(oracles.exact_stiffness_blocks(8))
     m_ref = oracles.dense_matrix(mass(basis, fs_metric()))
     fs = fs_metric()
-    capped = ConformalMetric(
-        "fs-cap", "singular-integrable",
-        lambda r: fs._log_radial(r) + np.where(np.asarray(r) < 0.5, math.log(10.0), 0.0),
-        kink_radii=(0.5,),
-    )
+
+    def capped_jet(r):
+        f, df, c1 = fs.jet(r)
+        return f + np.where(r < 0.5, math.log(10.0), 0.0), df, c1
+
+    capped = ConformalMetric("fs-cap", "singular-integrable", capped_jet, kink_radii=(0.5,))
     m_pert = oracles.dense_matrix(mass(basis, capped))
     want = oracles.full_grid_mass(
         8, lambda r: 2.0 / (1.0 + r * r) ** 2 * np.where(r < 0.5, 10.0, 1.0)

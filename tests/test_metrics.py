@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.anomaly import _default_quadrature
 from zetasphere.errors import ConfigError, DomainError, UnsupportedPointError
 from zetasphere.metrics import (
     MAX_SCALED_DEPTH,
@@ -98,39 +97,85 @@ def test_pnorm_c1_closed_form(p):
 
 
 def test_fs_c1_equals_density():
-    """The round factor's curvature density is the factor itself."""
+    """The round factor's curvature density is the factor itself; at the
+    origin pnorm:1 = fs/2 has c1 = 2, and sharper members and their blends
+    are flat there."""
     r = np.array([0.0, 0.6, 1.3])
     m = fs_metric()
     assert np.allclose(m.c1_density(r), m.density(r), rtol=1e-14)
+    for spec, want in (("pnorm:1", 2.0), ("pnorm:3", 0.0), ("interp:2.5:pnorm", 0.0)):
+        assert parse_metric_spec(spec).c1_density(np.array([0.0]))[0] == want, spec
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
-def test_total_curvature(quad, p):
+GEOMEAN = "geomean(pnorm:2,pnorm:3)"
+
+
+def _metric(name):
+    """A smooth test metric: pnorm by its parameter, else by spec or id."""
+    if isinstance(name, float):
+        return pnorm_metric(name)
+    if name == GEOMEAN:
+        return geomean_metric(pnorm_metric(2.0), pnorm_metric(3.0))
+    return parse_metric_spec(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [1.0, 2.0, 3.0, 4.5, "fs", "scaled:3:pnorm:4", GEOMEAN, "interp:2.5:pnorm",
+     "interp:100.5:pnorm", "interp:100.5:geomean-pnorm"],
+)
+def test_total_curvature(quad, name):
     """int c1 (dxdy/pi) = 2: the degree of the anticanonical bundle."""
     r = quad.radii_theta
-    c1 = pnorm_metric(p).c1_density(r)
+    c1 = _metric(name).c1_density(r)
     total = float(np.sum(quad.weights_theta * (1.0 + r * r) ** 2 * c1))
-    assert total == pytest.approx(2.0, abs=1e-12)
+    assert total == pytest.approx(2.0, abs=1e-13)
 
 
-def test_chern_c1_finite_difference_matches_analytic():
-    """Stripped of its closed form, c1_density runs the 5-point stencil; it
-    matches the closed form on every node of the anomaly quadrature."""
-    r = _default_quadrature().radii_theta
-    assert r.size == 256
-    for m in (fs_metric(), pnorm_metric(3.0), geomean_metric(pnorm_metric(2.0), pnorm_metric(3.0))):
-        probe = ConformalMetric("probe", m.smoothness, m._log_radial)
-        assert not probe.has_analytic_c1
-        assert np.abs(probe.c1_density(r) - m.c1_density(r)).max() <= 1e-9, m.id
+def _mp_interp_pnorm(u):
+    """interp:u:pnorm at u = n + 1/2 blends pnorm:(n+1) and pnorm:(n+2) with
+    bump weight 1/2."""
+    return oracles.mp_log_blend(
+        oracles.mp_log_pnorm(u + 0.5), oracles.mp_log_pnorm(u + 1.5), 0.5
+    )
 
 
-def test_interp_c1_matches_mpmath_blend():
-    """interp:2.5:pnorm is the bump-weight-1/2 blend of pnorm:3 and pnorm:4;
-    its stencil curvature matches the mpmath radial Laplacian."""
+_MP_LOG = {
+    "fs": oracles.mp_log_fs,
+    "pnorm:1": oracles.mp_log_pnorm(1.0),
+    "pnorm:3": oracles.mp_log_pnorm(3.0),
+    "pnorm:8": oracles.mp_log_pnorm(8.0),
+    "scaled:3:pnorm:4": lambda x: oracles.mp.log(3) + oracles.mp_log_pnorm(4.0)(x),
+    GEOMEAN: lambda x: (oracles.mp_log_pnorm(2.0)(x) + oracles.mp_log_pnorm(3.0)(x)) / 2,
+    **{f"interp:{u}:pnorm": _mp_interp_pnorm(u) for u in (2.5, 8.5, 32.5, 100.5)},
+}
+
+
+def _assert_c1_close(got, want):
+    """c1 agrees to 1e-12 of its largest value on the radii."""
+    want = np.asarray(want)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", list(_MP_LOG))
+def test_jet_matches_mpmath(name):
+    """Every part of the jet against mpmath differentiation of log lambda."""
+    r = np.logspace(-3.0, 3.0, 9)
+    f, df, c1 = _metric(name).jet(r)
+    want = np.array([oracles.radial_jet(_MP_LOG[name], x) for x in r])
+    # the blend's logaddexp keeps f to absolute, not relative, precision near 0
+    np.testing.assert_allclose(f, want[:, 0], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(df, want[:, 1], rtol=1e-12, atol=0.0)
+    _assert_c1_close(c1, want[:, 2])
+
+
+@pytest.mark.parametrize("u", [2.5, 8.5, 32.5, 100.5])
+def test_interp_c1_matches_mpmath_blend(u):
+    """The blend's curvature matches the mpmath radial Laplacian also where
+    the sharp members concentrate it near the equator."""
     r = np.array([0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 20.0])
-    got = parse_metric_spec("interp:2.5:pnorm").c1_density(r)
-    want = [oracles.pnorm_blend_c1_density(x, 3.0, 4.0, 0.5) for x in r]
-    assert np.abs(got - want).max() <= 1e-9
+    got = parse_metric_spec(f"interp:{u}:pnorm").c1_density(r)
+    _assert_c1_close(got, [oracles.radial_jet(_mp_interp_pnorm(u), x)[2] for x in r])
 
 
 def test_max_metric_kink_handling():
@@ -141,6 +186,9 @@ def test_max_metric_kink_handling():
     assert m.smoothness == "singular-integrable"
     with pytest.raises(UnsupportedPointError):
         m.c1_density(np.array([0.5]))
+    # off the kink the jet is flat inside and -4 log r outside
+    _, df, c1 = m.jet(np.array([0.5, 2.0]))
+    assert df.tolist() == [0.0, -2.0] and c1.tolist() == [0.0, 0.0]
     # a kink anywhere refuses the pointwise density, also inside a mixture
     with pytest.raises(UnsupportedPointError):
         geomean_metric(fs_metric(), max_metric()).c1_density(np.array([0.5]))
@@ -325,7 +373,8 @@ def test_metric_ids_are_exact(spec, want):
     "spec",
     ["", "bogus", "pnorm", "pnorm:zero", "pnorm:0.5", "scaled:2", "scaled:x:fs",
      "scaled:-1:fs", "interp:2.5", "interp:0.5:pnorm", "interp:2.5:bogus",
-     "interp:256.5:pnorm", "interp:inf:pnorm", "interp:nan:pnorm", "pnorm:inf", "scaled:nan:fs",
+     "interp:256.5:pnorm", "interp:inf:pnorm", "interp:nan:pnorm", "pnorm:inf", "pnorm:1e301",
+     "scaled:nan:fs",
      "scaled:1:" * (MAX_SCALED_DEPTH + 1) + "fs"],
 )
 def test_parse_metric_spec_rejects(spec):

@@ -52,6 +52,7 @@ specs = st.recursive(
 @example("interp:inf:pnorm")
 @example("interp:nan:geomean-pnorm")
 @example("scaled:2:interp:1e9:pnorm")
+@example("pnorm:1e308")
 def test_metric_spec_parses_or_raises_config_error(spec):
     try:
         metric = parse_metric_spec(spec)
