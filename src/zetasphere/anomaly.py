@@ -36,8 +36,7 @@ with the kernel-excluded zeta(0) = -2/3 of smooth factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,8 +126,7 @@ def bott_chern_bound(metric_p: ConformalMetric, metric_q: ConformalMetric) -> fl
     return k * sup_log_distance(metric_p, metric_q)
 
 
-@dataclass(frozen=True)
-class QuillenData:
+class QuillenData(NamedTuple):
     """The determinant-metric logarithm of one conformal factor."""
 
     metric_id: str
@@ -163,8 +161,7 @@ def quillen_log(
     )
 
 
-@dataclass(frozen=True)
-class TwoRouteReport:
+class TwoRouteReport(NamedTuple):
     """Spectral-route vs curvature-route change of log h_Q for one pair."""
 
     metric_p: str
@@ -242,8 +239,7 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
     return 1 if gap(1) <= gap(-1) else -1
 
 
-@dataclass(frozen=True)
-class QuillenLimitRow:
+class QuillenLimitRow(NamedTuple):
     """One family member in the Cauchy table of log h_Q."""
 
     param: float
@@ -254,8 +250,7 @@ class QuillenLimitRow:
     bound: float
 
 
-@dataclass(frozen=True)
-class QuillenLimit:
+class QuillenLimit(NamedTuple):
     """Extrapolated limit of log h_Q along a smoothing family."""
 
     family_id: str
@@ -331,8 +326,7 @@ def quillen_limit(
     )
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     """Everything the torsion pipeline produces for one metric; the fit is
     ``zeta.fit``."""
 

@@ -16,7 +16,6 @@ config produces byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -74,14 +73,11 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def _jsonable(obj):
-    """Plain-JSON view: dataclasses to dicts, arrays to lists, nan to null."""
+    """Plain-JSON view: records to dicts, arrays to lists, nan to null."""
     import numpy as np
 
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple record
+        return {name: _jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -39,8 +39,8 @@ only when a config is parsed, so a flag-only command never pays for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -52,8 +52,7 @@ _MAX_THREADS = 1024
 _FAMILY_NAMES = ("pnorm", "geomean-pnorm")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """All run parameters; every field has a working default."""
 
     metric: str = "fs"
@@ -267,9 +266,9 @@ def _file_values(path: str | Path) -> dict[str, object]:
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse config text over ``base`` (package defaults when omitted)."""
-    return validated(replace(base if base is not None else RunConfig(), **_values(text)))
+    return validated((base if base is not None else RunConfig())._replace(**_values(text)))
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     """Read and parse a config file."""
-    return validated(replace(base if base is not None else RunConfig(), **_file_values(path)))
+    return validated((base if base is not None else RunConfig())._replace(**_file_values(path)))

@@ -34,7 +34,7 @@ and harness modules, a stack of them against one B in one call.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ SOLVER_VERSION = "blocks-6"
 _INDEFINITE = "mass {where} is not positive definite"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues of one pencil, with its mass blocks M_m and M_m-orthonormal
     eigenvectors per block, m = 0..L.
 
@@ -76,7 +75,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     block_values: Blocks
     block_vectors: Blocks
-    mass_blocks: Blocks = field(repr=False)
+    mass_blocks: Blocks
     metric_id: str
     L: int
 

@@ -55,7 +55,7 @@ pipeline raises ends the sweep, and the run, with that member's own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +146,7 @@ _HEAT_TIME = 1.0
 _DUHAMEL_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Scalar pipeline output for one family member, with its spectrum.
 
     ``columns`` is the row's ordered table of scalars, the one the Cauchy
@@ -162,15 +161,14 @@ class SweepRow:
     columns: dict[str, float]
     sup_log_dist_to_limit: float
     quillen: QuillenData
-    spectrum: Spectrum = field(repr=False)
+    spectrum: Spectrum
 
     @property
     def lambda1(self) -> float:
         return self.spectrum.lambda1
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """One family sweep: a row per member and the limit metric's own row.
 
     ``rows`` follow ``family.parameters``. ``limit_row`` is the limit
@@ -316,8 +314,7 @@ def sweep(
     )
 
 
-@dataclass(frozen=True)
-class CauchyColumn:
+class CauchyColumn(NamedTuple):
     """Cauchy data of one sweep column: |differences| against frozen bounds."""
 
     name: str
@@ -327,8 +324,7 @@ class CauchyColumn:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CauchyReport:
+class CauchyReport(NamedTuple):
     """Per-column Cauchy verdicts for one sweep."""
 
     family_id: str
@@ -403,8 +399,7 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     )
 
 
-@dataclass(frozen=True)
-class Lambda1FloorRow:
+class Lambda1FloorRow(NamedTuple):
     """One metric in the uniform gap bound: its gap and equivalence constant."""
 
     param: float
@@ -412,8 +407,7 @@ class Lambda1FloorRow:
     c_member: float
 
 
-@dataclass(frozen=True)
-class Lambda1Floor:
+class Lambda1Floor(NamedTuple):
     """Uniform lower bound on the spectral gap across a family.
 
     The Dirichlet form is metric-independent, so mass-matrix equivalence
@@ -481,8 +475,7 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     )
 
 
-@dataclass(frozen=True)
-class ResolventReport:
+class ResolventReport(NamedTuple):
     """Cauchy columns of resolvents and heat operators along a family.
 
     ``columns`` holds one `CauchyColumn` per operator function, keyed
@@ -555,7 +548,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
             for i in range(1, len(dists))
             if dists[i] > dists[i - 1] * (1.0 + _TINY_REL) + _TINY_REL
         ]
-        columns[name] = replace(column, passed=column.passed and not grew)
+        columns[name] = column._replace(passed=column.passed and not grew)
         failures += bad + grew
         limit_dist[name] = math.nan if report.limit_row is None else float(norms[-1])
 
@@ -569,8 +562,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     )
 
 
-@dataclass(frozen=True)
-class BorneReport:
+class BorneReport(NamedTuple):
     """The operator variation's exact bound against the density variation."""
 
     family_id: str
@@ -640,8 +632,7 @@ def duhamel_at(
     return duhamel_residual(spec_lo, spec_mid, spec_hi, h, t=t, n_nodes=n_nodes)
 
 
-@dataclass(frozen=True)
-class ConvergenceSummary:
+class ConvergenceSummary(NamedTuple):
     """Every harness check on one family, with one verdict per named tag."""
 
     family_id: str

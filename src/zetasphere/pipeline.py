@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ def compute_spectrum(
     return generalized_eigs(mass(build_basis(L, n_theta), metric), L, metric.id)
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Scalar payload of one solved pencil: eigenvalues and volume."""
 
     metric_id: str

@@ -18,7 +18,7 @@ n = 258.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Two-panel Gauss-Legendre rule in x = cos(theta).
 
     Attributes

@@ -1,6 +1,5 @@
 """Config parsing/validation and the command-line entry point."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -18,14 +17,21 @@ from zetasphere.config import RunConfig, load_config, parse_config, validated
 from zetasphere.discretize import build_basis, mass
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
-from zetasphere.heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, theta_values
+from zetasphere.heatzeta import (
+    DEFAULT_S_VALUES,
+    DEFAULT_TRUNC_TOL,
+    AsymptoticFit,
+    ZetaPoint,
+    ZetaResult,
+    theta_values,
+)
 from zetasphere.metrics import fs_metric, pnorm_metric
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
 
 
 def cfg(**kwargs) -> RunConfig:
-    return dataclasses.replace(RunConfig(), **kwargs)
+    return RunConfig()._replace(**kwargs)
 
 
 def run_cli(args, out_dir, cache_dir, capsys):
@@ -199,6 +205,32 @@ def test_jsonable_float_conventions():
         "array": [0.0, 1.0, 2.0],
         "tuple": [1, 2],
     }
+
+
+def test_jsonable_maps_records_to_dicts():
+    """A record is a tuple, but it serializes as a dict keyed by its field
+    names, and a tuple of records as a list of such dicts."""
+    fit = AsymptoticFit(
+        b_minus1=1.0, b0=-1.0 / 3.0, b1=0.05, residual=1e-9, window_requested=(0.02, 0.2),
+        window_effective=(0.02, 0.2), n_points=25, trunc_tol=1e-8, param_sigma=(0.0, 0.0, 0.0),
+    )
+    result = ZetaResult(
+        metric_id="fs",
+        s_points=(ZetaPoint(2.0, 1.5, 0.25), ZetaPoint(3.0, 1.125, float("nan"))),
+        zeta0=-1.0 / 3.0, zeta0_minus_kernel=-4.0 / 3.0, zeta_prime0=0.5, error_budget=1e-6,
+        fit=fit, method={"window": "default"},
+    )
+    payload = _jsonable(result)
+    assert sorted(payload) == sorted(ZetaResult._fields)
+    assert payload["s_points"] == [
+        {"s": 2.0, "value": 1.5, "tail_bound": 0.25},
+        {"s": 3.0, "value": 1.125, "tail_bound": None},
+    ]
+    assert sorted(payload["fit"]) == sorted(AsymptoticFit._fields)
+    assert payload["fit"]["window_effective"] == [0.02, 0.2]
+    assert payload["method"] == {"window": "default"}
+    config = _jsonable(cfg(L=24))
+    assert config["L"] == 24 and config["s_values"] == [1.5, 2.0, 3.0]
 
 
 def test_write_csv_formats_cells(tmp_path):

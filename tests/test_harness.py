@@ -6,7 +6,6 @@ finite differences of resolvent/heat operators along the interpolation
 parameter (for the variation bounds with a frozen constant).
 """
 
-import dataclasses
 import json
 import math
 
@@ -206,7 +205,7 @@ def test_limit_agreement():
 def shift_limit_b0(report):
     lim = report.limit_row
     columns = {**lim.columns, "b0": lim.columns["b0"] + 1.0}
-    return dataclasses.replace(report, limit_row=dataclasses.replace(lim, columns=columns))
+    return report._replace(limit_row=lim._replace(columns=columns))
 
 
 def test_limit_disagreement_fails_key2(monkeypatch):

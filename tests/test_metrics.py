@@ -259,7 +259,7 @@ def test_pnorm_family_layout():
     fam = pnorm_family()
     assert fam.id == "pnorm"
     assert fam.parameters == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert len(fam) == 6
+    assert len(fam.members) == 6
     assert fam.limit.id == max_metric().id
     assert [m.id for m in fam.members] == [f"pnorm:{k}" for k in range(1, 7)]
 
@@ -267,7 +267,7 @@ def test_pnorm_family_layout():
 def test_geomean_family_layout():
     fam = geomean_family(params=(2.0, 3.0))
     assert fam.id == "geomean-pnorm"
-    assert len(fam) == 2
+    assert len(fam.members) == 2
     assert fam.limit.id == max_metric().id
 
 
@@ -358,6 +358,25 @@ def test_parse_metric_spec_roundtrip(spec):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    ["fs", "max", "pnorm:1", "pnorm:3", "pnorm:1e300", "scaled:2:fs", "scaled:2:max",
+     "interp:2:pnorm", "interp:2.5:pnorm", "interp:100.5:pnorm", "interp:2.5:geomean-pnorm",
+     "geomean"],
+)
+def test_jet_at_infinity_is_its_limit(spec):
+    """At r = inf every built-in returns (-inf, 0, 0) without a RuntimeWarning
+    (the suite turns those into errors), and the finite radii beside it keep
+    their values."""
+    m = geomean_metric(pnorm_metric(2.0), fs_metric()) if spec == "geomean" else parse_metric_spec(spec)
+    assert m.log_density(np.inf) == -np.inf
+    assert np.array_equal(m.log_density([np.inf, 0.5]), [-np.inf, m.log_density(0.5)])
+    parts = m.jet(np.array([np.inf, 0.5]))
+    for part, finite, limit in zip(parts, m.jet(np.array([0.5])), (-np.inf, 0.0, 0.0)):
+        assert part[0] == limit
+        assert part[1] == finite[0]
+
+
+@pytest.mark.parametrize(
     "spec, want",
     [("pnorm:3", "pnorm:3"), ("pnorm:3.0", "pnorm:3"), ("pnorm:1024", "pnorm:1024"),
      ("pnorm:3.0000001", "pnorm:3.0000001"), ("scaled:1.2345671:fs", "scaled:1.2345671:fs"),
@@ -386,4 +405,4 @@ def test_metric_family_manual_construction():
     members = (pnorm_metric(2.0), pnorm_metric(4.0))
     fam = MetricFamily("pair", members, parameters=(2.0, 4.0))
     assert fam.limit is None
-    assert len(fam) == 2
+    assert len(fam.members) == 2

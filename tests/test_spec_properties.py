@@ -9,7 +9,6 @@ the search is derandomized, so a run is repeatable.
 """
 
 import math
-from dataclasses import fields
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -106,8 +105,8 @@ def test_ini_parses_or_raises_config_error(text):
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
+    for name in RunConfig._fields:
+        value = getattr(config, name)
         for x in value if isinstance(value, tuple) else (value,):
             if isinstance(x, float):
-                assert math.isfinite(x), (f.name, text)
+                assert math.isfinite(x), (name, text)
