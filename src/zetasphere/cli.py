@@ -108,10 +108,15 @@ def _make_cache(config: RunConfig):
     return SpectrumCache(config.cache_dir)
 
 
-def _make_metric(config: RunConfig):
+def _metric_data(config: RunConfig):
+    """The configured metric and its spectrum data, served from the cache
+    when it can be."""
     from .metrics import parse_metric_spec
+    from .pipeline import family_spectral_data
 
-    return parse_metric_spec(config.metric)
+    metric = parse_metric_spec(config.metric)
+    (data,) = family_spectral_data((metric,), config.L, config.n_theta, _make_cache(config))
+    return metric, data
 
 
 def _make_family(config: RunConfig):
@@ -165,10 +170,7 @@ def _quillen_payload(quillen) -> dict:
 
 
 def _cmd_spectrum(config: RunConfig, out: Path) -> int:
-    from .pipeline import spectral_data
-
-    metric = _make_metric(config)
-    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
+    _, data = _metric_data(config)
     path = write_csv(
         out / "spectrum.csv",
         ["index", "eigenvalue"],
@@ -185,10 +187,8 @@ def _cmd_theta(config: RunConfig, out: Path) -> int:
     import numpy as np
 
     from .heatzeta import theta_values
-    from .pipeline import spectral_data
 
-    metric = _make_metric(config)
-    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
+    _, data = _metric_data(config)
     lam = data.eigenvalues
     t = _theta_grid(config)
     # n exp(-lambda_max t) bounds the trace of the modes above the cutoff
@@ -205,10 +205,9 @@ def _cmd_theta(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_zeta(config: RunConfig, out: Path) -> int:
-    from .pipeline import compute_zeta, spectral_data
+    from .pipeline import compute_zeta
 
-    metric = _make_metric(config)
-    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
+    metric, data = _metric_data(config)
     zres = compute_zeta(data, metric, config.fit_window, config.s_values, config.trunc_tol)
     path = write_json(out / "zeta.json", _zeta_payload(data, zres))
     print(
@@ -220,10 +219,8 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
 
 def _cmd_torsion(config: RunConfig, out: Path) -> int:
     from .anomaly import torsion_report
-    from .pipeline import spectral_data
 
-    metric = _make_metric(config)
-    data = spectral_data(metric, config.L, config.n_theta, _make_cache(config))
+    metric, data = _metric_data(config)
     report = torsion_report(
         data, metric, config.fit_window, config.s_values, config.trunc_tol
     )

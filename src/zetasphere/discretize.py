@@ -20,12 +20,12 @@ Legendre sweep: `weighted_grams` takes a stack of radial node-weight rows
 (`mass_weights`, `variation_weights`) and builds, for each m, the Legendre
 rows P of that m once (`harmonics.legendre_blocks`) and every row's Gram
 (P w_k) P^T from them, one product per row, as the (K, n, n) stack of that
-m. `masses` is the stack of a family's mass blocks, `mass` one metric's. No
-table outlives a block: the scalar solve drops each stack once its values
-are taken, and the eigenvector solve keeps the blocks in its
-`eigensolve.Spectrum`. Reductions have a fixed summation order, so repeated
-runs produce identical bytes, and a block is the same bytes whichever
-family it is built in.
+m. `masses` is the stack of a family's mass blocks; one metric's are the
+stacks of a family of one. No table outlives a block: the scalar solve
+drops each stack once its values are taken, and the eigenvector solve keeps
+the blocks in its `eigensolve.Spectrum`. Reductions have a fixed summation
+order, so repeated runs produce identical bytes, and a block is the same
+bytes whichever family it is built in.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "variation_weights",
     "weighted_grams",
     "masses",
-    "mass",
 ]
 
 Blocks = tuple[np.ndarray, ...]
@@ -175,10 +174,3 @@ def masses(
     """
     return weighted_grams(basis, np.stack([mass_weights(basis, g) for g in metrics]))
 
-
-def mass(basis: SpectralBasis, metric: ConformalMetric) -> Iterator[np.ndarray]:
-    """Mass blocks M_m of one metric's area form, m = 0..L, built as asked for.
-
-    The one-metric case of `masses`; ``M_0[0, 0]`` is the metric volume.
-    """
-    return (stack[0] for stack in masses(basis, (metric,)))

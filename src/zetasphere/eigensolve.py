@@ -19,9 +19,8 @@ member and m. It serves two paths. `family_eigvals` takes the values alone
 build, solve and drop each stack in turn. `family_eigs` keeps the mass
 blocks in each member's `Spectrum` and takes the vectors too (``eigh``,
 eigenvectors W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the
-operator and harness checks read. `generalized_eigvals` and
-`generalized_eigs` are their one-member cases on one metric's blocks
-M_0..M_L.
+operator and harness checks read. One metric is a family of one: its
+stack per m is the (1, n, n) stack of its own M_m.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
@@ -51,8 +50,6 @@ __all__ = [
     "pencil_eigvalsh",
     "family_eigs",
     "family_eigvals",
-    "generalized_eigs",
-    "generalized_eigvals",
     "resolvent",
     "apply_function",
 ]
@@ -201,16 +198,6 @@ def _solve_stacks(
     return values, vecs, vol
 
 
-def _solve_blocks(
-    blocks: Iterable[np.ndarray], L: int, metric_id: str, vectors: bool
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """One pencil's blocks M_0..M_L, solved as the one-member case of
-    `_solve_stacks`: the values per block, the vectors (with ``vectors``)
-    and the volume."""
-    values, vecs, vol = _solve_stacks((M[None] for M in blocks), L, (metric_id,), vectors)
-    return values[0], vecs[0], float(vol[0])
-
-
 def _merged(values: list[np.ndarray]) -> np.ndarray:
     """Every block copy's values in one ascending array, by a stable sort."""
     copies = [values[0]] + [v for v in values[1:] for _ in ("cos", "sin")]
@@ -260,26 +247,6 @@ def family_eigvals(
     """
     values, _, vol = _solve_stacks(mass_stacks, L, metric_ids, False)
     return tuple((_merged(v), float(x)) for v, x in zip(values, vol))
-
-
-def generalized_eigs(
-    mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
-) -> Spectrum:
-    """All eigenvalues of K v = lambda M v, ascending, with the M_m-orthonormal
-    eigenvectors of every block; the spectrum keeps the mass blocks M_0..M_L.
-    The one-member case of `family_eigs`, with its errors."""
-    blocks = tuple(mass_blocks)
-    values, vectors, _ = _solve_blocks(blocks, L, metric_id, True)
-    return Spectrum(_merged(values), tuple(values), tuple(vectors), blocks, metric_id, L)
-
-
-def generalized_eigvals(
-    mass_blocks: Iterable[np.ndarray], L: int, metric_id: str
-) -> tuple[np.ndarray, float]:
-    """Eigenvalues and volume of the pencil with mass blocks M_0..M_L, values
-    only: the one-member case of `family_eigvals`."""
-    values, _, vol = _solve_blocks(mass_blocks, L, metric_id, False)
-    return _merged(values), vol
 
 
 def apply_function(spectrum: Spectrum, f) -> Blocks:

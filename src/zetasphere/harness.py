@@ -70,11 +70,10 @@ from .anomaly import (
 from .discretize import (
     build_basis,
     mass_weights,
-    masses,
     variation_weights,
     weighted_grams,
 )
-from .eigensolve import Spectrum, family_eigs, pencil_eigvalsh, resolvent
+from .eigensolve import Spectrum, pencil_eigvalsh, resolvent
 from .errors import DomainError
 from .heatzeta import (
     DEFAULT_TRUNC_TOL,
@@ -85,7 +84,7 @@ from .heatzeta import (
 )
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norms
-from .pipeline import SpectralData
+from .pipeline import SpectralData, family_spectra
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -198,13 +197,6 @@ def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
         raise DomainError(f"non-finite sweep column for parameter {row.param}")
 
 
-def _solve_family(
-    metrics: tuple[ConformalMetric, ...], L: int, n_theta: int | None = None
-) -> tuple[Spectrum, ...]:
-    """The spectra of several metrics' pencils, solved together on one basis."""
-    return family_eigs(masses(build_basis(L, n_theta), metrics), L, [g.id for g in metrics])
-
-
 def _pipeline_row(
     param: float,
     metric: ConformalMetric,
@@ -288,7 +280,7 @@ def sweep(
         raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
     limit = () if family.limit is None else (family.limit,)
-    spectra = _solve_family((*family.members, *limit), L, n_theta)
+    spectra = family_spectra((*family.members, *limit), L, n_theta)
     rows: list[SweepRow] = []
     for p, metric, spectrum in zip(params, family.members, spectra):
         row = _pipeline_row(
@@ -626,7 +618,7 @@ def duhamel_at(
     E(t - s) dLap E(s); the residual should sit at the quadrature and
     differencing level, far below the derivative's norm.
     """
-    spec_lo, spec_mid, spec_hi = _solve_family(
+    spec_lo, spec_mid, spec_hi = family_spectra(
         tuple(interpolate(family, v) for v in (u - h, u, u + h)), L
     )
     return duhamel_residual(spec_lo, spec_mid, spec_hi, h, t=t, n_nodes=n_nodes)

@@ -33,7 +33,7 @@ import numpy as np
 from .discretize import Blocks, stiffness
 from .eigensolve import Spectrum, apply_function
 from .errors import DomainError, FitWindowError
-from .operators import InnerProduct, block_operator_norm
+from .operators import InnerProduct, block_operator_norms
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -486,7 +486,6 @@ def duhamel_residual(
             a += w * term
         acc.append(a)
     ips = [InnerProduct.from_gram(M) for M in spec_mid.mass_blocks]
-    resid = block_operator_norm([d + a for d, a in zip(dE, acc)], ips)
-    d_norm = block_operator_norm(dE, ips)
+    resid, d_norm = block_operator_norms([np.stack((d + a, d)) for d, a in zip(dE, acc)], ips)
     ratio = resid / d_norm if d_norm > 0.0 else 0.0
     return DuhamelReport(float(resid), float(d_norm), float(ratio), float(h), float(t), n_nodes)

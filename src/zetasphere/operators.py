@@ -6,8 +6,9 @@ singular values of R A R^{-1}. This is what connects matrix computations on
 basis coefficients to statements about the operator on the function space.
 A block-diagonal operator, given as its blocks with one inner product per
 block, has the largest of the block norms as its norm; `block_operator_norms`
-takes the norms of several such operators at once, one stacked SVD per
-block. The Gram pencil of `equivalence_bounds` is solved by
+takes the norms of a stack of such operators at once, one stacked SVD per
+block, each norm bitwise that of its operator alone (one operator is a stack
+of one). The Gram pencil of `equivalence_bounds` is solved by
 `eigensolve.pencil_eigvalsh`.
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "trace_norm",
     "operator_norm",
     "block_operator_norms",
-    "block_operator_norm",
     "lidskii_defect",
     "equivalence_bounds",
 ]
@@ -85,12 +85,6 @@ def block_operator_norms(stacks, ips) -> np.ndarray:
     return np.max(
         [singular_values(A, ip)[:, 0] for A, ip in zip(stacks, ips, strict=True)], axis=0
     )
-
-
-def block_operator_norm(blocks, ips) -> float:
-    """Operator norm of one block-diagonal operator, given by its blocks: the
-    one-operator case of `block_operator_norms`."""
-    return float(block_operator_norms([A[None] for A in blocks], ips)[0])
 
 
 def lidskii_defect(A: np.ndarray) -> float:

@@ -2,22 +2,21 @@
 
 Each solve builds its own basis (`build_basis`), and no table outlives a
 block. A pencil is solved wherever its spectrum is needed and handed on
-from there, and the pencils of a family are solved together, one Legendre
-sweep and one stacked LAPACK call per m for all of them; one metric is the
-one-member case. The scalar commands fetch eigenvalues and volumes with
-``family_spectral_data`` (one metric: ``spectral_data``), which serves each
-metric from the disk cache when it can and solves all the misses in one
-family solve that builds each stack of mass blocks M_m, takes its
-eigenvalues alone and drops it before the next m (`family_eigvals`); each
-miss is stored under its own key. The convergence harness keeps the mass
-blocks and eigenvectors of every pencil it solves (`family_eigs`, as
-`compute_spectrum` does for one metric; the `Spectrum` holds them) and
-builds the same ``SpectralData`` from them (``SpectralData.of``), so the
-harness checks read the sweep's eigenvectors and mass blocks instead of
-solving again. ``compute_zeta`` runs the heat-trace fit and the zeta data
-on spectrum data that the caller supplies; the fit itself, window clipping
-and sampling included, is ``heatzeta.fit_asymptotics``. No command builds
-an n x n matrix.
+from there. Every solve is a family solve, one Legendre sweep and one
+stacked LAPACK call per m for all of its pencils, and one metric is a
+family of one. The scalar commands fetch eigenvalues and volumes with
+``family_spectral_data``, which serves each metric from the disk cache when
+it can and solves all the misses in one family solve that builds each stack
+of mass blocks M_m, takes its eigenvalues alone and drops it before the next
+m (`family_eigvals`); each miss is stored under its own key. The
+convergence harness and the selftest solve with ``family_spectra``, which
+keeps the mass blocks and eigenvectors of every pencil (`family_eigs`; the
+`Spectrum` holds them), and build the same ``SpectralData`` from them
+(``SpectralData.of``), so the harness checks read the sweep's eigenvectors
+and mass blocks instead of solving again. ``compute_zeta`` runs the
+heat-trace fit and the zeta data on spectrum data that the caller supplies;
+the fit itself, window clipping and sampling included, is
+``heatzeta.fit_asymptotics``. No command builds an n x n matrix.
 
 Fit windows default to the metric's global scale: rescaling the conformal
 factor by c rescales eigenvalues by 1/c, so the default window carries a
@@ -33,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
-from .discretize import build_basis, mass, masses
-from .eigensolve import SOLVER_VERSION, Spectrum, family_eigvals, generalized_eigs
+from .discretize import build_basis, masses
+from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
     DEFAULT_S_VALUES,
@@ -46,9 +45,8 @@ from .heatzeta import (
 from .metrics import ConformalMetric
 
 __all__ = [
-    "compute_spectrum",
+    "family_spectra",
     "SpectralData",
-    "spectral_data",
     "family_spectral_data",
     "default_fit_window",
     "compute_zeta",
@@ -59,11 +57,12 @@ def _n_theta(L: int, n_theta: int | None) -> int:
     return 2 * L + 2 if n_theta is None else n_theta
 
 
-def compute_spectrum(
-    metric: ConformalMetric, L: int, n_theta: int | None = None
-) -> Spectrum:
-    """Full spectrum with eigenvectors and mass blocks: one block solve."""
-    return generalized_eigs(mass(build_basis(L, n_theta), metric), L, metric.id)
+def family_spectra(
+    metrics: Sequence[ConformalMetric], L: int, n_theta: int | None = None
+) -> tuple[Spectrum, ...]:
+    """The spectra of several metrics' pencils, with eigenvectors and mass
+    blocks, solved together on one basis, in the order given."""
+    return family_eigs(masses(build_basis(L, n_theta), metrics), L, [g.id for g in metrics])
 
 
 class SpectralData(NamedTuple):
@@ -151,17 +150,6 @@ def family_spectral_data(
             if cache is not None:
                 cache.store(key[mid], eigenvalues=lam, volume=np.float64(vol))
     return tuple(found[g.id] for g in metrics)
-
-
-def spectral_data(
-    metric: ConformalMetric,
-    L: int,
-    n_theta: int | None = None,
-    cache: SpectrumCache | None = None,
-) -> SpectralData:
-    """Eigenvalues and volume of one metric: the one-member case of
-    `family_spectral_data`."""
-    return family_spectral_data((metric,), L, n_theta, cache)[0]
 
 
 def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:

@@ -45,9 +45,9 @@ def _check_round_spectrum() -> None:
     import numpy as np
 
     from .metrics import fs_metric
-    from .pipeline import compute_spectrum
+    from .pipeline import family_spectra
 
-    spectrum = compute_spectrum(fs_metric(), 8)
+    (spectrum,) = family_spectra((fs_metric(),), 8)
     lam = spectrum.eigenvalues
     assert lam.size == 81, f"expected 81 modes, got {lam.size}"
     assert lam[0] == 0.0, f"kernel eigenvalue {lam[0]!r} is not exactly 0.0"
@@ -65,11 +65,11 @@ def _check_operators() -> None:
     from .heatzeta import heat_operator, theta
     from .metrics import fs_metric
     from .operators import InnerProduct, lidskii_defect, operator_norm, singular_values, trace_norm
-    from .pipeline import compute_spectrum
+    from .pipeline import family_spectra
 
     # theta(t) is the trace norm of the heat operator with the constants
     # projected out: block m = 0 once, each m >= 1 block for its two copies.
-    spectrum = compute_spectrum(fs_metric(), 6)
+    (spectrum,) = family_spectra((fs_metric(),), 6)
     t = 0.7
     E = heat_operator(spectrum, t)
     M = spectrum.mass_blocks
@@ -98,7 +98,7 @@ def _check_heatzeta() -> None:
 
     from .heatzeta import _weighted_fit, exp_e1, geometric_grid, zeta_direct
     from .metrics import fs_metric
-    from .pipeline import compute_zeta, spectral_data
+    from .pipeline import compute_zeta, family_spectral_data
 
     for x, want in _E1_REFERENCE.items():
         rel = abs(exp_e1(x) - want) / want
@@ -113,7 +113,7 @@ def _check_heatzeta() -> None:
     point = zeta_direct(np.array([0.0, 1.0, 4.0]), 2.0)
     assert abs(point.value - 1.0625) < 1e-15, "zeta(2) of {1, 4}"
 
-    data = spectral_data(fs_metric(), 16)
+    (data,) = family_spectral_data((fs_metric(),), 16)
     zres = compute_zeta(data, fs_metric())
     rel = abs(zres.fit.b_minus1 - data.volume) / data.volume
     assert rel < 0.02, f"leading coefficient vs volume: rel err {rel:.3e}"
@@ -124,10 +124,10 @@ def _check_determinism() -> None:
     import json
 
     from .metrics import pnorm_metric
-    from .pipeline import compute_zeta, spectral_data
+    from .pipeline import compute_zeta, family_spectral_data
 
     def payload() -> str:
-        data = spectral_data(pnorm_metric(3.0), 16)
+        (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
         zres = compute_zeta(data, pnorm_metric(3.0))
         return json.dumps(
             {

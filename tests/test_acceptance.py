@@ -30,7 +30,7 @@ from zetasphere.operators import (
     operator_norm,
     trace_norm,
 )
-from zetasphere.pipeline import compute_spectrum, compute_zeta, spectral_data
+from zetasphere.pipeline import compute_zeta, family_spectra, family_spectral_data
 
 SWEEP_P = (2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -48,7 +48,7 @@ def zeta32(cache):
         ("max", max_metric()),
         ("fs", fs_metric()),
     ]:
-        data = spectral_data(metric, 32, cache=cache)
+        (data,) = family_spectral_data((metric,), 32, cache=cache)
         zres = compute_zeta(data, metric)
         out[key] = (data, zres.fit, zres)
     return out
@@ -65,7 +65,7 @@ def test_ac01_kernel_and_positivity(tmp_path):
     start = time.monotonic()
     worst = 0.0
     for metric in metrics:
-        data = spectral_data(metric, 24, cache=fresh)
+        (data,) = family_spectral_data((metric,), 24, cache=fresh)
         lam = data.eigenvalues
         assert lam[1] > 0.0, metric.id
         assert lam[0] <= 1e-8 * lam[1], metric.id
@@ -81,7 +81,7 @@ def test_ac01_kernel_and_positivity(tmp_path):
 def test_ac02_round_metric_multiplets(tmp_path):
     fresh = SpectrumCache(tmp_path / "ac2")
     start = time.monotonic()
-    data = spectral_data(fs_metric(), 32, cache=fresh)
+    (data,) = family_spectral_data((fs_metric(),), 32, cache=fresh)
     elapsed = time.monotonic() - start
     lam = data.eigenvalues
     idx, worst = 1, 0.0
@@ -100,13 +100,13 @@ def test_ac02_round_metric_multiplets(tmp_path):
 
 
 def test_ac03_scaling_laws(cache):
-    base_data = spectral_data(pnorm_metric(3.0), 24, cache=cache)
+    (base_data,) = family_spectral_data((pnorm_metric(3.0),), 24, cache=cache)
     base_z = compute_zeta(base_data, pnorm_metric(3.0))
     base_fit = base_z.fit
     worst_eig, worst_bm1, worst_gap = 0.0, 0.0, 0.0
     for t0 in (0.5, 2.0, 10.0):
         scaled = scaled_metric(t0, pnorm_metric(3.0))
-        data = spectral_data(scaled, 24, cache=cache)
+        (data,) = family_spectral_data((scaled,), 24, cache=cache)
         zres = compute_zeta(data, scaled)
         fit = zres.fit
         expected = base_data.eigenvalues[1:] / t0
@@ -133,7 +133,7 @@ def test_ac03_scaling_laws(cache):
 
 def test_ac04_mellin_consistency(cache, zeta32):
     worst_rel = 0.0
-    data3 = spectral_data(pnorm_metric(3.0), 32, cache=cache)
+    (data3,) = family_spectral_data((pnorm_metric(3.0),), 32, cache=cache)
     fit3 = compute_zeta(data3, pnorm_metric(3.0)).fit
     cases = {"pnorm:3": (data3, fit3), "fs": (zeta32["fs"][0], zeta32["fs"][1])}
     for name, (data, fit) in cases.items():
@@ -160,10 +160,10 @@ def test_ac05_two_route_quillen(cache):
     assert sign in (-1, 1)
     gaps = []
     fs = fs_metric()
-    q_fs = torsion_report(spectral_data(fs, 32, cache=cache), fs).quillen
+    q_fs = torsion_report(family_spectral_data((fs,), 32, cache=cache)[0], fs).quillen
     for p in (2.0, 4.0, 8.0):
         metric = pnorm_metric(p)
-        q_p = torsion_report(spectral_data(metric, 32, cache=cache), metric).quillen
+        q_p = torsion_report(family_spectral_data((metric,), 32, cache=cache)[0], metric).quillen
         r = two_route_check(fs, q_fs, metric, q_p)
         assert r.tolerance >= 1e-3
         assert r.gap <= r.tolerance, f"(fs, pnorm:{p:g}): gap {r.gap:.3e} > {r.tolerance:.3e}"
@@ -209,11 +209,12 @@ def test_ac06_theta_pointwise_limit(zeta32, cache):
     """
     sharp = pnorm_metric(256.0)
     gap = abs(
-        theta_at_one(spectral_data(sharp, 32, cache=cache)) - theta_at_one(zeta32["max"][0])
+        theta_at_one(family_spectral_data((sharp,), 32, cache=cache)[0])
+        - theta_at_one(zeta32["max"][0])
     )
     gap_64 = abs(
-        theta_at_one(spectral_data(sharp, 64, cache=cache))
-        - theta_at_one(spectral_data(max_metric(), 64, cache=cache))
+        theta_at_one(family_spectral_data((sharp,), 64, cache=cache)[0])
+        - theta_at_one(family_spectral_data((max_metric(),), 64, cache=cache)[0])
     )
     assert abs(gap_64 - gap) <= 0.01 * gap, (gap_64, gap)
     report(
@@ -235,7 +236,8 @@ def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
     """
     theta_max = theta_at_one(zeta32["max"][0])
     gaps = {p: abs(theta_at_one(zeta32[p][0]) - theta_max) for p in (8.0, 16.0, 32.0)}
-    gaps[64.0] = abs(theta_at_one(spectral_data(pnorm_metric(64.0), 32, cache=cache)) - theta_max)
+    (p64,) = family_spectral_data((pnorm_metric(64.0),), 32, cache=cache)
+    gaps[64.0] = abs(theta_at_one(p64) - theta_max)
     ratios = [gaps[p] / gaps[2.0 * p] for p in (8.0, 16.0, 32.0)]
     assert all(3.5 <= r <= 4.0 for r in ratios), ratios
 
@@ -243,8 +245,8 @@ def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
     assert all(1.0 <= r <= 1.15 for r in to_deficit.values()), to_deficit
 
     gap_64 = abs(
-        theta_at_one(spectral_data(pnorm_metric(32.0), 64, cache=cache))
-        - theta_at_one(spectral_data(max_metric(), 64, cache=cache))
+        theta_at_one(family_spectral_data((pnorm_metric(32.0),), 64, cache=cache)[0])
+        - theta_at_one(family_spectral_data((max_metric(),), 64, cache=cache)[0])
     )
     assert abs(gap_64 - gaps[32.0]) <= 0.01 * gaps[32.0], (gap_64, gaps[32.0])
 
@@ -301,7 +303,7 @@ def test_ac09_operator_suite():
 
     # theta bridge per azimuthal block, each in its own M_m inner product:
     # block 0 with the constants projected out, each m >= 1 block twice
-    spectrum = compute_spectrum(fs_metric(), 7)
+    (spectrum,) = family_spectra((fs_metric(),), 7)
     M = spectrum.mass_blocks
     ips = [InnerProduct.from_gram(M_m) for M_m in M]
     v0 = spectrum.block_vectors[0][:, 0]

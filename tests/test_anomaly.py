@@ -34,7 +34,7 @@ from zetasphere.metrics import (
     scaled_metric,
     volume,
 )
-from zetasphere.pipeline import spectral_data
+from zetasphere.pipeline import family_spectral_data
 from zetasphere.quadrature import build_quadrature
 
 
@@ -147,7 +147,7 @@ def test_spectral_route_scaling_slope(cache):
 
 
 def _torsion(metric, L, cache):
-    return torsion_report(spectral_data(metric, L, cache=cache), metric)
+    return torsion_report(family_spectral_data((metric,), L, cache=cache)[0], metric)
 
 
 def _quillen(metric, L, cache):

@@ -14,7 +14,7 @@ from zetasphere import eigensolve, harness, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, parse_config, validated
-from zetasphere.discretize import build_basis, mass
+from zetasphere.discretize import build_basis, masses
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import (
@@ -304,7 +304,7 @@ def test_cli_theta_with_config(tmp_path, cache, capsys):
     assert np.all(np.diff(theta) < 0)
     # theta of the cached spectrum, and the bound n exp(-lambda_max t) on the
     # trace of the modes above the cutoff, both to the last digit written
-    lam = pipeline.spectral_data(fs_metric(), 8, cache=cache).eigenvalues
+    lam = pipeline.family_spectral_data((fs_metric(),), 8, cache=cache)[0].eigenvalues
     assert np.array_equal(theta, theta_values(lam, t))
     assert np.array_equal(bound, lam.size * np.exp(-lam[-1] * t))
 
@@ -373,7 +373,7 @@ def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("warm run built a mass block or solved a pencil")
 
-    solvers = ("compute_spectrum", "generalized_eigs", "mass", "masses", "family_eigvals")
+    solvers = ("family_spectra", "family_eigs", "family_eigvals", "masses")
     for name in solvers:
         monkeypatch.setattr(pipeline, name, no_solve)
     code, _, _ = run_cli(args, tmp_path / "warm", cache_dir, capsys)
@@ -446,7 +446,7 @@ def test_cli_anomaly_partly_warm_cache(tmp_path, monkeypatch, capsys):
     assert code == 0
     warm = SpectrumCache(tmp_path / "warm-cache")
     for p in (2.0, 5.0):
-        pipeline.spectral_data(pnorm_metric(p), 16, cache=warm)
+        pipeline.family_spectral_data((pnorm_metric(p),), 16, cache=warm)
 
     families, stored, hits = [], [], []
     real_solve = eigensolve._solve_stacks
@@ -558,7 +558,7 @@ def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, monkeypatch, capsys)
         rep = reports.pop()
         basis = build_basis(16, rules[name])
         for row, metric in zip((*rep.rows, rep.limit_row), (*rep.family.members, rep.family.limit)):
-            want = mass(basis, metric)
+            want = [M for (M,) in masses(basis, (metric,))]
             assert all(np.array_equal(a, b) for a, b in zip(row.spectrum.mass_blocks, want))
     keys = {
         name: {p.name for p in (tmp_path / name / "cache-anomaly").glob("*.npz")}

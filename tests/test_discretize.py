@@ -14,12 +14,12 @@ import oracles
 from zetasphere.discretize import (
     SpectralBasis,
     build_basis,
-    mass,
+    masses,
     stiffness,
     variation_weights,
     weighted_grams,
 )
-from zetasphere.eigensolve import generalized_eigs
+from zetasphere.eigensolve import family_eigs
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harmonics import legendre_blocks
 from zetasphere.metrics import (
@@ -41,6 +41,11 @@ def basis():
     return build_basis(8)
 
 
+def mass_blocks(basis, metric):
+    """Mass blocks M_m of one metric, m = 0..L: the stacks of a family of one."""
+    return [M for (M,) in masses(basis, (metric,))]
+
+
 def mass_log_variation(basis, metric):
     """Gram blocks of the mass's parameter derivative, m = 0..L."""
     return [G for (G,) in weighted_grams(basis, variation_weights(basis, metric)[None])]
@@ -50,7 +55,7 @@ def test_build_basis_defaults(basis):
     assert basis.L == 8
     assert basis.quad.n_theta == 18
     assert basis.quad.x.size == 36
-    assert [M.shape for M in mass(basis, fs_metric())] == [(9 - m, 9 - m) for m in range(9)]
+    assert [M.shape for M in mass_blocks(basis, fs_metric())] == [(9 - m, 9 - m) for m in range(9)]
 
 
 def test_basis_size_validation():
@@ -118,17 +123,17 @@ def test_eigenvalues_match_dense_table_path(spec):
     L = 24
     basis = build_basis(L)
     quad = basis.quad
-    blocks = tuple(mass(basis, parse_metric_spec(spec)))
-    got = generalized_eigs(blocks, L, spec).eigenvalues
+    (spectrum,) = family_eigs(masses(basis, (parse_metric_spec(spec),)), L, (spec,))
+    got = spectrum.eigenvalues
     K = oracles.dense_stiffness_blocks(L, quad.x, quad.weights_theta)
-    want = oracles.dense_pencil_eigenvalues(K, blocks)
+    want = oracles.dense_pencil_eigenvalues(K, spectrum.mass_blocks)
     rel = np.abs(got[1:] - want[1:]) / want[1:]
     assert rel.max() <= 1e-12, f"{spec}: {rel.max():.2e}"
 
 
 def test_fs_round_diagonal(basis):
     """Round factor: density ratio is the constant 2, so M = 2I and K = M diag(l(l+1)/2)."""
-    M = oracles.dense_matrix(mass(basis, fs_metric()))
+    M = oracles.dense_matrix(mass_blocks(basis, fs_metric()))
     assert np.abs(M - 2.0 * np.eye(81)).max() < 1e-12
     K = oracles.dense_matrix(oracles.exact_stiffness_blocks(8))
     ell = np.repeat(np.arange(9), 2 * np.arange(9) + 1)  # degree of each flat row
@@ -139,7 +144,7 @@ def test_fs_round_diagonal(basis):
 def test_mass_volume_entry(basis):
     """M_0[0,0] is the volume, independently computed by the metrics layer."""
     for metric in (pnorm_metric(2.0), pnorm_metric(5.0), max_metric()):
-        M0 = next(mass(basis, metric))
+        (M0,) = next(masses(basis, (metric,)))
         assert M0[0, 0] == pytest.approx(volume(metric, basis.quad), rel=1e-13)
     # and against the closed form, through a finer rule than the basis uses
     fine = build_quadrature(192)
@@ -156,12 +161,12 @@ def test_block_vs_dense_assembly(basis):
     )
     for metric, density in cases:
         dense = oracles.full_grid_mass(basis.L, density)
-        blocked = oracles.dense_matrix(mass(basis, metric))
+        blocked = oracles.dense_matrix(mass_blocks(basis, metric))
         assert np.abs(dense - blocked).max() < 1e-12, metric.id
 
 
 def test_mass_symmetric_positive(basis):
-    M = oracles.dense_matrix(mass(basis, max_metric()))
+    M = oracles.dense_matrix(mass_blocks(basis, max_metric()))
     assert np.allclose(M, M.T, atol=1e-14)
     assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -169,8 +174,8 @@ def test_mass_symmetric_positive(basis):
 def test_scaled_metric_scales_mass_only(basis):
     base = pnorm_metric(3.0)
     assert np.allclose(
-        oracles.dense_matrix(mass(basis, scaled_metric(2.0, base))),
-        2.0 * oracles.dense_matrix(mass(basis, base)),
+        oracles.dense_matrix(mass_blocks(basis, scaled_metric(2.0, base))),
+        2.0 * oracles.dense_matrix(mass_blocks(basis, base)),
         rtol=1e-14,
     )
 
@@ -182,7 +187,7 @@ def test_mass_rejects_invalid_density(basis):
 
     bad = ConformalMetric("bad-density", "smooth", bad_jet)
     with pytest.raises(InvalidMetricError):
-        mass(basis, bad)
+        masses(basis, (bad,))
 
 
 def test_mass_log_variation_stencil(basis):
@@ -191,8 +196,8 @@ def test_mass_log_variation_stencil(basis):
     u, h = 2.5, 1e-4
     got = oracles.dense_matrix(mass_log_variation(basis, interpolate(fam, u)))
     fd = (
-        oracles.dense_matrix(mass(basis, interpolate(fam, u + h)))
-        - oracles.dense_matrix(mass(basis, interpolate(fam, u - h)))
+        oracles.dense_matrix(mass_blocks(basis, interpolate(fam, u + h)))
+        - oracles.dense_matrix(mass_blocks(basis, interpolate(fam, u - h)))
     ) / (2.0 * h)
     scale = np.abs(fd).max()
     assert np.abs(got - fd).max() < 1e-7 * scale
@@ -217,7 +222,7 @@ def test_mass_log_variation_rayleigh_range(basis):
 
     fam = pnorm_family()
     m = interpolate(fam, 2.5)
-    M = oracles.dense_matrix(mass(basis, m))
+    M = oracles.dense_matrix(mass_blocks(basis, m))
     dM = oracles.dense_matrix(mass_log_variation(basis, m))
     pencil = scipy.linalg.eigh(dM, M, eigvals_only=True)
     dlog = m.d_log_density_du(basis.quad.radii_theta)

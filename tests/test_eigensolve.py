@@ -13,13 +13,11 @@ import scipy.linalg
 
 import oracles
 from zetasphere import eigensolve
-from zetasphere.discretize import build_basis, mass, masses
+from zetasphere.discretize import build_basis, masses
 from zetasphere.eigensolve import (
     apply_function,
     family_eigs,
     family_eigvals,
-    generalized_eigs,
-    generalized_eigvals,
     pencil_eigvalsh,
     resolvent,
 )
@@ -47,8 +45,9 @@ def basis():
 
 
 def _solve(basis, metric):
-    """The vectors path on the metric's mass blocks."""
-    return generalized_eigs(mass(basis, metric), basis.L, metric.id)
+    """The vectors path on the metric's mass blocks, a family of one."""
+    (spectrum,) = family_eigs(masses(basis, (metric,)), basis.L, (metric.id,))
+    return spectrum
 
 
 @pytest.fixture(scope="module", params=[m.id for m in METRICS])
@@ -188,11 +187,12 @@ def test_resolvent_rejects_nonpositive_shift(spectrum):
         resolvent(spectrum, -1.0)
 
 
-def _solves(blocks, L, metric_id):
-    """Both paths of the block routine on one pencil: with vectors, then
-    values only from blocks handed in one at a time."""
-    yield lambda: generalized_eigs(blocks, L, metric_id)
-    yield lambda: generalized_eigvals(iter(blocks), L, metric_id)
+def _family_solves(stacks, L, metric_ids):
+    """Both paths of the block routine on a family's stacks: with vectors,
+    then values only from stacks handed in one at a time. One pencil is the
+    family of one whose stacks are its blocks M[None]."""
+    yield lambda: family_eigs(stacks, L, metric_ids)
+    yield lambda: family_eigvals(iter(stacks), L, metric_ids)
 
 
 def test_indefinite_mass_is_reported():
@@ -202,31 +202,25 @@ def test_indefinite_mass_is_reported():
     M0[0, 0] = -1.0
     schur = np.array([[1.0, 2.0], [2.0, 1.0]])  # 1 - 2^2 / 1 < 0
     for bad in (M0, schur):
-        for solve in _solves((bad, np.eye(1)), 1, "synthetic"):
+        for solve in _family_solves((bad[None], np.eye(1)[None]), 1, ("synthetic",)):
             with pytest.raises(IndefiniteMassError, match=r"block m = 0\b"):
                 solve()
 
 
 def test_indefinite_mass_block_names_m():
     """A real pencil with one indefinite mass block M_3 fails on that block."""
-    blocks = tuple(mass(build_basis(6), fs_metric()))
-    bad = blocks[3].copy()
-    bad[1, 1] = -bad[1, 1]
-    for solve in _solves(blocks[:3] + (bad,) + blocks[4:], 6, "fs"):
+    stacks = tuple(masses(build_basis(6), (fs_metric(),)))
+    bad = stacks[3].copy()
+    bad[0, 1, 1] = -bad[0, 1, 1]
+    for solve in _family_solves(stacks[:3] + (bad,) + stacks[4:], 6, ("fs",)):
         with pytest.raises(IndefiniteMassError, match=r"block m = 3\b"):
             solve()
 
 
-def _with_nan(blocks, m):
-    bad = blocks[m].copy()
-    bad[1, 0] = np.nan
-    return blocks[:m] + (bad,) + blocks[m + 1:]
-
-
-def _family_solves(stacks, L, metric_ids):
-    """Both paths of the block routine on a family's stacks."""
-    yield lambda: family_eigs(stacks, L, metric_ids)
-    yield lambda: family_eigvals(iter(stacks), L, metric_ids)
+def _with_nan(stacks, m):
+    bad = stacks[m].copy()
+    bad[..., 1, 0] = np.nan
+    return stacks[:m] + (bad,) + stacks[m + 1:]
 
 
 def test_nan_blocks_are_classified(monkeypatch):
@@ -234,11 +228,11 @@ def test_nan_blocks_are_classified(monkeypatch):
     solve on block m of a stack is an EigenConvergenceError stuck at m that
     names the failing member, found by solving that m again one member at a
     time."""
-    blocks = tuple(mass(build_basis(6), fs_metric()))
+    stacks = tuple(masses(build_basis(6), (fs_metric(),)))
     K = oracles.exact_stiffness_blocks(6)
     with pytest.raises(ValueError):
-        pencil_eigvalsh(K[2], _with_nan(blocks, 2)[2])
-    for solve in _solves(_with_nan(blocks, 2), 6, "fs"):
+        pencil_eigvalsh(K[2], _with_nan(stacks, 2)[2][0])
+    for solve in _family_solves(_with_nan(stacks, 2), 6, ("fs",)):
         with pytest.raises(IndefiniteMassError, match=r"block m = 2\b"):
             solve()
 
@@ -286,7 +280,7 @@ def test_family_solve_is_bitwise_per_member(specs, L):
             a, b = getattr(spec, name), getattr(alone, name)
             assert len(a) == len(b) == L + 1
             assert all(np.array_equal(x, y) for x, y in zip(a, b)), (metric.id, name)
-        lam_alone, vol_alone = generalized_eigvals(mass(basis, metric), L, metric.id)
+        ((lam_alone, vol_alone),) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
         assert np.array_equal(lam, lam_alone) and vol == vol_alone, metric.id
 
 
@@ -354,8 +348,8 @@ def test_pencil_eigh_matches_sygvd(spec):
     The kernel value of the m = 0 block is zero up to roundoff, so it is
     compared against the block's top value instead of itself.
     """
-    blocks = mass(build_basis(48), parse_metric_spec(spec))
-    for m, (K, M) in enumerate(zip(oracles.exact_stiffness_blocks(48), blocks)):
+    stacks = masses(build_basis(48), (parse_metric_spec(spec),))
+    for m, (K, (M,)) in enumerate(zip(oracles.exact_stiffness_blocks(48), stacks)):
         lam = pencil_eigvalsh(K, M)
         want = scipy.linalg.eigh(K, M, eigvals_only=True, driver="gvd")
         top = np.abs(want).max()
@@ -374,11 +368,13 @@ def test_blocks_match_40_digit_reference(spec):
     L = 32
     spectrum = _solve(build_basis(L), parse_metric_spec(spec))
     blocks = spectrum.mass_blocks
-    values_only, _, _ = eigensolve._solve_blocks(blocks, L, spec, vectors=False)
+    (values_only,), _, _ = eigensolve._solve_stacks(
+        [M[None] for M in blocks], L, (spec,), vectors=False
+    )
+    oracle = {m: oracles.mp_block_eigenvalues(blocks[m], m, L) for m in (0, 1, 16, 31)}
     for path, values in (("vectors", spectrum.block_values), ("values", values_only)):
         assert values[0][0] == 0.0, path
-        for m in (0, 1, 16, 31):
-            want = oracles.mp_block_eigenvalues(blocks[m], m, L)
+        for m, want in oracle.items():
             k = 1 if m == 0 else 0  # the kernel is compared exactly above
             rel = np.abs(values[m][k:] - want[k:]) / want[k:]
             assert rel.max() <= 1e-13, f"{spec} {path} m={m}: {rel.max():.2e}"
@@ -395,7 +391,7 @@ def test_values_only_matches_vectors_path(spec, L):
     metric = parse_metric_spec(spec)
     basis = build_basis(L)
     spectrum = _solve(basis, metric)
-    lam, vol = generalized_eigvals(mass(basis, metric), L, metric.id)
+    ((lam, vol),) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
     assert vol == spectrum.volume
     assert lam.shape == spectrum.eigenvalues.shape == ((L + 1) ** 2,)
     assert lam[0] == 0.0 and np.all(np.diff(lam) >= 0.0)
@@ -408,7 +404,7 @@ def test_overflowing_eigenvalues_are_refused(t0):
     """A volume so small that 1 / (vol mu) overflows is refused on both paths
     with an error naming the block and the metric, never an inf eigenvalue."""
     metric = scaled_metric(t0, fs_metric())
-    blocks = tuple(mass(build_basis(4), metric))
-    for solve in _solves(blocks, 4, metric.id):
+    stacks = tuple(masses(build_basis(4), (metric,)))
+    for solve in _family_solves(stacks, 4, (metric.id,)):
         with pytest.raises(DomainError, match=r"block m = 0 of 'scaled:1e-3[12]0:fs'"):
             solve()

@@ -19,8 +19,8 @@ from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.discretize import (
     build_basis,
-    mass,
     mass_weights,
+    masses,
     variation_weights,
     weighted_grams,
 )
@@ -49,8 +49,8 @@ from zetasphere.metrics import (
     pnorm_family,
     pnorm_metric,
 )
-from zetasphere.operators import InnerProduct, block_operator_norm
-from zetasphere.pipeline import compute_spectrum, spectral_data
+from zetasphere.operators import InnerProduct, block_operator_norms
+from zetasphere.pipeline import family_spectra, family_spectral_data
 
 import oracles
 
@@ -250,9 +250,9 @@ def test_lambda1_floor_matches_dense_gram_pencil():
     fam = pnorm_family([1.0, 2.0, 3.0])
     fl = lambda1_floor(sweep(fam, L=16))
     basis = build_basis(16)
-    m_ref = tuple(mass(basis, fam.members[0]))
+    m_ref = tuple(M for (M,) in masses(basis, (fam.members[0],)))
     for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
-        want = oracles.dense_gram_pencil_top(mass(basis, metric), m_ref)
+        want = oracles.dense_gram_pencil_top((M for (M,) in masses(basis, (metric,))), m_ref)
         assert row.c_member == pytest.approx(want, rel=1e-12), row.param
 
 
@@ -265,7 +265,7 @@ def test_minmax_oracle_for_gap_floor():
     oracle."""
     basis = build_basis(8)
     K = oracles.dense_matrix(oracles.exact_stiffness_blocks(8))
-    m_ref = oracles.dense_matrix(mass(basis, fs_metric()))
+    m_ref = oracles.dense_matrix([M for (M,) in masses(basis, (fs_metric(),))])
     fs = fs_metric()
 
     def capped_jet(r):
@@ -273,7 +273,7 @@ def test_minmax_oracle_for_gap_floor():
         return f + np.where(r < 0.5, math.log(10.0), 0.0), df, c1
 
     capped = ConformalMetric("fs-cap", "singular-integrable", capped_jet, kink_radii=(0.5,))
-    m_pert = oracles.dense_matrix(mass(basis, capped))
+    m_pert = oracles.dense_matrix([M for (M,) in masses(basis, (capped,))])
     want = oracles.full_grid_mass(
         8, lambda r: 2.0 / (1.0 + r * r) ** 2 * np.where(r < 0.5, 10.0, 1.0)
     )
@@ -308,14 +308,15 @@ def test_operator_derivative_bounded_by_density_variation():
     """Frozen-constant check on the u-derivative itself, not its integral."""
     fam = pnorm_family(count=5)
     L, h = 10, 1e-3
-    ips = [InnerProduct.from_gram(M) for M in mass(build_basis(L), fam.members[0])]
+    ips = [InnerProduct.from_gram(M) for (M,) in masses(build_basis(L), (fam.members[0],))]
 
     def dist(a, b):
-        return block_operator_norm([x - y for x, y in zip(a, b)], ips)
+        (norm,) = block_operator_norms([(x - y)[None] for x, y in zip(a, b)], ips)
+        return norm
 
     def derivative_norms(u):
-        lo = compute_spectrum(interpolate(fam, u - h), L)
-        hi = compute_spectrum(interpolate(fam, u + h), L)
+        (lo,) = family_spectra((interpolate(fam, u - h),), L)
+        (hi,) = family_spectra((interpolate(fam, u + h),), L)
         dr = dist(resolvent(hi, 1.0), resolvent(lo, 1.0)) / (2 * h)
         de = dist(heat_operator(hi, 1.0), heat_operator(lo, 1.0)) / (2 * h)
         return dr, de
@@ -457,8 +458,10 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     family = pnorm_family()
     metrics = (*family.members, family.limit, fs_metric())
     metric_of = {
-        spectral_data(m, 16, cache=cache).eigenvalues.tobytes(): m.id for m in metrics
-    } | {compute_spectrum(m, 16).eigenvalues.tobytes(): m.id for m in metrics}
+        data.eigenvalues.tobytes(): m.id
+        for m in metrics
+        for data in (*family_spectral_data((m,), 16, cache=cache), *family_spectra((m,), 16))
+    }
     fitted: list[str] = []
     solved: list[tuple[str, int]] = []
     loads: list[str] = []
@@ -497,7 +500,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     for check in ("lambda1_floor", "resolvent_convergence"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))
     for module in (discretize, pipeline, harness):
-        for name in ("mass", "masses", "weighted_grams", "compute_spectrum"):
+        for name in ("masses", "weighted_grams", "family_spectra"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
     members = [f"pnorm:{p}" for p in range(1, 7)]

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.discretize import build_basis, mass
-from zetasphere.eigensolve import generalized_eigvals
+from zetasphere.discretize import build_basis, masses
+from zetasphere.eigensolve import family_eigvals
 from zetasphere.errors import DomainError, FitWindowError
 from zetasphere.heatzeta import (
     DEFAULT_FIT_WINDOW,
@@ -44,10 +44,10 @@ from zetasphere.metrics import fs_metric, pnorm_metric, scaled_metric
 from zetasphere.operators import InnerProduct, operator_norm
 from zetasphere.pipeline import (
     _valid_hit,
-    compute_spectrum,
     compute_zeta,
     default_fit_window,
-    spectral_data,
+    family_spectra,
+    family_spectral_data,
 )
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -151,7 +151,7 @@ def test_theta_validates_time():
 
 
 def test_theta_grid_shape_properties():
-    spec = compute_spectrum(pnorm_metric(3.0), 10)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 10)
     t = np.linspace(0.05, 3.0, 60)
     th = theta_values(spec.eigenvalues, t)
     assert np.all(th > 0.0)
@@ -166,7 +166,7 @@ def test_theta_grid_shape_properties():
 
 def test_theta_polynomial_domination():
     """exp(-x) <= 2/x^2 turns theta into a zeta bound: theta(t) <= 2 zeta(2)/t^2."""
-    spec = compute_spectrum(pnorm_metric(3.0), 10)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 10)
     z2 = zeta_direct(spec.eigenvalues, 2.0).value
     for t in (0.2, 0.8, 2.0):
         assert theta(spec.eigenvalues, t) <= 2.0 * z2 / t**2 * (1.0 + 1e-12)
@@ -174,7 +174,7 @@ def test_theta_polynomial_domination():
 
 def test_theta_resolvent_domination():
     """exp(-t a) <= c_t / (1+a)^2 with c_t = sup_a exp(-t a)(1+a)^2."""
-    spec = compute_spectrum(pnorm_metric(3.0), 10)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 10)
     lam = spec.positive
     trace_r2 = float(np.sum(1.0 / (1.0 + lam) ** 2))
     a = np.linspace(0.0, 200.0, 400001)
@@ -190,7 +190,7 @@ def test_heat_trace_samples_bookkeeping():
     agree pointwise with theta, the truncation bound n exp(-lambda_max t)
     counts every mode and the top eigenvalue, and the fit clips its window
     where that bound reaches the tolerance."""
-    spec = compute_spectrum(pnorm_metric(3.0), 8)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     assert spec.metric_id == "pnorm:3"
     lam = spec.eigenvalues
     t = geometric_grid(0.05, 1.0, 10)
@@ -227,7 +227,7 @@ def test_fit_recovers_model_coefficients():
 def test_fit_samples_the_window_on_the_fixed_grid():
     """Inside the valid region the window is kept and the trace sampled on
     FIT_GRID_NODES geometric times spanning it."""
-    lam = spectral_data(fs_metric(), 16).eigenvalues
+    lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
     fit = fit_asymptotics(lam, window=(0.2, 0.5))
     assert fit.window_effective == fit.window_requested == (0.2, 0.5)
     assert fit.n_points == FIT_GRID_NODES == 25
@@ -242,7 +242,7 @@ def test_fit_window_clipping():
     """The effective window starts where the truncation bound clears the tol:
     fs at L = 16 has n = 289 and lambda_max = 136, so the default window
     starts at t = log(289 / 1e-8) / 136 ~ 0.1771."""
-    lam = spectral_data(fs_metric(), 16).eigenvalues
+    lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
     assert lam.size == 289 and lam[-1] == pytest.approx(136.0, rel=1e-9)
     fit = fit_asymptotics(lam, window=(0.02, 0.2), trunc_tol=1e-8)
     t_valid = truncation_time(lam.size, lam[-1], 1e-8)
@@ -289,7 +289,7 @@ def test_zeta_direct_values():
 
 
 def test_zeta_mellin_matches_direct():
-    lam = spectral_data(pnorm_metric(3.0), 24).eigenvalues
+    lam = family_spectral_data((pnorm_metric(3.0),), 24)[0].eigenvalues
     for s in (1.5, 2.0, 3.0):
         point = zeta_direct(lam, s)
         # same discrete quantity through an independent quadrature route
@@ -367,7 +367,7 @@ def test_window_spread_zero_when_window_thin():
 
 def test_zeta_result_bundle():
     metric = pnorm_metric(3.0)
-    data = spectral_data(metric, 16)
+    (data,) = family_spectral_data((metric,), 16)
     fit = fit_asymptotics(data.eigenvalues, default_fit_window(metric))
     result = zeta_result(data.eigenvalues, fit, metric_id="pnorm:3")
     assert result.metric_id == "pnorm:3"
@@ -393,7 +393,7 @@ def test_zeta_result_bundle():
 
 def _fit_and_zeta(metric, L, cache=None):
     """(SpectralData, AsymptoticFit, ZetaResult) of one metric at degree L."""
-    data = spectral_data(metric, L, cache=cache)
+    (data,) = family_spectral_data((metric,), L, cache=cache)
     zres = compute_zeta(data, metric)
     return data, zres.fit, zres
 
@@ -438,7 +438,7 @@ def test_round_metric_fit_window_needs_resolution():
 
 
 def _entry_key(data) -> str:
-    """The cache key ``spectral_data`` stores ``data`` under."""
+    """The cache key ``family_spectral_data`` stores ``data`` under."""
     from zetasphere.cache import spectrum_cache_key
 
     return spectrum_cache_key(data.metric_id, data.L, data.n_theta, data.solver_version)
@@ -449,9 +449,9 @@ def test_spectral_data_cache_roundtrip(tmp_path):
 
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
-    first = spectral_data(metric, 8, cache=cache)
+    (first,) = family_spectral_data((metric,), 8, cache=cache)
     assert first.from_cache is False
-    second = spectral_data(metric, 8, cache=cache)
+    (second,) = family_spectral_data((metric,), 8, cache=cache)
     assert second.from_cache is True
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert first.volume == second.volume
@@ -464,17 +464,17 @@ def test_truncated_cache_entry_is_a_miss(tmp_path):
 
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
-    first = spectral_data(metric, 8, cache=cache)
+    (first,) = family_spectral_data((metric,), 8, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
     assert cache.path_for(_entry_key(first)) == entry
     good = entry.read_bytes()
     entry.write_bytes(good[: len(good) // 2])
     assert cache.load(_entry_key(first)) is None
-    again = spectral_data(metric, 8, cache=cache)
+    (again,) = family_spectral_data((metric,), 8, cache=cache)
     assert again.from_cache is False
     assert np.array_equal(again.eigenvalues, first.eigenvalues)
     assert entry.read_bytes() == good
-    assert spectral_data(metric, 8, cache=cache).from_cache is True
+    assert family_spectral_data((metric,), 8, cache=cache)[0].from_cache is True
 
 
 def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
@@ -485,7 +485,7 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
 
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
-    fresh = spectral_data(metric, 2, cache=cache)
+    (fresh,) = family_spectral_data((metric,), 2, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
     assert cache.path_for(_entry_key(fresh)) == entry
     good = entry.read_bytes()
@@ -509,7 +509,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
 
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
-    fresh = spectral_data(metric, 4, cache=cache)
+    (fresh,) = family_spectral_data((metric,), 4, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
     assert cache.path_for(_entry_key(fresh)) == entry
     lam, vol = fresh.eigenvalues.copy(), fresh.volume
@@ -528,11 +528,11 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
     else:
         vol = -vol
     cache.store(_entry_key(fresh), eigenvalues=lam, volume=np.float64(vol))
-    again = spectral_data(metric, 4, cache=cache)
+    (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert again.from_cache is False
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert again.volume == fresh.volume
-    assert spectral_data(metric, 4, cache=cache).from_cache is True
+    assert family_spectral_data((metric,), 4, cache=cache)[0].from_cache is True
 
 
 def test_previous_solver_entry_is_not_served(tmp_path):
@@ -547,10 +547,10 @@ def test_previous_solver_entry_is_not_served(tmp_path):
     assert SOLVER_VERSION == "blocks-6"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
-    fresh = spectral_data(metric, 4)
+    (fresh,) = family_spectral_data((metric,), 4)
     old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-5")
     cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
-    again = spectral_data(metric, 4, cache=cache)
+    (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert again.from_cache is False
     assert again.solver_version == SOLVER_VERSION
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
@@ -580,21 +580,21 @@ def test_colliding_cache_names_read_as_misses(tmp_path):
 def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path):
     """A valid spectrum of another metric at this metric's file name, as a
     name collision leaves it, is never served: the stored key differs, so
-    spectral_data solves again and its store replaces the entry."""
+    family_spectral_data solves again and its store replaces the entry."""
     from zetasphere.cache import SpectrumCache
 
     cache = SpectrumCache(tmp_path)
-    other = spectral_data(pnorm_metric(3.0), 4, cache=cache)
+    (other,) = family_spectral_data((pnorm_metric(3.0),), 4, cache=cache)
     metric = pnorm_metric(2.0)
-    fresh = spectral_data(metric, 4)
+    (fresh,) = family_spectral_data((metric,), 4)
     entry = cache.path_for(_entry_key(fresh))
     cache.path_for(_entry_key(other)).rename(entry)
     assert cache.load(_entry_key(fresh)) is None
-    again = spectral_data(metric, 4, cache=cache)
+    (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert again.from_cache is False
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert list(tmp_path.glob("*.npz")) == [entry]
-    assert spectral_data(metric, 4, cache=cache).from_cache is True
+    assert family_spectral_data((metric,), 4, cache=cache)[0].from_cache is True
 
 
 @pytest.mark.parametrize(
@@ -604,19 +604,19 @@ def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path):
 def test_close_specs_get_distinct_spectra(tmp_path, specs):
     """Specs 1e-7 apart solve to distinct spectra with distinct disk entries.
 
-    The spectra are the values-only block solve that ``spectral_data`` runs
+    The spectra are the values-only block solve that ``family_spectral_data`` runs
     on a miss, so the cached entries must equal them bit for bit."""
     from zetasphere.cache import SpectrumCache
     from zetasphere.metrics import parse_metric_spec
 
     a, b = (parse_metric_spec(spec) for spec in specs)
     assert a.id != b.id
-    lam_a, _ = generalized_eigvals(mass(build_basis(6), a), 6, a.id)
-    lam_b, _ = generalized_eigvals(mass(build_basis(6), b), 6, b.id)
+    ((lam_a, _),) = family_eigvals(masses(build_basis(6), (a,)), 6, (a.id,))
+    ((lam_b, _),) = family_eigvals(masses(build_basis(6), (b,)), 6, (b.id,))
     assert not np.array_equal(lam_a, lam_b)
     cache = SpectrumCache(tmp_path)
-    first = spectral_data(a, 6, cache=cache)
-    second = spectral_data(b, 6, cache=cache)
+    (first,) = family_spectral_data((a,), 6, cache=cache)
+    (second,) = family_spectral_data((b,), 6, cache=cache)
     assert not second.from_cache
     assert np.array_equal(first.eigenvalues, lam_a)
     assert np.array_equal(second.eigenvalues, lam_b)
@@ -627,7 +627,7 @@ def test_close_specs_get_distinct_spectra(tmp_path, specs):
 
 
 def test_heat_operator_semigroup():
-    spec = compute_spectrum(pnorm_metric(3.0), 8)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     n = spec.eigenvalues.size
     E = {t: oracles.dense_matrix(heat_operator(spec, t)) for t in (0.0, 0.4, 0.6, 1.0)}
     assert np.abs(E[0.0] - np.eye(n)).max() < 1e-10
@@ -637,7 +637,7 @@ def test_heat_operator_semigroup():
 
 
 def test_heat_operator_self_adjoint_and_contractive():
-    spec = compute_spectrum(pnorm_metric(3.0), 8)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     E = oracles.dense_matrix(heat_operator(spec, 0.8))
     M = oracles.dense_matrix(spec.mass_blocks)
     ME = M @ E
@@ -648,7 +648,7 @@ def test_heat_operator_self_adjoint_and_contractive():
 
 
 def test_heat_operator_solves_heat_equation():
-    spec = compute_spectrum(pnorm_metric(3.0), 8)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     op = np.linalg.solve(
         oracles.dense_matrix(spec.mass_blocks),
         oracles.dense_matrix(oracles.exact_stiffness_blocks(spec.L)),
@@ -664,7 +664,7 @@ def test_heat_operator_solves_heat_equation():
 
 
 def test_duhamel_trivial_family():
-    spec = compute_spectrum(pnorm_metric(3.0), 8)
+    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     report = duhamel_residual(spec, spec, spec, h=1e-3, t=0.5)
     assert report.residual == 0.0
     assert report.derivative_norm == 0.0

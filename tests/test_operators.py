@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.discretize import build_basis, mass
-from zetasphere.eigensolve import apply_function, generalized_eigs, resolvent
+from zetasphere.discretize import build_basis, masses
+from zetasphere.eigensolve import apply_function, family_eigs, resolvent
 from zetasphere.errors import DomainError
 from zetasphere.heatzeta import heat_operator, theta
 from zetasphere.metrics import fs_metric, parse_metric_spec, pnorm_metric
 from zetasphere.operators import (
     InnerProduct,
-    block_operator_norm,
+    block_operator_norms,
     equivalence_bounds,
     lidskii_defect,
     operator_norm,
@@ -160,7 +160,7 @@ def test_theta_bridge():
     copies.
     """
     basis = build_basis(7)
-    spec = generalized_eigs(mass(basis, pnorm_metric(3.0)), 7, "pnorm:3")
+    (spec,) = family_eigs(masses(basis, (pnorm_metric(3.0),)), 7, ("pnorm:3",))
     M = spec.mass_blocks
     ips = [InnerProduct.from_gram(M_m) for M_m in M]
     v0 = spec.block_vectors[0][:, 0]
@@ -178,19 +178,25 @@ def test_theta_bridge():
 def test_block_norm_matches_dense_norm(spec):
     """Block norm of a resolvent (and heat operator) difference between two
     metrics against the dense weighted norm of the difference placed by the
-    oracle's scatter, and against the dense-pencil oracle, to 1e-12 relative."""
+    oracle's scatter, and against the dense-pencil oracle, to 1e-12 relative.
+    Each norm is taken alone, as a stack of one operator; stacked together,
+    in either order, the two differences get bitwise the same norms."""
     basis = build_basis(12)
-    a = generalized_eigs(mass(basis, parse_metric_spec(spec)), 12, spec)
-    b = generalized_eigs(mass(basis, pnorm_metric(2.0)), 12, "pnorm:2")
+    a, b = family_eigs(
+        masses(basis, (parse_metric_spec(spec), pnorm_metric(2.0))), 12, (spec, "pnorm:2")
+    )
     K = oracles.exact_stiffness_blocks(12)
-    ref = tuple(mass(basis, fs_metric()))
+    ref = tuple(M for (M,) in masses(basis, (fs_metric(),)))
     ips = [InnerProduct.from_gram(M) for M in ref]
     ip_dense = InnerProduct.from_gram(oracles.dense_matrix(ref))
+    diffs, alone = [], []
     for ops, f in (
         (resolvent, lambda lam: 1.0 / (1.0 + lam)),
         (lambda s: heat_operator(s, 1.0), lambda lam: np.exp(-lam)),
     ):
-        got = block_operator_norm([x - y for x, y in zip(ops(a), ops(b))], ips)
+        diffs.append([x - y for x, y in zip(ops(a), ops(b))])
+        (got,) = block_operator_norms([A[None] for A in diffs[-1]], ips)
+        alone.append(got)
         dense = operator_norm(
             oracles.dense_matrix(ops(a)) - oracles.dense_matrix(ops(b)), ip_dense
         )
@@ -202,3 +208,8 @@ def test_block_norm_matches_dense_norm(spec):
         assert got > 0.0
         assert got == pytest.approx(dense, rel=1e-12)
         assert got == pytest.approx(want, rel=1e-12)
+    for order in ((0, 1), (1, 0)):
+        stacked = block_operator_norms(
+            [np.stack([blocks[k] for k in order]) for blocks in zip(*diffs)], ips
+        )
+        assert stacked.tolist() == [alone[k] for k in order], order
