@@ -364,48 +364,41 @@ def _cmd_selftest(config: RunConfig, out: Path) -> int:
     return 0
 
 
+# Each subcommand's handler and its line in --help.
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "theta": _cmd_theta,
-    "zeta": _cmd_zeta,
-    "torsion": _cmd_torsion,
-    "anomaly": _cmd_anomaly,
-    "converge": _cmd_converge,
-    "selftest": _cmd_selftest,
+    "spectrum": (_cmd_spectrum, "eigenvalues of one metric -> spectrum.csv"),
+    "theta": (_cmd_theta, "heat trace on the time grid -> theta.csv"),
+    "zeta": (_cmd_zeta, "zeta values and derivative at 0 -> zeta.json"),
+    "torsion": (_cmd_torsion, "zeta derivative and determinant metric -> zeta.json, quillen.json"),
+    "anomaly": (_cmd_anomaly, "two-route determinant comparison over the family -> anomaly.json"),
+    "converge": (
+        _cmd_converge, "full family harness -> converge.csv, converge_quillen.csv, summary.json"
+    ),
+    "selftest": (_cmd_selftest, "fast built-in checks -> summary.json"),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetasphere",
-        description="Spectra, heat traces, zeta values, and determinant "
+        description="Spectra, heat traces, zeta values, and determinant\n"
         "metrics of conformal Laplacians on the sphere.",
+        epilog="subcommands:\n"
+        + "\n".join(f"  {name:<10} {text}" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-c", "--config", metavar="FILE", help="config file (INI)")
-    common.add_argument("--metric", help="metric spec, e.g. fs, max, pnorm:3")
-    common.add_argument("--L", type=int, dest="L", help="spectral degree cutoff")
-    common.add_argument("--output-dir", dest="output_dir", help="directory for result files")
-    common.add_argument("--cache-dir", dest="cache_dir",
+    parser.add_argument("command", choices=tuple(_COMMANDS), metavar="SUBCOMMAND")
+    parser.add_argument("-c", "--config", metavar="FILE", help="config file (INI)")
+    parser.add_argument("--metric", help="metric spec, e.g. fs, max, pnorm:3")
+    parser.add_argument("--L", type=int, dest="L", help="spectral degree cutoff")
+    parser.add_argument("--output-dir", dest="output_dir", help="directory for result files")
+    parser.add_argument("--cache-dir", dest="cache_dir",
                         help="spectrum cache directory (converge and selftest use none)")
-    common.add_argument(
+    parser.add_argument(
         "--threads", type=int,
         help="BLAS/OpenMP threads: N pins N (default 1); 0 keeps the library "
         "default and any exported OPENBLAS_NUM_THREADS etc.",
     )
-
-    sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    helps = {
-        "spectrum": "eigenvalues of one metric -> spectrum.csv",
-        "theta": "heat trace on the time grid -> theta.csv",
-        "zeta": "zeta values and derivative at 0 -> zeta.json",
-        "torsion": "zeta derivative and determinant metric -> zeta.json, quillen.json",
-        "anomaly": "two-route determinant comparison over the family -> anomaly.json",
-        "converge": "full family harness -> converge.csv, converge_quillen.csv, summary.json",
-        "selftest": "fast built-in checks -> summary.json",
-    }
-    for name, text in helps.items():
-        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -428,7 +421,7 @@ def main(argv=None) -> int:
     out = Path(config.output_dir)
     started = time.monotonic()
     try:
-        code = _COMMANDS[args.command](config, out)
+        code = _COMMANDS[args.command][0](config, out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

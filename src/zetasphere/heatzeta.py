@@ -18,9 +18,11 @@ single object everything else is built from:
     + b_1 * t_lo                                    (unresolved head)
     + euler_gamma * b_0 - b_-1                      (regularization)
 
-  which reproduces -sum(log lambda_k) exactly for a finite spectrum and obeys
-  the rescaling law zeta'(0; c*metric) = zeta(0) log c + zeta'(0; metric) to
-  machine precision.
+  in which the window, too, is in closed form for a finite spectrum:
+  sum_k [E1(lambda_k t_lo) - E1(lambda_k)] - b_-1 (1/t_lo - 1) - b_0 log(1/t_lo).
+  The sum reproduces -sum(log lambda_k) exactly for a finite spectrum and
+  obeys the rescaling law zeta'(0; c*metric) = zeta(0) log c + zeta'(0; metric)
+  to machine precision.
 """
 
 from __future__ import annotations
@@ -72,10 +74,9 @@ FIT_GRID_NODES = 25
 # spectrum or with the number of times asked.
 _THETA_FLOATS = 8192
 
-# Geometric panels and Gauss-Legendre nodes per panel of the quadratures:
-# the Mellin integral of zeta(s), and the resolved window of zeta'(0).
+# Geometric panels and Gauss-Legendre nodes per panel of the Mellin
+# integral of zeta(s), the check on the direct sum.
 _MELLIN_PANELS, _MELLIN_NODES = 48, 20
-_WINDOW_PANELS, _WINDOW_NODES = 24, 16
 
 
 # Above this argument exp(-x), and with it E1(x), underflows to 0.0.
@@ -87,11 +88,11 @@ _E1_CF_DEPTH = 128
 def exp_e1(x):
     """Exponential integral E1 on positive arguments, elementwise.
 
-    Power series below 1. From 1 up to ``_E1_UNDERFLOW`` the continued
-    fraction E1 = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))), evaluated
-    backward from a fixed depth ``_E1_CF_DEPTH`` over the whole array
-    (within 2 ulp of mpmath on [1, 745]). Past ``_E1_UNDERFLOW`` the value
-    is 0.0.
+    Power series below 1, to 20 terms. From 1 up to ``_E1_UNDERFLOW`` the
+    continued fraction E1 = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))),
+    evaluated backward from a fixed depth ``_E1_CF_DEPTH`` over the whole
+    array (within 2 ulp of mpmath on [1, 745]). Past ``_E1_UNDERFLOW`` the
+    value is 0.0.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -104,15 +105,12 @@ def exp_e1(x):
         xs = x[small]
         acc = np.zeros_like(xs)
         term = np.ones_like(xs)
-        for k in range(1, 60):
+        # sum_k (-1)^(k+1) x^k / (k k!): for x < 1 the terms alternate and
+        # fall, so the remainder after 20 is below x^21 / (21 * 21!) < 1e-21 x,
+        # far under one ulp of the partial sum, which is at least 3x/4
+        for k in range(1, 21):
             term *= xs / k
-            contrib = term / k
-            if k % 2 == 0:
-                acc -= contrib
-            else:
-                acc += contrib
-            if np.all(np.abs(contrib) < 1e-18 * np.maximum(1.0, np.abs(acc))):
-                break
+            acc += term / k if k % 2 else -(term / k)
         out[small] = -EULER_GAMMA - np.log(xs) + acc
     cf = ~small & ~(x > _E1_UNDERFLOW)  # a NaN takes this path and stays NaN
     if cf.any():
@@ -370,8 +368,9 @@ def zeta_result(
     zeta'(0) is the four-piece evaluation of the module docstring, with its
     error budget; its parts go to ``method``. The pieces split at t = 1: the
     large-time piece is sum E1(lambda_k) only because the regularization
-    constants are written for that split. The kernel is the constants alone,
-    so ``zeta0_minus_kernel`` is zeta(0) - 1.
+    constants are written for that split. The window is the E1 difference of
+    the module docstring, which holds for t_lo > 1 too. The kernel is the
+    constants alone, so ``zeta0_minus_kernel`` is zeta(0) - 1.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     points = tuple(zeta_direct(lam, s, fit.b_minus1) for s in s_values)
@@ -379,10 +378,10 @@ def zeta_result(
     t_lo = fit.window_effective[0]
     bm1, b0, b1 = fit.coefficients
 
-    i_inf = float(np.sum(exp_e1(lam)))
-    pts, wts = _gl_panels(t_lo, 1.0, _WINDOW_PANELS, _WINDOW_NODES)
-    th = theta_values(lam, pts)
-    i_mid = float(np.sum(wts * (th - bm1 / pts - b0) / pts))
+    e1 = exp_e1(lam)
+    i_inf = float(np.sum(e1))
+    i_mid = float(np.sum(exp_e1(lam * t_lo) - e1))
+    i_mid -= bm1 * (1.0 / t_lo - 1.0) + b0 * math.log(1.0 / t_lo)
     head = b1 * t_lo
     value = i_inf + i_mid + head + EULER_GAMMA * b0 - bm1
 

@@ -212,6 +212,24 @@ def four_term_zeta_prime(eigenvalues, b_minus1: float, b0: float, b1: float,
     return float(total)
 
 
+def e1_zeta_prime_parts(eigenvalues, b_minus1: float, b0: float,
+                        t_lo: float) -> tuple[float, float]:
+    """The large-time and window parts of zeta'(0) from mpmath's E1.
+
+    Over the positive spectrum, int_1^inf theta(t)/t dt = sum_k E1(lambda_k),
+    and the window int_{t_lo}^1 (theta(t) - b_-1/t - b_0)/t dt is
+
+        sum_k [E1(lambda_k t_lo) - E1(lambda_k)] - b_-1 (1/t_lo - 1)
+        - b_0 log(1/t_lo).
+    """
+    lam = [mp.mpf(v) for v in eigenvalues if v > 0]
+    tl = mp.mpf(t_lo)
+    large_time = mp.fsum(mp.e1(v) for v in lam)
+    window = mp.fsum(mp.e1(v * tl) for v in lam) - large_time
+    window -= mp.mpf(b_minus1) * (1 / tl - 1) + mp.mpf(b0) * mp.log(1 / tl)
+    return float(large_time), float(window)
+
+
 def finite_spectrum_log_det(eigenvalues) -> float:
     """-zeta'(0) has no regularization for a finite spectrum: sum log lambda."""
     return float(mp.fsum(mp.log(mp.mpf(v)) for v in eigenvalues if v > 0))

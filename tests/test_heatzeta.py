@@ -8,8 +8,8 @@ The regularized determinant path is validated two independent ways:
   returned value differs from -sum(log lambda) by a correction integral that
   mpmath evaluates directly from the definition.
 
-Both agree with the library to 1e-10 or better, which pins the quadrature
-and every regularization constant at once.
+Both agree with the library to 1e-12 or better, which pins the E1 closed
+form of the window and every regularization constant at once.
 """
 
 import math
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
+from zetasphere import heatzeta
 from zetasphere.discretize import build_basis, masses
 from zetasphere.eigensolve import family_eigvals
 from zetasphere.errors import DomainError, FitWindowError
@@ -74,10 +75,12 @@ def test_exp_e1_against_mpmath():
 def test_exp_e1_continued_fraction_against_mpmath():
     """From 1 up, the backward continued fraction is within 4 ulp of mpmath
     on every normal value, across the series seam at 1 and the ends of the
-    spectra's range, and exactly 0.0 wherever mpmath's E1 rounds to 0.0."""
+    spectra's range, and exactly 0.0 wherever mpmath's E1 rounds to 0.0.
+    Below 1 the fixed-depth series is within 4 ulp too, down to 1e-300."""
     xs = np.concatenate([
         np.geomspace(1.0, 2000.0, 4000),
         [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.85],
+        [1e-300, 1e-12, 0.02, 0.5],
         [744.4, 745.1, 745.13, 745.14, 745.2, 745.21],
     ])
     got = exp_e1(xs)
@@ -310,7 +313,7 @@ def test_zeta_prime_zero_four_term_closed_form():
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
     zres = zeta_result(lam, model_fit((0.02, 0.2)))
     want = oracles.four_term_zeta_prime(lam[lam > 0.0], 3.0, 5.0, 0.1, 0.02)
-    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-8)
+    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-12)
 
 
 def test_zeta_prime_zero_finite_spectrum_identity():
@@ -322,7 +325,45 @@ def test_zeta_prime_zero_finite_spectrum_identity():
     want = -oracles.finite_spectrum_log_det(lam) + oracles.finite_spectrum_correction(
         lam, fit.b_minus1, fit.b0, fit.b1, 0.02
     )
-    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-10)
+    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-13)
+
+
+def _fit_l16(metric):
+    (data,) = family_spectral_data((metric,), 16)
+    return data.eigenvalues, fit_asymptotics(data.eigenvalues, default_fit_window(metric))
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 100.0])
+def test_zeta_prime_zero_e1_parts_against_mpmath(scale):
+    """The large-time and window parts, both sums of exponential integrals,
+    match mpmath's E1 to 1e-13 relative: on the synthetic spectrum, and on
+    pnorm:3 at L = 16, whose window starts past t = 1 when scaled by 100."""
+    if scale is None:
+        lam, fit = np.array([0.0, 0.8, 2.0, 3.7, 6.1]), model_fit((0.02, 0.2))
+    else:
+        lam, fit = _fit_l16(scaled_metric(scale, pnorm_metric(3.0)))
+        assert (fit.window_effective[0] > 1.0) == (scale > 1.0)
+    parts = zeta_result(lam, fit).method["zeta_prime0_parts"]
+    large_time, window = oracles.e1_zeta_prime_parts(
+        lam, fit.b_minus1, fit.b0, fit.window_effective[0]
+    )
+    assert parts["large_time"] == pytest.approx(large_time, rel=1e-13)
+    assert parts["window"] == pytest.approx(window, rel=1e-13)
+
+
+def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
+    """zeta'(0) takes its window from the E1 closed form: the only heat
+    traces a call evaluates are the lower-half refit's FIT_GRID_NODES times."""
+    lam, fit = _fit_l16(pnorm_metric(3.0))
+    asked = []
+
+    def counting(eigenvalues, t):
+        asked.append(np.size(t))
+        return theta_values(eigenvalues, t)
+
+    monkeypatch.setattr(heatzeta, "theta_values", counting)
+    zeta_result(lam, fit)
+    assert 0 < sum(asked) <= FIT_GRID_NODES
 
 
 def test_zeta_prime_zero_variants_and_parts():
