@@ -43,13 +43,7 @@ import numpy as np
 from .cache import SpectrumCache
 from .errors import DomainError
 from .heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, ZetaResult
-from .metrics import (
-    ConformalMetric,
-    fs_metric,
-    pnorm_metric,
-    sup_log_distance,
-    volume,
-)
+from .metrics import ConformalMetric, fs_metric, pnorm_metric, sup_log_distance
 from .pipeline import SpectralData, compute_zeta, family_spectral_data
 from .quadrature import QuadratureRule, build_quadrature
 
@@ -138,20 +132,17 @@ class QuillenData(NamedTuple):
     error_budget: float
 
 
-def quillen_log(
-    metric: ConformalMetric,
-    zeta: ZetaResult,
-    vol: float | None = None,
-    sign: int = SIGN_CONVENTION,
-) -> QuillenData:
-    """Assemble log h_Q = log vol + sign * zeta'(0) for one metric."""
+def quillen_log(zeta: ZetaResult, vol: float, sign: int = SIGN_CONVENTION) -> QuillenData:
+    """Assemble log h_Q = log vol + sign * zeta'(0) for one metric.
+
+    ``zeta`` is the metric's ``compute_zeta`` result, which names it, and
+    ``vol`` the volume of its solved spectrum, the mass entry M_0[0, 0].
+    """
     if sign not in (1, -1):
         raise DomainError(f"sign convention must be +1 or -1, got {sign}")
-    if vol is None:
-        vol = volume(metric, _default_quadrature())
     log_l2 = math.log(vol)
     return QuillenData(
-        metric_id=zeta.metric_id or metric.id,
+        metric_id=zeta.metric_id,
         vol=float(vol),
         log_l2=log_l2,
         zeta_prime0=zeta.zeta_prime0,
@@ -232,8 +223,8 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
     def gap(sign: int) -> float:
         (p, vp, zp), (q, vq, zq) = pair
         return two_route_check(
-            p, quillen_log(p, zp, vol=vp, sign=sign),
-            q, quillen_log(q, zq, vol=vq, sign=sign),
+            p, quillen_log(zp, vp, sign=sign),
+            q, quillen_log(zq, vq, sign=sign),
         ).gap
 
     return 1 if gap(1) <= gap(-1) else -1
@@ -344,5 +335,5 @@ def torsion_report(
 ) -> TorsionReport:
     """Run the scalar pipeline on ``data`` and attach the determinant-metric summary."""
     zres = compute_zeta(data, metric, window, s_values, trunc_tol)
-    qd = quillen_log(metric, zres, vol=data.volume)
+    qd = quillen_log(zres, data.volume)
     return TorsionReport(data=data, zeta=zres, quillen=qd)

@@ -58,15 +58,14 @@ class SpectralBasis:
     It holds no table: every mass block is built from the Legendre rows of
     its m on the nodes, made when the block is. The per-m Gram is a
     polynomial of degree 2L in x, exact from L + 1 nodes per panel; the basis
-    asks for 2L + 2, an accuracy margin for the metric's density ratio, which
-    is no polynomial.
+    refuses a ``quad`` with fewer than 2L + 2, an accuracy margin for the
+    metric's density ratio, which is no polynomial. `build_basis` picks the
+    rule.
     """
 
-    def __init__(self, L: int, quad: QuadratureRule | None = None):
+    def __init__(self, L: int, quad: QuadratureRule):
         if L < 0:
             raise DomainError("harmonic degree bound L must be nonnegative")
-        if quad is None:
-            quad = build_quadrature(2 * L + 2)
         need = 2 * L + 2
         if quad.n_theta < need:
             raise DomainError(

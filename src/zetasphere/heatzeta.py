@@ -228,18 +228,17 @@ class AsymptoticFit(NamedTuple):
 
 def fit_asymptotics(
     eigenvalues: np.ndarray,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> AsymptoticFit:
     """Fit the three-term small-time model to the heat trace of ``eigenvalues``.
 
-    The requested window is clipped to the region where the truncation bound
-    stays below ``trunc_tol``; both windows are recorded. The trace is
-    sampled on ``FIT_GRID_NODES`` geometric times spanning the clipped
-    window. Raises FitWindowError when the clipped window is empty.
+    The requested ``window`` (the pipeline's is ``default_fit_window``) is
+    clipped to the region where the truncation bound stays below
+    ``trunc_tol``; both windows are recorded. The trace is sampled on
+    ``FIT_GRID_NODES`` geometric times spanning the clipped window. Raises
+    FitWindowError when the clipped window is empty.
     """
-    if window is None:
-        window = DEFAULT_FIT_WINDOW
     lo_req, hi_req = float(window[0]), float(window[1])
     if not (0.0 < lo_req < hi_req):
         raise DomainError(f"bad fit window {window}")
@@ -378,9 +377,9 @@ def zeta_result(
     t_lo = fit.window_effective[0]
     bm1, b0, b1 = fit.coefficients
 
-    e1 = exp_e1(lam)
+    e1, e1_lo = exp_e1(np.concatenate([lam, lam * t_lo])).reshape(2, -1)
     i_inf = float(np.sum(e1))
-    i_mid = float(np.sum(exp_e1(lam * t_lo) - e1))
+    i_mid = float(np.sum(e1_lo - e1))
     i_mid -= bm1 * (1.0 / t_lo - 1.0) + b0 * math.log(1.0 / t_lo)
     head = b1 * t_lo
     value = i_inf + i_mid + head + EULER_GAMMA * b0 - bm1
@@ -445,13 +444,15 @@ def duhamel_residual(
     spec_mid: Spectrum,
     spec_hi: Spectrum,
     h: float,
-    t: float = 1.0,
-    n_nodes: int = 32,
+    t: float,
+    n_nodes: int,
 ) -> DuhamelReport:
     """Check d/du exp(-t Delta_u) = -int_0^t E(t-s) (d Delta/du) E(s) ds.
 
-    Both derivatives are centered differences with the same step h, so the
-    residual measures the integral identity itself, not the differencing.
+    The time integral is an ``n_nodes``-point Gauss-Legendre rule on [0, t];
+    ``harness.duhamel_at`` picks h, t and n_nodes. Both derivatives are
+    centered differences with the same step h, so the residual measures the
+    integral identity itself, not the differencing.
     The operators are radial, so everything runs per azimuthal block m;
     norms are operator norms in the mass inner product of the middle metric,
     the largest over the blocks.

@@ -238,7 +238,8 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
 
 
 def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
-    """Pointwise geometric mean sqrt(lambda_a * lambda_b)."""
+    """Pointwise geometric mean sqrt(lambda_a * lambda_b); the time scale is
+    the geometric mean of the parts' scales likewise."""
 
     def jet(r):
         return tuple(0.5 * (x + y) for x, y in zip(a.jet(r), b.jet(r)))
@@ -249,6 +250,7 @@ def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
         smooth,
         jet,
         kink_radii=tuple(sorted(set(a.kink_radii) | set(b.kink_radii))),
+        scale_hint=math.sqrt(a.scale_hint * b.scale_hint),
     )
 
 
@@ -321,23 +323,11 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
 
     On the segment [k-1, k] the factor is
     ``H(u) = (1 - rho(u-k+1)) h_{k-1} + rho(u-k+1) h_k``
-    with the smooth transition rho, so H(n) equals member n exactly.
+    with the smooth transition rho. At an integer u = k, rho = 1 and rho' = 0,
+    so H is member k's own jet and its u-derivative is zero. The time scale
+    is blended with the same weights as the densities.
     """
     u = float(u)
-    if u == int(u) and u >= 1.0:
-        idx = int(u)
-        if idx >= len(family.members):
-            raise DomainError(
-                f"u = {u} needs {idx + 1} family members, only {len(family.members)} present"
-            )
-        base = family.members[idx]
-        # Rewrap with the interpolation id but identical values.
-        return ConformalMetric(
-            f"interp:{_spec_text(u)}:{family.id}",
-            base.smoothness,
-            base.jet,
-            kink_radii=base.kink_radii,
-        )
     k, lo, hi, x = _segment(family, u)
     rho = float(bump(x))
     rhop = float(bump_derivative(x))
@@ -370,34 +360,28 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
         _join_smoothness(lo.smoothness, hi.smoothness),
         jet,
         kink_radii=tuple(sorted(set(lo.kink_radii) | set(hi.kink_radii))),
+        scale_hint=(1.0 - rho) * lo.scale_hint + rho * hi.scale_hint,
         d_log_du_radial=dlog_du,
     )
 
 
-def equal_area_grid(n_theta: int = 64) -> np.ndarray:
-    """Radii of a fixed equal-area grid (midpoints in cos theta).
+def equal_area_grid() -> np.ndarray:
+    """Radii of the fixed 64-point equal-area grid (midpoints in cos theta).
 
-    Every built-in factor is radial, so the radii carry the full information;
-    the default takes 64 of them.
+    Every built-in factor is radial, so the radii carry the full information.
     """
-    x = -1.0 + (2.0 * np.arange(n_theta) + 1.0) / n_theta
+    x = -1.0 + (2.0 * np.arange(64) + 1.0) / 64
     # r = tan(theta/2), x = cos(theta) -> r = sqrt((1-x)/(1+x))
     return np.sqrt((1.0 - x) / (1.0 + x))
 
 
-def delta_X(family: MetricFamily, u: float, grid: np.ndarray | None = None) -> float:
-    """Max over the grid of |d/du log H(u)^-1| for the interpolated family."""
+def delta_X(family: MetricFamily, u: float) -> float:
+    """Max over the equal-area grid of |d/du log H(u)^-1| for the
+    interpolated family; 0.0 at an integer u, where the blend is stationary."""
     if u <= 1.0:
         raise DomainError(f"delta_X requires u > 1, got {u}")
-    if grid is None:
-        grid = equal_area_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("delta_X needs a nonempty evaluation grid")
-    if float(u) == int(u):
-        return 0.0
     metric = interpolate(family, u)
-    return float(np.abs(metric.d_log_density_du(grid)).max())
+    return float(np.abs(metric.d_log_density_du(equal_area_grid())).max())
 
 
 def volume(metric: ConformalMetric, quad) -> float:
@@ -413,16 +397,11 @@ def volume(metric: ConformalMetric, quad) -> float:
     return float(np.sum(quad.weights_theta * np.exp(log_ratio)))
 
 
-def sup_log_distance(
-    metric: ConformalMetric, other: ConformalMetric, grid: np.ndarray | None = None
-) -> float:
-    """Sup over the grid of |log(lambda_metric / lambda_other)|.
-
-    The default grid augments the equal-area radii with the equator r = 1,
-    where the built-in families attain their extreme ratio.
-    """
-    if grid is None:
-        grid = np.concatenate([equal_area_grid(), [1.0]])
+def sup_log_distance(metric: ConformalMetric, other: ConformalMetric) -> float:
+    """Sup of |log(lambda_metric / lambda_other)| over the equal-area radii
+    and the equator r = 1, where the built-in families attain their extreme
+    ratio."""
+    grid = np.concatenate([equal_area_grid(), [1.0]])
     return float(np.abs(metric.log_density(grid) - other.log_density(grid)).max())
 
 

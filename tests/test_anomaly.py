@@ -6,7 +6,6 @@ definition; the tests here compare the library's node sums against it.
 """
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +31,6 @@ from zetasphere.metrics import (
     pnorm_family,
     pnorm_metric,
     scaled_metric,
-    volume,
 )
 from zetasphere.pipeline import family_spectral_data
 from zetasphere.quadrature import build_quadrature
@@ -93,20 +91,10 @@ def test_kinked_factor_is_refused():
         bott_chern_bound(fs_metric(), max_metric())
 
 
-def test_l2_metric_log_is_log_volume():
-    """quillen_log's l2 factor is log vol on the default quadrature."""
-    quad = build_quadrature(128)
-    zeta = SimpleNamespace(metric_id="", zeta_prime0=0.0, error_budget=0.0)
-    for metric in (fs_metric(), pnorm_metric(3.0), max_metric()):
-        assert quillen_log(metric, zeta).log_l2 == pytest.approx(
-            math.log(volume(metric, quad)), rel=1e-14
-        )
-
-
 def test_quillen_log_assembly(cache):
-    metric = pnorm_metric(2.0)
-    zres = _torsion(metric, 16, cache).zeta
-    qd = quillen_log(metric, zres)
+    report = _torsion(pnorm_metric(2.0), 16, cache)
+    zres = report.zeta
+    qd = quillen_log(zres, report.data.volume)
     assert qd.metric_id == "pnorm:2"
     assert qd.sign_convention == SIGN_CONVENTION == 1
     assert qd.log_l2 == pytest.approx(math.log(qd.vol), rel=1e-15)
@@ -114,13 +102,14 @@ def test_quillen_log_assembly(cache):
         qd.log_l2 + qd.sign_convention * zres.zeta_prime0, rel=1e-15
     )
     assert qd.error_budget == zres.error_budget
-    # explicit volume skips the quadrature and is reported as passed
-    shortcut = quillen_log(metric, zres, vol=2.5)
-    assert shortcut.vol == 2.5
-    assert shortcut.log_l2 == pytest.approx(math.log(2.5), rel=1e-15)
+    assert qd.vol == report.data.volume
+    # the volume is reported as passed
+    other = quillen_log(zres, 2.5)
+    assert other.vol == 2.5
+    assert other.log_l2 == pytest.approx(math.log(2.5), rel=1e-15)
     for bad_sign in (0, 2, -3):
         with pytest.raises(DomainError):
-            quillen_log(metric, zres, sign=bad_sign)
+            quillen_log(zres, qd.vol, sign=bad_sign)
 
 
 def test_spectral_route_scaling_slope(cache):
@@ -132,11 +121,13 @@ def test_spectral_route_scaling_slope(cache):
     """
     t0 = 10.0
     metric = pnorm_metric(2.0)
-    z_base = _torsion(metric, 16, cache).zeta
-    q_base = quillen_log(metric, z_base)
+    base = _torsion(metric, 16, cache)
+    z_base = base.zeta
+    q_base = quillen_log(z_base, base.data.volume)
     scaled = scaled_metric(t0, pnorm_metric(2.0))
-    z_scaled = _torsion(scaled, 16, cache).zeta
-    q_scaled = quillen_log(scaled, z_scaled)
+    rescaled = _torsion(scaled, 16, cache)
+    z_scaled = rescaled.zeta
+    q_scaled = quillen_log(z_scaled, rescaled.data.volume)
     spectral = q_scaled.log_quillen - q_base.log_quillen
     assert spectral == pytest.approx(
         (1.0 + z_base.zeta0) * math.log(t0), abs=1e-7
@@ -224,7 +215,8 @@ def test_quillen_limit_takes_computed_members(cache):
     assert out.sign_convention == SIGN_CONVENTION
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [])
-    flipped = quillen_log(metrics[1], _torsion(metrics[1], 16, cache).zeta, sign=-1)
+    report = _torsion(metrics[1], 16, cache)
+    flipped = quillen_log(report.zeta, report.quillen.vol, sign=-1)
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [members[0], (4.0, metrics[1], flipped)])
     with pytest.raises(DomainError):

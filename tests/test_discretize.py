@@ -62,7 +62,7 @@ def test_basis_size_validation():
     with pytest.raises(DomainError):
         SpectralBasis(8, build_quadrature(10))
     with pytest.raises(DomainError):
-        SpectralBasis(-1)
+        SpectralBasis(-1, build_quadrature(2))
 
 
 @pytest.mark.parametrize("L", [4, 8, 12])

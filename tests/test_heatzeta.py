@@ -41,7 +41,14 @@ from zetasphere.heatzeta import (
     zeta_mellin,
     zeta_result,
 )
-from zetasphere.metrics import fs_metric, pnorm_metric, scaled_metric
+from zetasphere.metrics import (
+    MetricFamily,
+    fs_metric,
+    geomean_metric,
+    interpolate,
+    pnorm_metric,
+    scaled_metric,
+)
 from zetasphere.operators import InnerProduct, operator_norm
 from zetasphere.pipeline import (
     _valid_hit,
@@ -366,6 +373,21 @@ def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
     assert 0 < sum(asked) <= FIT_GRID_NODES
 
 
+def test_zeta_result_evaluates_e1_once(monkeypatch):
+    """The large-time and window parts share one E1 evaluation over the
+    spectrum and the spectrum scaled by t_lo."""
+    lam, fit = _fit_l16(pnorm_metric(3.0))
+    calls = []
+
+    def counting(x):
+        calls.append(np.size(x))
+        return exp_e1(x)
+
+    monkeypatch.setattr(heatzeta, "exp_e1", counting)
+    zeta_result(lam, fit)
+    assert calls == [2 * np.count_nonzero(lam > 0.0)]
+
+
 def test_zeta_prime_zero_variants_and_parts():
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
     fit = model_fit((0.02, 0.2))
@@ -452,6 +474,23 @@ def test_pipeline_scaling_covariance():
         _, fit_scaled, _ = _fit_and_zeta(scaled, 16)
         assert fit_scaled.b_minus1 == pytest.approx(t0 * fit_base.b_minus1, rel=1e-9)
         assert fit_scaled.b0 == pytest.approx(fit_base.b0, abs=1e-8)
+
+
+def test_compositions_keep_their_parts_time_scale():
+    """geomean and interpolate carry their parts' scale_hint, so the default
+    fit window of a composition of scaled:0.001 metrics is theirs: the
+    geometric mean of a metric with itself has its zeta'(0) bitwise."""
+    m = scaled_metric(0.001, fs_metric())
+    g = geomean_metric(m, m)
+    assert g.scale_hint == m.scale_hint
+    (data_m, data_g) = (family_spectral_data((x,), 32)[0] for x in (m, g))
+    assert np.array_equal(data_g.eigenvalues, data_m.eigenvalues)
+    assert compute_zeta(data_g, g).zeta_prime0 == compute_zeta(data_m, m).zeta_prime0
+    fam = MetricFamily(
+        "scaled-pnorm", tuple(scaled_metric(0.001, pnorm_metric(p)) for p in (1.0, 2.0, 3.0))
+    )
+    for u in (1.0, 1.5, 2.0):
+        assert interpolate(fam, u).scale_hint == 0.001
 
 
 def test_round_metric_continuum_zeta_prime(cache):
@@ -706,11 +745,11 @@ def test_heat_operator_solves_heat_equation():
 
 def test_duhamel_trivial_family():
     (spec,) = family_spectra((pnorm_metric(3.0),), 8)
-    report = duhamel_residual(spec, spec, spec, h=1e-3, t=0.5)
+    report = duhamel_residual(spec, spec, spec, h=1e-3, t=0.5, n_nodes=32)
     assert report.residual == 0.0
     assert report.derivative_norm == 0.0
     assert report.ratio == 0.0
     with pytest.raises(DomainError):
-        duhamel_residual(spec, spec, spec, h=0.0)
+        duhamel_residual(spec, spec, spec, h=0.0, t=0.5, n_nodes=32)
     with pytest.raises(DomainError):
-        duhamel_residual(spec, spec, spec, h=1e-3, t=0.0)
+        duhamel_residual(spec, spec, spec, h=1e-3, t=0.0, n_nodes=32)
