@@ -16,10 +16,9 @@ within the propagated error budget is the headline consistency check; the
 Cauchy table of ``quillen_limit`` tracks the same quantity along a smoothing
 family approaching a non-smooth limit factor.
 
-``torsion_report`` runs the scalar pipeline on one metric's spectrum data
-and assembles its ``QuillenData``; the report holds the spectrum data, the
-``ZetaResult`` (which carries the heat-trace fit) and that summary. The
-checks (``two_route_check``, ``quillen_limit``) take those computed results
+``quillen_log`` assembles one metric's ``QuillenData`` from its
+``pipeline.compute_zeta`` result and the volume of its spectrum. The checks
+(``two_route_check``, ``quillen_limit``) take those computed results
 instead of rerunning the pipeline, so a caller runs it once per metric and
 hands each result to every check that reads it.
 
@@ -42,9 +41,9 @@ import numpy as np
 
 from .cache import SpectrumCache
 from .errors import DomainError
-from .heatzeta import DEFAULT_S_VALUES, DEFAULT_TRUNC_TOL, ZetaResult
+from .heatzeta import ZetaResult
 from .metrics import ConformalMetric, fs_metric, pnorm_metric, sup_log_distance
-from .pipeline import SpectralData, compute_zeta, family_spectral_data
+from .pipeline import compute_zeta, family_spectral_data
 from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
     "QuillenLimitRow",
     "QuillenLimit",
     "quillen_limit",
-    "TorsionReport",
-    "torsion_report",
 ]
 
 # Calibrated once on (fs, pnorm(2)) at L = 32 and frozen; calibrate_sign()
@@ -183,9 +180,9 @@ def two_route_check(
     """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
 
     ``qp`` and ``qq`` are the determinant-metric logarithms of ``metric_p``
-    and ``metric_q`` (``torsion_report(...).quillen``); their budgets set the
-    tolerance and their shared sign convention is reported. The anomaly
-    integral has its own fixed rule.
+    and ``metric_q`` (``quillen_log`` of each one's ``compute_zeta``); their
+    budgets set the tolerance and their shared sign convention is reported.
+    The anomaly integral has its own fixed rule.
     """
     sign = _common_sign((qp, qq))
     route1 = qp.log_quillen - qq.log_quillen
@@ -216,7 +213,7 @@ def calibrate_sign(L: int = 32, cache: SpectrumCache | None = None) -> int:
     """
     metrics = (fs_metric(), pnorm_metric(2.0))
     pair = [
-        (m, data.volume, compute_zeta(data, m))
+        (m, data.volume, compute_zeta(data.eigenvalues, m))
         for m, data in zip(metrics, family_spectral_data(metrics, L, cache=cache))
     ]
 
@@ -315,25 +312,3 @@ def quillen_limit(
         failures=tuple(failures),
         sign_convention=sign,
     )
-
-
-class TorsionReport(NamedTuple):
-    """Everything the torsion pipeline produces for one metric; the fit is
-    ``zeta.fit``."""
-
-    data: SpectralData
-    zeta: ZetaResult
-    quillen: QuillenData
-
-
-def torsion_report(
-    data: SpectralData,
-    metric: ConformalMetric,
-    window: tuple[float, float] | None = None,
-    s_values: tuple[float, ...] = DEFAULT_S_VALUES,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> TorsionReport:
-    """Run the scalar pipeline on ``data`` and attach the determinant-metric summary."""
-    zres = compute_zeta(data, metric, window, s_values, trunc_tol)
-    qd = quillen_log(zres, data.volume)
-    return TorsionReport(data=data, zeta=zres, quillen=qd)

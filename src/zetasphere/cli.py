@@ -208,7 +208,9 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
     from .pipeline import compute_zeta
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(data, metric, config.fit_window, config.s_values, config.trunc_tol)
+    zres = compute_zeta(
+        data.eigenvalues, metric, config.fit_window, config.s_values, config.trunc_tol
+    )
     path = write_json(out / "zeta.json", _zeta_payload(data, zres))
     print(
         f"zeta: {data.metric_id} L={data.L} zeta_prime0={zres.zeta_prime0:.12g} "
@@ -218,34 +220,36 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_torsion(config: RunConfig, out: Path) -> int:
-    from .anomaly import torsion_report
+    from .anomaly import quillen_log
+    from .pipeline import compute_zeta
 
     metric, data = _metric_data(config)
-    report = torsion_report(
-        data, metric, config.fit_window, config.s_values, config.trunc_tol
+    zres = compute_zeta(
+        data.eigenvalues, metric, config.fit_window, config.s_values, config.trunc_tol
     )
-    zeta_path = write_json(out / "zeta.json", _zeta_payload(report.data, report.zeta))
-    quillen_path = write_json(out / "quillen.json", _quillen_payload(report.quillen))
+    quillen = quillen_log(zres, data.volume)
+    zeta_path = write_json(out / "zeta.json", _zeta_payload(data, zres))
+    quillen_path = write_json(out / "quillen.json", _quillen_payload(quillen))
     print(
-        f"torsion: {report.data.metric_id} L={report.data.L} "
-        f"zeta_prime0={report.zeta.zeta_prime0:.12g} "
-        f"log_quillen={report.quillen.log_quillen:.12g} -> {zeta_path}, {quillen_path}"
+        f"torsion: {data.metric_id} L={data.L} "
+        f"zeta_prime0={zres.zeta_prime0:.12g} "
+        f"log_quillen={quillen.log_quillen:.12g} -> {zeta_path}, {quillen_path}"
     )
     return 0
 
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
-    from .anomaly import torsion_report, two_route_check
-    from .pipeline import family_spectral_data
+    from .anomaly import quillen_log, two_route_check
+    from .pipeline import compute_zeta, family_spectral_data
 
     family = _make_family(config)
     data = family_spectral_data(
         family.members, config.L, config.n_theta, _make_cache(config)
     )
-    members = [
-        (m, torsion_report(d, m, config.fit_window, trunc_tol=config.trunc_tol).quillen)
-        for m, d in zip(family.members, data)
-    ]
+    members = []
+    for m, d in zip(family.members, data):
+        zres = compute_zeta(d.eigenvalues, m, config.fit_window, trunc_tol=config.trunc_tol)
+        members.append((m, quillen_log(zres, d.volume)))
     reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
     passed = all(r.passed for r in reports)
     payload = {

@@ -41,6 +41,7 @@ from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
     "SpectralBasis",
+    "colatitude_nodes",
     "build_basis",
     "stiffness",
     "mass_weights",
@@ -59,8 +60,8 @@ class SpectralBasis:
     its m on the nodes, made when the block is. The per-m Gram is a
     polynomial of degree 2L in x, exact from L + 1 nodes per panel; the basis
     refuses a ``quad`` with fewer than 2L + 2, an accuracy margin for the
-    metric's density ratio, which is no polynomial. `build_basis` picks the
-    rule.
+    metric's density ratio, which is no polynomial. `colatitude_nodes` picks
+    the rule and `build_basis` builds it.
     """
 
     def __init__(self, L: int, quad: QuadratureRule):
@@ -88,10 +89,16 @@ class SpectralBasis:
         )
 
 
+def colatitude_nodes(L: int, n_theta: int | None = None) -> int:
+    """Colatitude nodes per panel of the basis at degree L: ``n_theta``, or
+    by default the minimum 2L + 2, accuracy margin for the metric density
+    (the Gram is exact from L + 1). The spectrum cache key names it."""
+    return 2 * L + 2 if n_theta is None else n_theta
+
+
 def build_basis(L: int, n_theta: int | None = None) -> SpectralBasis:
-    """Basis with its quadrature; n_theta defaults to the minimum 2L + 2,
-    accuracy margin for the metric density (the Gram is exact from L + 1)."""
-    return SpectralBasis(L, build_quadrature(2 * L + 2 if n_theta is None else n_theta))
+    """Basis with its quadrature of ``colatitude_nodes(L, n_theta)`` nodes per panel."""
+    return SpectralBasis(L, build_quadrature(colatitude_nodes(L, n_theta)))
 
 
 def stiffness(L: int, m: int) -> np.ndarray:

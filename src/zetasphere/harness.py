@@ -64,7 +64,7 @@ from .anomaly import (
     QuillenLimit,
     TwoRouteReport,
     quillen_limit,
-    torsion_report,
+    quillen_log,
     two_route_check,
 )
 from .discretize import (
@@ -84,7 +84,7 @@ from .heatzeta import (
 )
 from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
 from .operators import InnerProduct, block_operator_norms
-from .pipeline import SpectralData, family_spectra
+from .pipeline import compute_zeta, family_spectra
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -205,22 +205,19 @@ def _pipeline_row(
     spectrum: Spectrum,
     window: tuple[float, float] | None,
     trunc_tol: float,
-    n_theta: int | None,
 ) -> SweepRow:
     """Run the scalar pipeline on one metric's solved pencil, tabulate its row."""
-    rep = torsion_report(
-        SpectralData.of(spectrum, n_theta), metric, window, trunc_tol=trunc_tol
-    )
-    th = theta_values(rep.data.eigenvalues, np.array(list(theta_columns.values())))
-    q = rep.quillen
+    zres = compute_zeta(spectrum.eigenvalues, metric, window, trunc_tol=trunc_tol)
+    q = quillen_log(zres, spectrum.volume)
+    th = theta_values(spectrum.eigenvalues, np.array(list(theta_columns.values())))
     return SweepRow(
         param=param,
         columns={
             "vol": q.vol,
             "lambda1": spectrum.lambda1,
             **{name: float(v) for name, v in zip(theta_columns, th)},
-            "b_minus1": rep.zeta.fit.b_minus1,
-            "b0": rep.zeta.fit.b0,
+            "b_minus1": zres.fit.b_minus1,
+            "b0": zres.fit.b0,
             "zeta_prime0": q.zeta_prime0,
             "log_quillen": q.log_quillen,
         },
@@ -284,15 +281,14 @@ def sweep(
     rows: list[SweepRow] = []
     for p, metric, spectrum in zip(params, family.members, spectra):
         row = _pipeline_row(
-            p, metric, family.limit, theta_columns, spectrum, window, trunc_tol, n_theta
+            p, metric, family.limit, theta_columns, spectrum, window, trunc_tol
         )
         _check_row_finite(row, require_dist=family.limit is not None)
         rows.append(row)
     limit_row = None
     if family.limit is not None:
         limit_row = _pipeline_row(
-            math.inf, family.limit, None, theta_columns, spectra[-1], window,
-            trunc_tol, n_theta,
+            math.inf, family.limit, None, theta_columns, spectra[-1], window, trunc_tol
         )
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))

@@ -9,20 +9,24 @@ single object everything else is built from:
   samples theta on ``FIT_GRID_NODES`` geometric times in what is left, and
   fits b_-1/t + b_0 + b_1 t, giving the volume coefficient and the constant
   term;
-* zeta(s) for s > 1 comes directly from the eigenvalues, cross-checked by a
-  Mellin quadrature of the trace;
-* zeta'(0) is assembled from four exactly-computable pieces
+* zeta(s) for s > 1 comes directly from the eigenvalues;
+* zeta'(0) is one closed form at the fitted window's lower end t_lo:
 
-      sum_k E1(lambda_k * 1)                        (large time)
-    + int_{t_lo}^{1} (theta(t) - b_-1/t - b_0)/t dt (resolved window)
-    + b_1 * t_lo                                    (unresolved head)
-    + euler_gamma * b_0 - b_-1                      (regularization)
+      zeta'(0) = sum_k E1(lambda_k t_lo)                    (spectral)
+               - b_-1/t_lo + b_0 (gamma + log t_lo)         (regularization)
+               + b_1 t_lo                                   (head)
 
-  in which the window, too, is in closed form for a finite spectrum:
-  sum_k [E1(lambda_k t_lo) - E1(lambda_k)] - b_-1 (1/t_lo - 1) - b_0 log(1/t_lo).
-  The sum reproduces -sum(log lambda_k) exactly for a finite spectrum and
-  obeys the rescaling law zeta'(0; c*metric) = zeta(0) log c + zeta'(0; metric)
-  to machine precision.
+  It is the derivative at s = 0 of the Mellin transform
+  zeta(s) = (1/Gamma(s)) int_0^inf t^(s-1) theta(t) dt split at t_lo, with
+  1/Gamma(s) = s + gamma s^2 + O(s^3). Above t_lo the discrete trace gives
+  int_{t_lo}^inf theta(t)/t dt = sum_k E1(lambda_k t_lo) exactly. Below
+  t_lo the model integrates term by term: b_a t^a contributes
+  b_a t_lo^(s+a)/(s+a), whose product with 1/Gamma(s) has s-derivative
+  b_a t_lo^a / a at s = 0 for a = -1 and 1, and b_0 (gamma + log t_lo) for
+  a = 0. The sum reproduces
+  -sum(log lambda_k) exactly for a finite spectrum and obeys the rescaling
+  law zeta'(0; c*metric) = zeta(0) log c + zeta'(0; metric) to machine
+  precision.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
     "fit_asymptotics",
     "ZetaPoint",
     "zeta_direct",
-    "zeta_mellin",
     "ZetaResult",
     "zeta_result",
     "heat_operator",
@@ -73,10 +76,6 @@ FIT_GRID_NODES = 25
 # as many times as fit, at least one, so its size does not grow with the
 # spectrum or with the number of times asked.
 _THETA_FLOATS = 8192
-
-# Geometric panels and Gauss-Legendre nodes per panel of the Mellin
-# integral of zeta(s), the check on the direct sum.
-_MELLIN_PANELS, _MELLIN_NODES = 48, 20
 
 
 # Above this argument exp(-x), and with it E1(x), underflows to 0.0.
@@ -126,18 +125,6 @@ def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
     if not (0.0 < lo < hi) or count < 2:
         raise DomainError("need 0 < lo < hi and count >= 2")
     return np.geomspace(lo, hi, count)
-
-
-def _gl_panels(lo: float, hi: float, n_panels: int, n_nodes: int):
-    """Gauss-Legendre nodes/weights on a geometric subdivision of [lo, hi]."""
-    xg, wg = gauss_legendre(n_nodes)
-    edges = np.geomspace(lo, hi, n_panels + 1)
-    pts, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts.append(mid + half * xg)
-        wts.append(half * wg)
-    return np.concatenate(pts), np.concatenate(wts)
 
 
 def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -292,29 +279,6 @@ def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoi
     return ZetaPoint(float(s), value, tail)
 
 
-def zeta_mellin(eigenvalues: np.ndarray, s: float) -> float:
-    """zeta(s) = (1/Gamma(s)) int_0^inf t^(s-1) theta(t) dt by panel quadrature.
-
-    The discrete trace is finite at t = 0+, so the integral needs no model
-    head.
-    """
-    if s <= 1.0:
-        raise DomainError(f"Mellin route implemented for s > 1, got {s}")
-    lam = np.asarray(eigenvalues, dtype=float)
-    lam = lam[lam > 0.0]
-    lam1 = float(lam[0])
-    t0 = 1e-10
-    t_hi = 60.0 / lam1
-    pts, wts = _gl_panels(t0, t_hi, _MELLIN_PANELS, _MELLIN_NODES)
-    theta = theta_values(lam, pts)
-    integral = float(np.sum(wts * pts ** (s - 1.0) * theta))
-    # below t0 the integrand is at most n * t0^(s-1), contributing under
-    # n * t0^s / s ~ 1e-12 relative for the default t0; above t_hi the trace
-    # has decayed by exp(-60)
-    tail = theta_values(lam, np.array([t_hi]))[0] * t_hi ** (s - 1.0) / lam1
-    return (integral + tail) / math.gamma(s)
-
-
 def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
     """Systematic-error probe: refit on the lower half of the window.
 
@@ -364,11 +328,9 @@ def zeta_result(
 ) -> ZetaResult:
     """The direct zeta points, zeta(0) and zeta'(0) of one spectrum.
 
-    zeta'(0) is the four-piece evaluation of the module docstring, with its
-    error budget; its parts go to ``method``. The pieces split at t = 1: the
-    large-time piece is sum E1(lambda_k) only because the regularization
-    constants are written for that split. The window is the E1 difference of
-    the module docstring, which holds for t_lo > 1 too. The kernel is the
+    zeta'(0) is the closed form of the module docstring at t_lo, the lower
+    end of the fit's effective window, with its error budget; its three
+    terms and the window spread go to ``method``. The kernel is the
     constants alone, so ``zeta0_minus_kernel`` is zeta(0) - 1.
     """
     lam = np.asarray(eigenvalues, dtype=float)
@@ -377,12 +339,10 @@ def zeta_result(
     t_lo = fit.window_effective[0]
     bm1, b0, b1 = fit.coefficients
 
-    e1, e1_lo = exp_e1(np.concatenate([lam, lam * t_lo])).reshape(2, -1)
-    i_inf = float(np.sum(e1))
-    i_mid = float(np.sum(e1_lo - e1))
-    i_mid -= bm1 * (1.0 / t_lo - 1.0) + b0 * math.log(1.0 / t_lo)
+    spectral = float(np.sum(exp_e1(lam * t_lo)))
+    regularization = b0 * (EULER_GAMMA + math.log(t_lo)) - bm1 / t_lo
     head = b1 * t_lo
-    value = i_inf + i_mid + head + EULER_GAMMA * b0 - bm1
+    value = spectral + regularization + head
 
     sig_bm1, sig_b0, sig_b1 = fit.param_sigma
     spread = _window_sensitivity(lam, fit)
@@ -395,17 +355,10 @@ def zeta_result(
         + spread
     )
     method = {
-        "window_requested": fit.window_requested,
-        "window_effective": fit.window_effective,
-        "fit_residual": fit.residual,
-        "fit_points": fit.n_points,
-        "t_split": 1.0,
         "zeta_prime0_parts": {
-            "large_time": i_inf,
-            "window": i_mid,
+            "spectral": spectral,
+            "regularization": regularization,
             "head": head,
-            "constants": EULER_GAMMA * b0 - bm1,
-            "t_lo": t_lo,
             "window_spread": spread,
         },
     }

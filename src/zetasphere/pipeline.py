@@ -11,12 +11,14 @@ of mass blocks M_m, takes its eigenvalues alone and drops it before the next
 m (`family_eigvals`); each miss is stored under its own key. The
 convergence harness and the selftest solve with ``family_spectra``, which
 keeps the mass blocks and eigenvectors of every pencil (`family_eigs`; the
-`Spectrum` holds them), and build the same ``SpectralData`` from them
-(``SpectralData.of``), so the harness checks read the sweep's eigenvectors
-and mass blocks instead of solving again. ``compute_zeta`` runs the
-heat-trace fit and the zeta data on spectrum data that the caller supplies;
-the fit itself, window clipping and sampling included, is
-``heatzeta.fit_asymptotics``. No command builds an n x n matrix.
+`Spectrum` holds them and its eigenvalues and volume), so the harness
+checks read the sweep's eigenvectors and mass blocks instead of solving
+again. ``compute_zeta`` runs the heat-trace fit and the zeta data on the
+eigenvalues that the caller supplies, from either kind of solve; the fit
+itself, window clipping and sampling included, is
+``heatzeta.fit_asymptotics``. The colatitude rule that the cache key names
+is ``discretize.colatitude_nodes``, the one ``build_basis`` builds, so a
+cache hit builds no basis. No command builds an n x n matrix.
 
 Fit windows default to the metric's global scale: rescaling the conformal
 factor by c rescales eigenvalues by 1/c, so the default window carries a
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
-from .discretize import build_basis, masses
+from .discretize import build_basis, colatitude_nodes, masses
 from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
@@ -51,10 +53,6 @@ __all__ = [
     "default_fit_window",
     "compute_zeta",
 ]
-
-
-def _n_theta(L: int, n_theta: int | None) -> int:
-    return 2 * L + 2 if n_theta is None else n_theta
 
 
 def family_spectra(
@@ -80,14 +78,6 @@ class SpectralData(NamedTuple):
     def lambda1(self) -> float:
         lam = self.eigenvalues
         return float(lam[lam > 0.0][0])
-
-    @classmethod
-    def of(cls, spectrum: Spectrum, n_theta: int | None = None) -> SpectralData:
-        """The scalar payload of a spectrum solved in process."""
-        return cls(
-            spectrum.metric_id, spectrum.L, _n_theta(spectrum.L, n_theta),
-            spectrum.eigenvalues, spectrum.volume, SOLVER_VERSION, False,
-        )
 
 
 def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
@@ -130,7 +120,7 @@ def family_spectral_data(
     its m; a metric listed twice is solved once. Each solved spectrum is
     stored over its own entry and returned.
     """
-    nt = _n_theta(L, n_theta)
+    nt = colatitude_nodes(L, n_theta)
     key = {g.id: spectrum_cache_key(g.id, L, nt, SOLVER_VERSION) for g in metrics}
     found: dict[str, SpectralData] = {}
     misses: dict[str, ConformalMetric] = {}
@@ -158,15 +148,16 @@ def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:
 
 
 def compute_zeta(
-    data: SpectralData,
+    eigenvalues: np.ndarray,
     metric: ConformalMetric,
     window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> ZetaResult:
-    """Fit and zeta data of one metric's spectrum; the window defaults to
-    ``default_fit_window(metric)``, and the fit is the result's ``fit``."""
+    """Fit and zeta data of one metric's eigenvalues, named ``metric.id``;
+    the window defaults to ``default_fit_window(metric)``, and the fit is the
+    result's ``fit``."""
     if window is None:
         window = default_fit_window(metric)
-    fit = fit_asymptotics(data.eigenvalues, window, trunc_tol)
-    return zeta_result(data.eigenvalues, fit, s_values, metric_id=data.metric_id)
+    fit = fit_asymptotics(eigenvalues, window, trunc_tol)
+    return zeta_result(eigenvalues, fit, s_values, metric_id=metric.id)

@@ -18,7 +18,6 @@ from zetasphere.anomaly import (
     calibrate_sign,
     quillen_limit,
     quillen_log,
-    torsion_report,
     two_route_check,
 )
 from zetasphere.errors import DomainError, UnsupportedPointError
@@ -32,7 +31,7 @@ from zetasphere.metrics import (
     pnorm_metric,
     scaled_metric,
 )
-from zetasphere.pipeline import family_spectral_data
+from zetasphere.pipeline import compute_zeta, family_spectral_data
 from zetasphere.quadrature import build_quadrature
 
 
@@ -92,9 +91,8 @@ def test_kinked_factor_is_refused():
 
 
 def test_quillen_log_assembly(cache):
-    report = _torsion(pnorm_metric(2.0), 16, cache)
-    zres = report.zeta
-    qd = quillen_log(zres, report.data.volume)
+    data, zres = _torsion(pnorm_metric(2.0), 16, cache)
+    qd = quillen_log(zres, data.volume)
     assert qd.metric_id == "pnorm:2"
     assert qd.sign_convention == SIGN_CONVENTION == 1
     assert qd.log_l2 == pytest.approx(math.log(qd.vol), rel=1e-15)
@@ -102,7 +100,7 @@ def test_quillen_log_assembly(cache):
         qd.log_l2 + qd.sign_convention * zres.zeta_prime0, rel=1e-15
     )
     assert qd.error_budget == zres.error_budget
-    assert qd.vol == report.data.volume
+    assert qd.vol == data.volume
     # the volume is reported as passed
     other = quillen_log(zres, 2.5)
     assert other.vol == 2.5
@@ -121,13 +119,11 @@ def test_spectral_route_scaling_slope(cache):
     """
     t0 = 10.0
     metric = pnorm_metric(2.0)
-    base = _torsion(metric, 16, cache)
-    z_base = base.zeta
-    q_base = quillen_log(z_base, base.data.volume)
+    base, z_base = _torsion(metric, 16, cache)
+    q_base = quillen_log(z_base, base.volume)
     scaled = scaled_metric(t0, pnorm_metric(2.0))
-    rescaled = _torsion(scaled, 16, cache)
-    z_scaled = rescaled.zeta
-    q_scaled = quillen_log(z_scaled, rescaled.data.volume)
+    rescaled, z_scaled = _torsion(scaled, 16, cache)
+    q_scaled = quillen_log(z_scaled, rescaled.volume)
     spectral = q_scaled.log_quillen - q_base.log_quillen
     assert spectral == pytest.approx(
         (1.0 + z_base.zeta0) * math.log(t0), abs=1e-7
@@ -138,11 +134,14 @@ def test_spectral_route_scaling_slope(cache):
 
 
 def _torsion(metric, L, cache):
-    return torsion_report(family_spectral_data((metric,), L, cache=cache)[0], metric)
+    """The metric's spectrum data and its compute_zeta result."""
+    (data,) = family_spectral_data((metric,), L, cache=cache)
+    return data, compute_zeta(data.eigenvalues, metric)
 
 
 def _quillen(metric, L, cache):
-    return _torsion(metric, L, cache).quillen
+    data, zres = _torsion(metric, L, cache)
+    return quillen_log(zres, data.volume)
 
 
 def _members(family, L, cache):
@@ -215,8 +214,8 @@ def test_quillen_limit_takes_computed_members(cache):
     assert out.sign_convention == SIGN_CONVENTION
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [])
-    report = _torsion(metrics[1], 16, cache)
-    flipped = quillen_log(report.zeta, report.quillen.vol, sign=-1)
+    data, zres = _torsion(metrics[1], 16, cache)
+    flipped = quillen_log(zres, data.volume, sign=-1)
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [members[0], (4.0, metrics[1], flipped)])
     with pytest.raises(DomainError):
@@ -244,12 +243,13 @@ def test_limit_agreement_between_families(cache):
     assert abs(p_fam.limit - g_fam.limit) <= 2e-3
 
 
-def test_torsion_report_consistency(cache):
-    report = _torsion(pnorm_metric(3.0), 16, cache)
-    assert report.data.metric_id == "pnorm:3"
-    assert report.zeta.metric_id == "pnorm:3"
-    assert report.quillen.vol == report.data.volume
-    assert report.quillen.zeta_prime0 == report.zeta.zeta_prime0
-    assert report.quillen.log_quillen == pytest.approx(
-        math.log(report.data.volume) + report.zeta.zeta_prime0, rel=1e-14
+def test_torsion_consistency(cache):
+    data, zres = _torsion(pnorm_metric(3.0), 16, cache)
+    quillen = quillen_log(zres, data.volume)
+    assert data.metric_id == "pnorm:3"
+    assert zres.metric_id == "pnorm:3"
+    assert quillen.vol == data.volume
+    assert quillen.zeta_prime0 == zres.zeta_prime0
+    assert quillen.log_quillen == pytest.approx(
+        math.log(data.volume) + zres.zeta_prime0, rel=1e-14
     )

@@ -3,13 +3,14 @@
 The regularized determinant path is validated two independent ways:
 
 * a synthetic spectrum whose trace follows the three-term model exactly, so
-  zeta'(0) collapses to a four-term closed form evaluated with mpmath;
+  zeta'(0) is the closed form sum E1(lambda t_lo) - b_-1/t_lo
+  + b_0 (gamma + log t_lo) + b_1 t_lo, evaluated with mpmath;
 * an exact finite-spectrum identity: for any fitted coefficients, the
   returned value differs from -sum(log lambda) by a correction integral that
   mpmath evaluates directly from the definition.
 
-Both agree with the library to 1e-12 or better, which pins the E1 closed
-form of the window and every regularization constant at once.
+Both agree with the library to 1e-12 or better, which pins the E1 sum and
+every regularization constant at once.
 """
 
 import math
@@ -38,7 +39,6 @@ from zetasphere.heatzeta import (
     theta_values,
     truncation_time,
     zeta_direct,
-    zeta_mellin,
     zeta_result,
 )
 from zetasphere.metrics import (
@@ -303,13 +303,13 @@ def test_zeta_mellin_matches_direct():
     for s in (1.5, 2.0, 3.0):
         point = zeta_direct(lam, s)
         # same discrete quantity through an independent quadrature route
-        assert abs(zeta_mellin(lam, s) - point.value) / point.value < 1e-8, s
+        assert abs(oracles.zeta_mellin(lam, s) - point.value) / point.value < 1e-8, s
 
 
 def test_zeta_mellin_validation():
     lam = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(DomainError):
-        zeta_mellin(lam, 1.0)
+    with pytest.raises(ValueError):
+        oracles.zeta_mellin(lam, 1.0)
 
 
 # ---------------------------------------------------------------- zeta'(0)
@@ -342,25 +342,23 @@ def _fit_l16(metric):
 
 @pytest.mark.parametrize("scale", [None, 1.0, 100.0])
 def test_zeta_prime_zero_e1_parts_against_mpmath(scale):
-    """The large-time and window parts, both sums of exponential integrals,
-    match mpmath's E1 to 1e-13 relative: on the synthetic spectrum, and on
-    pnorm:3 at L = 16, whose window starts past t = 1 when scaled by 100."""
+    """The spectral part, a sum of exponential integrals, matches mpmath's
+    E1 to 1e-13 relative: on the synthetic spectrum, and on pnorm:3 at
+    L = 16, whose window starts past t = 1 when scaled by 100."""
     if scale is None:
         lam, fit = np.array([0.0, 0.8, 2.0, 3.7, 6.1]), model_fit((0.02, 0.2))
     else:
         lam, fit = _fit_l16(scaled_metric(scale, pnorm_metric(3.0)))
         assert (fit.window_effective[0] > 1.0) == (scale > 1.0)
     parts = zeta_result(lam, fit).method["zeta_prime0_parts"]
-    large_time, window = oracles.e1_zeta_prime_parts(
-        lam, fit.b_minus1, fit.b0, fit.window_effective[0]
-    )
-    assert parts["large_time"] == pytest.approx(large_time, rel=1e-13)
-    assert parts["window"] == pytest.approx(window, rel=1e-13)
+    spectral = oracles.e1_zeta_prime_parts(lam, fit.window_effective[0])
+    assert parts["spectral"] == pytest.approx(spectral, rel=1e-13)
 
 
 def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
-    """zeta'(0) takes its window from the E1 closed form: the only heat
-    traces a call evaluates are the lower-half refit's FIT_GRID_NODES times."""
+    """zeta'(0) reads the trace above t_lo through the E1 closed form: the
+    only heat traces a call evaluates are the lower-half refit's
+    FIT_GRID_NODES times."""
     lam, fit = _fit_l16(pnorm_metric(3.0))
     asked = []
 
@@ -374,8 +372,8 @@ def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
 
 
 def test_zeta_result_evaluates_e1_once(monkeypatch):
-    """The large-time and window parts share one E1 evaluation over the
-    spectrum and the spectrum scaled by t_lo."""
+    """The spectral part is one E1 evaluation over the positive spectrum
+    scaled by t_lo."""
     lam, fit = _fit_l16(pnorm_metric(3.0))
     calls = []
 
@@ -385,7 +383,7 @@ def test_zeta_result_evaluates_e1_once(monkeypatch):
 
     monkeypatch.setattr(heatzeta, "exp_e1", counting)
     zeta_result(lam, fit)
-    assert calls == [2 * np.count_nonzero(lam > 0.0)]
+    assert calls == [np.count_nonzero(lam > 0.0)]
 
 
 def test_zeta_prime_zero_variants_and_parts():
@@ -394,13 +392,13 @@ def test_zeta_prime_zero_variants_and_parts():
     zres = zeta_result(lam, fit)
     parts = zres.method["zeta_prime0_parts"]
     bm1, b0, b1 = fit.coefficients
-    assert set(parts) == {
-        "large_time", "window", "head", "constants", "t_lo", "window_spread",
-    }
-    assert parts["t_lo"] == fit.window_effective[0]
-    assert parts["head"] == pytest.approx(b1 * fit.window_effective[0], rel=1e-12)
-    assert parts["constants"] == pytest.approx(EULER_GAMMA * b0 - bm1, rel=1e-12)
-    pieces = parts["large_time"] + parts["window"] + parts["head"] + parts["constants"]
+    assert set(parts) == {"spectral", "regularization", "head", "window_spread"}
+    t_lo = fit.window_effective[0]
+    assert parts["head"] == pytest.approx(b1 * t_lo, rel=1e-12)
+    assert parts["regularization"] == pytest.approx(
+        b0 * (EULER_GAMMA + math.log(t_lo)) - bm1 / t_lo, rel=1e-12
+    )
+    pieces = parts["spectral"] + parts["regularization"] + parts["head"]
     assert zres.zeta_prime0 == pytest.approx(pieces, rel=1e-12)
 
 
@@ -444,11 +442,8 @@ def test_zeta_result_bundle():
         )
         assert p.tail_bound > 0.0
     assert result.error_budget > 0.0
-    assert result.method["t_split"] == 1.0
-    assert result.method["window_effective"] == fit.window_effective
-    assert result.method["fit_points"] == FIT_GRID_NODES
     # the pipeline is exactly this fit and this bundle
-    assert compute_zeta(data, metric) == result
+    assert compute_zeta(data.eigenvalues, metric) == result
 
 
 # ------------------------------------------------- pipeline and scaling
@@ -457,7 +452,7 @@ def test_zeta_result_bundle():
 def _fit_and_zeta(metric, L, cache=None):
     """(SpectralData, AsymptoticFit, ZetaResult) of one metric at degree L."""
     (data,) = family_spectral_data((metric,), L, cache=cache)
-    zres = compute_zeta(data, metric)
+    zres = compute_zeta(data.eigenvalues, metric)
     return data, zres.fit, zres
 
 
@@ -485,7 +480,10 @@ def test_compositions_keep_their_parts_time_scale():
     assert g.scale_hint == m.scale_hint
     (data_m, data_g) = (family_spectral_data((x,), 32)[0] for x in (m, g))
     assert np.array_equal(data_g.eigenvalues, data_m.eigenvalues)
-    assert compute_zeta(data_g, g).zeta_prime0 == compute_zeta(data_m, m).zeta_prime0
+    assert (
+        compute_zeta(data_g.eigenvalues, g).zeta_prime0
+        == compute_zeta(data_m.eigenvalues, m).zeta_prime0
+    )
     fam = MetricFamily(
         "scaled-pnorm", tuple(scaled_metric(0.001, pnorm_metric(p)) for p in (1.0, 2.0, 3.0))
     )
@@ -536,6 +534,24 @@ def test_spectral_data_cache_roundtrip(tmp_path):
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert first.volume == second.volume
     assert first.lambda1 == second.lambda1 > 0.0
+
+
+@pytest.mark.parametrize("L", [1, 16, 48])
+@pytest.mark.parametrize("n_theta", [None, "2L+4"])
+def test_cache_key_names_the_basis_rule(tmp_path, L, n_theta):
+    """The spectrum data and the key stored in its cache entry name the
+    colatitude rule of the basis that solved it, by default and when
+    n_theta is set."""
+    from zetasphere.cache import SpectrumCache
+
+    n_theta = None if n_theta is None else 2 * L + 4
+    want = build_basis(L, n_theta).quad.n_theta
+    (data,) = family_spectral_data((fs_metric(),), L, n_theta, SpectrumCache(tmp_path))
+    (entry,) = tmp_path.glob("*.npz")
+    with np.load(entry) as payload:
+        key = str(payload["key"])
+    assert data.n_theta == want
+    assert f"|n_theta={want}|" in key
 
 
 def test_truncated_cache_entry_is_a_miss(tmp_path):

@@ -1,5 +1,6 @@
 """Every top-level import in the package and its tests is used, every
-exported name exists, and the CLI keeps its import floor.
+private helper of the package is referenced, every exported name exists,
+and the CLI keeps its import floor.
 
 An import that nothing reads costs load time and hides what a module
 depends on. Names listed in a module's ``__all__`` count as used (they are
@@ -60,6 +61,63 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """Private names a top-level statement defines: a function, a class or
+    the targets of an assignment; dunder names are not private."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a statement reads: loaded names, attributes and imported names."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name)
+    return refs
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level private names that no other top-level statement of the
+    given sources reads, as ``path:line: name``."""
+    stmts = [(path, node) for path, text in sources.items() for node in ast.parse(text).body]
+    refs = [_references(node) for _, node in stmts]
+    return [
+        f"{path}:{node.lineno}: {name}"
+        for i, (path, node) in enumerate(stmts)
+        for name in _private_names(node)
+        if not any(name in r for j, r in enumerate(refs) if j != i)
+    ]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_A, _B = 1, 2\ndef _f():\n    return _f()\n"
+                "def _g():\n    return _A\nclass _C:\n    pass\n__all__ = []\n",
+        "b.py": "from a import _g\nx = _C\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py:1: _B", "a.py:2: _f"]
+
+
+def test_every_private_name_is_referenced():
+    package = ROOT / "src" / "zetasphere"
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for p in sorted(package.glob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
