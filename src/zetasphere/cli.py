@@ -163,7 +163,6 @@ def _quillen_payload(quillen) -> dict:
         "vol": quillen.vol,
         "log_l2": quillen.log_l2,
         "zeta_prime0": quillen.zeta_prime0,
-        "sign_convention": quillen.sign_convention,
         "log_quillen": quillen.log_quillen,
         "error_budget": quillen.error_budget,
     }
@@ -255,7 +254,6 @@ def _cmd_anomaly(config: RunConfig, out: Path) -> int:
     payload = {
         "family": family.id,
         "L": config.L,
-        "sign_convention": reports[0].sign_convention,
         "pairs": [_jsonable(r) for r in reports],
         "passed": passed,
     }

@@ -683,7 +683,7 @@ def convergence_summary(
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
     members = [(r.param, m, r.quillen) for r, m in zip(rep.rows, family.members)]
-    quillen = quillen_limit(family.id, members)
+    quillen = quillen_limit(family.id, members, rep.pair_dist)
     two_route = two_route_check(*members[0][1:], *members[1][1:])
 
     tags = {

@@ -161,18 +161,28 @@ def truncation_time(n_modes: int, lambda_max: float, trunc_tol: float) -> float:
     return math.log(n_modes / trunc_tol) / lambda_max
 
 
-def _weighted_fit(t: np.ndarray, th: np.ndarray):
+def _time_scale(window: tuple[float, float]) -> float:
+    """The scale s of a requested fit window: its upper end in units of
+    ``DEFAULT_FIT_WINDOW[1]``, exactly 1.0 for the default window."""
+    return window[1] / DEFAULT_FIT_WINDOW[1]
+
+
+def _weighted_fit(t: np.ndarray, th: np.ndarray, scale: float):
     """Least squares of th ~ b_-1/t + b_0 + b_1 t with weights t^2.
 
+    The fit runs in tau = t / scale, so a window's design is as well
+    conditioned as the default window's when ``scale`` is its
+    ``_time_scale``; the coefficients and spreads come back in t units.
     Returns the coefficients, the largest absolute model residual and the
     parameter spread from the weighted normal equations. Raises FitWindowError
-    when a window far from t ~ 1 overflows or underflows the weighted design,
-    or leaves it rank-deficient: the weighted columns t, t^2 and t^3 then
+    when a window far from tau ~ 1 overflows or underflows the weighted design,
+    or leaves it rank-deficient: the weighted columns tau, tau^2 and tau^3 then
     differ in scale by more than lstsq's cutoff, and it would drop one silently.
     """
+    tau = t / scale
     with np.errstate(over="ignore"):
-        A = np.stack([1.0 / t, np.ones_like(t), t], axis=1)
-        w = t * t
+        A = np.stack([1.0 / tau, np.ones_like(tau), tau], axis=1)
+        w = tau * tau
         Aw = A * w[:, None]
         bw = th * w
         normal = Aw.T @ Aw
@@ -191,8 +201,9 @@ def _weighted_fit(t: np.ndarray, th: np.ndarray):
     dof = max(t.size - 3, 1)
     sigma2 = float(((bw - Aw @ coef) ** 2).sum()) / dof
     cov = sigma2 * normal_inv
-    sig = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))
-    return coef, resid, sig
+    to_t = np.array([scale, 1.0, 1.0 / scale])
+    sig = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)) * to_t)
+    return coef * to_t, resid, sig
 
 
 class AsymptoticFit(NamedTuple):
@@ -240,7 +251,7 @@ def fit_asymptotics(
             violated_bound=float(n_modes * math.exp(-lambda_max * hi_req)),
         )
     t = geometric_grid(lo, hi_req, FIT_GRID_NODES)
-    coef, resid, sig = _weighted_fit(t, theta_values(lam, t))
+    coef, resid, sig = _weighted_fit(t, theta_values(lam, t), _time_scale(window))
     return AsymptoticFit(
         b_minus1=float(coef[0]),
         b0=float(coef[1]),
@@ -263,19 +274,22 @@ class ZetaPoint(NamedTuple):
 
 
 def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoint:
-    """sum lambda^(-s) over the positive spectrum; needs s > 1."""
+    """sum lambda^(-s) over the positive spectrum; needs s > 1 and a finite sum."""
     if s <= 1.0:
         raise DomainError(f"direct zeta summation needs s > 1, got {s}")
     lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 0.0]
     if lam.size == 0:
         raise DomainError("no positive eigenvalues")
-    value = float((lam ** (-s)).sum())
-    tail = 0.0
-    if b_minus1 is not None:
-        # continuum modes above lambda_max contribute about
-        # b_-1 * integral_{lambda_max}^inf x^(-s) dx
-        tail = float(abs(b_minus1) * lam[-1] ** (1.0 - s) / (s - 1.0))
+    with np.errstate(over="ignore"):
+        value = float((lam ** (-s)).sum())
+        tail = 0.0
+        if b_minus1 is not None:
+            # continuum modes above lambda_max contribute about
+            # b_-1 * integral_{lambda_max}^inf x^(-s) dx
+            tail = float(abs(b_minus1) * lam[-1] ** (1.0 - s) / (s - 1.0))
+    if not (math.isfinite(value) and math.isfinite(tail)):
+        raise DomainError(f"zeta({s:g}) of this spectrum overflows a double")
     return ZetaPoint(float(s), value, tail)
 
 
@@ -291,14 +305,16 @@ def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
         d zeta' = -d(b_-1)/t_lo - d(b_0) (log(1/t_lo) - gamma) + d(b_1) t_lo,
 
     measures that bias on the data itself. Returns 0 when the window is too
-    thin to split.
+    thin to split. The midpoint and the refit run in the fit's time scale,
+    where they neither overflow nor lose a column.
     """
     t_lo, t_hi = fit.window_effective
-    hi_sub = math.sqrt(t_lo * t_hi)
+    scale = _time_scale(fit.window_requested)
+    hi_sub = scale * math.sqrt((t_lo / scale) * (t_hi / scale))
     if hi_sub < 1.3 * t_lo:
         return 0.0
     t = geometric_grid(t_lo, hi_sub, FIT_GRID_NODES)
-    coef = _weighted_fit(t, theta_values(lam, t))[0]
+    coef = _weighted_fit(t, theta_values(lam, t), scale)[0]
     d_bm1, d_b0, d_b1 = (float(c) - f for c, f in zip(coef, fit.coefficients))
     return abs(
         -d_bm1 / t_lo

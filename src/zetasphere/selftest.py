@@ -106,7 +106,7 @@ def _check_heatzeta() -> None:
 
     t = geometric_grid(0.05, 0.5, 40)
     synth = 3.0 / t + 5.0 + 0.1 * t
-    coef = _weighted_fit(t, synth)[0]
+    coef = _weighted_fit(t, synth, 1.0)[0]
     err = max(abs(coef[0] - 3.0), abs(coef[1] - 5.0), abs(coef[2] - 0.1))
     assert err < 1e-10, f"synthetic expansion recovery off by {err:.3e}"
 

@@ -11,11 +11,8 @@ import pytest
 
 import oracles
 from zetasphere.anomaly import (
-    BC_SCALING_SLOPE,
-    SIGN_CONVENTION,
     bott_chern_bound,
     bott_chern_integral,
-    calibrate_sign,
     quillen_limit,
     quillen_log,
     two_route_check,
@@ -30,9 +27,9 @@ from zetasphere.metrics import (
     pnorm_family,
     pnorm_metric,
     scaled_metric,
+    sup_log_distance,
 )
 from zetasphere.pipeline import compute_zeta, family_spectral_data
-from zetasphere.quadrature import build_quadrature
 
 
 PAIRS = [(1.0, 2.0), (2.0, 3.0), (3.0, 8.0)]
@@ -42,12 +39,6 @@ PAIRS = [(1.0, 2.0), (2.0, 3.0), (3.0, 8.0)]
 def test_bott_chern_closed_form(p, q):
     got = bott_chern_integral(pnorm_metric(p), pnorm_metric(q))
     assert got == pytest.approx(oracles.bott_chern_pnorm_pair(p, q), abs=1e-10)
-
-
-def test_bott_chern_quadrature_robustness():
-    coarse = build_quadrature(64)
-    got = bott_chern_integral(pnorm_metric(2.0), pnorm_metric(3.0), coarse)
-    assert got == pytest.approx(oracles.bott_chern_pnorm_pair(2.0, 3.0), abs=1e-8)
 
 
 def test_bott_chern_antisymmetry():
@@ -64,21 +55,23 @@ def test_bott_chern_scaling_slope(base_id, t0):
     """Constant log shift integrates against total curvature 2 + 2."""
     base = fs_metric() if base_id == "fs" else pnorm_metric(2.0)
     got = bott_chern_integral(scaled_metric(t0, base), base)
-    assert got == pytest.approx(BC_SCALING_SLOPE * math.log(t0), rel=1e-12)
-    assert BC_SCALING_SLOPE == -1.0 / 3.0
+    assert got == pytest.approx(-math.log(t0) / 3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
 def test_bott_chern_bound_dominates(p, q):
     mp_, mq = pnorm_metric(p), pnorm_metric(q)
-    assert abs(bott_chern_integral(mp_, mq)) <= bott_chern_bound(mp_, mq)
+    assert abs(bott_chern_integral(mp_, mq)) <= bott_chern_bound(
+        mp_, mq, sup_log_distance(mp_, mq)
+    )
 
 
 def test_bott_chern_bound_value():
     """For pnorm pairs: K = (2+2)/12 and sup = 2 log2 |1/p - 1/q|."""
     p, q = 2.0, 4.0
     want = (4.0 / 12.0) * 2.0 * math.log(2.0) * abs(1.0 / p - 1.0 / q)
-    assert bott_chern_bound(pnorm_metric(p), pnorm_metric(q)) == pytest.approx(
+    mp_, mq = pnorm_metric(p), pnorm_metric(q)
+    assert bott_chern_bound(mp_, mq, sup_log_distance(mp_, mq)) == pytest.approx(
         want, rel=1e-10
     )
 
@@ -87,27 +80,21 @@ def test_kinked_factor_is_refused():
     with pytest.raises(UnsupportedPointError):
         bott_chern_integral(max_metric(), fs_metric())
     with pytest.raises(UnsupportedPointError):
-        bott_chern_bound(fs_metric(), max_metric())
+        bott_chern_bound(fs_metric(), max_metric(), math.log(2.0))
 
 
 def test_quillen_log_assembly(cache):
     data, zres = _torsion(pnorm_metric(2.0), 16, cache)
     qd = quillen_log(zres, data.volume)
     assert qd.metric_id == "pnorm:2"
-    assert qd.sign_convention == SIGN_CONVENTION == 1
     assert qd.log_l2 == pytest.approx(math.log(qd.vol), rel=1e-15)
-    assert qd.log_quillen == pytest.approx(
-        qd.log_l2 + qd.sign_convention * zres.zeta_prime0, rel=1e-15
-    )
+    assert qd.log_quillen == qd.log_l2 + zres.zeta_prime0
     assert qd.error_budget == zres.error_budget
     assert qd.vol == data.volume
     # the volume is reported as passed
     other = quillen_log(zres, 2.5)
     assert other.vol == 2.5
     assert other.log_l2 == pytest.approx(math.log(2.5), rel=1e-15)
-    for bad_sign in (0, 2, -3):
-        with pytest.raises(DomainError):
-            quillen_log(zres, qd.vol, sign=bad_sign)
 
 
 def test_spectral_route_scaling_slope(cache):
@@ -144,11 +131,14 @@ def _quillen(metric, L, cache):
     return quillen_log(zres, data.volume)
 
 
-def _members(family, L, cache):
-    """(param, metric, QuillenData) of every member, one pipeline run each."""
-    return [
+def _limit(family, L, cache):
+    """quillen_limit of the family, one pipeline run per member."""
+    members = [
         (p, m, _quillen(m, L, cache)) for p, m in zip(family.parameters, family.members)
     ]
+    metrics = family.members
+    dists = [sup_log_distance(a, b) for a, b in zip(metrics, metrics[1:])]
+    return quillen_limit(family.id, members, dists)
 
 
 def _two_route(metric_p, metric_q, L, cache):
@@ -178,13 +168,26 @@ def test_two_route_check_pnorm_pair(cache):
     )
 
 
-def test_calibrate_sign(cache):
-    assert calibrate_sign(L=16, cache=cache) == SIGN_CONVENTION
+def test_two_routes_agree_with_plus_zeta_prime_only(cache):
+    """On (fs, pnorm:2) at L = 16 the spectral route log vol + zeta'(0)
+    meets the curvature route within the tolerance; log vol - zeta'(0)
+    misses it."""
+    metrics = (fs_metric(), pnorm_metric(2.0))
+    (dp, zp), (dq, zq) = (
+        (d, compute_zeta(d.eigenvalues, m))
+        for m, d in zip(metrics, family_spectral_data(metrics, 16, cache=cache))
+    )
+    report = two_route_check(
+        metrics[0], quillen_log(zp, dp.volume), metrics[1], quillen_log(zq, dq.volume)
+    )
+    assert report.passed and report.gap <= report.tolerance
+    minus = math.log(dp.volume / dq.volume) - (zp.zeta_prime0 - zq.zeta_prime0)
+    assert abs(minus - report.route_curvature) > report.tolerance
 
 
 def test_quillen_limit_pnorm(cache):
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
-    out = quillen_limit(fam.id, _members(fam, 16, cache))
+    out = _limit(fam, 16, cache)
     assert out.family_id == "pnorm"
     assert out.converged
     assert out.failures == ()
@@ -202,24 +205,18 @@ def test_quillen_limit_pnorm(cache):
 
 def test_quillen_limit_takes_computed_members(cache):
     """The sweep computes the members; quillen_limit tabulates the
-    results it is handed, and refuses an empty table or mixed sign conventions
-    (as does two_route_check)."""
+    results and pair distances it is handed, and refuses an empty table."""
     fam = pnorm_family([2.0, 4.0])
     metrics = fam.members
-    rows = sweep(fam, L=16).rows
+    rep = sweep(fam, L=16)
+    rows = rep.rows
     members = [(r.param, m, r.quillen) for r, m in zip(rows, metrics)]
-    out = quillen_limit(fam.id, members)
+    out = quillen_limit(fam.id, members, rep.pair_dist)
     assert [r.param for r in out.rows] == [2.0, 4.0]
     assert out.rows[1].diff_to_prev == rows[1].quillen.log_quillen - rows[0].quillen.log_quillen
-    assert out.sign_convention == SIGN_CONVENTION
+    assert out.rows[1].bound == bott_chern_bound(*metrics, rep.pair_dist[0])
     with pytest.raises(DomainError):
-        quillen_limit(fam.id, [])
-    data, zres = _torsion(metrics[1], 16, cache)
-    flipped = quillen_log(zres, data.volume, sign=-1)
-    with pytest.raises(DomainError):
-        quillen_limit(fam.id, [members[0], (4.0, metrics[1], flipped)])
-    with pytest.raises(DomainError):
-        two_route_check(metrics[0], members[0][2], metrics[1], flipped)
+        quillen_limit(fam.id, [], ())
 
 
 def test_quillen_limit_flags_growing_differences(cache):
@@ -228,7 +225,7 @@ def test_quillen_limit_flags_growing_differences(cache):
         members=(pnorm_metric(4.0), pnorm_metric(3.0), pnorm_metric(1.0)),
         parameters=(4.0, 3.0, 1.0),
     )
-    out = quillen_limit(fam.id, _members(fam, 16, cache))
+    out = _limit(fam, 16, cache)
     assert not out.converged
     assert any("grow" in msg for msg in out.failures)
 
@@ -236,7 +233,7 @@ def test_quillen_limit_flags_growing_differences(cache):
 def test_limit_agreement_between_families(cache):
     """Two different smoothing families extrapolate to the same limit."""
     p_fam, g_fam = (
-        quillen_limit(fam.id, _members(fam, 20, cache))
+        _limit(fam, 20, cache)
         for fam in (pnorm_family([2.0, 3.0, 4.0, 5.0]), geomean_family([2.0, 3.0, 4.0, 5.0]))
     )
     assert p_fam.converged and g_fam.converged

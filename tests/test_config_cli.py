@@ -1,6 +1,7 @@
 """Config parsing/validation and the command-line entry point."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -385,10 +386,8 @@ def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
         assert cold_bytes == warm_bytes, name
     quillen = json.loads((tmp_path / "cold" / "quillen.json").read_text())
     assert set(quillen) == {
-        "metric", "vol", "log_l2", "zeta_prime0", "sign_convention",
-        "log_quillen", "error_budget",
+        "metric", "vol", "log_l2", "zeta_prime0", "log_quillen", "error_budget",
     }
-    assert quillen["sign_convention"] == 1
 
 
 def test_cli_spectrum_rewrites_empty_cache_entry(tmp_path, capsys):
@@ -428,7 +427,7 @@ def test_cli_anomaly(tmp_path, cache, capsys):
     assert out.count("anomaly ok:") == 2
     assert "anomaly ok: (pnorm:1, pnorm:2)" in out
     payload = json.loads((tmp_path / "anomaly.json").read_text())
-    assert set(payload) == {"family", "L", "sign_convention", "pairs", "passed"}
+    assert set(payload) == {"family", "L", "pairs", "passed"}
     assert payload["passed"] is True
     assert payload["family"] == "pnorm"
     assert len(payload["pairs"]) == 2
@@ -649,30 +648,33 @@ def test_cli_unusable_fit_window(tmp_path, cache, capsys):
 
 
 def test_cli_extreme_scale_factor_exits_2(tmp_path, cache, capsys):
-    """A fit window scaled to overflow or underflow the weighted design is a
-    FitWindowError, not a numpy traceback."""
-    for spec in ("scaled:1e200:fs", "scaled:1e-100:fs"):
-        code, _, err = run_cli(
-            ["torsion", "--metric", spec, "--L", "16"], tmp_path, cache.root, capsys
-        )
-        assert code == 2, spec
-        assert "FitWindowError" in err, spec
-        assert "Traceback" not in err, spec
+    """A scale whose zeta(2) overflows a double is a DomainError, not an inf
+    in zeta.json or a numpy traceback."""
+    code, _, err = run_cli(
+        ["torsion", "--metric", "scaled:1e200:fs", "--L", "16"], tmp_path, cache.root, capsys
+    )
+    assert code == 2
+    assert "DomainError" in err and "zeta(2) of this spectrum overflows" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "zeta.json").exists()
 
 
-def test_cli_rank_deficient_fit_exits_2(tmp_path, cache, capsys):
-    """A scaled window whose weighted design loses a column (rank 2 at 1e-6,
-    rank 1 at 1e40) is a FitWindowError naming the window, not a zeta'(0)
-    outside its budget."""
-    for spec, rank in (("scaled:1e-06:fs", 2), ("scaled:1e40:fs", 1)):
-        code, _, err = run_cli(
-            ["torsion", "--metric", spec, "--L", "32"], tmp_path, cache.root, capsys
-        )
-        assert code == 2, spec
-        assert "FitWindowError" in err, spec
-        assert f"weighted design has rank {rank} of 3" in err, spec
-        assert "weighted fit on t in [" in err, spec
-        assert "Traceback" not in err, spec
+def test_cli_scaled_metrics_obey_rescaling_law(tmp_path, cache, capsys):
+    """torsion fits a metric scaled by c in its window's time scale: at
+    c = 1e-6, 1e40 and 1e-100 it succeeds, and zeta'(0) moves from the
+    unscaled metric's by zeta(0) log c."""
+
+    def zeta(spec):
+        out = tmp_path / spec
+        code, _, err = run_cli(["torsion", "--metric", spec, "--L", "32"], out, cache.root, capsys)
+        assert code == 0, err
+        return json.loads((out / "zeta.json").read_text())
+
+    base = zeta("fs")
+    for c in ("1e-06", "1e40", "1e-100"):
+        scaled = zeta(f"scaled:{c}:fs")
+        law = base["zeta_prime0"] + base["zeta0"] * math.log(float(c))
+        assert abs(scaled["zeta_prime0"] - law) <= 1e-10, c
 
 
 # ---------------------------------------------------------------- cache location

@@ -14,7 +14,6 @@ import pytest
 import scipy.linalg
 
 from zetasphere import discretize, eigensolve, harness, pipeline
-from zetasphere.anomaly import calibrate_sign
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.discretize import (
@@ -456,7 +455,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     # from the values-only solve (which the disk cache serves bit for bit)
     # and from the vectors path the harness sweep runs
     family = pnorm_family()
-    metrics = (*family.members, family.limit, fs_metric())
+    metrics = (*family.members, family.limit)
     metric_of = {
         data.eigenvalues.tobytes(): m.id
         for m in metrics
@@ -518,10 +517,6 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert fitted == members
-
-    fitted.clear()
-    calibrate_sign(L=16, cache=cache)
-    assert fitted == ["fs", "pnorm:2"]
 
 
 def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):

@@ -226,7 +226,7 @@ def test_heat_trace_samples_bookkeeping():
 
 def test_fit_recovers_model_coefficients():
     grid = geometric_grid(0.02, 0.2, 40)
-    coef, resid, sigma = _weighted_fit(grid, 3.0 / grid + 5.0 + 0.1 * grid)
+    coef, resid, sigma = _weighted_fit(grid, 3.0 / grid + 5.0 + 0.1 * grid, 1.0)
     assert coef[0] == pytest.approx(3.0, abs=1e-10)
     assert coef[1] == pytest.approx(5.0, abs=1e-10)
     assert coef[2] == pytest.approx(0.1, abs=1e-10)
@@ -243,7 +243,8 @@ def test_fit_samples_the_window_on_the_fixed_grid():
     assert fit.n_points == FIT_GRID_NODES == 25
     assert fit.coefficients == (fit.b_minus1, fit.b0, fit.b1)
     t = geometric_grid(0.2, 0.5, FIT_GRID_NODES)
-    coef, resid, sigma = _weighted_fit(t, theta_values(lam, t))
+    # fitted in units of the window's upper end over the default one's
+    coef, resid, sigma = _weighted_fit(t, theta_values(lam, t), 0.5 / DEFAULT_FIT_WINDOW[1])
     assert fit.coefficients == tuple(coef)
     assert fit.residual == resid and fit.param_sigma == sigma
 
@@ -261,7 +262,7 @@ def test_fit_window_clipping():
     assert fit.window_effective[1] == 0.2
     assert fit.window_requested == (0.02, 0.2)
     t = geometric_grid(t_valid, 0.2, FIT_GRID_NODES)
-    assert fit.coefficients == tuple(_weighted_fit(t, theta_values(lam, t))[0])
+    assert fit.coefficients == tuple(_weighted_fit(t, theta_values(lam, t), 1.0)[0])
 
 
 def test_fit_window_errors():
@@ -270,11 +271,12 @@ def test_fit_window_errors():
     with pytest.raises(FitWindowError, match="valid region starts at t = 2.") as info:
         fit_asymptotics(lam, window=(0.02, 0.2))
     assert info.value.violated_bound > 1e-8
-    # windows so far from t ~ 1 that the weighted design loses a column
+    # windows so far from the time scale of the fit that the weighted design
+    # loses a column
     for lo, rank in ((5e-8, 2), (5e38, 1)):
         far = geometric_grid(lo, 4 * lo, 40)
         with pytest.raises(FitWindowError, match=f"rank {rank} of 3"):
-            _weighted_fit(far, 3.0 / far + 5.0 + 0.1 * far)
+            _weighted_fit(far, 3.0 / far + 5.0 + 0.1 * far, 1.0)
     # malformed windows fail fast
     for window in [(0.2, 0.02), (0.0, 0.2), (-0.1, 0.2)]:
         with pytest.raises(DomainError):
@@ -327,7 +329,7 @@ def test_zeta_prime_zero_finite_spectrum_identity():
     """Against mpmath through the exact correction to -sum(log lambda)."""
     lam = 0.5 + 0.25 * np.arange(40.0)
     grid = geometric_grid(0.02, 0.2, 40)
-    fit = model_fit((0.02, 0.2), coef=tuple(_weighted_fit(grid, theta_values(lam, grid))[0]))
+    fit = model_fit((0.02, 0.2), coef=tuple(_weighted_fit(grid, theta_values(lam, grid), 1.0)[0]))
     zres = zeta_result(lam, fit)
     want = -oracles.finite_spectrum_log_det(lam) + oracles.finite_spectrum_correction(
         lam, fit.b_minus1, fit.b0, fit.b1, 0.02
@@ -469,6 +471,22 @@ def test_pipeline_scaling_covariance():
         _, fit_scaled, _ = _fit_and_zeta(scaled, 16)
         assert fit_scaled.b_minus1 == pytest.approx(t0 * fit_base.b_minus1, rel=1e-9)
         assert fit_scaled.b0 == pytest.approx(fit_base.b0, abs=1e-8)
+
+
+@pytest.mark.parametrize("base", [fs_metric(), pnorm_metric(3.0)], ids=lambda g: g.id)
+def test_zeta_prime_rescaling_law_across_scales(base):
+    """zeta'(0; c g) = zeta'(0; g) + zeta(0; g) log c to 1e-10 for c from
+    1e-300 to 1e6: the fit runs in its window's time scale, so no scaled
+    window leaves the weighted design rank-deficient."""
+    factors = (1e-300, 1e-10, 1e-6, 1e-3, 2.0, 1e3, 1e6)
+    metrics = (base, *(scaled_metric(c, base) for c in factors))
+    z = [
+        compute_zeta(d.eigenvalues, m)
+        for m, d in zip(metrics, family_spectral_data(metrics, 32))
+    ]
+    for c, zc in zip(factors, z[1:]):
+        law = z[0].zeta_prime0 + z[0].zeta0 * math.log(c)
+        assert abs(zc.zeta_prime0 - law) <= 1e-10, c
 
 
 def test_compositions_keep_their_parts_time_scale():

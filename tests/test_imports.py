@@ -161,3 +161,19 @@ def test_cli_import_floor(tmp_path, command):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "loaded="
+
+
+def test_anomaly_loads_no_solver_or_cache():
+    """The anomaly layer computes from the results it is handed: importing
+    it loads neither the solver pipeline nor the spectrum cache."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\nimport zetasphere.anomaly\n"
+        "print([m for m in ('zetasphere.pipeline', 'zetasphere.cache') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
