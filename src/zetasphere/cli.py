@@ -115,7 +115,7 @@ def _metric_data(config: RunConfig):
     from .pipeline import family_spectral_data
 
     metric = parse_metric_spec(config.metric)
-    (data,) = family_spectral_data((metric,), config.L, config.n_theta, _make_cache(config))
+    (data,) = family_spectral_data((metric,), config.L, _make_cache(config))
     return metric, data
 
 
@@ -207,9 +207,7 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
     from .pipeline import compute_zeta
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(
-        data.eigenvalues, metric, config.fit_window, config.s_values, config.trunc_tol
-    )
+    zres = compute_zeta(data.eigenvalues, metric, config.s_values)
     path = write_json(out / "zeta.json", _zeta_payload(data, zres))
     print(
         f"zeta: {data.metric_id} L={data.L} zeta_prime0={zres.zeta_prime0:.12g} "
@@ -223,9 +221,7 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
     from .pipeline import compute_zeta
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(
-        data.eigenvalues, metric, config.fit_window, config.s_values, config.trunc_tol
-    )
+    zres = compute_zeta(data.eigenvalues, metric, config.s_values)
     quillen = quillen_log(zres, data.volume)
     zeta_path = write_json(out / "zeta.json", _zeta_payload(data, zres))
     quillen_path = write_json(out / "quillen.json", _quillen_payload(quillen))
@@ -242,12 +238,10 @@ def _cmd_anomaly(config: RunConfig, out: Path) -> int:
     from .pipeline import compute_zeta, family_spectral_data
 
     family = _make_family(config)
-    data = family_spectral_data(
-        family.members, config.L, config.n_theta, _make_cache(config)
-    )
+    data = family_spectral_data(family.members, config.L, _make_cache(config))
     members = []
     for m, d in zip(family.members, data):
-        zres = compute_zeta(d.eigenvalues, m, config.fit_window, trunc_tol=config.trunc_tol)
+        zres = compute_zeta(d.eigenvalues, m)
         members.append((m, quillen_log(zres, d.volume)))
     reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
     passed = all(r.passed for r in reports)
@@ -280,14 +274,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
     from .harness import convergence_summary
 
     family = _make_family(config)
-    summary = convergence_summary(
-        family,
-        L=config.L,
-        t_set=config.t_set,
-        window=config.fit_window,
-        trunc_tol=config.trunc_tol,
-        n_theta=config.n_theta,
-    )
+    summary = convergence_summary(family, L=config.L, t_set=config.t_set)
     rows, resolvents = summary.sweep.rows, summary.resolvents
     csv_path = write_csv(
         out / "converge.csv",

@@ -2,28 +2,21 @@
 
 The format is plain INI (no interpolation, ``#``/``;`` comments) so configs
 diff cleanly and parse with the standard library alone. Unknown sections and
-unknown keys are rejected, not ignored; a typo must fail loudly. Values left
-blank mean "use the default", which for the colatitude node count and fit
-window is a metric- or degree-dependent choice made downstream.
+unknown keys are rejected, not ignored; a typo must fail loudly. A blank
+value means "use the default". The config says what to compute; how (the
+colatitude rule, the fit window, the truncation level) is the method's own
+choice, made downstream.
 
 Sections and keys::
 
-    [run]      metric, L, n_theta, output_dir, cache_dir, threads
+    [run]      metric, L, output_dir, cache_dir, threads
     [theta]    t_lo, t_hi, count, geometric
-    [fit]      window_lo, window_hi, trunc_tol
     [zeta]     s_values
     [family]   name, parameters
     [converge] t_set
 
-``L`` is at most 512. ``n_theta`` is at least 2L + 2 and at most 2052, twice
-that minimum at the largest L, which bounds the mass assembly, whose work
-grows linearly in n_theta. The Gauss-Legendre rule is Newton on the Legendre
-recurrence, O(n_theta^2) time and O(n_theta) memory: about 40 ms and under
-1 MB at 2052 nodes, where numpy's companion-matrix ``leggauss`` took 1.1 s
-and 68 MB. The scalar solve keeps one mass block and one block of Legendre
-rows at a time, so its memory stays small at any L up to the cap. The basis
-Gram is exact from L + 1 nodes per panel; the minimum 2L + 2 is accuracy
-margin for the metric density, which is no polynomial.
+``L`` is at most 512. The scalar solve keeps one mass block and one block of
+Legendre rows at a time, so its memory stays small at any L up to the cap.
 
 ``threads`` defaults to 1: every operator is radial, so the largest dense
 matrix BLAS sees is one azimuthal block, at most 513 wide at L = 512, and a
@@ -47,7 +40,6 @@ from .errors import ConfigError
 __all__ = ["RunConfig", "parse_config", "load_config", "validated"]
 
 _MAX_L = 512
-_MAX_N_THETA = 2 * (2 * _MAX_L + 2)
 _MAX_THREADS = 1024
 _FAMILY_NAMES = ("pnorm", "geomean-pnorm")
 
@@ -57,7 +49,6 @@ class RunConfig(NamedTuple):
 
     metric: str = "fs"
     L: int = 16
-    n_theta: int | None = None
     output_dir: str = "out"
     cache_dir: str | None = None
     threads: int = 1
@@ -65,20 +56,10 @@ class RunConfig(NamedTuple):
     t_hi: float = 10.0
     t_count: int = 120
     t_geometric: bool = True
-    window_lo: float | None = None
-    window_hi: float | None = None
-    trunc_tol: float = 1e-8
     s_values: tuple[float, ...] = (1.5, 2.0, 3.0)
     family: str = "pnorm"
     family_parameters: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0)
-
-    @property
-    def fit_window(self) -> tuple[float, float] | None:
-        """Explicit fit window, or None for the metric-scaled default."""
-        if self.window_lo is None and self.window_hi is None:
-            return None
-        return (self.window_lo, self.window_hi)  # validated as a pair
 
 
 def _parse_int(raw: str) -> int:
@@ -133,7 +114,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
         "metric": ("metric", _parse_str),
         "L": ("L", _parse_int),
-        "n_theta": ("n_theta", _optional(_parse_int)),
         "output_dir": ("output_dir", _parse_str),
         "cache_dir": ("cache_dir", _optional(_parse_str)),
         "threads": ("threads", _parse_int),
@@ -143,11 +123,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "t_hi": ("t_hi", _parse_float),
         "count": ("t_count", _parse_int),
         "geometric": ("t_geometric", _parse_bool),
-    },
-    "fit": {
-        "window_lo": ("window_lo", _optional(_parse_float)),
-        "window_hi": ("window_hi", _optional(_parse_float)),
-        "trunc_tol": ("trunc_tol", _parse_float),
     },
     "zeta": {
         "s_values": ("s_values", _parse_floats),
@@ -170,14 +145,6 @@ def validated(config: RunConfig) -> RunConfig:
     """
     if not (1 <= config.L <= _MAX_L):
         raise ConfigError(f"L must be in [1, {_MAX_L}], got {config.L}")
-    minimum = 2 * config.L + 2
-    if config.n_theta is not None and config.n_theta < minimum:
-        raise ConfigError(
-            f"n_theta = {config.n_theta} is below the minimum 2L + 2 = {minimum} "
-            f"for L = {config.L}"
-        )
-    if config.n_theta is not None and config.n_theta > _MAX_N_THETA:
-        raise ConfigError(f"n_theta must be at most {_MAX_N_THETA}, got {config.n_theta}")
     if not (0 <= config.threads <= _MAX_THREADS):
         raise ConfigError(f"threads must be in [0, {_MAX_THREADS}], got {config.threads}")
     if not (config.t_lo > 0.0 and config.t_hi > config.t_lo):
@@ -186,15 +153,6 @@ def validated(config: RunConfig) -> RunConfig:
         )
     if not (2 <= config.t_count <= 100000):
         raise ConfigError(f"theta grid count must be in [2, 100000], got {config.t_count}")
-    if (config.window_lo is None) != (config.window_hi is None):
-        raise ConfigError("window_lo and window_hi must be set together or both left blank")
-    if config.window_lo is not None and not (0.0 < config.window_lo < config.window_hi):
-        raise ConfigError(
-            f"fit window needs 0 < window_lo < window_hi, got "
-            f"({config.window_lo}, {config.window_hi})"
-        )
-    if not (0.0 < config.trunc_tol <= 1e-2):
-        raise ConfigError(f"trunc_tol must be in (0, 1e-2], got {config.trunc_tol}")
     if not config.s_values or any(s <= 1.0 for s in config.s_values):
         raise ConfigError(f"s_values must all exceed 1, got {config.s_values}")
     if config.family not in _FAMILY_NAMES:
@@ -254,12 +212,11 @@ def _values(text: str) -> dict[str, object]:
 def _file_values(path: str | Path) -> dict[str, object]:
     """Read a config file into ``RunConfig`` field values, not yet validated.
 
-    The CLI lays its flags over these before it validates, so a flag such as
-    ``--L`` is what a file value like ``n_theta`` is checked against.
+    The CLI lays its flags over these before it validates.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return _values(text)
 

@@ -76,7 +76,6 @@ from .discretize import (
 from .eigensolve import Spectrum, pencil_eigvalsh, resolvent
 from .errors import DomainError
 from .heatzeta import (
-    DEFAULT_TRUNC_TOL,
     DuhamelReport,
     duhamel_residual,
     heat_operator,
@@ -203,11 +202,9 @@ def _pipeline_row(
     limit: ConformalMetric | None,
     theta_columns: dict[str, float],
     spectrum: Spectrum,
-    window: tuple[float, float] | None,
-    trunc_tol: float,
 ) -> SweepRow:
     """Run the scalar pipeline on one metric's solved pencil, tabulate its row."""
-    zres = compute_zeta(spectrum.eigenvalues, metric, window, trunc_tol=trunc_tol)
+    zres = compute_zeta(spectrum.eigenvalues, metric)
     q = quillen_log(zres, spectrum.volume)
     th = theta_values(spectrum.eigenvalues, np.array(list(theta_columns.values())))
     return SweepRow(
@@ -233,9 +230,6 @@ def sweep(
     family: MetricFamily,
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
-    window: tuple[float, float] | None = None,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    n_theta: int | None = None,
 ) -> SweepReport:
     """Solve and run the scalar pipeline once per family member and for the limit.
 
@@ -250,10 +244,6 @@ def sweep(
     t_set : tuple of float
         Heat-trace times tabulated per row, one ``theta_t<t>`` column each;
         two times whose column names coincide are refused.
-    window, trunc_tol
-        Passed through to the heat-trace fit.
-    n_theta : int, optional
-        Colatitude nodes per panel of the basis; 2L + 2 by default.
 
     Returns
     -------
@@ -277,19 +267,15 @@ def sweep(
         raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
     limit = () if family.limit is None else (family.limit,)
-    spectra = family_spectra((*family.members, *limit), L, n_theta)
+    spectra = family_spectra((*family.members, *limit), L)
     rows: list[SweepRow] = []
     for p, metric, spectrum in zip(params, family.members, spectra):
-        row = _pipeline_row(
-            p, metric, family.limit, theta_columns, spectrum, window, trunc_tol
-        )
+        row = _pipeline_row(p, metric, family.limit, theta_columns, spectrum)
         _check_row_finite(row, require_dist=family.limit is not None)
         rows.append(row)
     limit_row = None
     if family.limit is not None:
-        limit_row = _pipeline_row(
-            math.inf, family.limit, None, theta_columns, spectra[-1], window, trunc_tol
-        )
+        limit_row = _pipeline_row(math.inf, family.limit, None, theta_columns, spectra[-1])
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
     return SweepReport(
@@ -645,18 +631,14 @@ def convergence_summary(
     family: MetricFamily,
     L: int = 24,
     t_set: tuple[float, ...] = (0.5, 1.0, 2.0),
-    window: tuple[float, float] | None = None,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
     variation_u: float = 2.5,
     variation_L: int = 16,
-    n_theta: int | None = None,
 ) -> ConvergenceSummary:
     """Run every convergence check on one family and aggregate tag verdicts.
 
     The sweep, Cauchy rates, gap floor, operator limits, extrapolated
-    determinant and two-route check run at degree ``L`` with ``n_theta``
-    colatitude nodes per panel; the variation checks run at the lighter
-    ``variation_L`` and its default rule, since they need interpolated
+    determinant and two-route check run at degree ``L``; the variation
+    checks run at the lighter ``variation_L``, since they need interpolated
     pencils of their own. Every family member takes part. A family with
     fewer than three members (the operator limits) or fewer than the
     ceil(variation_u + h) + 1 the variation checks interpolate is refused
@@ -674,9 +656,7 @@ def convergence_summary(
             f"convergence_summary needs at least {need} family members, "
             f"only {len(family.members)} present"
         )
-    rep = sweep(
-        family, L=L, t_set=t_set, window=window, trunc_tol=trunc_tol, n_theta=n_theta
-    )
+    rep = sweep(family, L=L, t_set=t_set)
     cauchy = cauchy_check(rep)
     floor = lambda1_floor(rep)
     resolvents = resolvent_convergence(rep)

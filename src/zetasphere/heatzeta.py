@@ -5,10 +5,10 @@ trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues is the
 single object everything else is built from:
 
 * ``fit_asymptotics`` is the one fit routine: it clips the window once, at
-  the time the truncation bound n exp(-lambda_max t) reaches ``trunc_tol``,
-  samples theta on ``FIT_GRID_NODES`` geometric times in what is left, and
-  fits b_-1/t + b_0 + b_1 t, giving the volume coefficient and the constant
-  term;
+  the time the truncation bound n exp(-lambda_max t) reaches
+  ``DEFAULT_TRUNC_TOL``, samples theta on ``FIT_GRID_NODES`` geometric times
+  in what is left, and fits b_-1/t + b_0 + b_1 t, giving the volume
+  coefficient and the constant term;
 * zeta(s) for s > 1 comes directly from the eigenvalues;
 * zeta'(0) is one closed form at the fitted window's lower end t_lo:
 
@@ -224,16 +224,12 @@ class AsymptoticFit(NamedTuple):
         return (self.b_minus1, self.b0, self.b1)
 
 
-def fit_asymptotics(
-    eigenvalues: np.ndarray,
-    window: tuple[float, float],
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> AsymptoticFit:
+def fit_asymptotics(eigenvalues: np.ndarray, window: tuple[float, float]) -> AsymptoticFit:
     """Fit the three-term small-time model to the heat trace of ``eigenvalues``.
 
     The requested ``window`` (the pipeline's is ``default_fit_window``) is
     clipped to the region where the truncation bound stays below
-    ``trunc_tol``; both windows are recorded. The trace is sampled on
+    ``DEFAULT_TRUNC_TOL``; both windows are recorded. The trace is sampled on
     ``FIT_GRID_NODES`` geometric times spanning the clipped window. Raises
     FitWindowError when the clipped window is empty.
     """
@@ -242,12 +238,12 @@ def fit_asymptotics(
         raise DomainError(f"bad fit window {window}")
     lam = np.asarray(eigenvalues, dtype=float)
     n_modes, lambda_max = int(lam.size), float(lam[-1])
-    t_valid = truncation_time(n_modes, lambda_max, trunc_tol)
+    t_valid = truncation_time(n_modes, lambda_max, DEFAULT_TRUNC_TOL)
     lo = max(lo_req, t_valid)
     if lo >= hi_req:
         raise FitWindowError(
-            f"truncation bound exceeds {trunc_tol:g} on all of [{lo_req:g}, {hi_req:g}]"
-            f" (valid region starts at t = {t_valid:.4g})",
+            f"truncation bound exceeds {DEFAULT_TRUNC_TOL:g} on all of "
+            f"[{lo_req:g}, {hi_req:g}] (valid region starts at t = {t_valid:.4g})",
             violated_bound=float(n_modes * math.exp(-lambda_max * hi_req)),
         )
     t = geometric_grid(lo, hi_req, FIT_GRID_NODES)
@@ -260,7 +256,7 @@ def fit_asymptotics(
         window_requested=(lo_req, hi_req),
         window_effective=(float(lo), float(hi_req)),
         n_points=FIT_GRID_NODES,
-        trunc_tol=float(trunc_tol),
+        trunc_tol=DEFAULT_TRUNC_TOL,
         param_sigma=sig,
     )
 

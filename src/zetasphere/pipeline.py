@@ -20,9 +20,9 @@ itself, window clipping and sampling included, is
 is ``discretize.colatitude_nodes``, the one ``build_basis`` builds, so a
 cache hit builds no basis. No command builds an n x n matrix.
 
-Fit windows default to the metric's global scale: rescaling the conformal
-factor by c rescales eigenvalues by 1/c, so the default window carries a
-factor ``metric.scale_hint``. An explicitly passed window is used as-is.
+The fit window follows the metric's global scale: rescaling the conformal
+factor by c rescales eigenvalues by 1/c, so the window carries a factor
+``metric.scale_hint``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals
 from .heatzeta import (
     DEFAULT_FIT_WINDOW,
     DEFAULT_S_VALUES,
-    DEFAULT_TRUNC_TOL,
     ZetaResult,
     fit_asymptotics,
     zeta_result,
@@ -55,12 +54,10 @@ __all__ = [
 ]
 
 
-def family_spectra(
-    metrics: Sequence[ConformalMetric], L: int, n_theta: int | None = None
-) -> tuple[Spectrum, ...]:
+def family_spectra(metrics: Sequence[ConformalMetric], L: int) -> tuple[Spectrum, ...]:
     """The spectra of several metrics' pencils, with eigenvectors and mass
     blocks, solved together on one basis, in the order given."""
-    return family_eigs(masses(build_basis(L, n_theta), metrics), L, [g.id for g in metrics])
+    return family_eigs(masses(build_basis(L), metrics), L, [g.id for g in metrics])
 
 
 class SpectralData(NamedTuple):
@@ -109,7 +106,6 @@ def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
 def family_spectral_data(
     metrics: Sequence[ConformalMetric],
     L: int,
-    n_theta: int | None = None,
     cache: SpectrumCache | None = None,
 ) -> tuple[SpectralData, ...]:
     """Eigenvalues and volume of each metric, served from the disk cache when
@@ -120,7 +116,7 @@ def family_spectral_data(
     its m; a metric listed twice is solved once. Each solved spectrum is
     stored over its own entry and returned.
     """
-    nt = colatitude_nodes(L, n_theta)
+    nt = colatitude_nodes(L)
     key = {g.id: spectrum_cache_key(g.id, L, nt, SOLVER_VERSION) for g in metrics}
     found: dict[str, SpectralData] = {}
     misses: dict[str, ConformalMetric] = {}
@@ -134,7 +130,7 @@ def family_spectral_data(
             found[g.id] = SpectralData(g.id, L, nt, *hit, SOLVER_VERSION, True)
     if misses:
         ids = tuple(misses)
-        solved = family_eigvals(masses(build_basis(L, nt), tuple(misses.values())), L, ids)
+        solved = family_eigvals(masses(build_basis(L), tuple(misses.values())), L, ids)
         for mid, (lam, vol) in zip(ids, solved):
             found[mid] = SpectralData(mid, L, nt, lam, vol, SOLVER_VERSION, False)
             if cache is not None:
@@ -150,14 +146,9 @@ def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:
 def compute_zeta(
     eigenvalues: np.ndarray,
     metric: ConformalMetric,
-    window: tuple[float, float] | None = None,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> ZetaResult:
     """Fit and zeta data of one metric's eigenvalues, named ``metric.id``;
-    the window defaults to ``default_fit_window(metric)``, and the fit is the
-    result's ``fit``."""
-    if window is None:
-        window = default_fit_window(metric)
-    fit = fit_asymptotics(eigenvalues, window, trunc_tol)
+    the fit, on ``default_fit_window(metric)``, is the result's ``fit``."""
+    fit = fit_asymptotics(eigenvalues, default_fit_window(metric))
     return zeta_result(eigenvalues, fit, s_values, metric_id=metric.id)

@@ -27,7 +27,7 @@ from .errors import DomainError
 __all__ = ["QuadratureRule", "build_quadrature", "gauss_legendre"]
 
 # Newton from Tricomi's initial guesses settles in 3 or 4 steps for every n
-# up to the n_theta cap; the bound only stops a runaway loop.
+# up to 1026, the rule at L = 512; the bound only stops a runaway loop.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-15
 

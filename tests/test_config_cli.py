@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 import zetasphere
-from zetasphere import eigensolve, harness, pipeline
+from zetasphere import eigensolve, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, parse_config, validated
-from zetasphere.discretize import build_basis, masses
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import (
     DEFAULT_S_VALUES,
-    DEFAULT_TRUNC_TOL,
     AsymptoticFit,
     ZetaPoint,
     ZetaResult,
@@ -62,7 +60,6 @@ def test_defaults_validate():
     assert config.metric == "fs"
     assert config.L == 16
     assert config.threads == 1
-    assert config.fit_window is None
     assert config.s_values == (1.5, 2.0, 3.0)
     assert config.family == "pnorm"
     assert config.t_set == (0.5, 1.0, 2.0)
@@ -72,7 +69,6 @@ def test_fit_defaults_match_heatzeta():
     """config stays numpy-free, so it repeats the fit defaults as literals;
     they must equal the heat-trace module's own."""
     config = RunConfig()
-    assert config.trunc_tol == DEFAULT_TRUNC_TOL
     assert config.s_values == DEFAULT_S_VALUES
 
 
@@ -81,18 +77,12 @@ def test_fit_defaults_match_heatzeta():
     [
         dict(L=0),
         dict(L=513),
-        dict(n_theta=33),  # below 2L + 2 = 34 at L = 16
         dict(threads=-1),
         dict(threads=1025),
         dict(t_lo=0.0),
         dict(t_lo=2.0, t_hi=1.0),
         dict(t_count=1),
         dict(t_count=200000),
-        dict(window_lo=0.01),  # missing window_hi
-        dict(window_lo=0.2, window_hi=0.1),
-        dict(window_lo=0.0, window_hi=0.1),
-        dict(trunc_tol=0.0),
-        dict(trunc_tol=0.5),
         dict(s_values=()),
         dict(s_values=(2.0, 1.0)),
         dict(family="frobenius"),
@@ -101,7 +91,6 @@ def test_fit_defaults_match_heatzeta():
         dict(family_parameters=(2.0, 2.0)),
         dict(t_set=()),
         dict(t_set=(0.5, -1.0)),
-        dict(n_theta=10**9),
     ],
     ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -111,12 +100,8 @@ def test_validated_rejects(bad):
 
 
 def test_validated_boundary_values():
-    validated(cfg(L=16, n_theta=34))
     validated(cfg(L=512))
-    validated(cfg(L=512, n_theta=2052))
     validated(cfg(threads=1024))
-    validated(cfg(window_lo=0.01, window_hi=0.2))
-    assert cfg(window_lo=0.01, window_hi=0.2).fit_window == (0.01, 0.2)
 
 
 def test_parse_config_round_trip():
@@ -125,7 +110,6 @@ def test_parse_config_round_trip():
 [run]
 metric = pnorm:3
 L = 20
-n_theta =
 threads = 2
 
 [theta]
@@ -144,15 +128,29 @@ parameters = 1, 2, 4
     config = parse_config(text)
     assert config.metric == "pnorm:3"
     assert config.L == 20
-    assert config.n_theta is None
     assert config.threads == 2
     assert config.t_lo == 0.05 and config.t_hi == 5.0
     assert config.t_count == 40 and config.t_geometric is False
     assert config.s_values == (1.5, 2.0, 3.0)
     assert config.family == "geomean-pnorm"
     assert config.family_parameters == (1.0, 2.0, 4.0)
-    # untouched fields keep their defaults
-    assert config.trunc_tol == 1e-8
+
+
+def test_readme_config_block_matches_schema():
+    """The ```ini block of README's Configuration section names exactly the
+    sections and keys of the config schema, so the docs cannot drift."""
+    import configparser
+
+    from zetasphere.config import _SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    parser.read_string(block)
+    documented = {name: set(parser[name]) for name in parser.sections()}
+    assert documented == {name: set(keys) for name, keys in _SCHEMA.items()}
 
 
 def test_parse_config_rejects_unknowns():
@@ -318,20 +316,14 @@ def test_cli_flag_overrides_config(tmp_path, cache, capsys):
     )
     assert code == 0
     assert "L=8" in out
-    # flags are laid over the file before one validation, so the file's
-    # n_theta is checked against the degree of the command line
-    config_path.write_text("[run]\nn_theta = 10\n")
+    # flags are laid over the file before one validation, so a flag mends a
+    # file value that alone would be refused
+    config_path.write_text("[run]\nL = 1000\n")
     code, out, err = run_cli(
         ["spectrum", "-c", str(config_path), "--L", "4"], tmp_path, cache.root, capsys
     )
     assert code == 0 and err == ""
     assert "L=4" in out
-    config_path.write_text("[run]\nL = 4\nn_theta = 10\n")
-    code, _, err = run_cli(
-        ["spectrum", "-c", str(config_path), "--L", "16"], tmp_path, cache.root, capsys
-    )
-    assert code == 2
-    assert "n_theta = 10 is below the minimum 2L + 2 = 34 for L = 16" in err
 
 
 def test_cli_zeta_schema(tmp_path, cache, capsys):
@@ -525,48 +517,6 @@ def test_cli_converge(tmp_path, capsys):
     assert list(cache_dir.iterdir()) == []
 
 
-def test_cli_n_theta_reaches_anomaly_and_converge(tmp_path, monkeypatch, capsys):
-    """[run] n_theta sets the basis of every degree-L solve of anomaly and of
-    converge's sweep, and every tag holds. anomaly's cache entries differ from a default run's;
-    converge writes none, so the mass blocks of its sweep's spectra must be
-    those of the requested rule."""
-    reports = []
-    real_sweep = harness.sweep
-
-    def keep_report(*args, **kwargs):
-        reports.append(real_sweep(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(harness, "sweep", keep_report)
-    family = "\n\n[family]\nname = pnorm\nparameters = 1, 2, 3, 4\n"
-    rules = {"default": 34, "fine": 36}
-    for name, run_block in (("default", "[run]\nL = 16"), ("fine", "[run]\nL = 16\nn_theta = 36")):
-        config_path = tmp_path / f"{name}.ini"
-        config_path.write_text(run_block + family)
-        for command in ("anomaly", "converge"):
-            code, _, err = run_cli(
-                [command, "-c", str(config_path)],
-                tmp_path / name / command, tmp_path / name / f"cache-{command}", capsys,
-            )
-            assert code == 0 and err == "", (name, command, err)
-        assert json.loads((tmp_path / name / "anomaly" / "anomaly.json").read_text())["passed"]
-        tags = json.loads((tmp_path / name / "converge" / "summary.json").read_text())["tags"]
-        assert set(tags) == set(THEOREM_TAGS) and all(tags.values()), (name, tags)
-        assert not (tmp_path / name / "cache-converge").exists()
-
-        rep = reports.pop()
-        basis = build_basis(16, rules[name])
-        for row, metric in zip((*rep.rows, rep.limit_row), (*rep.family.members, rep.family.limit)):
-            want = [M for (M,) in masses(basis, (metric,))]
-            assert all(np.array_equal(a, b) for a, b in zip(row.spectrum.mass_blocks, want))
-    keys = {
-        name: {p.name for p in (tmp_path / name / "cache-anomaly").glob("*.npz")}
-        for name in rules
-    }
-    assert keys["default"] and keys["fine"]
-    assert not keys["default"] & keys["fine"]
-
-
 def test_cli_selftest(tmp_path, cache, capsys):
     code, out, err = run_cli(["selftest"], tmp_path, cache.root, capsys)
     assert code == 0 and err == ""
@@ -637,6 +587,17 @@ def test_cli_missing_config_file(tmp_path, cache, capsys):
     assert "cannot read config file" in err
 
 
+def test_cli_config_file_not_utf8(tmp_path, cache, capsys):
+    """A config file whose bytes are not UTF-8 exits 2 with the unreadable-file
+    message, never a UnicodeDecodeError traceback."""
+    config_path = tmp_path / "bad.ini"
+    config_path.write_bytes(b"[run]\nmetric = \xff\xfe\n")
+    code, out, err = run_cli(["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys)
+    assert code == 2
+    assert "cannot read config file" in err
+    assert "Traceback" not in out + err
+
+
 def test_cli_unusable_fit_window(tmp_path, cache, capsys):
     # at L = 10 the truncation-valid region starts above the default window;
     # the family commands report the first member's own error
@@ -703,11 +664,17 @@ def test_cli_rejects_bad_flag_values(tmp_path, cache, capsys):
     code, _, err = run_cli(["spectrum", "--threads", "-2"], tmp_path, cache.root, capsys)
     assert code == 2
     assert "threads must be in" in err
-    config_path = tmp_path / "huge.ini"
-    config_path.write_text("[run]\nn_theta = 1000000000\n")
-    code, _, err = run_cli(["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys)
-    assert code == 2
-    assert "n_theta must be at most 2052" in err
+    # the colatitude rule and the fit window are the method's own, not keys
+    config_path = tmp_path / "method.ini"
+    for text, message in (
+        ("[run]\nn_theta = 36\n", "unknown key 'n_theta' in section [run]"),
+        ("[fit]\ntrunc_tol = 1e-8\n", "unknown section 'fit'"),
+    ):
+        config_path.write_text(text)
+        code, out, err = run_cli(["spectrum", "-c", str(config_path)], tmp_path, cache.root, capsys)
+        assert code == 2, text
+        assert message in err, text
+        assert "Traceback" not in out + err
 
 
 # ---------------------------------------------------------------- scale and threads

@@ -255,7 +255,7 @@ def test_fit_window_clipping():
     starts at t = log(289 / 1e-8) / 136 ~ 0.1771."""
     lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
     assert lam.size == 289 and lam[-1] == pytest.approx(136.0, rel=1e-9)
-    fit = fit_asymptotics(lam, window=(0.02, 0.2), trunc_tol=1e-8)
+    fit = fit_asymptotics(lam, window=(0.02, 0.2))
     t_valid = truncation_time(lam.size, lam[-1], 1e-8)
     assert t_valid == pytest.approx(0.1771, abs=1e-4)
     assert fit.window_effective[0] == t_valid
@@ -555,16 +555,14 @@ def test_spectral_data_cache_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("L", [1, 16, 48])
-@pytest.mark.parametrize("n_theta", [None, "2L+4"])
-def test_cache_key_names_the_basis_rule(tmp_path, L, n_theta):
+def test_cache_key_names_the_basis_rule(tmp_path, L):
     """The spectrum data and the key stored in its cache entry name the
-    colatitude rule of the basis that solved it, by default and when
-    n_theta is set."""
+    colatitude rule of the basis that solved it, 2L + 2 nodes per panel."""
     from zetasphere.cache import SpectrumCache
 
-    n_theta = None if n_theta is None else 2 * L + 4
-    want = build_basis(L, n_theta).quad.n_theta
-    (data,) = family_spectral_data((fs_metric(),), L, n_theta, SpectrumCache(tmp_path))
+    want = 2 * L + 2
+    assert build_basis(L).quad.n_theta == want
+    (data,) = family_spectral_data((fs_metric(),), L, SpectrumCache(tmp_path))
     (entry,) = tmp_path.glob("*.npz")
     with np.load(entry) as payload:
         key = str(payload["key"])

@@ -66,9 +66,8 @@ def test_metric_spec_parses_or_raises_config_error(spec):
 
 
 _SCHEMA_KEYS = {
-    "run": ["metric", "L", "n_theta", "output_dir", "cache_dir", "threads"],
+    "run": ["metric", "L", "output_dir", "cache_dir", "threads"],
     "theta": ["t_lo", "t_hi", "count", "geometric"],
-    "fit": ["window_lo", "window_hi", "trunc_tol"],
     "zeta": ["s_values"],
     "family": ["name", "parameters"],
     "converge": ["t_set"],
