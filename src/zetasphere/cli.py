@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from .config import RunConfig, _file_values, validated
+from .config import RunConfig, load_config
 from .errors import ConfigError, ZetasphereError
 
 __all__ = ["main"]
@@ -394,11 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        values = _file_values(args.config) if args.config else {}
-        for name in _FLAG_FIELDS:
-            if getattr(args, name) is not None:
-                values[name] = getattr(args, name)
-        config = validated(RunConfig(**values))
+        given = vars(args)
+        flags = {name: given[name] for name in _FLAG_FIELDS if given[name] is not None}
+        config = load_config(args.config or None, **flags)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

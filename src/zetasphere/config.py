@@ -209,23 +209,20 @@ def _values(text: str) -> dict[str, object]:
     return updates
 
 
-def _file_values(path: str | Path) -> dict[str, object]:
-    """Read a config file into ``RunConfig`` field values, not yet validated.
-
-    The CLI lays its flags over these before it validates.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    return _values(text)
+def parse_config(text: str) -> RunConfig:
+    """Parse config text over the package defaults."""
+    return validated(RunConfig(**_values(text)))
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse config text over ``base`` (package defaults when omitted)."""
-    return validated((base if base is not None else RunConfig())._replace(**_values(text)))
-
-
-def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read and parse a config file."""
-    return validated((base if base is not None else RunConfig())._replace(**_file_values(path)))
+def load_config(path: str | Path | None = None, **flags) -> RunConfig:
+    """The config file at ``path`` (if given) with the ``RunConfig`` field
+    values ``flags`` laid over it, validated once: a flag may mend a file
+    value that alone would be refused."""
+    values: dict[str, object] = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {path}: {e}") from e
+        values = _values(text)
+    return validated(RunConfig(**{**values, **flags}))

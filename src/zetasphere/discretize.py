@@ -153,17 +153,17 @@ def mass_weights(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
     return basis.quad.weights_theta * ratio
 
 
-def variation_weights(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
+def variation_weights(basis: SpectralBasis, metric: ConformalMetric, dlog) -> np.ndarray:
     """Node weights of the mass's parameter derivative along a metric family.
 
     Differentiating the area form in the family parameter multiplies the
-    mass integrand by ``d log lambda / du``, so its Gram blocks are those of
-    these weights: symmetric but indefinite in general, and identically zero
-    at the family's exact members where the blend is stationary. Raises
+    mass integrand by ``d log lambda / du``; ``dlog`` holds its values on
+    the colatitude nodes, as `metrics.d_log_density_du` gives them for the
+    family the metric lies on. The Gram blocks of these weights are
+    symmetric but indefinite in general, and identically zero at the
+    family's exact members where the blend is stationary. Raises
     InvalidMetricError if the variation is non-finite on a node.
     """
-    r = basis.quad.radii_theta
-    dlog = metric.d_log_density_du(r)
     if not np.all(np.isfinite(dlog)):
         raise InvalidMetricError(
             f"metric {metric.id!r} has a non-finite density variation on "

@@ -17,10 +17,9 @@ solves one of those pencils again; the sweep solves them all on one basis
 and uses no disk cache.
 
 - ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
-  differences bounded by (constant) x (sup log-density distance). When the
-  family has a limit, the limit metric's own row closes each column as one
-  more pair at the last member's distance to it, since a continuous limit
-  assembles fine.
+  differences bounded by (constant) x (sup log-density distance). The limit
+  metric's own row closes each column as one more pair at the last member's
+  distance to it, since a continuous limit assembles fine.
 - ``lambda1_floor``: a uniform positive lower bound on the spectral gap from
   mass-matrix equivalence and the min-max principle.
 - ``resolvent_convergence``: resolvents and heat operators form Cauchy
@@ -81,7 +80,14 @@ from .heatzeta import (
     heat_operator,
     theta_values,
 )
-from .metrics import ConformalMetric, MetricFamily, delta_X, interpolate, sup_log_distance
+from .metrics import (
+    ConformalMetric,
+    MetricFamily,
+    d_log_density_du,
+    delta_X,
+    interpolate,
+    sup_log_distance,
+)
 from .operators import InnerProduct, block_operator_norms
 from .pipeline import compute_zeta, family_spectra
 from .quadrature import gauss_legendre
@@ -170,17 +176,16 @@ class SweepReport(NamedTuple):
     """One family sweep: a row per member and the limit metric's own row.
 
     ``rows`` follow ``family.parameters``. ``limit_row`` is the limit
-    metric's row (parameter inf, no distance to itself), or None for a
-    family without a limit; it closes the Cauchy table but never enters
-    converge.csv. ``pair_dist`` holds the sup log-density distance of
-    consecutive members.
+    metric's row (parameter inf, distance 0 to itself); it closes the Cauchy
+    table but never enters converge.csv. ``pair_dist`` holds the sup
+    log-density distance of consecutive members.
     """
 
     family: MetricFamily
     L: int
     t_set: tuple[float, ...]
     rows: tuple[SweepRow, ...]
-    limit_row: SweepRow | None
+    limit_row: SweepRow
     pair_dist: tuple[float, ...]
 
     @property
@@ -188,18 +193,10 @@ class SweepReport(NamedTuple):
         return self.family.id
 
 
-def _check_row_finite(row: SweepRow, require_dist: bool) -> None:
-    values = list(row.columns.values())
-    if require_dist:
-        values.append(row.sup_log_dist_to_limit)
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"non-finite sweep column for parameter {row.param}")
-
-
 def _pipeline_row(
     param: float,
     metric: ConformalMetric,
-    limit: ConformalMetric | None,
+    limit: ConformalMetric,
     theta_columns: dict[str, float],
     spectrum: Spectrum,
 ) -> SweepRow:
@@ -218,9 +215,7 @@ def _pipeline_row(
             "zeta_prime0": q.zeta_prime0,
             "log_quillen": q.log_quillen,
         },
-        sup_log_dist_to_limit=(
-            math.nan if limit is None else sup_log_distance(metric, limit)
-        ),
+        sup_log_dist_to_limit=sup_log_distance(metric, limit),
         quillen=q,
         spectrum=spectrum,
     )
@@ -266,16 +261,15 @@ def sweep(
     if len(theta_columns) < t_arr.size:
         raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
-    limit = () if family.limit is None else (family.limit,)
-    spectra = family_spectra((*family.members, *limit), L)
+    limit = family.limit
+    spectra = family_spectra((*family.members, limit), L)
     rows: list[SweepRow] = []
     for p, metric, spectrum in zip(params, family.members, spectra):
-        row = _pipeline_row(p, metric, family.limit, theta_columns, spectrum)
-        _check_row_finite(row, require_dist=family.limit is not None)
+        row = _pipeline_row(p, metric, limit, theta_columns, spectrum)
+        if not all(math.isfinite(v) for v in (*row.columns.values(), row.sup_log_dist_to_limit)):
+            raise DomainError(f"non-finite sweep column for parameter {p}")
         rows.append(row)
-    limit_row = None
-    if family.limit is not None:
-        limit_row = _pipeline_row(math.inf, family.limit, None, theta_columns, spectra[-1])
+    limit_row = _pipeline_row(math.inf, limit, limit, theta_columns, spectra[-1])
     members = family.members
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
     return SweepReport(
@@ -334,24 +328,20 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     """Check every sweep column is Cauchy at the sup-log-distance rate.
 
     The pairs of a column are the consecutive members, closed by (last
-    member, limit) at the last member's distance to the limit when the
-    family has one. For each column the constant C in
-    |x_i - x_{i+1}| <= C * dist_i is measured on the first pair, frozen with
-    the 2x safety factor, and asserted on every other pair, the closing one
-    included. Fit-derived columns get the two rows' zeta error budgets as
-    slack; exact columns only a relative epsilon of the pair's larger value.
-    A constant family (zero distances) must have zero differences up to the
-    slack.
+    member, limit) at the last member's distance to the limit. For each
+    column the constant C in |x_i - x_{i+1}| <= C * dist_i is measured on
+    the first pair, frozen with the 2x safety factor, and asserted on every
+    other pair, the closing one included. Fit-derived columns get the two
+    rows' zeta error budgets as slack; exact columns only a relative epsilon
+    of the pair's larger value. A constant family (zero distances) must have
+    zero differences up to the slack.
     """
     rows = report.rows
     if len(rows) < 2:
         raise DomainError("cauchy_check needs at least two sweep rows")
 
-    pairs = list(zip(rows, rows[1:]))
-    scales = list(report.pair_dist)
-    if report.limit_row is not None:
-        pairs.append((rows[-1], report.limit_row))
-        scales.append(rows[-1].sup_log_dist_to_limit)
+    pairs = [*zip(rows, rows[1:]), (rows[-1], report.limit_row)]
+    scales = [*report.pair_dist, rows[-1].sup_log_dist_to_limit]
     labels = [f"({a.param:g}, {b.param:g})" for a, b in pairs]
     columns: list[CauchyColumn] = []
     violations: list[str] = []
@@ -410,15 +400,12 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     Everything comes from the sweep ``report``: each row's gap and the mass
     blocks of its solved pencil, so nothing is assembled here; the Gram
     pencils of every row share one stacked solve per m. The reference
-    is the first member; the limit metric joins the rows when present
-    (parameter reported as inf) since the bound must be uniform up to the
-    limit.
+    is the first member; the limit metric joins the rows (parameter
+    reported as inf) since the bound must be uniform up to the limit.
     """
     if len(report.rows) < 2:
         raise DomainError("lambda1_floor needs at least two members")
-    rows_in = list(report.rows)
-    if report.limit_row is not None:
-        rows_in.append(report.limit_row)
+    rows_in = [*report.rows, report.limit_row]
 
     # per m, one stacked pencil solve of every row's M_m against M_ref
     tops = np.max([
@@ -460,7 +447,7 @@ class ResolventReport(NamedTuple):
     within its bound and the distances do not grow. ``limit_dist`` maps each
     function to the distance from the last member to the limit metric's
     operator, reported without a bound (the interpolation path stops at the
-    last member), or NaN for a family without a limit.
+    last member).
     """
 
     family_id: str
@@ -499,9 +486,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     labels = [f"({a.param:g}, {b.param:g})" for a, b in zip(members[1:], members[2:])]
     slack = [_TINY_REL] * len(deltas)
 
-    chain = [row.spectrum for row in members[1:]]
-    if report.limit_row is not None:
-        chain.append(report.limit_row.spectrum)
+    chain = [*(row.spectrum for row in members[1:]), report.limit_row.spectrum]
     operators = {
         "resolvent": lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
         "heat": lambda spec: heat_operator(spec, _HEAT_TIME),
@@ -511,7 +496,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     failures: list[str] = []
     for name, op in operators.items():
         # per m, the differences of consecutive operators along the chain as
-        # one stack, the last pair (last member, limit) when there is a limit
+        # one stack, the last pair (last member, limit)
         blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in chain))]
         norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], ip_ref)
         dists = [float(x) for x in norms[: len(labels)]]
@@ -524,7 +509,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
         ]
         columns[name] = column._replace(passed=column.passed and not grew)
         failures += bad + grew
-        limit_dist[name] = math.nan if report.limit_row is None else float(norms[-1])
+        limit_dist[name] = float(norms[-1])
 
     return ResolventReport(
         family_id=report.family_id,
@@ -567,13 +552,13 @@ def bornelapbelt_check(family: MetricFamily, u: float = 2.5, L: int = 16) -> Bor
     """
     metric = interpolate(family, u)
     basis = build_basis(L)
-    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric)])
+    dlog = d_log_density_du(family, u, basis.quad.radii_theta)
+    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric, dlog)])
     max_ratio = max(  # M and dM of each m come from one Legendre block
         float(np.abs(pencil_eigvalsh(dM, M)).max())
         for M, dM in weighted_grams(basis, rows)
     )
-    r = basis.quad.radii_theta
-    delta_nodes = float(np.abs(metric.d_log_density_du(r)).max())
+    delta_nodes = float(np.abs(dlog).max())
     return BorneReport(
         family_id=family.id,
         u=float(u),

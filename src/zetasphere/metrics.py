@@ -12,7 +12,8 @@ curvature density c1 = -(1/4) (f'' + f'/r). The built-in factors (fs, pnorm,
 max) give it in closed form, and the compositions stay exact: ``scaled``
 shifts f, ``geomean`` averages the three parts, and ``interpolate`` blends
 the members' jets. The density, its logarithm and the curvature are all read
-from the jet.
+from the jet. A family carries its uniform limit, and the u-derivative of its
+blend is the family's (`d_log_density_du`), not any one metric's.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "pnorm_family",
     "geomean_family",
     "interpolate",
+    "d_log_density_du",
     "delta_X",
     "bump",
     "bump_derivative",
@@ -81,62 +83,30 @@ def _join_smoothness(*classes: str) -> str:
     return _SMOOTHNESS_ORDER[max(_SMOOTHNESS_ORDER.index(c) for c in classes)]
 
 
-class ConformalMetric:
+class ConformalMetric(NamedTuple):
     """A radial conformal factor on the sphere, a function of r = |z|.
 
-    Parameters
-    ----------
-    id : str
-        Canonical spec string of the metric.
-    smoothness : str
-        One of ``smooth``, ``continuous``, ``singular-integrable``.
-    jet : callable
-        The radial jet ``(f, df/dr, c1)`` for arrays of radii ``r = |z|``,
-        with ``f = log lambda`` and the curvature density
-        ``c1 = -d2/dz dzbar f = -(1/4) (f'' + f'/r)`` against ``dx dy / pi``.
-        Off the kinks all three parts are exact; at a kink ``df/dr`` takes
-        either one-sided value and ``c1`` is meaningless.
-    kink_radii : tuple of float
-        Radii where the factor fails to be C^2.
-    scale_hint : float
-        Global time scale carried by overall factors ``t * lambda``; used by
-        pipelines to scale default time grids.
+    ``id`` is the canonical spec string of the metric and ``smoothness`` one
+    of ``smooth``, ``continuous``, ``singular-integrable``. ``jet`` gives the
+    radial jet ``(f, df/dr, c1)`` for arrays of finite radii ``r = |z|``,
+    with ``f = log lambda`` and the curvature density
+    ``c1 = -d2/dz dzbar f = -(1/4) (f'' + f'/r)`` against ``dx dy / pi``.
+    Off the kinks all three parts are exact; at a kink ``df/dr`` takes
+    either one-sided value and ``c1`` is meaningless. ``kink_radii`` are the
+    radii where the factor fails to be C^2, and ``scale_hint`` is the global
+    time scale carried by overall factors ``t * lambda``, which pipelines
+    use to scale default time grids.
     """
 
-    def __init__(
-        self,
-        id: str,
-        smoothness: str,
-        jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-        kink_radii: tuple[float, ...] = (),
-        scale_hint: float = 1.0,
-        d_log_du_radial: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        if smoothness not in ("smooth", "continuous", "singular-integrable"):
-            raise DomainError(f"unknown smoothness class {smoothness!r}")
-        self.id = id
-        self.smoothness = smoothness
-        self._jet = jet
-        self.kink_radii = tuple(kink_radii)
-        self.scale_hint = float(scale_hint)
-        self._d_log_du_radial = d_log_du_radial
-
-    def jet(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(log lambda, d log lambda / dr, c1)`` at radii ``r``.
-
-        At r = inf, the point at infinity of the z chart, every factor falls
-        like r^-4, so the jet there is its limit ``(-inf, 0, 0)``.
-        """
-        r = np.asarray(r, dtype=float)
-        far = r == np.inf
-        if not far.any():
-            return self._jet(r)
-        f, df, c1 = self._jet(np.where(far, 1.0, r))
-        return np.where(far, -np.inf, f), np.where(far, 0.0, df), np.where(far, 0.0, c1)
+    id: str
+    smoothness: str
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    kink_radii: tuple[float, ...] = ()
+    scale_hint: float = 1.0
 
     def log_density(self, r) -> np.ndarray:
         """log of the conformal factor at radii ``r``."""
-        return self.jet(r)[0]
+        return self.jet(np.asarray(r, dtype=float))[0]
 
     def density(self, r) -> np.ndarray:
         return np.exp(self.log_density(r))
@@ -153,14 +123,7 @@ class ConformalMetric:
                 f"{self.kink_radii} and has no pointwise curvature density; "
                 "pass a smooth approximating family member instead"
             )
-        return self.jet(r)[2]
-
-    def d_log_density_du(self, r) -> np.ndarray:
-        """u-derivative of log lambda for interpolated metrics, else zero."""
-        r = np.asarray(r, dtype=float)
-        if self._d_log_du_radial is None:
-            return np.zeros(r.shape, dtype=float)
-        return self._d_log_du_radial(r)
+        return self.jet(np.asarray(r, dtype=float))[2]
 
     def __repr__(self):
         return f"ConformalMetric({self.id!r})"
@@ -233,7 +196,6 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
         jet,
         kink_radii=inner.kink_radii,
         scale_hint=t0 * inner.scale_hint,
-        d_log_du_radial=inner._d_log_du_radial,
     )
 
 
@@ -278,12 +240,14 @@ def bump_derivative(x) -> np.ndarray:
 
 
 class MetricFamily(NamedTuple):
-    """An ordered family of conformal metrics with an optional uniform limit."""
+    """An ordered family of conformal metrics, its parameters and its uniform
+    limit. Its path between members is `interpolate`'s blend of two
+    neighbours, whose u-derivative is `d_log_density_du`."""
 
     id: str
     members: tuple[ConformalMetric, ...]
-    limit: ConformalMetric | None = None
-    parameters: tuple[float, ...] = ()
+    limit: ConformalMetric
+    parameters: tuple[float, ...]
 
 
 def pnorm_family(params: Sequence[float] | None = None, count: int = 6) -> MetricFamily:
@@ -330,7 +294,6 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
     u = float(u)
     k, lo, hi, x = _segment(family, u)
     rho = float(bump(x))
-    rhop = float(bump_derivative(x))
 
     def jet(r):
         if rho <= 0.0:
@@ -349,20 +312,28 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
         c1 = pa * c1a + pb * c1b - 0.25 * pa * pb * (dfa - dfb) ** 2
         return f, df, c1
 
-    def dlog_du(r):
-        ha = lo.density(r)
-        hb = hi.density(r)
-        H = (1.0 - rho) * ha + rho * hb
-        return rhop * (hb - ha) / H
-
     return ConformalMetric(
         f"interp:{_spec_text(u)}:{family.id}",
         _join_smoothness(lo.smoothness, hi.smoothness),
         jet,
         kink_radii=tuple(sorted(set(lo.kink_radii) | set(hi.kink_radii))),
         scale_hint=(1.0 - rho) * lo.scale_hint + rho * hi.scale_hint,
-        d_log_du_radial=dlog_du,
     )
+
+
+def d_log_density_du(family: MetricFamily, u: float, r) -> np.ndarray:
+    """u-derivative of log H(u) at radii ``r``, H the blend of `interpolate`.
+
+    On the segment [k-1, k] it is ``rho'(x) (h_k - h_{k-1}) / H`` with
+    x = u - k + 1: zero at an integer u, where rho' vanishes.
+    """
+    _, lo, hi, x = _segment(family, float(u))
+    rho = float(bump(x))
+    rhop = float(bump_derivative(x))
+    ha = lo.density(r)
+    hb = hi.density(r)
+    H = (1.0 - rho) * ha + rho * hb
+    return rhop * (hb - ha) / H
 
 
 def equal_area_grid() -> np.ndarray:
@@ -380,8 +351,7 @@ def delta_X(family: MetricFamily, u: float) -> float:
     interpolated family; 0.0 at an integer u, where the blend is stationary."""
     if u <= 1.0:
         raise DomainError(f"delta_X requires u > 1, got {u}")
-    metric = interpolate(family, u)
-    return float(np.abs(metric.d_log_density_du(equal_area_grid())).max())
+    return float(np.abs(d_log_density_du(family, u, equal_area_grid())).max())
 
 
 def volume(metric: ConformalMetric, quad) -> float:

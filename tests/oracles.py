@@ -165,6 +165,29 @@ def mp_log_blend(log_a, log_b, rho: float):
     return lambda x: log_a(x) + mp.log1p(mp.mpf(rho) * mp.expm1(log_b(x) - log_a(x)))
 
 
+def mp_bump(x):
+    """The blend's transition function in mpmath: 0 for x <= 0, 1 for x >= 1
+    and e^(-1/x) / (e^(-1/x) + e^(-1/(1-x))) in between."""
+    if x <= 0:
+        return mp.mpf(0)
+    if x >= 1:
+        return mp.mpf(1)
+    f, g = mp.exp(-1 / x), mp.exp(-1 / (1 - x))
+    return f / (f + g)
+
+
+def d_log_blend_du(log_a, log_b, x: float, r: float, dps: int = 40) -> float:
+    """d/du of log((1 - rho) e^log_a + rho e^log_b) at radius r, rho = bump.
+
+    On a segment of the family the blend's argument is x = u - k + 1, so the
+    u-derivative is the x-derivative at ``x``, taken by mpmath's numerical
+    differentiation at ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        x0, r0 = mp.mpf(x), mp.mpf(r)
+        return float(mp.diff(lambda s: mp_log_blend(log_a, log_b, mp_bump(s))(r0), x0))
+
+
 def radial_jet(log_lambda, r: float, dps: int = 40) -> tuple[float, float, float]:
     """(f, f', c1) of a radial factor with f = log_lambda(x), at radius r > 0.
 

@@ -223,6 +223,7 @@ def test_quillen_limit_flags_growing_differences(cache):
     fam = MetricFamily(
         id="pnorm-misordered",
         members=(pnorm_metric(4.0), pnorm_metric(3.0), pnorm_metric(1.0)),
+        limit=max_metric(),
         parameters=(4.0, 3.0, 1.0),
     )
     out = _limit(fam, 16, cache)

@@ -137,8 +137,9 @@ parameters = 1, 2, 4
 
 
 def test_readme_config_block_matches_schema():
-    """The ```ini block of README's Configuration section names exactly the
-    sections and keys of the config schema, so the docs cannot drift."""
+    """The ```ini block of README's Configuration section loads with the
+    package parser, equals the defaults but for its metric, and names exactly
+    the sections and keys of the config schema, so the docs cannot drift."""
     import configparser
 
     from zetasphere.config import _SCHEMA
@@ -146,7 +147,8 @@ def test_readme_config_block_matches_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```ini\n", 1)[1].split("```", 1)[0]
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    assert parse_config(block) == RunConfig(metric="pnorm:3")
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser.read_string(block)
     documented = {name: set(parser[name]) for name in parser.sections()}
@@ -168,11 +170,13 @@ def test_parse_config_rejects_unknowns():
         parse_config("[run]\nL = 0\n")  # parses, fails validation
 
 
-def test_parse_config_over_base():
-    base = parse_config("[run]\nL = 20\nmetric = max\n")
-    layered = parse_config("[run]\nL = 24\n", base)
-    assert layered.L == 24
-    assert layered.metric == "max"
+def test_load_config_lays_flags_over_file(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nL = 1000\nmetric = max\n")
+    assert load_config(path, L=20) == RunConfig(metric="max", L=20)
+    assert load_config(L=8) == RunConfig(L=8)
+    with pytest.raises(ConfigError, match="L must be"):
+        load_config(path)
 
 
 def test_load_config_missing_file(tmp_path):

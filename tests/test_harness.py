@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zetasphere import discretize, eigensolve, harness, pipeline
+from zetasphere import discretize, eigensolve, harness, metrics, pipeline
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.discretize import (
@@ -41,10 +41,12 @@ from zetasphere.heatzeta import heat_operator, theta_values
 from zetasphere.metrics import (
     ConformalMetric,
     MetricFamily,
+    d_log_density_du,
     delta_X,
     fs_metric,
     geomean_family,
     interpolate,
+    max_metric,
     pnorm_family,
     pnorm_metric,
 )
@@ -65,7 +67,10 @@ def broken_metric() -> ConformalMetric:
 def constant_family(n: int = 4) -> MetricFamily:
     member = pnorm_metric(2.0)
     return MetricFamily(
-        id="const", members=(member,) * n, parameters=tuple(float(k + 1) for k in range(n))
+        id="const",
+        members=(member,) * n,
+        limit=member,
+        parameters=tuple(float(k + 1) for k in range(n)),
     )
 
 
@@ -114,6 +119,7 @@ def test_sweep_validation():
     descending = MetricFamily(
         id="pnorm-descending",
         members=(pnorm_metric(3.0), pnorm_metric(2.0)),
+        limit=max_metric(),
         parameters=(3.0, 2.0),
     )
     with pytest.raises(DomainError):
@@ -132,6 +138,7 @@ def test_sweep_raises_member_failure():
     fam = MetricFamily(
         id="with-hole",
         members=(pnorm_metric(1.0), broken_metric(), pnorm_metric(3.0)),
+        limit=max_metric(),
         parameters=(1.0, 2.0, 3.0),
     )
     with pytest.raises(InvalidMetricError, match="broken"):
@@ -170,7 +177,7 @@ def test_cauchy_check_constant_family():
     for col in cy.columns:
         assert col.c_frozen == 0.0
         assert max(col.diffs) == 0.0
-        assert len(col.diffs) == 2  # no limit, so no closing pair
+        assert len(col.diffs) == 3  # two member pairs, closed by (3, limit)
 
 
 def test_cauchy_check_needs_two_rows():
@@ -351,7 +358,8 @@ def test_bornelapbelt_matches_dense_pencil():
     report = bornelapbelt_check(fam, u=2.5, L=12)
     basis = build_basis(12)
     metric = interpolate(fam, 2.5)
-    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric)])
+    dlog = d_log_density_du(fam, 2.5, basis.quad.radii_theta)
+    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric, dlog)])
     stacks = list(weighted_grams(basis, rows))
     M, d_mass = (oracles.dense_matrix(G[k] for G in stacks) for k in (0, 1))
     want = float(np.abs(scipy.linalg.eigh(d_mass, M, eigvals_only=True)).max())
@@ -542,6 +550,25 @@ def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):
     assert 1 <= len(sweeps) <= 3
 
 
+def test_only_the_variation_checks_interpolate(monkeypatch):
+    """``convergence_summary`` builds four interpolated metrics: one for the
+    variation bound and three for the Duhamel pencils. The density-variation
+    integrals of the operator limits read the family's u-derivative and
+    build none."""
+    calls: list[tuple[str, float]] = []
+    real = metrics.interpolate
+
+    def counting(family, u):
+        calls.append((family.id, u))
+        return real(family, u)
+
+    monkeypatch.setattr(metrics, "interpolate", counting)
+    monkeypatch.setattr(harness, "interpolate", counting)
+    convergence_summary(pnorm_family(), L=24)
+    h = harness._DUHAMEL_STEP
+    assert calls == [("pnorm", 2.5), ("pnorm", 2.5 - h), ("pnorm", 2.5), ("pnorm", 2.5 + h)]
+
+
 def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):
     """A member without a positive spectral gap is a failed laplaceTX check:
     converge writes its summary and exits 3 naming the tag."""
@@ -569,8 +596,9 @@ def test_convergence_summary_constant_family():
     """A family of identical members exercises every degenerate branch."""
     summary = convergence_summary(constant_family(4), L=16)
     assert summary.passed
-    assert summary.sweep.limit_row is None  # no limit member, no closing pair
-    assert all(len(c.diffs) == 3 for c in summary.cauchy.columns)
+    # the limit is the member itself: distance 0, one more pair to close
+    assert summary.sweep.limit_row.sup_log_dist_to_limit == 0.0
+    assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
     # zero density variation
     assert all(c.c_frozen == 0.0 for c in summary.resolvents.columns.values())
     assert summary.duhamel.ratio == 0.0

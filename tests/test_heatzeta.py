@@ -46,6 +46,7 @@ from zetasphere.metrics import (
     fs_metric,
     geomean_metric,
     interpolate,
+    max_metric,
     pnorm_metric,
     scaled_metric,
 )
@@ -502,8 +503,12 @@ def test_compositions_keep_their_parts_time_scale():
         compute_zeta(data_g.eigenvalues, g).zeta_prime0
         == compute_zeta(data_m.eigenvalues, m).zeta_prime0
     )
+    params = (1.0, 2.0, 3.0)
     fam = MetricFamily(
-        "scaled-pnorm", tuple(scaled_metric(0.001, pnorm_metric(p)) for p in (1.0, 2.0, 3.0))
+        "scaled-pnorm",
+        tuple(scaled_metric(0.001, pnorm_metric(p)) for p in params),
+        scaled_metric(0.001, max_metric()),
+        params,
     )
     for u in (1.0, 1.5, 2.0):
         assert interpolate(fam, u).scale_hint == 0.001
