@@ -15,11 +15,11 @@ within the propagated error budget is the headline consistency check; the
 Cauchy table of ``quillen_limit`` tracks the same quantity along a smoothing
 family approaching a non-smooth limit factor.
 
-``quillen_log`` assembles one metric's ``QuillenData`` from its
-``pipeline.compute_zeta`` result and the volume of its spectrum. The checks
-(``two_route_check``, ``quillen_limit``) take those computed results
-instead of rerunning the pipeline, so a caller runs it once per metric and
-hands each result to every check that reads it.
+One metric's log h_Q is ``ZetaResult.log_quillen`` of its
+``pipeline.compute_zeta`` result, which records the volume of its spectrum.
+The checks (``two_route_check``, ``quillen_limit``) take those computed
+results instead of rerunning the pipeline, so a caller runs it once per
+metric and hands each result to every check that reads it.
 
 The sign of zeta'(0) is fixed by the scaling laws. For log vol +
 sigma * zeta'(0), under lambda -> t*lambda the volume moves by log t and
@@ -46,8 +46,6 @@ __all__ = [
     "TWO_ROUTE_BUDGET_FACTOR",
     "bott_chern_integral",
     "bott_chern_bound",
-    "QuillenData",
-    "quillen_log",
     "TwoRouteReport",
     "two_route_check",
     "QuillenLimitRow",
@@ -101,34 +99,6 @@ def bott_chern_bound(
     return k * distance
 
 
-class QuillenData(NamedTuple):
-    """The determinant-metric logarithm of one conformal factor."""
-
-    metric_id: str
-    vol: float
-    log_l2: float
-    zeta_prime0: float
-    log_quillen: float
-    error_budget: float
-
-
-def quillen_log(zeta: ZetaResult, vol: float) -> QuillenData:
-    """Assemble log h_Q = log vol + zeta'(0) for one metric.
-
-    ``zeta`` is the metric's ``compute_zeta`` result, which names it, and
-    ``vol`` the volume of its solved spectrum, the mass entry M_0[0, 0].
-    """
-    log_l2 = math.log(vol)
-    return QuillenData(
-        metric_id=zeta.metric_id,
-        vol=float(vol),
-        log_l2=log_l2,
-        zeta_prime0=zeta.zeta_prime0,
-        log_quillen=log_l2 + zeta.zeta_prime0,
-        error_budget=zeta.error_budget,
-    )
-
-
 class TwoRouteReport(NamedTuple):
     """Spectral-route vs curvature-route change of log h_Q for one pair."""
 
@@ -144,19 +114,19 @@ class TwoRouteReport(NamedTuple):
 
 def two_route_check(
     metric_p: ConformalMetric,
-    qp: QuillenData,
+    zp: ZetaResult,
     metric_q: ConformalMetric,
-    qq: QuillenData,
+    zq: ZetaResult,
 ) -> TwoRouteReport:
     """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
 
-    ``qp`` and ``qq`` are the determinant-metric logarithms of ``metric_p``
-    and ``metric_q`` (``quillen_log`` of each one's ``compute_zeta``); their
-    budgets set the tolerance. The anomaly integral has its own fixed rule.
+    ``zp`` and ``zq`` are the ``compute_zeta`` results of ``metric_p`` and
+    ``metric_q``; their budgets set the tolerance. The anomaly integral has
+    its own fixed rule.
     """
-    route1 = qp.log_quillen - qq.log_quillen
+    route1 = zp.log_quillen - zq.log_quillen
     route2 = -bott_chern_integral(metric_p, metric_q)
-    budget = qp.error_budget + qq.error_budget
+    budget = zp.error_budget + zq.error_budget
     tol = max(TWO_ROUTE_FLOOR, TWO_ROUTE_BUDGET_FACTOR * budget)
     gap = abs(route1 - route2)
     return TwoRouteReport(
@@ -206,13 +176,13 @@ def _aitken(values: list[float]) -> float:
 
 def quillen_limit(
     family_id: str,
-    members: Sequence[tuple[float, ConformalMetric, QuillenData]],
+    members: Sequence[tuple[float, ConformalMetric, ZetaResult]],
     pair_dist: Sequence[float],
 ) -> QuillenLimit:
     """Cauchy table and extrapolated limit of log h_Q along a family.
 
-    ``members`` lists each member's parameter, metric and determinant-metric
-    logarithm in family order, as the sweep computed them, and ``pair_dist``
+    ``members`` lists each member's parameter, metric and ``compute_zeta``
+    result in family order, as the sweep computed them, and ``pair_dist``
     the sweep's sup log-density distance of each consecutive pair. Each
     successive difference is checked against the anomaly bound
     K * sup|log(h_p/h_q)| plus the two members' zeta budgets, and the
@@ -223,23 +193,23 @@ def quillen_limit(
     if not members:
         raise DomainError("quillen_limit needs at least one family member")
 
-    def row(param: float, qd: QuillenData, diff: float, bound: float) -> QuillenLimitRow:
-        return QuillenLimitRow(float(param), qd.vol, qd.zeta_prime0, qd.log_quillen, diff, bound)
+    def row(param: float, z: ZetaResult, diff: float, bound: float) -> QuillenLimitRow:
+        return QuillenLimitRow(float(param), z.volume, z.zeta_prime0, z.log_quillen, diff, bound)
 
     rows = [row(members[0][0], members[0][2], math.nan, math.nan)]
     failures: list[str] = []
-    for (p0, m0, q0), (p1, m1, q1), dist in zip(members, members[1:], pair_dist):
-        diff = q1.log_quillen - q0.log_quillen
+    for (p0, m0, z0), (p1, m1, z1), dist in zip(members, members[1:], pair_dist):
+        diff = z1.log_quillen - z0.log_quillen
         bound = bott_chern_bound(m0, m1, dist)
-        slack = q0.error_budget + q1.error_budget
+        slack = z0.error_budget + z1.error_budget
         if abs(diff) > bound + slack:
             failures.append(
                 f"|log h_Q({p1:g}) - log h_Q({p0:g})| = {abs(diff):.3e} exceeds "
                 f"the anomaly bound {bound:.3e} plus budget {slack:.3e}"
             )
-        rows.append(row(p1, q1, diff, bound))
+        rows.append(row(p1, z1, diff, bound))
 
-    budgets = [qd.error_budget for _, _, qd in members]
+    budgets = [z.error_budget for _, _, z in members]
     diffs = [abs(r.diff_to_prev) for r in rows[1:]]
     for i in range(1, len(diffs)):
         slack = budgets[i] + budgets[i + 1]

@@ -157,14 +157,14 @@ def _zeta_payload(data, zres) -> dict:
     }
 
 
-def _quillen_payload(quillen) -> dict:
+def _quillen_payload(zres) -> dict:
     return {
-        "metric": quillen.metric_id,
-        "vol": quillen.vol,
-        "log_l2": quillen.log_l2,
-        "zeta_prime0": quillen.zeta_prime0,
-        "log_quillen": quillen.log_quillen,
-        "error_budget": quillen.error_budget,
+        "metric": zres.metric_id,
+        "vol": zres.volume,
+        "log_l2": math.log(zres.volume),
+        "zeta_prime0": zres.zeta_prime0,
+        "log_quillen": zres.log_quillen,
+        "error_budget": zres.error_budget,
     }
 
 
@@ -207,7 +207,7 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
     from .pipeline import compute_zeta
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(data.eigenvalues, metric, config.s_values)
+    zres = compute_zeta(data, metric, config.s_values)
     path = write_json(out / "zeta.json", _zeta_payload(data, zres))
     print(
         f"zeta: {data.metric_id} L={data.L} zeta_prime0={zres.zeta_prime0:.12g} "
@@ -217,32 +217,27 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_torsion(config: RunConfig, out: Path) -> int:
-    from .anomaly import quillen_log
     from .pipeline import compute_zeta
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(data.eigenvalues, metric, config.s_values)
-    quillen = quillen_log(zres, data.volume)
+    zres = compute_zeta(data, metric, config.s_values)
     zeta_path = write_json(out / "zeta.json", _zeta_payload(data, zres))
-    quillen_path = write_json(out / "quillen.json", _quillen_payload(quillen))
+    quillen_path = write_json(out / "quillen.json", _quillen_payload(zres))
     print(
         f"torsion: {data.metric_id} L={data.L} "
         f"zeta_prime0={zres.zeta_prime0:.12g} "
-        f"log_quillen={quillen.log_quillen:.12g} -> {zeta_path}, {quillen_path}"
+        f"log_quillen={zres.log_quillen:.12g} -> {zeta_path}, {quillen_path}"
     )
     return 0
 
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
-    from .anomaly import quillen_log, two_route_check
+    from .anomaly import two_route_check
     from .pipeline import compute_zeta, family_spectral_data
 
     family = _make_family(config)
     data = family_spectral_data(family.members, config.L, _make_cache(config))
-    members = []
-    for m, d in zip(family.members, data):
-        zres = compute_zeta(d.eigenvalues, m)
-        members.append((m, quillen_log(zres, d.volume)))
+    members = [(m, compute_zeta(d, m)) for m, d in zip(family.members, data)]
     reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
     passed = all(r.passed for r in reports)
     payload = {

@@ -9,7 +9,7 @@ into a quantitative pass/fail check. ``sweep`` is the only place that solves
 a family's pencils and runs the scalar pipeline on them: the members and the
 limit in one family solve (one Legendre sweep, one stacked LAPACK call per
 m), then the pipeline once per row. Each row keeps its metric's ``Spectrum`` (block
-eigenvectors and mass blocks), ``QuillenData`` and its ordered scalar
+eigenvectors and mass blocks), its ``ZetaResult`` and its ordered scalar
 ``columns``, and every check on the family's own metrics reads the
 ``SweepReport``: the Cauchy table, the gap floor (mass blocks), the operator
 limits (eigenvectors) and the determinant checks of ``anomaly``. No check
@@ -58,14 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anomaly import (
-    QuillenData,
-    QuillenLimit,
-    TwoRouteReport,
-    quillen_limit,
-    quillen_log,
-    two_route_check,
-)
+from .anomaly import QuillenLimit, TwoRouteReport, quillen_limit, two_route_check
 from .discretize import (
     build_basis,
     mass_weights,
@@ -76,6 +69,7 @@ from .eigensolve import Spectrum, pencil_eigvalsh, resolvent
 from .errors import DomainError
 from .heatzeta import (
     DuhamelReport,
+    ZetaResult,
     duhamel_residual,
     heat_operator,
     theta_values,
@@ -156,15 +150,15 @@ class SweepRow(NamedTuple):
     ``columns`` is the row's ordered table of scalars, the one the Cauchy
     check and converge.csv read: ``vol``, ``lambda1``, ``theta_t<t>`` per
     tabulated time, ``b_minus1``, ``b0``, ``zeta_prime0``, ``log_quillen``.
-    ``quillen`` holds the member's volume, zeta'(0), log h_Q and zeta error
-    budget, as the checks of ``anomaly`` take them. ``spectrum`` is the
+    ``zeta`` is the member's ``compute_zeta`` result, with its volume and
+    log h_Q, as the checks of ``anomaly`` take it. ``spectrum`` is the
     member's solved pencil, which the operator checks read.
     """
 
     param: float
     columns: dict[str, float]
     sup_log_dist_to_limit: float
-    quillen: QuillenData
+    zeta: ZetaResult
     spectrum: Spectrum
 
     @property
@@ -201,22 +195,21 @@ def _pipeline_row(
     spectrum: Spectrum,
 ) -> SweepRow:
     """Run the scalar pipeline on one metric's solved pencil, tabulate its row."""
-    zres = compute_zeta(spectrum.eigenvalues, metric)
-    q = quillen_log(zres, spectrum.volume)
+    zres = compute_zeta(spectrum, metric)
     th = theta_values(spectrum.eigenvalues, np.array(list(theta_columns.values())))
     return SweepRow(
         param=param,
         columns={
-            "vol": q.vol,
+            "vol": zres.volume,
             "lambda1": spectrum.lambda1,
             **{name: float(v) for name, v in zip(theta_columns, th)},
             "b_minus1": zres.fit.b_minus1,
             "b0": zres.fit.b0,
-            "zeta_prime0": q.zeta_prime0,
-            "log_quillen": q.log_quillen,
+            "zeta_prime0": zres.zeta_prime0,
+            "log_quillen": zres.log_quillen,
         },
         sup_log_dist_to_limit=sup_log_distance(metric, limit),
-        quillen=q,
+        zeta=zres,
         spectrum=spectrum,
     )
 
@@ -349,7 +342,7 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
         values = [(a.columns[name], b.columns[name]) for a, b in pairs]
         d = [abs(x - y) for x, y in values]
         if name in _BUDGET_COLUMNS:
-            slack = [a.quillen.error_budget + b.quillen.error_budget for a, b in pairs]
+            slack = [a.zeta.error_budget + b.zeta.error_budget for a, b in pairs]
         else:
             slack = [_TINY_REL * (1.0 + max(abs(x), abs(y))) for x, y in values]
         column, bad = _cauchy_column(name, labels, d, scales, slack)
@@ -647,7 +640,7 @@ def convergence_summary(
     resolvents = resolvent_convergence(rep)
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
-    members = [(r.param, m, r.quillen) for r, m in zip(rep.rows, family.members)]
+    members = [(r.param, m, r.zeta) for r, m in zip(rep.rows, family.members)]
     quillen = quillen_limit(family.id, members, rep.pair_dist)
     two_route = two_route_check(*members[0][1:], *members[1][1:])
 

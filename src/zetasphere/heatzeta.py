@@ -4,10 +4,11 @@ Every function here takes the eigenvalue array itself. The discrete heat
 trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues is the
 single object everything else is built from:
 
-* ``fit_asymptotics`` is the one fit routine: it clips the window once, at
-  the time the truncation bound n exp(-lambda_max t) reaches
+* ``fit_asymptotics`` is the one fit routine: it takes the metric's time
+  scale s, sets the window to ``DEFAULT_FIT_WINDOW`` in tau = t / s, clips
+  it once, at the time the truncation bound n exp(-lambda_max t) reaches
   ``DEFAULT_TRUNC_TOL``, samples theta on ``FIT_GRID_NODES`` geometric times
-  in what is left, and fits b_-1/t + b_0 + b_1 t, giving the volume
+  in what is left, and fits b_-1/t + b_0 + b_1 t in tau, giving the volume
   coefficient and the constant term;
 * zeta(s) for s > 1 comes directly from the eigenvalues;
 * zeta'(0) is one closed form at the fitted window's lower end t_lo:
@@ -161,18 +162,12 @@ def truncation_time(n_modes: int, lambda_max: float, trunc_tol: float) -> float:
     return math.log(n_modes / trunc_tol) / lambda_max
 
 
-def _time_scale(window: tuple[float, float]) -> float:
-    """The scale s of a requested fit window: its upper end in units of
-    ``DEFAULT_FIT_WINDOW[1]``, exactly 1.0 for the default window."""
-    return window[1] / DEFAULT_FIT_WINDOW[1]
-
-
 def _weighted_fit(t: np.ndarray, th: np.ndarray, scale: float):
     """Least squares of th ~ b_-1/t + b_0 + b_1 t with weights t^2.
 
-    The fit runs in tau = t / scale, so a window's design is as well
-    conditioned as the default window's when ``scale`` is its
-    ``_time_scale``; the coefficients and spreads come back in t units.
+    The fit runs in tau = t / scale, so a metric's window is as well
+    conditioned as the unscaled metric's when ``scale`` is its time scale;
+    the coefficients and spreads come back in t units.
     Returns the coefficients, the largest absolute model residual and the
     parameter spread from the weighted normal equations. Raises FitWindowError
     when a window far from tau ~ 1 overflows or underflows the weighted design,
@@ -213,10 +208,8 @@ class AsymptoticFit(NamedTuple):
     b0: float
     b1: float
     residual: float
-    window_requested: tuple[float, float]
     window_effective: tuple[float, float]
-    n_points: int
-    trunc_tol: float
+    scale: float
     param_sigma: tuple[float, float, float]
 
     @property
@@ -224,18 +217,17 @@ class AsymptoticFit(NamedTuple):
         return (self.b_minus1, self.b0, self.b1)
 
 
-def fit_asymptotics(eigenvalues: np.ndarray, window: tuple[float, float]) -> AsymptoticFit:
+def fit_asymptotics(eigenvalues: np.ndarray, scale: float) -> AsymptoticFit:
     """Fit the three-term small-time model to the heat trace of ``eigenvalues``.
 
-    The requested ``window`` (the pipeline's is ``default_fit_window``) is
-    clipped to the region where the truncation bound stays below
-    ``DEFAULT_TRUNC_TOL``; both windows are recorded. The trace is sampled on
-    ``FIT_GRID_NODES`` geometric times spanning the clipped window. Raises
-    FitWindowError when the clipped window is empty.
+    ``scale`` is the metric's time scale s (``ConformalMetric.scale_hint``):
+    rescaling the conformal factor by c rescales the eigenvalues by 1/c, so
+    the window is ``DEFAULT_FIT_WINDOW`` in tau = t / s. It is clipped to
+    the region where the truncation bound stays below ``DEFAULT_TRUNC_TOL``,
+    and the trace is sampled on ``FIT_GRID_NODES`` geometric times spanning
+    what is left. Raises FitWindowError when the clipped window is empty.
     """
-    lo_req, hi_req = float(window[0]), float(window[1])
-    if not (0.0 < lo_req < hi_req):
-        raise DomainError(f"bad fit window {window}")
+    lo_req, hi_req = DEFAULT_FIT_WINDOW[0] * scale, DEFAULT_FIT_WINDOW[1] * scale
     lam = np.asarray(eigenvalues, dtype=float)
     n_modes, lambda_max = int(lam.size), float(lam[-1])
     t_valid = truncation_time(n_modes, lambda_max, DEFAULT_TRUNC_TOL)
@@ -247,16 +239,14 @@ def fit_asymptotics(eigenvalues: np.ndarray, window: tuple[float, float]) -> Asy
             violated_bound=float(n_modes * math.exp(-lambda_max * hi_req)),
         )
     t = geometric_grid(lo, hi_req, FIT_GRID_NODES)
-    coef, resid, sig = _weighted_fit(t, theta_values(lam, t), _time_scale(window))
+    coef, resid, sig = _weighted_fit(t, theta_values(lam, t), scale)
     return AsymptoticFit(
         b_minus1=float(coef[0]),
         b0=float(coef[1]),
         b1=float(coef[2]),
         residual=resid,
-        window_requested=(lo_req, hi_req),
         window_effective=(float(lo), float(hi_req)),
-        n_points=FIT_GRID_NODES,
-        trunc_tol=DEFAULT_TRUNC_TOL,
+        scale=scale,
         param_sigma=sig,
     )
 
@@ -305,7 +295,7 @@ def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
     where they neither overflow nor lose a column.
     """
     t_lo, t_hi = fit.window_effective
-    scale = _time_scale(fit.window_requested)
+    scale = fit.scale
     hi_sub = scale * math.sqrt((t_lo / scale) * (t_hi / scale))
     if hi_sub < 1.3 * t_lo:
         return 0.0
@@ -320,9 +310,11 @@ def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
 
 
 class ZetaResult(NamedTuple):
-    """Everything the zeta pipeline reports for one metric."""
+    """Everything the zeta pipeline reports for one metric, with the volume
+    M_0[0, 0] of its spectrum and so log h_Q = log vol + zeta'(0)."""
 
     metric_id: str
+    volume: float
     s_points: tuple[ZetaPoint, ...]
     zeta0: float
     zeta0_minus_kernel: float
@@ -331,14 +323,19 @@ class ZetaResult(NamedTuple):
     fit: AsymptoticFit
     method: dict
 
+    @property
+    def log_quillen(self) -> float:
+        return math.log(self.volume) + self.zeta_prime0
+
 
 def zeta_result(
     eigenvalues: np.ndarray,
+    volume: float,
     fit: AsymptoticFit,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
     metric_id: str = "",
 ) -> ZetaResult:
-    """The direct zeta points, zeta(0) and zeta'(0) of one spectrum.
+    """The direct zeta points, zeta(0) and zeta'(0) of one spectrum of ``volume``.
 
     zeta'(0) is the closed form of the module docstring at t_lo, the lower
     end of the fit's effective window, with its error budget; its three
@@ -363,7 +360,7 @@ def zeta_result(
         + sig_b0 * (EULER_GAMMA + math.log(1.0 / t_lo))
         + sig_b1 * t_lo
         + abs(b1) * t_lo * t_lo
-        + fit.trunc_tol * (1.0 + math.log(1.0 / t_lo))
+        + DEFAULT_TRUNC_TOL * (1.0 + math.log(1.0 / t_lo))
         + spread
     )
     method = {
@@ -376,6 +373,7 @@ def zeta_result(
     }
     return ZetaResult(
         metric_id=metric_id,
+        volume=float(volume),
         s_points=points,
         zeta0=fit.b0,
         zeta0_minus_kernel=fit.b0 - 1,

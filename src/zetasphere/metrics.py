@@ -19,6 +19,7 @@ blend is the family's (`d_log_density_du`), not any one metric's.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -207,12 +208,17 @@ def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
         return tuple(0.5 * (x + y) for x, y in zip(a.jet(r), b.jet(r)))
 
     smooth = _join_smoothness(a.smoothness, b.smoothness)
+    prod = a.scale_hint * b.scale_hint
+    if sys.float_info.min <= prod <= sys.float_info.max:
+        scale = math.sqrt(prod)
+    else:  # the product under- or overflows; the parts' roots do not
+        scale = math.sqrt(a.scale_hint) * math.sqrt(b.scale_hint)
     return ConformalMetric(
         f"geomean({a.id},{b.id})",
         smooth,
         jet,
         kink_radii=tuple(sorted(set(a.kink_radii) | set(b.kink_radii))),
-        scale_hint=math.sqrt(a.scale_hint * b.scale_hint),
+        scale_hint=scale,
     )
 
 

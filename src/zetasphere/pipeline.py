@@ -1,4 +1,4 @@
-"""Shared computation pipeline: spectrum data and fit windows.
+"""Shared computation pipeline: spectrum data and the zeta record of a metric.
 
 Each solve builds its own basis (`build_basis`), and no table outlives a
 block. A pencil is solved wherever its spectrum is needed and handed on
@@ -13,16 +13,13 @@ convergence harness and the selftest solve with ``family_spectra``, which
 keeps the mass blocks and eigenvectors of every pencil (`family_eigs`; the
 `Spectrum` holds them and its eigenvalues and volume), so the harness
 checks read the sweep's eigenvectors and mass blocks instead of solving
-again. ``compute_zeta`` runs the heat-trace fit and the zeta data on the
-eigenvalues that the caller supplies, from either kind of solve; the fit
-itself, window clipping and sampling included, is
-``heatzeta.fit_asymptotics``. The colatitude rule that the cache key names
+again. ``compute_zeta`` runs the heat-trace fit and the zeta data on a
+solved record of either kind, both of which carry the eigenvalues and the
+volume; the fit itself, window clipping and sampling included, is
+``heatzeta.fit_asymptotics`` on the metric's time scale
+``metric.scale_hint``. The colatitude rule that the cache key names
 is ``discretize.colatitude_nodes``, the one ``build_basis`` builds, so a
 cache hit builds no basis. No command builds an n x n matrix.
-
-The fit window follows the metric's global scale: rescaling the conformal
-factor by c rescales eigenvalues by 1/c, so the window carries a factor
-``metric.scale_hint``.
 """
 
 from __future__ import annotations
@@ -36,20 +33,13 @@ import numpy as np
 from .cache import SpectrumCache, spectrum_cache_key
 from .discretize import build_basis, colatitude_nodes, masses
 from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals
-from .heatzeta import (
-    DEFAULT_FIT_WINDOW,
-    DEFAULT_S_VALUES,
-    ZetaResult,
-    fit_asymptotics,
-    zeta_result,
-)
+from .heatzeta import DEFAULT_S_VALUES, ZetaResult, fit_asymptotics, zeta_result
 from .metrics import ConformalMetric
 
 __all__ = [
     "family_spectra",
     "SpectralData",
     "family_spectral_data",
-    "default_fit_window",
     "compute_zeta",
 ]
 
@@ -138,17 +128,13 @@ def family_spectral_data(
     return tuple(found[g.id] for g in metrics)
 
 
-def default_fit_window(metric: ConformalMetric) -> tuple[float, float]:
-    s = metric.scale_hint
-    return (DEFAULT_FIT_WINDOW[0] * s, DEFAULT_FIT_WINDOW[1] * s)
-
-
 def compute_zeta(
-    eigenvalues: np.ndarray,
+    spectrum: SpectralData | Spectrum,
     metric: ConformalMetric,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
 ) -> ZetaResult:
-    """Fit and zeta data of one metric's eigenvalues, named ``metric.id``;
-    the fit, on ``default_fit_window(metric)``, is the result's ``fit``."""
-    fit = fit_asymptotics(eigenvalues, default_fit_window(metric))
-    return zeta_result(eigenvalues, fit, s_values, metric_id=metric.id)
+    """Fit and zeta data of one metric's solved spectrum, named ``metric.id``,
+    with its volume; the fit, on the metric's time scale, is the result's
+    ``fit``."""
+    fit = fit_asymptotics(spectrum.eigenvalues, metric.scale_hint)
+    return zeta_result(spectrum.eigenvalues, spectrum.volume, fit, s_values, metric_id=metric.id)

@@ -114,7 +114,7 @@ def _check_heatzeta() -> None:
     assert abs(point.value - 1.0625) < 1e-15, "zeta(2) of {1, 4}"
 
     (data,) = family_spectral_data((fs_metric(),), 16)
-    zres = compute_zeta(data.eigenvalues, fs_metric())
+    zres = compute_zeta(data, fs_metric())
     rel = abs(zres.fit.b_minus1 - data.volume) / data.volume
     assert rel < 0.02, f"leading coefficient vs volume: rel err {rel:.3e}"
     assert zres.error_budget < 0.05, f"round-metric budget {zres.error_budget:.3e}"
@@ -128,7 +128,7 @@ def _check_determinism() -> None:
 
     def payload() -> str:
         (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
-        zres = compute_zeta(data.eigenvalues, pnorm_metric(3.0))
+        zres = compute_zeta(data, pnorm_metric(3.0))
         return json.dumps(
             {
                 "eigenvalues": ["%.17g" % v for v in data.eigenvalues],

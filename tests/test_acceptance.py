@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.anomaly import quillen_log, two_route_check
+from zetasphere.anomaly import two_route_check
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.harness import duhamel_at, lambda1_floor, sweep
@@ -49,7 +49,7 @@ def zeta32(cache):
         ("fs", fs_metric()),
     ]:
         (data,) = family_spectral_data((metric,), 32, cache=cache)
-        zres = compute_zeta(data.eigenvalues, metric)
+        zres = compute_zeta(data, metric)
         out[key] = (data, zres.fit, zres)
     return out
 
@@ -101,13 +101,13 @@ def test_ac02_round_metric_multiplets(tmp_path):
 
 def test_ac03_scaling_laws(cache):
     (base_data,) = family_spectral_data((pnorm_metric(3.0),), 24, cache=cache)
-    base_z = compute_zeta(base_data.eigenvalues, pnorm_metric(3.0))
+    base_z = compute_zeta(base_data, pnorm_metric(3.0))
     base_fit = base_z.fit
     worst_eig, worst_bm1, worst_gap = 0.0, 0.0, 0.0
     for t0 in (0.5, 2.0, 10.0):
         scaled = scaled_metric(t0, pnorm_metric(3.0))
         (data,) = family_spectral_data((scaled,), 24, cache=cache)
-        zres = compute_zeta(data.eigenvalues, scaled)
+        zres = compute_zeta(data, scaled)
         fit = zres.fit
         expected = base_data.eigenvalues[1:] / t0
         eig_rel = float(np.max(np.abs(data.eigenvalues[1:] - expected) / expected))
@@ -134,7 +134,7 @@ def test_ac03_scaling_laws(cache):
 def test_ac04_mellin_consistency(cache, zeta32):
     worst_rel = 0.0
     (data3,) = family_spectral_data((pnorm_metric(3.0),), 32, cache=cache)
-    fit3 = compute_zeta(data3.eigenvalues, pnorm_metric(3.0)).fit
+    fit3 = compute_zeta(data3, pnorm_metric(3.0)).fit
     cases = {"pnorm:3": (data3, fit3), "fs": (zeta32["fs"][0], zeta32["fs"][1])}
     for name, (data, fit) in cases.items():
         lam = data.eigenvalues
@@ -159,12 +159,11 @@ def test_ac05_two_route_quillen(cache):
     gaps = []
     fs = fs_metric()
     (d_fs,) = family_spectral_data((fs,), 32, cache=cache)
-    q_fs = quillen_log(compute_zeta(d_fs.eigenvalues, fs), d_fs.volume)
+    z_fs = compute_zeta(d_fs, fs)
     for p in (2.0, 4.0, 8.0):
         metric = pnorm_metric(p)
         (d_p,) = family_spectral_data((metric,), 32, cache=cache)
-        q_p = quillen_log(compute_zeta(d_p.eigenvalues, metric), d_p.volume)
-        r = two_route_check(fs, q_fs, metric, q_p)
+        r = two_route_check(fs, z_fs, metric, compute_zeta(d_p, metric))
         assert r.tolerance >= 1e-3
         assert r.gap <= r.tolerance, f"(fs, pnorm:{p:g}): gap {r.gap:.3e} > {r.tolerance:.3e}"
         assert r.passed

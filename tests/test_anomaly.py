@@ -14,7 +14,6 @@ from zetasphere.anomaly import (
     bott_chern_bound,
     bott_chern_integral,
     quillen_limit,
-    quillen_log,
     two_route_check,
 )
 from zetasphere.errors import DomainError, UnsupportedPointError
@@ -84,17 +83,15 @@ def test_kinked_factor_is_refused():
 
 
 def test_quillen_log_assembly(cache):
+    """log h_Q = log vol + zeta'(0) of the zeta record, on its volume."""
     data, zres = _torsion(pnorm_metric(2.0), 16, cache)
-    qd = quillen_log(zres, data.volume)
-    assert qd.metric_id == "pnorm:2"
-    assert qd.log_l2 == pytest.approx(math.log(qd.vol), rel=1e-15)
-    assert qd.log_quillen == qd.log_l2 + zres.zeta_prime0
-    assert qd.error_budget == zres.error_budget
-    assert qd.vol == data.volume
+    assert zres.metric_id == "pnorm:2"
+    assert zres.volume == data.volume
+    assert zres.log_quillen == math.log(zres.volume) + zres.zeta_prime0
     # the volume is reported as passed
-    other = quillen_log(zres, 2.5)
-    assert other.vol == 2.5
-    assert other.log_l2 == pytest.approx(math.log(2.5), rel=1e-15)
+    other = zres._replace(volume=2.5)
+    assert other.volume == 2.5
+    assert other.log_quillen == pytest.approx(math.log(2.5) + zres.zeta_prime0, rel=1e-15)
 
 
 def test_spectral_route_scaling_slope(cache):
@@ -106,12 +103,10 @@ def test_spectral_route_scaling_slope(cache):
     """
     t0 = 10.0
     metric = pnorm_metric(2.0)
-    base, z_base = _torsion(metric, 16, cache)
-    q_base = quillen_log(z_base, base.volume)
+    _, z_base = _torsion(metric, 16, cache)
     scaled = scaled_metric(t0, pnorm_metric(2.0))
-    rescaled, z_scaled = _torsion(scaled, 16, cache)
-    q_scaled = quillen_log(z_scaled, rescaled.volume)
-    spectral = q_scaled.log_quillen - q_base.log_quillen
+    _, z_scaled = _torsion(scaled, 16, cache)
+    spectral = z_scaled.log_quillen - z_base.log_quillen
     assert spectral == pytest.approx(
         (1.0 + z_base.zeta0) * math.log(t0), abs=1e-7
     )
@@ -123,18 +118,13 @@ def test_spectral_route_scaling_slope(cache):
 def _torsion(metric, L, cache):
     """The metric's spectrum data and its compute_zeta result."""
     (data,) = family_spectral_data((metric,), L, cache=cache)
-    return data, compute_zeta(data.eigenvalues, metric)
-
-
-def _quillen(metric, L, cache):
-    data, zres = _torsion(metric, L, cache)
-    return quillen_log(zres, data.volume)
+    return data, compute_zeta(data, metric)
 
 
 def _limit(family, L, cache):
     """quillen_limit of the family, one pipeline run per member."""
     members = [
-        (p, m, _quillen(m, L, cache)) for p, m in zip(family.parameters, family.members)
+        (p, m, _torsion(m, L, cache)[1]) for p, m in zip(family.parameters, family.members)
     ]
     metrics = family.members
     dists = [sup_log_distance(a, b) for a, b in zip(metrics, metrics[1:])]
@@ -143,7 +133,7 @@ def _limit(family, L, cache):
 
 def _two_route(metric_p, metric_q, L, cache):
     return two_route_check(
-        metric_p, _quillen(metric_p, L, cache), metric_q, _quillen(metric_q, L, cache)
+        metric_p, _torsion(metric_p, L, cache)[1], metric_q, _torsion(metric_q, L, cache)[1]
     )
 
 
@@ -174,12 +164,10 @@ def test_two_routes_agree_with_plus_zeta_prime_only(cache):
     misses it."""
     metrics = (fs_metric(), pnorm_metric(2.0))
     (dp, zp), (dq, zq) = (
-        (d, compute_zeta(d.eigenvalues, m))
+        (d, compute_zeta(d, m))
         for m, d in zip(metrics, family_spectral_data(metrics, 16, cache=cache))
     )
-    report = two_route_check(
-        metrics[0], quillen_log(zp, dp.volume), metrics[1], quillen_log(zq, dq.volume)
-    )
+    report = two_route_check(metrics[0], zp, metrics[1], zq)
     assert report.passed and report.gap <= report.tolerance
     minus = math.log(dp.volume / dq.volume) - (zp.zeta_prime0 - zq.zeta_prime0)
     assert abs(minus - report.route_curvature) > report.tolerance
@@ -210,10 +198,10 @@ def test_quillen_limit_takes_computed_members(cache):
     metrics = fam.members
     rep = sweep(fam, L=16)
     rows = rep.rows
-    members = [(r.param, m, r.quillen) for r, m in zip(rows, metrics)]
+    members = [(r.param, m, r.zeta) for r, m in zip(rows, metrics)]
     out = quillen_limit(fam.id, members, rep.pair_dist)
     assert [r.param for r in out.rows] == [2.0, 4.0]
-    assert out.rows[1].diff_to_prev == rows[1].quillen.log_quillen - rows[0].quillen.log_quillen
+    assert out.rows[1].diff_to_prev == rows[1].zeta.log_quillen - rows[0].zeta.log_quillen
     assert out.rows[1].bound == bott_chern_bound(*metrics, rep.pair_dist[0])
     with pytest.raises(DomainError):
         quillen_limit(fam.id, [], ())
@@ -243,11 +231,9 @@ def test_limit_agreement_between_families(cache):
 
 def test_torsion_consistency(cache):
     data, zres = _torsion(pnorm_metric(3.0), 16, cache)
-    quillen = quillen_log(zres, data.volume)
     assert data.metric_id == "pnorm:3"
     assert zres.metric_id == "pnorm:3"
-    assert quillen.vol == data.volume
-    assert quillen.zeta_prime0 == zres.zeta_prime0
-    assert quillen.log_quillen == pytest.approx(
+    assert zres.volume == data.volume
+    assert zres.log_quillen == pytest.approx(
         math.log(data.volume) + zres.zeta_prime0, rel=1e-14
     )

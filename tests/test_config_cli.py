@@ -214,11 +214,11 @@ def test_jsonable_maps_records_to_dicts():
     """A record is a tuple, but it serializes as a dict keyed by its field
     names, and a tuple of records as a list of such dicts."""
     fit = AsymptoticFit(
-        b_minus1=1.0, b0=-1.0 / 3.0, b1=0.05, residual=1e-9, window_requested=(0.02, 0.2),
-        window_effective=(0.02, 0.2), n_points=25, trunc_tol=1e-8, param_sigma=(0.0, 0.0, 0.0),
+        b_minus1=1.0, b0=-1.0 / 3.0, b1=0.05, residual=1e-9,
+        window_effective=(0.02, 0.2), scale=1.0, param_sigma=(0.0, 0.0, 0.0),
     )
     result = ZetaResult(
-        metric_id="fs",
+        metric_id="fs", volume=4.0 * math.pi,
         s_points=(ZetaPoint(2.0, 1.5, 0.25), ZetaPoint(3.0, 1.125, float("nan"))),
         zeta0=-1.0 / 3.0, zeta0_minus_kernel=-4.0 / 3.0, zeta_prime0=0.5, error_budget=1e-6,
         fit=fit, method={"window": "default"},
@@ -348,8 +348,7 @@ def test_cli_zeta_schema(tmp_path, cache, capsys):
     assert [p["s"] for p in payload["s_points"]] == [1.5, 2.0, 3.0]
     assert all(p["tail_bound"] >= 0.0 for p in payload["s_points"])
     assert set(payload["fit"]) == {
-        "b_minus1", "b0", "b1", "residual", "window_requested",
-        "window_effective", "n_points", "trunc_tol", "param_sigma",
+        "b_minus1", "b0", "b1", "residual", "window_effective", "scale", "param_sigma",
     }
     assert payload["error_budget"] > 0.0
 

@@ -94,19 +94,19 @@ def test_sweep_rows():
     rep = sweep(fam, L=16)
     assert rep.family_id == "pnorm"
     assert rep.limit_row.param == math.inf
-    assert rep.limit_row.quillen.metric_id == "max"
+    assert rep.limit_row.zeta.metric_id == "max"
     assert [r.param for r in rep.rows] == [1.0, 2.0, 3.0]
-    assert [r.quillen.metric_id for r in rep.rows] == ["pnorm:1", "pnorm:2", "pnorm:3"]
+    assert [r.zeta.metric_id for r in rep.rows] == ["pnorm:1", "pnorm:2", "pnorm:3"]
     for row, p in zip(rep.rows, (1.0, 2.0, 3.0)):
-        assert row.quillen.vol == pytest.approx(float(oracles.pnorm_volume(p)), rel=1e-6)
+        assert row.zeta.volume == pytest.approx(float(oracles.pnorm_volume(p)), rel=1e-6)
         assert row.sup_log_dist_to_limit == pytest.approx(
             float(oracles.sup_log_pnorm_to_max(p)), abs=1e-12
         )
         assert row.lambda1 > 0.0
         assert row.columns["lambda1"] == row.lambda1
-        assert row.columns["vol"] == row.quillen.vol
-        assert row.columns["zeta_prime0"] == row.quillen.zeta_prime0
-        assert row.columns["log_quillen"] == row.quillen.log_quillen
+        assert row.columns["vol"] == row.zeta.volume
+        assert row.columns["zeta_prime0"] == row.zeta.zeta_prime0
+        assert row.columns["log_quillen"] == row.zeta.log_quillen
         theta = [row.columns[f"theta_t{t}"] for t in ("0.5", "1", "2")]
         assert theta == list(theta_values(row.spectrum.eigenvalues, np.array(rep.t_set)))
     # consecutive distances follow the closed form 2 log2 |1/p - 1/q|
@@ -193,7 +193,7 @@ def test_limit_agreement():
     rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
     last, limit = rep.rows[-1], rep.limit_row
-    assert limit.quillen.metric_id == "max"
+    assert limit.zeta.metric_id == "max"
     scale = last.sup_log_dist_to_limit
     assert scale == pytest.approx(2.0 * math.log(2.0) / 8.0, abs=1e-12)
     assert cy.passed
@@ -202,7 +202,7 @@ def test_limit_agreement():
         x, y = last.columns[col.name], limit.columns[col.name]
         assert col.diffs[-1] == abs(x - y)
         if col.name in ("b_minus1", "b0", "zeta_prime0", "log_quillen"):
-            slack = last.quillen.error_budget + limit.quillen.error_budget
+            slack = last.zeta.error_budget + limit.zeta.error_budget
         else:
             slack = 1e-9 * (1.0 + max(abs(x), abs(y)))
         assert col.bounds[-1] == pytest.approx(col.c_frozen * scale + slack, rel=1e-12)

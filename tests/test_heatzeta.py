@@ -47,6 +47,7 @@ from zetasphere.metrics import (
     geomean_metric,
     interpolate,
     max_metric,
+    parse_metric_spec,
     pnorm_metric,
     scaled_metric,
 )
@@ -54,7 +55,6 @@ from zetasphere.operators import InnerProduct, operator_norm
 from zetasphere.pipeline import (
     _valid_hit,
     compute_zeta,
-    default_fit_window,
     family_spectra,
     family_spectral_data,
 )
@@ -65,8 +65,8 @@ EULER_GAMMA = float(np.euler_gamma)
 def model_fit(window, coef=(3.0, 5.0, 0.1), sigma=(0.0, 0.0, 0.0)):
     """A fit holding the given coefficients on an unclipped ``window``."""
     return AsymptoticFit(
-        *coef, residual=0.0, window_requested=window, window_effective=window,
-        n_points=FIT_GRID_NODES, trunc_tol=DEFAULT_TRUNC_TOL, param_sigma=sigma,
+        *coef, residual=0.0, window_effective=window,
+        scale=window[1] / DEFAULT_FIT_WINDOW[1], param_sigma=sigma,
     )
 
 
@@ -213,11 +213,11 @@ def test_heat_trace_samples_bookkeeping():
     assert n_modes * math.exp(-lambda_max * t_valid) == pytest.approx(
         DEFAULT_TRUNC_TOL, rel=1e-12
     )
-    assert 0.05 < t_valid < 1.0
-    fit = fit_asymptotics(lam, window=(0.05, 1.0))
-    assert fit.window_requested == (0.05, 1.0)
+    assert 0.1 < t_valid < 1.0
+    # scale 5 asks for the window (0.1, 1.0), clipped at t_valid
+    fit = fit_asymptotics(lam, 5.0)
+    assert fit.scale == 5.0
     assert fit.window_effective == (t_valid, 1.0)
-    assert fit.trunc_tol == DEFAULT_TRUNC_TOL
     with pytest.raises(DomainError):
         theta(lam, 0.0)
 
@@ -239,13 +239,13 @@ def test_fit_samples_the_window_on_the_fixed_grid():
     """Inside the valid region the window is kept and the trace sampled on
     FIT_GRID_NODES geometric times spanning it."""
     lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
-    fit = fit_asymptotics(lam, window=(0.2, 0.5))
-    assert fit.window_effective == fit.window_requested == (0.2, 0.5)
-    assert fit.n_points == FIT_GRID_NODES == 25
+    # scale 10 asks for (0.2, 2.0), past t_valid ~ 0.1771
+    fit = fit_asymptotics(lam, 10.0)
+    assert fit.window_effective == (0.2, 2.0)
     assert fit.coefficients == (fit.b_minus1, fit.b0, fit.b1)
-    t = geometric_grid(0.2, 0.5, FIT_GRID_NODES)
-    # fitted in units of the window's upper end over the default one's
-    coef, resid, sigma = _weighted_fit(t, theta_values(lam, t), 0.5 / DEFAULT_FIT_WINDOW[1])
+    t = geometric_grid(0.2, 2.0, FIT_GRID_NODES)
+    # fitted in tau = t / scale
+    coef, resid, sigma = _weighted_fit(t, theta_values(lam, t), 10.0)
     assert fit.coefficients == tuple(coef)
     assert fit.residual == resid and fit.param_sigma == sigma
 
@@ -256,12 +256,12 @@ def test_fit_window_clipping():
     starts at t = log(289 / 1e-8) / 136 ~ 0.1771."""
     lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
     assert lam.size == 289 and lam[-1] == pytest.approx(136.0, rel=1e-9)
-    fit = fit_asymptotics(lam, window=(0.02, 0.2))
+    fit = fit_asymptotics(lam, 1.0)
     t_valid = truncation_time(lam.size, lam[-1], 1e-8)
     assert t_valid == pytest.approx(0.1771, abs=1e-4)
     assert fit.window_effective[0] == t_valid
     assert fit.window_effective[1] == 0.2
-    assert fit.window_requested == (0.02, 0.2)
+    assert fit.scale == 1.0
     t = geometric_grid(t_valid, 0.2, FIT_GRID_NODES)
     assert fit.coefficients == tuple(_weighted_fit(t, theta_values(lam, t), 1.0)[0])
 
@@ -270,7 +270,7 @@ def test_fit_window_errors():
     # entirely invalid window: bound exceeds tol everywhere in it
     lam = np.linspace(0.0, 10.0, 100)
     with pytest.raises(FitWindowError, match="valid region starts at t = 2.") as info:
-        fit_asymptotics(lam, window=(0.02, 0.2))
+        fit_asymptotics(lam, 1.0)
     assert info.value.violated_bound > 1e-8
     # windows so far from the time scale of the fit that the weighted design
     # loses a column
@@ -278,10 +278,6 @@ def test_fit_window_errors():
         far = geometric_grid(lo, 4 * lo, 40)
         with pytest.raises(FitWindowError, match=f"rank {rank} of 3"):
             _weighted_fit(far, 3.0 / far + 5.0 + 0.1 * far, 1.0)
-    # malformed windows fail fast
-    for window in [(0.2, 0.02), (0.0, 0.2), (-0.1, 0.2)]:
-        with pytest.raises(DomainError):
-            fit_asymptotics(lam, window=window)
 
 
 # ---------------------------------------------------------------- zeta(s)
@@ -321,7 +317,7 @@ def test_zeta_mellin_validation():
 def test_zeta_prime_zero_four_term_closed_form():
     """Model coefficients reduce zeta'(0) to a known four-term expression."""
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    zres = zeta_result(lam, model_fit((0.02, 0.2)))
+    zres = zeta_result(lam, 1.0, model_fit((0.02, 0.2)))
     want = oracles.four_term_zeta_prime(lam[lam > 0.0], 3.0, 5.0, 0.1, 0.02)
     assert zres.zeta_prime0 == pytest.approx(want, abs=1e-12)
 
@@ -331,7 +327,7 @@ def test_zeta_prime_zero_finite_spectrum_identity():
     lam = 0.5 + 0.25 * np.arange(40.0)
     grid = geometric_grid(0.02, 0.2, 40)
     fit = model_fit((0.02, 0.2), coef=tuple(_weighted_fit(grid, theta_values(lam, grid), 1.0)[0]))
-    zres = zeta_result(lam, fit)
+    zres = zeta_result(lam, 1.0, fit)
     want = -oracles.finite_spectrum_log_det(lam) + oracles.finite_spectrum_correction(
         lam, fit.b_minus1, fit.b0, fit.b1, 0.02
     )
@@ -340,7 +336,7 @@ def test_zeta_prime_zero_finite_spectrum_identity():
 
 def _fit_l16(metric):
     (data,) = family_spectral_data((metric,), 16)
-    return data.eigenvalues, fit_asymptotics(data.eigenvalues, default_fit_window(metric))
+    return data.eigenvalues, fit_asymptotics(data.eigenvalues, metric.scale_hint)
 
 
 @pytest.mark.parametrize("scale", [None, 1.0, 100.0])
@@ -353,7 +349,7 @@ def test_zeta_prime_zero_e1_parts_against_mpmath(scale):
     else:
         lam, fit = _fit_l16(scaled_metric(scale, pnorm_metric(3.0)))
         assert (fit.window_effective[0] > 1.0) == (scale > 1.0)
-    parts = zeta_result(lam, fit).method["zeta_prime0_parts"]
+    parts = zeta_result(lam, 1.0, fit).method["zeta_prime0_parts"]
     spectral = oracles.e1_zeta_prime_parts(lam, fit.window_effective[0])
     assert parts["spectral"] == pytest.approx(spectral, rel=1e-13)
 
@@ -370,7 +366,7 @@ def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
         return theta_values(eigenvalues, t)
 
     monkeypatch.setattr(heatzeta, "theta_values", counting)
-    zeta_result(lam, fit)
+    zeta_result(lam, 1.0, fit)
     assert 0 < sum(asked) <= FIT_GRID_NODES
 
 
@@ -385,14 +381,14 @@ def test_zeta_result_evaluates_e1_once(monkeypatch):
         return exp_e1(x)
 
     monkeypatch.setattr(heatzeta, "exp_e1", counting)
-    zeta_result(lam, fit)
+    zeta_result(lam, 1.0, fit)
     assert calls == [np.count_nonzero(lam > 0.0)]
 
 
 def test_zeta_prime_zero_variants_and_parts():
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
     fit = model_fit((0.02, 0.2))
-    zres = zeta_result(lam, fit)
+    zres = zeta_result(lam, 1.0, fit)
     parts = zres.method["zeta_prime0_parts"]
     bm1, b0, b1 = fit.coefficients
     assert set(parts) == {"spectral", "regularization", "head", "window_spread"}
@@ -408,7 +404,7 @@ def test_zeta_prime_zero_variants_and_parts():
 def test_zeta_prime_zero_budget_assembly():
     lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
     fit = model_fit((0.02, 0.2), sigma=(1e-3, 2e-3, 3e-3))
-    zres = zeta_result(lam, fit)
+    zres = zeta_result(lam, 1.0, fit)
     t_lo = fit.window_effective[0]
     s1, s2, s3 = fit.param_sigma
     want = (
@@ -416,7 +412,7 @@ def test_zeta_prime_zero_budget_assembly():
         + s2 * (EULER_GAMMA + math.log(1.0 / t_lo))
         + s3 * t_lo
         + abs(fit.b1) * t_lo**2
-        + fit.trunc_tol * (1.0 + math.log(1.0 / t_lo))
+        + DEFAULT_TRUNC_TOL * (1.0 + math.log(1.0 / t_lo))
         + zres.method["zeta_prime0_parts"]["window_spread"]
     )
     assert zres.error_budget == pytest.approx(want, rel=1e-12)
@@ -425,16 +421,17 @@ def test_zeta_prime_zero_budget_assembly():
 
 def test_window_spread_zero_when_window_thin():
     lam = np.array([0.0, 0.8, 2.0])
-    zres = zeta_result(lam, model_fit((0.02, 0.03)))
+    zres = zeta_result(lam, 1.0, model_fit((0.02, 0.03)))
     assert zres.method["zeta_prime0_parts"]["window_spread"] == 0.0
 
 
 def test_zeta_result_bundle():
     metric = pnorm_metric(3.0)
     (data,) = family_spectral_data((metric,), 16)
-    fit = fit_asymptotics(data.eigenvalues, default_fit_window(metric))
-    result = zeta_result(data.eigenvalues, fit, metric_id="pnorm:3")
+    fit = fit_asymptotics(data.eigenvalues, metric.scale_hint)
+    result = zeta_result(data.eigenvalues, data.volume, fit, metric_id="pnorm:3")
     assert result.metric_id == "pnorm:3"
+    assert result.volume == data.volume
     assert result.fit is fit
     assert result.zeta0 == fit.b0
     assert result.zeta0_minus_kernel == fit.b0 - 1.0
@@ -446,7 +443,7 @@ def test_zeta_result_bundle():
         assert p.tail_bound > 0.0
     assert result.error_budget > 0.0
     # the pipeline is exactly this fit and this bundle
-    assert compute_zeta(data.eigenvalues, metric) == result
+    assert compute_zeta(data, metric) == result
 
 
 # ------------------------------------------------- pipeline and scaling
@@ -455,7 +452,7 @@ def test_zeta_result_bundle():
 def _fit_and_zeta(metric, L, cache=None):
     """(SpectralData, AsymptoticFit, ZetaResult) of one metric at degree L."""
     (data,) = family_spectral_data((metric,), L, cache=cache)
-    zres = compute_zeta(data.eigenvalues, metric)
+    zres = compute_zeta(data, metric)
     return data, zres.fit, zres
 
 
@@ -465,11 +462,8 @@ def test_pipeline_scaling_covariance():
     _, fit_base, _ = _fit_and_zeta(base_metric, 16)
     for t0 in (0.5, 2.0):
         scaled = scaled_metric(t0, pnorm_metric(3.0))
-        assert default_fit_window(scaled) == (
-            pytest.approx(DEFAULT_FIT_WINDOW[0] * t0),
-            pytest.approx(DEFAULT_FIT_WINDOW[1] * t0),
-        )
         _, fit_scaled, _ = _fit_and_zeta(scaled, 16)
+        assert fit_scaled.scale == t0
         assert fit_scaled.b_minus1 == pytest.approx(t0 * fit_base.b_minus1, rel=1e-9)
         assert fit_scaled.b0 == pytest.approx(fit_base.b0, abs=1e-8)
 
@@ -482,7 +476,7 @@ def test_zeta_prime_rescaling_law_across_scales(base):
     factors = (1e-300, 1e-10, 1e-6, 1e-3, 2.0, 1e3, 1e6)
     metrics = (base, *(scaled_metric(c, base) for c in factors))
     z = [
-        compute_zeta(d.eigenvalues, m)
+        compute_zeta(d, m)
         for m, d in zip(metrics, family_spectral_data(metrics, 32))
     ]
     for c, zc in zip(factors, z[1:]):
@@ -500,8 +494,8 @@ def test_compositions_keep_their_parts_time_scale():
     (data_m, data_g) = (family_spectral_data((x,), 32)[0] for x in (m, g))
     assert np.array_equal(data_g.eigenvalues, data_m.eigenvalues)
     assert (
-        compute_zeta(data_g.eigenvalues, g).zeta_prime0
-        == compute_zeta(data_m.eigenvalues, m).zeta_prime0
+        compute_zeta(data_g, g).zeta_prime0
+        == compute_zeta(data_m, m).zeta_prime0
     )
     params = (1.0, 2.0, 3.0)
     fam = MetricFamily(
@@ -512,6 +506,35 @@ def test_compositions_keep_their_parts_time_scale():
     )
     for u in (1.0, 1.5, 2.0):
         assert interpolate(fam, u).scale_hint == 0.001
+
+
+@pytest.mark.parametrize(
+    "a, b, want", [(1e-200, 1e-200, 1e-200), (1e200, 1e200, 1e200), (1e200, 1e-200, 1.0)]
+)
+def test_geomean_time_scale_neither_underflows_nor_overflows(a, b, want):
+    """The product of two scales can leave the doubles while their geometric
+    mean does not; the geometric mean of scaled:1e-200:fs with itself then
+    keeps the part's time scale and its zeta'(0) bitwise."""
+    ma, mb = scaled_metric(a, fs_metric()), scaled_metric(b, fs_metric())
+    g = geomean_metric(ma, mb)
+    assert g.scale_hint == want
+    if (a, b) == (1e-200, 1e-200):
+        data = family_spectral_data((ma, g), 32)
+        assert compute_zeta(data[1], g).zeta_prime0 == compute_zeta(data[0], ma).zeta_prime0
+
+
+@pytest.mark.parametrize("L", [16, 24, 32])
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
+def test_both_solve_paths_give_one_zeta(spec, L):
+    """The harness's solve (eigenvectors kept, eigh) and the scalar commands'
+    (values only, eigvalsh) feed one compute_zeta: the same volume bitwise,
+    and zeta'(0) and log h_Q within 1e-11."""
+    m = parse_metric_spec(spec)
+    with_vectors = compute_zeta(family_spectra((m,), L)[0], m)
+    values_only = compute_zeta(family_spectral_data((m,), L)[0], m)
+    assert with_vectors.volume == values_only.volume
+    assert abs(with_vectors.zeta_prime0 - values_only.zeta_prime0) <= 1e-11
+    assert abs(with_vectors.log_quillen - values_only.log_quillen) <= 1e-11
 
 
 def test_round_metric_continuum_zeta_prime(cache):

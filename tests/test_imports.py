@@ -163,6 +163,30 @@ def test_cli_import_floor(tmp_path, command):
     assert result.stdout.splitlines()[-1] == "loaded="
 
 
+_SCALAR_PROBE = """
+import sys
+from zetasphere.cli import main
+assert main(sys.argv[1:]) == 0
+print([m for m in ("zetasphere.anomaly", "zetasphere.harness") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "theta", "zeta", "torsion"])
+def test_scalar_commands_load_no_checks(tmp_path, command):
+    """A flag-only run of a one-metric command loads neither the anomaly
+    checks nor the harness: log h_Q is a field of the zeta record."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("ZETASPHERE_CACHE", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _SCALAR_PROBE, command, "--L", "16",
+         "--output-dir", "out", "--cache-dir", "cache"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_anomaly_loads_no_solver_or_cache():
     """The anomaly layer computes from the results it is handed: importing
     it loads neither the solver pipeline nor the spectrum cache."""
