@@ -11,9 +11,9 @@ determinant). The curvature route evaluates the anomaly integral
     I(p, q) = -(1/12) * integral of log(h_p/h_q) * (c1(h_p) + c1(h_q))
 
 and predicts log h_Q(p) - log h_Q(q) = -I(p, q). Agreement of the two routes
-within the propagated error budget is the headline consistency check; the
-Cauchy table of ``quillen_limit`` tracks the same quantity along a smoothing
-family approaching a non-smooth limit factor.
+within ``TWO_ROUTE_BUDGET_FACTOR`` times the two zeta'(0) budgets is the
+headline consistency check; the Cauchy table of ``quillen_limit`` tracks the
+same quantity along a smoothing family approaching a non-smooth limit factor.
 
 One metric's log h_Q is ``ZetaResult.log_quillen`` of its
 ``pipeline.compute_zeta`` result, which records the volume of its spectrum.
@@ -42,7 +42,6 @@ from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
-    "TWO_ROUTE_FLOOR",
     "TWO_ROUTE_BUDGET_FACTOR",
     "bott_chern_integral",
     "bott_chern_bound",
@@ -53,9 +52,7 @@ __all__ = [
     "quillen_limit",
 ]
 
-# Tolerance of the two-route check: the larger of an absolute floor and a
-# multiple of the two zeta budgets.
-TWO_ROUTE_FLOOR = 1e-3
+# Tolerance of the two-route check, as a multiple of the two zeta budgets.
 TWO_ROUTE_BUDGET_FACTOR = 3.0
 
 
@@ -121,13 +118,13 @@ def two_route_check(
     """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
 
     ``zp`` and ``zq`` are the ``compute_zeta`` results of ``metric_p`` and
-    ``metric_q``; their budgets set the tolerance. The anomaly integral has
-    its own fixed rule.
+    ``metric_q``; the tolerance is ``TWO_ROUTE_BUDGET_FACTOR`` times the sum
+    of their budgets. The anomaly integral has its own fixed rule.
     """
     route1 = zp.log_quillen - zq.log_quillen
     route2 = -bott_chern_integral(metric_p, metric_q)
     budget = zp.error_budget + zq.error_budget
-    tol = max(TWO_ROUTE_FLOOR, TWO_ROUTE_BUDGET_FACTOR * budget)
+    tol = TWO_ROUTE_BUDGET_FACTOR * budget
     gap = abs(route1 - route2)
     return TwoRouteReport(
         metric_p=metric_p.id,
@@ -155,7 +152,6 @@ class QuillenLimitRow(NamedTuple):
 class QuillenLimit(NamedTuple):
     """Extrapolated limit of log h_Q along a smoothing family."""
 
-    family_id: str
     rows: tuple[QuillenLimitRow, ...]
     limit: float
     converged: bool
@@ -175,7 +171,6 @@ def _aitken(values: list[float]) -> float:
 
 
 def quillen_limit(
-    family_id: str,
     members: Sequence[tuple[float, ConformalMetric, ZetaResult]],
     pair_dist: Sequence[float],
 ) -> QuillenLimit:
@@ -219,7 +214,6 @@ def quillen_limit(
                 f"{diffs[i]:.3e} after {diffs[i - 1]:.3e}"
             )
     return QuillenLimit(
-        family_id=family_id,
         rows=tuple(rows),
         limit=_aitken([r.log_quillen for r in rows]),
         converged=not failures,

@@ -102,6 +102,13 @@ def write_json(path: Path, payload) -> Path:
     return path
 
 
+def _verdict(tags: dict[str, bool]) -> dict:
+    """summary.json's verdict on named checks: every tag, whether all passed,
+    and the failed tags in the dict's order."""
+    failed = [name for name, ok in tags.items() if not ok]
+    return {"tags": dict(tags), "passed": not failed, "failed": failed}
+
+
 def _make_cache(config: RunConfig):
     from .cache import SpectrumCache
 
@@ -149,7 +156,7 @@ def _zeta_payload(data, zres) -> dict:
         ],
         "kernel_dim": 1,
         "zeta0": zres.zeta0,
-        "zeta0_minus_kernel": zres.zeta0_minus_kernel,
+        "zeta0_minus_kernel": zres.zeta0 - 1,
         "zeta_prime0": zres.zeta_prime0,
         "error_budget": zres.error_budget,
         "fit": zres.fit,
@@ -255,11 +262,7 @@ def _cmd_anomaly(config: RunConfig, out: Path) -> int:
         )
     print(f"anomaly: {len(reports)} pairs -> {path}")
     if not passed:
-        write_json(
-            out / "summary.json",
-            {"tags": {"compare2methods": False}, "passed": False,
-             "failed": ["compare2methods"]},
-        )
+        write_json(out / "summary.json", _verdict({"compare2methods": False}))
         print("anomaly: tolerance failure on tag compare2methods", file=sys.stderr)
         return 3
     return 0
@@ -284,12 +287,11 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
             for r in summary.quillen.rows
         ),
     )
+    verdict = _verdict(summary.tags)
     payload = {
         "family": summary.family_id,
         "L": summary.L,
-        "tags": dict(summary.tags),
-        "passed": summary.passed,
-        "failed": list(summary.failed_tags),
+        **verdict,
         "detail": {
             "cauchy_violations": list(summary.cauchy.violations),
             "floor": {
@@ -321,9 +323,9 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
     for tag, ok in summary.tags.items():
         print(f"converge {'ok  ' if ok else 'FAIL'} {tag}")
     print(f"converge: {summary.family_id} L={summary.L} -> {csv_path}, {quillen_path}, {summary_path}")
-    if not summary.passed:
+    if verdict["failed"]:
         print(
-            "converge: tolerance failure on tags " + ", ".join(summary.failed_tags),
+            "converge: tolerance failure on tags " + ", ".join(verdict["failed"]),
             file=sys.stderr,
         )
         return 3
@@ -336,13 +338,10 @@ def _cmd_selftest(config: RunConfig, out: Path) -> int:
     tags, details = run_selftest()
     for line in details:
         print(line)
-    failed = [name for name, ok in tags.items() if not ok]
-    write_json(
-        out / "summary.json",
-        {"tags": dict(tags), "passed": not failed, "failed": failed},
-    )
-    if failed:
-        print("selftest: failure on tags " + ", ".join(failed), file=sys.stderr)
+    verdict = _verdict(tags)
+    write_json(out / "summary.json", verdict)
+    if verdict["failed"]:
+        print("selftest: failure on tags " + ", ".join(verdict["failed"]), file=sys.stderr)
         return 3
     print(f"selftest: {len(tags)} checks ok")
     return 0

@@ -135,8 +135,7 @@ def _stuck_member(S: np.ndarray, m: int, metric_ids: Sequence[str], vectors: boo
         except np.linalg.LinAlgError as e:
             where, err = repr(metric_id), e
             break
-    return EigenConvergenceError(f"no convergence on block m = {m} of {where} ({err})",
-                                 stuck_index=m)
+    return EigenConvergenceError(f"no convergence on block m = {m} of {where} ({err})")
 
 
 def _solve_stacks(
@@ -221,8 +220,8 @@ def family_eigs(
         member and m. That is a non-finite M_m, M_m[0, 0] <= 0 or, by
         Sylvester's law of inertia, a nonpositive mu.
     EigenConvergenceError
-        If the symmetric solve fails on a block; ``stuck_index`` is its m
-        and the message names the member.
+        If the symmetric solve fails on a block; the message names the
+        member and m.
     DomainError
         If an eigenvalue 1 / (vol mu) of a block overflows, as it does for a
         metric scaled to a volume near the float minimum; the message names

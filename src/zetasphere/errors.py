@@ -39,14 +39,6 @@ class IndefiniteMassError(ZetasphereError, ValueError):
 class EigenConvergenceError(ZetasphereError, RuntimeError):
     """The QL iteration inside the generalized eigensolver did not converge."""
 
-    def __init__(self, message: str, stuck_index: int | None = None):
-        super().__init__(message)
-        self.stuck_index = stuck_index
-
 
 class FitWindowError(ZetasphereError, ValueError):
     """The requested fit window lies entirely outside the validity region."""
-
-    def __init__(self, message: str, violated_bound: float | None = None):
-        super().__init__(message)
-        self.violated_bound = violated_bound

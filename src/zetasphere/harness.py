@@ -169,22 +169,17 @@ class SweepRow(NamedTuple):
 class SweepReport(NamedTuple):
     """One family sweep: a row per member and the limit metric's own row.
 
-    ``rows`` follow ``family.parameters``. ``limit_row`` is the limit
-    metric's row (parameter inf, distance 0 to itself); it closes the Cauchy
-    table but never enters converge.csv. ``pair_dist`` holds the sup
-    log-density distance of consecutive members.
+    ``family`` is the swept family, whose density variation
+    ``resolvent_convergence`` integrates; ``rows`` follow its parameters.
+    ``limit_row`` is the limit metric's row (parameter inf, distance 0 to
+    itself); it closes the Cauchy table but never enters converge.csv.
+    ``pair_dist`` holds the sup log-density distance of consecutive members.
     """
 
     family: MetricFamily
-    L: int
-    t_set: tuple[float, ...]
     rows: tuple[SweepRow, ...]
     limit_row: SweepRow
     pair_dist: tuple[float, ...]
-
-    @property
-    def family_id(self) -> str:
-        return self.family.id
 
 
 def _pipeline_row(
@@ -267,8 +262,6 @@ def sweep(
     pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
     return SweepReport(
         family=family,
-        L=L,
-        t_set=tuple(float(t) for t in t_arr),
         rows=tuple(rows),
         limit_row=limit_row,
         pair_dist=pair_dist,
@@ -288,7 +281,6 @@ class CauchyColumn(NamedTuple):
 class CauchyReport(NamedTuple):
     """Per-column Cauchy verdicts for one sweep."""
 
-    family_id: str
     columns: tuple[CauchyColumn, ...]
     violations: tuple[str, ...]
     passed: bool
@@ -349,7 +341,6 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
         columns.append(column)
         violations += bad
     return CauchyReport(
-        family_id=report.family_id,
         columns=tuple(columns),
         violations=tuple(violations),
         passed=not violations,
@@ -371,14 +362,10 @@ class Lambda1Floor(NamedTuple):
     v'M_p v <= c v'M_ref v pushes every Rayleigh quotient up by 1/c and the
     min-max principle gives lambda1(p) >= lambda1(ref)/c. A member's constant
     is the top eigenvalue of the Gram pencil (M_p, M_ref), the largest over
-    the azimuthal blocks; ``c`` is the largest over the members, ``kappa``
-    the smallest gap.
+    the azimuthal blocks; ``c`` is the largest over the members, ``floor``
+    the first member's gap over c, ``kappa`` the smallest gap.
     """
 
-    family_id: str
-    L: int
-    reference_param: float
-    lambda1_ref: float
     c: float
     floor: float
     kappa: float
@@ -411,15 +398,10 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     ]
 
     c = max(r.c_member for r in rows)
-    lambda1_ref = rows[0].lambda1
-    floor = lambda1_ref / c
+    floor = rows[0].lambda1 / c
     kappa = min(r.lambda1 for r in rows)
     margin = kappa - floor
     return Lambda1Floor(
-        family_id=report.family_id,
-        L=report.L,
-        reference_param=rows[0].param,
-        lambda1_ref=lambda1_ref,
         c=c,
         floor=floor,
         kappa=kappa,
@@ -443,8 +425,6 @@ class ResolventReport(NamedTuple):
     last member).
     """
 
-    family_id: str
-    L: int
     columns: dict[str, CauchyColumn]
     limit_dist: dict[str, float]
     failures: tuple[str, ...]
@@ -505,8 +485,6 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
         limit_dist[name] = float(norms[-1])
 
     return ResolventReport(
-        family_id=report.family_id,
-        L=report.L,
         columns=columns,
         limit_dist=limit_dist,
         failures=tuple(failures),
@@ -517,11 +495,8 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
 class BorneReport(NamedTuple):
     """The operator variation's exact bound against the density variation."""
 
-    family_id: str
     u: float
-    L: int
     delta_nodes: float
-    delta_grid: float
     max_ratio: float
     passed: bool
 
@@ -553,11 +528,8 @@ def bornelapbelt_check(family: MetricFamily, u: float = 2.5, L: int = 16) -> Bor
     )
     delta_nodes = float(np.abs(dlog).max())
     return BorneReport(
-        family_id=family.id,
         u=float(u),
-        L=L,
         delta_nodes=delta_nodes,
-        delta_grid=delta_X(family, u),
         max_ratio=max_ratio,
         passed=bool(max_ratio <= delta_nodes * (1.0 + 1e-9) + 1e-15),
     )
@@ -598,11 +570,6 @@ class ConvergenceSummary(NamedTuple):
     quillen: QuillenLimit
     two_route: TwoRouteReport
     tags: dict[str, bool]
-    passed: bool
-
-    @property
-    def failed_tags(self) -> tuple[str, ...]:
-        return tuple(t for t in THEOREM_TAGS if not self.tags[t])
 
 
 def convergence_summary(
@@ -641,7 +608,7 @@ def convergence_summary(
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
     members = [(r.param, m, r.zeta) for r, m in zip(rep.rows, family.members)]
-    quillen = quillen_limit(family.id, members, rep.pair_dist)
+    quillen = quillen_limit(members, rep.pair_dist)
     two_route = two_route_check(*members[0][1:], *members[1][1:])
 
     tags = {
@@ -666,5 +633,4 @@ def convergence_summary(
         quillen=quillen,
         two_route=two_route,
         tags=tags,
-        passed=all(tags.values()),
     )

@@ -229,14 +229,12 @@ def fit_asymptotics(eigenvalues: np.ndarray, scale: float) -> AsymptoticFit:
     """
     lo_req, hi_req = DEFAULT_FIT_WINDOW[0] * scale, DEFAULT_FIT_WINDOW[1] * scale
     lam = np.asarray(eigenvalues, dtype=float)
-    n_modes, lambda_max = int(lam.size), float(lam[-1])
-    t_valid = truncation_time(n_modes, lambda_max, DEFAULT_TRUNC_TOL)
+    t_valid = truncation_time(lam.size, float(lam[-1]), DEFAULT_TRUNC_TOL)
     lo = max(lo_req, t_valid)
     if lo >= hi_req:
         raise FitWindowError(
             f"truncation bound exceeds {DEFAULT_TRUNC_TOL:g} on all of "
-            f"[{lo_req:g}, {hi_req:g}] (valid region starts at t = {t_valid:.4g})",
-            violated_bound=float(n_modes * math.exp(-lambda_max * hi_req)),
+            f"[{lo_req:g}, {hi_req:g}] (valid region starts at t = {t_valid:.4g})"
         )
     t = geometric_grid(lo, hi_req, FIT_GRID_NODES)
     coef, resid, sig = _weighted_fit(t, theta_values(lam, t), scale)
@@ -317,7 +315,6 @@ class ZetaResult(NamedTuple):
     volume: float
     s_points: tuple[ZetaPoint, ...]
     zeta0: float
-    zeta0_minus_kernel: float
     zeta_prime0: float
     error_budget: float
     fit: AsymptoticFit
@@ -339,8 +336,7 @@ def zeta_result(
 
     zeta'(0) is the closed form of the module docstring at t_lo, the lower
     end of the fit's effective window, with its error budget; its three
-    terms and the window spread go to ``method``. The kernel is the
-    constants alone, so ``zeta0_minus_kernel`` is zeta(0) - 1.
+    terms and the window spread go to ``method``.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     points = tuple(zeta_direct(lam, s, fit.b_minus1) for s in s_values)
@@ -376,7 +372,6 @@ def zeta_result(
         volume=float(volume),
         s_points=points,
         zeta0=fit.b0,
-        zeta0_minus_kernel=fit.b0 - 1,
         zeta_prime0=float(value),
         error_budget=float(budget),
         fit=fit,
@@ -397,9 +392,6 @@ class DuhamelReport(NamedTuple):
     residual: float
     derivative_norm: float
     ratio: float
-    h: float
-    t: float
-    n_nodes: int
 
 
 def duhamel_residual(
@@ -451,4 +443,4 @@ def duhamel_residual(
     ips = [InnerProduct.from_gram(M) for M in spec_mid.mass_blocks]
     resid, d_norm = block_operator_norms([np.stack((d + a, d)) for d, a in zip(dE, acc)], ips)
     ratio = resid / d_norm if d_norm > 0.0 else 0.0
-    return DuhamelReport(float(resid), float(d_norm), float(ratio), float(h), float(t), n_nodes)
+    return DuhamelReport(float(resid), float(d_norm), float(ratio))

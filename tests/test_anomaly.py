@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from zetasphere.anomaly import (
+    TWO_ROUTE_BUDGET_FACTOR,
     bott_chern_bound,
     bott_chern_integral,
     quillen_limit,
@@ -128,7 +129,7 @@ def _limit(family, L, cache):
     ]
     metrics = family.members
     dists = [sup_log_distance(a, b) for a, b in zip(metrics, metrics[1:])]
-    return quillen_limit(family.id, members, dists)
+    return quillen_limit(members, dists)
 
 
 def _two_route(metric_p, metric_q, L, cache):
@@ -145,9 +146,20 @@ def test_two_route_check_smooth_pair(cache):
     assert report.gap == pytest.approx(
         abs(report.route_spectral - report.route_curvature), rel=1e-15
     )
-    assert report.tolerance >= 1e-3
+    assert report.tolerance == TWO_ROUTE_BUDGET_FACTOR * report.budget
     assert report.gap <= report.tolerance
     assert report.budget > 0.0
+
+
+def test_two_route_tolerance_is_a_multiple_of_the_budgets(cache):
+    """The tolerance is TWO_ROUTE_BUDGET_FACTOR times the two budgets and
+    nothing larger: with budgets of 1e-6 the (pnorm:1, pnorm:2) pair at
+    L = 16 no longer passes."""
+    metrics = (pnorm_metric(1.0), pnorm_metric(2.0))
+    zp, zq = (_torsion(m, 16, cache)[1]._replace(error_budget=1e-6) for m in metrics)
+    report = two_route_check(metrics[0], zp, metrics[1], zq)
+    assert report.tolerance == TWO_ROUTE_BUDGET_FACTOR * report.budget
+    assert not report.passed
 
 
 def test_two_route_check_pnorm_pair(cache):
@@ -176,7 +188,6 @@ def test_two_routes_agree_with_plus_zeta_prime_only(cache):
 def test_quillen_limit_pnorm(cache):
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
     out = _limit(fam, 16, cache)
-    assert out.family_id == "pnorm"
     assert out.converged
     assert out.failures == ()
     assert [r.param for r in out.rows] == [1.0, 2.0, 3.0, 4.0]
@@ -199,12 +210,12 @@ def test_quillen_limit_takes_computed_members(cache):
     rep = sweep(fam, L=16)
     rows = rep.rows
     members = [(r.param, m, r.zeta) for r, m in zip(rows, metrics)]
-    out = quillen_limit(fam.id, members, rep.pair_dist)
+    out = quillen_limit(members, rep.pair_dist)
     assert [r.param for r in out.rows] == [2.0, 4.0]
     assert out.rows[1].diff_to_prev == rows[1].zeta.log_quillen - rows[0].zeta.log_quillen
     assert out.rows[1].bound == bott_chern_bound(*metrics, rep.pair_dist[0])
     with pytest.raises(DomainError):
-        quillen_limit(fam.id, [], ())
+        quillen_limit([], ())
 
 
 def test_quillen_limit_flags_growing_differences(cache):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import zetasphere
-from zetasphere import eigensolve, pipeline
+from zetasphere import anomaly, eigensolve, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, parse_config, validated
@@ -220,7 +220,7 @@ def test_jsonable_maps_records_to_dicts():
     result = ZetaResult(
         metric_id="fs", volume=4.0 * math.pi,
         s_points=(ZetaPoint(2.0, 1.5, 0.25), ZetaPoint(3.0, 1.125, float("nan"))),
-        zeta0=-1.0 / 3.0, zeta0_minus_kernel=-4.0 / 3.0, zeta_prime0=0.5, error_budget=1e-6,
+        zeta0=-1.0 / 3.0, zeta_prime0=0.5, error_budget=1e-6,
         fit=fit, method={"window": "default"},
     )
     payload = _jsonable(result)
@@ -429,6 +429,24 @@ def test_cli_anomaly(tmp_path, cache, capsys):
     for pair in payload["pairs"]:
         assert pair["passed"] is True
         assert pair["gap"] <= pair["tolerance"]
+
+
+def test_cli_anomaly_failure_writes_summary(tmp_path, cache, capsys, monkeypatch):
+    """A pair whose routes disagree ends anomaly with exit code 3, names the
+    tag on stderr and writes the one-tag summary.json."""
+    real = anomaly.bott_chern_integral
+
+    def shifted(metric_p, metric_q):
+        return real(metric_p, metric_q) + (1.0 if metric_p.id == "pnorm:2" else 0.0)
+
+    monkeypatch.setattr(anomaly, "bott_chern_integral", shifted)
+    code, out, err = run_cli(["anomaly", "--L", "16"], tmp_path, cache.root, capsys)
+    assert code == 3
+    assert "compare2methods" in err
+    assert "anomaly FAIL: (pnorm:2, pnorm:3)" in out
+    assert json.loads((tmp_path / "summary.json").read_text()) == {
+        "tags": {"compare2methods": False}, "passed": False, "failed": ["compare2methods"],
+    }
 
 
 def test_cli_anomaly_partly_warm_cache(tmp_path, monkeypatch, capsys):

@@ -250,9 +250,8 @@ def test_nan_blocks_are_classified(monkeypatch):
             return real(a)
 
         monkeypatch.setattr(np.linalg, name, stall_on_block_4)
-        with pytest.raises(EigenConvergenceError, match=r"block m = 4 of 'pnorm:3'") as info:
+        with pytest.raises(EigenConvergenceError, match=r"block m = 4 of 'pnorm:3'"):
             solve()
-        assert info.value.stuck_index == 4, name
         assert alone == [False, True, True], name  # no member after the failing one
         monkeypatch.undo()
 

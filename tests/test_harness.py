@@ -91,8 +91,8 @@ def test_theorem_tags_frozen():
 
 def test_sweep_rows():
     fam = pnorm_family([1.0, 2.0, 3.0])
-    rep = sweep(fam, L=16)
-    assert rep.family_id == "pnorm"
+    t_set = (0.5, 1.0, 2.0)
+    rep = sweep(fam, L=16, t_set=t_set)
     assert rep.limit_row.param == math.inf
     assert rep.limit_row.zeta.metric_id == "max"
     assert [r.param for r in rep.rows] == [1.0, 2.0, 3.0]
@@ -108,7 +108,7 @@ def test_sweep_rows():
         assert row.columns["zeta_prime0"] == row.zeta.zeta_prime0
         assert row.columns["log_quillen"] == row.zeta.log_quillen
         theta = [row.columns[f"theta_t{t}"] for t in ("0.5", "1", "2")]
-        assert theta == list(theta_values(row.spectrum.eigenvalues, np.array(rep.t_set)))
+        assert theta == list(theta_values(row.spectrum.eigenvalues, np.array(t_set)))
     # consecutive distances follow the closed form 2 log2 |1/p - 1/q|
     for dist, (p, q) in zip(rep.pair_dist, [(1.0, 2.0), (2.0, 3.0)]):
         assert dist == pytest.approx(2.0 * math.log(2.0) * abs(1 / p - 1 / q), abs=1e-12)
@@ -228,7 +228,7 @@ def test_limit_disagreement_fails_key2(monkeypatch):
     monkeypatch.setattr(harness, "sweep", lambda *a, **k: shift_limit_b0(real_sweep(*a, **k)))
     summary = convergence_summary(fam, L=16, variation_u=1.5, variation_L=10)
     assert summary.tags["key2"] is False
-    assert summary.failed_tags == ("key2",)
+    assert [tag for tag, ok in summary.tags.items() if not ok] == ["key2"]
     assert summary.cauchy.violations == cy.violations
 
 
@@ -237,11 +237,10 @@ def test_lambda1_floor():
     rep = sweep(fam, L=16)
     fl = lambda1_floor(rep)
     assert fl.passed
-    assert fl.reference_param == 1.0
     assert fl.rows[0].c_member == pytest.approx(1.0, rel=1e-12)
     assert fl.rows[-1].param == math.inf  # the limit metric joins the rows
     assert fl.c == max(r.c_member for r in fl.rows)
-    assert fl.floor == pytest.approx(fl.lambda1_ref / fl.c, rel=1e-15)
+    assert fl.floor == pytest.approx(fl.rows[0].lambda1 / fl.c, rel=1e-15)
     assert fl.kappa == min(r.lambda1 for r in fl.rows)
     assert fl.margin > 0.0
     assert [r.lambda1 for r in fl.rows] == [r.lambda1 for r in (*rep.rows, rep.limit_row)]
@@ -342,10 +341,8 @@ def test_bornelapbelt_check():
     fam = pnorm_family(count=5)
     report = bornelapbelt_check(fam, u=2.5, L=12)
     assert report.passed
-    assert report.family_id == "pnorm"
     assert 0.0 < report.max_ratio <= report.delta_nodes * (1.0 + 1e-9) + 1e-15
     assert report.delta_nodes > 0.0
-    assert report.delta_grid == pytest.approx(delta_X(fam, 2.5), rel=1e-15)
 
 
 def test_bornelapbelt_matches_dense_pencil():
@@ -406,8 +403,6 @@ def test_duhamel_at_and_refinement():
 def test_convergence_summary_smoothing_family():
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
     summary = convergence_summary(fam, L=16)
-    assert summary.passed
-    assert summary.failed_tags == ()
     assert set(summary.tags) == set(THEOREM_TAGS)
     assert all(summary.tags.values())
     assert summary.family_id == "pnorm"
@@ -595,7 +590,7 @@ def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):
 def test_convergence_summary_constant_family():
     """A family of identical members exercises every degenerate branch."""
     summary = convergence_summary(constant_family(4), L=16)
-    assert summary.passed
+    assert all(summary.tags.values())
     # the limit is the member itself: distance 0, one more pair to close
     assert summary.sweep.limit_row.sup_log_dist_to_limit == 0.0
     assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
