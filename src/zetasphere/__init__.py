@@ -24,7 +24,6 @@ _EXPORTS = {
     "FitWindowError": "errors",
     "IndefiniteMassError": "errors",
     "InvalidMetricError": "errors",
-    "UnsupportedPointError": "errors",
     "ConformalMetric": "metrics",
     "MetricFamily": "metrics",
     "fs_metric": "metrics",

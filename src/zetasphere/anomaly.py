@@ -8,18 +8,21 @@ conformal factors. The spectral route assembles
 per metric (``l2``-volume of the constant section times the regularized
 determinant). The curvature route evaluates the anomaly integral
 
-    I(p, q) = -(1/12) * integral of log(h_p/h_q) * (c1(h_p) + c1(h_q))
+    I(p, q) = -(1/12) * integral of log(h_p/h_q) * (mu_p + mu_q)
 
-and predicts log h_Q(p) - log h_Q(q) = -I(p, q). Agreement of the two routes
-within ``TWO_ROUTE_BUDGET_FACTOR`` times the two zeta'(0) budgets is the
-headline consistency check; the Cauchy table of ``quillen_limit`` tracks the
-same quantity along a smoothing family approaching a non-smooth limit factor.
+against the curvature measures mu = c1 dA + (a line mass on each kink), and
+predicts log h_Q(p) - log h_Q(q) = -I(p, q), exactly for any two continuous
+factors (Polyakov's formula), kinked ones included. ``two_route_pairs``
+checks the two routes on each consecutive pair of a family within
+``TWO_ROUTE_BUDGET_FACTOR`` times the two zeta'(0) budgets; ``quillen_limit``
+tabulates log h_Q along a smoothing family and carries the best-resolved
+member to the limit factor, log h_Q(limit) = log h_Q(member) +
+I(member, limit).
 
 One metric's log h_Q is ``ZetaResult.log_quillen`` of its
 ``pipeline.compute_zeta`` result, which records the volume of its spectrum.
-The checks (``two_route_check``, ``quillen_limit``) take those computed
-results instead of rerunning the pipeline, so a caller runs it once per
-metric and hands each result to every check that reads it.
+The checks take those computed results, so a caller runs the pipeline once
+per metric and hands each result to every check that reads it.
 
 The sign of zeta'(0) is fixed by the scaling laws. For log vol +
 sigma * zeta'(0), under lambda -> t*lambda the volume moves by log t and
@@ -47,6 +50,7 @@ __all__ = [
     "bott_chern_bound",
     "TwoRouteReport",
     "two_route_check",
+    "two_route_pairs",
     "QuillenLimitRow",
     "QuillenLimit",
     "quillen_limit",
@@ -62,37 +66,53 @@ def _anomaly_quadrature() -> QuadratureRule:
     return build_quadrature(128)
 
 
-def bott_chern_integral(metric_p: ConformalMetric, metric_q: ConformalMetric) -> float:
-    """Anomaly integral -(1/12) * int log(h_p/h_q) * (c1(h_p) + c1(h_q)).
+def _kinks(*metrics: ConformalMetric) -> list[tuple[float, float]]:
+    """(radius, line mass) of every kink of the metrics. The rule is exact
+    across a kink only at its panel break r = 1; a kink elsewhere raises
+    DomainError."""
+    kinks = [(r, m) for metric in metrics for r, m in zip(metric.kink_radii, metric.line_masses())]
+    if any(r != 1.0 for r, _ in kinks):
+        raise DomainError(f"kink radii {[r for r, _ in kinks]} leave the panel break r = 1")
+    return kinks
 
-    Antisymmetric in (p, q); zero when p = q; affine in log t under
-    p -> scaled(t, p) with slope -1/3, the constant log t against the total
-    curvature 2 + 2. Radial factors only (all built-in factors are radial),
-    so the integral collapses to the colatitude nodes. Kinked factors are
-    refused: their curvature carries a distributional part on the kink
-    circle that no pointwise quadrature sees.
+
+def bott_chern_integral(metric_p: ConformalMetric, metric_q: ConformalMetric) -> float:
+    """Anomaly integral -(1/12) * int log(h_p/h_q) * (mu_p + mu_q).
+
+    mu is the curvature measure: c1 dA off the kinks plus each kink's line
+    mass, which pairs with log(h_p/h_q) on its circle. Antisymmetric in
+    (p, q); zero when p = q; affine in log t under p -> scaled(t, p) with
+    slope -1/3, the constant log t against the total curvature 2 + 2.
+    Radial factors only (all built-in factors are radial), so the integral
+    collapses to the colatitude nodes.
     """
     quad = _anomaly_quadrature()
     r = quad.radii_theta
     dlog = metric_p.log_density(r) - metric_q.log_density(r)
     c1_sum = metric_p.c1_density(r) + metric_q.c1_density(r)
     jac = (1.0 + r**2) ** 2
-    return float(-np.sum(quad.weights_theta * jac * dlog * c1_sum) / 12.0)
+    lines = sum(
+        mass * float(metric_p.log_density(rk) - metric_q.log_density(rk))
+        for rk, mass in _kinks(metric_p, metric_q)
+    )
+    return float(-(np.sum(quad.weights_theta * jac * dlog * c1_sum) + lines) / 12.0)
 
 
 def bott_chern_bound(
     metric_p: ConformalMetric, metric_q: ConformalMetric, distance: float
 ) -> float:
-    """Bound K * sup|log(h_p/h_q)| with K = (1/12) int (|c1_p| + |c1_q|).
+    """Bound K * sup|log(h_p/h_q)| with K = (1/12) (|mu_p| + |mu_q|)(sphere).
 
-    ``distance`` is sup|log(h_p/h_q)|, ``metrics.sup_log_distance`` of the
-    pair.
+    The total variation |mu| of a curvature measure is int |c1| dA plus the
+    kinks' |line mass|. ``distance`` is sup|log(h_p/h_q)|,
+    ``metrics.sup_log_distance`` of the pair.
     """
     quad = _anomaly_quadrature()
     r = quad.radii_theta
     c1_abs = np.abs(metric_p.c1_density(r)) + np.abs(metric_q.c1_density(r))
     jac = (1.0 + r**2) ** 2
-    k = float(np.sum(quad.weights_theta * jac * c1_abs) / 12.0)
+    lines = sum(abs(mass) for _, mass in _kinks(metric_p, metric_q))
+    k = float((np.sum(quad.weights_theta * jac * c1_abs) + lines) / 12.0)
     return k * distance
 
 
@@ -115,7 +135,7 @@ def two_route_check(
     metric_q: ConformalMetric,
     zq: ZetaResult,
 ) -> TwoRouteReport:
-    """Compare the two routes to log h_Q(p) - log h_Q(q) on a smooth pair.
+    """Compare the two routes to log h_Q(p) - log h_Q(q) on one pair.
 
     ``zp`` and ``zq`` are the ``compute_zeta`` results of ``metric_p`` and
     ``metric_q``; the tolerance is ``TWO_ROUTE_BUDGET_FACTOR`` times the sum
@@ -138,6 +158,14 @@ def two_route_check(
     )
 
 
+def two_route_pairs(
+    members: Sequence[tuple[ConformalMetric, ZetaResult]],
+) -> tuple[TwoRouteReport, ...]:
+    """`two_route_check` on each consecutive pair of a family's members,
+    given in family order with their ``compute_zeta`` results."""
+    return tuple(two_route_check(*p, *q) for p, q in zip(members, members[1:]))
+
+
 class QuillenLimitRow(NamedTuple):
     """One family member in the Cauchy table of log h_Q."""
 
@@ -150,7 +178,7 @@ class QuillenLimitRow(NamedTuple):
 
 
 class QuillenLimit(NamedTuple):
-    """Extrapolated limit of log h_Q along a smoothing family."""
+    """The Cauchy table of log h_Q along a family, and log h_Q of its limit."""
 
     rows: tuple[QuillenLimitRow, ...]
     limit: float
@@ -158,32 +186,22 @@ class QuillenLimit(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _aitken(values: list[float]) -> float:
-    """Aitken extrapolation from the last three values (last value fallback)."""
-    if len(values) < 3:
-        return values[-1]
-    x0, x1, x2 = values[-3], values[-2], values[-1]
-    d1, d0 = x2 - x1, x1 - x0
-    denom = d1 - d0
-    if abs(denom) <= 1e-14 * max(abs(d1), abs(d0), 1e-300):
-        return x2
-    return x2 - d1 * d1 / denom
-
-
 def quillen_limit(
     members: Sequence[tuple[float, ConformalMetric, ZetaResult]],
     pair_dist: Sequence[float],
+    limit: ConformalMetric,
 ) -> QuillenLimit:
-    """Cauchy table and extrapolated limit of log h_Q along a family.
+    """Cauchy table of log h_Q along a family and log h_Q of its limit.
 
     ``members`` lists each member's parameter, metric and ``compute_zeta``
-    result in family order, as the sweep computed them, and ``pair_dist``
-    the sweep's sup log-density distance of each consecutive pair. Each
-    successive difference is checked against the anomaly bound
-    K * sup|log(h_p/h_q)| plus the two members' zeta budgets, and the
-    absolute differences must not grow. Violations land in ``failures`` and
-    flip ``converged`` instead of raising: non-Cauchy behavior is a finding
-    to report, not an input error.
+    result in family order, as the sweep computed them, ``pair_dist`` the
+    sweep's sup log-density distance of each consecutive pair, and
+    ``limit`` the family's limit factor. Each successive difference is
+    checked against the anomaly bound K * sup|log(h_p/h_q)| plus the two
+    members' zeta budgets, and the absolute differences must not grow.
+    Violations land in ``failures`` and flip ``converged`` instead of
+    raising: non-Cauchy behavior is a finding to report, not an input error.
+    The limit's log h_Q is the smallest-budget member's plus I(member, limit).
     """
     if not members:
         raise DomainError("quillen_limit needs at least one family member")
@@ -204,18 +222,18 @@ def quillen_limit(
             )
         rows.append(row(p1, z1, diff, bound))
 
-    budgets = [z.error_budget for _, _, z in members]
     diffs = [abs(r.diff_to_prev) for r in rows[1:]]
     for i in range(1, len(diffs)):
-        slack = budgets[i] + budgets[i + 1]
+        slack = members[i][2].error_budget + members[i + 1][2].error_budget
         if diffs[i] > diffs[i - 1] + slack:
             failures.append(
                 f"successive differences grow at parameter {rows[i + 1].param:g}: "
                 f"{diffs[i]:.3e} after {diffs[i - 1]:.3e}"
             )
+    _, best, z_best = min(members, key=lambda m: m[2].error_budget)
     return QuillenLimit(
         rows=tuple(rows),
-        limit=_aitken([r.log_quillen for r in rows]),
+        limit=z_best.log_quillen + bott_chern_integral(best, limit),
         converged=not failures,
         failures=tuple(failures),
     )

@@ -156,7 +156,6 @@ def _zeta_payload(data, zres) -> dict:
         ],
         "kernel_dim": 1,
         "zeta0": zres.zeta0,
-        "zeta0_minus_kernel": zres.zeta0 - 1,
         "zeta_prime0": zres.zeta_prime0,
         "error_budget": zres.error_budget,
         "fit": zres.fit,
@@ -239,18 +238,17 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
-    from .anomaly import two_route_check
+    from .anomaly import two_route_pairs
     from .pipeline import compute_zeta, family_spectral_data
 
     family = _make_family(config)
     data = family_spectral_data(family.members, config.L, _make_cache(config))
-    members = [(m, compute_zeta(d, m)) for m, d in zip(family.members, data)]
-    reports = [two_route_check(*p, *q) for p, q in zip(members[:-1], members[1:])]
+    reports = two_route_pairs([(m, compute_zeta(d, m)) for m, d in zip(family.members, data)])
     passed = all(r.passed for r in reports)
     payload = {
         "family": family.id,
         "L": config.L,
-        "pairs": [_jsonable(r) for r in reports],
+        "pairs": reports,
         "passed": passed,
     }
     path = write_json(out / "anomaly.json", payload)
@@ -313,8 +311,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
                 "delta_nodes": summary.borne.delta_nodes,
             },
             "duhamel_ratio": summary.duhamel.ratio,
-            "two_route_gap": summary.two_route.gap,
-            "two_route_tolerance": summary.two_route.tolerance,
+            "two_route": summary.two_route,
             "quillen_limit": summary.quillen.limit,
             "quillen_failures": list(summary.quillen.failures),
         },

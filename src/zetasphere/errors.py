@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "ConfigError",
     "InvalidMetricError",
-    "UnsupportedPointError",
     "IndefiniteMassError",
     "EigenConvergenceError",
     "FitWindowError",
@@ -26,10 +25,6 @@ class ConfigError(ZetasphereError, ValueError):
 
 class InvalidMetricError(ZetasphereError, ValueError):
     """A conformal factor is nonpositive somewhere it must be positive."""
-
-
-class UnsupportedPointError(ZetasphereError, ValueError):
-    """Curvature was requested at a point where the metric is not twice differentiable."""
 
 
 class IndefiniteMassError(ZetasphereError, ValueError):

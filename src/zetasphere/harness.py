@@ -46,9 +46,10 @@ harness measures each one on the first pair of the sweep, freezes it with a
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
 named check tag; the CLI writes these to summary.json. It hands the sweep
-rows to ``anomaly.quillen_limit`` (tag convergenceAnomaly) and the first two
-rows to ``anomaly.two_route_check`` (tag compare2methods). A member whose
-pipeline raises ends the sweep, and the run, with that member's own error.
+rows to ``anomaly.quillen_limit`` (tag convergenceAnomaly) and every
+consecutive pair to ``anomaly.two_route_pairs`` (tag compare2methods), as
+the ``anomaly`` command does. A member whose pipeline raises ends the
+sweep, and the run, with that member's own error.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anomaly import QuillenLimit, TwoRouteReport, quillen_limit, two_route_check
+from .anomaly import QuillenLimit, TwoRouteReport, quillen_limit, two_route_pairs
 from .discretize import (
     build_basis,
     mass_weights,
@@ -568,7 +569,7 @@ class ConvergenceSummary(NamedTuple):
     borne: BorneReport
     duhamel: DuhamelReport
     quillen: QuillenLimit
-    two_route: TwoRouteReport
+    two_route: tuple[TwoRouteReport, ...]
     tags: dict[str, bool]
 
 
@@ -581,8 +582,8 @@ def convergence_summary(
 ) -> ConvergenceSummary:
     """Run every convergence check on one family and aggregate tag verdicts.
 
-    The sweep, Cauchy rates, gap floor, operator limits, extrapolated
-    determinant and two-route check run at degree ``L``; the variation
+    The sweep, Cauchy rates, gap floor, operator limits, transported
+    limit determinant and two-route checks run at degree ``L``; the variation
     checks run at the lighter ``variation_L``, since they need interpolated
     pencils of their own. Every family member takes part. A family with
     fewer than three members (the operator limits) or fewer than the
@@ -608,8 +609,8 @@ def convergence_summary(
     borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
     duhamel = duhamel_at(family, u=variation_u, L=variation_L)
     members = [(r.param, m, r.zeta) for r, m in zip(rep.rows, family.members)]
-    quillen = quillen_limit(members, rep.pair_dist)
-    two_route = two_route_check(*members[0][1:], *members[1][1:])
+    quillen = quillen_limit(members, rep.pair_dist, family.limit)
+    two_route = two_route_pairs([(m, z) for _, m, z in members])
 
     tags = {
         "laplaceTX": bool(rep.rows) and all(r.lambda1 > 0.0 for r in rep.rows),
@@ -618,7 +619,7 @@ def convergence_summary(
         "variationEu": resolvents.columns["heat"].passed and duhamel.ratio < DUHAMEL_RATIO_TOL,
         "key2": cauchy.passed,
         "convergenceAnomaly": quillen.converged,
-        "compare2methods": two_route.passed,
+        "compare2methods": all(r.passed for r in two_route),
         "lowerbound": floor.passed,
     }
     return ConvergenceSummary(

@@ -12,8 +12,9 @@ curvature density c1 = -(1/4) (f'' + f'/r). The built-in factors (fs, pnorm,
 max) give it in closed form, and the compositions stay exact: ``scaled``
 shifts f, ``geomean`` averages the three parts, and ``interpolate`` blends
 the members' jets. The density, its logarithm and the curvature are all read
-from the jet. A family carries its uniform limit, and the u-derivative of its
-blend is the family's (`d_log_density_du`), not any one metric's.
+from the jet; a kink adds a line mass of curvature, from the one-sided jets
+(`ConformalMetric.line_masses`). A family carries its uniform limit, and the
+u-derivative of its blend is the family's (`d_log_density_du`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedPointError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "ConformalMetric",
@@ -77,30 +78,22 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-_SMOOTHNESS_ORDER = ("smooth", "continuous", "singular-integrable")
-
-
-def _join_smoothness(*classes: str) -> str:
-    return _SMOOTHNESS_ORDER[max(_SMOOTHNESS_ORDER.index(c) for c in classes)]
-
-
 class ConformalMetric(NamedTuple):
     """A radial conformal factor on the sphere, a function of r = |z|.
 
-    ``id`` is the canonical spec string of the metric and ``smoothness`` one
-    of ``smooth``, ``continuous``, ``singular-integrable``. ``jet`` gives the
+    ``id`` is the canonical spec string of the metric. ``jet`` gives the
     radial jet ``(f, df/dr, c1)`` for arrays of finite radii ``r = |z|``,
     with ``f = log lambda`` and the curvature density
     ``c1 = -d2/dz dzbar f = -(1/4) (f'' + f'/r)`` against ``dx dy / pi``.
     Off the kinks all three parts are exact; at a kink ``df/dr`` takes
     either one-sided value and ``c1`` is meaningless. ``kink_radii`` are the
-    radii where the factor fails to be C^2, and ``scale_hint`` is the global
-    time scale carried by overall factors ``t * lambda``, which pipelines
-    use to scale default time grids.
+    radii where the factor fails to be C^2, each with a line mass of
+    curvature, and ``scale_hint`` is the global time scale carried by
+    overall factors ``t * lambda``, which pipelines use to scale default
+    time grids.
     """
 
     id: str
-    smoothness: str
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     kink_radii: tuple[float, ...] = ()
     scale_hint: float = 1.0
@@ -113,18 +106,18 @@ class ConformalMetric(NamedTuple):
         return np.exp(self.log_density(r))
 
     def c1_density(self, r) -> np.ndarray:
-        """Curvature density ``-d2/dz dzbar log lambda`` against ``dx dy / pi``.
-
-        Kinked factors are refused: their curvature lives partly on the kink
-        circle, which no pointwise density sees.
-        """
-        if self.kink_radii:
-            raise UnsupportedPointError(
-                f"metric {self.id!r} concentrates curvature on |z| in "
-                f"{self.kink_radii} and has no pointwise curvature density; "
-                "pass a smooth approximating family member instead"
-            )
+        """Curvature density ``-d2/dz dzbar log lambda`` against ``dx dy / pi``,
+        off the kinks; the kinks carry `line_masses` besides."""
         return self.jet(np.asarray(r, dtype=float))[2]
+
+    def line_masses(self) -> tuple[float, ...]:
+        """Curvature mass on each kink circle against ``dx dy / pi``: since
+        c1 = -(1/(4r)) (r f')', it is -(1/2) times the jump of r f' across
+        the circle, read from the jet at the neighbouring doubles."""
+        rk = np.asarray(self.kink_radii, dtype=float)
+        r = np.concatenate([np.nextafter(rk, 0.0), np.nextafter(rk, 2.0 * rk)])
+        rdf = r * self.jet(r)[1]
+        return tuple(float(m) for m in -0.5 * (rdf[rk.size:] - rdf[: rk.size]))
 
     def __repr__(self):
         return f"ConformalMetric({self.id!r})"
@@ -137,14 +130,14 @@ def fs_metric() -> ConformalMetric:
         r2 = r**2
         return math.log(2.0) - 2.0 * np.log1p(r2), -4.0 * r / (1.0 + r2), 2.0 / (1.0 + r2) ** 2
 
-    return ConformalMetric("fs", "smooth", jet)
+    return ConformalMetric("fs", jet)
 
 
 def max_metric() -> ConformalMetric:
     """Factor lambda = 1/max(1, |z|)^4: continuous, with a kink on |z| = 1.
 
-    The curvature of this factor concentrates on the kink circle, so it
-    carries the ``singular-integrable`` class; off the circle it is flat.
+    Off the circle the factor is flat; its whole curvature, 2, is the line
+    mass on the kink.
     """
 
     def jet(r):
@@ -152,7 +145,7 @@ def max_metric() -> ConformalMetric:
         df = np.where(r > 1.0, -4.0 / np.maximum(r, 1.0), 0.0)
         return f, df, np.zeros_like(f)
 
-    return ConformalMetric("max", "singular-integrable", jet, kink_radii=(1.0,))
+    return ConformalMetric("max", jet, kink_radii=(1.0,))
 
 
 def pnorm_metric(p: float) -> ConformalMetric:
@@ -176,7 +169,7 @@ def pnorm_metric(p: float) -> ConformalMetric:
         c1 = np.where(r == 0.0, 2.0 if p == 1.0 else 0.0, c1)
         return f, df, c1
 
-    return ConformalMetric(f"pnorm:{_spec_text(p)}", "smooth", jet)
+    return ConformalMetric(f"pnorm:{_spec_text(p)}", jet)
 
 
 def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
@@ -193,7 +186,6 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
 
     return ConformalMetric(
         f"scaled:{_spec_text(t0)}:{inner.id}",
-        inner.smoothness,
         jet,
         kink_radii=inner.kink_radii,
         scale_hint=t0 * inner.scale_hint,
@@ -207,7 +199,6 @@ def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
     def jet(r):
         return tuple(0.5 * (x + y) for x, y in zip(a.jet(r), b.jet(r)))
 
-    smooth = _join_smoothness(a.smoothness, b.smoothness)
     prod = a.scale_hint * b.scale_hint
     if sys.float_info.min <= prod <= sys.float_info.max:
         scale = math.sqrt(prod)
@@ -215,7 +206,6 @@ def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
         scale = math.sqrt(a.scale_hint) * math.sqrt(b.scale_hint)
     return ConformalMetric(
         f"geomean({a.id},{b.id})",
-        smooth,
         jet,
         kink_radii=tuple(sorted(set(a.kink_radii) | set(b.kink_radii))),
         scale_hint=scale,
@@ -320,7 +310,6 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
 
     return ConformalMetric(
         f"interp:{_spec_text(u)}:{family.id}",
-        _join_smoothness(lo.smoothness, hi.smoothness),
         jet,
         kink_radii=tuple(sorted(set(lo.kink_radii) | set(hi.kink_radii))),
         scale_hint=(1.0 - rho) * lo.scale_hint + rho * hi.scale_hint,

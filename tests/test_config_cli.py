@@ -339,12 +339,11 @@ def test_cli_zeta_schema(tmp_path, cache, capsys):
     payload = json.loads((tmp_path / "zeta.json").read_text())
     assert set(payload) == {
         "metric", "L", "n_theta", "solver_version", "volume",
-        "s_points", "kernel_dim", "zeta0", "zeta0_minus_kernel", "zeta_prime0",
+        "s_points", "kernel_dim", "zeta0", "zeta_prime0",
         "error_budget", "fit", "method",
     }
     assert payload["metric"] == "pnorm:3" and payload["L"] == 16
     assert payload["kernel_dim"] == 1
-    assert payload["zeta0_minus_kernel"] == payload["zeta0"] - 1
     assert [p["s"] for p in payload["s_points"]] == [1.5, 2.0, 3.0]
     assert all(p["tail_bound"] >= 0.0 for p in payload["s_points"])
     assert set(payload["fit"]) == {
@@ -429,6 +428,29 @@ def test_cli_anomaly(tmp_path, cache, capsys):
     for pair in payload["pairs"]:
         assert pair["passed"] is True
         assert pair["gap"] <= pair["tolerance"]
+
+
+def test_converge_checks_the_pairs_anomaly_checks(tmp_path, cache, capsys):
+    """At L = 16 on the pnorm family, summary.json's two-route records are
+    anomaly.json's pairs: one rule for every consecutive pair. anomaly
+    solves for eigenvalues alone and converge with eigenvectors, so the
+    numbers agree to roundoff, not bitwise: the fit's error budgets differ
+    most, by 1.6e-10 relative."""
+    code, _, _ = run_cli(["anomaly", "--L", "16"], tmp_path / "a", cache.root, capsys)
+    assert code == 0
+    code, _, _ = run_cli(["converge", "--L", "16"], tmp_path / "c", cache.root, capsys)
+    assert code == 0
+    pairs = json.loads((tmp_path / "a" / "anomaly.json").read_text())["pairs"]
+    detail = json.loads((tmp_path / "c" / "summary.json").read_text())["detail"]
+    assert "two_route_gap" not in detail and "two_route_tolerance" not in detail
+    assert len(pairs) == 5 and len(detail["two_route"]) == 5
+    for got, want in zip(detail["two_route"], pairs):
+        assert set(got) == set(want)
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-13), key
+            else:
+                assert got[key] == value, key
 
 
 def test_cli_anomaly_failure_writes_summary(tmp_path, cache, capsys, monkeypatch):

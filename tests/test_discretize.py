@@ -211,7 +211,7 @@ def test_mass_rejects_invalid_density(basis):
         zero = np.zeros_like(r)
         return np.where(r > 1.0, np.nan, 0.0), zero, zero
 
-    bad = ConformalMetric("bad-density", "smooth", bad_jet)
+    bad = ConformalMetric("bad-density", bad_jet)
     with pytest.raises(InvalidMetricError):
         masses(basis, (bad,))
 

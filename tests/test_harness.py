@@ -61,7 +61,7 @@ def broken_metric() -> ConformalMetric:
         nan = np.full_like(r, np.nan)
         return nan, nan, nan
 
-    return ConformalMetric("broken", "smooth", bad_jet)
+    return ConformalMetric("broken", bad_jet)
 
 
 def constant_family(n: int = 4) -> MetricFamily:
@@ -277,7 +277,7 @@ def test_minmax_oracle_for_gap_floor():
         f, df, c1 = fs.jet(r)
         return f + np.where(r < 0.5, math.log(10.0), 0.0), df, c1
 
-    capped = ConformalMetric("fs-cap", "singular-integrable", capped_jet, kink_radii=(0.5,))
+    capped = ConformalMetric("fs-cap", capped_jet, kink_radii=(0.5,))
     m_pert = oracles.dense_matrix([M for (M,) in masses(basis, (capped,))])
     want = oracles.full_grid_mass(
         8, lambda r: 2.0 / (1.0 + r * r) ** 2 * np.where(r < 0.5, 10.0, 1.0)
@@ -411,7 +411,11 @@ def test_convergence_summary_smoothing_family():
     assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
     assert summary.sweep.rows and summary.sweep.limit_row is not None
     assert summary.quillen.converged
-    assert summary.two_route.passed
+    # every consecutive member pair, as the anomaly command checks them
+    assert [(r.metric_p, r.metric_q) for r in summary.two_route] == [
+        ("pnorm:1", "pnorm:2"), ("pnorm:2", "pnorm:3"), ("pnorm:3", "pnorm:4")
+    ]
+    assert all(r.passed for r in summary.two_route)
     assert summary.borne.passed
     assert summary.duhamel.ratio < DUHAMEL_RATIO_TOL
     assert summary.floor.margin > 0.0
@@ -598,4 +602,5 @@ def test_convergence_summary_constant_family():
     assert all(c.c_frozen == 0.0 for c in summary.resolvents.columns.values())
     assert summary.duhamel.ratio == 0.0
     assert summary.borne.max_ratio == 0.0
-    assert summary.two_route.gap == pytest.approx(0.0, abs=1e-12)
+    assert len(summary.two_route) == 3
+    assert all(r.gap == pytest.approx(0.0, abs=1e-12) for r in summary.two_route)

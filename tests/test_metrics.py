@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zetasphere.errors import ConfigError, DomainError, UnsupportedPointError
+from zetasphere.errors import ConfigError, DomainError
 from zetasphere.metrics import (
     MAX_SCALED_DEPTH,
     MetricFamily,
@@ -185,26 +185,41 @@ def test_interp_c1_matches_mpmath_blend(u):
 def test_max_metric_kink_handling():
     m = max_metric()
     assert m.kink_radii == (1.0,)
-    # the class tracks curvature integrability: the factor is continuous but
-    # its curvature lives on the kink circle
-    assert m.smoothness == "singular-integrable"
-    with pytest.raises(UnsupportedPointError):
-        m.c1_density(np.array([0.5]))
-    # off the kink the jet is flat inside and -4 log r outside
+    # the factor is continuous and its whole curvature is the line mass on
+    # the kink circle: off the kink the jet is flat inside and -4 log r outside
+    assert m.line_masses() == (2.0,)
     _, df, c1 = m.jet(np.array([0.5, 2.0]))
     assert df.tolist() == [0.0, -2.0] and c1.tolist() == [0.0, 0.0]
-    # a kink anywhere refuses the pointwise density, also inside a mixture
-    with pytest.raises(UnsupportedPointError):
-        geomean_metric(fs_metric(), max_metric()).c1_density(np.array([0.5]))
+    assert m.c1_density(np.array([0.5, 2.0])).tolist() == [0.0, 0.0]
+    # a mixture keeps the kink and its share of the mass
+    joined = geomean_metric(fs_metric(), max_metric())
+    assert joined.kink_radii == (1.0,)
+    assert joined.line_masses() == pytest.approx((1.0,), abs=1e-15)
 
 
 def test_smoothness_classes():
-    assert fs_metric().smoothness == "smooth"
-    assert pnorm_metric(5.0).smoothness == "smooth"
-    assert geomean_metric(pnorm_metric(2.0), pnorm_metric(3.0)).smoothness == "smooth"
-    # joining always takes the worst class
-    joined = geomean_metric(fs_metric(), max_metric())
-    assert joined.smoothness == "singular-integrable"
+    """A metric's smoothness is its kink radii: none for the smooth factors
+    and their compositions, the union of the parts' kinks otherwise."""
+    mixed = geomean_metric(pnorm_metric(2.0), pnorm_metric(3.0))
+    for smooth in (fs_metric(), pnorm_metric(5.0), mixed):
+        assert smooth.kink_radii == () and smooth.line_masses() == ()
+    for kinked in (geomean_metric(fs_metric(), max_metric()), scaled_metric(2.0, max_metric())):
+        assert kinked.kink_radii == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [fs_metric(), pnorm_metric(3.0), max_metric(), parse_metric_spec("scaled:2:max"),
+     geomean_metric(fs_metric(), max_metric()), parse_metric_spec("interp:2.5:pnorm")],
+    ids=lambda m: m.id,
+)
+def test_gauss_bonnet(metric):
+    """The curvature measure, c1 dA off the kinks plus the line masses, has
+    total mass 2 (chi = 2 in the normalization of the area form)."""
+    quad = build_quadrature(128)
+    r = quad.radii_theta
+    smooth = float(np.sum(quad.weights_theta * (1.0 + r**2) ** 2 * metric.c1_density(r)))
+    assert abs(smooth + sum(metric.line_masses()) - 2.0) <= 1e-13
 
 
 def test_scaled_metric_shifts_log_density():
@@ -284,7 +299,7 @@ def test_interpolate_integer_endpoints():
             assert np.array_equal(got, want)
         assert np.all(d_log_density_du(fam, u, r) == 0.0)
         assert m.id == f"interp:{int(u)}:{fam.id}"
-        assert (m.smoothness, m.kink_radii) == (base.smoothness, base.kink_radii)
+        assert m.kink_radii == base.kink_radii
 
 
 def test_interpolate_integer_spectrum_is_the_members():
