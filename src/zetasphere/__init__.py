@@ -21,7 +21,6 @@ _EXPORTS = {
     "ConfigError": "errors",
     "DomainError": "errors",
     "EigenConvergenceError": "errors",
-    "FitWindowError": "errors",
     "IndefiniteMassError": "errors",
     "InvalidMetricError": "errors",
     "ConformalMetric": "metrics",

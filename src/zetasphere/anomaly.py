@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError
 from .heatzeta import ZetaResult
 from .metrics import ConformalMetric
-from .quadrature import QuadratureRule, build_quadrature
+from .quadrature import JET_RULE_NODES, build_quadrature
 
 __all__ = [
     "TWO_ROUTE_BUDGET_FACTOR",
@@ -58,12 +58,6 @@ __all__ = [
 
 # Tolerance of the two-route check, as a multiple of the two zeta budgets.
 TWO_ROUTE_BUDGET_FACTOR = 3.0
-
-
-def _anomaly_quadrature() -> QuadratureRule:
-    # 256 radial nodes split at the equator, where the smoothing families
-    # concentrate their curvature.
-    return build_quadrature(128)
 
 
 def _kinks(*metrics: ConformalMetric) -> list[tuple[float, float]]:
@@ -86,7 +80,7 @@ def bott_chern_integral(metric_p: ConformalMetric, metric_q: ConformalMetric) ->
     Radial factors only (all built-in factors are radial), so the integral
     collapses to the colatitude nodes.
     """
-    quad = _anomaly_quadrature()
+    quad = build_quadrature(JET_RULE_NODES)
     r = quad.radii_theta
     dlog = metric_p.log_density(r) - metric_q.log_density(r)
     c1_sum = metric_p.c1_density(r) + metric_q.c1_density(r)
@@ -107,7 +101,7 @@ def bott_chern_bound(
     kinks' |line mass|. ``distance`` is sup|log(h_p/h_q)|,
     ``metrics.sup_log_distance`` of the pair.
     """
-    quad = _anomaly_quadrature()
+    quad = build_quadrature(JET_RULE_NODES)
     r = quad.radii_theta
     c1_abs = np.abs(metric_p.c1_density(r)) + np.abs(metric_q.c1_density(r))
     jac = (1.0 + r**2) ** 2

@@ -2,8 +2,8 @@
 
 Subcommands: spectrum, theta, zeta, torsion, anomaly, converge, selftest.
 Exit codes: 0 success, 2 validation failure (bad config, bad metric spec,
-unusable fit window), 3 tolerance failure (a named check did not pass;
-summary.json in the output directory says which).
+a domain error such as an overflowing spectrum), 3 tolerance failure (a
+named check did not pass; summary.json in the output directory says which).
 
 Heavy imports happen inside the command handlers so the thread environment
 from the config takes effect before the linear algebra libraries load. The
@@ -158,7 +158,6 @@ def _zeta_payload(data, zres) -> dict:
         "zeta0": zres.zeta0,
         "zeta_prime0": zres.zeta_prime0,
         "error_budget": zres.error_budget,
-        "fit": zres.fit,
         "method": zres.method,
     }
 

@@ -22,6 +22,11 @@ eigenvectors W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the
 operator and harness checks read. One metric is a family of one: its
 stack per m is the (1, n, n) stack of its own M_m.
 
+The Galerkin spaces are nested: the pencil at L' < L is the leading
+(L' + 1 - m) sub-block of each block, and the scaling and the Schur step
+commute with taking it. So every solve also takes the values of those
+sub-blocks at L' = `nested_degree`, a coarser spectrum for free.
+
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
 degeneracy exact. Eigenvectors and functions of the operator
@@ -50,13 +55,19 @@ __all__ = [
     "pencil_eigvalsh",
     "family_eigs",
     "family_eigvals",
+    "nested_degree",
     "resolvent",
     "apply_function",
 ]
 
-SOLVER_VERSION = "blocks-6"
+SOLVER_VERSION = "blocks-7"
 
 _INDEFINITE = "mass {where} is not positive definite"
+
+
+def nested_degree(L: int) -> int:
+    """Degree L' = floor(7L/8) of the nested pencil every solve also takes."""
+    return 7 * L // 8
 
 
 class Spectrum(NamedTuple):
@@ -65,8 +76,9 @@ class Spectrum(NamedTuple):
 
     ``eigenvalues`` holds every block copy merged in ascending order;
     ``eigenvalues[0]`` is exactly 0.0, the constant's, and every other
-    eigenvalue is positive. The stiffness side is ``stiffness(L, m)`` for
-    every metric.
+    eigenvalue is positive. ``nested`` holds, merged the same way, the
+    eigenvalues of the nested pencil at degree `nested_degree`. The
+    stiffness side is ``stiffness(L, m)`` for every metric.
     """
 
     eigenvalues: np.ndarray
@@ -75,6 +87,7 @@ class Spectrum(NamedTuple):
     mass_blocks: Blocks
     metric_id: str
     L: int
+    nested: np.ndarray
 
     @property
     def volume(self) -> float:
@@ -140,14 +153,16 @@ def _stuck_member(S: np.ndarray, m: int, metric_ids: Sequence[str], vectors: boo
 
 def _solve_stacks(
     stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str], vectors: bool
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], np.ndarray]:
+) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[np.ndarray], np.ndarray]:
     """Solve the inverse pencils of a family block by block, m = 0..L in order.
 
     The one block routine of every path. ``stacks`` yields, per m, the
     (K, L+1-m, L+1-m) stack of the members' mass blocks M_m, K =
     len(metric_ids). Per member it returns the values of each block in
     ascending order and, with ``vectors``, the M_m-orthonormal vectors
-    (empty lists without), and the volumes M_0[0, 0]. Each stack is read
+    (empty lists without), the merged eigenvalues of the nested pencil at
+    degree `nested_degree` (``eigvalsh`` of the leading sub-block of each
+    scaled block), and the volumes M_0[0, 0]. Each stack is read
     once, so a caller may hand in stacks that are built as they are asked
     for and dropped after. The scaling, the Schur step and the checks act on
     the whole stack elementwise, and one stacked ``eigh``/``eigvalsh`` per m
@@ -158,6 +173,8 @@ def _solve_stacks(
     K = len(metric_ids)
     values = [[] for _ in range(K)]
     vecs = [[] for _ in range(K)]
+    nested = [[] for _ in range(K)]
+    sub = nested_degree(L) + 1
     vol = np.zeros(K)
     for m, M in enumerate(stacks):
         _refuse(np.isfinite(M).all(axis=(1, 2)) & (M[:, 0, 0] > 0.0),
@@ -170,8 +187,11 @@ def _solve_stacks(
             A, d = A[:, 1:, 1:] - head.transpose(0, 2, 1) @ head, d[1:]
         s = 1.0 / np.sqrt(d)
         S = s[:, None] * A * s[None, :]
+        # the leading block of S at L' (the constant split off at m = 0), empty past L'
+        n_sub = max(sub - m - (m == 0), 0)
         try:
             mu, W = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S), None)
+            mu_sub = np.linalg.eigvalsh(S[:, :n_sub, :n_sub])
         except np.linalg.LinAlgError as e:
             raise _stuck_member(S, m, metric_ids, vectors, e) from e
         _refuse(np.all(mu > 0.0, axis=1), m, metric_ids, vol, IndefiniteMassError, _INDEFINITE)
@@ -181,10 +201,12 @@ def _solve_stacks(
         _refuse(np.all(np.isfinite(lam), axis=1), m, metric_ids, vol, DomainError,
                 "eigenvalues of {where} overflow: 1 / (vol mu) is not finite "
                 "at volume {vol:.3g}")
+        lam_sub = 1.0 / (vol[:, None] * mu_sub[:, ::-1])
         if vectors:
             V = s[:, None] * W[:, :, ::-1] / np.sqrt(vol[:, None] * mu)[:, None, :]
         for k in range(K):
             values[k].append(np.concatenate(([0.0], lam[k])) if m == 0 else lam[k])
+            nested[k].append(np.concatenate(([0.0], lam_sub[k])) if m == 0 else lam_sub[k])
             if not vectors:
                 continue
             if m == 0:
@@ -194,7 +216,7 @@ def _solve_stacks(
                 ]))
             else:
                 vecs[k].append(V[k])
-    return values, vecs, vol
+    return values, vecs, [_merged(v) for v in nested], vol
 
 
 def _merged(values: list[np.ndarray]) -> np.ndarray:
@@ -228,24 +250,25 @@ def family_eigs(
         the member and m.
     """
     stacks = tuple(mass_stacks)
-    values, vectors, _ = _solve_stacks(stacks, L, metric_ids, True)
+    values, vectors, nested, _ = _solve_stacks(stacks, L, metric_ids, True)
     return tuple(
-        Spectrum(_merged(v), tuple(v), tuple(w), tuple(M[k] for M in stacks), mid, L)
-        for k, (v, w, mid) in enumerate(zip(values, vectors, metric_ids))
+        Spectrum(_merged(v), tuple(v), tuple(w), tuple(M[k] for M in stacks), mid, L, nv)
+        for k, (v, w, mid, nv) in enumerate(zip(values, vectors, metric_ids, nested))
     )
 
 
 def family_eigvals(
     mass_stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str]
-) -> tuple[tuple[np.ndarray, float], ...]:
-    """Eigenvalues and volume of each member of a family, values only.
+) -> tuple[tuple[np.ndarray, float, np.ndarray], ...]:
+    """Eigenvalues, volume and nested eigenvalues of each member of a
+    family, values only.
 
     The stacks are solved one m at a time in the order given (``eigvalsh``,
     no eigenvectors), so stacks that ``discretize.masses`` builds on demand
     are each dropped once solved. Same checks and errors as `family_eigs`.
     """
-    values, _, vol = _solve_stacks(mass_stacks, L, metric_ids, False)
-    return tuple((_merged(v), float(x)) for v, x in zip(values, vol))
+    values, _, nested, vol = _solve_stacks(mass_stacks, L, metric_ids, False)
+    return tuple((_merged(v), float(x), nv) for v, x, nv in zip(values, vol, nested))
 
 
 def apply_function(spectrum: Spectrum, f) -> Blocks:

@@ -7,7 +7,6 @@ __all__ = [
     "InvalidMetricError",
     "IndefiniteMassError",
     "EigenConvergenceError",
-    "FitWindowError",
 ]
 
 
@@ -34,6 +33,3 @@ class IndefiniteMassError(ZetasphereError, ValueError):
 class EigenConvergenceError(ZetasphereError, RuntimeError):
     """The QL iteration inside the generalized eigensolver did not converge."""
 
-
-class FitWindowError(ZetasphereError, ValueError):
-    """The requested fit window lies entirely outside the validity region."""

@@ -128,9 +128,8 @@ THEOREM_TAGS = (
     "lowerbound",
 )
 
-# Sweep columns whose values come out of the heat-trace fit and therefore
-# carry the zeta error budget as measurement noise.
-_BUDGET_COLUMNS = frozenset({"b_minus1", "b0", "zeta_prime0", "log_quillen"})
+# Sweep columns that carry the zeta error budget as measurement noise.
+_BUDGET_COLUMNS = frozenset({"zeta_prime0", "log_quillen"})
 
 _TINY_REL = 1e-9
 
@@ -150,7 +149,8 @@ class SweepRow(NamedTuple):
 
     ``columns`` is the row's ordered table of scalars, the one the Cauchy
     check and converge.csv read: ``vol``, ``lambda1``, ``theta_t<t>`` per
-    tabulated time, ``b_minus1``, ``b0``, ``zeta_prime0``, ``log_quillen``.
+    tabulated time, ``zeta_prime0``, ``log_quillen``. The volume is b_-1 of
+    the heat trace exactly, and the theta columns test the discrete trace.
     ``zeta`` is the member's ``compute_zeta`` result, with its volume and
     log h_Q, as the checks of ``anomaly`` take it. ``spectrum`` is the
     member's solved pencil, which the operator checks read.
@@ -199,8 +199,6 @@ def _pipeline_row(
             "vol": zres.volume,
             "lambda1": spectrum.lambda1,
             **{name: float(v) for name, v in zip(theta_columns, th)},
-            "b_minus1": zres.fit.b_minus1,
-            "b0": zres.fit.b0,
             "zeta_prime0": zres.zeta_prime0,
             "log_quillen": zres.log_quillen,
         },
@@ -317,10 +315,10 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     member, limit) at the last member's distance to the limit. For each
     column the constant C in |x_i - x_{i+1}| <= C * dist_i is measured on
     the first pair, frozen with the 2x safety factor, and asserted on every
-    other pair, the closing one included. Fit-derived columns get the two
-    rows' zeta error budgets as slack; exact columns only a relative epsilon
-    of the pair's larger value. A constant family (zero distances) must have
-    zero differences up to the slack.
+    other pair, the closing one included. The zeta'(0) and log h_Q columns
+    get the two rows' zeta error budgets as slack, the exact columns only a
+    relative epsilon of the pair's larger value. A constant family (zero
+    distances) must have zero differences up to the slack.
     """
     rows = report.rows
     if len(rows) < 2:

@@ -1,33 +1,37 @@
 """Heat traces, spectral zeta values, and the zeta derivative at zero.
 
 Every function here takes the eigenvalue array itself. The discrete heat
-trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues is the
-single object everything else is built from:
+trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues has
+the small-time expansion b_-1/t + b_0 + b_1 t + b_2 t^2 + ..., whose
+coefficients are local invariants of the metric (McKean and Singer,
+J. Diff. Geom. 1, 1967; Gilkey, *Invariance Theory, the Heat Equation and
+the Atiyah-Singer Index Theorem*, 1984), so none is fitted: b_-1 is the
+volume, b_0 = chi/6 - 1 = -2/3 (kernel excluded, line masses included) and
+`heat_invariants` reads b_1 and b_2 off the jet, as far as the metric's
+``order`` pins them. zeta(s) for s > 1 comes directly from the eigenvalues.
 
-* ``fit_asymptotics`` is the one fit routine: it takes the metric's time
-  scale s, sets the window to ``DEFAULT_FIT_WINDOW`` in tau = t / s, clips
-  it once, at the time the truncation bound n exp(-lambda_max t) reaches
-  ``DEFAULT_TRUNC_TOL``, samples theta on ``FIT_GRID_NODES`` geometric times
-  in what is left, and fits b_-1/t + b_0 + b_1 t in tau, giving the volume
-  coefficient and the constant term;
-* zeta(s) for s > 1 comes directly from the eigenvalues;
-* zeta'(0) is one closed form at the fitted window's lower end t_lo:
+zeta'(0) is one closed form at t = s tau, s the metric's time scale,
 
-      zeta'(0) = sum_k E1(lambda_k t_lo)                    (spectral)
-               - b_-1/t_lo + b_0 (gamma + log t_lo)         (regularization)
-               + b_1 t_lo                                   (head)
+    Z(tau) = sum_k E1(lambda_k s tau) - (b_-1 / s) / tau
+             + b_0 (gamma + log s tau) + b_1 s tau + b_2 s^2 tau^2 / 2,
 
-  It is the derivative at s = 0 of the Mellin transform
-  zeta(s) = (1/Gamma(s)) int_0^inf t^(s-1) theta(t) dt split at t_lo, with
-  1/Gamma(s) = s + gamma s^2 + O(s^3). Above t_lo the discrete trace gives
-  int_{t_lo}^inf theta(t)/t dt = sum_k E1(lambda_k t_lo) exactly. Below
-  t_lo the model integrates term by term: b_a t^a contributes
-  b_a t_lo^(s+a)/(s+a), whose product with 1/Gamma(s) has s-derivative
-  b_a t_lo^a / a at s = 0 for a = -1 and 1, and b_0 (gamma + log t_lo) for
-  a = 0. The sum reproduces
-  -sum(log lambda_k) exactly for a finite spectrum and obeys the rescaling
-  law zeta'(0; c*metric) = zeta(0) log c + zeta'(0; metric) to machine
-  precision.
+the s-derivative at 0 of the Mellin transform of theta split at t: above
+t the discrete trace gives sum E1 exactly, below it each b_a u^a gives
+b_a t^a / a (b_0 (gamma + log t) for a = 0). The omitted terms fall like
+tau^a, a = 3 at order 2, 1 at order 1 and 1/2 at a kink (order 0), whose
+trace has a t^(1/2) term. All but b_0 log s is computed in tau, so the
+rescaling law zeta'(0; c g) = zeta'(0; g) + b_0 log c holds to roundoff and
+the budget does not move with c.
+
+`zeta_result` evaluates Z on the rungs tau_j = 0.0025 2^j, j = 0..7, each
+with four budget parts: the law part e_j = |Z(tau_j) - Z(2 tau_j)| /
+(2^a - 1), the nested part d_j (the E1 sum's change on the nested
+spectrum at 7L/8, which the solve already has), the Weyl tail
+w_j = (b_-1/s) E2(lambda_max s tau_j) / tau_j and the quadrature part q_j
+(the head's change on a jet rule of half the nodes). A rung qualifies when
+d_j + w_j <= e_j, where the spectrum resolves the trace better than the
+expansion does; zeta'(0) is Z at the qualifying rung of least budget
+3 e_j + d_j + w_j + q_j, or at the top rung if none qualifies.
 """
 
 from __future__ import annotations
@@ -39,18 +43,18 @@ import numpy as np
 
 from .discretize import Blocks, stiffness
 from .eigensolve import Spectrum, apply_function
-from .errors import DomainError, FitWindowError
+from .errors import DomainError
+from .metrics import ConformalMetric
 from .operators import InnerProduct, block_operator_norms
-from .quadrature import gauss_legendre
+from .quadrature import JET_RULE_NODES, build_quadrature, gauss_legendre
 
 __all__ = [
     "exp_e1",
+    "e1_sums",
     "geometric_grid",
     "theta",
     "theta_values",
-    "truncation_time",
-    "AsymptoticFit",
-    "fit_asymptotics",
+    "heat_invariants",
     "ZetaPoint",
     "zeta_direct",
     "ZetaResult",
@@ -58,31 +62,36 @@ __all__ = [
     "heat_operator",
     "DuhamelReport",
     "duhamel_residual",
-    "DEFAULT_FIT_WINDOW",
-    "DEFAULT_TRUNC_TOL",
+    "B0",
     "DEFAULT_S_VALUES",
-    "FIT_GRID_NODES",
+    "LADDER",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-DEFAULT_FIT_WINDOW = (0.02, 0.2)
-DEFAULT_TRUNC_TOL = 1e-8
 DEFAULT_S_VALUES = (1.5, 2.0, 3.0)
 
-# Geometric times at which every fit, and the lower-half refit of
-# _window_sensitivity, samples the heat trace.
-FIT_GRID_NODES = 25
+# b_0 of the kernel-excluded heat trace on the sphere: chi/6 - 1.
+B0 = -2.0 / 3.0
 
-# Floats in the exp(-t lambda) block of the heat-trace sum (64 KB): it holds
-# as many times as fit, at least one, so its size does not grow with the
-# spectrum or with the number of times asked.
+# Rungs tau_j = 0.0025 2^j, j = 0..7, at which zeta'(0) may be evaluated.
+LADDER = 0.0025 * 2.0 ** np.arange(8)
+
+# Exponent a of the law part, by the metric's order, and the factor of the
+# law part in the budget.
+_LAW_EXPONENT = (0.5, 1.0, 3.0)
+_LAW_FACTOR = 3.0
+
+# Floats in the exp(-t lambda) and E1(t lambda) blocks of the heat-trace
+# sums (64 KB): a block holds as many times as fit, at least one, so its
+# size does not grow with the spectrum or with the number of times asked.
 _THETA_FLOATS = 8192
-
 
 # Above this argument exp(-x), and with it E1(x), underflows to 0.0.
 _E1_UNDERFLOW = 745.2
-# Depth of the backward continued fraction; x = 1 converges slowest.
-_E1_CF_DEPTH = 128
+# Depth of the backward continued fraction by band of x, (upper edge, depth):
+# x = 1 converges slowest, and a band of arguments four times larger needs
+# about a quarter of the depth (each band within 2 ulp of mpmath).
+_E1_CF_BANDS = ((4.0, 128), (16.0, 32), (64.0, 12), (math.inf, 6))
 
 
 def exp_e1(x):
@@ -90,9 +99,9 @@ def exp_e1(x):
 
     Power series below 1, to 20 terms. From 1 up to ``_E1_UNDERFLOW`` the
     continued fraction E1 = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))),
-    evaluated backward from a fixed depth ``_E1_CF_DEPTH`` over the whole
-    array (within 2 ulp of mpmath on [1, 745]). Past ``_E1_UNDERFLOW`` the
-    value is 0.0.
+    evaluated backward from the depth of each band of ``_E1_CF_BANDS``
+    (within 2 ulp of mpmath on [1, 745]). Past ``_E1_UNDERFLOW`` the value
+    is 0.0.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -112,13 +121,16 @@ def exp_e1(x):
             term *= xs / k
             acc += term / k if k % 2 else -(term / k)
         out[small] = -EULER_GAMMA - np.log(xs) + acc
-    cf = ~small & ~(x > _E1_UNDERFLOW)  # a NaN takes this path and stays NaN
-    if cf.any():
-        xc = x[cf]
-        t = np.zeros_like(xc)
-        for j in range(_E1_CF_DEPTH, 0, -1):
-            t = (j * j) / (xc + (2 * j + 1) - t)
-        out[cf] = np.exp(-xc) / (xc + 1.0 - t)
+    rest = ~small & ~(x > _E1_UNDERFLOW)
+    for edge, depth in _E1_CF_BANDS:  # a NaN joins the first band and stays NaN
+        band, rest = rest & ~(x >= edge), rest & (x >= edge)
+        if band.any():
+            xc = x[band]
+            t, buf = np.zeros_like(xc), np.empty_like(xc)
+            for j in range(depth, 0, -1):  # t = j^2 / (x + 2j + 1 - t), in place
+                np.subtract(np.add(xc, 2 * j + 1, out=buf), t, out=buf)
+                np.divide(j * j, buf, out=t)
+            out[band] = np.exp(-xc) / (xc + 1.0 - t)
     return float(out[0]) if scalar else out
 
 
@@ -128,13 +140,13 @@ def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum over positive eigenvalues of exp(-lambda t), kernel excluded.
+def _spectral_sums(eigenvalues: np.ndarray, t: np.ndarray, f) -> np.ndarray:
+    """sum over positive eigenvalues of f(lambda t), one sum per time.
 
-    Evaluated in one reused block of ``_THETA_FLOATS`` floats, as many times
-    at once as fit (at least one); each time's sum is the same row reduction
-    as in one (len(t), n) matrix, so the values do not depend on the block
-    size.
+    f maps a block of lambda t in place or to a new array. The block is one
+    reused buffer of ``_THETA_FLOATS`` floats, as many times at once as fit
+    (at least one); each time's sum is the same row reduction as in one
+    (len(t), n) matrix, so the values do not depend on the block size.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 0.0]
@@ -144,9 +156,25 @@ def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
     buf = np.empty((min(rows, t.size), lam.size))
     for i in range(0, t.size, rows):
         block = t[i : i + rows]
-        e = np.multiply.outer(-block, lam, out=buf[: block.size])
-        out[i : i + block.size] = np.exp(e, out=e).sum(axis=1)
+        x = np.multiply.outer(block, lam, out=buf[: block.size])
+        out[i : i + block.size] = f(x).sum(axis=1)
     return out
+
+
+def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum over positive eigenvalues of exp(-lambda t), kernel excluded."""
+    return _spectral_sums(eigenvalues, t, lambda x: np.exp(np.negative(x, out=x), out=x))
+
+
+def e1_sums(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum over positive eigenvalues of E1(lambda t), one sum per time.
+
+    Each distinct eigenvalue is evaluated once and counted with its
+    multiplicity: the cos and sin copies of every m >= 1 block are equal.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    lam, count = np.unique(lam[lam > 0.0], return_counts=True)
+    return _spectral_sums(lam, t, lambda x: exp_e1(x) * count)
 
 
 def theta(eigenvalues: np.ndarray, t: float) -> float:
@@ -157,96 +185,30 @@ def theta(eigenvalues: np.ndarray, t: float) -> float:
     return float(theta_values(eigenvalues, np.array([t]))[0])
 
 
-def truncation_time(n_modes: int, lambda_max: float, trunc_tol: float) -> float:
-    """Smallest t at which the truncation bound n exp(-lambda_max t) is trunc_tol."""
-    return math.log(n_modes / trunc_tol) / lambda_max
+def heat_invariants(metric: ConformalMetric, n_theta: int = JET_RULE_NODES) -> tuple[float, float]:
+    """(b_1 s, b_2 s^2): the heat invariants of ``metric`` in tau = t / s,
+    s = ``metric.scale_hint``, each 0.0 where the metric's order does not
+    pin it.
 
-
-def _weighted_fit(t: np.ndarray, th: np.ndarray, scale: float):
-    """Least squares of th ~ b_-1/t + b_0 + b_1 t with weights t^2.
-
-    The fit runs in tau = t / scale, so a metric's window is as well
-    conditioned as the unscaled metric's when ``scale`` is its time scale;
-    the coefficients and spreads come back in t units.
-    Returns the coefficients, the largest absolute model residual and the
-    parameter spread from the weighted normal equations. Raises FitWindowError
-    when a window far from tau ~ 1 overflows or underflows the weighted design,
-    or leaves it rank-deficient: the weighted columns tau, tau^2 and tau^3 then
-    differ in scale by more than lstsq's cutoff, and it would drop one silently.
+    Integrated on the two-panel rule of ``n_theta`` nodes per panel (the
+    anomaly integral's, `JET_RULE_NODES`), with int g r dr = sum over the
+    nodes of the weight times g (1 + r^2)^2 / 2. The density enters as
+    lambda / s, so a scaled metric's invariants are its part's.
     """
-    tau = t / scale
-    with np.errstate(over="ignore"):
-        A = np.stack([1.0 / tau, np.ones_like(tau), tau], axis=1)
-        w = tau * tau
-        Aw = A * w[:, None]
-        bw = th * w
-        normal = Aw.T @ Aw
-    try:
-        if not np.all(np.isfinite(normal)):
-            raise np.linalg.LinAlgError("non-finite normal matrix")
-        coef, _, rank, _ = np.linalg.lstsq(Aw, bw, rcond=None)
-        if rank < A.shape[1]:
-            raise np.linalg.LinAlgError(
-                f"weighted design has rank {rank} of {A.shape[1]}"
-            )
-        normal_inv = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as e:
-        raise FitWindowError(f"weighted fit on t in [{t[0]:.4g}, {t[-1]:.4g}] failed: {e}") from e
-    resid = float(np.abs(A @ coef - th).max())
-    dof = max(t.size - 3, 1)
-    sigma2 = float(((bw - Aw @ coef) ** 2).sum()) / dof
-    cov = sigma2 * normal_inv
-    to_t = np.array([scale, 1.0, 1.0 / scale])
-    sig = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)) * to_t)
-    return coef * to_t, resid, sig
-
-
-class AsymptoticFit(NamedTuple):
-    """Weighted least-squares fit of theta(t) ~ b_-1/t + b_0 + b_1 t."""
-
-    b_minus1: float
-    b0: float
-    b1: float
-    residual: float
-    window_effective: tuple[float, float]
-    scale: float
-    param_sigma: tuple[float, float, float]
-
-    @property
-    def coefficients(self) -> tuple[float, float, float]:
-        return (self.b_minus1, self.b0, self.b1)
-
-
-def fit_asymptotics(eigenvalues: np.ndarray, scale: float) -> AsymptoticFit:
-    """Fit the three-term small-time model to the heat trace of ``eigenvalues``.
-
-    ``scale`` is the metric's time scale s (``ConformalMetric.scale_hint``):
-    rescaling the conformal factor by c rescales the eigenvalues by 1/c, so
-    the window is ``DEFAULT_FIT_WINDOW`` in tau = t / s. It is clipped to
-    the region where the truncation bound stays below ``DEFAULT_TRUNC_TOL``,
-    and the trace is sampled on ``FIT_GRID_NODES`` geometric times spanning
-    what is left. Raises FitWindowError when the clipped window is empty.
-    """
-    lo_req, hi_req = DEFAULT_FIT_WINDOW[0] * scale, DEFAULT_FIT_WINDOW[1] * scale
-    lam = np.asarray(eigenvalues, dtype=float)
-    t_valid = truncation_time(lam.size, float(lam[-1]), DEFAULT_TRUNC_TOL)
-    lo = max(lo_req, t_valid)
-    if lo >= hi_req:
-        raise FitWindowError(
-            f"truncation bound exceeds {DEFAULT_TRUNC_TOL:g} on all of "
-            f"[{lo_req:g}, {hi_req:g}] (valid region starts at t = {t_valid:.4g})"
-        )
-    t = geometric_grid(lo, hi_req, FIT_GRID_NODES)
-    coef, resid, sig = _weighted_fit(t, theta_values(lam, t), scale)
-    return AsymptoticFit(
-        b_minus1=float(coef[0]),
-        b0=float(coef[1]),
-        b1=float(coef[2]),
-        residual=resid,
-        window_effective=(float(lo), float(hi_req)),
-        scale=scale,
-        param_sigma=sig,
-    )
+    if metric.order == 0:
+        return 0.0, 0.0
+    quad = build_quadrature(n_theta)
+    r = quad.radii_theta
+    f, df, c1, dc1 = metric.jet(r)
+    lam = np.exp(f - math.log(metric.scale_hint))
+    w = quad.weights_theta * (1.0 + r**2) ** 2 / 2.0
+    b1 = float(np.sum(w * c1**2 / lam)) / 30.0
+    if metric.order == 1:
+        return b1, 0.0
+    K = 2.0 * c1 / lam
+    dK = 2.0 * (dc1 - c1 * df) / lam
+    b2 = float(np.sum(w * ((4.0 / 315.0) * K**3 * lam - dK**2 / 70.0))) / 32.0
+    return b1, b2
 
 
 class ZetaPoint(NamedTuple):
@@ -277,39 +239,12 @@ def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoi
     return ZetaPoint(float(s), value, tail)
 
 
-def _window_sensitivity(lam: np.ndarray, fit: AsymptoticFit) -> float:
-    """Systematic-error probe: refit on the lower half of the window.
-
-    Sharp conformal factors push the true small-time regime of the trace
-    below the truncation-valid region, so the three-term model acquires a
-    window-dependent bias that parameter covariance cannot see. Refitting on
-    the lower geometric half of the window and pushing the coefficient shift
-    through the closed-form sensitivity of zeta'(0),
-
-        d zeta' = -d(b_-1)/t_lo - d(b_0) (log(1/t_lo) - gamma) + d(b_1) t_lo,
-
-    measures that bias on the data itself. Returns 0 when the window is too
-    thin to split. The midpoint and the refit run in the fit's time scale,
-    where they neither overflow nor lose a column.
-    """
-    t_lo, t_hi = fit.window_effective
-    scale = fit.scale
-    hi_sub = scale * math.sqrt((t_lo / scale) * (t_hi / scale))
-    if hi_sub < 1.3 * t_lo:
-        return 0.0
-    t = geometric_grid(t_lo, hi_sub, FIT_GRID_NODES)
-    coef = _weighted_fit(t, theta_values(lam, t), scale)[0]
-    d_bm1, d_b0, d_b1 = (float(c) - f for c, f in zip(coef, fit.coefficients))
-    return abs(
-        -d_bm1 / t_lo
-        - d_b0 * (math.log(1.0 / t_lo) - EULER_GAMMA)
-        + d_b1 * t_lo
-    )
-
-
 class ZetaResult(NamedTuple):
     """Everything the zeta pipeline reports for one metric, with the volume
-    M_0[0, 0] of its spectrum and so log h_Q = log vol + zeta'(0)."""
+    M_0[0, 0] of its spectrum and so log h_Q = log vol + zeta'(0).
+    ``zeta0`` is b_0; ``method`` records the rung ``tau_lo``, the metric's
+    ``scale`` and ``order``, the pinned ``b`` in tau = t / scale, and the
+    parts of zeta'(0) and of the budget at that rung."""
 
     metric_id: str
     volume: float
@@ -317,7 +252,6 @@ class ZetaResult(NamedTuple):
     zeta0: float
     zeta_prime0: float
     error_budget: float
-    fit: AsymptoticFit
     method: dict
 
     @property
@@ -327,54 +261,65 @@ class ZetaResult(NamedTuple):
 
 def zeta_result(
     eigenvalues: np.ndarray,
+    nested: np.ndarray,
     volume: float,
-    fit: AsymptoticFit,
+    metric: ConformalMetric,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
-    metric_id: str = "",
 ) -> ZetaResult:
-    """The direct zeta points, zeta(0) and zeta'(0) of one spectrum of ``volume``.
+    """The direct zeta points, zeta(0) and zeta'(0) of one spectrum of
+    ``volume``, with ``nested`` the spectrum of its nested pencil.
 
-    zeta'(0) is the closed form of the module docstring at t_lo, the lower
-    end of the fit's effective window, with its error budget; its three
-    terms and the window spread go to ``method``.
+    zeta'(0) and its budget are the closed form and the rung rule of the
+    module docstring, with the invariants of ``metric``.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    points = tuple(zeta_direct(lam, s, fit.b_minus1) for s in s_values)
-    lam = lam[lam > 0.0]
-    t_lo = fit.window_effective[0]
-    bm1, b0, b1 = fit.coefficients
+    points = tuple(zeta_direct(lam, x, volume) for x in s_values)
+    scale = metric.scale_hint
+    lam_s = lam[lam > 0.0] * scale
+    b1, b2 = heat_invariants(metric)
+    half = heat_invariants(metric, JET_RULE_NODES // 2)
+    tau = np.append(LADDER, 2.0 * LADDER[-1])
+    vol_s = volume / scale
 
-    spectral = float(np.sum(exp_e1(lam * t_lo)))
-    regularization = b0 * (EULER_GAMMA + math.log(t_lo)) - bm1 / t_lo
-    head = b1 * t_lo
-    value = spectral + regularization + head
+    spectral = e1_sums(lam_s, tau)
+    head = b1 * tau + b2 * tau**2 / 2.0
+    z = spectral - vol_s / tau + B0 * (EULER_GAMMA + np.log(tau)) + head
+    law = np.abs(z[:-1] - z[1:]) / (2.0 ** _LAW_EXPONENT[metric.order] - 1.0)
+    nest = np.abs(spectral[:-1] - e1_sums(np.asarray(nested) * scale, LADDER))
+    x = lam_s[-1] * LADDER
+    tail = vol_s * (np.exp(-x) - x * exp_e1(x)) / LADDER
+    quad = np.abs((b1 - half[0]) * LADDER + (b2 - half[1]) * LADDER**2 / 2.0)
+    budget = _LAW_FACTOR * law + nest + tail + quad
+    qualifies = nest + tail <= law
+    j = int(np.argmin(np.where(qualifies, budget, np.inf))) if qualifies.any() else LADDER.size - 1
 
-    sig_bm1, sig_b0, sig_b1 = fit.param_sigma
-    spread = _window_sensitivity(lam, fit)
-    budget = (
-        sig_bm1 * (1.0 + 1.0 / t_lo)
-        + sig_b0 * (EULER_GAMMA + math.log(1.0 / t_lo))
-        + sig_b1 * t_lo
-        + abs(b1) * t_lo * t_lo
-        + DEFAULT_TRUNC_TOL * (1.0 + math.log(1.0 / t_lo))
-        + spread
-    )
+    t = float(LADDER[j])
+    regularization = B0 * (EULER_GAMMA + math.log(t) + math.log(scale)) - vol_s / t
+    pinned = {"b_minus1": vol_s, "b0": B0, "b1": b1, "b2": b2}
     method = {
+        "tau_lo": t,
+        "scale": scale,
+        "order": metric.order,
+        "b": dict(list(pinned.items())[: 2 + metric.order]),
         "zeta_prime0_parts": {
-            "spectral": spectral,
+            "spectral": float(spectral[j]),
             "regularization": regularization,
-            "head": head,
-            "window_spread": spread,
+            "head": float(head[j]),
+        },
+        "budget_parts": {
+            "law": float(_LAW_FACTOR * law[j]),
+            "nested": float(nest[j]),
+            "weyl_tail": float(tail[j]),
+            "quadrature": float(quad[j]),
         },
     }
     return ZetaResult(
-        metric_id=metric_id,
+        metric_id=metric.id,
         volume=float(volume),
         s_points=points,
-        zeta0=fit.b0,
-        zeta_prime0=float(value),
-        error_budget=float(budget),
-        fit=fit,
+        zeta0=B0,
+        zeta_prime0=float(spectral[j] + regularization + head[j]),
+        error_budget=float(budget[j]),
         method=method,
     )
 

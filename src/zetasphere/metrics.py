@@ -7,14 +7,16 @@ i.e. the density ``lambda(r)/pi`` against Lebesgue measure ``dx dy``. Each
 factor extends over z = inf, where the coordinate w = 1/z rescales it by
 |z|^4, so ``log lambda(r) + 4 log r`` has a finite limit as r -> inf.
 
-A metric is one radial jet ``(f, df/dr, c1)`` with f = log lambda and the
-curvature density c1 = -(1/4) (f'' + f'/r). The built-in factors (fs, pnorm,
-max) give it in closed form, and the compositions stay exact: ``scaled``
-shifts f, ``geomean`` averages the three parts, and ``interpolate`` blends
-the members' jets. The density, its logarithm and the curvature are all read
-from the jet; a kink adds a line mass of curvature, from the one-sided jets
-(`ConformalMetric.line_masses`). A family carries its uniform limit, and the
-u-derivative of its blend is the family's (`d_log_density_du`).
+A metric is one radial jet ``(f, df/dr, c1, dc1/dr)`` with f = log lambda
+and the curvature density c1 = -(1/4) (f'' + f'/r). The built-in factors
+(fs, pnorm, max) give it in closed form, and the compositions stay exact:
+``scaled`` shifts f, ``geomean`` averages the four parts, and
+``interpolate`` blends the members' jets. The density, its logarithm and
+the curvature are all read from the jet; a kink adds a line mass of
+curvature, from the one-sided jets (`ConformalMetric.line_masses`). A
+family carries its uniform limit, and the u-derivative of its blend is the
+family's (`d_log_density_du`). A metric's ``order`` says how many of the
+heat invariants b_1 and b_2 its jet determines (`heatzeta.heat_invariants`).
 """
 
 from __future__ import annotations
@@ -82,21 +84,25 @@ class ConformalMetric(NamedTuple):
     """A radial conformal factor on the sphere, a function of r = |z|.
 
     ``id`` is the canonical spec string of the metric. ``jet`` gives the
-    radial jet ``(f, df/dr, c1)`` for arrays of finite radii ``r = |z|``,
-    with ``f = log lambda`` and the curvature density
+    radial jet ``(f, df/dr, c1, dc1/dr)`` for arrays of finite radii
+    ``r = |z|``, with ``f = log lambda`` and the curvature density
     ``c1 = -d2/dz dzbar f = -(1/4) (f'' + f'/r)`` against ``dx dy / pi``.
-    Off the kinks all three parts are exact; at a kink ``df/dr`` takes
-    either one-sided value and ``c1`` is meaningless. ``kink_radii`` are the
-    radii where the factor fails to be C^2, each with a line mass of
-    curvature, and ``scale_hint`` is the global time scale carried by
-    overall factors ``t * lambda``, which pipelines use to scale default
-    time grids.
+    Off the kinks every part is exact; at a kink ``df/dr`` takes either
+    one-sided value and ``c1`` is meaningless. ``kink_radii`` are the radii
+    where the factor fails to be C^2, each with a line mass of curvature,
+    and ``scale_hint`` is the global time scale carried by overall factors
+    ``t * lambda``, which pipelines use to scale default time grids.
+    ``order`` is how many of the heat invariants b_1, b_2 the jet
+    determines: 2 for a factor smooth on the whole sphere, 1 for one that
+    is only finitely smooth at a pole, 0 at a kink and for a hand-built jet
+    (which need give only its first three parts).
     """
 
     id: str
-    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     kink_radii: tuple[float, ...] = ()
     scale_hint: float = 1.0
+    order: int = 0
 
     def log_density(self, r) -> np.ndarray:
         """log of the conformal factor at radii ``r``."""
@@ -127,10 +133,10 @@ def fs_metric() -> ConformalMetric:
     """Round metric normalized to total volume 2: lambda = 2/(1+|z|^2)^2."""
 
     def jet(r):
-        r2 = r**2
-        return math.log(2.0) - 2.0 * np.log1p(r2), -4.0 * r / (1.0 + r2), 2.0 / (1.0 + r2) ** 2
+        q = 1.0 + r**2
+        return math.log(2.0) - 2.0 * np.log1p(r**2), -4.0 * r / q, 2.0 / q**2, -8.0 * r / q**3
 
-    return ConformalMetric("fs", jet)
+    return ConformalMetric("fs", jet, order=2)
 
 
 def max_metric() -> ConformalMetric:
@@ -143,7 +149,7 @@ def max_metric() -> ConformalMetric:
     def jet(r):
         f = -4.0 * np.maximum(np.log(np.maximum(r, 1e-300)), 0.0)
         df = np.where(r > 1.0, -4.0 / np.maximum(r, 1.0), 0.0)
-        return f, df, np.zeros_like(f)
+        return f, df, np.zeros_like(f), np.zeros_like(f)
 
     return ConformalMetric("max", jet, kink_radii=(1.0,))
 
@@ -152,24 +158,31 @@ def pnorm_metric(p: float) -> ConformalMetric:
     """Smooth factor lambda = (1 + |z|^(2p))^(-2/p), p >= 1.
 
     Uniformly close to the max factor: sup |log ratio| = (2/p) log 2. p is
-    capped at ``MAX_PNORM_P``.
+    capped at ``MAX_PNORM_P``. An integer p is smooth at the poles (order
+    2); any other p has |z|^(2p) there, which pins b_1 but not b_2 (order 1).
     """
     if not 1 <= p <= MAX_PNORM_P:
         raise DomainError(f"pnorm requires 1 <= p <= {MAX_PNORM_P:g}, got {p}")
     p = float(p)
+    # c1' at r = 0, where it is 2p (2p - 2) r^(2p-3)
+    pole_dc1 = 0.0 if p == 1.0 or p > 1.5 else (3.0 if p == 1.5 else math.inf)
 
     def jet(r):
         logr = np.log(np.maximum(r, 1e-300))
         x = 2.0 * p * logr
         f = -(2.0 / p) * _softplus(x)
-        # f' = -4 r^(2p-1) / (1 + r^(2p)) and c1 = 2p r^(2p-2) / (1 + r^(2p))^2,
-        # both evaluated in log form
+        # f' = -4 r^(2p-1) / (1 + r^(2p)), c1 = 2p r^(2p-2) / (1 + r^(2p))^2
+        # and c1' = (c1 / r) (2p - 2 - 4p r^(2p) / (1 + r^(2p))), all
+        # evaluated in log form
         df = -4.0 * np.exp(-_softplus(-x) - logr)
-        c1 = np.exp(math.log(2.0 * p) + (2.0 * p - 2.0) * logr - 2.0 * _softplus(x))
-        c1 = np.where(r == 0.0, 2.0 if p == 1.0 else 0.0, c1)
-        return f, df, c1
+        log_c1 = math.log(2.0 * p) + (2.0 * p - 2.0) * logr - 2.0 * _softplus(x)
+        c1 = np.where(r == 0.0, 2.0 if p == 1.0 else 0.0, np.exp(log_c1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dc1 = np.exp(log_c1 - logr) * (2.0 * p - 2.0 - 4.0 * p * np.exp(-_softplus(-x)))
+        dc1 = np.where(r == 0.0, pole_dc1, dc1)
+        return f, df, c1, dc1
 
-    return ConformalMetric(f"pnorm:{_spec_text(p)}", jet)
+    return ConformalMetric(f"pnorm:{_spec_text(p)}", jet, order=2 if p == math.floor(p) else 1)
 
 
 def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
@@ -181,20 +194,21 @@ def scaled_metric(t0: float, inner: ConformalMetric) -> ConformalMetric:
 
     def jet(r):
         # derivatives and curvature are unchanged by constant rescaling
-        f, df, c1 = inner.jet(r)
-        return f + lt, df, c1
+        f, *rest = inner.jet(r)
+        return (f + lt, *rest)
 
     return ConformalMetric(
         f"scaled:{_spec_text(t0)}:{inner.id}",
         jet,
         kink_radii=inner.kink_radii,
         scale_hint=t0 * inner.scale_hint,
+        order=inner.order,
     )
 
 
 def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
     """Pointwise geometric mean sqrt(lambda_a * lambda_b); the time scale is
-    the geometric mean of the parts' scales likewise."""
+    the geometric mean of the parts' scales likewise, the order the lower."""
 
     def jet(r):
         return tuple(0.5 * (x + y) for x, y in zip(a.jet(r), b.jet(r)))
@@ -209,6 +223,7 @@ def geomean_metric(a: ConformalMetric, b: ConformalMetric) -> ConformalMetric:
         jet,
         kink_radii=tuple(sorted(set(a.kink_radii) | set(b.kink_radii))),
         scale_hint=scale,
+        order=min(a.order, b.order),
     )
 
 
@@ -285,7 +300,8 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
     ``H(u) = (1 - rho(u-k+1)) h_{k-1} + rho(u-k+1) h_k``
     with the smooth transition rho. At an integer u = k, rho = 1 and rho' = 0,
     so H is member k's own jet and its u-derivative is zero. The time scale
-    is blended with the same weights as the densities.
+    is blended with the same weights as the densities; the order is the
+    lower of the members'.
     """
     u = float(u)
     k, lo, hi, x = _segment(family, u)
@@ -296,23 +312,32 @@ def interpolate(family: MetricFamily, u: float) -> ConformalMetric:
             return lo.jet(r)
         if rho >= 1.0:
             return hi.jet(r)
-        fa, dfa, c1a = lo.jet(r)
-        fb, dfb, c1b = hi.jet(r)
+        fa, dfa, c1a, dc1a = lo.jet(r)
+        fb, dfb, c1b, dc1b = hi.jet(r)
         f = np.logaddexp(math.log1p(-rho) + fa, math.log(rho) + fb)
         # shares of the members in the blend H: pb = rho h_b / H, pa = 1 - pb.
         # f' is the share-weighted mean of the members' f'; c1 also loses
-        # the shares' variance of f', (1/4) pa pb (f_a' - f_b')^2
+        # the shares' variance of f', (1/4) pa pb D^2 with D = f_a' - f_b'.
+        # Differentiating once more with pb' = -pa pb D and, from the
+        # definition of c1, D' = -4 (c1a - c1b) - D / r gives c1'.
         pb = np.exp(math.log(rho) + fb - f)
         pa = 1.0 - pb
+        d = dfa - dfb
         df = pa * dfa + pb * dfb
-        c1 = pa * c1a + pb * c1b - 0.25 * pa * pb * (dfa - dfb) ** 2
-        return f, df, c1
+        c1 = pa * c1a + pb * c1b - 0.25 * pa * pb * d**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(r > 0.0, d / r, 0.0)
+        dc1 = pa * dc1a + pb * dc1b + pa * pb * d * (
+            3.0 * (c1a - c1b) - 0.25 * (pb - pa) * d**2 + 0.5 * slope
+        )
+        return f, df, c1, dc1
 
     return ConformalMetric(
         f"interp:{_spec_text(u)}:{family.id}",
         jet,
         kink_radii=tuple(sorted(set(lo.kink_radii) | set(hi.kink_radii))),
         scale_hint=(1.0 - rho) * lo.scale_hint + rho * hi.scale_hint,
+        order=min(lo.order, hi.order),
     )
 
 

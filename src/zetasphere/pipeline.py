@@ -13,13 +13,12 @@ convergence harness and the selftest solve with ``family_spectra``, which
 keeps the mass blocks and eigenvectors of every pencil (`family_eigs`; the
 `Spectrum` holds them and its eigenvalues and volume), so the harness
 checks read the sweep's eigenvectors and mass blocks instead of solving
-again. ``compute_zeta`` runs the heat-trace fit and the zeta data on a
-solved record of either kind, both of which carry the eigenvalues and the
-volume; the fit itself, window clipping and sampling included, is
-``heatzeta.fit_asymptotics`` on the metric's time scale
-``metric.scale_hint``. The colatitude rule that the cache key names
-is ``discretize.colatitude_nodes``, the one ``build_basis`` builds, so a
-cache hit builds no basis. No command builds an n x n matrix.
+again. Both kinds of record carry the eigenvalues, the volume and the
+eigenvalues of the nested pencil at 7L/8 that every solve also takes, and
+``compute_zeta`` runs ``heatzeta.zeta_result`` on either with the metric's
+pinned heat invariants; nothing is fitted. The colatitude rule that the
+cache key names is ``discretize.colatitude_nodes``, the one ``build_basis``
+builds, so a cache hit builds no basis. No command builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 from .cache import SpectrumCache, spectrum_cache_key
 from .discretize import build_basis, colatitude_nodes, masses
-from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals
-from .heatzeta import DEFAULT_S_VALUES, ZetaResult, fit_asymptotics, zeta_result
+from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals, nested_degree
+from .heatzeta import DEFAULT_S_VALUES, ZetaResult, zeta_result
 from .metrics import ConformalMetric
 
 __all__ = [
@@ -51,13 +50,15 @@ def family_spectra(metrics: Sequence[ConformalMetric], L: int) -> tuple[Spectrum
 
 
 class SpectralData(NamedTuple):
-    """Scalar payload of one solved pencil: eigenvalues and volume."""
+    """Scalar payload of one solved pencil: eigenvalues, volume and the
+    eigenvalues of its nested pencil at `eigensolve.nested_degree`."""
 
     metric_id: str
     L: int
     n_theta: int
     eigenvalues: np.ndarray
     volume: float
+    nested: np.ndarray
     solver_version: str
     from_cache: bool
 
@@ -67,30 +68,36 @@ class SpectralData(NamedTuple):
         return float(lam[lam > 0.0][0])
 
 
-def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float] | None:
-    """Eigenvalues and volume of a cache entry, or None if missing or malformed.
+def _valid_spectrum(lam: np.ndarray, L: int) -> bool:
+    """(L+1)^2 finite, ascending eigenvalues: an exact 0.0, then positive
+    ones (the solver's kernel is the constants alone)."""
+    return (
+        lam.shape == ((L + 1) ** 2,)
+        and bool(np.all(np.isfinite(lam)))
+        and lam[0] == 0.0
+        and bool(np.all(lam[1:2] > 0.0) and np.all(np.diff(lam) >= 0.0))
+    )
 
-    A valid entry holds (L+1)^2 finite, ascending eigenvalues starting at an
-    exact 0.0 followed by a positive one (the solver's kernel is the
-    constants alone), and a positive, finite volume.
-    """
+
+def _valid_hit(hit: dict | None, L: int) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """Eigenvalues, volume and nested eigenvalues of a cache entry, or None
+    if missing or malformed: each spectrum valid at its degree, L and
+    `nested_degree` (L), and the volume positive and finite."""
     if hit is None:
         return None
     try:
         lam = np.asarray(hit["eigenvalues"], dtype=float)
         vol = float(hit["volume"][()])
+        nested = np.asarray(hit["nested"], dtype=float)
     except (KeyError, TypeError, ValueError):
         return None
     ok = (
-        lam.shape == ((L + 1) ** 2,)
-        and bool(np.all(np.isfinite(lam)))
-        and lam[0] == 0.0
-        and lam[1] > 0.0
-        and bool(np.all(np.diff(lam) >= 0.0))
+        _valid_spectrum(lam, L)
+        and _valid_spectrum(nested, nested_degree(L))
         and math.isfinite(vol)
         and vol > 0.0
     )
-    return (lam, vol) if ok else None
+    return (lam, vol, nested) if ok else None
 
 
 def family_spectral_data(
@@ -121,10 +128,10 @@ def family_spectral_data(
     if misses:
         ids = tuple(misses)
         solved = family_eigvals(masses(build_basis(L), tuple(misses.values())), L, ids)
-        for mid, (lam, vol) in zip(ids, solved):
-            found[mid] = SpectralData(mid, L, nt, lam, vol, SOLVER_VERSION, False)
+        for mid, (lam, vol, nested) in zip(ids, solved):
+            found[mid] = SpectralData(mid, L, nt, lam, vol, nested, SOLVER_VERSION, False)
             if cache is not None:
-                cache.store(key[mid], eigenvalues=lam, volume=np.float64(vol))
+                cache.store(key[mid], eigenvalues=lam, volume=np.float64(vol), nested=nested)
     return tuple(found[g.id] for g in metrics)
 
 
@@ -133,8 +140,8 @@ def compute_zeta(
     metric: ConformalMetric,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
 ) -> ZetaResult:
-    """Fit and zeta data of one metric's solved spectrum, named ``metric.id``,
-    with its volume; the fit, on the metric's time scale, is the result's
-    ``fit``."""
-    fit = fit_asymptotics(spectrum.eigenvalues, metric.scale_hint)
-    return zeta_result(spectrum.eigenvalues, spectrum.volume, fit, s_values, metric_id=metric.id)
+    """Zeta data of one metric's solved spectrum, named ``metric.id``, with
+    its volume."""
+    return zeta_result(
+        spectrum.eigenvalues, spectrum.nested, spectrum.volume, metric, s_values
+    )

@@ -24,7 +24,12 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["QuadratureRule", "build_quadrature", "gauss_legendre"]
+__all__ = ["QuadratureRule", "build_quadrature", "gauss_legendre", "JET_RULE_NODES"]
+
+# Nodes per panel of the one rule on which the metric's jet is integrated,
+# the anomaly integral and the heat invariants: 256 radial nodes split at
+# the equator, where the smoothing families concentrate their curvature.
+JET_RULE_NODES = 128
 
 # Newton from Tricomi's initial guesses settles in 3 or 4 steps for every n
 # up to 1026, the rule at L = 512; the bound only stops a runaway loop.

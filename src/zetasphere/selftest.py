@@ -25,6 +25,9 @@ _E1_REFERENCE = {
     40.0: 1.036773261451657e-19,
 }
 
+# zeta'(0) of the round metric fs: -(2/3) log 2 - 1/2 + 4 zeta'(-1) (mpmath).
+_FS_ZETA_PRIME0 = -1.6237826951751007
+
 
 def _check_quadrature() -> None:
     import numpy as np
@@ -96,7 +99,7 @@ def _check_operators() -> None:
 def _check_heatzeta() -> None:
     import numpy as np
 
-    from .heatzeta import _weighted_fit, exp_e1, geometric_grid, zeta_direct
+    from .heatzeta import exp_e1, heat_invariants, zeta_direct
     from .metrics import fs_metric
     from .pipeline import compute_zeta, family_spectral_data
 
@@ -104,20 +107,19 @@ def _check_heatzeta() -> None:
         rel = abs(exp_e1(x) - want) / want
         assert rel < 1e-13, f"exponential integral at {x}: rel err {rel:.3e}"
 
-    t = geometric_grid(0.05, 0.5, 40)
-    synth = 3.0 / t + 5.0 + 0.1 * t
-    coef = _weighted_fit(t, synth, 1.0)[0]
-    err = max(abs(coef[0] - 3.0), abs(coef[1] - 5.0), abs(coef[2] - 0.1))
-    assert err < 1e-10, f"synthetic expansion recovery off by {err:.3e}"
+    b1, b2 = heat_invariants(fs_metric())
+    err = max(abs(b1 - 1.0 / 30.0), abs(b2 - 1.0 / 315.0))
+    assert err < 1e-14, f"round-metric heat invariants off by {err:.3e}"
 
     point = zeta_direct(np.array([0.0, 1.0, 4.0]), 2.0)
     assert abs(point.value - 1.0625) < 1e-15, "zeta(2) of {1, 4}"
 
     (data,) = family_spectral_data((fs_metric(),), 16)
     zres = compute_zeta(data, fs_metric())
-    rel = abs(zres.fit.b_minus1 - data.volume) / data.volume
-    assert rel < 0.02, f"leading coefficient vs volume: rel err {rel:.3e}"
-    assert zres.error_budget < 0.05, f"round-metric budget {zres.error_budget:.3e}"
+    err = abs(zres.zeta_prime0 - _FS_ZETA_PRIME0)
+    assert err <= zres.error_budget, (
+        f"round-metric zeta'(0) off by {err:.3e}, budget {zres.error_budget:.3e}"
+    )
 
 
 def _check_determinism() -> None:
@@ -132,7 +134,7 @@ def _check_determinism() -> None:
         return json.dumps(
             {
                 "eigenvalues": ["%.17g" % v for v in data.eigenvalues],
-                "b": ["%.17g" % v for v in zres.fit.coefficients],
+                "budget": "%.17g" % zres.error_budget,
                 "zeta_prime0": "%.17g" % zres.zeta_prime0,
             },
             sort_keys=True,

@@ -80,6 +80,130 @@ def max_zeta_prime0() -> float:
     return float(closed)
 
 
+def pnorm_zeta_prime0(p: float) -> float:
+    """zeta'(0) of pnorm(p), p >= 1, by the exact smoothing law.
+
+    The anomaly integral of pnorm(p) against max is exactly 1/(3p), so
+    log h_Q(pnorm:p) = log h_Q(max) - 1/(3p) with log h_Q(max) =
+    -1/6 + 4 zeta'(-1) (`max_zeta_prime0` plus log 2), and zeta'(0) is
+    that minus log vol, the volume from `pnorm_volume`:
+
+        -1/6 + 4 zeta'(-1) - 1/(3p) - log(Gamma(1/p)^2 / (p Gamma(2/p))).
+
+    At p = 1, the round metric at half scale, this is -1/2 + 4 zeta'(-1).
+    """
+    q = mp.mpf(p)
+    log_vol = mp.log(mp.gamma(1 / q) ** 2 / (q * mp.gamma(2 / q)))
+    return float(-mp.mpf(1) / 6 + 4 * mp.zeta(-1, 1, 1) - 1 / (3 * q) - log_vol)
+
+
+def zeta_prime0_by_anomaly(jet, ref_jet, ref_log_quillen: float, dps: int = 30) -> float:
+    """zeta'(0) of a continuous radial factor, carried from a reference one.
+
+    ``jet`` and ``ref_jet`` give (f, f') in r, as for `bott_chern_by_parts`;
+    ``ref_log_quillen`` is log h_Q of the reference. Polyakov's formula
+    gives log h_Q = ref_log_quillen - I(factor, reference), and zeta'(0) is
+    that minus log vol, the volume 2 int lambda r dr by quadrature.
+    """
+    with mp.workdps(dps):
+        vol = 2 * mp.quad(lambda x: mp.exp(jet(x)[0]) * x, [0, 1, mp.inf])
+        log_quillen = mp.mpf(ref_log_quillen) - _bott_chern_by_parts(jet, ref_jet)
+        return float(log_quillen - mp.log(vol))
+
+
+def s_jet_pnorm(p: float, offset=0):
+    """(F, F', F'', F''') in s = log r of the factor (1 + r^(2p))^(-2/p)
+    times e^offset, in closed form: with the logistic
+    sigma = r^(2p) / (1 + r^(2p)), F' = -4 sigma, F'' = -8p sigma (1 - sigma)
+    and F''' = -16 p^2 sigma (1 - sigma) (1 - 2 sigma)."""
+    q = mp.mpf(p)
+
+    def jet(s):
+        sig = 1 / (1 + mp.exp(-2 * q * s))
+        one = 1 - sig
+        return (offset - 2 / q * mp.log1p(mp.exp(2 * q * s)), -4 * sig,
+                -8 * q * sig * one, -16 * q**2 * sig * one * (one - sig))
+
+    return jet
+
+
+def s_jet_fs(s):
+    """`s_jet_pnorm` of the round factor 2 / (1 + r^2)^2."""
+    return s_jet_pnorm(1, mp.log(2))(s)
+
+
+def s_jet_geomean(jet_a, jet_b):
+    """s-jet of the geometric mean of two factors: the average of the parts."""
+    return lambda s: tuple((a + b) / 2 for a, b in zip(jet_a(s), jet_b(s)))
+
+
+def s_jet_blend(jet_a, jet_b, rho: float):
+    """s-jet of log((1 - rho) e^A + rho e^B), A and B the s-jets' F.
+
+    The derivatives of the log of a sum of exponentials are the cumulants
+    of the mixture with shares w_a, w_b: F' = w_a A' + w_b B',
+    F'' = w_a A'' + w_b B'' + w_a w_b D^2 and the third adds
+    3 w_a w_b D D_2 + w_a w_b (w_b - w_a) D^3 to the weighted mean of the
+    third derivatives, with D = A' - B' and D_2 = A'' - B''.
+    """
+
+    def jet(s):
+        A, B = list(jet_a(s)), list(jet_b(s))
+        A[0] += mp.log(1 - mp.mpf(rho))
+        B[0] += mp.log(mp.mpf(rho))
+        F0 = mp.log(mp.exp(A[0]) + mp.exp(B[0]))
+        wa, wb = mp.exp(A[0] - F0), mp.exp(B[0] - F0)
+        d1, d2 = A[1] - B[1], A[2] - B[2]
+        return (
+            F0,
+            wa * A[1] + wb * B[1],
+            wa * A[2] + wb * B[2] + wa * wb * d1**2,
+            wa * A[3] + wb * B[3] + 3 * wa * wb * d1 * d2 + wa * wb * (wb - wa) * d1**3,
+        )
+
+    return jet
+
+
+def r_jet(s_jet):
+    """(f, f') in r of a factor given by its s-jet: f' = F'(log r) / r."""
+
+    def jet(x):
+        F = s_jet(mp.log(x))
+        return F[0], F[1] / x
+
+    return jet
+
+
+def heat_invariants(s_jet, dps: int = 20) -> tuple[float, float]:
+    """b_1 and b_2 of a smooth radial factor given by its s-jet in s = log r.
+
+    With r = e^s and the s-derivatives F1, F2, F3 of F = log lambda:
+    c1 = -F2 / (4 r^2), dc1/dr = -(F3 - 2 F2) / (4 r^3), K = 2 c1 / lambda,
+    dK/dr = 2 (dc1/dr - c1 F1 / r) / lambda, and int g r dr = int g r^2 ds:
+
+        b_1 = (1/30) int c1^2 / lambda r dr,
+        b_2 = (1/32) int ((4/315) K^3 lambda - (1/70) (dK/dr)^2) r dr.
+
+    The integrands fall like e^(-2|s|) or faster, so [-40, 40] leaves out
+    less than 1e-30.
+    """
+    with mp.workdps(dps):
+        @functools.lru_cache(maxsize=None)
+        def parts(s):
+            F0, F1, F2, F3 = s_jet(s)
+            r = mp.exp(s)
+            lam = mp.exp(F0)
+            c1 = -F2 / (4 * r**2)
+            dc1 = -(F3 - 2 * F2) / (4 * r**3)
+            dK = 2 * (dc1 - c1 * F1 / r) / lam
+            return r**2 * c1**2 / lam, r**2 * (mp.mpf(32) / 315 * c1**3 / lam**2 - dK**2 / 70)
+
+        pts = [-40, -10, -2, 0, 2, 10, 40]
+        b1 = mp.quad(lambda s: parts(s)[0], pts) / 30
+        b2 = mp.quad(lambda s: parts(s)[1], pts) / 32
+        return float(b1), float(b2)
+
+
 def e1(x: float) -> float:
     """Exponential integral E1 at high precision."""
     return float(mp.e1(mp.mpf(x)))
@@ -257,17 +381,19 @@ def d_log_blend_du(log_a, log_b, x: float, r: float, dps: int = 40) -> float:
         return float(mp.diff(lambda s: mp_log_blend(log_a, log_b, mp_bump(s))(r0), x0))
 
 
-def radial_jet(log_lambda, r: float, dps: int = 40) -> tuple[float, float, float]:
-    """(f, f', c1) of a radial factor with f = log_lambda(x), at radius r > 0.
+def radial_jet(log_lambda, r: float, dps: int = 40) -> tuple[float, float, float, float]:
+    """(f, f', c1, dc1/dr) of a radial factor with f = log_lambda(x), at r > 0.
 
     c1 = -(f'' + f'/r)/4 is the curvature density against dx dy / pi, the
-    radial form of -d2/dz dzbar f. Both derivatives come from mpmath's
-    numerical differentiation at ``dps`` digits.
+    radial form of -d2/dz dzbar f, and dc1/dr = -(f''' + f''/r - f'/r^2)/4.
+    The derivatives come from mpmath's numerical differentiation at ``dps``
+    digits.
     """
     with mp.workdps(dps):
         x = mp.mpf(r)
-        f, d1, d2 = mp.diffs(log_lambda, x, 2)
-        return float(f), float(d1), float(-(d2 + d1 / x) / 4)
+        f, d1, d2, d3 = mp.diffs(log_lambda, x, 3)
+        return (float(f), float(d1), float(-(d2 + d1 / x) / 4),
+                float(-(d3 + d2 / x - d1 / x**2) / 4))
 
 
 def inverted_log_density(log_density, w):
@@ -284,20 +410,20 @@ def log_density_at_infinity(log_density, R: float = 1e8) -> float:
     return float(log_density(np.array([R]))[0] + 4.0 * math.log(R))
 
 
-def four_term_zeta_prime(eigenvalues, b_minus1: float, b0: float, b1: float,
-                         t_lo: float) -> float:
+def closed_form_zeta_prime(eigenvalues, b_minus1: float, b0: float, b1: float,
+                           b2: float, t_lo: float) -> float:
     """zeta'(0) of a trace theta(t) = sum exp(-lambda t) over the positive
-    spectrum above t_lo and b_-1/t + b_0 + b_1 t below it:
+    spectrum above t_lo and b_-1/t + b_0 + b_1 t + b_2 t^2 below it:
 
         sum_k E1(lambda_k t_lo) - b_-1/t_lo - b_0 (log(1/t_lo) - gamma)
-        + b_1 t_lo.
+        + b_1 t_lo + b_2 t_lo^2 / 2.
     """
     lam = [mp.mpf(v) for v in eigenvalues if v > 0]
     tl = mp.mpf(t_lo)
     total = mp.fsum(mp.e1(v * tl) for v in lam)
     total -= mp.mpf(b_minus1) / tl
     total -= mp.mpf(b0) * (mp.log(1 / tl) - mp.euler)
-    total += mp.mpf(b1) * tl
+    total += mp.mpf(b1) * tl + mp.mpf(b2) * tl**2 / 2
     return float(total)
 
 
@@ -345,18 +471,18 @@ def finite_spectrum_log_det(eigenvalues) -> float:
 
 
 def finite_spectrum_correction(eigenvalues, b_minus1: float, b0: float,
-                               b1: float, t_lo: float) -> float:
+                               b1: float, b2: float, t_lo: float) -> float:
     """Exact offset of the zeta'(0) closed form from -sum log(lambda_k).
 
     For a finite positive spectrum the identity
         -sum log lambda = sum E1(lambda t_lo) + int_0^{t_lo} (theta - N)/t dt
                           + N (gamma + log t_lo)
     holds with N the number of positive modes. Evaluating the closed form
-    ``four_term_zeta_prime`` with arbitrary fitted coefficients (b_-1, b_0,
-    b_1) and subtracting gives the offset returned here:
+    ``closed_form_zeta_prime`` with arbitrary coefficients (b_-1, b_0, b_1,
+    b_2) and subtracting gives the offset returned here:
 
         -int_0^{t_lo} (theta - N)/t dt + (N - b_0)(log(1/t_lo) - gamma)
-        - b_-1/t_lo + b_1 t_lo.
+        - b_-1/t_lo + b_1 t_lo + b_2 t_lo^2 / 2.
     """
     lam = [mp.mpf(v) for v in eigenvalues if v > 0]
     n = len(lam)
@@ -368,7 +494,7 @@ def finite_spectrum_correction(eigenvalues, b_minus1: float, b0: float,
     head = mp.quad(integrand, [0, tl])
     out = -head
     out += (n - mp.mpf(b0)) * (mp.log(1 / tl) - mp.euler)
-    out += -mp.mpf(b_minus1) / tl + mp.mpf(b1) * tl
+    out += -mp.mpf(b_minus1) / tl + mp.mpf(b1) * tl + mp.mpf(b2) * tl**2 / 2
     return float(out)
 
 

@@ -127,8 +127,8 @@ def test_kink_off_the_panel_break_is_refused():
     possible in a hand-built metric, raises DomainError."""
 
     def jet(r):
-        f, df, c1 = max_metric().jet(r / 2.0)
-        return f, df / 2.0, c1
+        f, df, c1, dc1 = max_metric().jet(r / 2.0)
+        return f, df / 2.0, c1, dc1
 
     kinked = ConformalMetric("kink-at-2", jet, kink_radii=(2.0,))
     assert kinked.line_masses() == pytest.approx((2.0,), rel=1e-15)
@@ -208,10 +208,10 @@ def test_two_route_check_smooth_pair(cache):
 
 def test_two_route_tolerance_is_a_multiple_of_the_budgets(cache):
     """The tolerance is TWO_ROUTE_BUDGET_FACTOR times the two budgets and
-    nothing larger: with budgets of 1e-6 the (pnorm:1, pnorm:2) pair at
-    L = 16 no longer passes."""
+    nothing larger: with budgets of 1e-7 the (pnorm:1, pnorm:2) pair at
+    L = 16, whose gap is 3.7e-6, no longer passes."""
     metrics = (pnorm_metric(1.0), pnorm_metric(2.0))
-    zp, zq = (_torsion(m, 16, cache)[1]._replace(error_budget=1e-6) for m in metrics)
+    zp, zq = (_torsion(m, 16, cache)[1]._replace(error_budget=1e-7) for m in metrics)
     report = two_route_check(metrics[0], zp, metrics[1], zq)
     assert report.tolerance == TWO_ROUTE_BUDGET_FACTOR * report.budget
     assert not report.passed

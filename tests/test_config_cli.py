@@ -19,7 +19,6 @@ from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import (
     DEFAULT_S_VALUES,
-    AsymptoticFit,
     ZetaPoint,
     ZetaResult,
     theta_values,
@@ -213,15 +212,11 @@ def test_jsonable_float_conventions():
 def test_jsonable_maps_records_to_dicts():
     """A record is a tuple, but it serializes as a dict keyed by its field
     names, and a tuple of records as a list of such dicts."""
-    fit = AsymptoticFit(
-        b_minus1=1.0, b0=-1.0 / 3.0, b1=0.05, residual=1e-9,
-        window_effective=(0.02, 0.2), scale=1.0, param_sigma=(0.0, 0.0, 0.0),
-    )
     result = ZetaResult(
         metric_id="fs", volume=4.0 * math.pi,
         s_points=(ZetaPoint(2.0, 1.5, 0.25), ZetaPoint(3.0, 1.125, float("nan"))),
         zeta0=-1.0 / 3.0, zeta_prime0=0.5, error_budget=1e-6,
-        fit=fit, method={"window": "default"},
+        method={"window": "default"},
     )
     payload = _jsonable(result)
     assert sorted(payload) == sorted(ZetaResult._fields)
@@ -229,8 +224,6 @@ def test_jsonable_maps_records_to_dicts():
         {"s": 2.0, "value": 1.5, "tail_bound": 0.25},
         {"s": 3.0, "value": 1.125, "tail_bound": None},
     ]
-    assert sorted(payload["fit"]) == sorted(AsymptoticFit._fields)
-    assert payload["fit"]["window_effective"] == [0.02, 0.2]
     assert payload["method"] == {"window": "default"}
     config = _jsonable(cfg(L=24))
     assert config["L"] == 24 and config["s_values"] == [1.5, 2.0, 3.0]
@@ -340,15 +333,18 @@ def test_cli_zeta_schema(tmp_path, cache, capsys):
     assert set(payload) == {
         "metric", "L", "n_theta", "solver_version", "volume",
         "s_points", "kernel_dim", "zeta0", "zeta_prime0",
-        "error_budget", "fit", "method",
+        "error_budget", "method",
     }
     assert payload["metric"] == "pnorm:3" and payload["L"] == 16
     assert payload["kernel_dim"] == 1
     assert [p["s"] for p in payload["s_points"]] == [1.5, 2.0, 3.0]
     assert all(p["tail_bound"] >= 0.0 for p in payload["s_points"])
-    assert set(payload["fit"]) == {
-        "b_minus1", "b0", "b1", "residual", "window_effective", "scale", "param_sigma",
-    }
+    assert payload["zeta0"] == -2.0 / 3.0
+    method = payload["method"]
+    assert set(method) == {"tau_lo", "scale", "order", "b", "zeta_prime0_parts", "budget_parts"}
+    assert set(method["b"]) == {"b_minus1", "b0", "b1", "b2"}
+    assert set(method["budget_parts"]) == {"law", "nested", "weyl_tail", "quadrature"}
+    assert payload["error_budget"] == pytest.approx(sum(method["budget_parts"].values()))
     assert payload["error_budget"] > 0.0
 
 
@@ -536,7 +532,7 @@ def test_cli_converge(tmp_path, capsys):
     rows = (out_dir / "converge.csv").read_text().splitlines()
     assert rows[0] == (
         "param,vol,lambda1,theta_t0.5,theta_t1,theta_t2,"
-        "b_minus1,b0,zeta_prime0,log_quillen,sup_log_dist_to_limit"
+        "zeta_prime0,log_quillen,sup_log_dist_to_limit"
     )
     assert len(rows) == 5
     assert [float(r.split(",")[0]) for r in rows[1:]] == [1.0, 2.0, 3.0, 4.0]
@@ -639,16 +635,6 @@ def test_cli_config_file_not_utf8(tmp_path, cache, capsys):
     assert code == 2
     assert "cannot read config file" in err
     assert "Traceback" not in out + err
-
-
-def test_cli_unusable_fit_window(tmp_path, cache, capsys):
-    # at L = 10 the truncation-valid region starts above the default window;
-    # the family commands report the first member's own error
-    for args in (["zeta", "--metric", "fs"], ["converge"], ["anomaly"]):
-        code, _, err = run_cli([*args, "--L", "10"], tmp_path, cache.root, capsys)
-        assert code == 2, args
-        assert "FitWindowError" in err, args
-        assert "Traceback" not in err, args
 
 
 def test_cli_extreme_scale_factor_exits_2(tmp_path, cache, capsys):

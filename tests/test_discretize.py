@@ -107,7 +107,7 @@ def test_default_rule_has_converged(L):
     coarse = family_spectral_data(metrics, L)
     fine_basis = SpectralBasis(L, build_quadrature(4 * L + 4))
     fine = family_eigvals(masses(fine_basis, metrics), L, _RULE_SPECS)
-    for spec, data, (lam, vol) in zip(_RULE_SPECS, coarse, fine):
+    for spec, data, (lam, vol, _) in zip(_RULE_SPECS, coarse, fine):
         assert data.n_theta == 2 * L + 2
         assert data.eigenvalues[0] == lam[0] == 0.0, spec
         rel = np.abs(data.eigenvalues[1:] - lam[1:]) / lam[1:]

@@ -18,6 +18,7 @@ from zetasphere.eigensolve import (
     apply_function,
     family_eigs,
     family_eigvals,
+    nested_degree,
     pencil_eigvalsh,
     resolvent,
 )
@@ -240,19 +241,23 @@ def test_nan_blocks_are_classified(monkeypatch):
     stacks = tuple(masses(build_basis(6), [parse_metric_spec(i) for i in ids]))
     for name, solve in zip(("eigh", "eigvalsh"), _family_solves(stacks, 6, ids)):
         real, alone = getattr(np.linalg, name), []
+        # block m = 4 at L = 6 is 3 x 3, and so is the nested (L' = 5)
+        # sub-block of m = 3, which eigvalsh solves first on the values path
+        nested_first = name == "eigvalsh"
 
-        def stall_on_block_4(a, real=real, alone=alone):
-            if a.shape[-1] == 3:  # block m = 4 at L = 6
+        def stall_on_block_4(a, real=real, alone=alone, skip=nested_first):
+            if a.shape[-1] == 3:
                 alone.append(a.ndim == 2)
                 # the stacked call fails, and so does 'pnorm:3' solved alone
-                if not alone[-1] or alone.count(True) == 2:
+                if alone == [False] * (1 + skip) or alone.count(True) == 2:
                     raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return real(a)
 
         monkeypatch.setattr(np.linalg, name, stall_on_block_4)
         with pytest.raises(EigenConvergenceError, match=r"block m = 4 of 'pnorm:3'"):
             solve()
-        assert alone == [False, True, True], name  # no member after the failing one
+        # no member after the failing one
+        assert alone == [False] * (1 + nested_first) + [True, True], name
         monkeypatch.undo()
 
 
@@ -263,24 +268,28 @@ FAMILY = ("fs", "pnorm:3", "max", "interp:2.5:pnorm", "scaled:1e200:fs")
 @pytest.mark.parametrize("specs", [FAMILY, FAMILY[3:4]], ids=["five", "one"])
 def test_family_solve_is_bitwise_per_member(specs, L):
     """Solved together, every member of a family is bitwise its own solve, on
-    both paths: eigenvalues, volume, block values, block vectors and mass
-    blocks."""
+    both paths: eigenvalues, volume, nested eigenvalues, block values, block
+    vectors and mass blocks."""
     basis = build_basis(L)
     metrics = [parse_metric_spec(i) for i in specs]
     ids = [m.id for m in metrics]
     together = family_eigs(masses(basis, metrics), L, ids)
     values_only = family_eigvals(masses(basis, metrics), L, ids)
-    for metric, spec, (lam, vol) in zip(metrics, together, values_only):
+    for metric, spec, (lam, vol, nested) in zip(metrics, together, values_only):
         alone = _solve(basis, metric)
         assert spec.metric_id == metric.id and spec.L == L
         assert np.array_equal(spec.eigenvalues, alone.eigenvalues), metric.id
+        assert np.array_equal(spec.nested, alone.nested), metric.id
         assert spec.volume == alone.volume
         for name in ("block_values", "block_vectors", "mass_blocks"):
             a, b = getattr(spec, name), getattr(alone, name)
             assert len(a) == len(b) == L + 1
             assert all(np.array_equal(x, y) for x, y in zip(a, b)), (metric.id, name)
-        ((lam_alone, vol_alone),) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
+        ((lam_alone, vol_alone, nested_alone),) = family_eigvals(
+            masses(basis, (metric,)), L, (metric.id,)
+        )
         assert np.array_equal(lam, lam_alone) and vol == vol_alone, metric.id
+        assert np.array_equal(nested, nested_alone), metric.id
 
 
 def test_family_errors_name_the_member():
@@ -367,7 +376,7 @@ def test_blocks_match_40_digit_reference(spec):
     L = 32
     spectrum = _solve(build_basis(L), parse_metric_spec(spec))
     blocks = spectrum.mass_blocks
-    (values_only,), _, _ = eigensolve._solve_stacks(
+    (values_only,), _, _, _ = eigensolve._solve_stacks(
         [M[None] for M in blocks], L, (spec,), vectors=False
     )
     oracle = {m: oracles.mp_block_eigenvalues(blocks[m], m, L) for m in (0, 1, 16, 31)}
@@ -390,12 +399,32 @@ def test_values_only_matches_vectors_path(spec, L):
     metric = parse_metric_spec(spec)
     basis = build_basis(L)
     spectrum = _solve(basis, metric)
-    ((lam, vol),) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
+    ((lam, vol, _),) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
     assert vol == spectrum.volume
     assert lam.shape == spectrum.eigenvalues.shape == ((L + 1) ** 2,)
     assert lam[0] == 0.0 and np.all(np.diff(lam) >= 0.0)
     rel = np.abs(lam[1:] - spectrum.eigenvalues[1:]) / spectrum.eigenvalues[1:]
     assert rel.max() <= 1e-13, f"{spec} L={L}: {rel.max():.2e}"
+
+
+@pytest.mark.parametrize("L", [16, 64])
+@pytest.mark.parametrize("spec", ["fs", "pnorm:8", "max", "interp:2.5:pnorm"])
+def test_nested_eigenvalues_are_the_coarse_pencil(spec, L):
+    """The Galerkin spaces are nested, so the leading sub-blocks of the L
+    pencil are the pencil at L' = 7L/8: the nested eigenvalues match a
+    direct solve at L' to 1e-11 relative, and each lies above its
+    counterpart of the full spectrum (min-max), to 1e-11."""
+    metric = parse_metric_spec(spec)
+    ((lam, _, nested),) = family_eigvals(masses(build_basis(L), (metric,)), L, (metric.id,))
+    coarse = nested_degree(L)
+    ((direct, _, _),) = family_eigvals(
+        masses(build_basis(coarse), (metric,)), coarse, (metric.id,)
+    )
+    assert nested.shape == direct.shape == ((coarse + 1) ** 2,)
+    assert nested[0] == direct[0] == 0.0
+    rel = np.abs(nested[1:] - direct[1:]) / direct[1:]
+    assert rel.max() <= 1e-11, f"{spec} L={L}: {rel.max():.2e}"
+    assert np.all(nested[1:] >= lam[1 : nested.size] * (1.0 - 1e-11))
 
 
 @pytest.mark.parametrize("t0", [1e-310, 1e-320])

@@ -155,7 +155,7 @@ def test_cauchy_check_passes_on_smoothing_family():
     names = [c.name for c in cy.columns]
     assert names == [
         "vol", "lambda1", "theta_t0.5", "theta_t1", "theta_t2",
-        "b_minus1", "b0", "zeta_prime0", "log_quillen",
+        "zeta_prime0", "log_quillen",
     ]
     for col in cy.columns:
         assert col.passed
@@ -201,31 +201,33 @@ def test_limit_agreement():
         assert col.passed
         x, y = last.columns[col.name], limit.columns[col.name]
         assert col.diffs[-1] == abs(x - y)
-        if col.name in ("b_minus1", "b0", "zeta_prime0", "log_quillen"):
+        if col.name in ("zeta_prime0", "log_quillen"):
             slack = last.zeta.error_budget + limit.zeta.error_budget
         else:
             slack = 1e-9 * (1.0 + max(abs(x), abs(y)))
         assert col.bounds[-1] == pytest.approx(col.c_frozen * scale + slack, rel=1e-12)
 
 
-def shift_limit_b0(report):
+def shift_limit_zeta_prime0(report):
     lim = report.limit_row
-    columns = {**lim.columns, "b0": lim.columns["b0"] + 1.0}
+    columns = {**lim.columns, "zeta_prime0": lim.columns["zeta_prime0"] + 1.0}
     return report._replace(limit_row=lim._replace(columns=columns))
 
 
 def test_limit_disagreement_fails_key2(monkeypatch):
-    """A limit row off by one in b0 fails column b0 at the closing pair, and
-    with it the key2 tag."""
+    """A limit row off by one in zeta_prime0 fails that column at the
+    closing pair, and with it the key2 tag."""
     fam = pnorm_family([2.0, 4.0, 8.0])
-    cy = cauchy_check(shift_limit_b0(sweep(fam, L=16)))
+    cy = cauchy_check(shift_limit_zeta_prime0(sweep(fam, L=16)))
     assert not cy.passed
-    assert [c.name for c in cy.columns if not c.passed] == ["b0"]
+    assert [c.name for c in cy.columns if not c.passed] == ["zeta_prime0"]
     assert len(cy.violations) == 1
-    assert cy.violations[0].startswith("column b0: pair (8, inf) difference ")
+    assert cy.violations[0].startswith("column zeta_prime0: pair (8, inf) difference ")
 
     real_sweep = harness.sweep
-    monkeypatch.setattr(harness, "sweep", lambda *a, **k: shift_limit_b0(real_sweep(*a, **k)))
+    monkeypatch.setattr(
+        harness, "sweep", lambda *a, **k: shift_limit_zeta_prime0(real_sweep(*a, **k))
+    )
     summary = convergence_summary(fam, L=16, variation_u=1.5, variation_L=10)
     assert summary.tags["key2"] is False
     assert [tag for tag, ok in summary.tags.items() if not ok] == ["key2"]
@@ -274,8 +276,8 @@ def test_minmax_oracle_for_gap_floor():
     fs = fs_metric()
 
     def capped_jet(r):
-        f, df, c1 = fs.jet(r)
-        return f + np.where(r < 0.5, math.log(10.0), 0.0), df, c1
+        f, df, c1, dc1 = fs.jet(r)
+        return f + np.where(r < 0.5, math.log(10.0), 0.0), df, c1, dc1
 
     capped = ConformalMetric("fs-cap", capped_jet, kink_radii=(0.5,))
     m_pert = oracles.dense_matrix([M for (M,) in masses(basis, (capped,))])
@@ -421,6 +423,40 @@ def test_convergence_summary_smoothing_family():
     assert summary.floor.margin > 0.0
 
 
+@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
+def test_convergence_summary_at_L48_four_members(make):
+    """Every tag passes at L = 48 on four members of either family: the
+    zeta'(0) budgets are small enough there that no column, and no limit
+    row, rests on a fitted coefficient."""
+    summary = convergence_summary(make([1.0, 2.0, 3.0, 4.0]), L=48)
+    assert summary.tags == {tag: True for tag in THEOREM_TAGS}
+    limit = oracles.max_zeta_prime0() + math.log(2.0)
+    assert abs(summary.quillen.limit - limit) <= 1e-7
+
+
+@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
+def test_compare2methods_sees_a_seeded_error(make, monkeypatch):
+    """Every zeta'(0) raised by 5e-5 vol, an error the parent's fitted
+    budgets let through up to 3e-3 vol, fails compare2methods at L = 24:
+    the members' volumes differ, so the two routes no longer agree within
+    three times the budgets. Unseeded, every pair passes, and the limit
+    log h_Q is within 1e-6 of the closed form."""
+    family = make()
+    summary = convergence_summary(family, L=24)
+    assert summary.tags["compare2methods"]
+    limit = oracles.max_zeta_prime0() + math.log(2.0)
+    assert abs(summary.quillen.limit - limit) <= 1e-6
+
+    real = harness.compute_zeta
+
+    def seeded(spectrum, metric, *args):
+        zres = real(spectrum, metric, *args)
+        return zres._replace(zeta_prime0=zres.zeta_prime0 + 5e-5 * zres.volume)
+
+    monkeypatch.setattr(harness, "compute_zeta", seeded)
+    assert not convergence_summary(family, L=24).tags["compare2methods"]
+
+
 def counting_solve(solved: list):
     """The block routine of every solve path, appending (metric id, L) to
     ``solved`` for each member of each family it solves."""
@@ -453,12 +489,13 @@ def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, cap
 
 
 def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
-    """Every command solves and fits each distinct metric once: the checks
+    """Every command solves each distinct metric and evaluates its zeta
+    record once: the checks
     read the results the sweep (or the per-member pass of anomaly) computed.
     ``convergence_summary`` solves each (metric, L) pencil once, reads no
     disk cache, and its gap floor and operator limits neither assemble a
     mass block nor solve a pencil: they read the sweep's spectra."""
-    # a fit sees only eigenvalues: name each metric by its L = 16 spectrum,
+    # name each metric by its L = 16 spectrum,
     # from the values-only solve (which the disk cache serves bit for bit)
     # and from the vectors path the harness sweep runs
     family = pnorm_family()
@@ -468,17 +505,17 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
         for m in metrics
         for data in (*family_spectral_data((m,), 16, cache=cache), *family_spectra((m,), 16))
     }
-    fitted: list[str] = []
+    evaluated: list[str] = []
     solved: list[tuple[str, int]] = []
     loads: list[str] = []
     in_checks: list[str] = []
     inside = [False]
-    real_fit = pipeline.fit_asymptotics
+    real_zeta = pipeline.zeta_result
     real_load = SpectrumCache.load
 
-    def counting_fit(eigenvalues, *args, **kwargs):
-        fitted.append(metric_of[eigenvalues.tobytes()])
-        return real_fit(eigenvalues, *args, **kwargs)
+    def counting_zeta(eigenvalues, *args, **kwargs):
+        evaluated.append(metric_of[eigenvalues.tobytes()])
+        return real_zeta(eigenvalues, *args, **kwargs)
 
     def counting_load(self, key):
         loads.append(key)
@@ -500,7 +537,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "fit_asymptotics", counting_fit)
+    monkeypatch.setattr(pipeline, "zeta_result", counting_zeta)
     monkeypatch.setattr(eigensolve, "_solve_stacks", counting_solve(solved))
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
     for check in ("lambda1_floor", "resolvent_convergence"):
@@ -512,18 +549,18 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
     members = [f"pnorm:{p}" for p in range(1, 7)]
 
     convergence_summary(pnorm_family(), L=16)
-    assert fitted == [*members, "max"]
+    assert evaluated == [*members, "max"]
     assert len(set(solved)) == len(solved)
     assert {(m, 16) for m in [*members, "max"]} <= set(solved)
     assert loads == []
     assert in_checks == []
 
-    fitted.clear()
+    evaluated.clear()
     code = main(["anomaly", "--L", "16", "--output-dir", str(tmp_path),
                  "--cache-dir", str(cache.root)])
     capsys.readouterr()
     assert code == 0
-    assert fitted == members
+    assert evaluated == members
 
 
 def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):

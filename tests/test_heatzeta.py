@@ -1,18 +1,20 @@
-"""Heat trace, asymptotic fit, zeta values, and the zeta'(0) assembly.
+"""Heat trace, heat invariants, zeta values, and the zeta'(0) estimator.
 
-The regularized determinant path is validated two independent ways:
+The regularized determinant path is validated against oracles that never
+import the package:
 
-* a synthetic spectrum whose trace follows the three-term model exactly, so
-  zeta'(0) is the closed form sum E1(lambda t_lo) - b_-1/t_lo
-  + b_0 (gamma + log t_lo) + b_1 t_lo, evaluated with mpmath;
-* an exact finite-spectrum identity: for any fitted coefficients, the
-  returned value differs from -sum(log lambda) by a correction integral that
-  mpmath evaluates directly from the definition.
-
-Both agree with the library to 1e-12 or better, which pins the E1 sum and
-every regularization constant at once.
+* the heat invariants b_1 and b_2 against mpmath quadrature of closed-form
+  jets in s = log r;
+* the closed form sum E1(lambda t) - b_-1/t + b_0 (gamma + log t)
+  + b_1 t + b_2 t^2 / 2 and an exact finite-spectrum identity, evaluated
+  with mpmath;
+* zeta'(0) of fs, pnorm, max and their compositions against the exact
+  smoothing law, the Polyakov formula and the rescaling law: the error at
+  every L tested lies within the reported budget, and a deliberately wrong
+  b_1 or b_2 breaks that.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -22,22 +24,19 @@ import pytest
 import oracles
 from zetasphere import heatzeta
 from zetasphere.discretize import build_basis, masses
-from zetasphere.eigensolve import family_eigvals
-from zetasphere.errors import DomainError, FitWindowError
+from zetasphere.eigensolve import family_eigvals, nested_degree
+from zetasphere.errors import DomainError
 from zetasphere.heatzeta import (
-    DEFAULT_FIT_WINDOW,
-    DEFAULT_TRUNC_TOL,
-    FIT_GRID_NODES,
-    AsymptoticFit,
-    _weighted_fit,
+    B0,
+    LADDER,
     duhamel_residual,
+    e1_sums,
     exp_e1,
-    fit_asymptotics,
     geometric_grid,
+    heat_invariants,
     heat_operator,
     theta,
     theta_values,
-    truncation_time,
     zeta_direct,
     zeta_result,
 )
@@ -58,16 +57,15 @@ from zetasphere.pipeline import (
     family_spectra,
     family_spectral_data,
 )
+from zetasphere.quadrature import JET_RULE_NODES
 
 EULER_GAMMA = float(np.euler_gamma)
 
-
-def model_fit(window, coef=(3.0, 5.0, 0.1), sigma=(0.0, 0.0, 0.0)):
-    """A fit holding the given coefficients on an unclipped ``window``."""
-    return AsymptoticFit(
-        *coef, residual=0.0, window_effective=window,
-        scale=window[1] / DEFAULT_FIT_WINDOW[1], param_sigma=sigma,
-    )
+# A synthetic positive spectrum, its nested part and volume, for the closed
+# form: the round metric's invariants apply to it as to any spectrum.
+SYNTH = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
+SYNTH_NESTED = SYNTH[:3]
+SYNTH_VOLUME = 2.0
 
 
 # ---------------------------------------------------------------- exp_e1
@@ -197,10 +195,8 @@ def test_theta_resolvent_domination():
 
 
 def test_heat_trace_samples_bookkeeping():
-    """The heat-trace samples the fit and the theta command use: the values
-    agree pointwise with theta, the truncation bound n exp(-lambda_max t)
-    counts every mode and the top eigenvalue, and the fit clips its window
-    where that bound reaches the tolerance."""
+    """The heat-trace samples the theta command uses agree pointwise with
+    theta, and the E1 sums of the estimator with a sum of exp_e1 calls."""
     (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     assert spec.metric_id == "pnorm:3"
     lam = spec.eigenvalues
@@ -208,84 +204,59 @@ def test_heat_trace_samples_bookkeeping():
     values = theta_values(lam, t)
     want = np.array([theta(lam, ti) for ti in t])
     assert np.allclose(values, want, rtol=1e-15)
-    n_modes, lambda_max = lam.size, lam[-1]
-    t_valid = truncation_time(n_modes, lambda_max, DEFAULT_TRUNC_TOL)
-    assert n_modes * math.exp(-lambda_max * t_valid) == pytest.approx(
-        DEFAULT_TRUNC_TOL, rel=1e-12
-    )
-    assert 0.1 < t_valid < 1.0
-    # scale 5 asks for the window (0.1, 1.0), clipped at t_valid
-    fit = fit_asymptotics(lam, 5.0)
-    assert fit.scale == 5.0
-    assert fit.window_effective == (t_valid, 1.0)
+    sums = e1_sums(lam, t)
+    assert np.allclose(sums, [exp_e1(lam[1:] * ti).sum() for ti in t], rtol=1e-15)
     with pytest.raises(DomainError):
         theta(lam, 0.0)
 
 
-# ---------------------------------------------------------------- fit
+# ---------------------------------------------------------------- invariants
 
 
-def test_fit_recovers_model_coefficients():
-    grid = geometric_grid(0.02, 0.2, 40)
-    coef, resid, sigma = _weighted_fit(grid, 3.0 / grid + 5.0 + 0.1 * grid, 1.0)
-    assert coef[0] == pytest.approx(3.0, abs=1e-10)
-    assert coef[1] == pytest.approx(5.0, abs=1e-10)
-    assert coef[2] == pytest.approx(0.1, abs=1e-10)
-    assert resid < 1e-10
-    assert max(sigma) < 1e-9
+_MP_S_JETS = {
+    "fs": oracles.s_jet_fs,
+    **{f"pnorm:{p}": oracles.s_jet_pnorm(p) for p in (2, 3, 4, 8)},
+    "interp:2.5:pnorm": oracles.s_jet_blend(
+        oracles.s_jet_pnorm(3), oracles.s_jet_pnorm(4), 0.5
+    ),
+    "geomean(fs,pnorm:3)": oracles.s_jet_geomean(oracles.s_jet_fs, oracles.s_jet_pnorm(3)),
+}
 
 
-def test_fit_samples_the_window_on_the_fixed_grid():
-    """Inside the valid region the window is kept and the trace sampled on
-    FIT_GRID_NODES geometric times spanning it."""
-    lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
-    # scale 10 asks for (0.2, 2.0), past t_valid ~ 0.1771
-    fit = fit_asymptotics(lam, 10.0)
-    assert fit.window_effective == (0.2, 2.0)
-    assert fit.coefficients == (fit.b_minus1, fit.b0, fit.b1)
-    t = geometric_grid(0.2, 2.0, FIT_GRID_NODES)
-    # fitted in tau = t / scale
-    coef, resid, sigma = _weighted_fit(t, theta_values(lam, t), 10.0)
-    assert fit.coefficients == tuple(coef)
-    assert fit.residual == resid and fit.param_sigma == sigma
+def _metric(spec: str):
+    if spec == "geomean(fs,pnorm:3)":
+        return geomean_metric(fs_metric(), pnorm_metric(3.0))
+    return parse_metric_spec(spec)
 
 
-def test_fit_window_clipping():
-    """The effective window starts where the truncation bound clears the tol:
-    fs at L = 16 has n = 289 and lambda_max = 136, so the default window
-    starts at t = log(289 / 1e-8) / 136 ~ 0.1771."""
-    lam = family_spectral_data((fs_metric(),), 16)[0].eigenvalues
-    assert lam.size == 289 and lam[-1] == pytest.approx(136.0, rel=1e-9)
-    fit = fit_asymptotics(lam, 1.0)
-    t_valid = truncation_time(lam.size, lam[-1], 1e-8)
-    assert t_valid == pytest.approx(0.1771, abs=1e-4)
-    assert fit.window_effective[0] == t_valid
-    assert fit.window_effective[1] == 0.2
-    assert fit.scale == 1.0
-    t = geometric_grid(t_valid, 0.2, FIT_GRID_NODES)
-    assert fit.coefficients == tuple(_weighted_fit(t, theta_values(lam, t), 1.0)[0])
+def test_round_metric_heat_invariants():
+    """b_1 = 1/30 and b_2 = 1/315 for fs, on the jet rule and on half of it."""
+    for n in (JET_RULE_NODES, JET_RULE_NODES // 2):
+        b1, b2 = heat_invariants(fs_metric(), n)
+        assert abs(b1 - 1.0 / 30.0) <= 1e-14 and abs(b2 - 1.0 / 315.0) <= 1e-14, n
 
 
-def test_fit_window_errors():
-    # entirely invalid window: bound exceeds tol everywhere in it
-    lam = np.linspace(0.0, 10.0, 100)
-    with pytest.raises(FitWindowError, match="valid region starts at t = 2."):
-        fit_asymptotics(lam, 1.0)
-    # windows so far from the time scale of the fit that the weighted design
-    # loses a column
-    for lo, rank in ((5e-8, 2), (5e38, 1)):
-        far = geometric_grid(lo, 4 * lo, 40)
-        with pytest.raises(FitWindowError, match=f"rank {rank} of 3"):
-            _weighted_fit(far, 3.0 / far + 5.0 + 0.1 * far, 1.0)
+@pytest.mark.parametrize("spec", list(_MP_S_JETS))
+def test_heat_invariants_match_mpmath(spec):
+    """b_1 and b_2 from the jet on the shared rule against mpmath quadrature
+    of closed-form s-jets, to 1e-12 relative (measured at most 2.3e-15)."""
+    got = heat_invariants(_metric(spec))
+    want = oracles.heat_invariants(_MP_S_JETS[spec])
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w), (spec, got, want)
 
 
-def test_negative_scale_on_a_large_spectrum_is_a_fit_window_error():
-    """A negative time scale leaves no window on fs at L = 128 (the exact
-    spectrum l (l + 1) / 2, 2l + 1 times): the fit says so with a
-    FitWindowError, not an overflow of exp(-lambda_max t) at t < 0."""
-    lam = np.concatenate([np.full(2 * l + 1, l * (l + 1) / 2.0) for l in range(129)])
-    with pytest.raises(FitWindowError, match="valid region starts"):
-        fit_asymptotics(lam, -1.0)
+def test_heat_invariants_scaling_and_order():
+    """In tau = t / s the invariants of scaled:c:g are g's; an order-1
+    metric pins b_1 alone and a kinked one neither."""
+    for c in (1e-3, 1e6, 1e-300):
+        for base in (fs_metric(), pnorm_metric(3.0)):
+            got, want = heat_invariants(scaled_metric(c, base)), heat_invariants(base)
+            assert got == pytest.approx(want, rel=1e-12), (c, base.id)
+    b1, b2 = heat_invariants(pnorm_metric(1.5))
+    assert b1 > 0.0 and b2 == 0.0
+    assert heat_invariants(max_metric()) == (0.0, 0.0)
+    assert heat_invariants(geomean_metric(fs_metric(), max_metric())) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------- zeta(s)
@@ -323,50 +294,63 @@ def test_zeta_mellin_validation():
 
 
 def test_zeta_prime_zero_four_term_closed_form():
-    """Model coefficients reduce zeta'(0) to a known four-term expression."""
-    lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    zres = zeta_result(lam, 1.0, model_fit((0.02, 0.2)))
-    want = oracles.four_term_zeta_prime(lam[lam > 0.0], 3.0, 5.0, 0.1, 0.02)
+    """An order-1 metric pins b_1 but not b_2, so zeta'(0) is the four-term
+    closed form sum E1(lambda t) - b_-1/t + b_0 (gamma + log t) + b_1 t at
+    the chosen rung t, evaluated by mpmath."""
+    metric = pnorm_metric(1.5)
+    zres = zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, metric)
+    b1, b2 = heat_invariants(metric)
+    assert b2 == 0.0 and zres.method["b"]["b1"] == b1
+    want = oracles.closed_form_zeta_prime(
+        SYNTH, SYNTH_VOLUME, -2.0 / 3.0, b1, 0.0, zres.method["tau_lo"]
+    )
+    assert zres.zeta_prime0 == pytest.approx(want, abs=1e-12)
+
+
+def test_zeta_prime_zero_closed_form():
+    """With the round metric's invariants, zeta'(0) is the closed form
+    sum E1(lambda t) - b_-1/t + b_0 (gamma + log t) + b_1 t + b_2 t^2 / 2
+    at the chosen rung t, evaluated by mpmath."""
+    zres = zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, fs_metric())
+    t = zres.method["tau_lo"]
+    want = oracles.closed_form_zeta_prime(
+        SYNTH, SYNTH_VOLUME, -2.0 / 3.0, 1.0 / 30.0, 1.0 / 315.0, t
+    )
     assert zres.zeta_prime0 == pytest.approx(want, abs=1e-12)
 
 
 def test_zeta_prime_zero_finite_spectrum_identity():
     """Against mpmath through the exact correction to -sum(log lambda)."""
     lam = 0.5 + 0.25 * np.arange(40.0)
-    grid = geometric_grid(0.02, 0.2, 40)
-    fit = model_fit((0.02, 0.2), coef=tuple(_weighted_fit(grid, theta_values(lam, grid), 1.0)[0]))
-    zres = zeta_result(lam, 1.0, fit)
+    zres = zeta_result(lam, lam[:30], SYNTH_VOLUME, fs_metric())
     want = -oracles.finite_spectrum_log_det(lam) + oracles.finite_spectrum_correction(
-        lam, fit.b_minus1, fit.b0, fit.b1, 0.02
+        lam, SYNTH_VOLUME, -2.0 / 3.0, 1.0 / 30.0, 1.0 / 315.0, zres.method["tau_lo"]
     )
     assert zres.zeta_prime0 == pytest.approx(want, abs=1e-13)
 
 
-def _fit_l16(metric):
-    (data,) = family_spectral_data((metric,), 16)
-    return data.eigenvalues, fit_asymptotics(data.eigenvalues, metric.scale_hint)
-
-
 @pytest.mark.parametrize("scale", [None, 1.0, 100.0])
 def test_zeta_prime_zero_e1_parts_against_mpmath(scale):
-    """The spectral part, a sum of exponential integrals, matches mpmath's
-    E1 to 1e-13 relative: on the synthetic spectrum, and on pnorm:3 at
-    L = 16, whose window starts past t = 1 when scaled by 100."""
+    """The spectral part, a sum of exponential integrals at t = s tau_lo,
+    matches mpmath's E1 to 1e-13 relative: on the synthetic spectrum, and
+    on pnorm:3 at L = 16, whose t passes 1 when scaled by 100."""
     if scale is None:
-        lam, fit = np.array([0.0, 0.8, 2.0, 3.7, 6.1]), model_fit((0.02, 0.2))
+        lam, zres = SYNTH, zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, fs_metric())
     else:
-        lam, fit = _fit_l16(scaled_metric(scale, pnorm_metric(3.0)))
-        assert (fit.window_effective[0] > 1.0) == (scale > 1.0)
-    parts = zeta_result(lam, 1.0, fit).method["zeta_prime0_parts"]
-    spectral = oracles.e1_zeta_prime_parts(lam, fit.window_effective[0])
-    assert parts["spectral"] == pytest.approx(spectral, rel=1e-13)
+        metric = scaled_metric(scale, pnorm_metric(3.0))
+        (data,) = family_spectral_data((metric,), 16)
+        lam, zres = data.eigenvalues, compute_zeta(data, metric)
+    t = zres.method["scale"] * zres.method["tau_lo"]
+    if scale is not None:
+        assert (t > 1.0) == (scale > 1.0)
+    spectral = oracles.e1_zeta_prime_parts(lam, t)
+    assert zres.method["zeta_prime0_parts"]["spectral"] == pytest.approx(spectral, rel=1e-13)
 
 
-def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
-    """zeta'(0) reads the trace above t_lo through the E1 closed form: the
-    only heat traces a call evaluates are the lower-half refit's
-    FIT_GRID_NODES times."""
-    lam, fit = _fit_l16(pnorm_metric(3.0))
+def test_zeta_result_evaluates_no_heat_trace(monkeypatch):
+    """zeta'(0) reads the trace through the E1 closed form alone: a call
+    evaluates no heat trace."""
+    (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
     asked = []
 
     def counting(eigenvalues, t):
@@ -374,14 +358,17 @@ def test_zeta_result_samples_the_trace_on_the_refit_grid_only(monkeypatch):
         return theta_values(eigenvalues, t)
 
     monkeypatch.setattr(heatzeta, "theta_values", counting)
-    zeta_result(lam, 1.0, fit)
-    assert 0 < sum(asked) <= FIT_GRID_NODES
+    compute_zeta(data, pnorm_metric(3.0))
+    assert asked == []
 
 
 def test_zeta_result_evaluates_e1_once(monkeypatch):
-    """The spectral part is one E1 evaluation over the positive spectrum
-    scaled by t_lo."""
-    lam, fit = _fit_l16(pnorm_metric(3.0))
+    """E1 is evaluated once per argument: on the distinct eigenvalues at the
+    nine times of the ladder and its doubled top, on the distinct nested
+    ones at the eight rungs, and at the top eigenvalue for the Weyl tail, in
+    blocks no larger than the spectrum or 8192 arguments. The cos and sin
+    copies of each m >= 1 block are one distinct value."""
+    (data,) = family_spectral_data((pnorm_metric(3.0),), 24)
     calls = []
 
     def counting(x):
@@ -389,98 +376,179 @@ def test_zeta_result_evaluates_e1_once(monkeypatch):
         return exp_e1(x)
 
     monkeypatch.setattr(heatzeta, "exp_e1", counting)
-    zeta_result(lam, 1.0, fit)
-    assert calls == [np.count_nonzero(lam > 0.0)]
+    compute_zeta(data, pnorm_metric(3.0))
+    n, n_nested = (np.unique(lam[lam > 0.0]).size for lam in (data.eigenvalues, data.nested))
+    assert n < 0.52 * data.eigenvalues.size
+    assert sum(calls) == 9 * n + 8 * n_nested + 8
+    assert max(calls) <= max(8192, n)
 
 
-def test_zeta_prime_zero_variants_and_parts():
-    lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    fit = model_fit((0.02, 0.2))
-    zres = zeta_result(lam, 1.0, fit)
-    parts = zres.method["zeta_prime0_parts"]
-    bm1, b0, b1 = fit.coefficients
-    assert set(parts) == {"spectral", "regularization", "head", "window_spread"}
-    t_lo = fit.window_effective[0]
-    assert parts["head"] == pytest.approx(b1 * t_lo, rel=1e-12)
+@pytest.mark.parametrize("L", [48, 128])
+def test_zeta_result_memory_is_bounded(L):
+    """The E1 sums run in bounded blocks, so zeta_result on the round
+    spectrum at L = 48 and 128 allocates at most 1.5 MB beyond its inputs
+    (measured 0.08 and 0.47 MB; one stacked (9, n) E1 call peaks at 0.76
+    and 5.2 MB)."""
+    ell = np.arange(L + 1)
+    lam = np.repeat(ell * (ell + 1) / 2.0, 2 * ell + 1)
+    nested = lam[: (nested_degree(L) + 1) ** 2]
+    tracemalloc.start()
+    try:
+        zeta_result(lam, nested, 2.0, fs_metric())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+
+@pytest.mark.parametrize("spec, keys", [
+    ("fs", {"b_minus1", "b0", "b1", "b2"}),
+    ("scaled:100:fs", {"b_minus1", "b0", "b1", "b2"}),
+    ("pnorm:1.5", {"b_minus1", "b0", "b1"}),
+    ("max", {"b_minus1", "b0"}),
+])
+def test_zeta_prime_zero_parts_by_order(spec, keys):
+    """zeta'(0) is the sum of its three parts at t = s tau_lo; the method
+    records the pinned coefficients, as many as the order pins, in tau."""
+    metric = parse_metric_spec(spec)
+    zres = zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, metric)
+    method = zres.method
+    assert set(method) == {"tau_lo", "scale", "order", "b", "zeta_prime0_parts", "budget_parts"}
+    assert set(method["b"]) == keys and method["order"] == metric.order
+    s, tau, b = metric.scale_hint, method["tau_lo"], method["b"]
+    assert method["scale"] == s and tau in LADDER
+    assert b["b_minus1"] == SYNTH_VOLUME / s and b["b0"] == B0 == zres.zeta0
+    parts = method["zeta_prime0_parts"]
+    assert parts["head"] == pytest.approx(b.get("b1", 0.0) * tau + b.get("b2", 0.0) * tau**2 / 2)
     assert parts["regularization"] == pytest.approx(
-        b0 * (EULER_GAMMA + math.log(t_lo)) - bm1 / t_lo, rel=1e-12
+        B0 * (EULER_GAMMA + math.log(s * tau)) - b["b_minus1"] / tau, rel=1e-12
     )
     pieces = parts["spectral"] + parts["regularization"] + parts["head"]
     assert zres.zeta_prime0 == pytest.approx(pieces, rel=1e-12)
 
 
+def test_zeta_prime_zero_variants_and_parts():
+    """On a real spectrum, pnorm:3 at L = 16, the parts sum to zeta'(0),
+    the head is the pinned b_1 and b_2 at tau_lo, and the record's zeta(0)
+    is b_0."""
+    (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
+    zres = compute_zeta(data, pnorm_metric(3.0))
+    parts, b, tau = zres.method["zeta_prime0_parts"], zres.method["b"], zres.method["tau_lo"]
+    assert set(parts) == {"spectral", "regularization", "head"}
+    assert parts["head"] == pytest.approx(b["b1"] * tau + b["b2"] * tau**2 / 2, rel=1e-12)
+    pieces = parts["spectral"] + parts["regularization"] + parts["head"]
+    assert zres.zeta_prime0 == pytest.approx(pieces, rel=1e-12)
+    assert zres.zeta0 == B0
+
+
+def _ladder(lam, nested, volume, metric):
+    """The estimator's rungs recomputed term by term from exp_e1: Z at the
+    ladder and its doubled top, and per rung the law, nested, tail and
+    quadrature parts."""
+    s, a = metric.scale_hint, (0.5, 1.0, 3.0)[metric.order]
+    b1, b2 = heat_invariants(metric)
+    h1, h2 = heat_invariants(metric, JET_RULE_NODES // 2)
+    lam, nested = lam[lam > 0.0] * s, nested[nested > 0.0] * s
+    taus = [*LADDER, 2.0 * LADDER[-1]]
+    z = [
+        exp_e1(lam * t).sum() - volume / s / t + B0 * (EULER_GAMMA + math.log(t))
+        + b1 * t + b2 * t * t / 2.0
+        for t in taus
+    ]
+    rungs = []
+    for j, t in enumerate(LADDER):
+        x = lam[-1] * t
+        rungs.append((
+            abs(z[j] - z[j + 1]) / (2.0**a - 1.0),
+            abs(exp_e1(lam * t).sum() - exp_e1(nested * t).sum()),
+            volume / s * (math.exp(-x) - x * exp_e1(x)) / t,
+            abs((b1 - h1) * t + (b2 - h2) * t * t / 2.0),
+        ))
+    return rungs
+
+
 def test_zeta_prime_zero_budget_assembly():
-    lam = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
-    fit = model_fit((0.02, 0.2), sigma=(1e-3, 2e-3, 3e-3))
-    zres = zeta_result(lam, 1.0, fit)
-    t_lo = fit.window_effective[0]
-    s1, s2, s3 = fit.param_sigma
-    want = (
-        s1 * (1.0 + 1.0 / t_lo)
-        + s2 * (EULER_GAMMA + math.log(1.0 / t_lo))
-        + s3 * t_lo
-        + abs(fit.b1) * t_lo**2
-        + DEFAULT_TRUNC_TOL * (1.0 + math.log(1.0 / t_lo))
-        + zres.method["zeta_prime0_parts"]["window_spread"]
-    )
-    assert zres.error_budget == pytest.approx(want, rel=1e-12)
-    assert zres.error_budget > 0.0
+    """lo is the qualifying rung (nested + tail <= law) with the smallest
+    budget 3 law + nested + tail + quadrature, and the budget and its parts
+    are that rung's, recomputed term by term, for each order and a scaled
+    metric, at L = 24. The law and nested parts are differences of E1 sums,
+    so they agree to the roundoff of those sums, 1e-14 of the rung's."""
+    metrics = [parse_metric_spec(s) for s in ("pnorm:3", "pnorm:1.5", "max", "scaled:1e-06:fs")]
+    for metric, data in zip(metrics, family_spectral_data(metrics, 24)):
+        zres = compute_zeta(data, metric)
+        rungs = _ladder(data.eigenvalues, data.nested, data.volume, metric)
+        budgets = [3.0 * e + d + w + q if d + w <= e else math.inf for e, d, w, q in rungs]
+        j = int(np.argmin(budgets))
+        assert math.isfinite(budgets[j]) and zres.method["tau_lo"] == LADDER[j], metric.id
+        e, d, w, q = rungs[j]
+        parts = zres.method["budget_parts"]
+        roundoff = 1e-14 * zres.method["zeta_prime0_parts"]["spectral"]
+        got = (parts["law"], parts["nested"], parts["weyl_tail"], parts["quadrature"])
+        for g, want in zip(got, (3.0 * e, d, w, q)):
+            assert g == pytest.approx(want, rel=1e-9, abs=roundoff), (metric.id, parts)
+        assert zres.error_budget == pytest.approx(budgets[j], rel=1e-9, abs=5 * roundoff)
+        assert zres.error_budget == pytest.approx(sum(parts.values()), rel=1e-12)
 
 
-def test_window_spread_zero_when_window_thin():
-    lam = np.array([0.0, 0.8, 2.0])
-    zres = zeta_result(lam, 1.0, model_fit((0.02, 0.03)))
-    assert zres.method["zeta_prime0_parts"]["window_spread"] == 0.0
+def test_no_qualifying_rung_takes_the_top():
+    """A nested spectrum far from the full one makes every rung fail
+    nested + tail <= law, and zeta'(0) is then read at the top rung."""
+    (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
+    zres = zeta_result(data.eigenvalues, 2.0 * data.nested, data.volume, pnorm_metric(3.0))
+    assert zres.method["tau_lo"] == LADDER[-1]
+    parts = zres.method["budget_parts"]
+    assert parts["nested"] > parts["law"] / 3.0
 
 
 def test_zeta_result_bundle():
     metric = pnorm_metric(3.0)
     (data,) = family_spectral_data((metric,), 16)
-    fit = fit_asymptotics(data.eigenvalues, metric.scale_hint)
-    result = zeta_result(data.eigenvalues, data.volume, fit, metric_id="pnorm:3")
+    result = zeta_result(data.eigenvalues, data.nested, data.volume, metric)
     assert result.metric_id == "pnorm:3"
     assert result.volume == data.volume
-    assert result.fit is fit
-    assert result.zeta0 == fit.b0
+    assert result.zeta0 == B0 == -2.0 / 3.0
     assert [p.s for p in result.s_points] == [1.5, 2.0, 3.0]
     for p in result.s_points:
         assert p.value == pytest.approx(
             zeta_direct(data.eigenvalues, p.s).value, rel=1e-15
         )
-        assert p.tail_bound > 0.0
+        # the continuum tail past lambda_max, with b_-1 = vol
+        assert p.tail_bound == pytest.approx(
+            data.volume * data.eigenvalues[-1] ** (1.0 - p.s) / (p.s - 1.0), rel=1e-15
+        )
     assert result.error_budget > 0.0
-    # the pipeline is exactly this fit and this bundle
+    # the pipeline is exactly this bundle
     assert compute_zeta(data, metric) == result
 
 
 # ------------------------------------------------- pipeline and scaling
 
 
-def _fit_and_zeta(metric, L, cache=None):
-    """(SpectralData, AsymptoticFit, ZetaResult) of one metric at degree L."""
+def _zeta(metric, L, cache=None):
+    """(SpectralData, ZetaResult) of one metric at degree L."""
     (data,) = family_spectral_data((metric,), L, cache=cache)
-    zres = compute_zeta(data, metric)
-    return data, zres.fit, zres
+    return data, compute_zeta(data, metric)
 
 
 def test_pipeline_scaling_covariance():
-    """Rescaling the metric by t0 rescales b_-1 by t0 and keeps b_0."""
+    """Rescaling the metric by t0 rescales the volume, b_-1, by t0 and keeps
+    every coefficient in tau = t / s, and the rung."""
     base_metric = pnorm_metric(3.0)
-    _, fit_base, _ = _fit_and_zeta(base_metric, 16)
+    data_base, z_base = _zeta(base_metric, 16)
     for t0 in (0.5, 2.0):
-        scaled = scaled_metric(t0, pnorm_metric(3.0))
-        _, fit_scaled, _ = _fit_and_zeta(scaled, 16)
-        assert fit_scaled.scale == t0
-        assert fit_scaled.b_minus1 == pytest.approx(t0 * fit_base.b_minus1, rel=1e-9)
-        assert fit_scaled.b0 == pytest.approx(fit_base.b0, abs=1e-8)
+        data, zres = _zeta(scaled_metric(t0, pnorm_metric(3.0)), 16)
+        assert zres.method["scale"] == t0
+        assert data.volume == pytest.approx(t0 * data_base.volume, rel=1e-12)
+        assert zres.method["tau_lo"] == z_base.method["tau_lo"]
+        for name, value in z_base.method["b"].items():
+            assert zres.method["b"][name] == pytest.approx(value, rel=1e-12), name
 
 
 @pytest.mark.parametrize("base", [fs_metric(), pnorm_metric(3.0)], ids=lambda g: g.id)
 def test_zeta_prime_rescaling_law_across_scales(base):
     """zeta'(0; c g) = zeta'(0; g) + zeta(0; g) log c to 1e-10 for c from
-    1e-300 to 1e6: the fit runs in its window's time scale, so no scaled
-    window leaves the weighted design rank-deficient."""
-    factors = (1e-300, 1e-10, 1e-6, 1e-3, 2.0, 1e3, 1e6)
+    1e-300 to 1e40: every term but b_0 log s is computed in tau = t / s."""
+    factors = (1e-300, 1e-10, 1e-6, 1e-3, 2.0, 1e3, 1e6, 1e40)
     metrics = (base, *(scaled_metric(c, base) for c in factors))
     z = [
         compute_zeta(d, m)
@@ -491,10 +559,25 @@ def test_zeta_prime_rescaling_law_across_scales(base):
         assert abs(zc.zeta_prime0 - law) <= 1e-10, c
 
 
+def test_budget_is_scale_covariant():
+    """The budget of scaled:c:fs is fs's for c from 1e-300 to 1e40 at
+    L = 32, to 1e-7 relative. What is left is roundoff: the eigenvalues of
+    the scaled pencil differ from fs's by 1e-14 relative, and the budget of
+    2.1e-7 is a difference of sums near 22, whose nested part is roundoff
+    alone (1e-14); measured at most 3.8e-8."""
+    factors = (1e-300, 1e-6, 1e6, 1e40)
+    metrics = (fs_metric(), *(scaled_metric(c, fs_metric()) for c in factors))
+    z = [compute_zeta(d, m) for m, d in zip(metrics, family_spectral_data(metrics, 32))]
+    for c, zc in zip(factors, z[1:]):
+        assert zc.method["tau_lo"] == z[0].method["tau_lo"], c
+        assert zc.error_budget == pytest.approx(z[0].error_budget, rel=1e-7), c
+
+
 def test_compositions_keep_their_parts_time_scale():
-    """geomean and interpolate carry their parts' scale_hint, so the default
-    fit window of a composition of scaled:0.001 metrics is theirs: the
-    geometric mean of a metric with itself has its zeta'(0) bitwise."""
+    """geomean and interpolate carry their parts' scale_hint, so a
+    composition of scaled:0.001 metrics is evaluated on their ladder in
+    t = s tau: the geometric mean of a metric with itself has its zeta'(0)
+    bitwise."""
     m = scaled_metric(0.001, fs_metric())
     g = geomean_metric(m, m)
     assert g.scale_hint == m.scale_hint
@@ -549,23 +632,124 @@ def test_round_metric_continuum_zeta_prime(cache):
     want = oracles.round_zeta_prime0()
     gaps = {}
     for L in (24, 32):
-        _, _, result = _fit_and_zeta(fs_metric(), L, cache)
+        _, result = _zeta(fs_metric(), L, cache)
         gaps[L] = abs(result.zeta_prime0 - want)
     assert gaps[32] < 1e-3
     assert gaps[32] < gaps[24]
 
 
-def test_round_metric_b_minus1_per_volume(cache):
-    """The 1/t coefficient per unit volume, calibrated against the round metric."""
-    data, fit, _ = _fit_and_zeta(fs_metric(), 32, cache)
-    assert fit.b_minus1 / data.volume == pytest.approx(1.0, rel=2e-2)
+def test_round_metric_expansion_matches_the_trace(cache):
+    """The pinned expansion vol/t - 2/3 + t/30 + t^2/315 of fs leaves the
+    discrete trace at L = 64 a remainder of t^3/2520, the next term of the
+    round sphere's expansion, to 2 % for t <= 0.1 (measured 0.5 % at
+    t = 0.025 and 1.9 % at 0.1)."""
+    data, zres = _zeta(fs_metric(), 64, cache)
+    b = zres.method["b"]
+    for t in (0.025, 0.05, 0.1):
+        model = b["b_minus1"] / t + b["b0"] + b["b1"] * t + b["b2"] * t * t
+        rest = theta_values(data.eigenvalues, np.array([t]))[0] - model
+        assert rest == pytest.approx(t**3 / 2520.0, rel=2e-2), t
 
 
-def test_round_metric_fit_window_needs_resolution():
-    with pytest.raises(FitWindowError):
-        _fit_and_zeta(fs_metric(), 10)
-    _, fit, _ = _fit_and_zeta(fs_metric(), 16)
-    assert fit.window_effective[0] > DEFAULT_FIT_WINDOW[0]
+# ------------------------------------------------- coverage against oracles
+
+
+_COVERAGE_METRICS = (
+    *(parse_metric_spec(s) for s in (
+        "fs", "pnorm:2", "pnorm:3", "pnorm:4", "pnorm:8", "pnorm:32", "pnorm:1.5",
+        "pnorm:2.5", "interp:2.5:pnorm",
+    )),
+    geomean_metric(pnorm_metric(3.0), pnorm_metric(4.0)),
+    *(parse_metric_spec(s) for s in ("scaled:1e-06:fs", "scaled:0.001:pnorm:3", "max",
+                                     "scaled:2:max")),
+    geomean_metric(fs_metric(), max_metric()),
+)
+
+
+@functools.cache
+def _exact_zeta_prime0() -> dict[str, float]:
+    """zeta'(0) of every coverage metric: fs's closed form, the exact
+    smoothing law for pnorm, the max closed form, the rescaling law
+    zeta'(0) - (2/3) log c, and the others carried from max along the exact
+    anomaly (Polyakov's formula)."""
+    fs, mx = oracles.round_zeta_prime0(), oracles.max_zeta_prime0()
+    pnorm = {p: oracles.pnorm_zeta_prime0(p) for p in (2, 3, 4, 8, 32, 1.5, 2.5)}
+    log_quillen_max = mx + math.log(2.0)
+
+    def carried(jet):
+        return oracles.zeta_prime0_by_anomaly(jet, oracles.mp_jet_max, log_quillen_max)
+
+    blend = oracles.s_jet_blend(oracles.s_jet_pnorm(3), oracles.s_jet_pnorm(4), 0.5)
+    return {
+        "fs": fs,
+        **{f"pnorm:{p:g}": v for p, v in pnorm.items()},
+        "interp:2.5:pnorm": carried(oracles.r_jet(blend)),
+        "geomean(pnorm:3,pnorm:4)": carried(
+            oracles.mp_jet_geomean(oracles.mp_jet_pnorm(3), oracles.mp_jet_pnorm(4))
+        ),
+        "scaled:1e-06:fs": fs - 2.0 / 3.0 * math.log(1e-6),
+        "scaled:0.001:pnorm:3": pnorm[3] - 2.0 / 3.0 * math.log(1e-3),
+        "max": mx,
+        "scaled:2:max": mx - 2.0 / 3.0 * math.log(2.0),
+        "geomean(fs,max)": carried(oracles.mp_jet_geomean(oracles.mp_jet_fs, oracles.mp_jet_max)),
+    }
+
+
+def _errors(L, cache) -> dict[str, tuple[float, float]]:
+    """(|zeta'_L - oracle|, budget) of every coverage metric at degree L."""
+    exact = _exact_zeta_prime0()
+    data = family_spectral_data(_COVERAGE_METRICS, L, cache=cache)
+    out = {}
+    for metric, d in zip(_COVERAGE_METRICS, data):
+        zres = compute_zeta(d, metric)
+        out[metric.id] = (abs(zres.zeta_prime0 - exact[metric.id]), zres.error_budget)
+    return out
+
+
+def _uncovered(L, cache) -> list[str]:
+    return [
+        f"{mid} at L = {L}: error {err:.2e} > budget {budget:.2e}"
+        for mid, (err, budget) in _errors(L, cache).items()
+        if not err <= budget
+    ]
+
+
+@pytest.mark.parametrize("L", [8, 16, 24, 32, 64, 128])
+def test_zeta_prime_budget_covers_the_oracle(L, cache):
+    """|zeta'_L - oracle| <= budget for the smooth, finitely smooth, scaled
+    and kinked metrics (measured worst error/budget 0.81, pnorm:32 at
+    L = 8)."""
+    assert _uncovered(L, cache) == []
+
+
+@pytest.mark.parametrize("wrong", ["b2 + 1e-3", "b1 * 1.01"])
+def test_coverage_sees_a_wrong_invariant(wrong, cache, monkeypatch):
+    """A b_2 off by 1e-3 (order-2 metrics) or a b_1 1 % large, on both rules
+    so that the quadrature part cannot absorb it, leaves some budget
+    uncovered at every L of the coverage grid but 8."""
+    real = heatzeta.heat_invariants
+
+    def perturbed(metric, n_theta=JET_RULE_NODES):
+        b1, b2 = real(metric, n_theta)
+        if wrong == "b1 * 1.01":
+            return 1.01 * b1, b2
+        return b1, b2 + (1e-3 * metric.scale_hint**2 if metric.order == 2 else 0.0)
+
+    monkeypatch.setattr(heatzeta, "heat_invariants", perturbed)
+    for L in (16, 24, 32, 64, 128):
+        assert _uncovered(L, cache), (wrong, L)
+
+
+def test_zeta_prime_accuracy_at_L128(cache):
+    """At L = 128 error and budget are at most 1e-10 for fs, 1e-8 for
+    pnorm:3, pnorm:4 and interp:2.5:pnorm, and 2e-6 for pnorm:8; the kinked
+    max is within 1e-2 with a budget that covers it."""
+    errors = _errors(128, cache)
+    for mid, bound in (("fs", 1e-10), ("pnorm:3", 1e-8), ("pnorm:4", 1e-8),
+                       ("interp:2.5:pnorm", 1e-8), ("pnorm:8", 2e-6)):
+        assert max(errors[mid]) <= bound, (mid, errors[mid])
+    err, budget = errors["max"]
+    assert err <= 1e-2 and err <= budget
 
 
 def _entry_key(data) -> str:
@@ -585,6 +769,8 @@ def test_spectral_data_cache_roundtrip(tmp_path):
     (second,) = family_spectral_data((metric,), 8, cache=cache)
     assert second.from_cache is True
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.nested, second.nested)
+    assert first.nested.size == (nested_degree(8) + 1) ** 2
     assert first.volume == second.volume
     assert first.lambda1 == second.lambda1 > 0.0
 
@@ -644,14 +830,17 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
         if hit is not None:
             assert hit[0].tobytes() == fresh.eigenvalues.tobytes(), k
             assert hit[1] == fresh.volume, k
+            assert hit[2].tobytes() == fresh.nested.tobytes(), k
 
 
 @pytest.mark.parametrize(
     "defect",
-    ["short", "unsorted", "nonzero_kernel", "degenerate_kernel", "all_zero", "nonfinite", "volume"],
+    ["short", "unsorted", "nonzero_kernel", "degenerate_kernel", "all_zero", "nonfinite", "volume",
+     "nested_short", "nested_unsorted", "nested_missing"],
 )
 def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
-    """Entries that do not describe an L = 4 spectrum are misses and get overwritten."""
+    """Entries that do not describe an L = 4 spectrum and its nested one at
+    L' = 3 are misses and get overwritten."""
     from zetasphere.cache import SpectrumCache
 
     cache = SpectrumCache(tmp_path)
@@ -659,7 +848,8 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
     (fresh,) = family_spectral_data((metric,), 4, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
     assert cache.path_for(_entry_key(fresh)) == entry
-    lam, vol = fresh.eigenvalues.copy(), fresh.volume
+    lam, vol, nested = fresh.eigenvalues.copy(), fresh.volume, fresh.nested.copy()
+    arrays = {}
     if defect == "short":
         lam = lam[:2]
     elif defect == "unsorted":
@@ -672,9 +862,15 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
         lam[:] = 0.0
     elif defect == "nonfinite":
         lam[-1] = np.nan
-    else:
+    elif defect == "nested_short":
+        nested = nested[:-1]
+    elif defect == "nested_unsorted":
+        nested[[1, -1]] = nested[[-1, 1]]
+    elif defect != "nested_missing":
         vol = -vol
-    cache.store(_entry_key(fresh), eigenvalues=lam, volume=np.float64(vol))
+    if defect != "nested_missing":
+        arrays["nested"] = nested
+    cache.store(_entry_key(fresh), eigenvalues=lam, volume=np.float64(vol), **arrays)
     (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert again.from_cache is False
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
@@ -683,20 +879,21 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
 
 
 def test_previous_solver_entry_is_not_served(tmp_path):
-    """An entry stored under the blocks-5 solver key is never a hit.
+    """An entry stored under the blocks-6 solver key is never a hit.
 
-    It holds a valid-looking spectrum (twice the true one), so only the
-    solver version in the key keeps it out.
+    It holds a valid-looking spectrum and nested spectrum (twice the true
+    ones), so only the solver version in the key keeps it out.
     """
     from zetasphere.cache import SpectrumCache, spectrum_cache_key
     from zetasphere.eigensolve import SOLVER_VERSION
 
-    assert SOLVER_VERSION == "blocks-6"
+    assert SOLVER_VERSION == "blocks-7"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (fresh,) = family_spectral_data((metric,), 4)
-    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-5")
-    cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume))
+    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-6")
+    cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume),
+                nested=2.0 * fresh.nested)
     (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert again.from_cache is False
     assert again.solver_version == SOLVER_VERSION
@@ -758,8 +955,8 @@ def test_close_specs_get_distinct_spectra(tmp_path, specs):
 
     a, b = (parse_metric_spec(spec) for spec in specs)
     assert a.id != b.id
-    ((lam_a, _),) = family_eigvals(masses(build_basis(6), (a,)), 6, (a.id,))
-    ((lam_b, _),) = family_eigvals(masses(build_basis(6), (b,)), 6, (b.id,))
+    ((lam_a, _, _),) = family_eigvals(masses(build_basis(6), (a,)), 6, (a.id,))
+    ((lam_b, _, _),) = family_eigvals(masses(build_basis(6), (b,)), 6, (b.id,))
     assert not np.array_equal(lam_a, lam_b)
     cache = SpectrumCache(tmp_path)
     (first,) = family_spectral_data((a,), 6, cache=cache)

@@ -15,6 +15,7 @@ import oracles
 from zetasphere.errors import ConfigError, DomainError
 from zetasphere.metrics import (
     MAX_SCALED_DEPTH,
+    ConformalMetric,
     MetricFamily,
     bump,
     bump_derivative,
@@ -165,12 +166,13 @@ def _assert_c1_close(got, want):
 def test_jet_matches_mpmath(name):
     """Every part of the jet against mpmath differentiation of log lambda."""
     r = np.logspace(-3.0, 3.0, 9)
-    f, df, c1 = _metric(name).jet(r)
+    f, df, c1, dc1 = _metric(name).jet(r)
     want = np.array([oracles.radial_jet(_MP_LOG[name], x) for x in r])
     # the blend's logaddexp keeps f to absolute, not relative, precision near 0
     np.testing.assert_allclose(f, want[:, 0], rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(df, want[:, 1], rtol=1e-12, atol=0.0)
     _assert_c1_close(c1, want[:, 2])
+    _assert_c1_close(dc1, want[:, 3])
 
 
 @pytest.mark.parametrize("u", [2.5, 8.5, 32.5, 100.5])
@@ -188,8 +190,8 @@ def test_max_metric_kink_handling():
     # the factor is continuous and its whole curvature is the line mass on
     # the kink circle: off the kink the jet is flat inside and -4 log r outside
     assert m.line_masses() == (2.0,)
-    _, df, c1 = m.jet(np.array([0.5, 2.0]))
-    assert df.tolist() == [0.0, -2.0] and c1.tolist() == [0.0, 0.0]
+    _, df, c1, dc1 = m.jet(np.array([0.5, 2.0]))
+    assert df.tolist() == [0.0, -2.0] and c1.tolist() == dc1.tolist() == [0.0, 0.0]
     assert m.c1_density(np.array([0.5, 2.0])).tolist() == [0.0, 0.0]
     # a mixture keeps the kink and its share of the mass
     joined = geomean_metric(fs_metric(), max_metric())
@@ -205,6 +207,24 @@ def test_smoothness_classes():
         assert smooth.kink_radii == () and smooth.line_masses() == ()
     for kinked in (geomean_metric(fs_metric(), max_metric()), scaled_metric(2.0, max_metric())):
         assert kinked.kink_radii == (1.0,)
+
+
+def test_order_classes():
+    """A metric's order is how many of b_1, b_2 its jet pins: 2 for fs and
+    integer pnorm, 1 for a non-integer pnorm, whose |z|^(2p) at the poles is
+    only finitely smooth, 0 at a kink and for a hand-built jet; a
+    composition takes the lower of its parts'."""
+    orders = {
+        "fs": 2, "pnorm:1": 2, "pnorm:32": 2, "pnorm:1.5": 1, "pnorm:2.5": 1,
+        "max": 0, "scaled:2:max": 0, "scaled:1e-06:pnorm:3.5": 1,
+        "interp:2.5:pnorm": 2, "interp:2.5:geomean-pnorm": 2,
+    }
+    for spec, order in orders.items():
+        assert parse_metric_spec(spec).order == order, spec
+    assert geomean_metric(fs_metric(), pnorm_metric(3.0)).order == 2
+    assert geomean_metric(pnorm_metric(3.0), pnorm_metric(1.5)).order == 1
+    assert geomean_metric(fs_metric(), max_metric()).order == 0
+    assert ConformalMetric("hand-built", fs_metric().jet).order == 0
 
 
 @pytest.mark.parametrize(
