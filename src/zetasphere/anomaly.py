@@ -44,17 +44,7 @@ from .heatzeta import ZetaResult
 from .metrics import ConformalMetric
 from .quadrature import JET_RULE_NODES, build_quadrature
 
-__all__ = [
-    "TWO_ROUTE_BUDGET_FACTOR",
-    "bott_chern_integral",
-    "bott_chern_bound",
-    "TwoRouteReport",
-    "two_route_check",
-    "two_route_pairs",
-    "QuillenLimitRow",
-    "QuillenLimit",
-    "quillen_limit",
-]
+__all__ = ["TwoRouteReport", "two_route_pairs", "QuillenLimit", "quillen_limit"]
 
 # Tolerance of the two-route check, as a multiple of the two zeta budgets.
 TWO_ROUTE_BUDGET_FACTOR = 3.0

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["spectrum_cache_key", "SpectrumCache", "default_cache_dir", "CACHE_ENV_VAR"]
+__all__ = ["spectrum_cache_key", "SpectrumCache"]
 
 CACHE_ENV_VAR = "ZETASPHERE_CACHE"
 

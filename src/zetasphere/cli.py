@@ -136,10 +136,8 @@ def _make_family(config: RunConfig):
 def _theta_grid(config: RunConfig):
     import numpy as np
 
-    from .heatzeta import geometric_grid
-
     if config.t_geometric:
-        return geometric_grid(config.t_lo, config.t_hi, config.t_count)
+        return np.geomspace(config.t_lo, config.t_hi, config.t_count)
     return np.linspace(config.t_lo, config.t_hi, config.t_count)
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "load_config", "validated"]
+__all__ = ["RunConfig", "load_config"]
 
 _MAX_L = 512
 _MAX_THREADS = 1024
@@ -207,11 +207,6 @@ def _values(text: str) -> dict[str, object]:
             except ConfigError as e:
                 raise ConfigError(f"[{section}] {key}: {e}") from e
     return updates
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse config text over the package defaults."""
-    return validated(RunConfig(**_values(text)))
 
 
 def load_config(path: str | Path | None = None, **flags) -> RunConfig:

@@ -40,7 +40,6 @@ from .metrics import ConformalMetric
 from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
-    "SpectralBasis",
     "colatitude_nodes",
     "build_basis",
     "stiffness",

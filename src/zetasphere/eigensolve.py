@@ -32,8 +32,17 @@ the values of all copies, which keeps the order deterministic and the
 degeneracy exact. Eigenvectors and functions of the operator
 (`apply_function`) stay per block, since a radial operator never couples
 two azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
-eigenvalues of the general symmetric-definite Gram pencils of the operators
-and harness modules, a stack of them against one B in one call.
+eigenvalues of the harness's general symmetric-definite Gram pencils, a stack
+of them against one B in one call.
+
+Operator norms are taken in the mass inner product, with the same Cholesky
+step: for a Gram matrix G = R^T R, `singular_values` gives the weighted
+singular values of A as the ordinary ones of R A R^-1. A block-diagonal
+operator has the largest of its block norms as its norm, and
+`block_operator_norms` takes those of a stack of operators at once, one
+stacked SVD per block m, each norm bitwise that of its operator alone. This
+is how the harness and the Duhamel check measure resolvents and heat
+operators converging in operator norm.
 """
 from __future__ import annotations
 
@@ -43,16 +52,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .discretize import Blocks, stiffness
-from .errors import (
-    DomainError,
-    EigenConvergenceError,
-    IndefiniteMassError,
-    InvalidMetricError,
-)
+from .errors import DomainError, EigenConvergenceError, IndefiniteMassError
 
 __all__ = [
     "Spectrum",
     "pencil_eigvalsh",
+    "singular_values",
+    "block_operator_norms",
     "family_eigs",
     "family_eigvals",
     "nested_degree",
@@ -95,10 +101,6 @@ class Spectrum(NamedTuple):
         return float(self.mass_blocks[0][0, 0])
 
     @property
-    def positive(self) -> np.ndarray:
-        return self.eigenvalues[1:]
-
-    @property
     def lambda1(self) -> float:
         return float(self.eigenvalues[1])
 
@@ -121,6 +123,41 @@ def pencil_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError("pencil has non-finite entries")
     Ci = np.linalg.inv(np.linalg.cholesky(B))
     return np.linalg.eigvalsh(Ci @ A @ Ci.T)
+
+
+def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Singular values of A in the inner product of ``gram``, descending.
+
+    With the Cholesky factor gram = R^T R they are the ordinary singular
+    values of R A R^-1, the operator written in an orthonormal frame. A may
+    be a stack (..., n, n) against the one Gram matrix; each matrix of the
+    stack is mapped as it would be alone.
+
+    Raises
+    ------
+    DomainError
+        If ``gram`` is not positive definite.
+    """
+    try:
+        R = np.linalg.cholesky(gram).T.copy()
+    except np.linalg.LinAlgError as e:
+        raise DomainError("inner product Gram matrix is not positive definite") from e
+    frame = np.swapaxes(np.linalg.solve(R.T, np.swapaxes(R @ A, -1, -2)), -1, -2)
+    return np.linalg.svd(frame, compute_uv=False)
+
+
+def block_operator_norms(stacks: Sequence[np.ndarray], grams: Blocks) -> np.ndarray:
+    """Operator norms of K block-diagonal operators: each the max of its block norms.
+
+    ``stacks[m]`` is the (K, k_m, k_m) stack of the operators' blocks m and
+    ``grams[m]`` the mass block M_m, the inner product on their rows; the
+    blocks are orthogonal to each other in the full Gram matrix. One stacked
+    solve and SVD per m serves all K operators, each bitwise as it would be
+    alone (one operator is a stack of one).
+    """
+    return np.max(
+        [singular_values(A, G)[:, 0] for A, G in zip(stacks, grams, strict=True)], axis=0
+    )
 
 
 def _refuse(ok: np.ndarray, m: int, metric_ids: Sequence[str], vol: np.ndarray,
@@ -287,5 +324,5 @@ def apply_function(spectrum: Spectrum, f) -> Blocks:
 def resolvent(spectrum: Spectrum, shift: float = 1.0) -> Blocks:
     """Blocks of (shift + operator)^(-1) acting on basis coefficients."""
     if shift <= 0.0:
-        raise InvalidMetricError(f"resolvent shift must be positive, got {shift}")
+        raise DomainError(f"resolvent shift must be positive, got {shift}")
     return apply_function(spectrum, lambda lam: 1.0 / (shift + lam))

@@ -34,8 +34,9 @@ and uses no disk cache.
 Every built-in metric is radial, so each operator above is block diagonal
 in the harmonic basis with one block per azimuthal index m (the cos and sin
 copies share it). The checks work on those blocks: an operator norm is the
-largest block norm, a Gram pencil's top eigenvalue or spectral radius the
-largest over the blocks, and no n x n matrix is built. Where a check meets
+largest block norm in the mass inner product (`eigensolve.block_operator_norms`,
+handed the mass blocks themselves), a Gram pencil's top eigenvalue or
+spectral radius the largest over the blocks, and no n x n matrix is built. Where a check meets
 the same block m of several operators or pencils (the gap floor, the
 operator limits), it solves them as one stack per m.
 
@@ -66,7 +67,7 @@ from .discretize import (
     variation_weights,
     weighted_grams,
 )
-from .eigensolve import Spectrum, pencil_eigvalsh, resolvent
+from .eigensolve import Spectrum, block_operator_norms, pencil_eigvalsh, resolvent
 from .errors import DomainError
 from .heatzeta import (
     DuhamelReport,
@@ -83,31 +84,10 @@ from .metrics import (
     interpolate,
     sup_log_distance,
 )
-from .operators import InnerProduct, block_operator_norms
 from .pipeline import compute_zeta, family_spectra
 from .quadrature import gauss_legendre
 
-__all__ = [
-    "FROZEN_SAFETY",
-    "DUHAMEL_RATIO_TOL",
-    "THEOREM_TAGS",
-    "SweepRow",
-    "SweepReport",
-    "sweep",
-    "CauchyColumn",
-    "CauchyReport",
-    "cauchy_check",
-    "Lambda1FloorRow",
-    "Lambda1Floor",
-    "lambda1_floor",
-    "ResolventReport",
-    "resolvent_convergence",
-    "BorneReport",
-    "bornelapbelt_check",
-    "duhamel_at",
-    "ConvergenceSummary",
-    "convergence_summary",
-]
+__all__ = ["THEOREM_TAGS", "convergence_summary"]
 
 # Safety factor applied to every constant measured on the first sweep pair.
 FROZEN_SAFETY = 2.0
@@ -449,7 +429,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
     if len(members) < 3:
         raise DomainError("resolvent_convergence needs at least three members")
 
-    ip_ref = [InnerProduct.from_gram(M) for M in members[0].spectrum.mass_blocks]
+    gram_ref = members[0].spectrum.mass_blocks
     xg, wg = gauss_legendre(_DELTA_GL_NODES)
     deltas = [
         float(np.sum(wg * 0.5 * np.array([delta_X(report.family, k + 0.5 + 0.5 * x) for x in xg])))
@@ -470,7 +450,7 @@ def resolvent_convergence(report: SweepReport) -> ResolventReport:
         # per m, the differences of consecutive operators along the chain as
         # one stack, the last pair (last member, limit)
         blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in chain))]
-        norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], ip_ref)
+        norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], gram_ref)
         dists = [float(x) for x in norms[: len(labels)]]
         column, bad = _cauchy_column(name, labels, dists, deltas, slack)
         grew = [

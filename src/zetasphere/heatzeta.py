@@ -42,29 +42,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .discretize import Blocks, stiffness
-from .eigensolve import Spectrum, apply_function
+from .eigensolve import Spectrum, apply_function, block_operator_norms
 from .errors import DomainError
 from .metrics import ConformalMetric
-from .operators import InnerProduct, block_operator_norms
 from .quadrature import JET_RULE_NODES, build_quadrature, gauss_legendre
 
 __all__ = [
     "exp_e1",
-    "e1_sums",
-    "geometric_grid",
     "theta",
     "theta_values",
     "heat_invariants",
-    "ZetaPoint",
     "zeta_direct",
     "ZetaResult",
     "zeta_result",
     "heat_operator",
     "DuhamelReport",
     "duhamel_residual",
-    "B0",
     "DEFAULT_S_VALUES",
-    "LADDER",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -132,12 +126,6 @@ def exp_e1(x):
                 np.divide(j * j, buf, out=t)
             out[band] = np.exp(-xc) / (xc + 1.0 - t)
     return float(out[0]) if scalar else out
-
-
-def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    if not (0.0 < lo < hi) or count < 2:
-        raise DomainError("need 0 < lo < hi and count >= 2")
-    return np.geomspace(lo, hi, count)
 
 
 def _spectral_sums(eigenvalues: np.ndarray, t: np.ndarray, f) -> np.ndarray:
@@ -385,7 +373,8 @@ def duhamel_residual(
         for w, term in zip(s_wts, late @ D @ early):  # in node order
             a += w * term
         acc.append(a)
-    ips = [InnerProduct.from_gram(M) for M in spec_mid.mass_blocks]
-    resid, d_norm = block_operator_norms([np.stack((d + a, d)) for d, a in zip(dE, acc)], ips)
+    resid, d_norm = block_operator_norms(
+        [np.stack((d + a, d)) for d, a in zip(dE, acc)], spec_mid.mass_blocks
+    )
     ratio = resid / d_norm if d_norm > 0.0 else 0.0
     return DuhamelReport(float(resid), float(d_norm), float(ratio))

@@ -36,21 +36,14 @@ __all__ = [
     "max_metric",
     "pnorm_metric",
     "scaled_metric",
-    "geomean_metric",
     "pnorm_family",
     "geomean_family",
     "interpolate",
     "d_log_density_du",
     "delta_X",
-    "bump",
-    "bump_derivative",
     "volume",
     "sup_log_distance",
-    "equal_area_grid",
     "parse_metric_spec",
-    "MAX_INTERP_U",
-    "MAX_PNORM_P",
-    "MAX_SCALED_DEPTH",
 ]
 
 # Largest u an ``interp:<u>:<family>`` spec accepts. The spec builds the

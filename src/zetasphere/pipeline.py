@@ -35,12 +35,7 @@ from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals, n
 from .heatzeta import DEFAULT_S_VALUES, ZetaResult, zeta_result
 from .metrics import ConformalMetric
 
-__all__ = [
-    "family_spectra",
-    "SpectralData",
-    "family_spectral_data",
-    "compute_zeta",
-]
+__all__ = ["family_spectra", "family_spectral_data", "compute_zeta"]
 
 
 def family_spectra(metrics: Sequence[ConformalMetric], L: int) -> tuple[Spectrum, ...]:

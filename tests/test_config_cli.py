@@ -14,7 +14,7 @@ import zetasphere
 from zetasphere import anomaly, eigensolve, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
-from zetasphere.config import RunConfig, load_config, parse_config, validated
+from zetasphere.config import RunConfig, load_config, validated
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import (
@@ -103,7 +103,14 @@ def test_validated_boundary_values():
     validated(cfg(threads=1024))
 
 
-def test_parse_config_round_trip():
+def load_text(tmp_path, text: str) -> RunConfig:
+    """Load config ``text`` as the CLI does: from a file, by `load_config`."""
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    return load_config(path)
+
+
+def test_config_file_round_trip(tmp_path):
     text = """
 # comment line
 [run]
@@ -124,7 +131,7 @@ s_values = 1.5, 2.0 3.0
 name = geomean-pnorm
 parameters = 1, 2, 4
 """
-    config = parse_config(text)
+    config = load_text(tmp_path, text)
     assert config.metric == "pnorm:3"
     assert config.L == 20
     assert config.threads == 2
@@ -135,7 +142,7 @@ parameters = 1, 2, 4
     assert config.family_parameters == (1.0, 2.0, 4.0)
 
 
-def test_readme_config_block_matches_schema():
+def test_readme_config_block_matches_schema(tmp_path):
     """The ```ini block of README's Configuration section loads with the
     package parser, equals the defaults but for its metric, and names exactly
     the sections and keys of the config schema, so the docs cannot drift."""
@@ -146,7 +153,7 @@ def test_readme_config_block_matches_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```ini\n", 1)[1].split("```", 1)[0]
-    assert parse_config(block) == RunConfig(metric="pnorm:3")
+    assert load_text(tmp_path, block) == RunConfig(metric="pnorm:3")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser.read_string(block)
@@ -154,19 +161,19 @@ def test_readme_config_block_matches_schema():
     assert documented == {name: set(keys) for name, keys in _SCHEMA.items()}
 
 
-def test_parse_config_rejects_unknowns():
+def test_config_file_rejects_unknowns(tmp_path):
     with pytest.raises(ConfigError, match="valid keys"):
-        parse_config("[run]\nbogus = 3\n")
+        load_text(tmp_path, "[run]\nbogus = 3\n")
     with pytest.raises(ConfigError, match="valid sections"):
-        parse_config("[runs]\nL = 8\n")
+        load_text(tmp_path, "[runs]\nL = 8\n")
     with pytest.raises(ConfigError, match="DEFAULT"):
-        parse_config("[DEFAULT]\nL = 8\n")
+        load_text(tmp_path, "[DEFAULT]\nL = 8\n")
     with pytest.raises(ConfigError, match="malformed config"):
-        parse_config("L = 8\n")  # key before any section header
+        load_text(tmp_path, "L = 8\n")  # key before any section header
     with pytest.raises(ConfigError, match=r"\[run\] L"):
-        parse_config("[run]\nL = eight\n")
+        load_text(tmp_path, "[run]\nL = eight\n")
     with pytest.raises(ConfigError):
-        parse_config("[run]\nL = 0\n")  # parses, fails validation
+        load_text(tmp_path, "[run]\nL = 0\n")  # parses, fails validation
 
 
 def test_load_config_lays_flags_over_file(tmp_path):

@@ -22,12 +22,7 @@ from zetasphere.eigensolve import (
     pencil_eigvalsh,
     resolvent,
 )
-from zetasphere.errors import (
-    DomainError,
-    EigenConvergenceError,
-    IndefiniteMassError,
-    InvalidMetricError,
-)
+from zetasphere.errors import DomainError, EigenConvergenceError, IndefiniteMassError
 from zetasphere.heatzeta import heat_operator
 from zetasphere.metrics import (
     fs_metric,
@@ -106,7 +101,7 @@ def test_spectrum_metadata(basis):
 
 
 def test_positive_excludes_kernel(spectrum):
-    pos = spectrum.positive
+    pos = spectrum.eigenvalues[1:]
     assert pos.shape == (spectrum.eigenvalues.size - 1,)
     assert pos.min() == spectrum.lambda1
     assert np.all(pos > 0.0)
@@ -134,7 +129,8 @@ def test_scaled_metric_scales_spectrum(basis):
     base = _solve(basis, pnorm_metric(3.0))
     for t0 in (0.5, 2.0, 10.0):
         scaled = _solve(basis, scaled_metric(t0, pnorm_metric(3.0)))
-        rel = np.abs(scaled.positive - base.positive / t0) / (base.positive / t0)
+        want = base.eigenvalues[1:] / t0
+        rel = np.abs(scaled.eigenvalues[1:] - want) / want
         assert rel.max() < 1e-12, t0
 
 
@@ -182,10 +178,11 @@ def test_resolvent_inverts(spectrum):
 
 
 def test_resolvent_rejects_nonpositive_shift(spectrum):
-    with pytest.raises(InvalidMetricError):
-        resolvent(spectrum, 0.0)
-    with pytest.raises(InvalidMetricError):
-        resolvent(spectrum, -1.0)
+    """A shift is not a conformal factor: a nonpositive one is a DomainError,
+    as a nonpositive time is for the heat operator."""
+    for shift in (0.0, -1.0):
+        with pytest.raises(DomainError, match="shift must be positive"):
+            resolvent(spectrum, shift)
 
 
 def _family_solves(stacks, L, metric_ids):

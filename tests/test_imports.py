@@ -1,12 +1,16 @@
 """Every top-level import in the package and its tests is used, every
-private helper of the package is referenced, every exported name exists,
-and the CLI keeps its import floor.
+top-level name of the package is read, every export is read by another
+module and exists, and the CLI keeps its import floor.
 
 An import that nothing reads costs load time and hides what a module
 depends on. Names listed in a module's ``__all__`` count as used (they are
 re-exported), and ``from __future__`` imports are compiler directives. An
 export whose definition was deleted fails only when someone imports it, so
-the export lists are resolved here. Every command runs in a fresh process,
+the export lists are resolved here. The package's surface is what the
+program reads: a public name that no other statement reads is dead code,
+and an ``__all__`` entry that no other module imports advertises a library
+the program does not use. Only the library API that README names
+(`cli.main` and the package-level names) is exempt. Every command runs in a fresh process,
 so a module it loads for one small job is paid on every run: OpenSSL's
 libcrypto behind ``hashlib`` is 3.5 MB of resident memory, and
 ``numpy.polynomial``, ``numpy.random`` and ``configparser`` add import time
@@ -63,9 +67,9 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def _private_names(node: ast.stmt) -> list[str]:
-    """Private names a top-level statement defines: a function, a class or
-    the targets of an assignment; dunder names are not private."""
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or the
+    targets of an assignment; dunder names are not counted."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -73,7 +77,7 @@ def _private_names(node: ast.stmt) -> list[str]:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         return []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
 def _references(node: ast.AST) -> set[str]:
@@ -89,17 +93,55 @@ def _references(node: ast.AST) -> set[str]:
     return refs
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Top-level private names that no other top-level statement of the
-    given sources reads, as ``path:line: name``."""
+def unreferenced_names(sources: dict[str, str], private: bool) -> list[str]:
+    """Top-level private (or public) names that no other top-level statement
+    of the given sources reads, as ``path:line: name``. ``__all__`` lists
+    strings, so a mention there is not a read."""
     stmts = [(path, node) for path, text in sources.items() for node in ast.parse(text).body]
     refs = [_references(node) for _, node in stmts]
     return [
         f"{path}:{node.lineno}: {name}"
         for i, (path, node) in enumerate(stmts)
-        for name in _private_names(node)
-        if not any(name in r for j, r in enumerate(refs) if j != i)
+        for name in _defined_names(node)
+        if name.startswith("_") == private
+        and not any(name in r for j, r in enumerate(refs) if j != i)
     ]
+
+
+def unread_exports(sources: dict[str, str], api: set[str]) -> list[str]:
+    """``__all__`` entries that no other module imports, as ``module.name``.
+
+    An import anywhere in a module counts, also one inside a function. The
+    package ``__init__`` is skipped, and the names in ``api`` are exempt:
+    both are the library API, which README documents.
+    """
+    read, exports = set(), {}
+    for path, text in sources.items():
+        module = Path(path).stem
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                read |= {(source, a.name) for a in node.names if source != module}
+        for node in tree.body:
+            if module != "__init__" and isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exports[module] = [e.value for e in node.value.elts]
+    return [
+        f"{module}.{name}"
+        for module, names in exports.items()
+        for name in names
+        if (module, name) not in read and f"{module}.{name}" not in api
+    ]
+
+
+def _package_sources() -> dict[str, str]:
+    package = ROOT / "src" / "zetasphere"
+    return {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for p in sorted(package.glob("*.py"))
+    }
 
 
 def test_scan_finds_an_unreferenced_private_name():
@@ -108,16 +150,34 @@ def test_scan_finds_an_unreferenced_private_name():
                 "def _g():\n    return _A\nclass _C:\n    pass\n__all__ = []\n",
         "b.py": "from a import _g\nx = _C\n",
     }
-    assert unreferenced_private_names(sources) == ["a.py:1: _B", "a.py:2: _f"]
+    assert unreferenced_names(sources, private=True) == ["a.py:1: _B", "a.py:2: _f"]
+
+
+def test_scan_finds_an_unread_public_name():
+    sources = {
+        "pkg/a.py": "__all__ = ['f', 'g', 'h', 'main']\ndef f():\n    return g()\n"
+                    "def g():\n    pass\ndef h():\n    pass\ndef main():\n    pass\n",
+        "pkg/b.py": "def k():\n    from .a import f\n    return f()\n__all__ = ['k']\n",
+    }
+    assert unreferenced_names(sources, private=False) == [
+        "pkg/a.py:6: h", "pkg/a.py:8: main", "pkg/b.py:1: k",
+    ]
+    assert unread_exports(sources, {"a.main"}) == ["a.g", "a.h", "b.k"]
 
 
 def test_every_private_name_is_referenced():
-    package = ROOT / "src" / "zetasphere"
-    sources = {
-        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
-        for p in sorted(package.glob("*.py"))
-    }
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(_package_sources(), private=True) == []
+
+
+def test_every_public_name_is_read():
+    assert unreferenced_names(_package_sources(), private=False) == []
+
+
+def test_every_export_is_read_by_another_module():
+    """A module exports only what another module of the package imports;
+    the library API is `cli.main` and the package-level names."""
+    api = {"cli.main", *(f"{m}.{name}" for name, m in zetasphere._EXPORTS.items())}
+    assert unread_exports(_package_sources(), api) == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,17 +4,20 @@ Every input string either parses or raises ConfigError, which the CLI turns
 into exit 2 with a message; no other exception may escape. The generators
 mix well-formed pieces (spec prefixes, section names, schema keys) with
 numbers in every spelling float() accepts or rejects (nan, inf, overflow,
-underscores, blanks) and with arbitrary text. Example counts are fixed and
-the search is derandomized, so a run is repeatable.
+underscores, blanks) and with arbitrary text; a config text is written to
+a file and loaded by `load_config`, as the CLI loads it. Example counts are
+fixed and the search is derandomized, so a run is repeatable.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetasphere.config import RunConfig, parse_config
+from zetasphere.config import RunConfig, load_config
 from zetasphere.errors import ConfigError
 from zetasphere.metrics import MAX_INTERP_U, ConformalMetric, parse_metric_spec
 
@@ -100,7 +103,10 @@ def ini_texts(draw):
 @example("[family]\nparameters = 1, 2, nan")
 def test_ini_parses_or_raises_config_error(text):
     try:
-        config = parse_config(text)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "run.ini"
+            path.write_text(text, encoding="utf-8")
+            config = load_config(path)
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
