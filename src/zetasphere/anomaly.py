@@ -20,7 +20,7 @@ member to the limit factor, log h_Q(limit) = log h_Q(member) +
 I(member, limit).
 
 One metric's log h_Q is ``ZetaResult.log_quillen`` of its
-``pipeline.compute_zeta`` result, which records the volume of its spectrum.
+``heatzeta.zeta_result``, which records the volume of its spectrum.
 The checks take those computed results, so a caller runs the pipeline once
 per metric and hands each result to every check that reads it.
 
@@ -121,7 +121,7 @@ def two_route_check(
 ) -> TwoRouteReport:
     """Compare the two routes to log h_Q(p) - log h_Q(q) on one pair.
 
-    ``zp`` and ``zq`` are the ``compute_zeta`` results of ``metric_p`` and
+    ``zp`` and ``zq`` are the ``zeta_result`` records of ``metric_p`` and
     ``metric_q``; the tolerance is ``TWO_ROUTE_BUDGET_FACTOR`` times the sum
     of their budgets. The anomaly integral has its own fixed rule.
     """
@@ -146,7 +146,7 @@ def two_route_pairs(
     members: Sequence[tuple[ConformalMetric, ZetaResult]],
 ) -> tuple[TwoRouteReport, ...]:
     """`two_route_check` on each consecutive pair of a family's members,
-    given in family order with their ``compute_zeta`` results."""
+    given in family order with their ``zeta_result`` records."""
     return tuple(two_route_check(*p, *q) for p, q in zip(members, members[1:]))
 
 
@@ -177,8 +177,8 @@ def quillen_limit(
 ) -> QuillenLimit:
     """Cauchy table of log h_Q along a family and log h_Q of its limit.
 
-    ``members`` lists each member's parameter, metric and ``compute_zeta``
-    result in family order, as the sweep computed them, ``pair_dist`` the
+    ``members`` lists each member's parameter, metric and ``zeta_result``
+    record in family order, as the sweep computed them, ``pair_dist`` the
     sweep's sup log-density distance of each consecutive pair, and
     ``limit`` the family's limit factor. Each successive difference is
     checked against the anomaly bound K * sup|log(h_p/h_q)| plus the two

@@ -141,17 +141,21 @@ def _theta_grid(config: RunConfig):
     return np.linspace(config.t_lo, config.t_hi, config.t_count)
 
 
-def _zeta_payload(data, zres) -> dict:
+def _zeta_payload(data, zres, s_values) -> dict:
+    """zeta.json of one metric's spectrum: its zeta(s) points at
+    ``s_values`` and its zeta record ``zres``."""
+    from .discretize import colatitude_nodes
+    from .eigensolve import SOLVER_VERSION
+    from .heatzeta import zeta_direct
+
+    points = [zeta_direct(data.eigenvalues, s, data.volume) for s in s_values]
     return {
         "metric": data.metric_id,
         "L": data.L,
-        "n_theta": data.n_theta,
-        "solver_version": data.solver_version,
+        "n_theta": colatitude_nodes(data.L),
+        "solver_version": SOLVER_VERSION,
         "volume": data.volume,
-        "s_points": [
-            {"s": p.s, "value": p.value, "tail_bound": p.tail_bound}
-            for p in zres.s_points
-        ],
+        "s_points": [{"s": p.s, "value": p.value, "tail_bound": p.tail_bound} for p in points],
         "kernel_dim": 1,
         "zeta0": zres.zeta0,
         "zeta_prime0": zres.zeta_prime0,
@@ -207,11 +211,11 @@ def _cmd_theta(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_zeta(config: RunConfig, out: Path) -> int:
-    from .pipeline import compute_zeta
+    from .heatzeta import zeta_result
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(data, metric, config.s_values)
-    path = write_json(out / "zeta.json", _zeta_payload(data, zres))
+    zres = zeta_result(data, metric)
+    path = write_json(out / "zeta.json", _zeta_payload(data, zres, config.s_values))
     print(
         f"zeta: {data.metric_id} L={data.L} zeta_prime0={zres.zeta_prime0:.12g} "
         f"budget={zres.error_budget:.3g} -> {path}"
@@ -220,11 +224,11 @@ def _cmd_zeta(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_torsion(config: RunConfig, out: Path) -> int:
-    from .pipeline import compute_zeta
+    from .heatzeta import zeta_result
 
     metric, data = _metric_data(config)
-    zres = compute_zeta(data, metric, config.s_values)
-    zeta_path = write_json(out / "zeta.json", _zeta_payload(data, zres))
+    zres = zeta_result(data, metric)
+    zeta_path = write_json(out / "zeta.json", _zeta_payload(data, zres, config.s_values))
     quillen_path = write_json(out / "quillen.json", _quillen_payload(zres))
     print(
         f"torsion: {data.metric_id} L={data.L} "
@@ -236,11 +240,12 @@ def _cmd_torsion(config: RunConfig, out: Path) -> int:
 
 def _cmd_anomaly(config: RunConfig, out: Path) -> int:
     from .anomaly import two_route_pairs
-    from .pipeline import compute_zeta, family_spectral_data
+    from .heatzeta import zeta_result
+    from .pipeline import family_spectral_data
 
     family = _make_family(config)
     data = family_spectral_data(family.members, config.L, _make_cache(config))
-    reports = two_route_pairs([(m, compute_zeta(d, m)) for m, d in zip(family.members, data)])
+    reports = two_route_pairs([(m, zeta_result(d, m)) for m, d in zip(family.members, data)])
     passed = all(r.passed for r in reports)
     payload = {
         "family": family.id,

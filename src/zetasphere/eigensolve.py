@@ -14,13 +14,14 @@ degree L and the metric ids, scales the stack and takes the Schur step
 elementwise, and makes one stacked LAPACK call per m. numpy's linalg
 gufuncs run the same routine once per matrix, so every member's values and
 vectors are bitwise those of its own solve, and a failed check names the
-member and m. It serves two paths. `family_eigvals` takes the values alone
-(``eigvalsh``) from stacks handed in one at a time, so the scalar commands
-build, solve and drop each stack in turn. `family_eigs` keeps the mass
-blocks in each member's `Spectrum` and takes the vectors too (``eigh``,
-eigenvectors W): D_m^-1/2 W (vol mu)^-1/2, M_m-orthonormal, which the
-operator and harness checks read. One metric is a family of one: its
-stack per m is the (1, n, n) stack of its own M_m.
+member and m. It serves two paths, and each returns one `Spectrum` per
+member, the one record of a solved pencil. `family_eigvals` takes the
+values alone (``eigvalsh``) from stacks handed in one at a time, so the
+scalar commands build, solve and drop each stack in turn; its records have
+empty block fields. `family_eigs` keeps the mass blocks in each record and
+takes the vectors too (``eigh``, eigenvectors W): D_m^-1/2 W (vol mu)^-1/2,
+M_m-orthonormal, which the operator and harness checks read. One metric is
+a family of one: its stack per m is the (1, n, n) stack of its own M_m.
 
 The Galerkin spaces are nested: the pencil at L' < L is the leading
 (L' + 1 - m) sub-block of each block, and the scaling and the Schur step
@@ -77,28 +78,27 @@ def nested_degree(L: int) -> int:
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalues of one pencil, with its mass blocks M_m and M_m-orthonormal
-    eigenvectors per block, m = 0..L.
+    """The one record of a solved pencil: its eigenvalues, volume and nested
+    eigenvalues, with its mass blocks M_m and M_m-orthonormal eigenvectors
+    per block, m = 0..L, where the solve kept them.
 
     ``eigenvalues`` holds every block copy merged in ascending order;
     ``eigenvalues[0]`` is exactly 0.0, the constant's, and every other
-    eigenvalue is positive. ``nested`` holds, merged the same way, the
-    eigenvalues of the nested pencil at degree `nested_degree`. The
+    eigenvalue is positive. ``volume`` is the mass of the constant,
+    ``M_0[0, 0]``. ``nested`` holds, merged the same way, the eigenvalues
+    of the nested pencil at degree `nested_degree`. `family_eigs` fills the
+    block fields; `family_eigvals` and a cache hit leave them empty. The
     stiffness side is ``stiffness(L, m)`` for every metric.
     """
 
-    eigenvalues: np.ndarray
-    block_values: Blocks
-    block_vectors: Blocks
-    mass_blocks: Blocks
     metric_id: str
     L: int
+    eigenvalues: np.ndarray
+    volume: float
     nested: np.ndarray
-
-    @property
-    def volume(self) -> float:
-        """Metric volume: the mass of the constant, ``M_0[0, 0]``."""
-        return float(self.mass_blocks[0][0, 0])
+    block_values: Blocks = ()
+    block_vectors: Blocks = ()
+    mass_blocks: Blocks = ()
 
     @property
     def lambda1(self) -> float:
@@ -287,25 +287,30 @@ def family_eigs(
         the member and m.
     """
     stacks = tuple(mass_stacks)
-    values, vectors, nested, _ = _solve_stacks(stacks, L, metric_ids, True)
+    values, vectors, nested, vol = _solve_stacks(stacks, L, metric_ids, True)
     return tuple(
-        Spectrum(_merged(v), tuple(v), tuple(w), tuple(M[k] for M in stacks), mid, L, nv)
-        for k, (v, w, mid, nv) in enumerate(zip(values, vectors, metric_ids, nested))
+        Spectrum(
+            mid, L, _merged(v), float(x), nv, tuple(v), tuple(w), tuple(M[k] for M in stacks)
+        )
+        for k, (v, w, mid, x, nv) in enumerate(zip(values, vectors, metric_ids, vol, nested))
     )
 
 
 def family_eigvals(
     mass_stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str]
-) -> tuple[tuple[np.ndarray, float, np.ndarray], ...]:
-    """Eigenvalues, volume and nested eigenvalues of each member of a
-    family, values only.
+) -> tuple[Spectrum, ...]:
+    """The spectra of a family's pencils, values only: each member's
+    `Spectrum` with its block fields empty.
 
     The stacks are solved one m at a time in the order given (``eigvalsh``,
     no eigenvectors), so stacks that ``discretize.masses`` builds on demand
     are each dropped once solved. Same checks and errors as `family_eigs`.
     """
     values, _, nested, vol = _solve_stacks(mass_stacks, L, metric_ids, False)
-    return tuple((_merged(v), float(x), nv) for v, x, nv in zip(values, vol, nested))
+    return tuple(
+        Spectrum(mid, L, _merged(v), float(x), nv)
+        for v, mid, x, nv in zip(values, metric_ids, vol, nested)
+    )
 
 
 def apply_function(spectrum: Spectrum, f) -> Blocks:

@@ -75,6 +75,7 @@ from .heatzeta import (
     duhamel_residual,
     heat_operator,
     theta_values,
+    zeta_result,
 )
 from .metrics import (
     ConformalMetric,
@@ -84,7 +85,7 @@ from .metrics import (
     interpolate,
     sup_log_distance,
 )
-from .pipeline import compute_zeta, family_spectra
+from .pipeline import family_spectra
 from .quadrature import gauss_legendre
 
 __all__ = ["THEOREM_TAGS", "convergence_summary"]
@@ -131,7 +132,7 @@ class SweepRow(NamedTuple):
     check and converge.csv read: ``vol``, ``lambda1``, ``theta_t<t>`` per
     tabulated time, ``zeta_prime0``, ``log_quillen``. The volume is b_-1 of
     the heat trace exactly, and the theta columns test the discrete trace.
-    ``zeta`` is the member's ``compute_zeta`` result, with its volume and
+    ``zeta`` is the member's ``heatzeta.zeta_result``, with its volume and
     log h_Q, as the checks of ``anomaly`` take it. ``spectrum`` is the
     member's solved pencil, which the operator checks read.
     """
@@ -141,10 +142,6 @@ class SweepRow(NamedTuple):
     sup_log_dist_to_limit: float
     zeta: ZetaResult
     spectrum: Spectrum
-
-    @property
-    def lambda1(self) -> float:
-        return self.spectrum.lambda1
 
 
 class SweepReport(NamedTuple):
@@ -171,7 +168,7 @@ def _pipeline_row(
     spectrum: Spectrum,
 ) -> SweepRow:
     """Run the scalar pipeline on one metric's solved pencil, tabulate its row."""
-    zres = compute_zeta(spectrum, metric)
+    zres = zeta_result(spectrum, metric)
     th = theta_values(spectrum.eigenvalues, np.array(list(theta_columns.values())))
     return SweepRow(
         param=param,
@@ -372,7 +369,7 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
         for m, M_ref in enumerate(report.rows[0].spectrum.mass_blocks)
     ], axis=0)
     rows = [
-        Lambda1FloorRow(row.param, row.lambda1, float(c_member))
+        Lambda1FloorRow(row.param, row.spectrum.lambda1, float(c_member))
         for row, c_member in zip(rows_in, tops)
     ]
 
@@ -591,7 +588,7 @@ def convergence_summary(
     two_route = two_route_pairs([(m, z) for _, m, z in members])
 
     tags = {
-        "laplaceTX": bool(rep.rows) and all(r.lambda1 > 0.0 for r in rep.rows),
+        "laplaceTX": bool(rep.rows) and all(r.spectrum.lambda1 > 0.0 for r in rep.rows),
         "bornelapbelt": borne.passed,
         "deltacompact": resolvents.columns["resolvent"].passed,
         "variationEu": resolvents.columns["heat"].passed and duhamel.ratio < DUHAMEL_RATIO_TOL,

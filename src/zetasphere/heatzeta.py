@@ -1,6 +1,8 @@
 """Heat traces, spectral zeta values, and the zeta derivative at zero.
 
-Every function here takes the eigenvalue array itself. The discrete heat
+The heat-trace and zeta sums take an eigenvalue array, `zeta_result` takes
+a solved `Spectrum` and its metric, and the heat operators and the Duhamel
+check take `Spectrum` records with their blocks. The discrete heat
 trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues has
 the small-time expansion b_-1/t + b_0 + b_1 t + b_2 t^2 + ..., whose
 coefficients are local invariants of the metric (McKean and Singer,
@@ -49,7 +51,6 @@ from .quadrature import JET_RULE_NODES, build_quadrature, gauss_legendre
 
 __all__ = [
     "exp_e1",
-    "theta",
     "theta_values",
     "heat_invariants",
     "zeta_direct",
@@ -58,11 +59,9 @@ __all__ = [
     "heat_operator",
     "DuhamelReport",
     "duhamel_residual",
-    "DEFAULT_S_VALUES",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-DEFAULT_S_VALUES = (1.5, 2.0, 3.0)
 
 # b_0 of the kernel-excluded heat trace on the sphere: chi/6 - 1.
 B0 = -2.0 / 3.0
@@ -165,14 +164,6 @@ def e1_sums(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _spectral_sums(lam, t, lambda x: exp_e1(x) * count)
 
 
-def theta(eigenvalues: np.ndarray, t: float) -> float:
-    """Heat trace at one positive time; the kernel never contributes."""
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"heat trace time must be positive, got {t}")
-    return float(theta_values(eigenvalues, np.array([t]))[0])
-
-
 def heat_invariants(metric: ConformalMetric, n_theta: int = JET_RULE_NODES) -> tuple[float, float]:
     """(b_1 s, b_2 s^2): the heat invariants of ``metric`` in tau = t / s,
     s = ``metric.scale_hint``, each 0.0 where the metric's order does not
@@ -228,7 +219,7 @@ def zeta_direct(eigenvalues, s: float, b_minus1: float | None = None) -> ZetaPoi
 
 
 class ZetaResult(NamedTuple):
-    """Everything the zeta pipeline reports for one metric, with the volume
+    """The zeta record of one metric: zeta(0) and zeta'(0), with the volume
     M_0[0, 0] of its spectrum and so log h_Q = log vol + zeta'(0).
     ``zeta0`` is b_0; ``method`` records the rung ``tau_lo``, the metric's
     ``scale`` and ``order``, the pinned ``b`` in tau = t / scale, and the
@@ -236,7 +227,6 @@ class ZetaResult(NamedTuple):
 
     metric_id: str
     volume: float
-    s_points: tuple[ZetaPoint, ...]
     zeta0: float
     zeta_prime0: float
     error_budget: float
@@ -247,33 +237,26 @@ class ZetaResult(NamedTuple):
         return math.log(self.volume) + self.zeta_prime0
 
 
-def zeta_result(
-    eigenvalues: np.ndarray,
-    nested: np.ndarray,
-    volume: float,
-    metric: ConformalMetric,
-    s_values: tuple[float, ...] = DEFAULT_S_VALUES,
-) -> ZetaResult:
-    """The direct zeta points, zeta(0) and zeta'(0) of one spectrum of
-    ``volume``, with ``nested`` the spectrum of its nested pencil.
+def zeta_result(spectrum: Spectrum, metric: ConformalMetric) -> ZetaResult:
+    """zeta(0) and zeta'(0) of one metric's solved spectrum, from its
+    eigenvalues, volume and nested eigenvalues.
 
     zeta'(0) and its budget are the closed form and the rung rule of the
     module docstring, with the invariants of ``metric``.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    points = tuple(zeta_direct(lam, x, volume) for x in s_values)
+    lam = np.asarray(spectrum.eigenvalues, dtype=float)
     scale = metric.scale_hint
     lam_s = lam[lam > 0.0] * scale
     b1, b2 = heat_invariants(metric)
     half = heat_invariants(metric, JET_RULE_NODES // 2)
     tau = np.append(LADDER, 2.0 * LADDER[-1])
-    vol_s = volume / scale
+    vol_s = spectrum.volume / scale
 
     spectral = e1_sums(lam_s, tau)
     head = b1 * tau + b2 * tau**2 / 2.0
     z = spectral - vol_s / tau + B0 * (EULER_GAMMA + np.log(tau)) + head
     law = np.abs(z[:-1] - z[1:]) / (2.0 ** _LAW_EXPONENT[metric.order] - 1.0)
-    nest = np.abs(spectral[:-1] - e1_sums(np.asarray(nested) * scale, LADDER))
+    nest = np.abs(spectral[:-1] - e1_sums(np.asarray(spectrum.nested) * scale, LADDER))
     x = lam_s[-1] * LADDER
     tail = vol_s * (np.exp(-x) - x * exp_e1(x)) / LADDER
     quad = np.abs((b1 - half[0]) * LADDER + (b2 - half[1]) * LADDER**2 / 2.0)
@@ -303,8 +286,7 @@ def zeta_result(
     }
     return ZetaResult(
         metric_id=metric.id,
-        volume=float(volume),
-        s_points=points,
+        volume=float(spectrum.volume),
         zeta0=B0,
         zeta_prime0=float(spectral[j] + regularization + head[j]),
         error_budget=float(budget[j]),

@@ -67,7 +67,7 @@ def _check_operators() -> None:
     import numpy as np
 
     from .eigensolve import singular_values
-    from .heatzeta import heat_operator, theta
+    from .heatzeta import heat_operator, theta_values
     from .metrics import fs_metric
     from .pipeline import family_spectra
 
@@ -82,16 +82,16 @@ def _check_operators() -> None:
     norm = singular_values(P0 @ E[0], M[0]).sum() + sum(
         2.0 * singular_values(E_m, M_m).sum() for E_m, M_m in zip(E[1:], M[1:])
     )
-    bridge = abs(norm - theta(spectrum.eigenvalues, t))
+    bridge = abs(norm - theta_values(spectrum.eigenvalues, np.array([t]))[0])
     assert bridge < 1e-10, f"heat-trace bridge defect {bridge:.3e}"
 
 
 def _check_heatzeta() -> None:
     import numpy as np
 
-    from .heatzeta import exp_e1, heat_invariants, zeta_direct
+    from .heatzeta import exp_e1, heat_invariants, zeta_direct, zeta_result
     from .metrics import fs_metric
-    from .pipeline import compute_zeta, family_spectral_data
+    from .pipeline import family_spectral_data
 
     for x, want in _E1_REFERENCE.items():
         rel = abs(exp_e1(x) - want) / want
@@ -105,7 +105,7 @@ def _check_heatzeta() -> None:
     assert abs(point.value - 1.0625) < 1e-15, "zeta(2) of {1, 4}"
 
     (data,) = family_spectral_data((fs_metric(),), 16)
-    zres = compute_zeta(data, fs_metric())
+    zres = zeta_result(data, fs_metric())
     err = abs(zres.zeta_prime0 - _FS_ZETA_PRIME0)
     assert err <= zres.error_budget, (
         f"round-metric zeta'(0) off by {err:.3e}, budget {zres.error_budget:.3e}"
@@ -115,12 +115,13 @@ def _check_heatzeta() -> None:
 def _check_determinism() -> None:
     import json
 
+    from .heatzeta import zeta_result
     from .metrics import pnorm_metric
-    from .pipeline import compute_zeta, family_spectral_data
+    from .pipeline import family_spectral_data
 
     def payload() -> str:
         (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
-        zres = compute_zeta(data, pnorm_metric(3.0))
+        zres = zeta_result(data, pnorm_metric(3.0))
         return json.dumps(
             {
                 "eigenvalues": ["%.17g" % v for v in data.eigenvalues],

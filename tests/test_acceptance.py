@@ -22,9 +22,9 @@ from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.eigensolve import block_operator_norms, resolvent, singular_values
 from zetasphere.harness import duhamel_at, lambda1_floor, sweep
-from zetasphere.heatzeta import heat_operator, theta, theta_values, zeta_direct
+from zetasphere.heatzeta import heat_operator, theta_values, zeta_direct, zeta_result
 from zetasphere.metrics import fs_metric, max_metric, pnorm_family, pnorm_metric, scaled_metric
-from zetasphere.pipeline import compute_zeta, family_spectra, family_spectral_data
+from zetasphere.pipeline import family_spectra, family_spectral_data
 
 SWEEP_P = (2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -36,14 +36,14 @@ def report(tag: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def zeta32(cache):
-    """compute_zeta at L = 32 for the sweep metrics, the limit, and fs."""
+    """zeta_result at L = 32 for the sweep metrics, the limit, and fs."""
     out = {}
     for key, metric in [(p, pnorm_metric(p)) for p in SWEEP_P] + [
         ("max", max_metric()),
         ("fs", fs_metric()),
     ]:
         (data,) = family_spectral_data((metric,), 32, cache=cache)
-        zres = compute_zeta(data, metric)
+        zres = zeta_result(data, metric)
         out[key] = (data, zres)
     return out
 
@@ -95,12 +95,12 @@ def test_ac02_round_metric_multiplets(tmp_path):
 
 def test_ac03_scaling_laws(cache):
     (base_data,) = family_spectral_data((pnorm_metric(3.0),), 24, cache=cache)
-    base_z = compute_zeta(base_data, pnorm_metric(3.0))
+    base_z = zeta_result(base_data, pnorm_metric(3.0))
     worst_eig, worst_bm1, worst_gap = 0.0, 0.0, 0.0
     for t0 in (0.5, 2.0, 10.0):
         scaled = scaled_metric(t0, pnorm_metric(3.0))
         (data,) = family_spectral_data((scaled,), 24, cache=cache)
-        zres = compute_zeta(data, scaled)
+        zres = zeta_result(data, scaled)
         expected = base_data.eigenvalues[1:] / t0
         eig_rel = float(np.max(np.abs(data.eigenvalues[1:] - expected) / expected))
         assert eig_rel <= 1e-10, f"t0={t0}: eigenvalue scaling off by {eig_rel:.2e}"
@@ -150,11 +150,11 @@ def test_ac05_two_route_quillen(cache):
     gaps = []
     fs = fs_metric()
     (d_fs,) = family_spectral_data((fs,), 32, cache=cache)
-    z_fs = compute_zeta(d_fs, fs)
+    z_fs = zeta_result(d_fs, fs)
     for p in (2.0, 4.0, 8.0):
         metric = pnorm_metric(p)
         (d_p,) = family_spectral_data((metric,), 32, cache=cache)
-        r = two_route_check(fs, z_fs, metric, compute_zeta(d_p, metric))
+        r = two_route_check(fs, z_fs, metric, zeta_result(d_p, metric))
         assert r.gap <= 1e-3
         assert r.gap <= r.tolerance, f"(fs, pnorm:{p:g}): gap {r.gap:.3e} > {r.tolerance:.3e}"
         assert r.passed
@@ -283,7 +283,7 @@ def test_ac09_operator_suite():
         norm = singular_values(P0 @ E[0], M[0]).sum() + sum(
             2.0 * singular_values(E_m, M_m).sum() for E_m, M_m in zip(E[1:], M[1:])
         )
-        return abs(norm - theta(spectrum.eigenvalues, t))
+        return abs(norm - theta_values(spectrum.eigenvalues, np.array([t]))[0])
 
     worst = max(bridge(t) for t in (0.3, 1.0, 2.5))
     assert worst <= 1e-10

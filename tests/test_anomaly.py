@@ -23,6 +23,7 @@ from zetasphere.anomaly import (
 )
 from zetasphere.errors import DomainError
 from zetasphere.harness import sweep
+from zetasphere.heatzeta import zeta_result
 from zetasphere.metrics import (
     ConformalMetric,
     MetricFamily,
@@ -35,7 +36,7 @@ from zetasphere.metrics import (
     scaled_metric,
     sup_log_distance,
 )
-from zetasphere.pipeline import compute_zeta, family_spectral_data
+from zetasphere.pipeline import family_spectral_data
 
 
 PAIRS = [(1.0, 2.0), (2.0, 3.0), (3.0, 8.0)]
@@ -172,9 +173,9 @@ def test_spectral_route_scaling_slope(cache):
 
 
 def _torsion(metric, L, cache):
-    """The metric's spectrum data and its compute_zeta result."""
+    """The metric's spectrum and its zeta record."""
     (data,) = family_spectral_data((metric,), L, cache=cache)
-    return data, compute_zeta(data, metric)
+    return data, zeta_result(data, metric)
 
 
 def _limit(family, L, cache):
@@ -231,7 +232,7 @@ def test_two_routes_agree_with_plus_zeta_prime_only(cache):
     misses it."""
     metrics = (fs_metric(), pnorm_metric(2.0))
     (dp, zp), (dq, zq) = (
-        (d, compute_zeta(d, m))
+        (d, zeta_result(d, m))
         for m, d in zip(metrics, family_spectral_data(metrics, 16, cache=cache))
     )
     report = two_route_check(metrics[0], zp, metrics[1], zq)

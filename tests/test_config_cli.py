@@ -17,12 +17,7 @@ from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import RunConfig, load_config, validated
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
-from zetasphere.heatzeta import (
-    DEFAULT_S_VALUES,
-    ZetaPoint,
-    ZetaResult,
-    theta_values,
-)
+from zetasphere.heatzeta import ZetaPoint, ZetaResult, theta_values
 from zetasphere.metrics import fs_metric, pnorm_metric
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
@@ -65,10 +60,10 @@ def test_defaults_validate():
 
 
 def test_fit_defaults_match_heatzeta():
-    """config stays numpy-free, so it repeats the fit defaults as literals;
-    they must equal the heat-trace module's own."""
+    """The zeta(s) points default to s = 1.5, 2, 3; the config is the one
+    place that default is defined."""
     config = RunConfig()
-    assert config.s_values == DEFAULT_S_VALUES
+    assert config.s_values == (1.5, 2.0, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -221,17 +216,17 @@ def test_jsonable_maps_records_to_dicts():
     names, and a tuple of records as a list of such dicts."""
     result = ZetaResult(
         metric_id="fs", volume=4.0 * math.pi,
-        s_points=(ZetaPoint(2.0, 1.5, 0.25), ZetaPoint(3.0, 1.125, float("nan"))),
         zeta0=-1.0 / 3.0, zeta_prime0=0.5, error_budget=1e-6,
         method={"window": "default"},
     )
     payload = _jsonable(result)
     assert sorted(payload) == sorted(ZetaResult._fields)
-    assert payload["s_points"] == [
+    assert payload["method"] == {"window": "default"}
+    points = (ZetaPoint(2.0, 1.5, 0.25), ZetaPoint(3.0, 1.125, float("nan")))
+    assert _jsonable({"s_points": points}) == {"s_points": [
         {"s": 2.0, "value": 1.5, "tail_bound": 0.25},
         {"s": 3.0, "value": 1.125, "tail_bound": None},
-    ]
-    assert payload["method"] == {"window": "default"}
+    ]}
     config = _jsonable(cfg(L=24))
     assert config["L"] == 24 and config["s_values"] == [1.5, 2.0, 3.0]
 

@@ -272,7 +272,7 @@ def test_family_solve_is_bitwise_per_member(specs, L):
     ids = [m.id for m in metrics]
     together = family_eigs(masses(basis, metrics), L, ids)
     values_only = family_eigvals(masses(basis, metrics), L, ids)
-    for metric, spec, (lam, vol, nested) in zip(metrics, together, values_only):
+    for metric, spec, vals in zip(metrics, together, values_only):
         alone = _solve(basis, metric)
         assert spec.metric_id == metric.id and spec.L == L
         assert np.array_equal(spec.eigenvalues, alone.eigenvalues), metric.id
@@ -282,11 +282,11 @@ def test_family_solve_is_bitwise_per_member(specs, L):
             a, b = getattr(spec, name), getattr(alone, name)
             assert len(a) == len(b) == L + 1
             assert all(np.array_equal(x, y) for x, y in zip(a, b)), (metric.id, name)
-        ((lam_alone, vol_alone, nested_alone),) = family_eigvals(
-            masses(basis, (metric,)), L, (metric.id,)
-        )
-        assert np.array_equal(lam, lam_alone) and vol == vol_alone, metric.id
-        assert np.array_equal(nested, nested_alone), metric.id
+        (vals_alone,) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
+        assert vals.metric_id == metric.id and vals.L == L
+        assert np.array_equal(vals.eigenvalues, vals_alone.eigenvalues), metric.id
+        assert vals.volume == vals_alone.volume, metric.id
+        assert np.array_equal(vals.nested, vals_alone.nested), metric.id
 
 
 def test_family_errors_name_the_member():
@@ -396,8 +396,9 @@ def test_values_only_matches_vectors_path(spec, L):
     metric = parse_metric_spec(spec)
     basis = build_basis(L)
     spectrum = _solve(basis, metric)
-    ((lam, vol, _),) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
-    assert vol == spectrum.volume
+    (values,) = family_eigvals(masses(basis, (metric,)), L, (metric.id,))
+    lam = values.eigenvalues
+    assert values.volume == spectrum.volume
     assert lam.shape == spectrum.eigenvalues.shape == ((L + 1) ** 2,)
     assert lam[0] == 0.0 and np.all(np.diff(lam) >= 0.0)
     rel = np.abs(lam[1:] - spectrum.eigenvalues[1:]) / spectrum.eigenvalues[1:]
@@ -412,11 +413,10 @@ def test_nested_eigenvalues_are_the_coarse_pencil(spec, L):
     direct solve at L' to 1e-11 relative, and each lies above its
     counterpart of the full spectrum (min-max), to 1e-11."""
     metric = parse_metric_spec(spec)
-    ((lam, _, nested),) = family_eigvals(masses(build_basis(L), (metric,)), L, (metric.id,))
+    (fine,) = family_eigvals(masses(build_basis(L), (metric,)), L, (metric.id,))
     coarse = nested_degree(L)
-    ((direct, _, _),) = family_eigvals(
-        masses(build_basis(coarse), (metric,)), coarse, (metric.id,)
-    )
+    (solo,) = family_eigvals(masses(build_basis(coarse), (metric,)), coarse, (metric.id,))
+    lam, nested, direct = fine.eigenvalues, fine.nested, solo.eigenvalues
     assert nested.shape == direct.shape == ((coarse + 1) ** 2,)
     assert nested[0] == direct[0] == 0.0
     rel = np.abs(nested[1:] - direct[1:]) / direct[1:]

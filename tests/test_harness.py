@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zetasphere import discretize, eigensolve, harness, metrics, pipeline
+from zetasphere import discretize, harness, heatzeta, metrics, pipeline
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.discretize import (
@@ -101,8 +101,8 @@ def test_sweep_rows():
         assert row.sup_log_dist_to_limit == pytest.approx(
             float(oracles.sup_log_pnorm_to_max(p)), abs=1e-12
         )
-        assert row.lambda1 > 0.0
-        assert row.columns["lambda1"] == row.lambda1
+        assert row.spectrum.lambda1 > 0.0
+        assert row.columns["lambda1"] == row.spectrum.lambda1
         assert row.columns["vol"] == row.zeta.volume
         assert row.columns["zeta_prime0"] == row.zeta.zeta_prime0
         assert row.columns["log_quillen"] == row.zeta.log_quillen
@@ -244,7 +244,7 @@ def test_lambda1_floor():
     assert fl.floor == pytest.approx(fl.rows[0].lambda1 / fl.c, rel=1e-15)
     assert fl.kappa == min(r.lambda1 for r in fl.rows)
     assert fl.margin > 0.0
-    assert [r.lambda1 for r in fl.rows] == [r.lambda1 for r in (*rep.rows, rep.limit_row)]
+    assert [r.lambda1 for r in fl.rows] == [r.spectrum.lambda1 for r in (*rep.rows, rep.limit_row)]
     single = pnorm_family([2.0])
     with pytest.raises(DomainError):
         lambda1_floor(sweep(single, L=16))
@@ -446,34 +446,20 @@ def test_compare2methods_sees_a_seeded_error(make, monkeypatch):
     limit = oracles.max_zeta_prime0() + math.log(2.0)
     assert abs(summary.quillen.limit - limit) <= 1e-6
 
-    real = harness.compute_zeta
+    real = harness.zeta_result
 
-    def seeded(spectrum, metric, *args):
-        zres = real(spectrum, metric, *args)
+    def seeded(spectrum, metric):
+        zres = real(spectrum, metric)
         return zres._replace(zeta_prime0=zres.zeta_prime0 + 5e-5 * zres.volume)
 
-    monkeypatch.setattr(harness, "compute_zeta", seeded)
+    monkeypatch.setattr(harness, "zeta_result", seeded)
     assert not convergence_summary(family, L=24).tags["compare2methods"]
 
 
-def counting_solve(solved: list):
-    """The block routine of every solve path, appending (metric id, L) to
-    ``solved`` for each member of each family it solves."""
-    real = eigensolve._solve_stacks
-
-    def solve(stacks, L, metric_ids, vectors):
-        solved.extend((metric_id, L) for metric_id in metric_ids)
-        return real(stacks, L, metric_ids, vectors)
-
-    return solve
-
-
-def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, capsys):
+def test_converge_refuses_small_family_before_solving(tmp_path, solved, capsys):
     """converge needs three members for the operator limits and, at the
     default u = 2.5, four for the variation checks; it says so before any
     pencil is solved."""
-    solved: list[tuple[str, int]] = []
-    monkeypatch.setattr(eigensolve, "_solve_stacks", counting_solve(solved))
     config_path = tmp_path / "fam.ini"
     for params, present in (("1, 2", 2), ("1, 2, 3", 3)):
         config_path.write_text(f"[run]\nL = 16\n\n[family]\nparameters = {params}\n")
@@ -487,7 +473,7 @@ def test_converge_refuses_small_family_before_solving(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out").exists()
 
 
-def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
+def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, capsys):
     """Every command solves each distinct metric and evaluates its zeta
     record once: the checks
     read the results the sweep (or the per-member pass of anomaly) computed.
@@ -505,16 +491,16 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
         for data in (*family_spectral_data((m,), 16, cache=cache), *family_spectra((m,), 16))
     }
     evaluated: list[str] = []
-    solved: list[tuple[str, int]] = []
+    solved.clear()  # the solves that named the spectra above are not the commands'
     loads: list[str] = []
     in_checks: list[str] = []
     inside = [False]
-    real_zeta = pipeline.zeta_result
+    real_zeta = heatzeta.zeta_result
     real_load = SpectrumCache.load
 
-    def counting_zeta(eigenvalues, *args, **kwargs):
-        evaluated.append(metric_of[eigenvalues.tobytes()])
-        return real_zeta(eigenvalues, *args, **kwargs)
+    def counting_zeta(spectrum, metric):
+        evaluated.append(metric_of[spectrum.eigenvalues.tobytes()])
+        return real_zeta(spectrum, metric)
 
     def counting_load(self, key):
         loads.append(key)
@@ -536,8 +522,8 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "zeta_result", counting_zeta)
-    monkeypatch.setattr(eigensolve, "_solve_stacks", counting_solve(solved))
+    for module in (heatzeta, harness):
+        monkeypatch.setattr(module, "zeta_result", counting_zeta)
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
     for check in ("lambda1_floor", "resolvent_convergence"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))

@@ -23,8 +23,8 @@ import pytest
 
 import oracles
 from zetasphere import heatzeta
-from zetasphere.discretize import build_basis, masses
-from zetasphere.eigensolve import family_eigvals, nested_degree
+from zetasphere.discretize import build_basis, colatitude_nodes, masses
+from zetasphere.eigensolve import SOLVER_VERSION, Spectrum, family_eigvals, nested_degree
 from zetasphere.errors import DomainError
 from zetasphere.heatzeta import (
     B0,
@@ -34,7 +34,6 @@ from zetasphere.heatzeta import (
     exp_e1,
     heat_invariants,
     heat_operator,
-    theta,
     theta_values,
     zeta_direct,
     zeta_result,
@@ -51,7 +50,6 @@ from zetasphere.metrics import (
 )
 from zetasphere.pipeline import (
     _valid_hit,
-    compute_zeta,
     family_spectra,
     family_spectral_data,
 )
@@ -64,6 +62,15 @@ EULER_GAMMA = float(np.euler_gamma)
 SYNTH = np.array([0.0, 0.8, 2.0, 3.7, 6.1])
 SYNTH_NESTED = SYNTH[:3]
 SYNTH_VOLUME = 2.0
+
+
+def _synthetic(lam, nested, volume=SYNTH_VOLUME) -> Spectrum:
+    """The record of a synthetic spectrum; `zeta_result` reads its
+    eigenvalues, volume and nested eigenvalues alone."""
+    return Spectrum("synth", 0, lam, volume, nested)
+
+
+SYNTH_SPECTRUM = _synthetic(SYNTH, SYNTH_NESTED)
 
 
 # ---------------------------------------------------------------- exp_e1
@@ -139,13 +146,6 @@ def test_theta_values_memory_is_bounded():
         assert np.array_equal(theta_values(lam, some), want), n
 
 
-def test_theta_validates_time():
-    lam = np.array([0.0, 1.0])
-    for t in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            theta(lam, t)
-
-
 def test_theta_grid_shape_properties():
     (spec,) = family_spectra((pnorm_metric(3.0),), 10)
     t = np.linspace(0.05, 3.0, 60)
@@ -165,7 +165,7 @@ def test_theta_polynomial_domination():
     (spec,) = family_spectra((pnorm_metric(3.0),), 10)
     z2 = zeta_direct(spec.eigenvalues, 2.0).value
     for t in (0.2, 0.8, 2.0):
-        assert theta(spec.eigenvalues, t) <= 2.0 * z2 / t**2 * (1.0 + 1e-12)
+        assert theta_values(spec.eigenvalues, np.array([t]))[0] <= 2.0 * z2 / t**2 * (1.0 + 1e-12)
 
 
 def test_theta_resolvent_domination():
@@ -178,23 +178,22 @@ def test_theta_resolvent_domination():
         c_t = 4.0 * math.exp(t - 2.0) / t**2 if t <= 2.0 else 1.0
         sup = np.max(np.exp(-t * a) * (1.0 + a) ** 2)
         assert c_t == pytest.approx(sup, rel=1e-6)
-        assert theta(spec.eigenvalues, t) <= c_t * trace_r2 * (1.0 + 1e-12)
+        assert theta_values(spec.eigenvalues, np.array([t]))[0] <= c_t * trace_r2 * (1.0 + 1e-12)
 
 
 def test_heat_trace_samples_bookkeeping():
     """The heat-trace samples the theta command uses agree pointwise with
-    theta, and the E1 sums of the estimator with a sum of exp_e1 calls."""
+    one time at a time, and the E1 sums of the estimator with a sum of
+    exp_e1 calls."""
     (spec,) = family_spectra((pnorm_metric(3.0),), 8)
     assert spec.metric_id == "pnorm:3"
     lam = spec.eigenvalues
     t = np.geomspace(0.05, 1.0, 10)
     values = theta_values(lam, t)
-    want = np.array([theta(lam, ti) for ti in t])
+    want = np.array([theta_values(lam, np.array([ti]))[0] for ti in t])
     assert np.allclose(values, want, rtol=1e-15)
     sums = e1_sums(lam, t)
     assert np.allclose(sums, [exp_e1(lam[1:] * ti).sum() for ti in t], rtol=1e-15)
-    with pytest.raises(DomainError):
-        theta(lam, 0.0)
 
 
 # ---------------------------------------------------------------- invariants
@@ -285,7 +284,7 @@ def test_zeta_prime_zero_four_term_closed_form():
     closed form sum E1(lambda t) - b_-1/t + b_0 (gamma + log t) + b_1 t at
     the chosen rung t, evaluated by mpmath."""
     metric = pnorm_metric(1.5)
-    zres = zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, metric)
+    zres = zeta_result(SYNTH_SPECTRUM, metric)
     b1, b2 = heat_invariants(metric)
     assert b2 == 0.0 and zres.method["b"]["b1"] == b1
     want = oracles.closed_form_zeta_prime(
@@ -298,7 +297,7 @@ def test_zeta_prime_zero_closed_form():
     """With the round metric's invariants, zeta'(0) is the closed form
     sum E1(lambda t) - b_-1/t + b_0 (gamma + log t) + b_1 t + b_2 t^2 / 2
     at the chosen rung t, evaluated by mpmath."""
-    zres = zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, fs_metric())
+    zres = zeta_result(SYNTH_SPECTRUM, fs_metric())
     t = zres.method["tau_lo"]
     want = oracles.closed_form_zeta_prime(
         SYNTH, SYNTH_VOLUME, -2.0 / 3.0, 1.0 / 30.0, 1.0 / 315.0, t
@@ -309,7 +308,7 @@ def test_zeta_prime_zero_closed_form():
 def test_zeta_prime_zero_finite_spectrum_identity():
     """Against mpmath through the exact correction to -sum(log lambda)."""
     lam = 0.5 + 0.25 * np.arange(40.0)
-    zres = zeta_result(lam, lam[:30], SYNTH_VOLUME, fs_metric())
+    zres = zeta_result(_synthetic(lam, lam[:30]), fs_metric())
     want = -oracles.finite_spectrum_log_det(lam) + oracles.finite_spectrum_correction(
         lam, SYNTH_VOLUME, -2.0 / 3.0, 1.0 / 30.0, 1.0 / 315.0, zres.method["tau_lo"]
     )
@@ -322,11 +321,11 @@ def test_zeta_prime_zero_e1_parts_against_mpmath(scale):
     matches mpmath's E1 to 1e-13 relative: on the synthetic spectrum, and
     on pnorm:3 at L = 16, whose t passes 1 when scaled by 100."""
     if scale is None:
-        lam, zres = SYNTH, zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, fs_metric())
+        lam, zres = SYNTH, zeta_result(SYNTH_SPECTRUM, fs_metric())
     else:
         metric = scaled_metric(scale, pnorm_metric(3.0))
         (data,) = family_spectral_data((metric,), 16)
-        lam, zres = data.eigenvalues, compute_zeta(data, metric)
+        lam, zres = data.eigenvalues, zeta_result(data, metric)
     t = zres.method["scale"] * zres.method["tau_lo"]
     if scale is not None:
         assert (t > 1.0) == (scale > 1.0)
@@ -345,7 +344,7 @@ def test_zeta_result_evaluates_no_heat_trace(monkeypatch):
         return theta_values(eigenvalues, t)
 
     monkeypatch.setattr(heatzeta, "theta_values", counting)
-    compute_zeta(data, pnorm_metric(3.0))
+    zeta_result(data, pnorm_metric(3.0))
     assert asked == []
 
 
@@ -363,7 +362,7 @@ def test_zeta_result_evaluates_e1_once(monkeypatch):
         return exp_e1(x)
 
     monkeypatch.setattr(heatzeta, "exp_e1", counting)
-    compute_zeta(data, pnorm_metric(3.0))
+    zeta_result(data, pnorm_metric(3.0))
     n, n_nested = (np.unique(lam[lam > 0.0]).size for lam in (data.eigenvalues, data.nested))
     assert n < 0.52 * data.eigenvalues.size
     assert sum(calls) == 9 * n + 8 * n_nested + 8
@@ -378,10 +377,10 @@ def test_zeta_result_memory_is_bounded(L):
     and 5.2 MB)."""
     ell = np.arange(L + 1)
     lam = np.repeat(ell * (ell + 1) / 2.0, 2 * ell + 1)
-    nested = lam[: (nested_degree(L) + 1) ** 2]
+    spectrum = _synthetic(lam, lam[: (nested_degree(L) + 1) ** 2])
     tracemalloc.start()
     try:
-        zeta_result(lam, nested, 2.0, fs_metric())
+        zeta_result(spectrum, fs_metric())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,7 +397,7 @@ def test_zeta_prime_zero_parts_by_order(spec, keys):
     """zeta'(0) is the sum of its three parts at t = s tau_lo; the method
     records the pinned coefficients, as many as the order pins, in tau."""
     metric = parse_metric_spec(spec)
-    zres = zeta_result(SYNTH, SYNTH_NESTED, SYNTH_VOLUME, metric)
+    zres = zeta_result(SYNTH_SPECTRUM, metric)
     method = zres.method
     assert set(method) == {"tau_lo", "scale", "order", "b", "zeta_prime0_parts", "budget_parts"}
     assert set(method["b"]) == keys and method["order"] == metric.order
@@ -419,7 +418,7 @@ def test_zeta_prime_zero_variants_and_parts():
     the head is the pinned b_1 and b_2 at tau_lo, and the record's zeta(0)
     is b_0."""
     (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
-    zres = compute_zeta(data, pnorm_metric(3.0))
+    zres = zeta_result(data, pnorm_metric(3.0))
     parts, b, tau = zres.method["zeta_prime0_parts"], zres.method["b"], zres.method["tau_lo"]
     assert set(parts) == {"spectral", "regularization", "head"}
     assert parts["head"] == pytest.approx(b["b1"] * tau + b["b2"] * tau**2 / 2, rel=1e-12)
@@ -462,7 +461,7 @@ def test_zeta_prime_zero_budget_assembly():
     so they agree to the roundoff of those sums, 1e-14 of the rung's."""
     metrics = [parse_metric_spec(s) for s in ("pnorm:3", "pnorm:1.5", "max", "scaled:1e-06:fs")]
     for metric, data in zip(metrics, family_spectral_data(metrics, 24)):
-        zres = compute_zeta(data, metric)
+        zres = zeta_result(data, metric)
         rungs = _ladder(data.eigenvalues, data.nested, data.volume, metric)
         budgets = [3.0 * e + d + w + q if d + w <= e else math.inf for e, d, w, q in rungs]
         j = int(np.argmin(budgets))
@@ -481,7 +480,7 @@ def test_no_qualifying_rung_takes_the_top():
     """A nested spectrum far from the full one makes every rung fail
     nested + tail <= law, and zeta'(0) is then read at the top rung."""
     (data,) = family_spectral_data((pnorm_metric(3.0),), 16)
-    zres = zeta_result(data.eigenvalues, 2.0 * data.nested, data.volume, pnorm_metric(3.0))
+    zres = zeta_result(data._replace(nested=2.0 * data.nested), pnorm_metric(3.0))
     assert zres.method["tau_lo"] == LADDER[-1]
     parts = zres.method["budget_parts"]
     assert parts["nested"] > parts["law"] / 3.0
@@ -490,31 +489,27 @@ def test_no_qualifying_rung_takes_the_top():
 def test_zeta_result_bundle():
     metric = pnorm_metric(3.0)
     (data,) = family_spectral_data((metric,), 16)
-    result = zeta_result(data.eigenvalues, data.nested, data.volume, metric)
+    result = zeta_result(data, metric)
     assert result.metric_id == "pnorm:3"
     assert result.volume == data.volume
     assert result.zeta0 == B0 == -2.0 / 3.0
-    assert [p.s for p in result.s_points] == [1.5, 2.0, 3.0]
-    for p in result.s_points:
-        assert p.value == pytest.approx(
-            zeta_direct(data.eigenvalues, p.s).value, rel=1e-15
-        )
+    assert result.error_budget > 0.0
+    for s in (1.5, 2.0, 3.0):
+        p = zeta_direct(data.eigenvalues, s, data.volume)
+        assert p.s == s and p.value == zeta_direct(data.eigenvalues, s).value
         # the continuum tail past lambda_max, with b_-1 = vol
         assert p.tail_bound == pytest.approx(
-            data.volume * data.eigenvalues[-1] ** (1.0 - p.s) / (p.s - 1.0), rel=1e-15
+            data.volume * data.eigenvalues[-1] ** (1.0 - s) / (s - 1.0), rel=1e-15
         )
-    assert result.error_budget > 0.0
-    # the pipeline is exactly this bundle
-    assert compute_zeta(data, metric) == result
 
 
 # ------------------------------------------------- pipeline and scaling
 
 
 def _zeta(metric, L, cache=None):
-    """(SpectralData, ZetaResult) of one metric at degree L."""
+    """(Spectrum, ZetaResult) of one metric at degree L."""
     (data,) = family_spectral_data((metric,), L, cache=cache)
-    return data, compute_zeta(data, metric)
+    return data, zeta_result(data, metric)
 
 
 def test_pipeline_scaling_covariance():
@@ -538,7 +533,7 @@ def test_zeta_prime_rescaling_law_across_scales(base):
     factors = (1e-300, 1e-10, 1e-6, 1e-3, 2.0, 1e3, 1e6, 1e40)
     metrics = (base, *(scaled_metric(c, base) for c in factors))
     z = [
-        compute_zeta(d, m)
+        zeta_result(d, m)
         for m, d in zip(metrics, family_spectral_data(metrics, 32))
     ]
     for c, zc in zip(factors, z[1:]):
@@ -554,7 +549,7 @@ def test_budget_is_scale_covariant():
     alone (1e-14); measured at most 3.8e-8."""
     factors = (1e-300, 1e-6, 1e6, 1e40)
     metrics = (fs_metric(), *(scaled_metric(c, fs_metric()) for c in factors))
-    z = [compute_zeta(d, m) for m, d in zip(metrics, family_spectral_data(metrics, 32))]
+    z = [zeta_result(d, m) for m, d in zip(metrics, family_spectral_data(metrics, 32))]
     for c, zc in zip(factors, z[1:]):
         assert zc.method["tau_lo"] == z[0].method["tau_lo"], c
         assert zc.error_budget == pytest.approx(z[0].error_budget, rel=1e-7), c
@@ -571,8 +566,8 @@ def test_compositions_keep_their_parts_time_scale():
     (data_m, data_g) = (family_spectral_data((x,), 32)[0] for x in (m, g))
     assert np.array_equal(data_g.eigenvalues, data_m.eigenvalues)
     assert (
-        compute_zeta(data_g, g).zeta_prime0
-        == compute_zeta(data_m, m).zeta_prime0
+        zeta_result(data_g, g).zeta_prime0
+        == zeta_result(data_m, m).zeta_prime0
     )
     params = (1.0, 2.0, 3.0)
     fam = MetricFamily(
@@ -597,21 +592,50 @@ def test_geomean_time_scale_neither_underflows_nor_overflows(a, b, want):
     assert g.scale_hint == want
     if (a, b) == (1e-200, 1e-200):
         data = family_spectral_data((ma, g), 32)
-        assert compute_zeta(data[1], g).zeta_prime0 == compute_zeta(data[0], ma).zeta_prime0
+        assert zeta_result(data[1], g).zeta_prime0 == zeta_result(data[0], ma).zeta_prime0
 
 
 @pytest.mark.parametrize("L", [16, 24, 32])
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
 def test_both_solve_paths_give_one_zeta(spec, L):
     """The harness's solve (eigenvectors kept, eigh) and the scalar commands'
-    (values only, eigvalsh) feed one compute_zeta: the same volume bitwise,
+    (values only, eigvalsh) feed one zeta_result: the same volume bitwise,
     and zeta'(0) and log h_Q within 1e-11."""
     m = parse_metric_spec(spec)
-    with_vectors = compute_zeta(family_spectra((m,), L)[0], m)
-    values_only = compute_zeta(family_spectral_data((m,), L)[0], m)
+    with_vectors = zeta_result(family_spectra((m,), L)[0], m)
+    values_only = zeta_result(family_spectral_data((m,), L)[0], m)
     assert with_vectors.volume == values_only.volume
     assert abs(with_vectors.zeta_prime0 - values_only.zeta_prime0) <= 1e-11
     assert abs(with_vectors.log_quillen - values_only.log_quillen) <= 1e-11
+
+
+@pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max"])
+def test_every_solve_path_returns_one_record(tmp_path, spec):
+    """The vectors solve, the values solve (a cache miss) and the cache hit
+    of one metric at L = 16 are each a `Spectrum`. The hit is the values
+    solve bit for bit, with empty block fields, and so is its zeta record.
+    The vectors solve keeps its blocks and has the same volume and nested
+    eigenvalues bitwise; its eigenvalues differ only by how LAPACK rounds
+    with and without vectors (measured at most 1.7e-12, max), and its
+    zeta'(0) by at most 1e-11."""
+    from zetasphere.cache import SpectrumCache
+
+    m, L = parse_metric_spec(spec), 16
+    cache = SpectrumCache(tmp_path)
+    (vectors,) = family_spectra((m,), L)
+    (values,) = family_spectral_data((m,), L, cache)
+    (hit,) = family_spectral_data((m,), L, cache)
+    for record in (vectors, values, hit):
+        assert isinstance(record, Spectrum) and (record.metric_id, record.L) == (m.id, L)
+        assert record.volume == vectors.volume
+        assert np.array_equal(record.nested, vectors.nested)
+    assert np.array_equal(hit.eigenvalues, values.eigenvalues)
+    assert np.allclose(vectors.eigenvalues, values.eigenvalues, rtol=1e-13, atol=0.0)
+    for name in ("block_values", "block_vectors", "mass_blocks"):
+        assert getattr(hit, name) == getattr(values, name) == ()
+        assert len(getattr(vectors, name)) == L + 1
+    assert zeta_result(hit, m) == zeta_result(values, m)
+    assert abs(zeta_result(vectors, m).zeta_prime0 - zeta_result(hit, m).zeta_prime0) <= 1e-11
 
 
 def test_round_metric_continuum_zeta_prime(cache):
@@ -688,7 +712,7 @@ def _errors(L, cache) -> dict[str, tuple[float, float]]:
     data = family_spectral_data(_COVERAGE_METRICS, L, cache=cache)
     out = {}
     for metric, d in zip(_COVERAGE_METRICS, data):
-        zres = compute_zeta(d, metric)
+        zres = zeta_result(d, metric)
         out[metric.id] = (abs(zres.zeta_prime0 - exact[metric.id]), zres.error_budget)
     return out
 
@@ -743,18 +767,18 @@ def _entry_key(data) -> str:
     """The cache key ``family_spectral_data`` stores ``data`` under."""
     from zetasphere.cache import spectrum_cache_key
 
-    return spectrum_cache_key(data.metric_id, data.L, data.n_theta, data.solver_version)
+    return spectrum_cache_key(data.metric_id, data.L, colatitude_nodes(data.L), SOLVER_VERSION)
 
 
-def test_spectral_data_cache_roundtrip(tmp_path):
+def test_spectral_data_cache_roundtrip(tmp_path, solved):
     from zetasphere.cache import SpectrumCache
 
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (first,) = family_spectral_data((metric,), 8, cache=cache)
-    assert first.from_cache is False
+    assert solved == [(metric.id, 8)]
     (second,) = family_spectral_data((metric,), 8, cache=cache)
-    assert second.from_cache is True
+    assert solved == [(metric.id, 8)]
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.nested, second.nested)
     assert first.nested.size == (nested_degree(8) + 1) ** 2
@@ -764,21 +788,20 @@ def test_spectral_data_cache_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("L", [1, 16, 48])
 def test_cache_key_names_the_basis_rule(tmp_path, L):
-    """The spectrum data and the key stored in its cache entry name the
-    colatitude rule of the basis that solved it, 2L + 2 nodes per panel."""
+    """The key stored in a cache entry names the colatitude rule of the
+    basis that solved it, 2L + 2 nodes per panel."""
     from zetasphere.cache import SpectrumCache
 
     want = 2 * L + 2
-    assert build_basis(L).quad.n_theta == want
-    (data,) = family_spectral_data((fs_metric(),), L, SpectrumCache(tmp_path))
+    assert build_basis(L).quad.n_theta == colatitude_nodes(L) == want
+    family_spectral_data((fs_metric(),), L, SpectrumCache(tmp_path))
     (entry,) = tmp_path.glob("*.npz")
     with np.load(entry) as payload:
         key = str(payload["key"])
-    assert data.n_theta == want
     assert f"|n_theta={want}|" in key
 
 
-def test_truncated_cache_entry_is_a_miss(tmp_path):
+def test_truncated_cache_entry_is_a_miss(tmp_path, solved):
     """An unreadable .npz is recomputed and overwritten, not a traceback."""
     from zetasphere.cache import SpectrumCache
 
@@ -791,10 +814,11 @@ def test_truncated_cache_entry_is_a_miss(tmp_path):
     entry.write_bytes(good[: len(good) // 2])
     assert cache.load(_entry_key(first)) is None
     (again,) = family_spectral_data((metric,), 8, cache=cache)
-    assert again.from_cache is False
+    assert solved == [(metric.id, 8)] * 2
     assert np.array_equal(again.eigenvalues, first.eigenvalues)
     assert entry.read_bytes() == good
-    assert family_spectral_data((metric,), 8, cache=cache)[0].from_cache is True
+    family_spectral_data((metric,), 8, cache=cache)
+    assert solved == [(metric.id, 8)] * 2
 
 
 def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
@@ -813,11 +837,11 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
     variants += [good[:k] + bytes([good[k] ^ 0xFF]) + good[k + 1:] for k in range(len(good))]
     for k, variant in enumerate(variants):
         entry.write_bytes(variant)
-        hit = _valid_hit(cache.load(_entry_key(fresh)), 2)
+        hit = _valid_hit(cache.load(_entry_key(fresh)), metric.id, 2)
         if hit is not None:
-            assert hit[0].tobytes() == fresh.eigenvalues.tobytes(), k
-            assert hit[1] == fresh.volume, k
-            assert hit[2].tobytes() == fresh.nested.tobytes(), k
+            assert hit.eigenvalues.tobytes() == fresh.eigenvalues.tobytes(), k
+            assert hit.volume == fresh.volume, k
+            assert hit.nested.tobytes() == fresh.nested.tobytes(), k
 
 
 @pytest.mark.parametrize(
@@ -825,7 +849,7 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
     ["short", "unsorted", "nonzero_kernel", "degenerate_kernel", "all_zero", "nonfinite", "volume",
      "nested_short", "nested_unsorted", "nested_missing"],
 )
-def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
+def test_wrong_cache_entry_is_a_miss(tmp_path, defect, solved):
     """Entries that do not describe an L = 4 spectrum and its nested one at
     L' = 3 are misses and get overwritten."""
     from zetasphere.cache import SpectrumCache
@@ -859,31 +883,30 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect):
         arrays["nested"] = nested
     cache.store(_entry_key(fresh), eigenvalues=lam, volume=np.float64(vol), **arrays)
     (again,) = family_spectral_data((metric,), 4, cache=cache)
-    assert again.from_cache is False
+    assert solved == [(metric.id, 4)] * 2
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert again.volume == fresh.volume
-    assert family_spectral_data((metric,), 4, cache=cache)[0].from_cache is True
+    family_spectral_data((metric,), 4, cache=cache)
+    assert solved == [(metric.id, 4)] * 2
 
 
-def test_previous_solver_entry_is_not_served(tmp_path):
+def test_previous_solver_entry_is_not_served(tmp_path, solved):
     """An entry stored under the blocks-6 solver key is never a hit.
 
     It holds a valid-looking spectrum and nested spectrum (twice the true
     ones), so only the solver version in the key keeps it out.
     """
     from zetasphere.cache import SpectrumCache, spectrum_cache_key
-    from zetasphere.eigensolve import SOLVER_VERSION
 
     assert SOLVER_VERSION == "blocks-7"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (fresh,) = family_spectral_data((metric,), 4)
-    old_key = spectrum_cache_key(metric.id, 4, fresh.n_theta, "blocks-6")
+    old_key = spectrum_cache_key(metric.id, 4, colatitude_nodes(4), "blocks-6")
     cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume),
                 nested=2.0 * fresh.nested)
     (again,) = family_spectral_data((metric,), 4, cache=cache)
-    assert again.from_cache is False
-    assert again.solver_version == SOLVER_VERSION
+    assert solved == [(metric.id, 4)] * 2
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert len(list(tmp_path.glob("*.npz"))) == 2
 
@@ -908,7 +931,7 @@ def test_colliding_cache_names_read_as_misses(tmp_path):
     assert len(list(tmp_path.glob("*.npz"))) == 1
 
 
-def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path):
+def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path, solved):
     """A valid spectrum of another metric at this metric's file name, as a
     name collision leaves it, is never served: the stored key differs, so
     family_spectral_data solves again and its store replaces the entry."""
@@ -922,17 +945,18 @@ def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path):
     cache.path_for(_entry_key(other)).rename(entry)
     assert cache.load(_entry_key(fresh)) is None
     (again,) = family_spectral_data((metric,), 4, cache=cache)
-    assert again.from_cache is False
+    assert solved == [(other.metric_id, 4), (metric.id, 4), (metric.id, 4)]
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert list(tmp_path.glob("*.npz")) == [entry]
-    assert family_spectral_data((metric,), 4, cache=cache)[0].from_cache is True
+    family_spectral_data((metric,), 4, cache=cache)
+    assert solved == [(other.metric_id, 4), (metric.id, 4), (metric.id, 4)]
 
 
 @pytest.mark.parametrize(
     "specs",
     [("scaled:1.2345671:fs", "scaled:1.2345672:fs"), ("pnorm:3", "pnorm:3.0000001")],
 )
-def test_close_specs_get_distinct_spectra(tmp_path, specs):
+def test_close_specs_get_distinct_spectra(tmp_path, specs, solved):
     """Specs 1e-7 apart solve to distinct spectra with distinct disk entries.
 
     The spectra are the values-only block solve that ``family_spectral_data`` runs
@@ -942,13 +966,14 @@ def test_close_specs_get_distinct_spectra(tmp_path, specs):
 
     a, b = (parse_metric_spec(spec) for spec in specs)
     assert a.id != b.id
-    ((lam_a, _, _),) = family_eigvals(masses(build_basis(6), (a,)), 6, (a.id,))
-    ((lam_b, _, _),) = family_eigvals(masses(build_basis(6), (b,)), 6, (b.id,))
+    lam_a, lam_b = (
+        family_eigvals(masses(build_basis(6), (g,)), 6, (g.id,))[0].eigenvalues for g in (a, b)
+    )
     assert not np.array_equal(lam_a, lam_b)
     cache = SpectrumCache(tmp_path)
     (first,) = family_spectral_data((a,), 6, cache=cache)
     (second,) = family_spectral_data((b,), 6, cache=cache)
-    assert not second.from_cache
+    assert solved == [(a.id, 6), (b.id, 6)] * 2
     assert np.array_equal(first.eigenvalues, lam_a)
     assert np.array_equal(second.eigenvalues, lam_b)
     assert len(list(tmp_path.glob("*.npz"))) == 2

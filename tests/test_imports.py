@@ -16,7 +16,10 @@ libcrypto behind ``hashlib`` is 3.5 MB of resident memory, and
 ``numpy.polynomial``, ``numpy.random`` and ``configparser`` add import time
 and memory that no command needs. The package's records are NamedTuples:
 ``dataclasses`` generates six methods per frozen record at import, which
-cost every command 13 to 31 ms for 25 records.
+cost every command 13 to 31 ms for 25 records. The layers import downward
+only: the solve and its cache (`eigensolve`, `pipeline`) know nothing of
+the zeta record or the anomaly checks built on them, anywhere in a module,
+so a solved `Spectrum` is the one thing handed up.
 """
 
 import ast
@@ -65,6 +68,47 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# Package modules each module may not import, at module level or in a function.
+_LAYERS = {
+    "pipeline": {"heatzeta", "anomaly"},
+    "eigensolve": {"pipeline", "cache"},
+    "heatzeta": {"pipeline"},
+}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports anywhere in its source, by a
+    relative or an absolute import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("zetasphere.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "zetasphere":
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+            found |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+    return found
+
+
+def test_scan_finds_package_imports():
+    tree = ast.parse(
+        "import os\nfrom .a import x\ndef f():\n    from zetasphere.b import y\n"
+        "    import zetasphere.c\n    from . import d\n    from zetasphere import e\n"
+    )
+    assert package_imports(tree) == {"a", "b", "c", "d", "e"}
+
+
+def test_layers_import_downward():
+    package = ROOT / "src" / "zetasphere"
+    upward = {
+        module: sorted(banned & package_imports(ast.parse((package / f"{module}.py").read_text())))
+        for module, banned in _LAYERS.items()
+    }
+    assert upward == {module: [] for module in _LAYERS}
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
