@@ -60,6 +60,17 @@ def _kinks(*metrics: ConformalMetric) -> list[tuple[float, float]]:
     return kinks
 
 
+def _on_rule(
+    metric_p: ConformalMetric, metric_q: ConformalMetric
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The area weights w (1 + r^2)^2 of the anomaly rule on its colatitude
+    nodes, and (f, c1) of each metric there, from one jet call each."""
+    quad = build_quadrature(JET_RULE_NODES)
+    r = quad.radii_theta
+    (f_p, _, c1_p, *_), (f_q, _, c1_q, *_) = metric_p.jet(r), metric_q.jet(r)
+    return quad.weights_theta * (1.0 + r**2) ** 2, (f_p, c1_p), (f_q, c1_q)
+
+
 def bott_chern_integral(metric_p: ConformalMetric, metric_q: ConformalMetric) -> float:
     """Anomaly integral -(1/12) * int log(h_p/h_q) * (mu_p + mu_q).
 
@@ -70,16 +81,12 @@ def bott_chern_integral(metric_p: ConformalMetric, metric_q: ConformalMetric) ->
     Radial factors only (all built-in factors are radial), so the integral
     collapses to the colatitude nodes.
     """
-    quad = build_quadrature(JET_RULE_NODES)
-    r = quad.radii_theta
-    dlog = metric_p.log_density(r) - metric_q.log_density(r)
-    c1_sum = metric_p.c1_density(r) + metric_q.c1_density(r)
-    jac = (1.0 + r**2) ** 2
+    area, (f_p, c1_p), (f_q, c1_q) = _on_rule(metric_p, metric_q)
     lines = sum(
         mass * float(metric_p.log_density(rk) - metric_q.log_density(rk))
         for rk, mass in _kinks(metric_p, metric_q)
     )
-    return float(-(np.sum(quad.weights_theta * jac * dlog * c1_sum) + lines) / 12.0)
+    return float(-(np.sum(area * (f_p - f_q) * (c1_p + c1_q)) + lines) / 12.0)
 
 
 def bott_chern_bound(
@@ -91,12 +98,9 @@ def bott_chern_bound(
     kinks' |line mass|. ``distance`` is sup|log(h_p/h_q)|,
     ``metrics.sup_log_distance`` of the pair.
     """
-    quad = build_quadrature(JET_RULE_NODES)
-    r = quad.radii_theta
-    c1_abs = np.abs(metric_p.c1_density(r)) + np.abs(metric_q.c1_density(r))
-    jac = (1.0 + r**2) ** 2
+    area, (_, c1_p), (_, c1_q) = _on_rule(metric_p, metric_q)
     lines = sum(abs(mass) for _, mass in _kinks(metric_p, metric_q))
-    k = float((np.sum(quad.weights_theta * jac * c1_abs) + lines) / 12.0)
+    k = float((np.sum(area * (np.abs(c1_p) + np.abs(c1_q))) + lines) / 12.0)
     return k * distance
 
 

@@ -127,10 +127,9 @@ def _metric_data(config: RunConfig):
 
 
 def _make_family(config: RunConfig):
-    from .metrics import geomean_family, pnorm_family
+    from .metrics import FAMILIES
 
-    make = {"pnorm": pnorm_family, "geomean-pnorm": geomean_family}[config.family]
-    return make(config.family_parameters)
+    return FAMILIES[config.family](config.family_parameters)
 
 
 def _theta_grid(config: RunConfig):

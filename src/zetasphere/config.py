@@ -41,6 +41,7 @@ __all__ = ["RunConfig", "load_config"]
 
 _MAX_L = 512
 _MAX_THREADS = 1024
+# The names of ``metrics.FAMILIES``, kept here so that config loads no numpy.
 _FAMILY_NAMES = ("pnorm", "geomean-pnorm")
 
 

@@ -131,10 +131,11 @@ def weighted_grams(basis: SpectralBasis, rows: np.ndarray) -> Iterator[np.ndarra
 
 
 def _node_ratio(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:
-    """Density ratio ``lambda(z) (1+|z|^2)^2`` on the colatitude nodes."""
+    """Density ratio ``lambda(z) (1+|z|^2)^2`` on the colatitude nodes, inf on overflow."""
     r = basis.quad.radii_theta
     log_ratio = metric.log_density(r) + 2.0 * np.log1p(r * r)
-    return np.exp(log_ratio)
+    with np.errstate(over="ignore"):
+        return np.exp(log_ratio)
 
 
 def mass_weights(basis: SpectralBasis, metric: ConformalMetric) -> np.ndarray:

@@ -30,9 +30,10 @@ sub-blocks at L' = `nested_degree`, a coarser spectrum for free.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
-degeneracy exact. Eigenvectors and functions of the operator
-(`apply_function`) stay per block, since a radial operator never couples
-two azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
+degeneracy exact. Eigenvectors and functions of the operator (the
+`resolvent` and the `heat_operator`, each `apply_function` behind a domain
+check) stay per block, since a radial operator never couples two
+azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
 eigenvalues of the harness's general symmetric-definite Gram pencils, a stack
 of them against one B in one call.
 
@@ -42,8 +43,8 @@ singular values of A as the ordinary ones of R A R^-1. A block-diagonal
 operator has the largest of its block norms as its norm, and
 `block_operator_norms` takes those of a stack of operators at once, one
 stacked SVD per block m, each norm bitwise that of its operator alone. This
-is how the harness and the Duhamel check measure resolvents and heat
-operators converging in operator norm.
+is how the harness measures resolvents and heat operators converging in
+operator norm, and the residual of the Duhamel identity.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ __all__ = [
     "family_eigvals",
     "nested_degree",
     "resolvent",
-    "apply_function",
+    "heat_operator",
 ]
 
 SOLVER_VERSION = "blocks-7"
@@ -331,3 +332,10 @@ def resolvent(spectrum: Spectrum, shift: float = 1.0) -> Blocks:
     if shift <= 0.0:
         raise DomainError(f"resolvent shift must be positive, got {shift}")
     return apply_function(spectrum, lambda lam: 1.0 / (shift + lam))
+
+
+def heat_operator(spectrum: Spectrum, t: float) -> Blocks:
+    """Blocks of exp(-t * operator) acting on basis coefficients, one per m."""
+    if t < 0.0:
+        raise DomainError(f"heat time must be nonnegative, got {t}")
+    return apply_function(spectrum, lambda lam: np.exp(-t * lam))

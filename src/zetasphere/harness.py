@@ -25,11 +25,12 @@ and uses no disk cache.
 - ``resolvent_convergence``: resolvents and heat operators form Cauchy
   sequences in operator norm, bounded by the integrated density variation;
   each operator function is one Cauchy column, frozen as the sweep's are.
-- ``bornelapbelt_check``: the parameter derivative of the operator is
-  dominated by the sup of the density variation, exactly: the spectral
-  radius of the Gram pencil (dM, M) is at most that sup.
-- ``duhamel_at``: the integrated variation identity for the heat operator,
-  on three interpolated pencils solved together.
+- ``variation_checks``: the operator's u-variation on one solved path,
+  the interpolated pencils at u - h, u, u + h and the mass derivative at u
+  from one Legendre sweep. Its parameter derivative is dominated by the sup
+  of the density variation, exactly: the spectral radius of the Gram pencil
+  (dM, M) is at most that sup (tag bornelapbelt). The heat operator obeys
+  the integrated variation identity (the Duhamel half of variationEu).
 
 Every built-in metric is radial, so each operator above is block diagonal
 in the harmonic basis with one block per azimuthal index m (the cos and sin
@@ -61,22 +62,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .anomaly import QuillenLimit, TwoRouteReport, quillen_limit, two_route_pairs
-from .discretize import (
-    build_basis,
-    mass_weights,
-    variation_weights,
-    weighted_grams,
-)
-from .eigensolve import Spectrum, block_operator_norms, pencil_eigvalsh, resolvent
-from .errors import DomainError
-from .heatzeta import (
-    DuhamelReport,
-    ZetaResult,
-    duhamel_residual,
+from .discretize import build_basis, mass_weights, stiffness, variation_weights, weighted_grams
+from .eigensolve import (
+    Spectrum,
+    block_operator_norms,
+    family_eigs,
     heat_operator,
-    theta_values,
-    zeta_result,
+    pencil_eigvalsh,
+    resolvent,
 )
+from .errors import DomainError
+from .heatzeta import ZetaResult, theta_values, zeta_result
 from .metrics import (
     ConformalMetric,
     MetricFamily,
@@ -477,59 +473,104 @@ class BorneReport(NamedTuple):
     passed: bool
 
 
-def bornelapbelt_check(family: MetricFamily, u: float = 2.5, L: int = 16) -> BorneReport:
-    """Check the operator's parameter derivative against the density variation.
+class DuhamelReport(NamedTuple):
+    """Defect of the integrated variation identity at one (u, t)."""
 
-    The Dirichlet form does not depend on the family parameter, so the
-    operator varies only through the mass matrix: d(Lap) = -B Lap with
-    B = M^{-1} dM. B is self-adjoint in the mass inner product, so its
-    M-norm is the spectral radius of the Gram pencil (dM, M), and
+    residual: float
+    derivative_norm: float
+    ratio: float
 
-        ||d(Lap) v||_M <= ||B||_M ||Lap v||_M   for every v.
 
-    The pencil is block diagonal, so ``max_ratio`` = ||B||_M is the largest
-    |eigenvalue| of the blocks (dM_m, M_m). A Rayleigh quotient of a block
-    is an average of d(log density)/du over the quadrature nodes with
-    positive weights, hence max_ratio <= ``delta_nodes`` = max over the
-    nodes of |d log density/du| holds exactly in the discretization, up to
-    roundoff.
+def _duhamel_residual(
+    spec_lo: Spectrum, spec_mid: Spectrum, spec_hi: Spectrum, h: float, t: float, n_nodes: int
+) -> DuhamelReport:
+    """Check d/du exp(-t Delta_u) = -int_0^t E(t-s) (d Delta/du) E(s) ds.
+
+    The time integral is an ``n_nodes``-point Gauss-Legendre rule on [0, t].
+    Both derivatives are centered differences with the same step h, so the
+    residual measures the integral identity itself, not the differencing.
+    Everything runs per azimuthal block m; norms are operator norms in the
+    mass inner product of the middle metric, the largest over the blocks.
     """
-    metric = interpolate(family, u)
+    dE = tuple(
+        (hi - lo) / (2.0 * h)
+        for hi, lo in zip(heat_operator(spec_hi, t), heat_operator(spec_lo, t))
+    )
+    d_lap = tuple(
+        (np.linalg.inv(M_hi) - np.linalg.inv(M_lo)) * (stiffness(spec_mid.L, m) / (2.0 * h))
+        for m, (M_hi, M_lo) in enumerate(zip(spec_hi.mass_blocks, spec_lo.mass_blocks))
+    )
+
+    xg, wg = gauss_legendre(n_nodes)
+    s_nodes = 0.5 * t * (xg + 1.0)
+    s_wts = 0.5 * t * wg
+    acc = []
+    for lam, V, M, D in zip(
+        spec_mid.block_values, spec_mid.block_vectors, spec_mid.mass_blocks, d_lap
+    ):
+        # E(t - s) and E(s) of this block at every node, as two stacks
+        VtM = V.T @ M
+        late = (V * np.exp(-(t - s_nodes)[:, None] * lam)[:, None, :]) @ VtM
+        early = (V * np.exp(-s_nodes[:, None] * lam)[:, None, :]) @ VtM
+        a = np.zeros_like(D)
+        for w, term in zip(s_wts, late @ D @ early):  # in node order
+            a += w * term
+        acc.append(a)
+    resid, d_norm = block_operator_norms(
+        [np.stack((d + a, d)) for d, a in zip(dE, acc)], spec_mid.mass_blocks
+    )
+    ratio = resid / d_norm if d_norm > 0.0 else 0.0
+    return DuhamelReport(float(resid), float(d_norm), float(ratio))
+
+
+def variation_checks(
+    family: MetricFamily,
+    u: float = 2.5,
+    L: int = 16,
+    h: float = _DUHAMEL_STEP,
+    t: float = 0.5,
+    n_nodes: int = 32,
+) -> tuple[BorneReport, DuhamelReport]:
+    """Both variation checks at u, on one basis and one Legendre sweep: per
+    m, one stack of the Gram blocks of the mass at u - h, u, u + h and of
+    its u-derivative at u.
+
+    Borne: the Dirichlet form does not depend on u, so the operator varies
+    only through the mass matrix, d(Lap) = -B Lap with B = M^{-1} dM. B is
+    self-adjoint in the mass inner product, so
+
+        ||d(Lap) v||_M <= ||B||_M ||Lap v||_M   for every v,
+
+    and ``max_ratio`` = ||B||_M is the largest |eigenvalue| of the Gram
+    pencils (dM_m, M_m). A Rayleigh quotient of a block is an average of
+    d(log density)/du over the nodes with positive weights, hence
+    max_ratio <= ``delta_nodes`` = max over the nodes of |d log density/du|
+    holds exactly in the discretization, up to roundoff.
+
+    Duhamel: the three mass stacks are solved together, and the centered
+    difference of the heat operator at time ``t`` must match the integral
+    of E(t - s) dLap E(s) (`_duhamel_residual`), to the quadrature and
+    differencing level, far below the derivative's norm.
+    """
+    if t <= 0.0 or h <= 0.0:
+        raise DomainError("need positive t and h")
+    path = [interpolate(family, v) for v in (u - h, u, u + h)]
     basis = build_basis(L)
     dlog = d_log_density_du(family, u, basis.quad.radii_theta)
-    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric, dlog)])
-    max_ratio = max(  # M and dM of each m come from one Legendre block
-        float(np.abs(pencil_eigvalsh(dM, M)).max())
-        for M, dM in weighted_grams(basis, rows)
-    )
+    rows = np.stack([
+        *(mass_weights(basis, g) for g in path), variation_weights(basis, path[1], dlog)
+    ])
+    grams = tuple(weighted_grams(basis, rows))
+    max_ratio = max(float(np.abs(pencil_eigvalsh(G[3], G[1])).max()) for G in grams)
     delta_nodes = float(np.abs(dlog).max())
-    return BorneReport(
+    borne = BorneReport(
         u=float(u),
         delta_nodes=delta_nodes,
         max_ratio=max_ratio,
         passed=bool(max_ratio <= delta_nodes * (1.0 + 1e-9) + 1e-15),
     )
-
-
-def duhamel_at(
-    family: MetricFamily,
-    u: float = 2.5,
-    h: float = _DUHAMEL_STEP,
-    t: float = 0.5,
-    L: int = 16,
-    n_nodes: int = 32,
-) -> DuhamelReport:
-    """Integrated variation identity for the heat operator at one (u, t).
-
-    Solves the three pencils at u - h, u, u + h together and checks that
-    the centered difference of the heat operator matches the integral of
-    E(t - s) dLap E(s); the residual should sit at the quadrature and
-    differencing level, far below the derivative's norm.
-    """
-    spec_lo, spec_mid, spec_hi = family_spectra(
-        tuple(interpolate(family, v) for v in (u - h, u, u + h)), L
-    )
-    return duhamel_residual(spec_lo, spec_mid, spec_hi, h, t=t, n_nodes=n_nodes)
+    spectra = family_eigs([G[:3] for G in grams], L, [g.id for g in path])
+    return borne, _duhamel_residual(*spectra, h, t, n_nodes)
 
 
 class ConvergenceSummary(NamedTuple):
@@ -559,11 +600,11 @@ def convergence_summary(
 
     The sweep, Cauchy rates, gap floor, operator limits, transported
     limit determinant and two-route checks run at degree ``L``; the variation
-    checks run at the lighter ``variation_L``, since they need interpolated
-    pencils of their own. Every family member takes part. A family with
-    fewer than three members (the operator limits) or fewer than the
-    ceil(variation_u + h) + 1 the variation checks interpolate is refused
-    before any pencil is solved.
+    checks run at the lighter ``variation_L``, since they solve three
+    interpolated pencils of their own, in one solve. Every family member
+    takes part. A family with fewer than three members (the operator limits)
+    or fewer than the ceil(variation_u + h) + 1 the variation checks
+    interpolate is refused before any pencil is solved.
 
     Each member's and the limit's pencil is solved once, in the sweep,
     which also runs the scalar pipeline on it; the Cauchy table, the gap
@@ -581,8 +622,7 @@ def convergence_summary(
     cauchy = cauchy_check(rep)
     floor = lambda1_floor(rep)
     resolvents = resolvent_convergence(rep)
-    borne = bornelapbelt_check(family, u=variation_u, L=variation_L)
-    duhamel = duhamel_at(family, u=variation_u, L=variation_L)
+    borne, duhamel = variation_checks(family, u=variation_u, L=variation_L)
     members = [(r.param, m, r.zeta) for r, m in zip(rep.rows, family.members)]
     quillen = quillen_limit(members, rep.pair_dist, family.limit)
     two_route = two_route_pairs([(m, z) for _, m, z in members])

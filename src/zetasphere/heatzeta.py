@@ -1,10 +1,9 @@
 """Heat traces, spectral zeta values, and the zeta derivative at zero.
 
-The heat-trace and zeta sums take an eigenvalue array, `zeta_result` takes
-a solved `Spectrum` and its metric, and the heat operators and the Duhamel
-check take `Spectrum` records with their blocks. The discrete heat
-trace theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues has
-the small-time expansion b_-1/t + b_0 + b_1 t + b_2 t^2 + ..., whose
+The heat-trace and zeta sums take an eigenvalue array, and `zeta_result`
+takes a solved `Spectrum` and its metric. The discrete heat trace
+theta(t) = sum_k exp(-lambda_k t) over the positive eigenvalues has the
+small-time expansion b_-1/t + b_0 + b_1 t + b_2 t^2 + ..., whose
 coefficients are local invariants of the metric (McKean and Singer,
 J. Diff. Geom. 1, 1967; Gilkey, *Invariance Theory, the Heat Equation and
 the Atiyah-Singer Index Theorem*, 1984), so none is fitted: b_-1 is the
@@ -43,11 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import Blocks, stiffness
-from .eigensolve import Spectrum, apply_function, block_operator_norms
+from .eigensolve import Spectrum
 from .errors import DomainError
 from .metrics import ConformalMetric
-from .quadrature import JET_RULE_NODES, build_quadrature, gauss_legendre
+from .quadrature import JET_RULE_NODES, build_quadrature
 
 __all__ = [
     "exp_e1",
@@ -56,9 +54,6 @@ __all__ = [
     "zeta_direct",
     "ZetaResult",
     "zeta_result",
-    "heat_operator",
-    "DuhamelReport",
-    "duhamel_residual",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -292,71 +287,3 @@ def zeta_result(spectrum: Spectrum, metric: ConformalMetric) -> ZetaResult:
         error_budget=float(budget[j]),
         method=method,
     )
-
-
-def heat_operator(spectrum: Spectrum, t: float) -> Blocks:
-    """Blocks of exp(-t * operator) acting on basis coefficients, one per m."""
-    if t < 0.0:
-        raise DomainError(f"heat time must be nonnegative, got {t}")
-    return apply_function(spectrum, lambda lam: np.exp(-t * lam))
-
-
-class DuhamelReport(NamedTuple):
-    """Defect of the integrated variation identity at one (u, t)."""
-
-    residual: float
-    derivative_norm: float
-    ratio: float
-
-
-def duhamel_residual(
-    spec_lo: Spectrum,
-    spec_mid: Spectrum,
-    spec_hi: Spectrum,
-    h: float,
-    t: float,
-    n_nodes: int,
-) -> DuhamelReport:
-    """Check d/du exp(-t Delta_u) = -int_0^t E(t-s) (d Delta/du) E(s) ds.
-
-    The time integral is an ``n_nodes``-point Gauss-Legendre rule on [0, t];
-    ``harness.duhamel_at`` picks h, t and n_nodes. Both derivatives are
-    centered differences with the same step h, so the residual measures the
-    integral identity itself, not the differencing.
-    The operators are radial, so everything runs per azimuthal block m;
-    norms are operator norms in the mass inner product of the middle metric,
-    the largest over the blocks.
-    """
-    if t <= 0.0 or h <= 0.0:
-        raise DomainError("need positive t and h")
-    dE = tuple(
-        (hi - lo) / (2.0 * h)
-        for hi, lo in zip(heat_operator(spec_hi, t), heat_operator(spec_lo, t))
-    )
-    d_lap = tuple(
-        (np.linalg.inv(M_hi) - np.linalg.inv(M_lo)) * (stiffness(spec_mid.L, m) / (2.0 * h))
-        for m, (M_hi, M_lo) in enumerate(
-            zip(spec_hi.mass_blocks, spec_lo.mass_blocks)
-        )
-    )
-
-    xg, wg = gauss_legendre(n_nodes)
-    s_nodes = 0.5 * t * (xg + 1.0)
-    s_wts = 0.5 * t * wg
-    acc = []
-    for lam, V, M, D in zip(
-        spec_mid.block_values, spec_mid.block_vectors, spec_mid.mass_blocks, d_lap
-    ):
-        # E(t - s) and E(s) of this block at every node, as two stacks
-        VtM = V.T @ M
-        late = (V * np.exp(-(t - s_nodes)[:, None] * lam)[:, None, :]) @ VtM
-        early = (V * np.exp(-s_nodes[:, None] * lam)[:, None, :]) @ VtM
-        a = np.zeros_like(D)
-        for w, term in zip(s_wts, late @ D @ early):  # in node order
-            a += w * term
-        acc.append(a)
-    resid, d_norm = block_operator_norms(
-        [np.stack((d + a, d)) for d, a in zip(dE, acc)], spec_mid.mass_blocks
-    )
-    ratio = resid / d_norm if d_norm > 0.0 else 0.0
-    return DuhamelReport(float(resid), float(d_norm), float(ratio))

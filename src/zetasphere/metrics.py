@@ -38,6 +38,7 @@ __all__ = [
     "scaled_metric",
     "pnorm_family",
     "geomean_family",
+    "FAMILIES",
     "interpolate",
     "d_log_density_du",
     "delta_X",
@@ -254,24 +255,25 @@ class MetricFamily(NamedTuple):
     parameters: tuple[float, ...]
 
 
-def pnorm_family(params: Sequence[float] | None = None, count: int = 6) -> MetricFamily:
+def pnorm_family(params: Sequence[float] = range(1, 7)) -> MetricFamily:
     """The canonical smoothing family pnorm(p) with the max metric as limit."""
-    if params is None:
-        params = list(range(1, count + 1))
     params = tuple(float(p) for p in params)
     members = tuple(pnorm_metric(p) for p in params)
     return MetricFamily("pnorm", members, max_metric(), params)
 
 
-def geomean_family(params: Sequence[float] | None = None, count: int = 6) -> MetricFamily:
+def geomean_family(params: Sequence[float] = range(1, 7)) -> MetricFamily:
     """Independent smoothing family sqrt(pnorm(p) * pnorm(p+1)), same limit."""
-    if params is None:
-        params = list(range(1, count + 1))
     params = tuple(float(p) for p in params)
     members = tuple(
         geomean_metric(pnorm_metric(p), pnorm_metric(p + 1.0)) for p in params
     )
     return MetricFamily("geomean-pnorm", members, max_metric(), params)
+
+
+# The smoothing families by name, as ``[family] name`` and ``interp:`` specs
+# give it; ``config`` keeps the same names numpy-free.
+FAMILIES = {"pnorm": pnorm_family, "geomean-pnorm": geomean_family}
 
 
 def _segment(family: MetricFamily, u: float) -> tuple[int, ConformalMetric, ConformalMetric, float]:
@@ -403,9 +405,9 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
     """Build a metric from its canonical spec string.
 
     Grammar: ``fs`` | ``max`` | ``pnorm:<p>`` | ``scaled:<t>:<inner>`` |
-    ``interp:<u>:<family>`` with ``<family>`` one of ``pnorm``,
-    ``geomean-pnorm`` and u <= ``MAX_INTERP_U``. At most
-    ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes stack. Numbers must be finite.
+    ``interp:<u>:<family>`` with ``<family>`` a name of ``FAMILIES`` and
+    u <= ``MAX_INTERP_U``. At most ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes
+    stack. Numbers must be finite.
     """
     spec = spec.strip()
     factors = []
@@ -447,14 +449,10 @@ def _parse_unscaled(spec: str) -> ConformalMetric:
             raise ConfigError(
                 f"interpolation parameter must be at most {MAX_INTERP_U:g}, got {u} in {spec!r}"
             )
-        fam_name = parts[2]
-        n_members = max(2, int(math.ceil(u)) + 1)
-        if fam_name == "pnorm":
-            fam = pnorm_family(count=n_members)
-        elif fam_name == "geomean-pnorm":
-            fam = geomean_family(count=n_members)
-        else:
-            raise ConfigError(f"unknown family {fam_name!r} in {spec!r}")
+        if parts[2] not in FAMILIES:
+            raise ConfigError(f"unknown family {parts[2]!r} in {spec!r}")
+        n_members = max(2, math.ceil(u) + 1)
+        fam = FAMILIES[parts[2]](range(1, n_members + 1))
         try:
             return interpolate(fam, u)
         except DomainError as e:

@@ -15,7 +15,8 @@ its own key, and a hit or a miss has empty block fields. The convergence
 harness and the selftest solve with ``family_spectra``, which keeps the
 mass blocks and eigenvectors of every pencil (`family_eigs`), so the
 harness checks read the sweep's eigenvectors and mass blocks instead of
-solving again. ``heatzeta.zeta_result`` takes either record with the
+solving again; the variation checks hand `family_eigs` mass stacks of
+their own. ``heatzeta.zeta_result`` takes either record with the
 metric's pinned heat invariants; nothing is fitted. The colatitude rule
 that the cache key names is ``discretize.colatitude_nodes``, the one
 ``build_basis`` builds, so a cache hit builds no basis. No command builds

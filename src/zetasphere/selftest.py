@@ -66,8 +66,8 @@ def _check_round_spectrum() -> None:
 def _check_operators() -> None:
     import numpy as np
 
-    from .eigensolve import singular_values
-    from .heatzeta import heat_operator, theta_values
+    from .eigensolve import heat_operator, singular_values
+    from .heatzeta import theta_values
     from .metrics import fs_metric
     from .pipeline import family_spectra
 

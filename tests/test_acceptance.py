@@ -20,9 +20,9 @@ import oracles
 from zetasphere.anomaly import two_route_check
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
-from zetasphere.eigensolve import block_operator_norms, resolvent, singular_values
-from zetasphere.harness import duhamel_at, lambda1_floor, sweep
-from zetasphere.heatzeta import heat_operator, theta_values, zeta_direct, zeta_result
+from zetasphere.eigensolve import block_operator_norms, heat_operator, resolvent, singular_values
+from zetasphere.harness import lambda1_floor, sweep, variation_checks
+from zetasphere.heatzeta import theta_values, zeta_direct, zeta_result
 from zetasphere.metrics import fs_metric, max_metric, pnorm_family, pnorm_metric, scaled_metric
 from zetasphere.pipeline import family_spectra, family_spectral_data
 
@@ -255,9 +255,9 @@ def test_ac07_lambda1_floor(cache):
 
 
 def test_ac08_duhamel_identity():
-    base = duhamel_at(pnorm_family(), u=2.5)  # h = 1e-3, t = 0.5, L = 16, 32 nodes
+    _, base = variation_checks(pnorm_family(), u=2.5)  # h = 1e-3, t = 0.5, L = 16, 32 nodes
     assert base.ratio < 1e-4 * 1.0, f"ratio {base.ratio:.3e}"
-    refined = duhamel_at(pnorm_family(), u=2.5, h=5e-4, n_nodes=64)
+    _, refined = variation_checks(pnorm_family(), u=2.5, h=5e-4, n_nodes=64)
     assert refined.residual <= base.residual / 2.0, (
         f"refinement did not halve the residual: "
         f"{base.residual:.3e} -> {refined.residual:.3e}"

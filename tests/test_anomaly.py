@@ -11,6 +11,7 @@ mass enters.
 
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -37,9 +38,33 @@ from zetasphere.metrics import (
     sup_log_distance,
 )
 from zetasphere.pipeline import family_spectral_data
+from zetasphere.quadrature import JET_RULE_NODES, build_quadrature
 
 
 PAIRS = [(1.0, 2.0), (2.0, 3.0), (3.0, 8.0)]
+
+
+def test_anomaly_integrals_read_each_jet_once():
+    """The integral and the bound each evaluate a metric's jet on the rule's
+    nodes once; f and c1 both come from that one call. (The line masses
+    read the jet beside each kink, on no node.)"""
+    nodes = build_quadrature(JET_RULE_NODES).radii_theta.size
+    calls: list[str] = []
+
+    def counted(metric):
+        def jet(r):
+            if np.size(r) == nodes:
+                calls.append(metric.id)
+            return metric.jet(r)
+
+        return metric._replace(jet=jet)
+
+    p, q = counted(pnorm_metric(2.0)), counted(geomean_metric(fs_metric(), pnorm_metric(3.0)))
+    bott_chern_integral(p, q)
+    assert sorted(calls) == sorted([p.id, q.id])
+    calls.clear()
+    bott_chern_bound(p, q, 1.0)
+    assert sorted(calls) == sorted([p.id, q.id])
 
 
 @pytest.mark.parametrize("p,q", PAIRS)

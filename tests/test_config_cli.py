@@ -14,11 +14,11 @@ import zetasphere
 from zetasphere import anomaly, eigensolve, pipeline
 from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
-from zetasphere.config import RunConfig, load_config, validated
+from zetasphere.config import _FAMILY_NAMES, RunConfig, load_config, validated
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import ZetaPoint, ZetaResult, theta_values
-from zetasphere.metrics import fs_metric, pnorm_metric
+from zetasphere.metrics import FAMILIES, fs_metric, pnorm_metric
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
 
@@ -47,6 +47,12 @@ def run_python(code, *args, cwd):
 
 
 # ---------------------------------------------------------------- config
+
+
+def test_family_names_are_the_metric_families():
+    """config validates ``[family] name`` against its own numpy-free tuple;
+    it names the same families as ``metrics.FAMILIES``, in the same order."""
+    assert _FAMILY_NAMES == tuple(FAMILIES)
 
 
 def test_defaults_validate():
@@ -605,6 +611,19 @@ def test_cli_deeply_nested_scaled_spec(tmp_path, cache, capsys):
     assert code == 2
     assert err.startswith("error:") and "nested scaled" in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("spec", ["scaled:1e308:pnorm:3", "scaled:1e308:fs", "scaled:1e308:max"])
+def test_cli_overflowing_density_is_one_refusal(tmp_path, cache, capsys, spec):
+    """A density ratio that overflows a double exits 2 with one error line;
+    no numpy overflow warning comes first (and none raises under pytest's
+    error filter for RuntimeWarning)."""
+    code, out, err = run_cli(
+        ["spectrum", "--metric", spec, "--L", "8"], tmp_path, cache.root, capsys
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: InvalidMetricError: ")
 
 
 def test_cli_bad_config_key(tmp_path, cache, capsys):

@@ -18,12 +18,12 @@ from zetasphere.eigensolve import (
     apply_function,
     family_eigs,
     family_eigvals,
+    heat_operator,
     nested_degree,
     pencil_eigvalsh,
     resolvent,
 )
 from zetasphere.errors import DomainError, EigenConvergenceError, IndefiniteMassError
-from zetasphere.heatzeta import heat_operator
 from zetasphere.metrics import (
     fs_metric,
     max_metric,
@@ -183,6 +183,42 @@ def test_resolvent_rejects_nonpositive_shift(spectrum):
     for shift in (0.0, -1.0):
         with pytest.raises(DomainError, match="shift must be positive"):
             resolvent(spectrum, shift)
+
+
+def test_heat_operator_semigroup():
+    spec = _solve(build_basis(8), pnorm_metric(3.0))
+    n = spec.eigenvalues.size
+    E = {t: oracles.dense_matrix(heat_operator(spec, t)) for t in (0.0, 0.4, 0.6, 1.0)}
+    assert np.abs(E[0.0] - np.eye(n)).max() < 1e-10
+    assert np.abs(E[0.4] @ E[0.6] - E[1.0]).max() < 1e-10
+    with pytest.raises(DomainError):
+        heat_operator(spec, -0.1)
+
+
+def test_heat_operator_self_adjoint_and_contractive():
+    spec = _solve(build_basis(8), pnorm_metric(3.0))
+    E = oracles.dense_matrix(heat_operator(spec, 0.8))
+    M = oracles.dense_matrix(spec.mass_blocks)
+    ME = M @ E
+    assert np.abs(ME - ME.T).max() < 1e-10
+    # eigenvalue 0 rides along, so the norm is exactly one
+    assert oracles.weighted_operator_norm(E, M) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_heat_operator_solves_heat_equation():
+    spec = _solve(build_basis(8), pnorm_metric(3.0))
+    op = np.linalg.solve(
+        oracles.dense_matrix(spec.mass_blocks),
+        oracles.dense_matrix(oracles.exact_stiffness_blocks(spec.L)),
+    )
+    t, h = 0.7, 1e-5
+
+    def E(s):
+        return oracles.dense_matrix(heat_operator(spec, s))
+
+    dE = (E(t + h) - E(t - h)) / (2.0 * h)
+    want = -op @ E(t)
+    assert np.abs(dE - want).max() < 1e-8
 
 
 def _family_solves(stacks, L, metric_ids):

@@ -23,21 +23,27 @@ from zetasphere.discretize import (
     variation_weights,
     weighted_grams,
 )
-from zetasphere.eigensolve import Spectrum, block_operator_norms, resolvent
+from zetasphere.eigensolve import (
+    Spectrum,
+    block_operator_norms,
+    heat_operator,
+    pencil_eigvalsh,
+    resolvent,
+)
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
     DUHAMEL_RATIO_TOL,
     FROZEN_SAFETY,
     THEOREM_TAGS,
-    bornelapbelt_check,
+    BorneReport,
     cauchy_check,
     convergence_summary,
-    duhamel_at,
     lambda1_floor,
     resolvent_convergence,
     sweep,
+    variation_checks,
 )
-from zetasphere.heatzeta import heat_operator, theta_values
+from zetasphere.heatzeta import theta_values
 from zetasphere.metrics import (
     ConformalMetric,
     MetricFamily,
@@ -292,7 +298,7 @@ def test_minmax_oracle_for_gap_floor():
 
 
 def test_resolvent_convergence():
-    fam = pnorm_family(count=5)
+    fam = pnorm_family(range(1, 6))
     res = resolvent_convergence(sweep(fam, L=16))
     assert res.passed
     assert res.failures == ()
@@ -312,7 +318,7 @@ def test_resolvent_convergence():
 
 def test_operator_derivative_bounded_by_density_variation():
     """Frozen-constant check on the u-derivative itself, not its integral."""
-    fam = pnorm_family(count=5)
+    fam = pnorm_family(range(1, 6))
     L, h = 10, 1e-3
     grams = [M for (M,) in masses(build_basis(L), (fam.members[0],))]
 
@@ -338,9 +344,9 @@ def test_operator_derivative_bounded_by_density_variation():
         assert de <= c_heat * dx, u
 
 
-def test_bornelapbelt_check():
-    fam = pnorm_family(count=5)
-    report = bornelapbelt_check(fam, u=2.5, L=12)
+def test_bornelapbelt_report():
+    fam = pnorm_family(range(1, 6))
+    report, _ = variation_checks(fam, u=2.5, L=12)
     assert report.passed
     assert 0.0 < report.max_ratio <= report.delta_nodes * (1.0 + 1e-9) + 1e-15
     assert report.delta_nodes > 0.0
@@ -352,8 +358,8 @@ def test_bornelapbelt_matches_dense_pencil():
     B = M^-1 dM, to 1e-12 relative. It dominates the ratio
     ||d(Lap) v||_M / ||Lap v||_M of the dense form M^-1 dM M^-1 K on
     Gaussian test vectors."""
-    fam = pnorm_family(count=5)
-    report = bornelapbelt_check(fam, u=2.5, L=12)
+    fam = pnorm_family(range(1, 6))
+    report, _ = variation_checks(fam, u=2.5, L=12)
     basis = build_basis(12)
     metric = interpolate(fam, 2.5)
     dlog = d_log_density_du(fam, 2.5, basis.quad.radii_theta)
@@ -380,25 +386,60 @@ def test_bornelapbelt_bound_is_nearly_attained(family):
     """The exact radius sits within 10% of the node sup it is checked
     against (measured 0.953 for pnorm and 0.944 for geomean-pnorm at
     u = 2.5, L = 16), so the check is not vacuous."""
-    report = bornelapbelt_check(family, u=2.5, L=16)
+    report, _ = variation_checks(family, u=2.5, L=16)
     assert report.passed
     assert report.max_ratio >= 0.9 * report.delta_nodes
 
 
 def test_bornelapbelt_deterministic():
-    fam = pnorm_family(count=5)
-    a = bornelapbelt_check(fam, u=2.5, L=10)
-    b = bornelapbelt_check(fam, u=2.5, L=10)
+    """Both variation reports, bornelapbelt's and the Duhamel one, repeat
+    exactly."""
+    fam = pnorm_family(range(1, 6))
+    a = variation_checks(fam, u=2.5, L=10)
+    b = variation_checks(fam, u=2.5, L=10)
     assert a == b
 
 
-def test_duhamel_at_and_refinement():
-    fam = pnorm_family(count=5)
-    base = duhamel_at(fam, u=1.5, h=1e-3, t=0.5, L=10)
+def test_duhamel_refinement():
+    fam = pnorm_family(range(1, 6))
+    _, base = variation_checks(fam, u=1.5, h=1e-3, t=0.5, L=10)
     assert base.ratio < DUHAMEL_RATIO_TOL
     assert base.derivative_norm > 0.0
-    refined = duhamel_at(fam, u=1.5, h=5e-4, t=0.5, L=10, n_nodes=64)
+    _, refined = variation_checks(fam, u=1.5, h=5e-4, t=0.5, L=10, n_nodes=64)
     assert refined.ratio < base.ratio
+
+
+def test_duhamel_trivial_family():
+    """Members that do not vary give a zero residual and derivative, hence
+    ratio 0; a nonpositive step or time is refused before anything is
+    solved."""
+    _, report = variation_checks(constant_family(4), u=2.5, L=8)
+    assert report == (0.0, 0.0, 0.0)
+    for bad in (dict(h=0.0), dict(t=0.0)):
+        with pytest.raises(DomainError):
+            variation_checks(constant_family(4), u=2.5, L=8, **bad)
+
+
+@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+def test_variation_checks_match_separate_solves(family):
+    """The shared path reports what the two checks report on their own:
+    the Borne pencils from a Gram stack of the mass and its derivative at
+    u alone, and the Duhamel residual from the three pencils solved by
+    ``family_spectra``."""
+    u, L, h = 2.5, 12, harness._DUHAMEL_STEP
+    basis = build_basis(L)
+    metric = interpolate(family, u)
+    dlog = d_log_density_du(family, u, basis.quad.radii_theta)
+    rows = np.stack([mass_weights(basis, metric), variation_weights(basis, metric, dlog)])
+    max_ratio = max(
+        float(np.abs(pencil_eigvalsh(dM, M)).max()) for M, dM in weighted_grams(basis, rows)
+    )
+    delta_nodes = float(np.abs(dlog).max())
+    passed = max_ratio <= delta_nodes * (1.0 + 1e-9) + 1e-15
+    borne = BorneReport(u, delta_nodes, max_ratio, passed)
+    spectra = family_spectra(tuple(interpolate(family, v) for v in (u - h, u, u + h)), L)
+    duhamel = harness._duhamel_residual(*spectra, h, 0.5, 32)
+    assert variation_checks(family, u=u, L=L) == (borne, duhamel)
 
 
 def test_convergence_summary_smoothing_family():
@@ -550,8 +591,8 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
 
 def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):
     """A family's pencils share one Legendre sweep: a cold ``anomaly`` runs
-    one, ``convergence_summary`` at most three (the sweep, the variation
-    bound and the three Duhamel pencils)."""
+    one, ``convergence_summary`` two (the sweep at L, the variation path at
+    ``variation_L``)."""
     sweeps: list[int] = []
     real = discretize.legendre_blocks
 
@@ -567,15 +608,15 @@ def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):
     assert sweeps == [16]
 
     sweeps.clear()
-    convergence_summary(pnorm_family(), L=16)
-    assert 1 <= len(sweeps) <= 3
+    convergence_summary(pnorm_family(), L=24)
+    assert sweeps == [24, 16]
 
 
 def test_only_the_variation_checks_interpolate(monkeypatch):
-    """``convergence_summary`` builds four interpolated metrics: one for the
-    variation bound and three for the Duhamel pencils. The density-variation
-    integrals of the operator limits read the family's u-derivative and
-    build none."""
+    """``convergence_summary`` builds three interpolated metrics, the
+    variation path at u - h, u and u + h, which both variation checks read.
+    The density-variation integrals of the operator limits read the
+    family's u-derivative and build none."""
     calls: list[tuple[str, float]] = []
     real = metrics.interpolate
 
@@ -587,7 +628,7 @@ def test_only_the_variation_checks_interpolate(monkeypatch):
     monkeypatch.setattr(harness, "interpolate", counting)
     convergence_summary(pnorm_family(), L=24)
     h = harness._DUHAMEL_STEP
-    assert calls == [("pnorm", 2.5), ("pnorm", 2.5 - h), ("pnorm", 2.5), ("pnorm", 2.5 + h)]
+    assert calls == [("pnorm", 2.5 - h), ("pnorm", 2.5), ("pnorm", 2.5 + h)]
 
 
 def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):

@@ -29,11 +29,9 @@ from zetasphere.errors import DomainError
 from zetasphere.heatzeta import (
     B0,
     LADDER,
-    duhamel_residual,
     e1_sums,
     exp_e1,
     heat_invariants,
-    heat_operator,
     theta_values,
     zeta_direct,
     zeta_result,
@@ -977,54 +975,3 @@ def test_close_specs_get_distinct_spectra(tmp_path, specs, solved):
     assert np.array_equal(first.eigenvalues, lam_a)
     assert np.array_equal(second.eigenvalues, lam_b)
     assert len(list(tmp_path.glob("*.npz"))) == 2
-
-
-# ------------------------------------------------- heat operator, duhamel
-
-
-def test_heat_operator_semigroup():
-    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
-    n = spec.eigenvalues.size
-    E = {t: oracles.dense_matrix(heat_operator(spec, t)) for t in (0.0, 0.4, 0.6, 1.0)}
-    assert np.abs(E[0.0] - np.eye(n)).max() < 1e-10
-    assert np.abs(E[0.4] @ E[0.6] - E[1.0]).max() < 1e-10
-    with pytest.raises(DomainError):
-        heat_operator(spec, -0.1)
-
-
-def test_heat_operator_self_adjoint_and_contractive():
-    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
-    E = oracles.dense_matrix(heat_operator(spec, 0.8))
-    M = oracles.dense_matrix(spec.mass_blocks)
-    ME = M @ E
-    assert np.abs(ME - ME.T).max() < 1e-10
-    # eigenvalue 0 rides along, so the norm is exactly one
-    assert oracles.weighted_operator_norm(E, M) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_heat_operator_solves_heat_equation():
-    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
-    op = np.linalg.solve(
-        oracles.dense_matrix(spec.mass_blocks),
-        oracles.dense_matrix(oracles.exact_stiffness_blocks(spec.L)),
-    )
-    t, h = 0.7, 1e-5
-
-    def E(s):
-        return oracles.dense_matrix(heat_operator(spec, s))
-
-    dE = (E(t + h) - E(t - h)) / (2.0 * h)
-    want = -op @ E(t)
-    assert np.abs(dE - want).max() < 1e-8
-
-
-def test_duhamel_trivial_family():
-    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
-    report = duhamel_residual(spec, spec, spec, h=1e-3, t=0.5, n_nodes=32)
-    assert report.residual == 0.0
-    assert report.derivative_norm == 0.0
-    assert report.ratio == 0.0
-    with pytest.raises(DomainError):
-        duhamel_residual(spec, spec, spec, h=0.0, t=0.5, n_nodes=32)
-    with pytest.raises(DomainError):
-        duhamel_residual(spec, spec, spec, h=1e-3, t=0.0, n_nodes=32)

@@ -18,11 +18,12 @@ from zetasphere.eigensolve import (
     apply_function,
     block_operator_norms,
     family_eigs,
+    heat_operator,
     resolvent,
     singular_values,
 )
 from zetasphere.errors import DomainError
-from zetasphere.heatzeta import heat_operator, theta_values
+from zetasphere.heatzeta import theta_values
 from zetasphere.metrics import fs_metric, parse_metric_spec, pnorm_metric
 
 N_INSTANCES = 25
