@@ -105,11 +105,6 @@ class ConformalMetric(NamedTuple):
     def density(self, r) -> np.ndarray:
         return np.exp(self.log_density(r))
 
-    def c1_density(self, r) -> np.ndarray:
-        """Curvature density ``-d2/dz dzbar log lambda`` against ``dx dy / pi``,
-        off the kinks; the kinks carry `line_masses` besides."""
-        return self.jet(np.asarray(r, dtype=float))[2]
-
     def line_masses(self) -> tuple[float, ...]:
         """Curvature mass on each kink circle against ``dx dy / pi``: since
         c1 = -(1/(4r)) (r f')', it is -(1/2) times the jump of r f' across

@@ -188,7 +188,7 @@ def run_selftest() -> tuple[dict[str, bool], list[str]]:
     family = pnorm_family(params=(1.0, 2.0, 3.0))
     start = time.monotonic()
     try:
-        summary = convergence_summary(family, L=16, variation_u=1.5, variation_L=10)
+        summary = convergence_summary(family, L=16)
         tags.update(summary.tags)
         for tag, ok in summary.tags.items():
             details.append(

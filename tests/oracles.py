@@ -524,6 +524,23 @@ def power_iteration_sigma(A: np.ndarray, gram: np.ndarray, seed: int,
     return float(best)
 
 
+def duhamel_integral_by_quadrature(block_values, block_vectors, mass_blocks, d_blocks,
+                                   t: float, n: int) -> list[np.ndarray]:
+    """int_0^t E(t - s) D E(s) ds per block, E(s) = V diag(exp(-s lam)) V^T M,
+    by an ``n``-point Gauss-Legendre rule on [0, t]."""
+    xg, wg = gauss_legendre(n)
+    s_nodes = 0.5 * t * (xg + 1.0)
+    s_wts = 0.5 * t * wg
+    out = []
+    for lam, V, M, D in zip(block_values, block_vectors, mass_blocks, d_blocks):
+        # E(t - s) and E(s) of this block at every node, as two stacks
+        VtM = V.T @ M
+        late = (V * np.exp(-(t - s_nodes)[:, None] * lam)[:, None, :]) @ VtM
+        early = (V * np.exp(-s_nodes[:, None] * lam)[:, None, :]) @ VtM
+        out.append(np.einsum("k,kij->ij", s_wts, late @ D @ early))
+    return out
+
+
 def dense_matrix(blocks) -> np.ndarray:
     """The n x n matrix holding per-m blocks on their flat harmonic rows.
 

@@ -21,9 +21,23 @@ from zetasphere.anomaly import two_route_check
 from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.eigensolve import block_operator_norms, heat_operator, resolvent, singular_values
-from zetasphere.harness import lambda1_floor, sweep, variation_checks
+from zetasphere.harness import (
+    _DUHAMEL_STEP,
+    _VARIATION_L,
+    _duhamel_residual,
+    lambda1_floor,
+    sweep,
+    variation_checks,
+)
 from zetasphere.heatzeta import theta_values, zeta_direct, zeta_result
-from zetasphere.metrics import fs_metric, max_metric, pnorm_family, pnorm_metric, scaled_metric
+from zetasphere.metrics import (
+    fs_metric,
+    interpolate,
+    max_metric,
+    pnorm_family,
+    pnorm_metric,
+    scaled_metric,
+)
 from zetasphere.pipeline import family_spectra, family_spectral_data
 
 SWEEP_P = (2.0, 4.0, 8.0, 16.0, 32.0)
@@ -255,9 +269,12 @@ def test_ac07_lambda1_floor(cache):
 
 
 def test_ac08_duhamel_identity():
-    _, base = variation_checks(pnorm_family(), u=2.5)  # h = 1e-3, t = 0.5, L = 16, 32 nodes
+    fam = pnorm_family()
+    _, base = variation_checks(fam)  # u = 2.5, h = 1e-3, t = 0.5, L = 16, closed-form integral
     assert base.ratio < 1e-4 * 1.0, f"ratio {base.ratio:.3e}"
-    _, refined = variation_checks(pnorm_family(), u=2.5, h=5e-4, n_nodes=64)
+    h = _DUHAMEL_STEP / 2.0
+    path = tuple(interpolate(fam, u) for u in (2.5 - h, 2.5, 2.5 + h))
+    refined = _duhamel_residual(*family_spectra(path, _VARIATION_L), h)
     assert refined.residual <= base.residual / 2.0, (
         f"refinement did not halve the residual: "
         f"{base.residual:.3e} -> {refined.residual:.3e}"

@@ -1,5 +1,5 @@
 """Every top-level import in the package and its tests is used, every
-top-level name of the package is read, every export is read by another
+top-level name and class method of the package is read, every export is read by another
 module and exists, and the CLI keeps its import floor.
 
 An import that nothing reads costs load time and hides what a module
@@ -7,7 +7,7 @@ depends on. Names listed in a module's ``__all__`` count as used (they are
 re-exported), and ``from __future__`` imports are compiler directives. An
 export whose definition was deleted fails only when someone imports it, so
 the export lists are resolved here. The package's surface is what the
-program reads: a public name that no other statement reads is dead code,
+program reads: a public name or method that no other statement reads is dead code,
 and an ``__all__`` entry that no other module imports advertises a library
 the program does not use. Only the library API that README names
 (`cli.main` and the package-level names) is exempt. Every command runs in a fresh process,
@@ -23,6 +23,7 @@ so a solved `Spectrum` is the one thing handed up.
 """
 
 import ast
+import copy
 import importlib
 import os
 import subprocess
@@ -137,18 +138,44 @@ def _references(node: ast.AST) -> set[str]:
     return refs
 
 
+def _units(tree: ast.Module) -> list[tuple[ast.AST, list[str]]]:
+    """The statements the scan compares, each with the names it defines:
+    every top-level statement, except that each method or property of a
+    top-level class is a unit of its own, named ``Class.method``, and the
+    class keeps the rest of its body. A dunder method defines no name."""
+    units = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            units.append((node, _defined_names(node)))
+            continue
+        methods = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        shell = copy.copy(node)
+        shell.body = [n for n in node.body if n not in methods]
+        units.append((shell, [node.name]))
+        units += [
+            (fn, [] if fn.name.startswith("__") else [f"{node.name}.{fn.name}"]) for fn in methods
+        ]
+    return units
+
+
 def unreferenced_names(sources: dict[str, str], private: bool) -> list[str]:
-    """Top-level private (or public) names that no other top-level statement
-    of the given sources reads, as ``path:line: name``. ``__all__`` lists
-    strings, so a mention there is not a read."""
-    stmts = [(path, node) for path, text in sources.items() for node in ast.parse(text).body]
-    refs = [_references(node) for _, node in stmts]
+    """Top-level private (or public) names, and methods of top-level
+    classes, that no other unit of the given sources reads, as
+    ``path:line: name``. A method is read by its bare name, as an attribute
+    anywhere else, its own class's other methods included. ``__all__``
+    lists strings, so a mention there is not a read."""
+    units = [
+        (path, node, names)
+        for path, text in sources.items()
+        for node, names in _units(ast.parse(text))
+    ]
+    refs = [_references(node) for _, node, _ in units]
     return [
         f"{path}:{node.lineno}: {name}"
-        for i, (path, node) in enumerate(stmts)
-        for name in _defined_names(node)
-        if name.startswith("_") == private
-        and not any(name in r for j, r in enumerate(refs) if j != i)
+        for i, (path, node, names) in enumerate(units)
+        for name in names
+        if (bare := name.rsplit(".", 1)[-1]).startswith("_") == private
+        and not any(bare in r for j, r in enumerate(refs) if j != i)
     ]
 
 
@@ -207,6 +234,21 @@ def test_scan_finds_an_unread_public_name():
         "pkg/a.py:6: h", "pkg/a.py:8: main", "pkg/b.py:1: k",
     ]
     assert unread_exports(sources, {"a.main"}) == ["a.g", "a.h", "b.k"]
+
+
+def test_scan_finds_an_unread_method():
+    sources = {
+        "a.py": "class A:\n"
+                "    def __init__(self):\n        self.x = self._helper()\n"
+                "    def _helper(self):\n        return self.used()\n"
+                "    def used(self):\n        return 1\n"
+                "    @property\n    def shape(self):\n        return 2\n"
+                "    def _dead(self):\n        return self._dead()\n"
+                "    def unread(self):\n        pass\n",
+        "b.py": "print(A().shape)\n",
+    }
+    assert unreferenced_names(sources, private=True) == ["a.py:11: A._dead"]
+    assert unreferenced_names(sources, private=False) == ["a.py:13: A.unread"]
 
 
 def test_every_private_name_is_referenced():

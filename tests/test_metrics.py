@@ -97,7 +97,7 @@ def test_chart_one_origin_values():
 def test_pnorm_c1_closed_form(p):
     """Analytic curvature density against the radial-Laplacian derivation."""
     r = np.array([0.3, 0.8, 1.0, 1.7, 4.0])
-    got = pnorm_metric(p).c1_density(r)
+    got = pnorm_metric(p).jet(r)[2]
     assert np.allclose(got, oracles.pnorm_c1_density(r, p), rtol=1e-12)
 
 
@@ -107,9 +107,9 @@ def test_fs_c1_equals_density():
     are flat there."""
     r = np.array([0.0, 0.6, 1.3])
     m = fs_metric()
-    assert np.allclose(m.c1_density(r), m.density(r), rtol=1e-14)
+    assert np.allclose(m.jet(r)[2], m.density(r), rtol=1e-14)
     for spec, want in (("pnorm:1", 2.0), ("pnorm:3", 0.0), ("interp:2.5:pnorm", 0.0)):
-        assert parse_metric_spec(spec).c1_density(np.array([0.0]))[0] == want, spec
+        assert parse_metric_spec(spec).jet(np.array([0.0]))[2][0] == want, spec
 
 
 GEOMEAN = "geomean(pnorm:2,pnorm:3)"
@@ -132,7 +132,7 @@ def _metric(name):
 def test_total_curvature(quad, name):
     """int c1 (dxdy/pi) = 2: the degree of the anticanonical bundle."""
     r = quad.radii_theta
-    c1 = _metric(name).c1_density(r)
+    c1 = _metric(name).jet(r)[2]
     total = float(np.sum(quad.weights_theta * (1.0 + r * r) ** 2 * c1))
     assert total == pytest.approx(2.0, abs=1e-13)
 
@@ -180,7 +180,7 @@ def test_interp_c1_matches_mpmath_blend(u):
     """The blend's curvature matches the mpmath radial Laplacian also where
     the sharp members concentrate it near the equator."""
     r = np.array([0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 20.0])
-    got = parse_metric_spec(f"interp:{u}:pnorm").c1_density(r)
+    got = parse_metric_spec(f"interp:{u}:pnorm").jet(r)[2]
     _assert_c1_close(got, [oracles.radial_jet(_mp_interp_pnorm(u), x)[2] for x in r])
 
 
@@ -192,7 +192,6 @@ def test_max_metric_kink_handling():
     assert m.line_masses() == (2.0,)
     _, df, c1, dc1 = m.jet(np.array([0.5, 2.0]))
     assert df.tolist() == [0.0, -2.0] and c1.tolist() == dc1.tolist() == [0.0, 0.0]
-    assert m.c1_density(np.array([0.5, 2.0])).tolist() == [0.0, 0.0]
     # a mixture keeps the kink and its share of the mass
     joined = geomean_metric(fs_metric(), max_metric())
     assert joined.kink_radii == (1.0,)
@@ -238,7 +237,7 @@ def test_gauss_bonnet(metric):
     total mass 2 (chi = 2 in the normalization of the area form)."""
     quad = build_quadrature(128)
     r = quad.radii_theta
-    smooth = float(np.sum(quad.weights_theta * (1.0 + r**2) ** 2 * metric.c1_density(r)))
+    smooth = float(np.sum(quad.weights_theta * (1.0 + r**2) ** 2 * metric.jet(r)[2]))
     assert abs(smooth + sum(metric.line_masses()) - 2.0) <= 1e-13
 
 
