@@ -110,7 +110,7 @@ def _verdict(tags: dict[str, bool]) -> dict:
 
 
 def _make_cache(config: RunConfig):
-    from .cache import SpectrumCache
+    from .pipeline import SpectrumCache
 
     return SpectrumCache(config.cache_dir)
 

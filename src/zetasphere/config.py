@@ -4,8 +4,8 @@ The format is plain INI (no interpolation, ``#``/``;`` comments) so configs
 diff cleanly and parse with the standard library alone. Unknown sections and
 unknown keys are rejected, not ignored; a typo must fail loudly. A blank
 value means "use the default". The config says what to compute; how (the
-colatitude rule, the fit window, the truncation level) is the method's own
-choice, made downstream.
+2L + 2 colatitude rule, the rung ladder of zeta'(0), the 256-node jet rule)
+is the method's own choice, made downstream.
 
 Sections and keys::
 

@@ -8,10 +8,12 @@ family of one. Both paths return `eigensolve.Spectrum`, the one record of a
 solved pencil: its eigenvalues, its volume and the eigenvalues of the
 nested pencil at 7L/8 that every solve also takes. The scalar commands
 fetch theirs with ``family_spectral_data``, which serves each metric from
-the disk cache when it can and solves all the misses in one family solve
-that builds each stack of mass blocks M_m, takes its eigenvalues alone and
-drops it before the next m (`family_eigvals`); each miss is stored under
-its own key, and a hit or a miss has empty block fields. The convergence
+the disk cache (`SpectrumCache`, which alone names, writes and validates an
+entry, by metric id and L) when it can and solves all the misses in one
+family solve that builds each stack of mass blocks M_m, takes its
+eigenvalues alone and drops it before the next m (`family_eigvals`); each
+miss is stored in its own entry, and a hit or a miss has empty block
+fields. The convergence
 harness and the selftest solve with ``family_spectra``, which keeps the
 mass blocks and eigenvectors of every pencil (`family_eigs`), so the
 harness checks read the sweep's eigenvectors and mass blocks instead of
@@ -26,16 +28,20 @@ an n x n matrix.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+import zipfile
+import zlib
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 
-from .cache import SpectrumCache, spectrum_cache_key
 from .discretize import build_basis, colatitude_nodes, masses
 from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals, nested_degree
 from .metrics import ConformalMetric
 
-__all__ = ["family_spectra", "family_spectral_data"]
+__all__ = ["SpectrumCache", "family_spectra", "family_spectral_data"]
 
 
 def family_spectra(metrics: Sequence[ConformalMetric], L: int) -> tuple[Spectrum, ...]:
@@ -55,25 +61,72 @@ def _valid_spectrum(lam: np.ndarray, L: int) -> bool:
     )
 
 
-def _valid_hit(hit: dict | None, metric_id: str, L: int) -> Spectrum | None:
-    """The spectrum of a cache entry, block fields empty, or None if missing
-    or malformed: each spectrum valid at its degree, L and `nested_degree`
-    (L), and the volume positive and finite."""
-    if hit is None:
-        return None
-    try:
-        lam = np.asarray(hit["eigenvalues"], dtype=float)
-        vol = float(hit["volume"][()])
-        nested = np.asarray(hit["nested"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        return None
-    ok = (
-        _valid_spectrum(lam, L)
-        and _valid_spectrum(nested, nested_degree(L))
-        and math.isfinite(vol)
-        and vol > 0.0
-    )
-    return Spectrum(metric_id, L, lam, vol, nested) if ok else None
+class SpectrumCache:
+    """Directory of solved spectra, one entry per (metric id, L).
+
+    The key of an entry names all that determines the spectrum: metric id,
+    L, ``colatitude_nodes(L)`` and ``SOLVER_VERSION``, so a solver change
+    simply misses. The entry is one ``.npz`` named by the CRC-32 of its key
+    (``zlib``, which numpy has loaded already); it holds the key beside the
+    eigenvalues, volume and nested eigenvalues, so two keys that share a
+    name read as misses. Writes are a temp file and an atomic rename. The
+    default root is ``$ZETASPHERE_CACHE``, then ``~/.cache/zetasphere``.
+    """
+
+    def __init__(self, root: str | Path | None = None):
+        if root is None:
+            root = os.environ.get("ZETASPHERE_CACHE") or Path.home() / ".cache" / "zetasphere"
+        self.root = Path(root)
+
+    @staticmethod
+    def _key(metric_id: str, L: int) -> str:
+        return f"metric={metric_id}|L={L}|n_theta={colatitude_nodes(L)}|solver={SOLVER_VERSION}"
+
+    def path_for(self, metric_id: str, L: int) -> Path:
+        return self.root / f"{zlib.crc32(self._key(metric_id, L).encode('utf-8')):08x}.npz"
+
+    def load(self, metric_id: str, L: int) -> Spectrum | None:
+        """The stored spectrum, block fields empty, or None: a missing or
+        unreadable entry, another key's, or one whose spectra are not valid
+        at L and `nested_degree` (L) or whose volume is not positive and
+        finite."""
+        try:
+            with np.load(self.path_for(metric_id, L), allow_pickle=False) as payload:
+                stored = str(payload["key"])
+                lam = np.asarray(payload["eigenvalues"], dtype=float)
+                vol = float(payload["volume"][()])
+                nested = np.asarray(payload["nested"], dtype=float)
+        except (OSError, EOFError, KeyError, TypeError, ValueError, NotImplementedError,
+                zipfile.BadZipFile):
+            # truncated entries, or a corrupt zip header naming an unknown
+            # version or compression, behave like misses
+            return None
+        ok = (
+            stored == self._key(metric_id, L)
+            and _valid_spectrum(lam, L)
+            and _valid_spectrum(nested, nested_degree(L))
+            and math.isfinite(vol)
+            and vol > 0.0
+        )
+        return Spectrum(metric_id, L, lam, vol, nested) if ok else None
+
+    def store(self, spectrum: Spectrum) -> Path:
+        """Write the spectrum's eigenvalues, volume and nested eigenvalues
+        over its entry; returns the entry's path."""
+        key = self._key(spectrum.metric_id, spectrum.L)
+        path = self.path_for(spectrum.metric_id, spectrum.L)
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, key=np.str_(key), eigenvalues=spectrum.eigenvalues,
+                         volume=np.float64(spectrum.volume), nested=spectrum.nested)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        return path
 
 
 def family_spectral_data(
@@ -89,23 +142,12 @@ def family_spectral_data(
     its m; a metric listed twice is solved once. Each solved spectrum is
     stored over its own entry and returned.
     """
-    nt = colatitude_nodes(L)
-    key = {g.id: spectrum_cache_key(g.id, L, nt, SOLVER_VERSION) for g in metrics}
-    found: dict[str, Spectrum] = {}
-    misses: dict[str, ConformalMetric] = {}
-    for g in metrics:
-        if g.id in found or g.id in misses:
-            continue
-        hit = None if cache is None else _valid_hit(cache.load(key[g.id]), g.id, L)
-        if hit is None:
-            misses[g.id] = g
-        else:
-            found[g.id] = hit
+    unique = {g.id: g for g in metrics}
+    found = {i: None if cache is None else cache.load(i, L) for i in unique}
+    misses = [g for i, g in unique.items() if found[i] is None]
     if misses:
-        ids = tuple(misses)
-        for spec in family_eigvals(masses(build_basis(L), tuple(misses.values())), L, ids):
+        for spec in family_eigvals(masses(build_basis(L), misses), L, [g.id for g in misses]):
             found[spec.metric_id] = spec
             if cache is not None:
-                cache.store(key[spec.metric_id], eigenvalues=spec.eigenvalues,
-                            volume=np.float64(spec.volume), nested=spec.nested)
+                cache.store(spec)
     return tuple(found[g.id] for g in metrics)

@@ -139,23 +139,21 @@ def _check_determinism() -> None:
 def _check_cache() -> None:
     import tempfile
 
-    import numpy as np
+    from .metrics import fs_metric
+    from .pipeline import SpectrumCache, family_spectral_data
 
-    from .cache import SpectrumCache, spectrum_cache_key
-
+    metric = fs_metric()
     with tempfile.TemporaryDirectory() as root:
         cache = SpectrumCache(root)
-        key = spectrum_cache_key("selftest-metric", 4, 10, "v1")
-        other = spectrum_cache_key("selftest-metric", 4, 10, "v2")
-        assert key != other, "solver version must enter the cache key"
-        assert cache.load(key) is None, "empty cache must miss"
-        values = np.linspace(0.0, 1.0, 5)
-        cache.store(key, eigenvalues=values, volume=np.float64(2.0))
-        hit = cache.load(key)
-        assert hit is not None and np.array_equal(hit["eigenvalues"], values), "roundtrip"
-        path = cache.path_for(key)
-        path.write_bytes(b"not an archive")
-        assert cache.load(key) is None, "corrupted entries must read as misses"
+        assert cache.load(metric.id, 4) is None, "empty cache must miss"
+        (solved,) = family_spectral_data((metric,), 4, cache)
+        hit = cache.load(metric.id, 4)
+        assert hit is not None, "a stored spectrum must load"
+        for name in ("eigenvalues", "nested"):
+            assert getattr(hit, name).tobytes() == getattr(solved, name).tobytes(), name
+        assert hit.volume == solved.volume, "volume roundtrip"
+        cache.path_for(metric.id, 4).write_bytes(b"not an archive")
+        assert cache.load(metric.id, 4) is None, "corrupted entries must read as misses"
 
 
 def run_selftest() -> tuple[dict[str, bool], list[str]]:

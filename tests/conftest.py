@@ -17,8 +17,8 @@ import os
 import pytest
 
 from zetasphere import eigensolve
-from zetasphere.cache import SpectrumCache
 from zetasphere.cli import _THREAD_VARS
+from zetasphere.pipeline import SpectrumCache
 
 
 @pytest.fixture(scope="session")

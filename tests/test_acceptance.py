@@ -18,7 +18,6 @@ import pytest
 
 import oracles
 from zetasphere.anomaly import two_route_check
-from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.eigensolve import block_operator_norms, heat_operator, resolvent, singular_values
 from zetasphere.harness import (
@@ -38,7 +37,7 @@ from zetasphere.metrics import (
     pnorm_metric,
     scaled_metric,
 )
-from zetasphere.pipeline import family_spectra, family_spectral_data
+from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
 
 SWEEP_P = (2.0, 4.0, 8.0, 16.0, 32.0)
 

@@ -12,13 +12,13 @@ import pytest
 
 import zetasphere
 from zetasphere import anomaly, eigensolve, pipeline
-from zetasphere.cache import CACHE_ENV_VAR, SpectrumCache, default_cache_dir, spectrum_cache_key
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
 from zetasphere.config import _FAMILY_NAMES, RunConfig, load_config, validated
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import ZetaPoint, ZetaResult, theta_values
 from zetasphere.metrics import FAMILIES, fs_metric, pnorm_metric
+from zetasphere.pipeline import SpectrumCache
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
 
@@ -494,14 +494,14 @@ def test_cli_anomaly_partly_warm_cache(tmp_path, monkeypatch, capsys):
         families.append(tuple(metric_ids))
         return real_solve(stacks, L, metric_ids, vectors)
 
-    def store(self, key, **arrays):
-        stored.append(key)
-        return real_store(self, key, **arrays)
+    def store(self, spectrum):
+        stored.append((spectrum.metric_id, spectrum.L))
+        return real_store(self, spectrum)
 
-    def load(self, key):
-        entry = real_load(self, key)
+    def load(self, metric_id, L):
+        entry = real_load(self, metric_id, L)
         if entry is not None:
-            hits.append(key)
+            hits.append((metric_id, L))
         return entry
 
     monkeypatch.setattr(eigensolve, "_solve_stacks", solve)
@@ -510,12 +510,9 @@ def test_cli_anomaly_partly_warm_cache(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(["anomaly", "--L", "16"], tmp_path / "warm", warm.root, capsys)
     assert code == 0
 
-    def key(p):
-        return spectrum_cache_key(f"pnorm:{p}", 16, 34, eigensolve.SOLVER_VERSION)
-
     assert families == [("pnorm:1", "pnorm:3", "pnorm:4", "pnorm:6")]
-    assert stored == [key(p) for p in (1, 3, 4, 6)]
-    assert hits == [key(2), key(5)]
+    assert stored == [(f"pnorm:{p}", 16) for p in (1, 3, 4, 6)]
+    assert hits == [("pnorm:2", 16), ("pnorm:5", 16)]
     assert len(list(warm.root.glob("*.npz"))) == 6
     cold = (tmp_path / "cold" / "anomaly.json").read_bytes()
     assert (tmp_path / "warm" / "anomaly.json").read_bytes() == cold
@@ -693,16 +690,16 @@ def test_cli_scaled_metrics_obey_rescaling_law(tmp_path, cache, capsys):
 
 def test_cache_env_var(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "envcache"
-    monkeypatch.setenv(CACHE_ENV_VAR, str(env_dir))
-    assert default_cache_dir() == env_dir
+    monkeypatch.setenv("ZETASPHERE_CACHE", str(env_dir))
+    assert SpectrumCache().root == env_dir
     code = main(["spectrum", "--metric", "fs", "--L", "8",
                  "--output-dir", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == 0
     assert list(env_dir.glob("*.npz"))
 
-    monkeypatch.delenv(CACHE_ENV_VAR)
-    home_default = default_cache_dir()
+    monkeypatch.delenv("ZETASPHERE_CACHE")
+    home_default = SpectrumCache().root
     assert home_default.name == "zetasphere"
     assert home_default.parent.name == ".cache"
 

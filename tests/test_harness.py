@@ -14,7 +14,6 @@ import pytest
 import scipy.linalg
 
 from zetasphere import discretize, harness, heatzeta, metrics, pipeline
-from zetasphere.cache import SpectrumCache
 from zetasphere.cli import main
 from zetasphere.discretize import (
     build_basis,
@@ -56,7 +55,7 @@ from zetasphere.metrics import (
     pnorm_family,
     pnorm_metric,
 )
-from zetasphere.pipeline import family_spectra, family_spectral_data
+from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
 
 import oracles
 
@@ -589,7 +588,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     }
     evaluated: list[str] = []
     solved.clear()  # the solves that named the spectra above are not the commands'
-    loads: list[str] = []
+    loads: list[tuple[str, int]] = []
     in_checks: list[str] = []
     inside = [False]
     real_zeta = heatzeta.zeta_result
@@ -599,9 +598,9 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
         evaluated.append(metric_of[spectrum.eigenvalues.tobytes()])
         return real_zeta(spectrum, metric)
 
-    def counting_load(self, key):
-        loads.append(key)
-        return real_load(self, key)
+    def counting_load(self, metric_id, L):
+        loads.append((metric_id, L))
+        return real_load(self, metric_id, L)
 
     def flagged(fn):
         def wrapper(*args, **kwargs):

@@ -46,11 +46,8 @@ from zetasphere.metrics import (
     pnorm_metric,
     scaled_metric,
 )
-from zetasphere.pipeline import (
-    _valid_hit,
-    family_spectra,
-    family_spectral_data,
-)
+from zetasphere import pipeline
+from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
 from zetasphere.quadrature import JET_RULE_NODES
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -616,8 +613,6 @@ def test_every_solve_path_returns_one_record(tmp_path, spec):
     eigenvalues bitwise; its eigenvalues differ only by how LAPACK rounds
     with and without vectors (measured at most 1.7e-12, max), and its
     zeta'(0) by at most 1e-11."""
-    from zetasphere.cache import SpectrumCache
-
     m, L = parse_metric_spec(spec), 16
     cache = SpectrumCache(tmp_path)
     (vectors,) = family_spectra((m,), L)
@@ -761,16 +756,29 @@ def test_zeta_prime_accuracy_at_L128(cache):
     assert err <= 1e-2 and err <= budget
 
 
-def _entry_key(data) -> str:
-    """The cache key ``family_spectral_data`` stores ``data`` under."""
-    from zetasphere.cache import spectrum_cache_key
-
-    return spectrum_cache_key(data.metric_id, data.L, colatitude_nodes(data.L), SOLVER_VERSION)
+def test_store_then_load_returns_the_spectrum(tmp_path):
+    """``store(spectrum)`` then ``load(metric_id, L)`` returns its
+    eigenvalues, volume and nested eigenvalues bitwise, with empty block
+    fields; another degree or another metric's id misses, also when a copy
+    of the entry sits under that name."""
+    cache = SpectrumCache(tmp_path)
+    (fresh,) = family_spectra((fs_metric(),), 4)
+    assert cache.load("fs", 4) is None
+    entry = cache.store(fresh)
+    assert entry == cache.path_for("fs", 4) and list(tmp_path.glob("*.npz")) == [entry]
+    hit = cache.load("fs", 4)
+    assert isinstance(hit, Spectrum) and (hit.metric_id, hit.L) == ("fs", 4)
+    assert hit.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+    assert hit.volume == fresh.volume
+    assert hit.nested.tobytes() == fresh.nested.tobytes()
+    assert hit.block_values == hit.block_vectors == hit.mass_blocks == ()
+    for other in (("fs", 3), ("fs", 5), ("pnorm:3", 4)):
+        assert cache.load(*other) is None, other
+        cache.path_for(*other).write_bytes(entry.read_bytes())
+        assert cache.load(*other) is None, other
 
 
 def test_spectral_data_cache_roundtrip(tmp_path, solved):
-    from zetasphere.cache import SpectrumCache
-
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (first,) = family_spectral_data((metric,), 8, cache=cache)
@@ -788,8 +796,6 @@ def test_spectral_data_cache_roundtrip(tmp_path, solved):
 def test_cache_key_names_the_basis_rule(tmp_path, L):
     """The key stored in a cache entry names the colatitude rule of the
     basis that solved it, 2L + 2 nodes per panel."""
-    from zetasphere.cache import SpectrumCache
-
     want = 2 * L + 2
     assert build_basis(L).quad.n_theta == colatitude_nodes(L) == want
     family_spectral_data((fs_metric(),), L, SpectrumCache(tmp_path))
@@ -801,16 +807,14 @@ def test_cache_key_names_the_basis_rule(tmp_path, L):
 
 def test_truncated_cache_entry_is_a_miss(tmp_path, solved):
     """An unreadable .npz is recomputed and overwritten, not a traceback."""
-    from zetasphere.cache import SpectrumCache
-
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (first,) = family_spectral_data((metric,), 8, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
-    assert cache.path_for(_entry_key(first)) == entry
+    assert cache.path_for(metric.id, 8) == entry
     good = entry.read_bytes()
     entry.write_bytes(good[: len(good) // 2])
-    assert cache.load(_entry_key(first)) is None
+    assert cache.load(metric.id, 8) is None
     (again,) = family_spectral_data((metric,), 8, cache=cache)
     assert solved == [(metric.id, 8)] * 2
     assert np.array_equal(again.eigenvalues, first.eigenvalues)
@@ -823,19 +827,17 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
     """Each truncation and each single-byte flip of an L = 2 entry loads
     without raising, and an entry that passes validation holds the fresh
     spectrum bit for bit."""
-    from zetasphere.cache import SpectrumCache
-
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (fresh,) = family_spectral_data((metric,), 2, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
-    assert cache.path_for(_entry_key(fresh)) == entry
+    assert cache.path_for(metric.id, 2) == entry
     good = entry.read_bytes()
     variants = [good[:k] for k in range(len(good))]
     variants += [good[:k] + bytes([good[k] ^ 0xFF]) + good[k + 1:] for k in range(len(good))]
     for k, variant in enumerate(variants):
         entry.write_bytes(variant)
-        hit = _valid_hit(cache.load(_entry_key(fresh)), metric.id, 2)
+        hit = cache.load(metric.id, 2)
         if hit is not None:
             assert hit.eigenvalues.tobytes() == fresh.eigenvalues.tobytes(), k
             assert hit.volume == fresh.volume, k
@@ -849,18 +851,18 @@ def test_every_truncated_or_flipped_cache_entry_reads_as_a_miss(tmp_path):
 )
 def test_wrong_cache_entry_is_a_miss(tmp_path, defect, solved):
     """Entries that do not describe an L = 4 spectrum and its nested one at
-    L' = 3 are misses and get overwritten."""
-    from zetasphere.cache import SpectrumCache
-
+    L' = 3 are misses and get overwritten. Each defect is written into the
+    stored entry by hand, under the key that entry holds."""
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (fresh,) = family_spectral_data((metric,), 4, cache=cache)
     (entry,) = tmp_path.glob("*.npz")
-    assert cache.path_for(_entry_key(fresh)) == entry
-    lam, vol, nested = fresh.eigenvalues.copy(), fresh.volume, fresh.nested.copy()
-    arrays = {}
+    assert cache.path_for(metric.id, 4) == entry
+    with np.load(entry) as payload:
+        arrays = dict(payload)
+    lam, nested = arrays["eigenvalues"], arrays["nested"]
     if defect == "short":
-        lam = lam[:2]
+        arrays["eigenvalues"] = lam[:2]
     elif defect == "unsorted":
         lam[[1, -1]] = lam[[-1, 1]]
     elif defect == "nonzero_kernel":
@@ -872,14 +874,15 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect, solved):
     elif defect == "nonfinite":
         lam[-1] = np.nan
     elif defect == "nested_short":
-        nested = nested[:-1]
+        arrays["nested"] = nested[:-1]
     elif defect == "nested_unsorted":
         nested[[1, -1]] = nested[[-1, 1]]
-    elif defect != "nested_missing":
-        vol = -vol
-    if defect != "nested_missing":
-        arrays["nested"] = nested
-    cache.store(_entry_key(fresh), eigenvalues=lam, volume=np.float64(vol), **arrays)
+    elif defect == "nested_missing":
+        del arrays["nested"]
+    else:
+        arrays["volume"] = -arrays["volume"]
+    np.savez(entry, **arrays)
+    assert cache.load(metric.id, 4) is None
     (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert solved == [(metric.id, 4)] * 2
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
@@ -888,44 +891,46 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, defect, solved):
     assert solved == [(metric.id, 4)] * 2
 
 
-def test_previous_solver_entry_is_not_served(tmp_path, solved):
+def test_previous_solver_entry_is_not_served(tmp_path, solved, monkeypatch):
     """An entry stored under the blocks-6 solver key is never a hit.
 
     It holds a valid-looking spectrum and nested spectrum (twice the true
     ones), so only the solver version in the key keeps it out.
     """
-    from zetasphere.cache import SpectrumCache, spectrum_cache_key
-
-    assert SOLVER_VERSION == "blocks-7"
+    assert SOLVER_VERSION == pipeline.SOLVER_VERSION == "blocks-7"
     cache = SpectrumCache(tmp_path)
     metric = pnorm_metric(2.0)
     (fresh,) = family_spectral_data((metric,), 4)
-    old_key = spectrum_cache_key(metric.id, 4, colatitude_nodes(4), "blocks-6")
-    cache.store(old_key, eigenvalues=2.0 * fresh.eigenvalues, volume=np.float64(fresh.volume),
-                nested=2.0 * fresh.nested)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "SOLVER_VERSION", "blocks-6")
+        cache.store(fresh._replace(eigenvalues=2.0 * fresh.eigenvalues, nested=2.0 * fresh.nested))
+        assert cache.load(metric.id, 4) is not None
     (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert solved == [(metric.id, 4)] * 2
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
     assert len(list(tmp_path.glob("*.npz"))) == 2
 
 
-def test_colliding_cache_names_read_as_misses(tmp_path):
+# Two metric ids whose blocks-7 keys at L = 4 share the CRC-32 0xdae9e924.
+_COLLIDING_IDS = ("brjcykot", "nbpitdgr")
+
+
+def test_colliding_cache_names_read_as_misses(tmp_path, monkeypatch):
     """Two keys with one CRC-32 name share a file; the entry answers only
     the key it was stored under, and a store under the other overwrites it."""
-    from zetasphere.cache import SpectrumCache, spectrum_cache_key
-
+    monkeypatch.setattr(pipeline, "SOLVER_VERSION", "blocks-7")
     cache = SpectrumCache(tmp_path)
-    a = spectrum_cache_key("uejgtcuo", 4, 10, "v1")
-    b = spectrum_cache_key("iiwucoup", 4, 10, "v1")
-    assert a != b and cache.path_for(a) == cache.path_for(b)
-    cache.store(a, eigenvalues=np.arange(3.0), volume=np.float64(1.0))
-    assert cache.load(b) is None
-    assert np.array_equal(cache.load(a)["eigenvalues"], np.arange(3.0))
-    cache.store(b, eigenvalues=np.arange(4.0), volume=np.float64(2.0))
-    assert cache.load(a) is None
-    hit = cache.load(b)
-    assert sorted(hit) == ["eigenvalues", "volume"]
-    assert np.array_equal(hit["eigenvalues"], np.arange(4.0))
+    a, b = _COLLIDING_IDS
+    assert a != b and cache.path_for(a, 4) == cache.path_for(b, 4)
+    (fresh,) = family_spectral_data((fs_metric(),), 4)
+    cache.store(fresh._replace(metric_id=a))
+    assert cache.load(b, 4) is None
+    assert np.array_equal(cache.load(a, 4).eigenvalues, fresh.eigenvalues)
+    cache.store(fresh._replace(metric_id=b, eigenvalues=2.0 * fresh.eigenvalues))
+    assert cache.load(a, 4) is None
+    hit = cache.load(b, 4)
+    assert hit.metric_id == b and hit.block_values == hit.block_vectors == hit.mass_blocks == ()
+    assert np.array_equal(hit.eigenvalues, 2.0 * fresh.eigenvalues)
     assert len(list(tmp_path.glob("*.npz"))) == 1
 
 
@@ -933,15 +938,13 @@ def test_entry_under_another_key_is_a_miss_and_overwritten(tmp_path, solved):
     """A valid spectrum of another metric at this metric's file name, as a
     name collision leaves it, is never served: the stored key differs, so
     family_spectral_data solves again and its store replaces the entry."""
-    from zetasphere.cache import SpectrumCache
-
     cache = SpectrumCache(tmp_path)
     (other,) = family_spectral_data((pnorm_metric(3.0),), 4, cache=cache)
     metric = pnorm_metric(2.0)
     (fresh,) = family_spectral_data((metric,), 4)
-    entry = cache.path_for(_entry_key(fresh))
-    cache.path_for(_entry_key(other)).rename(entry)
-    assert cache.load(_entry_key(fresh)) is None
+    entry = cache.path_for(metric.id, 4)
+    cache.path_for(other.metric_id, 4).rename(entry)
+    assert cache.load(metric.id, 4) is None
     (again,) = family_spectral_data((metric,), 4, cache=cache)
     assert solved == [(other.metric_id, 4), (metric.id, 4), (metric.id, 4)]
     assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
@@ -959,7 +962,6 @@ def test_close_specs_get_distinct_spectra(tmp_path, specs, solved):
 
     The spectra are the values-only block solve that ``family_spectral_data`` runs
     on a miss, so the cached entries must equal them bit for bit."""
-    from zetasphere.cache import SpectrumCache
     from zetasphere.metrics import parse_metric_spec
 
     a, b = (parse_metric_spec(spec) for spec in specs)
