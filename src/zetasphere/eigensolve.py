@@ -34,17 +34,17 @@ degeneracy exact. Eigenvectors and functions of the operator (the
 `resolvent` and the `heat_operator`, each `apply_function` behind a domain
 check) stay per block, since a radial operator never couples two
 azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
-eigenvalues of the harness's general symmetric-definite Gram pencils, a stack
-of them against one B in one call.
+eigenvalues of the harness's general symmetric-definite Gram pencils.
 
 Operator norms are taken in the mass inner product, with the same Cholesky
 step: for a Gram matrix G = R^T R, `singular_values` gives the weighted
 singular values of A as the ordinary ones of R A R^-1. A block-diagonal
 operator has the largest of its block norms as its norm, and
 `block_operator_norms` takes those of a stack of operators at once, one
-stacked SVD per block m, each norm bitwise that of its operator alone. This
-is how the harness measures resolvents and heat operators converging in
-operator norm, and the residual of the Duhamel identity.
+stacked SVD per block m, each in one shared inner product or in its own,
+and each norm bitwise that of its operator alone. This is how the harness
+measures resolvents and heat operators converging in operator norm, and the
+residual of the Duhamel identity.
 """
 from __future__ import annotations
 
@@ -131,8 +131,8 @@ def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
     With the Cholesky factor gram = R^T R they are the ordinary singular
     values of R A R^-1, the operator written in an orthonormal frame. A may
-    be a stack (..., n, n) against the one Gram matrix; each matrix of the
-    stack is mapped as it would be alone.
+    be a stack (..., n, n) against the one Gram matrix or against a stack
+    of as many; each matrix of the stack is mapped as it would be alone.
 
     Raises
     ------
@@ -140,10 +140,11 @@ def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
         If ``gram`` is not positive definite.
     """
     try:
-        R = np.linalg.cholesky(gram).T.copy()
+        C = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as e:
         raise DomainError("inner product Gram matrix is not positive definite") from e
-    frame = np.swapaxes(np.linalg.solve(R.T, np.swapaxes(R @ A, -1, -2)), -1, -2)
+    R = np.swapaxes(C, -1, -2).copy()
+    frame = np.swapaxes(np.linalg.solve(C, np.swapaxes(R @ A, -1, -2)), -1, -2)
     return np.linalg.svd(frame, compute_uv=False)
 
 
@@ -151,8 +152,9 @@ def block_operator_norms(stacks: Sequence[np.ndarray], grams: Blocks) -> np.ndar
     """Operator norms of K block-diagonal operators: each the max of its block norms.
 
     ``stacks[m]`` is the (K, k_m, k_m) stack of the operators' blocks m and
-    ``grams[m]`` the mass block M_m, the inner product on their rows; the
-    blocks are orthogonal to each other in the full Gram matrix. One stacked
+    ``grams[m]`` the mass block M_m, the inner product on their rows, or a
+    stack of K of them, one per operator; the blocks are orthogonal to each
+    other in the full Gram matrix. One stacked
     solve and SVD per m serves all K operators, each bitwise as it would be
     alone (one operator is a stack of one).
     """

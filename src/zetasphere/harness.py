@@ -8,45 +8,41 @@ tabulates the scalar pipeline per member, and turns each limiting statement
 into a quantitative pass/fail check. ``sweep`` is the only place that solves
 a family's pencils and runs the scalar pipeline on them: the members and the
 limit in one family solve (one Legendre sweep, one stacked LAPACK call per
-m), then the pipeline once per row. Each row keeps its metric's ``Spectrum`` (block
-eigenvectors and mass blocks), its ``ZetaResult`` and its ordered scalar
-``columns``, and every check on the family's own metrics reads the
-``SweepReport``: the Cauchy table, the gap floor (mass blocks), the operator
-limits (eigenvectors) and the determinant checks of ``anomaly``. No check
-solves one of those pencils again; the sweep solves them all on one basis
-and uses no disk cache.
+m), then the pipeline once per row. Each row keeps its metric, its
+``Spectrum`` (block eigenvectors and mass blocks), its ``ZetaResult`` and
+its ordered scalar ``columns``, and every check on the family's own metrics
+reads the ``SweepReport``: the Cauchy table, the gap floor, the operator
+limits (eigenvectors and mass blocks) and the determinant checks of
+``anomaly``. No check solves one of those pencils again; the sweep solves
+them all on one basis and uses no disk cache.
 
-- ``sweep`` / ``cauchy_check``: every scalar column is Cauchy with
-  differences bounded by (constant) x (sup log-density distance). The limit
-  metric's own row closes each column as one more pair at the last member's
-  distance to it, since a continuous limit assembles fine.
-- ``lambda1_floor``: a uniform positive lower bound on the spectral gap from
-  mass-matrix equivalence and the min-max principle.
-- ``resolvent_convergence``: resolvents and heat operators form Cauchy
-  sequences in operator norm, bounded by the integrated density variation;
-  each operator function is one Cauchy column, frozen as the sweep's are.
+Every bound is exact, with no measured constant. The Dirichlet form does
+not depend on the metric, and the mass weights are positive on the nodes,
+so for two metrics p, q with d = max over the mass's nodes and r = 1 of
+|log rho_p - log rho_q| (`metrics.sup_log_distance`) the mass matrices obey
+e^-d M_q <= M_p <= e^d M_q, and Courant-Fischer min-max bounds each
+quantity in closed form, to roundoff:
+
+- ``cauchy_check``: consecutive rows, closed by (last member, limit),
+  differ by at most the bounds of their pair's d, checked on every pair.
+- ``lambda1_floor``: the uniform gap floor lambda1 >= lambda1(ref) e^-d.
+- ``resolvent_convergence``: resolvents and heat operators along the same
+  chain, each pair within its bound in the mass norm of its first metric.
 - ``variation_checks``: the operator's u-variation on one solved path
-  between the family's middle members, the pencils at u - h, u, u + h and
-  the mass derivative at u from one Legendre sweep at a fixed degree. Its
-  parameter derivative is dominated by the sup of the density variation,
-  exactly: the spectral radius of the Gram pencil (dM, M) is at most that
-  sup (tag bornelapbelt). The heat operator obeys the integrated variation
-  identity, its time integral exact in the eigenbasis (the Duhamel half of
+  between the family's middle members, at a fixed degree. Its parameter
+  derivative is dominated by the sup of the density variation, exactly:
+  the spectral radius of the Gram pencil (dM, M) is at most that sup (tag
+  bornelapbelt). The heat operator obeys the integrated variation identity,
+  its time integral exact in the eigenbasis (the Duhamel half of
   variationEu).
 
 Every built-in metric is radial, so each operator above is block diagonal
 in the harmonic basis with one block per azimuthal index m (the cos and sin
 copies share it). The checks work on those blocks: an operator norm is the
 largest block norm in the mass inner product (`eigensolve.block_operator_norms`,
-handed the mass blocks themselves), a Gram pencil's top eigenvalue or
-spectral radius the largest over the blocks, and no n x n matrix is built. Where a check meets
-the same block m of several operators or pencils (the gap floor, the
-operator limits), it solves them as one stack per m.
-
-Constants in the bounds (written c, c3, C below) are existential, so the
-harness measures each one on the first pair of the sweep, freezes it with a
-2x safety factor, and asserts the bound on all remaining pairs. That turns
-"there exists a constant" into a regression test without inventing values.
+handed the mass blocks themselves), a Gram pencil's spectral radius the
+largest over the blocks, and no n x n matrix is built. The operator limits
+take the norms of all pairs in one stacked solve and SVD per m.
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
 named check tag; the CLI writes these to summary.json. It hands the sweep
@@ -63,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anomaly import QuillenLimit, TwoRouteReport, quillen_limit, two_route_pairs
+from .anomaly import QuillenLimit, TwoRouteReport, bott_chern_bound, quillen_limit, two_route_pairs
 from .discretize import build_basis, mass_weights, stiffness, variation_weights, weighted_grams
 from .eigensolve import (
     Spectrum,
@@ -79,17 +75,12 @@ from .metrics import (
     ConformalMetric,
     MetricFamily,
     d_log_density_du,
-    delta_X,
     interpolate,
     sup_log_distance,
 )
 from .pipeline import family_spectra
-from .quadrature import gauss_legendre
 
 __all__ = ["THEOREM_TAGS", "convergence_summary"]
-
-# Safety factor applied to every constant measured on the first sweep pair.
-FROZEN_SAFETY = 2.0
 
 # Residual of the integrated variation identity, relative to the derivative
 # norm: up to 2e-7 on the built-in families, and e for an error e in dLap.
@@ -107,13 +98,8 @@ THEOREM_TAGS = (
     "lowerbound",
 )
 
-# Sweep columns that carry the zeta error budget as measurement noise.
-_BUDGET_COLUMNS = frozenset({"zeta_prime0", "log_quillen"})
-
+# Roundoff slack of the exact bounds, relative to the values compared.
 _TINY_REL = 1e-9
-
-# Gauss-Legendre nodes of the density-variation integral over one segment.
-_DELTA_GL_NODES = 8
 
 # Resolvent shift and heat time of the operator-limit checks.
 _RESOLVENT_SHIFT = 1.0
@@ -138,6 +124,7 @@ class SweepRow(NamedTuple):
     """
 
     param: float
+    metric: ConformalMetric
     columns: dict[str, float]
     sup_log_dist_to_limit: float
     zeta: ZetaResult
@@ -147,39 +134,43 @@ class SweepRow(NamedTuple):
 class SweepReport(NamedTuple):
     """One family sweep: a row per member and the limit metric's own row.
 
-    ``family`` is the swept family, whose density variation
-    ``resolvent_convergence`` integrates; ``rows`` follow its parameters.
-    ``limit_row`` is the limit metric's row (parameter inf, distance 0 to
-    itself); it closes the Cauchy table but never enters converge.csv.
-    ``pair_dist`` holds the sup log-density distance of consecutive members.
+    ``rows`` follow the family's parameters. ``limit_row`` is the limit
+    metric's row (parameter inf, distance 0 to itself); it closes the Cauchy
+    table but never enters converge.csv. ``pair_dist`` holds the sup
+    log-density distance of consecutive members, read on ``radii``, the
+    radii of the mass's colatitude nodes at the sweep's degree.
+    ``theta_times`` maps each ``theta_t<t>`` column to its time t.
     """
 
-    family: MetricFamily
     rows: tuple[SweepRow, ...]
     limit_row: SweepRow
     pair_dist: tuple[float, ...]
+    radii: np.ndarray
+    theta_times: dict[str, float]
 
 
 def _pipeline_row(
     param: float,
     metric: ConformalMetric,
     limit: ConformalMetric,
-    theta_columns: dict[str, float],
+    theta_times: dict[str, float],
     spectrum: Spectrum,
+    radii: np.ndarray,
 ) -> SweepRow:
     """Run the scalar pipeline on one metric's solved pencil, tabulate its row."""
     zres = zeta_result(spectrum, metric)
-    th = theta_values(spectrum.eigenvalues, np.array(list(theta_columns.values())))
+    th = theta_values(spectrum.eigenvalues, np.array(list(theta_times.values())))
     return SweepRow(
         param=param,
+        metric=metric,
         columns={
             "vol": zres.volume,
             "lambda1": spectrum.lambda1,
-            **{name: float(v) for name, v in zip(theta_columns, th)},
+            **{name: float(v) for name, v in zip(theta_times, th)},
             "zeta_prime0": zres.zeta_prime0,
             "log_quillen": zres.log_quillen,
         },
-        sup_log_dist_to_limit=sup_log_distance(metric, limit),
+        sup_log_dist_to_limit=sup_log_distance(metric, limit, radii),
         zeta=zres,
         spectrum=spectrum,
     )
@@ -221,34 +212,33 @@ def sweep(
     t_arr = np.asarray(t_set, dtype=float)
     if t_arr.size == 0 or np.any(t_arr <= 0.0):
         raise DomainError(f"t_set must be positive times, got {t_set}")
-    theta_columns = {f"theta_t{t:g}": float(t) for t in t_arr}
-    if len(theta_columns) < t_arr.size:
+    theta_times = {f"theta_t{t:g}": float(t) for t in t_arr}
+    if len(theta_times) < t_arr.size:
         raise DomainError(f"t_set times must have distinct column names, got {t_set}")
 
     limit = family.limit
+    radii = build_basis(L).quad.radii_theta
     spectra = family_spectra((*family.members, limit), L)
     rows: list[SweepRow] = []
     for p, metric, spectrum in zip(params, family.members, spectra):
-        row = _pipeline_row(p, metric, limit, theta_columns, spectrum)
+        row = _pipeline_row(p, metric, limit, theta_times, spectrum, radii)
         if not all(math.isfinite(v) for v in (*row.columns.values(), row.sup_log_dist_to_limit)):
             raise DomainError(f"non-finite sweep column for parameter {p}")
         rows.append(row)
-    limit_row = _pipeline_row(math.inf, limit, limit, theta_columns, spectra[-1])
     members = family.members
-    pair_dist = tuple(sup_log_distance(a, b) for a, b in zip(members, members[1:]))
     return SweepReport(
-        family=family,
         rows=tuple(rows),
-        limit_row=limit_row,
-        pair_dist=pair_dist,
+        limit_row=_pipeline_row(math.inf, limit, limit, theta_times, spectra[-1], radii),
+        pair_dist=tuple(sup_log_distance(a, b, radii) for a, b in zip(members, members[1:])),
+        radii=radii,
+        theta_times=theta_times,
     )
 
 
 class CauchyColumn(NamedTuple):
-    """Cauchy data of one sweep column: |differences| against frozen bounds."""
+    """One column's pairs: |differences| against their exact bounds."""
 
     name: str
-    c_frozen: float
     diffs: tuple[float, ...]
     bounds: tuple[float, ...]
     passed: bool
@@ -262,58 +252,71 @@ class CauchyReport(NamedTuple):
     passed: bool
 
 
-def _cauchy_column(
-    name: str, labels: list[str], diffs: list[float], scales, slack
+def _column(
+    name: str, labels: list[str], diffs: list[float], bounds: list[float]
 ) -> tuple[CauchyColumn, list[str]]:
-    """Freeze the constant of |diffs[i]| <= c scales[i] + slack[i] on pair 0.
-
-    c is measured on the first pair and multiplied by ``FROZEN_SAFETY``; the
-    bound is asserted on the remaining pairs. A first scale below
-    ``_TINY_REL`` (a family that does not vary) gives c = 0, and then every
-    pair must stay within its slack. Returns the column and a message for
-    each pair, named by its label, that exceeds its bound.
-    """
-    measured = scales[0] > _TINY_REL
-    c = float(FROZEN_SAFETY * diffs[0] / scales[0]) if measured else 0.0
-    bounds = tuple(float(c * x + e) for x, e in zip(scales, slack))
+    """The column of ``diffs`` against ``bounds``, and a message for each
+    pair, named by its label, whose difference exceeds its bound."""
     violations = [
-        f"column {name}: pair {labels[i]} difference {diffs[i]:.3e} "
-        f"exceeds frozen bound {bounds[i]:.3e}"
-        for i in range(1 if measured else 0, len(diffs))
-        if diffs[i] > bounds[i]
+        f"column {name}: pair {label} difference {x:.3e} exceeds bound {b:.3e}"
+        for label, x, b in zip(labels, diffs, bounds)
+        if x > b
     ]
-    return CauchyColumn(name, c, tuple(diffs), bounds, not violations), violations
+    return CauchyColumn(name, tuple(diffs), tuple(bounds), not violations), violations
+
+
+def _chain(report: SweepReport, check: str) -> tuple[list, list[float], list[str]]:
+    """The consecutive pairs of the members closed by (last member, limit),
+    each pair's distance d and its label. ``check`` needs two members."""
+    if len(report.rows) < 2:
+        raise DomainError(f"{check} needs at least two members")
+    chain = (*report.rows, report.limit_row)
+    pairs = list(zip(chain, chain[1:]))
+    dists = [*report.pair_dist, report.rows[-1].sup_log_dist_to_limit]
+    return pairs, dists, [f"({a.param:g}, {b.param:g})" for a, b in pairs]
 
 
 def cauchy_check(report: SweepReport) -> CauchyReport:
-    """Check every sweep column is Cauchy at the sup-log-distance rate.
+    """Check every sweep column on every pair of the chain of members
+    closed by (last member, limit), the first pair included, against the
+    exact bound of the pair's distance d:
 
-    The pairs of a column are the consecutive members, closed by (last
-    member, limit) at the last member's distance to the limit. For each
-    column the constant C in |x_i - x_{i+1}| <= C * dist_i is measured on
-    the first pair, frozen with the 2x safety factor, and asserted on every
-    other pair, the closing one included. The zeta'(0) and log h_Q columns
-    get the two rows' zeta error budgets as slack, the exact columns only a
-    relative epsilon of the pair's larger value. A constant family (zero
-    distances) must have zero differences up to the slack.
+    - ``vol`` and ``lambda1``: |x - y| <= (e^d - 1) min(x, y);
+    - ``theta_t<t>``: the first row's theta(t) lies between the second's
+      theta(e^d t) and theta(e^-d t);
+    - ``log_quillen``: at most the anomaly bound
+      ``anomaly.bott_chern_bound`` of the pair, plus the two rows' zeta
+      error budgets;
+    - ``zeta_prime0``: the same plus d, which bounds |Delta log vol|.
+
+    The exact columns get a relative epsilon of the pair's larger value for
+    roundoff. A constant family (zero distances) must have zero differences
+    up to that slack.
     """
-    rows = report.rows
-    if len(rows) < 2:
-        raise DomainError("cauchy_check needs at least two sweep rows")
-
-    pairs = [*zip(rows, rows[1:]), (rows[-1], report.limit_row)]
-    scales = [*report.pair_dist, rows[-1].sup_log_dist_to_limit]
-    labels = [f"({a.param:g}, {b.param:g})" for a, b in pairs]
+    pairs, dists, labels = _chain(report, "cauchy_check")
+    quillen = [
+        bott_chern_bound(a.metric, b.metric, d) + a.zeta.error_budget + b.zeta.error_budget
+        for (a, b), d in zip(pairs, dists)
+    ]
     columns: list[CauchyColumn] = []
     violations: list[str] = []
-    for name in rows[0].columns:
+    for name in report.rows[0].columns:
         values = [(a.columns[name], b.columns[name]) for a, b in pairs]
-        d = [abs(x - y) for x, y in values]
-        if name in _BUDGET_COLUMNS:
-            slack = [a.zeta.error_budget + b.zeta.error_budget for a, b in pairs]
+        t = report.theta_times.get(name)
+        if name == "log_quillen":
+            bounds = quillen
+        elif name == "zeta_prime0":
+            bounds = [q + d for q, d in zip(quillen, dists)]
         else:
-            slack = [_TINY_REL * (1.0 + max(abs(x), abs(y))) for x, y in values]
-        column, bad = _cauchy_column(name, labels, d, scales, slack)
+            bounds = []
+            for (x, y), (_, b), d in zip(values, pairs, dists):
+                if t is None:  # vol and lambda1
+                    width = math.expm1(d) * min(x, y)
+                else:  # theta_b(e^d t) <= x <= theta_b(e^-d t)
+                    low, high = theta_values(b.spectrum.eigenvalues, t * np.exp([d, -d]))
+                    width = high - y if x >= y else y - low
+                bounds.append(float(width) + _TINY_REL * (1.0 + max(abs(x), abs(y))))
+        column, bad = _column(name, labels, [abs(x - y) for x, y in values], bounds)
         columns.append(column)
         violations += bad
     return CauchyReport(
@@ -335,11 +338,11 @@ class Lambda1Floor(NamedTuple):
     """Uniform lower bound on the spectral gap across a family.
 
     The Dirichlet form is metric-independent, so mass-matrix equivalence
-    v'M_p v <= c v'M_ref v pushes every Rayleigh quotient up by 1/c and the
-    min-max principle gives lambda1(p) >= lambda1(ref)/c. A member's constant
-    is the top eigenvalue of the Gram pencil (M_p, M_ref), the largest over
-    the azimuthal blocks; ``c`` is the largest over the members, ``floor``
-    the first member's gap over c, ``kappa`` the smallest gap.
+    M_p <= c M_ref pushes every Rayleigh quotient up by 1/c and the min-max
+    principle gives lambda1(p) >= lambda1(ref)/c. A member's constant is
+    e^d, d its sup log-density distance to the reference on the mass's
+    nodes; ``c`` is the largest over the members, ``floor`` the first
+    member's gap over c, ``kappa`` the smallest gap.
     """
 
     c: float
@@ -353,24 +356,22 @@ class Lambda1Floor(NamedTuple):
 def lambda1_floor(report: SweepReport) -> Lambda1Floor:
     """Verify the uniform spectral-gap floor lambda1 >= lambda1(ref)/c.
 
-    Everything comes from the sweep ``report``: each row's gap and the mass
-    blocks of its solved pencil, so nothing is assembled here; the Gram
-    pencils of every row share one stacked solve per m. The reference
-    is the first member; the limit metric joins the rows (parameter
-    reported as inf) since the bound must be uniform up to the limit.
+    Everything comes from the sweep ``report``: each row's gap and metric,
+    and the nodes it was solved on, so nothing is assembled or solved here.
+    The reference is the first member; the limit metric joins the rows
+    (parameter reported as inf) since the bound must be uniform up to the
+    limit.
     """
     if len(report.rows) < 2:
         raise DomainError("lambda1_floor needs at least two members")
-    rows_in = [*report.rows, report.limit_row]
-
-    # per m, one stacked pencil solve of every row's M_m against M_ref
-    tops = np.max([
-        pencil_eigvalsh(np.stack([row.spectrum.mass_blocks[m] for row in rows_in]), M_ref)[:, -1]
-        for m, M_ref in enumerate(report.rows[0].spectrum.mass_blocks)
-    ], axis=0)
+    ref = report.rows[0].metric
     rows = [
-        Lambda1FloorRow(row.param, row.spectrum.lambda1, float(c_member))
-        for row, c_member in zip(rows_in, tops)
+        Lambda1FloorRow(
+            row.param,
+            row.spectrum.lambda1,
+            math.exp(sup_log_distance(row.metric, ref, report.radii)),
+        )
+        for row in (*report.rows, report.limit_row)
     ]
 
     c = max(r.c_member for r in rows)
@@ -391,18 +392,14 @@ class ResolventReport(NamedTuple):
     """Cauchy columns of resolvents and heat operators along a family.
 
     ``columns`` holds one `CauchyColumn` per operator function, keyed
-    ``resolvent`` and ``heat``: the distances of consecutive member pairs,
-    operator norms in the first member's mass inner product (the largest
-    over the azimuthal blocks), against their frozen bounds. A column's
-    ``c_frozen`` is the c3 of its bound. A column passes when every pair is
-    within its bound and the distances do not grow. ``limit_dist`` maps each
-    function to the distance from the last member to the limit metric's
-    operator, reported without a bound (the interpolation path stops at the
-    last member).
+    ``resolvent`` and ``heat``: the distances of consecutive pairs of the
+    members closed by (last member, limit), each an operator norm in the
+    mass inner product of the pair's first metric (the largest over the
+    azimuthal blocks), against its exact bound. A column passes when every
+    pair is within its bound and the member pairs' distances do not grow.
     """
 
     columns: dict[str, CauchyColumn]
-    limit_dist: dict[str, float]
     failures: tuple[str, ...]
     passed: bool
 
@@ -410,59 +407,50 @@ class ResolventReport(NamedTuple):
 def resolvent_convergence(report: SweepReport) -> ResolventReport:
     """Check resolvents and heat operators are Cauchy along the family.
 
-    The operators are built from the spectra of the sweep ``report``, in the
-    mass inner product of its first member, so no pencil is solved here.
-    For each of the two operator functions, consecutive member pairs (from
-    the second member on, matching the interpolation domain) are compared in
-    operator norm, and the distances form one Cauchy column: each must stay
-    below c3 times the integrated density variation over the joining
-    segment, with c3 frozen on the first pair as for `cauchy_check` (0 for a
-    family without density variation, whose distances must then stay below
-    the roundoff slack). Differences must not grow either, and the distance
-    to the limit row's operator is reported beside each column. The norms of
-    all pairs share one stacked solve and SVD per block m.
+    The operators are built from the spectra of the sweep ``report``, so no
+    pencil is solved here. For each operator function, every consecutive
+    pair of the chain of members closed by the limit is compared in the
+    mass norm of its first metric. With B = 1 - M_p^-1 M_q, whose norm is
+    at most e^d - 1, and norms of q's operators in p's mass norm costing
+    e^d at most:
+
+    - resolvent: R_p - R_q = R_p B A_q R_q, so the distance is at most
+      e^d (e^d - 1) / shift;
+    - heat operator: the Duhamel integral of E_p(t - s) B A_q E_q(s),
+      split at t/2 and integrated by parts on the first half, gives
+      (e^d - 1)(1 + e^d (1 + 2 ln 2 / e)) at any t.
+
+    A family without density variation must stay below the roundoff slack.
+    The member pairs' distances must not grow either. The norms of all
+    pairs share one stacked solve and SVD per block m.
     """
-    members = report.rows
-    if len(members) < 3:
-        raise DomainError("resolvent_convergence needs at least three members")
-
-    gram_ref = members[0].spectrum.mass_blocks
-    xg, wg = gauss_legendre(_DELTA_GL_NODES)
-    deltas = [
-        float(np.sum(wg * 0.5 * np.array([delta_X(report.family, k + 0.5 + 0.5 * x) for x in xg])))
-        for k in range(1, len(members) - 1)
-    ]
-    labels = [f"({a.param:g}, {b.param:g})" for a, b in zip(members[1:], members[2:])]
-    slack = [_TINY_REL] * len(deltas)
-
-    chain = [*(row.spectrum for row in members[1:]), report.limit_row.spectrum]
-    operators = {
-        "resolvent": lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
-        "heat": lambda spec: heat_operator(spec, _HEAT_TIME),
-    }
+    _, dists, labels = _chain(report, "resolvent_convergence")
+    chain = [row.spectrum for row in (*report.rows, report.limit_row)]
+    grams = [np.stack(M[:-1]) for M in zip(*(spec.mass_blocks for spec in chain))]
+    operators = (
+        ("resolvent", lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
+         lambda d: math.exp(d) * math.expm1(d) / _RESOLVENT_SHIFT),
+        ("heat", lambda spec: heat_operator(spec, _HEAT_TIME),
+         lambda d: math.expm1(d) * (1.0 + math.exp(d) * (1.0 + 2.0 * math.log(2.0) / math.e))),
+    )
     columns: dict[str, CauchyColumn] = {}
-    limit_dist: dict[str, float] = {}
     failures: list[str] = []
-    for name, op in operators.items():
-        # per m, the differences of consecutive operators along the chain as
-        # one stack, the last pair (last member, limit)
+    for name, op, bound in operators:
+        # per m, the differences of consecutive operators along the chain as one stack
         blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in chain))]
-        norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], gram_ref)
-        dists = [float(x) for x in norms[: len(labels)]]
-        column, bad = _cauchy_column(name, labels, dists, deltas, slack)
+        norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], grams).tolist()
+        column, bad = _column(name, labels, norms, [bound(d) + _TINY_REL for d in dists])
         grew = [
             f"column {name}: distances grew at pair {labels[i]}: "
-            f"{dists[i]:.3e} after {dists[i - 1]:.3e}"
-            for i in range(1, len(dists))
-            if dists[i] > dists[i - 1] * (1.0 + _TINY_REL) + _TINY_REL
+            f"{norms[i]:.3e} after {norms[i - 1]:.3e}"
+            for i in range(1, len(report.pair_dist))
+            if norms[i] > norms[i - 1] * (1.0 + _TINY_REL) + _TINY_REL
         ]
         columns[name] = column._replace(passed=column.passed and not grew)
         failures += bad + grew
-        limit_dist[name] = float(norms[-1])
 
     return ResolventReport(
         columns=columns,
-        limit_dist=limit_dist,
         failures=tuple(failures),
         passed=all(c.passed for c in columns.values()),
     )
@@ -595,8 +583,8 @@ def convergence_summary(
     limit determinant and two-route checks run at degree ``L``; the variation
     checks solve their own path between the middle members at the fixed
     ``_VARIATION_L`` (`variation_checks`). Every family member takes part. A
-    family with fewer than the three members that the operator limits and
-    the variation path need is refused before any pencil is solved.
+    family with fewer than the three members that the variation path needs
+    is refused before any pencil is solved.
 
     Each member's and the limit's pencil is solved once, in the sweep,
     which also runs the scalar pipeline on it; the Cauchy table, the gap
@@ -612,7 +600,7 @@ def convergence_summary(
     floor = lambda1_floor(rep)
     resolvents = resolvent_convergence(rep)
     borne, duhamel = variation_checks(family)
-    members = [(r.param, m, r.zeta) for r, m in zip(rep.rows, family.members)]
+    members = [(r.param, r.metric, r.zeta) for r in rep.rows]
     quillen = quillen_limit(members, rep.pair_dist, family.limit)
     two_route = two_route_pairs([(m, z) for _, m, z in members])
 

@@ -17,10 +17,12 @@ curvature, from the one-sided jets (`ConformalMetric.line_masses`). A
 family carries its uniform limit, and the u-derivative of its blend is the
 family's (`d_log_density_du`). A metric's ``order`` says how many of the
 heat invariants b_1 and b_2 its jet determines (`heatzeta.heat_invariants`).
+Its ``id`` is a spec, which `parse_metric_spec` reads back to the same jet.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -41,7 +43,6 @@ __all__ = [
     "FAMILIES",
     "interpolate",
     "d_log_density_du",
-    "delta_X",
     "volume",
     "sup_log_distance",
     "parse_metric_spec",
@@ -57,6 +58,8 @@ MAX_PNORM_P = 1e300
 # density in one more closure, so evaluating the metric recurses once per
 # prefix.
 MAX_SCALED_DEPTH = 16
+# Most ``geomean(`` levels one spec may nest; each level recurses in the parser and the jet.
+MAX_GEOMEAN_DEPTH = 16
 
 
 def _spec_text(x: float) -> str:
@@ -346,24 +349,6 @@ def d_log_density_du(family: MetricFamily, u: float, r) -> np.ndarray:
     return rhop * (hb - ha) / H
 
 
-def equal_area_grid() -> np.ndarray:
-    """Radii of the fixed 64-point equal-area grid (midpoints in cos theta).
-
-    Every built-in factor is radial, so the radii carry the full information.
-    """
-    x = -1.0 + (2.0 * np.arange(64) + 1.0) / 64
-    # r = tan(theta/2), x = cos(theta) -> r = sqrt((1-x)/(1+x))
-    return np.sqrt((1.0 - x) / (1.0 + x))
-
-
-def delta_X(family: MetricFamily, u: float) -> float:
-    """Max over the equal-area grid of |d/du log H(u)^-1| for the
-    interpolated family; 0.0 at an integer u, where the blend is stationary."""
-    if u <= 1.0:
-        raise DomainError(f"delta_X requires u > 1, got {u}")
-    return float(np.abs(d_log_density_du(family, u, equal_area_grid())).max())
-
-
 def volume(metric: ConformalMetric, quad) -> float:
     """Total area with the chosen normalization (integral of the area form).
 
@@ -377,12 +362,15 @@ def volume(metric: ConformalMetric, quad) -> float:
     return float(np.sum(quad.weights_theta * np.exp(log_ratio)))
 
 
-def sup_log_distance(metric: ConformalMetric, other: ConformalMetric) -> float:
-    """Sup of |log(lambda_metric / lambda_other)| over the equal-area radii
-    and the equator r = 1, where the built-in families attain their extreme
-    ratio."""
-    grid = np.concatenate([equal_area_grid(), [1.0]])
-    return float(np.abs(metric.log_density(grid) - other.log_density(grid)).max())
+def sup_log_distance(metric: ConformalMetric, other: ConformalMetric, radii) -> float:
+    """Max of |log(lambda_metric / lambda_other)| over ``radii`` and the
+    equator r = 1, where the built-in families attain their extreme ratio.
+
+    Read on the mass's colatitude nodes, it is the d of the exact mass
+    equivalence e^-d M_other <= M_metric <= e^d M_other.
+    """
+    r = np.append(radii, 1.0)
+    return float(np.abs(metric.log_density(r) - other.log_density(r)).max())
 
 
 def _spec_number(text: str, what: str, spec: str) -> float:
@@ -400,9 +388,11 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
     """Build a metric from its canonical spec string.
 
     Grammar: ``fs`` | ``max`` | ``pnorm:<p>`` | ``scaled:<t>:<inner>`` |
-    ``interp:<u>:<family>`` with ``<family>`` a name of ``FAMILIES`` and
-    u <= ``MAX_INTERP_U``. At most ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes
-    stack. Numbers must be finite.
+    ``geomean(<a>,<b>)`` | ``interp:<u>:<family>`` with ``<family>`` a name
+    of ``FAMILIES`` and u <= ``MAX_INTERP_U``. A geomean splits at its
+    comma outside every parenthesis, and its parts are specs themselves. At
+    most ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes stack, and at most
+    ``MAX_GEOMEAN_DEPTH`` geomeans nest. Numbers must be finite.
     """
     spec = spec.strip()
     factors = []
@@ -435,6 +425,15 @@ def _parse_unscaled(spec: str) -> ConformalMetric:
             return pnorm_metric(p)
         except DomainError as e:
             raise ConfigError(str(e)) from e
+    if spec.startswith("geomean(") and spec.endswith(")"):
+        inner = spec[len("geomean("):-1]
+        depth = list(itertools.accumulate((c == "(") - (c == ")") for c in inner))
+        if max(depth, default=0) >= MAX_GEOMEAN_DEPTH:
+            raise ConfigError(f"more than {MAX_GEOMEAN_DEPTH} nested geomean( levels in {spec!r}")
+        cut = next((i for i, c in enumerate(inner) if c == "," and depth[i] == 0), None)
+        if cut is None:
+            raise ConfigError(f"geomean spec needs geomean(<a>,<b>), got {spec!r}")
+        return geomean_metric(parse_metric_spec(inner[:cut]), parse_metric_spec(inner[cut + 1:]))
     if spec.startswith("interp:"):
         parts = spec.split(":", 2)
         if len(parts) != 3:

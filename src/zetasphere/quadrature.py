@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["QuadratureRule", "build_quadrature", "gauss_legendre", "JET_RULE_NODES"]
+__all__ = ["QuadratureRule", "build_quadrature", "JET_RULE_NODES"]
 
 # Nodes per panel of the one rule on which the metric's jet is integrated,
 # the anomaly integral and the heat invariants: 256 radial nodes split at

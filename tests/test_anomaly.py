@@ -22,6 +22,7 @@ from zetasphere.anomaly import (
     quillen_limit,
     two_route_check,
 )
+from zetasphere.discretize import build_basis
 from zetasphere.errors import DomainError
 from zetasphere.harness import sweep
 from zetasphere.heatzeta import zeta_result
@@ -90,12 +91,16 @@ def test_bott_chern_scaling_slope(base_id, t0):
     assert got == pytest.approx(-math.log(t0) / 3.0, rel=1e-12)
 
 
+def rule_distance(metric_p, metric_q) -> float:
+    """sup |log(h_p/h_q)| on the anomaly rule's own nodes (and r = 1), the
+    sup the integral's bound needs."""
+    return sup_log_distance(metric_p, metric_q, build_quadrature(JET_RULE_NODES).radii_theta)
+
+
 @pytest.mark.parametrize("p,q", PAIRS)
 def test_bott_chern_bound_dominates(p, q):
     mp_, mq = pnorm_metric(p), pnorm_metric(q)
-    assert abs(bott_chern_integral(mp_, mq)) <= bott_chern_bound(
-        mp_, mq, sup_log_distance(mp_, mq)
-    )
+    assert abs(bott_chern_integral(mp_, mq)) <= bott_chern_bound(mp_, mq, rule_distance(mp_, mq))
 
 
 def test_bott_chern_bound_value():
@@ -103,9 +108,7 @@ def test_bott_chern_bound_value():
     p, q = 2.0, 4.0
     want = (4.0 / 12.0) * 2.0 * math.log(2.0) * abs(1.0 / p - 1.0 / q)
     mp_, mq = pnorm_metric(p), pnorm_metric(q)
-    assert bott_chern_bound(mp_, mq, sup_log_distance(mp_, mq)) == pytest.approx(
-        want, rel=1e-10
-    )
+    assert bott_chern_bound(mp_, mq, rule_distance(mp_, mq)) == pytest.approx(want, rel=1e-10)
 
 
 # log h_Q(max) = log 2 + zeta'(0)(max), the closed form
@@ -142,7 +145,7 @@ def test_kinked_pairs_match_the_by_parts_oracle(metric_p, jet_p, metric_q, jet_q
 def test_kinked_bound_counts_the_line_mass(q):
     """K is (1/12) of the total curvature variation: 2 from the smooth
     factor's density and 2 from max's line mass, and the bound dominates."""
-    dist = sup_log_distance(max_metric(), q)
+    dist = rule_distance(max_metric(), q)
     bound = bott_chern_bound(max_metric(), q, dist)
     assert bound == pytest.approx(4.0 / 12.0 * dist, rel=1e-12)
     assert abs(bott_chern_integral(max_metric(), q)) <= bound
@@ -208,8 +211,8 @@ def _limit(family, L, cache):
     members = [
         (p, m, _torsion(m, L, cache)[1]) for p, m in zip(family.parameters, family.members)
     ]
-    metrics = family.members
-    dists = [sup_log_distance(a, b) for a, b in zip(metrics, metrics[1:])]
+    metrics, radii = family.members, build_basis(L).quad.radii_theta
+    dists = [sup_log_distance(a, b, radii) for a, b in zip(metrics, metrics[1:])]
     return quillen_limit(members, dists, family.limit)
 
 

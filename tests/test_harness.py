@@ -3,7 +3,7 @@
 Two independent oracles back the harness claims here: a direct min-max
 argument on a hand-perturbed mass matrix (for the gap floor) and centered
 finite differences of resolvent/heat operators along the interpolation
-parameter (for the variation bounds with a frozen constant).
+parameter (for the d -> 0 forms of the exact operator bounds).
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from zetasphere import discretize, harness, heatzeta, metrics, pipeline
+from zetasphere.anomaly import bott_chern_bound
 from zetasphere.cli import main
 from zetasphere.discretize import (
     build_basis,
@@ -32,7 +33,6 @@ from zetasphere.eigensolve import (
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
     DUHAMEL_RATIO_TOL,
-    FROZEN_SAFETY,
     THEOREM_TAGS,
     BorneReport,
     cauchy_check,
@@ -47,13 +47,13 @@ from zetasphere.metrics import (
     ConformalMetric,
     MetricFamily,
     d_log_density_du,
-    delta_X,
     fs_metric,
     geomean_family,
     interpolate,
     max_metric,
     pnorm_family,
     pnorm_metric,
+    sup_log_distance,
 )
 from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
 
@@ -89,7 +89,6 @@ def test_theorem_tags_frozen():
         "compare2methods",
         "lowerbound",
     )
-    assert FROZEN_SAFETY == 2.0
     assert DUHAMEL_RATIO_TOL == 1e-5
 
 
@@ -101,6 +100,9 @@ def test_sweep_rows():
     assert rep.limit_row.zeta.metric_id == "max"
     assert [r.param for r in rep.rows] == [1.0, 2.0, 3.0]
     assert [r.zeta.metric_id for r in rep.rows] == ["pnorm:1", "pnorm:2", "pnorm:3"]
+    assert [r.metric for r in rep.rows] == list(fam.members)
+    assert rep.theta_times == {"theta_t0.5": 0.5, "theta_t1": 1.0, "theta_t2": 2.0}
+    np.testing.assert_array_equal(rep.radii, build_basis(16).quad.radii_theta)
     for row, p in zip(rep.rows, (1.0, 2.0, 3.0)):
         assert row.zeta.volume == pytest.approx(float(oracles.pnorm_volume(p)), rel=1e-6)
         assert row.sup_log_dist_to_limit == pytest.approx(
@@ -161,15 +163,17 @@ def test_cauchy_check_passes_on_smoothing_family():
         "vol", "lambda1", "theta_t0.5", "theta_t1", "theta_t2",
         "zeta_prime0", "log_quillen",
     ]
+    dists = [*rep.pair_dist, rep.rows[-1].sup_log_dist_to_limit]
     for col in cy.columns:
         assert col.passed
-        # two member pairs, closed by (8, limit)
+        # two member pairs, closed by (8, limit), the first pair checked too
         assert len(col.diffs) == len(col.bounds) == 3
-        assert col.c_frozen >= 0.0
-        # the frozen constant comes from the first pair with the 2x factor
-        assert col.c_frozen == pytest.approx(
-            FROZEN_SAFETY * col.diffs[0] / rep.pair_dist[0], rel=1e-12
-        )
+        assert all(0.0 < x <= b for x, b in zip(col.diffs, col.bounds))
+        if col.name in ("vol", "lambda1"):
+            chain = [r.columns[col.name] for r in (*rep.rows, rep.limit_row)]
+            for x, y, d, bound in zip(chain, chain[1:], dists, col.bounds):
+                slack = 1e-9 * (1.0 + max(x, y))
+                assert bound == pytest.approx(math.expm1(d) * min(x, y) + slack, rel=1e-12)
 
 
 def test_cauchy_check_constant_family():
@@ -179,9 +183,10 @@ def test_cauchy_check_constant_family():
     cy = cauchy_check(rep)
     assert cy.passed
     for col in cy.columns:
-        assert col.c_frozen == 0.0
         assert max(col.diffs) == 0.0
         assert len(col.diffs) == 3  # two member pairs, closed by (3, limit)
+        if col.name not in ("zeta_prime0", "log_quillen"):  # the roundoff slack alone
+            assert max(col.bounds) < 1e-8
 
 
 def test_cauchy_check_needs_two_rows():
@@ -192,7 +197,9 @@ def test_cauchy_check_needs_two_rows():
 
 def test_limit_agreement():
     """The limit row closes each Cauchy column: the pair (last member, limit)
-    at the last member's distance to the limit, under the frozen constant."""
+    at the last member's distance d to the limit, under the exact bounds:
+    the min-max widths of d for the exact columns, the anomaly bound plus
+    the budgets (and d for zeta'(0)) for the others."""
     fam = pnorm_family([2.0, 4.0, 8.0])
     rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
@@ -201,15 +208,25 @@ def test_limit_agreement():
     scale = last.sup_log_dist_to_limit
     assert scale == pytest.approx(2.0 * math.log(2.0) / 8.0, abs=1e-12)
     assert cy.passed
+    budgets = last.zeta.error_budget + limit.zeta.error_budget
+    anomaly = bott_chern_bound(last.metric, limit.metric, scale)
     for col in cy.columns:
         assert col.passed
         x, y = last.columns[col.name], limit.columns[col.name]
         assert col.diffs[-1] == abs(x - y)
-        if col.name in ("zeta_prime0", "log_quillen"):
-            slack = last.zeta.error_budget + limit.zeta.error_budget
+        slack = 1e-9 * (1.0 + max(abs(x), abs(y)))
+        if col.name == "log_quillen":
+            want = anomaly + budgets
+        elif col.name == "zeta_prime0":
+            want = anomaly + budgets + scale
+        elif col.name in ("vol", "lambda1"):
+            want = math.expm1(scale) * min(x, y) + slack
         else:
-            slack = 1e-9 * (1.0 + max(abs(x), abs(y)))
-        assert col.bounds[-1] == pytest.approx(col.c_frozen * scale + slack, rel=1e-12)
+            t = rep.theta_times[col.name]
+            low, high = theta_values(limit.spectrum.eigenvalues, t * np.exp([scale, -scale]))
+            assert low < y < high
+            want = (high - y if x >= y else y - low) + slack
+        assert col.bounds[-1] == pytest.approx(want, rel=1e-12)
 
 
 def shift_limit_zeta_prime0(report):
@@ -238,13 +255,35 @@ def test_limit_disagreement_fails_key2(monkeypatch):
     assert summary.cauchy.violations == cy.violations
 
 
+@pytest.mark.parametrize("name", ["lambda1", "vol"])
+def test_first_pair_moved_by_its_distance_fails_key2(name):
+    """The first member's lambda1, or its volume, moved by the factor
+    e^(d_0) away from its neighbour's, d_0 the first pair's distance,
+    leaves the min-max bound e^-d <= x / y <= e^d of that pair: key2 fails
+    there, on the first pair."""
+    rep = sweep(pnorm_family([1.0, 2.0, 3.0]), L=16)
+    assert cauchy_check(rep).passed
+    first, second = rep.rows[0].columns[name], rep.rows[1].columns[name]
+    d0 = rep.pair_dist[0]
+    moved = first * math.exp(d0 if first > second else -d0)
+    row = rep.rows[0]._replace(columns={**rep.rows[0].columns, name: moved})
+    cy = cauchy_check(rep._replace(rows=(row, *rep.rows[1:])))
+    assert not cy.passed
+    assert [c.name for c in cy.columns if not c.passed] == [name]
+    assert len(cy.violations) == 1
+    assert cy.violations[0].startswith(f"column {name}: pair (1, 2) difference ")
+
+
 def test_lambda1_floor():
     fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
     rep = sweep(fam, L=16)
     fl = lambda1_floor(rep)
     assert fl.passed
-    assert fl.rows[0].c_member == pytest.approx(1.0, rel=1e-12)
+    assert fl.rows[0].c_member == 1.0
     assert fl.rows[-1].param == math.inf  # the limit metric joins the rows
+    for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
+        assert row.c_member == math.exp(sup_log_distance(metric, fam.members[0], rep.radii))
+    assert fl.c == pytest.approx(4.0, rel=1e-14)  # pnorm:1 to max: e^(2 log 2) on the equator
     assert fl.c == max(r.c_member for r in fl.rows)
     assert fl.floor == pytest.approx(fl.rows[0].lambda1 / fl.c, rel=1e-15)
     assert fl.kappa == min(r.lambda1 for r in fl.rows)
@@ -256,15 +295,16 @@ def test_lambda1_floor():
 
 
 def test_lambda1_floor_matches_dense_gram_pencil():
-    """Each c_member, a max over the azimuthal blocks, against the top
-    eigenvalue of the dense Gram pencil (M_p, M_ref), to 1e-12 relative."""
+    """Each c_member = e^d bounds the top eigenvalue of the dense Gram
+    pencil (M_p, M_ref), the sharpest constant of M_p <= c M_ref, on every
+    row: the mass weights are positive on the nodes."""
     fam = pnorm_family([1.0, 2.0, 3.0])
     fl = lambda1_floor(sweep(fam, L=16))
     basis = build_basis(16)
     m_ref = tuple(M for (M,) in masses(basis, (fam.members[0],)))
     for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
-        want = oracles.dense_gram_pencil_top((M for (M,) in masses(basis, (metric,))), m_ref)
-        assert row.c_member == pytest.approx(want, rel=1e-12), row.param
+        top = oracles.dense_gram_pencil_top((M for (M,) in masses(basis, (metric,))), m_ref)
+        assert top <= row.c_member * (1.0 + 1e-12), row.param
 
 
 def test_minmax_oracle_for_gap_floor():
@@ -297,50 +337,63 @@ def test_minmax_oracle_for_gap_floor():
 
 
 def test_resolvent_convergence():
+    """Every pair of the chain of members closed by (5, limit) is within
+    its exact bound, the first included, and the member pairs' distances
+    fall."""
     fam = pnorm_family(range(1, 6))
-    res = resolvent_convergence(sweep(fam, L=16))
+    rep = sweep(fam, L=16)
+    res = resolvent_convergence(rep)
     assert res.passed
     assert res.failures == ()
-    assert list(res.columns) == list(res.limit_dist) == ["resolvent", "heat"]
+    assert list(res.columns) == ["resolvent", "heat"]
+    dists = [*rep.pair_dist, rep.rows[-1].sup_log_dist_to_limit]
+    factors = {"resolvent": lambda d: math.exp(d) * math.expm1(d),
+               "heat": lambda d: math.expm1(d) * (1 + math.exp(d) * (1 + 2 * math.log(2) / math.e))}
     for name, column in res.columns.items():
         assert column.name == name and column.passed
-        assert len(column.diffs) == 3  # pairs (2,3), (3,4), (4,5)
-        assert math.isfinite(column.c_frozen) and column.c_frozen > 0.0
-        assert list(column.diffs) == sorted(column.diffs, reverse=True)
-        for dist, bound in zip(column.diffs[1:], column.bounds[1:]):
-            assert dist <= bound
-    assert math.isfinite(res.limit_dist["resolvent"]) and res.limit_dist["resolvent"] > 0.0
-    assert math.isfinite(res.limit_dist["heat"])
+        assert len(column.diffs) == 5  # pairs (1,2), ..., (4,5), (5,inf)
+        assert list(column.diffs[:4]) == sorted(column.diffs[:4], reverse=True)
+        assert column.bounds == pytest.approx([factors[name](d) + 1e-9 for d in dists], rel=1e-12)
+        assert all(0.0 < dist <= bound for dist, bound in zip(column.diffs, column.bounds))
     with pytest.raises(DomainError):
-        resolvent_convergence(sweep(pnorm_family([1.0, 2.0]), L=16))
+        resolvent_convergence(sweep(pnorm_family([1.0]), L=16))
+
+
+def test_resolvent_pairs_in_the_first_metrics_norm():
+    """Each pair's distance is the block norm of the operators' difference
+    in the mass inner product of the pair's first metric, one pair at a
+    time: the closing pair (5, limit) in pnorm:5's."""
+    rep = sweep(pnorm_family(range(1, 6)), L=16)
+    res = resolvent_convergence(rep)
+    last, limit = rep.rows[-1].spectrum, rep.limit_row.spectrum
+    for name, op in (("resolvent", lambda s: resolvent(s, 1.0)),
+                     ("heat", lambda s: heat_operator(s, 1.0))):
+        (want,) = block_operator_norms(
+            [(a - b)[None] for a, b in zip(op(last), op(limit))], last.mass_blocks
+        )
+        assert res.columns[name].diffs[-1] == want
 
 
 def test_operator_derivative_bounded_by_density_variation():
-    """Frozen-constant check on the u-derivative itself, not its integral."""
+    """The d -> 0 forms of the exact operator bounds, on the u-derivative
+    itself: with delta = max over the nodes and r = 1 of |d log rho/du|,
+    ||dR/du|| <= delta and ||dE/du|| <= (2 + 2 ln 2 / e) delta in the mass
+    norm at u (measured 3.2 to 3.4 and 7.0 to 7.2 times below at L = 10)."""
     fam = pnorm_family(range(1, 6))
     L, h = 10, 1e-3
-    grams = [M for (M,) in masses(build_basis(L), (fam.members[0],))]
+    radii = np.append(build_basis(L).quad.radii_theta, 1.0)
 
-    def dist(a, b):
+    def dist(a, b, grams):
         (norm,) = block_operator_norms([(x - y)[None] for x, y in zip(a, b)], grams)
         return norm
 
-    def derivative_norms(u):
-        (lo,) = family_spectra((interpolate(fam, u - h),), L)
-        (hi,) = family_spectra((interpolate(fam, u + h),), L)
-        dr = dist(resolvent(hi, 1.0), resolvent(lo, 1.0)) / (2 * h)
-        de = dist(heat_operator(hi, 1.0), heat_operator(lo, 1.0)) / (2 * h)
-        return dr, de
-
-    dr0, de0 = derivative_norms(1.5)
-    d0 = delta_X(fam, 1.5)
-    c_res = FROZEN_SAFETY * dr0 / d0
-    c_heat = FROZEN_SAFETY * de0 / d0
-    for u in (2.5, 3.5):
-        dr, de = derivative_norms(u)
-        dx = delta_X(fam, u)
-        assert dr <= c_res * dx, u
-        assert de <= c_heat * dx, u
+    for u in (1.5, 2.5, 3.5):
+        lo, mid, hi = family_spectra(tuple(interpolate(fam, v) for v in (u - h, u, u + h)), L)
+        dr = dist(resolvent(hi, 1.0), resolvent(lo, 1.0), mid.mass_blocks) / (2 * h)
+        de = dist(heat_operator(hi, 1.0), heat_operator(lo, 1.0), mid.mass_blocks) / (2 * h)
+        delta = float(np.abs(d_log_density_du(fam, u, radii)).max())
+        assert 0.0 < dr <= delta, u
+        assert 0.0 < de <= (2.0 + 2.0 * math.log(2.0) / math.e) * delta, u
 
 
 def test_bornelapbelt_report():
@@ -670,8 +723,7 @@ def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):
 def test_only_the_variation_checks_interpolate(monkeypatch):
     """``convergence_summary`` builds three interpolated metrics, the
     variation path at u - h, u and u + h, which both variation checks read.
-    The density-variation integrals of the operator limits read the
-    family's u-derivative and build none."""
+    No other check builds one."""
     calls: list[tuple[str, float]] = []
     real = metrics.interpolate
 
@@ -717,7 +769,7 @@ def test_convergence_summary_constant_family():
     assert summary.sweep.limit_row.sup_log_dist_to_limit == 0.0
     assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
     # zero density variation
-    assert all(c.c_frozen == 0.0 for c in summary.resolvents.columns.values())
+    assert all(max(c.diffs) == 0.0 for c in summary.resolvents.columns.values())
     assert summary.duhamel.ratio == 0.0
     assert summary.borne.max_ratio == 0.0
     assert len(summary.two_route) == 3

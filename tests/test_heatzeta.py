@@ -204,12 +204,6 @@ _MP_S_JETS = {
 }
 
 
-def _metric(spec: str):
-    if spec == "geomean(fs,pnorm:3)":
-        return geomean_metric(fs_metric(), pnorm_metric(3.0))
-    return parse_metric_spec(spec)
-
-
 def test_round_metric_heat_invariants():
     """b_1 = 1/30 and b_2 = 1/315 for fs, on the jet rule and on half of it."""
     for n in (JET_RULE_NODES, JET_RULE_NODES // 2):
@@ -221,7 +215,7 @@ def test_round_metric_heat_invariants():
 def test_heat_invariants_match_mpmath(spec):
     """b_1 and b_2 from the jet on the shared rule against mpmath quadrature
     of closed-form s-jets, to 1e-12 relative (measured at most 2.3e-15)."""
-    got = heat_invariants(_metric(spec))
+    got = heat_invariants(parse_metric_spec(spec))
     want = oracles.heat_invariants(_MP_S_JETS[spec])
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w), (spec, got, want)

@@ -14,14 +14,13 @@ import pytest
 import oracles
 from zetasphere.errors import ConfigError, DomainError
 from zetasphere.metrics import (
+    MAX_GEOMEAN_DEPTH,
     MAX_SCALED_DEPTH,
     ConformalMetric,
     MetricFamily,
     bump,
     bump_derivative,
     d_log_density_du,
-    delta_X,
-    equal_area_grid,
     fs_metric,
     geomean_family,
     geomean_metric,
@@ -119,8 +118,6 @@ def _metric(name):
     """A smooth test metric: pnorm by its parameter, else by spec or id."""
     if isinstance(name, float):
         return pnorm_metric(name)
-    if name == GEOMEAN:
-        return geomean_metric(pnorm_metric(2.0), pnorm_metric(3.0))
     return parse_metric_spec(name)
 
 
@@ -280,14 +277,14 @@ def test_bump_derivative_matches_stencil():
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0, 16.0])
-def test_sup_log_distance_to_max(p):
-    got = sup_log_distance(pnorm_metric(p), max_metric())
+def test_sup_log_distance_to_max(quad, p):
+    got = sup_log_distance(pnorm_metric(p), max_metric(), quad.radii_theta)
     assert got == pytest.approx(oracles.sup_log_pnorm_to_max(p), abs=1e-12)
 
 
-def test_sup_log_distance_shrinks_along_family():
+def test_sup_log_distance_shrinks_along_family(quad):
     fam = pnorm_family()
-    dists = [sup_log_distance(m, fam.limit) for m in fam.members]
+    dists = [sup_log_distance(m, fam.limit, quad.radii_theta) for m in fam.members]
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
@@ -387,34 +384,33 @@ def test_interpolate_domain_errors():
         interpolate(fam, 3.0)  # integer index beyond the last member
 
 
-def test_delta_x_values():
+def test_d_log_density_du_vanishes_at_integer_u(quad):
+    """The blend is stationary at a member, u = 2, and varies in between."""
     fam = pnorm_family()
-    assert delta_X(fam, 2.0) == 0.0
-    assert delta_X(fam, 2.5) > 0.0
+    r = quad.radii_theta
+    assert np.all(d_log_density_du(fam, 2.0, r) == 0.0)
+    assert np.abs(d_log_density_du(fam, 2.5, r)).max() > 0.0
     with pytest.raises(DomainError):
-        delta_X(fam, 1.0)
+        d_log_density_du(fam, 0.5, r)
 
 
-def test_delta_x_bounds_chart_one_variation():
-    """The grid sup also dominates the values at the inverted radii 1/r of
-    w = 1/z, where the |w|^-4 gluing factor does not depend on u."""
+def test_node_variation_bounds_chart_one_variation(quad):
+    """The node sup of |d log H/du| also dominates its values at the
+    inverted radii 1/r of w = 1/z, where the |w|^-4 gluing factor does not
+    depend on u."""
     fam = pnorm_family()
-    inverted = np.abs(d_log_density_du(fam, 2.5, 1.0 / equal_area_grid())).max()
-    assert inverted <= delta_X(fam, 2.5) * (1.0 + 1e-12)
-
-
-def test_equal_area_grid_properties():
-    g = equal_area_grid()
-    assert g.shape == (64,)
-    assert np.all(g > 0.0)
-    assert np.all(np.diff(g) < 0.0)  # descending radii from the south cap
+    r = quad.radii_theta
+    inverted = np.abs(d_log_density_du(fam, 2.5, 1.0 / r)).max()
+    assert inverted <= np.abs(d_log_density_du(fam, 2.5, r)).max() * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
     "spec",
     ["fs", "max", "pnorm:3", "pnorm:2.5", "scaled:2:pnorm:3", "interp:2.5:pnorm",
      "scaled:0.5:fs", "interp:1.5:geomean-pnorm", "interp:256:pnorm",
-     "scaled:2:scaled:0.5:pnorm:3", "scaled:1:" * MAX_SCALED_DEPTH + "fs"],
+     "scaled:2:scaled:0.5:pnorm:3", "scaled:1:" * MAX_SCALED_DEPTH + "fs",
+     "geomean(fs,max)", " geomean( scaled:2:fs , geomean(pnorm:3,interp:2.5:pnorm) ) ",
+     "geomean(" * MAX_GEOMEAN_DEPTH + "fs" + ",max)" * MAX_GEOMEAN_DEPTH],
 )
 def test_parse_metric_spec_roundtrip(spec):
     m = parse_metric_spec(spec)
@@ -441,11 +437,27 @@ def test_metric_ids_are_exact(spec, want):
      "scaled:-1:fs", "interp:2.5", "interp:0.5:pnorm", "interp:2.5:bogus",
      "interp:256.5:pnorm", "interp:inf:pnorm", "interp:nan:pnorm", "pnorm:inf", "pnorm:1e301",
      "scaled:nan:fs",
-     "scaled:1:" * (MAX_SCALED_DEPTH + 1) + "fs"],
+     "scaled:1:" * (MAX_SCALED_DEPTH + 1) + "fs", "geomean(fs)", "geomean(fs,max",
+     "geomean(fs,)", "geomean(fs),(max)", "geomean(fs,max,fs)", "geomean(fs,bogus)",
+     "geomean(" * (MAX_GEOMEAN_DEPTH + 1) + "fs" + ",max)" * (MAX_GEOMEAN_DEPTH + 1),
+     "geomean(fs," * (MAX_GEOMEAN_DEPTH + 1) + "max" + ")" * (MAX_GEOMEAN_DEPTH + 1)],
 )
 def test_parse_metric_spec_rejects(spec):
     with pytest.raises(ConfigError):
         parse_metric_spec(spec)
+
+
+@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+def test_family_ids_are_specs(family):
+    """Every member and limit id of a family, bare and under ``scaled:``,
+    parses back to the same id and to a bitwise-equal jet."""
+    r = np.array([0.0, 0.3, 0.7, 1.0, 1.4, 5.0])
+    for metric in (*family.members, family.limit):
+        for m in (metric, scaled_metric(2.5, metric)):
+            again = parse_metric_spec(m.id)
+            assert again.id == m.id
+            for got, want in zip(again.jet(r), m.jet(r), strict=True):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_metric_family_manual_construction():

@@ -2,11 +2,12 @@
 
 Every input string either parses or raises ConfigError, which the CLI turns
 into exit 2 with a message; no other exception may escape. The generators
-mix well-formed pieces (spec prefixes, section names, schema keys) with
-numbers in every spelling float() accepts or rejects (nan, inf, overflow,
-underscores, blanks) and with arbitrary text; a config text is written to
-a file and loaded by `load_config`, as the CLI loads it. Example counts are
-fixed and the search is derandomized, so a run is repeatable.
+mix well-formed pieces (spec prefixes, geomean pairs, section names,
+schema keys) with numbers in every spelling float() accepts or rejects
+(nan, inf, overflow, underscores, blanks) and with arbitrary text; a
+config text is written to a file and loaded by `load_config`, as the CLI
+loads it. Example counts are fixed and the search is derandomized, so a
+run is repeatable.
 """
 
 import math
@@ -44,7 +45,10 @@ leaf_specs = st.one_of(
 
 specs = st.recursive(
     leaf_specs,
-    lambda inner: st.builds("scaled:{}:{}".format, numbers, inner),
+    lambda inner: st.one_of(
+        st.builds("scaled:{}:{}".format, numbers, inner),
+        st.builds("geomean({},{})".format, inner, inner),
+    ),
     max_leaves=3,
 )
 
