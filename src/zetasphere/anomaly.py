@@ -14,10 +14,10 @@ against the curvature measures mu = c1 dA + (a line mass on each kink), and
 predicts log h_Q(p) - log h_Q(q) = -I(p, q), exactly for any two continuous
 factors (Polyakov's formula), kinked ones included. ``two_route_pairs``
 checks the two routes on each consecutive pair of a family within
-``TWO_ROUTE_BUDGET_FACTOR`` times the two zeta'(0) budgets; ``quillen_limit``
-tabulates log h_Q along a smoothing family and carries the best-resolved
-member to the limit factor, log h_Q(limit) = log h_Q(member) +
-I(member, limit).
+``TWO_ROUTE_BUDGET_FACTOR`` times the two zeta'(0) budgets. ``quillen_limit``
+checks the paper's theorem along a smoothing family: each member's
+prediction of the limit, log h_Q(member) + I(member, limit), and the
+limit's own log h_Q agree within their zeta budgets.
 
 One metric's log h_Q is ``ZetaResult.log_quillen`` of its
 ``heatzeta.zeta_result``, which records the volume of its spectrum.
@@ -155,18 +155,20 @@ def two_route_pairs(
 
 
 class QuillenLimitRow(NamedTuple):
-    """One family member in the Cauchy table of log h_Q."""
+    """One row of the limit table: a family member, or the limit itself at
+    ``param`` inf, with its prediction of log h_Q(limit) and that
+    prediction's budget."""
 
     param: float
     vol: float
     zeta_prime0: float
     log_quillen: float
-    diff_to_prev: float
-    bound: float
+    prediction: float
+    budget: float
 
 
 class QuillenLimit(NamedTuple):
-    """The Cauchy table of log h_Q along a family, and log h_Q of its limit."""
+    """The predictions of log h_Q(limit) along a family, and its value."""
 
     rows: tuple[QuillenLimitRow, ...]
     limit: float
@@ -176,52 +178,46 @@ class QuillenLimit(NamedTuple):
 
 def quillen_limit(
     members: Sequence[tuple[float, ConformalMetric, ZetaResult]],
-    pair_dist: Sequence[float],
-    limit: ConformalMetric,
+    limit: tuple[ConformalMetric, ZetaResult],
 ) -> QuillenLimit:
-    """Cauchy table of log h_Q along a family and log h_Q of its limit.
+    """Check that every prediction of log h_Q(limit) along a family lies in
+    one common budget interval.
 
     ``members`` lists each member's parameter, metric and ``zeta_result``
-    record in family order, as the sweep computed them, ``pair_dist`` the
-    sweep's sup log-density distance of each consecutive pair, and
-    ``limit`` the family's limit factor. Each successive difference is
-    checked against the anomaly bound K * sup|log(h_p/h_q)| plus the two
-    members' zeta budgets, and the absolute differences must not grow.
-    Violations land in ``failures`` and flip ``converged`` instead of
-    raising: non-Cauchy behavior is a finding to report, not an input error.
-    The limit's log h_Q is the smallest-budget member's plus I(member, limit).
+    record in family order, as the sweep computed them; ``limit`` is the
+    family's limit factor with its own record. A member predicts
+    log h_Q(member) + I(member, limit), and a last row at parameter inf
+    carries the limit's direct log h_Q, each within its zeta budget. On a
+    line the intervals share a point exactly when every pair agrees within
+    its two budgets; the pair whose intervals lie farthest apart lands in
+    ``failures`` and flips ``converged`` instead of raising. ``limit`` of
+    the result is the smallest-budget member's prediction.
     """
     if not members:
         raise DomainError("quillen_limit needs at least one family member")
+    limit_metric, z_limit = limit
 
-    def row(param: float, z: ZetaResult, diff: float, bound: float) -> QuillenLimitRow:
-        return QuillenLimitRow(float(param), z.volume, z.zeta_prime0, z.log_quillen, diff, bound)
+    def row(param: float, z: ZetaResult, prediction: float) -> QuillenLimitRow:
+        return QuillenLimitRow(
+            param, z.volume, z.zeta_prime0, z.log_quillen, prediction, z.error_budget
+        )
 
-    rows = [row(members[0][0], members[0][2], math.nan, math.nan)]
-    failures: list[str] = []
-    for (p0, m0, z0), (p1, m1, z1), dist in zip(members, members[1:], pair_dist):
-        diff = z1.log_quillen - z0.log_quillen
-        bound = bott_chern_bound(m0, m1, dist)
-        slack = z0.error_budget + z1.error_budget
-        if abs(diff) > bound + slack:
-            failures.append(
-                f"|log h_Q({p1:g}) - log h_Q({p0:g})| = {abs(diff):.3e} exceeds "
-                f"the anomaly bound {bound:.3e} plus budget {slack:.3e}"
-            )
-        rows.append(row(p1, z1, diff, bound))
-
-    diffs = [abs(r.diff_to_prev) for r in rows[1:]]
-    for i in range(1, len(diffs)):
-        slack = members[i][2].error_budget + members[i + 1][2].error_budget
-        if diffs[i] > diffs[i - 1] + slack:
-            failures.append(
-                f"successive differences grow at parameter {rows[i + 1].param:g}: "
-                f"{diffs[i]:.3e} after {diffs[i - 1]:.3e}"
-            )
-    _, best, z_best = min(members, key=lambda m: m[2].error_budget)
+    member_rows = [
+        row(float(p), z, z.log_quillen + bott_chern_integral(m, limit_metric))
+        for p, m, z in members
+    ]
+    rows = (*member_rows, row(math.inf, z_limit, z_limit.log_quillen))
+    lo = max(rows, key=lambda r: r.prediction - r.budget)
+    hi = min(rows, key=lambda r: r.prediction + r.budget)
+    failures = ()
+    if lo.prediction - lo.budget > hi.prediction + hi.budget:
+        failures = (
+            f"log h_Q(limit) {lo.prediction:.6e} +- {lo.budget:.3e} from parameter {lo.param:g}"
+            f" misses {hi.prediction:.6e} +- {hi.budget:.3e} from parameter {hi.param:g}",
+        )
     return QuillenLimit(
-        rows=tuple(rows),
-        limit=z_best.log_quillen + bott_chern_integral(best, limit),
+        rows=rows,
+        limit=min(member_rows, key=lambda r: r.budget).prediction,
         converged=not failures,
-        failures=tuple(failures),
+        failures=failures,
     )

@@ -283,11 +283,8 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
     )
     quillen_path = write_csv(
         out / "converge_quillen.csv",
-        ["p", "vol", "zeta_prime0", "log_quillen", "diff_to_prev", "bound"],
-        (
-            (r.param, r.vol, r.zeta_prime0, r.log_quillen, r.diff_to_prev, r.bound)
-            for r in summary.quillen.rows
-        ),
+        ["p", "vol", "zeta_prime0", "log_quillen", "prediction", "budget"],
+        summary.quillen.rows,
     )
     verdict = _verdict(summary.tags)
     payload = {

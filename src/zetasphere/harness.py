@@ -46,10 +46,12 @@ take the norms of all pairs in one stacked solve and SVD per m.
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
 named check tag; the CLI writes these to summary.json. It hands the sweep
-rows to ``anomaly.quillen_limit`` (tag convergenceAnomaly) and every
-consecutive pair to ``anomaly.two_route_pairs`` (tag compare2methods), as
-the ``anomaly`` command does. A member whose pipeline raises ends the
-sweep, and the run, with that member's own error.
+rows and the limit row to ``anomaly.quillen_limit`` (tag convergenceAnomaly:
+every member's prediction of the limit's log h_Q and the limit's own value
+share one budget interval) and every consecutive pair to
+``anomaly.two_route_pairs`` (tag compare2methods), as the ``anomaly``
+command does. A member whose pipeline raises ends the sweep, and the run,
+with that member's own error.
 """
 
 from __future__ import annotations
@@ -601,7 +603,7 @@ def convergence_summary(
     resolvents = resolvent_convergence(rep)
     borne, duhamel = variation_checks(family)
     members = [(r.param, r.metric, r.zeta) for r in rep.rows]
-    quillen = quillen_limit(members, rep.pair_dist, family.limit)
+    quillen = quillen_limit(members, (family.limit, rep.limit_row.zeta))
     two_route = two_route_pairs([(m, z) for _, m, z in members])
 
     tags = {

@@ -543,8 +543,11 @@ def test_cli_converge(tmp_path, capsys):
     assert [float(r.split(",")[0]) for r in rows[1:]] == [1.0, 2.0, 3.0, 4.0]
 
     quillen_rows = (out_dir / "converge_quillen.csv").read_text().splitlines()
-    assert quillen_rows[0] == "p,vol,zeta_prime0,log_quillen,diff_to_prev,bound"
-    assert len(quillen_rows) == 5
+    assert quillen_rows[0] == "p,vol,zeta_prime0,log_quillen,prediction,budget"
+    cells = [[float(c) for c in r.split(",")] for r in quillen_rows[1:]]
+    assert [c[0] for c in cells] == [1.0, 2.0, 3.0, 4.0, math.inf]
+    # the intervals prediction +- budget share a point
+    assert max(c[4] - c[5] for c in cells) <= min(c[4] + c[5] for c in cells)
 
     summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary["tags"]) == set(THEOREM_TAGS)

@@ -594,6 +594,50 @@ def test_compare2methods_sees_a_seeded_error(make, monkeypatch):
     assert not convergence_summary(family, L=24).tags["compare2methods"]
 
 
+def _seed_zeta_prime0(monkeypatch, metric_id, budgets):
+    """Move the zeta'(0) of ``metric_id``'s record by ``budgets`` times its
+    own error budget, wherever the harness computes it."""
+    real = harness.zeta_result
+
+    def seeded(spectrum, metric):
+        zres = real(spectrum, metric)
+        if metric.id != metric_id:
+            return zres
+        return zres._replace(zeta_prime0=zres.zeta_prime0 + budgets * zres.error_budget)
+
+    monkeypatch.setattr(harness, "zeta_result", seeded)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
+def test_convergence_anomaly_sees_a_seeded_member_error(make, k, sign, monkeypatch):
+    """Member k's zeta'(0) moved by 3 times its budget, either way, fails
+    convergenceAnomaly at L = 24: its prediction of the limit leaves the
+    interval the other rows share. Member 1 is not tested, and a move of
+    it is not caught: its budget is the smallest (2.1e-7 on pnorm, 8 times
+    below member 2's; 2.6 times on geomean-pnorm), so its moved interval
+    still meets member 2's."""
+    family = make()
+    _seed_zeta_prime0(monkeypatch, family.members[k - 1].id, 3.0 * sign)
+    summary = convergence_summary(family, L=24)
+    assert not summary.tags["convergenceAnomaly"]
+    assert f"from parameter {family.parameters[k - 1]:g}" in summary.quillen.failures[0]
+
+
+@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
+def test_convergence_anomaly_sees_a_seeded_limit_error(make, monkeypatch):
+    """The limit row's direct zeta'(0) moved by 3 times its budget (7.7e-2
+    at L = 24) fails convergenceAnomaly: the members predict the limit far
+    inside that budget. Unseeded, the tag passes."""
+    family = make()
+    assert convergence_summary(family, L=24).tags["convergenceAnomaly"]
+    _seed_zeta_prime0(monkeypatch, family.limit.id, 3.0)
+    summary = convergence_summary(family, L=24)
+    assert not summary.tags["convergenceAnomaly"]
+    assert "from parameter inf" in summary.quillen.failures[0]
+
+
 def test_converge_refuses_small_family_before_solving(tmp_path, solved, capsys):
     """converge needs three members, for the operator limits and the
     variation path; it says so before any pencil is solved."""
