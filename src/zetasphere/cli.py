@@ -275,7 +275,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
 
     family = _make_family(config)
     summary = convergence_summary(family, L=config.L, t_set=config.t_set)
-    rows, resolvents = summary.sweep.rows, summary.resolvents
+    rows, cauchy = summary.sweep.rows, summary.cauchy
     csv_path = write_csv(
         out / "converge.csv",
         ["param", *rows[0].columns, "sup_log_dist_to_limit"],
@@ -292,7 +292,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         "L": summary.L,
         **verdict,
         "detail": {
-            "cauchy_violations": list(summary.cauchy.violations),
+            "cauchy_violations": [v for name in rows[0].columns for v in cauchy[name].violations],
             "floor": {
                 "c": summary.floor.c,
                 "floor": summary.floor.floor,
@@ -300,9 +300,9 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
                 "margin": summary.floor.margin,
             },
             "resolvent": {
-                "limit_dist": resolvents.columns["resolvent"].diffs[-1],
-                "heat_limit_dist": resolvents.columns["heat"].diffs[-1],
-                "failures": list(resolvents.failures),
+                "limit_dist": cauchy["resolvent"].diffs[-1],
+                "heat_limit_dist": cauchy["heat"].diffs[-1],
+                "failures": [*cauchy["resolvent"].violations, *cauchy["heat"].violations],
             },
             "borne": {
                 "u": summary.borne.u,

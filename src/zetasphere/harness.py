@@ -11,23 +11,24 @@ limit in one family solve (one Legendre sweep, one stacked LAPACK call per
 m), then the pipeline once per row. Each row keeps its metric, its
 ``Spectrum`` (block eigenvectors and mass blocks), its ``ZetaResult`` and
 its ordered scalar ``columns``, and every check on the family's own metrics
-reads the ``SweepReport``: the Cauchy table, the gap floor, the operator
-limits (eigenvectors and mass blocks) and the determinant checks of
+reads the ``SweepReport``: the Cauchy table (its operator columns read the
+eigenvectors and mass blocks), the gap floor and the determinant checks of
 ``anomaly``. No check solves one of those pencils again; the sweep solves
 them all on one basis and uses no disk cache.
 
-Every bound is exact, with no measured constant. The Dirichlet form does
+Every verdict is an exact bound, with no measured constant and no rule
+on how the distances of successive pairs compare. The Dirichlet form does
 not depend on the metric, and the mass weights are positive on the nodes,
 so for two metrics p, q with d = max over the mass's nodes and r = 1 of
 |log rho_p - log rho_q| (`metrics.sup_log_distance`) the mass matrices obey
 e^-d M_q <= M_p <= e^d M_q, and Courant-Fischer min-max bounds each
 quantity in closed form, to roundoff:
 
-- ``cauchy_check``: consecutive rows, closed by (last member, limit),
-  differ by at most the bounds of their pair's d, checked on every pair.
+- ``cauchy_check``: one table of Cauchy columns, the rows' scalars plus the
+  resolvent and the heat operator (each pair in the mass norm of its first
+  metric). Consecutive rows, closed by (last member, limit), differ by at
+  most the bounds of their pair's d, checked on every pair.
 - ``lambda1_floor``: the uniform gap floor lambda1 >= lambda1(ref) e^-d.
-- ``resolvent_convergence``: resolvents and heat operators along the same
-  chain, each pair within its bound in the mass norm of its first metric.
 - ``variation_checks``: the operator's u-variation on one solved path
   between the family's middle members, at a fixed degree. Its parameter
   derivative is dominated by the sup of the density variation, exactly:
@@ -41,7 +42,7 @@ in the harmonic basis with one block per azimuthal index m (the cos and sin
 copies share it). The checks work on those blocks: an operator norm is the
 largest block norm in the mass inner product (`eigensolve.block_operator_norms`,
 handed the mass blocks themselves), a Gram pencil's spectral radius the
-largest over the blocks, and no n x n matrix is built. The operator limits
+largest over the blocks, and no n x n matrix is built. The operator columns
 take the norms of all pairs in one stacked solve and SVD per m.
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
@@ -139,8 +140,9 @@ class SweepReport(NamedTuple):
     ``rows`` follow the family's parameters. ``limit_row`` is the limit
     metric's row (parameter inf, distance 0 to itself); it closes the Cauchy
     table but never enters converge.csv. ``pair_dist`` holds the sup
-    log-density distance of consecutive members, read on ``radii``, the
-    radii of the mass's colatitude nodes at the sweep's degree.
+    log-density distance of each consecutive pair of members, closed by
+    (last member, limit), read on ``radii``, the radii of the mass's
+    colatitude nodes at the sweep's degree.
     ``theta_times`` maps each ``theta_t<t>`` column to its time t.
     """
 
@@ -227,61 +229,36 @@ def sweep(
         if not all(math.isfinite(v) for v in (*row.columns.values(), row.sup_log_dist_to_limit)):
             raise DomainError(f"non-finite sweep column for parameter {p}")
         rows.append(row)
-    members = family.members
+    chain = (*family.members, limit)
     return SweepReport(
         rows=tuple(rows),
         limit_row=_pipeline_row(math.inf, limit, limit, theta_times, spectra[-1], radii),
-        pair_dist=tuple(sup_log_distance(a, b, radii) for a, b in zip(members, members[1:])),
+        pair_dist=tuple(sup_log_distance(a, b, radii) for a, b in zip(chain, chain[1:])),
         radii=radii,
         theta_times=theta_times,
     )
 
 
 class CauchyColumn(NamedTuple):
-    """One column's pairs: |differences| against their exact bounds."""
+    """One column's pairs: |differences| against their exact bounds, and a
+    message for each pair whose difference exceeds its bound."""
 
     name: str
     diffs: tuple[float, ...]
     bounds: tuple[float, ...]
-    passed: bool
-
-
-class CauchyReport(NamedTuple):
-    """Per-column Cauchy verdicts for one sweep."""
-
-    columns: tuple[CauchyColumn, ...]
     violations: tuple[str, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
-def _column(
-    name: str, labels: list[str], diffs: list[float], bounds: list[float]
-) -> tuple[CauchyColumn, list[str]]:
-    """The column of ``diffs`` against ``bounds``, and a message for each
-    pair, named by its label, whose difference exceeds its bound."""
-    violations = [
-        f"column {name}: pair {label} difference {x:.3e} exceeds bound {b:.3e}"
-        for label, x, b in zip(labels, diffs, bounds)
-        if x > b
-    ]
-    return CauchyColumn(name, tuple(diffs), tuple(bounds), not violations), violations
-
-
-def _chain(report: SweepReport, check: str) -> tuple[list, list[float], list[str]]:
-    """The consecutive pairs of the members closed by (last member, limit),
-    each pair's distance d and its label. ``check`` needs two members."""
-    if len(report.rows) < 2:
-        raise DomainError(f"{check} needs at least two members")
-    chain = (*report.rows, report.limit_row)
-    pairs = list(zip(chain, chain[1:]))
-    dists = [*report.pair_dist, report.rows[-1].sup_log_dist_to_limit]
-    return pairs, dists, [f"({a.param:g}, {b.param:g})" for a, b in pairs]
-
-
-def cauchy_check(report: SweepReport) -> CauchyReport:
-    """Check every sweep column on every pair of the chain of members
-    closed by (last member, limit), the first pair included, against the
-    exact bound of the pair's distance d:
+def cauchy_check(report: SweepReport) -> dict[str, CauchyColumn]:
+    """Check every sweep column, and the resolvent and heat operators, on
+    every pair of the chain of members closed by (last member, limit), the
+    first pair included, against the exact bound of the pair's distance d
+    (``report.pair_dist``). The columns come back by name, the sweep's in
+    row order, then ``resolvent`` and ``heat``:
 
     - ``vol`` and ``lambda1``: |x - y| <= (e^d - 1) min(x, y);
     - ``theta_t<t>``: the first row's theta(t) lies between the second's
@@ -289,43 +266,71 @@ def cauchy_check(report: SweepReport) -> CauchyReport:
     - ``log_quillen``: at most the anomaly bound
       ``anomaly.bott_chern_bound`` of the pair, plus the two rows' zeta
       error budgets;
-    - ``zeta_prime0``: the same plus d, which bounds |Delta log vol|.
+    - ``zeta_prime0``: the same plus d, which bounds |Delta log vol|;
+    - ``resolvent`` and ``heat``: the operator norm of the pair's
+      difference in the mass inner product of its first metric p. With
+      B = 1 - M_p^-1 M_q, whose norm is at most e^d - 1, and norms of q's
+      operators in p's mass norm costing e^d at most, R_p - R_q =
+      R_p B A_q R_q is at most e^d (e^d - 1) / shift; the Duhamel integral
+      of E_p(t - s) B A_q E_q(s), split at t/2 and integrated by parts on
+      the first half, gives (e^d - 1)(1 + e^d (1 + 2 ln 2 / e)) at any t.
 
     The exact columns get a relative epsilon of the pair's larger value for
-    roundoff. A constant family (zero distances) must have zero differences
-    up to that slack.
+    roundoff, the operator columns an absolute one. A constant family (zero
+    distances) must have zero differences up to that slack. The operators
+    are built from the sweep's spectra, so no pencil is solved here; the
+    norms of all pairs share one stacked solve and SVD per block m.
     """
-    pairs, dists, labels = _chain(report, "cauchy_check")
+    if len(report.rows) < 2:
+        raise DomainError("cauchy_check needs at least two members")
+    chain = (*report.rows, report.limit_row)
+    pairs = list(zip(chain, chain[1:]))
+    dists = report.pair_dist
     quillen = [
         bott_chern_bound(a.metric, b.metric, d) + a.zeta.error_budget + b.zeta.error_budget
         for (a, b), d in zip(pairs, dists)
     ]
-    columns: list[CauchyColumn] = []
-    violations: list[str] = []
+    diffs: dict[str, list[float]] = {}
+    bounds: dict[str, list[float]] = {}
     for name in report.rows[0].columns:
         values = [(a.columns[name], b.columns[name]) for a, b in pairs]
         t = report.theta_times.get(name)
+        diffs[name] = [abs(x - y) for x, y in values]
         if name == "log_quillen":
-            bounds = quillen
+            bounds[name] = quillen
         elif name == "zeta_prime0":
-            bounds = [q + d for q, d in zip(quillen, dists)]
+            bounds[name] = [q + d for q, d in zip(quillen, dists)]
         else:
-            bounds = []
+            bounds[name] = []
             for (x, y), (_, b), d in zip(values, pairs, dists):
                 if t is None:  # vol and lambda1
                     width = math.expm1(d) * min(x, y)
                 else:  # theta_b(e^d t) <= x <= theta_b(e^-d t)
                     low, high = theta_values(b.spectrum.eigenvalues, t * np.exp([d, -d]))
                     width = high - y if x >= y else y - low
-                bounds.append(float(width) + _TINY_REL * (1.0 + max(abs(x), abs(y))))
-        column, bad = _column(name, labels, [abs(x - y) for x, y in values], bounds)
-        columns.append(column)
-        violations += bad
-    return CauchyReport(
-        columns=tuple(columns),
-        violations=tuple(violations),
-        passed=not violations,
+                bounds[name].append(float(width) + _TINY_REL * (1.0 + max(abs(x), abs(y))))
+    spectra = [row.spectrum for row in chain]
+    grams = [np.stack(M[:-1]) for M in zip(*(spec.mass_blocks for spec in spectra))]
+    operators = (
+        ("resolvent", lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
+         lambda d: math.exp(d) * math.expm1(d) / _RESOLVENT_SHIFT),
+        ("heat", lambda spec: heat_operator(spec, _HEAT_TIME),
+         lambda d: math.expm1(d) * (1.0 + math.exp(d) * (1.0 + 2.0 * math.log(2.0) / math.e))),
     )
+    for name, op, bound in operators:
+        # per m, the differences of consecutive operators along the chain as one stack
+        blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in spectra))]
+        diffs[name] = block_operator_norms([b[:-1] - b[1:] for b in blocks], grams).tolist()
+        bounds[name] = [bound(d) + _TINY_REL for d in dists]
+    labels = [f"({a.param:g}, {b.param:g})" for a, b in pairs]
+    return {
+        name: CauchyColumn(name, tuple(diffs[name]), tuple(bounds[name]), tuple(
+            f"column {name}: pair {label} difference {x:.3e} exceeds bound {b:.3e}"
+            for label, x, b in zip(labels, diffs[name], bounds[name])
+            if x > b
+        ))
+        for name in diffs
+    }
 
 
 class Lambda1FloorRow(NamedTuple):
@@ -387,74 +392,6 @@ def lambda1_floor(report: SweepReport) -> Lambda1Floor:
         margin=margin,
         rows=tuple(rows),
         passed=bool(math.isfinite(margin) and kappa >= floor * (1.0 - 1e-12)),
-    )
-
-
-class ResolventReport(NamedTuple):
-    """Cauchy columns of resolvents and heat operators along a family.
-
-    ``columns`` holds one `CauchyColumn` per operator function, keyed
-    ``resolvent`` and ``heat``: the distances of consecutive pairs of the
-    members closed by (last member, limit), each an operator norm in the
-    mass inner product of the pair's first metric (the largest over the
-    azimuthal blocks), against its exact bound. A column passes when every
-    pair is within its bound and the member pairs' distances do not grow.
-    """
-
-    columns: dict[str, CauchyColumn]
-    failures: tuple[str, ...]
-    passed: bool
-
-
-def resolvent_convergence(report: SweepReport) -> ResolventReport:
-    """Check resolvents and heat operators are Cauchy along the family.
-
-    The operators are built from the spectra of the sweep ``report``, so no
-    pencil is solved here. For each operator function, every consecutive
-    pair of the chain of members closed by the limit is compared in the
-    mass norm of its first metric. With B = 1 - M_p^-1 M_q, whose norm is
-    at most e^d - 1, and norms of q's operators in p's mass norm costing
-    e^d at most:
-
-    - resolvent: R_p - R_q = R_p B A_q R_q, so the distance is at most
-      e^d (e^d - 1) / shift;
-    - heat operator: the Duhamel integral of E_p(t - s) B A_q E_q(s),
-      split at t/2 and integrated by parts on the first half, gives
-      (e^d - 1)(1 + e^d (1 + 2 ln 2 / e)) at any t.
-
-    A family without density variation must stay below the roundoff slack.
-    The member pairs' distances must not grow either. The norms of all
-    pairs share one stacked solve and SVD per block m.
-    """
-    _, dists, labels = _chain(report, "resolvent_convergence")
-    chain = [row.spectrum for row in (*report.rows, report.limit_row)]
-    grams = [np.stack(M[:-1]) for M in zip(*(spec.mass_blocks for spec in chain))]
-    operators = (
-        ("resolvent", lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
-         lambda d: math.exp(d) * math.expm1(d) / _RESOLVENT_SHIFT),
-        ("heat", lambda spec: heat_operator(spec, _HEAT_TIME),
-         lambda d: math.expm1(d) * (1.0 + math.exp(d) * (1.0 + 2.0 * math.log(2.0) / math.e))),
-    )
-    columns: dict[str, CauchyColumn] = {}
-    failures: list[str] = []
-    for name, op, bound in operators:
-        # per m, the differences of consecutive operators along the chain as one stack
-        blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in chain))]
-        norms = block_operator_norms([b[:-1] - b[1:] for b in blocks], grams).tolist()
-        column, bad = _column(name, labels, norms, [bound(d) + _TINY_REL for d in dists])
-        grew = [
-            f"column {name}: distances grew at pair {labels[i]}: "
-            f"{norms[i]:.3e} after {norms[i - 1]:.3e}"
-            for i in range(1, len(report.pair_dist))
-            if norms[i] > norms[i - 1] * (1.0 + _TINY_REL) + _TINY_REL
-        ]
-        columns[name] = column._replace(passed=column.passed and not grew)
-        failures += bad + grew
-
-    return ResolventReport(
-        columns=columns,
-        failures=tuple(failures),
-        passed=all(c.passed for c in columns.values()),
     )
 
 
@@ -566,9 +503,8 @@ class ConvergenceSummary(NamedTuple):
     family_id: str
     L: int
     sweep: SweepReport
-    cauchy: CauchyReport
+    cauchy: dict[str, CauchyColumn]
     floor: Lambda1Floor
-    resolvents: ResolventReport
     borne: BorneReport
     duhamel: DuhamelReport
     quillen: QuillenLimit
@@ -581,8 +517,8 @@ def convergence_summary(
 ) -> ConvergenceSummary:
     """Run every convergence check on one family and aggregate tag verdicts.
 
-    The sweep, Cauchy rates, gap floor, operator limits, transported
-    limit determinant and two-route checks run at degree ``L``; the variation
+    The sweep, Cauchy table, gap floor, transported limit determinant
+    and two-route checks run at degree ``L``; the variation
     checks solve their own path between the middle members at the fixed
     ``_VARIATION_L`` (`variation_checks`). Every family member takes part. A
     family with fewer than the three members that the variation path needs
@@ -590,7 +526,7 @@ def convergence_summary(
 
     Each member's and the limit's pencil is solved once, in the sweep,
     which also runs the scalar pipeline on it; the Cauchy table, the gap
-    floor, the operator limits and the determinant checks read its report.
+    floor and the determinant checks read its report.
     No disk cache is read or written. A member whose pipeline raises ends
     the run with that member's own error.
     """
@@ -600,7 +536,6 @@ def convergence_summary(
     rep = sweep(family, L=L, t_set=t_set)
     cauchy = cauchy_check(rep)
     floor = lambda1_floor(rep)
-    resolvents = resolvent_convergence(rep)
     borne, duhamel = variation_checks(family)
     members = [(r.param, r.metric, r.zeta) for r in rep.rows]
     quillen = quillen_limit(members, (family.limit, rep.limit_row.zeta))
@@ -609,9 +544,9 @@ def convergence_summary(
     tags = {
         "laplaceTX": bool(rep.rows) and all(r.spectrum.lambda1 > 0.0 for r in rep.rows),
         "bornelapbelt": borne.passed,
-        "deltacompact": resolvents.columns["resolvent"].passed,
-        "variationEu": resolvents.columns["heat"].passed and duhamel.ratio < DUHAMEL_RATIO_TOL,
-        "key2": cauchy.passed,
+        "deltacompact": cauchy["resolvent"].passed,
+        "variationEu": cauchy["heat"].passed and duhamel.ratio < DUHAMEL_RATIO_TOL,
+        "key2": all(cauchy[name].passed for name in rep.rows[0].columns),
         "convergenceAnomaly": quillen.converged,
         "compare2methods": all(r.passed for r in two_route),
         "lowerbound": floor.passed,
@@ -622,7 +557,6 @@ def convergence_summary(
         sweep=rep,
         cauchy=cauchy,
         floor=floor,
-        resolvents=resolvents,
         borne=borne,
         duhamel=duhamel,
         quillen=quillen,

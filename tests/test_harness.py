@@ -38,7 +38,6 @@ from zetasphere.harness import (
     cauchy_check,
     convergence_summary,
     lambda1_floor,
-    resolvent_convergence,
     sweep,
     variation_checks,
 )
@@ -116,8 +115,11 @@ def test_sweep_rows():
         theta = [row.columns[f"theta_t{t}"] for t in ("0.5", "1", "2")]
         assert theta == list(theta_values(row.spectrum.eigenvalues, np.array(t_set)))
     # consecutive distances follow the closed form 2 log2 |1/p - 1/q|
+    assert len(rep.pair_dist) == 3
     for dist, (p, q) in zip(rep.pair_dist, [(1.0, 2.0), (2.0, 3.0)]):
         assert dist == pytest.approx(2.0 * math.log(2.0) * abs(1 / p - 1 / q), abs=1e-12)
+    # the closing pair (3, limit) at the last row's own distance to the limit
+    assert rep.pair_dist[-1] == rep.rows[-1].sup_log_dist_to_limit
 
 
 def test_sweep_validation():
@@ -156,16 +158,15 @@ def test_sweep_raises_member_failure():
 def test_cauchy_check_passes_on_smoothing_family():
     rep = sweep(pnorm_family([2.0, 4.0, 8.0]), L=16)
     cy = cauchy_check(rep)
-    assert cy.passed
-    assert cy.violations == ()
-    names = [c.name for c in cy.columns]
-    assert names == [
+    assert list(cy) == [
         "vol", "lambda1", "theta_t0.5", "theta_t1", "theta_t2",
-        "zeta_prime0", "log_quillen",
+        "zeta_prime0", "log_quillen", "resolvent", "heat",
     ]
-    dists = [*rep.pair_dist, rep.rows[-1].sup_log_dist_to_limit]
-    for col in cy.columns:
+    dists = rep.pair_dist
+    for name, col in cy.items():
+        assert col.name == name
         assert col.passed
+        assert col.violations == ()
         # two member pairs, closed by (8, limit), the first pair checked too
         assert len(col.diffs) == len(col.bounds) == 3
         assert all(0.0 < x <= b for x, b in zip(col.diffs, col.bounds))
@@ -179,10 +180,10 @@ def test_cauchy_check_passes_on_smoothing_family():
 def test_cauchy_check_constant_family():
     """Zero distances force zero differences up to the recorded slack."""
     rep = sweep(constant_family(3), L=16)
-    assert rep.pair_dist == (0.0, 0.0)
+    assert rep.pair_dist == (0.0, 0.0, 0.0)
     cy = cauchy_check(rep)
-    assert cy.passed
-    for col in cy.columns:
+    for col in cy.values():
+        assert col.passed
         assert max(col.diffs) == 0.0
         assert len(col.diffs) == 3  # two member pairs, closed by (3, limit)
         if col.name not in ("zeta_prime0", "log_quillen"):  # the roundoff slack alone
@@ -207,12 +208,11 @@ def test_limit_agreement():
     assert limit.zeta.metric_id == "max"
     scale = last.sup_log_dist_to_limit
     assert scale == pytest.approx(2.0 * math.log(2.0) / 8.0, abs=1e-12)
-    assert cy.passed
+    assert all(col.passed for col in cy.values())
     budgets = last.zeta.error_budget + limit.zeta.error_budget
     anomaly = bott_chern_bound(last.metric, limit.metric, scale)
-    for col in cy.columns:
-        assert col.passed
-        x, y = last.columns[col.name], limit.columns[col.name]
+    for name in last.columns:
+        col, x, y = cy[name], last.columns[name], limit.columns[name]
         assert col.diffs[-1] == abs(x - y)
         slack = 1e-9 * (1.0 + max(abs(x), abs(y)))
         if col.name == "log_quillen":
@@ -240,10 +240,11 @@ def test_limit_disagreement_fails_key2(monkeypatch):
     closing pair, and with it the key2 tag."""
     fam = pnorm_family([2.0, 4.0, 8.0])
     cy = cauchy_check(shift_limit_zeta_prime0(sweep(fam, L=16)))
-    assert not cy.passed
-    assert [c.name for c in cy.columns if not c.passed] == ["zeta_prime0"]
-    assert len(cy.violations) == 1
-    assert cy.violations[0].startswith("column zeta_prime0: pair (8, inf) difference ")
+    assert [name for name, c in cy.items() if not c.passed] == ["zeta_prime0"]
+    assert len(cy["zeta_prime0"].violations) == 1
+    assert cy["zeta_prime0"].violations[0].startswith(
+        "column zeta_prime0: pair (8, inf) difference "
+    )
 
     real_sweep = harness.sweep
     monkeypatch.setattr(
@@ -252,7 +253,7 @@ def test_limit_disagreement_fails_key2(monkeypatch):
     summary = convergence_summary(fam, L=16)
     assert summary.tags["key2"] is False
     assert [tag for tag, ok in summary.tags.items() if not ok] == ["key2"]
-    assert summary.cauchy.violations == cy.violations
+    assert [c.violations for c in summary.cauchy.values()] == [c.violations for c in cy.values()]
 
 
 @pytest.mark.parametrize("name", ["lambda1", "vol"])
@@ -262,16 +263,15 @@ def test_first_pair_moved_by_its_distance_fails_key2(name):
     leaves the min-max bound e^-d <= x / y <= e^d of that pair: key2 fails
     there, on the first pair."""
     rep = sweep(pnorm_family([1.0, 2.0, 3.0]), L=16)
-    assert cauchy_check(rep).passed
+    assert all(col.passed for col in cauchy_check(rep).values())
     first, second = rep.rows[0].columns[name], rep.rows[1].columns[name]
     d0 = rep.pair_dist[0]
     moved = first * math.exp(d0 if first > second else -d0)
     row = rep.rows[0]._replace(columns={**rep.rows[0].columns, name: moved})
     cy = cauchy_check(rep._replace(rows=(row, *rep.rows[1:])))
-    assert not cy.passed
-    assert [c.name for c in cy.columns if not c.passed] == [name]
-    assert len(cy.violations) == 1
-    assert cy.violations[0].startswith(f"column {name}: pair (1, 2) difference ")
+    assert [c.name for c in cy.values() if not c.passed] == [name]
+    assert len(cy[name].violations) == 1
+    assert cy[name].violations[0].startswith(f"column {name}: pair (1, 2) difference ")
 
 
 def test_lambda1_floor():
@@ -337,26 +337,28 @@ def test_minmax_oracle_for_gap_floor():
 
 
 def test_resolvent_convergence():
-    """Every pair of the chain of members closed by (5, limit) is within
-    its exact bound, the first included, and the member pairs' distances
-    fall."""
+    """The resolvent and heat columns close the Cauchy table: every pair of
+    the chain of members closed by (5, limit) is within its exact bound,
+    the first included. On this family the member pairs' distances also
+    fall, a measured fact that no check relies on."""
     fam = pnorm_family(range(1, 6))
     rep = sweep(fam, L=16)
-    res = resolvent_convergence(rep)
-    assert res.passed
-    assert res.failures == ()
-    assert list(res.columns) == ["resolvent", "heat"]
-    dists = [*rep.pair_dist, rep.rows[-1].sup_log_dist_to_limit]
+    cy = cauchy_check(rep)
+    assert list(cy)[-2:] == ["resolvent", "heat"]
     factors = {"resolvent": lambda d: math.exp(d) * math.expm1(d),
                "heat": lambda d: math.expm1(d) * (1 + math.exp(d) * (1 + 2 * math.log(2) / math.e))}
-    for name, column in res.columns.items():
+    for name in ("resolvent", "heat"):
+        column = cy[name]
         assert column.name == name and column.passed
+        assert column.violations == ()
         assert len(column.diffs) == 5  # pairs (1,2), ..., (4,5), (5,inf)
         assert list(column.diffs[:4]) == sorted(column.diffs[:4], reverse=True)
-        assert column.bounds == pytest.approx([factors[name](d) + 1e-9 for d in dists], rel=1e-12)
+        assert column.bounds == pytest.approx(
+            [factors[name](d) + 1e-9 for d in rep.pair_dist], rel=1e-12
+        )
         assert all(0.0 < dist <= bound for dist, bound in zip(column.diffs, column.bounds))
     with pytest.raises(DomainError):
-        resolvent_convergence(sweep(pnorm_family([1.0]), L=16))
+        cauchy_check(sweep(pnorm_family([1.0]), L=16))
 
 
 def test_resolvent_pairs_in_the_first_metrics_norm():
@@ -364,14 +366,14 @@ def test_resolvent_pairs_in_the_first_metrics_norm():
     in the mass inner product of the pair's first metric, one pair at a
     time: the closing pair (5, limit) in pnorm:5's."""
     rep = sweep(pnorm_family(range(1, 6)), L=16)
-    res = resolvent_convergence(rep)
+    cy = cauchy_check(rep)
     last, limit = rep.rows[-1].spectrum, rep.limit_row.spectrum
     for name, op in (("resolvent", lambda s: resolvent(s, 1.0)),
                      ("heat", lambda s: heat_operator(s, 1.0))):
         (want,) = block_operator_norms(
             [(a - b)[None] for a, b in zip(op(last), op(limit))], last.mass_blocks
         )
-        assert res.columns[name].diffs[-1] == want
+        assert cy[name].diffs[-1] == want
 
 
 def test_operator_derivative_bounded_by_density_variation():
@@ -545,9 +547,9 @@ def test_convergence_summary_smoothing_family():
     assert set(summary.tags) == set(THEOREM_TAGS)
     assert all(summary.tags.values())
     assert summary.family_id == "pnorm"
-    assert summary.cauchy.passed
+    assert all(c.passed for c in summary.cauchy.values())
     # three member pairs closed by (4, limit)
-    assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
+    assert all(len(c.diffs) == 4 for c in summary.cauchy.values())
     assert summary.sweep.rows and summary.sweep.limit_row is not None
     assert summary.quillen.converged
     # every consecutive member pair, as the anomaly command checks them
@@ -639,8 +641,8 @@ def test_convergence_anomaly_sees_a_seeded_limit_error(make, monkeypatch):
 
 
 def test_converge_refuses_small_family_before_solving(tmp_path, solved, capsys):
-    """converge needs three members, for the operator limits and the
-    variation path; it says so before any pencil is solved."""
+    """converge needs three members, for the variation path; it says so
+    before any pencil is solved."""
     config_path = tmp_path / "fam.ini"
     config_path.write_text("[run]\nL = 16\n\n[family]\nparameters = 1, 2\n")
     code = main(["converge", "-c", str(config_path), "--output-dir", str(tmp_path / "out")])
@@ -666,13 +668,71 @@ def test_converge_accepts_three_members(tmp_path, capsys):
     assert summary["detail"]["borne"]["u"] == 1.5
 
 
+@pytest.mark.parametrize("make, params", [
+    (pnorm_family, (1.0, 2.0, 3.0, 10.0)),
+    (geomean_family, (1.0, 2.0, 3.0, 10.0)),
+    (pnorm_family, (1.0, 1.5, 2.0, 6.0)),
+])
+def test_uneven_families_pass_every_tag(make, params):
+    """Any ascending spacing is a valid family: a wide step after narrow
+    ones moves the operators further than the step before, and every pair
+    still lies within its exact bound, so every tag passes."""
+    summary = convergence_summary(make(params), L=16)
+    assert summary.tags == {tag: True for tag in THEOREM_TAGS}
+    resolvent = summary.cauchy["resolvent"].diffs
+    assert resolvent[2] > resolvent[1]  # the wide step's operators move further
+
+
+def test_converge_accepts_uneven_spacing(tmp_path, capsys):
+    """converge passes a family whose last step is the widest."""
+    config_path = tmp_path / "fam.ini"
+    config_path.write_text("[run]\nL = 16\n\n[family]\nparameters = 1, 2, 3, 10\n")
+    code = main(["converge", "-c", str(config_path), "--output-dir", str(tmp_path / "out"),
+                 "--cache-dir", str(tmp_path / "cache")])
+    capsys.readouterr()
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failed"] == []
+    assert summary["detail"]["resolvent"]["failures"] == []
+
+
+def shrink_limit_values(report, factor=0.25):
+    """The sweep ``report`` with its limit row's block eigenvalues scaled by
+    ``factor``: the limit's operators move, its scalar columns do not."""
+    lim = report.limit_row
+    spectrum = lim.spectrum._replace(
+        block_values=tuple(factor * v for v in lim.spectrum.block_values)
+    )
+    return report._replace(limit_row=lim._replace(spectrum=spectrum))
+
+
+@pytest.mark.parametrize("make", [pnorm_family, geomean_family])
+def test_shrunk_limit_fails_deltacompact(make, monkeypatch):
+    """A limit whose eigenvalues are scaled by 1/4 moves its resolvent
+    beyond the exact bound of the closing pair (1.06 times it on pnorm,
+    1.16 on geomean-pnorm at L = 24), while the heat operator stays within
+    its own: the resolvent column fails there alone, and with it the
+    deltacompact tag alone."""
+    family = make()
+    cy = cauchy_check(shrink_limit_values(sweep(family, L=24)))
+    assert [name for name, c in cy.items() if not c.passed] == ["resolvent"]
+    (violation,) = cy["resolvent"].violations
+    assert violation.startswith("column resolvent: pair (6, inf) difference ")
+
+    real_sweep = harness.sweep
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: shrink_limit_values(real_sweep(*a, **k)))
+    summary = convergence_summary(family, L=24)
+    assert [tag for tag, ok in summary.tags.items() if not ok] == ["deltacompact"]
+    assert summary.cauchy["resolvent"].violations == (violation,)
+
+
 def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, capsys):
     """Every command solves each distinct metric and evaluates its zeta
     record once: the checks
     read the results the sweep (or the per-member pass of anomaly) computed.
     ``convergence_summary`` solves each (metric, L) pencil once, reads no
-    disk cache, and its gap floor and operator limits neither assemble a
-    mass block nor solve a pencil: they read the sweep's spectra."""
+    disk cache, and its gap floor and Cauchy table neither assemble a mass
+    block nor solve a pencil: they read the sweep's spectra."""
     # name each metric by its L = 16 spectrum,
     # from the values-only solve (which the disk cache serves bit for bit)
     # and from the vectors path the harness sweep runs
@@ -718,7 +778,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     for module in (heatzeta, harness):
         monkeypatch.setattr(module, "zeta_result", counting_zeta)
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
-    for check in ("lambda1_floor", "resolvent_convergence"):
+    for check in ("lambda1_floor", "cauchy_check"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))
     for module in (discretize, pipeline, harness):
         for name in ("masses", "weighted_grams", "family_spectra"):
@@ -811,9 +871,9 @@ def test_convergence_summary_constant_family():
     assert all(summary.tags.values())
     # the limit is the member itself: distance 0, one more pair to close
     assert summary.sweep.limit_row.sup_log_dist_to_limit == 0.0
-    assert all(len(c.diffs) == 4 for c in summary.cauchy.columns)
+    assert all(len(c.diffs) == 4 for c in summary.cauchy.values())
     # zero density variation
-    assert all(max(c.diffs) == 0.0 for c in summary.resolvents.columns.values())
+    assert all(max(summary.cauchy[name].diffs) == 0.0 for name in ("resolvent", "heat"))
     assert summary.duhamel.ratio == 0.0
     assert summary.borne.max_ratio == 0.0
     assert len(summary.two_route) == 3
