@@ -30,11 +30,11 @@ sub-blocks at L' = `nested_degree`, a coarser spectrum for free.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
-degeneracy exact. Eigenvectors and functions of the operator (the
-`resolvent` and the `heat_operator`, each `apply_function` behind a domain
-check) stay per block, since a radial operator never couples two
-azimuthal indices; no n x n matrix is formed. `pencil_eigvalsh` gives the
-eigenvalues of the harness's general symmetric-definite Gram pencils.
+degeneracy exact. Eigenvectors, and a function of the operator, stay per
+block, since a radial operator never couples two azimuthal indices; no
+n x n matrix is formed. `apply_function` is the one path to f(operator):
+the resolvent, the heat operator and every other function the harness
+reads are f handed to it.
 
 Operator norms are taken in the mass inner product, with the same Cholesky
 step: for a Gram matrix G = R^T R, `singular_values` gives the weighted
@@ -42,9 +42,11 @@ singular values of A as the ordinary ones of R A R^-1. A block-diagonal
 operator has the largest of its block norms as its norm, and
 `block_operator_norms` takes those of a stack of operators at once, one
 stacked SVD per block m, each in one shared inner product or in its own,
-and each norm bitwise that of its operator alone. This is how the harness
-measures resolvents and heat operators converging in operator norm, and the
-residual of the Duhamel identity.
+and each norm bitwise that of its operator alone. It is the one norm
+kernel: the harness measures with it resolvents and heat operators
+converging in operator norm, the residual of the Duhamel identity, and the
+M-norm of M^-1 dM, an M-self-adjoint operator whose norm is the spectral
+radius of the Gram pencil (dM, M), so no pencil eigenvalues are taken.
 """
 from __future__ import annotations
 
@@ -58,14 +60,12 @@ from .errors import DomainError, EigenConvergenceError, IndefiniteMassError
 
 __all__ = [
     "Spectrum",
-    "pencil_eigvalsh",
+    "apply_function",
     "singular_values",
     "block_operator_norms",
     "family_eigs",
     "family_eigvals",
     "nested_degree",
-    "resolvent",
-    "heat_operator",
 ]
 
 SOLVER_VERSION = "blocks-7"
@@ -104,26 +104,6 @@ class Spectrum(NamedTuple):
     @property
     def lambda1(self) -> float:
         return float(self.eigenvalues[1])
-
-
-def pencil_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of A v = lambda B v, A symmetric, B positive definite.
-
-    With B = C C^T, the pencil has the eigenvalues of the symmetric matrix
-    C^-1 A C^-T. A may be a stack (..., n, n) of matrices against the one B;
-    each pencil of the stack is solved as it would be alone.
-
-    Raises
-    ------
-    ValueError
-        If A or B has a non-finite entry.
-    numpy.linalg.LinAlgError
-        If B is not positive definite or the symmetric solve does not converge.
-    """
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise ValueError("pencil has non-finite entries")
-    Ci = np.linalg.inv(np.linalg.cholesky(B))
-    return np.linalg.eigvalsh(Ci @ A @ Ci.T)
 
 
 def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -327,17 +307,3 @@ def apply_function(spectrum: Spectrum, f) -> Blocks:
             spectrum.block_values, spectrum.block_vectors, spectrum.mass_blocks
         )
     )
-
-
-def resolvent(spectrum: Spectrum, shift: float = 1.0) -> Blocks:
-    """Blocks of (shift + operator)^(-1) acting on basis coefficients."""
-    if shift <= 0.0:
-        raise DomainError(f"resolvent shift must be positive, got {shift}")
-    return apply_function(spectrum, lambda lam: 1.0 / (shift + lam))
-
-
-def heat_operator(spectrum: Spectrum, t: float) -> Blocks:
-    """Blocks of exp(-t * operator) acting on basis coefficients, one per m."""
-    if t < 0.0:
-        raise DomainError(f"heat time must be nonnegative, got {t}")
-    return apply_function(spectrum, lambda lam: np.exp(-t * lam))

@@ -32,18 +32,18 @@ quantity in closed form, to roundoff:
 - ``variation_checks``: the operator's u-variation on one solved path
   between the family's middle members, at a fixed degree. Its parameter
   derivative is dominated by the sup of the density variation, exactly:
-  the spectral radius of the Gram pencil (dM, M) is at most that sup (tag
-  bornelapbelt). The heat operator obeys the integrated variation identity,
-  its time integral exact in the eigenbasis (the Duhamel half of
-  variationEu).
+  the Borne radius ||M^-1 dM||_M is at most that sup (tag bornelapbelt).
+  The heat operator obeys the integrated variation identity, its time
+  integral exact in the eigenbasis (the Duhamel half of variationEu).
 
 Every built-in metric is radial, so each operator above is block diagonal
 in the harmonic basis with one block per azimuthal index m (the cos and sin
-copies share it). The checks work on those blocks: an operator norm is the
-largest block norm in the mass inner product (`eigensolve.block_operator_norms`,
-handed the mass blocks themselves), a Gram pencil's spectral radius the
-largest over the blocks, and no n x n matrix is built. The operator columns
-take the norms of all pairs in one stacked solve and SVD per m.
+copies share it). The checks work on those blocks, and no n x n matrix is
+built: every operator is `eigensolve.apply_function` of its f, and every
+norm, the Borne radius included, is the largest block norm in the mass
+inner product (`eigensolve.block_operator_norms`, handed the mass blocks
+themselves). The operator columns take the norms of all pairs in one
+stacked solve and SVD per m.
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
 named check tag; the CLI writes these to summary.json. It hands the sweep
@@ -64,14 +64,7 @@ import numpy as np
 
 from .anomaly import QuillenLimit, TwoRouteReport, bott_chern_bound, quillen_limit, two_route_pairs
 from .discretize import build_basis, mass_weights, stiffness, variation_weights, weighted_grams
-from .eigensolve import (
-    Spectrum,
-    block_operator_norms,
-    family_eigs,
-    heat_operator,
-    pencil_eigvalsh,
-    resolvent,
-)
+from .eigensolve import Spectrum, apply_function, block_operator_norms, family_eigs
 from .errors import DomainError
 from .heatzeta import ZetaResult, theta_values, zeta_result
 from .metrics import (
@@ -312,14 +305,14 @@ def cauchy_check(report: SweepReport) -> dict[str, CauchyColumn]:
     spectra = [row.spectrum for row in chain]
     grams = [np.stack(M[:-1]) for M in zip(*(spec.mass_blocks for spec in spectra))]
     operators = (
-        ("resolvent", lambda spec: resolvent(spec, _RESOLVENT_SHIFT),
+        ("resolvent", lambda lam: 1.0 / (_RESOLVENT_SHIFT + lam),
          lambda d: math.exp(d) * math.expm1(d) / _RESOLVENT_SHIFT),
-        ("heat", lambda spec: heat_operator(spec, _HEAT_TIME),
+        ("heat", lambda lam: np.exp(-_HEAT_TIME * lam),
          lambda d: math.expm1(d) * (1.0 + math.exp(d) * (1.0 + 2.0 * math.log(2.0) / math.e))),
     )
-    for name, op, bound in operators:
+    for name, f, bound in operators:
         # per m, the differences of consecutive operators along the chain as one stack
-        blocks = [np.stack(bm) for bm in zip(*(op(spec) for spec in spectra))]
+        blocks = [np.stack(bm) for bm in zip(*(apply_function(spec, f) for spec in spectra))]
         diffs[name] = block_operator_norms([b[:-1] - b[1:] for b in blocks], grams).tolist()
         bounds[name] = [bound(d) + _TINY_REL for d in dists]
     labels = [f"({a.param:g}, {b.param:g})" for a, b in pairs]
@@ -437,7 +430,8 @@ def _duhamel_residual(lo: Spectrum, mid: Spectrum, hi: Spectrum, h: float) -> Du
     product of the middle metric, the largest over the blocks.
     """
     t = _DUHAMEL_TIME
-    dE = [(a - b) / (2.0 * h) for a, b in zip(heat_operator(hi, t), heat_operator(lo, t))]
+    E_hi, E_lo = (apply_function(spec, lambda lam: np.exp(-t * lam)) for spec in (hi, lo))
+    dE = [(a - b) / (2.0 * h) for a, b in zip(E_hi, E_lo)]
     d_lap = [
         (np.linalg.inv(M_hi) - np.linalg.inv(M_lo)) * (stiffness(mid.L, m) / (2.0 * h))
         for m, (M_hi, M_lo) in enumerate(zip(hi.mass_blocks, lo.mass_blocks))
@@ -465,11 +459,13 @@ def variation_checks(family: MetricFamily) -> tuple[BorneReport, DuhamelReport]:
 
         ||d(Lap) v||_M <= ||B||_M ||Lap v||_M   for every v,
 
-    and ``max_ratio`` = ||B||_M is the largest |eigenvalue| of the Gram
-    pencils (dM_m, M_m). A Rayleigh quotient of a block is an average of
-    d(log density)/du over the nodes with positive weights, hence
-    max_ratio <= ``delta_nodes`` = max over the nodes of |d log density/du|
-    holds exactly in the discretization, up to roundoff.
+    and ``max_ratio`` = ||B||_M, the largest over m of ||M_m^-1 dM_m|| in
+    the M_m norm, taken by `block_operator_norms`. As B is M-self-adjoint,
+    that is the spectral radius of the Gram pencil (dM, M), and each of its
+    Rayleigh quotients is an average of d(log density)/du over the nodes
+    with positive weights, hence max_ratio <= ``delta_nodes`` = max over
+    the nodes of |d log density/du| holds exactly in the discretization,
+    up to roundoff.
 
     Duhamel: the three mass stacks are solved together, and the centered
     difference of the heat operator at time ``_DUHAMEL_TIME`` must match
@@ -485,7 +481,9 @@ def variation_checks(family: MetricFamily) -> tuple[BorneReport, DuhamelReport]:
         *(mass_weights(basis, g) for g in path), variation_weights(basis, path[1], dlog)
     ])
     grams = tuple(weighted_grams(basis, rows))
-    max_ratio = max(float(np.abs(pencil_eigvalsh(G[3], G[1])).max()) for G in grams)
+    max_ratio = float(block_operator_norms(
+        [np.linalg.solve(G[1:2], G[3:4]) for G in grams], [G[1] for G in grams]
+    )[0])
     delta_nodes = float(np.abs(dlog).max())
     borne = BorneReport(
         u=float(u),

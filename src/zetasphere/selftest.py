@@ -66,7 +66,7 @@ def _check_round_spectrum() -> None:
 def _check_operators() -> None:
     import numpy as np
 
-    from .eigensolve import heat_operator, singular_values
+    from .eigensolve import apply_function, singular_values
     from .heatzeta import theta_values
     from .metrics import fs_metric
     from .pipeline import family_spectra
@@ -75,7 +75,7 @@ def _check_operators() -> None:
     # projected out: block m = 0 once, each m >= 1 block for its two copies.
     (spectrum,) = family_spectra((fs_metric(),), 6)
     t = 0.7
-    E = heat_operator(spectrum, t)
+    E = apply_function(spectrum, lambda lam: np.exp(-t * lam))
     M = spectrum.mass_blocks
     v0 = spectrum.block_vectors[0][:, 0]
     P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])
