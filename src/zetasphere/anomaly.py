@@ -96,7 +96,7 @@ def bott_chern_bound(
 
     The total variation |mu| of a curvature measure is int |c1| dA plus the
     kinks' |line mass|. ``distance`` is sup|log(h_p/h_q)|,
-    ``metrics.sup_log_distance`` of the pair.
+    ``metrics.sup_log_distances`` of the pair.
     """
     area, (_, c1_p), (_, c1_q) = _on_rule(metric_p, metric_q)
     lines = sum(abs(mass) for _, mass in _kinks(metric_p, metric_q))

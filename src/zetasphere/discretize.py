@@ -21,9 +21,8 @@ Legendre sweep: `weighted_grams` takes a stack of radial node-weight rows
 rows P of that m once (`harmonics.legendre_blocks`) and every row's Gram
 (P w_k) P^T from them, one product per row, as the (K, n, n) stack of that
 m. `masses` is the stack of a family's mass blocks; one metric's are the
-stacks of a family of one. No table outlives a block: the scalar solve
-drops each stack once its values are taken, and the eigenvector solve keeps
-the blocks in its `eigensolve.Spectrum`. Reductions have a fixed summation
+stacks of a family of one. No table outlives a block: the solve drops each
+stack once its block is solved. Reductions have a fixed summation
 order, so repeated runs produce identical bytes, and a block is the same
 bytes whichever family it is built in.
 """
@@ -48,9 +47,6 @@ __all__ = [
     "weighted_grams",
     "masses",
 ]
-
-Blocks = tuple[np.ndarray, ...]
-
 
 class SpectralBasis:
     """The harmonic degree bound L and its colatitude quadrature.

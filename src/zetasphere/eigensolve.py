@@ -8,20 +8,22 @@ eigenvalues mu, and the pencil has 1 / (vol mu). Block m = 0 first splits off
 the constant, e_0 / sqrt(vol) with the eigenvalue exactly 0.0; its other rows
 solve with the Schur complement of A_0 on the constant. No kernel is snapped.
 
-One block routine solves a family of K pencils together, m = 0..L: it takes
-per m the (K, n, n) stack of the members' M_m (`discretize.masses`), the
-degree L and the metric ids, scales the stack and takes the Schur step
-elementwise, and makes one stacked LAPACK call per m. numpy's linalg
-gufuncs run the same routine once per matrix, so every member's values and
-vectors are bitwise those of its own solve, and a failed check names the
-member and m. It serves two paths, and each returns one `Spectrum` per
-member, the one record of a solved pencil. `family_eigvals` takes the
-values alone (``eigvalsh``) from stacks handed in one at a time, so the
-scalar commands build, solve and drop each stack in turn; its records have
-empty block fields. `family_eigs` keeps the mass blocks in each record and
-takes the vectors too (``eigh``, eigenvectors W): D_m^-1/2 W (vol mu)^-1/2,
-M_m-orthonormal, which the operator and harness checks read. One metric is
-a family of one: its stack per m is the (1, n, n) stack of its own M_m.
+`family_eigvals` is the one solve entry. It solves a family of K pencils
+together, m = 0..L: it takes per m the (K, n, n) stack of the members' M_m
+(`discretize.masses`), scales it and takes the Schur step elementwise, and
+makes one stacked LAPACK call per m. numpy's linalg gufuncs run the same
+routine once per matrix, so every member's values are bitwise those of its
+own solve, and a failed check names the member and m. Each stack is read
+once and dropped, and the solve returns one `Spectrum` per member, the one
+record of a solved pencil. One metric is a family of one.
+
+A check that needs more than the eigenvalues hands the solve a reducer.
+Then each m is solved with ``eigh`` (eigenvectors W), and the reducer gets
+that m's mass stack, block values and M_m-orthonormal vectors
+D_m^-1/2 W (vol mu)^-1/2 before the next m is built; nothing of the block
+is kept. A radial operator never couples two azimuthal indices, so a
+function of the operator stays per block (`block_function`), and no n x n
+matrix is formed.
 
 The Galerkin spaces are nested: the pencil at L' < L is the leading
 (L' + 1 - m) sub-block of each block, and the scaling and the Schur step
@@ -30,40 +32,30 @@ sub-blocks at L' = `nested_degree`, a coarser spectrum for free.
 
 A block with m >= 1 counts twice (cos and sin copies); a stable sort merges
 the values of all copies, which keeps the order deterministic and the
-degeneracy exact. Eigenvectors, and a function of the operator, stay per
-block, since a radial operator never couples two azimuthal indices; no
-n x n matrix is formed. `apply_function` is the one path to f(operator):
-the resolvent, the heat operator and every other function the harness
-reads are f handed to it.
+degeneracy exact.
 
 Operator norms are taken in the mass inner product, with the same Cholesky
 step: for a Gram matrix G = R^T R, `singular_values` gives the weighted
-singular values of A as the ordinary ones of R A R^-1. A block-diagonal
-operator has the largest of its block norms as its norm, and
-`block_operator_norms` takes those of a stack of operators at once, one
-stacked SVD per block m, each in one shared inner product or in its own,
-and each norm bitwise that of its operator alone. It is the one norm
-kernel: the harness measures with it resolvents and heat operators
-converging in operator norm, the residual of the Duhamel identity, and the
-M-norm of M^-1 dM, an M-self-adjoint operator whose norm is the spectral
-radius of the Gram pencil (dM, M), so no pencil eigenvalues are taken.
+singular values of A as the ordinary ones of R A R^-1, each matrix of a
+stack bitwise as it would be alone. A block-diagonal operator has the
+largest of its block norms as its norm, which a `BlockMax` reducer keeps as
+the solve hands the blocks over.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import Blocks, stiffness
+from .discretize import stiffness
 from .errors import DomainError, EigenConvergenceError, IndefiniteMassError
 
 __all__ = [
     "Spectrum",
-    "apply_function",
+    "BlockMax",
+    "block_function",
     "singular_values",
-    "block_operator_norms",
-    "family_eigs",
     "family_eigvals",
     "nested_degree",
 ]
@@ -80,16 +72,14 @@ def nested_degree(L: int) -> int:
 
 class Spectrum(NamedTuple):
     """The one record of a solved pencil: its eigenvalues, volume and nested
-    eigenvalues, with its mass blocks M_m and M_m-orthonormal eigenvectors
-    per block, m = 0..L, where the solve kept them.
+    eigenvalues.
 
     ``eigenvalues`` holds every block copy merged in ascending order;
     ``eigenvalues[0]`` is exactly 0.0, the constant's, and every other
     eigenvalue is positive. ``volume`` is the mass of the constant,
     ``M_0[0, 0]``. ``nested`` holds, merged the same way, the eigenvalues
-    of the nested pencil at degree `nested_degree`. `family_eigs` fills the
-    block fields; `family_eigvals` and a cache hit leave them empty. The
-    stiffness side is ``stiffness(L, m)`` for every metric.
+    of the nested pencil at degree `nested_degree`. The stiffness side is
+    ``stiffness(L, m)`` for every metric.
     """
 
     metric_id: str
@@ -97,13 +87,22 @@ class Spectrum(NamedTuple):
     eigenvalues: np.ndarray
     volume: float
     nested: np.ndarray
-    block_values: Blocks = ()
-    block_vectors: Blocks = ()
-    mass_blocks: Blocks = ()
 
     @property
     def lambda1(self) -> float:
         return float(self.eigenvalues[1])
+
+
+def block_function(lam: np.ndarray, V: np.ndarray, M: np.ndarray, f) -> np.ndarray:
+    """Block m of f(operator) in the basis: V diag(f(lam)) V^T M.
+
+    ``lam``, ``V`` and ``M`` are one block's values, M-orthonormal vectors
+    and mass block, or stacks of them as a reducer gets them; each block of
+    a stack is computed as it would be alone. The cos and sin copies of a
+    block share it.
+    """
+    f_lam = np.asarray(f(lam), dtype=float)[..., None, :]
+    return (V * f_lam) @ (np.swapaxes(V, -1, -2) @ M)
 
 
 def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -128,19 +127,19 @@ def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.linalg.svd(frame, compute_uv=False)
 
 
-def block_operator_norms(stacks: Sequence[np.ndarray], grams: Blocks) -> np.ndarray:
-    """Operator norms of K block-diagonal operators: each the max of its block norms.
+class BlockMax:
+    """A reducer that keeps the running maximum over m of ``norms(m, M, lam, V)``,
+    one block's norms, an array of the same shape at every m. The maximum is
+    exact, so ``value`` is bitwise the largest block norm of each entry, as
+    if every block were held at once."""
 
-    ``stacks[m]`` is the (K, k_m, k_m) stack of the operators' blocks m and
-    ``grams[m]`` the mass block M_m, the inner product on their rows, or a
-    stack of K of them, one per operator; the blocks are orthogonal to each
-    other in the full Gram matrix. One stacked
-    solve and SVD per m serves all K operators, each bitwise as it would be
-    alone (one operator is a stack of one).
-    """
-    return np.max(
-        [singular_values(A, G)[:, 0] for A, G in zip(stacks, grams, strict=True)], axis=0
-    )
+    def __init__(self, norms: Callable[..., np.ndarray]):
+        self.norms = norms
+        self.value = None
+
+    def __call__(self, m: int, M: np.ndarray, lam: np.ndarray, V: np.ndarray) -> None:
+        x = self.norms(m, M, lam, V)
+        self.value = x if self.value is None else np.maximum(self.value, x)
 
 
 def _refuse(ok: np.ndarray, m: int, metric_ids: Sequence[str], vol: np.ndarray,
@@ -172,27 +171,28 @@ def _stuck_member(S: np.ndarray, m: int, metric_ids: Sequence[str], vectors: boo
 
 
 def _solve_stacks(
-    stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str], vectors: bool
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[np.ndarray], np.ndarray]:
+    stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str], reduce: Callable | None
+) -> tuple[list[list[np.ndarray]], list[np.ndarray], np.ndarray]:
     """Solve the inverse pencils of a family block by block, m = 0..L in order.
 
-    The one block routine of every path. ``stacks`` yields, per m, the
-    (K, L+1-m, L+1-m) stack of the members' mass blocks M_m, K =
-    len(metric_ids). Per member it returns the values of each block in
-    ascending order and, with ``vectors``, the M_m-orthonormal vectors
-    (empty lists without), the merged eigenvalues of the nested pencil at
-    degree `nested_degree` (``eigvalsh`` of the leading sub-block of each
-    scaled block), and the volumes M_0[0, 0]. Each stack is read
-    once, so a caller may hand in stacks that are built as they are asked
-    for and dropped after. The scaling, the Schur step and the checks act on
-    the whole stack elementwise, and one stacked ``eigh``/``eigvalsh`` per m
-    runs LAPACK once per member, so every member's values and vectors are
-    bitwise those of its own solve. A failed check names the member and m;
-    the first m that fails wins, then the first member.
+    The one block routine. ``stacks`` yields, per m, the (K, L+1-m, L+1-m)
+    stack of the members' mass blocks M_m, K = len(metric_ids). Per member
+    it returns the values of each block in ascending order, the merged
+    eigenvalues of the nested pencil at degree `nested_degree` (``eigvalsh``
+    of the leading sub-block of each scaled block), and the volumes
+    M_0[0, 0]. Each stack is read once, so a caller may hand in stacks that
+    are built as they are asked for and dropped after. With ``reduce``, each
+    m is solved with ``eigh`` and the reducer gets the stack, the (K, n)
+    block values and the (K, n, n) M_m-orthonormal vectors before the next
+    m; without, ``eigvalsh`` takes the values alone. The scaling, the Schur
+    step and the checks act on the whole stack elementwise, and one stacked
+    call per m runs LAPACK once per member, so every member's values and
+    vectors are bitwise those of its own solve. A failed check names the
+    member and m; the first m that fails wins, then the first member.
     """
     K = len(metric_ids)
+    vectors = reduce is not None
     values = [[] for _ in range(K)]
-    vecs = [[] for _ in range(K)]
     nested = [[] for _ in range(K)]
     sub = nested_degree(L) + 1
     vol = np.zeros(K)
@@ -222,21 +222,26 @@ def _solve_stacks(
                 "eigenvalues of {where} overflow: 1 / (vol mu) is not finite "
                 "at volume {vol:.3g}")
         lam_sub = 1.0 / (vol[:, None] * mu_sub[:, ::-1])
-        if vectors:
-            V = s[:, None] * W[:, :, ::-1] / np.sqrt(vol[:, None] * mu)[:, None, :]
+        if m == 0:
+            lam = np.concatenate((np.zeros((K, 1)), lam), axis=1)
+            lam_sub = np.concatenate((np.zeros((K, 1)), lam_sub), axis=1)
         for k in range(K):
-            values[k].append(np.concatenate(([0.0], lam[k])) if m == 0 else lam[k])
-            nested[k].append(np.concatenate(([0.0], lam_sub[k])) if m == 0 else lam_sub[k])
-            if not vectors:
-                continue
-            if m == 0:
-                vecs[k].append(np.block([
+            values[k].append(lam[k])
+            nested[k].append(lam_sub[k])
+        if not vectors:
+            continue
+        V = s[:, None] * W[:, :, ::-1] / np.sqrt(vol[:, None] * mu)[:, None, :]
+        if m == 0:  # the constant e_0 / sqrt(vol) first, the Schur vectors lifted
+            V = np.stack([
+                np.block([
                     [np.full((1, 1), 1.0 / np.sqrt(vol[k])), -(head[k] @ V[k])],
                     [np.zeros((V.shape[1], 1)), V[k]],
-                ]))
-            else:
-                vecs[k].append(V[k])
-    return values, vecs, [_merged(v) for v in nested], vol
+                ])
+                for k in range(K)
+            ])
+        del A, S, W  # the reducer's blocks are the only ones held while it runs
+        reduce(m, M, lam, V)
+    return values, [_merged(v) for v in nested], vol
 
 
 def _merged(values: list[np.ndarray]) -> np.ndarray:
@@ -245,15 +250,25 @@ def _merged(values: list[np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(copies), kind="stable")
 
 
-def family_eigs(
-    mass_stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str]
+def family_eigvals(
+    mass_stacks: Iterable[np.ndarray],
+    L: int,
+    metric_ids: Sequence[str],
+    reduce: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[Spectrum, ...]:
     """The spectra of a family's pencils K v = lambda M v, solved together.
 
     ``mass_stacks`` yields per m the stack of the members' M_m
-    (``discretize.masses``); each member's `Spectrum` keeps its mass blocks
-    and the M_m-orthonormal eigenvectors of every block, bitwise those of a
-    one-member solve.
+    (``discretize.masses``); the stacks are solved one m at a time in the
+    order given, so stacks built on demand are each dropped once solved.
+    Without ``reduce`` each m is solved for its values alone
+    (``eigvalsh``). With it each m is solved with its eigenvectors
+    (``eigh``), and ``reduce(m, M, lam, V)`` gets the mass stack M, the
+    (K, n) block values lam, the kernel's 0.0 first at m = 0, and the
+    (K, n, n) M_m-orthonormal vectors V, each member's bitwise those of a
+    one-member solve; the reducer keeps what it needs of them. Either way
+    each member's `Spectrum` holds its eigenvalues, volume and nested
+    eigenvalues.
 
     Raises
     ------
@@ -269,41 +284,8 @@ def family_eigs(
         metric scaled to a volume near the float minimum; the message names
         the member and m.
     """
-    stacks = tuple(mass_stacks)
-    values, vectors, nested, vol = _solve_stacks(stacks, L, metric_ids, True)
-    return tuple(
-        Spectrum(
-            mid, L, _merged(v), float(x), nv, tuple(v), tuple(w), tuple(M[k] for M in stacks)
-        )
-        for k, (v, w, mid, x, nv) in enumerate(zip(values, vectors, metric_ids, vol, nested))
-    )
-
-
-def family_eigvals(
-    mass_stacks: Iterable[np.ndarray], L: int, metric_ids: Sequence[str]
-) -> tuple[Spectrum, ...]:
-    """The spectra of a family's pencils, values only: each member's
-    `Spectrum` with its block fields empty.
-
-    The stacks are solved one m at a time in the order given (``eigvalsh``,
-    no eigenvectors), so stacks that ``discretize.masses`` builds on demand
-    are each dropped once solved. Same checks and errors as `family_eigs`.
-    """
-    values, _, nested, vol = _solve_stacks(mass_stacks, L, metric_ids, False)
+    values, nested, vol = _solve_stacks(mass_stacks, L, metric_ids, reduce)
     return tuple(
         Spectrum(mid, L, _merged(v), float(x), nv)
         for v, mid, x, nv in zip(values, metric_ids, vol, nested)
-    )
-
-
-def apply_function(spectrum: Spectrum, f) -> Blocks:
-    """Blocks of f(operator) in the basis: V_m diag(f(lambda_m)) V_m^T M_m per m.
-
-    The cos and sin copies of a block share it.
-    """
-    return tuple(
-        (V * np.asarray(f(lam), dtype=float)[None, :]) @ (V.T @ M)
-        for lam, V, M in zip(
-            spectrum.block_values, spectrum.block_vectors, spectrum.mass_blocks
-        )
     )

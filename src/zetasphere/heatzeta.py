@@ -70,7 +70,7 @@ _LAW_EXPONENT = (0.5, 1.0, 3.0)
 _LAW_FACTOR = 3.0
 
 # Floats in the exp(-t lambda) and E1(t lambda) blocks of the heat-trace
-# sums (64 KB): a block holds as many times as fit, at least one, so its
+# sums (64 KB): a block holds as many rows as fit, at least one, so its
 # size does not grow with the spectrum or with the number of times asked.
 _THETA_FLOATS = 8192
 
@@ -122,41 +122,38 @@ def exp_e1(x):
     return float(out[0]) if scalar else out
 
 
-def _spectral_sums(eigenvalues: np.ndarray, t: np.ndarray, f) -> np.ndarray:
-    """sum over positive eigenvalues of f(lambda t), one sum per time.
+def _row_sums(rows, f) -> list:
+    """f on the rows (t, lam, count), packed into as few calls of f as fit.
 
-    f maps a block of lambda t in place or to a new array. The block is one
-    reused buffer of ``_THETA_FLOATS`` floats, as many times at once as fit
-    (at least one); each time's sum is the same row reduction as in one
-    (len(t), n) matrix, so the values do not depend on the block size.
+    Per row, the sum over j of count_j f(t lam_j) or, with count None, the
+    array f(t lam) itself. The rows are packed in order into blocks of at
+    most ``_THETA_FLOATS`` floats, a block holding at least one whole row,
+    and f takes one block per call: a zeta record makes one `exp_e1` call
+    where its spectrum is small, and memory stays bounded where it is
+    large. Each row's sum is the contiguous reduction of that row alone, the
+    same as a row of one (len(t), n) matrix, so no value depends on the
+    packing.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    lam = lam[lam > 0.0]
-    t = np.asarray(t, dtype=float).ravel()
-    out = np.empty(t.size)
-    rows = max(1, _THETA_FLOATS // max(1, lam.size))
-    buf = np.empty((min(rows, t.size), lam.size))
-    for i in range(0, t.size, rows):
-        block = t[i : i + rows]
-        x = np.multiply.outer(block, lam, out=buf[: block.size])
-        out[i : i + block.size] = f(x).sum(axis=1)
+    blocks = []
+    for row in rows:
+        if not blocks or sum(r[1].size for r in blocks[-1]) + row[1].size > _THETA_FLOATS:
+            blocks.append([])
+        blocks[-1].append(row)
+    out = []
+    for block in blocks:
+        x = np.concatenate([t * lam for t, lam, _ in block])
+        y = np.split(f(x), np.cumsum([lam.size for _, lam, _ in block[:-1]]))
+        out += [v if count is None else (v * count).sum() for v, (_, _, count) in zip(y, block)]
     return out
 
 
 def theta_values(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum over positive eigenvalues of exp(-lambda t), kernel excluded."""
-    return _spectral_sums(eigenvalues, t, lambda x: np.exp(np.negative(x, out=x), out=x))
-
-
-def e1_sums(eigenvalues: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum over positive eigenvalues of E1(lambda t), one sum per time.
-
-    Each distinct eigenvalue is evaluated once and counted with its
-    multiplicity: the cos and sin copies of every m >= 1 block are equal.
-    """
+    """sum over positive eigenvalues of exp(-lambda t), kernel excluded, one
+    sum per time, in blocks of bounded size (`_row_sums`)."""
     lam = np.asarray(eigenvalues, dtype=float)
-    lam, count = np.unique(lam[lam > 0.0], return_counts=True)
-    return _spectral_sums(lam, t, lambda x: exp_e1(x) * count)
+    lam = lam[lam > 0.0]
+    rows = [(ti, lam, 1.0) for ti in np.asarray(t, dtype=float).ravel()]
+    return np.array(_row_sums(rows, lambda x: np.exp(np.negative(x, out=x), out=x)), dtype=float)
 
 
 def heat_invariants(metric: ConformalMetric, n_theta: int = JET_RULE_NODES) -> tuple[float, float]:
@@ -247,13 +244,23 @@ def zeta_result(spectrum: Spectrum, metric: ConformalMetric) -> ZetaResult:
     tau = np.append(LADDER, 2.0 * LADDER[-1])
     vol_s = spectrum.volume / scale
 
-    spectral = e1_sums(lam_s, tau)
+    # one E1 pass over the spectral rows, the nested rows and the Weyl tail's
+    # arguments; a distinct eigenvalue counts with its multiplicity
+    nested = np.asarray(spectrum.nested) * scale
+    lam_u, count = np.unique(lam_s[lam_s > 0.0], return_counts=True)
+    nest_u, nest_count = np.unique(nested[nested > 0.0], return_counts=True)
+    *sums, e1_tail = _row_sums([
+        *((t, lam_u, count) for t in tau),
+        *((t, nest_u, nest_count) for t in LADDER),
+        (lam_s[-1], LADDER, None),
+    ], exp_e1)
+    spectral = np.array(sums[: tau.size])
     head = b1 * tau + b2 * tau**2 / 2.0
     z = spectral - vol_s / tau + B0 * (EULER_GAMMA + np.log(tau)) + head
     law = np.abs(z[:-1] - z[1:]) / (2.0 ** _LAW_EXPONENT[metric.order] - 1.0)
-    nest = np.abs(spectral[:-1] - e1_sums(np.asarray(spectrum.nested) * scale, LADDER))
+    nest = np.abs(spectral[:-1] - np.array(sums[tau.size :]))
     x = lam_s[-1] * LADDER
-    tail = vol_s * (np.exp(-x) - x * exp_e1(x)) / LADDER
+    tail = vol_s * (np.exp(-x) - x * e1_tail) / LADDER
     quad = np.abs((b1 - half[0]) * LADDER + (b2 - half[1]) * LADDER**2 / 2.0)
     budget = _LAW_FACTOR * law + nest + tail + quad
     qualifies = nest + tail <= law

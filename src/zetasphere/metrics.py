@@ -44,7 +44,7 @@ __all__ = [
     "interpolate",
     "d_log_density_du",
     "volume",
-    "sup_log_distance",
+    "sup_log_distances",
     "parse_metric_spec",
 ]
 
@@ -362,15 +362,17 @@ def volume(metric: ConformalMetric, quad) -> float:
     return float(np.sum(quad.weights_theta * np.exp(log_ratio)))
 
 
-def sup_log_distance(metric: ConformalMetric, other: ConformalMetric, radii) -> float:
-    """Max of |log(lambda_metric / lambda_other)| over ``radii`` and the
-    equator r = 1, where the built-in families attain their extreme ratio.
+def sup_log_distances(metrics: Sequence[ConformalMetric], radii) -> np.ndarray:
+    """d[i, j] = max of |log(lambda_i / lambda_j)| over ``radii`` and the
+    equator r = 1, where the built-in families attain their extreme ratio,
+    for every pair of ``metrics``; each log density is read once.
 
-    Read on the mass's colatitude nodes, it is the d of the exact mass
-    equivalence e^-d M_other <= M_metric <= e^d M_other.
+    Read on the mass's colatitude nodes, d[i, j] is the d of the exact mass
+    equivalence e^-d M_j <= M_i <= e^d M_j.
     """
     r = np.append(radii, 1.0)
-    return float(np.abs(metric.log_density(r) - other.log_density(r)).max())
+    logs = [g.log_density(r) for g in metrics]
+    return np.array([[np.abs(f - g).max() for g in logs] for f in logs])
 
 
 def _spec_number(text: str, what: str, spec: str) -> float:

@@ -1,28 +1,22 @@
-"""Shared computation pipeline: the solved spectrum of each metric.
+"""Shared computation pipeline: the solved spectrum of each scalar command's metric.
 
 Each solve builds its own basis (`build_basis`), and no table outlives a
-block. A pencil is solved wherever its spectrum is needed and handed on
-from there. Every solve is a family solve, one Legendre sweep and one
-stacked LAPACK call per m for all of its pencils, and one metric is a
-family of one. Both paths return `eigensolve.Spectrum`, the one record of a
-solved pencil: its eigenvalues, its volume and the eigenvalues of the
-nested pencil at 7L/8 that every solve also takes. The scalar commands
-fetch theirs with ``family_spectral_data``, which serves each metric from
-the disk cache (`SpectrumCache`, which alone names, writes and validates an
-entry, by metric id and L) when it can and solves all the misses in one
-family solve that builds each stack of mass blocks M_m, takes its
-eigenvalues alone and drops it before the next m (`family_eigvals`); each
-miss is stored in its own entry, and a hit or a miss has empty block
-fields. The convergence
-harness and the selftest solve with ``family_spectra``, which keeps the
-mass blocks and eigenvectors of every pencil (`family_eigs`), so the
-harness checks read the sweep's eigenvectors and mass blocks instead of
-solving again; the variation checks hand `family_eigs` mass stacks of
-their own. ``heatzeta.zeta_result`` takes either record with the
-metric's pinned heat invariants; nothing is fitted. The colatitude rule
-that the cache key names is ``discretize.colatitude_nodes``, the one
-``build_basis`` builds, so a cache hit builds no basis. No command builds
-an n x n matrix.
+block. Every solve is a family solve, one Legendre sweep and one stacked
+LAPACK call per m for all of its pencils, and one metric is a family of
+one. The scalar commands fetch their spectra with ``family_spectral_data``,
+which serves each metric from the disk cache (`SpectrumCache`, which alone
+names, writes and validates an entry, by metric id and L) when it can and
+solves all the misses in one family solve that builds each stack of mass
+blocks M_m, takes its eigenvalues alone and drops it before the next m
+(`eigensolve.family_eigvals`); each miss is stored in its own entry. A hit
+or a miss is an `eigensolve.Spectrum`: its eigenvalues, its volume and the
+eigenvalues of the nested pencil at 7L/8 that every solve also takes.
+``heatzeta.zeta_result`` takes it with the metric's pinned heat invariants;
+nothing is fitted. The convergence harness uses no cache and does not
+import this module: it solves its pencils with `family_eigvals` itself. The
+colatitude rule that the cache key names is ``discretize.colatitude_nodes``,
+the one ``build_basis`` builds, so a cache hit builds no basis. No command
+builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -38,16 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .discretize import build_basis, colatitude_nodes, masses
-from .eigensolve import SOLVER_VERSION, Spectrum, family_eigs, family_eigvals, nested_degree
+from .eigensolve import SOLVER_VERSION, Spectrum, family_eigvals, nested_degree
 from .metrics import ConformalMetric
 
-__all__ = ["SpectrumCache", "family_spectra", "family_spectral_data"]
-
-
-def family_spectra(metrics: Sequence[ConformalMetric], L: int) -> tuple[Spectrum, ...]:
-    """The spectra of several metrics' pencils, with eigenvectors and mass
-    blocks, solved together on one basis, in the order given."""
-    return family_eigs(masses(build_basis(L), metrics), L, [g.id for g in metrics])
+__all__ = ["SpectrumCache", "family_spectral_data"]
 
 
 def _valid_spectrum(lam: np.ndarray, L: int) -> bool:
@@ -86,7 +74,7 @@ class SpectrumCache:
         return self.root / f"{zlib.crc32(self._key(metric_id, L).encode('utf-8')):08x}.npz"
 
     def load(self, metric_id: str, L: int) -> Spectrum | None:
-        """The stored spectrum, block fields empty, or None: a missing or
+        """The stored spectrum, or None: a missing or
         unreadable entry, another key's, or one whose spectra are not valid
         at L and `nested_degree` (L) or whose volume is not positive and
         finite."""
@@ -134,8 +122,8 @@ def family_spectral_data(
     L: int,
     cache: SpectrumCache | None = None,
 ) -> tuple[Spectrum, ...]:
-    """The spectrum of each metric, block fields empty, served from the disk
-    cache when possible, in the order given.
+    """The spectrum of each metric, served from the disk cache when
+    possible, in the order given.
 
     Every metric whose entry is missing or fails validation is solved in
     one family solve, values only, with no stack of mass blocks kept past

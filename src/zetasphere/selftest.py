@@ -3,8 +3,9 @@
 Each check is a small, self-contained assertion battery; together they
 touch every module at low degree so a fresh checkout can verify itself in
 a few seconds. The operator check works on the azimuthal blocks, like the
-rest of the package: the heat operator's trace norm in the mass inner
-product, block by block, must equal the heat trace. The battery needs numpy
+rest of the package: a reducer takes the heat operator's trace norm in the
+mass inner product block by block as the solve hands each block over, and
+the sum must equal the heat trace. The battery needs numpy
 alone: the exponential integral is checked against reference values written
 out below. The convergence checks reuse the harness on a short family and
 report its named tags directly. Only the cache check touches a spectrum
@@ -49,9 +50,9 @@ def _check_round_spectrum() -> None:
     import numpy as np
 
     from .metrics import fs_metric
-    from .pipeline import family_spectra
+    from .pipeline import family_spectral_data
 
-    (spectrum,) = family_spectra((fs_metric(),), 8)
+    (spectrum,) = family_spectral_data((fs_metric(),), 8)
     lam = spectrum.eigenvalues
     assert lam.size == 81, f"expected 81 modes, got {lam.size}"
     assert lam[0] == 0.0, f"kernel eigenvalue {lam[0]!r} is not exactly 0.0"
@@ -66,23 +67,24 @@ def _check_round_spectrum() -> None:
 def _check_operators() -> None:
     import numpy as np
 
-    from .eigensolve import apply_function, singular_values
+    from .discretize import build_basis, masses
+    from .eigensolve import block_function, family_eigvals, singular_values
     from .heatzeta import theta_values
     from .metrics import fs_metric
-    from .pipeline import family_spectra
 
     # theta(t) is the trace norm of the heat operator with the constants
     # projected out: block m = 0 once, each m >= 1 block for its two copies.
-    (spectrum,) = family_spectra((fs_metric(),), 6)
-    t = 0.7
-    E = apply_function(spectrum, lambda lam: np.exp(-t * lam))
-    M = spectrum.mass_blocks
-    v0 = spectrum.block_vectors[0][:, 0]
-    P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])
-    norm = singular_values(P0 @ E[0], M[0]).sum() + sum(
-        2.0 * singular_values(E_m, M_m).sum() for E_m, M_m in zip(E[1:], M[1:])
-    )
-    bridge = abs(norm - theta_values(spectrum.eigenvalues, np.array([t]))[0])
+    t, norms = 0.7, []
+
+    def trace_norm(m, M, lam, V):
+        E = block_function(lam[0], V[0], M[0], lambda x: np.exp(-t * x))
+        if m == 0:
+            v0 = V[0][:, 0]
+            E = (np.eye(len(v0)) - np.outer(v0, v0 @ M[0])) @ E
+        norms.append((1.0 if m == 0 else 2.0) * singular_values(E, M[0]).sum())
+
+    (spectrum,) = family_eigvals(masses(build_basis(6), (fs_metric(),)), 6, ("fs",), trace_norm)
+    bridge = abs(sum(norms) - theta_values(spectrum.eigenvalues, np.array([t]))[0])
     assert bridge < 1e-10, f"heat-trace bridge defect {bridge:.3e}"
 
 

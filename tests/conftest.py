@@ -34,9 +34,9 @@ def solved(monkeypatch):
     pencils = []
     real = eigensolve._solve_stacks
 
-    def solve(stacks, L, metric_ids, vectors):
+    def solve(stacks, L, metric_ids, reduce):
         pencils.extend((metric_id, L) for metric_id in metric_ids)
-        return real(stacks, L, metric_ids, vectors)
+        return real(stacks, L, metric_ids, reduce)
 
     monkeypatch.setattr(eigensolve, "_solve_stacks", solve)
     return pencils

@@ -16,10 +16,13 @@ import time
 import numpy as np
 import pytest
 
+import blocks
 import oracles
+from blocks import apply_function, block_operator_norms
 from zetasphere.anomaly import two_route_check
 from zetasphere.cli import main
-from zetasphere.eigensolve import apply_function, block_operator_norms, singular_values
+from zetasphere.discretize import build_basis, masses
+from zetasphere.eigensolve import singular_values
 from zetasphere.harness import (
     _DUHAMEL_STEP,
     _VARIATION_L,
@@ -37,7 +40,7 @@ from zetasphere.metrics import (
     pnorm_metric,
     scaled_metric,
 )
-from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
+from zetasphere.pipeline import SpectrumCache, family_spectral_data
 
 SWEEP_P = (2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -273,7 +276,8 @@ def test_ac08_duhamel_identity():
     assert base.ratio < 1e-4 * 1.0, f"ratio {base.ratio:.3e}"
     h = _DUHAMEL_STEP / 2.0
     path = tuple(interpolate(fam, u) for u in (2.5 - h, 2.5, 2.5 + h))
-    refined = _duhamel_residual(*family_spectra(path, _VARIATION_L), h)
+    stacks = masses(build_basis(_VARIATION_L), path)
+    refined = _duhamel_residual(stacks, _VARIATION_L, [g.id for g in path], h)
     assert refined.residual <= base.residual / 2.0, (
         f"refinement did not halve the residual: "
         f"{base.residual:.3e} -> {refined.residual:.3e}"
@@ -289,7 +293,7 @@ def test_ac08_duhamel_identity():
 def test_ac09_operator_suite():
     # theta bridge per azimuthal block, each in its own M_m inner product:
     # block 0 with the constants projected out, each m >= 1 block twice
-    (spectrum, other) = family_spectra((fs_metric(), pnorm_metric(3.0)), 7)
+    (spectrum, other) = blocks.solve_blocks((fs_metric(), pnorm_metric(3.0)), 7)
     M = spectrum.mass_blocks
     v0 = spectrum.block_vectors[0][:, 0]
     P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])

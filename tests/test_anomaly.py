@@ -34,7 +34,7 @@ from zetasphere.metrics import (
     pnorm_family,
     pnorm_metric,
     scaled_metric,
-    sup_log_distance,
+    sup_log_distances,
 )
 from zetasphere.pipeline import family_spectral_data
 from zetasphere.quadrature import JET_RULE_NODES, build_quadrature
@@ -92,7 +92,8 @@ def test_bott_chern_scaling_slope(base_id, t0):
 def rule_distance(metric_p, metric_q) -> float:
     """sup |log(h_p/h_q)| on the anomaly rule's own nodes (and r = 1), the
     sup the integral's bound needs."""
-    return sup_log_distance(metric_p, metric_q, build_quadrature(JET_RULE_NODES).radii_theta)
+    pair = (metric_p, metric_q)
+    return float(sup_log_distances(pair, build_quadrature(JET_RULE_NODES).radii_theta)[0, 1])
 
 
 @pytest.mark.parametrize("p,q", PAIRS)

@@ -372,7 +372,7 @@ def test_cli_torsion_cache_roundtrip(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("warm run built a mass block or solved a pencil")
 
-    solvers = ("family_spectra", "family_eigs", "family_eigvals", "masses")
+    solvers = ("family_eigvals", "masses")
     for name in solvers:
         monkeypatch.setattr(pipeline, name, no_solve)
     code, _, _ = run_cli(args, tmp_path / "warm", cache_dir, capsys)
@@ -490,9 +490,9 @@ def test_cli_anomaly_partly_warm_cache(tmp_path, monkeypatch, capsys):
     real_solve = eigensolve._solve_stacks
     real_store, real_load = SpectrumCache.store, SpectrumCache.load
 
-    def solve(stacks, L, metric_ids, vectors):
+    def solve(stacks, L, metric_ids, reduce):
         families.append(tuple(metric_ids))
-        return real_solve(stacks, L, metric_ids, vectors)
+        return real_solve(stacks, L, metric_ids, reduce)
 
     def store(self, spectrum):
         stored.append((spectrum.metric_id, spectrum.L))

@@ -2,19 +2,24 @@
 
 The stiffness side of every dense reference is the closed form
 ``oracles.exact_stiffness_blocks``; the eigenvalues themselves are also
-checked against a 40-digit mpmath solve of the same blocks. The values-only
-path of the scalar commands runs the same block routine as the vectors path,
-so its errors, and its eigenvalues to rounding, are checked against it.
+checked against a 40-digit mpmath solve of the same blocks. The solve keeps
+no block, so the block checks read the blocks that a test-side reducer
+(`blocks.solve_stacks`) collects as the solve hands them over. The
+values-only path of the scalar commands runs the same block routine as the
+reducer path, so its errors, and its eigenvalues to rounding, are checked
+against it.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import blocks
 import oracles
 from zetasphere import eigensolve
 from zetasphere.discretize import build_basis, masses
-from zetasphere.eigensolve import apply_function, family_eigs, family_eigvals, nested_degree
+from zetasphere.eigensolve import Spectrum, family_eigvals, nested_degree
+from blocks import apply_function
 from zetasphere.errors import DomainError, EigenConvergenceError, IndefiniteMassError
 from zetasphere.metrics import (
     fs_metric,
@@ -33,8 +38,9 @@ def basis():
 
 
 def _solve(basis, metric):
-    """The vectors path on the metric's mass blocks, a family of one."""
-    (spectrum,) = family_eigs(masses(basis, (metric,)), basis.L, (metric.id,))
+    """The reducer path on the metric's mass blocks, a family of one, with
+    the blocks it hands over kept."""
+    (spectrum,) = blocks.solve_stacks(masses(basis, (metric,)), basis.L, (metric.id,))
     return spectrum
 
 
@@ -82,14 +88,23 @@ def test_kernel_is_constants(spectrum):
 
 
 def test_spectrum_metadata(basis):
-    """The spectrum names its metric and degree and keeps one mass block per
-    m, M_0[0, 0] being the volume."""
+    """The spectrum names its metric and degree, and the reducer is handed
+    one mass block per m, M_0[0, 0] being the volume. The record itself has
+    no block fields: the solve keeps no block past its m."""
     spectrum = _solve(basis, pnorm_metric(2.0))
     assert spectrum.metric_id == "pnorm:2"
     assert spectrum.L == 12
     assert [M.shape for M in spectrum.mass_blocks] == [(13 - m,) * 2 for m in range(13)]
     assert spectrum.volume == spectrum.mass_blocks[0][0, 0]
     assert spectrum.eigenvalues.shape == (13**2,)
+    assert Spectrum._fields == ("metric_id", "L", "eigenvalues", "volume", "nested")
+    handed = []
+    (record,) = family_eigvals(
+        masses(basis, (pnorm_metric(2.0),)), 12, ("pnorm:2",),
+        lambda m, M, lam, V: handed.append((m, M.shape, lam.shape, V.shape)),
+    )
+    assert isinstance(record, Spectrum)
+    assert handed == [(m, (1, 13 - m, 13 - m), (1, 13 - m), (1, 13 - m, 13 - m)) for m in range(13)]
 
 
 def test_positive_excludes_kernel(spectrum):
@@ -205,10 +220,11 @@ def test_heat_operator_solves_heat_equation():
 
 
 def _family_solves(stacks, L, metric_ids):
-    """Both paths of the block routine on a family's stacks: with vectors,
-    then values only from stacks handed in one at a time. One pencil is the
-    family of one whose stacks are its blocks M[None]."""
-    yield lambda: family_eigs(stacks, L, metric_ids)
+    """Both paths of the block routine on a family's stacks: with vectors
+    handed to a reducer, then values only, each from stacks handed in one at
+    a time. One pencil is the family of one whose stacks are its blocks
+    M[None]."""
+    yield lambda: family_eigvals(iter(stacks), L, metric_ids, lambda *block: None)
     yield lambda: family_eigvals(iter(stacks), L, metric_ids)
 
 
@@ -281,12 +297,12 @@ FAMILY = ("fs", "pnorm:3", "max", "interp:2.5:pnorm", "scaled:1e200:fs")
 @pytest.mark.parametrize("specs", [FAMILY, FAMILY[3:4]], ids=["five", "one"])
 def test_family_solve_is_bitwise_per_member(specs, L):
     """Solved together, every member of a family is bitwise its own solve, on
-    both paths: eigenvalues, volume, nested eigenvalues, block values, block
-    vectors and mass blocks."""
+    both paths: eigenvalues, volume, nested eigenvalues, and the block
+    values, block vectors and mass blocks that the reducer path hands over."""
     basis = build_basis(L)
     metrics = [parse_metric_spec(i) for i in specs]
     ids = [m.id for m in metrics]
-    together = family_eigs(masses(basis, metrics), L, ids)
+    together = blocks.solve_stacks(masses(basis, metrics), L, ids)
     values_only = family_eigvals(masses(basis, metrics), L, ids)
     for metric, spec, vals in zip(metrics, together, values_only):
         alone = _solve(basis, metric)
@@ -341,7 +357,7 @@ def test_blocks_match_dense_oracle(spec, L):
 @pytest.mark.parametrize("L", [8, 16])
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
 def test_block_operators_match_dense_oracle(spec, L):
-    """apply_function blocks of a rational f, the resolvent and the heat
+    """Per-block function blocks of a rational f, the resolvent and the heat
     operator, placed by the oracle's scatter, against V diag(f(lam)) V^T M
     of the dense sygvd solve, to 1e-12 relative."""
     spectrum = _solve(build_basis(L), parse_metric_spec(spec))
@@ -351,9 +367,9 @@ def test_block_operators_match_dense_oracle(spec, L):
         ("heat", lambda lam: np.exp(-0.7 * lam)),
     ]
     for name, f in cases:
-        blocks = apply_function(spectrum, f)
-        assert [b.shape for b in blocks] == [(L + 1 - m,) * 2 for m in range(L + 1)]
-        got = oracles.dense_matrix(blocks)
+        op = apply_function(spectrum, f)
+        assert [b.shape for b in op] == [(L + 1 - m,) * 2 for m in range(L + 1)]
+        got = oracles.dense_matrix(op)
         want = oracles.dense_pencil_function(
             oracles.exact_stiffness_blocks(L), spectrum.mass_blocks, f
         )
@@ -389,11 +405,9 @@ def test_blocks_match_40_digit_reference(spec):
     paths of the block routine."""
     L = 32
     spectrum = _solve(build_basis(L), parse_metric_spec(spec))
-    blocks = spectrum.mass_blocks
-    (values_only,), _, _, _ = eigensolve._solve_stacks(
-        [M[None] for M in blocks], L, (spec,), vectors=False
-    )
-    oracle = {m: oracles.mp_block_eigenvalues(blocks[m], m, L) for m in (0, 1, 16, 31)}
+    mass = spectrum.mass_blocks
+    (values_only,), _, _ = eigensolve._solve_stacks([M[None] for M in mass], L, (spec,), None)
+    oracle = {m: oracles.mp_block_eigenvalues(mass[m], m, L) for m in (0, 1, 16, 31)}
     for path, values in (("vectors", spectrum.block_values), ("values", values_only)):
         assert values[0][0] == 0.0, path
         for m, want in oracle.items():

@@ -8,6 +8,7 @@ parameter (for the d -> 0 forms of the exact operator bounds).
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from zetasphere.discretize import (
     variation_weights,
     weighted_grams,
 )
-from zetasphere.eigensolve import Spectrum, apply_function, block_operator_norms
+from zetasphere.eigensolve import Spectrum
 from zetasphere.errors import DomainError, InvalidMetricError
 from zetasphere.harness import (
     DUHAMEL_RATIO_TOL,
@@ -46,11 +47,13 @@ from zetasphere.metrics import (
     max_metric,
     pnorm_family,
     pnorm_metric,
-    sup_log_distance,
+    sup_log_distances,
 )
-from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
+from zetasphere.pipeline import SpectrumCache, family_spectral_data
 
+import blocks
 import oracles
+from blocks import apply_function, block_operator_norms
 
 
 def broken_metric() -> ConformalMetric:
@@ -95,12 +98,19 @@ def test_sweep_rows():
     assert [r.zeta.metric_id for r in rep.rows] == ["pnorm:1", "pnorm:2", "pnorm:3"]
     assert [r.metric for r in rep.rows] == list(fam.members)
     assert rep.theta_times == {"theta_t0.5": 0.5, "theta_t1": 1.0, "theta_t2": 2.0}
-    np.testing.assert_array_equal(rep.radii, build_basis(16).quad.radii_theta)
+    # every two rows of the chain, on the mass's radii and r = 1
+    radii = build_basis(16).quad.radii_theta
+    chain = (*fam.members, fam.limit)
+    for i, j in [(0, 1), (1, 2), (2, 3), (0, 3), (3, 0), (1, 1)]:
+        pair = np.append(radii, 1.0)
+        want = np.abs(chain[i].log_density(pair) - chain[j].log_density(pair)).max()
+        assert rep.chain_dist[i, j] == want, (i, j)
     for row, p in zip(rep.rows, (1.0, 2.0, 3.0)):
         assert row.zeta.volume == pytest.approx(float(oracles.pnorm_volume(p)), rel=1e-6)
         assert row.sup_log_dist_to_limit == pytest.approx(
             float(oracles.sup_log_pnorm_to_max(p)), abs=1e-12
         )
+        assert row.sup_log_dist_to_limit == rep.chain_dist[int(p) - 1, -1]
         assert row.spectrum.lambda1 > 0.0
         assert row.columns["lambda1"] == row.spectrum.lambda1
         assert row.columns["vol"] == row.zeta.volume
@@ -275,8 +285,10 @@ def test_lambda1_floor():
     assert fl.passed
     assert fl.rows[0].c_member == 1.0
     assert fl.rows[-1].param == math.inf  # the limit metric joins the rows
+    radii = build_basis(16).quad.radii_theta
     for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
-        assert row.c_member == math.exp(sup_log_distance(metric, fam.members[0], rep.radii))
+        (_, d), _ = sup_log_distances((metric, fam.members[0]), radii)
+        assert row.c_member == math.exp(d)
     assert fl.c == pytest.approx(4.0, rel=1e-14)  # pnorm:1 to max: e^(2 log 2) on the equator
     assert fl.c == max(r.c_member for r in fl.rows)
     assert fl.floor == pytest.approx(fl.rows[0].lambda1 / fl.c, rel=1e-15)
@@ -358,10 +370,11 @@ def test_resolvent_convergence():
 def test_resolvent_pairs_in_the_first_metrics_norm():
     """Each pair's distance is the block norm of the operators' difference
     in the mass inner product of the pair's first metric, one pair at a
-    time: the closing pair (5, limit) in pnorm:5's."""
-    rep = sweep(pnorm_family(range(1, 6)), L=16)
-    cy = cauchy_check(rep)
-    last, limit = rep.rows[-1].spectrum, rep.limit_row.spectrum
+    time: the closing pair (5, limit) in pnorm:5's, from its two pencils
+    solved apart from the sweep, blocks kept by a test-side reducer."""
+    fam = pnorm_family(range(1, 6))
+    cy = cauchy_check(sweep(fam, L=16))
+    last, limit = blocks.solve_blocks((fam.members[-1], fam.limit), 16)
     for name, f in (("resolvent", lambda lam: 1.0 / (1.0 + lam)),
                     ("heat", lambda lam: np.exp(-lam))):
         (want,) = block_operator_norms(
@@ -387,7 +400,7 @@ def test_operator_derivative_bounded_by_density_variation():
         return norm
 
     for u in (1.5, 2.5, 3.5):
-        lo, mid, hi = family_spectra(tuple(interpolate(fam, v) for v in (u - h, u, u + h)), L)
+        lo, mid, hi = blocks.solve_blocks(tuple(interpolate(fam, v) for v in (u - h, u, u + h)), L)
         dr = dist(lambda lam: 1.0 / (1.0 + lam), hi, lo, mid.mass_blocks) / (2 * h)
         de = dist(lambda lam: np.exp(-lam), hi, lo, mid.mass_blocks) / (2 * h)
         delta = float(np.abs(d_log_density_du(fam, u, radii)).max())
@@ -467,9 +480,15 @@ def test_bornelapbelt_deterministic():
     assert variation_checks(fam) == variation_checks(fam)
 
 
-def variation_path(family: MetricFamily, u: float, h: float, L: int) -> tuple[Spectrum, ...]:
-    """The pencils at u - h, u, u + h, solved by ``family_spectra``."""
-    return family_spectra(tuple(interpolate(family, v) for v in (u - h, u, u + h)), L)
+def variation_path(family: MetricFamily, u: float, h: float) -> tuple[ConformalMetric, ...]:
+    """The metrics at u - h, u, u + h."""
+    return tuple(interpolate(family, v) for v in (u - h, u, u + h))
+
+
+def duhamel_at(family: MetricFamily, u: float, h: float, L: int) -> harness.DuhamelReport:
+    """The Duhamel residual of the path at u, its pencils solved on their own."""
+    path = variation_path(family, u, h)
+    return harness._duhamel_residual(masses(build_basis(L), path), L, [g.id for g in path], h)
 
 
 def test_duhamel_refinement():
@@ -478,10 +497,10 @@ def test_duhamel_refinement():
     -> 1.049e-8 on pnorm at u = 2.5, L = 16)."""
     fam = pnorm_family()
     h, L = harness._DUHAMEL_STEP, harness._VARIATION_L
-    base = harness._duhamel_residual(*variation_path(fam, 2.5, h, L), h)
+    base = duhamel_at(fam, 2.5, h, L)
     assert base.ratio < DUHAMEL_RATIO_TOL
     assert base.derivative_norm > 0.0
-    refined = harness._duhamel_residual(*variation_path(fam, 2.5, h / 2, L), h / 2)
+    refined = duhamel_at(fam, 2.5, h / 2, L)
     assert refined.residual == pytest.approx(base.residual / 4.0, rel=0.02)
 
 
@@ -491,12 +510,15 @@ def test_duhamel_integral_matches_quadrature(family):
     Gauss-Legendre rule on [0, t] to 1e-13 relative (measured 5.7e-16 at
     L = 12), for the path's own variation operator."""
     h, L = harness._DUHAMEL_STEP, 12
-    lo, mid, hi = variation_path(family, 2.5, h, L)
+    lo, mid, hi = blocks.solve_blocks(variation_path(family, 2.5, h), L)
     d_lap = [
         (np.linalg.inv(M_hi) - np.linalg.inv(M_lo)) * (discretize.stiffness(L, m) / (2.0 * h))
         for m, (M_hi, M_lo) in enumerate(zip(hi.mass_blocks, lo.mass_blocks))
     ]
-    got = harness._duhamel_integral(mid, d_lap)
+    got = [
+        harness._duhamel_integral(*block, D)
+        for *block, D in zip(mid.block_values, mid.block_vectors, mid.mass_blocks, d_lap)
+    ]
     want = oracles.duhamel_integral_by_quadrature(
         mid.block_values, mid.block_vectors, mid.mass_blocks, d_lap, harness._DUHAMEL_TIME, 128
     )
@@ -516,9 +538,9 @@ def test_duhamel_trivial_family():
 def test_variation_checks_match_separate_solves(family):
     """The shared path reports what the two checks report on their own:
     the Borne pencils from a Gram stack of the mass and its derivative at
-    u alone, and the Duhamel residual from the three pencils solved by
-    ``family_spectra``. u = ceil(n/2) - 1/2 for n members, and the degree
-    is the path's own."""
+    u alone, and the Duhamel residual from the three pencils solved on
+    their own. u = ceil(n/2) - 1/2 for n members, and the degree is the
+    path's own."""
     u = math.ceil(len(family.members) / 2) - 0.5
     L, h = harness._VARIATION_L, harness._DUHAMEL_STEP
     basis = build_basis(L)
@@ -532,7 +554,7 @@ def test_variation_checks_match_separate_solves(family):
     delta_nodes = float(np.abs(dlog).max())
     passed = max_ratio <= delta_nodes * (1.0 + 1e-9) + 1e-15
     borne = BorneReport(u, delta_nodes, max_ratio, passed)
-    duhamel = harness._duhamel_residual(*variation_path(family, u, h, L), h)
+    duhamel = duhamel_at(family, u, h, L)
     assert variation_checks(family) == (borne, duhamel)
 
 
@@ -710,14 +732,22 @@ def test_converge_accepts_uneven_spacing(tmp_path, capsys):
     assert summary["detail"]["resolvent"]["failures"] == []
 
 
-def shrink_limit_values(report, factor=0.25):
-    """The sweep ``report`` with its limit row's block eigenvalues scaled by
-    ``factor``: the limit's operators move, its scalar columns do not."""
-    lim = report.limit_row
-    spectrum = lim.spectrum._replace(
-        block_values=tuple(factor * v for v in lim.spectrum.block_values)
-    )
-    return report._replace(limit_row=lim._replace(spectrum=spectrum))
+def shrink_limit_values(monkeypatch, limit_id, factor=0.25):
+    """Scale the limit's block eigenvalues by ``factor`` in what the sweep's
+    solve hands its reducer: the limit's operators move, its scalar columns
+    do not."""
+    real = harness.family_eigvals
+
+    def seeded(stacks, L, metric_ids, reduce=None):
+        def shrunk(m, M, lam, V):
+            lam = lam.copy()
+            lam[-1] *= factor
+            reduce(m, M, lam, V)
+
+        seed = reduce is not None and metric_ids[-1] == limit_id
+        return real(stacks, L, metric_ids, shrunk if seed else reduce)
+
+    monkeypatch.setattr(harness, "family_eigvals", seeded)
 
 
 @pytest.mark.parametrize("make", [pnorm_family, geomean_family])
@@ -728,13 +758,12 @@ def test_shrunk_limit_fails_deltacompact(make, monkeypatch):
     its own: the resolvent column fails there alone, and with it the
     deltacompact tag alone."""
     family = make()
-    cy = cauchy_check(shrink_limit_values(sweep(family, L=24)))
+    shrink_limit_values(monkeypatch, family.limit.id)
+    cy = cauchy_check(sweep(family, L=24))
     assert [name for name, c in cy.items() if not c.passed] == ["resolvent"]
     (violation,) = cy["resolvent"].violations
     assert violation.startswith("column resolvent: pair (6, inf) difference ")
 
-    real_sweep = harness.sweep
-    monkeypatch.setattr(harness, "sweep", lambda *a, **k: shrink_limit_values(real_sweep(*a, **k)))
     summary = convergence_summary(family, L=24)
     assert [tag for tag, ok in summary.tags.items() if not ok] == ["deltacompact"]
     assert summary.cauchy["resolvent"].violations == (violation,)
@@ -749,13 +778,15 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     block nor solve a pencil: they read the sweep's spectra."""
     # name each metric by its L = 16 spectrum,
     # from the values-only solve (which the disk cache serves bit for bit)
-    # and from the vectors path the harness sweep runs
+    # and from the reducer path the harness sweep runs
     family = pnorm_family()
     metrics = (*family.members, family.limit)
     metric_of = {
         data.eigenvalues.tobytes(): m.id
         for m in metrics
-        for data in (*family_spectral_data((m,), 16, cache=cache), *family_spectra((m,), 16))
+        for data in (
+            *family_spectral_data((m,), 16, cache=cache), *blocks.solve_blocks((m,), 16)
+        )
     }
     evaluated: list[str] = []
     solved.clear()  # the solves that named the spectra above are not the commands'
@@ -795,7 +826,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     for check in ("lambda1_floor", "cauchy_check"):
         monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))
     for module in (discretize, pipeline, harness):
-        for name in ("masses", "weighted_grams", "family_spectra"):
+        for name in ("masses", "weighted_grams", "family_eigvals"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
     members = [f"pnorm:{p}" for p in range(1, 7)]
@@ -892,3 +923,37 @@ def test_convergence_summary_constant_family():
     assert summary.borne.max_ratio == 0.0
     assert len(summary.two_route) == 3
     assert all(r.gap == pytest.approx(0.0, abs=1e-12) for r in summary.two_route)
+
+
+@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
+def test_convergence_summary_memory_is_one_block_stack(make):
+    """The sweep hands each m's blocks to its reducer and drops them, so the
+    run holds one block stack at a time, never the whole chain's blocks:
+    tracemalloc's peak for ``convergence_summary`` at L = 64 is at most
+    6.0 MB (4.5 MB measured on both families)."""
+    convergence_summary(make(), L=16)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        convergence_summary(make(), L=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_converge_makes_one_e1_pass_per_zeta_record(tmp_path, monkeypatch, capsys):
+    """Each zeta record packs its spectral rows, its nested rows and its
+    Weyl-tail arguments into one `exp_e1` call at L = 24: converge on the
+    default family makes 7 calls, one per member and one for the limit."""
+    calls = []
+    real = heatzeta.exp_e1
+
+    def counting(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(heatzeta, "exp_e1", counting)
+    code = main(["converge", "--L", "24", "--output-dir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 7

@@ -21,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blocks
 import oracles
 from zetasphere import heatzeta
 from zetasphere.discretize import build_basis, colatitude_nodes, masses
@@ -29,7 +30,6 @@ from zetasphere.errors import DomainError
 from zetasphere.heatzeta import (
     B0,
     LADDER,
-    e1_sums,
     exp_e1,
     heat_invariants,
     theta_values,
@@ -47,7 +47,7 @@ from zetasphere.metrics import (
     scaled_metric,
 )
 from zetasphere import pipeline
-from zetasphere.pipeline import SpectrumCache, family_spectra, family_spectral_data
+from zetasphere.pipeline import SpectrumCache, family_spectral_data
 from zetasphere.quadrature import JET_RULE_NODES
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -142,7 +142,7 @@ def test_theta_values_memory_is_bounded():
 
 
 def test_theta_grid_shape_properties():
-    (spec,) = family_spectra((pnorm_metric(3.0),), 10)
+    (spec,) = blocks.solve_blocks((pnorm_metric(3.0),), 10)
     t = np.linspace(0.05, 3.0, 60)
     th = theta_values(spec.eigenvalues, t)
     assert np.all(th > 0.0)
@@ -157,7 +157,7 @@ def test_theta_grid_shape_properties():
 
 def test_theta_polynomial_domination():
     """exp(-x) <= 2/x^2 turns theta into a zeta bound: theta(t) <= 2 zeta(2)/t^2."""
-    (spec,) = family_spectra((pnorm_metric(3.0),), 10)
+    (spec,) = blocks.solve_blocks((pnorm_metric(3.0),), 10)
     z2 = zeta_direct(spec.eigenvalues, 2.0).value
     for t in (0.2, 0.8, 2.0):
         assert theta_values(spec.eigenvalues, np.array([t]))[0] <= 2.0 * z2 / t**2 * (1.0 + 1e-12)
@@ -165,7 +165,7 @@ def test_theta_polynomial_domination():
 
 def test_theta_resolvent_domination():
     """exp(-t a) <= c_t / (1+a)^2 with c_t = sup_a exp(-t a)(1+a)^2."""
-    (spec,) = family_spectra((pnorm_metric(3.0),), 10)
+    (spec,) = blocks.solve_blocks((pnorm_metric(3.0),), 10)
     lam = spec.eigenvalues[1:]
     trace_r2 = float(np.sum(1.0 / (1.0 + lam) ** 2))
     a = np.linspace(0.0, 200.0, 400001)
@@ -180,14 +180,15 @@ def test_heat_trace_samples_bookkeeping():
     """The heat-trace samples the theta command uses agree pointwise with
     one time at a time, and the E1 sums of the estimator with a sum of
     exp_e1 calls."""
-    (spec,) = family_spectra((pnorm_metric(3.0),), 8)
+    (spec,) = blocks.solve_blocks((pnorm_metric(3.0),), 8)
     assert spec.metric_id == "pnorm:3"
     lam = spec.eigenvalues
     t = np.geomspace(0.05, 1.0, 10)
     values = theta_values(lam, t)
     want = np.array([theta_values(lam, np.array([ti]))[0] for ti in t])
     assert np.allclose(values, want, rtol=1e-15)
-    sums = e1_sums(lam, t)
+    distinct, count = np.unique(lam[1:], return_counts=True)
+    sums = heatzeta._row_sums([(ti, distinct, count) for ti in t], exp_e1)
     assert np.allclose(sums, [exp_e1(lam[1:] * ti).sum() for ti in t], rtol=1e-15)
 
 
@@ -587,11 +588,11 @@ def test_geomean_time_scale_neither_underflows_nor_overflows(a, b, want):
 @pytest.mark.parametrize("L", [16, 24, 32])
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max", "interp:2.5:pnorm"])
 def test_both_solve_paths_give_one_zeta(spec, L):
-    """The harness's solve (eigenvectors kept, eigh) and the scalar commands'
-    (values only, eigvalsh) feed one zeta_result: the same volume bitwise,
-    and zeta'(0) and log h_Q within 1e-11."""
+    """The harness's solve (eigenvectors handed to a reducer, eigh) and the
+    scalar commands' (values only, eigvalsh) feed one zeta_result: the same
+    volume bitwise, and zeta'(0) and log h_Q within 1e-11."""
     m = parse_metric_spec(spec)
-    with_vectors = zeta_result(family_spectra((m,), L)[0], m)
+    with_vectors = zeta_result(blocks.solve_blocks((m,), L)[0], m)
     values_only = zeta_result(family_spectral_data((m,), L)[0], m)
     assert with_vectors.volume == values_only.volume
     assert abs(with_vectors.zeta_prime0 - values_only.zeta_prime0) <= 1e-11
@@ -600,16 +601,19 @@ def test_both_solve_paths_give_one_zeta(spec, L):
 
 @pytest.mark.parametrize("spec", ["fs", "pnorm:3", "max"])
 def test_every_solve_path_returns_one_record(tmp_path, spec):
-    """The vectors solve, the values solve (a cache miss) and the cache hit
-    of one metric at L = 16 are each a `Spectrum`. The hit is the values
-    solve bit for bit, with empty block fields, and so is its zeta record.
-    The vectors solve keeps its blocks and has the same volume and nested
-    eigenvalues bitwise; its eigenvalues differ only by how LAPACK rounds
-    with and without vectors (measured at most 1.7e-12, max), and its
-    zeta'(0) by at most 1e-11."""
+    """The vectors solve (eigh, its blocks handed to a reducer), the values
+    solve (a cache miss) and the cache hit of one metric at L = 16 are each
+    a `Spectrum`. The hit is the values solve bit for bit, and so is its
+    zeta record. The vectors solve hands over every block and has the same
+    volume and nested eigenvalues bitwise; its eigenvalues differ only by
+    how LAPACK rounds with and without vectors (measured at most 1.7e-12,
+    max), and its zeta'(0) by at most 1e-11."""
     m, L = parse_metric_spec(spec), 16
     cache = SpectrumCache(tmp_path)
-    (vectors,) = family_spectra((m,), L)
+    handed = []
+    (vectors,) = family_eigvals(
+        masses(build_basis(L), (m,)), L, (m.id,), lambda *block: handed.append(block[0])
+    )
     (values,) = family_spectral_data((m,), L, cache)
     (hit,) = family_spectral_data((m,), L, cache)
     for record in (vectors, values, hit):
@@ -618,9 +622,7 @@ def test_every_solve_path_returns_one_record(tmp_path, spec):
         assert np.array_equal(record.nested, vectors.nested)
     assert np.array_equal(hit.eigenvalues, values.eigenvalues)
     assert np.allclose(vectors.eigenvalues, values.eigenvalues, rtol=1e-13, atol=0.0)
-    for name in ("block_values", "block_vectors", "mass_blocks"):
-        assert getattr(hit, name) == getattr(values, name) == ()
-        assert len(getattr(vectors, name)) == L + 1
+    assert handed == list(range(L + 1))
     assert zeta_result(hit, m) == zeta_result(values, m)
     assert abs(zeta_result(vectors, m).zeta_prime0 - zeta_result(hit, m).zeta_prime0) <= 1e-11
 
@@ -752,11 +754,11 @@ def test_zeta_prime_accuracy_at_L128(cache):
 
 def test_store_then_load_returns_the_spectrum(tmp_path):
     """``store(spectrum)`` then ``load(metric_id, L)`` returns its
-    eigenvalues, volume and nested eigenvalues bitwise, with empty block
-    fields; another degree or another metric's id misses, also when a copy
-    of the entry sits under that name."""
+    eigenvalues, volume and nested eigenvalues bitwise; another degree or
+    another metric's id misses, also when a copy of the entry sits under
+    that name."""
     cache = SpectrumCache(tmp_path)
-    (fresh,) = family_spectra((fs_metric(),), 4)
+    (fresh,) = blocks.solve_blocks((fs_metric(),), 4)
     assert cache.load("fs", 4) is None
     entry = cache.store(fresh)
     assert entry == cache.path_for("fs", 4) and list(tmp_path.glob("*.npz")) == [entry]
@@ -765,7 +767,6 @@ def test_store_then_load_returns_the_spectrum(tmp_path):
     assert hit.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
     assert hit.volume == fresh.volume
     assert hit.nested.tobytes() == fresh.nested.tobytes()
-    assert hit.block_values == hit.block_vectors == hit.mass_blocks == ()
     for other in (("fs", 3), ("fs", 5), ("pnorm:3", 4)):
         assert cache.load(*other) is None, other
         cache.path_for(*other).write_bytes(entry.read_bytes())
@@ -923,7 +924,7 @@ def test_colliding_cache_names_read_as_misses(tmp_path, monkeypatch):
     cache.store(fresh._replace(metric_id=b, eigenvalues=2.0 * fresh.eigenvalues))
     assert cache.load(a, 4) is None
     hit = cache.load(b, 4)
-    assert hit.metric_id == b and hit.block_values == hit.block_vectors == hit.mass_blocks == ()
+    assert hit.metric_id == b
     assert np.array_equal(hit.eigenvalues, 2.0 * fresh.eigenvalues)
     assert len(list(tmp_path.glob("*.npz"))) == 1
 

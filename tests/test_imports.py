@@ -360,3 +360,25 @@ def test_anomaly_loads_no_solver_or_cache():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+_CONVERGE_PROBE = """
+import sys
+from zetasphere.cli import main
+assert main(sys.argv[1:]) == 0
+print([m for m in ("zetasphere.pipeline",) if m in sys.modules])
+"""
+
+
+def test_converge_loads_no_cache_module(tmp_path):
+    """converge reads no cache and solves with the solve entry itself, so a
+    run of it does not load, or compile, the pipeline module that holds the
+    spectrum cache."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _CONVERGE_PROBE, "converge", "--L", "16", "--output-dir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

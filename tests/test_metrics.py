@@ -30,7 +30,7 @@ from zetasphere.metrics import (
     pnorm_family,
     pnorm_metric,
     scaled_metric,
-    sup_log_distance,
+    sup_log_distances,
     volume,
 )
 from zetasphere.pipeline import family_spectral_data
@@ -278,13 +278,14 @@ def test_bump_derivative_matches_stencil():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0, 16.0])
 def test_sup_log_distance_to_max(quad, p):
-    got = sup_log_distance(pnorm_metric(p), max_metric(), quad.radii_theta)
-    assert got == pytest.approx(oracles.sup_log_pnorm_to_max(p), abs=1e-12)
+    d = sup_log_distances((pnorm_metric(p), max_metric()), quad.radii_theta)
+    assert d[0, 1] == pytest.approx(oracles.sup_log_pnorm_to_max(p), abs=1e-12)
+    assert d[1, 0] == d[0, 1] and d[0, 0] == d[1, 1] == 0.0
 
 
 def test_sup_log_distance_shrinks_along_family(quad):
     fam = pnorm_family()
-    dists = [sup_log_distance(m, fam.limit, quad.radii_theta) for m in fam.members]
+    dists = sup_log_distances((*fam.members, fam.limit), quad.radii_theta)[:-1, -1]
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 

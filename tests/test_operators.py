@@ -1,8 +1,10 @@
 """Weighted singular values and block operator norms, and the theta bridge.
 
 `eigensolve.singular_values` takes the singular values of an operator in the
-inner product of a Gram matrix, and `eigensolve.block_operator_norms` the
-operator norms of block-diagonal operators in the mass inner product. The
+inner product of a Gram matrix, and the operator norm of a block-diagonal
+operator in the mass inner product is the largest block norm, which an
+`eigensolve.BlockMax` reducer keeps as the solve hands over each block
+(`blocks.block_operator_norms` takes it from blocks held at once). The
 largest singular value is cross-checked against a hand-rolled power
 iteration on A^* A in the weighted inner product, which never forms the
 orthonormal-frame conjugation that the package uses, and every dense
@@ -12,14 +14,11 @@ reference is `oracles.weighted_operator_norm`.
 import numpy as np
 import pytest
 
+import blocks
 import oracles
+from blocks import apply_function, block_operator_norms
 from zetasphere.discretize import build_basis, masses
-from zetasphere.eigensolve import (
-    apply_function,
-    block_operator_norms,
-    family_eigs,
-    singular_values,
-)
+from zetasphere.eigensolve import BlockMax, block_function, family_eigvals, singular_values
 from zetasphere.errors import DomainError
 from zetasphere.heatzeta import theta_values
 from zetasphere.metrics import fs_metric, parse_metric_spec, pnorm_metric
@@ -106,7 +105,7 @@ def test_theta_bridge():
     copies.
     """
     basis = build_basis(7)
-    (spec,) = family_eigs(masses(basis, (pnorm_metric(3.0),)), 7, ("pnorm:3",))
+    (spec,) = blocks.solve_stacks(masses(basis, (pnorm_metric(3.0),)), 7, ("pnorm:3",))
     M = spec.mass_blocks
     v0 = spec.block_vectors[0][:, 0]
     P0 = np.eye(M[0].shape[0]) - np.outer(v0, v0 @ M[0])
@@ -127,7 +126,7 @@ def test_block_norm_matches_dense_norm(spec):
     Each norm is taken alone, as a stack of one operator; stacked together,
     in either order, the two differences get bitwise the same norms."""
     basis = build_basis(12)
-    a, b = family_eigs(
+    a, b = blocks.solve_stacks(
         masses(basis, (parse_metric_spec(spec), pnorm_metric(2.0))), 12, (spec, "pnorm:2")
     )
     K = oracles.exact_stiffness_blocks(12)
@@ -155,3 +154,30 @@ def test_block_norm_matches_dense_norm(spec):
             [np.stack([blocks[k] for k in order]) for blocks in zip(*diffs)], ref
         )
         assert stacked.tolist() == [alone[k] for k in order], order
+
+
+def test_block_max_reducer_is_the_largest_block_norm():
+    """A `BlockMax` reducer that takes each block's norms as the solve hands
+    it over ends, bitwise, at the norms `block_operator_norms` takes from the
+    same blocks held at once: the heat-operator difference of two metrics,
+    and each operator alone."""
+    metrics = (parse_metric_spec("max"), pnorm_metric(2.0))
+    stacks = list(masses(build_basis(12), metrics))
+
+    def heat(lam):
+        return np.exp(-0.5 * lam)
+
+    def norms(m, M, lam, V):
+        E = block_function(lam, V, M, heat)
+        return singular_values(np.concatenate([E[:1] - E[1:], E]), M[[0, 0, 1]])[:, 0]
+
+    reduce = BlockMax(norms)
+    family_eigvals(stacks, 12, [g.id for g in metrics], reduce)
+    a, b = blocks.solve_stacks(stacks, 12, [g.id for g in metrics])
+    E_a, E_b = apply_function(a, heat), apply_function(b, heat)
+    want = block_operator_norms(
+        [np.stack((x - y, x, y)) for x, y in zip(E_a, E_b)],
+        [np.stack((M_a, M_a, M_b)) for M_a, M_b in zip(a.mass_blocks, b.mass_blocks)],
+    )
+    assert reduce.value.tolist() == want.tolist()
+    assert reduce.value[0] > 0.0
