@@ -29,8 +29,7 @@ _EXPORTS = {
     "max_metric": "metrics",
     "pnorm_metric": "metrics",
     "scaled_metric": "metrics",
-    "pnorm_family": "metrics",
-    "geomean_family": "metrics",
+    "metric_family": "metrics",
     "interpolate": "metrics",
     "parse_metric_spec": "metrics",
     "volume": "metrics",

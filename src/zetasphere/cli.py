@@ -1,9 +1,10 @@
 """Command-line entry point: compute, serialize, and verify.
 
 Subcommands: spectrum, theta, zeta, torsion, anomaly, converge, selftest.
-Exit codes: 0 success, 2 validation failure (bad config, bad metric spec,
-a domain error such as an overflowing spectrum), 3 tolerance failure (a
-named check did not pass; summary.json in the output directory says which).
+Exit codes: 0 success, 2 validation failure (bad config, metric spec or
+family template, refused before any solve; a domain error such as an
+overflowing spectrum), 3 tolerance failure (a named check did not pass;
+summary.json in the output directory says which).
 
 Heavy imports happen inside the command handlers so the thread environment
 from the config takes effect before the linear algebra libraries load. The
@@ -127,9 +128,9 @@ def _metric_data(config: RunConfig):
 
 
 def _make_family(config: RunConfig):
-    from .metrics import FAMILIES
+    from .metrics import metric_family
 
-    return FAMILIES[config.family](config.family_parameters)
+    return metric_family(config.family, config.family_parameters)
 
 
 def _theta_grid(config: RunConfig):

@@ -110,8 +110,8 @@ def singular_values(A: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
     With the Cholesky factor gram = R^T R they are the ordinary singular
     values of R A R^-1, the operator written in an orthonormal frame. A may
-    be a stack (..., n, n) against the one Gram matrix or against a stack
-    of as many; each matrix of the stack is mapped as it would be alone.
+    be a stack (..., n, n) against one Gram matrix or a stack that
+    broadcasts with it; each matrix is mapped as it would be alone.
 
     Raises
     ------

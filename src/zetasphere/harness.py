@@ -44,8 +44,8 @@ built: the solve hands each m's mass stack, block values and vectors to a
 reducer (`eigensolve.BlockMax`) that forms the block operators
 (`eigensolve.block_function`), takes their norms and keeps, per pair, the
 running maximum over m, and then drops the block. The sweep's reducer takes
-both operator columns of every pair in one stacked solve and SVD per m, so
-converge holds one block stack at a time, never the whole chain's blocks.
+both operator columns of every pair in one stacked solve and SVD per m, with
+one Cholesky factor per pair, so converge holds one block stack at a time.
 
 ``convergence_summary`` orchestrates all checks and reports one boolean per
 named check tag; the CLI writes these to summary.json. It hands the sweep
@@ -161,11 +161,11 @@ class SweepReport(NamedTuple):
 
 def _pair_norms(m: int, M: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Block m's norms of the differences of consecutive operators along a
-    chain, each in the mass norm of its pair's first metric: every operator
-    of ``_OPERATORS`` in turn, all in one stacked solve and SVD."""
+    chain, each in the mass norm of its pair's first metric: one row per
+    operator of ``_OPERATORS``, both against one Cholesky factor per pair
+    in one stacked solve and SVD."""
     operators = (block_function(lam, V, M, f) for _, f, _ in _OPERATORS)
-    stack = np.concatenate([E[:-1] - E[1:] for E in operators])
-    return singular_values(stack, np.concatenate([M[:-1]] * len(_OPERATORS)))[:, 0]
+    return singular_values(np.stack([E[:-1] - E[1:] for E in operators]), M[:-1])[..., 0]
 
 
 def _pipeline_row(
@@ -248,14 +248,12 @@ def sweep(
         if not all(math.isfinite(v) for v in (*row.columns.values(), row.sup_log_dist_to_limit)):
             raise DomainError(f"non-finite sweep column for parameter {p}")
         rows.append(row)
-    n_pairs = len(params)
     return SweepReport(
         rows=tuple(rows),
         limit_row=_pipeline_row(math.inf, family.limit, theta_times, spectra[-1], to_limit[-1]),
         chain_dist=dist,
         operator_dists={
-            name: tuple(pairs.value[i * n_pairs : (i + 1) * n_pairs].tolist())
-            for i, (name, _, _) in enumerate(_OPERATORS)
+            name: tuple(dists) for (name, _, _), dists in zip(_OPERATORS, pairs.value.tolist())
         },
         theta_times=theta_times,
     )

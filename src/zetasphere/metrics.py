@@ -14,9 +14,11 @@ and the curvature density c1 = -(1/4) (f'' + f'/r). The built-in factors
 ``interpolate`` blends the members' jets. The density, its logarithm and
 the curvature are all read from the jet; a kink adds a line mass of
 curvature, from the one-sided jets (`ConformalMetric.line_masses`). A
-family carries its uniform limit, and the u-derivative of its blend is the
-family's (`d_log_density_du`). A metric's ``order`` says how many of the
-heat invariants b_1 and b_2 its jet determines (`heatzeta.heat_invariants`).
+family is a spec template whose ``pnorm:{p}`` fields take each parameter in
+turn, and its uniform limit puts ``max`` in them (`metric_family`); the
+u-derivative of its blend is the family's (`d_log_density_du`). A metric's
+``order`` says how many of the heat invariants b_1 and b_2 its jet
+determines (`heatzeta.heat_invariants`).
 Its ``id`` is a spec, which `parse_metric_spec` reads back to the same jet.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,9 +41,7 @@ __all__ = [
     "max_metric",
     "pnorm_metric",
     "scaled_metric",
-    "pnorm_family",
-    "geomean_family",
-    "FAMILIES",
+    "metric_family",
     "interpolate",
     "d_log_density_du",
     "volume",
@@ -48,7 +49,7 @@ __all__ = [
     "parse_metric_spec",
 ]
 
-# Largest u an ``interp:<u>:<family>`` spec accepts. The spec builds the
+# Largest u an ``interp:<u>:<template>`` spec accepts. The spec builds the
 # family's first ceil(u) + 1 members eagerly, a cost linear in u.
 MAX_INTERP_U = 256.0
 # Largest pnorm parameter. Up to it the jet's exponents, such as 2p log r,
@@ -253,25 +254,31 @@ class MetricFamily(NamedTuple):
     parameters: tuple[float, ...]
 
 
-def pnorm_family(params: Sequence[float] = range(1, 7)) -> MetricFamily:
-    """The canonical smoothing family pnorm(p) with the max metric as limit."""
+# The family names that predate templates, and their templates.
+_NAMED_FAMILIES = {"pnorm": "pnorm:{p}", "geomean-pnorm": "geomean(pnorm:{p},pnorm:{p+1})"}
+_FIELD = re.compile(r"pnorm:\{p(?:\+(\d+))?\}")
+
+
+def metric_family(name: str, params: Sequence[float]) -> MetricFamily:
+    """The family of a spec template ``name``, or of a name of ``_NAMED_FAMILIES``:
+    member p fills every field ``pnorm:{p}`` or ``pnorm:{p+k}`` (k a
+    nonnegative integer) with pnorm:p+k, the limit fills each with ``max``,
+    and the id is ``name``. A template without a field or with a brace
+    elsewhere raises ConfigError, as does a member that is no spec."""
+    template = _NAMED_FAMILIES.get(name, name)
+    if not _FIELD.search(template) or set("{}") & set(_FIELD.sub("", template)):
+        raise ConfigError(f"family {name!r} is no family name ({', '.join(_NAMED_FAMILIES)}) "
+                          "and no spec whose only fields are pnorm:{p} or pnorm:{p+k}")
+
+    def spec(fill) -> ConformalMetric:
+        try:
+            return parse_metric_spec(_FIELD.sub(fill, template))
+        except ConfigError as e:
+            raise ConfigError(f"family {name!r}: {e}") from e
+
     params = tuple(float(p) for p in params)
-    members = tuple(pnorm_metric(p) for p in params)
-    return MetricFamily("pnorm", members, max_metric(), params)
-
-
-def geomean_family(params: Sequence[float] = range(1, 7)) -> MetricFamily:
-    """Independent smoothing family sqrt(pnorm(p) * pnorm(p+1)), same limit."""
-    params = tuple(float(p) for p in params)
-    members = tuple(
-        geomean_metric(pnorm_metric(p), pnorm_metric(p + 1.0)) for p in params
-    )
-    return MetricFamily("geomean-pnorm", members, max_metric(), params)
-
-
-# The smoothing families by name, as ``[family] name`` and ``interp:`` specs
-# give it; ``config`` keeps the same names numpy-free.
-FAMILIES = {"pnorm": pnorm_family, "geomean-pnorm": geomean_family}
+    members = tuple(spec(lambda f: f"pnorm:{_spec_text(p + float(f[1] or 0))}") for p in params)
+    return MetricFamily(name, members, spec("max"), params)
 
 
 def _segment(family: MetricFamily, u: float) -> tuple[int, ConformalMetric, ConformalMetric, float]:
@@ -390,11 +397,12 @@ def parse_metric_spec(spec: str) -> ConformalMetric:
     """Build a metric from its canonical spec string.
 
     Grammar: ``fs`` | ``max`` | ``pnorm:<p>`` | ``scaled:<t>:<inner>`` |
-    ``geomean(<a>,<b>)`` | ``interp:<u>:<family>`` with ``<family>`` a name
-    of ``FAMILIES`` and u <= ``MAX_INTERP_U``. A geomean splits at its
-    comma outside every parenthesis, and its parts are specs themselves. At
-    most ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes stack, and at most
-    ``MAX_GEOMEAN_DEPTH`` geomeans nest. Numbers must be finite.
+    ``geomean(<a>,<b>)`` | ``interp:<u>:<template>`` with ``<template>`` a
+    family name or template of `metric_family` and u <= ``MAX_INTERP_U``. A
+    geomean splits at its comma outside every parenthesis, and its parts are
+    specs themselves. At most ``MAX_SCALED_DEPTH`` ``scaled:`` prefixes
+    stack, and at most ``MAX_GEOMEAN_DEPTH`` geomeans nest. Numbers must be
+    finite.
     """
     spec = spec.strip()
     factors = []
@@ -439,16 +447,13 @@ def _parse_unscaled(spec: str) -> ConformalMetric:
     if spec.startswith("interp:"):
         parts = spec.split(":", 2)
         if len(parts) != 3:
-            raise ConfigError(f"interp spec needs interp:<u>:<family>, got {spec!r}")
+            raise ConfigError(f"interp spec needs interp:<u>:<template>, got {spec!r}")
         u = _spec_number(parts[1], "interpolation parameter", spec)
         if u > MAX_INTERP_U:
             raise ConfigError(
                 f"interpolation parameter must be at most {MAX_INTERP_U:g}, got {u} in {spec!r}"
             )
-        if parts[2] not in FAMILIES:
-            raise ConfigError(f"unknown family {parts[2]!r} in {spec!r}")
-        n_members = max(2, math.ceil(u) + 1)
-        fam = FAMILIES[parts[2]](range(1, n_members + 1))
+        fam = metric_family(parts[2], range(1, max(2, math.ceil(u) + 1) + 1))
         try:
             return interpolate(fam, u)
         except DomainError as e:

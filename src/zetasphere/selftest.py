@@ -161,7 +161,7 @@ def _check_cache() -> None:
 def run_selftest() -> tuple[dict[str, bool], list[str]]:
     """Run the whole battery; returns (tag -> ok, printable detail lines)."""
     from .harness import convergence_summary
-    from .metrics import pnorm_family
+    from .metrics import metric_family
 
     tags: dict[str, bool] = {}
     details: list[str] = []
@@ -185,7 +185,7 @@ def run_selftest() -> tuple[dict[str, bool], list[str]]:
     run("determinism", _check_determinism)
     run("cache", _check_cache)
 
-    family = pnorm_family(params=(1.0, 2.0, 3.0))
+    family = metric_family("pnorm", (1.0, 2.0, 3.0))
     start = time.monotonic()
     try:
         summary = convergence_summary(family, L=16)

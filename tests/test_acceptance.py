@@ -36,7 +36,7 @@ from zetasphere.metrics import (
     fs_metric,
     interpolate,
     max_metric,
-    pnorm_family,
+    metric_family,
     pnorm_metric,
     scaled_metric,
 )
@@ -258,7 +258,7 @@ def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
 
 
 def test_ac07_lambda1_floor(cache):
-    fam = pnorm_family(list(SWEEP_P))
+    fam = metric_family("pnorm", list(SWEEP_P))
     floor = lambda1_floor(sweep(fam, L=32))
     assert floor.passed
     assert floor.margin > 0.0
@@ -271,7 +271,7 @@ def test_ac07_lambda1_floor(cache):
 
 
 def test_ac08_duhamel_identity():
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     _, base = variation_checks(fam)  # u = 2.5, h = 1e-3, t = 0.5, L = 16, closed-form integral
     assert base.ratio < 1e-4 * 1.0, f"ratio {base.ratio:.3e}"
     h = _DUHAMEL_STEP / 2.0

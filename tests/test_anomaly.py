@@ -28,10 +28,9 @@ from zetasphere.heatzeta import zeta_result
 from zetasphere.metrics import (
     ConformalMetric,
     fs_metric,
-    geomean_family,
     geomean_metric,
     max_metric,
-    pnorm_family,
+    metric_family,
     pnorm_metric,
     scaled_metric,
     sup_log_distances,
@@ -272,7 +271,7 @@ def test_quillen_limit_pnorm(cache):
     row at parameter inf is the limit's own log h_Q, and every row's
     interval prediction +- budget contains the smallest-budget member's
     prediction, which is the limit reported."""
-    fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0, 4.0])
     out = _limit(fam, 16, cache)
     assert out.converged
     assert out.failures == ()
@@ -289,7 +288,7 @@ def test_quillen_limit_takes_computed_members(cache):
     """The sweep computes the members and the limit; quillen_limit reads
     their records, carries the member with the smaller budget to the limit
     along the anomaly, and refuses an empty table."""
-    fam = pnorm_family([2.0, 4.0])
+    fam = metric_family("pnorm", [2.0, 4.0])
     metrics = fam.members
     rep = sweep(fam, L=16)
     rows = rep.rows
@@ -309,14 +308,14 @@ def test_quillen_limit_takes_computed_members(cache):
         quillen_limit([], (fam.limit, rep.limit_row.zeta))
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
 @pytest.mark.parametrize("L", [8, 16, 24, 48])
-def test_quillen_limit_covers_the_closed_form(make, L):
+def test_quillen_limit_covers_the_closed_form(name, L):
     """Every member's prediction of log h_Q(max) and the direct max row lie
     within their own budgets of the closed form -1/6 + 4 zeta'(-1): measured
     0.29-0.62 of the budget for the members and 0.32-0.36 for the direct
     row over L = 8 to 48 on both six-member families."""
-    fam = make()
+    fam = metric_family(name, range(1, 7))
     rep = sweep(fam, L=L)
     out = quillen_limit(
         [(r.param, r.metric, r.zeta) for r in rep.rows], (fam.limit, rep.limit_row.zeta)
@@ -326,12 +325,12 @@ def test_quillen_limit_covers_the_closed_form(make, L):
         assert abs(row.prediction - MAX_LOG_QUILLEN) <= row.budget, row.param
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_bott_chern_cocycle(make):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_bott_chern_cocycle(name):
     """The anomaly integral on its fixed rule is a cocycle: for every member
     pair, I(p, limit) - I(q, limit) = I(p, q) (measured to 8.3e-17), so two
     members' predictions of the limit differ exactly by their two-route gap."""
-    fam = make()
+    fam = metric_family(name, range(1, 7))
     for i, p in enumerate(fam.members):
         for q in fam.members[i + 1:]:
             cocycle = bott_chern_integral(p, fam.limit) - bott_chern_integral(q, fam.limit)
@@ -343,10 +342,10 @@ def test_limit_agreement_between_families(cache):
     exact anomaly, meet the max factor's closed form at L = 24: 9.5e-6 off
     for pnorm and 4.5e-4 for geomean-pnorm, whose members resolve less well.
     Aitken extrapolation of the same tables was 5.0e-2 and 4.9e-2 off."""
-    for make, tol in ((pnorm_family, 1e-4), (geomean_family, 1e-3)):
-        out = _limit(make(), 24, cache)
+    for name, tol in (("pnorm", 1e-4), ("geomean-pnorm", 1e-3)):
+        out = _limit(metric_family(name, range(1, 7)), 24, cache)
         assert out.converged
-        assert abs(out.limit - MAX_LOG_QUILLEN) <= tol, make
+        assert abs(out.limit - MAX_LOG_QUILLEN) <= tol, name
 
 
 def test_torsion_consistency(cache):

@@ -13,11 +13,11 @@ import pytest
 import zetasphere
 from zetasphere import anomaly, eigensolve, pipeline
 from zetasphere.cli import _THREAD_VARS, _jsonable, main, write_csv
-from zetasphere.config import _FAMILY_NAMES, RunConfig, load_config, validated
+from zetasphere.config import RunConfig, load_config, validated
 from zetasphere.errors import ConfigError
 from zetasphere.harness import THEOREM_TAGS
 from zetasphere.heatzeta import ZetaPoint, ZetaResult, theta_values
-from zetasphere.metrics import FAMILIES, fs_metric, pnorm_metric
+from zetasphere.metrics import fs_metric, pnorm_metric
 from zetasphere.pipeline import SpectrumCache
 
 SRC = str(Path(zetasphere.__file__).resolve().parents[1])
@@ -47,12 +47,6 @@ def run_python(code, *args, cwd):
 
 
 # ---------------------------------------------------------------- config
-
-
-def test_family_names_are_the_metric_families():
-    """config validates ``[family] name`` against its own numpy-free tuple;
-    it names the same families as ``metrics.FAMILIES``, in the same order."""
-    assert _FAMILY_NAMES == tuple(FAMILIES)
 
 
 def test_defaults_validate():
@@ -85,7 +79,6 @@ def test_fit_defaults_match_heatzeta():
         dict(t_count=200000),
         dict(s_values=()),
         dict(s_values=(2.0, 1.0)),
-        dict(family="frobenius"),
         dict(family_parameters=(2.0,)),
         dict(family_parameters=(0.5, 2.0)),
         dict(family_parameters=(2.0, 2.0)),
@@ -432,6 +425,25 @@ def test_cli_anomaly(tmp_path, cache, capsys):
     for pair in payload["pairs"]:
         assert pair["passed"] is True
         assert pair["gap"] <= pair["tolerance"]
+
+
+@pytest.mark.parametrize("command", ["converge", "anomaly"])
+@pytest.mark.parametrize("family", ["frobenius", "fs", "scaled:{p}:fs", "pnorm:{q}", "pnorm:{p-1}"])
+def test_bad_family_is_refused_before_solving(family, command, tmp_path, solved, capsys):
+    """The config checks no family template, as it checks no metric spec;
+    the two commands that build the family refuse a name that is neither a
+    family name nor a template whose only fields are pnorm:{p} or
+    pnorm:{p+k}, with exit 2 and a message naming it, before any pencil is
+    solved."""
+    assert validated(cfg(family=family)).family == family
+    config_path = tmp_path / "fam.ini"
+    config_path.write_text(f"[run]\nL = 16\n\n[family]\nname = {family}\n")
+    code, _, err = run_cli([command, "-c", str(config_path)], tmp_path / "out",
+                           tmp_path / "cache", capsys)
+    assert code == 2
+    assert f"family {family!r}" in err
+    assert solved == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_converge_checks_the_pairs_anomaly_checks(tmp_path, cache, capsys):

@@ -30,7 +30,7 @@ from zetasphere.metrics import (
     fs_metric,
     interpolate,
     max_metric,
-    pnorm_family,
+    metric_family,
     parse_metric_spec,
     pnorm_metric,
     scaled_metric,
@@ -221,7 +221,7 @@ def test_mass_rejects_invalid_density(basis):
 
 def test_mass_log_variation_stencil(basis):
     """Analytic d(mass)/du against a centered difference along the family."""
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     u, h = 2.5, 1e-4
     got = oracles.dense_matrix(mass_log_variation(basis, fam, u))
     fd = (
@@ -235,7 +235,7 @@ def test_mass_log_variation_stencil(basis):
 
 def test_mass_log_variation_vanishes_when_stationary(basis):
     # at integer u the smooth blend is stationary by construction
-    variation = mass_log_variation(basis, pnorm_family(), 2.0)
+    variation = mass_log_variation(basis, metric_family("pnorm", range(1, 7)), 2.0)
     assert np.all(oracles.dense_matrix(variation) == 0.0)
 
 
@@ -247,7 +247,7 @@ def test_mass_log_variation_rayleigh_range(basis):
     """
     import scipy.linalg
 
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     m = interpolate(fam, 2.5)
     M = oracles.dense_matrix(mass_blocks(basis, m))
     dM = oracles.dense_matrix(mass_log_variation(basis, fam, 2.5))

@@ -10,6 +10,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -42,10 +43,9 @@ from zetasphere.metrics import (
     MetricFamily,
     d_log_density_du,
     fs_metric,
-    geomean_family,
     interpolate,
     max_metric,
-    pnorm_family,
+    metric_family,
     pnorm_metric,
     sup_log_distances,
 )
@@ -89,7 +89,7 @@ def test_theorem_tags_frozen():
 
 
 def test_sweep_rows():
-    fam = pnorm_family([1.0, 2.0, 3.0])
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0])
     t_set = (0.5, 1.0, 2.0)
     rep = sweep(fam, L=16, t_set=t_set)
     assert rep.limit_row.param == math.inf
@@ -127,7 +127,7 @@ def test_sweep_rows():
 
 
 def test_sweep_validation():
-    fam = pnorm_family([1.0, 2.0, 3.0])
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0])
     descending = MetricFamily(
         id="pnorm-descending",
         members=(pnorm_metric(3.0), pnorm_metric(2.0)),
@@ -160,7 +160,7 @@ def test_sweep_raises_member_failure():
 
 
 def test_cauchy_check_passes_on_smoothing_family():
-    rep = sweep(pnorm_family([2.0, 4.0, 8.0]), L=16)
+    rep = sweep(metric_family("pnorm", [2.0, 4.0, 8.0]), L=16)
     cy = cauchy_check(rep)
     assert list(cy) == [
         "vol", "lambda1", "theta_t0.5", "theta_t1", "theta_t2",
@@ -195,7 +195,7 @@ def test_cauchy_check_constant_family():
 
 
 def test_cauchy_check_needs_two_rows():
-    rep = sweep(pnorm_family([2.0]), L=16)
+    rep = sweep(metric_family("pnorm", [2.0]), L=16)
     with pytest.raises(DomainError):
         cauchy_check(rep)
 
@@ -205,7 +205,7 @@ def test_limit_agreement():
     at the last member's distance d to the limit, under the exact bounds:
     the min-max widths of d for the exact columns, the anomaly bound plus
     the budgets (and d for zeta'(0)) for the others."""
-    fam = pnorm_family([2.0, 4.0, 8.0])
+    fam = metric_family("pnorm", [2.0, 4.0, 8.0])
     rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
     last, limit = rep.rows[-1], rep.limit_row
@@ -242,7 +242,7 @@ def shift_limit_zeta_prime0(report):
 def test_limit_disagreement_fails_key2(monkeypatch):
     """A limit row off by one in zeta_prime0 fails that column at the
     closing pair, and with it the key2 tag."""
-    fam = pnorm_family([2.0, 4.0, 8.0])
+    fam = metric_family("pnorm", [2.0, 4.0, 8.0])
     cy = cauchy_check(shift_limit_zeta_prime0(sweep(fam, L=16)))
     assert [name for name, c in cy.items() if not c.passed] == ["zeta_prime0"]
     assert len(cy["zeta_prime0"].violations) == 1
@@ -266,7 +266,7 @@ def test_first_pair_moved_by_its_distance_fails_key2(name):
     e^(d_0) away from its neighbour's, d_0 the first pair's distance,
     leaves the min-max bound e^-d <= x / y <= e^d of that pair: key2 fails
     there, on the first pair."""
-    rep = sweep(pnorm_family([1.0, 2.0, 3.0]), L=16)
+    rep = sweep(metric_family("pnorm", [1.0, 2.0, 3.0]), L=16)
     assert all(col.passed for col in cauchy_check(rep).values())
     first, second = rep.rows[0].columns[name], rep.rows[1].columns[name]
     d0 = rep.pair_dist[0]
@@ -279,7 +279,7 @@ def test_first_pair_moved_by_its_distance_fails_key2(name):
 
 
 def test_lambda1_floor():
-    fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0, 4.0])
     rep = sweep(fam, L=16)
     fl = lambda1_floor(rep)
     assert fl.passed
@@ -295,7 +295,7 @@ def test_lambda1_floor():
     assert fl.kappa == min(r.lambda1 for r in fl.rows)
     assert fl.margin > 0.0
     assert [r.lambda1 for r in fl.rows] == [r.spectrum.lambda1 for r in (*rep.rows, rep.limit_row)]
-    single = pnorm_family([2.0])
+    single = metric_family("pnorm", [2.0])
     with pytest.raises(DomainError):
         lambda1_floor(sweep(single, L=16))
 
@@ -304,7 +304,7 @@ def test_lambda1_floor_matches_dense_gram_pencil():
     """Each c_member = e^d bounds the top eigenvalue of the dense Gram
     pencil (M_p, M_ref), the sharpest constant of M_p <= c M_ref, on every
     row: the mass weights are positive on the nodes."""
-    fam = pnorm_family([1.0, 2.0, 3.0])
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0])
     fl = lambda1_floor(sweep(fam, L=16))
     basis = build_basis(16)
     m_ref = tuple(M for (M,) in masses(basis, (fam.members[0],)))
@@ -347,7 +347,7 @@ def test_resolvent_convergence():
     the chain of members closed by (5, limit) is within its exact bound,
     the first included. On this family the member pairs' distances also
     fall, a measured fact that no check relies on."""
-    fam = pnorm_family(range(1, 6))
+    fam = metric_family("pnorm", range(1, 6))
     rep = sweep(fam, L=16)
     cy = cauchy_check(rep)
     assert list(cy)[-2:] == ["resolvent", "heat"]
@@ -364,7 +364,7 @@ def test_resolvent_convergence():
         )
         assert all(0.0 < dist <= bound for dist, bound in zip(column.diffs, column.bounds))
     with pytest.raises(DomainError):
-        cauchy_check(sweep(pnorm_family([1.0]), L=16))
+        cauchy_check(sweep(metric_family("pnorm", [1.0]), L=16))
 
 
 def test_resolvent_pairs_in_the_first_metrics_norm():
@@ -372,7 +372,7 @@ def test_resolvent_pairs_in_the_first_metrics_norm():
     in the mass inner product of the pair's first metric, one pair at a
     time: the closing pair (5, limit) in pnorm:5's, from its two pencils
     solved apart from the sweep, blocks kept by a test-side reducer."""
-    fam = pnorm_family(range(1, 6))
+    fam = metric_family("pnorm", range(1, 6))
     cy = cauchy_check(sweep(fam, L=16))
     last, limit = blocks.solve_blocks((fam.members[-1], fam.limit), 16)
     for name, f in (("resolvent", lambda lam: 1.0 / (1.0 + lam)),
@@ -389,7 +389,7 @@ def test_operator_derivative_bounded_by_density_variation():
     itself: with delta = max over the nodes and r = 1 of |d log rho/du|,
     ||dR/du|| <= delta and ||dE/du|| <= (2 + 2 ln 2 / e) delta in the mass
     norm at u (measured 3.2 to 3.4 and 7.0 to 7.2 times below at L = 10)."""
-    fam = pnorm_family(range(1, 6))
+    fam = metric_family("pnorm", range(1, 6))
     L, h = 10, 1e-3
     radii = np.append(build_basis(L).quad.radii_theta, 1.0)
 
@@ -409,7 +409,7 @@ def test_operator_derivative_bounded_by_density_variation():
 
 
 def test_bornelapbelt_report():
-    fam = pnorm_family(range(1, 6))
+    fam = metric_family("pnorm", range(1, 6))
     report, _ = variation_checks(fam)
     assert report.u == 2.5  # ceil(5/2) - 1/2: between members p = 3 and p = 4
     assert report.passed
@@ -423,7 +423,7 @@ def test_bornelapbelt_matches_dense_pencil():
     B = M^-1 dM, to 1e-12 relative. It dominates the ratio
     ||d(Lap) v||_M / ||Lap v||_M of the dense form M^-1 dM M^-1 K on
     Gaussian test vectors."""
-    fam = pnorm_family(range(1, 6))
+    fam = metric_family("pnorm", range(1, 6))
     report, _ = variation_checks(fam)
     L = harness._VARIATION_L
     basis = build_basis(L)
@@ -447,7 +447,9 @@ def test_bornelapbelt_matches_dense_pencil():
     assert sampled.max() <= report.max_ratio * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+@pytest.mark.parametrize("family", [
+    metric_family(n, range(1, 7)) for n in ("pnorm", "geomean-pnorm")
+], ids=lambda f: f.id)
 def test_bornelapbelt_bound_is_nearly_attained(family):
     """The exact radius sits within 10% of the node sup it is checked
     against (measured 0.953 for pnorm and 0.944 for geomean-pnorm at
@@ -457,14 +459,14 @@ def test_bornelapbelt_bound_is_nearly_attained(family):
     assert report.max_ratio >= 0.9 * report.delta_nodes
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_raised_variation_fails_bornelapbelt(make, monkeypatch):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_raised_variation_fails_bornelapbelt(name, monkeypatch):
     """The density variation's weights raised by 10% lift the Borne radius
     above the node sup it is checked against (max_ratio / delta_nodes from
     0.953 to 1.048 on pnorm, 0.944 to 1.038 on geomean-pnorm): bornelapbelt
     is the only failed tag at L = 24, and it passes unseeded. The Duhamel
     half reads only the mass rows, so variationEu stays green."""
-    family = make()
+    family = metric_family(name, range(1, 7))
     assert all(convergence_summary(family, L=24).tags.values())
     real = harness.variation_weights
     monkeypatch.setattr(harness, "variation_weights", lambda *a: 1.1 * real(*a))
@@ -476,7 +478,7 @@ def test_raised_variation_fails_bornelapbelt(make, monkeypatch):
 def test_bornelapbelt_deterministic():
     """Both variation reports, bornelapbelt's and the Duhamel one, repeat
     exactly."""
-    fam = pnorm_family(range(1, 6))
+    fam = metric_family("pnorm", range(1, 6))
     assert variation_checks(fam) == variation_checks(fam)
 
 
@@ -495,7 +497,7 @@ def test_duhamel_refinement():
     """With the time integral exact, the residual is the centered
     difference's O(h^2) error alone: halving h quarters it (ratio 4.195e-8
     -> 1.049e-8 on pnorm at u = 2.5, L = 16)."""
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     h, L = harness._DUHAMEL_STEP, harness._VARIATION_L
     base = duhamel_at(fam, 2.5, h, L)
     assert base.ratio < DUHAMEL_RATIO_TOL
@@ -504,7 +506,9 @@ def test_duhamel_refinement():
     assert refined.residual == pytest.approx(base.residual / 4.0, rel=0.02)
 
 
-@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+@pytest.mark.parametrize("family", [
+    metric_family(n, range(1, 7)) for n in ("pnorm", "geomean-pnorm")
+], ids=lambda f: f.id)
 def test_duhamel_integral_matches_quadrature(family):
     """The closed-form time integral of every block matches the 128-node
     Gauss-Legendre rule on [0, t] to 1e-13 relative (measured 5.7e-16 at
@@ -534,7 +538,9 @@ def test_duhamel_trivial_family():
     assert report == (0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+@pytest.mark.parametrize("family", [
+    metric_family(n, range(1, 7)) for n in ("pnorm", "geomean-pnorm")
+], ids=lambda f: f.id)
 def test_variation_checks_match_separate_solves(family):
     """The shared path reports what the two checks report on their own:
     the Borne pencils from a Gram stack of the mass and its derivative at
@@ -578,7 +584,7 @@ def test_variation_operator_error_fails_variationEu(tmp_path, monkeypatch, capsy
 
 
 def test_convergence_summary_smoothing_family():
-    fam = pnorm_family([1.0, 2.0, 3.0, 4.0])
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0, 4.0])
     summary = convergence_summary(fam, L=16)
     assert set(summary.tags) == set(THEOREM_TAGS)
     assert all(summary.tags.values())
@@ -598,25 +604,25 @@ def test_convergence_summary_smoothing_family():
     assert summary.floor.margin > 0.0
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_convergence_summary_at_L48_four_members(make):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_convergence_summary_at_L48_four_members(name):
     """Every tag passes at L = 48 on four members of either family: the
     zeta'(0) budgets are small enough there that no column, and no limit
     row, rests on a fitted coefficient."""
-    summary = convergence_summary(make([1.0, 2.0, 3.0, 4.0]), L=48)
+    summary = convergence_summary(metric_family(name, [1.0, 2.0, 3.0, 4.0]), L=48)
     assert summary.tags == {tag: True for tag in THEOREM_TAGS}
     limit = oracles.max_zeta_prime0() + math.log(2.0)
     assert abs(summary.quillen.limit - limit) <= 1e-7
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_compare2methods_sees_a_seeded_error(make, monkeypatch):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_compare2methods_sees_a_seeded_error(name, monkeypatch):
     """Every zeta'(0) raised by 5e-5 vol, an error the parent's fitted
     budgets let through up to 3e-3 vol, fails compare2methods at L = 24:
     the members' volumes differ, so the two routes no longer agree within
     three times the budgets. Unseeded, every pair passes, and the limit
     log h_Q is within 1e-6 of the closed form."""
-    family = make()
+    family = metric_family(name, range(1, 7))
     summary = convergence_summary(family, L=24)
     assert summary.tags["compare2methods"]
     limit = oracles.max_zeta_prime0() + math.log(2.0)
@@ -648,32 +654,95 @@ def _seed_zeta_prime0(monkeypatch, metric_id, budgets):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_convergence_anomaly_sees_a_seeded_member_error(make, k, sign, monkeypatch):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_convergence_anomaly_sees_a_seeded_member_error(name, k, sign, monkeypatch):
     """Member k's zeta'(0) moved by 3 times its budget, either way, fails
     convergenceAnomaly at L = 24: its prediction of the limit leaves the
     interval the other rows share. Member 1 is not tested, and a move of
     it is not caught: its budget is the smallest (2.1e-7 on pnorm, 8 times
     below member 2's; 2.6 times on geomean-pnorm), so its moved interval
     still meets member 2's."""
-    family = make()
+    family = metric_family(name, range(1, 7))
     _seed_zeta_prime0(monkeypatch, family.members[k - 1].id, 3.0 * sign)
     summary = convergence_summary(family, L=24)
     assert not summary.tags["convergenceAnomaly"]
     assert f"from parameter {family.parameters[k - 1]:g}" in summary.quillen.failures[0]
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_convergence_anomaly_sees_a_seeded_limit_error(make, monkeypatch):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_convergence_anomaly_sees_a_seeded_limit_error(name, monkeypatch):
     """The limit row's direct zeta'(0) moved by 3 times its budget (7.7e-2
     at L = 24) fails convergenceAnomaly: the members predict the limit far
     inside that budget. Unseeded, the tag passes."""
-    family = make()
+    family = metric_family(name, range(1, 7))
     assert convergence_summary(family, L=24).tags["convergenceAnomaly"]
     _seed_zeta_prime0(monkeypatch, family.limit.id, 3.0)
     summary = convergence_summary(family, L=24)
     assert not summary.tags["convergenceAnomaly"]
     assert "from parameter inf" in summary.quillen.failures[0]
+
+
+def _carried_log_quillen(jet, ref_jet, ref_log_quillen: float) -> float:
+    """log h_Q of a radial factor carried from a reference along the exact
+    anomaly: its zeta'(0) by `oracles.zeta_prime0_by_anomaly` plus log vol."""
+    with mp.workdps(30):
+        log_vol = float(mp.log(2 * mp.quad(lambda x: mp.exp(jet(x)[0]) * x, [0, 1, mp.inf])))
+    return oracles.zeta_prime0_by_anomaly(jet, ref_jet, ref_log_quillen) + log_vol
+
+
+# log h_Q of each template family's limit, in closed form or by mpmath.
+_TEMPLATE_LIMITS = {
+    "geomean(fs,pnorm:{p})": lambda: _carried_log_quillen(
+        oracles.mp_jet_geomean(oracles.mp_jet_fs, oracles.mp_jet_max),
+        oracles.mp_jet_fs, oracles.round_zeta_prime0() + math.log(2.0),
+    ),
+    "geomean(pnorm:3,pnorm:{p})": lambda: _carried_log_quillen(
+        oracles.mp_jet_geomean(oracles.mp_jet_pnorm(3), oracles.mp_jet_max),
+        oracles.mp_jet_pnorm(3), oracles.pnorm_zeta_prime0(3) + math.log(oracles.pnorm_volume(3)),
+    ),
+    # rescaling by 3 moves zeta'(0) by -(2/3) log 3 and log vol by log 3
+    "scaled:3:pnorm:{p}": lambda: oracles.max_zeta_prime0() + math.log(2.0) + math.log(3.0) / 3.0,
+}
+
+
+@pytest.mark.parametrize("L", [24, 48])
+@pytest.mark.parametrize("template", list(_TEMPLATE_LIMITS))
+def test_template_families_pass_and_cover_the_oracle(template, L, tmp_path, capsys):
+    """A family given as a spec template runs through converge like a named
+    one: every tag passes, and every converge_quillen.csv row, the limit's
+    own included, predicts the limit's log h_Q within its own budget of the
+    mpmath value (worst 0.40 and 0.38 of the budget at L = 24 and 48 on
+    geomean(fs,pnorm:{p}), 0.44 and 0.37 on the other two)."""
+    config_path = tmp_path / "fam.ini"
+    config_path.write_text(f"[family]\nname = {template}\n")
+    out = tmp_path / "out"
+    code = main(["converge", "-c", str(config_path), "--L", str(L), "--output-dir", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["family"] == template
+    assert summary["tags"] == {tag: True for tag in THEOREM_TAGS}
+    header, *lines = (out / "converge_quillen.csv").read_text().splitlines()
+    assert len(lines) == 7
+    oracle = _TEMPLATE_LIMITS[template]()
+    for line in lines:
+        row = dict(zip(header.split(","), map(float, line.split(","))))
+        assert abs(row["prediction"] - oracle) <= row["budget"], row["p"]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, "limit"])
+def test_convergence_anomaly_sees_a_seeded_error_on_a_template(k, sign, monkeypatch):
+    """On geomean(fs,pnorm:{p}) at L = 24, any member's zeta'(0) or the
+    limit row's, moved by 3 times its budget either way, fails
+    convergenceAnomaly; member 1 is caught here too, unlike on pnorm."""
+    family = metric_family("geomean(fs,pnorm:{p})", range(1, 7))
+    metric, param = (family.limit, math.inf) if k == "limit" else (
+        family.members[k - 1], family.parameters[k - 1])
+    _seed_zeta_prime0(monkeypatch, metric.id, 3.0 * sign)
+    summary = convergence_summary(family, L=24)
+    assert not summary.tags["convergenceAnomaly"]
+    assert f"from parameter {param:g}" in summary.quillen.failures[0]
 
 
 def test_converge_refuses_small_family_before_solving(tmp_path, solved, capsys):
@@ -685,7 +754,7 @@ def test_converge_refuses_small_family_before_solving(tmp_path, solved, capsys):
     assert code == 2
     assert "needs at least 3 family members, only 2 present" in capsys.readouterr().err
     with pytest.raises(DomainError, match="needs at least 3 family members, only 2 present"):
-        convergence_summary(pnorm_family([1.0, 2.0]), L=16)
+        convergence_summary(metric_family("pnorm", [1.0, 2.0]), L=16)
     assert solved == []
     assert not (tmp_path / "out").exists()
 
@@ -704,16 +773,16 @@ def test_converge_accepts_three_members(tmp_path, capsys):
     assert summary["detail"]["borne"]["u"] == 1.5
 
 
-@pytest.mark.parametrize("make, params", [
-    (pnorm_family, (1.0, 2.0, 3.0, 10.0)),
-    (geomean_family, (1.0, 2.0, 3.0, 10.0)),
-    (pnorm_family, (1.0, 1.5, 2.0, 6.0)),
+@pytest.mark.parametrize("name, params", [
+    pytest.param("pnorm", (1.0, 2.0, 3.0, 10.0), id="pnorm_family-params0"),
+    pytest.param("geomean-pnorm", (1.0, 2.0, 3.0, 10.0), id="geomean_family-params1"),
+    pytest.param("pnorm", (1.0, 1.5, 2.0, 6.0), id="pnorm_family-params2"),
 ])
-def test_uneven_families_pass_every_tag(make, params):
+def test_uneven_families_pass_every_tag(name, params):
     """Any ascending spacing is a valid family: a wide step after narrow
     ones moves the operators further than the step before, and every pair
     still lies within its exact bound, so every tag passes."""
-    summary = convergence_summary(make(params), L=16)
+    summary = convergence_summary(metric_family(name, params), L=16)
     assert summary.tags == {tag: True for tag in THEOREM_TAGS}
     resolvent = summary.cauchy["resolvent"].diffs
     assert resolvent[2] > resolvent[1]  # the wide step's operators move further
@@ -750,14 +819,16 @@ def shrink_limit_values(monkeypatch, limit_id, factor=0.25):
     monkeypatch.setattr(harness, "family_eigvals", seeded)
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family])
-def test_shrunk_limit_fails_deltacompact(make, monkeypatch):
+@pytest.mark.parametrize(
+    "name", ["pnorm", "geomean-pnorm"], ids=["pnorm_family", "geomean_family"]
+)
+def test_shrunk_limit_fails_deltacompact(name, monkeypatch):
     """A limit whose eigenvalues are scaled by 1/4 moves its resolvent
     beyond the exact bound of the closing pair (1.06 times it on pnorm,
     1.16 on geomean-pnorm at L = 24), while the heat operator stays within
     its own: the resolvent column fails there alone, and with it the
     deltacompact tag alone."""
-    family = make()
+    family = metric_family(name, range(1, 7))
     shrink_limit_values(monkeypatch, family.limit.id)
     cy = cauchy_check(sweep(family, L=24))
     assert [name for name, c in cy.items() if not c.passed] == ["resolvent"]
@@ -779,7 +850,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     # name each metric by its L = 16 spectrum,
     # from the values-only solve (which the disk cache serves bit for bit)
     # and from the reducer path the harness sweep runs
-    family = pnorm_family()
+    family = metric_family("pnorm", range(1, 7))
     metrics = (*family.members, family.limit)
     metric_of = {
         data.eigenvalues.tobytes(): m.id
@@ -831,7 +902,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
                 monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
     members = [f"pnorm:{p}" for p in range(1, 7)]
 
-    convergence_summary(pnorm_family(), L=16)
+    convergence_summary(metric_family("pnorm", range(1, 7)), L=16)
     assert evaluated == [*members, "max"]
     assert len(set(solved)) == len(solved)
     assert {(m, 16) for m in [*members, "max"]} <= set(solved)
@@ -865,7 +936,7 @@ def test_family_commands_share_legendre_sweeps(tmp_path, monkeypatch, capsys):
     assert sweeps == [16]
 
     sweeps.clear()
-    convergence_summary(pnorm_family(), L=24)
+    convergence_summary(metric_family("pnorm", range(1, 7)), L=24)
     assert sweeps == [24, harness._VARIATION_L]
 
 
@@ -882,7 +953,7 @@ def test_only_the_variation_checks_interpolate(monkeypatch):
 
     monkeypatch.setattr(metrics, "interpolate", counting)
     monkeypatch.setattr(harness, "interpolate", counting)
-    convergence_summary(pnorm_family(), L=24)
+    convergence_summary(metric_family("pnorm", range(1, 7)), L=24)
     h = harness._DUHAMEL_STEP
     assert calls == [("pnorm", 2.5 - h), ("pnorm", 2.5), ("pnorm", 2.5 + h)]
 
@@ -925,16 +996,17 @@ def test_convergence_summary_constant_family():
     assert all(r.gap == pytest.approx(0.0, abs=1e-12) for r in summary.two_route)
 
 
-@pytest.mark.parametrize("make", [pnorm_family, geomean_family], ids=["pnorm", "geomean-pnorm"])
-def test_convergence_summary_memory_is_one_block_stack(make):
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_convergence_summary_memory_is_one_block_stack(name):
     """The sweep hands each m's blocks to its reducer and drops them, so the
     run holds one block stack at a time, never the whole chain's blocks:
     tracemalloc's peak for ``convergence_summary`` at L = 64 is at most
     6.0 MB (4.5 MB measured on both families)."""
-    convergence_summary(make(), L=16)  # first-call allocations are not the run's
+    # first-call allocations are not the run's
+    convergence_summary(metric_family(name, range(1, 7)), L=16)
     tracemalloc.start()
     try:
-        convergence_summary(make(), L=64)
+        convergence_summary(metric_family(name, range(1, 7)), L=64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

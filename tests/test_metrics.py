@@ -22,12 +22,11 @@ from zetasphere.metrics import (
     bump_derivative,
     d_log_density_du,
     fs_metric,
-    geomean_family,
     geomean_metric,
     interpolate,
     max_metric,
+    metric_family,
     parse_metric_spec,
-    pnorm_family,
     pnorm_metric,
     scaled_metric,
     sup_log_distances,
@@ -284,13 +283,13 @@ def test_sup_log_distance_to_max(quad, p):
 
 
 def test_sup_log_distance_shrinks_along_family(quad):
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     dists = sup_log_distances((*fam.members, fam.limit), quad.radii_theta)[:-1, -1]
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
 def test_pnorm_family_layout():
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     assert fam.id == "pnorm"
     assert fam.parameters == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert len(fam.members) == 6
@@ -299,17 +298,25 @@ def test_pnorm_family_layout():
 
 
 def test_geomean_family_layout():
-    fam = geomean_family(params=(2.0, 3.0))
+    """The limit fills both fields with max: geomean(max,max), whose jet is
+    max's own, bit for bit."""
+    fam = metric_family("geomean-pnorm", (2.0, 3.0))
     assert fam.id == "geomean-pnorm"
     assert len(fam.members) == 2
-    assert fam.limit.id == max_metric().id
+    assert [m.id for m in fam.members] == ["geomean(pnorm:2,pnorm:3)", "geomean(pnorm:3,pnorm:4)"]
+    assert fam.limit.id == "geomean(max,max)"
+    r = np.array([0.0, 0.3, 1.0, 1.4, 5.0])
+    for got, want in zip(fam.limit.jet(r), max_metric().jet(r), strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert fam.limit.kink_radii == max_metric().kink_radii
 
 
 def test_interpolate_integer_endpoints():
     """At an integer u the blend's rho is 1 and rho' is 0: the jet is the
     member's own, bit for bit, and the u-derivative vanishes."""
     r = np.array([0.3, 1.0, 2.0])
-    for fam, u in itertools.product((pnorm_family(), geomean_family()), (1.0, 2.0, 5.0)):
+    families = [metric_family(n, range(1, 7)) for n in ("pnorm", "geomean-pnorm")]
+    for fam, u in itertools.product(families, (1.0, 2.0, 5.0)):
         m = interpolate(fam, u)
         base = fam.members[int(u)]
         for got, want in zip(m.jet(r), base.jet(r)):
@@ -328,7 +335,7 @@ def test_interpolate_integer_spectrum_is_the_members():
 
 def test_interpolate_midpoint_between_members():
     # u = 2.5 sits on the segment joining members[2] and members[3]
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     r = np.array([0.5, 1.0, 1.5])
     m = interpolate(fam, 2.5)
     lo = fam.members[2].density(r)
@@ -341,7 +348,7 @@ def test_interpolate_midpoint_between_members():
 
 
 def test_interpolate_du_matches_stencil():
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     r = np.array([0.4, 1.0, 2.5])
     u, h = 2.3, 1e-6
     got = d_log_density_du(fam, u, r)
@@ -360,7 +367,9 @@ def _mp_member_log(family_id, p):
     return lambda x: (a(x) + b(x)) / 2
 
 
-@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+@pytest.mark.parametrize("family", [
+    metric_family(n, range(1, 7)) for n in ("pnorm", "geomean-pnorm")
+], ids=lambda f: f.id)
 @pytest.mark.parametrize("u", [1.5, 2.3, 4.7])
 def test_d_log_density_du_matches_mpmath(family, u):
     """The family's u-derivative against mpmath differentiation in u of the
@@ -376,7 +385,7 @@ def test_d_log_density_du_matches_mpmath(family, u):
 
 
 def test_interpolate_domain_errors():
-    fam = pnorm_family(params=(1.0, 2.0, 3.0))
+    fam = metric_family("pnorm", (1.0, 2.0, 3.0))
     with pytest.raises(DomainError):
         interpolate(fam, 0.5)
     with pytest.raises(DomainError):
@@ -387,7 +396,7 @@ def test_interpolate_domain_errors():
 
 def test_d_log_density_du_vanishes_at_integer_u(quad):
     """The blend is stationary at a member, u = 2, and varies in between."""
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     r = quad.radii_theta
     assert np.all(d_log_density_du(fam, 2.0, r) == 0.0)
     assert np.abs(d_log_density_du(fam, 2.5, r)).max() > 0.0
@@ -399,7 +408,7 @@ def test_node_variation_bounds_chart_one_variation(quad):
     """The node sup of |d log H/du| also dominates its values at the
     inverted radii 1/r of w = 1/z, where the |w|^-4 gluing factor does not
     depend on u."""
-    fam = pnorm_family()
+    fam = metric_family("pnorm", range(1, 7))
     r = quad.radii_theta
     inverted = np.abs(d_log_density_du(fam, 2.5, 1.0 / r)).max()
     assert inverted <= np.abs(d_log_density_du(fam, 2.5, r)).max() * (1.0 + 1e-12)
@@ -448,7 +457,9 @@ def test_parse_metric_spec_rejects(spec):
         parse_metric_spec(spec)
 
 
-@pytest.mark.parametrize("family", [pnorm_family(), geomean_family()], ids=lambda f: f.id)
+@pytest.mark.parametrize("family", [
+    metric_family(n, range(1, 7)) for n in ("pnorm", "geomean-pnorm")
+], ids=lambda f: f.id)
 def test_family_ids_are_specs(family):
     """Every member and limit id of a family, bare and under ``scaled:``,
     parses back to the same id and to a bitwise-equal jet."""

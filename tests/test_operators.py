@@ -90,6 +90,19 @@ def test_rank_one_singular_values():
     assert sv.sum() == pytest.approx(sv[0], rel=1e-12)
 
 
+def test_singular_values_broadcast_stack_is_each_matrix_alone():
+    """A (2, K, n, n) stack against K Gram matrices, as the sweep passes both
+    operator columns against one Cholesky factor per pair, maps each matrix
+    bitwise as it would be alone."""
+    rng = np.random.default_rng(7)
+    pairs = [random_instance(rng) for _ in range(6)]
+    grams = np.stack([G for _, G in pairs[:3]])
+    stack = np.stack([A for A, _ in pairs]).reshape(2, 3, 9, 9)
+    got = singular_values(stack, grams)
+    for i, k in np.ndindex(2, 3):
+        np.testing.assert_array_equal(got[i, k], singular_values(stack[i, k], grams[k]))
+
+
 def test_singular_values_rejects_indefinite_gram():
     G = np.eye(4)
     G[2, 2] = -1.0

@@ -1,13 +1,14 @@
-"""Property tests of the two text inputs: metric specs and INI configs.
+"""Property tests of the text inputs: metric specs, family templates and
+INI configs.
 
 Every input string either parses or raises ConfigError, which the CLI turns
 into exit 2 with a message; no other exception may escape. The generators
-mix well-formed pieces (spec prefixes, geomean pairs, section names,
-schema keys) with numbers in every spelling float() accepts or rejects
-(nan, inf, overflow, underscores, blanks) and with arbitrary text; a
-config text is written to a file and loaded by `load_config`, as the CLI
-loads it. Example counts are fixed and the search is derandomized, so a
-run is repeatable.
+mix well-formed pieces (spec prefixes, geomean pairs, template fields,
+section names, schema keys) with numbers in every spelling float() accepts
+or rejects (nan, inf, overflow, underscores, blanks) and with arbitrary
+text; a config text is written to a file and loaded by `load_config`, and
+its family built by `metric_family`, as the CLI does. Example counts are
+fixed and the search is derandomized, so a run is repeatable.
 """
 
 import math
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 
 from zetasphere.config import RunConfig, load_config
 from zetasphere.errors import ConfigError
-from zetasphere.metrics import MAX_INTERP_U, ConformalMetric, parse_metric_spec
+from zetasphere.metrics import (
+    MAX_INTERP_U,
+    ConformalMetric,
+    MetricFamily,
+    interpolate,
+    metric_family,
+    parse_metric_spec,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -38,7 +46,8 @@ leaf_specs = st.one_of(
     st.builds(
         "interp:{}:{}".format,
         numbers,
-        st.sampled_from(["pnorm", "geomean-pnorm", "bogus", ""]),
+        st.sampled_from(["pnorm", "geomean-pnorm", "bogus", "", "pnorm:{p}",
+                         "geomean(fs,pnorm:{p+1})", "scaled:{p}:fs", "pnorm:{q}"]),
     ),
     st.text(max_size=12),
 )
@@ -65,11 +74,51 @@ def test_metric_spec_parses_or_raises_config_error(spec):
     except ConfigError:
         return
     assert isinstance(metric, ConformalMetric)
+    _assert_id_parses_back(metric)
+
+
+def _assert_id_parses_back(metric: ConformalMetric) -> None:
     again = parse_metric_spec(metric.id)
     assert again.id == metric.id
     # the id carries the exact parameters, so it names the same metric
     r = np.array([0.0, 0.3, 0.7, 1.0, 1.4, 5.0])
-    np.testing.assert_array_equal(again.log_density(r), metric.log_density(r))
+    for got, want in zip(again.jet(r), metric.jet(r), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+templates = st.one_of(
+    st.sampled_from(["pnorm", "geomean-pnorm", "bogus", ""]),
+    st.recursive(
+        st.one_of(
+            st.sampled_from(["pnorm:{p}", "pnorm:{p+1}", "pnorm:{p+0}", "fs", "max", "pnorm:3"]),
+            st.sampled_from(["pnorm:{q}", "pnorm:{p-1}", "scaled:{p}:fs", "pnorm:{p", "{p}"]),
+            st.builds("interp:{}:{}".format, numbers, st.sampled_from(["pnorm", "pnorm:{p}"])),
+        ),
+        lambda inner: st.one_of(
+            st.builds("scaled:{}:{}".format, st.one_of(st.just("2.5"), numbers), inner),
+            st.builds("geomean({},{})".format, inner, inner),
+        ),
+        max_leaves=3,
+    ),
+    st.text(max_size=12),
+)
+
+
+@PROPERTY_SETTINGS
+@given(templates, st.floats(min_value=1.0, max_value=4.0))
+@example("geomean(fs,pnorm:{p})", 2.5)
+@example("scaled:3:geomean(pnorm:{p},pnorm:{p+2})", 1.5)
+def test_family_template_ids_parse_back(template, u):
+    """A template either builds a family or raises ConfigError; every member
+    id, the limit id and the ``interp:<u>:<template>`` id then parse back
+    to the same id and the same jet."""
+    try:
+        family = metric_family(template, range(1, 6))
+    except ConfigError:
+        return
+    assert isinstance(family, MetricFamily) and family.id == template
+    for metric in (*family.members, family.limit, interpolate(family, u)):
+        _assert_id_parses_back(metric)
 
 
 _SCHEMA_KEYS = {
@@ -83,7 +132,8 @@ _SCHEMA_KEYS = {
 values = st.one_of(
     numbers,
     st.lists(numbers, max_size=4).map(", ".join),
-    st.sampled_from(["true", "no", "pnorm", "geomean-pnorm", "pnorm:3", "out"]),
+    st.sampled_from(["true", "no", "pnorm", "geomean-pnorm", "pnorm:3", "out", "bogus",
+                     "geomean(fs,pnorm:{p})", "pnorm:{q}"]),
 )
 
 
@@ -105,14 +155,20 @@ def ini_texts(draw):
 @example("[zeta]\ns_values = 2, nan")
 @example("[converge]\nt_set = 0.5, inf")
 @example("[family]\nparameters = 1, 2, nan")
+@example("[family]\nname = bogus")
 def test_ini_parses_or_raises_config_error(text):
+    """The config loads and its family builds, or one of them raises
+    ConfigError: the family template is refused downstream, where the
+    family is built."""
     try:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "run.ini"
             path.write_text(text, encoding="utf-8")
             config = load_config(path)
+        family = metric_family(config.family, config.family_parameters)
     except ConfigError:
         return
+    assert isinstance(family, MetricFamily)
     assert isinstance(config, RunConfig)
     for name in RunConfig._fields:
         value = getattr(config, name)
