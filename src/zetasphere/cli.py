@@ -288,18 +288,17 @@ def _cmd_converge(config: RunConfig, out: Path) -> int:
         summary.quillen.rows,
     )
     verdict = _verdict(summary.tags)
+    # lowerbound's floor: key2's lambda1 column telescoped along the chain
+    gaps = [row.columns["lambda1"] for row in (*rows, summary.sweep.limit_row)]
+    c = math.exp(math.fsum(summary.sweep.pair_dist))
+    floor = gaps[0] / c
     payload = {
         "family": summary.family_id,
         "L": summary.L,
         **verdict,
         "detail": {
             "cauchy_violations": [v for name in rows[0].columns for v in cauchy[name].violations],
-            "floor": {
-                "c": summary.floor.c,
-                "floor": summary.floor.floor,
-                "kappa": summary.floor.kappa,
-                "margin": summary.floor.margin,
-            },
+            "floor": {"c": c, "floor": floor, "kappa": min(gaps), "margin": min(gaps) - floor},
             "resolvent": {
                 "limit_dist": cauchy["resolvent"].diffs[-1],
                 "heat_limit_dist": cauchy["heat"].diffs[-1],

@@ -94,27 +94,13 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in parts)
 
 
-def _optional(parser):
-    def parse(raw: str):
-        return None if raw.strip() == "" else parser(raw)
-
-    return parse
-
-
-def _parse_str(raw: str) -> str:
-    value = raw.strip()
-    if not value:
-        raise ConfigError("expected a nonempty value")
-    return value
-
-
 # section -> key -> (RunConfig attribute, parser)
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
-        "metric": ("metric", _parse_str),
+        "metric": ("metric", str.strip),
         "L": ("L", _parse_int),
-        "output_dir": ("output_dir", _parse_str),
-        "cache_dir": ("cache_dir", _optional(_parse_str)),
+        "output_dir": ("output_dir", str.strip),
+        "cache_dir": ("cache_dir", str.strip),
         "threads": ("threads", _parse_int),
     },
     "theta": {
@@ -127,7 +113,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "s_values": ("s_values", _parse_floats),
     },
     "family": {
-        "name": ("family", _parse_str),
+        "name": ("family", str.strip),
         "parameters": ("family_parameters", _parse_floats),
     },
     "converge": {
@@ -196,6 +182,8 @@ def _values(text: str) -> dict[str, object]:
                     f"unknown key {key!r} in section [{section}]; valid keys: "
                     + ", ".join(sorted(keys))
                 )
+            if not raw.strip():
+                continue  # a blank value means "use the default"
             attr, value_parser = keys[key]
             try:
                 updates[attr] = value_parser(raw)

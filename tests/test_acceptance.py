@@ -27,7 +27,7 @@ from zetasphere.harness import (
     _DUHAMEL_STEP,
     _VARIATION_L,
     _duhamel_residual,
-    lambda1_floor,
+    cauchy_check,
     sweep,
     variation_checks,
 )
@@ -258,15 +258,20 @@ def test_ac06_theta_gap_is_continuum_rate(zeta32, cache):
 
 
 def test_ac07_lambda1_floor(cache):
+    """The floor is key2's lambda1 column telescoped (tag lowerbound): c is
+    e^(sum of the chain's pair distances)."""
     fam = metric_family("pnorm", list(SWEEP_P))
-    floor = lambda1_floor(sweep(fam, L=32))
-    assert floor.passed
-    assert floor.margin > 0.0
+    rep = sweep(fam, L=32)
+    gaps = [row.columns["lambda1"] for row in (*rep.rows, rep.limit_row)]
+    c = math.exp(math.fsum(rep.pair_dist))
+    floor = gaps[0] / c
+    margin = min(gaps) - floor
+    assert margin > 0.0
     report(
         "AC07",
-        True,
+        cauchy_check(rep)["lambda1"].passed,
         f"lambda_1,p >= lambda_1,ref / c over p in (2..32) at L=32: "
-        f"c = {floor.c:.3f}, floor {floor.floor:.3f}, margin {floor.margin:.3f}",
+        f"c = {c:.3f}, floor {floor:.3f}, margin {margin:.3f}",
     )
 
 

@@ -170,6 +170,19 @@ def test_config_file_rejects_unknowns(tmp_path):
         load_text(tmp_path, "[run]\nL = 0\n")  # parses, fails validation
 
 
+@pytest.mark.parametrize("section", ["run", "theta", "zeta", "family", "converge"])
+def test_blank_values_load_the_defaults(tmp_path, section):
+    """A blank or whitespace-only value means "use the default", for every
+    key of every section; an unknown key is refused even when blank."""
+    from zetasphere.config import _SCHEMA
+
+    keys = _SCHEMA[section]
+    blank = f"[{section}]\n" + "".join(f"{key} =\t\n" for key in keys)
+    assert load_text(tmp_path, blank) == RunConfig()
+    with pytest.raises(ConfigError, match="valid keys"):
+        load_text(tmp_path, f"[{section}]\nbogus =\n")
+
+
 def test_load_config_lays_flags_over_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nL = 1000\nmetric = max\n")

@@ -3,7 +3,9 @@
 Two independent oracles back the harness claims here: a direct min-max
 argument on a hand-perturbed mass matrix (for the gap floor) and centered
 finite differences of resolvent/heat operators along the interpolation
-parameter (for the d -> 0 forms of the exact operator bounds).
+parameter (for the d -> 0 forms of the exact operator bounds). Each seeded
+fault fails the exact set of tags that `FAULT_TAGS` lists for it, and
+every tag is failed by some fault there.
 """
 
 import json
@@ -33,7 +35,6 @@ from zetasphere.harness import (
     BorneReport,
     cauchy_check,
     convergence_summary,
-    lambda1_floor,
     sweep,
     variation_checks,
 )
@@ -72,6 +73,37 @@ def constant_family(n: int = 4) -> MetricFamily:
         limit=member,
         parameters=tuple(float(k + 1) for k in range(n)),
     )
+
+
+# The tags each seeded fault of this file fails, exactly. Member k is the
+# k-th of the family's parameters 1..6 unless a test says otherwise; a
+# budget is the zeta record's own error budget.
+FAULT_TAGS = {
+    "limit zeta'(0) + 1": {"key2"},
+    "first member's lambda1 moved by e^d": {"key2", "lowerbound"},
+    "first member's vol moved by e^d": {"key2"},
+    "member 3's lambda1 column x 0.7": {"key2", "lowerbound"},
+    "member 2's gap set to 0": {"laplaceTX", "key2", "lowerbound"},
+    "variation weights x 1.1": {"bornelapbelt"},
+    "variation operator's stiffness x (1 + 1e-4)": {"variationEu"},
+    "limit eigenvalues x 1/4 in the operator columns": {"deltacompact"},
+    "every zeta'(0) + 5e-5 vol": {"compare2methods", "convergenceAnomaly"},
+    "a member's zeta'(0) moved 3 budgets": {"convergenceAnomaly"},
+    # on pnorm and geomean-pnorm, not on geomean(fs,pnorm:{p})
+    "member 3's zeta'(0) - 3 budgets": {"convergenceAnomaly", "compare2methods"},
+    # on pnorm and geomean-pnorm either way, on geomean(fs,pnorm:{p}) upward
+    "limit zeta'(0) moved 3 budgets": {"convergenceAnomaly", "key2"},
+    "limit zeta'(0) - 3 budgets on geomean(fs,pnorm:{p})": {"convergenceAnomaly"},
+}
+
+
+def failed_tags(summary) -> set[str]:
+    return {tag for tag, ok in summary.tags.items() if not ok}
+
+
+def test_every_tag_has_a_fault_that_fails_it():
+    """A refactor that leaves a tag unable to fail breaks this table's tests."""
+    assert set().union(*FAULT_TAGS.values()) == set(THEOREM_TAGS)
 
 
 def test_theorem_tags_frozen():
@@ -256,61 +288,113 @@ def test_limit_disagreement_fails_key2(monkeypatch):
     )
     summary = convergence_summary(fam, L=16)
     assert summary.tags["key2"] is False
-    assert [tag for tag, ok in summary.tags.items() if not ok] == ["key2"]
+    assert failed_tags(summary) == FAULT_TAGS["limit zeta'(0) + 1"]
     assert [c.violations for c in summary.cauchy.values()] == [c.violations for c in cy.values()]
 
 
-@pytest.mark.parametrize("name", ["lambda1", "vol"])
-def test_first_pair_moved_by_its_distance_fails_key2(name):
-    """The first member's lambda1, or its volume, moved by the factor
-    e^(d_0) away from its neighbour's, d_0 the first pair's distance,
-    leaves the min-max bound e^-d <= x / y <= e^d of that pair: key2 fails
-    there, on the first pair."""
-    rep = sweep(metric_family("pnorm", [1.0, 2.0, 3.0]), L=16)
-    assert all(col.passed for col in cauchy_check(rep).values())
-    first, second = rep.rows[0].columns[name], rep.rows[1].columns[name]
-    d0 = rep.pair_dist[0]
+def move_first(report, name):
+    """The first member's column ``name`` moved by the factor e^(d_0) away
+    from its neighbour's, d_0 the first pair's distance."""
+    first, second = report.rows[0].columns[name], report.rows[1].columns[name]
+    d0 = report.pair_dist[0]
     moved = first * math.exp(d0 if first > second else -d0)
-    row = rep.rows[0]._replace(columns={**rep.rows[0].columns, name: moved})
-    cy = cauchy_check(rep._replace(rows=(row, *rep.rows[1:])))
+    row = report.rows[0]._replace(columns={**report.rows[0].columns, name: moved})
+    return report._replace(rows=(row, *report.rows[1:]))
+
+
+@pytest.mark.parametrize("name", ["lambda1", "vol"])
+def test_first_pair_moved_by_its_distance_fails_key2(name, monkeypatch):
+    """The first member's lambda1, or its volume, moved by the factor
+    e^(d_0) away from its neighbour's leaves the min-max bound
+    e^-d <= x / y <= e^d of that pair: key2 fails there, on the first pair,
+    and a moved lambda1 fails lowerbound with it."""
+    fam = metric_family("pnorm", [1.0, 2.0, 3.0])
+    rep = sweep(fam, L=16)
+    assert all(col.passed for col in cauchy_check(rep).values())
+    cy = cauchy_check(move_first(rep, name))
     assert [c.name for c in cy.values() if not c.passed] == [name]
     assert len(cy[name].violations) == 1
     assert cy[name].violations[0].startswith(f"column {name}: pair (1, 2) difference ")
 
+    real_sweep = harness.sweep
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: move_first(real_sweep(*a, **k), name))
+    summary = convergence_summary(fam, L=16)
+    assert failed_tags(summary) == FAULT_TAGS[f"first member's {name} moved by e^d"]
 
-def test_lambda1_floor():
+
+def scale_member_lambda1(report, k, factor):
+    """Member k's lambda1 column scaled by ``factor``; its spectrum, and so
+    its zeta record, stay as solved."""
+    row = report.rows[k - 1]
+    row = row._replace(columns={**row.columns, "lambda1": factor * row.columns["lambda1"]})
+    return report._replace(rows=(*report.rows[:k - 1], row, *report.rows[k:]))
+
+
+@pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
+def test_seeded_lambda1_fails_lowerbound(name, monkeypatch):
+    """Member 3's lambda1 scaled by 0.7 at L = 24 breaks the lambda1
+    column's step from member 2, and so the telescoped floor: lowerbound
+    fails with key2, and no other tag does."""
+    family = metric_family(name, range(1, 7))
+    real_sweep = harness.sweep
+    monkeypatch.setattr(
+        harness, "sweep", lambda *a, **k: scale_member_lambda1(real_sweep(*a, **k), 3, 0.7)
+    )
+    summary = convergence_summary(family, L=24)
+    assert failed_tags(summary) == FAULT_TAGS["member 3's lambda1 column x 0.7"]
+    assert summary.cauchy["lambda1"].violations[0].startswith(
+        "column lambda1: pair (2, 3) difference "
+    )
+
+
+def test_lambda1_floor(tmp_path, capsys):
+    """lowerbound is key2's lambda1 column telescoped: each pair's step
+    lambda1(b) >= lambda1(a) e^-d chains to the floor
+    lambda1 >= lambda1(first) e^-(sum of d) up to the limit. The chain's
+    cumulative distances are the direct ones to the first member, so
+    converge's detail.floor reads c = e^(2 log 2) = 4, pnorm:1 to max on
+    the equator, the floor lambda1(first) / c, the least gap kappa and the
+    margin kappa - floor."""
     fam = metric_family("pnorm", [1.0, 2.0, 3.0, 4.0])
     rep = sweep(fam, L=16)
-    fl = lambda1_floor(rep)
-    assert fl.passed
-    assert fl.rows[0].c_member == 1.0
-    assert fl.rows[-1].param == math.inf  # the limit metric joins the rows
+    assert cauchy_check(rep)["lambda1"].passed
+    chain = (*rep.rows, rep.limit_row)
+    gaps = [row.columns["lambda1"] for row in chain]
+    assert gaps == [row.spectrum.lambda1 for row in chain]
     radii = build_basis(16).quad.radii_theta
-    for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
-        (_, d), _ = sup_log_distances((metric, fam.members[0]), radii)
-        assert row.c_member == math.exp(d)
-    assert fl.c == pytest.approx(4.0, rel=1e-14)  # pnorm:1 to max: e^(2 log 2) on the equator
-    assert fl.c == max(r.c_member for r in fl.rows)
-    assert fl.floor == pytest.approx(fl.rows[0].lambda1 / fl.c, rel=1e-15)
-    assert fl.kappa == min(r.lambda1 for r in fl.rows)
-    assert fl.margin > 0.0
-    assert [r.lambda1 for r in fl.rows] == [r.spectrum.lambda1 for r in (*rep.rows, rep.limit_row)]
-    single = metric_family("pnorm", [2.0])
-    with pytest.raises(DomainError):
-        lambda1_floor(sweep(single, L=16))
+    for row, gap, total in zip(chain[1:], gaps[1:], np.cumsum(rep.pair_dist)):
+        (_, d), _ = sup_log_distances((row.metric, fam.members[0]), radii)
+        assert total == pytest.approx(d, abs=1e-15)
+        assert gap >= gaps[0] * math.exp(-total)
+
+    config_path = tmp_path / "fam.ini"
+    config_path.write_text("[run]\nL = 16\n\n[family]\nparameters = 1, 2, 3, 4\n")
+    code = main(["converge", "-c", str(config_path), "--output-dir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    floor = json.loads((tmp_path / "out" / "summary.json").read_text())["detail"]["floor"]
+    assert floor["c"] == pytest.approx(4.0, rel=1e-14)
+    assert floor["c"] == math.exp(math.fsum(rep.pair_dist))
+    assert floor["floor"] == pytest.approx(gaps[0] / floor["c"], rel=1e-15)
+    assert floor["kappa"] == min(gaps)
+    assert floor["margin"] == floor["kappa"] - floor["floor"]
+    assert floor["margin"] > 0.0
 
 
 def test_lambda1_floor_matches_dense_gram_pencil():
-    """Each c_member = e^d bounds the top eigenvalue of the dense Gram
-    pencil (M_p, M_ref), the sharpest constant of M_p <= c M_ref, on every
-    row: the mass weights are positive on the nodes."""
+    """Each pair's constant e^d, the one key2's lambda1 column uses, bounds
+    the top eigenvalue of the pair's dense Gram pencil (M_b, M_a), the
+    sharpest constant of M_b <= c M_a, and of (M_a, M_b), on every pair of
+    the chain closed by the limit: the mass weights are positive on the
+    nodes."""
     fam = metric_family("pnorm", [1.0, 2.0, 3.0])
-    fl = lambda1_floor(sweep(fam, L=16))
+    rep = sweep(fam, L=16)
     basis = build_basis(16)
-    m_ref = tuple(M for (M,) in masses(basis, (fam.members[0],)))
-    for row, metric in zip(fl.rows, (*fam.members, fam.limit)):
-        top = oracles.dense_gram_pencil_top((M for (M,) in masses(basis, (metric,))), m_ref)
-        assert top <= row.c_member * (1.0 + 1e-12), row.param
+    stacks = [tuple(M for (M,) in masses(basis, (g,))) for g in (*fam.members, fam.limit)]
+    for k, d in enumerate(rep.pair_dist):
+        for a, b in ((k, k + 1), (k + 1, k)):
+            top = oracles.dense_gram_pencil_top(stacks[b], stacks[a])
+            assert top <= math.exp(d) * (1.0 + 1e-12), (a, b)
 
 
 def test_minmax_oracle_for_gap_floor():
@@ -471,7 +555,7 @@ def test_raised_variation_fails_bornelapbelt(name, monkeypatch):
     real = harness.variation_weights
     monkeypatch.setattr(harness, "variation_weights", lambda *a: 1.1 * real(*a))
     summary = convergence_summary(family, L=24)
-    assert [tag for tag, ok in summary.tags.items() if not ok] == ["bornelapbelt"]
+    assert failed_tags(summary) == FAULT_TAGS["variation weights x 1.1"]
     assert summary.borne.max_ratio > summary.borne.delta_nodes * 1.03
 
 
@@ -579,7 +663,7 @@ def test_variation_operator_error_fails_variationEu(tmp_path, monkeypatch, capsy
     assert code == 3
     assert "tolerance failure on tags variationEu" in err
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["failed"] == ["variationEu"]
+    assert set(summary["failed"]) == FAULT_TAGS["variation operator's stiffness x (1 + 1e-4)"]
     assert summary["detail"]["duhamel_ratio"] == pytest.approx(1e-4, rel=0.05)
 
 
@@ -601,7 +685,8 @@ def test_convergence_summary_smoothing_family():
     assert all(r.passed for r in summary.two_route)
     assert summary.borne.passed
     assert summary.duhamel.ratio < DUHAMEL_RATIO_TOL
-    assert summary.floor.margin > 0.0
+    gaps = [row.columns["lambda1"] for row in (*summary.sweep.rows, summary.sweep.limit_row)]
+    assert min(gaps) > gaps[0] / math.exp(math.fsum(summary.sweep.pair_dist))
 
 
 @pytest.mark.parametrize("name", ["pnorm", "geomean-pnorm"])
@@ -620,8 +705,9 @@ def test_compare2methods_sees_a_seeded_error(name, monkeypatch):
     """Every zeta'(0) raised by 5e-5 vol, an error the parent's fitted
     budgets let through up to 3e-3 vol, fails compare2methods at L = 24:
     the members' volumes differ, so the two routes no longer agree within
-    three times the budgets. Unseeded, every pair passes, and the limit
-    log h_Q is within 1e-6 of the closed form."""
+    three times the budgets, and the limit's budget interval no longer
+    meets the members' predictions (convergenceAnomaly). Unseeded, every
+    pair passes, and the limit log h_Q is within 1e-6 of the closed form."""
     family = metric_family(name, range(1, 7))
     summary = convergence_summary(family, L=24)
     assert summary.tags["compare2methods"]
@@ -635,7 +721,7 @@ def test_compare2methods_sees_a_seeded_error(name, monkeypatch):
         return zres._replace(zeta_prime0=zres.zeta_prime0 + 5e-5 * zres.volume)
 
     monkeypatch.setattr(harness, "zeta_result", seeded)
-    assert not convergence_summary(family, L=24).tags["compare2methods"]
+    assert failed_tags(convergence_summary(family, L=24)) == FAULT_TAGS["every zeta'(0) + 5e-5 vol"]
 
 
 def _seed_zeta_prime0(monkeypatch, metric_id, budgets):
@@ -661,11 +747,14 @@ def test_convergence_anomaly_sees_a_seeded_member_error(name, k, sign, monkeypat
     interval the other rows share. Member 1 is not tested, and a move of
     it is not caught: its budget is the smallest (2.1e-7 on pnorm, 8 times
     below member 2's; 2.6 times on geomean-pnorm), so its moved interval
-    still meets member 2's."""
+    still meets member 2's. Member 3 moved down also fails compare2methods
+    on its pairs."""
     family = metric_family(name, range(1, 7))
     _seed_zeta_prime0(monkeypatch, family.members[k - 1].id, 3.0 * sign)
     summary = convergence_summary(family, L=24)
-    assert not summary.tags["convergenceAnomaly"]
+    fault = "member 3's zeta'(0) - 3 budgets" if (k, sign) == (3, -1.0) else (
+        "a member's zeta'(0) moved 3 budgets")
+    assert failed_tags(summary) == FAULT_TAGS[fault]
     assert f"from parameter {family.parameters[k - 1]:g}" in summary.quillen.failures[0]
 
 
@@ -673,12 +762,13 @@ def test_convergence_anomaly_sees_a_seeded_member_error(name, k, sign, monkeypat
 def test_convergence_anomaly_sees_a_seeded_limit_error(name, monkeypatch):
     """The limit row's direct zeta'(0) moved by 3 times its budget (7.7e-2
     at L = 24) fails convergenceAnomaly: the members predict the limit far
-    inside that budget. Unseeded, the tag passes."""
+    inside that budget, and the closing pair's zeta'(0) leaves its key2
+    bound. Unseeded, the tag passes."""
     family = metric_family(name, range(1, 7))
     assert convergence_summary(family, L=24).tags["convergenceAnomaly"]
     _seed_zeta_prime0(monkeypatch, family.limit.id, 3.0)
     summary = convergence_summary(family, L=24)
-    assert not summary.tags["convergenceAnomaly"]
+    assert failed_tags(summary) == FAULT_TAGS["limit zeta'(0) moved 3 budgets"]
     assert "from parameter inf" in summary.quillen.failures[0]
 
 
@@ -735,13 +825,21 @@ def test_template_families_pass_and_cover_the_oracle(template, L, tmp_path, caps
 def test_convergence_anomaly_sees_a_seeded_error_on_a_template(k, sign, monkeypatch):
     """On geomean(fs,pnorm:{p}) at L = 24, any member's zeta'(0) or the
     limit row's, moved by 3 times its budget either way, fails
-    convergenceAnomaly; member 1 is caught here too, unlike on pnorm."""
+    convergenceAnomaly; member 1 is caught here too, unlike on pnorm. The
+    limit moved up also fails key2 on the closing pair, moved down it does
+    not."""
     family = metric_family("geomean(fs,pnorm:{p})", range(1, 7))
     metric, param = (family.limit, math.inf) if k == "limit" else (
         family.members[k - 1], family.parameters[k - 1])
     _seed_zeta_prime0(monkeypatch, metric.id, 3.0 * sign)
     summary = convergence_summary(family, L=24)
-    assert not summary.tags["convergenceAnomaly"]
+    if k != "limit":
+        fault = "a member's zeta'(0) moved 3 budgets"
+    elif sign > 0.0:
+        fault = "limit zeta'(0) moved 3 budgets"
+    else:
+        fault = "limit zeta'(0) - 3 budgets on geomean(fs,pnorm:{p})"
+    assert failed_tags(summary) == FAULT_TAGS[fault]
     assert f"from parameter {param:g}" in summary.quillen.failures[0]
 
 
@@ -836,7 +934,7 @@ def test_shrunk_limit_fails_deltacompact(name, monkeypatch):
     assert violation.startswith("column resolvent: pair (6, inf) difference ")
 
     summary = convergence_summary(family, L=24)
-    assert [tag for tag, ok in summary.tags.items() if not ok] == ["deltacompact"]
+    assert failed_tags(summary) == FAULT_TAGS["limit eigenvalues x 1/4 in the operator columns"]
     assert summary.cauchy["resolvent"].violations == (violation,)
 
 
@@ -845,8 +943,8 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     record once: the checks
     read the results the sweep (or the per-member pass of anomaly) computed.
     ``convergence_summary`` solves each (metric, L) pencil once, reads no
-    disk cache, and its gap floor and Cauchy table neither assemble a mass
-    block nor solve a pencil: they read the sweep's spectra."""
+    disk cache, and its Cauchy table neither assembles a mass block nor
+    solves a pencil: it reads the sweep's spectra."""
     # name each metric by its L = 16 spectrum,
     # from the values-only solve (which the disk cache serves bit for bit)
     # and from the reducer path the harness sweep runs
@@ -894,8 +992,7 @@ def test_pipeline_runs_once_per_metric(cache, tmp_path, monkeypatch, solved, cap
     for module in (heatzeta, harness):
         monkeypatch.setattr(module, "zeta_result", counting_zeta)
     monkeypatch.setattr(SpectrumCache, "load", counting_load)
-    for check in ("lambda1_floor", "cauchy_check"):
-        monkeypatch.setattr(harness, check, flagged(getattr(harness, check)))
+    monkeypatch.setattr(harness, "cauchy_check", flagged(harness.cauchy_check))
     for module in (discretize, pipeline, harness):
         for name in ("masses", "weighted_grams", "family_eigvals"):
             if hasattr(module, name):
@@ -959,8 +1056,9 @@ def test_only_the_variation_checks_interpolate(monkeypatch):
 
 
 def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):
-    """A member without a positive spectral gap is a failed laplaceTX check:
-    converge writes its summary and exits 3 naming the tag."""
+    """A member without a positive spectral gap is a failed laplaceTX check,
+    and its lambda1 column step fails key2 and lowerbound: converge writes
+    its summary and exits 3 naming the tags."""
     real_gap = Spectrum.lambda1.fget
 
     def gap(spectrum):
@@ -976,7 +1074,7 @@ def test_nonpositive_gap_fails_laplaceTX(tmp_path, monkeypatch, capsys):
     assert "laplaceTX" in err
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["tags"]["laplaceTX"] is False
-    assert "laplaceTX" in summary["failed"]
+    assert set(summary["failed"]) == FAULT_TAGS["member 2's gap set to 0"]
     lambda1 = [row.split(",")[2] for row in (tmp_path / "out" / "converge.csv").read_text().splitlines()]
     assert lambda1[2] == "0"
 
